@@ -58,18 +58,15 @@ use std::sync::{Arc, Mutex};
 
 use mwn_graph::{NodeId, Point2, Topology, TopologyDelta};
 use mwn_radio::{Medium, PerfectMedium};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
-use crate::engine::{run_pooled, ActivityCore, NodeSet};
+use crate::engine::{self, run_pooled, Env, NodeSet};
 use crate::error::SimError;
-use crate::faults::{Fault, Followup, Lie};
-use crate::network::{Corruptor, StepActivity};
+use crate::faults::Fault;
+use crate::network::StepActivity;
 use crate::observable::Observable;
 use crate::protocol::{Activity, Corruptible, Protocol};
-use crate::rng::derive_seed;
-use crate::scenario::TopologyDynamics;
-use crate::stop::{Obs, RunReport, StopWhen};
+use crate::rng::streams;
+use crate::stop::{RunReport, StopWhen};
 use crate::wire::WireBeacon;
 
 /// One serialized beacon in flight: the wire bytes plus the routing
@@ -152,29 +149,15 @@ struct NodeOutcome<P: Protocol> {
 /// The actor driver. Build one through
 /// [`Scenario::build_actors`](crate::Scenario::build_actors).
 pub struct ActorDriver<P: Protocol, M: Medium = PerfectMedium> {
-    protocol: P,
+    /// Protocol, topology, activity core and the one fault path.
+    pub(crate) env: Env<P>,
     medium: M,
-    topo: Topology,
-    core: ActivityCore<P>,
     threads: usize,
     period: u64,
     force_eager: bool,
     mailboxes: Vec<Mailbox>,
-    scripted: Vec<(u64, Fault)>,
-    next_scripted: usize,
-    /// Timed second phases of fired faults (resurrections, healings,
-    /// lie expiries), as `(due_period, seq, followup)`; fired in
-    /// ascending `(due, seq)` order before that period's scripted
-    /// faults, which fire before its slot release.
-    followups: Vec<(u64, u64, Followup<P>)>,
-    followup_seq: u64,
-    corruptor: Option<Corruptor<P>>,
-    fault_rng: StdRng,
-    dynamics: Option<Box<dyn TopologyDynamics + Send>>,
-    env_changed: bool,
     messages_total: u64,
     last_activity: StepActivity,
-    scratch_nodes: Vec<NodeId>,
     stale_buf: Vec<NodeId>,
     senders_buf: Vec<NodeId>,
     dirty_buf: Vec<NodeId>,
@@ -222,55 +205,29 @@ where
                 medium.name()
             )));
         }
-        let core = ActivityCore::new(&protocol, &topo, seed);
         let mailboxes = topo.nodes().map(|p| Mailbox::new(topo.degree(p))).collect();
         Ok(ActorDriver {
-            protocol,
             medium,
-            core,
             threads: threads.max(1),
             period: 0,
             force_eager: false,
             mailboxes,
-            scripted: Vec::new(),
-            next_scripted: 0,
-            followups: Vec::new(),
-            followup_seq: 0,
-            corruptor: None,
-            fault_rng: StdRng::seed_from_u64(derive_seed(seed, u64::MAX - 2)),
-            dynamics: None,
-            env_changed: false,
             messages_total: 0,
             last_activity: StepActivity::default(),
-            scratch_nodes: Vec::new(),
             stale_buf: Vec::new(),
             senders_buf: Vec::new(),
             dirty_buf: Vec::new(),
             touched_buf: Vec::new(),
             touched: NodeSet::new(topo.len()),
-            topo,
+            env: Env::new(protocol, topo, seed, streams::ROUND_FAULT),
         })
     }
 
-    pub(crate) fn install_script(
-        &mut self,
-        scripted: Vec<(u64, Fault)>,
-        corruptor: Option<Corruptor<P>>,
-    ) {
-        self.scripted = scripted;
-        self.next_scripted = 0;
-        self.corruptor = corruptor;
-    }
-
-    pub(crate) fn install_dynamics(&mut self, dynamics: Box<dyn TopologyDynamics + Send>) {
-        self.dynamics = Some(dynamics);
-    }
-
-    /// Re-derives every mailbox bound after a topology change (the
-    /// in-degree bound follows the adjacency lists).
+    /// Re-derives every mailbox bound after the environment changed
+    /// (the in-degree bound follows the adjacency lists).
     fn resize_mailboxes(&mut self) {
-        for p in self.topo.nodes() {
-            self.mailboxes[p.index()].capacity = self.topo.degree(p);
+        for p in self.env.topo.nodes() {
+            self.mailboxes[p.index()].capacity = self.env.topo.degree(p);
         }
     }
 
@@ -278,14 +235,14 @@ where
     /// scheduling — same contract as [`crate::Network::is_gated`].
     pub fn is_gated(&self) -> bool {
         !self.force_eager
-            && self.protocol.activity() == Activity::Gated
+            && self.env.protocol.activity() == Activity::Gated
             && self.medium.independent_fates()
     }
 
     /// Pins eager scheduling (`true`) or restores the automatic choice.
     pub fn set_eager(&mut self, eager: bool) {
         if self.force_eager && !eager {
-            self.core.table.mark_all(&self.topo);
+            self.env.core.table.mark_all(&self.env.topo);
         }
         self.force_eager = eager;
     }
@@ -295,246 +252,6 @@ where
         self.threads
     }
 
-    fn apply_dynamics(&mut self) {
-        let Some(mut dynamics) = self.dynamics.take() else {
-            return;
-        };
-        let step = self.period;
-        if let Some(moves) = dynamics.next_moves(step) {
-            if !moves.is_empty() {
-                let delta = self.topo.apply_moves(moves);
-                self.apply_delta(&delta);
-            }
-        } else if let Some(topo) = dynamics.next_topology(step) {
-            assert_eq!(
-                topo.len(),
-                self.topo.len(),
-                "topology dynamics must preserve the node count"
-            );
-            self.topo.clone_from(topo);
-            self.core.table.mark_all(&self.topo);
-            self.resize_mailboxes();
-            self.env_changed = true;
-        }
-        self.dynamics = Some(dynamics);
-    }
-
-    fn apply_delta(&mut self, delta: &TopologyDelta) {
-        if self.core.apply_delta(&self.protocol, &self.topo, delta) {
-            self.env_changed = true;
-        }
-        self.resize_mailboxes();
-    }
-
-    fn corrupt_scripted(&mut self, p: NodeId) {
-        let mut rng = self.core.corrupt_rng(p);
-        let corruptor = self
-            .corruptor
-            .as_ref()
-            .expect("Scenario::faults installs the corruption hook");
-        corruptor(
-            &self.protocol,
-            p,
-            &mut self.core.table.states[p.index()],
-            &mut rng,
-        );
-        self.core.wake_mutated(p, &self.topo);
-    }
-
-    fn pick_fraction(&mut self, fraction: f64) -> Vec<NodeId> {
-        let mut picks = std::mem::take(&mut self.scratch_nodes);
-        picks.clear();
-        let fraction = fraction.clamp(0.0, 1.0);
-        for p in self.topo.nodes() {
-            if self.fault_rng.random_bool(fraction) {
-                picks.push(p);
-            }
-        }
-        picks
-    }
-
-    /// Fires every scripted fault due at the current period — **before**
-    /// the period's beacon slots are released. This is the actor-side
-    /// ordering contract: at equal logical timestamps, fault ≤ send, so
-    /// a frame is never evaluated against a pre-fault topology (see
-    /// `tests/fault_ordering.rs`).
-    fn fire_scripted(&mut self) {
-        while self.next_scripted < self.scripted.len()
-            && self.scripted[self.next_scripted].0 <= self.period
-        {
-            let fault = self.scripted[self.next_scripted].1.clone();
-            self.next_scripted += 1;
-            self.dispatch_fault(&fault);
-        }
-    }
-
-    /// Applies one fault right now. Shared by the scripted stream and
-    /// [`ActorDriver::inject`].
-    fn dispatch_fault(&mut self, fault: &Fault) {
-        self.env_changed = true;
-        match fault {
-            Fault::CorruptNode(p) => self.corrupt_scripted(*p),
-            Fault::CorruptAll => {
-                for i in 0..self.topo.len() {
-                    self.corrupt_scripted(NodeId::new(i as u32));
-                }
-            }
-            Fault::CorruptFraction(f) => {
-                let picks = self.pick_fraction(*f);
-                for &p in &picks {
-                    self.corrupt_scripted(p);
-                }
-                self.scratch_nodes = picks;
-            }
-            Fault::Isolate(p) => self.isolate(*p),
-            Fault::SetTopology(topo) => self
-                .set_topology(topo.clone())
-                .expect("scripted topology keeps the node count"),
-            Fault::CrashRecover { node, dark_for } => {
-                let state = self.core.table.states[node.index()].clone();
-                let links = self.topo.neighbors(*node).to_vec();
-                self.isolate(*node);
-                self.push_followup(
-                    self.period + (*dark_for).max(1),
-                    Followup::Resurrect {
-                        node: *node,
-                        state,
-                        links,
-                    },
-                );
-            }
-            Fault::ByzantineBeacon { node, lie, until } => {
-                let beacon = match lie {
-                    Lie::Forged => {
-                        let corruptor = self
-                            .corruptor
-                            .as_ref()
-                            .expect("Scenario::faults installs the corruption hook");
-                        let mut rng = self.core.corrupt_rng(*node);
-                        let mut fake = self.core.table.states[node.index()].clone();
-                        corruptor(&self.protocol, *node, &mut fake, &mut rng);
-                        self.protocol.beacon(*node, &fake)
-                    }
-                    Lie::Replayed => self.core.table.beacons[node.index()].clone(),
-                };
-                self.core.install_lie(&self.topo, *node, beacon);
-                self.push_followup(
-                    (*until).max(self.period + 1),
-                    Followup::ClearLie { node: *node },
-                );
-            }
-            Fault::PartitionHeal { cut, heal_at } => {
-                let mut in_cut = vec![false; self.topo.len()];
-                for &p in cut {
-                    in_cut[p.index()] = true;
-                }
-                let edges: Vec<(NodeId, NodeId)> = self
-                    .topo
-                    .edges()
-                    .filter(|&(u, v)| in_cut[u.index()] != in_cut[v.index()])
-                    .collect();
-                self.sever_edges(edges, *heal_at);
-            }
-            Fault::Jam { region, until } => {
-                let members = region.members(&self.topo);
-                let mut jammed = vec![false; self.topo.len()];
-                for &p in &members {
-                    jammed[p.index()] = true;
-                }
-                let edges: Vec<(NodeId, NodeId)> = self
-                    .topo
-                    .edges()
-                    .filter(|&(u, v)| jammed[u.index()] || jammed[v.index()])
-                    .collect();
-                self.sever_edges(edges, *until);
-            }
-        }
-    }
-
-    /// Removes `edges` (all currently present) through the incremental
-    /// delta path and schedules their restoration.
-    fn sever_edges(&mut self, edges: Vec<(NodeId, NodeId)>, restore_at: u64) {
-        if edges.is_empty() {
-            return;
-        }
-        for &(u, v) in &edges {
-            self.topo.remove_edge(u, v);
-        }
-        let delta = TopologyDelta {
-            removed: edges.clone(),
-            ..TopologyDelta::default()
-        };
-        self.apply_delta(&delta);
-        self.push_followup(
-            restore_at.max(self.period + 1),
-            Followup::RestoreEdges { edges },
-        );
-    }
-
-    /// Re-adds whichever of `edges` are still absent, through the
-    /// incremental delta path.
-    fn restore_edges(&mut self, edges: &[(NodeId, NodeId)]) {
-        let mut added = Vec::new();
-        for &(u, v) in edges {
-            if !self.topo.has_edge(u, v) && self.topo.add_edge(u, v).is_ok() {
-                added.push((u, v));
-            }
-        }
-        let delta = TopologyDelta {
-            added,
-            ..TopologyDelta::default()
-        };
-        self.apply_delta(&delta);
-    }
-
-    fn push_followup(&mut self, due: u64, followup: Followup<P>) {
-        let seq = self.followup_seq;
-        self.followup_seq += 1;
-        self.followups.push((due, seq, followup));
-    }
-
-    /// Fires every due followup in ascending `(due, seq)` order —
-    /// before this period's scripted faults, which fire before its
-    /// slot release.
-    fn fire_followups(&mut self) {
-        if self.followups.is_empty() {
-            return;
-        }
-        let now = self.period;
-        let mut due: Vec<(u64, u64, Followup<P>)> = Vec::new();
-        let mut i = 0;
-        while i < self.followups.len() {
-            if self.followups[i].0 <= now {
-                due.push(self.followups.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        due.sort_by_key(|&(d, seq, _)| (d, seq));
-        for (_, _, followup) in due {
-            self.apply_followup(followup);
-        }
-    }
-
-    fn apply_followup(&mut self, followup: Followup<P>) {
-        self.env_changed = true;
-        match followup {
-            Followup::Resurrect { node, state, links } => {
-                self.core.table.states[node.index()] = state;
-                self.core.wake_mutated(node, &self.topo);
-                let edges: Vec<(NodeId, NodeId)> = links
-                    .iter()
-                    .map(|&q| if node < q { (node, q) } else { (q, node) })
-                    .collect();
-                self.restore_edges(&edges);
-            }
-            Followup::RestoreEdges { edges } => self.restore_edges(&edges),
-            Followup::ClearLie { node } => {
-                self.core.clear_lie(&self.protocol, &self.topo, node);
-            }
-        }
-    }
-
     /// Executes one beacon period of the actor fabric; returns the new
     /// period count.
     ///
@@ -542,32 +259,40 @@ where
     /// beacon refresh), the concurrent send phase, the quiescence
     /// barrier, and the concurrent receive/update phase.
     pub fn step(&mut self) -> u64 {
-        self.env_changed = false;
-        self.core.table.changed.clear();
-        self.apply_dynamics();
-        self.fire_followups();
-        self.fire_scripted();
+        self.env.core.table.changed.clear();
+        // Slot release starts with the environment: mobility, due
+        // followups, then scripted faults — all **before** the period's
+        // beacon slots (fault ≤ send, `tests/fault_ordering.rs`), so a
+        // frame is never evaluated against a pre-fault topology.
+        self.env.begin_step(self.period);
+        if self.env.env_changed {
+            self.resize_mailboxes();
+        }
         let eager = !self.is_gated();
         if eager {
-            self.core.table.update_dirty.insert_all();
-            self.core.table.beacon_stale.insert_all();
-            self.core.table.send_pending.insert_all();
+            self.env.core.table.update_dirty.insert_all();
+            self.env.core.table.beacon_stale.insert_all();
+            self.env.core.table.send_pending.insert_all();
         }
 
         // Slot release: refresh the beacons of state-changed actors and
         // pick this period's senders (serial — it touches the shared
         // epoch column, and is cheap relative to the phases it gates).
         let mut stale_buf = std::mem::take(&mut self.stale_buf);
-        self.core
+        self.env
+            .core
             .table
             .beacon_stale
             .drain_sorted_into(&mut stale_buf);
         for &p in &stale_buf {
-            self.core.refresh_beacon(&self.protocol, &self.topo, p);
+            self.env
+                .core
+                .refresh_beacon(&self.env.protocol, &self.env.topo, p);
         }
         self.stale_buf = stale_buf;
         let mut senders = std::mem::take(&mut self.senders_buf);
-        self.core
+        self.env
+            .core
             .table
             .send_pending
             .collect_sorted_into(&mut senders);
@@ -581,12 +306,12 @@ where
         let period = self.period;
         let proxy = MediumProxy {
             medium: &self.medium,
-            medium_base: self.core.medium_base,
+            medium_base: self.env.core.medium_base,
         };
         let (mut attempted, mut delivered) = (0usize, 0usize);
         {
-            let topo = &self.topo;
-            let table = &self.core.table;
+            let topo = &self.env.topo;
+            let table = &self.env.core.table;
             let mailboxes = &self.mailboxes;
             let sent = run_pooled(senders.len(), self.threads, |i| {
                 let s = senders[i];
@@ -621,12 +346,13 @@ where
         // its mail contains an epoch it has not incorporated yet —
         // mirroring the round driver's freshness kernel).
         let mut dirty_buf = std::mem::take(&mut self.dirty_buf);
-        self.core
+        self.env
+            .core
             .table
             .update_dirty
             .drain_sorted_into(&mut dirty_buf);
         for &s in &senders {
-            for &r in self.topo.neighbors(s) {
+            for &r in self.env.topo.neighbors(s) {
                 self.touched.insert(r);
             }
         }
@@ -636,10 +362,10 @@ where
         let mut receives = 0usize;
         let mut updates = 0usize;
         {
-            let topo = &self.topo;
-            let table = &self.core.table;
-            let protocol = &self.protocol;
-            let core = &self.core;
+            let topo = &self.env.topo;
+            let table = &self.env.core.table;
+            let protocol = &self.env.protocol;
+            let core = &self.env.core;
             let mailboxes = &self.mailboxes;
             // Sorted union of the two candidate lists, with a "guards
             // pending" flag per entry.
@@ -691,7 +417,7 @@ where
             });
 
             // Ordered merge: the governor owns the table again.
-            let table = &mut self.core.table;
+            let table = &mut self.env.core.table;
             for (i, outcome) in outcomes.into_iter().enumerate() {
                 let (r, _) = candidates[i];
                 receives += outcome.receives as usize;
@@ -715,11 +441,11 @@ where
         // frame lands (the paper's τ > 0 hypothesis at work).
         if !eager {
             for &s in &senders {
-                if self.core.all_caught_up(&self.topo, s) {
-                    self.core.table.send_pending.remove(s);
+                if self.env.core.all_caught_up(&self.env.topo, s) {
+                    self.env.core.table.send_pending.remove(s);
                 }
             }
-            self.core.table.forced_changed.clear();
+            self.env.core.table.forced_changed.clear();
         }
 
         self.last_activity = StepActivity {
@@ -728,7 +454,7 @@ where
             frames_delivered: delivered,
             receives,
             updates,
-            changed: self.core.table.changed.len(),
+            changed: self.env.core.table.changed.len(),
         };
         self.messages_total += senders.len() as u64;
         self.senders_buf = senders;
@@ -770,7 +496,7 @@ where
 
     /// The topology the actors communicate over.
     pub fn topology(&self) -> &Topology {
-        &self.topo
+        &self.env.topo
     }
 
     /// Replaces the topology (same node count); see
@@ -781,56 +507,43 @@ where
     /// Returns [`SimError::NodeCountMismatch`] if the node count
     /// changes.
     pub fn set_topology(&mut self, topo: Topology) -> Result<(), SimError> {
-        if topo.len() != self.topo.len() {
-            return Err(SimError::NodeCountMismatch {
-                expected: self.topo.len(),
-                got: topo.len(),
-            });
-        }
-        self.topo = topo;
-        self.core.table.mark_all(&self.topo);
+        self.env.set_topology(topo)?;
         self.resize_mailboxes();
-        self.env_changed = true;
         Ok(())
     }
 
     /// Applies incremental node moves (unit-disk only), waking exactly
     /// the actors whose links changed. Returns the link churn.
     pub fn apply_moves(&mut self, moves: &[(NodeId, Point2)]) -> TopologyDelta {
-        let delta = self.topo.apply_moves(moves);
-        self.apply_delta(&delta);
+        let delta = self.env.apply_moves(moves);
+        self.resize_mailboxes();
         delta
     }
 
     /// All node states, indexed by [`NodeId`].
     pub fn states(&self) -> &[P::State] {
-        &self.core.table.states
+        &self.env.core.table.states
     }
 
     /// The state of one node.
     pub fn state(&self, p: NodeId) -> &P::State {
-        &self.core.table.states[p.index()]
+        &self.env.core.table.states[p.index()]
     }
 
     /// Mutable state access; the actor is rescheduled (external
     /// mutation is a fault).
     pub fn state_mut(&mut self, p: NodeId) -> &mut P::State {
-        self.core.wake_mutated(p, &self.topo);
-        &mut self.core.table.states[p.index()]
+        self.env.state_mut(p)
     }
 
     /// The protocol instance.
     pub fn protocol(&self) -> &P {
-        &self.protocol
+        &self.env.protocol
     }
 
     /// Severs every link of `p`; see [`crate::Network::isolate`].
     pub fn isolate(&mut self, p: NodeId) {
-        let mut nbrs = std::mem::take(&mut self.scratch_nodes);
-        self.core
-            .isolate(&self.protocol, &mut self.topo, p, &mut nbrs);
-        self.env_changed = true;
-        self.scratch_nodes = nbrs;
+        self.env.isolate(p);
         self.resize_mailboxes();
     }
 
@@ -880,82 +593,20 @@ where
 {
     /// Projects every node's observable output into `buf`.
     pub fn outputs_into(&self, buf: &mut Vec<P::Output>) {
-        buf.clear();
-        buf.extend(
-            self.core
-                .table
-                .states
-                .iter()
-                .enumerate()
-                .map(|(i, s)| self.protocol.output(NodeId::new(i as u32), s)),
-        );
+        self.env.outputs_into(buf);
     }
 
     /// The observable output of every node.
     pub fn outputs(&self) -> Vec<P::Output> {
-        let mut buf = Vec::with_capacity(self.core.table.states.len());
-        self.outputs_into(&mut buf);
-        buf
+        self.env.outputs()
     }
 
     /// Runs until `stop` is satisfied and reports what happened — the
     /// same contract (and the same [`RunReport`]) as
     /// [`crate::Network::run_to`] and the event driver's stop methods.
     pub fn run_to(&mut self, stop: &StopWhen<P>) -> RunReport {
-        let start = self.period;
-        let mut cursor = stop.cursor();
-        let gated = self.is_gated();
-        let needs_outputs = stop.needs_outputs();
-        let mut outputs: Vec<P::Output> = Vec::with_capacity(self.core.table.states.len());
-        if needs_outputs {
-            self.outputs_into(&mut outputs);
-        }
-        let mut verdict = cursor.observe(
-            self.period,
-            0,
-            &self.topo,
-            &self.core.table.states,
-            &Obs::Full { outputs: &outputs },
-        );
-        while !verdict.satisfied {
-            self.step();
-            let obs = if gated {
-                let mut output_changed = false;
-                if needs_outputs {
-                    for &p in &self.core.table.changed {
-                        let fresh = self.protocol.output(p, &self.core.table.states[p.index()]);
-                        if outputs[p.index()] != fresh {
-                            outputs[p.index()] = fresh;
-                            output_changed = true;
-                        }
-                    }
-                }
-                Obs::Delta {
-                    output_changed,
-                    state_changed: !self.core.table.changed.is_empty(),
-                    env_changed: self.env_changed,
-                }
-            } else {
-                if needs_outputs {
-                    self.outputs_into(&mut outputs);
-                }
-                Obs::Full { outputs: &outputs }
-            };
-            verdict = cursor.observe(
-                self.period,
-                self.period - start,
-                &self.topo,
-                &self.core.table.states,
-                &obs,
-            );
-        }
-        RunReport {
-            stabilized: cursor.stabilized(),
-            steps: self.period - start,
-            end_step: self.period,
-            satisfied: !verdict.budget_only,
-            timed_out: verdict.budget_only,
-        }
+        let (start, gated) = (self.period, self.is_gated());
+        engine::run_to(self, stop, start, gated, |d| &d.env, Self::step)
     }
 }
 
@@ -967,18 +618,13 @@ where
 {
     /// Corrupts the state of one node arbitrarily.
     pub fn corrupt(&mut self, p: NodeId) {
-        let mut rng = self.core.corrupt_rng(p);
-        self.protocol
-            .corrupt(p, &mut self.core.table.states[p.index()], &mut rng);
-        self.core.wake_mutated(p, &self.topo);
+        self.env.corrupt(p);
     }
 
     /// Corrupts every node: the adversarial "arbitrary initial
     /// configuration" of the self-stabilization definition.
     pub fn corrupt_all(&mut self) {
-        for i in 0..self.topo.len() {
-            self.corrupt(NodeId::new(i as u32));
-        }
+        self.env.corrupt_all();
     }
 
     /// Applies one [`Fault`] right now — the entry point the chaos
@@ -989,20 +635,11 @@ where
     ///
     /// # Errors
     ///
-    /// [`SimError::NodeCountMismatch`] for a [`Fault::SetTopology`]
-    /// that changes the node count.
+    /// Whatever [`crate::FaultPlan::validate_for`] rejects; a rejected
+    /// fault changes nothing.
     pub fn inject(&mut self, fault: &Fault) -> Result<(), SimError> {
-        if self.corruptor.is_none() {
-            self.corruptor = Some(Box::new(
-                |protocol: &P, p, state: &mut P::State, rng: &mut StdRng| {
-                    protocol.corrupt(p, state, rng);
-                },
-            ));
-        }
-        if let Fault::SetTopology(topo) = fault {
-            return self.set_topology(topo.clone());
-        }
-        self.dispatch_fault(fault);
+        self.env.inject(self.period, fault)?;
+        self.resize_mailboxes();
         Ok(())
     }
 }
@@ -1010,49 +647,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::Scenario;
+    use crate::scenario::{Scenario, TopologyDynamics};
     use crate::stop::StopWhen;
+    use crate::testkit::GatedFlood;
     use mwn_graph::builders;
     use mwn_radio::{BernoulliLoss, SlottedCsma, Thinned};
-
-    /// Gated max-flood over `u32` beacons (already wire-codable).
-    struct GatedFlood;
-
-    impl Protocol for GatedFlood {
-        type State = u32;
-        type Beacon = u32;
-        fn init(&self, node: NodeId, _rng: &mut StdRng) -> u32 {
-            node.value()
-        }
-        fn beacon(&self, _node: NodeId, state: &u32) -> u32 {
-            *state
-        }
-        fn receive(&self, _node: NodeId, state: &mut u32, _from: NodeId, beacon: &u32, _now: u64) {
-            *state = (*state).max(*beacon);
-        }
-        fn update(&self, node: NodeId, state: &mut u32, _now: u64, _rng: &mut StdRng) {
-            *state = (*state).max(node.value());
-        }
-        fn activity(&self) -> Activity {
-            Activity::Gated
-        }
-        fn beacon_changed(&self, old: &u32, new: &u32) -> bool {
-            old != new
-        }
-    }
-
-    impl Observable for GatedFlood {
-        type Output = u32;
-        fn output(&self, _node: NodeId, state: &u32) -> u32 {
-            *state
-        }
-    }
-
-    impl Corruptible for GatedFlood {
-        fn corrupt(&self, _node: NodeId, state: &mut u32, _rng: &mut StdRng) {
-            *state = 0;
-        }
-    }
 
     fn flood_actors(n: usize, threads: usize) -> ActorDriver<GatedFlood> {
         Scenario::new(GatedFlood)
@@ -1213,7 +812,9 @@ mod tests {
         let after = Topology::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
         let mut driver = ActorDriver::new(GatedFlood, PerfectMedium, before.clone(), 4, 2)
             .expect("valid actor driver");
-        driver.install_dynamics(Box::new(Bridge { before, after }));
+        driver
+            .env
+            .install(Vec::new(), None, Some(Box::new(Bridge { before, after })));
         // Before the bridge: the fragments converge separately.
         driver.run(5);
         assert_eq!(*driver.state(NodeId::new(0)), 1, "no link yet");

@@ -10,6 +10,10 @@
 //! * [`NodeTable`] — the columnar per-node hot state (protocol states,
 //!   beacon snapshots, beacon epochs, per-edge reception epochs) plus
 //!   the scheduling sets;
+//! * `Env` (the private `env` module) — the one environment all three
+//!   drivers run in: protocol, topology, core, fault script, followup
+//!   queue and dynamics, with the single implementation of fault
+//!   dispatch, sever/restore and the observe loop;
 //! * [`ActivityCore`] — the table bundled with the derived-stream bases
 //!   ([`crate::split_rng`]) and the wakeup rules every driver shares:
 //!   what to invalidate when a fault mutates a node, when a topology
@@ -35,7 +39,10 @@
 //! other pops timestamped events — but dirtiness, epochs, stream
 //! derivation and wakeup rules are identical.
 
+mod env;
 pub mod kernels;
+
+pub(crate) use env::{run_to, Corruptor, Env};
 
 use mwn_graph::{NodeId, Topology, TopologyDelta};
 use mwn_radio::{ContentionStreams, Occupancy};

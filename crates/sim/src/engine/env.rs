@@ -1,0 +1,687 @@
+//! The one **environment** all three drivers run in, and the single
+//! place a fault is applied.
+//!
+//! [`Env`] owns everything the round, event and actor drivers share —
+//! protocol, [`Topology`], [`ActivityCore`], the fault-site stream, the
+//! scripted-fault cursor, the `(due, seq)` followup queue, the
+//! corruption hook, topology dynamics — and holds the only
+//! implementation of fault dispatch, sever/restore, followup firing and
+//! the dynamics tick. For a silent protocol this is the only code that
+//! ever wakes a stabilized network.
+//!
+//! A driver keeps its clock and its delivery loop. It tells the
+//! environment what logical step it is, lets it run a batch, and then
+//! reacts to what the batch left behind: [`Env::env_changed`] (the
+//! round driver's stop conditions read it, the actor fabric re-derives
+//! its mailbox bounds) and the table's `forced_changed` set of touched
+//! nodes (the event driver folds it into its change set and re-arms
+//! the woken senders).
+
+use std::collections::BTreeMap;
+
+use mwn_graph::{NodeId, Point2, Topology, TopologyDelta};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use super::ActivityCore;
+use crate::faults::{Fault, Lie};
+use crate::rng::derive_seed;
+use crate::scenario::TopologyDynamics;
+use crate::stop::{Obs, RunReport, StopWhen};
+use crate::{Corruptible, Observable, Protocol, SimError};
+
+/// The boxed corruption hook installed by [`crate::Scenario::faults`]:
+/// it captures the [`Corruptible`] capability so scripted faults can
+/// fire inside a driver's step without bounding every driver method.
+pub(crate) type Corruptor<P> =
+    Box<dyn Fn(&P, NodeId, &mut <P as Protocol>::State, &mut StdRng) + Send + Sync>;
+
+/// A timed second phase of a fault, executed at a later logical-step
+/// boundary — before that boundary's scripted faults, which fire
+/// before its sends.
+enum Followup<P: Protocol> {
+    /// End of a [`Fault::CrashRecover`] darkness: restore the stale
+    /// pre-crash state and release the node's recorded links.
+    Resurrect {
+        node: NodeId,
+        state: P::State,
+        edges: Vec<(NodeId, NodeId)>,
+    },
+    /// End of a [`Fault::PartitionHeal`] / [`Fault::Jam`]: release the
+    /// recorded severed edges.
+    RestoreEdges { edges: Vec<(NodeId, NodeId)> },
+    /// End of a [`Fault::ByzantineBeacon`] window: drop the lie and
+    /// wake the node so the truth re-propagates.
+    ClearLie { node: NodeId },
+}
+
+fn hook<P: Protocol>(corruptor: &Option<Corruptor<P>>) -> &Corruptor<P> {
+    corruptor
+        .as_ref()
+        .expect("Scenario::faults and the Corruptible entry points install the hook")
+}
+
+/// `(u, v)` in the `u < v` orientation every edge list uses.
+fn ordered(u: NodeId, v: NodeId) -> (NodeId, NodeId) {
+    (u.min(v), u.max(v))
+}
+
+/// See the module docs.
+pub(crate) struct Env<P: Protocol> {
+    pub protocol: P,
+    pub topo: Topology,
+    /// The shared activity core: columnar node table, dirty sets and
+    /// derived-stream bases.
+    pub core: ActivityCore<P>,
+    /// The topology changed or a fault fired since the driver last
+    /// cleared the flag: memoized predicate verdicts over
+    /// `(topology, states)` are stale.
+    pub env_changed: bool,
+    /// Sequential stream for fault-site selection, so fault injection
+    /// never perturbs timing or frame-fate randomness.
+    fault_rng: StdRng,
+    /// Scenario-scripted faults in logical-step order.
+    scripted: Vec<(u64, Fault)>,
+    next_scripted: usize,
+    /// Pending followups as `(due, seq, followup)`, sorted descending
+    /// so the earliest `(due, seq)` pops off the end.
+    followups: Vec<(u64, u64, Followup<P>)>,
+    followup_seq: u64,
+    /// How many active faults hold each severed edge down. An edge
+    /// comes back only when the last of them ends. Ordered, so the
+    /// edge lists derived from it are reproducible.
+    held: BTreeMap<(NodeId, NodeId), u32>,
+    corruptor: Option<Corruptor<P>>,
+    dynamics: Option<Box<dyn TopologyDynamics + Send>>,
+    scratch_nodes: Vec<NodeId>,
+}
+
+impl<P: Protocol + std::fmt::Debug> std::fmt::Debug for Env<P> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Env")
+            .field("protocol", &self.protocol)
+            .field("topo", &self.topo)
+            .field("states", &self.core.table.states)
+            .field("scripted", &self.scripted.len())
+            .field("dynamics", &self.dynamics.is_some())
+            .finish_non_exhaustive()
+    }
+}
+
+impl<P: Protocol> Env<P> {
+    /// Cold-starts the environment over `topo`. `fault_stream` is the
+    /// owning driver's [`crate::rng::streams`] tag for fault-site
+    /// selection.
+    pub fn new(protocol: P, topo: Topology, seed: u64, fault_stream: u64) -> Self {
+        Env {
+            core: ActivityCore::new(&protocol, &topo, seed),
+            protocol,
+            topo,
+            env_changed: false,
+            fault_rng: StdRng::seed_from_u64(derive_seed(seed, fault_stream)),
+            scripted: Vec::new(),
+            next_scripted: 0,
+            followups: Vec::new(),
+            followup_seq: 0,
+            held: BTreeMap::new(),
+            corruptor: None,
+            dynamics: None,
+            scratch_nodes: Vec::new(),
+        }
+    }
+
+    /// Installs what [`crate::Scenario`] scripted: the sorted,
+    /// validated fault script with its corruption hook, and the
+    /// topology dynamics.
+    pub fn install(
+        &mut self,
+        scripted: Vec<(u64, Fault)>,
+        corruptor: Option<Corruptor<P>>,
+        dynamics: Option<Box<dyn TopologyDynamics + Send>>,
+    ) {
+        self.scripted = scripted;
+        self.next_scripted = 0;
+        self.corruptor = corruptor;
+        self.dynamics = dynamics;
+    }
+
+    /// Detaches the topology dynamics; returns whether any were
+    /// attached.
+    pub fn stop_dynamics(&mut self) -> bool {
+        self.dynamics.take().is_some()
+    }
+
+    pub fn has_dynamics(&self) -> bool {
+        self.dynamics.is_some()
+    }
+
+    /// Everything that precedes the sends of round-clocked step `now`:
+    /// the topology moves, then due followups (resurrections,
+    /// healings), then scripted faults. Clears [`Env::env_changed`]
+    /// first, so afterwards it describes this step alone.
+    pub fn begin_step(&mut self, now: u64) {
+        self.env_changed = false;
+        self.tick_dynamics(now);
+        self.fire_followups(now);
+        while self.next_scripted().is_some_and(|due| due <= now) {
+            self.fire_next_scripted(now);
+        }
+    }
+
+    /// One tick of the topology dynamics, for logical step `step`.
+    pub fn tick_dynamics(&mut self, step: u64) {
+        let Some(mut dynamics) = self.dynamics.take() else {
+            return;
+        };
+        if let Some(moves) = dynamics.next_moves(step) {
+            if !moves.is_empty() {
+                self.apply_moves(moves);
+            }
+        } else if let Some(topo) = dynamics.next_topology(step) {
+            assert_eq!(
+                topo.len(),
+                self.topo.len(),
+                "topology dynamics must preserve the node count"
+            );
+            // clone_from reuses the existing adjacency buffers where
+            // possible.
+            self.topo.clone_from(topo);
+            self.topology_swapped();
+        }
+        self.dynamics = Some(dynamics);
+    }
+
+    /// The logical step of the next unfired scripted fault.
+    pub fn next_scripted(&self) -> Option<u64> {
+        self.scripted.get(self.next_scripted).map(|&(step, _)| step)
+    }
+
+    /// Fires the next scripted fault at logical step `now`.
+    pub fn fire_next_scripted(&mut self, now: u64) {
+        let fault = self.scripted[self.next_scripted].1.clone();
+        self.next_scripted += 1;
+        self.dispatch_fault(now, &fault)
+            .expect("fault plans are validated before installation");
+    }
+
+    /// The due step of the earliest pending followup.
+    pub fn next_followup(&self) -> Option<u64> {
+        self.followups.last().map(|&(due, _, _)| due)
+    }
+
+    /// Fires every followup due by `now`, in ascending `(due, seq)`
+    /// order.
+    pub fn fire_followups(&mut self, now: u64) {
+        while self.next_followup().is_some_and(|due| due <= now) {
+            let (_, _, followup) = self.followups.pop().expect("peeked above");
+            self.apply_followup(followup);
+        }
+    }
+
+    fn push_followup(&mut self, due: u64, followup: Followup<P>) {
+        let seq = self.followup_seq;
+        self.followup_seq += 1;
+        let at = self
+            .followups
+            .partition_point(|&(d, s, _)| (d, s) > (due, seq));
+        self.followups.insert(at, (due, seq, followup));
+    }
+
+    fn apply_followup(&mut self, followup: Followup<P>) {
+        self.env_changed = true;
+        match followup {
+            Followup::Resurrect { node, state, edges } => {
+                self.core.table.states[node.index()] = state;
+                self.core.wake_mutated(node, &self.topo);
+                self.restore_edges(&edges);
+            }
+            Followup::RestoreEdges { edges } => self.restore_edges(&edges),
+            Followup::ClearLie { node } => self.core.clear_lie(&self.protocol, &self.topo, node),
+        }
+    }
+
+    /// Applies one fault at logical step `now`. Shared by the scripted
+    /// stream and [`Env::inject`], both of which validate first.
+    fn dispatch_fault(&mut self, now: u64, fault: &Fault) -> Result<(), SimError> {
+        self.env_changed = true;
+        let due = fault.settles_by(now);
+        match fault {
+            Fault::CorruptNode(p) => self.corrupt_scripted(*p),
+            Fault::CorruptAll => {
+                for i in 0..self.topo.len() {
+                    self.corrupt_scripted(NodeId::new(i as u32));
+                }
+            }
+            Fault::CorruptFraction(f) => {
+                self.pick_fraction(*f);
+            }
+            Fault::Isolate(p) => self.isolate(*p),
+            Fault::SetTopology(topo) => return self.set_topology(topo.clone()),
+            Fault::CrashRecover { node, .. } => self.crash(*node, due),
+            Fault::ByzantineBeacon { node, lie, .. } => self.byzantine(*node, *lie, due),
+            Fault::PartitionHeal { cut, .. } => {
+                let side = self.mask(cut);
+                self.sever_edges(|u, v| side[u.index()] != side[v.index()], due);
+            }
+            Fault::Jam { region, .. } => {
+                let jammed = self.mask(&region.members(&self.topo));
+                self.sever_edges(|u, v| jammed[u.index()] || jammed[v.index()], due);
+            }
+        }
+        Ok(())
+    }
+
+    fn mask(&self, nodes: &[NodeId]) -> Vec<bool> {
+        let mut mask = vec![false; self.topo.len()];
+        for &p in nodes {
+            mask[p.index()] = true;
+        }
+        mask
+    }
+
+    /// Scrambles `p`'s state on a fresh per-event stream — however
+    /// much randomness the corruptor consumes, no other stream moves —
+    /// and reschedules it.
+    fn corrupt_scripted(&mut self, p: NodeId) {
+        let mut rng = self.core.corrupt_rng(p);
+        let state = &mut self.core.table.states[p.index()];
+        hook(&self.corruptor)(&self.protocol, p, state, &mut rng);
+        self.core.wake_mutated(p, &self.topo);
+    }
+
+    /// Corrupts ≈ `fraction` of the nodes, picked from the dedicated
+    /// fault stream into the reused scratch buffer; returns how many.
+    fn pick_fraction(&mut self, fraction: f64) -> usize {
+        let mut picks = std::mem::take(&mut self.scratch_nodes);
+        picks.clear();
+        let fraction = fraction.clamp(0.0, 1.0);
+        for p in self.topo.nodes() {
+            if self.fault_rng.random_bool(fraction) {
+                picks.push(p);
+            }
+        }
+        for &p in &picks {
+            self.corrupt_scripted(p);
+        }
+        self.scratch_nodes = picks;
+        self.scratch_nodes.len()
+    }
+
+    /// [`Fault::CrashRecover`]: snapshot state + links, go dark, hold
+    /// the links down until the resurrection at step `due`.
+    fn crash(&mut self, p: NodeId, due: u64) {
+        let state = self.core.table.states[p.index()].clone();
+        let mut edges = self.shadowed(|u, v| u == p || v == p);
+        edges.extend(self.topo.neighbors(p).iter().map(|&q| ordered(p, q)));
+        self.isolate(p);
+        self.hold(&edges);
+        let node = p;
+        self.push_followup(due, Followup::Resurrect { node, state, edges });
+    }
+
+    /// [`Fault::ByzantineBeacon`]: install the lie at the engine level
+    /// (epoch-bumped, send-pending, occupancy-released) and schedule
+    /// its expiry. The forged content draws on the dedicated
+    /// per-corruption-event stream.
+    fn byzantine(&mut self, p: NodeId, lie: Lie, due: u64) {
+        let beacon = match lie {
+            Lie::Forged => {
+                let mut rng = self.core.corrupt_rng(p);
+                let mut fake = self.core.table.states[p.index()].clone();
+                hook(&self.corruptor)(&self.protocol, p, &mut fake, &mut rng);
+                self.protocol.beacon(p, &fake)
+            }
+            Lie::Replayed => self.core.table.beacons[p.index()].clone(),
+        };
+        self.core.install_lie(&self.topo, p, beacon);
+        self.push_followup(due, Followup::ClearLie { node: p });
+    }
+
+    /// [`Fault::PartitionHeal`] / [`Fault::Jam`]: removes every present
+    /// edge `hit` selects through the incremental delta path —
+    /// occupancy adjusted edge-wise, `link_down` fired, touched nodes
+    /// woken — and holds them down until step `due`.
+    fn sever_edges(&mut self, hit: impl Fn(NodeId, NodeId) -> bool, due: u64) {
+        let mut edges = self.shadowed(&hit);
+        let removed: Vec<_> = self.topo.edges().filter(|&(u, v)| hit(u, v)).collect();
+        for &(u, v) in &removed {
+            self.topo.remove_edge(u, v);
+        }
+        let delta = TopologyDelta {
+            removed,
+            ..TopologyDelta::default()
+        };
+        self.apply_delta(&delta);
+        edges.extend(delta.removed);
+        if !edges.is_empty() {
+            self.hold(&edges);
+            self.push_followup(due, Followup::RestoreEdges { edges });
+        }
+    }
+
+    /// The absent edges `hit` selects that an earlier, still active
+    /// fault holds down. A new fault covering them must keep them
+    /// closed after the earlier one ends, so it holds them too.
+    fn shadowed(&self, hit: impl Fn(NodeId, NodeId) -> bool) -> Vec<(NodeId, NodeId)> {
+        let absent = |&(u, v): &(NodeId, NodeId)| hit(u, v) && !self.topo.has_edge(u, v);
+        self.held.keys().copied().filter(absent).collect()
+    }
+
+    /// Registers one more active fault holding each of `edges` down.
+    fn hold(&mut self, edges: &[(NodeId, NodeId)]) {
+        for &edge in edges {
+            *self.held.entry(edge).or_insert(0) += 1;
+        }
+    }
+
+    /// One fault holding `edges` down has ended. An edge no other
+    /// fault still holds is re-added if it is still absent (mobility
+    /// may already have restored it), again through the incremental
+    /// delta path.
+    fn restore_edges(&mut self, edges: &[(NodeId, NodeId)]) {
+        let mut added = Vec::new();
+        for &(u, v) in edges {
+            match self.held.get_mut(&(u, v)) {
+                Some(holders) if *holders > 1 => {
+                    *holders -= 1;
+                    continue;
+                }
+                _ => self.held.remove(&(u, v)),
+            };
+            if !self.topo.has_edge(u, v) && self.topo.add_edge(u, v).is_ok() {
+                added.push((u, v));
+            }
+        }
+        let delta = TopologyDelta {
+            added,
+            ..TopologyDelta::default()
+        };
+        self.apply_delta(&delta);
+    }
+
+    /// Processes an incremental topology change through the shared
+    /// core: notify the protocol of vanished links, wake the touched
+    /// nodes, realign their reception bookkeeping.
+    fn apply_delta(&mut self, delta: &TopologyDelta) {
+        // Even a link-preserving move changes the topology's geometry.
+        self.env_changed |= self.core.apply_delta(&self.protocol, &self.topo, delta);
+    }
+
+    /// A wholesale swap carries no link-level delta: conservatively
+    /// reschedule every node (no [`Protocol::link_down`] fires, no
+    /// state changes).
+    fn topology_swapped(&mut self) {
+        self.core.table.mark_all(&self.topo);
+        self.env_changed = true;
+    }
+
+    /// Replaces the topology (same node count).
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::NodeCountMismatch`] if the node count changes:
+    /// protocol state is indexed by node.
+    pub fn set_topology(&mut self, topo: Topology) -> Result<(), SimError> {
+        if topo.len() != self.topo.len() {
+            return Err(SimError::NodeCountMismatch {
+                expected: self.topo.len(),
+                got: topo.len(),
+            });
+        }
+        self.topo = topo;
+        self.topology_swapped();
+        Ok(())
+    }
+
+    /// Applies incremental node moves (unit-disk only), waking exactly
+    /// the nodes whose links changed. Returns the link churn.
+    pub fn apply_moves(&mut self, moves: &[(NodeId, Point2)]) -> TopologyDelta {
+        let delta = self.topo.apply_moves(moves);
+        self.apply_delta(&delta);
+        delta
+    }
+
+    /// Severs every link of `p` (its radio goes dark, its state
+    /// survives), firing [`Protocol::link_down`] on both endpoints of
+    /// every cut link.
+    pub fn isolate(&mut self, p: NodeId) {
+        let mut nbrs = std::mem::take(&mut self.scratch_nodes);
+        self.core
+            .isolate(&self.protocol, &mut self.topo, p, &mut nbrs);
+        self.env_changed = true;
+        self.scratch_nodes = nbrs;
+    }
+
+    /// Mutable state access; the node is rescheduled (external
+    /// mutation is a fault).
+    pub fn state_mut(&mut self, p: NodeId) -> &mut P::State {
+        self.core.wake_mutated(p, &self.topo);
+        &mut self.core.table.states[p.index()]
+    }
+}
+
+impl<P: Observable> Env<P> {
+    /// Projects every node's observable output into `buf` (cleared
+    /// first).
+    pub fn outputs_into(&self, buf: &mut Vec<P::Output>) {
+        let outputs = self.core.table.states.iter().enumerate();
+        buf.clear();
+        buf.extend(outputs.map(|(i, s)| self.protocol.output(NodeId::new(i as u32), s)));
+    }
+
+    /// The observable output of every node.
+    pub fn outputs(&self) -> Vec<P::Output> {
+        let mut buf = Vec::with_capacity(self.core.table.states.len());
+        self.outputs_into(&mut buf);
+        buf
+    }
+}
+
+impl<P: Corruptible> Env<P> {
+    /// Unscripted corruption needs the hook [`crate::Scenario::faults`]
+    /// would have installed.
+    fn arm_corruptor(&mut self) {
+        self.corruptor.get_or_insert_with(|| {
+            Box::new(|protocol, p, state, rng| protocol.corrupt(p, state, rng))
+        });
+    }
+
+    /// Corrupts the state of one node arbitrarily.
+    pub fn corrupt(&mut self, p: NodeId) {
+        self.arm_corruptor();
+        self.corrupt_scripted(p);
+    }
+
+    /// Corrupts every node.
+    pub fn corrupt_all(&mut self) {
+        for i in 0..self.topo.len() {
+            self.corrupt(NodeId::new(i as u32));
+        }
+    }
+
+    /// Corrupts a deterministic pseudo-random ≈ `fraction` of the
+    /// nodes; returns how many.
+    pub fn corrupt_fraction(&mut self, fraction: f64) -> usize {
+        self.arm_corruptor();
+        self.pick_fraction(fraction)
+    }
+
+    /// Applies one [`Fault`] at logical step `now`.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`Fault::validate_for`] rejects on the current
+    /// topology; a rejected fault changes nothing.
+    pub fn inject(&mut self, now: u64, fault: &Fault) -> Result<(), SimError> {
+        fault.validate_for(&self.topo)?;
+        self.arm_corruptor();
+        self.dispatch_fault(now, fault)
+    }
+}
+
+/// The observe loop behind `Network::run_to` and `ActorDriver::run_to`:
+/// steps `driver` (whose round clock reads `start`) until `stop` is
+/// satisfied.
+///
+/// The condition is checked before the first step and after every
+/// step. Under gated scheduling the per-step evaluation is incremental:
+/// a quiescent step extends stability streaks and reuses memoized
+/// predicate verdicts without projecting a single output.
+pub(crate) fn run_to<P: Observable, D>(
+    driver: &mut D,
+    stop: &StopWhen<P>,
+    start: u64,
+    gated: bool,
+    env: fn(&D) -> &Env<P>,
+    step: fn(&mut D) -> u64,
+) -> RunReport {
+    let mut cursor = stop.cursor();
+    // Only project outputs when a StableFor leaf will read them;
+    // predicate/budget-only stops skip the per-step O(n) pass.
+    let needs_outputs = stop.needs_outputs();
+    let e = env(driver);
+    let mut outputs: Vec<P::Output> = Vec::with_capacity(e.core.table.states.len());
+    if needs_outputs {
+        e.outputs_into(&mut outputs);
+    }
+    let full = Obs::Full { outputs: &outputs };
+    let mut verdict = cursor.observe(start, 0, &e.topo, &e.core.table.states, &full);
+    let mut now = start;
+    while !verdict.satisfied {
+        now = step(driver);
+        let e = env(driver);
+        let table = &e.core.table;
+        let obs = if gated {
+            let mut output_changed = false;
+            if needs_outputs {
+                for &p in &table.changed {
+                    let fresh = e.protocol.output(p, &table.states[p.index()]);
+                    if outputs[p.index()] != fresh {
+                        outputs[p.index()] = fresh;
+                        output_changed = true;
+                    }
+                }
+            }
+            Obs::Delta {
+                output_changed,
+                state_changed: !table.changed.is_empty(),
+                env_changed: e.env_changed,
+            }
+        } else {
+            if needs_outputs {
+                e.outputs_into(&mut outputs);
+            }
+            Obs::Full { outputs: &outputs }
+        };
+        verdict = cursor.observe(now, now - start, &e.topo, &table.states, &obs);
+    }
+    RunReport {
+        stabilized: cursor.stabilized(),
+        steps: now - start,
+        end_step: now,
+        satisfied: !verdict.budget_only,
+        timed_out: verdict.budget_only,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rng::streams;
+    use crate::testkit::GatedFlood;
+    use mwn_graph::builders;
+    use mwn_radio::Occupancy;
+
+    fn id(i: u32) -> NodeId {
+        NodeId::new(i)
+    }
+
+    fn line_env(n: usize) -> Env<GatedFlood> {
+        Env::new(GatedFlood, builders::line(n), 7, streams::ROUND_FAULT)
+    }
+
+    fn jam(node: u32, until: u64) -> Fault {
+        Fault::Jam {
+            region: crate::Region::Nodes(vec![id(node)]),
+            until,
+        }
+    }
+
+    #[test]
+    fn followups_fire_in_ascending_due_then_seq_order() {
+        let mut env = line_env(3);
+        let resurrect = |state| Followup::Resurrect {
+            node: id(0),
+            state,
+            edges: Vec::new(),
+        };
+        env.push_followup(5, resurrect(50));
+        env.push_followup(3, resurrect(30));
+        env.push_followup(5, resurrect(51));
+        env.push_followup(4, resurrect(40));
+        let queued: Vec<_> = env.followups.iter().map(|&(d, s, _)| (d, s)).collect();
+        assert_eq!(queued, [(5, 2), (5, 0), (4, 3), (3, 1)], "earliest last");
+        assert_eq!(env.next_followup(), Some(3));
+        env.fire_followups(2);
+        assert_eq!(env.core.table.states[0], 0, "nothing due yet");
+        env.fire_followups(4);
+        assert_eq!(env.core.table.states[0], 40, "due 3 fired before due 4");
+        assert_eq!(env.next_followup(), Some(5));
+        env.fire_followups(9);
+        assert_eq!(
+            env.core.table.states[0], 51,
+            "equal dues fire in push order"
+        );
+        assert_eq!(env.next_followup(), None);
+    }
+
+    #[test]
+    fn restore_skips_an_edge_mobility_already_re_added_and_occupancy_stays_exact() {
+        let mut env = line_env(5);
+        let mut occ = Occupancy::new(5);
+        for q in [id(0), id(3)] {
+            env.core.table.send_pending.remove(q);
+            occ.occupy(q, &env.topo);
+        }
+        env.core.table.occupancy = Some(occ);
+        let recounted = |env: &Env<GatedFlood>| {
+            let occ = env.core.table.occupancy.as_ref().expect("installed above");
+            assert_eq!(occ, &occ.recount(&env.topo), "occupancy diverged");
+        };
+        env.inject(3, &jam(2, 8)).expect("valid fault");
+        assert!(!env.topo.has_edge(id(1), id(2)) && !env.topo.has_edge(id(2), id(3)));
+        recounted(&env);
+        // "Mobility" brings one of the two severed links back early.
+        env.topo.add_edge(id(1), id(2)).expect("in range");
+        let delta = TopologyDelta {
+            added: vec![(id(1), id(2))],
+            ..TopologyDelta::default()
+        };
+        env.apply_delta(&delta);
+        recounted(&env);
+        env.begin_step(8);
+        assert!(env.env_changed, "the restore is an environment change");
+        assert_eq!(env.topo.neighbors(id(2)), [id(1), id(3)], "no duplicate");
+        assert!(env.held.is_empty(), "every hold released");
+        recounted(&env);
+    }
+
+    #[test]
+    fn a_step_with_nothing_due_touches_nothing() {
+        let mut env = line_env(4);
+        env.core.table.forced_changed.clear();
+        let (queue, hits) = (env.followups.capacity(), env.core.corrupt_events);
+        for now in 0..50 {
+            env.begin_step(now);
+        }
+        assert!(!env.env_changed);
+        assert_eq!(env.followups.capacity(), queue, "the queue never grew");
+        assert_eq!(env.core.corrupt_events, hits);
+        let mut touched = Vec::new();
+        env.core
+            .table
+            .forced_changed
+            .drain_sorted_into(&mut touched);
+        assert!(touched.is_empty(), "no node was woken");
+    }
+}

@@ -1,16 +1,12 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use mwn_graph::{NodeId, Topology, TopologyDelta};
+use mwn_graph::{NodeId, Topology};
 use mwn_radio::{Delivery, Medium, PerfectMedium};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
-use crate::engine::{ActivityCore, NodeSet, SlotClock};
-use crate::faults::{Followup, Lie};
-use crate::network::Corruptor;
+use crate::engine::{Env, NodeSet, SlotClock};
 use crate::rng::{derive_seed, split_rng, streams};
-use crate::scenario::TopologyDynamics;
 use crate::{Activity, Corruptible, Fault, Protocol, SimError, StabilityTracker};
 
 /// Parameters of the continuous-time execution model.
@@ -203,7 +199,7 @@ impl<B> Ord for Event<B> {
 /// `tests/engine_equivalence.rs`. After stabilization the queue drains
 /// to empty: a quiet interval costs zero messages and O(1) work.
 ///
-/// Scripted faults and [`TopologyDynamics`] (mobility) fire at
+/// Scripted faults and [`crate::TopologyDynamics`] (mobility) fire at
 /// logical-step boundaries (multiples of the beacon period),
 /// interleaved with the event queue in time order.
 ///
@@ -233,12 +229,11 @@ impl<B> Ord for Event<B> {
 /// assert!(driver.states().iter().all(|&s| s == 4));
 /// ```
 pub struct EventDriver<P: Protocol, M: Medium = PerfectMedium> {
-    protocol: P,
-    topo: Topology,
+    /// Protocol, topology, activity core and the one fault path. Its
+    /// fault-site stream is dedicated ([`streams::EVENT_FAULT`]), so
+    /// fault injection never perturbs beacon timing or frame fates.
+    pub(crate) env: Env<P>,
     config: EventConfig,
-    /// The shared activity core: columnar table, dirty sets, derived
-    /// stream bases.
-    core: ActivityCore<P>,
     /// The stateless beacon-slot schedule.
     clock: SlotClock,
     /// `Some` = medium channel; `None` = built-in collision channel.
@@ -252,14 +247,11 @@ pub struct EventDriver<P: Protocol, M: Medium = PerfectMedium> {
     tx_history: Vec<Vec<f64>>,
     /// Base of the per-frame extra-loss streams.
     loss_base: u64,
-    /// Dedicated stream for scripted-fault site selection, so fault
-    /// injection never perturbs beacon timing or frame-fate randomness.
-    fault_rng: StdRng,
     /// Scratch delivery for per-sender medium evaluation.
     delivery: Delivery,
     /// Scratch state snapshot for change detection under gating.
     scratch_state: Option<P::State>,
-    /// Scratch node list (corruption wakes, isolation).
+    /// Scratch node list (wake batches).
     scratch_nodes: Vec<NodeId>,
     time: f64,
     /// Beacon broadcasts so far (the communication-efficiency metric).
@@ -268,21 +260,8 @@ pub struct EventDriver<P: Protocol, M: Medium = PerfectMedium> {
     events: u64,
     frames_attempted: u64,
     frames_delivered: u64,
-    /// Scripted faults in logical-step order: a fault scheduled at step
-    /// `k` fires once the clock reaches `k` beacon periods, before any
-    /// event at or past that time is processed.
-    scripted: Vec<(u64, Fault)>,
-    next_scripted: usize,
-    /// Timed second phases of fired faults (resurrections, healings,
-    /// lie expiries), as `(due_step, seq, followup)`; fired at their
-    /// due logical-step boundary, after mobility but before scripted
-    /// faults and any protocol event at that instant.
-    followups: Vec<(u64, u64, Followup<P>)>,
-    followup_seq: u64,
-    corruptor: Option<Corruptor<P>>,
-    /// Mobility (or other topology dynamics), ticked once per beacon
-    /// period at logical-step boundaries.
-    dynamics: Option<Box<dyn TopologyDynamics + Send>>,
+    /// The next logical step whose mobility tick (if dynamics are
+    /// attached) has not fired yet: once per beacon period.
     dynamics_step: u64,
     /// Nodes whose state changed since the last stability sample —
     /// what makes quiet-interval sampling O(changed), not O(n).
@@ -336,21 +315,16 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     ) -> Self {
         config.validate();
         let n = topo.len();
-        let core = ActivityCore::new(&protocol, &topo, seed);
-        let clock = SlotClock::new(seed, config.beacon_period, config.jitter, n);
         let mut driver = EventDriver {
-            protocol,
-            topo,
+            env: Env::new(protocol, topo, seed, streams::EVENT_FAULT),
             config,
-            core,
-            clock,
+            clock: SlotClock::new(seed, config.beacon_period, config.jitter, n),
             medium,
             force_eager: false,
             queue: BinaryHeap::new(),
             tx_armed: vec![false; n],
             tx_history: vec![Vec::new(); n],
             loss_base: derive_seed(seed, streams::EXTRA_LOSS),
-            fault_rng: StdRng::seed_from_u64(derive_seed(seed, streams::EVENT_FAULT)),
             delivery: Delivery::empty(n),
             scratch_state: None,
             scratch_nodes: Vec::new(),
@@ -359,12 +333,6 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             events: 0,
             frames_attempted: 0,
             frames_delivered: 0,
-            scripted: Vec::new(),
-            next_scripted: 0,
-            followups: Vec::new(),
-            followup_seq: 0,
-            corruptor: None,
-            dynamics: None,
             dynamics_step: 0,
             changed_since: NodeSet::new(n),
         };
@@ -374,32 +342,20 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         driver
     }
 
-    pub(crate) fn install_script(
-        &mut self,
-        scripted: Vec<(u64, Fault)>,
-        corruptor: Option<Corruptor<P>>,
-    ) {
-        self.scripted = scripted;
-        self.next_scripted = 0;
-        self.corruptor = corruptor;
-    }
-
-    pub(crate) fn install_dynamics(&mut self, dynamics: Box<dyn TopologyDynamics + Send>) {
-        self.dynamics = Some(dynamics);
-    }
-
     /// Detaches any topology dynamics attached by
     /// [`crate::Scenario::mobility`] — "the nodes stop moving". Returns
     /// whether dynamics were attached.
     pub fn stop_dynamics(&mut self) -> bool {
-        self.dynamics.take().is_some()
+        self.env.stop_dynamics()
     }
 
     /// `true` when the driver currently mutes silent nodes: a medium
     /// channel (independent fates or gated contention), a protocol
     /// under the [`Activity::Gated`] contract, and no eager pin.
     pub fn is_gated(&self) -> bool {
-        !self.force_eager && self.medium.is_some() && self.protocol.activity() == Activity::Gated
+        !self.force_eager
+            && self.medium.is_some()
+            && self.env.protocol.activity() == Activity::Gated
     }
 
     /// Pins the driver to eager scheduling (`true`) or restores the
@@ -411,13 +367,13 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         if self.force_eager && !eager {
             // Re-enabling gating after an eager stretch: the dirty
             // bookkeeping was degenerate, resynchronize conservatively.
-            self.core.table.mark_all(&self.topo);
+            self.env.core.table.mark_all(&self.env.topo);
         }
         self.force_eager = eager;
         if eager {
             // Eager scheduling fires every node's every slot: arm the
             // whole population (retired nodes included).
-            for i in 0..self.topo.len() {
+            for i in 0..self.env.topo.len() {
                 self.arm(NodeId::new(i as u32));
             }
         } else {
@@ -464,283 +420,42 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     /// switches) so a pending sender always has a slot queued.
     fn arm_pending(&mut self) {
         let mut buf = std::mem::take(&mut self.scratch_nodes);
-        self.core.table.send_pending.collect_sorted_into(&mut buf);
+        self.env
+            .core
+            .table
+            .send_pending
+            .collect_sorted_into(&mut buf);
         for &p in &buf {
             self.arm(p);
         }
         self.scratch_nodes = buf;
     }
 
-    /// Processes an incremental topology change through the shared
-    /// core, then re-arms the woken senders.
-    fn apply_delta(&mut self, delta: &TopologyDelta) {
-        self.core.apply_delta(&self.protocol, &self.topo, delta);
-        if delta.is_quiet() {
-            return;
+    /// Reacts to a batch of environment changes: the touched nodes
+    /// join the change set (a fault or `link_down` may have mutated
+    /// their states) and the woken senders are re-armed.
+    fn absorb_env(&mut self) {
+        let mut buf = std::mem::take(&mut self.scratch_nodes);
+        self.env
+            .core
+            .table
+            .forced_changed
+            .drain_sorted_into(&mut buf);
+        for &p in &buf {
+            self.changed_since.insert(p);
         }
-        for p in delta.touched() {
-            // link_down may have mutated the endpoint states.
-            self.note_changed(p);
-        }
+        self.scratch_nodes = buf;
         self.arm_pending();
     }
 
-    /// One mobility tick at a logical-step boundary.
-    fn tick_dynamics(&mut self) {
-        let step = self.dynamics_step;
-        self.dynamics_step += 1;
+    /// Runs one environment batch at the logical-step boundary `step`:
+    /// the clock advances to the boundary, `fire` gets the environment
+    /// and the logical instant, then the driver absorbs the effects.
+    fn at_boundary(&mut self, step: u64, fire: impl FnOnce(&mut Env<P>, u64)) {
         self.time = self.time.max(self.step_time(step));
-        let Some(mut dynamics) = self.dynamics.take() else {
-            return;
-        };
-        if let Some(moves) = dynamics.next_moves(step) {
-            if !moves.is_empty() {
-                let delta = self.topo.apply_moves(moves);
-                self.apply_delta(&delta);
-            }
-        } else if let Some(topo) = dynamics.next_topology(step) {
-            assert_eq!(
-                topo.len(),
-                self.topo.len(),
-                "topology dynamics must preserve the node count"
-            );
-            self.topo.clone_from(topo);
-            self.core.table.mark_all(&self.topo);
-            for i in 0..self.topo.len() {
-                self.note_changed(NodeId::new(i as u32));
-            }
-            self.arm_pending();
-        }
-        self.dynamics = Some(dynamics);
-    }
-
-    fn corrupt_scripted(&mut self, p: NodeId) {
-        // Each corruption event gets its own derived stream: however
-        // much randomness the corruptor consumes, no node's timing or
-        // frame-fate streams move.
-        let mut rng = self.core.corrupt_rng(p);
-        let corruptor = self
-            .corruptor
-            .as_ref()
-            .expect("Scenario::faults installs the corruption hook");
-        corruptor(
-            &self.protocol,
-            p,
-            &mut self.core.table.states[p.index()],
-            &mut rng,
-        );
-        self.core.wake_mutated(p, &self.topo);
-        self.note_changed(p);
-    }
-
-    /// Severs every link of `p` (the node's radio goes dark), firing
-    /// [`Protocol::link_down`] on both endpoints of every cut link.
-    fn isolate(&mut self, p: NodeId) {
-        let mut nbrs = std::mem::take(&mut self.scratch_nodes);
-        self.core
-            .isolate(&self.protocol, &mut self.topo, p, &mut nbrs);
-        for &q in &nbrs {
-            self.note_changed(q);
-        }
-        self.note_changed(p);
-        self.scratch_nodes = nbrs;
-    }
-
-    /// Fires the next scripted fault (already known to be due).
-    fn fire_one_fault(&mut self) {
-        let (step, fault) = self.scripted[self.next_scripted].clone();
-        self.next_scripted += 1;
-        self.time = self.time.max(self.step_time(step));
-        self.dispatch_fault(&fault);
-    }
-
-    /// Applies one fault right now (the clock already advanced to its
-    /// logical instant). Shared by the scripted stream and
-    /// [`EventDriver::inject`].
-    fn dispatch_fault(&mut self, fault: &Fault) {
-        let step = self.logical_now();
-        match fault {
-            Fault::CorruptNode(p) => self.corrupt_scripted(*p),
-            Fault::CorruptAll => {
-                for i in 0..self.topo.len() {
-                    self.corrupt_scripted(NodeId::new(i as u32));
-                }
-            }
-            Fault::CorruptFraction(f) => {
-                let fraction = f.clamp(0.0, 1.0);
-                let picks: Vec<NodeId> = self
-                    .topo
-                    .nodes()
-                    .filter(|_| self.fault_rng.random_bool(fraction))
-                    .collect();
-                for p in picks {
-                    self.corrupt_scripted(p);
-                }
-            }
-            Fault::Isolate(p) => self.isolate(*p),
-            Fault::SetTopology(topo) => {
-                assert_eq!(
-                    topo.len(),
-                    self.topo.len(),
-                    "scripted topology keeps the node count"
-                );
-                self.topo = topo.clone();
-                self.core.table.mark_all(&self.topo);
-                for i in 0..self.topo.len() {
-                    self.note_changed(NodeId::new(i as u32));
-                }
-            }
-            Fault::CrashRecover { node, dark_for } => {
-                let state = self.core.table.states[node.index()].clone();
-                let links = self.topo.neighbors(*node).to_vec();
-                self.isolate(*node);
-                self.push_followup(
-                    step + (*dark_for).max(1),
-                    Followup::Resurrect {
-                        node: *node,
-                        state,
-                        links,
-                    },
-                );
-            }
-            Fault::ByzantineBeacon { node, lie, until } => {
-                let beacon = match lie {
-                    Lie::Forged => {
-                        let corruptor = self
-                            .corruptor
-                            .as_ref()
-                            .expect("Scenario::faults installs the corruption hook");
-                        let mut rng = self.core.corrupt_rng(*node);
-                        let mut fake = self.core.table.states[node.index()].clone();
-                        corruptor(&self.protocol, *node, &mut fake, &mut rng);
-                        self.protocol.beacon(*node, &fake)
-                    }
-                    Lie::Replayed => self.core.table.beacons[node.index()].clone(),
-                };
-                self.core.install_lie(&self.topo, *node, beacon);
-                self.push_followup((*until).max(step + 1), Followup::ClearLie { node: *node });
-            }
-            Fault::PartitionHeal { cut, heal_at } => {
-                let mut in_cut = vec![false; self.topo.len()];
-                for &p in cut {
-                    in_cut[p.index()] = true;
-                }
-                let edges: Vec<(NodeId, NodeId)> = self
-                    .topo
-                    .edges()
-                    .filter(|&(u, v)| in_cut[u.index()] != in_cut[v.index()])
-                    .collect();
-                self.sever_edges(edges, (*heal_at).max(step + 1));
-            }
-            Fault::Jam { region, until } => {
-                let members = region.members(&self.topo);
-                let mut jammed = vec![false; self.topo.len()];
-                for &p in &members {
-                    jammed[p.index()] = true;
-                }
-                let edges: Vec<(NodeId, NodeId)> = self
-                    .topo
-                    .edges()
-                    .filter(|&(u, v)| jammed[u.index()] || jammed[v.index()])
-                    .collect();
-                self.sever_edges(edges, (*until).max(step + 1));
-            }
-        }
-        self.arm_pending();
-    }
-
-    /// Removes `edges` (all currently present) through the incremental
-    /// delta path and schedules their restoration.
-    fn sever_edges(&mut self, edges: Vec<(NodeId, NodeId)>, restore_at: u64) {
-        if edges.is_empty() {
-            return;
-        }
-        for &(u, v) in &edges {
-            self.topo.remove_edge(u, v);
-        }
-        let delta = TopologyDelta {
-            removed: edges.clone(),
-            ..TopologyDelta::default()
-        };
-        self.apply_delta(&delta);
-        self.push_followup(restore_at, Followup::RestoreEdges { edges });
-    }
-
-    /// Re-adds whichever of `edges` are still absent, through the
-    /// incremental delta path.
-    fn restore_edges(&mut self, edges: &[(NodeId, NodeId)]) {
-        let mut added = Vec::new();
-        for &(u, v) in edges {
-            if !self.topo.has_edge(u, v) && self.topo.add_edge(u, v).is_ok() {
-                added.push((u, v));
-            }
-        }
-        let delta = TopologyDelta {
-            added,
-            ..TopologyDelta::default()
-        };
-        self.apply_delta(&delta);
-    }
-
-    fn push_followup(&mut self, due: u64, followup: Followup<P>) {
-        let seq = self.followup_seq;
-        self.followup_seq += 1;
-        self.followups.push((due, seq, followup));
-    }
-
-    /// The wall-clock instant of the earliest pending followup.
-    fn next_followup_time(&self) -> f64 {
-        self.followups
-            .iter()
-            .map(|&(due, _, _)| self.step_time(due))
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Fires the earliest-due followup batch: the clock advances to its
-    /// logical-step boundary, every followup due by then runs in
-    /// ascending `(due, seq)` order, and woken senders are re-armed.
-    fn fire_due_followups(&mut self) {
-        let d0 = self
-            .followups
-            .iter()
-            .map(|&(due, _, _)| due)
-            .min()
-            .expect("caller checked a followup is pending");
-        self.time = self.time.max(self.step_time(d0));
-        let mut due = Vec::new();
-        let mut i = 0;
-        while i < self.followups.len() {
-            if self.followups[i].0 <= d0 {
-                due.push(self.followups.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        due.sort_by_key(|&(d, seq, _)| (d, seq));
-        for (_, _, followup) in due {
-            self.apply_followup(followup);
-        }
-        self.arm_pending();
-    }
-
-    fn apply_followup(&mut self, followup: Followup<P>) {
-        match followup {
-            Followup::Resurrect { node, state, links } => {
-                self.core.table.states[node.index()] = state;
-                self.core.wake_mutated(node, &self.topo);
-                self.note_changed(node);
-                let edges: Vec<(NodeId, NodeId)> = links
-                    .iter()
-                    .map(|&q| if node < q { (node, q) } else { (q, node) })
-                    .collect();
-                self.restore_edges(&edges);
-            }
-            Followup::RestoreEdges { edges } => self.restore_edges(&edges),
-            Followup::ClearLie { node } => {
-                self.core.clear_lie(&self.protocol, &self.topo, node);
-                self.note_changed(node);
-            }
-        }
+        let now = self.logical_now();
+        fire(&mut self.env, now);
+        self.absorb_env();
     }
 
     /// Processes events up to (and including) time `t`; scripted
@@ -755,18 +470,13 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
                 .peek()
                 .map(|e| e.key.time)
                 .unwrap_or(f64::INFINITY);
-            let fault_time = self
-                .scripted
-                .get(self.next_scripted)
-                .map(|&(k, _)| self.step_time(k))
-                .unwrap_or(f64::INFINITY);
-            let dyn_time = if self.dynamics.is_some() {
-                self.step_time(self.dynamics_step)
-            } else {
-                f64::INFINITY
-            };
-            let followup_time = self.next_followup_time();
-            let next = event_time.min(fault_time).min(dyn_time).min(followup_time);
+            let at = |step: Option<u64>| step.map_or(f64::INFINITY, |k| self.step_time(k));
+            let dyn_step = self.env.has_dynamics().then_some(self.dynamics_step);
+            let (followup_step, fault_step) = (self.env.next_followup(), self.env.next_scripted());
+            let next = event_time
+                .min(at(dyn_step))
+                .min(at(followup_step))
+                .min(at(fault_step));
             if next > t {
                 break;
             }
@@ -774,12 +484,14 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             // within-step order: topology moves, then fault followups
             // (resurrections/healings), then faults, then the protocol
             // events.
-            if dyn_time <= next {
-                self.tick_dynamics();
-            } else if followup_time <= next {
-                self.fire_due_followups();
-            } else if fault_time <= next {
-                self.fire_one_fault();
+            let due = |step: Option<u64>| step.filter(|_| at(step) <= next);
+            if let Some(step) = due(dyn_step) {
+                self.dynamics_step += 1;
+                self.at_boundary(step, |env, _| env.tick_dynamics(step));
+            } else if let Some(step) = due(followup_step) {
+                self.at_boundary(step, |env, _| env.fire_followups(step));
+            } else if let Some(step) = due(fault_step) {
+                self.at_boundary(step, Env::fire_next_scripted);
             } else {
                 let Event { key, kind } = self.queue.pop().expect("peeked event exists");
                 self.time = key.time;
@@ -803,18 +515,18 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     /// detection under gating).
     fn snapshot_state(&mut self, p: NodeId) {
         match &mut self.scratch_state {
-            Some(s) => s.clone_from(&self.core.table.states[p.index()]),
-            None => self.scratch_state = Some(self.core.table.states[p.index()].clone()),
+            Some(s) => s.clone_from(&self.env.core.table.states[p.index()]),
+            None => self.scratch_state = Some(self.env.core.table.states[p.index()].clone()),
         }
     }
 
     fn state_changed_since_snapshot(&self, p: NodeId) -> bool {
-        self.scratch_state.as_ref() != Some(&self.core.table.states[p.index()])
+        self.scratch_state.as_ref() != Some(&self.env.core.table.states[p.index()])
     }
 
     fn handle_tx(&mut self, p: NodeId, slot: u64) {
         let gated = self.is_gated();
-        if gated && !self.core.table.send_pending.contains(p) {
+        if gated && !self.env.core.table.send_pending.contains(p) {
             // Nothing to say and nobody waiting: the slot lapses and
             // the node goes silent until something wakes it.
             self.tx_armed[p.index()] = false;
@@ -829,27 +541,35 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         if gated {
             self.snapshot_state(p);
         }
-        let mut rng = self.core.update_rng(t.to_bits(), p);
-        self.protocol
-            .update(p, &mut self.core.table.states[p.index()], now, &mut rng);
+        let mut rng = self.env.core.update_rng(t.to_bits(), p);
+        self.env
+            .protocol
+            .update(p, &mut self.env.core.table.states[p.index()], now, &mut rng);
         let state_changed = gated && self.state_changed_since_snapshot(p);
         if state_changed {
             self.note_changed(p);
         }
-        let beacon_changed = self.core.refresh_beacon(&self.protocol, &self.topo, p);
-        if gated && !state_changed && !beacon_changed && self.core.all_caught_up(&self.topo, p) {
+        let beacon_changed = self
+            .env
+            .core
+            .refresh_beacon(&self.env.protocol, &self.env.topo, p);
+        if gated
+            && !state_changed
+            && !beacon_changed
+            && self.env.core.all_caught_up(&self.env.topo, p)
+        {
             // Retire: state at a fixpoint, beacon content unchanged,
             // every neighbor has incorporated it. The eager twin keeps
             // broadcasting here — pure no-ops by the silence contract.
-            self.core.table.send_pending.remove(p);
+            self.env.core.table.send_pending.remove(p);
             self.tx_armed[p.index()] = false;
             return;
         }
         // Broadcast.
         self.messages += 1;
-        let epoch = self.core.table.epoch[p.index()];
-        let beacon = self.core.table.beacons[p.index()].clone();
-        let degree = self.topo.degree(p);
+        let epoch = self.env.core.table.epoch[p.index()];
+        let beacon = self.env.core.table.beacons[p.index()].clone();
+        let degree = self.env.topo.degree(p);
         self.frames_attempted += degree as u64;
         if let Some(medium) = self.medium.as_mut() {
             // Medium channel: one derived stream per (slot, sender)
@@ -860,19 +580,19 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             // (FullOccupancy): the eager twin beacons every period, so
             // using the same per-frame law in both modes keeps gating
             // unobservable there too.
-            let mut rng = self.core.medium_rng(slot, p);
-            self.delivery.reset(self.topo.len());
+            let mut rng = self.env.core.medium_rng(slot, p);
+            self.delivery.reset(self.env.topo.len());
             if medium.gated_contention() {
-                let streams = self.core.contention_streams(slot);
+                let streams = self.env.core.contention_streams(slot);
                 medium.deliver_from_occupied(
-                    &self.topo,
+                    &self.env.topo,
                     p,
                     &mwn_radio::FullOccupancy,
                     &streams,
                     &mut self.delivery,
                 );
             } else {
-                medium.deliver_from(&self.topo, p, &mut rng, &mut self.delivery);
+                medium.deliver_from(&self.env.topo, p, &mut rng, &mut self.delivery);
             }
             let arrival = t + self.config.frame_time;
             for i in 0..self.delivery.touched.len() {
@@ -908,8 +628,8 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             let horizon = t - 4.0 * self.config.frame_time;
             history.retain(|&x| x >= horizon);
             let arrival = t + self.config.frame_time;
-            for i in 0..self.topo.degree(p) {
-                let r = self.topo.neighbors(p)[i];
+            for i in 0..self.env.topo.degree(p) {
+                let r = self.env.topo.neighbors(p)[i];
                 self.queue.push(Event {
                     key: EventKey {
                         time: arrival,
@@ -947,7 +667,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     fn handle_rx(&mut self, r: NodeId, s: NodeId, tx_time: f64, tx_epoch: u32, beacon: &P::Beacon) {
         // The link may have vanished while the frame was in flight
         // (mobility, isolation): radio range is a hard constraint.
-        let Ok(idx) = self.topo.neighbors(r).binary_search(&s) else {
+        let Ok(idx) = self.env.topo.neighbors(r).binary_search(&s) else {
             return;
         };
         if self.medium.is_none() {
@@ -964,7 +684,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             if window(&self.tx_history[r.index()]) {
                 return; // half-duplex: r was talking
             }
-            for &q in self.topo.neighbors(r) {
+            for &q in self.env.topo.neighbors(r) {
                 if q != s && window(&self.tx_history[q.index()]) {
                     return; // collision (possibly a hidden terminal)
                 }
@@ -985,29 +705,35 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         // means — a frame whose link vanished mid-flight never counts.
         self.frames_delivered += 1;
         let gated = self.is_gated();
-        let fresh = self.core.table.heard.get(r.index(), idx) != tx_epoch;
+        let fresh = self.env.core.table.heard.get(r.index(), idx) != tx_epoch;
         if gated && !fresh {
             // Already incorporated this exact beacon epoch: the
             // silence contract makes the receive (and the follow-up
             // update) a state no-op — skip it entirely.
             return;
         }
-        self.core.table.heard.set(r.index(), idx, tx_epoch);
+        self.env.core.table.heard.set(r.index(), idx, tx_epoch);
         let now = self.logical_now();
         let t = self.time;
         if gated {
             self.snapshot_state(r);
         }
-        self.protocol
-            .receive(r, &mut self.core.table.states[r.index()], s, beacon, now);
-        let mut rng = self.core.update_rng(t.to_bits(), r);
-        self.protocol
-            .update(r, &mut self.core.table.states[r.index()], now, &mut rng);
+        self.env.protocol.receive(
+            r,
+            &mut self.env.core.table.states[r.index()],
+            s,
+            beacon,
+            now,
+        );
+        let mut rng = self.env.core.update_rng(t.to_bits(), r);
+        self.env
+            .protocol
+            .update(r, &mut self.env.core.table.states[r.index()], now, &mut rng);
         if gated && self.state_changed_since_snapshot(r) {
             self.note_changed(r);
             // The state moved: r may have a new beacon to announce —
             // wake its slot schedule (its next pop decides).
-            self.core.table.send_pending.insert(r);
+            self.env.core.table.send_pending.insert(r);
             self.arm(r);
         }
     }
@@ -1079,7 +805,11 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
                 self.changed_since.drain_sorted_into(&mut changed_buf);
                 let mut any = false;
                 for &p in &changed_buf {
-                    let fresh = project(&self.protocol, p, &self.core.table.states[p.index()]);
+                    let fresh = project(
+                        &self.env.protocol,
+                        p,
+                        &self.env.core.table.states[p.index()],
+                    );
                     if proj[p.index()] != fresh {
                         proj[p.index()] = fresh;
                         any = true;
@@ -1089,12 +819,13 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             } else {
                 self.changed_since.clear();
                 let fresh: Vec<K> = self
+                    .env
                     .core
                     .table
                     .states
                     .iter()
                     .enumerate()
-                    .map(|(i, s)| project(&self.protocol, NodeId::new(i as u32), s))
+                    .map(|(i, s)| project(&self.env.protocol, NodeId::new(i as u32), s))
                     .collect();
                 let any = fresh != proj;
                 if any {
@@ -1121,17 +852,17 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
 
     /// All node states, indexed by [`NodeId`].
     pub fn states(&self) -> &[P::State] {
-        &self.core.table.states
+        &self.env.core.table.states
     }
 
     /// The state of one node.
     pub fn state(&self, p: NodeId) -> &P::State {
-        &self.core.table.states[p.index()]
+        &self.env.core.table.states[p.index()]
     }
 
     /// The topology being simulated.
     pub fn topology(&self) -> &Topology {
-        &self.topo
+        &self.env.topo
     }
 
     /// Beacon broadcasts so far — the message-count metric of the
@@ -1176,22 +907,12 @@ impl<P: crate::Observable, M: Medium> EventDriver<P, M> {
     /// Projects every node's observable output into `buf` (cleared
     /// first); the buffer can be reused across samples.
     pub fn outputs_into(&self, buf: &mut Vec<P::Output>) {
-        buf.clear();
-        buf.extend(
-            self.core
-                .table
-                .states
-                .iter()
-                .enumerate()
-                .map(|(i, s)| self.protocol.output(NodeId::new(i as u32), s)),
-        );
+        self.env.outputs_into(buf);
     }
 
     /// The observable output of every node.
     pub fn outputs(&self) -> Vec<P::Output> {
-        let mut buf = Vec::with_capacity(self.core.table.states.len());
-        self.outputs_into(&mut buf);
-        buf
+        self.env.outputs()
     }
 
     /// Runs until the protocol's canonical [`crate::Observable`]
@@ -1224,15 +945,8 @@ impl<P: Corruptible, M: Medium> EventDriver<P, M> {
     /// frame-fate streams: injecting a corruption does not shift any
     /// node's transmission schedule.
     pub fn corrupt_all(&mut self) {
-        for i in 0..self.topo.len() {
-            let p = NodeId::new(i as u32);
-            let mut rng = self.core.corrupt_rng(p);
-            self.protocol
-                .corrupt(p, &mut self.core.table.states[p.index()], &mut rng);
-            self.core.wake_mutated(p, &self.topo);
-            self.note_changed(p);
-        }
-        self.arm_pending();
+        self.env.corrupt_all();
+        self.absorb_env();
     }
 
     /// Applies one [`Fault`] at the current simulation time — the
@@ -1243,25 +957,11 @@ impl<P: Corruptible, M: Medium> EventDriver<P, M> {
     ///
     /// # Errors
     ///
-    /// [`SimError::NodeCountMismatch`] for a [`Fault::SetTopology`]
-    /// that changes the node count.
+    /// Whatever [`crate::FaultPlan::validate_for`] rejects; a rejected
+    /// fault changes nothing.
     pub fn inject(&mut self, fault: &Fault) -> Result<(), SimError> {
-        if self.corruptor.is_none() {
-            self.corruptor = Some(Box::new(
-                |protocol: &P, p, state: &mut P::State, rng: &mut StdRng| {
-                    protocol.corrupt(p, state, rng);
-                },
-            ));
-        }
-        if let Fault::SetTopology(topo) = fault {
-            if topo.len() != self.topo.len() {
-                return Err(SimError::NodeCountMismatch {
-                    expected: self.topo.len(),
-                    got: topo.len(),
-                });
-            }
-        }
-        self.dispatch_fault(fault);
+        self.env.inject(self.logical_now(), fault)?;
+        self.absorb_env();
         Ok(())
     }
 }
@@ -1269,63 +969,10 @@ impl<P: Corruptible, M: Medium> EventDriver<P, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{GatedFlood, MaxFlood};
     use mwn_graph::builders;
     use mwn_radio::BernoulliLoss;
-
-    struct MaxFlood;
-    impl Protocol for MaxFlood {
-        type State = u32;
-        type Beacon = u32;
-        fn init(&self, node: NodeId, _rng: &mut StdRng) -> u32 {
-            node.value()
-        }
-        fn beacon(&self, _node: NodeId, state: &u32) -> u32 {
-            *state
-        }
-        fn receive(&self, _node: NodeId, state: &mut u32, _from: NodeId, beacon: &u32, _now: u64) {
-            *state = (*state).max(*beacon);
-        }
-        fn update(&self, node: NodeId, state: &mut u32, _now: u64, _rng: &mut StdRng) {
-            // Re-asserting the node's own id is what makes the flood
-            // self-stabilizing: corrupted state cannot erase the source.
-            *state = (*state).max(node.value());
-        }
-    }
-    impl Corruptible for MaxFlood {
-        fn corrupt(&self, _node: NodeId, state: &mut u32, _rng: &mut StdRng) {
-            *state = 0;
-        }
-    }
-
-    /// The flood with the silence contract declared.
-    struct GatedFlood;
-    impl Protocol for GatedFlood {
-        type State = u32;
-        type Beacon = u32;
-        fn init(&self, node: NodeId, _rng: &mut StdRng) -> u32 {
-            node.value()
-        }
-        fn beacon(&self, _node: NodeId, state: &u32) -> u32 {
-            *state
-        }
-        fn receive(&self, _node: NodeId, state: &mut u32, _from: NodeId, beacon: &u32, _now: u64) {
-            *state = (*state).max(*beacon);
-        }
-        fn update(&self, node: NodeId, state: &mut u32, _now: u64, _rng: &mut StdRng) {
-            *state = (*state).max(node.value());
-        }
-        fn activity(&self) -> Activity {
-            Activity::Gated
-        }
-        fn beacon_changed(&self, old: &u32, new: &u32) -> bool {
-            old != new
-        }
-    }
-    impl Corruptible for GatedFlood {
-        fn corrupt(&self, _node: NodeId, state: &mut u32, _rng: &mut StdRng) {
-            *state = 0;
-        }
-    }
+    use rand::rngs::StdRng;
 
     #[test]
     fn flood_converges_in_continuous_time() {

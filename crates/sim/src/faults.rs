@@ -23,9 +23,12 @@
 //!   the region severed), lifted at a deadline.
 //!
 //! The timed second phases (resurrection, healing, lie expiry) are
-//! scheduled by the driver as [`Followup`]s that fire at logical-step
-//! boundaries **before** scripted faults, which fire before sends —
-//! the same `fault ≤ send` ordering `tests/fault_ordering.rs` pins.
+//! scheduled as followups by the one environment every driver runs in
+//! (`engine::env`, the single place a fault is applied) and fire at
+//! logical-step boundaries **before** scripted faults, which fire
+//! before sends — the same `fault ≤ send` ordering
+//! `tests/fault_ordering.rs` pins. Overlapping severs compose: an edge
+//! comes back only when the last fault holding it down ends.
 //!
 //! Malformed plans (out-of-range victims, node-count-changing
 //! topologies, position-free deployments with disk regions) are
@@ -38,7 +41,6 @@ use mwn_graph::{NodeId, Topology};
 use mwn_radio::Medium;
 
 use crate::error::SimError;
-use crate::protocol::Protocol;
 use crate::{Corruptible, Network};
 
 /// What a Byzantine node puts on the air instead of its true beacon.
@@ -174,26 +176,44 @@ impl Fault {
             _ => fired_at,
         }
     }
-}
 
-/// A timed second phase of a fault, scheduled by the driver that fired
-/// it and executed at a later logical-step boundary — before that
-/// boundary's scripted faults, which fire before its sends.
-pub(crate) enum Followup<P: Protocol> {
-    /// End of a [`Fault::CrashRecover`] darkness: restore the stale
-    /// pre-crash state and re-add the recorded links that are still
-    /// absent.
-    Resurrect {
-        node: NodeId,
-        state: P::State,
-        links: Vec<NodeId>,
-    },
-    /// End of a [`Fault::PartitionHeal`] / [`Fault::Jam`]: re-add the
-    /// recorded severed edges that are still absent.
-    RestoreEdges { edges: Vec<(NodeId, NodeId)> },
-    /// End of a [`Fault::ByzantineBeacon`] window: drop the lie and
-    /// wake the node so the truth re-propagates.
-    ClearLie { node: NodeId },
+    /// Checks this fault against the deployment it will be applied to.
+    ///
+    /// # Errors
+    ///
+    /// See [`FaultPlan::validate_for`].
+    pub(crate) fn validate_for(&self, topo: &Topology) -> Result<(), SimError> {
+        let n = topo.len();
+        let check_node = |p: NodeId, role: &str| {
+            if p.index() >= n {
+                return Err(SimError::InvalidConfig(format!(
+                    "fault plan names {role} node {p} but the deployment has {n} nodes"
+                )));
+            }
+            Ok(())
+        };
+        match self {
+            Fault::CorruptNode(p) => check_node(*p, "corruption victim"),
+            Fault::Isolate(p) => check_node(*p, "isolation victim"),
+            Fault::CrashRecover { node, .. } => check_node(*node, "crash victim"),
+            Fault::ByzantineBeacon { node, .. } => check_node(*node, "Byzantine"),
+            Fault::SetTopology(t) if t.len() != n => Err(SimError::NodeCountMismatch {
+                expected: n,
+                got: t.len(),
+            }),
+            Fault::PartitionHeal { cut, .. } => {
+                cut.iter().try_for_each(|p| check_node(*p, "partition-cut"))
+            }
+            Fault::Jam { region, .. } => match region {
+                Region::Nodes(nodes) => nodes.iter().try_for_each(|p| check_node(*p, "jam-region")),
+                Region::Disk { .. } if topo.positions().is_none() => Err(SimError::InvalidConfig(
+                    "a disk jam region requires a positioned topology".to_string(),
+                )),
+                Region::Disk { .. } => Ok(()),
+            },
+            Fault::SetTopology(_) | Fault::CorruptAll | Fault::CorruptFraction(_) => Ok(()),
+        }
+    }
 }
 
 /// A reproducible script of faults, each fired *before* the given step
@@ -276,52 +296,9 @@ impl FaultPlan {
     /// out-of-range victims or a [`Region::Disk`] over a topology
     /// without positions.
     pub fn validate_for(&self, topo: &Topology) -> Result<(), SimError> {
-        let n = topo.len();
-        let check_node = |p: NodeId, role: &str| {
-            if p.index() >= n {
-                return Err(SimError::InvalidConfig(format!(
-                    "fault plan names {role} node {p} but the deployment has {n} nodes"
-                )));
-            }
-            Ok(())
-        };
-        for (_, fault) in &self.events {
-            match fault {
-                Fault::CorruptNode(p) => check_node(*p, "corruption victim")?,
-                Fault::Isolate(p) => check_node(*p, "isolation victim")?,
-                Fault::CrashRecover { node, .. } => check_node(*node, "crash victim")?,
-                Fault::ByzantineBeacon { node, .. } => check_node(*node, "Byzantine")?,
-                Fault::SetTopology(t) => {
-                    if t.len() != n {
-                        return Err(SimError::NodeCountMismatch {
-                            expected: n,
-                            got: t.len(),
-                        });
-                    }
-                }
-                Fault::PartitionHeal { cut, .. } => {
-                    for p in cut {
-                        check_node(*p, "partition-cut")?;
-                    }
-                }
-                Fault::Jam { region, .. } => match region {
-                    Region::Nodes(nodes) => {
-                        for p in nodes {
-                            check_node(*p, "jam-region")?;
-                        }
-                    }
-                    Region::Disk { .. } => {
-                        if topo.positions().is_none() {
-                            return Err(SimError::InvalidConfig(
-                                "a disk jam region requires a positioned topology".to_string(),
-                            ));
-                        }
-                    }
-                },
-                Fault::CorruptAll | Fault::CorruptFraction(_) => {}
-            }
-        }
-        Ok(())
+        self.events
+            .iter()
+            .try_for_each(|(_, f)| f.validate_for(topo))
     }
 
     /// Runs `net` until `until_step`, firing scheduled faults along the
@@ -370,33 +347,10 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Protocol;
+    use crate::testkit::MaxFlood;
     use mwn_graph::builders;
     use mwn_radio::PerfectMedium;
     use rand::rngs::StdRng;
-
-    struct MaxFlood;
-    impl Protocol for MaxFlood {
-        type State = u32;
-        type Beacon = u32;
-        fn init(&self, node: NodeId, _rng: &mut StdRng) -> u32 {
-            node.value()
-        }
-        fn beacon(&self, _node: NodeId, state: &u32) -> u32 {
-            *state
-        }
-        fn receive(&self, _node: NodeId, state: &mut u32, _from: NodeId, beacon: &u32, _now: u64) {
-            *state = (*state).max(*beacon);
-        }
-        fn update(&self, node: NodeId, state: &mut u32, _now: u64, _rng: &mut StdRng) {
-            *state = (*state).max(node.value());
-        }
-    }
-    impl Corruptible for MaxFlood {
-        fn corrupt(&self, _node: NodeId, state: &mut u32, _rng: &mut StdRng) {
-            *state = 0;
-        }
-    }
 
     #[test]
     fn faults_fire_in_order_and_heal() {

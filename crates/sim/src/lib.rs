@@ -98,6 +98,8 @@ mod rng;
 mod scenario;
 mod stop;
 mod sweep;
+#[cfg(test)]
+mod testkit;
 mod trace;
 mod wire;
 

@@ -3,18 +3,10 @@ use mwn_radio::{Delivery, Medium, Occupancy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::engine::{kernels, run_sharded, ActivityCore};
-use crate::faults::{Followup, Lie, Region};
-use crate::rng::{derive_seed, split_rng};
-use crate::scenario::TopologyDynamics;
-use crate::stop::{Obs, RunReport, StopWhen};
+use crate::engine::{self, kernels, run_sharded, Env};
+use crate::rng::{derive_seed, split_rng, streams};
+use crate::stop::{RunReport, StopWhen};
 use crate::{Activity, Corruptible, Fault, Observable, Protocol, SimError, StabilityTracker};
-
-/// The boxed corruption hook installed by [`crate::Scenario::faults`]:
-/// it captures the [`Corruptible`] capability so scripted faults can
-/// fire inside [`Network::step`] without bounding every driver method.
-pub(crate) type Corruptor<P> =
-    Box<dyn Fn(&P, NodeId, &mut <P as Protocol>::State, &mut StdRng) + Send + Sync>;
 
 /// What one [`Network::step`] actually did — the activity counters of
 /// the dirty-set engine.
@@ -169,43 +161,26 @@ impl<P: Protocol> ShardScratch<P> {
 /// constructor and the closure-projection run methods remain available
 /// as the low-level interface.
 pub struct Network<P: Protocol, M> {
-    protocol: P,
+    /// Protocol, topology, activity core and the one fault path.
+    pub(crate) env: Env<P>,
     medium: M,
-    topo: Topology,
-    /// The shared activity core: columnar node table, dirty sets and
-    /// derived-stream bases.
-    core: ActivityCore<P>,
     /// Sequential stream for contention-coupled media (whose rounds
     /// are evaluated with the full sender set in one call).
     medium_rng: StdRng,
-    /// Sequential stream for fault-site selection.
-    fault_rng: StdRng,
     step: u64,
     /// `true` when the user pinned the driver to eager scheduling.
     force_eager: bool,
     /// How the per-step active pass is split across workers.
     shards: ShardMode,
-    /// Scenario-scripted faults, fired inside [`Network::step`].
-    scripted: Vec<(u64, Fault)>,
-    next_scripted: usize,
-    /// Timed second phases of fired faults (resurrections, healings,
-    /// lie expiries), as `(due_step, seq, followup)`; fired in
-    /// ascending `(due, seq)` order before that step's scripted faults.
-    followups: Vec<(u64, u64, Followup<P>)>,
-    followup_seq: u64,
-    corruptor: Option<Corruptor<P>>,
-    dynamics: Option<Box<dyn TopologyDynamics + Send>>,
     // Reused step buffers: no per-step allocation in steady state.
     senders_buf: Vec<NodeId>,
     active_buf: Vec<NodeId>,
     stale_buf: Vec<NodeId>,
-    scratch_nodes: Vec<NodeId>,
     /// Pooled per-shard outcome arenas for the sharded active pass.
     shard_scratch: Vec<ShardScratch<P>>,
     delivery: Delivery,
-    // Per-step observability for stop conditions and metrics.
+    // Per-step observability for metrics.
     last_activity: StepActivity,
-    env_changed: bool,
     messages_total: u64,
 }
 
@@ -216,13 +191,9 @@ where
 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Network")
-            .field("protocol", &self.protocol)
+            .field("env", &self.env)
             .field("medium", &self.medium)
-            .field("topo", &self.topo)
-            .field("states", &self.core.table.states)
             .field("step", &self.step)
-            .field("scripted", &self.scripted.len())
-            .field("dynamics", &self.dynamics.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -230,12 +201,12 @@ where
 impl<P: Protocol, M: Medium> Network<P, M> {
     /// Creates a network of cold-start nodes over `topo`.
     pub fn new(protocol: P, medium: M, topo: Topology, seed: u64) -> Self {
-        let mut core = ActivityCore::new(&protocol, &topo, seed);
-        if protocol.activity() == Activity::Gated && medium.gated_contention() {
+        let mut env = Env::new(protocol, topo, seed, streams::ROUND_FAULT);
+        if env.protocol.activity() == Activity::Gated && medium.gated_contention() {
             // Contention media can only gate silent senders if the
             // retired population keeps occupying its slots; the engine
             // maintains the summary alongside `send_pending`.
-            core.table.occupancy = Some(Occupancy::new(topo.len()));
+            env.core.table.occupancy = Some(Occupancy::new(env.topo.len()));
         }
         let shards = std::env::var("MWN_FORCE_SHARDS")
             .ok()
@@ -243,45 +214,20 @@ impl<P: Protocol, M: Medium> Network<P, M> {
             .map(|k| ShardMode::Forced(k.max(1)))
             .unwrap_or(ShardMode::Auto);
         Network {
-            core,
-            protocol,
+            env,
             medium,
-            topo,
-            medium_rng: StdRng::seed_from_u64(derive_seed(seed, u64::MAX)),
-            fault_rng: StdRng::seed_from_u64(derive_seed(seed, u64::MAX - 2)),
+            medium_rng: StdRng::seed_from_u64(derive_seed(seed, streams::ROUND_MEDIUM)),
             step: 0,
             force_eager: false,
             shards,
-            scripted: Vec::new(),
-            next_scripted: 0,
-            followups: Vec::new(),
-            followup_seq: 0,
-            corruptor: None,
-            dynamics: None,
             senders_buf: Vec::new(),
             active_buf: Vec::new(),
             stale_buf: Vec::new(),
-            scratch_nodes: Vec::new(),
             shard_scratch: Vec::new(),
             delivery: Delivery::empty(0),
             last_activity: StepActivity::default(),
-            env_changed: false,
             messages_total: 0,
         }
-    }
-
-    pub(crate) fn install_script(
-        &mut self,
-        scripted: Vec<(u64, Fault)>,
-        corruptor: Option<Corruptor<P>>,
-    ) {
-        self.scripted = scripted;
-        self.next_scripted = 0;
-        self.corruptor = corruptor;
-    }
-
-    pub(crate) fn install_dynamics(&mut self, dynamics: Box<dyn TopologyDynamics + Send>) {
-        self.dynamics = Some(dynamics);
     }
 
     /// Detaches any topology dynamics attached by
@@ -289,7 +235,7 @@ impl<P: Protocol, M: Medium> Network<P, M> {
     /// the protocol can settle on the final topology. Returns whether
     /// dynamics were attached.
     pub fn stop_dynamics(&mut self) -> bool {
-        self.dynamics.take().is_some()
+        self.env.stop_dynamics()
     }
 
     /// `true` when the driver is currently using dirty-set (gated)
@@ -302,7 +248,7 @@ impl<P: Protocol, M: Medium> Network<P, M> {
     /// scheduling.
     pub fn is_gated(&self) -> bool {
         !self.force_eager
-            && self.protocol.activity() == Activity::Gated
+            && self.env.protocol.activity() == Activity::Gated
             && (self.medium.independent_fates() || self.medium.gated_contention())
     }
 
@@ -312,7 +258,7 @@ impl<P: Protocol, M: Medium> Network<P, M> {
     /// diagnostics; the counts always match a from-scratch recount
     /// over the current topology.
     pub fn occupancy(&self) -> Option<&Occupancy> {
-        self.core.table.occupancy.as_ref()
+        self.env.core.table.occupancy.as_ref()
     }
 
     /// Pins the driver to eager scheduling (`true`) or restores the
@@ -323,7 +269,7 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         if self.force_eager && !eager {
             // Re-enabling gating after an eager stretch: the dirty
             // bookkeeping was degenerate, resynchronize conservatively.
-            self.core.table.mark_all(&self.topo);
+            self.env.core.table.mark_all(&self.env.topo);
         }
         self.force_eager = eager;
     }
@@ -377,289 +323,22 @@ impl<P: Protocol, M: Medium> Network<P, M> {
     /// scheduling only; empty under eager scheduling, which does not
     /// track changes).
     pub fn last_changed(&self) -> &[NodeId] {
-        &self.core.table.changed
-    }
-
-    fn apply_dynamics(&mut self) {
-        let Some(mut dynamics) = self.dynamics.take() else {
-            return;
-        };
-        let step = self.step;
-        if let Some(moves) = dynamics.next_moves(step) {
-            if !moves.is_empty() {
-                let delta = self.topo.apply_moves(moves);
-                self.apply_delta(&delta);
-            }
-        } else if let Some(topo) = dynamics.next_topology(step) {
-            assert_eq!(
-                topo.len(),
-                self.topo.len(),
-                "topology dynamics must preserve the node count"
-            );
-            // clone_from reuses the driver's existing adjacency
-            // buffers where possible; a wholesale swap invalidates all
-            // incremental bookkeeping.
-            self.topo.clone_from(topo);
-            self.core.table.mark_all(&self.topo);
-            self.env_changed = true;
-        }
-        self.dynamics = Some(dynamics);
-    }
-
-    /// Processes an incremental topology change through the shared
-    /// core: notify the protocol of vanished links, wake the touched
-    /// nodes, realign their reception bookkeeping.
-    fn apply_delta(&mut self, delta: &TopologyDelta) {
-        if self.core.apply_delta(&self.protocol, &self.topo, delta) {
-            // Even a link-preserving move changes the topology's
-            // geometry: memoized predicate verdicts over (topo, states)
-            // are stale.
-            self.env_changed = true;
-        }
-    }
-
-    fn corrupt_scripted(&mut self, p: NodeId) {
-        let mut rng = self.core.corrupt_rng(p);
-        let corruptor = self
-            .corruptor
-            .as_ref()
-            .expect("Scenario::faults installs the corruption hook");
-        corruptor(
-            &self.protocol,
-            p,
-            &mut self.core.table.states[p.index()],
-            &mut rng,
-        );
-        self.core.wake_mutated(p, &self.topo);
-    }
-
-    /// Deterministically picks ≈ `fraction` of the nodes from the
-    /// dedicated fault stream into the reused scratch buffer.
-    fn pick_fraction(&mut self, fraction: f64) -> Vec<NodeId> {
-        use rand::Rng;
-        let mut picks = std::mem::take(&mut self.scratch_nodes);
-        picks.clear();
-        let fraction = fraction.clamp(0.0, 1.0);
-        for p in self.topo.nodes() {
-            if self.fault_rng.random_bool(fraction) {
-                picks.push(p);
-            }
-        }
-        picks
-    }
-
-    fn fire_scripted(&mut self) {
-        while self.next_scripted < self.scripted.len()
-            && self.scripted[self.next_scripted].0 <= self.step
-        {
-            let fault = self.scripted[self.next_scripted].1.clone();
-            self.next_scripted += 1;
-            self.dispatch_fault(&fault);
-        }
-    }
-
-    /// Applies one fault right now. Shared by the scripted stream and
-    /// [`Network::inject`]; the plan is validated before installation
-    /// ([`crate::FaultPlan::validate_for`]), so the remaining
-    /// `SetTopology` expect is unreachable from scripts.
-    fn dispatch_fault(&mut self, fault: &Fault) {
-        self.env_changed = true;
-        match fault {
-            Fault::CorruptNode(p) => self.corrupt_scripted(*p),
-            Fault::CorruptAll => {
-                for i in 0..self.topo.len() {
-                    self.corrupt_scripted(NodeId::new(i as u32));
-                }
-            }
-            Fault::CorruptFraction(f) => {
-                let picks = self.pick_fraction(*f);
-                for &p in &picks {
-                    self.corrupt_scripted(p);
-                }
-                self.scratch_nodes = picks;
-            }
-            Fault::Isolate(p) => self.isolate(*p),
-            Fault::SetTopology(topo) => self
-                .set_topology(topo.clone())
-                .expect("scripted topology keeps the node count"),
-            Fault::CrashRecover { node, dark_for } => self.crash(*node, *dark_for),
-            Fault::ByzantineBeacon { node, lie, until } => self.byzantine(*node, *lie, *until),
-            Fault::PartitionHeal { cut, heal_at } => self.partition(cut, *heal_at),
-            Fault::Jam { region, until } => self.jam(region, *until),
-        }
-    }
-
-    /// [`Fault::CrashRecover`]: snapshot state + links, go dark via
-    /// [`Network::isolate`], schedule the resurrection.
-    fn crash(&mut self, p: NodeId, dark_for: u64) {
-        let state = self.core.table.states[p.index()].clone();
-        let links = self.topo.neighbors(p).to_vec();
-        self.isolate(p);
-        self.push_followup(
-            self.step + dark_for.max(1),
-            Followup::Resurrect {
-                node: p,
-                state,
-                links,
-            },
-        );
-    }
-
-    /// [`Fault::ByzantineBeacon`]: install the lie at the engine level
-    /// (epoch-bumped, send-pending, occupancy-released) and schedule
-    /// its expiry. The forged content draws on the dedicated
-    /// per-corruption-event stream, so frame-delivery randomness is
-    /// untouched.
-    fn byzantine(&mut self, p: NodeId, lie: Lie, until: u64) {
-        let beacon = match lie {
-            Lie::Forged => {
-                let corruptor = self
-                    .corruptor
-                    .as_ref()
-                    .expect("Scenario::faults installs the corruption hook");
-                let mut rng = self.core.corrupt_rng(p);
-                let mut fake = self.core.table.states[p.index()].clone();
-                corruptor(&self.protocol, p, &mut fake, &mut rng);
-                self.protocol.beacon(p, &fake)
-            }
-            Lie::Replayed => self.core.table.beacons[p.index()].clone(),
-        };
-        self.core.install_lie(&self.topo, p, beacon);
-        self.push_followup(until.max(self.step + 1), Followup::ClearLie { node: p });
-    }
-
-    /// [`Fault::PartitionHeal`]: sever every edge crossing the cut,
-    /// schedule the heal.
-    fn partition(&mut self, cut: &[NodeId], heal_at: u64) {
-        let mut in_cut = vec![false; self.topo.len()];
-        for &p in cut {
-            in_cut[p.index()] = true;
-        }
-        let edges: Vec<(NodeId, NodeId)> = self
-            .topo
-            .edges()
-            .filter(|&(u, v)| in_cut[u.index()] != in_cut[v.index()])
-            .collect();
-        self.sever_edges(edges, heal_at);
-    }
-
-    /// [`Fault::Jam`]: sever every edge touching the region, schedule
-    /// the restoration.
-    fn jam(&mut self, region: &Region, until: u64) {
-        let members = region.members(&self.topo);
-        let mut jammed = vec![false; self.topo.len()];
-        for &p in &members {
-            jammed[p.index()] = true;
-        }
-        let edges: Vec<(NodeId, NodeId)> = self
-            .topo
-            .edges()
-            .filter(|&(u, v)| jammed[u.index()] || jammed[v.index()])
-            .collect();
-        self.sever_edges(edges, until);
-    }
-
-    /// Removes `edges` (all currently present) through the incremental
-    /// delta path — occupancy adjusted edge-wise, `link_down` fired,
-    /// touched nodes woken — and schedules their restoration.
-    fn sever_edges(&mut self, edges: Vec<(NodeId, NodeId)>, restore_at: u64) {
-        if edges.is_empty() {
-            return;
-        }
-        for &(u, v) in &edges {
-            self.topo.remove_edge(u, v);
-        }
-        let delta = TopologyDelta {
-            removed: edges.clone(),
-            ..TopologyDelta::default()
-        };
-        self.apply_delta(&delta);
-        self.push_followup(
-            restore_at.max(self.step + 1),
-            Followup::RestoreEdges { edges },
-        );
-    }
-
-    /// Re-adds whichever of `edges` are still absent (mobility or later
-    /// faults may have restored or re-severed some), again through the
-    /// incremental delta path.
-    fn restore_edges(&mut self, edges: &[(NodeId, NodeId)]) {
-        let mut added = Vec::new();
-        for &(u, v) in edges {
-            if !self.topo.has_edge(u, v) && self.topo.add_edge(u, v).is_ok() {
-                added.push((u, v));
-            }
-        }
-        let delta = TopologyDelta {
-            added,
-            ..TopologyDelta::default()
-        };
-        self.apply_delta(&delta);
-    }
-
-    fn push_followup(&mut self, due: u64, followup: Followup<P>) {
-        let seq = self.followup_seq;
-        self.followup_seq += 1;
-        self.followups.push((due, seq, followup));
-    }
-
-    /// Fires every due followup in ascending `(due, seq)` order —
-    /// before this step's scripted faults, which fire before sends.
-    fn fire_followups(&mut self) {
-        if self.followups.is_empty() {
-            return;
-        }
-        let now = self.step;
-        let mut due: Vec<(u64, u64, Followup<P>)> = Vec::new();
-        let mut i = 0;
-        while i < self.followups.len() {
-            if self.followups[i].0 <= now {
-                due.push(self.followups.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        due.sort_by_key(|&(d, seq, _)| (d, seq));
-        for (_, _, followup) in due {
-            self.apply_followup(followup);
-        }
-    }
-
-    fn apply_followup(&mut self, followup: Followup<P>) {
-        self.env_changed = true;
-        match followup {
-            Followup::Resurrect { node, state, links } => {
-                self.core.table.states[node.index()] = state;
-                self.core.wake_mutated(node, &self.topo);
-                let edges: Vec<(NodeId, NodeId)> = links
-                    .iter()
-                    .map(|&q| if node < q { (node, q) } else { (q, node) })
-                    .collect();
-                self.restore_edges(&edges);
-            }
-            Followup::RestoreEdges { edges } => self.restore_edges(&edges),
-            Followup::ClearLie { node } => {
-                self.core.clear_lie(&self.protocol, &self.topo, node);
-            }
-        }
+        &self.env.core.table.changed
     }
 
     /// Executes one synchronous step; returns the new step count.
     pub fn step(&mut self) -> u64 {
-        self.env_changed = false;
-        self.core.table.changed.clear();
-        self.apply_dynamics();
-        self.fire_followups();
-        self.fire_scripted();
+        self.env.core.table.changed.clear();
+        self.env.begin_step(self.step);
         let eager = !self.is_gated();
         if eager {
             // Degenerate dirty sets: everyone beacons, hears and runs —
             // the classic semantics, and the reference the gated mode
             // is tested against.
-            self.core.table.update_dirty.insert_all();
-            self.core.table.beacon_stale.insert_all();
-            self.core.table.send_pending.insert_all();
-            if let Some(occ) = &mut self.core.table.occupancy {
+            self.env.core.table.update_dirty.insert_all();
+            self.env.core.table.beacon_stale.insert_all();
+            self.env.core.table.send_pending.insert_all();
+            if let Some(occ) = &mut self.env.core.table.occupancy {
                 // Everyone transmits for real: nobody occupies
                 // statistically (O(1) once drained).
                 occ.release_all();
@@ -667,16 +346,20 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         }
 
         // Phase 1: refresh the beacons of nodes whose state changed.
-        self.core
+        self.env
+            .core
             .table
             .beacon_stale
             .drain_sorted_into(&mut self.stale_buf);
         for &p in &self.stale_buf {
-            self.core.refresh_beacon(&self.protocol, &self.topo, p);
+            self.env
+                .core
+                .refresh_beacon(&self.env.protocol, &self.env.topo, p);
         }
 
         // Phase 2: the senders of this round.
-        self.core
+        self.env
+            .core
             .table
             .send_pending
             .collect_sorted_into(&mut self.senders_buf);
@@ -689,23 +372,24 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         // per-(step, receiver, sender) streams). Everything else —
         // and every eager round — evaluates the full sender set on the
         // sequential medium stream.
-        self.delivery.reset(self.topo.len());
+        self.delivery.reset(self.env.topo.len());
         if self.medium.independent_fates() {
             for &s in &self.senders_buf {
-                let mut rng = self.core.medium_rng(self.step, s);
+                let mut rng = self.env.core.medium_rng(self.step, s);
                 self.medium
-                    .deliver_from(&self.topo, s, &mut rng, &mut self.delivery);
+                    .deliver_from(&self.env.topo, s, &mut rng, &mut self.delivery);
             }
         } else if !eager && self.medium.gated_contention() {
-            let streams = self.core.contention_streams(self.step);
+            let streams = self.env.core.contention_streams(self.step);
             let occ = self
+                .env
                 .core
                 .table
                 .occupancy
                 .as_ref()
                 .expect("gated contention maintains an occupancy summary");
             self.medium.deliver_occupied_into(
-                &self.topo,
+                &self.env.topo,
                 &self.senders_buf,
                 occ,
                 &streams,
@@ -713,7 +397,7 @@ impl<P: Protocol, M: Medium> Network<P, M> {
             );
         } else {
             self.medium.deliver_into(
-                &self.topo,
+                &self.env.topo,
                 &self.senders_buf,
                 &mut self.medium_rng,
                 &mut self.delivery,
@@ -725,8 +409,8 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         // freshness test is the branch-lean epoch-compare kernel over
         // the receiver's contiguous reception row.
         if !eager {
-            let table = &mut self.core.table;
-            let topo = &self.topo;
+            let table = &mut self.env.core.table;
+            let topo = &self.env.topo;
             for &r in &self.delivery.touched {
                 if kernels::any_fresh(
                     table.heard.row(r.index()),
@@ -738,7 +422,8 @@ impl<P: Protocol, M: Medium> Network<P, M> {
                 }
             }
         }
-        self.core
+        self.env
+            .core
             .table
             .update_dirty
             .drain_sorted_into(&mut self.active_buf);
@@ -763,15 +448,15 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         // its slot statistically instead of transmitting for real.
         if !eager {
             for &s in &self.senders_buf {
-                if self.core.all_caught_up(&self.topo, s) {
-                    self.core.table.send_pending.remove(s);
-                    if let Some(occ) = &mut self.core.table.occupancy {
-                        occ.occupy(s, &self.topo);
+                if self.env.core.all_caught_up(&self.env.topo, s) {
+                    self.env.core.table.send_pending.remove(s);
+                    if let Some(occ) = &mut self.env.core.table.occupancy {
+                        occ.occupy(s, &self.env.topo);
                     }
                 }
             }
             // Forced marks are consumed by the change detection above.
-            self.core.table.forced_changed.clear();
+            self.env.core.table.forced_changed.clear();
         }
 
         self.last_activity = StepActivity {
@@ -780,7 +465,7 @@ impl<P: Protocol, M: Medium> Network<P, M> {
             frames_delivered: self.delivery.delivered,
             receives,
             updates: self.active_buf.len(),
-            changed: self.core.table.changed.len(),
+            changed: self.env.core.table.changed.len(),
         };
         self.messages_total += self.senders_buf.len() as u64;
         self.step += 1;
@@ -796,10 +481,10 @@ impl<P: Protocol, M: Medium> Network<P, M> {
     /// ([`kernels::sorted_positions`]).
     fn serial_active_pass(&mut self, eager: bool, now: u64) -> usize {
         let mut receives = 0usize;
-        let update_base = self.core.update_base;
-        let table = &mut self.core.table;
-        let protocol = &self.protocol;
-        let topo = &self.topo;
+        let update_base = self.env.core.update_base;
+        let table = &mut self.env.core.table;
+        let protocol = &self.env.protocol;
+        let topo = &self.env.topo;
         let delivery = &self.delivery;
         for &p in &self.active_buf {
             if !eager {
@@ -858,11 +543,11 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         for (i, sc) in self.shard_scratch.iter_mut().enumerate() {
             sc.reset((i * chunk).min(n_active), ((i + 1) * chunk).min(n_active));
         }
-        let update_base = self.core.update_base;
+        let update_base = self.env.core.update_base;
         {
-            let table = &self.core.table;
-            let protocol = &self.protocol;
-            let topo = &self.topo;
+            let table = &self.env.core.table;
+            let protocol = &self.env.protocol;
+            let topo = &self.env.topo;
             let delivery = &self.delivery;
             let active = &self.active_buf;
             run_sharded(&mut self.shard_scratch, |_, sc| {
@@ -893,7 +578,7 @@ impl<P: Protocol, M: Medium> Network<P, M> {
             });
         }
         let mut receives = 0usize;
-        let table = &mut self.core.table;
+        let table = &mut self.env.core.table;
         for sc in self.shard_scratch.iter_mut() {
             receives += sc.receives as usize;
             let mut patch_cursor = 0usize;
@@ -945,7 +630,7 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         F: FnMut(NodeId, &P::State) -> K,
     {
         let mut tracker = StabilityTracker::new(quiet);
-        let mut buf: Vec<K> = Vec::with_capacity(self.core.table.states.len());
+        let mut buf: Vec<K> = Vec::with_capacity(self.env.core.table.states.len());
         let mut snapshot = |states: &[P::State], buf: &mut Vec<K>| {
             buf.clear();
             buf.extend(
@@ -955,11 +640,11 @@ impl<P: Protocol, M: Medium> Network<P, M> {
                     .map(|(i, s)| project(NodeId::new(i as u32), s)),
             );
         };
-        snapshot(&self.core.table.states, &mut buf);
+        snapshot(&self.env.core.table.states, &mut buf);
         tracker.observe_slice(self.step, &buf);
         while self.step < max_steps {
             self.step();
-            snapshot(&self.core.table.states, &mut buf);
+            snapshot(&self.env.core.table.states, &mut buf);
             if tracker.observe_slice(self.step, &buf) {
                 return Some(tracker.last_change());
             }
@@ -994,7 +679,7 @@ impl<P: Protocol, M: Medium> Network<P, M> {
 
     /// The topology being simulated.
     pub fn topology(&self) -> &Topology {
-        &self.topo
+        &self.env.topo
     }
 
     /// Replaces the topology (same node count), e.g. after a mobility
@@ -1012,47 +697,35 @@ impl<P: Protocol, M: Medium> Network<P, M> {
     /// changes: protocol state is indexed by node, so nodes cannot be
     /// added or removed mid-run.
     pub fn set_topology(&mut self, topo: Topology) -> Result<(), SimError> {
-        if topo.len() != self.topo.len() {
-            return Err(SimError::NodeCountMismatch {
-                expected: self.topo.len(),
-                got: topo.len(),
-            });
-        }
-        self.topo = topo;
-        self.core.table.mark_all(&self.topo);
-        self.env_changed = true;
-        Ok(())
+        self.env.set_topology(topo)
     }
 
     /// Applies incremental node moves to the simulated topology
     /// (unit-disk only), waking exactly the nodes whose links changed.
     /// Returns the link churn.
     pub fn apply_moves(&mut self, moves: &[(NodeId, Point2)]) -> TopologyDelta {
-        let delta = self.topo.apply_moves(moves);
-        self.apply_delta(&delta);
-        delta
+        self.env.apply_moves(moves)
     }
 
     /// All node states, indexed by [`NodeId`].
     pub fn states(&self) -> &[P::State] {
-        &self.core.table.states
+        &self.env.core.table.states
     }
 
     /// The state of one node.
     pub fn state(&self, p: NodeId) -> &P::State {
-        &self.core.table.states[p.index()]
+        &self.env.core.table.states[p.index()]
     }
 
     /// Mutable state access (used by hand-written fault scenarios).
     /// The node is rescheduled: external mutation is a fault.
     pub fn state_mut(&mut self, p: NodeId) -> &mut P::State {
-        self.core.wake_mutated(p, &self.topo);
-        &mut self.core.table.states[p.index()]
+        self.env.state_mut(p)
     }
 
     /// The protocol instance.
     pub fn protocol(&self) -> &P {
-        &self.protocol
+        &self.env.protocol
     }
 
     /// Severs every link of `p` by removing its edges — the node's
@@ -1061,11 +734,7 @@ impl<P: Protocol, M: Medium> Network<P, M> {
     /// severed link. Use [`Network::set_topology`] to restore
     /// connectivity.
     pub fn isolate(&mut self, p: NodeId) {
-        let mut nbrs = std::mem::take(&mut self.scratch_nodes);
-        self.core
-            .isolate(&self.protocol, &mut self.topo, p, &mut nbrs);
-        self.env_changed = true;
-        self.scratch_nodes = nbrs;
+        self.env.isolate(p);
     }
 }
 
@@ -1073,22 +742,12 @@ impl<P: Observable, M: Medium> Network<P, M> {
     /// Projects every node's observable output into `buf` (cleared
     /// first); the buffer can be reused across steps.
     pub fn outputs_into(&self, buf: &mut Vec<P::Output>) {
-        buf.clear();
-        buf.extend(
-            self.core
-                .table
-                .states
-                .iter()
-                .enumerate()
-                .map(|(i, s)| self.protocol.output(NodeId::new(i as u32), s)),
-        );
+        self.env.outputs_into(buf);
     }
 
     /// The observable output of every node.
     pub fn outputs(&self) -> Vec<P::Output> {
-        let mut buf = Vec::with_capacity(self.core.table.states.len());
-        self.outputs_into(&mut buf);
-        buf
+        self.env.outputs()
     }
 
     /// Runs until `stop` is satisfied and reports what happened — the
@@ -1108,81 +767,21 @@ impl<P: Observable, M: Medium> Network<P, M> {
     ///
     /// See the crate-level example.
     pub fn run_to(&mut self, stop: &StopWhen<P>) -> RunReport {
-        let start = self.step;
-        let mut cursor = stop.cursor();
-        let gated = self.is_gated();
-        // Only project outputs when a StableFor leaf will read them (or
-        // when the gated engine tracks them incrementally);
-        // predicate/budget-only stops skip the per-step O(n) pass.
-        let needs_outputs = stop.needs_outputs();
-        let mut outputs: Vec<P::Output> = Vec::with_capacity(self.core.table.states.len());
-        if needs_outputs {
-            self.outputs_into(&mut outputs);
-        }
-        let mut verdict = cursor.observe(
-            self.step,
-            0,
-            &self.topo,
-            &self.core.table.states,
-            &Obs::Full { outputs: &outputs },
-        );
-        while !verdict.satisfied {
-            self.step();
-            let obs = if gated {
-                let mut output_changed = false;
-                if needs_outputs {
-                    for &p in &self.core.table.changed {
-                        let fresh = self.protocol.output(p, &self.core.table.states[p.index()]);
-                        if outputs[p.index()] != fresh {
-                            outputs[p.index()] = fresh;
-                            output_changed = true;
-                        }
-                    }
-                }
-                Obs::Delta {
-                    output_changed,
-                    state_changed: !self.core.table.changed.is_empty(),
-                    env_changed: self.env_changed,
-                }
-            } else {
-                if needs_outputs {
-                    self.outputs_into(&mut outputs);
-                }
-                Obs::Full { outputs: &outputs }
-            };
-            verdict = cursor.observe(
-                self.step,
-                self.step - start,
-                &self.topo,
-                &self.core.table.states,
-                &obs,
-            );
-        }
-        RunReport {
-            stabilized: cursor.stabilized(),
-            steps: self.step - start,
-            end_step: self.step,
-            satisfied: !verdict.budget_only,
-            timed_out: verdict.budget_only,
-        }
+        let (start, gated) = (self.step, self.is_gated());
+        engine::run_to(self, stop, start, gated, |net| &net.env, Self::step)
     }
 }
 
 impl<P: Corruptible, M: Medium> Network<P, M> {
     /// Corrupts the state of one node arbitrarily.
     pub fn corrupt(&mut self, p: NodeId) {
-        let mut rng = self.core.corrupt_rng(p);
-        self.protocol
-            .corrupt(p, &mut self.core.table.states[p.index()], &mut rng);
-        self.core.wake_mutated(p, &self.topo);
+        self.env.corrupt(p);
     }
 
     /// Corrupts every node: the adversarial "arbitrary initial
     /// configuration" of the self-stabilization definition.
     pub fn corrupt_all(&mut self) {
-        for i in 0..self.topo.len() {
-            self.corrupt(NodeId::new(i as u32));
-        }
+        self.env.corrupt_all();
     }
 
     /// Corrupts a deterministic pseudo-random subset of about
@@ -1193,13 +792,7 @@ impl<P: Corruptible, M: Medium> Network<P, M> {
     /// the same seed see identical deliveries whether or not one of
     /// them injects faults.
     pub fn corrupt_fraction(&mut self, fraction: f64) -> usize {
-        let picks = self.pick_fraction(fraction);
-        let count = picks.len();
-        for &p in &picks {
-            self.corrupt(p);
-        }
-        self.scratch_nodes = picks;
-        count
+        self.env.corrupt_fraction(fraction)
     }
 
     /// Applies one [`Fault`] right now — the entry point the chaos
@@ -1208,27 +801,17 @@ impl<P: Corruptible, M: Medium> Network<P, M> {
     /// and fire at the start of their due step, before that step's
     /// scripted faults and sends.
     ///
-    /// Victims must be in range (see
-    /// [`crate::FaultPlan::validate_for`] for pre-run checking of whole
-    /// plans).
+    /// An edge severed by several overlapping faults comes back only
+    /// when the last fault holding it down ends.
     ///
     /// # Errors
     ///
-    /// [`SimError::NodeCountMismatch`] for a [`Fault::SetTopology`]
-    /// that changes the node count.
+    /// Whatever [`crate::FaultPlan::validate_for`] rejects — an
+    /// out-of-range victim, a [`Fault::SetTopology`] that changes the
+    /// node count, a disk region on an unpositioned topology. A
+    /// rejected fault changes nothing.
     pub fn inject(&mut self, fault: &Fault) -> Result<(), SimError> {
-        if self.corruptor.is_none() {
-            self.corruptor = Some(Box::new(
-                |protocol: &P, p, state: &mut P::State, rng: &mut StdRng| {
-                    protocol.corrupt(p, state, rng);
-                },
-            ));
-        }
-        if let Fault::SetTopology(topo) = fault {
-            return self.set_topology(topo.clone());
-        }
-        self.dispatch_fault(fault);
-        Ok(())
+        self.env.inject(self.step, fault)
     }
 
     /// Corrupts `p` **without** waking it — a deliberately broken wake
@@ -1237,88 +820,19 @@ impl<P: Corruptible, M: Medium> Network<P, M> {
     /// use it to model a fault.
     #[doc(hidden)]
     pub fn corrupt_silently(&mut self, p: NodeId) {
-        let mut rng = self.core.corrupt_rng(p);
-        self.protocol
-            .corrupt(p, &mut self.core.table.states[p.index()], &mut rng);
+        let mut rng = self.env.core.corrupt_rng(p);
+        self.env
+            .protocol
+            .corrupt(p, &mut self.env.core.table.states[p.index()], &mut rng);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{GatedFlood, MaxFlood};
     use mwn_graph::builders;
     use mwn_radio::{BernoulliLoss, PerfectMedium};
-
-    /// Stabilizes to the maximum id seen; corruption plants a huge fake
-    /// value that only TTL-free re-flooding would *not* fix — so we use
-    /// it to test corrupt/convergence mechanics, not the protocol.
-    struct MaxFlood;
-    impl Protocol for MaxFlood {
-        type State = u32;
-        type Beacon = u32;
-        fn init(&self, node: NodeId, _rng: &mut StdRng) -> u32 {
-            node.value()
-        }
-        fn beacon(&self, _node: NodeId, state: &u32) -> u32 {
-            *state
-        }
-        fn receive(&self, _node: NodeId, state: &mut u32, _from: NodeId, beacon: &u32, _now: u64) {
-            *state = (*state).max(*beacon);
-        }
-        fn update(&self, node: NodeId, state: &mut u32, _now: u64, _rng: &mut StdRng) {
-            // Re-asserting the node's own id is what makes the flood
-            // self-stabilizing: corrupted state cannot erase the source.
-            *state = (*state).max(node.value());
-        }
-    }
-    impl Corruptible for MaxFlood {
-        fn corrupt(&self, _node: NodeId, state: &mut u32, _rng: &mut StdRng) {
-            *state = 0;
-        }
-    }
-    impl Observable for MaxFlood {
-        type Output = u32;
-        fn output(&self, _node: NodeId, state: &u32) -> u32 {
-            *state
-        }
-    }
-
-    /// The same flood with the silence contract declared: receive of an
-    /// already-incorporated beacon and update at a fixpoint are no-ops.
-    struct GatedFlood;
-    impl Protocol for GatedFlood {
-        type State = u32;
-        type Beacon = u32;
-        fn init(&self, node: NodeId, _rng: &mut StdRng) -> u32 {
-            node.value()
-        }
-        fn beacon(&self, _node: NodeId, state: &u32) -> u32 {
-            *state
-        }
-        fn receive(&self, _node: NodeId, state: &mut u32, _from: NodeId, beacon: &u32, _now: u64) {
-            *state = (*state).max(*beacon);
-        }
-        fn update(&self, node: NodeId, state: &mut u32, _now: u64, _rng: &mut StdRng) {
-            *state = (*state).max(node.value());
-        }
-        fn activity(&self) -> Activity {
-            Activity::Gated
-        }
-        fn beacon_changed(&self, old: &u32, new: &u32) -> bool {
-            old != new
-        }
-    }
-    impl Observable for GatedFlood {
-        type Output = u32;
-        fn output(&self, _node: NodeId, state: &u32) -> u32 {
-            *state
-        }
-    }
-    impl Corruptible for GatedFlood {
-        fn corrupt(&self, _node: NodeId, state: &mut u32, _rng: &mut StdRng) {
-            *state = 0;
-        }
-    }
 
     #[test]
     fn max_flood_converges_on_a_line() {

@@ -60,6 +60,11 @@ pub fn derive_seed3(base: u64, a: u64, b: u64) -> u64 {
 /// two drivers consume identical randomness — the foundation of the
 /// cross-driver agreement suite.
 pub(crate) mod streams {
+    /// Tag for the round driver's sequential medium stream
+    /// (contention-coupled media evaluate the full sender set on it).
+    pub const ROUND_MEDIUM: u64 = u64::MAX;
+    /// Tag for the round and actor drivers' fault-site stream.
+    pub const ROUND_FAULT: u64 = u64::MAX - 2;
     /// Tag for [`crate::Protocol::init`] draws.
     pub const INIT: u64 = u64::MAX - 8;
     /// Tag for per-(step, node) [`crate::Protocol::update`] draws
@@ -138,6 +143,29 @@ mod tests {
         let a = derive_seed(0, 0);
         let b = derive_seed(0, 1);
         assert!((a ^ b).count_ones() > 10);
+    }
+
+    #[test]
+    fn stream_tags_are_pairwise_distinct() {
+        use streams::*;
+        let mut tags = vec![
+            ROUND_MEDIUM,
+            ROUND_FAULT,
+            INIT,
+            UPDATE,
+            MEDIUM,
+            CORRUPT,
+            EVENT_FAULT,
+            PHASE,
+            TIMING,
+            EXTRA_LOSS,
+            CONTEND_SENDER,
+            CONTEND_COPY,
+        ];
+        let declared = tags.len();
+        tags.sort_unstable();
+        tags.dedup();
+        assert_eq!(tags.len(), declared, "two streams share a tag");
     }
 
     #[test]

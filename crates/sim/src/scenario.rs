@@ -47,7 +47,7 @@
 use mwn_graph::Topology;
 use mwn_radio::{Medium, PerfectMedium};
 
-use crate::network::Corruptor;
+use crate::engine::{Corruptor, Env};
 use crate::{
     ActorDriver, Corruptible, EventConfig, EventDriver, FaultPlan, Network, Protocol, SimError,
     WireBeacon,
@@ -185,6 +185,31 @@ impl<P: Protocol, M: Medium> Scenario<P, M> {
         self
     }
 
+    /// The preamble all three builders share: the topology is present
+    /// and passes every registered check and the fault plan; `make`
+    /// constructs the driver; the script and the dynamics are installed
+    /// into its environment.
+    fn assemble<D>(
+        self,
+        make: impl FnOnce(P, M, Topology, u64) -> Result<D, SimError>,
+        env: fn(&mut D) -> &mut Env<P>,
+    ) -> Result<D, SimError> {
+        let topology = self.topology.ok_or(SimError::MissingTopology)?;
+        for check in self.validators {
+            check(&topology).map_err(SimError::InvalidConfig)?;
+        }
+        if let Some((plan, _)) = &self.faults {
+            plan.validate_for(&topology)?;
+        }
+        let (script, hook) = self
+            .faults
+            .map(|(plan, hook)| (plan.into_events(), hook))
+            .unzip();
+        let mut driver = make(self.protocol, self.medium, topology, self.seed)?;
+        env(&mut driver).install(script.unwrap_or_default(), hook, self.dynamics);
+        Ok(driver)
+    }
+
     /// Builds the synchronous round driver.
     ///
     /// # Errors
@@ -193,22 +218,13 @@ impl<P: Protocol, M: Medium> Scenario<P, M> {
     /// [`SimError::InvalidConfig`] when a [`Scenario::validate`] check
     /// fails.
     pub fn build(self) -> Result<Network<P, M>, SimError> {
-        let topology = self.topology.ok_or(SimError::MissingTopology)?;
-        for check in self.validators {
-            check(&topology).map_err(SimError::InvalidConfig)?;
-        }
-        if let Some((plan, _)) = &self.faults {
-            plan.validate_for(&topology)?;
-        }
-        let mut net = Network::new(self.protocol, self.medium, topology, self.seed);
-        if let Some(k) = self.shards {
-            net.set_shards(Some(k));
-        }
-        if let Some((plan, corruptor)) = self.faults {
-            net.install_script(plan.into_events(), Some(corruptor));
-        }
-        if let Some(dynamics) = self.dynamics {
-            net.install_dynamics(dynamics);
+        let shards = self.shards;
+        let mut net = self.assemble(
+            |p, m, t, seed| Ok(Network::new(p, m, t, seed)),
+            |d| &mut d.env,
+        )?;
+        if shards.is_some() {
+            net.set_shards(shards);
         }
         Ok(net)
     }
@@ -236,23 +252,11 @@ impl<P: Protocol, M: Medium> Scenario<P, M> {
     /// [`SimError::MissingTopology`], [`SimError::InvalidConfig`] (bad
     /// event parameters or failed validation).
     pub fn build_events(self, config: EventConfig) -> Result<EventDriver<P, M>, SimError> {
-        let topology = self.topology.ok_or(SimError::MissingTopology)?;
-        config.check().map_err(SimError::InvalidConfig)?;
-        for check in self.validators {
-            check(&topology).map_err(SimError::InvalidConfig)?;
-        }
-        if let Some((plan, _)) = &self.faults {
-            plan.validate_for(&topology)?;
-        }
-        let mut driver =
-            EventDriver::with_medium(self.protocol, self.medium, topology, config, self.seed);
-        if let Some((plan, corruptor)) = self.faults {
-            driver.install_script(plan.into_events(), Some(corruptor));
-        }
-        if let Some(dynamics) = self.dynamics {
-            driver.install_dynamics(dynamics);
-        }
-        Ok(driver)
+        let make = |p, m, t, seed| {
+            config.check().map_err(SimError::InvalidConfig)?;
+            Ok(EventDriver::with_medium(p, m, t, config, seed))
+        };
+        self.assemble(make, |d| &mut d.env)
     }
 
     /// Builds the **actor driver**: every node a real message-passing
@@ -280,62 +284,18 @@ impl<P: Protocol, M: Medium> Scenario<P, M> {
         P::Beacon: WireBeacon,
         M: Sync,
     {
-        let topology = self.topology.ok_or(SimError::MissingTopology)?;
-        for check in self.validators {
-            check(&topology).map_err(SimError::InvalidConfig)?;
-        }
-        if let Some((plan, _)) = &self.faults {
-            plan.validate_for(&topology)?;
-        }
-        let mut driver =
-            ActorDriver::new(self.protocol, self.medium, topology, self.seed, threads)?;
-        if let Some((plan, corruptor)) = self.faults {
-            driver.install_script(plan.into_events(), Some(corruptor));
-        }
-        if let Some(dynamics) = self.dynamics {
-            driver.install_dynamics(dynamics);
-        }
-        Ok(driver)
+        let make = |p, m, t, seed| ActorDriver::new(p, m, t, seed, threads);
+        self.assemble(make, |d| &mut d.env)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Fault, Observable, StopWhen};
+    use crate::testkit::MaxFlood;
+    use crate::{Fault, StopWhen};
     use mwn_graph::{builders, NodeId};
     use mwn_radio::BernoulliLoss;
-    use rand::rngs::StdRng;
-
-    #[derive(Debug)]
-    struct MaxFlood;
-    impl Protocol for MaxFlood {
-        type State = u32;
-        type Beacon = u32;
-        fn init(&self, node: NodeId, _rng: &mut StdRng) -> u32 {
-            node.value()
-        }
-        fn beacon(&self, _node: NodeId, state: &u32) -> u32 {
-            *state
-        }
-        fn receive(&self, _node: NodeId, state: &mut u32, _from: NodeId, beacon: &u32, _now: u64) {
-            *state = (*state).max(*beacon);
-        }
-        fn update(&self, node: NodeId, state: &mut u32, _now: u64, _rng: &mut StdRng) {
-            *state = (*state).max(node.value());
-        }
-    }
-    impl Corruptible for MaxFlood {
-        fn corrupt(&self, _node: NodeId, state: &mut u32, _rng: &mut StdRng) {
-            *state = 0;
-        }
-    }
-    impl Observable for MaxFlood {
-        type Output = u32;
-        fn output(&self, _node: NodeId, state: &u32) -> u32 {
-            *state
-        }
-    }
 
     #[test]
     fn missing_topology_is_a_typed_error() {

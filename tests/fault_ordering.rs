@@ -354,3 +354,230 @@ fn actor_isolation_applies_before_the_same_periods_frames() {
         assert_eq!(*actors.state(NodeId::new(4)), 4, "threads={threads}");
     }
 }
+
+/// The three drivers behind one lens, for schedules whose contract is
+/// about the topology at a given logical step.
+enum AnyDriver {
+    Round(Box<Network<MaxFlood, PerfectMedium>>),
+    Events(Box<EventDriver<MaxFlood>>),
+    Actors(Box<ActorDriver<MaxFlood>>),
+}
+
+impl AnyDriver {
+    /// Every driver deployed on `topo` (actors × {1, 4} threads).
+    fn all(topo: &Topology, plan: impl Fn() -> FaultPlan) -> Vec<(String, AnyDriver)> {
+        let scenario = || {
+            Scenario::new(MaxFlood)
+                .topology(topo.clone())
+                .seed(3)
+                .faults(plan())
+        };
+        let mut drivers = vec![
+            (
+                "round".to_string(),
+                AnyDriver::Round(Box::new(scenario().build().expect("valid scenario"))),
+            ),
+            (
+                "events".to_string(),
+                AnyDriver::Events(Box::new(
+                    scenario()
+                        .build_events(EventConfig::default())
+                        .expect("valid event scenario"),
+                )),
+            ),
+        ];
+        for threads in [1, 4] {
+            let actors = scenario()
+                .build_actors(threads)
+                .expect("valid actor scenario");
+            drivers.push((
+                format!("actors×{threads}"),
+                AnyDriver::Actors(Box::new(actors)),
+            ));
+        }
+        drivers
+    }
+
+    /// Runs to the start of logical step `step` (faults due at `step`
+    /// itself have not fired yet on the round-clocked drivers, so the
+    /// assertions below probe strictly between boundaries).
+    fn run_to_step(&mut self, step: u64) {
+        match self {
+            AnyDriver::Round(net) => {
+                while net.now() < step {
+                    net.step();
+                }
+            }
+            AnyDriver::Events(driver) => driver.run_until_time(step as f64 - 0.5),
+            AnyDriver::Actors(actors) => {
+                while actors.now() < step {
+                    actors.step();
+                }
+            }
+        }
+    }
+
+    fn topology(&self) -> &Topology {
+        match self {
+            AnyDriver::Round(net) => net.topology(),
+            AnyDriver::Events(driver) => driver.topology(),
+            AnyDriver::Actors(actors) => actors.topology(),
+        }
+    }
+
+    fn states(&self) -> &[u32] {
+        match self {
+            AnyDriver::Round(net) => net.states(),
+            AnyDriver::Events(driver) => driver.states(),
+            AnyDriver::Actors(actors) => actors.states(),
+        }
+    }
+
+    fn inject(&mut self, fault: &Fault) -> Result<(), SimError> {
+        match self {
+            AnyDriver::Round(net) => net.inject(fault),
+            AnyDriver::Events(driver) => driver.inject(fault),
+            AnyDriver::Actors(actors) => actors.inject(fault),
+        }
+    }
+}
+
+#[test]
+fn overlapping_severs_keep_the_cut_closed_on_all_drivers() {
+    // An edge comes back only when the LAST fault holding it down ends.
+    // Jam{2} (steps 3–8) severs (1,2) and (2,3); the {0,1} cut (steps
+    // 5–30) covers the already-absent (1,2). The jam's restore at step
+    // 8 must re-open (2,3) only — not the cut, 22 steps early.
+    let jam_inside_a_cut = || {
+        let mut plan = FaultPlan::new();
+        plan.at(
+            3,
+            Fault::Jam {
+                region: Region::Nodes(vec![NodeId::new(2)]),
+                until: 8,
+            },
+        )
+        .at(
+            5,
+            Fault::PartitionHeal {
+                cut: vec![NodeId::new(0), NodeId::new(1)],
+                heal_at: 30,
+            },
+        )
+        .at(11, Fault::CorruptAll);
+        plan
+    };
+    // The same with a crash: node 1 is already dark (links (0,1) and
+    // (1,2) held down) when the cut lands, and resurrects at step 10
+    // inside the cut window — with its link to 0, not the cut link.
+    let crash_inside_a_cut = || {
+        let mut plan = FaultPlan::new();
+        plan.at(
+            4,
+            Fault::CrashRecover {
+                node: NodeId::new(1),
+                dark_for: 6,
+            },
+        )
+        .at(
+            5,
+            Fault::PartitionHeal {
+                cut: vec![NodeId::new(0), NodeId::new(1)],
+                heal_at: 30,
+            },
+        )
+        .at(11, Fault::CorruptAll);
+        plan
+    };
+    let (n1, n2, n3) = (NodeId::new(1), NodeId::new(2), NodeId::new(3));
+    for (schedule, plan) in [
+        ("jam", &jam_inside_a_cut as &dyn Fn() -> FaultPlan),
+        ("crash", &crash_inside_a_cut),
+    ] {
+        for (label, mut driver) in AnyDriver::all(&builders::line(5), plan) {
+            let label = format!("{schedule}/{label}");
+            driver.run_to_step(12);
+            let topo = driver.topology();
+            assert!(!topo.has_edge(n1, n2), "{label}: the cut re-opened early");
+            assert!(
+                topo.has_edge(NodeId::new(0), n1),
+                "{label}: inner link is back"
+            );
+            assert!(topo.has_edge(n2, n3), "{label}: the jammed link is back");
+            driver.run_to_step(30);
+            assert!(
+                !driver.topology().has_edge(n1, n2),
+                "{label}: closed to the end"
+            );
+            assert_eq!(
+                driver.states(),
+                &[1, 1, 4, 4, 4],
+                "{label}: the step-11 corruption re-floods each side alone"
+            );
+            driver.run_to_step(45);
+            assert!(driver.topology().has_edge(n1, n2), "{label}: healed at 30");
+            assert_eq!(driver.states(), &[4; 5], "{label}: the flood crosses");
+        }
+    }
+}
+
+#[test]
+fn inject_rejects_malformed_faults_without_panicking_on_all_drivers() {
+    let victim = NodeId::new(99);
+    let bad_victims = [
+        Fault::CorruptNode(victim),
+        Fault::Isolate(victim),
+        Fault::CrashRecover {
+            node: victim,
+            dark_for: 3,
+        },
+        Fault::ByzantineBeacon {
+            node: victim,
+            lie: Lie::Forged,
+            until: 9,
+        },
+        Fault::PartitionHeal {
+            cut: vec![NodeId::new(0), victim],
+            heal_at: 9,
+        },
+        Fault::Jam {
+            region: Region::Nodes(vec![victim]),
+            until: 9,
+        },
+        // The deployment carries no positions: a disk region cannot
+        // resolve.
+        Fault::Jam {
+            region: Region::Disk {
+                x: 0.5,
+                y: 0.5,
+                r: 0.2,
+            },
+            until: 9,
+        },
+    ];
+    let path = Topology::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]).expect("a path");
+    for (label, mut driver) in AnyDriver::all(&path, FaultPlan::new) {
+        driver.run_to_step(8);
+        for fault in &bad_victims {
+            let err = driver.inject(fault).expect_err("malformed fault");
+            assert!(
+                matches!(err, SimError::InvalidConfig(_)),
+                "{label}: {fault:?} gave {err}"
+            );
+        }
+        assert_eq!(
+            driver.inject(&Fault::SetTopology(builders::line(7))),
+            Err(SimError::NodeCountMismatch {
+                expected: 5,
+                got: 7
+            }),
+            "{label}"
+        );
+        // Nothing changed, and the driver is still usable.
+        assert_eq!(driver.topology(), &path, "{label}");
+        assert_eq!(driver.states(), &[4; 5], "{label}");
+        driver.inject(&Fault::CorruptAll).expect("a valid fault");
+        driver.run_to_step(30);
+        assert_eq!(driver.states(), &[4; 5], "{label}: heals after the rejects");
+    }
+}
