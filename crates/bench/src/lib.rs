@@ -14,7 +14,6 @@
 //! | Theorem 1 / Lemmas 1–2 | [`stabilization`] | `cargo run -p mwn-bench --bin stabilization` |
 //! | §3 "features" (\[16\] comparison) | [`ablation`] | `cargo run -p mwn-bench --bin ablation` |
 //! | activity-driven engine scaling | [`scaling`] | `cargo run -p mwn-bench --bin scaling` |
-//! | continuous-time engine scaling | [`scaling_events`] | `cargo run -p mwn-bench --bin scaling_events` |
 //! | actor fabric vs synchronous reference | [`actors`] | `cargo run -p mwn-bench --bin actors` |
 //! | hierarchy extension (conclusion) | [`hierarchy_exp`] | `cargo run -p mwn-bench --bin hierarchy` |
 //! | energy extension (conclusion) | [`energy_exp`] | `cargo run -p mwn-bench --bin energy` |
@@ -38,7 +37,6 @@ pub mod hierarchy_exp;
 pub mod mobility;
 pub mod routing_exp;
 pub mod scaling;
-pub mod scaling_events;
 pub mod stabilization;
 pub mod table1;
 pub mod table2;

@@ -1,12 +1,11 @@
 //! One trait over all three execution drivers.
 
-use mwn_radio::Medium;
-use mwn_sim::{ActorDriver, Corruptible, EventDriver, Fault, Network, Observable, WireBeacon};
+use mwn_sim::{Driver, Fault, Observable};
 
-/// The driver surface the certifier needs, implemented by the round
-/// driver ([`Network`]), the continuous-time driver ([`EventDriver`])
-/// and the actor fabric ([`ActorDriver`]) — so one campaign runs
-/// unchanged on all three.
+/// The driver surface the certifier needs. Every [`Driver`] — the round
+/// driver, the continuous-time driver and the actor fabric — has it
+/// through the blanket impl below, so one campaign runs unchanged on
+/// all three; wrappers (tracing, fault shims) implement it directly.
 ///
 /// Logical time is the driver's paper-comparable clock: steps on the
 /// round driver, beacon periods on the other two.
@@ -37,15 +36,11 @@ pub trait ChaosHarness {
     fn now(&self) -> u64;
 }
 
-impl<P, M> ChaosHarness for Network<P, M>
-where
-    P: Observable + Corruptible,
-    M: Medium,
-{
-    type Output = P::Output;
+impl<D: Driver> ChaosHarness for D {
+    type Output = <D::Protocol as Observable>::Output;
 
     fn inject(&mut self, fault: &Fault) {
-        Network::inject(self, fault).expect("campaign faults keep the node count");
+        Driver::inject(self, fault).expect("campaign faults keep the node count");
     }
 
     fn advance(&mut self, steps: u64) {
@@ -54,76 +49,15 @@ where
         }
     }
 
-    fn outputs(&self) -> Vec<P::Output> {
-        Network::outputs(self)
+    fn outputs(&self) -> Vec<Self::Output> {
+        Driver::outputs(self)
     }
 
     fn set_eager(&mut self, eager: bool) {
-        Network::set_eager(self, eager);
+        Driver::set_eager(self, eager);
     }
 
     fn now(&self) -> u64 {
-        Network::now(self)
-    }
-}
-
-impl<P, M> ChaosHarness for EventDriver<P, M>
-where
-    P: Observable + Corruptible,
-    M: Medium,
-{
-    type Output = P::Output;
-
-    fn inject(&mut self, fault: &Fault) {
-        EventDriver::inject(self, fault).expect("campaign faults keep the node count");
-    }
-
-    fn advance(&mut self, steps: u64) {
-        let period = self.config().beacon_period;
-        let target = (self.now() + steps) as f64 * period;
-        self.run_until_time(target);
-    }
-
-    fn outputs(&self) -> Vec<P::Output> {
-        EventDriver::outputs(self)
-    }
-
-    fn set_eager(&mut self, eager: bool) {
-        EventDriver::set_eager(self, eager);
-    }
-
-    fn now(&self) -> u64 {
-        (self.time() / self.config().beacon_period) as u64
-    }
-}
-
-impl<P, M> ChaosHarness for ActorDriver<P, M>
-where
-    P: Observable + Corruptible,
-    P::Beacon: WireBeacon,
-    M: Medium + Sync,
-{
-    type Output = P::Output;
-
-    fn inject(&mut self, fault: &Fault) {
-        ActorDriver::inject(self, fault).expect("campaign faults keep the node count");
-    }
-
-    fn advance(&mut self, steps: u64) {
-        for _ in 0..steps {
-            self.step();
-        }
-    }
-
-    fn outputs(&self) -> Vec<P::Output> {
-        ActorDriver::outputs(self)
-    }
-
-    fn set_eager(&mut self, eager: bool) {
-        ActorDriver::set_eager(self, eager);
-    }
-
-    fn now(&self) -> u64 {
-        ActorDriver::now(self)
+        Driver::now(self)
     }
 }

@@ -11,10 +11,10 @@
 //! This crate turns "self-stabilizing" from a narrative claim into a
 //! machine-checkable certificate:
 //!
-//! * [`ChaosHarness`] — one trait over all three execution drivers
-//!   (round, event, actor), exposing exactly what the certifier needs:
-//!   inject a fault, advance logical time, project outputs, pin eager
-//!   scheduling.
+//! * [`ChaosHarness`] — exactly what the certifier needs: inject a
+//!   fault, advance logical time, project outputs, pin eager
+//!   scheduling. One blanket impl covers every [`mwn_sim::Driver`]
+//!   (round, event, actor).
 //! * [`CampaignSpec`] — a compact, seed-deterministic description of a
 //!   randomized adversary schedule over fault kinds × victims ×
 //!   timing. The same spec replays the same campaign on any driver.

@@ -151,11 +151,11 @@ pub trait Medium {
     ///
     /// Both clocks honor this flag. The synchronous round driver uses
     /// it to gate quiescent senders without perturbing anyone else's
-    /// frames; the continuous-time event driver additionally selects
-    /// its channel by it — independent-fates media are evaluated once
-    /// per transmission on a derived per-(slot, sender) stream
-    /// ([`Medium::deliver_from`]), while contention-coupled media fall
-    /// back to the driver's built-in overlap-collision model.
+    /// frames; the continuous-time event driver evaluates such media
+    /// once per transmission on a derived per-(slot, sender) stream
+    /// ([`Medium::deliver_from`]). A medium with neither this flag nor
+    /// [`Medium::gated_contention`] has no per-sender semantics and
+    /// cannot back the event driver at all.
     fn independent_fates(&self) -> bool {
         false
     }
@@ -204,7 +204,8 @@ pub trait Medium {
     /// with [`Medium::independent_fates`] in the shipped media (a
     /// medium with independent fates needs no occupancy fold).
     /// Conservative default: `false` — such media (e.g.
-    /// [`crate::Thinned`] wrappers) keep the eager fallback.
+    /// [`crate::Thinned`] wrappers) keep the round driver's eager
+    /// fallback and are rejected by the event driver.
     ///
     /// The agreement claim under this contract is **distributional**
     /// (per-frame marginals match the eager reference; Wilson-band

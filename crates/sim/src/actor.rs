@@ -64,7 +64,7 @@ use crate::error::SimError;
 use crate::faults::Fault;
 use crate::network::StepActivity;
 use crate::observable::Observable;
-use crate::protocol::{Activity, Corruptible, Protocol};
+use crate::protocol::{Corruptible, Protocol};
 use crate::rng::streams;
 use crate::stop::{RunReport, StopWhen};
 use crate::wire::WireBeacon;
@@ -154,11 +154,9 @@ pub struct ActorDriver<P: Protocol, M: Medium = PerfectMedium> {
     medium: M,
     threads: usize,
     period: u64,
-    force_eager: bool,
     mailboxes: Vec<Mailbox>,
     messages_total: u64,
     last_activity: StepActivity,
-    stale_buf: Vec<NodeId>,
     senders_buf: Vec<NodeId>,
     dirty_buf: Vec<NodeId>,
     touched_buf: Vec<NodeId>,
@@ -210,11 +208,9 @@ where
             medium,
             threads: threads.max(1),
             period: 0,
-            force_eager: false,
             mailboxes,
             messages_total: 0,
             last_activity: StepActivity::default(),
-            stale_buf: Vec::new(),
             senders_buf: Vec::new(),
             dirty_buf: Vec::new(),
             touched_buf: Vec::new(),
@@ -234,17 +230,12 @@ where
     /// `true` when the driver is currently using dirty-set (gated)
     /// scheduling — same contract as [`crate::Network::is_gated`].
     pub fn is_gated(&self) -> bool {
-        !self.force_eager
-            && self.env.protocol.activity() == Activity::Gated
-            && self.medium.independent_fates()
+        self.env.gated() && self.medium.independent_fates()
     }
 
     /// Pins eager scheduling (`true`) or restores the automatic choice.
     pub fn set_eager(&mut self, eager: bool) {
-        if self.force_eager && !eager {
-            self.env.core.table.mark_all(&self.env.topo);
-        }
-        self.force_eager = eager;
+        self.env.set_eager(eager);
     }
 
     /// The worker-thread count the actor pool multiplexes over.
@@ -269,33 +260,12 @@ where
             self.resize_mailboxes();
         }
         let eager = !self.is_gated();
-        if eager {
-            self.env.core.table.update_dirty.insert_all();
-            self.env.core.table.beacon_stale.insert_all();
-            self.env.core.table.send_pending.insert_all();
-        }
 
         // Slot release: refresh the beacons of state-changed actors and
         // pick this period's senders (serial — it touches the shared
         // epoch column, and is cheap relative to the phases it gates).
-        let mut stale_buf = std::mem::take(&mut self.stale_buf);
-        self.env
-            .core
-            .table
-            .beacon_stale
-            .drain_sorted_into(&mut stale_buf);
-        for &p in &stale_buf {
-            self.env
-                .core
-                .refresh_beacon(&self.env.protocol, &self.env.topo, p);
-        }
-        self.stale_buf = stale_buf;
         let mut senders = std::mem::take(&mut self.senders_buf);
-        self.env
-            .core
-            .table
-            .send_pending
-            .collect_sorted_into(&mut senders);
+        self.env.release_slots(eager, &mut senders);
 
         // Send phase: released actors broadcast concurrently. Each
         // evaluates its fates through the shared medium proxy, encodes
@@ -436,16 +406,8 @@ where
             }
         }
 
-        // Retirement: senders every neighbor has caught up with leave
-        // the pending set, so lossy media keep re-beaconing until the
-        // frame lands (the paper's τ > 0 hypothesis at work).
         if !eager {
-            for &s in &senders {
-                if self.env.core.all_caught_up(&self.env.topo, s) {
-                    self.env.core.table.send_pending.remove(s);
-                }
-            }
-            self.env.core.table.forced_changed.clear();
+            self.env.retire_caught_up(&senders);
         }
 
         self.last_activity = StepActivity {
@@ -469,24 +431,6 @@ where
         for _ in 0..periods {
             self.step();
         }
-    }
-
-    /// Runs until `pred` holds (checked before the first period and
-    /// after every period), or `max_periods` is reached.
-    pub fn run_until<F>(&mut self, mut pred: F, max_periods: u64) -> Option<u64>
-    where
-        F: FnMut(&Self) -> bool,
-    {
-        if pred(self) {
-            return Some(self.period);
-        }
-        while self.period < max_periods {
-            self.step();
-            if pred(self) {
-                return Some(self.period);
-            }
-        }
-        None
     }
 
     /// Current period count (the governor's virtual clock).

@@ -281,6 +281,20 @@ impl<P: Protocol> NodeTable<P> {
         table
     }
 
+    /// Snapshots `p`'s state into the reusable scratch slot — change
+    /// detection under gating, allocation-free in steady state.
+    pub fn snapshot(&mut self, p: NodeId) {
+        match &mut self.scratch_state {
+            Some(s) => s.clone_from(&self.states[p.index()]),
+            None => self.scratch_state = Some(self.states[p.index()].clone()),
+        }
+    }
+
+    /// Whether `p`'s state differs from the last [`NodeTable::snapshot`].
+    pub fn changed_since_snapshot(&self, p: NodeId) -> bool {
+        self.scratch_state.as_ref() != Some(&self.states[p.index()])
+    }
+
     /// Marks `p` for rescheduling: its state may have changed outside
     /// the regular pass (fault, manual mutation, link event).
     pub fn mark_node(&mut self, p: NodeId) {

@@ -28,7 +28,7 @@ use crate::faults::{Fault, Lie};
 use crate::rng::derive_seed;
 use crate::scenario::TopologyDynamics;
 use crate::stop::{Obs, RunReport, StopWhen};
-use crate::{Corruptible, Observable, Protocol, SimError};
+use crate::{Activity, Corruptible, Observable, Protocol, SimError};
 
 /// The boxed corruption hook installed by [`crate::Scenario::faults`]:
 /// it captures the [`Corruptible`] capability so scripted faults can
@@ -77,6 +77,8 @@ pub(crate) struct Env<P: Protocol> {
     /// cleared the flag: memoized predicate verdicts over
     /// `(topology, states)` are stale.
     pub env_changed: bool,
+    /// The user pinned eager scheduling ([`Env::set_eager`]).
+    force_eager: bool,
     /// Sequential stream for fault-site selection, so fault injection
     /// never perturbs timing or frame-fate randomness.
     fault_rng: StdRng,
@@ -118,6 +120,7 @@ impl<P: Protocol> Env<P> {
             protocol,
             topo,
             env_changed: false,
+            force_eager: false,
             fault_rng: StdRng::seed_from_u64(derive_seed(seed, fault_stream)),
             scripted: Vec::new(),
             next_scripted: 0,
@@ -145,6 +148,24 @@ impl<P: Protocol> Env<P> {
         self.dynamics = dynamics;
     }
 
+    /// `true` when silent nodes may be muted as far as the protocol
+    /// and the user are concerned: the [`Activity::Gated`] contract and
+    /// no eager pin. Whether the medium permits it is the driver's call.
+    pub fn gated(&self) -> bool {
+        !self.force_eager && self.protocol.activity() == Activity::Gated
+    }
+
+    /// Pins eager scheduling (`true`) or restores the automatic choice
+    /// (`false`).
+    pub fn set_eager(&mut self, eager: bool) {
+        if self.force_eager && !eager {
+            // Re-enabling gating after an eager stretch: the dirty
+            // bookkeeping was degenerate, resynchronize conservatively.
+            self.core.table.mark_all(&self.topo);
+        }
+        self.force_eager = eager;
+    }
+
     /// Detaches the topology dynamics; returns whether any were
     /// attached.
     pub fn stop_dynamics(&mut self) -> bool {
@@ -166,6 +187,50 @@ impl<P: Protocol> Env<P> {
         while self.next_scripted().is_some_and(|due| due <= now) {
             self.fire_next_scripted(now);
         }
+    }
+
+    /// What follows [`Env::begin_step`] on both period-clocked drivers:
+    /// under `eager` scheduling everyone beacons, hears and runs (the
+    /// degenerate dirty sets every gated run is tested against); then
+    /// the beacons of state-changed nodes are refreshed and the
+    /// period's senders collected into `senders`.
+    pub fn release_slots(&mut self, eager: bool, senders: &mut Vec<NodeId>) {
+        let table = &mut self.core.table;
+        if eager {
+            table.update_dirty.insert_all();
+            table.beacon_stale.insert_all();
+            table.send_pending.insert_all();
+            if let Some(occ) = &mut table.occupancy {
+                // Everyone transmits for real: nobody occupies
+                // statistically (O(1) once drained).
+                occ.release_all();
+            }
+        }
+        let mut stale = std::mem::take(&mut self.scratch_nodes);
+        table.beacon_stale.drain_sorted_into(&mut stale);
+        for &p in &stale {
+            self.core.refresh_beacon(&self.protocol, &self.topo, p);
+        }
+        self.scratch_nodes = stale;
+        self.core.table.send_pending.collect_sorted_into(senders);
+    }
+
+    /// The tail of a gated period: senders every neighbor has caught
+    /// up with leave the pending set — so lossy media keep re-beaconing
+    /// until the frame lands (the paper's τ > 0 hypothesis at work) —
+    /// and, under a gated contention medium, start occupying their slot
+    /// statistically instead of transmitting for real. The period's
+    /// forced-change marks are consumed.
+    pub fn retire_caught_up(&mut self, senders: &[NodeId]) {
+        for &s in senders {
+            if self.core.all_caught_up(&self.topo, s) {
+                self.core.table.send_pending.remove(s);
+                if let Some(occ) = &mut self.core.table.occupancy {
+                    occ.occupy(s, &self.topo);
+                }
+            }
+        }
+        self.core.table.forced_changed.clear();
     }
 
     /// One tick of the topology dynamics, for logical step `step`.
@@ -519,9 +584,11 @@ impl<P: Corruptible> Env<P> {
     }
 }
 
-/// The observe loop behind `Network::run_to` and `ActorDriver::run_to`:
-/// steps `driver` (whose round clock reads `start`) until `stop` is
-/// satisfied.
+/// The one observe loop behind every driver's `run_to`: steps `driver`
+/// (whose logical clock reads `start`) until `stop` is satisfied.
+/// `step` advances the driver by one observation interval and returns
+/// the new clock reading, leaving the nodes whose state it changed in
+/// `table.changed`.
 ///
 /// The condition is checked before the first step and after every
 /// step. Under gated scheduling the per-step evaluation is incremental:
@@ -533,7 +600,7 @@ pub(crate) fn run_to<P: Observable, D>(
     start: u64,
     gated: bool,
     env: fn(&D) -> &Env<P>,
-    step: fn(&mut D) -> u64,
+    mut step: impl FnMut(&mut D) -> u64,
 ) -> RunReport {
     let mut cursor = stop.cursor();
     // Only project outputs when a StableFor leaf will read them;

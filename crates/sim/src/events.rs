@@ -3,22 +3,19 @@ use std::collections::BinaryHeap;
 
 use mwn_graph::{NodeId, Topology};
 use mwn_radio::{Delivery, Medium, PerfectMedium};
-use rand::Rng;
 
-use crate::engine::{Env, NodeSet, SlotClock};
-use crate::rng::{derive_seed, split_rng, streams};
-use crate::{Activity, Corruptible, Fault, Protocol, SimError, StabilityTracker};
+use crate::engine::{self, Env, NodeSet, SlotClock};
+use crate::rng::streams;
+use crate::stop::{RunReport, StopWhen};
+use crate::{Corruptible, Fault, Observable, Protocol, SimError};
 
 /// Parameters of the continuous-time execution model.
 ///
 /// Nodes rebroadcast their shared variables at randomized intervals
 /// (the timed discipline with "randomization to avoid collision" of
 /// Herman & Tixeuil \[11\], which the paper adopts in Section 4). Frames
-/// have a positive duration; under the built-in **collision channel**
-/// two frames that overlap in time at a receiver collide and are both
-/// lost there, while under a **medium channel**
-/// ([`EventDriver::with_medium`]) the per-copy fate comes from the
-/// [`Medium`] instead.
+/// have a positive duration; which copies arrive is the driver's
+/// [`Medium`]'s decision.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EventConfig {
     /// Mean time between two beacon opportunities of the same node.
@@ -28,8 +25,6 @@ pub struct EventConfig {
     pub jitter: f64,
     /// Time a frame occupies the channel at a receiver.
     pub frame_time: f64,
-    /// Additional independent per-copy loss probability (0 = none).
-    pub extra_loss: f64,
 }
 
 impl Default for EventConfig {
@@ -38,7 +33,6 @@ impl Default for EventConfig {
             beacon_period: 1.0,
             jitter: 0.5,
             frame_time: 0.02,
-            extra_loss: 0.0,
         }
     }
 }
@@ -49,8 +43,7 @@ impl EventConfig {
     /// # Errors
     ///
     /// Returns a description of the violated constraint (non-positive
-    /// period or frame time, jitter outside `[0, 1)`, loss outside
-    /// `[0, 1)`).
+    /// period or frame time, jitter outside `[0, 1)`).
     pub fn check(&self) -> Result<(), String> {
         if self.beacon_period <= 0.0 {
             return Err("beacon period must be positive".to_string());
@@ -61,22 +54,7 @@ impl EventConfig {
         if !(0.0..1.0).contains(&self.jitter) {
             return Err("jitter must be in [0, 1)".to_string());
         }
-        if !(0.0..1.0).contains(&self.extra_loss) {
-            return Err("extra loss must be in [0, 1)".to_string());
-        }
         Ok(())
-    }
-
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any parameter is out of range; see
-    /// [`EventConfig::check`] for the non-panicking form.
-    pub fn validate(&self) {
-        if let Err(why) = self.check() {
-            panic!("{why}");
-        }
     }
 }
 
@@ -123,12 +101,10 @@ impl Ord for EventKey {
 enum EventKind<B> {
     /// Node `node`'s beacon slot number `slot` fires.
     Tx { node: NodeId, slot: u64 },
-    /// A frame sent by `sender` at `tx_time` finishes arriving at
-    /// `receiver`.
+    /// A frame sent by `sender` finishes arriving at `receiver`.
     Rx {
         receiver: NodeId,
         sender: NodeId,
-        tx_time: f64,
         /// The sender's beacon epoch at transmission time — what the
         /// receiver's reception row records on incorporation.
         tx_epoch: u32,
@@ -166,21 +142,10 @@ impl<B> Ord for Event<B> {
 /// stated: beacons at randomized intervals, frames with real duration,
 /// and a channel in which the per-frame success probability is some
 /// τ > 0 — exactly the paper's hypothesis (read it off
-/// [`EventDriver::measured_tau`]).
-///
-/// # Two channels
-///
-/// * the **collision channel** ([`EventDriver::new`]): receiver-side
-///   overlap collisions (hidden terminals included) and half-duplex
-///   radios — τ is *emergent*. Frame fates are contention-coupled, so
-///   activity gating is off: every node keeps beaconing.
-/// * a **medium channel** ([`EventDriver::with_medium`], what
-///   [`crate::Scenario::build_events`] builds): the scenario's
-///   [`Medium`] decides each copy's fate from a derived
-///   per-(slot, sender) stream. When the medium has
-///   [`Medium::independent_fates`] *and* the protocol declares
-///   [`Activity::Gated`], silent nodes stop scheduling beacon slots
-///   altogether.
+/// [`EventDriver::measured_tau`]). The [`Medium`] decides each copy's
+/// fate from a derived per-(slot, sender) stream, and when the protocol
+/// declares [`crate::Activity::Gated`], silent nodes stop scheduling beacon
+/// slots altogether.
 ///
 /// # O(active) scheduling
 ///
@@ -192,7 +157,7 @@ impl<B> Ord for Event<B> {
 /// randomness and no queue space, and when something wakes it the next
 /// slot is found arithmetically — exactly the schedule its
 /// always-transmitting eager twin follows. Every other draw (guard
-/// execution, frame fates, extra loss, corruption) is derived per
+/// execution, frame fates, corruption) is derived per
 /// (event, node) the same way, which makes gated and eager execution
 /// **byte-identical** on independent-fates media — the continuous-time
 /// counterpart of the round driver's equivalence, property-tested in
@@ -207,6 +172,7 @@ impl<B> Ord for Event<B> {
 ///
 /// ```
 /// use mwn_graph::builders;
+/// use mwn_radio::PerfectMedium;
 /// use mwn_sim::{EventConfig, EventDriver, Protocol};
 /// use mwn_graph::NodeId;
 /// use rand::rngs::StdRng;
@@ -224,7 +190,8 @@ impl<B> Ord for Event<B> {
 /// }
 ///
 /// let topo = builders::line(5);
-/// let mut driver = EventDriver::new(MaxFlood, topo, EventConfig::default(), 3);
+/// let mut driver = EventDriver::new(MaxFlood, PerfectMedium, topo, EventConfig::default(), 3)
+///     .expect("valid configuration");
 /// driver.run_until_time(30.0);
 /// assert!(driver.states().iter().all(|&s| s == 4));
 /// ```
@@ -236,21 +203,12 @@ pub struct EventDriver<P: Protocol, M: Medium = PerfectMedium> {
     config: EventConfig,
     /// The stateless beacon-slot schedule.
     clock: SlotClock,
-    /// `Some` = medium channel; `None` = built-in collision channel.
-    medium: Option<M>,
-    /// `true` when the user pinned the driver to eager scheduling.
-    force_eager: bool,
+    medium: M,
     queue: BinaryHeap<Event<P::Beacon>>,
     /// Whether a node currently has a beacon-slot event in the queue.
     tx_armed: Vec<bool>,
-    /// Recent transmission times per node (collision channel only).
-    tx_history: Vec<Vec<f64>>,
-    /// Base of the per-frame extra-loss streams.
-    loss_base: u64,
     /// Scratch delivery for per-sender medium evaluation.
     delivery: Delivery,
-    /// Scratch state snapshot for change detection under gating.
-    scratch_state: Option<P::State>,
     /// Scratch node list (wake batches).
     scratch_nodes: Vec<NodeId>,
     time: f64,
@@ -263,23 +221,16 @@ pub struct EventDriver<P: Protocol, M: Medium = PerfectMedium> {
     /// The next logical step whose mobility tick (if dynamics are
     /// attached) has not fired yet: once per beacon period.
     dynamics_step: u64,
-    /// Nodes whose state changed since the last stability sample —
-    /// what makes quiet-interval sampling O(changed), not O(n).
+    /// Nodes whose state changed since the last [`EventDriver::step`]
+    /// ended — drained into the table's `changed` column there, which
+    /// is what makes quiet-interval sampling O(changed), not O(n).
     changed_since: NodeSet,
 }
 
-impl<P: Protocol> EventDriver<P, PerfectMedium> {
-    /// Creates the driver over the built-in **collision channel** with
-    /// cold-start states; the first beacon slot of each node falls at a
-    /// random phase within one period (nodes are *not* synchronized).
-    pub fn new(protocol: P, topo: Topology, config: EventConfig, seed: u64) -> Self {
-        Self::build(protocol, None, topo, config, seed)
-    }
-}
-
 impl<P: Protocol, M: Medium> EventDriver<P, M> {
-    /// Creates the driver with the frame fates decided by `medium`
-    /// (the channel [`crate::Scenario::build_events`] wires up).
+    /// Creates the driver with cold-start states and the frame fates
+    /// decided by `medium`; the first beacon slot of each node falls at
+    /// a random phase within one period (nodes are *not* synchronized).
     ///
     /// Media with [`Medium::independent_fates`] — perfect, Bernoulli,
     /// fading — are evaluated once per transmission on a derived
@@ -290,43 +241,40 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     /// contender ([`mwn_radio::FullOccupancy`]) — on the continuous
     /// clock the eager twin beacons every period, so the full in-range
     /// population always contends, and gating extends to them too.
-    /// Contention-coupled media with neither flag (e.g.
-    /// [`mwn_radio::Thinned`]-wrapped CSMA) have no per-sender
-    /// continuous-time semantics; for them the driver falls back to
-    /// the built-in collision channel, which models contention
-    /// directly.
-    pub fn with_medium(
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidConfig`] when a parameter of `config` is out
+    /// of range ([`EventConfig::check`]), or when the medium has
+    /// neither contract (e.g. [`mwn_radio::Thinned`]-wrapped CSMA):
+    /// such a medium has no per-sender continuous-time semantics. The
+    /// message names the medium.
+    pub fn new(
         protocol: P,
         medium: M,
         topo: Topology,
         config: EventConfig,
         seed: u64,
-    ) -> Self {
-        let medium = (medium.independent_fates() || medium.gated_contention()).then_some(medium);
-        Self::build(protocol, medium, topo, config, seed)
-    }
-
-    fn build(
-        protocol: P,
-        medium: Option<M>,
-        topo: Topology,
-        config: EventConfig,
-        seed: u64,
-    ) -> Self {
-        config.validate();
+    ) -> Result<Self, SimError> {
+        config.check().map_err(SimError::InvalidConfig)?;
+        if !(medium.independent_fates() || medium.gated_contention()) {
+            return Err(SimError::InvalidConfig(format!(
+                "medium `{}` cannot back the event driver: a frame's fate \
+                 must be evaluable per sender, through independent fates \
+                 (Medium::independent_fates) or the gated-contention \
+                 contract (Medium::gated_contention), and it offers neither",
+                medium.name()
+            )));
+        }
         let n = topo.len();
         let mut driver = EventDriver {
             env: Env::new(protocol, topo, seed, streams::EVENT_FAULT),
             config,
             clock: SlotClock::new(seed, config.beacon_period, config.jitter, n),
             medium,
-            force_eager: false,
             queue: BinaryHeap::new(),
             tx_armed: vec![false; n],
-            tx_history: vec![Vec::new(); n],
-            loss_base: derive_seed(seed, streams::EXTRA_LOSS),
             delivery: Delivery::empty(n),
-            scratch_state: None,
             scratch_nodes: Vec::new(),
             time: 0.0,
             messages: 0,
@@ -339,7 +287,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         // Cold start: everyone has something to say (the table marks
         // all nodes send-pending), so everyone gets a first slot.
         driver.arm_pending();
-        driver
+        Ok(driver)
     }
 
     /// Detaches any topology dynamics attached by
@@ -349,27 +297,20 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         self.env.stop_dynamics()
     }
 
-    /// `true` when the driver currently mutes silent nodes: a medium
-    /// channel (independent fates or gated contention), a protocol
-    /// under the [`Activity::Gated`] contract, and no eager pin.
+    /// `true` when the driver currently mutes silent nodes: a protocol
+    /// under the [`crate::Activity::Gated`] contract and no eager pin (every
+    /// medium the constructor accepts supports gating).
     pub fn is_gated(&self) -> bool {
-        !self.force_eager
-            && self.medium.is_some()
-            && self.env.protocol.activity() == Activity::Gated
+        self.env.gated()
     }
 
     /// Pins the driver to eager scheduling (`true`) or restores the
     /// automatic choice (`false`). Both modes are byte-identical for
-    /// protocols honoring the [`Activity::Gated`] contract on
+    /// protocols honoring the [`crate::Activity::Gated`] contract on
     /// independent-fates media — eager is the sequential reference the
     /// gated engine is tested against.
     pub fn set_eager(&mut self, eager: bool) {
-        if self.force_eager && !eager {
-            // Re-enabling gating after an eager stretch: the dirty
-            // bookkeeping was degenerate, resynchronize conservatively.
-            self.env.core.table.mark_all(&self.env.topo);
-        }
-        self.force_eager = eager;
+        self.env.set_eager(eager);
         if eager {
             // Eager scheduling fires every node's every slot: arm the
             // whole population (retired nodes included).
@@ -381,19 +322,19 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         }
     }
 
-    /// The paper-comparable logical clock: beacon periods elapsed.
-    fn logical_now(&self) -> u64 {
-        (self.time / self.config.beacon_period) as u64
+    /// The paper-comparable logical clock: whole beacon periods
+    /// elapsed — what [`crate::Network::now`] counts in steps.
+    pub fn now(&self) -> u64 {
+        // The largest k whose boundary has been reached; the division
+        // alone can land one short of a boundary the clock sits on.
+        let k = (self.time / self.config.beacon_period) as u64;
+        k + u64::from(self.step_time(k + 1) <= self.time)
     }
 
     /// The wall-clock moment of logical step `k` (fault and mobility
     /// boundaries).
     fn step_time(&self, step: u64) -> f64 {
         step as f64 * self.config.beacon_period
-    }
-
-    fn note_changed(&mut self, p: NodeId) {
-        self.changed_since.insert(p);
     }
 
     /// Schedules `p`'s next beacon slot at or after the current time,
@@ -404,9 +345,14 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         }
         let (slot, t) = self.clock.next_at(p, self.time);
         self.tx_armed[p.index()] = true;
+        self.push_slot(p, slot, t);
+    }
+
+    /// Queues `p`'s beacon slot number `slot`, which fires at `time`.
+    fn push_slot(&mut self, p: NodeId, slot: u64, time: f64) {
         self.queue.push(Event {
             key: EventKey {
-                time: t,
+                time,
                 class: 1,
                 a: p.value(),
                 b: 0,
@@ -453,7 +399,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     /// and the logical instant, then the driver absorbs the effects.
     fn at_boundary(&mut self, step: u64, fire: impl FnOnce(&mut Env<P>, u64)) {
         self.time = self.time.max(self.step_time(step));
-        let now = self.logical_now();
+        let now = self.now();
         fire(&mut self.env, now);
         self.absorb_env();
     }
@@ -501,27 +447,13 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
                     EventKind::Rx {
                         receiver,
                         sender,
-                        tx_time,
                         tx_epoch,
                         beacon,
-                    } => self.handle_rx(receiver, sender, tx_time, tx_epoch, &beacon),
+                    } => self.handle_rx(receiver, sender, tx_epoch, &beacon),
                 }
             }
         }
         self.time = self.time.max(t);
-    }
-
-    /// Snapshots `p`'s state into the reusable scratch slot (change
-    /// detection under gating).
-    fn snapshot_state(&mut self, p: NodeId) {
-        match &mut self.scratch_state {
-            Some(s) => s.clone_from(&self.env.core.table.states[p.index()]),
-            None => self.scratch_state = Some(self.env.core.table.states[p.index()].clone()),
-        }
-    }
-
-    fn state_changed_since_snapshot(&self, p: NodeId) -> bool {
-        self.scratch_state.as_ref() != Some(&self.env.core.table.states[p.index()])
     }
 
     fn handle_tx(&mut self, p: NodeId, slot: u64) {
@@ -532,22 +464,22 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             self.tx_armed[p.index()] = false;
             return;
         }
-        let now = self.logical_now();
+        let now = self.now();
         let t = self.time;
         // The guarded-command loop runs continuously; executing the
         // guards right before snapshotting the shared variables gives
         // the freshest beacon. The draw is derived per (instant, node),
         // so a muted slot consumes nothing.
         if gated {
-            self.snapshot_state(p);
+            self.env.core.table.snapshot(p);
         }
         let mut rng = self.env.core.update_rng(t.to_bits(), p);
         self.env
             .protocol
             .update(p, &mut self.env.core.table.states[p.index()], now, &mut rng);
-        let state_changed = gated && self.state_changed_since_snapshot(p);
+        let state_changed = gated && self.env.core.table.changed_since_snapshot(p);
         if state_changed {
-            self.note_changed(p);
+            self.changed_since.insert(p);
         }
         let beacon_changed = self
             .env
@@ -571,138 +503,62 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         let beacon = self.env.core.table.beacons[p.index()].clone();
         let degree = self.env.topo.degree(p);
         self.frames_attempted += degree as u64;
-        if let Some(medium) = self.medium.as_mut() {
-            // Medium channel: one derived stream per (slot, sender)
-            // decides every copy's fate — independent of who else is
-            // transmitting, which is what keeps muted senders
-            // unobservable. Gated-contention media fold the full
-            // in-range population in as statistical contenders
-            // (FullOccupancy): the eager twin beacons every period, so
-            // using the same per-frame law in both modes keeps gating
-            // unobservable there too.
-            let mut rng = self.env.core.medium_rng(slot, p);
-            self.delivery.reset(self.env.topo.len());
-            if medium.gated_contention() {
-                let streams = self.env.core.contention_streams(slot);
-                medium.deliver_from_occupied(
-                    &self.env.topo,
-                    p,
-                    &mwn_radio::FullOccupancy,
-                    &streams,
-                    &mut self.delivery,
-                );
-            } else {
-                medium.deliver_from(&self.env.topo, p, &mut rng, &mut self.delivery);
-            }
-            let arrival = t + self.config.frame_time;
-            for i in 0..self.delivery.touched.len() {
-                let r = self.delivery.touched[i];
-                if self.delivery.heard[r.index()].is_empty() {
-                    continue;
-                }
-                if self.config.extra_loss > 0.0 && rng.random_bool(self.config.extra_loss) {
-                    continue;
-                }
-                self.queue.push(Event {
-                    key: EventKey {
-                        time: arrival,
-                        class: 0,
-                        a: r.value(),
-                        b: p.value(),
-                    },
-                    kind: EventKind::Rx {
-                        receiver: r,
-                        sender: p,
-                        tx_time: t,
-                        tx_epoch: epoch,
-                        beacon: beacon.clone(),
-                    },
-                });
-            }
+        // One derived stream per (slot, sender) decides every copy's
+        // fate — independent of who else is transmitting, which is what
+        // keeps muted senders unobservable. Gated-contention media fold
+        // the full in-range population in as statistical contenders
+        // (FullOccupancy): the eager twin beacons every period, so
+        // using the same per-frame law in both modes keeps gating
+        // unobservable there too.
+        self.delivery.reset(self.env.topo.len());
+        if self.medium.gated_contention() {
+            let streams = self.env.core.contention_streams(slot);
+            self.medium.deliver_from_occupied(
+                &self.env.topo,
+                p,
+                &mwn_radio::FullOccupancy,
+                &streams,
+                &mut self.delivery,
+            );
         } else {
-            // Collision channel: record the transmission, prune history
-            // older than one collision window, and let every in-range
-            // copy race to its receiver.
-            let history = &mut self.tx_history[p.index()];
-            history.push(t);
-            let horizon = t - 4.0 * self.config.frame_time;
-            history.retain(|&x| x >= horizon);
-            let arrival = t + self.config.frame_time;
-            for i in 0..self.env.topo.degree(p) {
-                let r = self.env.topo.neighbors(p)[i];
-                self.queue.push(Event {
-                    key: EventKey {
-                        time: arrival,
-                        class: 0,
-                        a: r.value(),
-                        b: p.value(),
-                    },
-                    kind: EventKind::Rx {
-                        receiver: r,
-                        sender: p,
-                        tx_time: t,
-                        tx_epoch: epoch,
-                        beacon: beacon.clone(),
-                    },
-                });
+            let mut rng = self.env.core.medium_rng(slot, p);
+            self.medium
+                .deliver_from(&self.env.topo, p, &mut rng, &mut self.delivery);
+        }
+        let arrival = t + self.config.frame_time;
+        for i in 0..self.delivery.touched.len() {
+            let r = self.delivery.touched[i];
+            if self.delivery.heard[r.index()].is_empty() {
+                continue;
             }
+            self.queue.push(Event {
+                key: EventKey {
+                    time: arrival,
+                    class: 0,
+                    a: r.value(),
+                    b: p.value(),
+                },
+                kind: EventKind::Rx {
+                    receiver: r,
+                    sender: p,
+                    tx_epoch: epoch,
+                    beacon: beacon.clone(),
+                },
+            });
         }
         // Schedule the next slot; under gating a later pop decides
         // whether it still has anything to say.
-        let next_time = self.clock.slot_time(p, slot + 1);
-        self.queue.push(Event {
-            key: EventKey {
-                time: next_time,
-                class: 1,
-                a: p.value(),
-                b: 0,
-            },
-            kind: EventKind::Tx {
-                node: p,
-                slot: slot + 1,
-            },
-        });
+        self.push_slot(p, slot + 1, self.clock.slot_time(p, slot + 1));
     }
 
-    fn handle_rx(&mut self, r: NodeId, s: NodeId, tx_time: f64, tx_epoch: u32, beacon: &P::Beacon) {
+    fn handle_rx(&mut self, r: NodeId, s: NodeId, tx_epoch: u32, beacon: &P::Beacon) {
         // The link may have vanished while the frame was in flight
-        // (mobility, isolation): radio range is a hard constraint.
+        // (mobility, isolation): radio range is a hard constraint, and
+        // a frame whose link vanished mid-flight never counts as
+        // delivered.
         let Ok(idx) = self.env.topo.neighbors(r).binary_search(&s) else {
             return;
         };
-        if self.medium.is_none() {
-            // Collision channel: the frame occupied
-            // (tx_time, tx_time + frame_time) at r. It is lost if r
-            // itself, or any other neighbor of r, transmitted within
-            // one frame_time of tx_time (overlapping frames), or to
-            // the configured extra loss.
-            let window = |times: &[f64]| {
-                times
-                    .iter()
-                    .any(|&x| (x - tx_time).abs() < self.config.frame_time)
-            };
-            if window(&self.tx_history[r.index()]) {
-                return; // half-duplex: r was talking
-            }
-            for &q in self.env.topo.neighbors(r) {
-                if q != s && window(&self.tx_history[q.index()]) {
-                    return; // collision (possibly a hidden terminal)
-                }
-            }
-            if self.config.extra_loss > 0.0 {
-                let mut rng = split_rng(
-                    self.loss_base,
-                    tx_time.to_bits(),
-                    (u64::from(s.value()) << 32) | u64::from(r.value()),
-                );
-                if rng.random_bool(self.config.extra_loss) {
-                    return;
-                }
-            }
-        }
-        // Counted here, after the channel checks *and* the in-flight
-        // link check above, so both channels agree on what "delivered"
-        // means — a frame whose link vanished mid-flight never counts.
         self.frames_delivered += 1;
         let gated = self.is_gated();
         let fresh = self.env.core.table.heard.get(r.index(), idx) != tx_epoch;
@@ -713,10 +569,10 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             return;
         }
         self.env.core.table.heard.set(r.index(), idx, tx_epoch);
-        let now = self.logical_now();
+        let now = self.now();
         let t = self.time;
         if gated {
-            self.snapshot_state(r);
+            self.env.core.table.snapshot(r);
         }
         self.env.protocol.receive(
             r,
@@ -729,8 +585,8 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         self.env
             .protocol
             .update(r, &mut self.env.core.table.states[r.index()], now, &mut rng);
-        if gated && self.state_changed_since_snapshot(r) {
-            self.note_changed(r);
+        if gated && self.env.core.table.changed_since_snapshot(r) {
+            self.changed_since.insert(r);
             // The state moved: r may have a new beacon to announce —
             // wake its slot schedule (its next pop decides).
             self.env.core.table.send_pending.insert(r);
@@ -738,116 +594,28 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         }
     }
 
-    /// Runs until a projection of all states is unchanged for
-    /// `quiet_samples` consecutive samples taken every
-    /// `sample_interval`, or until `max_time` has elapsed *from the
-    /// current simulation time* (so the driver can be re-armed after a
-    /// corruption to measure re-stabilization).
-    ///
-    /// Under gating the per-sample work is O(nodes changed since the
-    /// last sample) — a quiet interval extends the streak without
-    /// projecting anything.
-    ///
-    /// Returns the elapsed time at which the projection last changed
-    /// (the stabilization duration), or `None` on timeout.
-    pub fn run_until_stable<K, F>(
-        &mut self,
-        mut project: F,
-        sample_interval: f64,
-        quiet_samples: u64,
-        max_time: f64,
-    ) -> Option<f64>
-    where
-        K: PartialEq,
-        F: FnMut(NodeId, &P::State) -> K,
-    {
-        self.run_until_projection_stable(
-            move |_protocol, p, s| project(p, s),
-            sample_interval,
-            quiet_samples,
-            max_time,
-        )
+    /// Advances to time `t` as one observation step of the shared run
+    /// loop: afterwards the environment-change flag and the table's
+    /// `changed` column describe this step alone.
+    fn advance_to(&mut self, t: f64) {
+        self.env.env_changed = false;
+        self.run_until_time(t);
+        self.changed_since
+            .drain_sorted_into(&mut self.env.core.table.changed);
     }
 
-    /// The one sampling loop behind both stability APIs: the
-    /// projection receives the protocol explicitly so the
-    /// [`crate::Observable`] wrapper can delegate here without
-    /// borrowing `self` inside its closure.
-    fn run_until_projection_stable<K, F>(
-        &mut self,
-        mut project: F,
-        sample_interval: f64,
-        quiet_samples: u64,
-        max_time: f64,
-    ) -> Option<f64>
-    where
-        K: PartialEq,
-        F: FnMut(&P, NodeId, &P::State) -> K,
-    {
-        assert!(sample_interval > 0.0, "sample interval must be positive");
-        let start = self.time;
-        let deadline = start + max_time;
-        let gated = self.is_gated();
-        let mut tracker: StabilityTracker<()> = StabilityTracker::new(quiet_samples);
-        let mut proj: Vec<K> = Vec::new();
-        let mut changed_buf: Vec<NodeId> = Vec::new();
-        let mut sample_idx: u64 = 0;
-        loop {
-            let target = start + (sample_idx as f64) * sample_interval;
-            if target > deadline {
-                return None;
-            }
-            self.run_until_time(target);
-            let changed = if gated && sample_idx > 0 {
-                // Only nodes whose state moved since the last sample
-                // can have a different projection: O(changed), not
-                // O(n), per quiet sample.
-                self.changed_since.drain_sorted_into(&mut changed_buf);
-                let mut any = false;
-                for &p in &changed_buf {
-                    let fresh = project(
-                        &self.env.protocol,
-                        p,
-                        &self.env.core.table.states[p.index()],
-                    );
-                    if proj[p.index()] != fresh {
-                        proj[p.index()] = fresh;
-                        any = true;
-                    }
-                }
-                any
-            } else {
-                self.changed_since.clear();
-                let fresh: Vec<K> = self
-                    .env
-                    .core
-                    .table
-                    .states
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| project(&self.env.protocol, NodeId::new(i as u32), s))
-                    .collect();
-                let any = fresh != proj;
-                if any {
-                    proj = fresh;
-                }
-                any
-            };
-            if tracker.observe_flag(sample_idx, changed) {
-                return Some(tracker.last_change() as f64 * sample_interval);
-            }
-            sample_idx += 1;
-        }
+    /// Advances to the next beacon-period boundary — one logical step,
+    /// the event clock's counterpart of [`crate::Network::step`].
+    /// Returns the new logical step count.
+    pub fn step(&mut self) -> u64 {
+        let next = self.now() + 1;
+        self.advance_to(self.step_time(next));
+        next
     }
 
     /// Current simulation time.
     pub fn time(&self) -> f64 {
         self.time
-    }
-
-    /// The continuous-time configuration this driver runs with.
-    pub fn config(&self) -> &EventConfig {
-        &self.config
     }
 
     /// All node states, indexed by [`NodeId`].
@@ -903,7 +671,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     }
 }
 
-impl<P: crate::Observable, M: Medium> EventDriver<P, M> {
+impl<P: Observable, M: Medium> EventDriver<P, M> {
     /// Projects every node's observable output into `buf` (cleared
     /// first); the buffer can be reused across samples.
     pub fn outputs_into(&self, buf: &mut Vec<P::Output>) {
@@ -915,11 +683,19 @@ impl<P: crate::Observable, M: Medium> EventDriver<P, M> {
         self.env.outputs()
     }
 
-    /// Runs until the protocol's canonical [`crate::Observable`]
-    /// output is unchanged for `quiet_samples` consecutive samples
-    /// taken every `sample_interval`, or until `max_time` has elapsed
-    /// from the current simulation time — the closure-free counterpart
-    /// of [`EventDriver::run_until_stable`].
+    /// Runs until `stop` is satisfied, one beacon period per step — the
+    /// same contract (and the same [`RunReport`], in logical steps) as
+    /// [`crate::Network::run_to`]. Under gating a quiet period extends
+    /// stability streaks without projecting a single output.
+    pub fn run_to(&mut self, stop: &StopWhen<P>) -> RunReport {
+        let (start, gated) = (self.now(), self.is_gated());
+        engine::run_to(self, stop, start, gated, |d| &d.env, Self::step)
+    }
+
+    /// [`EventDriver::run_to`] with a free sampling interval: runs until
+    /// the output is unchanged for `quiet_samples` consecutive samples
+    /// taken at `start + k · sample_interval`, or until `max_time` has
+    /// elapsed from the current simulation time.
     ///
     /// Returns the elapsed time at which the output last changed, or
     /// `None` on timeout.
@@ -929,12 +705,16 @@ impl<P: crate::Observable, M: Medium> EventDriver<P, M> {
         quiet_samples: u64,
         max_time: f64,
     ) -> Option<f64> {
-        self.run_until_projection_stable(
-            |protocol, p, s| protocol.output(p, s),
-            sample_interval,
-            quiet_samples,
-            max_time,
-        )
+        assert!(sample_interval > 0.0, "sample interval must be positive");
+        let (t0, gated, mut k) = (self.time, self.is_gated(), 0);
+        let stop = StopWhen::stable_for(quiet_samples).within((max_time / sample_interval) as u64);
+        let sample = |d: &mut Self| {
+            k += 1;
+            d.advance_to(t0 + k as f64 * sample_interval);
+            k
+        };
+        let report = engine::run_to(self, &stop, 0, gated, |d| &d.env, sample);
+        report.stabilized.map(|k| k as f64 * sample_interval)
     }
 }
 
@@ -960,7 +740,7 @@ impl<P: Corruptible, M: Medium> EventDriver<P, M> {
     /// Whatever [`crate::FaultPlan::validate_for`] rejects; a rejected
     /// fault changes nothing.
     pub fn inject(&mut self, fault: &Fault) -> Result<(), SimError> {
-        self.env.inject(self.logical_now(), fault)?;
+        self.env.inject(self.now(), fault)?;
         self.absorb_env();
         Ok(())
     }
@@ -970,13 +750,18 @@ impl<P: Corruptible, M: Medium> EventDriver<P, M> {
 mod tests {
     use super::*;
     use crate::testkit::{GatedFlood, MaxFlood};
+    use crate::Scenario;
     use mwn_graph::builders;
-    use mwn_radio::BernoulliLoss;
-    use rand::rngs::StdRng;
+    use mwn_radio::{BernoulliLoss, SlottedCsma, Thinned};
+
+    fn driver<P: Protocol, M: Medium>(protocol: P, medium: M, topo: Topology) -> EventDriver<P, M> {
+        EventDriver::new(protocol, medium, topo, EventConfig::default(), 3)
+            .expect("valid configuration")
+    }
 
     #[test]
     fn flood_converges_in_continuous_time() {
-        let mut d = EventDriver::new(MaxFlood, builders::line(6), EventConfig::default(), 1);
+        let mut d = driver(MaxFlood, PerfectMedium, builders::line(6));
         d.run_until_time(40.0);
         assert!(d.states().iter().all(|&s| s == 5));
         assert!(d.measured_tau() > 0.5);
@@ -986,14 +771,13 @@ mod tests {
     fn stabilization_time_scales_with_distance() {
         // Information needs ~1 beacon period per hop: a longer line
         // takes proportionally longer.
-        let cfg = EventConfig::default();
-        let mut short = EventDriver::new(MaxFlood, builders::line(4), cfg, 2);
-        let mut long = EventDriver::new(MaxFlood, builders::line(30), cfg, 2);
+        let mut short = driver(MaxFlood, PerfectMedium, builders::line(4));
+        let mut long = driver(MaxFlood, PerfectMedium, builders::line(30));
         let t_short = short
-            .run_until_stable(|_, s| *s, 0.5, 10, 500.0)
+            .run_until_output_stable(0.5, 10, 500.0)
             .expect("short line converges");
         let t_long = long
-            .run_until_stable(|_, s| *s, 0.5, 10, 500.0)
+            .run_until_output_stable(0.5, 10, 500.0)
             .expect("long line converges");
         assert!(
             t_long > t_short,
@@ -1003,18 +787,14 @@ mod tests {
 
     #[test]
     fn collisions_occur_on_dense_graphs() {
-        // Long frames → many overlaps on the collision channel. At 0.1
-        // the per-frame clear probability on K12 keeps τ bounded away
-        // from both 0 and 1 regardless of the RNG stream.
-        let cfg = EventConfig {
-            frame_time: 0.1,
-            ..EventConfig::default()
-        };
-        let mut d = EventDriver::new(MaxFlood, builders::complete(12), cfg, 3);
+        // Eleven contenders over eight slots: the per-frame clear
+        // probability on K12 keeps τ bounded away from both 0 and 1
+        // regardless of the RNG stream.
+        let mut d = driver(MaxFlood, SlottedCsma::new(8), builders::complete(12));
         d.run_until_time(30.0);
         assert!(
             d.measured_tau() < 0.9,
-            "long frames on K12 must collide, τ = {}",
+            "eight slots on K12 must collide, τ = {}",
             d.measured_tau()
         );
         assert!(d.measured_tau() > 0.0);
@@ -1022,7 +802,7 @@ mod tests {
 
     #[test]
     fn corruption_then_reconvergence() {
-        let mut d = EventDriver::new(MaxFlood, builders::ring(8), EventConfig::default(), 4);
+        let mut d = driver(MaxFlood, PerfectMedium, builders::ring(8));
         d.run_until_time(20.0);
         d.corrupt_all();
         assert!(d.states().iter().all(|&s| s == 0));
@@ -1031,12 +811,8 @@ mod tests {
     }
 
     #[test]
-    fn extra_loss_slows_but_does_not_stop_convergence() {
-        let cfg = EventConfig {
-            extra_loss: 0.6,
-            ..EventConfig::default()
-        };
-        let mut d = EventDriver::new(MaxFlood, builders::line(5), cfg, 5);
+    fn loss_slows_but_does_not_stop_convergence() {
+        let mut d = driver(MaxFlood, BernoulliLoss::new(0.4), builders::line(5));
         d.run_until_time(200.0);
         assert!(d.states().iter().all(|&s| s == 4));
     }
@@ -1044,8 +820,9 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let run = |seed| {
-            let mut d =
-                EventDriver::new(MaxFlood, builders::ring(10), EventConfig::default(), seed);
+            let cfg = EventConfig::default();
+            let mut d = EventDriver::new(MaxFlood, PerfectMedium, builders::ring(10), cfg, seed)
+                .expect("valid configuration");
             d.run_until_time(15.0);
             d.states().to_vec()
         };
@@ -1054,7 +831,7 @@ mod tests {
 
     #[test]
     fn scripted_faults_fire_at_logical_steps() {
-        use crate::{FaultPlan, Scenario};
+        use crate::FaultPlan;
         // Corrupt everyone at logical step 20 (t = 20 beacon periods):
         // by then the line has converged, so the fault visibly knocks
         // the states down before the flood heals them again.
@@ -1085,7 +862,7 @@ mod tests {
 
     #[test]
     fn scripted_isolation_cuts_the_event_driver_topology() {
-        use crate::{FaultPlan, Scenario};
+        use crate::FaultPlan;
         let mut plan = FaultPlan::new();
         plan.at(0, Fault::Isolate(NodeId::new(2)));
         let mut driver = Scenario::new(MaxFlood)
@@ -1104,7 +881,7 @@ mod tests {
 
     #[test]
     fn scripted_fault_injection_preserves_beacon_timing() {
-        use crate::{FaultPlan, Scenario};
+        use crate::FaultPlan;
         // A zero-effect fault script must not perturb the trajectory:
         // CorruptFraction draws from the dedicated fault stream.
         let run = |script: bool| {
@@ -1125,13 +902,7 @@ mod tests {
 
     #[test]
     fn gated_event_driver_goes_silent_after_stabilization() {
-        let mut d = EventDriver::with_medium(
-            GatedFlood,
-            mwn_radio::PerfectMedium,
-            builders::line(6),
-            EventConfig::default(),
-            11,
-        );
+        let mut d = driver(GatedFlood, PerfectMedium, builders::line(6));
         assert!(d.is_gated());
         d.run_until_time(40.0);
         assert!(d.states().iter().all(|&s| s == 5));
@@ -1157,17 +928,11 @@ mod tests {
         // The continuous-time equivalence: muting silent senders on an
         // independent-fates medium is unobservable in the trajectory.
         let run = |eager: bool| {
-            let mut d = EventDriver::with_medium(
-                GatedFlood,
-                BernoulliLoss::new(0.7),
-                builders::ring(9),
-                EventConfig::default(),
-                13,
-            );
+            let mut d = driver(GatedFlood, BernoulliLoss::new(0.7), builders::ring(9));
             d.set_eager(eager);
             d.run_until_time(25.0);
             d.corrupt_all();
-            let stable = d.run_until_stable(|_, s| *s, 0.5, 6, 400.0);
+            let stable = d.run_until_output_stable(0.5, 6, 400.0);
             (d.states().to_vec(), stable)
         };
         assert_eq!(run(true), run(false));
@@ -1175,16 +940,10 @@ mod tests {
 
     #[test]
     fn gated_contention_media_gate_in_continuous_time() {
-        // Since the statistical-occupancy contract, both shipped CSMA
-        // media run on the medium channel and gate silent senders: a
-        // stabilized CSMA network drains its queue like Bernoulli does.
-        let mut d = EventDriver::with_medium(
-            GatedFlood,
-            mwn_radio::SlottedCsma::new(8),
-            builders::line(4),
-            EventConfig::default(),
-            2,
-        );
+        // Under the statistical-occupancy contract both shipped CSMA
+        // media gate silent senders: a stabilized CSMA network drains
+        // its queue like Bernoulli does.
+        let mut d = driver(GatedFlood, SlottedCsma::new(8), builders::line(4));
         assert!(d.is_gated(), "gated contention extends to the event clock");
         d.run_until_time(40.0);
         assert!(d.states().iter().all(|&s| s == 3));
@@ -1196,47 +955,47 @@ mod tests {
     }
 
     #[test]
-    fn unconverted_contention_media_fall_back_to_the_collision_channel() {
+    fn media_with_neither_contract_are_rejected_by_name() {
         // A medium with neither independent fates nor the
-        // gated-contention contract still forces the built-in
-        // collision channel (and eager scheduling).
-        struct OpaqueContention;
-        impl Medium for OpaqueContention {
-            fn deliver_into(
-                &mut self,
-                topo: &Topology,
-                senders: &[NodeId],
-                _rng: &mut StdRng,
-                out: &mut Delivery,
-            ) {
-                for &s in senders {
-                    out.attempted += topo.degree(s);
-                }
-            }
-            fn name(&self) -> &'static str {
-                "opaque-contention"
-            }
-        }
-        let d = EventDriver::with_medium(
-            GatedFlood,
-            OpaqueContention,
-            builders::line(4),
-            EventConfig::default(),
-            2,
-        );
-        assert!(
-            !d.is_gated(),
-            "contention without the occupancy contract must not gate"
-        );
+        // gated-contention contract has no continuous-time semantics;
+        // the driver says so instead of swapping in another channel.
+        let result = Scenario::new(GatedFlood)
+            .medium(Thinned::new(SlottedCsma::new(8), 0.9))
+            .topology(builders::line(4))
+            .build_events(EventConfig::default());
+        let Err(SimError::InvalidConfig(text)) = result else {
+            panic!("a medium with neither contract must be rejected");
+        };
+        assert!(text.contains("event driver"), "text: {text}");
+        assert!(text.contains("medium `thinned`"), "text: {text}");
     }
 
     #[test]
-    #[should_panic(expected = "beacon period must be positive")]
     fn invalid_config_rejected() {
         let cfg = EventConfig {
             beacon_period: 0.0,
             ..EventConfig::default()
         };
-        let _ = EventDriver::new(MaxFlood, builders::line(2), cfg, 0);
+        let result = EventDriver::new(MaxFlood, PerfectMedium, builders::line(2), cfg, 0);
+        let Err(SimError::InvalidConfig(text)) = result else {
+            panic!("a zero beacon period must be rejected");
+        };
+        assert_eq!(text, "beacon period must be positive");
+    }
+
+    #[test]
+    fn logical_steps_advance_on_periods_the_division_rounds_short() {
+        // 43 · 0.1 / 0.1 < 43 in floating point: the logical clock must
+        // still read 43 there, or `step` would never leave the boundary.
+        let cfg = EventConfig {
+            beacon_period: 0.1,
+            frame_time: 0.002,
+            ..EventConfig::default()
+        };
+        let mut d = EventDriver::new(GatedFlood, PerfectMedium, builders::line(4), cfg, 5)
+            .expect("valid configuration");
+        let report = d.run_to(&StopWhen::max_steps(100));
+        assert_eq!((report.steps, report.end_step, d.now()), (100, 100, 100));
+        assert!(d.states().iter().all(|&s| s == 3));
     }
 }

@@ -17,16 +17,17 @@
 //!   paper's Δ(τ) "step" (Section 5). Step counts measured here are
 //!   directly comparable to the paper's Tables 2, 3 and 5.
 //! * [`EventDriver`] — the **continuous-time driver**: randomized
-//!   beacons, frames with duration, and either receiver-side
-//!   collisions or medium-decided frame fates — the execution model of
-//!   the paper's "expected constant time" claims.
+//!   beacons, frames with duration, medium-decided frame fates — the
+//!   execution model of the paper's "expected constant time" claims.
 //! * [`ActorDriver`] — the **actor driver**: every node a real
 //!   message-passing process multiplexed over a worker-thread pool,
 //!   exchanging serialized beacon frames ([`WireBeacon`]) under a
 //!   virtual-time token governor — genuine concurrency validating that
 //!   the simulated drivers' claims survive real interleaving.
+//! * [`Driver`] — the one trait over all three, for consumers that are
+//!   generic over the execution model.
 //!
-//! Both drivers run on one shared activity core (the private `engine`
+//! All three run on one shared activity core (the private `engine`
 //! module): columnar per-node state, dirty-set scheduling, beacon
 //! epochs, per-(tick, node) derived randomness and a common worker
 //! pool — so silent stabilized regions cost (near) zero work under
@@ -87,6 +88,7 @@
 
 mod actor;
 mod convergence;
+mod driver;
 mod engine;
 mod error;
 mod events;
@@ -105,6 +107,7 @@ mod wire;
 
 pub use actor::ActorDriver;
 pub use convergence::StabilityTracker;
+pub use driver::Driver;
 pub use engine::kernels;
 pub use engine::run_pooled;
 pub use error::SimError;

@@ -6,7 +6,7 @@ use rand::SeedableRng;
 use crate::engine::{self, kernels, run_sharded, Env};
 use crate::rng::{derive_seed, split_rng, streams};
 use crate::stop::{RunReport, StopWhen};
-use crate::{Activity, Corruptible, Fault, Observable, Protocol, SimError, StabilityTracker};
+use crate::{Activity, Corruptible, Fault, Observable, Protocol, SimError};
 
 /// What one [`Network::step`] actually did — the activity counters of
 /// the dirty-set engine.
@@ -158,8 +158,7 @@ impl<P: Protocol> ShardScratch<P> {
 /// matrix leg runs the whole suite with 4).
 ///
 /// Networks are normally built through [`crate::Scenario`]; the
-/// constructor and the closure-projection run methods remain available
-/// as the low-level interface.
+/// constructor remains available as the low-level interface.
 pub struct Network<P: Protocol, M> {
     /// Protocol, topology, activity core and the one fault path.
     pub(crate) env: Env<P>,
@@ -168,14 +167,11 @@ pub struct Network<P: Protocol, M> {
     /// are evaluated with the full sender set in one call).
     medium_rng: StdRng,
     step: u64,
-    /// `true` when the user pinned the driver to eager scheduling.
-    force_eager: bool,
     /// How the per-step active pass is split across workers.
     shards: ShardMode,
     // Reused step buffers: no per-step allocation in steady state.
     senders_buf: Vec<NodeId>,
     active_buf: Vec<NodeId>,
-    stale_buf: Vec<NodeId>,
     /// Pooled per-shard outcome arenas for the sharded active pass.
     shard_scratch: Vec<ShardScratch<P>>,
     delivery: Delivery,
@@ -218,11 +214,9 @@ impl<P: Protocol, M: Medium> Network<P, M> {
             medium,
             medium_rng: StdRng::seed_from_u64(derive_seed(seed, streams::ROUND_MEDIUM)),
             step: 0,
-            force_eager: false,
             shards,
             senders_buf: Vec::new(),
             active_buf: Vec::new(),
-            stale_buf: Vec::new(),
             shard_scratch: Vec::new(),
             delivery: Delivery::empty(0),
             last_activity: StepActivity::default(),
@@ -247,9 +241,7 @@ impl<P: Protocol, M: Medium> Network<P, M> {
     /// statistical slot occupancy) — and the user did not pin eager
     /// scheduling.
     pub fn is_gated(&self) -> bool {
-        !self.force_eager
-            && self.env.protocol.activity() == Activity::Gated
-            && (self.medium.independent_fates() || self.medium.gated_contention())
+        self.env.gated() && (self.medium.independent_fates() || self.medium.gated_contention())
     }
 
     /// The statistical slot-occupancy summary of the retired
@@ -266,12 +258,7 @@ impl<P: Protocol, M: Medium> Network<P, M> {
     /// before/after benchmarks; both modes are byte-identical for
     /// protocols honoring the [`Activity::Gated`] contract.
     pub fn set_eager(&mut self, eager: bool) {
-        if self.force_eager && !eager {
-            // Re-enabling gating after an eager stretch: the dirty
-            // bookkeeping was degenerate, resynchronize conservatively.
-            self.env.core.table.mark_all(&self.env.topo);
-        }
-        self.force_eager = eager;
+        self.env.set_eager(eager);
     }
 
     /// Overrides how the per-step active pass is split across worker
@@ -331,38 +318,10 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         self.env.core.table.changed.clear();
         self.env.begin_step(self.step);
         let eager = !self.is_gated();
-        if eager {
-            // Degenerate dirty sets: everyone beacons, hears and runs —
-            // the classic semantics, and the reference the gated mode
-            // is tested against.
-            self.env.core.table.update_dirty.insert_all();
-            self.env.core.table.beacon_stale.insert_all();
-            self.env.core.table.send_pending.insert_all();
-            if let Some(occ) = &mut self.env.core.table.occupancy {
-                // Everyone transmits for real: nobody occupies
-                // statistically (O(1) once drained).
-                occ.release_all();
-            }
-        }
 
-        // Phase 1: refresh the beacons of nodes whose state changed.
-        self.env
-            .core
-            .table
-            .beacon_stale
-            .drain_sorted_into(&mut self.stale_buf);
-        for &p in &self.stale_buf {
-            self.env
-                .core
-                .refresh_beacon(&self.env.protocol, &self.env.topo, p);
-        }
-
-        // Phase 2: the senders of this round.
-        self.env
-            .core
-            .table
-            .send_pending
-            .collect_sorted_into(&mut self.senders_buf);
+        // Phases 1–2: refresh the beacons of nodes whose state changed,
+        // then pick the senders of this round.
+        self.env.release_slots(eager, &mut self.senders_buf);
 
         // Phase 3: frame delivery. Media with independent fates get one
         // derived stream per (step, sender), so a frame's fate can
@@ -443,20 +402,9 @@ impl<P: Protocol, M: Medium> Network<P, M> {
             self.serial_active_pass(eager, now)
         };
 
-        // Phase 6: retire senders every neighbor has caught up with. A
-        // retiring sender under a contention medium starts occupying
-        // its slot statistically instead of transmitting for real.
+        // Phase 6: retire senders every neighbor has caught up with.
         if !eager {
-            for &s in &self.senders_buf {
-                if self.env.core.all_caught_up(&self.env.topo, s) {
-                    self.env.core.table.send_pending.remove(s);
-                    if let Some(occ) = &mut self.env.core.table.occupancy {
-                        occ.occupy(s, &self.env.topo);
-                    }
-                }
-            }
-            // Forced marks are consumed by the change detection above.
-            self.env.core.table.forced_changed.clear();
+            self.env.retire_caught_up(&self.senders_buf);
         }
 
         self.last_activity = StepActivity {
@@ -488,10 +436,7 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         let delivery = &self.delivery;
         for &p in &self.active_buf {
             if !eager {
-                match &mut table.scratch_state {
-                    Some(s) => s.clone_from(&table.states[p.index()]),
-                    None => table.scratch_state = Some(table.states[p.index()].clone()),
-                }
+                table.snapshot(p);
             }
             kernels::sorted_positions(topo.neighbors(p), &delivery.heard[p.index()], |idx, s| {
                 let e = table.epoch[s.index()];
@@ -508,14 +453,10 @@ impl<P: Protocol, M: Medium> Network<P, M> {
             });
             let mut rng = split_rng(update_base, now, u64::from(p.value()));
             protocol.update(p, &mut table.states[p.index()], now, &mut rng);
-            if !eager {
-                let changed = table.forced_changed.contains(p)
-                    || table.scratch_state.as_ref() != Some(&table.states[p.index()]);
-                if changed {
-                    table.changed.push(p);
-                    table.update_dirty.insert(p);
-                    table.beacon_stale.insert(p);
-                }
+            if !eager && (table.forced_changed.contains(p) || table.changed_since_snapshot(p)) {
+                table.changed.push(p);
+                table.update_dirty.insert(p);
+                table.beacon_stale.insert(p);
             }
         }
         receives
@@ -608,68 +549,6 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         for _ in 0..steps {
             self.step();
         }
-    }
-
-    /// Low-level: runs until the projection of every node state is
-    /// unchanged for `quiet` consecutive steps, or the absolute step
-    /// count reaches `max_steps`.
-    ///
-    /// Returns `Some(step)` — the step count after which the projection
-    /// last changed (the *stabilization time* in steps) — or `None` on
-    /// timeout. Prefer [`Network::run_to`] with
-    /// [`StopWhen::stable_for`], which uses the protocol's canonical
-    /// [`Observable`] projection instead of a caller-supplied closure.
-    pub fn run_until_stable<K, F>(
-        &mut self,
-        mut project: F,
-        quiet: u64,
-        max_steps: u64,
-    ) -> Option<u64>
-    where
-        K: PartialEq + Clone,
-        F: FnMut(NodeId, &P::State) -> K,
-    {
-        let mut tracker = StabilityTracker::new(quiet);
-        let mut buf: Vec<K> = Vec::with_capacity(self.env.core.table.states.len());
-        let mut snapshot = |states: &[P::State], buf: &mut Vec<K>| {
-            buf.clear();
-            buf.extend(
-                states
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| project(NodeId::new(i as u32), s)),
-            );
-        };
-        snapshot(&self.env.core.table.states, &mut buf);
-        tracker.observe_slice(self.step, &buf);
-        while self.step < max_steps {
-            self.step();
-            snapshot(&self.env.core.table.states, &mut buf);
-            if tracker.observe_slice(self.step, &buf) {
-                return Some(tracker.last_change());
-            }
-        }
-        None
-    }
-
-    /// Low-level: runs until `pred` holds (checked after each step), or
-    /// the absolute step count reaches `max_steps`. Returns the step
-    /// count at which the predicate first held. Prefer
-    /// [`Network::run_to`] with [`StopWhen::predicate`].
-    pub fn run_until<F>(&mut self, mut pred: F, max_steps: u64) -> Option<u64>
-    where
-        F: FnMut(&Self) -> bool,
-    {
-        if pred(self) {
-            return Some(self.step);
-        }
-        while self.step < max_steps {
-            self.step();
-            if pred(self) {
-                return Some(self.step);
-            }
-        }
-        None
     }
 
     /// Current step count.

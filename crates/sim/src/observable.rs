@@ -10,11 +10,10 @@ use crate::Protocol;
 /// The paper distinguishes a protocol's *output* (the cluster-head and
 /// parent choice, the DAG name) from its *mechanism* (neighbor caches,
 /// timestamps): a configuration is stable when the output stops
-/// changing, even while caches keep refreshing. Historically every
-/// caller of [`crate::Network::run_until_stable`] re-supplied this
-/// projection as a closure; implementing `Observable` once per
-/// protocol lets the drivers and the [`crate::Sweep`] runner use
-/// [`crate::StopWhen`] stop conditions with no per-call-site closures.
+/// changing, even while caches keep refreshing. Implementing
+/// `Observable` once per protocol lets the drivers and the
+/// [`crate::Sweep`] runner use [`crate::StopWhen`] stop conditions with
+/// no per-call-site projection closures.
 pub trait Observable: Protocol {
     /// The projected output of one node.
     type Output: Clone + PartialEq + std::fmt::Debug + Send;

@@ -81,8 +81,6 @@ pub(crate) mod streams {
     pub const PHASE: u64 = u64::MAX - 13;
     /// Tag for the event driver's per-(slot, node) beacon jitter.
     pub const TIMING: u64 = u64::MAX - 14;
-    /// Tag for the event driver's per-frame extra-loss draws.
-    pub const EXTRA_LOSS: u64 = u64::MAX - 15;
     /// Tag for gated-contention per-(tick, sender) draws (slot pick,
     /// phantom carrier-sense fate).
     pub const CONTEND_SENDER: u64 = u64::MAX - 16;
@@ -158,7 +156,6 @@ mod tests {
             EVENT_FAULT,
             PHASE,
             TIMING,
-            EXTRA_LOSS,
             CONTEND_SENDER,
             CONTEND_COPY,
         ];

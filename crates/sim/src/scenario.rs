@@ -232,14 +232,14 @@ impl<P: Protocol, M: Medium> Scenario<P, M> {
     /// Builds the continuous-time event driver instead of the round
     /// driver.
     ///
-    /// The scenario's medium is honored: media with
+    /// The scenario's medium decides each frame copy's fate from a
+    /// derived per-(slot, sender) stream: media with
     /// [`Medium::independent_fates`] (perfect, Bernoulli, fading)
-    /// decide each frame copy's fate from a derived per-(slot, sender)
-    /// stream — and permit activity gating for
-    /// [`crate::Activity::Gated`] protocols, whose silent nodes then
-    /// stop scheduling beacon events altogether. Contention-coupled
-    /// media fall back to the driver's built-in overlap-collision
-    /// channel, which models contention directly in continuous time.
+    /// directly, [`Medium::gated_contention`] media (the shipped CSMA
+    /// variants) with the in-range population folded in statistically.
+    /// Both permit activity gating for [`crate::Activity::Gated`]
+    /// protocols, whose silent nodes then stop scheduling beacon events
+    /// altogether.
     ///
     /// Scripted [`FaultPlan`]s carry over: a fault scheduled at step
     /// `k` fires once the clock reaches `k` beacon periods. Mobility
@@ -249,13 +249,12 @@ impl<P: Protocol, M: Medium> Scenario<P, M> {
     ///
     /// # Errors
     ///
-    /// [`SimError::MissingTopology`], [`SimError::InvalidConfig`] (bad
-    /// event parameters or failed validation).
+    /// [`SimError::MissingTopology`]; [`SimError::InvalidConfig`] when
+    /// validation fails, an event parameter is out of range, or the
+    /// medium offers neither contract above (e.g. a
+    /// [`mwn_radio::Thinned`]-wrapped CSMA) — the message names it.
     pub fn build_events(self, config: EventConfig) -> Result<EventDriver<P, M>, SimError> {
-        let make = |p, m, t, seed| {
-            config.check().map_err(SimError::InvalidConfig)?;
-            Ok(EventDriver::with_medium(p, m, t, config, seed))
-        };
+        let make = |p, m, t, seed| EventDriver::new(p, m, t, config, seed);
         self.assemble(make, |d| &mut d.env)
     }
 

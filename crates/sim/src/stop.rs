@@ -1,9 +1,9 @@
-//! First-class stop conditions and run reports for the round driver.
+//! First-class stop conditions and run reports, shared by all three
+//! drivers ([`crate::Driver::run_to`]).
 //!
-//! Historically every experiment called
-//! `run_until_stable(|_, s| s.output(), quiet, max_steps)` — a
-//! projection closure plus two magic numbers, re-invented at ~28 call
-//! sites. [`StopWhen`] names those semantics once:
+//! [`StopWhen`] names the semantics every experiment needs once,
+//! instead of a projection closure plus two magic numbers per call
+//! site:
 //!
 //! * [`StopWhen::StableFor`] — the observable output unchanged for a
 //!   quiet streak (the paper's stabilization measurement);
@@ -22,7 +22,7 @@ use mwn_graph::Topology;
 
 use crate::{Observable, StabilityTracker};
 
-/// A declarative stop condition for [`crate::Network::run_to`] and the
+/// A declarative stop condition for [`crate::Driver::run_to`] and the
 /// [`crate::Sweep`] runner.
 ///
 /// Weak-stabilization experiments (Devismes et al.) ask "did the run
@@ -163,8 +163,7 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// The stabilization step, or a panic with `msg` — the migration
-    /// path for the old `run_until_stable(..).expect(msg)` idiom.
+    /// The stabilization step, or a panic with `msg`.
     ///
     /// # Panics
     ///

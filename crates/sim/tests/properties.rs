@@ -7,7 +7,7 @@ use mwn_graph::{builders, traversal, NodeId, Point2, Topology};
 use mwn_radio::{BernoulliLoss, PerfectMedium, SlottedCsma};
 use mwn_sim::{
     Activity, Corruptible, EventConfig, EventDriver, Fault, FaultPlan, Lie, Network, Observable,
-    Protocol, Region,
+    Protocol, Region, StopWhen,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -28,6 +28,12 @@ impl Protocol for MaxFlood {
     }
     fn update(&self, node: NodeId, state: &mut u32, _now: u64, _rng: &mut StdRng) {
         *state = (*state).max(node.value());
+    }
+}
+impl Observable for MaxFlood {
+    type Output = u32;
+    fn output(&self, _node: NodeId, state: &u32) -> u32 {
+        *state
     }
 }
 impl Corruptible for MaxFlood {
@@ -169,16 +175,15 @@ proptest! {
     fn drivers_agree_on_the_fixpoint(topo in topo_strategy(), seed in 0u64..10_000) {
         let expected = component_max(&topo);
         let mut net = Network::new(MaxFlood, PerfectMedium, topo.clone(), seed);
-        net.run_until_stable(|_, s| *s, 3, 500).expect("round driver converges");
+        net.run_to(&StopWhen::stable_for(3).within(500)).expect_stable("round driver converges");
         prop_assert_eq!(net.states(), expected.as_slice());
         net.corrupt_all();
-        net.run_until_stable(|_, s| *s, 3, 500).expect("round driver reconverges");
+        net.run_to(&StopWhen::stable_for(3).within(500)).expect_stable("round driver reconverges");
         prop_assert_eq!(net.states(), expected.as_slice());
 
-        let mut driver = EventDriver::new(MaxFlood, topo, EventConfig::default(), seed);
-        driver
-            .run_until_stable(|_, s| *s, 1.0, 8, 2000.0)
-            .expect("event driver converges");
+        let mut driver = EventDriver::new(MaxFlood, PerfectMedium, topo, EventConfig::default(), seed)
+            .expect("valid configuration");
+        driver.run_to(&StopWhen::stable_for(8).within(2000)).expect_stable("event driver converges");
         prop_assert_eq!(driver.states(), expected.as_slice());
     }
 
@@ -196,7 +201,7 @@ proptest! {
             topo,
             seed,
         );
-        net.run_until_stable(|_, s| *s, 10, 20_000).expect("converges");
+        net.run_to(&StopWhen::stable_for(10).within(20_000)).expect_stable("converges");
         prop_assert_eq!(net.states(), expected.as_slice());
     }
 
@@ -215,7 +220,7 @@ proptest! {
             .at(fault_step + 3, Fault::CorruptAll);
         let mut net = Network::new(MaxFlood, PerfectMedium, topo, seed);
         plan.run(&mut net, fault_step + 4).expect("well-formed plan");
-        net.run_until_stable(|_, s| *s, 3, 1000).expect("converges after faults");
+        net.run_to(&StopWhen::stable_for(3).within(1000)).expect_stable("converges after faults");
         prop_assert_eq!(net.states(), expected.as_slice());
     }
 
@@ -309,7 +314,9 @@ proptest! {
         };
         prop_assert_eq!(round(&topo), round(&topo));
         let event = |topo: &Topology| {
-            let mut d = EventDriver::new(MaxFlood, topo.clone(), EventConfig::default(), seed);
+            let cfg = EventConfig::default();
+            let mut d = EventDriver::new(MaxFlood, PerfectMedium, topo.clone(), cfg, seed)
+                .expect("valid configuration");
             d.run_until_time(10.0);
             d.states().to_vec()
         };

@@ -18,8 +18,8 @@
 //! examination shards over [`mwn_sim::run_pooled`] followed by a
 //! serial merge — so sharded and serial execution are byte-identical,
 //! the same discipline the round driver's active pass follows. It
-//! interoperates with both clocks via [`run_rounds`] (synchronous
-//! rounds) and [`run_events`] (event-driver logical steps).
+//! interoperates with all three drivers via [`run_rounds`], which is
+//! generic over [`mwn_sim::Driver`]: one traffic step per logical step.
 //!
 //! # Example: loss under a scripted fault
 //!
@@ -56,4 +56,4 @@ mod run;
 pub use demand::{hottest_sink, DemandModel, FlowSpec};
 pub use plane::{TrafficConfig, TrafficPlane};
 pub use report::TrafficReport;
-pub use run::{run_events, run_rounds};
+pub use run::run_rounds;

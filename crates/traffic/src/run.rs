@@ -1,17 +1,14 @@
-//! Clock glue: one traffic step per control-plane step, on either
-//! driver.
+//! Clock glue: one traffic step per control-plane step, on any driver.
 //!
 //! The data plane is deliberately clock-agnostic — it only ever sees
-//! "a topology, right now, and maybe a routing view". These helpers
-//! bind it to the two execution models:
+//! "a topology, right now, and maybe a routing view". [`run_rounds`]
+//! binds it to whichever execution model implements [`Driver`]: one
+//! [`crate::TrafficPlane::on_step`] after every logical step — a
+//! synchronous round, a governor period of the actor fabric, or a
+//! beacon period of the continuous-time driver — so packet TTLs and
+//! latencies are measured in the paper's Δ(τ) steps on all three.
 //!
-//! * [`run_rounds`] — one [`crate::TrafficPlane::on_step`] after every
-//!   synchronous [`Network::step`] (the paper's Δ(τ) rounds);
-//! * [`run_events`] — one traffic step per *logical step boundary* of
-//!   the continuous-time [`EventDriver`] (every beacon period), so
-//!   packet TTLs and latencies stay measured in beacon periods.
-//!
-//! Both take a **view factory** `FnMut(&Topology, &[P::State]) ->
+//! It takes a **view factory** `FnMut(&Topology, &[State]) ->
 //! Option<R>`: the bridge from protocol outputs to routes. Return
 //! `None` while the protocol is mid-restabilization (e.g.
 //! [`mwn_cluster::extract_clustering`] on a transient state) and the
@@ -22,26 +19,24 @@
 
 use mwn_cluster::RoutingView;
 use mwn_graph::Topology;
-use mwn_radio::Medium;
-use mwn_sim::{EventDriver, Network, Protocol};
+use mwn_sim::{Driver, Protocol};
 
 use crate::plane::TrafficPlane;
 use crate::report::TrafficReport;
 
-/// Runs traffic over the synchronous round driver: `steps` rounds, or
-/// until the workload drains, whichever comes first. Returns the
-/// plane's report at exit.
-pub fn run_rounds<P, M, R, F>(
-    net: &mut Network<P, M>,
+/// Runs traffic over `net`: `steps` logical steps, or until the
+/// workload drains, whichever comes first. Returns the plane's report
+/// at exit.
+pub fn run_rounds<D, R, F>(
+    net: &mut D,
     plane: &mut TrafficPlane,
     steps: u64,
     mut view: F,
 ) -> TrafficReport
 where
-    P: Protocol,
-    M: Medium,
+    D: Driver,
     R: RoutingView,
-    F: FnMut(&Topology, &[P::State]) -> Option<R>,
+    F: FnMut(&Topology, &[<D::Protocol as Protocol>::State]) -> Option<R>,
 {
     for _ in 0..steps {
         net.step();
@@ -51,39 +46,6 @@ where
             None
         };
         plane.on_step(net.topology(), v.as_ref());
-        if plane.is_drained() {
-            break;
-        }
-    }
-    plane.report()
-}
-
-/// Runs traffic over the continuous-time event driver: `periods`
-/// logical steps of `period` seconds each (normally the beacon
-/// period), or until the workload drains. Returns the plane's report
-/// at exit.
-pub fn run_events<P, M, R, F>(
-    driver: &mut EventDriver<P, M>,
-    plane: &mut TrafficPlane,
-    periods: u64,
-    period: f64,
-    mut view: F,
-) -> TrafficReport
-where
-    P: Protocol,
-    M: Medium,
-    R: RoutingView,
-    F: FnMut(&Topology, &[P::State]) -> Option<R>,
-{
-    let t0 = driver.time();
-    for k in 1..=periods {
-        driver.run_until_time(t0 + k as f64 * period);
-        let v = if plane.needs_routes() {
-            view(driver.topology(), driver.states())
-        } else {
-            None
-        };
-        plane.on_step(driver.topology(), v.as_ref());
         if plane.is_drained() {
             break;
         }

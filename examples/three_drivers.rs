@@ -9,6 +9,15 @@
 use rand::SeedableRng;
 use selfstab::prelude::*;
 
+/// Runs `driver` to stability — the same code on every clock.
+fn stabilize<D: Driver<Protocol = DensityCluster>>(label: &str, driver: &mut D) -> RunReport {
+    let report = driver.run_to(&StopWhen::stable_for(4).within(2_000));
+    let steps = report.expect_stable(label);
+    let sent = driver.messages_total();
+    println!("{label}: stabilized after {steps} steps, {sent} broadcasts");
+    report
+}
+
 fn main() {
     // One deployment, one lossy medium, one seed.
     let mut rng = rand::rngs::StdRng::seed_from_u64(2005);
@@ -24,39 +33,20 @@ fn main() {
             .topology(topo.clone())
             .seed(7)
     };
-    let stop = StopWhen::stable_for(4).within(2_000);
 
-    // Driver 1: synchronous rounds — the paper's model, the reference.
+    // Synchronous rounds — the paper's model, the reference; the
+    // continuous clock — jittered beacon slots, frames with airtime,
+    // one step per beacon period; the actor fabric — every node a
+    // concurrent process over bounded mailboxes (4 threads), wired
+    // through the same medium decisions.
     let mut rounds = scenario().build().expect("valid scenario");
-    let round_report = rounds.run_to(&stop);
-    let round_steps = round_report.expect_stable("rounds stabilize");
-    println!(
-        "rounds: stabilized after {round_steps} steps, {} broadcasts",
-        rounds.messages_total()
-    );
-
-    // Driver 2: the continuous clock — jittered beacon slots, frames
-    // with airtime, the same guarded assignments.
     let mut events = scenario()
         .build_events(EventConfig::default())
         .expect("valid event scenario");
-    let time = events
-        .run_until_output_stable(1.0, 4, 2_000.0)
-        .expect("events stabilize");
-    println!(
-        "events: stabilized by t = {time:.1}, {} broadcasts",
-        events.messages_total()
-    );
-
-    // Driver 3: the actor fabric — every node a concurrent process
-    // over bounded mailboxes, wired through the same medium decisions.
     let mut actors = scenario().build_actors(4).expect("valid actor scenario");
-    let actor_report = actors.run_to(&stop);
-    let actor_steps = actor_report.expect_stable("actors stabilize");
-    println!(
-        "actors: stabilized after {actor_steps} periods (4 threads), {} broadcasts",
-        actors.messages_total()
-    );
+    let round_report = stabilize("rounds", &mut rounds);
+    stabilize("events", &mut events);
+    let actor_report = stabilize("actors", &mut actors);
 
     // The agreement claims. Rounds and actors replay the same derived
     // randomness and the protocol's receives commute, so they agree

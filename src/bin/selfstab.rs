@@ -211,47 +211,20 @@ fn cmd_cluster(opts: &Opts) -> Result<(), String> {
             .topology(topo.clone())
             .seed(seed)
     };
-    let stop = StopWhen::stable_for(4).within(10_000);
     // One scenario, three drivers: the same deployment and seed run on
     // synchronous rounds, the continuous clock, or real message-passing
     // actors — and (for this protocol) produce the same clustering.
+    let built = |e: SimError| e.to_string();
     let (summary, states) = match opts.get("driver").map(String::as_str) {
-        None | Some("rounds") => {
-            let mut net = scenario().build().map_err(|e| e.to_string())?;
-            let steps = net
-                .run_to(&stop)
-                .stabilized
-                .ok_or("the protocol did not stabilize within 10000 steps")?;
-            (
-                format!("stabilized after {steps} steps"),
-                net.states().to_vec(),
-            )
-        }
+        None | Some("rounds") => stabilize(scenario().build().map_err(built)?, "steps")?,
         Some("events") => {
-            let mut driver = scenario()
-                .build_events(EventConfig::default())
-                .map_err(|e| e.to_string())?;
-            let time = driver
-                .run_until_output_stable(1.0, 4, 10_000.0)
-                .ok_or("the protocol did not stabilize within t = 10000")?;
-            (
-                format!("stabilized by t = {time:.1}"),
-                driver.states().to_vec(),
-            )
+            let config = EventConfig::default();
+            stabilize(scenario().build_events(config).map_err(built)?, "periods")?
         }
         Some("actors") => {
             let threads = opt_u64(opts, "threads")?.unwrap_or(2) as usize;
-            let mut actors = scenario()
-                .build_actors(threads)
-                .map_err(|e| e.to_string())?;
-            let periods = actors
-                .run_to(&stop)
-                .stabilized
-                .ok_or("the protocol did not stabilize within 10000 periods")?;
-            (
-                format!("stabilized after {periods} periods, {threads} threads"),
-                actors.states().to_vec(),
-            )
+            let unit = format!("periods, {threads} threads");
+            stabilize(scenario().build_actors(threads).map_err(built)?, &unit)?
         }
         Some(other) => return Err(format!("unknown driver `{other}` (rounds|events|actors)")),
     };
@@ -283,6 +256,20 @@ fn cmd_cluster(opts: &Opts) -> Result<(), String> {
         print!("{}", ascii_grid_clustering(&clustering, side, side));
     }
     Ok(())
+}
+
+/// Runs `driver` to a stable clustering; returns the headline (in the
+/// driver's own time `unit`) and the stabilized states.
+fn stabilize<D: Driver<Protocol = DensityCluster>>(
+    mut driver: D,
+    unit: &str,
+) -> Result<(String, Vec<ClusterState>), String> {
+    let steps = driver
+        .run_to(&StopWhen::stable_for(4).within(10_000))
+        .stabilized
+        .ok_or_else(|| format!("the protocol did not stabilize within 10000 {unit}"))?;
+    let summary = format!("stabilized after {steps} {unit}");
+    Ok((summary, driver.states().to_vec()))
 }
 
 fn cmd_dag(opts: &Opts) -> Result<(), String> {

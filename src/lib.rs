@@ -88,12 +88,12 @@ pub mod prelude {
         Medium, Occupancy, OccupancyView, PerfectMedium, SlottedCsma, Thinned,
     };
     pub use mwn_sim::{
-        ActorDriver, Corruptible, EventConfig, EventDriver, Fault, FaultPlan, Lie, Network,
+        ActorDriver, Corruptible, Driver, EventConfig, EventDriver, Fault, FaultPlan, Lie, Network,
         Observable, Protocol, Region, RunReport, Scenario, SimError, StopWhen, Sweep,
         TopologyDynamics, Trace, WireBeacon,
     };
     pub use mwn_traffic::{
-        run_events, run_rounds, DemandModel, FlowSpec, TrafficConfig, TrafficPlane, TrafficReport,
+        run_rounds, DemandModel, FlowSpec, TrafficConfig, TrafficPlane, TrafficReport,
     };
     pub use mwn_viz::{ascii_grid_clustering, svg_clustering, write_svg_clustering};
 }

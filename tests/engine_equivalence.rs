@@ -489,6 +489,123 @@ fn event_driver_mobility_then_settlement_stabilizes() {
     assert!(clustering.head_count() > 0);
 }
 
+/// Twin event drivers, one sampled by `run_until_output_stable` at
+/// interval = period, one stepped by `run_to`: the same loop.
+fn sampled_and_stepped_twins_agree<M: Medium>(medium: impl Fn() -> M, topo: &Topology, seed: u64) {
+    let build = || {
+        Scenario::new(DensityCluster::new(event_driven_config()))
+            .medium(medium())
+            .topology(topo.clone())
+            .seed(seed)
+            .build_events(EventConfig::default())
+            .expect("valid event scenario")
+    };
+    let (mut sampled, mut stepped) = (build(), build());
+    let time = sampled.run_until_output_stable(1.0, 5, 600.0);
+    let report = stepped.run_to(&StopWhen::stable_for(5).within(600));
+    assert!(time.is_some(), "seed {seed} stabilizes");
+    assert_eq!(report.stabilized.map(|k| k as f64), time, "seed {seed}");
+    assert_eq!(report.end_step, stepped.now());
+    assert_eq!(sampled.time(), stepped.time(), "seed {seed}");
+    assert_eq!(sampled.states(), stepped.states(), "seed {seed}");
+    assert_eq!(sampled.messages_total(), stepped.messages_total());
+    assert_eq!(sampled.events_processed(), stepped.events_processed());
+}
+
+#[test]
+fn event_clock_stop_when_is_the_sampling_loop() {
+    // The event clock reaches its stop rule through the one
+    // `engine::run_to`: `run_until_output_stable` is that loop with a
+    // free sampling interval, so at interval = period the two spell
+    // the same run — trajectory, message and event counts, and the
+    // stabilization instant.
+    for seed in 0..4 {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(700 + seed);
+        let topo = builders::uniform(45, 0.18, &mut rng);
+        sampled_and_stepped_twins_agree(|| PerfectMedium, &topo, seed);
+        sampled_and_stepped_twins_agree(|| BernoulliLoss::new(0.7), &topo, seed);
+    }
+}
+
+#[test]
+fn event_driver_gated_equals_eager_run_reports() {
+    // `gated_equals_eager_run_reports` on the continuous clock, with
+    // the case `Cursor::Stable` documents: under `and(max_steps)` the
+    // run continues past the first quiet streak, the scripted
+    // corruption at step 40 un-satisfies the stability leaf, and the
+    // report must carry the *second* stabilization — identically
+    // whether the observations are O(changed) deltas (gated) or full
+    // projections (eager).
+    for seed in 0..3 {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(800 + seed);
+        let topo = builders::uniform(45, 0.18, &mut rng);
+        let run = |eager: bool, corrupt: bool| {
+            let mut plan = FaultPlan::new();
+            if corrupt {
+                plan.at(40, Fault::CorruptAll);
+            }
+            let mut driver = Scenario::new(DensityCluster::new(event_driven_config()))
+                .medium(BernoulliLoss::new(0.75))
+                .topology(topo.clone())
+                .seed(seed)
+                .faults(plan)
+                .build_events(EventConfig::default())
+                .expect("valid event scenario");
+            driver.set_eager(eager);
+            let stop = StopWhen::stable_for(4)
+                .and(StopWhen::max_steps(40))
+                .within(600);
+            (driver.run_to(&stop), driver.outputs(), driver.now())
+        };
+        let undisturbed = run(false, false).0;
+        assert!(
+            undisturbed.expect_stable("quiet before the fault") + 4 < 40,
+            "seed {seed}: the leaf must be satisfied before step 40"
+        );
+        let (gated, eager) = (run(false, true), run(true, true));
+        assert_eq!(gated, eager, "seed {seed}");
+        assert!(
+            gated.0.expect_stable("heals") >= 40,
+            "seed {seed}: the corruption restarted the clock"
+        );
+        assert!(gated.0.satisfied && !gated.0.timed_out);
+    }
+}
+
+/// Everything a generic consumer does, through the `Driver` trait
+/// alone: stabilize, corrupt, re-stabilize, read the fixpoint.
+fn exercise<D: Driver<Protocol = DensityCluster>>(mut d: D) -> Clustering {
+    let stop = StopWhen::stable_for(5).within(600);
+    d.run_to(&stop).expect_stable("cold start stabilizes");
+    let sent = d.messages_total();
+    d.inject(&Fault::CorruptAll).expect("a valid fault");
+    let healed = d.run_to(&stop);
+    healed.expect_stable("heals");
+    assert_eq!(healed.end_step, d.now());
+    assert!(d.messages_total() > sent, "healing requires traffic");
+    assert_eq!(d.outputs().len(), d.topology().len());
+    extract_clustering(d.states()).expect("clean fixpoint")
+}
+
+#[test]
+fn one_generic_consumer_runs_on_all_three_drivers() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(900);
+    let topo = builders::uniform(50, 0.18, &mut rng);
+    let scenario = || {
+        Scenario::new(DensityCluster::new(event_driven_config()))
+            .topology(topo.clone())
+            .seed(3)
+    };
+    let reference = exercise(scenario().build().expect("valid scenario"));
+    assert!(reference.head_count() > 0);
+    let events = scenario().build_events(EventConfig::default());
+    assert_eq!(reference, exercise(events.expect("valid event scenario")));
+    for threads in [1, 4] {
+        let actors = scenario().build_actors(threads);
+        assert_eq!(reference, exercise(actors.expect("valid actor scenario")));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -67,7 +67,6 @@ fn slow_frames() -> EventConfig {
         beacon_period: 1.0,
         jitter: 0.0,
         frame_time: 2.0,
-        ..EventConfig::default()
     }
 }
 

@@ -116,9 +116,9 @@ fn run_round<M: Medium>(medium: M, seed: u64, eager: bool) -> RunStats {
     }
 }
 
-/// One event-clock run: gated and eager twins both use the medium
-/// channel (gating only decides whether silent beacons are scheduled
-/// at all), so the same distributional claim applies.
+/// One event-clock run: gated and eager twins evaluate the same medium
+/// (gating only decides whether silent beacons are scheduled at all),
+/// so the same distributional claim applies.
 fn run_event<M: Medium>(medium: M, seed: u64, eager: bool) -> RunStats {
     let mut driver = Scenario::new(DensityCluster::new(event_driven_config()))
         .medium(medium)

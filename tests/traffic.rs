@@ -176,8 +176,8 @@ fn round_clock_quiet_network_delivers_everything() {
     assert!(report.latency_p50 <= report.latency_p99);
 }
 
-/// Quiet delivery on the continuous-time clock: the same guarantee at
-/// event-driver logical-step boundaries.
+/// Quiet delivery on the continuous-time clock: the same guarantee
+/// from the same `run_rounds`, one traffic step per beacon period.
 #[test]
 fn event_clock_quiet_network_delivers_everything() {
     let topo = builders::grid(6, 6, 0.3);
@@ -197,7 +197,7 @@ fn event_clock_quiet_network_delivers_everything() {
         },
     );
     plane.add_flows(&workload(topo.len(), 8, 6));
-    let report = run_events(&mut driver, &mut plane, 4_000, 1.0, |topo, states| {
+    let report = run_rounds(&mut driver, &mut plane, 4_000, |topo, states| {
         extract_clustering(states).and_then(|c| HierarchicalRoutes::try_new(topo, c))
     });
     assert_eq!(report.delivered, report.injected, "{report:?}");
