@@ -10,7 +10,7 @@ use mwn_cluster::{oracle, HeadRule, OracleConfig, OrderKind};
 use mwn_metrics::Table;
 
 use crate::common::ExperimentScale;
-use crate::mobility::{persistence_under_mobility, Clusterer};
+use crate::mobility::{clusterer, persistence_under_mobility, Clusterer};
 
 /// Persistence and cluster-count per clustering policy.
 #[derive(Clone, Debug, PartialEq)]
@@ -46,42 +46,22 @@ fn metric_policies() -> Vec<(String, Box<Clusterer>)> {
 }
 
 fn rule_policies() -> Vec<(String, Box<Clusterer>)> {
-    let with_prev = |order: OrderKind, rule: HeadRule| -> Box<Clusterer> {
-        Box::new(
-            move |topo: &mwn_graph::Topology, prev: Option<&mwn_cluster::Clustering>| {
-                let prev_heads = if order == OrderKind::Stable {
-                    prev.map(|c| topo.nodes().map(|p| c.is_head(p)).collect())
-                } else {
-                    None
-                };
-                oracle(
-                    topo,
-                    &OracleConfig {
-                        order,
-                        rule,
-                        prev_heads,
-                        ..OracleConfig::default()
-                    },
-                )
-            },
-        )
-    };
     vec![
         (
             "basic".to_string(),
-            with_prev(OrderKind::Basic, HeadRule::Basic),
+            clusterer(OrderKind::Basic, HeadRule::Basic),
         ),
         (
             "+ incumbency".to_string(),
-            with_prev(OrderKind::Stable, HeadRule::Basic),
+            clusterer(OrderKind::Stable, HeadRule::Basic),
         ),
         (
             "+ fusion".to_string(),
-            with_prev(OrderKind::Basic, HeadRule::Fusion),
+            clusterer(OrderKind::Basic, HeadRule::Fusion),
         ),
         (
             "+ both (4.3)".to_string(),
-            with_prev(OrderKind::Stable, HeadRule::Fusion),
+            clusterer(OrderKind::Stable, HeadRule::Fusion),
         ),
     ]
 }
@@ -131,6 +111,21 @@ pub fn render(title: &str, result: &AblationResult) -> Table {
         );
     }
     table
+}
+
+/// The `repro ablation` output: ablation (a), then (b).
+pub fn report(scale: ExperimentScale) -> String {
+    format!(
+        "{}\n\n{}\n",
+        render(
+            "Ablation (a): election metrics under pedestrian mobility",
+            &run_metrics(scale)
+        ),
+        render(
+            "Ablation (b): Section 4.3 improvement rules",
+            &run_rules(scale)
+        )
+    )
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
-//! Shared experiment plumbing: scales, argument parsing, and the
-//! scenario-driven helpers every table uses.
+//! Shared experiment plumbing: scales and the scenario-driven helpers
+//! every table uses.
 
 use mwn_cluster::{
-    extract_clustering, extract_dag_ids, ClusterConfig, Clustering, DagProtocol, DagVariant,
-    DensityCluster, NameSpace,
+    extract_clustering, extract_dag_ids, oracle, ClusterConfig, Clustering, DagProtocol,
+    DagVariant, DensityCluster, NameSpace, OracleConfig,
 };
 use mwn_graph::Topology;
 use mwn_sim::{Scenario, StopWhen};
@@ -12,7 +12,7 @@ use mwn_sim::{Scenario, StopWhen};
 ///
 /// The paper averages each statistic "over 1000 simulations"; `Full`
 /// matches that, `Default` trades a little precision for minutes of
-/// runtime, `Quick` is for smoke tests and Criterion benches.
+/// runtime, `Quick` is for smoke tests.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ExperimentScale {
     /// Independent simulation runs per configuration.
@@ -55,27 +55,7 @@ impl ExperimentScale {
         }
     }
 
-    /// Parses `--quick`, `--full`, `--runs N` and `--serial` from the
-    /// process arguments, starting from the default scale.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let mut scale = if args.iter().any(|a| a == "--quick") {
-            Self::quick()
-        } else if args.iter().any(|a| a == "--full") {
-            Self::full()
-        } else {
-            Self::default_scale()
-        };
-        if let Some(pos) = args.iter().position(|a| a == "--runs") {
-            if let Some(n) = args.get(pos + 1).and_then(|s| s.parse::<usize>().ok()) {
-                scale.runs = n.max(1);
-            }
-        }
-        scale
-    }
-
-    /// The parallel seed fan-out for this scale (honouring a
-    /// `--serial` process argument, for wall-clock comparisons).
+    /// The parallel seed fan-out for this scale.
     pub fn sweep(&self) -> mwn_sim::Sweep {
         self.sweep_with(self.seed)
     }
@@ -84,12 +64,7 @@ impl ExperimentScale {
     /// experiments that measure several statistics decorrelate them by
     /// xoring a constant into the base.
     pub fn sweep_with(&self, base_seed: u64) -> mwn_sim::Sweep {
-        let sweep = mwn_sim::Sweep::over(self.runs, base_seed);
-        if std::env::args().any(|a| a == "--serial") {
-            sweep.serial()
-        } else {
-            sweep
-        }
+        mwn_sim::Sweep::over(self.runs, base_seed)
     }
 }
 
@@ -129,15 +104,11 @@ pub fn run_distributed(
     (clustering, dag_ids, stabilized)
 }
 
-/// Runs only the DAG renaming (algorithm N1) until stable; returns the
-/// names and the stabilization step count — the Table 3 measurement.
-pub fn run_dag(
-    topo: Topology,
-    gamma: NameSpace,
-    variant: DagVariant,
-    seed: u64,
-    max_steps: u64,
-) -> (Vec<u32>, u64) {
+/// Runs only the DAG renaming (algorithm N1) over the name space
+/// γ = δ² until stable; returns the names and the stabilization step
+/// count — the Table 3 measurement.
+pub fn run_dag(topo: Topology, variant: DagVariant, seed: u64, max_steps: u64) -> (Vec<u32>, u64) {
+    let gamma = NameSpace::delta_squared(topo.max_degree().max(1));
     let mut net = Scenario::new(DagProtocol::new(gamma, variant, 4))
         .topology(topo)
         .seed(seed)
@@ -150,10 +121,18 @@ pub fn run_dag(
     (names, stabilized)
 }
 
-/// γ = δ² for a topology, clamped to be a valid name space (> δ).
-pub fn gamma_for(topo: &Topology) -> NameSpace {
-    let delta = topo.max_degree().max(1);
-    NameSpace::delta_squared(delta)
+/// The stable clustering whose tie-break ids are the DAG names of a
+/// simulated N1 run — the "with DAG" configuration of Tables 4–5 and
+/// Figure 3.
+pub(crate) fn oracle_with_dag(topo: &Topology, seed: u64) -> Clustering {
+    let (names, _) = run_dag(topo.clone(), DagVariant::SmallestIdRedraws, seed, 1000);
+    oracle(
+        topo,
+        &OracleConfig {
+            tiebreak: Some(names),
+            ..OracleConfig::default()
+        },
+    )
 }
 
 #[cfg(test)]
@@ -192,8 +171,7 @@ mod tests {
     #[test]
     fn run_dag_produces_proper_coloring() {
         let topo = builders::grid(8, 8, 0.2);
-        let gamma = gamma_for(&topo);
-        let (names, steps) = run_dag(topo.clone(), gamma, DagVariant::SmallestIdRedraws, 2, 300);
+        let (names, steps) = run_dag(topo.clone(), DagVariant::SmallestIdRedraws, 2, 300);
         assert!(is_locally_unique(&topo, &names));
         assert!(steps < 50);
     }

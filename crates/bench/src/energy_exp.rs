@@ -100,6 +100,11 @@ pub fn render(result: &EnergyResult) -> Table {
     table
 }
 
+/// The `repro energy` output.
+pub fn report(scale: ExperimentScale) -> String {
+    format!("{}\n", render(&run(scale)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,11 +3,11 @@
 //! cluster spanning the network; Figure 3 (with DAG) shows many small
 //! clusters.
 
-use mwn_cluster::{oracle, Clustering, DagVariant, OracleConfig};
+use mwn_cluster::{oracle, Clustering, OracleConfig};
 use mwn_graph::{builders, Topology};
 use mwn_viz::{ascii_grid_clustering, svg_clustering};
 
-use crate::common::{gamma_for, run_dag, ExperimentScale};
+use crate::common::{oracle_with_dag, ExperimentScale};
 
 /// Both figures' underlying data.
 #[derive(Clone, Debug)]
@@ -30,21 +30,7 @@ pub fn run(scale: ExperimentScale) -> FiguresResult {
     let radius = 0.05 * 31.0 / (scale.grid_side.max(2) - 1) as f64;
     let topo = builders::grid(scale.grid_side, scale.grid_side, radius);
     let fig2 = oracle(&topo, &OracleConfig::default());
-    let gamma = gamma_for(&topo);
-    let (names, _) = run_dag(
-        topo.clone(),
-        gamma,
-        DagVariant::SmallestIdRedraws,
-        scale.seed,
-        1000,
-    );
-    let fig3 = oracle(
-        &topo,
-        &OracleConfig {
-            tiebreak: Some(names),
-            ..OracleConfig::default()
-        },
-    );
+    let fig3 = oracle_with_dag(&topo, scale.seed);
     FiguresResult {
         side: scale.grid_side,
         topo,
@@ -67,6 +53,27 @@ pub fn ascii(result: &FiguresResult, with_dag: bool) -> String {
         if with_dag { &result.fig3 } else { &result.fig2 },
         result.side,
         result.side,
+    )
+}
+
+/// The `repro figures` output: writes `fig2.svg` / `fig3.svg` into the
+/// working directory and returns the cluster counts plus an ASCII
+/// preview of Figure 3.
+///
+/// # Panics
+///
+/// Panics when the working directory is not writable.
+pub fn report(scale: ExperimentScale) -> String {
+    let result = run(scale);
+    std::fs::write("fig2.svg", svg(&result, false)).expect("write fig2.svg");
+    std::fs::write("fig3.svg", svg(&result, true)).expect("write fig3.svg");
+    format!(
+        "Figure 2 (no DAG): {} cluster(s) — wrote fig2.svg\n\
+         Figure 3 (with DAG): {} cluster(s) — wrote fig3.svg\n\n\
+         Figure 3 preview (heads upper-case):\n{}",
+        result.fig2.head_count(),
+        result.fig3.head_count(),
+        ascii(&result, true)
     )
 }
 

@@ -75,6 +75,11 @@ pub fn render(result: &HierarchyResult) -> Table {
     table
 }
 
+/// The `repro hierarchy` output.
+pub fn report(scale: ExperimentScale) -> String {
+    format!("{}\n", render(&run(scale)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

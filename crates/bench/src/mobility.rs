@@ -21,16 +21,21 @@ use crate::common::ExperimentScale;
 /// clustering.
 pub type Clusterer = dyn Fn(&Topology, Option<&Clustering>) -> Clustering + Sync;
 
-/// The paper's improved variant: incumbency-aware order plus the
-/// 2-hop fusion rule.
-pub fn improved_clusterer() -> Box<Clusterer> {
-    Box::new(|topo, prev| {
-        let prev_heads = prev.map(|c| topo.nodes().map(|p| c.is_head(p)).collect());
+/// The density clustering under `order` and `rule`: the paper's base
+/// variant is (`Basic`, `Basic`), its Section 4.3 improved one
+/// (`Stable`, `Fusion`). The incumbency order is the only one that
+/// looks at the previous clustering.
+pub(crate) fn clusterer(order: OrderKind, rule: HeadRule) -> Box<Clusterer> {
+    Box::new(move |topo, prev| {
+        let prev_heads = match order {
+            OrderKind::Stable => prev.map(|c| topo.nodes().map(|p| c.is_head(p)).collect()),
+            OrderKind::Basic => None,
+        };
         oracle(
             topo,
             &OracleConfig {
-                order: OrderKind::Stable,
-                rule: HeadRule::Fusion,
+                order,
+                rule,
                 prev_heads,
                 ..OracleConfig::default()
             },
@@ -38,9 +43,22 @@ pub fn improved_clusterer() -> Box<Clusterer> {
     })
 }
 
-/// The base density clustering without the improvements.
-pub fn basic_clusterer() -> Box<Clusterer> {
-    Box::new(|topo, _| oracle(topo, &OracleConfig::default()))
+/// Mean head persistence (%) with and without the Section 4.3 rules,
+/// per top speed in `speeds_mps`, over 2-second windows.
+fn improved_and_basic(
+    scale: &ExperimentScale,
+    speeds_mps: &[f64],
+    duration_s: f64,
+    seeds: usize,
+) -> (Vec<f64>, Vec<f64>) {
+    let improved = clusterer(OrderKind::Stable, HeadRule::Fusion);
+    let basic = clusterer(OrderKind::Basic, HeadRule::Basic);
+    let persistence =
+        |v, c: &Clusterer| persistence_under_mobility(scale, v, duration_s, 2.0, seeds, c).0;
+    speeds_mps
+        .iter()
+        .map(|&v| (persistence(v, &improved), persistence(v, &basic)))
+        .unzip()
 }
 
 /// Head persistence and cluster-count statistics for one policy under
@@ -105,23 +123,12 @@ pub fn run(scale: ExperimentScale) -> MobilityResult {
         _ => 40.0,
     };
     let seeds = (scale.runs / 20).clamp(2, 50);
-    let improved = improved_clusterer();
-    let basic = basic_clusterer();
-    let mut result = MobilityResult {
-        scenarios: Vec::new(),
-        improved: Vec::new(),
-        basic: Vec::new(),
-    };
-    for (label, vmax) in [("pedestrian 0-1.6 m/s", 1.6), ("vehicular 0-10 m/s", 10.0)] {
-        result.scenarios.push(label.to_string());
-        let (p_improved, _) =
-            persistence_under_mobility(&scale, vmax, duration, 2.0, seeds, improved.as_ref());
-        let (p_basic, _) =
-            persistence_under_mobility(&scale, vmax, duration, 2.0, seeds, basic.as_ref());
-        result.improved.push(p_improved);
-        result.basic.push(p_basic);
+    let (improved, basic) = improved_and_basic(&scale, &[1.6, 10.0], duration, seeds);
+    MobilityResult {
+        scenarios: vec!["pedestrian 0-1.6 m/s".into(), "vehicular 0-10 m/s".into()],
+        improved,
+        basic,
     }
-    result
 }
 
 /// A persistence-vs-speed sweep — the paper's future-work question
@@ -142,22 +149,12 @@ pub fn run_speed_sweep(scale: ExperimentScale) -> SpeedSweep {
     let speeds = vec![0.5, 1.0, 2.0, 4.0, 8.0, 16.0];
     let duration = if scale.runs >= 50 { 120.0 } else { 30.0 };
     let seeds = (scale.runs / 20).clamp(2, 30);
-    let improved = improved_clusterer();
-    let basic = basic_clusterer();
-    let mut sweep = SpeedSweep {
-        speeds: speeds.clone(),
-        improved: Vec::new(),
-        basic: Vec::new(),
-    };
-    for &v in &speeds {
-        let (p_improved, _) =
-            persistence_under_mobility(&scale, v, duration, 2.0, seeds, improved.as_ref());
-        let (p_basic, _) =
-            persistence_under_mobility(&scale, v, duration, 2.0, seeds, basic.as_ref());
-        sweep.improved.push(p_improved);
-        sweep.basic.push(p_basic);
+    let (improved, basic) = improved_and_basic(&scale, &speeds, duration, seeds);
+    SpeedSweep {
+        speeds,
+        improved,
+        basic,
     }
-    sweep
 }
 
 /// Formats the speed sweep.
@@ -188,6 +185,16 @@ pub fn render(result: &MobilityResult) -> Table {
         );
     }
     table
+}
+
+/// The `repro mobility` output: the Section 5 table, then the speed
+/// sweep.
+pub fn report(scale: ExperimentScale) -> String {
+    format!(
+        "{}\n\n{}\n",
+        render(&run(scale)),
+        render_speed_sweep(&run_speed_sweep(scale))
+    )
 }
 
 #[cfg(test)]

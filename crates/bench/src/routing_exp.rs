@@ -104,6 +104,11 @@ pub fn render(result: &RoutingResult) -> Table {
     table
 }
 
+/// The `repro routing` output.
+pub fn report(scale: ExperimentScale) -> String {
+    format!("{}\n", render(&run(scale)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,7 +17,7 @@ use mwn_sim::{Scenario, StopWhen, Sweep};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::common::{gamma_for, run_dag, run_distributed, ExperimentScale};
+use crate::common::{run_dag, run_distributed, ExperimentScale};
 
 /// Stabilization-time measurements across network sizes and τ values.
 #[derive(Clone, Debug, PartialEq)]
@@ -35,16 +35,6 @@ pub struct StabilizationResult {
     pub taus: Vec<f64>,
     /// Mean stabilization steps under Bernoulli loss per τ.
     pub tau_steps: Vec<f64>,
-}
-
-/// One cold-start election run at intensity `n`: the stabilization
-/// step count. The core measurement of the scaling experiment, shared
-/// by [`run`] and the sweep-speedup harness.
-pub fn cold_start_steps(n: usize, radius: f64, seed: u64) -> f64 {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let topo = builders::poisson(n as f64, radius, &mut rng);
-    let (_, _, steps) = run_distributed(topo, ClusterConfig::default(), seed, 2000);
-    steps as f64
 }
 
 fn radius_for(n: usize, degree_target: f64) -> f64 {
@@ -71,14 +61,17 @@ pub fn run(scale: ExperimentScale) -> StabilizationResult {
         let dag = Sweep::over(per_point, scale.seed ^ n as u64).map(|seed| {
             let mut rng = StdRng::seed_from_u64(seed);
             let topo = builders::poisson(n as f64, radius, &mut rng);
-            let gamma = gamma_for(&topo);
-            let (_, steps) = run_dag(topo, gamma, DagVariant::Randomized, seed, 2000);
+            let (_, steps) = run_dag(topo, DagVariant::Randomized, seed, 2000);
             steps as f64
         });
         dag_steps.push(dag.into_iter().collect::<RunningStats>().mean());
 
-        let cold = Sweep::over(per_point, scale.seed ^ (n as u64) << 1)
-            .map(|seed| cold_start_steps(n, radius, seed));
+        let cold = Sweep::over(per_point, scale.seed ^ (n as u64) << 1).map(|seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let topo = builders::poisson(n as f64, radius, &mut rng);
+            let (_, _, steps) = run_distributed(topo, ClusterConfig::default(), seed, 2000);
+            steps as f64
+        });
         cold_steps.push(cold.into_iter().collect::<RunningStats>().mean());
 
         let corrupted = Sweep::over(per_point, scale.seed ^ (n as u64) << 2).map(|seed| {
@@ -132,27 +125,6 @@ pub fn run(scale: ExperimentScale) -> StabilizationResult {
     }
 }
 
-/// Wall-clock comparison of the parallel [`Sweep`] against a serial
-/// loop on the cold-start stabilization experiment: returns
-/// `(serial, parallel)` durations for `seeds` runs at intensity
-/// λ = 1000 (the paper's deployment).
-///
-/// The two modes produce identical results (asserted here), so the
-/// only difference is scheduling.
-pub fn sweep_speedup(seeds: usize, base_seed: u64) -> (std::time::Duration, std::time::Duration) {
-    let n = 1000;
-    let radius = radius_for(n, 8.0);
-    let job = |seed: u64| cold_start_steps(n, radius, seed);
-    let serial_start = std::time::Instant::now();
-    let serial_out = Sweep::over(seeds, base_seed).serial().map(job);
-    let serial = serial_start.elapsed();
-    let parallel_start = std::time::Instant::now();
-    let parallel_out = Sweep::over(seeds, base_seed).map(job);
-    let parallel = parallel_start.elapsed();
-    assert_eq!(serial_out, parallel_out, "sweep modes must agree exactly");
-    (serial, parallel)
-}
-
 /// Cache TTL (in steps) under which a live neighbor's entry falsely
 /// expires with probability below ~1e-7: `(1-τ)^ttl ≤ 1e-7`. Short
 /// TTLs at low τ would make neighbor sets — and hence the election
@@ -189,6 +161,13 @@ pub fn render_tau(result: &StabilizationResult) -> Table {
     table.set_headers(headers);
     table.add_numeric_row("election steps", &result.tau_steps, 1);
     table
+}
+
+/// The `repro stabilization` output: the scaling table, then the τ
+/// sweep.
+pub fn report(scale: ExperimentScale) -> String {
+    let result = run(scale);
+    format!("{}\n\n{}\n", render_scaling(&result), render_tau(&result))
 }
 
 #[cfg(test)]

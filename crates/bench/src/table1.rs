@@ -7,6 +7,8 @@ use mwn_graph::builders::{fig1_example, FIG1_LABELS};
 use mwn_graph::NodeId;
 use mwn_metrics::Table;
 
+use crate::common::ExperimentScale;
+
 /// One row of Table 1.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Table1Row {
@@ -90,6 +92,20 @@ pub fn render(result: &Table1Result) -> Table {
             .collect(),
     );
     table
+}
+
+/// The `repro table1` output: the table, then the Figure 1 clusters.
+pub fn report(_scale: ExperimentScale) -> String {
+    let result = run();
+    let mut out = format!(
+        "{}\nResulting clusters (paper: two clusters, headed by h and j):\n",
+        render(&result)
+    );
+    for (head, members) in &result.clusters {
+        let members: String = members.iter().collect();
+        out += &format!("  head {head}: {{{members}}}\n");
+    }
+    out
 }
 
 #[cfg(test)]

@@ -72,6 +72,11 @@ pub fn render(result: &Table2Result) -> Table {
     table
 }
 
+/// The `repro table2` output.
+pub fn report(scale: ExperimentScale) -> String {
+    format!("{}\n", render(&run(scale)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,12 +4,12 @@
 //! ranges R ∈ {0.05 … 0.1}. The paper reports ≈ 2 steps everywhere.
 
 use mwn_cluster::DagVariant;
-use mwn_graph::builders;
+use mwn_graph::{builders, Topology};
 use mwn_metrics::{RunningStats, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::common::{gamma_for, run_dag, ExperimentScale, TABLE3_RADII};
+use crate::common::{run_dag, ExperimentScale, TABLE3_RADII};
 
 /// Mean DAG-construction steps per radius, for both deployments.
 #[derive(Clone, Debug, PartialEq)]
@@ -22,37 +22,36 @@ pub struct Table3Result {
     pub random_geometry: Vec<f64>,
 }
 
+/// Mean N1 steps per Table 3 radius over the deployments `deploy`
+/// draws: one parallel fan-out over the radius × seed grid, so no
+/// radius waits for another to finish.
+fn mean_dag_steps(
+    scale: ExperimentScale,
+    base_seed: u64,
+    deploy: impl Fn(f64, u64) -> Topology + Sync,
+) -> Vec<f64> {
+    scale
+        .sweep_with(base_seed)
+        .map_grid(&TABLE3_RADII, |&radius, seed| {
+            let topo = deploy(radius, seed);
+            let (_, steps) = run_dag(topo, DagVariant::SmallestIdRedraws, seed, 500);
+            steps as f64
+        })
+        .into_iter()
+        .map(|runs| runs.into_iter().collect::<RunningStats>().mean())
+        .collect()
+}
+
 /// Runs the Table 3 experiment.
 pub fn run(scale: ExperimentScale) -> Table3Result {
-    // One parallel fan-out over the radius × seed grid per deployment
-    // family: no radius waits for another to finish.
-    let grid_means: Vec<f64> = scale
-        .sweep_with(scale.seed ^ 0x3A17)
-        .map_grid(&TABLE3_RADII, |&radius, seed| {
-            let topo = builders::grid(scale.grid_side, scale.grid_side, radius);
-            let gamma = gamma_for(&topo);
-            let (_, steps) = run_dag(topo, gamma, DagVariant::SmallestIdRedraws, seed, 500);
-            steps as f64
-        })
-        .into_iter()
-        .map(|runs| runs.into_iter().collect::<RunningStats>().mean())
-        .collect();
-    let rand_means: Vec<f64> = scale
-        .sweep_with(scale.seed ^ 0x9B2D)
-        .map_grid(&TABLE3_RADII, |&radius, seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let topo = builders::poisson(scale.lambda, radius, &mut rng);
-            let gamma = gamma_for(&topo);
-            let (_, steps) = run_dag(topo, gamma, DagVariant::SmallestIdRedraws, seed, 500);
-            steps as f64
-        })
-        .into_iter()
-        .map(|runs| runs.into_iter().collect::<RunningStats>().mean())
-        .collect();
     Table3Result {
         radii: TABLE3_RADII.to_vec(),
-        grid: grid_means,
-        random_geometry: rand_means,
+        grid: mean_dag_steps(scale, scale.seed ^ 0x3A17, |radius, _| {
+            builders::grid(scale.grid_side, scale.grid_side, radius)
+        }),
+        random_geometry: mean_dag_steps(scale, scale.seed ^ 0x9B2D, |radius, seed| {
+            builders::poisson(scale.lambda, radius, &mut StdRng::seed_from_u64(seed))
+        }),
     }
 }
 
@@ -67,6 +66,11 @@ pub fn render(result: &Table3Result) -> Table {
     table.add_numeric_row("Grid", &result.grid, 2);
     table.add_numeric_row("Random geometry", &result.random_geometry, 2);
     table
+}
+
+/// The `repro table3` output.
+pub fn report(scale: ExperimentScale) -> String {
+    format!("{}\n", render(&run(scale)))
 }
 
 #[cfg(test)]

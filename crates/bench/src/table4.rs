@@ -7,13 +7,13 @@
 //! little (densities are rarely equal, so the id tie-break is rarely
 //! exercised) — both columns should be nearly identical.
 
-use mwn_cluster::{oracle, ClusteringStats, DagVariant, OracleConfig};
+use mwn_cluster::{oracle, ClusteringStats, OracleConfig};
 use mwn_graph::builders;
 use mwn_metrics::{RunningStats, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::common::{gamma_for, run_dag, ExperimentScale, TABLE45_RADII};
+use crate::common::{oracle_with_dag, ExperimentScale, TABLE45_RADII};
 
 /// The three Table 4/5 statistics for one configuration.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -49,32 +49,34 @@ pub fn features_one_run(
     with_dag: bool,
     seed: u64,
 ) -> Option<ClusterFeatures> {
-    let tiebreak = if with_dag {
-        let gamma = gamma_for(&topo);
-        let (names, _) = run_dag(
-            topo.clone(),
-            gamma,
-            DagVariant::SmallestIdRedraws,
-            seed,
-            1000,
-        );
-        Some(names)
+    let clustering = if with_dag {
+        oracle_with_dag(&topo, seed)
     } else {
-        None
+        oracle(&topo, &OracleConfig::default())
     };
-    let clustering = oracle(
-        &topo,
-        &OracleConfig {
-            tiebreak,
-            ..OracleConfig::default()
-        },
-    );
     let stats = ClusteringStats::of(&topo, &clustering)?;
     Some(ClusterFeatures {
         clusters: stats.clusters,
         eccentricity: stats.mean_head_eccentricity,
         tree_length: stats.mean_tree_length,
     })
+}
+
+/// The per-statistic mean over the runs that produced a clustering.
+pub(crate) fn mean_features(runs: Vec<Option<ClusterFeatures>>) -> ClusterFeatures {
+    let mut clusters = RunningStats::new();
+    let mut ecc = RunningStats::new();
+    let mut tree = RunningStats::new();
+    for f in runs.into_iter().flatten() {
+        clusters.push(f.clusters);
+        ecc.push(f.eccentricity);
+        tree.push(f.tree_length);
+    }
+    ClusterFeatures {
+        clusters: clusters.mean(),
+        eccentricity: ecc.mean(),
+        tree_length: tree.mean(),
+    }
 }
 
 /// Runs the Table 4 experiment.
@@ -90,19 +92,7 @@ pub fn run(scale: ExperimentScale) -> ClusterFeatureTable {
                 let topo = builders::poisson(scale.lambda, radius, &mut rng);
                 features_one_run(topo, with_dag, seed)
             });
-            let mut clusters = RunningStats::new();
-            let mut ecc = RunningStats::new();
-            let mut tree = RunningStats::new();
-            for f in runs.into_iter().flatten() {
-                clusters.push(f.clusters);
-                ecc.push(f.eccentricity);
-                tree.push(f.tree_length);
-            }
-            let features = ClusterFeatures {
-                clusters: clusters.mean(),
-                eccentricity: ecc.mean(),
-                tree_length: tree.mean(),
-            };
+            let features = mean_features(runs);
             if with_dag {
                 result.with_dag.push(features);
             } else {
@@ -134,6 +124,13 @@ pub fn render(title: &str, result: &ClusterFeatureTable) -> Table {
     table.add_numeric_row("e~(H(u)/C(u))", &row(|f| f.eccentricity), 1);
     table.add_numeric_row("avg tree length", &row(|f| f.tree_length), 1);
     table
+}
+
+/// The `repro table4` output.
+pub fn report(scale: ExperimentScale) -> String {
+    let title = "Table 4: clusters features on a random geometric graph \
+                 (paper, R=0.05: 61 clusters, ecc 2.6, tree 2.7)";
+    format!("{}\n", render(title, &run(scale)))
 }
 
 #[cfg(test)]

@@ -5,10 +5,10 @@
 //! cluster whose tree is as deep as the network; with the DAG renaming
 //! the election is local again and many small clusters appear.
 
-use mwn_metrics::{RunningStats, Table};
+use mwn_metrics::Table;
 
 use crate::common::{ExperimentScale, TABLE45_RADII};
-use crate::table4::{features_one_run, ClusterFeatureTable, ClusterFeatures};
+use crate::table4::{features_one_run, mean_features, ClusterFeatureTable};
 
 /// Runs the Table 5 experiment.
 ///
@@ -30,19 +30,7 @@ pub fn run(scale: ExperimentScale) -> ClusterFeatureTable {
             let topo = topo.clone();
             move |seed| features_one_run(topo.clone(), true, seed)
         });
-        let mut clusters = RunningStats::new();
-        let mut ecc = RunningStats::new();
-        let mut tree = RunningStats::new();
-        for f in with_runs.into_iter().flatten() {
-            clusters.push(f.clusters);
-            ecc.push(f.eccentricity);
-            tree.push(f.tree_length);
-        }
-        result.with_dag.push(ClusterFeatures {
-            clusters: clusters.mean(),
-            eccentricity: ecc.mean(),
-            tree_length: tree.mean(),
-        });
+        result.with_dag.push(mean_features(with_runs));
         result
             .without_dag
             .push(features_one_run(topo, false, 0).expect("grid is non-empty"));
@@ -56,6 +44,11 @@ pub fn render(result: &ClusterFeatureTable) -> Table {
         "Table 5: clusters characteristics on a grid (paper, R=0.05: 52.8 vs 1.0 clusters)",
         result,
     )
+}
+
+/// The `repro table5` output.
+pub fn report(scale: ExperimentScale) -> String {
+    format!("{}\n", render(&run(scale)))
 }
 
 #[cfg(test)]

@@ -27,11 +27,10 @@
 //! * [`run_sharded`] — the allocation-free variant backing the round
 //!   driver's sharded active pass: workers write into caller-owned,
 //!   reused arenas instead of returning fresh `Vec`s;
-//! * [`kernels`] — the branch-lean word-at-a-time kernels and columnar
-//!   layouts ([`kernels::BitWords`], [`kernels::HeardTable`], the
-//!   sorted join and epoch compares) the structures above are built
-//!   on, each with a scalar reference implementation and criterion
-//!   micro-benches under `crates/bench`.
+//! * [`kernels`] — the word-at-a-time kernels and columnar layouts
+//!   ([`kernels::BitWords`], [`kernels::HeardTable`], the sorted join
+//!   and epoch compares) the structures above are built on; their cost
+//!   is the benchmark's `sim.kernels.*` layer metrics.
 //!
 //! The synchronous round driver ([`crate::Network`]) and the
 //! continuous-time driver ([`crate::EventDriver`]) are thin scheduling

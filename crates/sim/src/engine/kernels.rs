@@ -14,14 +14,12 @@
 //!   an all-ones fast path that turns the cold-start storm into a
 //!   near-memcpy), and draining never sorts — bit order *is* node
 //!   order, so the sort the list-backed set needed disappears;
-//! * **branch-lean** — the epoch/heard comparisons ([`any_fresh`],
-//!   [`count_eq_u32`]) accumulate compare bits instead of early-exiting,
-//!   so the loop body is straight-line code the compiler autovectorizes
-//!   (SIMD compares on the contiguous `u32` epoch rows); the sorted
-//!   join ([`sorted_positions`]) replaces the per-frame binary search
-//!   of the old pass with a two-pointer merge over the (sorted)
-//!   delivered-sender and adjacency lists;
-//! * **contiguous** — [`HeardTable`] flattens the per-node reception
+//! * **contiguous rows** — the per-frame joins ([`sorted_positions`],
+//!   [`any_fresh`]) probe a receiver's sorted adjacency slice with one
+//!   binary search per delivered sender: at radio degrees (tens of
+//!   neighbors) a handful of well-predicted probes over one or two
+//!   cache lines;
+//! * **one arena** — [`HeardTable`] flattens the per-node reception
 //!   rows (`Vec<Vec<u32>>`, one heap allocation per node) into one CSR
 //!   arena: each row is a contiguous `&[u32]` slice, rows are laid out
 //!   back-to-back in node order (the order the pass visits them), and
@@ -42,9 +40,9 @@
 //! `#[repr(align(64))]`-padded so no two workers ever write the same
 //! line (see `ShardScratch` in `network.rs`).
 //!
-//! Every kernel has a scalar reference implementation next to it
-//! (`*_scalar`), property-tested equal in this module and benchmarked
-//! against it in `crates/bench/benches/kernels.rs`.
+//! [`BitWords::decode_into`] keeps its per-bit reference
+//! (`decode_into_scalar`, test-only); the joins are checked against
+//! naive linear scans in this module's tests.
 
 use mwn_graph::NodeId;
 
@@ -188,8 +186,9 @@ impl BitWords {
     }
 
     /// Scalar reference for [`BitWords::decode_into`]: per-bit test
-    /// loop. Kept for equivalence tests and the micro-benches.
-    pub fn decode_into_scalar(&self, out: &mut Vec<NodeId>) {
+    /// loop.
+    #[cfg(test)]
+    fn decode_into_scalar(&self, out: &mut Vec<NodeId>) {
         for i in 0..self.nbits {
             if self.test(i) {
                 out.push(NodeId::new(i as u32));
@@ -215,32 +214,12 @@ fn decode_word(w: u64, base: u32, out: &mut Vec<NodeId>) {
     }
 }
 
-/// Minimum haystack width for the two-pointer merge strategy in
-/// [`sorted_positions`] / [`any_fresh`]. Below it (or when keys hit
-/// less than a quarter of the haystack) per-key binary search wins:
-/// the crossover sits far past typical radio degrees (≈ 8–32), per
-/// the degree sweep in `benches/kernels.rs` on the reference
-/// container.
-const MERGE_MIN_HAYSTACK: usize = 512;
-
 /// For every `key` (in order), finds its position in the sorted
-/// `haystack` and calls `f(position, key)` — the merge kernel of the
-/// per-node receive loop, joining the delivered-sender list of a
-/// receiver against its sorted adjacency list.
-///
-/// Independent-fates media deliver senders in ascending order (the
-/// sender set is iterated sorted), so the join is a two-pointer merge:
-/// O(|haystack| + |keys|) with no data-dependent branches in the
-/// advance loop, versus a binary search *per frame* in the scalar
-/// reference. Out-of-order keys (contention media own their push
-/// order) rewind the cursor, so the kernel is correct for any input.
-///
-/// The merge only pays off on wide, densely-hit adjacency rows; at
-/// radio degrees (≈ 8–32) a handful of well-predicted binary-search
-/// probes per key is faster than the merge's per-key cursor
-/// bookkeeping (measured in `benches/kernels.rs`), so small or
-/// sparsely-keyed rows take the per-key path. Both strategies call
-/// `f` with identical `(position, key)` sequences.
+/// `haystack` and calls `f(position, key)` — the join of the per-node
+/// receive loop, matching the delivered-sender list of a receiver
+/// against its sorted adjacency list with one binary search per key.
+/// Keys may arrive in any order (contention media own their push
+/// order).
 ///
 /// # Panics
 ///
@@ -248,34 +227,6 @@ const MERGE_MIN_HAYSTACK: usize = 512;
 /// 1-neighbors, so an absent sender is an engine invariant violation.
 #[inline]
 pub fn sorted_positions<F: FnMut(usize, NodeId)>(haystack: &[NodeId], keys: &[NodeId], mut f: F) {
-    const ABSENT: &str = "media deliver only between 1-neighbors";
-    if haystack.len() < MERGE_MIN_HAYSTACK || keys.len() * 4 < haystack.len() {
-        for &s in keys {
-            f(haystack.binary_search(&s).expect(ABSENT), s);
-        }
-        return;
-    }
-    let mut cur = 0usize;
-    for &s in keys {
-        if cur > 0 && haystack[cur - 1] >= s {
-            cur = 0; // out-of-order key: rewind and rescan
-        }
-        while cur < haystack.len() && haystack[cur] < s {
-            cur += 1;
-        }
-        assert!(cur < haystack.len() && haystack[cur] == s, "{ABSENT}");
-        f(cur, s);
-        cur += 1;
-    }
-}
-
-/// Scalar reference for [`sorted_positions`]: binary search per key,
-/// exactly the pre-kernel receive loop.
-pub fn sorted_positions_scalar<F: FnMut(usize, NodeId)>(
-    haystack: &[NodeId],
-    keys: &[NodeId],
-    mut f: F,
-) {
     for &s in keys {
         let idx = haystack
             .binary_search(&s)
@@ -295,41 +246,9 @@ pub fn sorted_positions_scalar<F: FnMut(usize, NodeId)>(
 ///
 /// Early-exits on the first fresh epoch: during converging the very
 /// first delivered frame is almost always fresh, so bailing out there
-/// beats OR-accumulating the whole row (8× on the radio-degree shapes
-/// of `benches/kernels.rs`). Wide densely-hit rows walk a two-pointer
-/// merge; radio-degree rows probe per key, mirroring
-/// [`sorted_positions`]'s strategy split.
+/// beats OR-accumulating the whole row.
 #[inline]
 pub fn any_fresh(
-    heard_row: &[u32],
-    epochs: &[u32],
-    neighbors: &[NodeId],
-    senders: &[NodeId],
-) -> bool {
-    const ABSENT: &str = "media deliver only between 1-neighbors";
-    if neighbors.len() < MERGE_MIN_HAYSTACK || senders.len() * 4 < neighbors.len() {
-        return any_fresh_scalar(heard_row, epochs, neighbors, senders);
-    }
-    let mut cur = 0usize;
-    for &s in senders {
-        if cur > 0 && neighbors[cur - 1] >= s {
-            cur = 0; // out-of-order key: rewind and rescan
-        }
-        while cur < neighbors.len() && neighbors[cur] < s {
-            cur += 1;
-        }
-        assert!(cur < neighbors.len() && neighbors[cur] == s, "{ABSENT}");
-        if heard_row[cur] != epochs[s.index()] {
-            return true;
-        }
-        cur += 1;
-    }
-    false
-}
-
-/// Scalar reference for [`any_fresh`]: the early-exiting `any` over
-/// per-frame binary searches the engine used before the kernel layer.
-pub fn any_fresh_scalar(
     heard_row: &[u32],
     epochs: &[u32],
     neighbors: &[NodeId],
@@ -341,25 +260,6 @@ pub fn any_fresh_scalar(
             .expect("media deliver only between 1-neighbors");
         heard_row[idx] != epochs[s.index()]
     })
-}
-
-/// How many entries of the contiguous row equal `v` — the bulk epoch
-/// compare. Written as an accumulating map/sum so the compiler lowers
-/// it to SIMD compares over the `u32` slice.
-#[inline]
-pub fn count_eq_u32(row: &[u32], v: u32) -> usize {
-    row.iter().map(|&x| usize::from(x == v)).sum()
-}
-
-/// Scalar reference for [`count_eq_u32`] (branchy accumulation).
-pub fn count_eq_u32_scalar(row: &[u32], v: u32) -> usize {
-    let mut n = 0usize;
-    for &x in row {
-        if x == v {
-            n += 1;
-        }
-    }
-    n
 }
 
 /// Per-row slack kept by [`HeardTable`] so mobility-driven degree
@@ -443,7 +343,7 @@ impl HeardTable {
         // epochs when a later growth exposes it.
         self.data[lo..hi].fill(NEVER);
         self.len[r] = deg as u32;
-        debug_assert_eq!(count_eq_u32(&self.data[lo..hi], NEVER), hi - lo);
+        debug_assert!(self.data[lo..hi].iter().all(|&e| e == NEVER));
     }
 
     /// Realigns every row to the given degrees, all entries [`NEVER`]
@@ -571,27 +471,32 @@ mod tests {
     }
 
     #[test]
-    fn sorted_join_matches_scalar_on_sorted_and_unsorted_keys() {
+    fn sorted_join_finds_every_key_in_key_order_on_narrow_and_wide_rows() {
         let mut rng = StdRng::seed_from_u64(17);
-        for _ in 0..50 {
-            let mut haystack: Vec<NodeId> = (0..rng.random_range(1..80u32))
-                .map(|_| NodeId::new(rng.random_range(0..500)))
+        for width in [1usize, 7, 31, 600] {
+            // Strictly increasing ids with random gaps.
+            let mut next = 0u32;
+            let haystack: Vec<NodeId> = (0..width)
+                .map(|_| {
+                    next += rng.random_range(1..5u32);
+                    NodeId::new(next)
+                })
                 .collect();
-            haystack.sort_unstable();
-            haystack.dedup();
-            let mut keys: Vec<NodeId> = (0..rng.random_range(0..haystack.len() * 2))
-                .map(|_| haystack[rng.random_range(0..haystack.len())])
-                .collect();
-            // Half the trials feed sorted keys (the independent-fates
-            // shape), half leave them shuffled (contention media).
-            if rng.random_bool(0.5) {
-                keys.sort_unstable();
+            for sorted in [true, false] {
+                // Densely hit: about as many keys as the row is wide.
+                let mut keys: Vec<NodeId> = (0..width.max(4))
+                    .map(|_| haystack[rng.random_range(0..width)])
+                    .collect();
+                if sorted {
+                    keys.sort_unstable();
+                }
+                let mut seen = Vec::new();
+                sorted_positions(&haystack, &keys, |idx, s| {
+                    assert_eq!(haystack[idx], s, "width {width}: wrong slot");
+                    seen.push(s);
+                });
+                assert_eq!(seen, keys, "width {width}: one call per key, in key order");
             }
-            let mut fast = Vec::new();
-            sorted_positions(&haystack, &keys, |idx, s| fast.push((idx, s)));
-            let mut scalar = Vec::new();
-            sorted_positions_scalar(&haystack, &keys, |idx, s| scalar.push((idx, s)));
-            assert_eq!(fast, scalar);
         }
     }
 
@@ -604,41 +509,35 @@ mod tests {
     }
 
     #[test]
-    fn any_fresh_matches_scalar() {
+    fn any_fresh_matches_a_naive_scan() {
         let mut rng = StdRng::seed_from_u64(23);
-        for _ in 0..60 {
-            let deg = rng.random_range(1..24usize);
-            let neighbors: Vec<NodeId> = (0..deg as u32).map(|i| NodeId::new(i * 3)).collect();
-            let epochs: Vec<u32> = (0..80).map(|_| rng.random_range(0..4)).collect();
-            let heard_row: Vec<u32> = (0..deg)
-                .map(|_| {
-                    if rng.random_bool(0.2) {
-                        NEVER
-                    } else {
-                        rng.random_range(0..4)
-                    }
-                })
-                .collect();
-            let mut senders: Vec<NodeId> = neighbors
-                .iter()
-                .copied()
-                .filter(|_| rng.random_bool(0.6))
-                .collect();
-            senders.sort_unstable();
-            assert_eq!(
-                any_fresh(&heard_row, &epochs, &neighbors, &senders),
-                any_fresh_scalar(&heard_row, &epochs, &neighbors, &senders),
-            );
-        }
-    }
-
-    #[test]
-    fn count_eq_matches_scalar() {
-        let mut rng = StdRng::seed_from_u64(29);
-        for n in [0usize, 1, 7, 64, 1000] {
-            let row: Vec<u32> = (0..n).map(|_| rng.random_range(0..3)).collect();
-            for v in 0..3 {
-                assert_eq!(count_eq_u32(&row, v), count_eq_u32_scalar(&row, v));
+        for deg in [1usize, 7, 31, 600] {
+            for _ in 0..15 {
+                let neighbors: Vec<NodeId> = (0..deg as u32).map(|i| NodeId::new(i * 3)).collect();
+                let epochs: Vec<u32> = (0..deg * 3).map(|_| rng.random_range(0..4)).collect();
+                // Mostly up to date, so both answers occur.
+                let heard_row: Vec<u32> = neighbors
+                    .iter()
+                    .map(|s| match rng.random_range(0..20u32) {
+                        0 => NEVER,
+                        1 => rng.random_range(0..4),
+                        _ => epochs[s.index()],
+                    })
+                    .collect();
+                let senders: Vec<NodeId> = neighbors
+                    .iter()
+                    .copied()
+                    .filter(|_| rng.random_bool(0.6))
+                    .collect();
+                let naive = senders.iter().any(|s| {
+                    let idx = neighbors.iter().position(|n| n == s).expect("a neighbor");
+                    heard_row[idx] != epochs[s.index()]
+                });
+                assert_eq!(
+                    any_fresh(&heard_row, &epochs, &neighbors, &senders),
+                    naive,
+                    "degree {deg}"
+                );
             }
         }
     }

@@ -423,10 +423,9 @@ impl<P: Protocol, M: Medium> Network<P, M> {
     /// The serial phase-5 loop: in-place state mutation, no per-node
     /// allocation. The reference the sharded pass is tested against.
     ///
-    /// The per-frame binary search of the scalar reference is replaced
-    /// by the sorted-join kernel: the delivered-sender list and the
-    /// adjacency list merge in one two-pointer sweep per node
-    /// ([`kernels::sorted_positions`]).
+    /// Each delivered sender is located in the receiver's sorted
+    /// adjacency list by [`kernels::sorted_positions`] (one binary
+    /// search per frame).
     fn serial_active_pass(&mut self, eager: bool, now: u64) -> usize {
         let mut receives = 0usize;
         let update_base = self.env.core.update_base;

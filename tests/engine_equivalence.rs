@@ -614,10 +614,9 @@ proptest! {
     /// arenas — is byte-identical to the scalar reference across shard
     /// counts {1, 2, 4, 7} on both clocks.
     ///
-    /// Two legs close the chain. (1) The kernels themselves are pinned
-    /// against their scalar references (`binary_search` per frame,
-    /// early-exiting `any`) on join shapes sampled from the *actual*
-    /// adjacency lists of the generated topology. (2) Whole-trajectory
+    /// Two legs close the chain. (1) The join kernels are pinned
+    /// against a naive linear scan on join shapes sampled from the
+    /// *actual* adjacency lists of the generated topology. (2) Whole-trajectory
     /// equivalence: on the round clock every shard count must
     /// reproduce the serial trajectory (reports, outputs, message
     /// totals) through corruption and healing, gated and eager; on the
@@ -634,29 +633,26 @@ proptest! {
         let mut trng = StdRng::seed_from_u64(seed ^ 0xBEEF);
         let topo = builders::uniform(n, f64::from(r) / 100.0, &mut trng);
 
-        // Leg 1: kernels vs scalar references on real adjacency rows.
+        // Leg 1: join kernels vs a naive scan on real adjacency rows.
         let mut krng = StdRng::seed_from_u64(seed ^ 0xD00D);
         for p in topo.nodes() {
             let neighbors = topo.neighbors(p);
-            if neighbors.is_empty() {
-                continue;
-            }
             let mut senders: Vec<NodeId> = neighbors
                 .iter()
                 .copied()
                 .filter(|_| krng.random_bool(0.6))
                 .collect();
             senders.sort_unstable();
-            let mut fast = Vec::new();
-            kernels::sorted_positions(neighbors, &senders, |idx, s| fast.push((idx, s)));
-            let mut scalar = Vec::new();
-            kernels::sorted_positions_scalar(neighbors, &senders, |idx, s| scalar.push((idx, s)));
-            prop_assert_eq!(&fast, &scalar, "join diverged at node {}", p);
+            let slot = |s: &NodeId| neighbors.iter().position(|n| n == s).expect("a neighbor");
+            let naive: Vec<(usize, NodeId)> = senders.iter().map(|s| (slot(s), *s)).collect();
+            let mut joined = Vec::new();
+            kernels::sorted_positions(neighbors, &senders, |idx, s| joined.push((idx, s)));
+            prop_assert_eq!(&joined, &naive, "join diverged at node {}", p);
             let epochs: Vec<u32> = (0..topo.len()).map(|_| krng.random_range(0..3)).collect();
             let heard_row: Vec<u32> = neighbors.iter().map(|_| krng.random_range(0..3)).collect();
             prop_assert_eq!(
                 kernels::any_fresh(&heard_row, &epochs, neighbors, &senders),
-                kernels::any_fresh_scalar(&heard_row, &epochs, neighbors, &senders)
+                naive.iter().any(|&(idx, s)| heard_row[idx] != epochs[s.index()])
             );
         }
 
