@@ -1,6 +1,7 @@
 use std::collections::BTreeMap;
 
-use mwn_graph::{traversal, NodeId, Topology};
+use mwn_graph::traversal::SearchScratch;
+use mwn_graph::{NodeId, Topology};
 use serde::{Deserialize, Serialize};
 
 /// A cluster assignment: for every node, its parent `F(p)` and its
@@ -160,11 +161,25 @@ impl Clustering {
     /// cluster's induced subgraph. Members unreachable inside the
     /// cluster (only possible in non-stabilized snapshots) are skipped.
     pub fn head_eccentricity(&self, topo: &Topology, head: NodeId) -> u32 {
-        let dist = traversal::bfs_distances_filtered(topo, head, |v| self.head(v) == head);
-        self.members_of(head)
-            .into_iter()
-            .filter_map(|p| dist[p.index()])
-            .max()
+        self.head_eccentricity_in(&mut SearchScratch::new(), topo, head)
+    }
+
+    /// [`Clustering::head_eccentricity`] on a caller's scratch. The
+    /// search is confined to the cluster, so the last member it visits
+    /// is a farthest reachable one.
+    fn head_eccentricity_in(
+        &self,
+        scratch: &mut SearchScratch,
+        topo: &Topology,
+        head: NodeId,
+    ) -> u32 {
+        scratch.distances(topo, head, |v| self.head(v) == head);
+        scratch
+            .visited()
+            .iter()
+            .rev()
+            .find(|&&p| self.head(p) == head)
+            .and_then(|&p| scratch.distance(p))
             .unwrap_or(0)
     }
 
@@ -174,9 +189,10 @@ impl Clustering {
         if heads.is_empty() {
             return None;
         }
+        let mut scratch = SearchScratch::new();
         let total: u64 = heads
             .iter()
-            .map(|&h| u64::from(self.head_eccentricity(topo, h)))
+            .map(|&h| u64::from(self.head_eccentricity_in(&mut scratch, topo, h)))
             .sum();
         Some(total as f64 / heads.len() as f64)
     }

@@ -94,7 +94,8 @@ pub use protocol::{
     DagConfig, DensityCluster, FreshnessPolicy, NeighborEntry, PeerSummary,
 };
 pub use routing::{
-    mean_stretch, mean_stretch_over, ClusterRouter, FlatRoutes, HierarchicalRoutes, RoutingView,
+    mean_stretch, mean_stretch_over, ClusterRouter, FlatRoutes, HierarchicalRoutes, RouteScratch,
+    RoutingView,
 };
 pub use smallmap::SmallMap;
 pub use stabilization::{check_legitimate, measure_info_schedule, Illegitimacy, InfoSchedule};

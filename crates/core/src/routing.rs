@@ -20,7 +20,8 @@
 //! hops); [`mean_stretch`] measures it, which is how the routing
 //! bench compares election metrics.
 
-use mwn_graph::{traversal, NodeId, Topology};
+use mwn_graph::traversal::{self, SearchScratch};
+use mwn_graph::{NodeId, Topology};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -38,14 +39,50 @@ use crate::Clustering;
 /// edge at its forwarding instant and rebuild the view from fresh
 /// protocol outputs when lookups go stale.
 pub trait RoutingView {
+    /// Writes the full route from `src` to `dst`, inclusive of both
+    /// endpoints, into `route` (cleared first) and answers `true`; or
+    /// answers `false` when the view knows no route, leaving `route`
+    /// unspecified. Every search runs on the caller's `scratch` and the
+    /// route grows in place, so a caller that keeps both across lookups
+    /// pays for what each route visits and nothing else.
+    fn route_into(
+        &self,
+        topo: &Topology,
+        src: NodeId,
+        dst: NodeId,
+        scratch: &mut RouteScratch,
+        route: &mut Vec<NodeId>,
+    ) -> bool;
+
     /// Full route from `src` to `dst`, inclusive of both endpoints, or
-    /// `None` when the view knows no route.
-    fn route(&self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>>;
+    /// `None` when the view knows no route — [`RoutingView::route_into`]
+    /// on fresh buffers.
+    fn route(&self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
+        let mut route = Vec::new();
+        self.route_into(topo, src, dst, &mut RouteScratch::new(), &mut route)
+            .then_some(route)
+    }
 
     /// The neighbor `at` should forward to next for `dst`. `None` when
     /// unroutable; `at == dst` also answers `None` (nothing to do).
     fn next_hop(&self, topo: &Topology, at: NodeId, dst: NodeId) -> Option<NodeId> {
         self.route(topo, at, dst)?.get(1).copied()
+    }
+}
+
+/// The buffers a [`RoutingView`] lookup works in, owned by whoever
+/// asks for routes (the traffic plane keeps one for its lifetime).
+#[derive(Clone, Debug, Default)]
+pub struct RouteScratch {
+    search: SearchScratch,
+    /// The head-overlay path of the route being expanded.
+    overlay_path: Vec<NodeId>,
+}
+
+impl RouteScratch {
+    /// Empty buffers; they size themselves on first use.
+    pub fn new() -> Self {
+        RouteScratch::default()
     }
 }
 
@@ -115,49 +152,64 @@ impl HierarchicalRoutes {
         self.heads.binary_search(&head).ok().map(|i| i as u32)
     }
 
-    /// Routes inside one cluster: shortest path among that cluster's
-    /// members.
-    fn route_within(
-        &self,
-        topo: &Topology,
-        cluster: NodeId,
-        from: NodeId,
-        to: NodeId,
-    ) -> Option<Vec<NodeId>> {
-        traversal::bfs_path_filtered(topo, from, to, |v| self.clustering.head(v) == cluster)
+    /// Membership test of one cluster — the filter of an intra-cluster
+    /// search.
+    fn within(&self, cluster: NodeId) -> impl Fn(NodeId) -> bool + '_ {
+        move |v| self.clustering.head(v) == cluster
     }
 }
 
 impl RoutingView for HierarchicalRoutes {
     /// Computes the hierarchical route from `src` to `dst`, inclusive.
     ///
-    /// Returns `None` when no route exists (different components) —
+    /// Answers `false` when no route exists (different components) —
     /// also when the hierarchy's overlay is partitioned, which cannot
     /// happen for a stable clustering of a connected graph.
-    fn route(&self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
+    fn route_into(
+        &self,
+        topo: &Topology,
+        src: NodeId,
+        dst: NodeId,
+        scratch: &mut RouteScratch,
+        route: &mut Vec<NodeId>,
+    ) -> bool {
+        let RouteScratch {
+            search,
+            overlay_path,
+        } = scratch;
+        route.clear();
+        route.push(src);
         let h_src = self.clustering.head(src);
         let h_dst = self.clustering.head(dst);
         if h_src == h_dst {
-            return self.route_within(topo, h_src, src, dst);
+            return search.extend_path(topo, src, dst, self.within(h_src), route);
         }
         // Overlay path between the two heads.
-        let o_src = NodeId::new(self.overlay_id(h_src)?);
-        let o_dst = NodeId::new(self.overlay_id(h_dst)?);
-        let overlay_path = traversal::bfs_path_filtered(&self.overlay, o_src, o_dst, |_| true)?;
+        let (Some(o_src), Some(o_dst)) = (self.overlay_id(h_src), self.overlay_id(h_dst)) else {
+            return false;
+        };
+        let (o_src, o_dst) = (NodeId::new(o_src), NodeId::new(o_dst));
+        overlay_path.clear();
+        overlay_path.push(o_src);
+        if !search.extend_path(&self.overlay, o_src, o_dst, |_| true, overlay_path) {
+            return false;
+        }
         // Expand: climb to the head, hop cluster to cluster, descend.
-        let mut route = self.route_within(topo, h_src, src, h_src)?;
+        if !search.extend_path(topo, src, h_src, self.within(h_src), route) {
+            return false;
+        }
         for pair in overlay_path.windows(2) {
             let a = self.heads[pair[0].index()];
             let b = self.heads[pair[1].index()];
-            let segment = traversal::bfs_path_filtered(topo, *route.last()?, b, |v| {
+            let in_either = |v| {
                 let h = self.clustering.head(v);
                 h == a || h == b
-            })?;
-            route.extend_from_slice(&segment[1..]);
+            };
+            if !search.extend_path(topo, a, b, in_either, route) {
+                return false;
+            }
         }
-        let tail = self.route_within(topo, h_dst, *route.last()?, dst)?;
-        route.extend_from_slice(&tail[1..]);
-        Some(route)
+        search.extend_path(topo, h_dst, dst, self.within(h_dst), route)
     }
 }
 
@@ -167,8 +219,17 @@ impl RoutingView for HierarchicalRoutes {
 pub struct FlatRoutes;
 
 impl RoutingView for FlatRoutes {
-    fn route(&self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-        traversal::bfs_path_filtered(topo, src, dst, |_| true)
+    fn route_into(
+        &self,
+        topo: &Topology,
+        src: NodeId,
+        dst: NodeId,
+        scratch: &mut RouteScratch,
+        route: &mut Vec<NodeId>,
+    ) -> bool {
+        route.clear();
+        route.push(src);
+        scratch.search.extend_path(topo, src, dst, |_| true, route)
     }
 }
 
@@ -241,6 +302,8 @@ pub fn mean_stretch_over<R: RoutingView>(
     }
     let mut total = 0.0;
     let mut count = 0usize;
+    let mut scratch = RouteScratch::new();
+    let mut route = Vec::new();
     for _ in 0..samples {
         let src = NodeId::new(rng.random_range(0..topo.len() as u32));
         let dst = NodeId::new(rng.random_range(0..topo.len() as u32));
@@ -249,9 +312,9 @@ pub fn mean_stretch_over<R: RoutingView>(
         }
         let direct = traversal::bfs_distances(topo, src)[dst.index()];
         let Some(direct) = direct else { continue };
-        let Some(route) = view.route(topo, src, dst) else {
+        if !view.route_into(topo, src, dst, &mut scratch, &mut route) {
             continue;
-        };
+        }
         total += (route.len() - 1) as f64 / f64::from(direct.max(1));
         count += 1;
     }

@@ -11,6 +11,155 @@ use std::collections::VecDeque;
 
 use crate::{NodeId, Topology};
 
+/// Reusable breadth-first search state: a search clears nothing and
+/// costs what it visits.
+///
+/// A node counts as reached by the *current* search when its stamp
+/// equals the scratch's generation, and every search starts by taking
+/// the next generation — so the `O(n)` arrays are written only where
+/// the search goes, and one scratch serves any number of searches over
+/// topologies of any size (it grows to the largest seen). Visit order
+/// is the plain FIFO order of [`bfs_path_filtered`] and
+/// [`bfs_distances_filtered`], which are thin wrappers over a fresh
+/// scratch: same paths, tie-breaks included.
+///
+/// # Examples
+///
+/// ```
+/// use mwn_graph::{builders, traversal::SearchScratch, NodeId};
+///
+/// let ring = builders::ring(6);
+/// let mut scratch = SearchScratch::new();
+/// let mut path = vec![NodeId::new(0)];
+/// assert!(scratch.extend_path(&ring, NodeId::new(0), NodeId::new(2), |_| true, &mut path));
+/// assert!(scratch.extend_path(&ring, NodeId::new(2), NodeId::new(3), |_| true, &mut path));
+/// assert_eq!(path, [0, 1, 2, 3].map(NodeId::new));
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct SearchScratch {
+    /// Stamp of the current search; never 0, the value fresh slots hold.
+    generation: u32,
+    stamp: Vec<u32>,
+    /// Per reached node: its predecessor (path search) or its hop
+    /// distance (distance search).
+    pred: Vec<u32>,
+    /// FIFO of reached nodes. Served through a cursor, never popped, so
+    /// after a search it holds the visit order.
+    queue: Vec<NodeId>,
+}
+
+impl SearchScratch {
+    /// An empty scratch; it sizes itself on first use.
+    pub fn new() -> Self {
+        SearchScratch::default()
+    }
+
+    /// Starts a search over `n` nodes from `src`.
+    fn begin(&mut self, n: usize, src: NodeId) {
+        if self.stamp.len() < n {
+            self.stamp.resize(n, 0);
+            self.pred.resize(n, 0);
+        }
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Wrapped: stamps of 2^32 searches ago would read as fresh.
+            self.stamp.fill(0);
+            self.generation = 1;
+        }
+        self.queue.clear();
+        self.reach(src, 0);
+    }
+
+    fn reach(&mut self, v: NodeId, pred: u32) {
+        self.stamp[v.index()] = self.generation;
+        self.pred[v.index()] = pred;
+        self.queue.push(v);
+    }
+
+    fn reached(&self, v: NodeId) -> bool {
+        self.stamp[v.index()] == self.generation
+    }
+
+    /// Appends to `out` the shortest path from `src` to `dst` through
+    /// nodes satisfying `allowed` (`dst` is always allowed), **without
+    /// its first node** — so consecutive segments chain in place and
+    /// `src == dst` appends nothing. Returns `false`, leaving `out`
+    /// untouched, when `dst` is unreachable.
+    pub fn extend_path<F>(
+        &mut self,
+        topo: &Topology,
+        src: NodeId,
+        dst: NodeId,
+        allowed: F,
+        out: &mut Vec<NodeId>,
+    ) -> bool
+    where
+        F: Fn(NodeId) -> bool,
+    {
+        if src == dst {
+            return true;
+        }
+        self.begin(topo.len(), src);
+        let mut head = 0;
+        'search: while let Some(&u) = self.queue.get(head) {
+            head += 1;
+            for &v in topo.neighbors(u) {
+                if !self.reached(v) && (v == dst || allowed(v)) {
+                    self.reach(v, u.value());
+                    if v == dst {
+                        break 'search;
+                    }
+                }
+            }
+        }
+        if !self.reached(dst) {
+            return false;
+        }
+        let start = out.len();
+        let mut cur = dst;
+        while cur != src {
+            out.push(cur);
+            cur = NodeId::new(self.pred[cur.index()]);
+        }
+        out[start..].reverse();
+        true
+    }
+
+    /// Searches the whole subgraph reachable from `src` through nodes
+    /// satisfying `allowed` (`src` itself is always explored). Read
+    /// the result with [`SearchScratch::distance`] and
+    /// [`SearchScratch::visited`] before the next search.
+    pub fn distances<F>(&mut self, topo: &Topology, src: NodeId, allowed: F)
+    where
+        F: Fn(NodeId) -> bool,
+    {
+        self.begin(topo.len(), src);
+        let mut head = 0;
+        while let Some(&u) = self.queue.get(head) {
+            head += 1;
+            let next = self.pred[u.index()] + 1;
+            for &v in topo.neighbors(u) {
+                if !self.reached(v) && allowed(v) {
+                    self.reach(v, next);
+                }
+            }
+        }
+    }
+
+    /// Hop distance of `v` from the source of the last
+    /// [`SearchScratch::distances`] search; `None` when it was not
+    /// reached.
+    pub fn distance(&self, v: NodeId) -> Option<u32> {
+        self.reached(v).then(|| self.pred[v.index()])
+    }
+
+    /// The nodes the last search reached, in visit order — for a
+    /// distance search that is ascending distance, source first.
+    pub fn visited(&self) -> &[NodeId] {
+        &self.queue
+    }
+}
+
 /// Hop distances from `src` to every node; `None` for unreachable nodes.
 ///
 /// # Examples
@@ -34,18 +183,11 @@ pub fn bfs_distances_filtered<F>(topo: &Topology, src: NodeId, allowed: F) -> Ve
 where
     F: Fn(NodeId) -> bool,
 {
+    let mut scratch = SearchScratch::new();
+    scratch.distances(topo, src, allowed);
     let mut dist = vec![None; topo.len()];
-    dist[src.index()] = Some(0);
-    let mut queue = VecDeque::new();
-    queue.push_back(src);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u.index()].expect("queued nodes have distances");
-        for &v in topo.neighbors(u) {
-            if dist[v.index()].is_none() && allowed(v) {
-                dist[v.index()] = Some(du + 1);
-                queue.push_back(v);
-            }
-        }
+    for &v in scratch.visited() {
+        dist[v.index()] = scratch.distance(v);
     }
     dist
 }
@@ -77,47 +219,26 @@ pub fn bfs_path_filtered<F>(
 where
     F: Fn(NodeId) -> bool,
 {
-    if src == dst {
-        return Some(vec![src]);
-    }
-    let mut pred: Vec<Option<NodeId>> = vec![None; topo.len()];
-    let mut seen = vec![false; topo.len()];
-    seen[src.index()] = true;
-    let mut queue = VecDeque::new();
-    queue.push_back(src);
-    'search: while let Some(u) = queue.pop_front() {
-        for &v in topo.neighbors(u) {
-            if !seen[v.index()] && (v == dst || allowed(v)) {
-                seen[v.index()] = true;
-                pred[v.index()] = Some(u);
-                if v == dst {
-                    break 'search;
-                }
-                queue.push_back(v);
-            }
-        }
-    }
-    if !seen[dst.index()] {
-        return None;
-    }
-    let mut path = vec![dst];
-    let mut cur = dst;
-    while let Some(p) = pred[cur.index()] {
-        path.push(p);
-        cur = p;
-    }
-    path.reverse();
-    Some(path)
+    let mut path = vec![src];
+    SearchScratch::new()
+        .extend_path(topo, src, dst, allowed, &mut path)
+        .then_some(path)
 }
 
 /// Eccentricity of `src`: the maximum hop distance to any reachable
 /// node. Returns 0 for an isolated node.
 pub fn eccentricity(topo: &Topology, src: NodeId) -> u32 {
-    bfs_distances(topo, src)
-        .into_iter()
-        .flatten()
-        .max()
-        .unwrap_or(0)
+    eccentricity_in(&mut SearchScratch::new(), topo, src)
+}
+
+/// [`eccentricity`] on a caller's scratch: the last node a full search
+/// visits is a farthest one.
+fn eccentricity_in(scratch: &mut SearchScratch, topo: &Topology, src: NodeId) -> u32 {
+    scratch.distances(topo, src, |_| true);
+    let farthest = *scratch.visited().last().expect("the source is visited");
+    scratch
+        .distance(farthest)
+        .expect("visited nodes have distances")
 }
 
 /// Connected components; each component is a sorted list of nodes, and
@@ -164,9 +285,10 @@ pub fn diameter(topo: &Topology) -> Option<u32> {
     if topo.is_empty() {
         return None;
     }
+    let mut scratch = SearchScratch::new();
     Some(
         topo.nodes()
-            .map(|p| eccentricity(topo, p))
+            .map(|p| eccentricity_in(&mut scratch, topo, p))
             .max()
             .unwrap_or(0),
     )
@@ -176,6 +298,140 @@ pub fn diameter(topo: &Topology) -> Option<u32> {
 mod tests {
     use super::*;
     use crate::builders;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::VecDeque;
+
+    /// The allocating distance search the scratch replaced, kept as
+    /// the reference the scratch is compared against.
+    fn reference_distances<F>(topo: &Topology, src: NodeId, allowed: F) -> Vec<Option<u32>>
+    where
+        F: Fn(NodeId) -> bool,
+    {
+        let mut dist = vec![None; topo.len()];
+        dist[src.index()] = Some(0);
+        let mut queue = VecDeque::new();
+        queue.push_back(src);
+        while let Some(u) = queue.pop_front() {
+            let du = dist[u.index()].expect("queued nodes have distances");
+            for &v in topo.neighbors(u) {
+                if dist[v.index()].is_none() && allowed(v) {
+                    dist[v.index()] = Some(du + 1);
+                    queue.push_back(v);
+                }
+            }
+        }
+        dist
+    }
+
+    /// The allocating path search the scratch replaced, likewise.
+    fn reference_path<F>(
+        topo: &Topology,
+        src: NodeId,
+        dst: NodeId,
+        allowed: F,
+    ) -> Option<Vec<NodeId>>
+    where
+        F: Fn(NodeId) -> bool,
+    {
+        if src == dst {
+            return Some(vec![src]);
+        }
+        let mut pred: Vec<Option<NodeId>> = vec![None; topo.len()];
+        let mut seen = vec![false; topo.len()];
+        seen[src.index()] = true;
+        let mut queue = VecDeque::new();
+        queue.push_back(src);
+        'search: while let Some(u) = queue.pop_front() {
+            for &v in topo.neighbors(u) {
+                if !seen[v.index()] && (v == dst || allowed(v)) {
+                    seen[v.index()] = true;
+                    pred[v.index()] = Some(u);
+                    if v == dst {
+                        break 'search;
+                    }
+                    queue.push_back(v);
+                }
+            }
+        }
+        if !seen[dst.index()] {
+            return None;
+        }
+        let mut path = vec![dst];
+        let mut cur = dst;
+        while let Some(p) = pred[cur.index()] {
+            path.push(p);
+            cur = p;
+        }
+        path.reverse();
+        Some(path)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Many searches on one scratch — path and distance searches
+        /// interleaved, over two graphs of different sizes, across a
+        /// generation wrap-around — answer exactly what the
+        /// allocating reference answers: same path element for
+        /// element, `None` ⇔ `None`, same distances.
+        #[test]
+        fn scratch_searches_match_the_allocating_reference(
+            n in 2usize..60,
+            r in 10u32..45,
+            blocked in 0u32..60,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let big = builders::uniform(n, f64::from(r) / 100.0, &mut rng);
+            let small = builders::uniform(n.div_ceil(2), f64::from(r) / 100.0, &mut rng);
+            let mut scratch = SearchScratch::new();
+            for round in 0..40 {
+                if round == 20 {
+                    // Jump to the brink: the next searches wrap onto the
+                    // generations whose stamps the first twenty rounds left.
+                    scratch.generation = u32::MAX - 2;
+                }
+                let topo = if round % 3 == 2 { &small } else { &big };
+                let mask: Vec<bool> = (0..topo.len())
+                    .map(|_| !rng.random_bool(f64::from(blocked) / 100.0))
+                    .collect();
+                let allowed = |v: NodeId| mask[v.index()];
+                let src = NodeId::new(rng.random_range(0..topo.len() as u32));
+                let dst = NodeId::new(rng.random_range(0..topo.len() as u32));
+
+                let mut path = vec![src];
+                let found = scratch.extend_path(topo, src, dst, allowed, &mut path);
+                let expected = reference_path(topo, src, dst, allowed);
+                prop_assert_eq!(found.then_some(path), expected.clone());
+                prop_assert_eq!(bfs_path_filtered(topo, src, dst, allowed), expected);
+
+                scratch.distances(topo, src, allowed);
+                let expected = reference_distances(topo, src, allowed);
+                for v in topo.nodes() {
+                    prop_assert_eq!(scratch.distance(v), expected[v.index()]);
+                }
+                prop_assert_eq!(
+                    scratch.visited().len(),
+                    expected.iter().flatten().count()
+                );
+                prop_assert_eq!(bfs_distances_filtered(topo, src, allowed), expected);
+            }
+            prop_assert!(scratch.generation < 100, "the wrap-around was crossed");
+        }
+    }
+
+    #[test]
+    fn an_unreachable_target_leaves_the_output_untouched() {
+        let topo = Topology::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
+        let mut scratch = SearchScratch::new();
+        let mut out = vec![NodeId::new(0)];
+        assert!(!scratch.extend_path(&topo, NodeId::new(0), NodeId::new(3), |_| true, &mut out));
+        assert_eq!(out, vec![NodeId::new(0)]);
+        assert!(scratch.extend_path(&topo, NodeId::new(0), NodeId::new(1), |_| true, &mut out));
+        assert_eq!(out, vec![NodeId::new(0), NodeId::new(1)]);
+    }
 
     #[test]
     fn distances_on_a_line() {

@@ -196,4 +196,50 @@ proptest! {
             }
         }
     }
+
+    /// A scratch carries nothing from one search into the next: on
+    /// random unit-disk graphs with random `allowed` masks, many
+    /// searches on one scratch answer what a fresh scratch answers
+    /// (the free functions), `None` ⇔ `false`, and every path found is
+    /// a walk through allowed nodes of exactly the filtered distance.
+    /// (Element-for-element equality with the allocating search this
+    /// replaced, across a generation wrap-around, is checked next to
+    /// that private reference in `traversal.rs`.)
+    #[test]
+    fn one_scratch_answers_like_a_fresh_one(
+        topo in unit_disk_strategy(),
+        picks in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 1..24),
+    ) {
+        let n = topo.len() as u64;
+        let mut scratch = traversal::SearchScratch::new();
+        for (s, d, mask) in picks {
+            let (src, dst) = (NodeId::new((s % n) as u32), NodeId::new((d % n) as u32));
+            // Blocks about a quarter of the nodes, differently per pick.
+            let allowed =
+                |v: NodeId| (u64::from(v.value()) ^ mask).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 62 != 0;
+
+            let mut path = vec![src];
+            let found = scratch.extend_path(&topo, src, dst, allowed, &mut path);
+            prop_assert_eq!(
+                found.then(|| path.clone()),
+                traversal::bfs_path_filtered(&topo, src, dst, allowed)
+            );
+
+            scratch.distances(&topo, src, allowed);
+            let dist = traversal::bfs_distances_filtered(&topo, src, allowed);
+            for v in topo.nodes() {
+                prop_assert_eq!(scratch.distance(v), dist[v.index()]);
+            }
+
+            if found {
+                prop_assert!(path.windows(2).all(|w| topo.has_edge(w[0], w[1])));
+                prop_assert!(path[1..path.len().max(2) - 1].iter().all(|&v| allowed(v)));
+                if dst == src || allowed(dst) {
+                    prop_assert_eq!(Some(path.len() as u32 - 1), dist[dst.index()]);
+                }
+            } else {
+                prop_assert_eq!(dist[dst.index()], None);
+            }
+        }
+    }
 }

@@ -12,12 +12,14 @@
 //! hop counts, and a three-way drop taxonomy that separates
 //! congestion from control-plane unavailability.
 //!
-//! Mechanically it is a columnar batch engine in the workspace
-//! house style: an SoA packet table with free-list recycling, bounded
-//! per-node FIFO queues, and a forwarding pass that runs read-only
-//! examination shards over [`mwn_sim::run_pooled`] followed by a
-//! serial merge — so sharded and serial execution are byte-identical,
-//! the same discipline the round driver's active pass follows. It
+//! Mechanically it is a batch engine in the workspace house style:
+//! bounded per-node FIFO queues holding their packets by value,
+//! per-node forwarding tables, and a forwarding pass that runs
+//! read-only examination shards over [`mwn_sim::run_sharded`] into
+//! reused arenas followed by a serial merge — so sharded and serial
+//! execution are byte-identical, the same discipline the round
+//! driver's active pass follows, and a steady-state step does not
+//! allocate. It
 //! interoperates with all three drivers via [`run_rounds`], which is
 //! generic over [`mwn_sim::Driver`]: one traffic step per logical step.
 //!

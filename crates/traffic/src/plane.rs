@@ -1,6 +1,6 @@
-//! The traffic plane: columnar packet state, bounded per-node FIFO
-//! queues, and a batch forwarding pass sharded over
-//! [`mwn_sim::run_pooled`].
+//! The traffic plane: bounded per-node FIFO queues, per-node
+//! forwarding tables, and a batch forwarding pass sharded over
+//! [`mwn_sim::run_sharded`].
 //!
 //! # Execution model
 //!
@@ -12,7 +12,9 @@
 //!    source);
 //! 2. **resolve** — pending `(node, dst)` next-hop lookups are answered
 //!    from the supplied [`RoutingView`] (one full-route resolution
-//!    seeds the cache for every node along the path);
+//!    seeds the forwarding table of every node along the path), in
+//!    ascending key order: a later route overwrites the entries of an
+//!    earlier one where they cross, so the order is observable;
 //! 3. **forward** — each node serves up to `service_rate` packets from
 //!    its queue head: deliver when the next hop is the destination,
 //!    forward otherwise, and stop (head-of-line) when the next hop is
@@ -23,13 +25,29 @@
 //!
 //! The forward pass runs in two phases so it can use the shared worker
 //! pool without losing the workspace's sharded ≡ serial discipline:
-//! workers get read-only access to the frozen queues/cache/topology and
-//! emit per-node verdicts; a single-threaded merge then applies pops,
-//! pushes, capacity checks and drop accounting in ascending node
-//! order. Each node's verdicts depend only on its own queue plus the
-//! frozen shared state, so the shard count — `Auto`, forced via
-//! [`TrafficPlane::set_shards`] or the `MWN_FORCE_SHARDS` environment
-//! variable — cannot leak into any observable outcome.
+//! workers get read-only access to the frozen queues/tables/topology
+//! and emit per-node verdicts into their own arena; a single-threaded
+//! merge then applies pops, pushes, capacity checks and drop
+//! accounting in ascending node order. Each node's verdicts depend
+//! only on its own queue plus the frozen shared state, so the shard
+//! count — `Auto`, forced via [`TrafficPlane::set_shards`] or the
+//! `MWN_FORCE_SHARDS` environment variable — cannot leak into any
+//! observable outcome.
+//!
+//! # Cost
+//!
+//! A step costs what it touches. Route searches run on one
+//! [`RouteScratch`] the plane owns, so a resolution pays for the nodes
+//! its searches visit, not for the network; a next-hop lookup probes
+//! the forwarding node's own `dst → next` table, one cache line
+//! however many destinations the node relays for; packets sit by
+//! value in the queue of the node holding them, so serving a queue is
+//! one sequential read; the examine phase appends verdicts to
+//! per-shard arenas that are reused across steps; and injection walks
+//! only the flows that still have packets to send. Once every buffer
+//! has reached its high-water mark, a step without a resolve pass
+//! performs no heap allocation at one shard (`tests/alloc_audit.rs`
+//! of this crate).
 //!
 //! # Drop taxonomy
 //!
@@ -41,12 +59,12 @@
 //! * **expired** — TTL expired while a usable next hop existed
 //!   (starved by congestion, not by the control plane).
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
-use mwn_cluster::RoutingView;
+use mwn_cluster::{RouteScratch, RoutingView};
 use mwn_graph::{NodeId, Topology};
 use mwn_metrics::{LatencyHistogram, RunningStats};
-use mwn_sim::run_pooled;
+use mwn_sim::run_sharded;
 
 use crate::demand::FlowSpec;
 use crate::report::TrafficReport;
@@ -96,18 +114,128 @@ const AUTO_SHARD_MIN_LIVE: usize = 1024;
 #[derive(Clone, Copy, Debug)]
 enum Emit {
     /// Head packet's next hop is its destination: pop and deliver.
-    Deliver(u32),
+    Deliver,
     /// Pop and append to this neighbor's queue (capacity checked at
     /// merge).
-    Forward(u32, u32),
+    Forward(u32),
     /// Pop and drop: outlived its TTL.
-    Expired(u32),
+    Expired,
     /// No cached next hop toward this destination — head-of-line
     /// blocked, request a route.
     StuckNoRoute(u32),
     /// The cached next hop's link is gone — evict the cache entry and
     /// request a route.
     StuckBroken(u32, u32),
+}
+
+/// One node's memoized next hops, `dst → next` — the shape of a
+/// per-node routing table, so a lookup touches only the forwarding
+/// node's own entries. Open addressing with linear probing over a
+/// power-of-two slot array at most three-quarters full: a lookup reads
+/// one cache line however many destinations the node relays for
+/// (a binary search over a busy relay's ~150 sorted entries read four).
+/// Nothing ever iterates a table, so slot order is not observable.
+#[derive(Clone, Debug, Default)]
+struct NodeTable {
+    /// `(dst, next)`; `dst == VACANT` marks a free slot.
+    slots: Vec<(u32, u32)>,
+    len: usize,
+}
+
+/// No destination: [`TrafficPlane::new`] keeps node ids below it.
+const VACANT: u32 = u32::MAX;
+
+impl NodeTable {
+    /// Where the probe sequence of `dst` starts; `slots` is non-empty.
+    fn home(&self, dst: u32) -> usize {
+        // Fibonacci hashing: the top bits of the product mix all of
+        // `dst`; the slot count is a power of two, at least 4.
+        (dst.wrapping_mul(0x9E37_79B9) >> (32 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// The slot holding `dst`, or the vacant slot its probe ends at.
+    fn probe(&self, dst: u32) -> usize {
+        let mut i = self.home(dst);
+        while self.slots[i].0 != dst && self.slots[i].0 != VACANT {
+            i = (i + 1) & (self.slots.len() - 1);
+        }
+        i
+    }
+
+    fn get(&self, dst: u32) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let (d, next) = self.slots[self.probe(dst)];
+        (d == dst).then_some(next)
+    }
+
+    fn insert(&mut self, dst: u32, next: u32) {
+        if (self.len + 1) * 4 > self.slots.len() * 3 {
+            let grown = vec![(VACANT, 0); (self.slots.len() * 2).max(4)];
+            for (d, v) in std::mem::replace(&mut self.slots, grown) {
+                if d != VACANT {
+                    let i = self.probe(d);
+                    self.slots[i] = (d, v);
+                }
+            }
+        }
+        let i = self.probe(dst);
+        if self.slots[i].0 == VACANT {
+            self.len += 1;
+        }
+        self.slots[i] = (dst, next);
+    }
+
+    fn remove(&mut self, dst: u32) {
+        if self.slots.is_empty() {
+            return;
+        }
+        let mask = self.slots.len() - 1;
+        let mut hole = self.probe(dst);
+        if self.slots[hole].0 == VACANT {
+            return;
+        }
+        // Backward-shift deletion: close the hole with every later
+        // entry of the run whose probe sequence passes through it.
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let d = self.slots[j].0;
+            if d == VACANT {
+                break;
+            }
+            let from_home = j.wrapping_sub(self.home(d)) & mask;
+            if from_home >= (j.wrapping_sub(hole) & mask) {
+                self.slots[hole] = self.slots[j];
+                hole = j;
+            }
+        }
+        self.slots[hole] = (VACANT, 0);
+        self.len -= 1;
+    }
+}
+
+/// One in-flight packet. It lives in the queue of the node holding it
+/// and moves by value, so serving a queue reads its packets in one
+/// sequential sweep and there is no packet table to chase ids into.
+#[derive(Clone, Copy, Debug)]
+struct Packet {
+    /// Step it was injected at.
+    born: u64,
+    flow: u32,
+    /// Links traversed so far.
+    hops: u32,
+}
+
+/// One examine shard's reusable output: the verdicts of its nodes back
+/// to back, and where each node's run ends.
+#[derive(Debug, Default)]
+struct ShardArena {
+    emits: Vec<Emit>,
+    /// `(node, end of its run in emits)`, ascending by node; a run
+    /// starts where the previous one ends.
+    runs: Vec<(u32, u32)>,
 }
 
 /// The traffic-plane state machine; see the module docs.
@@ -144,18 +272,22 @@ pub struct TrafficPlane {
     flow_start: Vec<u64>,
     flow_injected: Vec<u64>,
     flow_delivered: Vec<u64>,
-    // Packet table (SoA) with free-list recycling.
-    pkt_flow: Vec<u32>,
-    pkt_born: Vec<u64>,
-    pkt_hops: Vec<u16>,
-    free: Vec<u32>,
+    // Flows that still have packets to inject, in flow order.
+    unfinished: Vec<u32>,
+    // Per-node bounded FIFO queues, and the packets across all of them.
+    queues: Vec<VecDeque<Packet>>,
     live: usize,
-    // Per-node bounded FIFO queues of packet ids.
-    queues: Vec<VecDeque<u32>>,
-    // Memoized next hop by (node, destination), plus the deterministic
-    // worklist of lookups awaiting the control plane.
-    next_hop: HashMap<(u32, u32), u32>,
+    // Memoized next hops per node, plus the deterministic worklist of
+    // `(node, dst)` lookups awaiting the control plane.
+    next_hop: Vec<NodeTable>,
     pending: BTreeSet<(u32, u32)>,
+    // Buffers reused across steps: the resolve pass's snapshot of
+    // `pending`, its search state and the route being installed; the
+    // forward pass's per-shard verdict arenas.
+    resolve_keys: Vec<(u32, u32)>,
+    route_scratch: RouteScratch,
+    route: Vec<NodeId>,
+    arenas: Vec<ShardArena>,
     // Accounting.
     steps: u64,
     injected: u64,
@@ -176,7 +308,12 @@ impl TrafficPlane {
     /// A traffic plane over `nodes` nodes. Honors the
     /// `MWN_FORCE_SHARDS` environment variable exactly like the round
     /// driver; [`TrafficPlane::set_shards`] overrides both.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `nodes` exceeds `u32::MAX`, the id space.
     pub fn new(nodes: usize, cfg: TrafficConfig) -> Self {
+        assert!(nodes <= VACANT as usize, "node ids are 32-bit");
         let shards = std::env::var("MWN_FORCE_SHARDS")
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
@@ -191,14 +328,15 @@ impl TrafficPlane {
             flow_start: Vec::new(),
             flow_injected: Vec::new(),
             flow_delivered: Vec::new(),
-            pkt_flow: Vec::new(),
-            pkt_born: Vec::new(),
-            pkt_hops: Vec::new(),
-            free: Vec::new(),
-            live: 0,
+            unfinished: Vec::new(),
             queues: vec![VecDeque::new(); nodes],
-            next_hop: HashMap::new(),
+            live: 0,
+            next_hop: vec![NodeTable::default(); nodes],
             pending: BTreeSet::new(),
+            resolve_keys: Vec::new(),
+            route_scratch: RouteScratch::new(),
+            route: Vec::new(),
+            arenas: Vec::new(),
             steps: 0,
             injected: 0,
             delivered: 0,
@@ -239,6 +377,9 @@ impl TrafficPlane {
         self.flow_start.push(flow.start);
         self.flow_injected.push(0);
         self.flow_delivered.push(0);
+        if flow.packets > 0 {
+            self.unfinished.push((self.flow_src.len() - 1) as u32);
+        }
         self.pending.insert((flow.src.value(), flow.dst.value()));
     }
 
@@ -291,12 +432,7 @@ impl TrafficPlane {
     /// `true` once every flow has injected its full size and no packet
     /// is in flight.
     pub fn is_drained(&self) -> bool {
-        self.live == 0
-            && self
-                .flow_injected
-                .iter()
-                .zip(&self.flow_size)
-                .all(|(i, s)| i == s)
+        self.live == 0 && self.unfinished.is_empty()
     }
 
     /// Packets currently queued somewhere in the network.
@@ -327,101 +463,149 @@ impl TrafficPlane {
         self.forward(topo, now);
     }
 
-    /// Phase 1: flows feed their source queues, in flow order.
+    /// Phase 1: flows feed their source queues, in flow order. Only
+    /// flows with packets left are visited; one that injects its last
+    /// packet leaves the list.
     fn inject(&mut self, now: u64) {
-        for f in 0..self.flow_src.len() {
-            if now < self.flow_start[f].max(1) {
-                continue;
-            }
-            let remaining = self.flow_size[f] - self.flow_injected[f];
-            if remaining == 0 {
-                continue;
-            }
-            let src = self.flow_src[f] as usize;
-            let burst = self.cfg.inject_rate.min(remaining);
-            for _ in 0..burst {
-                if self.queues[src].len() >= self.cfg.queue_capacity {
-                    self.deferred += 1;
-                    break;
-                }
-                let p = self.alloc(f as u32, now);
-                self.queues[src].push_back(p);
-                self.injected += 1;
-                self.flow_injected[f] += 1;
-                self.live += 1;
-            }
-        }
+        let mut unfinished = std::mem::take(&mut self.unfinished);
+        unfinished.retain(|&f| self.inject_flow(f as usize, now));
+        self.unfinished = unfinished;
     }
 
-    /// Phase 2: answer pending `(node, dst)` lookups from the view.
-    /// One successful full-route resolution seeds the cache for every
-    /// node along the path. A destination that fails once is skipped
-    /// for the rest of this pass (unreachable for one node usually
-    /// means unreachable for all), and stays pending for the next.
+    /// Feeds one unfinished flow; `false` once it has injected its
+    /// full size.
+    fn inject_flow(&mut self, f: usize, now: u64) -> bool {
+        if now < self.flow_start[f].max(1) {
+            return true;
+        }
+        let remaining = self.flow_size[f] - self.flow_injected[f];
+        let src = self.flow_src[f] as usize;
+        let burst = self.cfg.inject_rate.min(remaining);
+        for _ in 0..burst {
+            if self.queues[src].len() >= self.cfg.queue_capacity {
+                self.deferred += 1;
+                break;
+            }
+            self.queues[src].push_back(Packet {
+                born: now,
+                flow: f as u32,
+                hops: 0,
+            });
+            self.injected += 1;
+            self.flow_injected[f] += 1;
+            self.live += 1;
+        }
+        self.flow_injected[f] < self.flow_size[f]
+    }
+
+    /// Phase 2: answer pending `(node, dst)` lookups from the view, in
+    /// key order. One successful full-route resolution seeds the table
+    /// of every node along the path. A destination that fails once is
+    /// skipped for the rest of this pass (unreachable for one node
+    /// usually means unreachable for all), and stays pending for the
+    /// next.
     fn resolve<R: RoutingView>(&mut self, topo: &Topology, view: &R) {
-        let keys: Vec<(u32, u32)> = self.pending.iter().copied().collect();
+        let mut keys = std::mem::take(&mut self.resolve_keys);
+        keys.clear();
+        keys.extend(self.pending.iter().copied());
         let mut failed_dsts: BTreeSet<u32> = BTreeSet::new();
-        for (u, dst) in keys {
+        for &(u, dst) in &keys {
             if failed_dsts.contains(&dst) {
                 continue;
             }
-            if self.next_hop.contains_key(&(u, dst)) {
+            if self.next_hop[u as usize].get(dst).is_some() {
                 // Seeded by an earlier resolution in this pass.
                 self.pending.remove(&(u, dst));
                 continue;
             }
-            match view.route(topo, NodeId::new(u), NodeId::new(dst)) {
-                Some(path) => {
-                    self.route_resolutions += 1;
-                    for w in path.windows(2) {
-                        self.next_hop.insert((w[0].value(), dst), w[1].value());
-                    }
-                    self.pending.remove(&(u, dst));
+            let (src, to) = (NodeId::new(u), NodeId::new(dst));
+            if view.route_into(topo, src, to, &mut self.route_scratch, &mut self.route) {
+                self.route_resolutions += 1;
+                for w in self.route.windows(2) {
+                    self.next_hop[w[0].index()].insert(dst, w[1].value());
                 }
-                None => {
-                    failed_dsts.insert(dst);
-                }
+                self.pending.remove(&(u, dst));
+            } else {
+                failed_dsts.insert(dst);
             }
         }
+        self.resolve_keys = keys;
     }
 
-    /// Phase 3: the batch forwarding pass — read-only sharded examine,
-    /// then a serial merge in node order.
+    /// Phase 3: the batch forwarding pass — read-only sharded examine
+    /// into the per-shard arenas, then a serial merge in node order.
     fn forward(&mut self, topo: &Topology, now: u64) {
         if self.live == 0 {
             return;
         }
         let shards = self.shard_count();
         let chunk = self.nodes.div_ceil(shards);
-
-        let verdicts: Vec<Vec<(u32, Vec<Emit>)>> = {
-            let queues = &self.queues;
-            let next_hop = &self.next_hop;
-            let pkt_flow = &self.pkt_flow;
-            let pkt_born = &self.pkt_born;
-            let flow_dst = &self.flow_dst;
-            let cfg = self.cfg;
-            run_pooled(shards, shards, move |s| {
-                let lo = s * chunk;
-                let hi = ((s + 1) * chunk).min(queues.len());
-                let mut out = Vec::new();
-                for (u, queue) in queues.iter().enumerate().take(hi).skip(lo) {
-                    if queue.is_empty() {
+        let mut arenas = std::mem::take(&mut self.arenas);
+        arenas.resize_with(shards, ShardArena::default);
+        {
+            let plane = &*self;
+            run_sharded(&mut arenas, |s, arena| {
+                arena.emits.clear();
+                arena.runs.clear();
+                let lo = (s * chunk).min(plane.nodes);
+                let hi = ((s + 1) * chunk).min(plane.nodes);
+                for u in lo..hi {
+                    if plane.queues[u].is_empty() {
                         continue;
                     }
-                    let emits = examine_node(
-                        u as u32, queue, topo, next_hop, pkt_flow, pkt_born, flow_dst, &cfg, now,
-                    );
-                    if !emits.is_empty() {
-                        out.push((u as u32, emits));
+                    let before = arena.emits.len();
+                    plane.examine_node(topo, now, u as u32, &mut arena.emits);
+                    if arena.emits.len() > before {
+                        arena.runs.push((u as u32, arena.emits.len() as u32));
                     }
                 }
-                out
-            })
-        };
+            });
+        }
+        for arena in &arenas {
+            let mut start = 0;
+            for &(u, end) in &arena.runs {
+                self.merge_node(topo, now, u, &arena.emits[start..end as usize]);
+                start = end as usize;
+            }
+        }
+        self.arenas = arenas;
+    }
 
-        for (u, emits) in verdicts.into_iter().flatten() {
-            self.merge_node(topo, now, u, &emits);
+    /// The read-only per-node examine step: serves up to
+    /// `service_rate` packets from the queue front, stopping at the
+    /// first head-of-line blockage. Reads only state that is frozen
+    /// for the whole pass — this is what makes the sharded pass
+    /// trivially deterministic.
+    fn examine_node(&self, topo: &Topology, now: u64, u: u32, out: &mut Vec<Emit>) {
+        let mut credits = self.cfg.service_rate;
+        for pkt in &self.queues[u as usize] {
+            if credits == 0 {
+                break;
+            }
+            let dst = self.flow_dst[pkt.flow as usize];
+            if now - pkt.born > self.cfg.ttl {
+                // Expiry frees the slot without consuming a service credit.
+                out.push(Emit::Expired);
+                continue;
+            }
+            match self.next_hop[u as usize].get(dst) {
+                None => {
+                    out.push(Emit::StuckNoRoute(dst));
+                    break;
+                }
+                Some(v) => {
+                    if !topo.has_edge(NodeId::new(u), NodeId::new(v)) {
+                        out.push(Emit::StuckBroken(dst, v));
+                        break;
+                    }
+                    if v == dst {
+                        out.push(Emit::Deliver);
+                    } else {
+                        out.push(Emit::Forward(v));
+                    }
+                    credits -= 1;
+                }
+            }
         }
     }
 
@@ -430,81 +614,64 @@ impl TrafficPlane {
     fn merge_node(&mut self, topo: &Topology, now: u64, u: u32, emits: &[Emit]) {
         for &e in emits {
             match e {
-                Emit::Deliver(p) => {
-                    let popped = self.queues[u as usize].pop_front();
-                    debug_assert_eq!(popped, Some(p));
-                    let f = self.pkt_flow[p as usize] as usize;
+                Emit::Deliver => {
+                    let pkt = self.pop(u);
+                    let f = pkt.flow as usize;
                     let dst = self.flow_dst[f];
-                    let hops = u64::from(self.pkt_hops[p as usize]) + 1;
+                    let hops = u64::from(pkt.hops) + 1;
                     self.delivered += 1;
                     self.flow_delivered[f] += 1;
-                    self.latency
-                        .record((now - self.pkt_born[p as usize]) as f64);
+                    self.latency.record((now - pkt.born) as f64);
                     self.hop_stats.push(hops as f64);
                     self.max_hops = self.max_hops.max(hops);
                     if let Some(log) = self.audit.as_mut() {
                         log.push((now, u, dst));
                     }
-                    self.release(p);
+                    self.live -= 1;
                 }
-                Emit::Forward(p, v) => {
-                    let popped = self.queues[u as usize].pop_front();
-                    debug_assert_eq!(popped, Some(p));
+                Emit::Forward(v) => {
+                    let mut pkt = self.pop(u);
                     if self.queues[v as usize].len() >= self.cfg.queue_capacity {
                         self.dropped_overflow += 1;
-                        self.release(p);
+                        self.live -= 1;
                     } else {
-                        self.pkt_hops[p as usize] = self.pkt_hops[p as usize].saturating_add(1);
-                        self.queues[v as usize].push_back(p);
+                        pkt.hops += 1;
+                        self.queues[v as usize].push_back(pkt);
                         if let Some(log) = self.audit.as_mut() {
                             log.push((now, u, v));
                         }
                     }
                 }
-                Emit::Expired(p) => {
-                    let popped = self.queues[u as usize].pop_front();
-                    debug_assert_eq!(popped, Some(p));
-                    let dst = self.flow_dst[self.pkt_flow[p as usize] as usize];
-                    let usable = self
-                        .next_hop
-                        .get(&(u, dst))
-                        .is_some_and(|&v| topo.has_edge(NodeId::new(u), NodeId::new(v)));
+                Emit::Expired => {
+                    let pkt = self.pop(u);
+                    let dst = self.flow_dst[pkt.flow as usize];
+                    let usable = self.next_hop[u as usize]
+                        .get(dst)
+                        .is_some_and(|v| topo.has_edge(NodeId::new(u), NodeId::new(v)));
                     if usable {
                         self.dropped_expired += 1;
                     } else {
                         self.dropped_stranded += 1;
                     }
-                    self.release(p);
+                    self.live -= 1;
                 }
                 Emit::StuckNoRoute(dst) => {
                     self.pending.insert((u, dst));
                 }
                 Emit::StuckBroken(dst, v) => {
-                    debug_assert_eq!(self.next_hop.get(&(u, dst)), Some(&v));
-                    self.next_hop.remove(&(u, dst));
+                    debug_assert_eq!(self.next_hop[u as usize].get(dst), Some(v));
+                    self.next_hop[u as usize].remove(dst);
                     self.pending.insert((u, dst));
                 }
             }
         }
     }
 
-    fn alloc(&mut self, flow: u32, now: u64) -> u32 {
-        if let Some(p) = self.free.pop() {
-            self.pkt_flow[p as usize] = flow;
-            self.pkt_born[p as usize] = now;
-            self.pkt_hops[p as usize] = 0;
-            p
-        } else {
-            self.pkt_flow.push(flow);
-            self.pkt_born.push(now);
-            self.pkt_hops.push(0);
-            (self.pkt_flow.len() - 1) as u32
-        }
-    }
-
-    fn release(&mut self, p: u32) {
-        self.free.push(p);
-        self.live -= 1;
+    /// Takes the head of `u`'s queue, for a verdict that serves it.
+    fn pop(&mut self, u: u32) -> Packet {
+        self.queues[u as usize]
+            .pop_front()
+            .expect("a serving verdict describes a queued packet")
     }
 
     fn shard_count(&self) -> usize {
@@ -561,56 +728,6 @@ impl TrafficPlane {
             route_resolutions: self.route_resolutions,
         }
     }
-}
-
-/// The read-only per-node examine step: serves up to `service_rate`
-/// packets from the queue front, stopping at the first head-of-line
-/// blockage. Pure function of the frozen inputs — this is what makes
-/// the sharded pass trivially deterministic.
-#[allow(clippy::too_many_arguments)]
-fn examine_node(
-    u: u32,
-    queue: &VecDeque<u32>,
-    topo: &Topology,
-    next_hop: &HashMap<(u32, u32), u32>,
-    pkt_flow: &[u32],
-    pkt_born: &[u64],
-    flow_dst: &[u32],
-    cfg: &TrafficConfig,
-    now: u64,
-) -> Vec<Emit> {
-    let mut out = Vec::new();
-    let mut credits = cfg.service_rate;
-    for &p in queue {
-        if credits == 0 {
-            break;
-        }
-        let dst = flow_dst[pkt_flow[p as usize] as usize];
-        if now - pkt_born[p as usize] > cfg.ttl {
-            // Expiry frees the slot without consuming a service credit.
-            out.push(Emit::Expired(p));
-            continue;
-        }
-        match next_hop.get(&(u, dst)) {
-            None => {
-                out.push(Emit::StuckNoRoute(dst));
-                break;
-            }
-            Some(&v) => {
-                if !topo.has_edge(NodeId::new(u), NodeId::new(v)) {
-                    out.push(Emit::StuckBroken(dst, v));
-                    break;
-                }
-                if v == dst {
-                    out.push(Emit::Deliver(p));
-                } else {
-                    out.push(Emit::Forward(p, v));
-                }
-                credits -= 1;
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -757,6 +874,97 @@ mod tests {
         for shards in [2, 3, 8] {
             assert_eq!(run(shards), serial, "shards={shards} diverged");
         }
+    }
+
+    /// The store the per-node tables replaced — one `HashMap` keyed by
+    /// `(node, dst)` — kept as the model they are checked against:
+    /// random inserts, overwrites, evictions and lookups over a few
+    /// nodes, with destinations drawn from a small range so probe runs
+    /// collide, wrap around the slot array and get holes punched in
+    /// their middles.
+    #[test]
+    fn node_tables_behave_like_the_global_hash_map() {
+        use rand::Rng;
+        use std::collections::HashMap;
+        for seed in 0..20 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut tables = vec![NodeTable::default(); 3];
+            let mut model: HashMap<(u32, u32), u32> = HashMap::new();
+            let dsts = rng.random_range(4..200u32);
+            for _ in 0..2_000 {
+                let (u, dst) = (rng.random_range(0..3u32), rng.random_range(0..dsts));
+                match rng.random_range(0..3u32) {
+                    0 => {
+                        model.remove(&(u, dst));
+                        tables[u as usize].remove(dst);
+                    }
+                    _ => {
+                        let next = rng.random_range(0..1_000u32);
+                        model.insert((u, dst), next);
+                        tables[u as usize].insert(dst, next);
+                    }
+                }
+                let probe = rng.random_range(0..dsts);
+                assert_eq!(
+                    tables[u as usize].get(probe),
+                    model.get(&(u, probe)).copied(),
+                    "seed {seed}: node {u}, dst {probe}"
+                );
+            }
+            for u in 0..3u32 {
+                let held = model.keys().filter(|k| k.0 == u).count();
+                assert_eq!(tables[u as usize].len, held);
+                for dst in 0..dsts {
+                    assert_eq!(tables[u as usize].get(dst), model.get(&(u, dst)).copied());
+                }
+            }
+        }
+    }
+
+    /// A packet shuttled between two relays by a link that keeps
+    /// moving: the hop count it is delivered with is the number of
+    /// links it crossed, also past 65 535 (the old `u16` column
+    /// saturated there, under-reporting `mean_hops` and `max_hops`).
+    #[test]
+    fn hop_counts_past_the_old_u16_cap_are_exact() {
+        // 0 - 1 - 2, and the same line with the last link moved to
+        // 0 - 2. Whichever relay holds the packet, two steps on the
+        // other layout take its cached link toward 2 away, then hand
+        // the packet to the other relay: one hop per two steps.
+        let near = builders::line(3);
+        let mut far = near.clone();
+        far.remove_edge(NodeId::new(1), NodeId::new(2));
+        far.add_edge(NodeId::new(0), NodeId::new(2))
+            .expect("in range");
+        let cfg = TrafficConfig {
+            ttl: u64::MAX / 4,
+            ..TrafficConfig::default()
+        };
+        let mut plane = TrafficPlane::new(3, cfg);
+        plane.set_shards(Some(1)); // 140 000 steps: no thread spawn per step
+        plane.set_audit(true);
+        plane.add_flow(FlowSpec {
+            src: NodeId::new(0),
+            dst: NodeId::new(2),
+            packets: 1,
+            start: 0,
+        });
+        plane.on_step(&near, Some(&FlatRoutes)); // 0 → 1, next hop 2 cached
+        for _ in 0..35_000 {
+            for topo in [&far, &far, &near, &near] {
+                plane.on_step(topo, Some(&FlatRoutes));
+            }
+        }
+        assert_eq!(plane.report().delivered, 0, "still shuttling");
+        for _ in 0..4 {
+            plane.on_step(&near, Some(&FlatRoutes));
+        }
+        let report = plane.report();
+        let crossed = plane.take_audit().len() as u64;
+        assert_eq!(report.delivered, 1);
+        assert!(crossed > 70_000, "only {crossed} links crossed");
+        assert_eq!(report.max_hops, crossed);
+        assert_eq!(report.mean_hops, crossed as f64);
     }
 
     use rand::SeedableRng;
