@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use mwn_sim::{put_u32, take_u32, Corruptible, Observable, Protocol, WireBeacon};
+use mwn_sim::{put_u32, Corruptible, Observable, Protocol, WireBeacon};
 
 use crate::dag::new_id;
 use crate::{
@@ -300,39 +300,63 @@ impl WireBeacon for ClusterBeacon {
     }
 
     fn decode(bytes: &[u8]) -> Option<Self> {
-        let mut bytes = bytes;
-        let dag_id = take_u32(&mut bytes)?;
-        let links = take_u32(&mut bytes)?;
-        let degree = take_u32(&mut bytes)?;
-        let head = NodeId::new(take_u32(&mut bytes)?);
-        let len = take_u32(&mut bytes)? as usize;
-        // A length prefix larger than the remaining frame is malformed;
-        // checking first keeps a hostile prefix from reserving memory.
-        if bytes.len() < len * 20 {
-            return None;
+        let mut beacon = ClusterBeacon {
+            dag_id: 0,
+            density: Density::zero(),
+            head: NodeId::new(0),
+            view: Vec::new(),
+        };
+        Self::decode_into(bytes, &mut beacon).then_some(beacon)
+    }
+
+    /// The one parser: refills `out.view` in place, so a receiver that
+    /// decodes every frame into the same pooled beacon stops allocating
+    /// once the view has reached the largest neighbourhood it has seen.
+    fn decode_into(bytes: &[u8], out: &mut Self) -> bool {
+        let word = |words: &[u8], i: usize| {
+            u32::from_le_bytes([
+                words[4 * i],
+                words[4 * i + 1],
+                words[4 * i + 2],
+                words[4 * i + 3],
+            ])
+        };
+        let Some((header, body)) = bytes.split_first_chunk::<HEADER_BYTES>() else {
+            return false;
+        };
+        // The length prefix must account for exactly the rest of the
+        // frame. Checked before `out` is touched or any memory is
+        // reserved, and overflow-proof: a hostile prefix whose byte
+        // count wraps `usize` is malformed, not a small number.
+        let expected = usize::try_from(word(header, 4))
+            .ok()
+            .and_then(|len| len.checked_mul(PEER_SUMMARY_BYTES));
+        if expected != Some(body.len()) {
+            return false;
         }
-        let mut view = Vec::with_capacity(len);
-        for _ in 0..len {
-            let id = NodeId::new(take_u32(&mut bytes)?);
-            let dag_id = take_u32(&mut bytes)?;
-            let links = take_u32(&mut bytes)?;
-            let degree = take_u32(&mut bytes)?;
-            let head = NodeId::new(take_u32(&mut bytes)?);
-            view.push(PeerSummary {
-                id,
-                dag_id,
-                density: Density::ratio(links, degree),
-                head,
-            });
-        }
-        bytes.is_empty().then_some(ClusterBeacon {
-            dag_id,
-            density: Density::ratio(links, degree),
-            head,
-            view,
-        })
+        out.dag_id = word(header, 0);
+        out.density = Density::ratio(word(header, 1), word(header, 2));
+        out.head = NodeId::new(word(header, 3));
+        out.view.clear();
+        out.view.extend(
+            body.chunks_exact(PEER_SUMMARY_BYTES)
+                .map(|entry| PeerSummary {
+                    id: NodeId::new(word(entry, 0)),
+                    dag_id: word(entry, 1),
+                    density: Density::ratio(word(entry, 2), word(entry, 3)),
+                    head: NodeId::new(word(entry, 4)),
+                }),
+        );
+        true
     }
 }
+
+/// Wire size of the frame header: the sender's four shared-variable
+/// words and the view's length prefix.
+const HEADER_BYTES: usize = 20;
+
+/// Wire size of one [`PeerSummary`]: five little-endian `u32`s.
+const PEER_SUMMARY_BYTES: usize = 20;
 
 /// The self-stabilizing density-driven clustering protocol.
 ///

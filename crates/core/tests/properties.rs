@@ -3,12 +3,13 @@
 
 use mwn_cluster::{
     check_legitimate, density_from_tables, density_of, extract_clustering, extract_dag_ids,
-    is_locally_unique, keys_of, oracle, ClusterConfig, DagConfig, DagProtocol, DagVariant, Density,
-    DensityCluster, HeadRule, Key, MetricKind, NameSpace, OracleConfig, OrderKind,
+    is_locally_unique, keys_of, oracle, ClusterBeacon, ClusterConfig, DagConfig, DagProtocol,
+    DagVariant, Density, DensityCluster, HeadRule, Key, MetricKind, NameSpace, OracleConfig,
+    OrderKind, PeerSummary,
 };
 use mwn_graph::{builders, NodeId, Topology};
 use mwn_radio::BernoulliLoss;
-use mwn_sim::{Scenario, StopWhen};
+use mwn_sim::{Scenario, StopWhen, WireBeacon};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,8 +31,96 @@ fn key_strategy() -> impl Strategy<Value = Key> {
     )
 }
 
+fn beacon_strategy() -> impl Strategy<Value = ClusterBeacon> {
+    let word = || 0u32..=u32::MAX;
+    let summary = (word(), word(), word(), 1u32..=u32::MAX, word()).prop_map(
+        |(id, dag_id, links, degree, head)| PeerSummary {
+            id: NodeId::new(id),
+            dag_id,
+            density: Density::ratio(links, degree),
+            head: NodeId::new(head),
+        },
+    );
+    (
+        word(),
+        word(),
+        1u32..=u32::MAX,
+        word(),
+        proptest::collection::vec(summary, 0..12),
+    )
+        .prop_map(|(dag_id, links, degree, head, view)| ClusterBeacon {
+            dag_id,
+            density: Density::ratio(links, degree),
+            head: NodeId::new(head),
+            view,
+        })
+}
+
+/// `decode_into` against `decode` on one byte string, for a pooled
+/// beacon holding anything: same verdict, same beacon on success, the
+/// pool untouched on failure.
+fn check_codec_agreement(bytes: &[u8], pooled: &ClusterBeacon) -> Result<(), TestCaseError> {
+    let mut out = pooled.clone();
+    let accepted = ClusterBeacon::decode_into(bytes, &mut out);
+    match ClusterBeacon::decode(bytes) {
+        Some(decoded) => {
+            prop_assert!(
+                accepted,
+                "decode accepts {} bytes, decode_into does not",
+                bytes.len()
+            );
+            prop_assert_eq!(&out, &decoded);
+        }
+        None => {
+            prop_assert!(
+                !accepted,
+                "decode rejects {} bytes, decode_into does not",
+                bytes.len()
+            );
+            prop_assert_eq!(&out, pooled);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The wire codec under garbage: on the exact frame, every
+    /// truncation, extensions, forged length prefixes and random byte
+    /// strings, `decode` and `decode_into` never panic and always
+    /// agree — whatever the pooled beacon held before (a longer view, a
+    /// shorter one, another head).
+    #[test]
+    fn codec_survives_garbage_and_decode_into_agrees(
+        beacon in beacon_strategy(),
+        pooled in beacon_strategy(),
+        tail in proptest::collection::vec(0u8..=255, 1..48),
+        noise in proptest::collection::vec(0u8..=255, 0..160),
+        forged_len in 0u32..=u32::MAX,
+    ) {
+        let mut frame = Vec::new();
+        beacon.encode(&mut frame);
+        prop_assert_eq!(ClusterBeacon::decode(&frame), Some(beacon.clone()));
+        let empty = ClusterBeacon { view: Vec::new(), ..pooled.clone() };
+        for pooled in [&pooled, &empty, &beacon] {
+            for cut in 0..=frame.len() {
+                check_codec_agreement(&frame[..cut], pooled)?;
+            }
+            check_codec_agreement(&[&frame[..], &tail[..]].concat(), pooled)?;
+            check_codec_agreement(&noise, pooled)?;
+            // A forged prefix: the byte count it promises may be far
+            // past the frame, or wrap a 32-bit `usize` (k · 2³² / 20).
+            for len in [forged_len, u32::MAX, 0xCCCC_CCCD, 0x3333_3334, beacon.view.len() as u32 + 1] {
+                let mut forged = frame.clone();
+                forged[16..20].copy_from_slice(&len.to_le_bytes());
+                if len as usize != beacon.view.len() {
+                    prop_assert_eq!(ClusterBeacon::decode(&forged), None);
+                }
+                check_codec_agreement(&forged, pooled)?;
+            }
+        }
+    }
 
     /// ≺ is a strict total order on keys with distinct unique ids.
     #[test]

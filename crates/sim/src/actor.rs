@@ -22,20 +22,43 @@
 //! 1. **Slot release** — mobility ticks and scripted faults for period
 //!    `k` fire first (the *fault ≤ send* ordering contract), then every
 //!    send-pending actor's beacon slot is released at once.
-//! 2. **Send phase** — the released actors run concurrently on the
-//!    worker pool: each evaluates its frame fates through the shared
-//!    [`MediumProxy`], encodes its beacon once, and pushes one frame
-//!    copy into each lucky receiver's bounded mailbox.
+//! 2. **Send phase** — the released actors run concurrently: the
+//!    sender list is cut into one contiguous chunk per worker, and each
+//!    worker evaluates its senders' frame fates through the shared
+//!    [`MediumProxy`], encodes every beacon **once** into its own byte
+//!    arena (cleared at the start of the period, capacity kept), and
+//!    pushes one small `Copy` frame header — sender, epoch, and where
+//!    the payload sits (`arena`, `off`, `len`) — into each lucky
+//!    receiver's bounded mailbox.
 //! 3. **Quiescence barrier** — the governor waits until every released
 //!    slot has quiesced (all sends delivered), then releases the
-//!    receive side: actors with mail or pending guards drain their
-//!    mailboxes **in arrival order**, decode, receive, and run one pass
-//!    of guarded assignments.
+//!    receive side. The candidates (actors with mail or pending guards)
+//!    are sorted by node, so contiguous candidate chunks cover disjoint
+//!    contiguous runs of the state column: the column is split with
+//!    `split_at_mut`, each worker owns its run, and its actors drain
+//!    their mailboxes **in arrival order**, decode every fresh frame
+//!    from the sender's arena into the worker's one pooled beacon,
+//!    receive, and run one pass of guarded assignments — all **in
+//!    place**, no state is copied out or moved back. Whether an actor
+//!    changed is decided by the round driver's own rule (a scratch
+//!    snapshot taken before the first mutation, compared after the
+//!    update); reception-row patches and the changed list go to
+//!    per-worker arenas that the governor applies in worker order,
+//!    which is ascending node order.
+//!
+//! Every buffer either phase writes is owned by a worker and reused
+//! across periods, so a steady-state period allocates nothing per
+//! sender, per frame or per actor — what is left is the period's list
+//! of receive shards (`tests/alloc_audit.rs`). The worker count is
+//! `min(threads, work items)`, so a quiet period spawns nothing.
 //!
 //! Within a slot the interleaving is genuinely nondeterministic: with
-//! `threads > 1` the OS scheduler decides the cross-sender arrival
-//! order in every mailbox, and receivers process frames in exactly that
-//! order. Across slots the governor keeps the run aligned with the
+//! `threads > 1` the OS scheduler decides how the send workers'
+//! pushes interleave in every mailbox (each worker walks its own chunk
+//! in ascending sender order; across workers anything goes), and
+//! receivers process frames in exactly that order. Which worker runs
+//! an actor, and in which arena a payload sits, never reaches the
+//! outcome. Across slots the governor keeps the run aligned with the
 //! synchronous rounds, which is what keeps huge actor counts feasible
 //! and the comparison against the other drivers meaningful:
 //!
@@ -54,27 +77,32 @@
 //! as the other two: scripted faults, mobility ticks at period
 //! boundaries, [`StopWhen`] conditions, and [`RunReport`] results.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Mutex, MutexGuard};
 
 use mwn_graph::{NodeId, Point2, Topology, TopologyDelta};
 use mwn_radio::{Medium, PerfectMedium};
 
-use crate::engine::{self, run_pooled, Env, NodeSet};
+use crate::engine::{self, run_sharded, Env, NodeSet};
 use crate::error::SimError;
 use crate::faults::Fault;
 use crate::network::StepActivity;
 use crate::observable::Observable;
 use crate::protocol::{Corruptible, Protocol};
-use crate::rng::streams;
+use crate::rng::{split_rng, streams};
 use crate::stop::{RunReport, StopWhen};
 use crate::wire::WireBeacon;
 
-/// One serialized beacon in flight: the wire bytes plus the routing
-/// metadata a link layer would carry in the frame header.
+/// One serialized beacon in flight: the routing metadata a link layer
+/// would carry in the frame header, plus where the wire bytes sit —
+/// `bytes[off..off + len]` of send worker `arena`'s byte arena, written
+/// once per sender and read by every receiver of the period.
+#[derive(Clone, Copy)]
 struct ActorFrame {
     sender: NodeId,
     epoch: u32,
-    payload: Arc<[u8]>,
+    arena: u32,
+    off: u32,
+    len: u32,
 }
 
 /// A bounded multi-producer mailbox: the channel end of one actor.
@@ -95,18 +123,19 @@ impl Mailbox {
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, Vec<ActorFrame>> {
+        self.queue
+            .lock()
+            .expect("no worker panics while holding a mailbox")
+    }
+
     fn push(&self, frame: ActorFrame) {
-        let mut q = self.queue.lock().expect("mailbox lock");
+        let mut q = self.lock();
         assert!(
             q.len() < self.capacity.max(1),
             "mailbox overflow: more than one frame per neighbor per period"
         );
         q.push(frame);
-    }
-
-    fn drain_into(&self, out: &mut Vec<ActorFrame>) {
-        out.clear();
-        out.append(&mut self.queue.lock().expect("mailbox lock"));
     }
 }
 
@@ -119,9 +148,10 @@ struct MediumProxy<'a, M> {
 }
 
 impl<M: Medium> MediumProxy<'_, M> {
-    /// Which neighbors hear `sender`'s period-`k` frame; returns the
-    /// attempted copy count. Identical stream keying to the round
-    /// driver's delivery phase, so both drivers drop the same copies.
+    /// Which neighbors hear `sender`'s period-`k` frame (`heard` is
+    /// overwritten); returns the attempted copy count. Identical stream
+    /// keying to the round driver's delivery phase, so both drivers
+    /// drop the same copies.
     fn fates(
         &self,
         topo: &Topology,
@@ -129,21 +159,97 @@ impl<M: Medium> MediumProxy<'_, M> {
         sender: NodeId,
         heard: &mut Vec<NodeId>,
     ) -> usize {
-        let mut rng = crate::rng::split_rng(self.medium_base, period, u64::from(sender.value()));
+        heard.clear();
+        let mut rng = split_rng(self.medium_base, period, u64::from(sender.value()));
         self.medium.proxy_fates(topo, sender, &mut rng, heard)
     }
 }
 
-/// The per-candidate outcome of one receive-phase actor execution,
-/// merged back by the governor in deterministic (sorted) order.
-struct NodeOutcome<P: Protocol> {
-    /// The actor's post-period state; `None` when the actor stayed
-    /// inactive (gated, no pending guards, nothing fresh in the mail).
-    state: Option<P::State>,
-    /// Reception-row patches: `(adjacency slot, incorporated epoch)`.
-    patches: Vec<(u32, u32)>,
-    receives: u32,
-    changed: bool,
+/// One send worker's reusable buffers. `bytes` is the worker's byte
+/// arena: every beacon it encodes this period, back to back, addressed
+/// by the [`ActorFrame`]s it pushed. `align(64)` keeps two workers'
+/// counters off one cache line.
+#[repr(align(64))]
+#[derive(Default)]
+struct SendScratch {
+    heard: Vec<NodeId>,
+    bytes: Vec<u8>,
+    attempted: usize,
+    delivered: usize,
+}
+
+/// One receive worker's reusable buffers: the pooled decode target, the
+/// pre-period snapshot for change detection, and the arenas the
+/// governor applies after the barrier.
+#[repr(align(64))]
+struct RecvScratch<P: Protocol> {
+    beacon: Option<P::Beacon>,
+    snapshot: Option<P::State>,
+    /// Reception-row writes: `(receiver, adjacency slot, epoch)`.
+    patches: Vec<(NodeId, u32, u32)>,
+    /// Actors whose state changed this period, ascending.
+    changed: Vec<NodeId>,
+    receives: usize,
+    updates: usize,
+}
+
+impl<P: Protocol> RecvScratch<P> {
+    fn new() -> Self {
+        RecvScratch {
+            beacon: None,
+            snapshot: None,
+            patches: Vec::new(),
+            changed: Vec::new(),
+            receives: 0,
+            updates: 0,
+        }
+    }
+}
+
+/// A receive-phase candidate: the actor and whether its guards are
+/// pending regardless of mail.
+type Candidate = (NodeId, bool);
+
+/// One receive worker's share of a period: a contiguous chunk of the
+/// sorted candidates, the contiguous run of the state column that
+/// contains them (`states[0]` is node `base`), and the worker's buffers.
+struct RecvShard<'a, P: Protocol> {
+    candidates: &'a [Candidate],
+    base: usize,
+    states: &'a mut [P::State],
+    scratch: &'a mut RecvScratch<P>,
+}
+
+/// The `i`-th of `parts` balanced contiguous chunks of `0..len`.
+fn chunk(len: usize, parts: usize, i: usize) -> std::ops::Range<usize> {
+    i * len / parts..(i + 1) * len / parts
+}
+
+/// Splits the receive phase's work `workers` ways: chunk `i` of the
+/// sorted `candidates`, and with it the run of `states` (indexed by
+/// node) from the chunk's first candidate up to the next chunk's — the
+/// first run starts at node 0, the last ends with the column. The runs
+/// are disjoint, in order and cover the column, so each worker can
+/// mutate its actors' states in place; yields `(base, chunk, run)`.
+fn partition<'a, S>(
+    candidates: &'a [Candidate],
+    states: &'a mut [S],
+    workers: usize,
+) -> impl Iterator<Item = (usize, &'a [Candidate], &'a mut [S])> {
+    let mut rest = states;
+    let mut base = 0;
+    (0..workers).map(move |i| {
+        let mine = chunk(candidates.len(), workers, i);
+        let end = match candidates.get(mine.end) {
+            Some(&(next, _)) if i + 1 < workers => next.index(),
+            _ => base + rest.len(),
+        };
+        let (run, tail) = std::mem::take(&mut rest).split_at_mut(end - base);
+        rest = tail;
+        let shard = (base, &candidates[mine], run);
+        base = end;
+        shard
+    })
 }
 
 /// The actor driver. Build one through
@@ -160,7 +266,11 @@ pub struct ActorDriver<P: Protocol, M: Medium = PerfectMedium> {
     senders_buf: Vec<NodeId>,
     dirty_buf: Vec<NodeId>,
     touched_buf: Vec<NodeId>,
+    candidates_buf: Vec<Candidate>,
     touched: NodeSet,
+    /// Per-worker buffers of the two phases, one slot per pool thread.
+    send_scratch: Vec<SendScratch>,
+    recv_scratch: Vec<RecvScratch<P>>,
 }
 
 impl<P, M> ActorDriver<P, M>
@@ -204,9 +314,10 @@ where
             )));
         }
         let mailboxes = topo.nodes().map(|p| Mailbox::new(topo.degree(p))).collect();
+        let threads = threads.max(1);
         Ok(ActorDriver {
             medium,
-            threads: threads.max(1),
+            threads,
             period: 0,
             mailboxes,
             messages_total: 0,
@@ -214,7 +325,10 @@ where
             senders_buf: Vec::new(),
             dirty_buf: Vec::new(),
             touched_buf: Vec::new(),
+            candidates_buf: Vec::new(),
             touched: NodeSet::new(topo.len()),
+            send_scratch: (0..threads).map(|_| SendScratch::default()).collect(),
+            recv_scratch: (0..threads).map(|_| RecvScratch::new()).collect(),
             env: Env::new(protocol, topo, seed, streams::ROUND_FAULT),
         })
     }
@@ -267,49 +381,54 @@ where
         let mut senders = std::mem::take(&mut self.senders_buf);
         self.env.release_slots(eager, &mut senders);
 
-        // Send phase: released actors broadcast concurrently. Each
-        // evaluates its fates through the shared medium proxy, encodes
-        // its beacon once, and pushes one frame per lucky receiver.
-        // Cross-sender push order into a mailbox is whatever the OS
-        // scheduler makes of it — the genuine nondeterminism this
-        // driver exists to exercise.
+        // Send phase: released actors broadcast concurrently, one
+        // contiguous chunk of the sender list per worker. Each sender's
+        // fates come from the shared medium proxy; its beacon is encoded
+        // once into the worker's byte arena and one frame header pushed
+        // per lucky receiver. How the workers' pushes interleave in a
+        // mailbox is whatever the OS scheduler makes of it — the
+        // genuine nondeterminism this driver exists to exercise.
         let period = self.period;
         let proxy = MediumProxy {
             medium: &self.medium,
             medium_base: self.env.core.medium_base,
         };
-        let (mut attempted, mut delivered) = (0usize, 0usize);
+        let send_workers = self.threads.min(senders.len());
         {
             let topo = &self.env.topo;
             let table = &self.env.core.table;
             let mailboxes = &self.mailboxes;
-            let sent = run_pooled(senders.len(), self.threads, |i| {
-                let s = senders[i];
-                let mut heard = Vec::new();
-                let attempted = proxy.fates(topo, period, s, &mut heard);
-                if heard.is_empty() {
-                    return (attempted, 0usize);
-                }
-                let mut bytes = Vec::new();
-                table.beacons[s.index()].encode(&mut bytes);
-                let payload: Arc<[u8]> = bytes.into();
-                let epoch = table.epoch[s.index()];
-                for &r in &heard {
-                    mailboxes[r.index()].push(ActorFrame {
+            let senders = &senders[..];
+            let span = |v: usize| u32::try_from(v).expect("a period's frames fit 4 GiB");
+            run_sharded(&mut self.send_scratch[..send_workers], |w, sc| {
+                sc.bytes.clear();
+                (sc.attempted, sc.delivered) = (0, 0);
+                for &s in &senders[chunk(senders.len(), send_workers, w)] {
+                    sc.attempted += proxy.fates(topo, period, s, &mut sc.heard);
+                    if sc.heard.is_empty() {
+                        continue;
+                    }
+                    let off = sc.bytes.len();
+                    table.beacons[s.index()].encode(&mut sc.bytes);
+                    let frame = ActorFrame {
                         sender: s,
-                        epoch,
-                        payload: payload.clone(),
-                    });
+                        epoch: table.epoch[s.index()],
+                        arena: w as u32,
+                        off: span(off),
+                        len: span(sc.bytes.len() - off),
+                    };
+                    for &r in &sc.heard {
+                        mailboxes[r.index()].push(frame);
+                    }
+                    sc.delivered += sc.heard.len();
                 }
-                (attempted, heard.len())
             });
-            for (a, d) in sent {
-                attempted += a;
-                delivered += d;
-            }
         }
+        let sent = &self.send_scratch[..send_workers];
+        let attempted: usize = sent.iter().map(|sc| sc.attempted).sum();
+        let delivered: usize = sent.iter().map(|sc| sc.delivered).sum();
 
-        // Quiescence barrier: run_pooled joined its workers, so every
+        // Quiescence barrier: run_sharded joined its workers, so every
         // released slot has delivered. Release the receive side: the
         // candidates are actors with pending guards plus the touched
         // receivers (under gating a candidate only actually runs when
@@ -328,81 +447,105 @@ where
         }
         let mut touched_buf = std::mem::take(&mut self.touched_buf);
         self.touched.drain_sorted_into(&mut touched_buf);
+        merge_candidates(&dirty_buf, &touched_buf, &mut self.candidates_buf);
 
-        let mut receives = 0usize;
-        let mut updates = 0usize;
+        // Receive phase: every worker owns one contiguous run of the
+        // state column and executes its candidates in place; what it
+        // may not write concurrently (the reception rows, the dirty
+        // sets) it leaves in its arenas for the governor.
+        let recv_workers = self.threads.min(self.candidates_buf.len());
+        let table = &mut self.env.core.table;
         {
             let topo = &self.env.topo;
-            let table = &self.env.core.table;
             let protocol = &self.env.protocol;
-            let core = &self.env.core;
+            let update_base = self.env.core.update_base;
             let mailboxes = &self.mailboxes;
-            // Sorted union of the two candidate lists, with a "guards
-            // pending" flag per entry.
-            let candidates = merge_candidates(&dirty_buf, &touched_buf);
-            let outcomes: Vec<NodeOutcome<P>> = run_pooled(candidates.len(), self.threads, |i| {
-                let (r, was_dirty) = candidates[i];
-                let mut inbox = Vec::new();
-                mailboxes[r.index()].drain_into(&mut inbox);
-                let mut state: Option<P::State> = None;
-                let mut patches = Vec::new();
-                let mut receives = 0u32;
-                for frame in &inbox {
-                    // A frame whose link a fault severed at this
-                    // very timestamp is dead air (fault ≤ delivery).
-                    let Ok(slot) = topo.neighbors(r).binary_search(&frame.sender) else {
-                        continue;
-                    };
-                    if !eager && table.heard.get(r.index(), slot) == frame.epoch {
-                        continue; // already incorporated: a state no-op
+            let arenas = &self.send_scratch;
+            let (beacons, heard) = (&table.beacons, &table.heard);
+            let forced_changed = &table.forced_changed;
+            let mut shards: Vec<RecvShard<'_, P>> =
+                partition(&self.candidates_buf, &mut table.states, recv_workers)
+                    .zip(&mut self.recv_scratch)
+                    .map(|((base, candidates, states), scratch)| RecvShard {
+                        candidates,
+                        base,
+                        states,
+                        scratch,
+                    })
+                    .collect();
+            run_sharded(&mut shards, |_, shard| {
+                let sc = &mut *shard.scratch;
+                sc.patches.clear();
+                sc.changed.clear();
+                (sc.receives, sc.updates) = (0, 0);
+                for &(r, was_dirty) in shard.candidates {
+                    let state = &mut shard.states[r.index() - shard.base];
+                    let neighbors = topo.neighbors(r);
+                    // The actor wakes — and, gated, snapshots its state
+                    // for change detection — on its first fresh frame,
+                    // or for its pending guards.
+                    let first = sc.receives;
+                    for frame in mailboxes[r.index()].lock().drain(..) {
+                        // A frame whose link a fault severed at this
+                        // very timestamp is dead air (fault ≤ delivery).
+                        let Ok(slot) = neighbors.binary_search(&frame.sender) else {
+                            continue;
+                        };
+                        if !eager && heard.get(r.index(), slot) == frame.epoch {
+                            continue; // already incorporated: a state no-op
+                        }
+                        let (off, len) = (frame.off as usize, frame.len as usize);
+                        let bytes = &arenas[frame.arena as usize].bytes[off..off + len];
+                        // The pool starts from any beacon at all: the
+                        // decode overwrites it and keeps its buffers.
+                        let beacon = sc
+                            .beacon
+                            .get_or_insert_with(|| beacons[frame.sender.index()].clone());
+                        assert!(
+                            P::Beacon::decode_into(bytes, beacon),
+                            "wire beacons round-trip losslessly"
+                        );
+                        if !eager && sc.receives == first {
+                            snapshot(&mut sc.snapshot, state);
+                        }
+                        protocol.receive(r, state, frame.sender, beacon, period);
+                        sc.patches.push((r, slot as u32, frame.epoch));
+                        sc.receives += 1;
                     }
-                    let beacon = P::Beacon::decode(&frame.payload)
-                        .expect("wire beacons round-trip losslessly");
-                    let s = state.get_or_insert_with(|| table.states[r.index()].clone());
-                    protocol.receive(r, s, frame.sender, &beacon, period);
-                    patches.push((slot as u32, frame.epoch));
-                    receives += 1;
-                }
-                if !was_dirty && state.is_none() {
-                    // Gated and nothing fresh: the actor never wakes.
-                    return NodeOutcome {
-                        state: None,
-                        patches,
-                        receives,
-                        changed: false,
-                    };
-                }
-                let s = state.get_or_insert_with(|| table.states[r.index()].clone());
-                let mut rng = core.update_rng(period, r);
-                protocol.update(r, s, period, &mut rng);
-                let changed = !eager
-                    && (table.forced_changed.contains(r)
-                        || state.as_ref() != Some(&table.states[r.index()]));
-                NodeOutcome {
-                    state,
-                    patches,
-                    receives,
-                    changed,
+                    if sc.receives == first {
+                        if !was_dirty {
+                            continue; // gated and nothing fresh: the actor never wakes
+                        }
+                        if !eager {
+                            snapshot(&mut sc.snapshot, state);
+                        }
+                    }
+                    let mut rng = split_rng(update_base, period, u64::from(r.value()));
+                    protocol.update(r, state, period, &mut rng);
+                    sc.updates += 1;
+                    // The round driver's change rule, on the same inputs.
+                    if !eager
+                        && (forced_changed.contains(r) || sc.snapshot.as_ref() != Some(&*state))
+                    {
+                        sc.changed.push(r);
+                    }
                 }
             });
+        }
 
-            // Ordered merge: the governor owns the table again.
-            let table = &mut self.env.core.table;
-            for (i, outcome) in outcomes.into_iter().enumerate() {
-                let (r, _) = candidates[i];
-                receives += outcome.receives as usize;
-                for &(slot, epoch) in &outcome.patches {
-                    table.heard.set(r.index(), slot as usize, epoch);
-                }
-                if let Some(state) = outcome.state {
-                    table.states[r.index()] = state;
-                    updates += 1;
-                }
-                if outcome.changed {
-                    table.changed.push(r);
-                    table.update_dirty.insert(r);
-                    table.beacon_stale.insert(r);
-                }
+        // The governor owns the table again: apply the workers' arenas
+        // in worker order, which is ascending node order.
+        let (mut receives, mut updates) = (0usize, 0usize);
+        for sc in &self.recv_scratch[..recv_workers] {
+            receives += sc.receives;
+            updates += sc.updates;
+            for &(r, slot, epoch) in &sc.patches {
+                table.heard.set(r.index(), slot as usize, epoch);
+            }
+            for &r in &sc.changed {
+                table.changed.push(r);
+                table.update_dirty.insert(r);
+                table.beacon_stale.insert(r);
             }
         }
 
@@ -502,10 +645,19 @@ where
     }
 }
 
+/// Copies `state` into the reusable `slot` — change detection under
+/// gating, allocation-free once the slot's buffers have grown.
+fn snapshot<S: Clone>(slot: &mut Option<S>, state: &S) {
+    match slot {
+        Some(s) => s.clone_from(state),
+        None => *slot = Some(state.clone()),
+    }
+}
+
 /// Sorted-merge of the dirty and touched candidate lists into
-/// `(node, guards pending)` pairs.
-fn merge_candidates(dirty: &[NodeId], touched: &[NodeId]) -> Vec<(NodeId, bool)> {
-    let mut out = Vec::with_capacity(dirty.len() + touched.len());
+/// `(node, guards pending)` pairs; `out` is overwritten.
+fn merge_candidates(dirty: &[NodeId], touched: &[NodeId], out: &mut Vec<Candidate>) {
+    out.clear();
     let (mut i, mut j) = (0, 0);
     while i < dirty.len() && j < touched.len() {
         match dirty[i].cmp(&touched[j]) {
@@ -526,7 +678,6 @@ fn merge_candidates(dirty: &[NodeId], touched: &[NodeId]) -> Vec<(NodeId, bool)>
     }
     out.extend(dirty[i..].iter().map(|&p| (p, true)));
     out.extend(touched[j..].iter().map(|&p| (p, false)));
-    out
 }
 
 impl<P, M> ActorDriver<P, M>
@@ -769,11 +920,72 @@ mod tests {
         assert!(driver.states().iter().all(|&s| s == 3));
     }
 
+    /// Checks one partition: the runs are disjoint, in order and cover
+    /// `0..n`; the chunks cover the candidates in order; and every
+    /// candidate indexes inside its own shard's run.
+    fn assert_partition(nodes: &[u32], n: usize, workers: usize) {
+        let candidates: Vec<Candidate> = nodes
+            .iter()
+            .map(|&p| (NodeId::new(p), p % 2 == 0))
+            .collect();
+        // states[i] == i, so a run's content names the nodes it covers.
+        let mut states: Vec<usize> = (0..n).collect();
+        let (mut covered, mut seen) = (Vec::new(), Vec::new());
+        let mut shards = 0;
+        for (base, chunk, run) in partition(&candidates, &mut states, workers) {
+            assert_eq!(base, covered.len(), "runs are contiguous and in order");
+            for &(r, _) in chunk {
+                assert_eq!(run[r.index() - base], r.index(), "candidate inside its run");
+            }
+            covered.extend_from_slice(run);
+            seen.extend_from_slice(chunk);
+            shards += 1;
+        }
+        assert_eq!(shards, workers);
+        assert_eq!(seen, candidates, "nodes={nodes:?} workers={workers}");
+        assert_eq!(covered, (0..n).collect::<Vec<_>>(), "nodes={nodes:?}");
+    }
+
+    #[test]
+    fn partition_splits_the_state_column_at_candidate_boundaries() {
+        use rand::{Rng, SeedableRng};
+
+        // Edge cases: first node, last node, both, everyone, no one.
+        for workers in 1..=8 {
+            assert_partition(&[], 6, workers);
+            assert_partition(&[0], 6, workers);
+            assert_partition(&[5], 6, workers);
+            assert_partition(&[0, 5], 6, workers);
+            assert_partition(&[0, 1, 2, 3, 4, 5], 6, workers);
+            assert_partition(&[0], 1, workers);
+        }
+        // A quiet period has no candidates and asks for no workers.
+        assert_eq!(partition(&[], &mut [0usize; 6], 0).count(), 0);
+        // Random sorted candidate sets, including fewer candidates than
+        // workers and chunk sizes that do not divide.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        for _ in 0..300 {
+            let n = rng.random_range(1..40usize);
+            let density = rng.random_range(0.0..1.0);
+            let nodes: Vec<u32> = (0..n as u32).filter(|_| rng.random_bool(density)).collect();
+            for workers in 1..=8 {
+                assert_partition(&nodes, n, workers);
+            }
+        }
+        // The balanced chunks never differ by more than one candidate.
+        for (len, parts) in [(5, 3), (7, 7), (8, 3), (100, 7)] {
+            let sizes: Vec<usize> = (0..parts).map(|i| chunk(len, parts, i).len()).collect();
+            assert_eq!(sizes.iter().sum::<usize>(), len);
+            assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
+        }
+    }
+
     #[test]
     fn merge_candidates_is_a_sorted_union() {
         let d = [NodeId::new(1), NodeId::new(4)];
         let t = [NodeId::new(0), NodeId::new(4), NodeId::new(6)];
-        let merged = merge_candidates(&d, &t);
+        let mut merged = Vec::new();
+        merge_candidates(&d, &t, &mut merged);
         assert_eq!(
             merged,
             vec![

@@ -23,11 +23,11 @@
 //!   silent consumes no randomness and its future transmission times
 //!   are independent of how long it slept;
 //! * [`run_pooled`] — the scoped-thread work-stealing pool behind
-//!   [`crate::Sweep`] and the actor fabric;
+//!   [`crate::Sweep`];
 //! * [`run_sharded`] — the allocation-free variant backing the round
-//!   driver's sharded active pass and the traffic plane's batch
-//!   forwarding: workers write into caller-owned, reused arenas
-//!   instead of returning fresh `Vec`s;
+//!   driver's sharded active pass, both phases of the actor fabric and
+//!   the traffic plane's batch forwarding: workers write into
+//!   caller-owned, reused arenas instead of returning fresh `Vec`s;
 //! * [`kernels`] — the word-at-a-time kernels and columnar layouts
 //!   ([`kernels::BitWords`], [`kernels::HeardTable`], the sorted join
 //!   and epoch compares) the structures above are built on; their cost
@@ -629,13 +629,12 @@ impl SlotClock {
 /// run inline on the calling thread; the two paths are byte-identical
 /// because each job sees only its task index.
 ///
-/// [`crate::Sweep`] fans seeds over it and the actor fabric its
-/// senders and candidates; the per-step passes that own reusable
-/// arenas use [`run_sharded`] instead. Note the worker contract: jobs
-/// get only shared, immutable access to captured state (`Fn` +
-/// `Sync`), so a caller that needs to mutate must split its pass into
-/// a read-only examine phase here plus a serial merge of the returned
-/// values.
+/// [`crate::Sweep`] fans seeds over it; the per-step passes that own
+/// reusable arenas use [`run_sharded`] instead. Note the worker
+/// contract: jobs get only shared, immutable access to captured state
+/// (`Fn` + `Sync`), so a caller that needs to mutate must split its
+/// pass into a read-only examine phase here plus a serial merge of the
+/// returned values.
 pub fn run_pooled<T, F>(tasks: usize, threads: usize, job: F) -> Vec<T>
 where
     T: Send,

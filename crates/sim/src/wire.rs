@@ -25,6 +25,23 @@ pub trait WireBeacon: Sized {
     /// encoded beacon. Returns `None` on truncated, malformed, or
     /// trailing input.
     fn decode(bytes: &[u8]) -> Option<Self>;
+
+    /// Decodes one beacon from `bytes` into `out`, reusing whatever
+    /// buffers `out` already owns — the actor fabric's receive workers
+    /// decode every frame into one pooled beacon. Returns `true` exactly
+    /// when [`WireBeacon::decode`] returns `Some`, and `out` then equals
+    /// that beacon whatever it held before; on `false`, `out` is left
+    /// unchanged. The default decodes and assigns; beacons that own
+    /// heap buffers override it to refill them in place.
+    fn decode_into(bytes: &[u8], out: &mut Self) -> bool {
+        match Self::decode(bytes) {
+            Some(beacon) => {
+                *out = beacon;
+                true
+            }
+            None => false,
+        }
+    }
 }
 
 /// Appends a little-endian `u32`.
@@ -110,5 +127,45 @@ mod tests {
         assert_eq!(u32::decode(&[1, 2, 3, 4, 5]), None);
         assert_eq!(u64::decode(&[0; 7]), None);
         assert_eq!(<()>::decode(&[0]), None);
+    }
+
+    /// `decode_into` on every prefix and one-byte extension of an
+    /// encoded value, plus a few arbitrary strings: it must agree with
+    /// `decode`, overwrite `out` on success and leave it alone on
+    /// failure.
+    fn decode_into_agrees<B>(value: B, stale: B)
+    where
+        B: WireBeacon + Clone + PartialEq + std::fmt::Debug,
+    {
+        let mut frame = Vec::new();
+        value.encode(&mut frame);
+        let mut inputs: Vec<Vec<u8>> = (0..=frame.len()).map(|k| frame[..k].to_vec()).collect();
+        inputs.push([&frame[..], &[0xAB]].concat());
+        inputs.push(vec![0xFF; 3]);
+        inputs.push(vec![0x5A; 17]);
+        for bytes in inputs {
+            let mut out = stale.clone();
+            let ok = B::decode_into(&bytes, &mut out);
+            match B::decode(&bytes) {
+                Some(decoded) => {
+                    assert!(ok, "decode accepted {bytes:?}");
+                    assert_eq!(out, decoded);
+                }
+                None => {
+                    assert!(!ok, "decode rejected {bytes:?}");
+                    assert_eq!(
+                        out, stale,
+                        "a rejected frame must not touch the pooled beacon"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decode_into_agrees_with_decode_on_primitives() {
+        decode_into_agrees(0xDEAD_BEEFu32, 7u32);
+        decode_into_agrees(u64::MAX - 5, 1u64);
+        decode_into_agrees((), ());
     }
 }

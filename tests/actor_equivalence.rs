@@ -85,6 +85,24 @@ fn actors_equal_rounds_on_perfect_medium() {
             "perfect",
         );
     }
+    // Worker counts that do not divide the work: uneven sender chunks,
+    // state runs of different lengths, and (n + 1) more threads than
+    // there are actors — on a deployment and on a 5-node line, where
+    // most periods have fewer candidates than workers.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+    for topo in [builders::line(5), builders::uniform(50, 0.17, &mut rng)] {
+        for threads in [3, 7, topo.len() + 1] {
+            assert_exact_agreement(
+                || {
+                    Scenario::new(DensityCluster::new(event_driven_config()))
+                        .topology(topo.clone())
+                        .seed(7)
+                },
+                threads,
+                "perfect, uneven shards",
+            );
+        }
+    }
 }
 
 #[test]

@@ -14,6 +14,12 @@
 //! cache re-learning its neighborhood — may allocate, which is why the
 //! protocol phase perturbs states directly instead of `corrupt_all`.
 //!
+//! The actor fabric is audited on the same wave: its senders encode
+//! into per-worker byte arenas, its receivers decode into one pooled
+//! beacon and mutate their states in place, so a period costs a small
+//! constant (the period's shard list) however many actors run and
+//! however many frames fly.
+//!
 //! The audit installs a counting [`GlobalAlloc`] wrapper around the
 //! system allocator. All phases run inside a single `#[test]` so no
 //! concurrent test pollutes the process-wide counter.
@@ -59,6 +65,16 @@ where
         net.step();
     }
     ALLOCS.load(Ordering::Relaxed) - before
+}
+
+/// One storm's worth of wrong shared variables for node `i` of `nodes`
+/// — wrong density, wrong head, wrong dag id — with the neighbor cache
+/// left intact, so the re-convergence re-runs N1/R1/R2 everywhere
+/// without any cache having to re-learn (and re-allocate) its entries.
+fn scramble(state: &mut ClusterState, i: u32, nodes: u32, round: u32) {
+    state.dag_id = u32::MAX - round;
+    state.density = Density::integer(round);
+    state.head = NodeId::new((i + 7 * (round + 1)) % nodes);
 }
 
 /// A heap-free gated max-flood: plain `u32` state and beacon, so every
@@ -193,20 +209,16 @@ fn steady_state_loops_do_not_allocate() {
         .expect_stable("the clustering converges");
     net.run(3);
     let nodes = net.states().len() as u32;
-    let scramble = |net: &mut mwn_sim::Network<DensityCluster, PerfectMedium>, round: u32| {
+    let scramble_all = |net: &mut mwn_sim::Network<DensityCluster, PerfectMedium>, round: u32| {
         for i in 0..nodes {
-            let node = NodeId::new(i);
-            let state = net.state_mut(node);
-            state.dag_id = u32::MAX - round;
-            state.density = Density::integer(round);
-            state.head = NodeId::new((i + 7 * (round + 1)) % nodes);
+            scramble(net.state_mut(NodeId::new(i)), i, nodes, round);
         }
     };
     // Warmup storms: the swapped beacon buffers circulate between
     // nodes, so each one's view capacity climbs to the global maximum
     // over a few storms (~1 realloc per step while climbing).
     for round in 0..5u32 {
-        scramble(&mut net, round);
+        scramble_all(&mut net, round);
         assert!(
             allocs_during(&mut net, 5) < 50,
             "protocol warmup storms stay near-free"
@@ -216,7 +228,7 @@ fn steady_state_loops_do_not_allocate() {
     // full N1/R1/R2 re-convergence must not touch the heap.
     let mut converging_steps = 0usize;
     for round in 5..9u32 {
-        scramble(&mut net, round);
+        scramble_all(&mut net, round);
         for _ in 0..4 {
             let before = ALLOCS.load(Ordering::Relaxed);
             net.step();
@@ -234,5 +246,57 @@ fn steady_state_loops_do_not_allocate() {
         converging_steps >= 10,
         "the protocol audit window must cover real converging work \
          ({converging_steps} active steps seen)"
+    );
+
+    // --- Actor fabric: the same converging wave as message passing --
+    // Every frame is encoded into a send worker's byte arena and
+    // decoded into a receive worker's pooled beacon; every woken actor
+    // mutates its state in place. What is left per period is the
+    // period's shard list — one allocation, whatever the grid side and
+    // however many frames fly.
+    let per_period = |side: usize| {
+        let mut actors =
+            Scenario::new(DensityCluster::new(ClusterConfig::default().event_driven()))
+                .topology(builders::grid(side, side, 1.45 / (side - 1) as f64))
+                .seed(7)
+                .build_actors(1)
+                .expect("valid actor scenario");
+        actors
+            .run_to(&StopWhen::stable_for(3).within(10_000))
+            .expect_stable("the clustering converges on the actor fabric");
+        actors.run(3);
+        let nodes = actors.states().len() as u32;
+        let (mut allocs, mut periods, mut frames) = (0usize, 0usize, 0usize);
+        for round in 0..12u32 {
+            for i in 0..nodes {
+                scramble(actors.state_mut(NodeId::new(i)), i, nodes, round);
+            }
+            for _ in 0..4 {
+                let before = ALLOCS.load(Ordering::Relaxed);
+                actors.step();
+                let during = ALLOCS.load(Ordering::Relaxed) - before;
+                // Rounds 0–7 warm up: arenas, mailboxes and the pooled
+                // views climb to their high-water marks (the swapped
+                // beacon buffers circulate, as in the phase above).
+                if round >= 8 && actors.last_activity().updates > 0 {
+                    allocs += during;
+                    periods += 1;
+                    frames += actors.last_activity().frames_delivered;
+                }
+            }
+        }
+        assert!(
+            periods >= 10 && frames > 20 * nodes as usize,
+            "the actor audit window must cover real converging work \
+             ({periods} active periods, {frames} frames at side {side})"
+        );
+        allocs as f64 / periods as f64
+    };
+    let small = per_period(10); // n = 100
+    let large = per_period(20); // n = 400
+    assert!(
+        small <= 1.0 && large <= 1.0,
+        "a steady-state actor period allocates its shard list and nothing else \
+         (n=100: {small:.1}/period, n=400: {large:.1}/period)"
     );
 }
