@@ -1,0 +1,473 @@
+//! The flat neighbor cache of a [`crate::ClusterState`].
+//!
+//! A node's cache holds one entry per radio neighbor: the neighbor's
+//! shared variables plus its own neighbor summaries (its *view*). The
+//! converging phase clones, compares and rewrites these entries for
+//! every active node, so the whole cache lives in **two** buffers — one
+//! vector of `Copy` headers ([`NeighborSlot`]) sorted by neighbor id,
+//! and one vector holding every view back to back. A clone is two
+//! `memcpy`s, equality two linear scans, a refresh from a known
+//! neighbor an in-place overwrite.
+//!
+//! # The `links` invariant
+//!
+//! Each slot carries its share of the density numerator of
+//! Definition 1: `links = |{r ∈ view : id < r ∧ r cached}|`, the
+//! among-neighbor edges `(id, r)` this neighbor reports, each edge
+//! counted at its smaller endpoint. Rule R1 is then
+//! `degree + Σ links` over forty-byte slots — it never re-reads a view.
+//! The count of a slot depends on its own view and on the cached key
+//! set, so it is recounted
+//!
+//! * **for that slot** when a rewrite of its view changes the view's
+//!   ids (a rewrite that says something new about the same ids — every
+//!   rewrite once neighborhoods are known — leaves the count alone),
+//!   and
+//! * **for every slot** when the key set changes (an insert, a
+//!   removal, a `retain` that dropped something).
+//!
+//! Iteration is ascending by neighbor id — the `BTreeMap` order the
+//! protocol has always observed.
+
+use mwn_graph::NodeId;
+use serde::{Deserialize, Serialize};
+
+use crate::{Density, NeighborEntry, PeerSummary};
+
+/// The header of one cached neighbor: its shared variables as last
+/// heard, plus the bookkeeping that locates its view and its share of
+/// the density numerator.
+#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+pub struct NeighborSlot {
+    /// Logical time the last beacon from this neighbor arrived.
+    pub last_seen: u64,
+    /// The neighbor's unique identifier (the cache key).
+    pub id: NodeId,
+    /// Cached copy of the neighbor's DAG identifier.
+    pub dag_id: u32,
+    /// Cached copy of the neighbor's density.
+    pub density: Density,
+    /// Cached copy of the neighbor's head claim.
+    pub head: NodeId,
+    /// Exclusive end of this neighbor's view in the shared view buffer;
+    /// it starts where the previous slot's view ends.
+    end: u32,
+    /// `|{r ∈ view : id < r ∧ r cached}|` — see the module docs.
+    links: u32,
+}
+
+impl NeighborSlot {
+    /// What a beacon relays about this neighbor.
+    pub fn summary(&self) -> PeerSummary {
+        PeerSummary {
+            id: self.id,
+            dag_id: self.dag_id,
+            density: self.density,
+            head: self.head,
+        }
+    }
+}
+
+/// A node's neighbor cache: [`NeighborSlot`]s sorted by neighbor id
+/// over one shared buffer of views.
+///
+/// # Examples
+///
+/// ```
+/// use mwn_cluster::{Density, NeighborCache, NeighborEntry};
+/// use mwn_graph::NodeId;
+///
+/// let entry = |head| NeighborEntry {
+///     last_seen: 3,
+///     dag_id: 0,
+///     density: Density::zero(),
+///     head: NodeId::new(head),
+///     view: Vec::new(),
+/// };
+/// let mut cache = NeighborCache::new();
+/// cache.insert(NodeId::new(7), entry(7));
+/// cache.insert(NodeId::new(2), entry(9));
+/// // Iteration is always ascending by neighbor id.
+/// let ids: Vec<u32> = cache.keys().map(|q| q.value()).collect();
+/// assert_eq!(ids, [2, 7]);
+/// let (slot, view) = cache.get(&NodeId::new(2)).expect("cached");
+/// assert_eq!((slot.head, view.len()), (NodeId::new(9), 0));
+/// ```
+#[derive(Debug, Default, Serialize, Deserialize)]
+pub struct NeighborCache {
+    slots: Vec<NeighborSlot>,
+    views: Vec<PeerSummary>,
+}
+
+impl NeighborCache {
+    /// An empty cache.
+    pub fn new() -> Self {
+        NeighborCache::default()
+    }
+
+    /// Number of cached neighbors.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Whether no neighbor is cached.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    fn pos(&self, id: NodeId) -> Result<usize, usize> {
+        self.slots.binary_search_by(|s| s.id.cmp(&id))
+    }
+
+    /// Where slot `i`'s view starts in the shared buffer.
+    fn start(&self, i: usize) -> usize {
+        i.checked_sub(1)
+            .map_or(0, |prev| self.slots[prev].end as usize)
+    }
+
+    fn view(&self, i: usize) -> &[PeerSummary] {
+        &self.views[self.start(i)..self.slots[i].end as usize]
+    }
+
+    /// Whether `id` has an entry.
+    pub fn contains_key(&self, id: &NodeId) -> bool {
+        self.pos(*id).is_ok()
+    }
+
+    /// The entry for `id`: its header and its view.
+    pub fn get(&self, id: &NodeId) -> Option<(&NeighborSlot, &[PeerSummary])> {
+        let i = self.pos(*id).ok()?;
+        Some((&self.slots[i], self.view(i)))
+    }
+
+    /// The cached neighbor ids, ascending.
+    pub fn keys(&self) -> impl Iterator<Item = &NodeId> {
+        self.slots.iter().map(|s| &s.id)
+    }
+
+    /// The headers alone, ascending by neighbor id — what N1, R1 and R2
+    /// read.
+    pub fn slots(&self) -> &[NeighborSlot] {
+        &self.slots
+    }
+
+    /// Every entry as `(header, view)`, ascending by neighbor id.
+    pub fn iter(&self) -> impl Iterator<Item = (&NeighborSlot, &[PeerSummary])> {
+        let mut start = 0;
+        self.slots.iter().map(move |s| {
+            let view = &self.views[start..s.end as usize];
+            start = s.end as usize;
+            (s, view)
+        })
+    }
+
+    /// Inserts `entry` under `id`, replacing any previous entry.
+    pub fn insert(&mut self, id: NodeId, entry: NeighborEntry) {
+        let peer = PeerSummary {
+            id,
+            dag_id: entry.dag_id,
+            density: entry.density,
+            head: entry.head,
+        };
+        self.store(entry.last_seen, peer, &entry.view);
+    }
+
+    /// [`NeighborCache::insert`] from borrowed parts — the receive
+    /// path: `peer` is the sender's shared variables, `view` its
+    /// neighbor summaries. A refresh from a known neighbor overwrites
+    /// its slot and view in place, and recounts that slot's `links`
+    /// only if the view's ids moved — once neighborhoods are known,
+    /// beacons change in what they say about the same ids. A new
+    /// neighbor changes the key set, so every slot is recounted.
+    /// Buffers grow by exactly what is missing: a cache is as large as
+    /// its neighborhood and stays that size, and amortized growth
+    /// leaves slack in every node's cache (`converge_rounds`' peak RSS
+    /// reads about a tenth higher with it).
+    pub fn store(&mut self, last_seen: u64, peer: PeerSummary, view: &[PeerSummary]) {
+        let known = self.pos(peer.id);
+        let (Ok(i) | Err(i)) = known;
+        let start = self.start(i);
+        let header = |end: u32, links: u32| NeighborSlot {
+            last_seen,
+            id: peer.id,
+            dag_id: peer.dag_id,
+            density: peer.density,
+            head: peer.head,
+            end,
+            links,
+        };
+        match known {
+            Ok(_) => self.slots[i] = header(self.slots[i].end, self.slots[i].links),
+            Err(_) => {
+                self.slots.reserve_exact(1);
+                self.slots.insert(i, header(start as u32, 0));
+            }
+        }
+        let old = self.slots[i].end as usize - start;
+        let mut same_ids = false;
+        if view.len() == old {
+            let cached = &mut self.views[start..start + old];
+            same_ids = cached.iter().zip(view).all(|(a, b)| a.id == b.id);
+            cached.copy_from_slice(view);
+        } else {
+            self.views.reserve_exact(view.len().saturating_sub(old));
+            self.views.splice(start..start + old, view.iter().copied());
+            for s in &mut self.slots[i..] {
+                s.end = (s.end as usize + view.len() - old) as u32;
+            }
+        }
+        match known {
+            Ok(_) if same_ids => {}
+            Ok(_) => self.slots[i].links = self.count_links(i),
+            Err(_) => self.recount_all(),
+        }
+    }
+
+    /// Removes `id`'s entry; returns whether there was one.
+    pub fn remove(&mut self, id: &NodeId) -> bool {
+        let Ok(i) = self.pos(*id) else {
+            return false;
+        };
+        let span = self.start(i)..self.slots[i].end as usize;
+        self.slots.remove(i);
+        for s in &mut self.slots[i..] {
+            s.end -= span.len() as u32;
+        }
+        self.views.drain(span);
+        self.recount_all();
+        true
+    }
+
+    /// Keeps only the entries whose header `keep` accepts; returns
+    /// whether any entry was dropped. A sweep that drops nothing writes
+    /// nothing.
+    pub fn retain(&mut self, mut keep: impl FnMut(&NeighborSlot) -> bool) -> bool {
+        let (mut kept, mut read, mut write) = (0usize, 0usize, 0usize);
+        for i in 0..self.slots.len() {
+            let mut slot = self.slots[i];
+            let end = slot.end as usize;
+            if keep(&slot) {
+                if kept != i {
+                    self.views.copy_within(read..end, write);
+                    slot.end = (write + end - read) as u32;
+                    self.slots[kept] = slot;
+                }
+                write += end - read;
+                kept += 1;
+            }
+            read = end;
+        }
+        let dropped = kept != self.slots.len();
+        if dropped {
+            self.slots.truncate(kept);
+            self.views.truncate(write);
+            self.recount_all();
+        }
+        dropped
+    }
+
+    /// Drops every entry (keeping the buffers).
+    pub fn clear(&mut self) {
+        self.slots.clear();
+        self.views.clear();
+    }
+
+    /// The numerator of Definition 1 as seen from node `me`: one link
+    /// to each cached neighbor plus every among-neighbor edge the views
+    /// report, each counted once — `degree + Σ links`.
+    pub fn neighborhood_links(&self, me: NodeId) -> u32 {
+        let among: u32 = self.slots.iter().map(|s| s.links).sum();
+        let mut links = self.slots.len() as u32 + among;
+        if self.contains_key(&me) {
+            // Only a corrupted cache holds an entry for its own node.
+            // Definition 1 excludes `r = p`, so the pairs `(q, me)` the
+            // slots counted are taken back.
+            let ending_at_me = |(s, view): (&NeighborSlot, &[PeerSummary])| {
+                let mine = view.iter().filter(|r| r.id == me).count();
+                if s.id < me {
+                    mine as u32
+                } else {
+                    0
+                }
+            };
+            links -= self.iter().map(ending_at_me).sum::<u32>();
+        }
+        links
+    }
+
+    fn count_links(&self, i: usize) -> u32 {
+        let q = self.slots[i].id;
+        let cached = |r: &&PeerSummary| q < r.id && self.contains_key(&r.id);
+        self.view(i).iter().filter(cached).count() as u32
+    }
+
+    fn recount_all(&mut self) {
+        for i in 0..self.slots.len() {
+            self.slots[i].links = self.count_links(i);
+        }
+    }
+
+    /// Verifies the internal invariants — ids strictly ascending, view
+    /// offsets monotone and covering the view buffer exactly, every
+    /// slot's `links` equal to a fresh count. For tests.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violated invariant.
+    pub fn check(&self) -> Result<(), String> {
+        if !self.slots.windows(2).all(|w| w[0].id < w[1].id) {
+            return Err("slot ids are not strictly ascending".to_string());
+        }
+        if !self.slots.windows(2).all(|w| w[0].end <= w[1].end) {
+            return Err("view offsets are not monotone".to_string());
+        }
+        let covered = self.slots.last().map_or(0, |s| s.end as usize);
+        if covered != self.views.len() {
+            return Err(format!(
+                "slots cover {covered} view entries, the buffer holds {}",
+                self.views.len()
+            ));
+        }
+        match (0..self.slots.len()).find(|&i| self.slots[i].links != self.count_links(i)) {
+            Some(i) => Err(format!(
+                "slot {} carries links = {}, a recount says {}",
+                self.slots[i].id,
+                self.slots[i].links,
+                self.count_links(i)
+            )),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Content equality, entry by entry in key order: derived bookkeeping
+/// (`links`) is a function of the content and is not compared; equal
+/// view offsets make the flat view compare an entry-wise one.
+impl PartialEq for NeighborCache {
+    fn eq(&self, other: &Self) -> bool {
+        let same_header = |(a, b): (&NeighborSlot, &NeighborSlot)| {
+            a.last_seen == b.last_seen
+                && a.id == b.id
+                && a.dag_id == b.dag_id
+                && a.density == b.density
+                && a.head == b.head
+                && a.end == b.end
+        };
+        self.slots.len() == other.slots.len()
+            && self.slots.iter().zip(&other.slots).all(same_header)
+            && self.views == other.views
+    }
+}
+
+/// `clone_from` reuses both buffers, so the engines' scratch-state
+/// clones across nodes of different degrees stop allocating once the
+/// scratch has seen the largest neighborhood; it grows them by exactly
+/// what is missing, like [`NeighborCache::store`].
+impl Clone for NeighborCache {
+    fn clone(&self) -> Self {
+        NeighborCache {
+            slots: self.slots.clone(),
+            views: self.views.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        fn refill<T: Copy>(dst: &mut Vec<T>, src: &[T]) {
+            dst.clear();
+            dst.reserve_exact(src.len());
+            dst.extend_from_slice(src);
+        }
+        refill(&mut self.slots, &source.slots);
+        refill(&mut self.views, &source.views);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn id(i: u32) -> NodeId {
+        NodeId::new(i)
+    }
+
+    fn peer(i: u32) -> PeerSummary {
+        PeerSummary {
+            id: id(i),
+            dag_id: i,
+            density: Density::integer(i),
+            head: id(i),
+        }
+    }
+
+    fn view(ids: &[u32]) -> Vec<PeerSummary> {
+        ids.iter().map(|&i| peer(i)).collect()
+    }
+
+    #[test]
+    fn store_keeps_views_aligned_through_growth_and_shrinkage() {
+        let mut cache = NeighborCache::new();
+        cache.store(1, peer(5), &view(&[1, 9]));
+        cache.store(1, peer(2), &view(&[5]));
+        cache.store(1, peer(9), &view(&[]));
+        cache.check().expect("consistent after inserts");
+        cache.store(2, peer(2), &view(&[5, 9, 11]));
+        cache.store(2, peer(5), &view(&[9]));
+        cache.check().expect("consistent after rewrites");
+        let got: Vec<(u32, Vec<u32>)> = cache
+            .iter()
+            .map(|(s, v)| (s.id.value(), v.iter().map(|r| r.id.value()).collect()))
+            .collect();
+        assert_eq!(
+            got,
+            [(2, vec![5, 9, 11]), (5, vec![9]), (9, vec![])],
+            "each slot still owns exactly its own view"
+        );
+        // Edges (2,5), (2,9), (5,9) among three neighbors: 3 + 3.
+        assert_eq!(cache.neighborhood_links(id(0)), 6);
+    }
+
+    #[test]
+    fn retain_and_remove_recount_the_survivors() {
+        let mut cache = NeighborCache::new();
+        for (q, v) in [(1, vec![2, 3]), (2, vec![1, 3]), (3, vec![1, 2])] {
+            cache.store(q as u64, peer(q), &view(&v));
+        }
+        assert_eq!(cache.neighborhood_links(id(0)), 6, "a triangle");
+        assert!(!cache.retain(|_| true), "nothing dropped");
+        assert!(cache.retain(|s| s.last_seen != 2));
+        cache.check().expect("consistent after the sweep");
+        assert_eq!(cache.neighborhood_links(id(0)), 3, "edge (1,3) is left");
+        assert!(cache.remove(&id(1)) && !cache.remove(&id(1)));
+        cache.check().expect("consistent after the removal");
+        assert_eq!(cache.neighborhood_links(id(0)), 1);
+    }
+
+    #[test]
+    fn a_self_entry_does_not_count_pairs_ending_at_the_node() {
+        let mut cache = NeighborCache::new();
+        cache.store(0, peer(1), &view(&[4, 4, 6]));
+        cache.store(0, peer(4), &view(&[6]));
+        cache.store(0, peer(6), &view(&[]));
+        // Seen from node 4 (its own id is cached): (1,4) twice is out,
+        // (1,6) and (4,6) stay.
+        assert_eq!(cache.neighborhood_links(id(4)), 3 + 2);
+        assert_eq!(cache.neighborhood_links(id(0)), 3 + 4);
+    }
+
+    #[test]
+    fn clone_from_matches_across_sizes_and_equality_ignores_capacity() {
+        let mut big = NeighborCache::new();
+        for q in 0..6 {
+            big.store(7, peer(q), &view(&[q + 1, q + 2]));
+        }
+        let mut small = NeighborCache::new();
+        small.store(7, peer(3), &view(&[1]));
+        let mut scratch = small.clone();
+        for source in [&big, &small, &big] {
+            scratch.clone_from(source);
+            assert_eq!(&scratch, source);
+            scratch.check().expect("a clone carries consistent counts");
+        }
+        assert_ne!(big, small);
+    }
+}

@@ -59,6 +59,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cache;
 mod clustering;
 mod dag;
 mod density;
@@ -74,6 +75,7 @@ mod routing;
 mod smallmap;
 mod stabilization;
 
+pub use cache::{NeighborCache, NeighborSlot};
 pub use clustering::Clustering;
 pub use dag::{
     is_locally_unique, name_dag_height, new_id, order_dag_height, DagProtocol, DagState,

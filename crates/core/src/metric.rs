@@ -1,7 +1,7 @@
 use mwn_graph::{NodeId, Topology};
 use serde::{Deserialize, Serialize};
 
-use crate::{density_from_rows, density_from_tables, density_of, Density};
+use crate::{density_from_tables, density_of, Density};
 
 /// The election metric a node maximizes to become cluster-head.
 ///
@@ -50,20 +50,14 @@ impl MetricKind {
         }
     }
 
-    /// [`Self::value_from_tables`] in streaming form: the neighbor
-    /// rows arrive as iterators and membership as a predicate, so the
-    /// caller materializes nothing (see
-    /// [`density_from_rows`][crate::density_from_rows]). `rows` must
-    /// be ascending by neighbor id and agree with `degree` and
-    /// `contains`.
-    pub fn value_from_rows<I, J, F>(self, me: NodeId, degree: u32, rows: I, contains: F) -> Density
-    where
-        I: IntoIterator<Item = (NodeId, J)>,
-        J: IntoIterator<Item = NodeId>,
-        F: Fn(NodeId) -> bool,
-    {
+    /// [`Self::value_from_tables`] from counts the caller already
+    /// keeps: the neighbor count and the numerator of Definition 1
+    /// (what
+    /// [`NeighborCache::neighborhood_links`][crate::NeighborCache::neighborhood_links]
+    /// maintains incrementally).
+    pub fn value_from_counts(self, degree: u32, links: u32) -> Density {
         match self {
-            MetricKind::Density => density_from_rows(me, degree, rows, contains),
+            MetricKind::Density => Density::ratio(links, degree),
             MetricKind::Degree => Density::integer(degree),
             MetricKind::Unit => Density::zero(),
         }

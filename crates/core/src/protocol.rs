@@ -22,7 +22,8 @@ use mwn_sim::{put_u32, Corruptible, Observable, Protocol, WireBeacon};
 
 use crate::dag::new_id;
 use crate::{
-    Clustering, DagVariant, Density, HeadRule, Key, MetricKind, NameSpace, OrderKind, SmallMap,
+    Clustering, DagVariant, Density, HeadRule, Key, MetricKind, NameSpace, NeighborCache,
+    NeighborSlot, OrderKind,
 };
 
 /// DAG-renaming configuration (Section 4.1), when enabled.
@@ -161,7 +162,7 @@ impl ClusterConfig {
 }
 
 /// What a node knows (and re-broadcasts) about one cached neighbor.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PeerSummary {
     /// The neighbor's unique identifier.
     pub id: NodeId,
@@ -173,8 +174,10 @@ pub struct PeerSummary {
     pub head: NodeId,
 }
 
-/// A cached neighbor entry.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+/// A cached neighbor entry in owned form — what
+/// [`NeighborCache::insert`] takes. The cache itself stores entries
+/// flat ([`NeighborSlot`] headers over one shared view buffer).
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct NeighborEntry {
     /// Logical time the last beacon from this neighbor arrived.
     pub last_seen: u64,
@@ -189,29 +192,6 @@ pub struct NeighborEntry {
     pub view: Vec<PeerSummary>,
 }
 
-/// `clone_from` reuses the `view` buffer, so the engine's per-step
-/// scratch-state clones stop allocating once the view capacities have
-/// settled.
-impl Clone for NeighborEntry {
-    fn clone(&self) -> Self {
-        NeighborEntry {
-            last_seen: self.last_seen,
-            dag_id: self.dag_id,
-            density: self.density,
-            head: self.head,
-            view: self.view.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.last_seen = source.last_seen;
-        self.dag_id = source.dag_id;
-        self.density = source.density;
-        self.head = source.head;
-        self.view.clone_from(&source.view);
-    }
-}
-
 /// Per-node state: shared variables plus the neighbor cache.
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct ClusterState {
@@ -223,11 +203,12 @@ pub struct ClusterState {
     pub head: NodeId,
     /// Current parent `F(p)`.
     pub parent: NodeId,
-    /// Cached neighbor state, keyed by neighbor id. Sorted-vector
-    /// backed ([`SmallMap`]): the converging phase clones and compares
-    /// this map for every active node on every step, and a contiguous
-    /// degree-sized vector makes both near-free.
-    pub cache: SmallMap<NodeId, NeighborEntry>,
+    /// Cached neighbor state, keyed by neighbor id: `Copy` headers
+    /// sorted by id over one buffer of views ([`NeighborCache`]). The
+    /// converging phase clones, compares and rewrites it for every
+    /// active node, and each header carries its share of the density
+    /// numerator (`links`), so R1 reads the headers alone.
+    pub cache: NeighborCache,
 }
 
 /// `clone_from` forwards to the cache's buffer-reusing `clone_from` —
@@ -266,7 +247,7 @@ impl ClusterState {
 }
 
 /// The beacon: the node's shared variables and its neighbor summaries.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct ClusterBeacon {
     /// Sender's DAG identifier.
     pub dag_id: u32,
@@ -276,6 +257,27 @@ pub struct ClusterBeacon {
     pub head: NodeId,
     /// Sender's cached neighbor summaries (its 1-hop view).
     pub view: Vec<PeerSummary>,
+}
+
+/// `clone_from` reuses the `view` buffer: the event driver copies each
+/// transmission's beacon into a pooled entry, which stops allocating
+/// once the pool has seen the largest neighbourhood.
+impl Clone for ClusterBeacon {
+    fn clone(&self) -> Self {
+        ClusterBeacon {
+            dag_id: self.dag_id,
+            density: self.density,
+            head: self.head,
+            view: self.view.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.dag_id = source.dag_id;
+        self.density = source.density;
+        self.head = source.head;
+        self.view.clone_from(&source.view);
+    }
 }
 
 /// The actor driver's wire format for one beacon frame: the sender's
@@ -396,10 +398,6 @@ impl DensityCluster {
         &self.config
     }
 
-    fn key_of_entry(q: NodeId, e: &NeighborEntry) -> Key {
-        Key::new(e.density, e.head == q, e.dag_id, q)
-    }
-
     fn key_of_summary(s: &PeerSummary) -> Key {
         Key::new(s.density, s.head == s.id, s.dag_id, s.id)
     }
@@ -409,17 +407,164 @@ impl DensityCluster {
     /// neighbor views. Used by the fusion rule.
     fn two_hop_head_claims(me: NodeId, state: &ClusterState) -> Vec<Key> {
         let mut claims = Vec::new();
-        for (&q, e) in &state.cache {
-            if e.head == q {
-                claims.push(Self::key_of_entry(q, e));
+        for (e, view) in state.cache.iter() {
+            if e.head == e.id {
+                claims.push(Self::key_of_summary(&e.summary()));
             }
-            for s in &e.view {
+            for s in view {
                 if s.id != me && s.head == s.id {
                     claims.push(Self::key_of_summary(s));
                 }
             }
         }
         claims
+    }
+
+    /// The receive guard. Returns whether `state` changed under
+    /// `PartialEq` — exactly: the cached copy of `from` was created, or
+    /// rewritten with different content or a different stamp.
+    fn refresh_cached_copy(
+        &self,
+        node: NodeId,
+        state: &mut ClusterState,
+        from: NodeId,
+        beacon: &ClusterBeacon,
+        now: u64,
+    ) -> bool {
+        if from == node {
+            return false; // a radio echo of ourselves carries no information
+        }
+        let event_driven = self.config.freshness == FreshnessPolicy::EventDriven;
+        let changed = match state.cache.get(&from) {
+            Some((e, view)) => {
+                // Under TtlSweep a rewrite moves the stamp unless the
+                // sender was already heard this very step, so the
+                // content is only compared then.
+                let same = (event_driven || e.last_seen == now)
+                    && e.dag_id == beacon.dag_id
+                    && e.density == beacon.density
+                    && e.head == beacon.head
+                    && view == beacon.view;
+                // Silence contract: an already-incorporated beacon must
+                // be a state no-op — not even a timestamp refresh.
+                if event_driven && same {
+                    return false;
+                }
+                !same
+            }
+            None => true,
+        };
+        // A known neighbor is overwritten in place: a refresh never
+        // allocates once its view has reached the neighborhood's size.
+        let peer = PeerSummary {
+            id: from,
+            dag_id: beacon.dag_id,
+            density: beacon.density,
+            head: beacon.head,
+        };
+        state.cache.store(now, peer, &beacon.view);
+        changed
+    }
+
+    /// One pass of the guarded assignments N1, R1, R2 after the cache
+    /// sweep. Returns whether the sweep dropped an entry — the only way
+    /// this pass changes the cache.
+    fn run_guards(
+        &self,
+        node: NodeId,
+        state: &mut ClusterState,
+        now: u64,
+        rng: &mut StdRng,
+    ) -> bool {
+        // Cache hygiene. TtlSweep: drop entries that are stale or carry
+        // a timestamp from the future (corrupted state must die out).
+        // EventDriven: only future-stamped forgeries are swept — live
+        // entries must survive arbitrarily long silence, and departed
+        // neighbors are evicted by `link_down` instead.
+        let ttl = self.config.cache_ttl;
+        let swept = match self.config.freshness {
+            FreshnessPolicy::TtlSweep => state
+                .cache
+                .retain(|e| e.last_seen <= now && now - e.last_seen < ttl),
+            FreshnessPolicy::EventDriven => state.cache.retain(|e| e.last_seen <= now),
+        };
+        let cached = state.cache.slots();
+
+        // --- N1: DAG renaming (Section 4.1) --------------------------
+        match &self.config.dag {
+            Some(dag) => {
+                let conflicted = !dag.gamma.contains(state.dag_id)
+                    || cached.iter().any(|e| e.dag_id == state.dag_id);
+                if conflicted {
+                    let must_redraw = match dag.variant {
+                        DagVariant::Randomized => true,
+                        DagVariant::SmallestIdRedraws => {
+                            !dag.gamma.contains(state.dag_id)
+                                || cached
+                                    .iter()
+                                    .any(|e| e.dag_id == state.dag_id && node < e.id)
+                        }
+                    };
+                    if must_redraw {
+                        // The used-name list is only materialized on an
+                        // actual redraw — conflict-free steps (the
+                        // overwhelming majority) stay allocation-free.
+                        let used: Vec<u32> = cached.iter().map(|e| e.dag_id).collect();
+                        state.dag_id = new_id(state.dag_id, &used, dag.gamma, rng);
+                    }
+                }
+            }
+            None => {
+                // Without the DAG the tie-break id *is* the unique id;
+                // re-asserting it heals corrupted state.
+                state.dag_id = node.value();
+            }
+        }
+
+        // --- R1: density (Section 4.2) --------------------------------
+        // Each cached neighbor carries its share of the numerator
+        // (`NeighborCache`'s `links` invariant), so the value is a sum
+        // over the headers: no view is read.
+        state.density = self
+            .config
+            .metric
+            .value_from_counts(cached.len() as u32, state.cache.neighborhood_links(node));
+
+        // --- R2: cluster-head choice (Sections 4.2 / 4.3) -------------
+        let my_key = state.key(node);
+        let order = self.config.order;
+        let strongest_neighbor = cached
+            .iter()
+            .map(|e| (*e, Self::key_of_summary(&e.summary())))
+            .max_by(|(_, a), (_, b)| a.cmp_under(b, order));
+        let follow = match strongest_neighbor {
+            Some((q, k)) if !k.precedes(&my_key, order) => Some(q),
+            _ => None,
+        };
+        match (follow, self.config.rule) {
+            (Some(q), _) => {
+                state.parent = q.id;
+                state.head = q.head;
+            }
+            (None, HeadRule::Basic) => {
+                state.head = node;
+                state.parent = node;
+            }
+            (None, HeadRule::Fusion) => {
+                let claims = Self::two_hop_head_claims(node, state);
+                let blocking = claims
+                    .iter()
+                    .filter(|c| my_key.precedes(c, order))
+                    .max_by(|a, b| a.cmp_under(b, order));
+                // Locally maximal, yet a stronger head sits within two
+                // hops: abdicate and merge into it (logical 2-hop
+                // parent).
+                let head = blocking.map_or(node, |absorber| absorber.id);
+                state.head = head;
+                state.parent = head;
+            }
+        }
+        swept
     }
 }
 
@@ -437,26 +582,19 @@ impl Protocol for DensityCluster {
             density: Density::zero(),
             head: node,
             parent: node,
-            cache: SmallMap::new(),
+            cache: NeighborCache::new(),
         }
     }
 
-    fn beacon(&self, _node: NodeId, state: &ClusterState) -> ClusterBeacon {
-        ClusterBeacon {
-            dag_id: state.dag_id,
-            density: state.density,
-            head: state.head,
-            view: state
-                .cache
-                .iter()
-                .map(|(&q, e)| PeerSummary {
-                    id: q,
-                    dag_id: e.dag_id,
-                    density: e.density,
-                    head: e.head,
-                })
-                .collect(),
-        }
+    fn beacon(&self, node: NodeId, state: &ClusterState) -> ClusterBeacon {
+        let mut beacon = ClusterBeacon {
+            dag_id: 0,
+            density: Density::zero(),
+            head: node,
+            view: Vec::new(),
+        };
+        self.beacon_into(node, state, &mut beacon);
+        beacon
     }
 
     fn beacon_into(&self, _node: NodeId, state: &ClusterState, out: &mut ClusterBeacon) {
@@ -469,12 +607,7 @@ impl Protocol for DensityCluster {
         out.head = state.head;
         out.view.clear();
         out.view
-            .extend(state.cache.iter().map(|(&q, e)| PeerSummary {
-                id: q,
-                dag_id: e.dag_id,
-                density: e.density,
-                head: e.head,
-            }));
+            .extend(state.cache.slots().iter().map(NeighborSlot::summary));
     }
 
     fn receive(
@@ -485,152 +618,43 @@ impl Protocol for DensityCluster {
         beacon: &ClusterBeacon,
         now: u64,
     ) {
-        if from == node {
-            return; // a radio echo of ourselves carries no information
-        }
-        let event_driven = self.config.freshness == FreshnessPolicy::EventDriven;
-        if let Some(e) = state.cache.get_mut(&from) {
-            // Silence contract: an already-incorporated beacon must be
-            // a state no-op — not even a timestamp refresh.
-            if event_driven
-                && e.dag_id == beacon.dag_id
-                && e.density == beacon.density
-                && e.head == beacon.head
-                && e.view == beacon.view
-            {
-                return;
-            }
-            // Overwrite in place: the entry's view buffer is reused,
-            // so a refresh from a known neighbor never allocates once
-            // the view capacity has settled.
-            e.last_seen = now;
-            e.dag_id = beacon.dag_id;
-            e.density = beacon.density;
-            e.head = beacon.head;
-            e.view.clone_from(&beacon.view);
-        } else {
-            state.cache.insert(
-                from,
-                NeighborEntry {
-                    last_seen: now,
-                    dag_id: beacon.dag_id,
-                    density: beacon.density,
-                    head: beacon.head,
-                    view: beacon.view.clone(),
-                },
-            );
-        }
+        self.refresh_cached_copy(node, state, from, beacon, now);
     }
 
     fn update(&self, node: NodeId, state: &mut ClusterState, now: u64, rng: &mut StdRng) {
-        // Cache hygiene. TtlSweep: drop entries that are stale or carry
-        // a timestamp from the future (corrupted state must die out).
-        // EventDriven: only future-stamped forgeries are swept — live
-        // entries must survive arbitrarily long silence, and departed
-        // neighbors are evicted by `link_down` instead.
-        let ttl = self.config.cache_ttl;
-        match self.config.freshness {
-            FreshnessPolicy::TtlSweep => state
-                .cache
-                .retain(|_, e| e.last_seen <= now && now - e.last_seen < ttl),
-            FreshnessPolicy::EventDriven => state.cache.retain(|_, e| e.last_seen <= now),
-        }
+        self.run_guards(node, state, now, rng);
+    }
 
-        // --- N1: DAG renaming (Section 4.1) --------------------------
-        match &self.config.dag {
-            Some(dag) => {
-                let conflicted = !dag.gamma.contains(state.dag_id)
-                    || state.cache.values().any(|e| e.dag_id == state.dag_id);
-                if conflicted {
-                    let must_redraw = match dag.variant {
-                        DagVariant::Randomized => true,
-                        DagVariant::SmallestIdRedraws => {
-                            !dag.gamma.contains(state.dag_id)
-                                || state
-                                    .cache
-                                    .iter()
-                                    .any(|(&q, e)| e.dag_id == state.dag_id && node < q)
-                        }
-                    };
-                    if must_redraw {
-                        // The used-name list is only materialized on an
-                        // actual redraw — conflict-free steps (the
-                        // overwhelming majority) stay allocation-free.
-                        let used: Vec<u32> = state.cache.values().map(|e| e.dag_id).collect();
-                        state.dag_id = new_id(state.dag_id, &used, dag.gamma, rng);
-                    }
-                }
-            }
-            None => {
-                // Without the DAG the tie-break id *is* the unique id;
-                // re-asserting it heals corrupted state.
-                state.dag_id = node.value();
-            }
-        }
+    /// Exact without a snapshot: the guard itself knows whether it
+    /// rewrote the cached copy.
+    fn receive_changed(
+        &self,
+        node: NodeId,
+        state: &mut ClusterState,
+        from: NodeId,
+        beacon: &ClusterBeacon,
+        now: u64,
+        _scratch: &mut Option<ClusterState>,
+    ) -> bool {
+        self.refresh_cached_copy(node, state, from, beacon, now)
+    }
 
-        // --- R1: density (Section 4.2) --------------------------------
-        // Streamed straight off the cache: the rows are already sorted
-        // by neighbor id and membership is a binary search, so no
-        // id-tables are materialized per node per step.
-        state.density = self.config.metric.value_from_rows(
-            node,
-            state.cache.len() as u32,
-            state
-                .cache
-                .iter()
-                .map(|(&q, e)| (q, e.view.iter().map(|s| s.id))),
-            |r| state.cache.contains_key(&r),
-        );
-
-        // --- R2: cluster-head choice (Sections 4.2 / 4.3) -------------
-        let my_key = state.key(node);
-        let order = self.config.order;
-        let strongest_neighbor = state
-            .cache
-            .iter()
-            .map(|(&q, e)| (q, Self::key_of_entry(q, e)))
-            .max_by(|(_, a), (_, b)| a.cmp_under(b, order));
-        let locally_max = match &strongest_neighbor {
-            None => true,
-            Some((_, k)) => k.precedes(&my_key, order),
-        };
-        match self.config.rule {
-            HeadRule::Basic => {
-                if locally_max {
-                    state.head = node;
-                    state.parent = node;
-                } else {
-                    let (q, _) = strongest_neighbor.expect("non-maximal ⇒ has neighbors");
-                    state.parent = q;
-                    state.head = state.cache[&q].head;
-                }
-            }
-            HeadRule::Fusion => {
-                if locally_max {
-                    let claims = Self::two_hop_head_claims(node, state);
-                    let blocking = claims
-                        .iter()
-                        .filter(|c| my_key.precedes(c, order))
-                        .max_by(|a, b| a.cmp_under(b, order));
-                    match blocking {
-                        None => {
-                            state.head = node;
-                            state.parent = node;
-                        }
-                        Some(absorber) => {
-                            // Abdicate: merge into the strongest head
-                            // within two hops (logical 2-hop parent).
-                            state.head = absorber.id;
-                            state.parent = absorber.id;
-                        }
-                    }
-                } else {
-                    let (q, _) = strongest_neighbor.expect("non-maximal ⇒ has neighbors");
-                    state.parent = q;
-                    state.head = state.cache[&q].head;
-                }
-            }
-        }
+    /// Exact without a snapshot: the pass writes the four shared
+    /// variables (compared the way `ClusterState: PartialEq` compares
+    /// them — [`Density`] by ratio) and touches the cache only by
+    /// sweeping entries out of it.
+    fn update_changed(
+        &self,
+        node: NodeId,
+        state: &mut ClusterState,
+        now: u64,
+        rng: &mut StdRng,
+        _scratch: &mut Option<ClusterState>,
+    ) -> bool {
+        let shared = |s: &ClusterState| (s.dag_id, s.density, s.head, s.parent);
+        let before = shared(state);
+        let swept = self.run_guards(node, state, now, rng);
+        swept || before != shared(state)
     }
 
     fn activity(&self) -> mwn_sim::Activity {
@@ -1121,7 +1145,7 @@ mod tests {
             density: Density::zero(),
             head: NodeId::new(42),
             parent: NodeId::new(0),
-            cache: SmallMap::new(),
+            cache: NeighborCache::new(),
         };
         assert!(extract_clustering(&[state]).is_none());
     }

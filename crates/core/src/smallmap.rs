@@ -1,9 +1,10 @@
-//! A sorted-vector map for small, hot, per-node neighbor caches.
+//! A sorted-vector map for a small, hot, per-node neighbor cache.
 //!
-//! The protocol caches ([`crate::ClusterState`], [`crate::DagState`])
-//! hold one entry per radio neighbor — a handful of entries, read and
-//! rewritten for every active node on every step of the converging
-//! phase. A `BTreeMap` pays pointer-chasing, per-node heap blocks and
+//! [`crate::DagState`]'s cache holds one `Copy` entry per radio
+//! neighbor — a handful of entries, read and rewritten for every
+//! active node on every step of the converging phase.
+//! ([`crate::ClusterState`], whose entries own a view each, has its
+//! own flat layout: [`crate::NeighborCache`].) A `BTreeMap` pays pointer-chasing, per-node heap blocks and
 //! an allocating `clone` for that working set; a single sorted vector
 //! makes the clone one contiguous `memcpy`, equality a linear scan,
 //! and lookups a branch-light binary search over one cache line or
@@ -36,17 +37,9 @@ use serde::{Deserialize, Serialize};
 /// // Iteration is always in ascending key order.
 /// assert_eq!(m.keys().copied().collect::<Vec<_>>(), vec![1, 3]);
 /// ```
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SmallMap<K, V> {
     entries: Vec<(K, V)>,
-    /// Entries recycled by `clone_from` shrinks. The engine's scratch
-    /// state is `clone_from`-ed across nodes of *different* degrees;
-    /// without the pool every shrink would free the tail entries' heap
-    /// (e.g. a `NeighborEntry`'s view vec) and the next grow would
-    /// re-allocate it — one heap round-trip per degree change, forever.
-    /// Parking shrunk entries here instead lets grows reuse their
-    /// buffers, so scratch cloning settles to zero allocations.
-    spare: Vec<(K, V)>,
 }
 
 impl<K: Ord, V> SmallMap<K, V> {
@@ -54,7 +47,6 @@ impl<K: Ord, V> SmallMap<K, V> {
     pub fn new() -> Self {
         SmallMap {
             entries: Vec::new(),
-            spare: Vec::new(),
         }
     }
 
@@ -146,50 +138,17 @@ impl<K: Ord, V> Default for SmallMap<K, V> {
     }
 }
 
-/// Spare-pool entries are invisible: two maps are equal iff their live
-/// entries are.
-impl<K: PartialEq, V: PartialEq> PartialEq for SmallMap<K, V> {
-    fn eq(&self, other: &Self) -> bool {
-        self.entries == other.entries
-    }
-}
-
-impl<K: Eq, V: Eq> Eq for SmallMap<K, V> {}
-
 /// `clone_from` reuses the destination's entry buffer (and, through
-/// each value's own `clone_from`, any heap the values hold). Entries
-/// dropped by a shrink are parked in the spare pool and revived by the
-/// next grow, so repeated scratch-clones across differently-sized
-/// sources settle to zero allocations.
+/// each value's own `clone_from`, any heap the values hold).
 impl<K: Clone, V: Clone> Clone for SmallMap<K, V> {
     fn clone(&self) -> Self {
         SmallMap {
             entries: self.entries.clone(),
-            spare: Vec::new(),
         }
     }
 
     fn clone_from(&mut self, source: &Self) {
-        if self.entries.len() > source.entries.len() {
-            // Park the surplus tail instead of freeing its heap.
-            self.spare
-                .extend(self.entries.drain(source.entries.len()..));
-        }
-        let shared = self.entries.len();
-        for (dst, src) in self.entries.iter_mut().zip(&source.entries) {
-            dst.0.clone_from(&src.0);
-            dst.1.clone_from(&src.1);
-        }
-        for src in &source.entries[shared..] {
-            match self.spare.pop() {
-                Some(mut entry) => {
-                    entry.0.clone_from(&src.0);
-                    entry.1.clone_from(&src.1);
-                    self.entries.push(entry);
-                }
-                None => self.entries.push(src.clone()),
-            }
-        }
+        self.entries.clone_from(&source.entries);
     }
 }
 
@@ -292,29 +251,6 @@ mod tests {
         // anything (and in the hot loop it also must not allocate).
         dst.clone_from(&source);
         assert_eq!(dst, source);
-    }
-
-    #[test]
-    fn clone_from_recycles_shrunk_tails() {
-        let big: SmallMap<u32, Vec<u32>> = (0..8u32).map(|k| (k, vec![k; 4])).collect();
-        let small: SmallMap<u32, Vec<u32>> = (0..3u32).map(|k| (k, vec![k; 4])).collect();
-        let mut scratch = SmallMap::new();
-        scratch.clone_from(&big);
-        // Shrink: the five surplus entries are parked, not dropped.
-        scratch.clone_from(&small);
-        assert_eq!(scratch, small);
-        assert_eq!(scratch.spare.len(), 5);
-        // Grow: the parked entries (and their heap) are revived.
-        scratch.clone_from(&big);
-        assert_eq!(scratch, big);
-        assert!(scratch.spare.is_empty());
-        // Equality ignores whatever is parked.
-        let mut other = SmallMap::new();
-        other.clone_from(&big);
-        other.clone_from(&small);
-        let mut fresh = SmallMap::new();
-        fresh.clone_from(&small);
-        assert_eq!(other, fresh);
     }
 
     #[test]

@@ -1,18 +1,21 @@
 //! Property-based tests: the paper's theorems and structural claims,
 //! checked on randomized topologies and adversarial states.
 
+use std::collections::BTreeMap;
+
 use mwn_cluster::{
-    check_legitimate, density_from_tables, density_of, extract_clustering, extract_dag_ids,
-    is_locally_unique, keys_of, oracle, ClusterBeacon, ClusterConfig, DagConfig, DagProtocol,
-    DagVariant, Density, DensityCluster, HeadRule, Key, MetricKind, NameSpace, OracleConfig,
-    OrderKind, PeerSummary,
+    check_legitimate, density_from_rows, density_from_tables, density_of, extract_clustering,
+    extract_dag_ids, is_locally_unique, keys_of, oracle, ClusterBeacon, ClusterConfig,
+    ClusterState, DagConfig, DagProtocol, DagVariant, Density, DensityCluster, FreshnessPolicy,
+    HeadRule, Key, MetricKind, NameSpace, NeighborCache, NeighborEntry, OracleConfig, OrderKind,
+    PeerSummary,
 };
 use mwn_graph::{builders, NodeId, Topology};
 use mwn_radio::BernoulliLoss;
-use mwn_sim::{Scenario, StopWhen, WireBeacon};
+use mwn_sim::{Corruptible, Protocol, Scenario, StopWhen, WireBeacon};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn unit_disk(n: usize, r_percent: u32, seed: u64) -> Topology {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -81,6 +84,261 @@ fn check_codec_agreement(bytes: &[u8], pooled: &ClusterBeacon) -> Result<(), Tes
         }
     }
     Ok(())
+}
+
+/// Ids of the cache and report properties: a space small enough that
+/// keys, view entries and the node's own id collide all the time.
+const SMALL_IDS: u32 = 10;
+
+fn small_id(rng: &mut StdRng) -> NodeId {
+    NodeId::new(rng.random_range(0..SMALL_IDS))
+}
+
+/// A density out of a handful of values, each in several bitwise
+/// different spellings (`1/2`, `2/4`, `3/6`).
+fn small_density(rng: &mut StdRng) -> Density {
+    let k: u32 = rng.random_range(1..4);
+    Density::ratio(k * rng.random_range(0..4u32), k * rng.random_range(1..3u32))
+}
+
+/// A view of `len` summaries: ids repeated and unsorted, the way
+/// `Corruptible::corrupt` leaves them.
+fn small_view(rng: &mut StdRng, len: usize) -> Vec<PeerSummary> {
+    let summary = |rng: &mut StdRng| PeerSummary {
+        id: small_id(rng),
+        dag_id: rng.random_range(0..4),
+        density: small_density(rng),
+        head: small_id(rng),
+    };
+    (0..len).map(|_| summary(rng)).collect()
+}
+
+fn small_entry(rng: &mut StdRng, view_len: usize) -> NeighborEntry {
+    NeighborEntry {
+        last_seen: rng.random_range(0..8),
+        dag_id: rng.random_range(0..4),
+        density: small_density(rng),
+        head: small_id(rng),
+        view: small_view(rng, view_len),
+    }
+}
+
+/// The cache against its model: same entries in the same order (the
+/// densities bit for bit), consistent offsets and counts, and R1's
+/// numerator equal to [`density_from_rows`] over the model — as seen
+/// from every node of the id space, cached ones included.
+fn check_cache_against_model(
+    cache: &NeighborCache,
+    model: &BTreeMap<NodeId, NeighborEntry>,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(cache.check(), Ok(()));
+    prop_assert_eq!(cache.len(), model.len());
+    prop_assert_eq!(cache.is_empty(), model.is_empty());
+    prop_assert!(cache.keys().eq(model.keys()));
+    prop_assert!(cache.slots().iter().map(|s| &s.id).eq(model.keys()));
+    let exact = |d: Density| (d.links(), d.degree());
+    for ((slot, view), (&id, want)) in cache.iter().zip(model) {
+        let got = (slot.id, slot.last_seen, slot.dag_id, slot.head);
+        prop_assert_eq!(got, (id, want.last_seen, want.dag_id, want.head));
+        prop_assert_eq!(exact(slot.density), exact(want.density));
+        prop_assert_eq!(view, &want.view[..]);
+        let bits = |v: &[PeerSummary]| v.iter().map(|s| exact(s.density)).collect::<Vec<_>>();
+        prop_assert_eq!(bits(view), bits(&want.view));
+        let (found, found_view) = cache.get(&id).expect("a model key is cached");
+        prop_assert_eq!((found.id, found_view), (id, view));
+    }
+    for me in (0..=SMALL_IDS).map(NodeId::new) {
+        prop_assert_eq!(cache.contains_key(&me), model.contains_key(&me));
+        prop_assert_eq!(cache.get(&me).is_some(), model.contains_key(&me));
+        let rows = model.iter().map(|(&q, e)| (q, e.view.iter().map(|s| s.id)));
+        let want = density_from_rows(me, model.len() as u32, rows, |r| model.contains_key(&r));
+        let got = Density::ratio(cache.neighborhood_links(me), cache.len() as u32);
+        prop_assert_eq!(exact(got), exact(want), "R1 as seen from {}", me);
+    }
+    Ok(())
+}
+
+/// [`DensityCluster`] with the change reports left at their provided
+/// bodies — the reference its overrides must agree with.
+struct ProvidedReports(DensityCluster);
+
+impl Protocol for ProvidedReports {
+    type State = ClusterState;
+    type Beacon = ClusterBeacon;
+    fn init(&self, node: NodeId, rng: &mut StdRng) -> ClusterState {
+        self.0.init(node, rng)
+    }
+    fn beacon(&self, node: NodeId, state: &ClusterState) -> ClusterBeacon {
+        self.0.beacon(node, state)
+    }
+    fn receive(&self, p: NodeId, s: &mut ClusterState, from: NodeId, b: &ClusterBeacon, now: u64) {
+        self.0.receive(p, s, from, b, now);
+    }
+    fn update(&self, node: NodeId, state: &mut ClusterState, now: u64, rng: &mut StdRng) {
+        self.0.update(node, state, now, rng);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `NeighborCache` is a `BTreeMap<NodeId, NeighborEntry>` with a
+    /// running density numerator: under random inserts, receive-style
+    /// rewrites (same ids, same length, longer, shorter, empty view), removals,
+    /// sweeps, clears and `clone_from` between two caches of different
+    /// sizes, it iterates like the map and counts like Definition 1.
+    #[test]
+    fn neighbor_cache_matches_a_btreemap_model(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut caches = [NeighborCache::new(), NeighborCache::new()];
+        let mut models = [BTreeMap::new(), BTreeMap::new()];
+        for _ in 0..60 {
+            let side: usize = rng.random_range(0..2);
+            let (cache, model) = (&mut caches[side], &mut models[side]);
+            match rng.random_range(0..10) {
+                0..=2 => {
+                    let (id, len) = (small_id(&mut rng), rng.random_range(0..6));
+                    let entry = small_entry(&mut rng, len);
+                    cache.insert(id, entry.clone());
+                    model.insert(id, entry);
+                }
+                3..=5 => {
+                    // What `receive` does to a known neighbor (or to a
+                    // new one, when nothing is cached yet).
+                    let known = model.keys().nth(rng.random_range(0..SMALL_IDS as usize));
+                    let id = known.copied().unwrap_or_else(|| small_id(&mut rng));
+                    let old = model.get(&id).map_or(0, |e| e.view.len());
+                    let kind = rng.random_range(0..5);
+                    let len = match kind {
+                        0 | 1 => old,
+                        2 => old + rng.random_range(1..4usize),
+                        3 => old.saturating_sub(rng.random_range(1..4usize)),
+                        _ => 0,
+                    };
+                    let mut e = small_entry(&mut rng, len);
+                    if let (0, Some(cached)) = (kind, model.get(&id)) {
+                        // The steady-state rewrite: the same ids saying
+                        // something new (the path that keeps `links`).
+                        for (fresh, was) in e.view.iter_mut().zip(&cached.view) {
+                            fresh.id = was.id;
+                        }
+                    }
+                    let peer = PeerSummary { id, dag_id: e.dag_id, density: e.density, head: e.head };
+                    cache.store(e.last_seen, peer, &e.view);
+                    model.insert(id, e);
+                }
+                6 => {
+                    let id = small_id(&mut rng);
+                    prop_assert_eq!(cache.remove(&id), model.remove(&id).is_some());
+                }
+                7 => {
+                    let horizon = rng.random_range(0..9);
+                    let before = model.len();
+                    model.retain(|_, e| e.last_seen <= horizon);
+                    let dropped = cache.retain(|s| s.last_seen <= horizon);
+                    prop_assert_eq!(dropped, model.len() != before);
+                }
+                8 => {
+                    if rng.random_range(0..4) == 0 {
+                        cache.clear();
+                        model.clear();
+                    }
+                }
+                _ => {
+                    let [a, b] = &mut caches;
+                    let (dst, src) = if side == 0 { (a, &*b) } else { (b, &*a) };
+                    dst.clone_from(src);
+                    prop_assert!(&*dst == src);
+                    models[side] = models[1 - side].clone();
+                }
+            }
+            check_cache_against_model(&caches[side], &models[side])?;
+            prop_assert_eq!(caches[0] == caches[1], models[0] == models[1]);
+        }
+    }
+
+    /// The exactness contract of `receive_changed` / `update_changed`:
+    /// on random and `corrupt`-ed states, under both freshness
+    /// policies, DAG on and off, Basic and Fusion, `DensityCluster`'s
+    /// overrides return what the provided snapshot-and-compare bodies
+    /// return and leave the same state, bit for bit — through echoes of
+    /// the node itself, replays of the cached copy in another spelling
+    /// of the same density, repeats within one logical step and
+    /// future-stamped ghosts the update sweeps.
+    #[test]
+    fn change_reports_agree_with_the_provided_reference(
+        seed in 0u64..u64::MAX,
+        event_driven in any::<bool>(),
+        dag in any::<bool>(),
+        fusion in any::<bool>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let config = ClusterConfig {
+            rule: if fusion { HeadRule::Fusion } else { HeadRule::Basic },
+            dag: dag.then_some(DagConfig {
+                gamma: NameSpace::of_size(3),
+                variant: DagVariant::SmallestIdRedraws,
+            }),
+            freshness: if event_driven { FreshnessPolicy::EventDriven } else { FreshnessPolicy::TtlSweep },
+            ..ClusterConfig::default()
+        };
+        let protocol = DensityCluster::new(config);
+        let reference = ProvidedReports(protocol);
+        let node = small_id(&mut rng);
+        let mut state = protocol.init(node, &mut rng);
+        if rng.random_range(0..3) == 0 {
+            protocol.corrupt(node, &mut state, &mut rng);
+        }
+        state.head = small_id(&mut rng);
+        state.density = small_density(&mut rng);
+        for _ in 0..rng.random_range(0..6) {
+            let len = rng.random_range(0..5);
+            // Stamps up to 7 against `now` below 6: some are ghosts
+            // from the future.
+            state.cache.insert(small_id(&mut rng), small_entry(&mut rng, len));
+        }
+        let mut mirror = state.clone();
+        let (mut scratch, mut unused) = (None, None);
+        let mut reports = [0u32; 2];
+        for frame in 0..12u64 {
+            let now = rng.random_range(2..6);
+            let from = small_id(&mut rng);
+            let len = rng.random_range(0..5);
+            let mut beacon = ClusterBeacon {
+                dag_id: rng.random_range(0..4),
+                density: small_density(&mut rng),
+                head: small_id(&mut rng),
+                view: small_view(&mut rng, len),
+            };
+            if let (Some((e, view)), 0..=1) = (state.cache.get(&from), rng.random_range(0..3)) {
+                // A replay of the cached copy, its density respelled.
+                let d = e.density;
+                beacon = ClusterBeacon {
+                    dag_id: e.dag_id,
+                    density: Density::ratio(2 * d.links(), 2 * d.degree()),
+                    head: e.head,
+                    view: view.to_vec(),
+                };
+            }
+            // Twice in a row: the second is a repeat within one step.
+            for _ in 0..2 {
+                let got = protocol.receive_changed(node, &mut state, from, &beacon, now, &mut unused);
+                let want = reference.receive_changed(node, &mut mirror, from, &beacon, now, &mut scratch);
+                prop_assert_eq!(got, want, "receive from {} at {}", from, now);
+                prop_assert_eq!(format!("{state:?}"), format!("{mirror:?}"));
+                reports[usize::from(got)] += 1;
+            }
+            let rngs = || StdRng::seed_from_u64(seed ^ frame);
+            let got = protocol.update_changed(node, &mut state, now, &mut rngs(), &mut unused);
+            let want = reference.update_changed(node, &mut mirror, now, &mut rngs(), &mut scratch);
+            prop_assert_eq!(got, want, "update at {}", now);
+            prop_assert_eq!(format!("{state:?}"), format!("{mirror:?}"));
+            prop_assert_eq!(state.cache.check(), Ok(()));
+            reports[usize::from(got)] += 1;
+        }
+        prop_assert!(unused.is_none(), "the overrides need no snapshot");
+        prop_assert!(reports[0] > 0 && reports[1] > 0, "both answers occur: {:?}", reports);
+    }
 }
 
 proptest! {

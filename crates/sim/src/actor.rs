@@ -87,7 +87,7 @@ use crate::error::SimError;
 use crate::faults::Fault;
 use crate::network::StepActivity;
 use crate::observable::Observable;
-use crate::protocol::{Corruptible, Protocol};
+use crate::protocol::{snapshot, Corruptible, Protocol};
 use crate::rng::{split_rng, streams};
 use crate::stop::{RunReport, StopWhen};
 use crate::wire::WireBeacon;
@@ -642,15 +642,6 @@ where
     /// Activity counters of the most recent period.
     pub fn last_activity(&self) -> StepActivity {
         self.last_activity
-    }
-}
-
-/// Copies `state` into the reusable `slot` — change detection under
-/// gating, allocation-free once the slot's buffers have grown.
-fn snapshot<S: Clone>(slot: &mut Option<S>, state: &S) {
-    match slot {
-        Some(s) => s.clone_from(state),
-        None => *slot = Some(state.clone()),
     }
 }
 

@@ -241,7 +241,9 @@ pub(crate) struct NodeTable<P: Protocol> {
     /// the lie is cleared. Almost always empty, so the hot-path guard
     /// is a single `is_empty` test.
     pub lies: Vec<NodeId>,
-    /// Scratch: pre-step snapshot of the node being processed.
+    /// Scratch: pre-visit snapshot of the node being processed — the
+    /// slot [`crate::protocol::snapshot`] fills for the round driver's
+    /// change detection and for the provided `*_changed` bodies.
     pub scratch_state: Option<P::State>,
     /// Scratch: pooled beacon buffer for [`ActivityCore::refresh_beacon`].
     /// Refreshing computes into this buffer ([`Protocol::beacon_into`])
@@ -279,20 +281,6 @@ impl<P: Protocol> NodeTable<P> {
         table.update_dirty.insert_all();
         table.send_pending.insert_all();
         table
-    }
-
-    /// Snapshots `p`'s state into the reusable scratch slot — change
-    /// detection under gating, allocation-free in steady state.
-    pub fn snapshot(&mut self, p: NodeId) {
-        match &mut self.scratch_state {
-            Some(s) => s.clone_from(&self.states[p.index()]),
-            None => self.scratch_state = Some(self.states[p.index()].clone()),
-        }
-    }
-
-    /// Whether `p`'s state differs from the last [`NodeTable::snapshot`].
-    pub fn changed_since_snapshot(&self, p: NodeId) -> bool {
-        self.scratch_state.as_ref() != Some(&self.states[p.index()])
     }
 
     /// Marks `p` for rescheduling: its state may have changed outside

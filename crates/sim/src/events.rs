@@ -1,5 +1,5 @@
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, VecDeque};
 
 use mwn_graph::{NodeId, Topology};
 use mwn_radio::{Delivery, Medium, PerfectMedium};
@@ -58,7 +58,8 @@ impl EventConfig {
     }
 }
 
-/// Totally ordered event-queue key, min-first.
+/// Totally ordered event key, in natural order: the earliest event
+/// compares smallest.
 ///
 /// Ties at the same instant break on **intrinsic identity** (frame
 /// arrivals before beacon slots, then node ids), never on insertion
@@ -68,11 +69,26 @@ impl EventConfig {
 #[derive(Clone, Copy, Debug)]
 struct EventKey {
     time: f64,
-    /// 0 = frame arrival (Rx), 1 = beacon slot (Tx): a state change
-    /// carried by a frame is visible to a same-instant broadcast.
+    /// [`ARRIVAL`] or [`SLOT`]: a state change carried by a frame is
+    /// visible to a same-instant broadcast.
     class: u8,
     a: u32,
     b: u32,
+}
+
+const ARRIVAL: u8 = 0;
+const SLOT: u8 = 1;
+
+impl EventKey {
+    /// Node `p`'s beacon slot firing at `time`.
+    fn slot(time: f64, p: NodeId) -> Self {
+        EventKey {
+            time,
+            class: SLOT,
+            a: p.value(),
+            b: 0,
+        }
+    }
 }
 
 impl PartialEq for EventKey {
@@ -88,49 +104,139 @@ impl PartialOrd for EventKey {
 }
 impl Ord for EventKey {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.class.cmp(&self.class))
-            .then_with(|| other.a.cmp(&self.a))
-            .then_with(|| other.b.cmp(&self.b))
+        self.time
+            .total_cmp(&other.time)
+            .then_with(|| self.class.cmp(&other.class))
+            .then_with(|| self.a.cmp(&other.a))
+            .then_with(|| self.b.cmp(&other.b))
     }
 }
 
-enum EventKind<B> {
-    /// Node `node`'s beacon slot number `slot` fires.
-    Tx { node: NodeId, slot: u64 },
-    /// A frame sent by `sender` finishes arriving at `receiver`.
-    Rx {
-        receiver: NodeId,
-        sender: NodeId,
-        /// The sender's beacon epoch at transmission time — what the
-        /// receiver's reception row records on incorporation.
-        tx_epoch: u32,
-        beacon: B,
-    },
+/// One copy of a transmission on its way to `receiver`.
+#[derive(Clone, Copy, Debug)]
+struct Frame {
+    /// When the copy finishes arriving.
+    time: f64,
+    receiver: NodeId,
+    sender: NodeId,
+    /// The sender's beacon epoch at transmission time — what the
+    /// receiver's reception row records on incorporation.
+    tx_epoch: u32,
+    /// The [`BeaconPool`] entry holding the transmitted beacon.
+    beacon: u32,
 }
 
-struct Event<B> {
-    key: EventKey,
-    kind: EventKind<B>,
+impl Frame {
+    fn key(&self) -> EventKey {
+        EventKey {
+            time: self.time,
+            class: ARRIVAL,
+            a: self.receiver.value(),
+            b: self.sender.value(),
+        }
+    }
 }
 
-impl<B> PartialEq for Event<B> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
+/// The event queue: beacon slots in a heap, frames in flight in a
+/// sorted lane. See [`EventDriver`]'s "O(active) scheduling".
+#[derive(Default)]
+struct Lanes {
+    slots: BinaryHeap<Reverse<EventKey>>,
+    frames: VecDeque<Frame>,
+}
+
+/// The next event, as [`Lanes::pop`] hands it out.
+enum Next {
+    /// The beacon slot of this node fires.
+    Slot(NodeId),
+    /// This frame copy finishes arriving.
+    Arrival(Frame),
+}
+
+impl Lanes {
+    fn push_slot(&mut self, time: f64, p: NodeId) {
+        self.slots.push(Reverse(EventKey::slot(time, p)));
+    }
+
+    /// Files `frame` in key order. Arrivals are `t + frame_time` of
+    /// slots that pop in time order, so the place is the back, or — for
+    /// copies landing at the same instant — a few entries before it.
+    fn push_frame(&mut self, frame: Frame) {
+        let key = frame.key();
+        let mut at = self.frames.len();
+        while at > 0 && self.frames[at - 1].key() > key {
+            at -= 1;
+        }
+        self.frames.insert(at, frame);
+    }
+
+    /// The key of the next event: the earlier of the two lane heads
+    /// (an arrival sorts before a slot at the same instant).
+    fn peek(&self) -> Option<EventKey> {
+        let slot = self.slots.peek().map(|&Reverse(key)| key);
+        let arrival = self.frames.front().map(Frame::key);
+        match (slot, arrival) {
+            (Some(s), Some(a)) => Some(s.min(a)),
+            (s, a) => s.or(a),
+        }
+    }
+
+    /// Removes and returns the next event with its time.
+    fn pop(&mut self) -> Option<(f64, Next)> {
+        let key = self.peek()?;
+        let next = if key.class == SLOT {
+            self.slots.pop();
+            Next::Slot(NodeId::new(key.a))
+        } else {
+            Next::Arrival(self.frames.pop_front()?)
+        };
+        Some((key.time, next))
     }
 }
-impl<B> Eq for Event<B> {}
-impl<B> PartialOrd for Event<B> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+
+/// The beacons of the transmissions in flight: one entry per
+/// transmission, shared by all its copies.
+///
+/// Lifetime rule: [`BeaconPool::hold`] copies the beacon in with the
+/// number of copies put on the air; each copy calls
+/// [`BeaconPool::release`] exactly once, when it lands or when it is
+/// dropped because its link vanished mid-flight; the last release
+/// returns the entry to the free list, buffers intact, for the next
+/// transmission to overwrite.
+struct BeaconPool<B> {
+    entries: Vec<(B, u32)>,
+    free: Vec<u32>,
 }
-impl<B> Ord for Event<B> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.key.cmp(&other.key)
+
+impl<B: Clone> BeaconPool<B> {
+    /// Copies `source` into a free entry that `copies > 0` frames will
+    /// read; returns the entry's index.
+    fn hold(&mut self, source: &B, copies: u32) -> u32 {
+        debug_assert!(copies > 0, "an entry without copies is never released");
+        match self.free.pop() {
+            Some(i) => {
+                let (pooled, in_flight) = &mut self.entries[i as usize];
+                pooled.clone_from(source);
+                *in_flight = copies;
+                i
+            }
+            None => {
+                self.entries.push((source.clone(), copies));
+                (self.entries.len() - 1) as u32
+            }
+        }
+    }
+
+    fn get(&self, i: u32) -> &B {
+        &self.entries[i as usize].0
+    }
+
+    fn release(&mut self, i: u32) {
+        let in_flight = &mut self.entries[i as usize].1;
+        *in_flight -= 1;
+        if *in_flight == 0 {
+            self.free.push(i);
+        }
     }
 }
 
@@ -149,20 +255,42 @@ impl<B> Ord for Event<B> {
 ///
 /// # O(active) scheduling
 ///
-/// The event queue holds one beacon-slot event per **armed** node plus
+/// The event queue holds one beacon-slot key per **armed** node plus
 /// the frames currently in flight — never one entry per node of a
-/// quiescent network. Beacon slots come from the engine's
-/// [`crate::engine::SlotClock`]: node `p`'s `k`-th opportunity is a
-/// pure function of `(seed, p, k)`, so a silent node consumes no
-/// randomness and no queue space, and when something wakes it the next
-/// slot is found arithmetically — exactly the schedule its
-/// always-transmitting eager twin follows. Every other draw (guard
-/// execution, frame fates, corruption) is derived per
+/// quiescent network — in two lanes:
+///
+/// * **Beacon slots** sit in a binary heap of bare 24-byte keys (the
+///   slot number lives in the per-node `armed` column). They come from
+///   the engine's [`crate::engine::SlotClock`]: node `p`'s `k`-th
+///   opportunity is a pure function of `(seed, p, k)`, so a silent node
+///   consumes no randomness and no queue space, and when something
+///   wakes it the next slot is found arithmetically — exactly the
+///   schedule its always-transmitting eager twin follows.
+/// * **Frames in flight** sit in a deque kept sorted by
+///   `(time, receiver, sender)`. It is sorted already when a frame is
+///   pushed: every arrival is `t + frame_time` of a slot, and slots pop
+///   in time order, so a new frame belongs at the back; only copies
+///   landing at the very same instant are placed by a short back-scan.
+///   A frame is 24 `Copy` bytes — it names its beacon by index.
+/// * **Beacons in flight** sit in a pool, one entry per transmission:
+///   the sender's beacon is copied in once, with the number of copies
+///   put on the air; each copy releases its share when it lands (or is
+///   dropped because its link vanished mid-flight), and the last one
+///   frees the entry — buffers intact — for the next transmission.
+///
+/// The next event is the earlier of the two lane heads, an arrival
+/// before a slot at the same instant. Every draw other than the slot
+/// schedule (guard execution, frame fates, corruption) is derived per
 /// (event, node) the same way, which makes gated and eager execution
 /// **byte-identical** on independent-fates media — the continuous-time
 /// counterpart of the round driver's equivalence, property-tested in
-/// `tests/engine_equivalence.rs`. After stabilization the queue drains
+/// `tests/engine_equivalence.rs`. After stabilization both lanes drain
 /// to empty: a quiet interval costs zero messages and O(1) work.
+///
+/// A node's visit here is one frame, so under gating the driver asks
+/// the protocol itself whether a guard changed the state
+/// ([`Protocol::receive_changed`], [`Protocol::update_changed`]) where
+/// the period-clocked drivers snapshot and compare once per visit.
 ///
 /// Scripted faults and [`crate::TopologyDynamics`] (mobility) fire at
 /// logical-step boundaries (multiples of the beacon period),
@@ -204,9 +332,10 @@ pub struct EventDriver<P: Protocol, M: Medium = PerfectMedium> {
     /// The stateless beacon-slot schedule.
     clock: SlotClock,
     medium: M,
-    queue: BinaryHeap<Event<P::Beacon>>,
-    /// Whether a node currently has a beacon-slot event in the queue.
-    tx_armed: Vec<bool>,
+    lanes: Lanes,
+    pool: BeaconPool<P::Beacon>,
+    /// The number of the beacon slot a node has in the queue, if any.
+    armed: Vec<Option<u64>>,
     /// Scratch delivery for per-sender medium evaluation.
     delivery: Delivery,
     /// Scratch node list (wake batches).
@@ -272,8 +401,12 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             config,
             clock: SlotClock::new(seed, config.beacon_period, config.jitter, n),
             medium,
-            queue: BinaryHeap::new(),
-            tx_armed: vec![false; n],
+            lanes: Lanes::default(),
+            pool: BeaconPool {
+                entries: Vec::new(),
+                free: Vec::new(),
+            },
+            armed: vec![None; n],
             delivery: Delivery::empty(n),
             scratch_nodes: Vec::new(),
             time: 0.0,
@@ -340,25 +473,12 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     /// Schedules `p`'s next beacon slot at or after the current time,
     /// unless one is already queued.
     fn arm(&mut self, p: NodeId) {
-        if self.tx_armed[p.index()] {
+        if self.armed[p.index()].is_some() {
             return;
         }
         let (slot, t) = self.clock.next_at(p, self.time);
-        self.tx_armed[p.index()] = true;
-        self.push_slot(p, slot, t);
-    }
-
-    /// Queues `p`'s beacon slot number `slot`, which fires at `time`.
-    fn push_slot(&mut self, p: NodeId, slot: u64, time: f64) {
-        self.queue.push(Event {
-            key: EventKey {
-                time,
-                class: 1,
-                a: p.value(),
-                b: 0,
-            },
-            kind: EventKind::Tx { node: p, slot },
-        });
+        self.armed[p.index()] = Some(slot);
+        self.lanes.push_slot(t, p);
     }
 
     /// Arms every node currently marked send-pending — called after
@@ -411,11 +531,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     /// jumps straight to `t`: a quiet interval costs O(1).
     pub fn run_until_time(&mut self, t: f64) {
         loop {
-            let event_time = self
-                .queue
-                .peek()
-                .map(|e| e.key.time)
-                .unwrap_or(f64::INFINITY);
+            let event_time = self.lanes.peek().map_or(f64::INFINITY, |key| key.time);
             let at = |step: Option<u64>| step.map_or(f64::INFINITY, |k| self.step_time(k));
             let dyn_step = self.env.has_dynamics().then_some(self.dynamics_step);
             let (followup_step, fault_step) = (self.env.next_followup(), self.env.next_scripted());
@@ -439,29 +555,25 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             } else if let Some(step) = due(fault_step) {
                 self.at_boundary(step, Env::fire_next_scripted);
             } else {
-                let Event { key, kind } = self.queue.pop().expect("peeked event exists");
-                self.time = key.time;
+                let (time, next) = self.lanes.pop().expect("peeked event exists");
+                self.time = time;
                 self.events += 1;
-                match kind {
-                    EventKind::Tx { node, slot } => self.handle_tx(node, slot),
-                    EventKind::Rx {
-                        receiver,
-                        sender,
-                        tx_epoch,
-                        beacon,
-                    } => self.handle_rx(receiver, sender, tx_epoch, &beacon),
+                match next {
+                    Next::Slot(p) => self.handle_tx(p),
+                    Next::Arrival(frame) => self.handle_rx(frame),
                 }
             }
         }
         self.time = self.time.max(t);
     }
 
-    fn handle_tx(&mut self, p: NodeId, slot: u64) {
+    fn handle_tx(&mut self, p: NodeId) {
+        let slot = self.armed[p.index()].expect("a queued slot is an armed one");
         let gated = self.is_gated();
         if gated && !self.env.core.table.send_pending.contains(p) {
             // Nothing to say and nobody waiting: the slot lapses and
             // the node goes silent until something wakes it.
-            self.tx_armed[p.index()] = false;
+            self.armed[p.index()] = None;
             return;
         }
         let now = self.now();
@@ -470,14 +582,16 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         // guards right before snapshotting the shared variables gives
         // the freshest beacon. The draw is derived per (instant, node),
         // so a muted slot consumes nothing.
-        if gated {
-            self.env.core.table.snapshot(p);
-        }
         let mut rng = self.env.core.update_rng(t.to_bits(), p);
-        self.env
-            .protocol
-            .update(p, &mut self.env.core.table.states[p.index()], now, &mut rng);
-        let state_changed = gated && self.env.core.table.changed_since_snapshot(p);
+        let protocol = &self.env.protocol;
+        let table = &mut self.env.core.table;
+        let (state, scratch) = (&mut table.states[p.index()], &mut table.scratch_state);
+        let state_changed = if gated {
+            protocol.update_changed(p, state, now, &mut rng, scratch)
+        } else {
+            protocol.update(p, state, now, &mut rng);
+            false
+        };
         if state_changed {
             self.changed_since.insert(p);
         }
@@ -494,13 +608,11 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             // every neighbor has incorporated it. The eager twin keeps
             // broadcasting here — pure no-ops by the silence contract.
             self.env.core.table.send_pending.remove(p);
-            self.tx_armed[p.index()] = false;
+            self.armed[p.index()] = None;
             return;
         }
         // Broadcast.
         self.messages += 1;
-        let epoch = self.env.core.table.epoch[p.index()];
-        let beacon = self.env.core.table.beacons[p.index()].clone();
         let degree = self.env.topo.degree(p);
         self.frames_attempted += degree as u64;
         // One derived stream per (slot, sender) decides every copy's
@@ -525,73 +637,89 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             self.medium
                 .deliver_from(&self.env.topo, p, &mut rng, &mut self.delivery);
         }
-        let arrival = t + self.config.frame_time;
-        for i in 0..self.delivery.touched.len() {
-            let r = self.delivery.touched[i];
-            if self.delivery.heard[r.index()].is_empty() {
-                continue;
-            }
-            self.queue.push(Event {
-                key: EventKey {
-                    time: arrival,
-                    class: 0,
-                    a: r.value(),
-                    b: p.value(),
-                },
-                kind: EventKind::Rx {
-                    receiver: r,
+        // The copies that made it share one pooled beacon.
+        let delivery = &self.delivery;
+        let lucky = || {
+            let heard = |r: &&NodeId| !delivery.heard[r.index()].is_empty();
+            delivery.touched.iter().filter(heard)
+        };
+        let copies = lucky().count() as u32;
+        if copies > 0 {
+            let table = &self.env.core.table;
+            let beacon = self.pool.hold(&table.beacons[p.index()], copies);
+            let tx_epoch = table.epoch[p.index()];
+            let time = t + self.config.frame_time;
+            for &receiver in lucky() {
+                self.lanes.push_frame(Frame {
+                    time,
+                    receiver,
                     sender: p,
-                    tx_epoch: epoch,
-                    beacon: beacon.clone(),
-                },
-            });
+                    tx_epoch,
+                    beacon,
+                });
+            }
         }
         // Schedule the next slot; under gating a later pop decides
         // whether it still has anything to say.
-        self.push_slot(p, slot + 1, self.clock.slot_time(p, slot + 1));
+        self.armed[p.index()] = Some(slot + 1);
+        self.lanes.push_slot(self.clock.slot_time(p, slot + 1), p);
     }
 
-    fn handle_rx(&mut self, r: NodeId, s: NodeId, tx_epoch: u32, beacon: &P::Beacon) {
-        // The link may have vanished while the frame was in flight
-        // (mobility, isolation): radio range is a hard constraint, and
-        // a frame whose link vanished mid-flight never counts as
-        // delivered.
-        let Ok(idx) = self.env.topo.neighbors(r).binary_search(&s) else {
-            return;
-        };
-        self.frames_delivered += 1;
-        let gated = self.is_gated();
-        let fresh = self.env.core.table.heard.get(r.index(), idx) != tx_epoch;
-        if gated && !fresh {
-            // Already incorporated this exact beacon epoch: the
-            // silence contract makes the receive (and the follow-up
-            // update) a state no-op — skip it entirely.
-            return;
-        }
-        self.env.core.table.heard.set(r.index(), idx, tx_epoch);
-        let now = self.now();
-        let t = self.time;
-        if gated {
-            self.env.core.table.snapshot(r);
-        }
-        self.env.protocol.receive(
-            r,
-            &mut self.env.core.table.states[r.index()],
-            s,
-            beacon,
-            now,
-        );
-        let mut rng = self.env.core.update_rng(t.to_bits(), r);
-        self.env
-            .protocol
-            .update(r, &mut self.env.core.table.states[r.index()], now, &mut rng);
-        if gated && self.env.core.table.changed_since_snapshot(r) {
+    fn handle_rx(&mut self, frame: Frame) {
+        let r = frame.receiver;
+        if self.incorporate(&frame) {
             self.changed_since.insert(r);
             // The state moved: r may have a new beacon to announce —
             // wake its slot schedule (its next pop decides).
             self.env.core.table.send_pending.insert(r);
             self.arm(r);
         }
+        self.pool.release(frame.beacon);
+    }
+
+    /// Lands one frame copy at its receiver: the receive guard, then
+    /// one pass of the guarded assignments. Returns whether, under
+    /// gating, the receiver's state changed.
+    fn incorporate(&mut self, frame: &Frame) -> bool {
+        let (r, s) = (frame.receiver, frame.sender);
+        // The link may have vanished while the frame was in flight
+        // (mobility, isolation): radio range is a hard constraint, and
+        // a frame whose link vanished mid-flight never counts as
+        // delivered.
+        let Ok(idx) = self.env.topo.neighbors(r).binary_search(&s) else {
+            return false;
+        };
+        self.frames_delivered += 1;
+        let gated = self.is_gated();
+        let fresh = self.env.core.table.heard.get(r.index(), idx) != frame.tx_epoch;
+        if gated && !fresh {
+            // Already incorporated this exact beacon epoch: the
+            // silence contract makes the receive (and the follow-up
+            // update) a state no-op — skip it entirely.
+            return false;
+        }
+        self.env
+            .core
+            .table
+            .heard
+            .set(r.index(), idx, frame.tx_epoch);
+        let now = self.now();
+        let mut rng = self.env.core.update_rng(self.time.to_bits(), r);
+        let protocol = &self.env.protocol;
+        let beacon = self.pool.get(frame.beacon);
+        let table = &mut self.env.core.table;
+        let (state, scratch) = (&mut table.states[r.index()], &mut table.scratch_state);
+        if !gated {
+            protocol.receive(r, state, s, beacon, now);
+            protocol.update(r, state, now, &mut rng);
+            return false;
+        }
+        // Two exact reports, one per guard. Their disjunction can only
+        // err towards "changed" (an update that undoes the receive),
+        // and a wake that finds nothing to say retires at its slot.
+        let heard = protocol.receive_changed(r, state, s, beacon, now, scratch);
+        let moved = protocol.update_changed(r, state, now, &mut rng, scratch);
+        heard || moved
     }
 
     /// Advances to time `t` as one observation step of the shared run
@@ -626,6 +754,15 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     /// The state of one node.
     pub fn state(&self, p: NodeId) -> &P::State {
         &self.env.core.table.states[p.index()]
+    }
+
+    /// Mutable state access; the node is rescheduled (external
+    /// mutation is a fault) and, with the neighbors that must now
+    /// re-announce themselves to it, re-armed.
+    pub fn state_mut(&mut self, p: NodeId) -> &mut P::State {
+        self.env.core.wake_mutated(p, &self.env.topo);
+        self.absorb_env();
+        &mut self.env.core.table.states[p.index()]
     }
 
     /// The topology being simulated.
@@ -757,6 +894,94 @@ mod tests {
     fn driver<P: Protocol, M: Medium>(protocol: P, medium: M, topo: Topology) -> EventDriver<P, M> {
         EventDriver::new(protocol, medium, topo, EventConfig::default(), 3)
             .expect("valid configuration")
+    }
+
+    /// The lanes next to the queue they replace, kept as their
+    /// reference: every key, slots and arrivals alike, in one min-heap.
+    #[derive(Default)]
+    struct LanesAndHeap {
+        lanes: Lanes,
+        heap: BinaryHeap<Reverse<EventKey>>,
+        armed: [bool; 6],
+    }
+
+    impl LanesAndHeap {
+        /// A node has at most one slot queued, as in the driver.
+        fn arm(&mut self, time: f64, p: NodeId) {
+            if !std::mem::replace(&mut self.armed[p.index()], true) {
+                self.lanes.push_slot(time, p);
+                self.heap.push(Reverse(EventKey::slot(time, p)));
+            }
+        }
+
+        fn send(&mut self, frame: Frame) {
+            self.lanes.push_frame(frame);
+            self.heap.push(Reverse(frame.key()));
+        }
+    }
+
+    #[test]
+    fn two_lane_pop_order_equals_one_heap_over_all_keys() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const FRAME_TIME: f64 = 0.25;
+        for seed in 0..300 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Every time is a multiple of the frame time, so instants
+            // collide all the time: two transmissions at one instant to
+            // overlapping receivers, an arrival and a slot at one
+            // instant.
+            let mut draw = |max: u32| rng.random_range(0..=max);
+            let mut q = LanesAndHeap::default();
+            let nodes = q.armed.len() as u32;
+            for p in 0..nodes {
+                q.arm(f64::from(draw(3)) * FRAME_TIME, NodeId::new(p));
+            }
+            let mut popped = 0u32;
+            while let Some(Reverse(want)) = q.heap.pop() {
+                let (time, next) = q.lanes.pop().expect("the lanes hold what the heap holds");
+                assert_eq!(time.to_bits(), want.time.to_bits(), "seed {seed}");
+                popped += 1;
+                let busy = popped < 200;
+                match next {
+                    Next::Slot(p) => {
+                        assert_eq!((want.class, want.a), (SLOT, p.value()), "seed {seed}");
+                        q.armed[p.index()] = false;
+                        if !busy {
+                            continue;
+                        }
+                        // A transmission: copies to some receivers, in
+                        // no particular order; then maybe the next slot.
+                        let (first, copies) = (draw(nodes - 1), draw(nodes - 1));
+                        for k in 0..copies {
+                            q.send(Frame {
+                                time: time + FRAME_TIME,
+                                receiver: NodeId::new((first + 5 * k) % nodes),
+                                sender: p,
+                                tx_epoch: popped,
+                                beacon: k,
+                            });
+                        }
+                        if draw(2) > 0 {
+                            q.arm(time + f64::from(1 + draw(3)) * FRAME_TIME, p);
+                        }
+                    }
+                    Next::Arrival(frame) => {
+                        assert_eq!(frame.key(), want, "seed {seed}");
+                        if busy && draw(1) > 0 {
+                            // A woken receiver's slot may fall on this
+                            // very instant.
+                            q.arm(time + f64::from(draw(2)) * FRAME_TIME, frame.receiver);
+                        }
+                    }
+                }
+            }
+            assert!(
+                q.lanes.pop().is_none(),
+                "seed {seed}: the lanes drained too"
+            );
+            assert!(popped > 100, "seed {seed}: only {popped} events");
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::engine::{self, kernels, run_sharded, Env};
+use crate::protocol::snapshot;
 use crate::rng::{derive_seed, split_rng, streams};
 use crate::stop::{RunReport, StopWhen};
 use crate::{Activity, Corruptible, Fault, Observable, Protocol, SimError};
@@ -435,7 +436,7 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         let delivery = &self.delivery;
         for &p in &self.active_buf {
             if !eager {
-                table.snapshot(p);
+                snapshot(&mut table.scratch_state, &table.states[p.index()]);
             }
             kernels::sorted_positions(topo.neighbors(p), &delivery.heard[p.index()], |idx, s| {
                 let e = table.epoch[s.index()];
@@ -452,7 +453,10 @@ impl<P: Protocol, M: Medium> Network<P, M> {
             });
             let mut rng = split_rng(update_base, now, u64::from(p.value()));
             protocol.update(p, &mut table.states[p.index()], now, &mut rng);
-            if !eager && (table.forced_changed.contains(p) || table.changed_since_snapshot(p)) {
+            let state = &table.states[p.index()];
+            if !eager
+                && (table.forced_changed.contains(p) || table.scratch_state.as_ref() != Some(state))
+            {
                 table.changed.push(p);
                 table.update_dirty.insert(p);
                 table.beacon_stale.insert(p);

@@ -110,6 +110,49 @@ pub trait Protocol: Sync {
     /// Executes every enabled guarded assignment of `node` once.
     fn update(&self, node: NodeId, state: &mut Self::State, now: u64, rng: &mut StdRng);
 
+    /// [`Protocol::receive`] that also reports whether it changed the
+    /// state. **Exactness contract:** the result is `true` if and only
+    /// if `state` afterwards differs, under `State: PartialEq`, from
+    /// `state` before — no false alarms, no misses.
+    ///
+    /// The event clock's visit to a node is a single frame, so the
+    /// snapshot-and-compare the period-clocked drivers pay once per
+    /// visit would cost it a whole state copy per frame; a protocol
+    /// that knows what its guard wrote overrides this and answers
+    /// without one. The provided body is the reference every override
+    /// must agree with: copy `state` into `scratch` (a caller-owned
+    /// slot whose buffers are reused from call to call), run the guard,
+    /// compare. An override may leave `scratch` untouched.
+    fn receive_changed(
+        &self,
+        node: NodeId,
+        state: &mut Self::State,
+        from: NodeId,
+        beacon: &Self::Beacon,
+        now: u64,
+        scratch: &mut Option<Self::State>,
+    ) -> bool {
+        snapshot(scratch, state);
+        self.receive(node, state, from, beacon, now);
+        scratch.as_ref() != Some(&*state)
+    }
+
+    /// [`Protocol::update`] that also reports whether it changed the
+    /// state, under the exactness contract and with the reference body
+    /// of [`Protocol::receive_changed`].
+    fn update_changed(
+        &self,
+        node: NodeId,
+        state: &mut Self::State,
+        now: u64,
+        rng: &mut StdRng,
+        scratch: &mut Option<Self::State>,
+    ) -> bool {
+        snapshot(scratch, state);
+        self.update(node, state, now, rng);
+        scratch.as_ref() != Some(&*state)
+    }
+
     /// Declares the scheduling contract this protocol supports; see
     /// [`Activity`]. Conservative default: [`Activity::Eager`] — every
     /// node runs every step, exactly the classic semantics.
@@ -141,6 +184,17 @@ pub trait Protocol: Sync {
     /// beacons a TTL sweep would need.
     fn link_down(&self, node: NodeId, state: &mut Self::State, peer: NodeId) {
         let _ = (node, state, peer);
+    }
+}
+
+/// Copies `state` into the reusable `slot` — the "before" of every
+/// snapshot-and-compare change detector (the round driver's and the
+/// actor fabric's per-visit one, the provided `*_changed` bodies
+/// above). Allocation-free once the slot's buffers have grown.
+pub(crate) fn snapshot<S: Clone>(slot: &mut Option<S>, state: &S) {
+    match slot {
+        Some(s) => s.clone_from(state),
+        None => *slot = Some(state.clone()),
     }
 }
 

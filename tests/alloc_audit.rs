@@ -20,6 +20,13 @@
 //! constant (the period's shard list) however many actors run and
 //! however many frames fly.
 //!
+//! So is the event driver, again on the same wave. Each
+//! transmission's beacon is copied once into a pooled entry that all
+//! its frame copies share, a frame is a plain `Copy` record in a
+//! sorted lane, and change detection asks the protocol instead of
+//! snapshotting — so a beacon period allocates nothing, however many
+//! frames land in it.
+//!
 //! The audit installs a counting [`GlobalAlloc`] wrapper around the
 //! system allocator. All phases run inside a single `#[test]` so no
 //! concurrent test pollutes the process-wide counter.
@@ -297,6 +304,56 @@ fn steady_state_loops_do_not_allocate() {
     assert!(
         small <= 1.0 && large <= 1.0,
         "a steady-state actor period allocates its shard list and nothing else \
+         (n=100: {small:.1}/period, n=400: {large:.1}/period)"
+    );
+
+    // --- Event driver: the same wave on the continuous clock --------
+    // One pooled beacon per transmission, `Copy` frames in a sorted
+    // lane, change reports instead of snapshots: once the pool, the
+    // lane and the views have reached their high-water marks, nothing
+    // in a beacon period touches the heap — whatever the grid side and
+    // however many frames land.
+    let per_period = |side: usize| {
+        let mut events =
+            Scenario::new(DensityCluster::new(ClusterConfig::default().event_driven()))
+                .topology(builders::grid(side, side, 1.45 / (side - 1) as f64))
+                .seed(7)
+                .build_events(EventConfig::default())
+                .expect("valid event scenario");
+        events
+            .run_to(&StopWhen::stable_for(3).within(10_000))
+            .expect_stable("the clustering converges on the event clock");
+        let nodes = events.states().len() as u32;
+        let (mut allocs, mut periods, mut frames) = (0usize, 0usize, 0u64);
+        for round in 0..16u32 {
+            for i in 0..nodes {
+                scramble(events.state_mut(NodeId::new(i)), i, nodes, round);
+            }
+            for _ in 0..4 {
+                let (before, landed) = (ALLOCS.load(Ordering::Relaxed), events.frames_delivered());
+                events.step();
+                let during = ALLOCS.load(Ordering::Relaxed) - before;
+                let landed = events.frames_delivered() - landed;
+                // Rounds 0–7 warm up, as in the phases above.
+                if round >= 8 && landed > 0 {
+                    allocs += during;
+                    periods += 1;
+                    frames += landed;
+                }
+            }
+        }
+        assert!(
+            periods >= 10 && frames > 20 * u64::from(nodes),
+            "the event audit window must cover real converging work \
+             ({periods} active periods, {frames} frames at side {side})"
+        );
+        allocs as f64 / periods as f64
+    };
+    let small = per_period(10); // n = 100
+    let large = per_period(20); // n = 400
+    assert!(
+        small <= 1.0 && large <= 1.0,
+        "a steady-state event-driver period must not allocate per frame \
          (n=100: {small:.1}/period, n=400: {large:.1}/period)"
     );
 }
