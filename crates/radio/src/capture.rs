@@ -2,6 +2,7 @@ use mwn_graph::{NodeId, Topology};
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use crate::marks::SlotMarks;
 use crate::{ContentionStreams, Delivery, Medium, OccupancyView};
 
 /// Slotted medium with the **capture effect**: when two frames collide
@@ -21,6 +22,10 @@ use crate::{ContentionStreams, Delivery, Medium, OccupancyView};
 /// `capture_ratio ≥ 1` maps to the usual SINR threshold under a
 /// power-law path loss: ratio `c` ≈ threshold^(1/α).
 ///
+/// The gated path keeps its senders' slots in stamped marks the medium
+/// owns (as [`crate::SlottedCsma`] does), so the type is `Clone`, not
+/// `Copy`, and compares by configuration.
+///
 /// # Examples
 ///
 /// ```
@@ -29,10 +34,17 @@ use crate::{ContentionStreams, Delivery, Medium, OccupancyView};
 /// let m = CaptureCsma::new(8, 2.0);
 /// assert_eq!(m.slots(), 8);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct CaptureCsma {
     slots: usize,
     capture_ratio: f64,
+    marks: SlotMarks,
+}
+
+impl PartialEq for CaptureCsma {
+    fn eq(&self, other: &Self) -> bool {
+        (self.slots, self.capture_ratio) == (other.slots, other.capture_ratio)
+    }
 }
 
 impl CaptureCsma {
@@ -40,9 +52,11 @@ impl CaptureCsma {
     ///
     /// # Panics
     ///
-    /// Panics if `slots == 0` or `capture_ratio < 1`.
+    /// Panics if `slots == 0` (or does not fit 32 bits) or
+    /// `capture_ratio < 1`.
     pub fn new(slots: usize, capture_ratio: f64) -> Self {
         assert!(slots > 0, "need at least one slot per step");
+        assert!(u32::try_from(slots).is_ok(), "slot indices are 32-bit");
         assert!(
             capture_ratio >= 1.0,
             "a capture ratio below 1 would capture the weaker frame"
@@ -50,6 +64,7 @@ impl CaptureCsma {
         CaptureCsma {
             slots,
             capture_ratio,
+            marks: SlotMarks::default(),
         }
     }
 
@@ -153,16 +168,17 @@ impl Medium for CaptureCsma {
             .positions()
             .expect("the capture effect requires node positions");
         let p_slot = 1.0 / self.slots as f64;
-        let mut slot_of = vec![usize::MAX; topo.len()];
+        let marks = &mut self.marks;
+        marks.begin(topo.len());
         for &s in senders {
-            slot_of[s.index()] = streams.sender(s).random_range(0..self.slots);
+            marks.claim(s, streams.sender(s).random_range(0..self.slots));
             delivery.attempted += topo.degree(s);
         }
         let mut ranked: Vec<(f64, NodeId)> = Vec::new();
         for &s in senders {
-            let slot = slot_of[s.index()];
+            let slot = marks.slot(s).expect("every sender claimed a slot above");
             for &r in topo.neighbors(s) {
-                if slot_of[r.index()] == slot {
+                if marks.holds(r, slot) {
                     continue; // half-duplex among actives (exact)
                 }
                 let mut rng = streams.copy(r, s);
@@ -175,10 +191,9 @@ impl Medium for CaptureCsma {
                     if q == s {
                         continue;
                     }
-                    let in_slot = if slot_of[q.index()] != usize::MAX {
-                        slot_of[q.index()] == slot // exact active contender
-                    } else {
-                        occupancy.is_occupied(q) && rng.random::<f64>() < p_slot
+                    let in_slot = match marks.slot(q) {
+                        Some(claimed) => claimed == slot, // exact active contender
+                        None => occupancy.is_occupied(q) && rng.random::<f64>() < p_slot,
                     };
                     if in_slot {
                         ranked.push((positions[q.index()].distance(positions[r.index()]), q));

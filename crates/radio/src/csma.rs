@@ -1,7 +1,10 @@
+use std::fmt;
+
 use mwn_graph::{NodeId, Topology};
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use crate::marks::SlotMarks;
 use crate::{ContentionStreams, Delivery, Medium, OccupancyView};
 
 /// A slotted CSMA/CA-like medium with hidden terminals and half-duplex
@@ -20,10 +23,27 @@ use crate::{ContentionStreams, Delivery, Medium, OccupancyView};
 ///   this includes hidden terminals that `s` could not sense), and
 /// * `r` itself did not transmit in slot `t` (half-duplex).
 ///
+/// The three rules are decided by tally, not by search: after the race
+/// every transmitter bumps a counter at `(r, t)` for its slot `t` and
+/// every radio `r` it reaches — each neighbor, and itself — and the
+/// copy `s → r` is heard iff the tally at `(r, t)` is exactly 1: that
+/// one is `s` (as `s ∈ N(r)`), so no other neighbor of `r` and not `r`
+/// itself transmitted in `t`. A round therefore costs the summed degree
+/// of its participants, not a walk of `N(r)` per copy.
+///
 /// The paper's hypothesis — a memoryless per-frame success probability
 /// ≥ τ > 0 — holds mechanically: with `k` slots and maximum degree δ,
 /// a frame copy survives with probability at least
 /// `((k-1)/k)^(δ+1) > 0`, independent across steps.
+///
+/// The medium owns its working memory (slot claims, tallies, the
+/// participant lists, the memoized phantom fixed points), so a call
+/// allocates nothing. The per-node tables are never cleared: an entry
+/// is live iff its stamp equals the call's generation, which is what
+/// lets a one-sender call on the event clock cost its 2-hop
+/// neighborhood instead of n. The tally is one byte per (node, slot).
+/// Owning buffers is why the type is `Clone` but not `Copy`; two
+/// values compare equal iff their configuration does.
 ///
 /// # Examples
 ///
@@ -38,10 +58,28 @@ use crate::{ContentionStreams, Delivery, Medium, OccupancyView};
 /// let fine = measure_tau(&mut SlottedCsma::new(64), &topo, 40, &mut rng);
 /// assert!(fine > coarse, "more slots, fewer collisions");
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct SlottedCsma {
     slots: usize,
     carrier_sense: bool,
+    scratch: Scratch,
+}
+
+impl PartialEq for SlottedCsma {
+    fn eq(&self, other: &Self) -> bool {
+        (self.slots, self.carrier_sense) == (other.slots, other.carrier_sense)
+    }
+}
+
+impl Eq for SlottedCsma {}
+
+impl fmt::Debug for SlottedCsma {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SlottedCsma")
+            .field("slots", &self.slots)
+            .field("carrier_sense", &self.carrier_sense)
+            .finish_non_exhaustive()
+    }
 }
 
 impl SlottedCsma {
@@ -50,12 +88,14 @@ impl SlottedCsma {
     ///
     /// # Panics
     ///
-    /// Panics if `slots == 0`.
+    /// Panics if `slots == 0` (or does not fit 32 bits).
     pub fn new(slots: usize) -> Self {
         assert!(slots > 0, "need at least one slot per step");
+        assert!(u32::try_from(slots).is_ok(), "slot indices are 32-bit");
         SlottedCsma {
             slots,
             carrier_sense: true,
+            scratch: Scratch::default(),
         }
     }
 
@@ -63,6 +103,7 @@ impl SlottedCsma {
     /// the contribution of the CA part in ablation benches.
     pub fn without_carrier_sense(mut self) -> Self {
         self.carrier_sense = false;
+        self.scratch.ptx.clear(); // memoized per (slots, carrier_sense)
         self
     }
 
@@ -82,39 +123,198 @@ impl SlottedCsma {
     pub fn tau_lower_bound(&self, delta: usize) -> f64 {
         ((self.slots - 1) as f64 / self.slots as f64).powi(delta as i32 + 1)
     }
+}
 
-    /// Marginal transmit probability of an occupied (silent) node of
-    /// degree `degree`: with carrier sense it defers when some neighbor
-    /// claimed its slot earlier in the channel race — but a neighbor
-    /// only *claims* a slot if it transmits itself, so `P` solves the
-    /// mean-field fixed point `P = (1 − P/(2·slots))^degree` (each of
-    /// the `degree` neighbors blocks with probability `P·1/slots·1/2`:
-    /// it transmits, picked the same slot, and drew the earlier turn).
-    /// The first-order `(1 − 1/(2·slots))^degree` lets deferred
-    /// neighbors block and so underestimates `P` badly under heavy
-    /// contention (m = 4, degree ≈ 7: 0.37 vs the true ≈ 0.57),
-    /// inflating the folded delivery ratio outside the eager Wilson
-    /// band. `(1 − P/(2m))^degree − P` is strictly decreasing in `P`
-    /// with a sign change on [0, 1], so bisection to the unique root
-    /// is unconditionally convergent (the naive fixed-point iteration
-    /// is not when `degree > 2·slots`). Without carrier sense the
-    /// phantom always transmits.
-    fn phantom_tx_probability(&self, degree: usize) -> f64 {
-        if !self.carrier_sense {
-            return 1.0;
+/// Marginal transmit probability of an occupied (silent) node of
+/// degree `degree`: with carrier sense it defers when some neighbor
+/// claimed its slot earlier in the channel race — but a neighbor
+/// only *claims* a slot if it transmits itself, so `P` solves the
+/// mean-field fixed point `P = (1 − P/(2·slots))^degree` (each of
+/// the `degree` neighbors blocks with probability `P·1/slots·1/2`:
+/// it transmits, picked the same slot, and drew the earlier turn).
+/// The first-order `(1 − 1/(2·slots))^degree` lets deferred
+/// neighbors block and so underestimates `P` badly under heavy
+/// contention (m = 4, degree ≈ 7: 0.37 vs the true ≈ 0.57),
+/// inflating the folded delivery ratio outside the eager Wilson
+/// band. `(1 − P/(2m))^degree − P` is strictly decreasing in `P`
+/// with a sign change on [0, 1], so bisection to the unique root
+/// is unconditionally convergent (the naive fixed-point iteration
+/// is not when `degree > 2·slots`). Without carrier sense the
+/// phantom always transmits.
+fn phantom_tx_probability(slots: usize, carrier_sense: bool, degree: usize) -> f64 {
+    if !carrier_sense {
+        return 1.0;
+    }
+    #[cfg(test)]
+    BISECTIONS.with(|count| count.set(count.get() + 1));
+    let m = slots as f64;
+    let claims = |p: f64| (1.0 - p / (2.0 * m)).powi(degree as i32);
+    let (mut lo, mut hi) = (0.0f64, 1.0f64);
+    for _ in 0..48 {
+        let mid = 0.5 * (lo + hi);
+        if claims(mid) > mid {
+            lo = mid;
+        } else {
+            hi = mid;
         }
-        let m = self.slots as f64;
-        let claims = |p: f64| (1.0 - p / (2.0 * m)).powi(degree as i32);
-        let (mut lo, mut hi) = (0.0f64, 1.0f64);
-        for _ in 0..48 {
-            let mid = 0.5 * (lo + hi);
-            if claims(mid) > mid {
-                lo = mid;
-            } else {
-                hi = mid;
+    }
+    0.5 * (lo + hi)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Fixed points solved on this thread — the memo test's probe.
+    static BISECTIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Working memory of a delivery call; see [`SlottedCsma`] for why it
+/// is stamped rather than cleared.
+#[derive(Clone, Default)]
+struct Scratch {
+    /// This call's cohort (marked) and the race's winners (claims).
+    claims: SlotMarks,
+    /// Stamp per receiver: its neighborhood was searched for phantoms.
+    walked: Vec<u32>,
+    tally: Tally,
+    /// `(node, slot, pre-deferred)` per gated participant: the active
+    /// senders, then the phantoms in id order.
+    participants: Vec<(NodeId, usize, bool)>,
+    phantoms: Vec<NodeId>,
+    /// The race's turn order, as indices into the participants.
+    order: Vec<usize>,
+    /// [`phantom_tx_probability`] by degree, NaN where not yet solved:
+    /// pure in the configuration, so it outlives the call.
+    ptx: Vec<f64>,
+}
+
+impl Scratch {
+    /// Opens a call over `n` nodes; returns its generation.
+    fn begin(&mut self, n: usize, slots: usize) -> u32 {
+        let generation = self.claims.begin(n);
+        if generation == 1 {
+            for stamps in [&mut self.walked, &mut self.tally.stamps] {
+                stamps.clear();
+                stamps.resize(n, 0);
+            }
+            let cells = n.checked_mul(slots).expect("a tally byte per (node, slot)");
+            self.tally.counts.resize(cells, 0);
+            self.tally.slots = slots;
+        }
+        self.tally.generation = generation;
+        generation
+    }
+}
+
+/// Transmitters in range of a radio — its neighbors and itself — per
+/// (radio, slot). A row is zeroed when the call first touches it;
+/// counts saturate, since only "exactly one" is ever asked.
+#[derive(Clone, Default)]
+struct Tally {
+    slots: usize,
+    generation: u32,
+    stamps: Vec<u32>,
+    counts: Vec<u8>,
+}
+
+impl Tally {
+    /// Every transmitter among `nodes` is counted at itself and at
+    /// each neighbor.
+    fn count(&mut self, claims: &SlotMarks, topo: &Topology, nodes: impl Iterator<Item = NodeId>) {
+        for p in nodes {
+            let Some(slot) = claims.slot(p) else { continue };
+            self.bump(p, slot);
+            for &r in topo.neighbors(p) {
+                self.bump(r, slot);
             }
         }
-        0.5 * (lo + hi)
+    }
+
+    #[inline]
+    fn bump(&mut self, r: NodeId, slot: usize) {
+        let row = r.index() * self.slots;
+        if self.stamps[r.index()] != self.generation {
+            self.stamps[r.index()] = self.generation;
+            self.counts[row..row + self.slots].fill(0);
+        }
+        let count = &mut self.counts[row + slot];
+        *count = count.saturating_add(1);
+    }
+
+    /// Whether `slot` carries exactly one transmission at `r`; asked
+    /// only where a counted transmitter is in range of `r`.
+    #[inline]
+    fn sole(&self, r: NodeId, slot: usize) -> bool {
+        self.counts[r.index() * self.slots + slot] == 1
+    }
+}
+
+/// The channel race: `count` participants take their turns in a random
+/// order off `rng`; `turn` names the participant of an index and draws
+/// its slot, or returns `None` for one that sits the race out. With
+/// carrier sense a participant defers — its frame is lost for this
+/// step — when a 1-hop neighbor already holds its slot.
+fn race(
+    claims: &mut SlotMarks,
+    order: &mut Vec<usize>,
+    topo: &Topology,
+    carrier_sense: bool,
+    count: usize,
+    rng: &mut StdRng,
+    mut turn: impl FnMut(usize, &mut StdRng) -> Option<(NodeId, usize)>,
+) {
+    order.clear();
+    order.extend(0..count);
+    for i in (1..count).rev() {
+        let j = rng.random_range(0..=i);
+        order.swap(i, j);
+    }
+    for &idx in order.iter() {
+        let Some((p, slot)) = turn(idx, rng) else {
+            continue;
+        };
+        debug_assert!(claims.slot(p).is_none(), "senders must be distinct");
+        let busy = carrier_sense && topo.neighbors(p).iter().any(|&q| claims.holds(q, slot));
+        if !busy {
+            claims.claim(p, slot);
+        }
+    }
+}
+
+/// Reception of the active frames, sender by sender: exact against
+/// every claim of the race — a sole transmission at `r` means no other
+/// neighbor collided and `r` was not talking over it (half-duplex).
+/// `fold` is the slotted-ALOHA occupancy fold: every occupied
+/// `q ∈ N(r) \ {s}`, and an occupied `r` itself, hits the copy's slot
+/// with probability `1/slots`, one Bernoulli per copy off the
+/// per-(tick, r, s) stream. (`count_at(r)` is no shortcut for that
+/// walk: [`crate::FullOccupancy`] counts `s` itself.)
+fn receive(
+    Scratch { claims, tally, .. }: &Scratch,
+    topo: &Topology,
+    senders: &[NodeId],
+    fold: Option<(&dyn OccupancyView, &ContentionStreams)>,
+    delivery: &mut Delivery,
+) {
+    let miss = 1.0 - 1.0 / tally.slots as f64;
+    for &s in senders {
+        let Some(slot) = claims.slot(s) else { continue };
+        for &r in topo.neighbors(s) {
+            if !tally.sole(r, slot) {
+                continue;
+            }
+            if let Some((occupancy, streams)) = fold {
+                let mut survive = if occupancy.is_occupied(r) { miss } else { 1.0 };
+                for &q in topo.neighbors(r) {
+                    if q != s && occupancy.is_occupied(q) {
+                        survive *= miss;
+                    }
+                }
+                if survive < 1.0 && streams.copy(r, s).random::<f64>() >= survive {
+                    continue;
+                }
+            }
+            delivery.record(r, s);
+        }
     }
 }
 
@@ -126,57 +326,26 @@ impl Medium for SlottedCsma {
         rng: &mut StdRng,
         delivery: &mut Delivery,
     ) {
-        let n = topo.len();
-        // Slot choice per sender (usize::MAX = not transmitting).
-        let mut slot_of = vec![usize::MAX; n];
-        // Random contention order for the carrier-sense race.
-        let mut order: Vec<usize> = (0..senders.len()).collect();
-        for i in (1..order.len()).rev() {
-            let j = rng.random_range(0..=i);
-            order.swap(i, j);
+        if senders.is_empty() {
+            return;
         }
-        for &idx in &order {
-            let s = senders[idx];
-            let slot = rng.random_range(0..self.slots);
-            if self.carrier_sense {
-                let busy = topo
-                    .neighbors(s)
-                    .iter()
-                    .any(|&q| slot_of[q.index()] == slot);
-                if busy {
-                    // Channel sensed busy for the chosen backoff: the
-                    // frame is deferred past the step boundary (lost
-                    // for this step).
-                    continue;
-                }
-            }
-            slot_of[s.index()] = slot;
-        }
+        let (slots, carrier_sense) = (self.slots, self.carrier_sense);
+        self.scratch.begin(topo.len(), slots);
+        let Scratch {
+            claims,
+            tally,
+            order,
+            ..
+        } = &mut self.scratch;
         // Attempted = every in-range copy from every sender, including
         // those whose frame was deferred by carrier sense.
-        for &s in senders {
-            delivery.attempted += topo.degree(s);
-        }
-        // Reception: per receiver and slot, exactly one transmitting
-        // neighbor and the receiver itself silent in that slot.
-        for &s in senders {
-            let slot = slot_of[s.index()];
-            if slot == usize::MAX {
-                continue;
-            }
-            for &r in topo.neighbors(s) {
-                if slot_of[r.index()] == slot {
-                    continue; // half-duplex: r was talking over s
-                }
-                let collided = topo
-                    .neighbors(r)
-                    .iter()
-                    .any(|&q| q != s && slot_of[q.index()] == slot);
-                if !collided {
-                    delivery.record(r, s);
-                }
-            }
-        }
+        delivery.attempted += senders.iter().map(|&s| topo.degree(s)).sum::<usize>();
+        // Each sender draws its slot when its turn in the race comes,
+        // off the same sequential stream as the turn order.
+        let draw = |idx: usize, rng: &mut StdRng| Some((senders[idx], rng.random_range(0..slots)));
+        race(claims, order, topo, carrier_sense, senders.len(), rng, draw);
+        tally.count(claims, topo, senders.iter().copied());
+        receive(&self.scratch, topo, senders, None, delivery);
     }
 
     fn gated_contention(&self) -> bool {
@@ -221,7 +390,173 @@ impl Medium for SlottedCsma {
         if senders.is_empty() {
             return; // the quiet path: zero work, zero draws
         }
-        let m = self.slots as f64;
+        let (slots, carrier_sense) = (self.slots, self.carrier_sense);
+        let generation = self.scratch.begin(topo.len(), slots);
+        let Scratch {
+            claims,
+            walked,
+            tally,
+            participants,
+            phantoms,
+            order,
+            ptx,
+        } = &mut self.scratch;
+        // Participants: every active sender, plus (under carrier sense)
+        // the materialized occupied cohort.
+        participants.clear();
+        for &s in senders {
+            delivery.attempted += topo.degree(s);
+            claims.mark(s);
+            let slot = streams.sender(s).random_range(0..slots);
+            participants.push((s, slot, false));
+        }
+        if carrier_sense {
+            // Each receiver is searched once however many senders it
+            // hears, and not at all when nobody in its range is
+            // occupied. Discovery order is unobservable: the cohort is
+            // sorted before any draw, so the race shuffle cannot depend
+            // on it.
+            phantoms.clear();
+            let mut join = |q: NodeId| {
+                if !claims.is_marked(q) && occupancy.is_occupied(q) {
+                    claims.mark(q);
+                    phantoms.push(q);
+                }
+            };
+            for &s in senders {
+                for &r in topo.neighbors(s) {
+                    if std::mem::replace(&mut walked[r.index()], generation) == generation {
+                        continue;
+                    }
+                    join(r);
+                    if occupancy.count_at(topo, r) > 0 {
+                        topo.neighbors(r).iter().for_each(|&q| join(q));
+                    }
+                }
+            }
+            phantoms.sort_unstable();
+            // `skip` pre-defers a phantom to its out-of-cohort blockers.
+            let m = slots as f64;
+            for &q in phantoms.iter() {
+                let mut rng = streams.sender(q);
+                let slot = rng.random_range(0..slots);
+                let mut survive = 1.0f64;
+                for &w in topo.neighbors(q) {
+                    if !claims.is_marked(w) && occupancy.is_occupied(w) {
+                        let degree = topo.degree(w);
+                        if ptx.len() <= degree {
+                            ptx.resize(degree + 1, f64::NAN);
+                        }
+                        if ptx[degree].is_nan() {
+                            ptx[degree] = phantom_tx_probability(slots, carrier_sense, degree);
+                        }
+                        survive *= 1.0 - ptx[degree] / (2.0 * m);
+                    }
+                }
+                let skip = survive < 1.0 && rng.random::<f64>() >= survive;
+                participants.push((q, slot, skip));
+            }
+        }
+        // The joint channel race, exactly as in the eager path; the
+        // order comes off the round stream.
+        let drawn = |idx: usize, _: &mut StdRng| {
+            let (p, slot, skip) = participants[idx];
+            (!skip).then_some((p, slot))
+        };
+        let (count, mut rng) = (participants.len(), streams.round());
+        race(claims, order, topo, carrier_sense, count, &mut rng, drawn);
+        tally.count(claims, topo, participants.iter().map(|&(p, ..)| p));
+        // Under ALOHA nobody was materialized: the occupied population
+        // folds into one Bernoulli per copy instead.
+        let fold = (!carrier_sense).then_some((occupancy, streams));
+        receive(&self.scratch, topo, senders, fold, delivery);
+    }
+
+    fn name(&self) -> &'static str {
+        "slotted-csma"
+    }
+}
+
+/// The kernel this file shipped before tallies and stamps: two walks of
+/// `N(N(s))` per sender over three freshly allocated length-n vectors.
+/// Kept verbatim as the oracle the stamped kernel must equal draw for
+/// draw.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub(super) fn deliver_into(
+        medium: &SlottedCsma,
+        topo: &Topology,
+        senders: &[NodeId],
+        rng: &mut StdRng,
+        delivery: &mut Delivery,
+    ) {
+        let n = topo.len();
+        // Slot choice per sender (usize::MAX = not transmitting).
+        let mut slot_of = vec![usize::MAX; n];
+        // Random contention order for the carrier-sense race.
+        let mut order: Vec<usize> = (0..senders.len()).collect();
+        for i in (1..order.len()).rev() {
+            let j = rng.random_range(0..=i);
+            order.swap(i, j);
+        }
+        for &idx in &order {
+            let s = senders[idx];
+            let slot = rng.random_range(0..medium.slots);
+            if medium.carrier_sense {
+                let busy = topo
+                    .neighbors(s)
+                    .iter()
+                    .any(|&q| slot_of[q.index()] == slot);
+                if busy {
+                    // Channel sensed busy for the chosen backoff: the
+                    // frame is deferred past the step boundary (lost
+                    // for this step).
+                    continue;
+                }
+            }
+            slot_of[s.index()] = slot;
+        }
+        // Attempted = every in-range copy from every sender, including
+        // those whose frame was deferred by carrier sense.
+        for &s in senders {
+            delivery.attempted += topo.degree(s);
+        }
+        // Reception: per receiver and slot, exactly one transmitting
+        // neighbor and the receiver itself silent in that slot.
+        for &s in senders {
+            let slot = slot_of[s.index()];
+            if slot == usize::MAX {
+                continue;
+            }
+            for &r in topo.neighbors(s) {
+                if slot_of[r.index()] == slot {
+                    continue; // half-duplex: r was talking over s
+                }
+                let collided = topo
+                    .neighbors(r)
+                    .iter()
+                    .any(|&q| q != s && slot_of[q.index()] == slot);
+                if !collided {
+                    delivery.record(r, s);
+                }
+            }
+        }
+    }
+
+    pub(super) fn deliver_occupied_into(
+        medium: &SlottedCsma,
+        topo: &Topology,
+        senders: &[NodeId],
+        occupancy: &dyn OccupancyView,
+        streams: &ContentionStreams,
+        delivery: &mut Delivery,
+    ) {
+        if senders.is_empty() {
+            return; // the quiet path: zero work, zero draws
+        }
+        let m = medium.slots as f64;
         // The fixed-point solve is pure in the degree; memoize it per
         // call so the boundary fold stays O(deg) draws, not O(deg)
         // bisections.
@@ -231,7 +566,7 @@ impl Medium for SlottedCsma {
                 cache.resize(degree + 1, f64::NAN);
             }
             if cache[degree].is_nan() {
-                cache[degree] = medium.phantom_tx_probability(degree);
+                cache[degree] = phantom_tx_probability(medium.slots, medium.carrier_sense, degree);
             }
             cache[degree]
         }
@@ -243,10 +578,10 @@ impl Medium for SlottedCsma {
         for &s in senders {
             delivery.attempted += topo.degree(s);
             in_cohort[s.index()] = true;
-            let slot = streams.sender(s).random_range(0..self.slots);
+            let slot = streams.sender(s).random_range(0..medium.slots);
             participants.push((s, slot, false));
         }
-        if self.carrier_sense {
+        if medium.carrier_sense {
             let mut phantoms: Vec<NodeId> = Vec::new();
             for &s in senders {
                 for &r in topo.neighbors(s) {
@@ -267,11 +602,11 @@ impl Medium for SlottedCsma {
             phantoms.sort_unstable();
             for &q in &phantoms {
                 let mut rng = streams.sender(q);
-                let slot = rng.random_range(0..self.slots);
+                let slot = rng.random_range(0..medium.slots);
                 let mut survive = 1.0f64;
                 for &w in topo.neighbors(q) {
                     if !in_cohort[w.index()] && occupancy.is_occupied(w) {
-                        survive *= 1.0 - ptx(&mut ptx_cache, self, topo.degree(w)) / (2.0 * m);
+                        survive *= 1.0 - ptx(&mut ptx_cache, medium, topo.degree(w)) / (2.0 * m);
                     }
                 }
                 let skip = survive < 1.0 && rng.random::<f64>() >= survive;
@@ -292,7 +627,7 @@ impl Medium for SlottedCsma {
             if skip {
                 continue;
             }
-            if self.carrier_sense {
+            if medium.carrier_sense {
                 let busy = topo
                     .neighbors(p)
                     .iter()
@@ -315,7 +650,7 @@ impl Medium for SlottedCsma {
                 if slot_of[r.index()] == slot {
                     continue; // half-duplex: r was talking over s
                 }
-                let mut survive = if !self.carrier_sense && occupancy.is_occupied(r) {
+                let mut survive = if !medium.carrier_sense && occupancy.is_occupied(r) {
                     1.0 - 1.0 / m // ALOHA half-duplex phantom receiver
                 } else {
                     1.0
@@ -327,7 +662,7 @@ impl Medium for SlottedCsma {
                     if slot_of[q.index()] == slot {
                         continue 'copies; // exact collision
                     }
-                    if !self.carrier_sense && occupancy.is_occupied(q) {
+                    if !medium.carrier_sense && occupancy.is_occupied(q) {
                         survive *= 1.0 - 1.0 / m;
                     }
                 }
@@ -337,18 +672,180 @@ impl Medium for SlottedCsma {
             }
         }
     }
-
-    fn name(&self) -> &'static str {
-        "slotted-csma"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::measure_tau;
+    use crate::{measure_tau, FullOccupancy, Occupancy};
     use mwn_graph::{builders, Topology};
+    use proptest::prelude::*;
     use rand::SeedableRng;
+
+    const SLOT_AXIS: [usize; 5] = [1, 2, 8, 64, 300];
+
+    /// One delivery round of the equality property: a deployment, who
+    /// sends on it, and who is silent-but-transmitting around them.
+    #[derive(Debug)]
+    struct Round {
+        topo: Topology,
+        senders: Vec<NodeId>,
+        /// `None` is [`FullOccupancy`]; otherwise random `occupy` calls
+        /// on non-senders.
+        occupancy: Option<Occupancy>,
+        seed: u64,
+    }
+
+    /// Poisson / star / complete / path deployments over a few sizes
+    /// (so consecutive rounds meet both a different n and the same n
+    /// under a different graph); sender subsets from empty to everyone;
+    /// occupancy from nobody to every non-sender, or the event clock's
+    /// full view.
+    fn round() -> impl Strategy<Value = Round> {
+        (0u8..4, 0usize..4, 0u8..5, 0u8..5, any::<u64>()).prop_map(
+            |(shape, size, send, occupy, seed)| {
+                let n = [2, 5, 13, 30][size];
+                let mut rng = StdRng::seed_from_u64(seed);
+                let topo = match shape {
+                    0 => builders::poisson(n as f64, 0.25, &mut rng),
+                    1 => builders::star(n),
+                    2 => builders::complete(n),
+                    _ => builders::line(n),
+                };
+                let share = |level: u8| [0.0, 0.1, 0.5, 0.9, 1.0][usize::from(level)];
+                let senders: Vec<NodeId> = topo
+                    .nodes()
+                    .filter(|_| rng.random::<f64>() < share(send))
+                    .collect();
+                let occupancy = (occupy > 0).then(|| {
+                    let mut occupancy = Occupancy::new(topo.len());
+                    for q in topo.nodes() {
+                        if !senders.contains(&q) && rng.random::<f64>() < share(occupy) {
+                            occupancy.occupy(q, &topo);
+                        }
+                    }
+                    occupancy
+                });
+                Round {
+                    topo,
+                    senders,
+                    occupancy,
+                    seed,
+                }
+            },
+        )
+    }
+
+    /// Runs `round` through both entry points of `medium` and of the
+    /// reference: whole `Delivery` values must be equal, and so must
+    /// the next word off the shared stream after the eager call.
+    fn check_round(medium: &mut SlottedCsma, round: &Round) -> Result<(), TestCaseError> {
+        let Round {
+            topo,
+            senders,
+            occupancy,
+            seed,
+        } = round;
+        let (mut rng, mut ref_rng) = (StdRng::seed_from_u64(*seed), StdRng::seed_from_u64(*seed));
+        let (mut got, mut want) = (Delivery::empty(topo.len()), Delivery::empty(topo.len()));
+        medium.deliver_into(topo, senders, &mut rng, &mut got);
+        reference::deliver_into(medium, topo, senders, &mut ref_rng, &mut want);
+        prop_assert_eq!(&got, &want, "eager delivery");
+        prop_assert_eq!(rng.random::<u64>(), ref_rng.random::<u64>(), "eager stream");
+
+        let occupancy: &dyn OccupancyView = match occupancy {
+            Some(occupancy) => occupancy,
+            None => &FullOccupancy,
+        };
+        let streams = ContentionStreams::new(seed ^ 0xA5, seed ^ 0x5A, seed % 97);
+        let (mut got, mut want) = (Delivery::empty(topo.len()), Delivery::empty(topo.len()));
+        medium.deliver_occupied_into(topo, senders, occupancy, &streams, &mut got);
+        reference::deliver_occupied_into(medium, topo, senders, occupancy, &streams, &mut want);
+        prop_assert_eq!(&got, &want, "gated delivery");
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The stamped tally kernel equals the scanning kernel it
+        /// replaced — every draw, every `record` call, in order — on
+        /// one medium value reused across rounds on deployments of
+        /// different sizes, so no stamp may leak from call to call.
+        #[test]
+        fn kernel_equals_reference(
+            slots in 0usize..SLOT_AXIS.len(),
+            carrier_sense in any::<bool>(),
+            rounds in proptest::collection::vec(round(), 1..5),
+        ) {
+            let mut medium = SlottedCsma::new(SLOT_AXIS[slots]);
+            if !carrier_sense {
+                medium = medium.without_carrier_sense();
+            }
+            for round in &rounds {
+                check_round(&mut medium, round)?;
+            }
+        }
+
+        /// The same equality across the generation counter's wrap: one
+        /// deployment throughout, since a different size restarts the
+        /// counter by itself.
+        #[test]
+        fn kernel_equals_reference_across_the_generation_wrap(
+            carrier_sense in any::<bool>(),
+            round in round(),
+        ) {
+            let mut medium = SlottedCsma::new(8);
+            if !carrier_sense {
+                medium = medium.without_carrier_sense();
+            }
+            check_round(&mut medium, &round)?;
+            // Two calls per check: the counter wraps inside the second.
+            medium.scratch.claims.set_generation(u32::MAX - 3);
+            for _ in 0..3 {
+                check_round(&mut medium, &round)?;
+            }
+        }
+    }
+
+    #[test]
+    fn phantom_fixed_points_are_solved_once_per_medium() {
+        // 0 sends on a path whose other nodes are all occupied: the
+        // cohort is {1, 2}, and phantom 2 folds its out-of-cohort
+        // neighbor 3 at the mean-field rate — one fixed point, degree 2.
+        let topo = builders::line(8);
+        let mut occupancy = Occupancy::new(8);
+        for q in 1..8 {
+            occupancy.occupy(NodeId::new(q), &topo);
+        }
+        let mut medium = SlottedCsma::new(4);
+        let call = |medium: &mut SlottedCsma, tick| {
+            let before = BISECTIONS.with(|count| count.get());
+            let streams = ContentionStreams::new(3, 5, tick);
+            let mut d = Delivery::empty(8);
+            medium.deliver_from_occupied(&topo, NodeId::new(0), &occupancy, &streams, &mut d);
+            BISECTIONS.with(|count| count.get()) - before
+        };
+        let bits = |medium: &SlottedCsma| -> Vec<u64> {
+            medium.scratch.ptx.iter().map(|p| p.to_bits()).collect()
+        };
+        assert_eq!(call(&mut medium, 0), 1, "degree 2, solved on first use");
+        let solved = bits(&medium);
+        assert_eq!(
+            solved[2],
+            phantom_tx_probability(4, true, 2).to_bits(),
+            "the memo holds the solver's value bit for bit"
+        );
+        assert_eq!(call(&mut medium, 1), 0, "the memo outlives the call");
+        assert_eq!(bits(&medium), solved);
+        assert_eq!(medium, SlottedCsma::new(4), "equality is configuration");
+        let aloha = medium.without_carrier_sense();
+        assert!(
+            aloha.scratch.ptx.is_empty(),
+            "memoized per carrier-sense mode"
+        );
+        assert_ne!(aloha, SlottedCsma::new(4));
+    }
 
     #[test]
     fn lone_sender_is_always_heard() {

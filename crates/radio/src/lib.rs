@@ -45,6 +45,7 @@ mod bernoulli;
 mod capture;
 mod csma;
 mod fading;
+mod marks;
 mod medium;
 mod occupancy;
 mod perfect;

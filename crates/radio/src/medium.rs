@@ -223,9 +223,14 @@ pub trait Medium {
     /// node contributes its marginal collision probability through
     /// draws on the derived [`ContentionStreams`] — per
     /// (tick, receiver, sender) for frame copies, per (tick, sender)
-    /// for the sender's own slot and carrier-sense fate. No work is
-    /// proportional to the number of silent nodes: a fully quiet round
-    /// (`senders` empty) costs nothing.
+    /// for the sender's own slot and carrier-sense fate.
+    ///
+    /// Cost: O(Σ degree over the round's participants) — the active
+    /// senders plus whatever occupied nodes the medium materializes in
+    /// their 2-hop neighborhood. Nothing is proportional to n or to
+    /// the silent population, allocation included (the shipped media
+    /// keep their per-node tables in generation-stamped scratch they
+    /// own); a fully quiet round (`senders` empty) costs nothing.
     ///
     /// Only meaningful when [`Medium::gated_contention`] holds; the
     /// default delivers nothing.
@@ -248,7 +253,9 @@ pub trait Medium {
     /// occupied population, appending into `out` — the event driver's
     /// per-transmission entry point (with [`crate::FullOccupancy`],
     /// since on the continuous clock every other radio beacons each
-    /// period and therefore contends).
+    /// period and therefore contends). Same cost law as
+    /// [`Medium::deliver_occupied_into`] with one sender: the summed
+    /// degree of its 2-hop neighborhood, never n.
     fn deliver_from_occupied(
         &mut self,
         topo: &Topology,

@@ -27,6 +27,11 @@
 //! snapshotting — so a beacon period allocates nothing, however many
 //! frames land in it.
 //!
+//! The contention media ride the same wave on both clocks. Slotted
+//! CSMA keeps its slot claims, tallies and participant lists in a
+//! generation-stamped scratch it owns, so neither a storm round over
+//! every sender nor a one-sender call on the event clock allocates.
+//!
 //! The audit installs a counting [`GlobalAlloc`] wrapper around the
 //! system allocator. All phases run inside a single `#[test]` so no
 //! concurrent test pollutes the process-wide counter.
@@ -355,5 +360,93 @@ fn steady_state_loops_do_not_allocate() {
         small <= 1.0 && large <= 1.0,
         "a steady-state event-driver period must not allocate per frame \
          (n=100: {small:.1}/period, n=400: {large:.1}/period)"
+    );
+
+    // --- Contention media: the wave under slotted CSMA, both clocks --
+    // A 4-neighborhood grid, so a delivery row's first allocation (four
+    // entries) already holds every frame a node can hear in one round:
+    // what is left to warm is the medium's own scratch, which a storm
+    // over all senders and a tail among mostly-occupied neighbors bring
+    // to their high-water marks. Every step of a re-convergence is then
+    // audited: the storm (most nodes sending, exact race among them),
+    // the sparse tail (few senders, phantoms materialized around them)
+    // and the quiet steps after it.
+    let csma_scenario = || {
+        Scenario::new(DensityCluster::new(ClusterConfig::default().event_driven()))
+            .topology(builders::grid(20, 20, 1.05 / 19.0))
+            .medium(SlottedCsma::new(8))
+            .seed(7)
+    };
+    let mut net = csma_scenario().build().expect("valid scenario");
+    net.set_shards(Some(1));
+    net.run_to(&StopWhen::stable_for(10).within(10_000))
+        .expect_stable("the clustering converges under CSMA");
+    let nodes = net.states().len() as u32;
+    let (mut storm, mut tail, mut quiet) = (0usize, 0usize, 0usize);
+    for round in 0..9u32 {
+        for i in 0..nodes {
+            scramble(net.state_mut(NodeId::new(i)), i, nodes, round);
+        }
+        // A wave under loss runs some 70–90 steps before it falls quiet.
+        for _ in 0..120 {
+            let before = ALLOCS.load(Ordering::Relaxed);
+            net.step();
+            let during = ALLOCS.load(Ordering::Relaxed) - before;
+            if round < 6 {
+                continue; // warm-up waves, as in the phases above
+            }
+            assert_eq!(
+                during,
+                0,
+                "CSMA step with {} senders allocated {during} times",
+                net.last_activity().senders
+            );
+            match net.last_activity().senders as u32 {
+                0 => quiet += 1,
+                senders if senders < nodes / 10 => tail += 1,
+                senders if senders > nodes / 2 => storm += 1,
+                _ => {}
+            }
+        }
+    }
+    assert!(
+        storm >= 10 && tail >= 10 && quiet >= 10,
+        "the CSMA audit window must cover storm, tail and quiet steps \
+         ({storm} storm, {tail} tail, {quiet} quiet seen)"
+    );
+
+    // On the event clock every transmission is a one-sender call
+    // against the full population: its cost — and its allocations —
+    // must be its 2-hop neighborhood's, not n's.
+    let mut events = csma_scenario()
+        .build_events(EventConfig::default())
+        .expect("valid event scenario");
+    events
+        .run_to(&StopWhen::stable_for(10).within(10_000))
+        .expect_stable("the clustering converges under CSMA on the event clock");
+    let (mut periods, mut frames) = (0usize, 0u64);
+    for round in 0..9u32 {
+        for i in 0..nodes {
+            scramble(events.state_mut(NodeId::new(i)), i, nodes, round);
+        }
+        for _ in 0..30 {
+            let (before, landed) = (ALLOCS.load(Ordering::Relaxed), events.frames_delivered());
+            events.step();
+            let during = ALLOCS.load(Ordering::Relaxed) - before;
+            let landed = events.frames_delivered() - landed;
+            if round >= 6 && landed > 0 {
+                assert_eq!(
+                    during, 0,
+                    "a CSMA beacon period landing {landed} frames allocated {during} times"
+                );
+                periods += 1;
+                frames += landed;
+            }
+        }
+    }
+    assert!(
+        periods >= 10 && frames > 10 * u64::from(nodes),
+        "the CSMA event audit window must cover real converging work \
+         ({periods} active periods, {frames} frames)"
     );
 }
