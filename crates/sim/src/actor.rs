@@ -39,18 +39,21 @@
 //!    their mailboxes **in arrival order**, decode every fresh frame
 //!    from the sender's arena into the worker's one pooled beacon,
 //!    receive, and run one pass of guarded assignments — all **in
-//!    place**, no state is copied out or moved back. Whether an actor
-//!    changed is decided by the round driver's own rule (a scratch
-//!    snapshot taken before the first mutation, compared after the
-//!    update); reception-row patches and the changed list go to
-//!    per-worker arenas that the governor applies in worker order,
-//!    which is ascending node order.
+//!    place**, no state is copied out or moved back. The reception
+//!    arena is split at the same node boundaries, so an actor writes
+//!    the epoch it incorporated straight into its own reception row.
+//!    This is the round driver's phase 5 with a different frame loop:
+//!    the partition, the change rule (a scratch snapshot taken before
+//!    the first mutation, compared after the update) and the
+//!    scheduling of changed actors in worker order — ascending node
+//!    order — are the engine's, shared by both (`engine::visit`).
 //!
 //! Every buffer either phase writes is owned by a worker and reused
 //! across periods, so a steady-state period allocates nothing per
-//! sender, per frame or per actor — what is left is the period's list
-//! of receive shards (`tests/alloc_audit.rs`). The worker count is
-//! `min(threads, work items)`, so a quiet period spawns nothing.
+//! sender, per frame or per actor — at `threads > 1` what is left is
+//! the period's list of receive shards, at one thread nothing
+//! (`tests/alloc_audit.rs`). The worker count is `min(threads, work
+//! items)`, so a quiet period spawns nothing.
 //!
 //! Within a slot the interleaving is genuinely nondeterministic: with
 //! `threads > 1` the OS scheduler decides how the send workers'
@@ -82,12 +85,12 @@ use std::sync::{Mutex, MutexGuard};
 use mwn_graph::{NodeId, Point2, Topology, TopologyDelta};
 use mwn_radio::{Medium, PerfectMedium};
 
-use crate::engine::{self, run_sharded, Env, NodeSet};
+use crate::engine::{self, chunk, run_sharded, Env, NodeSet};
 use crate::error::SimError;
 use crate::faults::Fault;
 use crate::network::StepActivity;
 use crate::observable::Observable;
-use crate::protocol::{snapshot, Corruptible, Protocol};
+use crate::protocol::{Corruptible, Protocol};
 use crate::rng::{split_rng, streams};
 use crate::stop::{RunReport, StopWhen};
 use crate::wire::WireBeacon;
@@ -178,79 +181,9 @@ struct SendScratch {
     delivered: usize,
 }
 
-/// One receive worker's reusable buffers: the pooled decode target, the
-/// pre-period snapshot for change detection, and the arenas the
-/// governor applies after the barrier.
-#[repr(align(64))]
-struct RecvScratch<P: Protocol> {
-    beacon: Option<P::Beacon>,
-    snapshot: Option<P::State>,
-    /// Reception-row writes: `(receiver, adjacency slot, epoch)`.
-    patches: Vec<(NodeId, u32, u32)>,
-    /// Actors whose state changed this period, ascending.
-    changed: Vec<NodeId>,
-    receives: usize,
-    updates: usize,
-}
-
-impl<P: Protocol> RecvScratch<P> {
-    fn new() -> Self {
-        RecvScratch {
-            beacon: None,
-            snapshot: None,
-            patches: Vec::new(),
-            changed: Vec::new(),
-            receives: 0,
-            updates: 0,
-        }
-    }
-}
-
 /// A receive-phase candidate: the actor and whether its guards are
 /// pending regardless of mail.
 type Candidate = (NodeId, bool);
-
-/// One receive worker's share of a period: a contiguous chunk of the
-/// sorted candidates, the contiguous run of the state column that
-/// contains them (`states[0]` is node `base`), and the worker's buffers.
-struct RecvShard<'a, P: Protocol> {
-    candidates: &'a [Candidate],
-    base: usize,
-    states: &'a mut [P::State],
-    scratch: &'a mut RecvScratch<P>,
-}
-
-/// The `i`-th of `parts` balanced contiguous chunks of `0..len`.
-fn chunk(len: usize, parts: usize, i: usize) -> std::ops::Range<usize> {
-    i * len / parts..(i + 1) * len / parts
-}
-
-/// Splits the receive phase's work `workers` ways: chunk `i` of the
-/// sorted `candidates`, and with it the run of `states` (indexed by
-/// node) from the chunk's first candidate up to the next chunk's — the
-/// first run starts at node 0, the last ends with the column. The runs
-/// are disjoint, in order and cover the column, so each worker can
-/// mutate its actors' states in place; yields `(base, chunk, run)`.
-fn partition<'a, S>(
-    candidates: &'a [Candidate],
-    states: &'a mut [S],
-    workers: usize,
-) -> impl Iterator<Item = (usize, &'a [Candidate], &'a mut [S])> {
-    let mut rest = states;
-    let mut base = 0;
-    (0..workers).map(move |i| {
-        let mine = chunk(candidates.len(), workers, i);
-        let end = match candidates.get(mine.end) {
-            Some(&(next, _)) if i + 1 < workers => next.index(),
-            _ => base + rest.len(),
-        };
-        let (run, tail) = std::mem::take(&mut rest).split_at_mut(end - base);
-        rest = tail;
-        let shard = (base, &candidates[mine], run);
-        base = end;
-        shard
-    })
-}
 
 /// The actor driver. Build one through
 /// [`Scenario::build_actors`](crate::Scenario::build_actors).
@@ -268,9 +201,8 @@ pub struct ActorDriver<P: Protocol, M: Medium = PerfectMedium> {
     touched_buf: Vec<NodeId>,
     candidates_buf: Vec<Candidate>,
     touched: NodeSet,
-    /// Per-worker buffers of the two phases, one slot per pool thread.
+    /// Per-worker buffers of the send phase, one slot per pool thread.
     send_scratch: Vec<SendScratch>,
-    recv_scratch: Vec<RecvScratch<P>>,
 }
 
 impl<P, M> ActorDriver<P, M>
@@ -328,7 +260,6 @@ where
             candidates_buf: Vec::new(),
             touched: NodeSet::new(topo.len()),
             send_scratch: (0..threads).map(|_| SendScratch::default()).collect(),
-            recv_scratch: (0..threads).map(|_| RecvScratch::new()).collect(),
             env: Env::new(protocol, topo, seed, streams::ROUND_FAULT),
         })
     }
@@ -450,37 +381,22 @@ where
         merge_candidates(&dirty_buf, &touched_buf, &mut self.candidates_buf);
 
         // Receive phase: every worker owns one contiguous run of the
-        // state column and executes its candidates in place; what it
-        // may not write concurrently (the reception rows, the dirty
-        // sets) it leaves in its arenas for the governor.
+        // state column and of the reception arena and executes its
+        // candidates in place; the engine schedules the changed actors
+        // once the workers have joined.
         let recv_workers = self.threads.min(self.candidates_buf.len());
-        let table = &mut self.env.core.table;
-        {
-            let topo = &self.env.topo;
-            let protocol = &self.env.protocol;
-            let update_base = self.env.core.update_base;
-            let mailboxes = &self.mailboxes;
-            let arenas = &self.send_scratch;
-            let (beacons, heard) = (&table.beacons, &table.heard);
-            let forced_changed = &table.forced_changed;
-            let mut shards: Vec<RecvShard<'_, P>> =
-                partition(&self.candidates_buf, &mut table.states, recv_workers)
-                    .zip(&mut self.recv_scratch)
-                    .map(|((base, candidates, states), scratch)| RecvShard {
-                        candidates,
-                        base,
-                        states,
-                        scratch,
-                    })
-                    .collect();
-            run_sharded(&mut shards, |_, shard| {
-                let sc = &mut *shard.scratch;
-                sc.patches.clear();
-                sc.changed.clear();
-                (sc.receives, sc.updates) = (0, 0);
+        let (mailboxes, arenas) = (&self.mailboxes, &self.send_scratch);
+        let (receives, updates) = self.env.visit(
+            period,
+            !eager,
+            &self.candidates_buf,
+            |c| c.0,
+            recv_workers,
+            |shard| {
+                let (beacons, protocol) = (shard.beacons, shard.protocol);
                 for &(r, was_dirty) in shard.candidates {
-                    let state = &mut shard.states[r.index() - shard.base];
-                    let neighbors = topo.neighbors(r);
+                    let neighbors = shard.topo.neighbors(r);
+                    let (state, row, sc) = shard.open(r);
                     // The actor wakes — and, gated, snapshots its state
                     // for change detection — on its first fresh frame,
                     // or for its pending guards.
@@ -491,8 +407,11 @@ where
                         let Ok(slot) = neighbors.binary_search(&frame.sender) else {
                             continue;
                         };
-                        if !eager && heard.get(r.index(), slot) == frame.epoch {
+                        if !eager && row[slot] == frame.epoch {
                             continue; // already incorporated: a state no-op
+                        }
+                        if sc.receives == first {
+                            sc.snapshot(state);
                         }
                         let (off, len) = (frame.off as usize, frame.len as usize);
                         let bytes = &arenas[frame.arena as usize].bytes[off..off + len];
@@ -505,49 +424,20 @@ where
                             P::Beacon::decode_into(bytes, beacon),
                             "wire beacons round-trip losslessly"
                         );
-                        if !eager && sc.receives == first {
-                            snapshot(&mut sc.snapshot, state);
-                        }
                         protocol.receive(r, state, frame.sender, beacon, period);
-                        sc.patches.push((r, slot as u32, frame.epoch));
+                        row[slot] = frame.epoch;
                         sc.receives += 1;
                     }
                     if sc.receives == first {
                         if !was_dirty {
                             continue; // gated and nothing fresh: the actor never wakes
                         }
-                        if !eager {
-                            snapshot(&mut sc.snapshot, state);
-                        }
+                        sc.snapshot(state);
                     }
-                    let mut rng = split_rng(update_base, period, u64::from(r.value()));
-                    protocol.update(r, state, period, &mut rng);
-                    sc.updates += 1;
-                    // The round driver's change rule, on the same inputs.
-                    if !eager
-                        && (forced_changed.contains(r) || sc.snapshot.as_ref() != Some(&*state))
-                    {
-                        sc.changed.push(r);
-                    }
+                    shard.update(r);
                 }
-            });
-        }
-
-        // The governor owns the table again: apply the workers' arenas
-        // in worker order, which is ascending node order.
-        let (mut receives, mut updates) = (0usize, 0usize);
-        for sc in &self.recv_scratch[..recv_workers] {
-            receives += sc.receives;
-            updates += sc.updates;
-            for &(r, slot, epoch) in &sc.patches {
-                table.heard.set(r.index(), slot as usize, epoch);
-            }
-            for &r in &sc.changed {
-                table.changed.push(r);
-                table.update_dirty.insert(r);
-                table.beacon_stale.insert(r);
-            }
-        }
+            },
+        );
 
         if !eager {
             self.env.retire_caught_up(&senders);
@@ -909,66 +799,6 @@ mod tests {
             .run_to(&StopWhen::stable_for(3).within(100))
             .expect_stable("the bridged flood settles");
         assert!(driver.states().iter().all(|&s| s == 3));
-    }
-
-    /// Checks one partition: the runs are disjoint, in order and cover
-    /// `0..n`; the chunks cover the candidates in order; and every
-    /// candidate indexes inside its own shard's run.
-    fn assert_partition(nodes: &[u32], n: usize, workers: usize) {
-        let candidates: Vec<Candidate> = nodes
-            .iter()
-            .map(|&p| (NodeId::new(p), p % 2 == 0))
-            .collect();
-        // states[i] == i, so a run's content names the nodes it covers.
-        let mut states: Vec<usize> = (0..n).collect();
-        let (mut covered, mut seen) = (Vec::new(), Vec::new());
-        let mut shards = 0;
-        for (base, chunk, run) in partition(&candidates, &mut states, workers) {
-            assert_eq!(base, covered.len(), "runs are contiguous and in order");
-            for &(r, _) in chunk {
-                assert_eq!(run[r.index() - base], r.index(), "candidate inside its run");
-            }
-            covered.extend_from_slice(run);
-            seen.extend_from_slice(chunk);
-            shards += 1;
-        }
-        assert_eq!(shards, workers);
-        assert_eq!(seen, candidates, "nodes={nodes:?} workers={workers}");
-        assert_eq!(covered, (0..n).collect::<Vec<_>>(), "nodes={nodes:?}");
-    }
-
-    #[test]
-    fn partition_splits_the_state_column_at_candidate_boundaries() {
-        use rand::{Rng, SeedableRng};
-
-        // Edge cases: first node, last node, both, everyone, no one.
-        for workers in 1..=8 {
-            assert_partition(&[], 6, workers);
-            assert_partition(&[0], 6, workers);
-            assert_partition(&[5], 6, workers);
-            assert_partition(&[0, 5], 6, workers);
-            assert_partition(&[0, 1, 2, 3, 4, 5], 6, workers);
-            assert_partition(&[0], 1, workers);
-        }
-        // A quiet period has no candidates and asks for no workers.
-        assert_eq!(partition(&[], &mut [0usize; 6], 0).count(), 0);
-        // Random sorted candidate sets, including fewer candidates than
-        // workers and chunk sizes that do not divide.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-        for _ in 0..300 {
-            let n = rng.random_range(1..40usize);
-            let density = rng.random_range(0.0..1.0);
-            let nodes: Vec<u32> = (0..n as u32).filter(|_| rng.random_bool(density)).collect();
-            for workers in 1..=8 {
-                assert_partition(&nodes, n, workers);
-            }
-        }
-        // The balanced chunks never differ by more than one candidate.
-        for (len, parts) in [(5, 3), (7, 7), (8, 3), (100, 7)] {
-            let sizes: Vec<usize> = (0..parts).map(|i| chunk(len, parts, i).len()).collect();
-            assert_eq!(sizes.iter().sum::<usize>(), len);
-            assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
-        }
     }
 
     #[test]

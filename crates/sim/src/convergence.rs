@@ -12,19 +12,19 @@
 /// use mwn_sim::StabilityTracker;
 ///
 /// let mut t = StabilityTracker::new(2);
-/// assert!(!t.observe(0, vec![1, 1]));
-/// assert!(!t.observe(1, vec![1, 2])); // changed
-/// assert!(!t.observe(2, vec![1, 2])); // stable ×1
-/// assert!(t.observe(3, vec![1, 2]));  // stable ×2 → done
+/// assert!(!t.observe_slice(0, &[1, 1]));
+/// assert!(!t.observe_slice(1, &[1, 2])); // changed
+/// assert!(!t.observe_slice(2, &[1, 2])); // stable ×1
+/// assert!(t.observe_slice(3, &[1, 2]));  // stable ×2 → done
 /// assert_eq!(t.last_change(), 1);
 /// ```
 #[derive(Clone, Debug)]
 pub struct StabilityTracker<K> {
     quiet: u64,
-    last: Option<Vec<K>>,
+    last: Vec<K>,
     last_change: u64,
     stable_for: u64,
-    /// Whether any observation has been recorded (snapshot or flag).
+    /// Whether any observation has been recorded (slice or flag).
     primed: bool,
 }
 
@@ -34,28 +34,11 @@ impl<K: PartialEq> StabilityTracker<K> {
     pub fn new(quiet: u64) -> Self {
         StabilityTracker {
             quiet: quiet.max(1),
-            last: None,
+            last: Vec::new(),
             last_change: 0,
             stable_for: 0,
             primed: false,
         }
-    }
-
-    /// Records the projection at `now`; returns `true` once the
-    /// projection has been unchanged for the required streak.
-    pub fn observe(&mut self, now: u64, projection: Vec<K>) -> bool {
-        self.primed = true;
-        match &self.last {
-            Some(prev) if *prev == projection => {
-                self.stable_for += 1;
-            }
-            _ => {
-                self.stable_for = 0;
-                self.last_change = now;
-                self.last = Some(projection);
-            }
-        }
-        self.stable_for >= self.quiet
     }
 
     /// Records "the projection did / did not change at `now`" without
@@ -76,37 +59,25 @@ impl<K: PartialEq> StabilityTracker<K> {
         self.stable_for >= self.quiet
     }
 
-    /// Records the projection at `now` without taking ownership; the
-    /// slice is only cloned when it differs from the previous
-    /// observation, so steady-state steps allocate nothing. Returns
-    /// `true` once the projection has been unchanged for the required
-    /// streak.
+    /// Records the projection at `now`: compares it with the previous
+    /// observation, then [`StabilityTracker::observe_flag`]. The slice
+    /// is only copied when it differs, so steady-state steps allocate
+    /// nothing. Returns `true` once the projection has been unchanged
+    /// for the required streak.
     pub fn observe_slice(&mut self, now: u64, projection: &[K]) -> bool
     where
         K: Clone,
     {
-        self.primed = true;
-        match &mut self.last {
-            Some(prev) if prev.as_slice() == projection => {
-                self.stable_for += 1;
-            }
-            Some(prev) => {
-                self.stable_for = 0;
-                self.last_change = now;
-                prev.clear();
-                prev.extend_from_slice(projection);
-            }
-            None => {
-                self.last = Some(projection.to_vec());
-                self.last_change = now;
-                self.stable_for = 0;
-            }
+        let changed = self.last.as_slice() != projection;
+        if changed {
+            self.last.clear();
+            self.last.extend_from_slice(projection);
         }
-        self.stable_for >= self.quiet
+        self.observe_flag(now, changed)
     }
 
     /// The time of the most recent change (the stabilization time once
-    /// [`StabilityTracker::observe`] has returned `true`).
+    /// [`StabilityTracker::observe_slice`] has returned `true`).
     pub fn last_change(&self) -> u64 {
         self.last_change
     }
@@ -124,31 +95,31 @@ mod tests {
     #[test]
     fn immediate_stability_counts_from_first_observation() {
         let mut t = StabilityTracker::new(3);
-        assert!(!t.observe(0, vec![7]));
-        assert!(!t.observe(1, vec![7]));
-        assert!(!t.observe(2, vec![7]));
-        assert!(t.observe(3, vec![7]));
+        assert!(!t.observe_slice(0, &[7]));
+        assert!(!t.observe_slice(1, &[7]));
+        assert!(!t.observe_slice(2, &[7]));
+        assert!(t.observe_slice(3, &[7]));
         assert_eq!(t.last_change(), 0);
     }
 
     #[test]
     fn change_resets_the_streak() {
         let mut t = StabilityTracker::new(2);
-        t.observe(0, vec![1]);
-        t.observe(1, vec![1]);
+        t.observe_slice(0, &[1]);
+        t.observe_slice(1, &[1]);
         assert_eq!(t.stable_streak(), 1);
-        t.observe(2, vec![2]);
+        t.observe_slice(2, &[2]);
         assert_eq!(t.stable_streak(), 0);
         assert_eq!(t.last_change(), 2);
-        assert!(!t.observe(3, vec![2]));
-        assert!(t.observe(4, vec![2]));
+        assert!(!t.observe_slice(3, &[2]));
+        assert!(t.observe_slice(4, &[2]));
     }
 
     #[test]
     fn quiet_zero_is_clamped_to_one() {
         let mut t = StabilityTracker::new(0);
-        assert!(!t.observe(0, vec![1]));
-        assert!(t.observe(1, vec![1]));
+        assert!(!t.observe_slice(0, &[1]));
+        assert!(t.observe_slice(1, &[1]));
     }
 
     #[test]
@@ -174,8 +145,8 @@ mod tests {
 
     #[test]
     fn flag_mode_continues_a_snapshot_observation() {
-        // run_to seeds the tracker with one full snapshot, then feeds
-        // flags: the streak must carry across the switch.
+        // A caller may seed the tracker with one full projection and
+        // then feed flags: the streak must carry across the switch.
         let mut t = StabilityTracker::new(2);
         assert!(!t.observe_slice(5, &[7, 7]));
         assert!(!t.observe_flag(6, false));

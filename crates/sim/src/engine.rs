@@ -24,10 +24,16 @@
 //!   are independent of how long it slept;
 //! * [`run_pooled`] — the scoped-thread work-stealing pool behind
 //!   [`crate::Sweep`];
-//! * [`run_sharded`] — the allocation-free variant backing the round
-//!   driver's sharded active pass, both phases of the actor fabric and
-//!   the traffic plane's batch forwarding: workers write into
-//!   caller-owned, reused arenas instead of returning fresh `Vec`s;
+//! * [`run_sharded`] — the allocation-free variant backing the
+//!   per-node visits of both period-clocked drivers, the actor
+//!   fabric's send phase and the traffic plane's batch forwarding:
+//!   workers write into caller-owned, reused slots instead of
+//!   returning fresh `Vec`s; [`ShardPolicy`] decides how many;
+//! * `visit` (private module) — the per-node visit those two drivers
+//!   share: the partition of the sorted candidates, the state column
+//!   and the reception arena into disjoint in-place runs, the
+//!   snapshot-and-compare change rule, and the scheduling of changed
+//!   nodes in worker order;
 //! * [`kernels`] — the word-at-a-time kernels and columnar layouts
 //!   ([`kernels::BitWords`], [`kernels::HeardTable`], the sorted join
 //!   and epoch compares) the structures above are built on; their cost
@@ -41,8 +47,11 @@
 
 mod env;
 pub mod kernels;
+mod visit;
 
 pub(crate) use env::{run_to, Corruptor, Env};
+pub(crate) use visit::chunk;
+use visit::VisitScratch;
 
 use mwn_graph::{NodeId, Topology, TopologyDelta};
 use mwn_radio::{ContentionStreams, Occupancy};
@@ -242,8 +251,9 @@ pub(crate) struct NodeTable<P: Protocol> {
     /// is a single `is_empty` test.
     pub lies: Vec<NodeId>,
     /// Scratch: pre-visit snapshot of the node being processed — the
-    /// slot [`crate::protocol::snapshot`] fills for the round driver's
-    /// change detection and for the provided `*_changed` bodies.
+    /// slot [`crate::protocol::snapshot`] fills for the provided
+    /// `*_changed` bodies on the event clock (the period-clocked
+    /// drivers snapshot into their workers' own buffers).
     pub scratch_state: Option<P::State>,
     /// Scratch: pooled beacon buffer for [`ActivityCore::refresh_beacon`].
     /// Refreshing computes into this buffer ([`Protocol::beacon_into`])
@@ -685,6 +695,55 @@ where
     });
 }
 
+/// How many shards a [`run_sharded`] pass is cut into — the one policy
+/// behind [`crate::Network::set_shards`] and the traffic plane's knob of
+/// the same name. Shard counts only move wall-clock time: every sharded
+/// pass is byte-identical to its one-shard run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ShardPolicy {
+    /// `Some(k)`: exactly `k` shards, however small the pass.
+    forced: Option<usize>,
+    /// `available_parallelism`, asked once — std re-reads the cgroup
+    /// files on every call, which has no place in a step loop.
+    cores: usize,
+}
+
+/// Below this much work a pass is not worth the scoped-thread round
+/// trip; the automatic policy stays at one shard.
+const AUTO_SHARD_MIN_LOAD: usize = 1024;
+
+impl ShardPolicy {
+    /// The policy a fresh driver starts with: the shard count the
+    /// `MWN_FORCE_SHARDS` environment variable forces (the CI
+    /// forced-shards leg sets 4), otherwise automatic.
+    pub fn from_env() -> Self {
+        let forced = std::env::var("MWN_FORCE_SHARDS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok());
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        ShardPolicy { forced, cores }
+    }
+
+    /// `Some(k)` forces exactly `k` shards for every pass; `None`
+    /// restores the automatic choice — one shard per core once a pass
+    /// is large enough to amortize thread spawn.
+    pub fn set(&mut self, shards: Option<usize>) {
+        self.forced = shards;
+    }
+
+    /// The shard count for a pass of `load` units of work (active
+    /// nodes, packets in flight) over `items` splittable items: never
+    /// more shards than items, never fewer than one.
+    pub fn count(&self, load: usize, items: usize) -> usize {
+        let wanted = match self.forced {
+            Some(k) => k,
+            None if load < AUTO_SHARD_MIN_LOAD => 1,
+            None => self.cores,
+        };
+        wanted.clamp(1, items.max(1))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -798,6 +857,24 @@ mod tests {
         assert_eq!(serial, pooled);
         assert_eq!(pooled[5], 25);
         assert!(run_pooled(0, 4, |i| i).is_empty());
+    }
+
+    #[test]
+    fn shard_policy_clamps_forced_counts_and_gates_the_automatic_one() {
+        let mut policy = ShardPolicy {
+            forced: None,
+            cores: 8,
+        };
+        assert_eq!(policy.count(1023, 5000), 1, "too little work to spawn for");
+        assert_eq!(policy.count(1024, 5000), 8);
+        assert_eq!(policy.count(4096, 3), 3, "never more shards than items");
+        policy.set(Some(0));
+        assert_eq!(policy.count(0, 0), 1, "never fewer than one");
+        policy.set(Some(4));
+        assert_eq!(policy.count(2, 100), 4, "forced whatever the load");
+        assert_eq!(policy.count(2, 2), 2);
+        policy.set(None);
+        assert_eq!(policy.count(2, 100), 1);
     }
 
     #[test]

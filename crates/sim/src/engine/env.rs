@@ -23,7 +23,7 @@ use mwn_graph::{NodeId, Point2, Topology, TopologyDelta};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use super::ActivityCore;
+use super::{ActivityCore, VisitScratch};
 use crate::faults::{Fault, Lie};
 use crate::rng::derive_seed;
 use crate::scenario::TopologyDynamics;
@@ -96,6 +96,8 @@ pub(crate) struct Env<P: Protocol> {
     corruptor: Option<Corruptor<P>>,
     dynamics: Option<Box<dyn TopologyDynamics + Send>>,
     scratch_nodes: Vec<NodeId>,
+    /// Per-worker buffers of [`Env::visit`], one per worker ever used.
+    pub(super) visit_pool: Vec<VisitScratch<P>>,
 }
 
 impl<P: Protocol + std::fmt::Debug> std::fmt::Debug for Env<P> {
@@ -130,6 +132,7 @@ impl<P: Protocol> Env<P> {
             corruptor: None,
             dynamics: None,
             scratch_nodes: Vec::new(),
+            visit_pool: Vec::new(),
         }
     }
 
@@ -591,9 +594,12 @@ impl<P: Corruptible> Env<P> {
 /// `table.changed`.
 ///
 /// The condition is checked before the first step and after every
-/// step. Under gated scheduling the per-step evaluation is incremental:
-/// a quiescent step extends stability streaks and reuses memoized
-/// predicate verdicts without projecting a single output.
+/// step. Stability is fed as a change flag on both scheduling modes:
+/// the projection of every node that may have changed — `table.changed`
+/// under gated scheduling, everyone under eager — is compared with the
+/// kept `outputs` and overwritten. A quiescent gated step therefore
+/// extends stability streaks and reuses memoized predicate verdicts
+/// without projecting a single output.
 pub(crate) fn run_to<P: Observable, D>(
     driver: &mut D,
     stop: &StopWhen<P>,
@@ -611,34 +617,39 @@ pub(crate) fn run_to<P: Observable, D>(
     if needs_outputs {
         e.outputs_into(&mut outputs);
     }
-    let full = Obs::Full { outputs: &outputs };
-    let mut verdict = cursor.observe(start, 0, &e.topo, &e.core.table.states, &full);
+    // The first observation is a change: there is nothing to be equal
+    // to yet, and no verdict to reuse.
+    let first = Obs {
+        output_changed: true,
+        state_changed: true,
+        env_changed: true,
+    };
+    let mut verdict = cursor.observe(start, 0, &e.topo, &e.core.table.states, &first);
     let mut now = start;
     while !verdict.satisfied {
         now = step(driver);
         let e = env(driver);
         let table = &e.core.table;
-        let obs = if gated {
-            let mut output_changed = false;
-            if needs_outputs {
-                for &p in &table.changed {
-                    let fresh = e.protocol.output(p, &table.states[p.index()]);
-                    if outputs[p.index()] != fresh {
-                        outputs[p.index()] = fresh;
-                        output_changed = true;
-                    }
+        let mut output_changed = false;
+        if needs_outputs {
+            let mut project = |p: NodeId| {
+                let fresh = e.protocol.output(p, &table.states[p.index()]);
+                if outputs[p.index()] != fresh {
+                    outputs[p.index()] = fresh;
+                    output_changed = true;
                 }
+            };
+            if gated {
+                table.changed.iter().copied().for_each(&mut project);
+            } else {
+                e.topo.nodes().for_each(&mut project);
             }
-            Obs::Delta {
-                output_changed,
-                state_changed: !table.changed.is_empty(),
-                env_changed: e.env_changed,
-            }
-        } else {
-            if needs_outputs {
-                e.outputs_into(&mut outputs);
-            }
-            Obs::Full { outputs: &outputs }
+        }
+        let obs = Obs {
+            output_changed,
+            // Eager steps track no change: predicates re-run every step.
+            state_changed: !gated || !table.changed.is_empty(),
+            env_changed: e.env_changed,
         };
         verdict = cursor.observe(now, now - start, &e.topo, &table.states, &obs);
     }

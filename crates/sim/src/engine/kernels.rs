@@ -35,10 +35,13 @@
 //! decode loop streams whole lines. The `u32` epoch columns
 //! ([`HeardTable::row`], `NodeTable::epoch`) rely on autovectorization
 //! with unaligned loads (peeled prologues) — measured on par with
-//! aligned access on current x86-64. Cross-thread false sharing is
-//! confined to the per-shard outcome arenas, which are
-//! `#[repr(align(64))]`-padded so no two workers ever write the same
-//! line (see `ShardScratch` in `network.rs`).
+//! aligned access on current x86-64. Cross-thread false sharing: the
+//! per-worker visit buffers are `#[repr(align(64))]`-padded
+//! (`VisitScratch` in `engine/visit.rs`), so no two workers' counters
+//! share a line; the workers' runs of the state column and of the
+//! reception arena are contiguous, so two workers can meet only on the
+//! one line straddling each cut — at most `workers − 1` lines per
+//! column, each written by its two neighbours' edge nodes only.
 //!
 //! [`BitWords::decode_into`] keeps its per-bit reference
 //! (`decode_into_scalar`, test-only); the joins are checked against
@@ -366,6 +369,17 @@ impl HeardTable {
         }
     }
 
+    /// The whole arena as one exclusive run of rows — what a sharded
+    /// pass cuts with [`HeardRun::split_at`] so that every worker
+    /// writes its own nodes' rows in place.
+    pub(crate) fn run_mut(&mut self) -> HeardRun<'_> {
+        HeardRun {
+            off: &self.off,
+            len: &self.len,
+            data: &mut self.data,
+        }
+    }
+
     /// Re-layouts the arena so row `r` can hold `deg` entries,
     /// preserving every other row's live prefix. Rare: only mobility
     /// that grows a node's degree past its slack lands here.
@@ -391,6 +405,51 @@ impl HeardTable {
         }
         self.off = off;
         self.data = data;
+    }
+}
+
+/// Exclusive access to a contiguous run of [`HeardTable`] rows: the
+/// offsets stay shared, the entries are a `split_at_mut` piece of the
+/// arena, so two runs cut at a row boundary can be written by two
+/// workers at once.
+pub(crate) struct HeardRun<'a> {
+    /// Arena offsets of the run's rows plus the one closing the last;
+    /// `off[0]` is where `data` starts.
+    off: &'a [u32],
+    len: &'a [u32],
+    data: &'a mut [u32],
+}
+
+impl<'a> HeardRun<'a> {
+    /// Cuts the run before its `row`-th row.
+    pub fn split_at(self, row: usize) -> (HeardRun<'a>, HeardRun<'a>) {
+        let (head, tail) = self
+            .data
+            .split_at_mut((self.off[row] - self.off[0]) as usize);
+        let head = HeardRun {
+            off: &self.off[..=row],
+            len: &self.len[..row],
+            data: head,
+        };
+        let tail = HeardRun {
+            off: &self.off[row..],
+            len: &self.len[row..],
+            data: tail,
+        };
+        (head, tail)
+    }
+
+    /// Where the run sits in the arena: `(first entry, entries)`.
+    #[cfg(test)]
+    pub fn span(&self) -> (usize, usize) {
+        (self.off[0] as usize, self.data.len())
+    }
+
+    /// The run's `i`-th row (one entry per adjacency slot).
+    #[inline]
+    pub fn row_mut(&mut self, i: usize) -> &mut [u32] {
+        let lo = (self.off[i] - self.off[0]) as usize;
+        &mut self.data[lo..lo + self.len[i] as usize]
     }
 }
 

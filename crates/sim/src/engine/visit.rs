@@ -1,0 +1,308 @@
+//! The per-node **visit** of a period — the paper's Δ(τ) move — as both
+//! period-clocked drivers run it: refresh the cached copies that
+//! arrived, run the guards, decide whether the node changed.
+//!
+//! A visit writes only its node's own state and reception row and reads
+//! only frozen columns, so [`partition`] cuts the sorted candidates
+//! into contiguous chunks and, at the same node boundaries, the state
+//! column and the reception arena into disjoint runs. Every worker
+//! mutates its [`Shard`] in place — nothing is copied out or merged
+//! back — and one worker is simply the calling thread. What differs
+//! between the drivers is the frame loop inside a visit (a `Delivery`
+//! join, a mailbox drain): the closure they hand to [`Env::visit`].
+
+use mwn_graph::{NodeId, Topology};
+
+use super::kernels::HeardRun;
+use super::{run_sharded, Env, NodeSet};
+use crate::protocol::snapshot;
+use crate::rng::split_rng;
+use crate::Protocol;
+
+/// The `i`-th of `parts` balanced contiguous chunks of `0..len`.
+pub(crate) fn chunk(len: usize, parts: usize, i: usize) -> std::ops::Range<usize> {
+    i * len / parts..(i + 1) * len / parts
+}
+
+/// Splits a period's visits `workers` ways: chunk `i` of the sorted
+/// `candidates` (`node` names a candidate's node), and with it the run
+/// of `states` and of reception rows (both indexed by node) from the
+/// chunk's first candidate up to the next chunk's — the first run
+/// starts at node 0, the last ends with the column. The runs are
+/// disjoint, in order and cover both columns, so each worker can
+/// mutate its nodes in place; yields `(base, chunk, states, rows)`.
+pub(crate) fn partition<'a, C, S>(
+    candidates: &'a [C],
+    node: fn(&C) -> NodeId,
+    states: &'a mut [S],
+    heard: HeardRun<'a>,
+    workers: usize,
+) -> impl Iterator<Item = (usize, &'a [C], &'a mut [S], HeardRun<'a>)> {
+    let mut rest = Some((states, heard));
+    let mut base = 0;
+    (0..workers).map(move |i| {
+        let mine = chunk(candidates.len(), workers, i);
+        let (states, heard) = rest.take().expect("put back after every cut");
+        let end = match candidates.get(mine.end) {
+            Some(next) if i + 1 < workers => node(next).index(),
+            _ => base + states.len(),
+        };
+        let (run, states) = states.split_at_mut(end - base);
+        let (rows, heard) = heard.split_at(end - base);
+        rest = Some((states, heard));
+        let shard = (base, &candidates[mine], run, rows);
+        base = end;
+        shard
+    })
+}
+
+/// One visit worker's reusable buffers. `align(64)` keeps two workers'
+/// counters off one cache line.
+#[repr(align(64))]
+pub(crate) struct VisitScratch<P: Protocol> {
+    /// Whether this period tracks change (gated scheduling).
+    gated: bool,
+    /// The visited node's state before the visit first mutated it.
+    before: Option<P::State>,
+    /// Nodes this worker's visits changed, ascending.
+    changed: Vec<NodeId>,
+    /// [`Protocol::receive`] invocations, counted by the frame loop.
+    pub receives: usize,
+    updates: usize,
+    /// Pooled decode target for a frame loop whose beacons arrive
+    /// serialized (the actor fabric); starts from any beacon at all.
+    pub beacon: Option<P::Beacon>,
+}
+
+impl<P: Protocol> VisitScratch<P> {
+    fn new() -> Self {
+        VisitScratch {
+            gated: false,
+            before: None,
+            changed: Vec::new(),
+            receives: 0,
+            updates: 0,
+            beacon: None,
+        }
+    }
+
+    /// Records `state` as the "before" of the change rule; a visit
+    /// calls it ahead of its first mutation. Free under eager
+    /// scheduling, which tracks no change.
+    #[inline]
+    pub fn snapshot(&mut self, state: &P::State) {
+        if self.gated {
+            snapshot(&mut self.before, state);
+        }
+    }
+}
+
+/// One worker's share of a period: its chunk of the sorted candidates,
+/// the frozen columns every worker reads, and the runs of the state
+/// column and the reception arena that contain its candidates — its
+/// own to write.
+pub(crate) struct Shard<'a, P: Protocol, C> {
+    pub candidates: &'a [C],
+    pub protocol: &'a P,
+    pub topo: &'a Topology,
+    pub beacons: &'a [P::Beacon],
+    pub epoch: &'a [u32],
+    forced_changed: &'a NodeSet,
+    update_base: u64,
+    now: u64,
+    /// The node `states[0]` and the first reception row belong to.
+    base: usize,
+    states: &'a mut [P::State],
+    heard: HeardRun<'a>,
+    scratch: &'a mut VisitScratch<P>,
+}
+
+impl<P: Protocol, C> Shard<'_, P, C> {
+    /// Opens the visit of candidate `p`: its state, its reception row
+    /// (one epoch per adjacency slot) and the worker's buffers.
+    #[inline]
+    pub fn open(&mut self, p: NodeId) -> (&mut P::State, &mut [u32], &mut VisitScratch<P>) {
+        let i = p.index() - self.base;
+        (
+            &mut self.states[i],
+            self.heard.row_mut(i),
+            &mut *self.scratch,
+        )
+    }
+
+    /// Closes the visit of `p`: one pass of guarded assignments on the
+    /// node's own `(period, node)` stream, then the change rule — `p`
+    /// changed iff something outside the protocol mutated it this
+    /// period or its state differs from the snapshot.
+    #[inline]
+    pub fn update(&mut self, p: NodeId) {
+        let state = &mut self.states[p.index() - self.base];
+        let mut rng = split_rng(self.update_base, self.now, u64::from(p.value()));
+        self.protocol.update(p, state, self.now, &mut rng);
+        let sc = &mut *self.scratch;
+        sc.updates += 1;
+        if sc.gated && (self.forced_changed.contains(p) || sc.before.as_ref() != Some(&*state)) {
+            sc.changed.push(p);
+        }
+    }
+}
+
+impl<P: Protocol> Env<P> {
+    /// Runs period `now`'s visits on `workers` workers: `body` walks
+    /// its shard's candidates — [`Shard::open`], the driver's frame
+    /// loop, [`Shard::update`] — on a scoped thread per shard, or
+    /// inline when there is one. Afterwards the changed nodes are
+    /// scheduled (guards and beacon refresh next period) in worker
+    /// order, which is ascending node order. Returns the period's
+    /// `(receives, updates)`.
+    pub fn visit<C: Sync>(
+        &mut self,
+        now: u64,
+        gated: bool,
+        candidates: &[C],
+        node: fn(&C) -> NodeId,
+        workers: usize,
+        body: impl Fn(&mut Shard<'_, P, C>) + Sync,
+    ) -> (usize, usize) {
+        if candidates.is_empty() {
+            return (0, 0); // a quiet period costs nothing here
+        }
+        if self.visit_pool.len() < workers {
+            self.visit_pool.resize_with(workers, VisitScratch::new);
+        }
+        let (table, pool) = (&mut self.core.table, &mut self.visit_pool[..workers]);
+        let heard = table.heard.run_mut();
+        let runs = partition(candidates, node, &mut table.states, heard, workers);
+        let shards = runs.zip(pool.iter_mut()).map(|(run, scratch)| {
+            scratch.gated = gated;
+            scratch.changed.clear();
+            (scratch.receives, scratch.updates) = (0, 0);
+            let (base, candidates, states, heard) = run;
+            Shard {
+                candidates,
+                protocol: &self.protocol,
+                topo: &self.topo,
+                beacons: &table.beacons,
+                epoch: &table.epoch,
+                forced_changed: &table.forced_changed,
+                update_base: self.core.update_base,
+                now,
+                base,
+                states,
+                heard,
+                scratch,
+            }
+        });
+        if workers <= 1 {
+            shards.for_each(|mut shard| body(&mut shard));
+        } else {
+            let mut shards: Vec<_> = shards.collect();
+            run_sharded(&mut shards, |_, shard| body(shard));
+        }
+        let (mut receives, mut updates) = (0, 0);
+        for sc in pool.iter() {
+            receives += sc.receives;
+            updates += sc.updates;
+            for &p in &sc.changed {
+                table.changed.push(p);
+                table.update_dirty.insert(p);
+                table.beacon_stale.insert(p);
+            }
+        }
+        (receives, updates)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::kernels::HeardTable;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Checks one partition over `heard`'s nodes: the state runs and
+    /// the reception runs are disjoint, in order and cover their
+    /// columns, both cut at the same nodes; the chunks cover the
+    /// candidates in order; and every candidate indexes its own state
+    /// and its own reception row inside its shard's runs.
+    fn assert_partition(nodes: &[u32], heard: &mut HeardTable, workers: usize) {
+        let n = heard.rows();
+        let candidates: Vec<(NodeId, bool)> = nodes
+            .iter()
+            .map(|&p| (NodeId::new(p), p % 2 == 0))
+            .collect();
+        // states[i] == i, so a run's content names the nodes it covers.
+        let mut states: Vec<usize> = (0..n).collect();
+        let arena = heard.run_mut().span();
+        let (mut shards, mut next, mut seen, mut entries) = (0, 0, 0, 0);
+        let runs = partition(&candidates, |c| c.0, &mut states, heard.run_mut(), workers);
+        for (base, chunk, run, mut rows) in runs {
+            assert_eq!(base, next, "runs are contiguous and in order");
+            assert_eq!(rows.span().0, entries, "reception runs tile the arena");
+            assert_eq!(chunk, &candidates[seen..seen + chunk.len()]);
+            assert!(run.iter().copied().eq(base..base + run.len()));
+            // Stamp every row through its run; read back through the table.
+            for i in 0..run.len() {
+                rows.row_mut(i).fill((base + i) as u32);
+            }
+            for &(r, _) in chunk {
+                assert!(base <= r.index() && r.index() < base + run.len(), "{r}");
+            }
+            (shards, next, seen) = (shards + 1, next + run.len(), seen + chunk.len());
+            entries += rows.span().1;
+        }
+        assert_eq!((shards, next, seen), (workers, n, nodes.len()), "{nodes:?}");
+        assert_eq!((0, entries), arena, "the runs cover the arena");
+        for r in 0..n {
+            let own = heard.row(r).iter().all(|&e| e == r as u32);
+            assert!(own, "row {r} was written through another node's run");
+        }
+    }
+
+    #[test]
+    fn partition_splits_the_state_column_at_candidate_boundaries() {
+        // Edge cases: first node, last node, both, everyone, no one.
+        let mut six = HeardTable::new([2usize, 0, 3, 1, 4, 2]);
+        for workers in 1..=8 {
+            assert_partition(&[], &mut six, workers);
+            assert_partition(&[0], &mut six, workers);
+            assert_partition(&[5], &mut six, workers);
+            assert_partition(&[0, 5], &mut six, workers);
+            assert_partition(&[0, 1, 2, 3, 4, 5], &mut six, workers);
+            assert_partition(&[0], &mut HeardTable::new([3usize]), workers);
+        }
+        // A quiet period has no candidates and asks for no workers.
+        let none: [(NodeId, bool); 0] = [];
+        assert_eq!(
+            partition(&none, |c| c.0, &mut [0usize; 6], six.run_mut(), 0).count(),
+            0
+        );
+        // Random sorted candidate sets, including fewer candidates than
+        // workers and chunk sizes that do not divide — before and after
+        // a row outgrows its slack and the arena is laid out afresh.
+        let mut rng = StdRng::seed_from_u64(17);
+        for _ in 0..300 {
+            let n = rng.random_range(1..40usize);
+            let mut heard = HeardTable::new((0..n).map(|_| rng.random_range(0..9usize)));
+            let density = rng.random_range(0.0..1.0);
+            let nodes: Vec<u32> = (0..n as u32).filter(|_| rng.random_bool(density)).collect();
+            for grown in [false, true] {
+                if grown {
+                    let r = rng.random_range(0..n);
+                    let (_, before) = heard.run_mut().span();
+                    heard.reset_row(r, heard.row(r).len() + 5);
+                    assert!(heard.run_mut().span().1 > before, "re-laid out");
+                }
+                for workers in 1..=8 {
+                    assert_partition(&nodes, &mut heard, workers);
+                }
+            }
+        }
+        // The balanced chunks never differ by more than one candidate.
+        for (len, parts) in [(5, 3), (7, 7), (8, 3), (100, 7)] {
+            let sizes: Vec<usize> = (0..parts).map(|i| chunk(len, parts, i).len()).collect();
+            assert_eq!(sizes.iter().sum::<usize>(), len);
+            assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
+        }
+    }
+}

@@ -102,14 +102,13 @@ mod stop;
 mod sweep;
 #[cfg(test)]
 mod testkit;
-mod trace;
 mod wire;
 
 pub use actor::ActorDriver;
 pub use convergence::StabilityTracker;
 pub use driver::Driver;
 pub use engine::kernels;
-pub use engine::{run_pooled, run_sharded};
+pub use engine::{run_pooled, run_sharded, ShardPolicy};
 pub use error::SimError;
 pub use events::{EventConfig, EventDriver};
 pub use faults::{Fault, FaultPlan, Lie, Region};
@@ -120,5 +119,4 @@ pub use rng::{derive_seed, derive_seed3, node_streams, split_rng};
 pub use scenario::{Scenario, TopologyDynamics};
 pub use stop::{RunReport, StopWhen};
 pub use sweep::{Convergence, Sweep};
-pub use trace::Trace;
 pub use wire::{put_u32, put_u64, take_u32, take_u64, WireBeacon};

@@ -3,9 +3,8 @@ use mwn_radio::{Delivery, Medium, Occupancy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::engine::{self, kernels, run_sharded, Env};
-use crate::protocol::snapshot;
-use crate::rng::{derive_seed, split_rng, streams};
+use crate::engine::{self, kernels, Env, ShardPolicy};
+use crate::rng::{derive_seed, streams};
 use crate::stop::{RunReport, StopWhen};
 use crate::{Activity, Corruptible, Fault, Observable, Protocol, SimError};
 
@@ -31,76 +30,6 @@ pub struct StepActivity {
     /// Nodes whose state changed (tracked under gated scheduling only;
     /// 0 under eager scheduling).
     pub changed: usize,
-}
-
-/// How many worker shards the per-step active-set pass uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ShardMode {
-    /// Size from `available_parallelism`, and only shard when the
-    /// active set is large enough to amortize thread spawn.
-    Auto,
-    /// Always split into exactly this many shards (equivalence tests,
-    /// the CI forced-shard matrix leg).
-    Forced(usize),
-}
-
-/// Below this many active nodes the sharded pass is not worth the
-/// scoped-thread round trip; `Auto` falls back to the serial loop.
-const AUTO_SHARD_MIN_ACTIVE: usize = 1024;
-
-/// One shard's reusable outcome arena for the sharded phase-5 pass:
-/// the worker appends its chunk's results here (SoA: post-pass states,
-/// flattened reception patches, change flags), and the ordered merge
-/// drains them back into the table. Buffers keep their capacity across
-/// steps, so the steady-state converging loop performs zero per-node
-/// heap allocation; the `align(64)` pads each arena onto its own cache
-/// line so two workers never write the same line (the padding audit in
-/// [`crate::kernels`]).
-#[repr(align(64))]
-struct ShardScratch<P: Protocol> {
-    /// Start of this shard's contiguous active-buffer chunk.
-    lo: usize,
-    /// End (exclusive) of the chunk.
-    hi: usize,
-    /// Post-pass state per chunk node.
-    states: Vec<P::State>,
-    /// Reception-row writes, flattened: `patch_len[k]` entries belong
-    /// to chunk node `k`; adjacency-slot and epoch columns.
-    patch_idx: Vec<u32>,
-    patch_epoch: Vec<u32>,
-    patch_len: Vec<u32>,
-    /// Whether the pass changed the node's state (gated only).
-    changed: Vec<bool>,
-    /// [`Protocol::receive`] invocations in this chunk.
-    receives: u32,
-}
-
-impl<P: Protocol> ShardScratch<P> {
-    fn new() -> Self {
-        ShardScratch {
-            lo: 0,
-            hi: 0,
-            states: Vec::new(),
-            patch_idx: Vec::new(),
-            patch_epoch: Vec::new(),
-            patch_len: Vec::new(),
-            changed: Vec::new(),
-            receives: 0,
-        }
-    }
-
-    /// Re-arms the arena for a fresh chunk, keeping every buffer's
-    /// capacity.
-    fn reset(&mut self, lo: usize, hi: usize) {
-        self.lo = lo;
-        self.hi = hi;
-        self.states.clear();
-        self.patch_idx.clear();
-        self.patch_epoch.clear();
-        self.patch_len.clear();
-        self.changed.clear();
-        self.receives = 0;
-    }
 }
 
 /// The synchronous round driver: one call to [`Network::step`] is one
@@ -149,14 +78,16 @@ impl<P: Protocol> ShardScratch<P> {
 ///
 /// The per-node pass of a step (phase 5) only ever writes a node's own
 /// state and reception row while reading frozen beacon columns, so it
-/// is embarrassingly parallel. [`Network::set_shards`] splits the
-/// active set into deterministic contiguous chunks, runs them on the
-/// shared worker pool, and merges the outcomes **in active-set order**
-/// — sharded and serial execution are byte-identical for every shard
-/// count (states, outputs, `RunReport`s), which is what makes the
-/// parallelism testable on any machine. The `MWN_FORCE_SHARDS`
-/// environment variable forces a shard count at construction (the CI
-/// matrix leg runs the whole suite with 4).
+/// is embarrassingly parallel. [`Network::set_shards`] cuts the sorted
+/// active set into contiguous chunks and, at the same node boundaries,
+/// the state column and the reception arena into disjoint runs; each
+/// worker visits its chunk **in place** — no per-shard arenas, no
+/// ordered state merge, and one shard is the same body on the calling
+/// thread. Sharded and serial execution are byte-identical for every
+/// shard count (states, outputs, `RunReport`s), which is what makes
+/// the parallelism testable on any machine. The `MWN_FORCE_SHARDS`
+/// environment variable forces a shard count at construction (a CI
+/// leg replays the equivalence suites with 4).
 ///
 /// Networks are normally built through [`crate::Scenario`]; the
 /// constructor remains available as the low-level interface.
@@ -169,12 +100,10 @@ pub struct Network<P: Protocol, M> {
     medium_rng: StdRng,
     step: u64,
     /// How the per-step active pass is split across workers.
-    shards: ShardMode,
+    shards: ShardPolicy,
     // Reused step buffers: no per-step allocation in steady state.
     senders_buf: Vec<NodeId>,
     active_buf: Vec<NodeId>,
-    /// Pooled per-shard outcome arenas for the sharded active pass.
-    shard_scratch: Vec<ShardScratch<P>>,
     delivery: Delivery,
     // Per-step observability for metrics.
     last_activity: StepActivity,
@@ -205,20 +134,14 @@ impl<P: Protocol, M: Medium> Network<P, M> {
             // maintains the summary alongside `send_pending`.
             env.core.table.occupancy = Some(Occupancy::new(env.topo.len()));
         }
-        let shards = std::env::var("MWN_FORCE_SHARDS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map(|k| ShardMode::Forced(k.max(1)))
-            .unwrap_or(ShardMode::Auto);
         Network {
             env,
             medium,
             medium_rng: StdRng::seed_from_u64(derive_seed(seed, streams::ROUND_MEDIUM)),
             step: 0,
-            shards,
+            shards: ShardPolicy::from_env(),
             senders_buf: Vec::new(),
             active_buf: Vec::new(),
-            shard_scratch: Vec::new(),
             delivery: Delivery::empty(0),
             last_activity: StepActivity::default(),
             messages_total: 0,
@@ -271,27 +194,7 @@ impl<P: Protocol, M: Medium> Network<P, M> {
     /// Sharded and serial execution are byte-identical for every shard
     /// count; this knob only moves wall-clock time.
     pub fn set_shards(&mut self, shards: Option<usize>) {
-        self.shards = match shards {
-            Some(k) => ShardMode::Forced(k.max(1)),
-            None => ShardMode::Auto,
-        };
-    }
-
-    /// How many shards the next active pass of `active` nodes would
-    /// use.
-    fn shard_count(&self, active: usize) -> usize {
-        match self.shards {
-            ShardMode::Forced(k) => k.min(active.max(1)),
-            ShardMode::Auto => {
-                if active < AUTO_SHARD_MIN_ACTIVE {
-                    1
-                } else {
-                    std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1)
-                }
-            }
-        }
+        self.shards.set(shards);
     }
 
     /// The activity counters of the most recent step.
@@ -392,16 +295,47 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         // frames, then one pass of guarded assignments. Nodes only ever
         // touch their own state and read frozen beacons, so per-node
         // processing is equivalent to the classic all-receives-then-
-        // all-updates phasing — and embarrassingly parallel: the
-        // sharded pass splits the active set into contiguous chunks and
-        // merges outcomes in order, byte-identical to the serial loop.
+        // all-updates phasing — and embarrassingly parallel: each
+        // shard visits its chunk of the active set in place. Each
+        // delivered sender is located in the receiver's sorted
+        // adjacency list by one binary search per frame.
         let now = self.step;
-        let shards = self.shard_count(self.active_buf.len());
-        let receives = if shards > 1 {
-            self.sharded_active_pass(eager, now, shards)
-        } else {
-            self.serial_active_pass(eager, now)
-        };
+        let active = self.active_buf.len();
+        let shards = self.shards.count(active, active);
+        let delivery = &self.delivery;
+        let (receives, updates) = self.env.visit(
+            now,
+            !eager,
+            &self.active_buf,
+            |&p| p,
+            shards,
+            |shard| {
+                let (beacons, epoch) = (shard.beacons, shard.epoch);
+                let (protocol, topo) = (shard.protocol, shard.topo);
+                for &p in shard.candidates {
+                    let (state, row, scratch) = shard.open(p);
+                    scratch.snapshot(state);
+                    kernels::sorted_positions(
+                        topo.neighbors(p),
+                        &delivery.heard[p.index()],
+                        |idx, s| {
+                            let e = epoch[s.index()];
+                            // Eager mode processes every delivered
+                            // frame (classic semantics); gated mode
+                            // skips re-receptions of an already-
+                            // incorporated beacon, which the silence
+                            // contract makes state no-ops.
+                            if eager || row[idx] != e {
+                                row[idx] = e;
+                                protocol.receive(p, state, s, &beacons[s.index()], now);
+                                scratch.receives += 1;
+                            }
+                        },
+                    );
+                    shard.update(p);
+                }
+            },
+        );
 
         // Phase 6: retire senders every neighbor has caught up with.
         if !eager {
@@ -413,138 +347,12 @@ impl<P: Protocol, M: Medium> Network<P, M> {
             frames_attempted: self.delivery.attempted,
             frames_delivered: self.delivery.delivered,
             receives,
-            updates: self.active_buf.len(),
+            updates,
             changed: self.env.core.table.changed.len(),
         };
         self.messages_total += self.senders_buf.len() as u64;
         self.step += 1;
         self.step
-    }
-
-    /// The serial phase-5 loop: in-place state mutation, no per-node
-    /// allocation. The reference the sharded pass is tested against.
-    ///
-    /// Each delivered sender is located in the receiver's sorted
-    /// adjacency list by [`kernels::sorted_positions`] (one binary
-    /// search per frame).
-    fn serial_active_pass(&mut self, eager: bool, now: u64) -> usize {
-        let mut receives = 0usize;
-        let update_base = self.env.core.update_base;
-        let table = &mut self.env.core.table;
-        let protocol = &self.env.protocol;
-        let topo = &self.env.topo;
-        let delivery = &self.delivery;
-        for &p in &self.active_buf {
-            if !eager {
-                snapshot(&mut table.scratch_state, &table.states[p.index()]);
-            }
-            kernels::sorted_positions(topo.neighbors(p), &delivery.heard[p.index()], |idx, s| {
-                let e = table.epoch[s.index()];
-                // Eager mode processes every delivered frame (classic
-                // semantics); gated mode skips re-receptions of an
-                // already-incorporated beacon, which the silence
-                // contract makes state no-ops.
-                if eager || table.heard.get(p.index(), idx) != e {
-                    table.heard.set(p.index(), idx, e);
-                    let (states, beacons) = (&mut table.states, &table.beacons);
-                    protocol.receive(p, &mut states[p.index()], s, &beacons[s.index()], now);
-                    receives += 1;
-                }
-            });
-            let mut rng = split_rng(update_base, now, u64::from(p.value()));
-            protocol.update(p, &mut table.states[p.index()], now, &mut rng);
-            let state = &table.states[p.index()];
-            if !eager
-                && (table.forced_changed.contains(p) || table.scratch_state.as_ref() != Some(state))
-            {
-                table.changed.push(p);
-                table.update_dirty.insert(p);
-                table.beacon_stale.insert(p);
-            }
-        }
-        receives
-    }
-
-    /// The sharded phase-5 pass: a deterministic owner-computes
-    /// partition of the active set into `shards` contiguous chunks,
-    /// computed over pooled per-shard arenas ([`ShardScratch`]), merged
-    /// back **in active-set order**.
-    ///
-    /// Workers read only frozen columns (beacons, epochs, pre-pass
-    /// states, the delivery) and write only their own arena: the
-    /// single-threaded merge then applies the arenas exactly as the
-    /// serial loop would have — which is why sharded ≡ serial holds
-    /// byte-for-byte for every shard count. The arenas are reused
-    /// across steps ([`run_sharded`] spawns one scoped thread per
-    /// slot, no result vectors), so the steady-state pass performs
-    /// zero per-node heap allocation.
-    fn sharded_active_pass(&mut self, eager: bool, now: u64, shards: usize) -> usize {
-        if self.shard_scratch.len() != shards {
-            self.shard_scratch.resize_with(shards, ShardScratch::new);
-        }
-        let n_active = self.active_buf.len();
-        let chunk = n_active.div_ceil(shards);
-        for (i, sc) in self.shard_scratch.iter_mut().enumerate() {
-            sc.reset((i * chunk).min(n_active), ((i + 1) * chunk).min(n_active));
-        }
-        let update_base = self.env.core.update_base;
-        {
-            let table = &self.env.core.table;
-            let protocol = &self.env.protocol;
-            let topo = &self.env.topo;
-            let delivery = &self.delivery;
-            let active = &self.active_buf;
-            run_sharded(&mut self.shard_scratch, |_, sc| {
-                for &p in &active[sc.lo..sc.hi] {
-                    let mut state = table.states[p.index()].clone();
-                    let before = sc.patch_idx.len();
-                    kernels::sorted_positions(
-                        topo.neighbors(p),
-                        &delivery.heard[p.index()],
-                        |idx, s| {
-                            let e = table.epoch[s.index()];
-                            if eager || table.heard.get(p.index(), idx) != e {
-                                sc.patch_idx.push(idx as u32);
-                                sc.patch_epoch.push(e);
-                                protocol.receive(p, &mut state, s, &table.beacons[s.index()], now);
-                                sc.receives += 1;
-                            }
-                        },
-                    );
-                    let mut rng = split_rng(update_base, now, u64::from(p.value()));
-                    protocol.update(p, &mut state, now, &mut rng);
-                    let changed = !eager
-                        && (table.forced_changed.contains(p) || state != table.states[p.index()]);
-                    sc.patch_len.push((sc.patch_idx.len() - before) as u32);
-                    sc.changed.push(changed);
-                    sc.states.push(state);
-                }
-            });
-        }
-        let mut receives = 0usize;
-        let table = &mut self.env.core.table;
-        for sc in self.shard_scratch.iter_mut() {
-            receives += sc.receives as usize;
-            let mut patch_cursor = 0usize;
-            for (k, state) in sc.states.drain(..).enumerate() {
-                let p = self.active_buf[sc.lo + k];
-                let np = sc.patch_len[k] as usize;
-                for j in patch_cursor..patch_cursor + np {
-                    table
-                        .heard
-                        .set(p.index(), sc.patch_idx[j] as usize, sc.patch_epoch[j]);
-                }
-                patch_cursor += np;
-                table.states[p.index()] = state;
-                if sc.changed[k] {
-                    table.changed.push(p);
-                    table.update_dirty.insert(p);
-                    table.beacon_stale.insert(p);
-                }
-            }
-            debug_assert_eq!(patch_cursor, sc.patch_idx.len());
-        }
-        receives
     }
 
     /// Runs `steps` synchronous steps.

@@ -185,28 +185,18 @@ impl RunReport {
     }
 }
 
-/// One per-step observation fed to a [`Cursor`].
-///
-/// The eager driver hands over the full output projection; the
-/// activity-driven driver hands over what its dirty-set bookkeeping
-/// already knows — whether any output, state or environment (topology /
-/// fault) change happened this step — so a quiescent step is evaluated
-/// in O(tree) instead of O(n).
-pub(crate) enum Obs<'a, P: Observable> {
-    /// The complete projected output of every node.
-    Full {
-        /// Outputs indexed by node.
-        outputs: &'a [P::Output],
-    },
-    /// Change flags from the activity-driven step.
-    Delta {
-        /// Some node's observable output changed this step.
-        output_changed: bool,
-        /// Some node's state changed this step.
-        state_changed: bool,
-        /// The topology changed or a fault fired this step.
-        env_changed: bool,
-    },
+/// One per-step observation fed to a [`Cursor`]: what the driver's
+/// dirty-set bookkeeping and the run loop's projection compare already
+/// know about the step, so a quiescent step is evaluated in O(tree)
+/// instead of O(n).
+pub(crate) struct Obs {
+    /// Some node's observable output changed this step.
+    pub output_changed: bool,
+    /// Some node's state changed this step (always set under eager
+    /// scheduling, which tracks no change).
+    pub state_changed: bool,
+    /// The topology changed or a fault fired this step.
+    pub env_changed: bool,
 }
 
 /// Per-run evaluation state mirroring a [`StopWhen`] tree.
@@ -246,7 +236,7 @@ impl<P: Observable> Cursor<P> {
         steps: u64,
         topo: &Topology,
         states: &[P::State],
-        obs: &Obs<'_, P>,
+        obs: &Obs,
     ) -> Verdict {
         match self {
             Cursor::Stable { tracker, done } => {
@@ -255,10 +245,7 @@ impl<P: Observable> Cursor<P> {
                 // first quiet streak, and a fault that restarts churn
                 // must un-satisfy this leaf (and invalidate its
                 // stabilization step) until the output quiesces again.
-                *done = match obs {
-                    Obs::Full { outputs } => tracker.observe_slice(now, outputs),
-                    Obs::Delta { output_changed, .. } => tracker.observe_flag(now, *output_changed),
-                };
+                *done = tracker.observe_flag(now, obs.output_changed);
                 Verdict {
                     satisfied: *done,
                     budget_only: false,
@@ -269,16 +256,9 @@ impl<P: Observable> Cursor<P> {
                 budget_only: true,
             },
             Cursor::Pred { pred, last } => {
-                let satisfied = match obs {
-                    Obs::Full { .. } => pred(topo, states),
-                    Obs::Delta {
-                        state_changed,
-                        env_changed,
-                        ..
-                    } => match *last {
-                        Some(prev) if !state_changed && !env_changed => prev,
-                        _ => pred(topo, states),
-                    },
+                let satisfied = match *last {
+                    Some(prev) if !obs.state_changed && !obs.env_changed => prev,
+                    _ => pred(topo, states),
                 };
                 *last = Some(satisfied);
                 Verdict {

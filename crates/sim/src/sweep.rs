@@ -52,19 +52,12 @@ impl Convergence {
     }
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ExecMode {
-    /// Scoped threads over the available cores (capped by `threads`).
-    Parallel(Option<usize>),
-    /// A plain loop on the calling thread.
-    Serial,
-}
-
 /// A deterministic fan-out of independent runs over derived seeds.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Sweep {
     seeds: Vec<u64>,
-    mode: ExecMode,
+    /// Cap on the worker threads; `None`: one per available core.
+    threads: Option<usize>,
 }
 
 impl Sweep {
@@ -76,7 +69,7 @@ impl Sweep {
             seeds: (0..runs as u64)
                 .map(|i| derive_seed(base_seed, i))
                 .collect(),
-            mode: ExecMode::Parallel(None),
+            threads: None,
         }
     }
 
@@ -84,20 +77,19 @@ impl Sweep {
     pub fn with_seeds(seeds: Vec<u64>) -> Self {
         Sweep {
             seeds,
-            mode: ExecMode::Parallel(None),
+            threads: None,
         }
     }
 
     /// Runs everything on the calling thread — for determinism checks
     /// and wall-clock baselines.
-    pub fn serial(mut self) -> Self {
-        self.mode = ExecMode::Serial;
-        self
+    pub fn serial(self) -> Self {
+        self.threads(1)
     }
 
     /// Caps the worker-thread count.
     pub fn threads(mut self, n: usize) -> Self {
-        self.mode = ExecMode::Parallel(Some(n.max(1)));
+        self.threads = Some(n.max(1));
         self
     }
 
@@ -125,20 +117,13 @@ impl Sweep {
         F: Fn(u64) -> T + Sync,
     {
         let runs = self.seeds.len();
-        match self.mode {
-            ExecMode::Serial => self.seeds.iter().map(|&s| job(s)).collect(),
-            ExecMode::Parallel(cap) => {
-                let threads = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-                    .min(cap.unwrap_or(usize::MAX))
-                    .min(runs.max(1));
-                // The shared engine pool: the same scoped-thread
-                // work-stealing loop the round driver's sharded
-                // active-set pass runs on.
-                run_pooled(runs, threads, |i| job(self.seeds[i]))
-            }
-        }
+        let threads = std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(self.threads.unwrap_or(usize::MAX))
+            .min(runs.max(1));
+        // The shared engine pool: the scoped-thread work-stealing
+        // loop, which runs inline at one thread.
+        run_pooled(runs, threads, |i| job(self.seeds[i]))
     }
 
     /// Fans `job(param, seed)` out over the full `grid × seeds`
@@ -158,7 +143,7 @@ impl Sweep {
         // the workers assigned to a fast one.
         let flat = Sweep {
             seeds: (0..(grid.len() * runs) as u64).collect(),
-            mode: self.mode,
+            threads: self.threads,
         };
         let mut flat_results: Vec<Option<T>> = flat
             .map(|flat_idx| {

@@ -30,9 +30,9 @@
 //! merge then applies pops, pushes, capacity checks and drop
 //! accounting in ascending node order. Each node's verdicts depend
 //! only on its own queue plus the frozen shared state, so the shard
-//! count — `Auto`, forced via [`TrafficPlane::set_shards`] or the
-//! `MWN_FORCE_SHARDS` environment variable — cannot leak into any
-//! observable outcome.
+//! count — [`ShardPolicy`]'s automatic choice, forced via
+//! [`TrafficPlane::set_shards`] or the `MWN_FORCE_SHARDS` environment
+//! variable — cannot leak into any observable outcome.
 //!
 //! # Cost
 //!
@@ -64,7 +64,7 @@ use std::collections::{BTreeSet, VecDeque};
 use mwn_cluster::{RouteScratch, RoutingView};
 use mwn_graph::{NodeId, Topology};
 use mwn_metrics::{LatencyHistogram, RunningStats};
-use mwn_sim::run_sharded;
+use mwn_sim::{run_sharded, ShardPolicy};
 
 use crate::demand::FlowSpec;
 use crate::report::TrafficReport;
@@ -93,19 +93,6 @@ impl Default for TrafficConfig {
         }
     }
 }
-
-/// Sharding policy for the forward pass, mirroring the round driver's.
-#[derive(Clone, Copy, Debug)]
-enum ShardMode {
-    /// One shard below the activity threshold, one per core above it.
-    Auto,
-    /// Exactly this many shards.
-    Forced(usize),
-}
-
-/// Below this many in-flight packets the auto policy stays serial —
-/// pool latency would dominate.
-const AUTO_SHARD_MIN_LIVE: usize = 1024;
 
 /// Per-node verdicts from the read-only examine phase. The pop-ing
 /// variants (`Deliver`/`Forward`/`Expired`) always describe a prefix
@@ -300,7 +287,7 @@ pub struct TrafficPlane {
     hop_stats: RunningStats,
     max_hops: u64,
     route_resolutions: u64,
-    shards: ShardMode,
+    shards: ShardPolicy,
     audit: Option<Vec<(u64, u32, u32)>>,
 }
 
@@ -314,11 +301,6 @@ impl TrafficPlane {
     /// Panics when `nodes` exceeds `u32::MAX`, the id space.
     pub fn new(nodes: usize, cfg: TrafficConfig) -> Self {
         assert!(nodes <= VACANT as usize, "node ids are 32-bit");
-        let shards = std::env::var("MWN_FORCE_SHARDS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(|k| ShardMode::Forced(k.max(1)))
-            .unwrap_or(ShardMode::Auto);
         TrafficPlane {
             cfg,
             nodes,
@@ -354,7 +336,7 @@ impl TrafficPlane {
             hop_stats: RunningStats::new(),
             max_hops: 0,
             route_resolutions: 0,
-            shards,
+            shards: ShardPolicy::from_env(),
             audit: None,
         }
     }
@@ -395,10 +377,7 @@ impl TrafficPlane {
     /// Sharded and serial execution are byte-identical; this is a
     /// performance knob only.
     pub fn set_shards(&mut self, shards: Option<usize>) {
-        self.shards = match shards {
-            Some(k) => ShardMode::Forced(k.max(1)),
-            None => ShardMode::Auto,
-        };
+        self.shards.set(shards);
     }
 
     /// Turns the forwarding audit trail on or off. While on, every
@@ -538,7 +517,7 @@ impl TrafficPlane {
         if self.live == 0 {
             return;
         }
-        let shards = self.shard_count();
+        let shards = self.shards.count(self.live, self.nodes);
         let chunk = self.nodes.div_ceil(shards);
         let mut arenas = std::mem::take(&mut self.arenas);
         arenas.resize_with(shards, ShardArena::default);
@@ -672,22 +651,6 @@ impl TrafficPlane {
         self.queues[u as usize]
             .pop_front()
             .expect("a serving verdict describes a queued packet")
-    }
-
-    fn shard_count(&self) -> usize {
-        match self.shards {
-            ShardMode::Forced(k) => k.min(self.nodes.max(1)),
-            ShardMode::Auto => {
-                if self.live < AUTO_SHARD_MIN_LIVE {
-                    1
-                } else {
-                    std::thread::available_parallelism()
-                        .map(|c| c.get())
-                        .unwrap_or(1)
-                        .min(self.nodes.max(1))
-                }
-            }
-        }
     }
 
     /// Snapshot of the accounting so far, as a [`TrafficReport`].

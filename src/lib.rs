@@ -90,7 +90,7 @@ pub mod prelude {
     pub use mwn_sim::{
         ActorDriver, Corruptible, Driver, EventConfig, EventDriver, Fault, FaultPlan, Lie, Network,
         Observable, Protocol, Region, RunReport, Scenario, SimError, StopWhen, Sweep,
-        TopologyDynamics, Trace, WireBeacon,
+        TopologyDynamics, WireBeacon,
     };
     pub use mwn_traffic::{
         run_rounds, DemandModel, FlowSpec, TrafficConfig, TrafficPlane, TrafficReport,

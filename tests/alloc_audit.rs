@@ -4,8 +4,9 @@
 //! buffer has reached its high-water mark (one cold-start pass sizes
 //! them), the round driver's step loop performs **zero heap
 //! allocations** — converging storm and quiet phase alike — and the
-//! sharded pass allocates only the constant thread-spawn overhead,
-//! independent of network size.
+//! sharded pass allocates only its shard list and the constant
+//! thread-spawn overhead, independent of network size; the automatic
+//! shard policy adds nothing to the count it resolves to.
 //!
 //! The audit covers the paper's own protocol too: with the pooled
 //! `beacon_into` rebuild, a `DensityCluster` converging wave (states
@@ -16,9 +17,9 @@
 //!
 //! The actor fabric is audited on the same wave: its senders encode
 //! into per-worker byte arenas, its receivers decode into one pooled
-//! beacon and mutate their states in place, so a period costs a small
-//! constant (the period's shard list) however many actors run and
-//! however many frames fly.
+//! beacon and mutate their states in place, so a one-thread period
+//! allocates nothing however many actors run and however many frames
+//! fly.
 //!
 //! So is the event driver, again on the same wave. Each
 //! transmission's beacon is copied once into a pooled entry that all
@@ -131,7 +132,7 @@ impl Observable for GatedFlood {
 
 /// Builds an 8-neighborhood grid network with every buffer warmed: one
 /// full converge (cold start activates every node, so the dirty sets,
-/// delivery rows and shard arenas all reach their high-water marks).
+/// delivery rows and visit buffers all reach their high-water marks).
 fn warmed(side: usize, shards: Option<usize>) -> mwn_sim::Network<GatedFlood, PerfectMedium> {
     let mut net = Scenario::new(GatedFlood)
         .topology(builders::grid(side, side, 1.45 / (side - 1) as f64))
@@ -184,23 +185,35 @@ fn steady_state_loops_do_not_allocate() {
     assert_eq!(quiet, 0, "quiet steps must not allocate");
 
     // --- Sharded: constant overhead, independent of network size ----
-    // The pooled arenas make the sharded pass's only steady-state
-    // allocations the scoped-thread spawns: a per-step constant. An
-    // O(active) allocation pattern would scale ~16× between these
-    // sizes; the spawn overhead does not scale at all.
+    // The shards work in place, so the sharded pass's only
+    // steady-state allocations are its shard list and the
+    // scoped-thread spawns: a per-step constant. An O(active)
+    // allocation pattern would scale ~16× between these sizes; the
+    // spawn overhead does not scale at all.
     let steps = 12u64;
-    let per_step = |side: usize| {
-        let mut net = warmed(side, Some(4));
+    let per_step = |side: usize, shards: Option<usize>| {
+        let mut net = warmed(side, shards);
         net.set_eager(true); // full active set every step
         net.run(2);
         allocs_during(&mut net, steps) as f64 / steps as f64
     };
-    let small = per_step(10); // n = 100
-    let large = per_step(40); // n = 1600
+    let small = per_step(10, Some(4)); // n = 100
+    let large = per_step(40, Some(4)); // n = 1600
     assert!(
         large <= small + 2.0,
         "sharded per-step allocations must not grow with n \
          (n=100: {small:.1}/step, n=1600: {large:.1}/step)"
+    );
+    // The automatic policy resolves its shard count once, when the
+    // network is built: with 1 600 nodes active it shards by the core
+    // count, and a step costs what that count costs when forced —
+    // asking the OS again every step (cgroup file reads) would show.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let (auto, forced) = (per_step(40, None), per_step(40, Some(cores)));
+    assert!(
+        auto <= forced,
+        "the automatic shard policy must add no per-step allocation \
+         (auto: {auto:.1}/step, {cores} forced shards: {forced:.1}/step)"
     );
 
     // --- DensityCluster: converging phase, caches intact ------------
@@ -263,9 +276,9 @@ fn steady_state_loops_do_not_allocate() {
     // --- Actor fabric: the same converging wave as message passing --
     // Every frame is encoded into a send worker's byte arena and
     // decoded into a receive worker's pooled beacon; every woken actor
-    // mutates its state in place. What is left per period is the
-    // period's shard list — one allocation, whatever the grid side and
-    // however many frames fly.
+    // mutates its state in place; one worker runs on the calling
+    // thread, so nothing is left to allocate per period, whatever the
+    // grid side and however many frames fly.
     let per_period = |side: usize| {
         let mut actors =
             Scenario::new(DensityCluster::new(ClusterConfig::default().event_driven()))
@@ -307,8 +320,8 @@ fn steady_state_loops_do_not_allocate() {
     let small = per_period(10); // n = 100
     let large = per_period(20); // n = 400
     assert!(
-        small <= 1.0 && large <= 1.0,
-        "a steady-state actor period allocates its shard list and nothing else \
+        small == 0.0 && large == 0.0,
+        "a steady-state actor period must not allocate \
          (n=100: {small:.1}/period, n=400: {large:.1}/period)"
     );
 

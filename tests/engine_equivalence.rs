@@ -372,6 +372,61 @@ fn sharded_equals_serial_across_shard_counts() {
 }
 
 #[test]
+fn sharded_equals_serial_while_mobility_relays_out_the_reception_arena() {
+    // The shards write their nodes' reception rows in place, in runs
+    // cut from one arena — and mobility re-aligns rows between steps.
+    // A node whose degree outgrows its row's slack (`ROW_SLACK` = 2
+    // spare entries) re-lays the whole arena out, so the next step's
+    // runs are cut from different offsets. A crash-recover on top
+    // severs and restores a node's links through the same path.
+    let run = |shards: usize, eager: bool| {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+        let topo = builders::uniform(50, 0.18, &mut rng);
+        let initial: Vec<usize> = topo.nodes().map(|p| topo.degree(p)).collect();
+        let model = RandomWaypoint::new(topo.len(), 0.0..=meters_per_second(25.0), 0.5);
+        let dynamics = MobileScenario::new(topo.clone(), model, 5).into_dynamics(2.0);
+        let mut plan = FaultPlan::new();
+        plan.at(
+            20,
+            Fault::CrashRecover {
+                node: NodeId::new(7),
+                dark_for: 6,
+            },
+        );
+        let mut net = Scenario::new(DensityCluster::new(event_driven_config()))
+            .topology(topo)
+            .seed(8)
+            .faults(plan)
+            .mobility(dynamics)
+            .build()
+            .expect("valid scenario");
+        net.set_eager(eager);
+        net.set_shards(Some(shards));
+        let (mut grown, mut activity) = (0, Vec::new());
+        for _ in 0..50 {
+            net.step();
+            activity.push(net.last_activity());
+            let topo = net.topology();
+            let growth = topo
+                .nodes()
+                .map(|p| topo.degree(p).saturating_sub(initial[p.index()]));
+            grown = grown.max(growth.max().expect("50 nodes"));
+        }
+        assert!(grown > 2, "some row must outgrow its slack (grew {grown})");
+        (activity, net.states().to_vec(), net.messages_total())
+    };
+    for eager in [false, true] {
+        let serial = run(1, eager);
+        for shards in [2, 4, 7] {
+            assert!(
+                serial == run(shards, eager),
+                "{shards} shards diverged from serial under mobility (eager = {eager})"
+            );
+        }
+    }
+}
+
+#[test]
 fn event_driver_gated_equals_eager_trajectories() {
     // The continuous-time counterpart of the round-driver equivalence:
     // on an independent-fates medium, muting silent senders (gated)

@@ -142,29 +142,6 @@ fn fault_plan_scripts_a_full_robustness_scenario() {
 }
 
 #[test]
-fn trace_records_the_convergence_curve() {
-    let topo = field(6);
-    let mut net = Scenario::new(DensityCluster::new(ClusterConfig::default()))
-        .topology(topo)
-        .seed(6)
-        .build()
-        .expect("valid scenario");
-    let mut trace = Trace::new();
-    for _ in 0..30 {
-        trace.record(net.now(), net.states().iter().map(|s| s.output()).collect());
-        net.step();
-    }
-    assert!(trace.is_stable_for(5), "30 steps is far past stabilization");
-    let last_change = trace
-        .last_change()
-        .expect("the election moved at least once");
-    assert!(last_change <= 15, "stabilized late: step {last_change}");
-    // The number of flipping nodes must reach zero and stay there.
-    let changes = trace.changed_counts();
-    assert_eq!(*changes.last().unwrap(), 0);
-}
-
-#[test]
 fn hierarchy_renders_at_every_level() {
     // The overlay carries positions, so any level can be drawn.
     let topo = field(7);
