@@ -66,6 +66,12 @@ impl Clustering {
         self.head[p.index()]
     }
 
+    /// [`Clustering::head`], or `None` for a node the clustering does
+    /// not cover.
+    pub(crate) fn head_of(&self, p: NodeId) -> Option<NodeId> {
+        self.head.get(p.index()).copied()
+    }
+
     /// Whether `p` elected itself (`H(p) = p`).
     pub fn is_head(&self, p: NodeId) -> bool {
         self.head[p.index()] == p

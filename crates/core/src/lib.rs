@@ -96,8 +96,8 @@ pub use protocol::{
     DagConfig, DensityCluster, FreshnessPolicy, NeighborEntry, PeerSummary,
 };
 pub use routing::{
-    mean_stretch, mean_stretch_over, ClusterRouter, FlatRoutes, HierarchicalRoutes, RouteScratch,
-    RoutingView,
+    mean_stretch, mean_stretch_over, ClusterRouter, FlatRoutes, HierarchicalRoutes, PassScratch,
+    RoutePass, RouteScratch, RoutingView,
 };
 pub use smallmap::SmallMap;
 pub use stabilization::{check_legitimate, measure_info_schedule, Illegitimacy, InfoSchedule};

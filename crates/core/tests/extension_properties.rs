@@ -4,7 +4,7 @@
 
 use mwn_cluster::{
     build_hierarchy, energy_aware_clustering, gateway_report, mean_stretch, oracle, ClusterRouter,
-    EnergyModel, OracleConfig,
+    EnergyModel, HierarchicalRoutes, OracleConfig, RouteScratch, RoutingView,
 };
 use mwn_graph::{builders, traversal, NodeId, Topology};
 use proptest::prelude::*;
@@ -16,6 +16,24 @@ fn topo_strategy() -> impl Strategy<Value = Topology> {
         let mut rng = StdRng::seed_from_u64(seed);
         builders::uniform(n, f64::from(r) / 100.0, &mut rng)
     })
+}
+
+/// Routes looked up inside one pass on `scratch` — overlay hops shared
+/// through its segment memo — against single lookups on fresh buffers.
+fn pass_equals_fresh_lookups(
+    scratch: &mut RouteScratch,
+    topo: &Topology,
+    view: &HierarchicalRoutes,
+    pairs: &[(NodeId, NodeId)],
+) -> Result<(), TestCaseError> {
+    let mut pass = scratch.pass(view, topo);
+    let mut route = Vec::new();
+    for &(src, dst) in pairs {
+        let found = pass.route_into(src, dst, &mut route);
+        let fresh = view.route(topo, src, dst);
+        prop_assert_eq!(found.then_some(&route), fresh.as_ref(), "{}→{}", src, dst);
+    }
+    Ok(())
 }
 
 proptest! {
@@ -110,6 +128,48 @@ proptest! {
         if let Some(s) = mean_stretch(&topo, &clustering, 50, &mut rng) {
             prop_assert!(s >= 1.0 && s.is_finite());
         }
+    }
+
+    /// The segment memo is invisible: every route of a pass equals the
+    /// route a fresh lookup finds, and nothing survives the pass — after
+    /// links that stored segments ran over are cut and the field is
+    /// clustered again, a new pass on the same scratch is exact too,
+    /// also when opening it wraps the memo's generation counter back
+    /// onto the first pass's stamp.
+    #[test]
+    fn routes_in_a_pass_equal_fresh_lookups(
+        field in (60usize..200, 10u32..20, 0u64..u64::MAX),
+        seed in 0u64..u64::MAX,
+        wrap in any::<bool>(),
+    ) {
+        use rand::Rng;
+        let (n, r, field_seed) = field;
+        let mut field_rng = StdRng::seed_from_u64(field_seed);
+        let mut topo = builders::uniform(n, f64::from(r) / 100.0, &mut field_rng);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut node = || NodeId::new(rng.random_range(0..n as u32));
+        let pairs: Vec<_> = (0..60).map(|_| (node(), node())).collect();
+        let mut scratch = RouteScratch::new();
+
+        let view = HierarchicalRoutes::new(&topo, oracle(&topo, &OracleConfig::default()));
+        pass_equals_fresh_lookups(&mut scratch, &topo, &view, &pairs)?;
+
+        // Cut the middle link of the first few routes found.
+        let cuts: Vec<_> = pairs
+            .iter()
+            .filter_map(|&(src, dst)| view.route(&topo, src, dst))
+            .filter(|route| route.len() > 1)
+            .map(|route| (route[route.len() / 2 - 1], route[route.len() / 2]))
+            .take(4)
+            .collect();
+        for (u, v) in cuts {
+            topo.remove_edge(u, v);
+        }
+        if wrap {
+            scratch.set_memo_generation(u32::MAX);
+        }
+        let view = HierarchicalRoutes::new(&topo, oracle(&topo, &OracleConfig::default()));
+        pass_equals_fresh_lookups(&mut scratch, &topo, &view, &pairs)?;
     }
 
     /// Gateway bookkeeping is exact: border flags and per-pair link

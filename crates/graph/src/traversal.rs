@@ -84,7 +84,8 @@ impl SearchScratch {
     /// nodes satisfying `allowed` (`dst` is always allowed), **without
     /// its first node** — so consecutive segments chain in place and
     /// `src == dst` appends nothing. Returns `false`, leaving `out`
-    /// untouched, when `dst` is unreachable.
+    /// untouched, when `dst` is unreachable — an endpoint that is not a
+    /// node of `topo` is.
     pub fn extend_path<F>(
         &mut self,
         topo: &Topology,
@@ -96,6 +97,9 @@ impl SearchScratch {
     where
         F: Fn(NodeId) -> bool,
     {
+        if src.index() >= topo.len() || dst.index() >= topo.len() {
+            return false;
+        }
         if src == dst {
             return true;
         }

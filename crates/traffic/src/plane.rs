@@ -14,7 +14,9 @@
 //!    from the supplied [`RoutingView`] (one full-route resolution
 //!    seeds the forwarding table of every node along the path), in
 //!    ascending key order: a later route overwrites the entries of an
-//!    earlier one where they cross, so the order is observable;
+//!    earlier one where they cross, so the order is observable. The
+//!    whole phase is one routing pass ([`RouteScratch::pass`]): view
+//!    and topology are pinned from its first key to its last;
 //! 3. **forward** — each node serves up to `service_rate` packets from
 //!    its queue head: deliver when the next hop is the destination,
 //!    forward otherwise, and stop (head-of-line) when the next hop is
@@ -38,7 +40,11 @@
 //!
 //! A step costs what it touches. Route searches run on one
 //! [`RouteScratch`] the plane owns, so a resolution pays for the nodes
-//! its searches visit, not for the network; a next-hop lookup probes
+//! its searches visit, not for the network, and a resolve pass pays
+//! once for what its routes share: under a hierarchical view each
+//! overlay hop is searched the first time a route of the pass crosses
+//! it and copied from the scratch's segment memo after that (hot sinks
+//! make that the common case); a next-hop lookup probes
 //! the forwarding node's own `dst → next` table, one cache line
 //! however many destinations the node relays for; packets sit by
 //! value in the queue of the node holding them, so serving a queue is
@@ -46,8 +52,9 @@
 //! per-shard arenas that are reused across steps; and injection walks
 //! only the flows that still have packets to send. Once every buffer
 //! has reached its high-water mark, a step without a resolve pass
-//! performs no heap allocation at one shard (`tests/alloc_audit.rs`
-//! of this crate).
+//! performs no heap allocation at one shard, and a resolve pass
+//! allocates only where a forwarding table grows
+//! (`tests/alloc_audit.rs` of this crate).
 //!
 //! # Drop taxonomy
 //!
@@ -478,8 +485,11 @@ impl TrafficPlane {
     }
 
     /// Phase 2: answer pending `(node, dst)` lookups from the view, in
-    /// key order. One successful full-route resolution seeds the table
-    /// of every node along the path. A destination that fails once is
+    /// key order, inside one routing pass — `view` and `topo` are
+    /// borrowed for the whole phase, so an overlay hop searched for one
+    /// key serves every later key whose route crosses it. One successful
+    /// full-route resolution seeds the table of every node along the
+    /// path. A destination that fails once is
     /// skipped for the rest of this pass (unreachable for one node
     /// usually means unreachable for all), and stays pending for the
     /// next.
@@ -488,6 +498,7 @@ impl TrafficPlane {
         keys.clear();
         keys.extend(self.pending.iter().copied());
         let mut failed_dsts: BTreeSet<u32> = BTreeSet::new();
+        let mut pass = self.route_scratch.pass(view, topo);
         for &(u, dst) in &keys {
             if failed_dsts.contains(&dst) {
                 continue;
@@ -498,7 +509,7 @@ impl TrafficPlane {
                 continue;
             }
             let (src, to) = (NodeId::new(u), NodeId::new(dst));
-            if view.route_into(topo, src, to, &mut self.route_scratch, &mut self.route) {
+            if pass.route_into(src, to, &mut self.route) {
                 self.route_resolutions += 1;
                 for w in self.route.windows(2) {
                     self.next_hop[w[0].index()].insert(dst, w[1].value());
@@ -837,6 +848,43 @@ mod tests {
         for shards in [2, 3, 8] {
             assert_eq!(run(shards), serial, "shards={shards} diverged");
         }
+    }
+
+    /// One resolve pass is one routing pass: sixty flows into three
+    /// sinks cross the same overlay hops again and again, and each
+    /// directed hop is searched once — the rest come from the segment
+    /// memo. Fails if a refactor stops opening the pass around the
+    /// whole key loop, or switches the memo off.
+    #[test]
+    fn a_resolve_pass_searches_each_overlay_hop_once() {
+        use mwn_cluster::{head_overlay, oracle, HierarchicalRoutes, OracleConfig};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let topo = builders::uniform(400, 0.09, &mut rng);
+        let clustering = oracle(&topo, &OracleConfig::default());
+        let overlay_edges = head_overlay(&topo, &clustering).1.edge_count() as u64;
+        let view = HierarchicalRoutes::new(&topo, clustering);
+        let mut plane = TrafficPlane::new(topo.len(), TrafficConfig::default());
+        let sinks = [0, 200, 398];
+        for i in 0..60 {
+            plane.add_flow(FlowSpec {
+                src: NodeId::new(1 + i * 6),
+                dst: NodeId::new(sinks[i as usize % 3]),
+                packets: 1,
+                start: 0,
+            });
+        }
+        plane.on_step(&topo, Some(&view));
+        let resolved = plane.report().route_resolutions;
+        let (searched, hits) = plane.route_scratch.memo_counts();
+        assert!(resolved >= 40, "only {resolved} routes resolved");
+        assert!(
+            0 < searched && searched <= 2 * overlay_edges,
+            "{searched} overlay hops searched over {overlay_edges} overlay edges"
+        );
+        assert!(
+            hits > searched,
+            "{hits} memo hits against {searched} searches on {resolved} routes"
+        );
     }
 
     /// The store the per-node tables replaced — one `HashMap` keyed by

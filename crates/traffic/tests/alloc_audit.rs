@@ -6,8 +6,10 @@
 //! **zero heap allocations** at one shard — verdicts go to the reused
 //! per-shard arena, packets move by value between queues that have
 //! already grown — and a resolve pass allocates only where a
-//! forwarding table grows, because every route search runs on the
-//! plane's own scratch instead of allocating per-search `O(n)` arrays.
+//! forwarding table grows (and, the first time, where the segment memo
+//! of a hierarchical view does), because every route search runs on
+//! the plane's own scratch instead of allocating per-search `O(n)`
+//! arrays: the same keys resolved again allocate nothing.
 //!
 //! Both phases run inside a single `#[test]` so no concurrent test
 //! pollutes the process-wide counters.
@@ -15,9 +17,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use mwn_cluster::FlatRoutes;
-use mwn_graph::{builders, NodeId};
+use mwn_cluster::{oracle, FlatRoutes, HierarchicalRoutes, OracleConfig, RoutingView};
+use mwn_graph::{builders, NodeId, Topology};
 use mwn_traffic::{FlowSpec, TrafficConfig, TrafficPlane};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 struct CountingAlloc;
 
@@ -106,26 +110,62 @@ fn steady_state_forwarding_does_not_allocate() {
         "steady-state forward-only steps must not allocate ({allocs} allocations in 200 steps)"
     );
 
-    // --- One resolve pass over k pending keys -----------------------
-    // On a network large enough that per-search O(n) arrays would show:
-    // one flow first, so the plane's search scratch is sized; then k
-    // more, all resolved by the next step. What that step allocates is
-    // forwarding-table growth along k routes — below one byte per key
-    // per node, where the two O(n) arrays per search of an allocating
-    // BFS come to nine.
+    // --- Resolve passes over k pending keys --------------------------
     let side = 60;
     let topo = builders::grid(side, side, 1.45 / (side - 1) as f64);
+    audit_resolve_passes(&topo, &FlatRoutes);
+    // The regular grid elects one head; a random field of the same size
+    // has well over a hundred, so its routes cross overlay hops.
+    let field = builders::uniform(topo.len(), 0.03, &mut StdRng::seed_from_u64(3));
+    let view = HierarchicalRoutes::new(&field, oracle(&field, &OracleConfig::default()));
+    assert!(view.clustering().head_count() > 100);
+    audit_resolve_passes(&field, &view);
+}
+
+/// On a network large enough that per-search O(n) arrays would show:
+/// one flow first, so the plane's search scratch is sized; then k more,
+/// all resolved by the next step. What that step allocates is
+/// forwarding-table growth along k routes plus, under a hierarchical
+/// view, the segment memo of the pass — below one byte per key per
+/// node, where the two O(n) arrays per search of an allocating BFS come
+/// to nine.
+///
+/// Then the same k keys again, on warmed buffers. Each flow has two
+/// packets that live for one step, and a source queue holds one, so
+/// they are born at steps 3 and 5. Those steps are dark (no link, no
+/// view): every source finds its cached link gone, evicts it and asks
+/// again. Steps 4 and 6 answer with the routes of step 2 — entries are
+/// overwritten or put back, the memo refills to its high-water mark —
+/// and the packets expire instead of moving, so no queue grows. A table
+/// may still double when an entry is overwritten at its load limit,
+/// which step 4 gets out of the way: step 6 allocates nothing.
+fn audit_resolve_passes<R: RoutingView>(topo: &Topology, view: &R) {
     let n = topo.len();
     let k = 100;
-    let flows = crossing_flows(side, k + 1, 1);
-    let mut plane = TrafficPlane::new(n, TrafficConfig::default());
+    let flows: Vec<FlowSpec> = crossing_flows(60, k + 1, 2)
+        .into_iter()
+        .map(|f| FlowSpec { start: 3, ..f })
+        .collect();
+    let cfg = TrafficConfig {
+        ttl: 0,
+        queue_capacity: 1,
+        ..TrafficConfig::default()
+    };
+    let mut plane = TrafficPlane::new(n, cfg);
     plane.set_shards(Some(1));
-    plane.add_flow(flows[0]);
-    plane.on_step(&topo, Some(&FlatRoutes));
+    plane.add_flow(FlowSpec {
+        packets: 0,
+        ..flows[0]
+    });
+    plane.on_step(topo, Some(view));
     plane.add_flows(&flows[1..]);
-    let resolved_before = plane.report().route_resolutions;
-    let (_, bytes) = allocated_during(|| plane.on_step(&topo, Some(&FlatRoutes)));
-    let resolved = (plane.report().route_resolutions - resolved_before) as usize;
+    let resolve_pass = |plane: &mut TrafficPlane| {
+        let before = plane.report().route_resolutions;
+        let (allocs, bytes) = allocated_during(|| plane.on_step(topo, Some(view)));
+        let resolved = (plane.report().route_resolutions - before) as usize;
+        (resolved, allocs, bytes)
+    };
+    let (resolved, _, bytes) = resolve_pass(&mut plane);
     assert!(
         resolved >= k * 9 / 10,
         "only {resolved} of {k} keys resolved"
@@ -133,5 +173,22 @@ fn steady_state_forwarding_does_not_allocate() {
     assert!(
         bytes < resolved * n,
         "a resolve pass over {resolved} keys on {n} nodes allocated {bytes} bytes"
+    );
+
+    let dark = Topology::empty(n);
+    plane.on_step::<R>(&dark, None);
+    let (again, ..) = resolve_pass(&mut plane);
+    plane.on_step::<R>(&dark, None);
+    let (third, allocs, bytes) = resolve_pass(&mut plane);
+    assert_eq!((again, third), (resolved, resolved), "same keys each pass");
+    assert_eq!(
+        allocs, 0,
+        "a resolve pass on warmed buffers allocated {bytes} bytes in {allocs} allocations"
+    );
+    let report = plane.report();
+    assert_eq!(
+        (report.injected, report.dropped_expired, report.delivered),
+        (2 * k as u64, 2 * k as u64, 0),
+        "every packet was born in the dark and expired where it stood"
     );
 }
