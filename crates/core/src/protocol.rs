@@ -657,6 +657,19 @@ impl Protocol for DensityCluster {
         swept || before != shared(state)
     }
 
+    /// The header word, then every third `view` entry and the last: a
+    /// [`PeerSummary`] is 20 bytes, so a stride of three (60 bytes)
+    /// lands on every 64-byte line of the view whatever its alignment.
+    #[inline]
+    fn peek(&self, beacon: &ClusterBeacon) -> u64 {
+        let strided = beacon.view.iter().step_by(3).map(|s| u64::from(s.dag_id));
+        let last = beacon.view.last().map_or(0, |s| u64::from(s.head.value()));
+        strided.fold(
+            u64::from(beacon.dag_id).wrapping_add(last),
+            u64::wrapping_add,
+        )
+    }
+
     fn activity(&self) -> mwn_sim::Activity {
         match self.config.freshness {
             FreshnessPolicy::TtlSweep => mwn_sim::Activity::Eager,

@@ -4,8 +4,8 @@
 
 use mwn_graph::{builders, NodeId, Topology};
 use mwn_radio::{
-    measure_tau, BernoulliLoss, CaptureCsma, Delivery, DistanceFading, Medium, PerfectMedium,
-    SlottedCsma, Thinned,
+    measure_tau, BernoulliLoss, CaptureCsma, ContentionStreams, Delivery, DistanceFading,
+    FullOccupancy, Medium, Occupancy, PerfectMedium, SlottedCsma, Thinned,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -27,6 +27,8 @@ fn media() -> Vec<Box<dyn Medium>> {
         Box::new(DistanceFading::new(2.0, 0.2)),
         Box::new(CaptureCsma::new(8, 1.5)),
         Box::new(Thinned::new(SlottedCsma::new(8), 0.8)),
+        Box::new(Thinned::new(PerfectMedium, 0.7)),
+        Box::new(Thinned::new(PerfectMedium, 1.0)),
     ]
 }
 
@@ -37,6 +39,12 @@ fn check_laws(topo: &Topology, senders: &[NodeId], delivery: &Delivery) -> Resul
     }
     let mut delivered = 0usize;
     for r in topo.nodes() {
+        let mut once = delivery.heard[r.index()].clone();
+        once.sort_unstable();
+        once.dedup();
+        if once.len() != delivery.heard[r.index()].len() {
+            return Err(format!("{r} heard one sender twice"));
+        }
         for &s in &delivery.heard[r.index()] {
             if !topo.has_edge(s, r) {
                 return Err(format!("{r} heard non-neighbor {s}"));
@@ -87,6 +95,54 @@ proptest! {
             if let Err(msg) = check_laws(&topo, &senders, &delivery) {
                 prop_assert!(false, "{}: {msg}", medium.name());
             }
+        }
+    }
+
+    /// The counting contract the round driver's retirement shortcut
+    /// rests on — `delivered` counts distinct (sender, 1-neighbor)
+    /// pairs, so `delivered == Σ degree(sender)` can only mean "every
+    /// neighbor of every sender heard it" — holds through every entry
+    /// point a driver delivers by, not just whole rounds: one
+    /// `deliver_from` per sender appended into one delivery, and for
+    /// gated-contention media `deliver_occupied_into` over a partly
+    /// retired population and one `deliver_from_occupied` per sender
+    /// against a fully occupied one.
+    #[test]
+    fn the_counting_contract_holds_through_every_entry_point(
+        topo in topo_strategy(),
+        seed in 0u64..u64::MAX,
+        sender_mask in 0u64..u64::MAX,
+        retired_mask in 0u64..u64::MAX,
+    ) {
+        let bit = |mask: u64, p: NodeId| (mask >> (p.index() % 64)) & 1 == 1;
+        let senders: Vec<NodeId> = topo.nodes().filter(|&p| bit(sender_mask, p)).collect();
+        let mut occupancy = Occupancy::new(topo.len());
+        for q in topo.nodes().filter(|&q| !bit(sender_mask, q) && bit(retired_mask, q)) {
+            occupancy.occupy(q, &topo);
+        }
+        let streams = ContentionStreams::new(seed ^ 1, seed ^ 2, seed % 97);
+        let mut rng = StdRng::seed_from_u64(seed);
+        for mut medium in media() {
+            let mut out = Delivery::empty(topo.len());
+            let name = medium.name();
+            let check = |entry: &str, out: &mut Delivery| {
+                let verdict = check_laws(&topo, &senders, out);
+                out.reset(topo.len());
+                verdict.map_err(|msg| format!("{name} via {entry}: {msg}"))
+            };
+            for &s in &senders {
+                medium.deliver_from(&topo, s, &mut rng, &mut out);
+            }
+            prop_assert_eq!(check("deliver_from", &mut out), Ok(()));
+            if !medium.gated_contention() {
+                continue;
+            }
+            medium.deliver_occupied_into(&topo, &senders, &occupancy, &streams, &mut out);
+            prop_assert_eq!(check("deliver_occupied_into", &mut out), Ok(()));
+            for &s in &senders {
+                medium.deliver_from_occupied(&topo, s, &FullOccupancy, &streams, &mut out);
+            }
+            prop_assert_eq!(check("deliver_from_occupied", &mut out), Ok(()));
         }
     }
 

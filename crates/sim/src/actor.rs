@@ -440,7 +440,7 @@ where
         );
 
         if !eager {
-            self.env.retire_caught_up(&senders);
+            self.env.retire_caught_up(&senders, delivered);
         }
 
         self.last_activity = StepActivity {
@@ -702,6 +702,32 @@ mod tests {
             assert_eq!(n.frames_delivered, a.frames_delivered);
         }
         assert_eq!(net.states(), actors.states());
+    }
+
+    #[test]
+    fn a_fault_inside_an_eager_stretch_is_not_reported_by_the_next_gated_period() {
+        // The round driver's regression of the same name, on the fabric.
+        for threads in [1, 4] {
+            let mut driver = Scenario::new(GatedFlood)
+                .topology(builders::grid(6, 6, 0.22))
+                .seed(7)
+                .build_actors(threads)
+                .expect("valid actor scenario");
+            driver
+                .run_to(&StopWhen::stable_for(3).within(100))
+                .expect_stable("the flood converges");
+            driver.set_eager(true);
+            driver.corrupt(NodeId::new(14));
+            driver.run(30);
+            driver.set_eager(false);
+            let before = driver.states().to_vec();
+            driver.step();
+            assert_eq!(driver.states(), before, "the eager stretch had repaired it");
+            assert_eq!(driver.last_activity().changed, 0, "threads={threads}");
+            driver.corrupt(NodeId::new(14));
+            driver.step();
+            assert_eq!(driver.last_activity().changed, 1, "a gated fault still is");
+        }
     }
 
     #[test]

@@ -79,6 +79,9 @@ pub(crate) struct Env<P: Protocol> {
     pub env_changed: bool,
     /// The user pinned eager scheduling ([`Env::set_eager`]).
     force_eager: bool,
+    /// Gated periods with senders that lost no frame copy, so
+    /// [`Env::retire_caught_up`] retired them without asking.
+    pub lossless_periods: u64,
     /// Sequential stream for fault-site selection, so fault injection
     /// never perturbs timing or frame-fate randomness.
     fault_rng: StdRng,
@@ -123,6 +126,7 @@ impl<P: Protocol> Env<P> {
             topo,
             env_changed: false,
             force_eager: false,
+            lossless_periods: 0,
             fault_rng: StdRng::seed_from_u64(derive_seed(seed, fault_stream)),
             scripted: Vec::new(),
             next_scripted: 0,
@@ -222,18 +226,44 @@ impl<P: Protocol> Env<P> {
     /// up with leave the pending set — so lossy media keep re-beaconing
     /// until the frame lands (the paper's τ > 0 hypothesis at work) —
     /// and, under a gated contention medium, start occupying their slot
-    /// statistically instead of transmitting for real. The period's
-    /// forced-change marks are consumed.
-    pub fn retire_caught_up(&mut self, senders: &[NodeId]) {
+    /// statistically instead of transmitting for real.
+    ///
+    /// `delivered` is the period's count of frame copies received. When
+    /// it equals the senders' summed degree the reception rows are not
+    /// consulted at all, and every sender retires:
+    ///
+    /// 1. a medium records a (sender, 1-neighbor) pair at most once, so
+    ///    `delivered == Σ degree(s)` means *every* neighbor of every
+    ///    sender heard it (`crates/radio/tests/properties.rs`);
+    /// 2. a receiver that heard a beacon epoch it had not incorporated
+    ///    was visited, and the visit wrote that epoch into its row;
+    /// 3. a receiver that was not visited already held it — so after
+    ///    the visits every row agrees with every sender's epoch, which
+    ///    is what [`ActivityCore::all_caught_up`] would have read back.
+    ///
+    /// A period that lost a single copy asks per sender, as ever. Debug
+    /// builds ask both ways and assert that they agree.
+    pub fn retire_caught_up(&mut self, senders: &[NodeId], delivered: usize) {
+        if senders.is_empty() {
+            return;
+        }
+        let in_range: usize = senders.iter().map(|&s| self.topo.degree(s)).sum();
+        let lossless = delivered == in_range;
+        self.lossless_periods += u64::from(lossless);
         for &s in senders {
-            if self.core.all_caught_up(&self.topo, s) {
-                self.core.table.send_pending.remove(s);
-                if let Some(occ) = &mut self.core.table.occupancy {
-                    occ.occupy(s, &self.topo);
-                }
+            if lossless {
+                debug_assert!(
+                    self.core.all_caught_up(&self.topo, s),
+                    "a period that delivered every copy left {s} with a neighbor behind"
+                );
+            } else if !self.core.all_caught_up(&self.topo, s) {
+                continue;
+            }
+            self.core.table.send_pending.remove(s);
+            if let Some(occ) = &mut self.core.table.occupancy {
+                occ.occupy(s, &self.topo);
             }
         }
-        self.core.table.forced_changed.clear();
     }
 
     /// One tick of the topology dynamics, for logical step `step`.

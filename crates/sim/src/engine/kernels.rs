@@ -43,6 +43,16 @@
 //! one line straddling each cut — at most `workers − 1` lines per
 //! column, each written by its two neighbours' edge nodes only.
 //!
+//! What no layout here fixes is the *scatter* of a visit's reads: a
+//! node's neighbours are wherever deployment order put them, so the
+//! beacons it hears sit on unrelated lines (and, for a beacon that owns
+//! a heap buffer, one dependent load further). The crate has no
+//! prefetch intrinsic to reach for; the sanctioned form is batched safe
+//! loads — the round driver's look-ahead pass reads one word per line
+//! of every heard beacon ([`crate::Protocol::peek`]) before the first
+//! `receive` of the visit, so the misses overlap instead of queueing
+//! behind one another.
+//!
 //! [`BitWords::decode_into`] keeps its per-bit reference
 //! (`decode_into_scalar`, test-only); the joins are checked against
 //! naive linear scans in this module's tests.

@@ -10,6 +10,20 @@
 //! back — and one worker is simply the calling thread. What differs
 //! between the drivers is the frame loop inside a visit (a `Delivery`
 //! join, a mailbox drain): the closure they hand to [`Env::visit`].
+//!
+//! The round driver's frame loop is preceded, inside the same visit, by
+//! one look-ahead pass over the beacons the node heard
+//! ([`Protocol::peek`]): reads of the frozen columns only, so it moves
+//! no state, no count and no digest, whatever the shard count. The
+//! actor fabric decodes every frame from a byte arena into one pooled
+//! beacon and has nothing to look ahead at.
+//!
+//! A visit also settles what the period's tail may assume: every frame
+//! copy a visited node heard is written into its reception row, and a
+//! node that heard only epochs it already held is not visited at all —
+//! the two facts `Env::retire_caught_up` rests on when a period loses
+//! no copy. The forced-change marks the change rule reads are consumed
+//! when the workers have joined, under either scheduling.
 
 use mwn_graph::{NodeId, Topology};
 
@@ -153,7 +167,8 @@ impl<P: Protocol> Env<P> {
     /// loop, [`Shard::update`] — on a scoped thread per shard, or
     /// inline when there is one. Afterwards the changed nodes are
     /// scheduled (guards and beacon refresh next period) in worker
-    /// order, which is ascending node order. Returns the period's
+    /// order, which is ascending node order, and the period's
+    /// forced-change marks are consumed. Returns the period's
     /// `(receives, updates)`.
     pub fn visit<C: Sync>(
         &mut self,
@@ -165,7 +180,9 @@ impl<P: Protocol> Env<P> {
         body: impl Fn(&mut Shard<'_, P, C>) + Sync,
     ) -> (usize, usize) {
         if candidates.is_empty() {
-            return (0, 0); // a quiet period costs nothing here
+            // A quiet period costs nothing here — and has no forced-
+            // change mark to consume: whoever is marked is scheduled.
+            return (0, 0);
         }
         if self.visit_pool.len() < workers {
             self.visit_pool.resize_with(workers, VisitScratch::new);
@@ -209,6 +226,10 @@ impl<P: Protocol> Env<P> {
                 table.beacon_stale.insert(p);
             }
         }
+        // The change rule has read the period's forced-change marks:
+        // consumed here, under either scheduling, so a fault that fell
+        // in an eager stretch is not reported again by a later period.
+        table.forced_changed.clear();
         (receives, updates)
     }
 }

@@ -45,9 +45,14 @@ pub struct StepActivity {
 ///    ([`Protocol::beacon`]) — simultaneous, so information moves at
 ///    most one hop per step, exactly as in the paper's Table 2;
 /// 4. the [`Medium`] decides which frame copies arrive;
-/// 5. receivers process arrivals ([`Protocol::receive`]);
-/// 6. scheduled nodes execute their enabled guarded assignments
-///    ([`Protocol::update`]).
+/// 5. receivers process arrivals ([`Protocol::receive`]) — each visit
+///    first reads ahead through every beacon it heard
+///    ([`Protocol::peek`]), so their cache misses overlap — and
+///    scheduled nodes execute their enabled guarded assignments
+///    ([`Protocol::update`]);
+/// 6. under gated scheduling, senders every neighbor has caught up
+///    with retire: by count alone on a step that lost no frame copy,
+///    by consulting the reception rows otherwise.
 ///
 /// # Activity-driven scheduling
 ///
@@ -177,6 +182,24 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         self.env.core.table.occupancy.as_ref()
     }
 
+    /// Retirement bookkeeping, exposed for its property tests as
+    /// [`Network::occupancy`] is for its own: the members of the
+    /// pending-sender set next to a from-scratch recount of the nodes
+    /// some neighbor has yet to catch up with (equal after every gated
+    /// step), and how many gated steps lost no frame copy and so
+    /// retired their senders without consulting a reception row.
+    #[doc(hidden)]
+    pub fn retirement_audit(&self) -> (Vec<NodeId>, Vec<NodeId>, u64) {
+        let (core, topo) = (&self.env.core, &self.env.topo);
+        let pending = |&s: &NodeId| core.table.send_pending.contains(s);
+        let behind = |&s: &NodeId| !core.all_caught_up(topo, s);
+        (
+            topo.nodes().filter(pending).collect(),
+            topo.nodes().filter(behind).collect(),
+            self.env.lossless_periods,
+        )
+    }
+
     /// Pins the driver to eager scheduling (`true`) or restores the
     /// automatic choice (`false`). Used by equivalence tests and
     /// before/after benchmarks; both modes are byte-identical for
@@ -298,7 +321,10 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         // all-updates phasing — and embarrassingly parallel: each
         // shard visits its chunk of the active set in place. Each
         // delivered sender is located in the receiver's sorted
-        // adjacency list by one binary search per frame.
+        // adjacency list by one binary search per frame. A visit opens
+        // with the look-ahead pass ([`Protocol::peek`]): asked for
+        // together, up front, the cache misses of all the beacons it
+        // heard are in flight at once instead of one receive at a time.
         let now = self.step;
         let active = self.active_buf.len();
         let shards = self.shards.count(active, active);
@@ -313,33 +339,39 @@ impl<P: Protocol, M: Medium> Network<P, M> {
                 let (beacons, epoch) = (shard.beacons, shard.epoch);
                 let (protocol, topo) = (shard.protocol, shard.topo);
                 for &p in shard.candidates {
+                    let heard = &delivery.heard[p.index()];
+                    // Look-ahead: plain loads nothing depends on; the
+                    // black box is what keeps them from being deleted.
+                    let ahead = heard.iter().fold(0u64, |sum, s| {
+                        sum.wrapping_add(u64::from(epoch[s.index()]))
+                            .wrapping_add(protocol.peek(&beacons[s.index()]))
+                    });
+                    std::hint::black_box(ahead);
                     let (state, row, scratch) = shard.open(p);
                     scratch.snapshot(state);
-                    kernels::sorted_positions(
-                        topo.neighbors(p),
-                        &delivery.heard[p.index()],
-                        |idx, s| {
-                            let e = epoch[s.index()];
-                            // Eager mode processes every delivered
-                            // frame (classic semantics); gated mode
-                            // skips re-receptions of an already-
-                            // incorporated beacon, which the silence
-                            // contract makes state no-ops.
-                            if eager || row[idx] != e {
-                                row[idx] = e;
-                                protocol.receive(p, state, s, &beacons[s.index()], now);
-                                scratch.receives += 1;
-                            }
-                        },
-                    );
+                    kernels::sorted_positions(topo.neighbors(p), heard, |idx, s| {
+                        let e = epoch[s.index()];
+                        // Eager mode processes every delivered
+                        // frame (classic semantics); gated mode
+                        // skips re-receptions of an already-
+                        // incorporated beacon, which the silence
+                        // contract makes state no-ops.
+                        if eager || row[idx] != e {
+                            row[idx] = e;
+                            protocol.receive(p, state, s, &beacons[s.index()], now);
+                            scratch.receives += 1;
+                        }
+                    });
                     shard.update(p);
                 }
             },
         );
 
-        // Phase 6: retire senders every neighbor has caught up with.
+        // Phase 6: retire senders every neighbor has caught up with —
+        // all of them, unasked, when the step delivered every copy.
         if !eager {
-            self.env.retire_caught_up(&self.senders_buf);
+            self.env
+                .retire_caught_up(&self.senders_buf, self.delivery.delivered);
         }
 
         self.last_activity = StepActivity {
@@ -520,7 +552,7 @@ impl<P: Corruptible, M: Medium> Network<P, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{GatedFlood, MaxFlood};
+    use crate::testkit::{GatedFlood, MaxFlood, PeekFlood};
     use mwn_graph::builders;
     use mwn_radio::{BernoulliLoss, PerfectMedium};
 
@@ -736,6 +768,33 @@ mod tests {
     }
 
     #[test]
+    fn a_fault_inside_an_eager_stretch_is_not_reported_by_the_next_gated_step() {
+        // Regression: the forced-change mark of a fault was consumed by
+        // gated steps only, so one set while the driver was pinned
+        // eager outlived the stretch and the first gated step after it
+        // reported the node as changed although its state stood still.
+        let mut net = Network::new(GatedFlood, PerfectMedium, builders::grid(6, 6, 0.22), 7);
+        net.run_to(&StopWhen::stable_for(3).within(100))
+            .expect_stable("the flood converges");
+        net.set_eager(true);
+        net.corrupt(NodeId::new(14));
+        net.run(30);
+        net.set_eager(false);
+        let before = net.states().to_vec();
+        net.step();
+        assert_eq!(net.states(), before, "the eager stretch had repaired it");
+        assert!(net.last_changed().is_empty(), "{:?}", net.last_changed());
+        assert_eq!(net.last_activity().changed, 0);
+        // A fault between gated steps is still reported, exactly once.
+        net.corrupt(NodeId::new(14));
+        net.step();
+        assert_eq!(net.last_changed(), [NodeId::new(14)]);
+        net.run_to(&StopWhen::stable_for(3).within(100))
+            .expect_stable("and repaired");
+        assert!(net.last_changed().is_empty());
+    }
+
+    #[test]
     fn step_activity_counts_the_cold_start() {
         let mut net = Network::new(GatedFlood, PerfectMedium, builders::line(4), 3);
         net.step();
@@ -764,6 +823,45 @@ mod tests {
             assert_eq!(serial, run(Some(shards)), "{shards} shards diverged");
         }
         assert_eq!(serial, run(None));
+    }
+
+    #[test]
+    fn the_look_ahead_pass_peeks_every_frame_of_a_visited_receiver_and_nothing_sees_it() {
+        use std::sync::atomic::Ordering::Relaxed;
+        for shards in [1, 4] {
+            let topo = builders::grid(6, 6, 0.22);
+            let medium = || BernoulliLoss::new(0.6);
+            let mut net = Network::new(PeekFlood::default(), medium(), topo.clone(), 5);
+            let mut twin = Network::new(GatedFlood, medium(), topo, 5);
+            net.set_shards(Some(shards));
+            twin.set_shards(Some(shards));
+            assert!(net.is_gated());
+            let (mut total, mut skipped) = (0, 0);
+            for step in 0..60 {
+                if step == 25 {
+                    *net.state_mut(NodeId::new(35)) = 0;
+                    *twin.state_mut(NodeId::new(35)) = 0;
+                }
+                let before = net.protocol().peeks.load(Relaxed);
+                net.step();
+                twin.step();
+                let peeks = net.protocol().peeks.load(Relaxed) - before;
+                // One peek per frame copy a visited receiver heard —
+                // also the copies the gated receive loop then skips.
+                let heard = |p: &NodeId| net.delivery.heard[p.index()].len();
+                let visited: usize = net.active_buf.iter().map(heard).sum();
+                assert_eq!(peeks, visited, "step {step}, {shards} shards");
+                assert!(peeks <= net.last_activity().frames_delivered);
+                assert!(peeks >= net.last_activity().receives);
+                total += peeks;
+                skipped += peeks - net.last_activity().receives;
+                // Inert: the twin that never peeks is indistinguishable.
+                assert_eq!(net.states(), twin.states());
+                assert_eq!(net.last_activity(), twin.last_activity());
+                assert_eq!(net.last_changed(), twin.last_changed());
+            }
+            assert!(total > 0 && skipped > 0, "{total} peeks, {skipped} skipped");
+        }
     }
 
     #[test]

@@ -153,6 +153,35 @@ pub trait Protocol: Sync {
         scratch.as_ref() != Some(&*state)
     }
 
+    /// The look-ahead read of `beacon`: loads one word of every cache
+    /// line a [`Protocol::receive`] of this beacon will read and
+    /// returns their (wrapping) sum. **Contract:** writes nothing,
+    /// never panics — whatever a fault forged into the beacon — and is
+    /// unobservable: no state, output or count may depend on it.
+    ///
+    /// The round driver calls it for every beacon a node heard *before*
+    /// the node's first `receive` of the visit. A `receive` reaches its
+    /// beacon through dependent loads (column slot → heap block), and
+    /// the receives of one visit run one after another, so in a cold
+    /// dense step each pays its cache misses in series; the look-ahead
+    /// pass issues the same loads for all of the visit's beacons back
+    /// to back, with nothing depending on them, so the misses overlap.
+    /// These are ordinary loads in safe Rust, no prefetch intrinsic —
+    /// which is why a checksum comes back: the driver folds it into a
+    /// [`std::hint::black_box`], the one thing that keeps the compiler
+    /// from deleting loads nobody reads.
+    ///
+    /// The default reads nothing and is right for a beacon that is a
+    /// few inline words (a flood's integer): there is a single line to
+    /// fetch, and the `receive` that wants it is no longer than the
+    /// look-ahead would be. Override it when the beacon owns heap
+    /// buffers `receive` walks.
+    #[inline]
+    fn peek(&self, beacon: &Self::Beacon) -> u64 {
+        let _ = beacon;
+        0
+    }
+
     /// Declares the scheduling contract this protocol supports; see
     /// [`Activity`]. Conservative default: [`Activity::Eager`] — every
     /// node runs every step, exactly the classic semantics.

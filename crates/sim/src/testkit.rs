@@ -1,5 +1,7 @@
 //! The flooding fixtures the unit tests of every driver share.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use mwn_graph::NodeId;
 use rand::rngs::StdRng;
 
@@ -64,3 +66,37 @@ macro_rules! flood {
 
 flood!(MaxFlood, Activity::Eager);
 flood!(GatedFlood, Activity::Gated);
+
+/// [`GatedFlood`] that counts the look-ahead reads the driver asks of
+/// it — the only way to see a pass that must not be observable.
+#[derive(Debug, Default)]
+pub(crate) struct PeekFlood {
+    pub peeks: AtomicUsize,
+}
+
+impl Protocol for PeekFlood {
+    type State = u32;
+    type Beacon = u32;
+    fn init(&self, node: NodeId, rng: &mut StdRng) -> u32 {
+        GatedFlood.init(node, rng)
+    }
+    fn beacon(&self, node: NodeId, state: &u32) -> u32 {
+        GatedFlood.beacon(node, state)
+    }
+    fn receive(&self, node: NodeId, state: &mut u32, from: NodeId, beacon: &u32, now: u64) {
+        GatedFlood.receive(node, state, from, beacon, now);
+    }
+    fn update(&self, node: NodeId, state: &mut u32, now: u64, rng: &mut StdRng) {
+        GatedFlood.update(node, state, now, rng);
+    }
+    fn peek(&self, beacon: &u32) -> u64 {
+        self.peeks.fetch_add(1, Ordering::Relaxed);
+        u64::from(*beacon)
+    }
+    fn activity(&self) -> Activity {
+        Activity::Gated
+    }
+    fn beacon_changed(&self, old: &u32, new: &u32) -> bool {
+        old != new
+    }
+}

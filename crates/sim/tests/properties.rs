@@ -4,10 +4,10 @@
 //! max-flood: every node learns the maximum id in its component).
 
 use mwn_graph::{builders, traversal, NodeId, Point2, Topology};
-use mwn_radio::{BernoulliLoss, PerfectMedium, SlottedCsma};
+use mwn_radio::{BernoulliLoss, Medium, PerfectMedium, SlottedCsma, Thinned};
 use mwn_sim::{
     Activity, Corruptible, EventConfig, EventDriver, Fault, FaultPlan, Lie, Network, Observable,
-    Protocol, Region, StopWhen,
+    Protocol, Region, Scenario, StopWhen,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -152,8 +152,84 @@ fn component_max(topo: &Topology) -> Vec<u32> {
     expected
 }
 
+/// Steps a gated flood over `medium` through `plan`, holding the
+/// retirement bookkeeping against a from-scratch recount after every
+/// step: the pending senders are exactly the nodes some neighbor has
+/// yet to catch up with, and the step retired without consulting a
+/// reception row (the shortcut) if and only if it had senders and lost
+/// no frame copy. Returns how many steps took the shortcut.
+fn check_retirement<M: Medium>(
+    medium: M,
+    topo: &Topology,
+    seed: u64,
+    plan: &FaultPlan,
+) -> Result<u64, TestCaseError> {
+    let mut net = Scenario::new(GatedFlood)
+        .medium(medium)
+        .topology(topo.clone())
+        .seed(seed)
+        .faults(plan.clone())
+        .build()
+        .expect("the plan names nodes of the field");
+    prop_assert!(net.is_gated());
+    let mut fired = 0;
+    for step in 0..45 {
+        net.step();
+        let activity = net.last_activity();
+        let (pending, behind, shortcuts) = net.retirement_audit();
+        prop_assert_eq!(pending, behind, "step {}: {:?}", step, activity);
+        let lossless =
+            activity.senders > 0 && activity.frames_delivered == activity.frames_attempted;
+        prop_assert_eq!(
+            shortcuts - fired,
+            u64::from(lossless),
+            "step {}: {:?}",
+            step,
+            activity
+        );
+        fired = shortcuts;
+    }
+    Ok(fired)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Retirement by count ≡ retirement by asking, release builds
+    /// included (debug builds also assert it sender by sender inside
+    /// the driver): on perfect, lossy, contention and thinned media,
+    /// through isolations, crash-recoveries and partitions healing
+    /// mid-run.
+    #[test]
+    fn retirement_shortcut_equals_the_full_check(
+        topo in topo_strategy(),
+        seed in 0u64..10_000,
+        faults in proptest::collection::vec((0u8..3, 0u32..1024, 1u64..30, 1u64..9), 0..6),
+    ) {
+        let n = topo.len() as u32;
+        let mut plan = FaultPlan::new();
+        for (kind, node, at, window) in faults {
+            let node = NodeId::new(node % n);
+            plan.at(at, match kind {
+                0 => Fault::Isolate(node),
+                1 => Fault::CrashRecover { node, dark_for: window },
+                _ => Fault::PartitionHeal {
+                    cut: (0..=node.value()).map(NodeId::new).collect(),
+                    heal_at: at + window,
+                },
+            });
+        }
+        // Nothing is ever lost: the shortcut carries every busy step.
+        for fired in [
+            check_retirement(PerfectMedium, &topo, seed, &plan)?,
+            check_retirement(Thinned::new(PerfectMedium, 1.0), &topo, seed, &plan)?,
+        ] {
+            prop_assert!(fired > 0, "the cold-start step loses nothing");
+        }
+        check_retirement(BernoulliLoss::new(0.3), &topo, seed, &plan)?;
+        check_retirement(Thinned::new(PerfectMedium, 0.7), &topo, seed, &plan)?;
+        check_retirement(SlottedCsma::new(8), &topo, seed, &plan)?;
+    }
 
     /// The round driver moves information exactly one hop per step:
     /// after k steps a node knows the max id within its k-ball.
