@@ -295,6 +295,45 @@ impl NeighborCache {
         links
     }
 
+    /// How many levels [`NeighborCache::peek`] answers: the inline
+    /// words, the slot block, the view block.
+    pub const PEEK_LEVELS: u8 = 3;
+
+    /// The look-ahead read behind [`mwn_sim::Protocol::peek_state`]:
+    /// one word of every cache line a [`NeighborCache::store`] of
+    /// `from` and the guard pass after it reach through `level`
+    /// dependent loads from the cache's own words. Writes nothing and
+    /// panics on no cache — `check()`-clean or not — for any `from`,
+    /// known or unknown, and any `level` (past the last: nothing).
+    ///
+    /// * 0 — the inline words: both buffer lengths.
+    /// * 1 — one word of every forty-byte slot header: what the search
+    ///   for `from`, R1 and R2 read.
+    /// * 2 — every cache line of `from`'s view (every third
+    ///   [`PeerSummary`] and the last). Its slot is found by *counting*
+    ///   the ids below `from`, not by searching: the count is
+    ///   branch-free, so the view's loads wait on the slot block alone,
+    ///   not on a mispredicted search over it.
+    ///   An unknown `from` reads the view its entry would displace.
+    #[inline]
+    pub fn peek(&self, from: NodeId, level: u8) -> u64 {
+        match level {
+            0 => (self.slots.len() as u64).wrapping_add(self.views.len() as u64),
+            1 => {
+                let ids = self.slots.iter().map(|s| u64::from(s.id.value()));
+                ids.fold(0, u64::wrapping_add)
+            }
+            2 => {
+                // `i <= len`, so `start(i)` indexes a slot that exists.
+                let i = self.slots.iter().filter(|s| s.id < from).count();
+                let start = self.start(i);
+                let end = self.slots.get(i).map_or(start, |s| s.end as usize);
+                PeerSummary::peek_lines(self.views.get(start..end).unwrap_or_default())
+            }
+            _ => 0,
+        }
+    }
+
     fn count_links(&self, i: usize) -> u32 {
         let q = self.slots[i].id;
         let cached = |r: &&PeerSummary| q < r.id && self.contains_key(&r.id);

@@ -174,6 +174,19 @@ pub struct PeerSummary {
     pub head: NodeId,
 }
 
+impl PeerSummary {
+    /// The look-ahead read of a view: one word of every third entry
+    /// and of the last, summed (wrapping). A [`PeerSummary`] is 20
+    /// bytes, so a stride of three (60 bytes) lands on every 64-byte
+    /// line of the view whatever its alignment.
+    #[inline]
+    pub(crate) fn peek_lines(view: &[PeerSummary]) -> u64 {
+        let strided = view.iter().step_by(3).map(|s| u64::from(s.dag_id));
+        let last = view.last().map_or(0, |s| u64::from(s.head.value()));
+        strided.fold(last, u64::wrapping_add)
+    }
+}
+
 /// A cached neighbor entry in owned form — what
 /// [`NeighborCache::insert`] takes. The cache itself stores entries
 /// flat ([`NeighborSlot`] headers over one shared view buffer).
@@ -657,17 +670,19 @@ impl Protocol for DensityCluster {
         swept || before != shared(state)
     }
 
-    /// The header word, then every third `view` entry and the last: a
-    /// [`PeerSummary`] is 20 bytes, so a stride of three (60 bytes)
-    /// lands on every 64-byte line of the view whatever its alignment.
+    /// The header word, then every cache line of the view.
     #[inline]
     fn peek(&self, beacon: &ClusterBeacon) -> u64 {
-        let strided = beacon.view.iter().step_by(3).map(|s| u64::from(s.dag_id));
-        let last = beacon.view.last().map_or(0, |s| u64::from(s.head.value()));
-        strided.fold(
-            u64::from(beacon.dag_id).wrapping_add(last),
-            u64::wrapping_add,
-        )
+        u64::from(beacon.dag_id).wrapping_add(PeerSummary::peek_lines(&beacon.view))
+    }
+
+    const PEEK_LEVELS: u8 = NeighborCache::PEEK_LEVELS;
+
+    /// Everything a receive and its guard pass reach behind the state
+    /// column belongs to the cache ([`NeighborCache::peek`]).
+    #[inline]
+    fn peek_state(&self, state: &ClusterState, from: NodeId, level: u8) -> u64 {
+        state.cache.peek(from, level)
     }
 
     fn activity(&self) -> mwn_sim::Activity {

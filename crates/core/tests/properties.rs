@@ -12,7 +12,10 @@ use mwn_cluster::{
 };
 use mwn_graph::{builders, NodeId, Topology};
 use mwn_radio::BernoulliLoss;
-use mwn_sim::{Corruptible, Protocol, Scenario, StopWhen, WireBeacon};
+use mwn_sim::{
+    Activity, Corruptible, EventConfig, EventDriver, Fault, FaultPlan, Protocol, Scenario,
+    StopWhen, WireBeacon,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -176,6 +179,135 @@ impl Protocol for ProvidedReports {
     }
     fn update(&self, node: NodeId, state: &mut ClusterState, now: u64, rng: &mut StdRng) {
         self.0.update(node, state, now, rng);
+    }
+}
+
+/// [`DensityCluster`] delegated to for everything, its look-ahead
+/// levels left undeclared: what the event driver runs when it reads
+/// nothing ahead.
+struct NoPeekLevels(DensityCluster);
+
+impl Protocol for NoPeekLevels {
+    type State = ClusterState;
+    type Beacon = ClusterBeacon;
+    fn init(&self, node: NodeId, rng: &mut StdRng) -> ClusterState {
+        self.0.init(node, rng)
+    }
+    fn beacon(&self, node: NodeId, state: &ClusterState) -> ClusterBeacon {
+        self.0.beacon(node, state)
+    }
+    fn beacon_into(&self, node: NodeId, state: &ClusterState, out: &mut ClusterBeacon) {
+        self.0.beacon_into(node, state, out);
+    }
+    fn receive(&self, p: NodeId, s: &mut ClusterState, from: NodeId, b: &ClusterBeacon, now: u64) {
+        self.0.receive(p, s, from, b, now);
+    }
+    fn update(&self, node: NodeId, state: &mut ClusterState, now: u64, rng: &mut StdRng) {
+        self.0.update(node, state, now, rng);
+    }
+    fn receive_changed(
+        &self,
+        p: NodeId,
+        s: &mut ClusterState,
+        from: NodeId,
+        b: &ClusterBeacon,
+        now: u64,
+        scratch: &mut Option<ClusterState>,
+    ) -> bool {
+        self.0.receive_changed(p, s, from, b, now, scratch)
+    }
+    fn update_changed(
+        &self,
+        node: NodeId,
+        state: &mut ClusterState,
+        now: u64,
+        rng: &mut StdRng,
+        scratch: &mut Option<ClusterState>,
+    ) -> bool {
+        self.0.update_changed(node, state, now, rng, scratch)
+    }
+    fn peek(&self, beacon: &ClusterBeacon) -> u64 {
+        self.0.peek(beacon)
+    }
+    fn activity(&self) -> Activity {
+        self.0.activity()
+    }
+    fn beacon_changed(&self, old: &ClusterBeacon, new: &ClusterBeacon) -> bool {
+        self.0.beacon_changed(old, new)
+    }
+    fn link_down(&self, node: NodeId, state: &mut ClusterState, peer: NodeId) {
+        self.0.link_down(node, state, peer);
+    }
+}
+
+impl Corruptible for NoPeekLevels {
+    fn corrupt(&self, node: NodeId, state: &mut ClusterState, rng: &mut StdRng) {
+        self.0.corrupt(node, state, rng);
+    }
+}
+
+/// The event driver's look-ahead pass is unobservable: `DensityCluster`
+/// (three levels) and its twin that declares none run the same events
+/// to the same states, counts and τ — on a lossy Poisson deployment,
+/// through a scripted corruption, an isolation and a crash with stale
+/// recovery.
+#[test]
+fn the_event_clock_runs_the_same_with_and_without_peek_levels() {
+    fn run<P: Corruptible<State = ClusterState>>(
+        protocol: P,
+        seed: u64,
+    ) -> EventDriver<P, BernoulliLoss> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let topo = builders::poisson(220.0, 0.12, &mut rng);
+        let (a, b) = (NodeId::new(3), NodeId::new(topo.len() as u32 / 2));
+        let mut plan = FaultPlan::new();
+        plan.at(4, Fault::CorruptFraction(0.3))
+            .at(7, Fault::Isolate(a))
+            .at(
+                9,
+                Fault::CrashRecover {
+                    node: b,
+                    dark_for: 3,
+                },
+            );
+        Scenario::new(protocol)
+            .medium(BernoulliLoss::new(0.8))
+            .topology(topo)
+            .seed(seed)
+            .faults(plan)
+            .build_events(EventConfig::default())
+            .expect("valid scenario")
+    }
+    fn counts<P: Protocol>(d: &EventDriver<P, BernoulliLoss>) -> [u64; 5] {
+        [
+            d.messages_total(),
+            d.events_processed(),
+            d.frames_attempted(),
+            d.frames_delivered(),
+            d.measured_tau().to_bits(),
+        ]
+    }
+    const { assert!(DensityCluster::PEEK_LEVELS == 3 && NoPeekLevels::PEEK_LEVELS == 0) };
+    for seed in [1, 2, 3] {
+        let protocol = DensityCluster::new(ClusterConfig::default().event_driven());
+        let mut peeking = run(protocol, seed);
+        let mut twin = run(NoPeekLevels(protocol), seed);
+        assert!(peeking.is_gated() && twin.is_gated());
+        for period in 0..40 {
+            peeking.step();
+            twin.step();
+            assert_eq!(
+                peeking.states(),
+                twin.states(),
+                "seed {seed}, period {period}"
+            );
+            assert_eq!(
+                counts(&peeking),
+                counts(&twin),
+                "seed {seed}, period {period}"
+            );
+        }
+        assert!(peeking.frames_delivered() > 1000, "seed {seed}: a real run");
     }
 }
 
@@ -408,6 +540,64 @@ proptest! {
             let sum = protocol.peek(&b);
             prop_assert_eq!(&b, &before);
             prop_assert_eq!(sum, protocol.peek(&before));
+        }
+    }
+
+    /// The state-side look-ahead read is inert whatever the cache
+    /// holds — built by random inserts, removals and sweeps or forged
+    /// by `Corruptible::corrupt` — for a cached `from`, an unknown one,
+    /// the node itself and ids past every key, at every level and past
+    /// the last: it returns, the cache still passes `check()` and
+    /// equals its copy, and it read what it says it reads — for a
+    /// cached sender, that sender's view, found without a search.
+    #[test]
+    fn cache_peek_returns_on_any_cache_and_reads_the_senders_view(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let protocol = DensityCluster::new(ClusterConfig::default());
+        let node = small_id(&mut rng);
+        let mut state = protocol.init(node, &mut rng);
+        let strided = |view: &[PeerSummary]| {
+            let last = view.last().map_or(0, |s| u64::from(s.head.value()));
+            view.iter().step_by(3).map(|s| u64::from(s.dag_id)).sum::<u64>() + last
+        };
+        for _ in 0..30 {
+            let cache = &mut state.cache;
+            match rng.random_range(0..6) {
+                0..=2 => {
+                    let len = rng.random_range(0..8);
+                    cache.insert(small_id(&mut rng), small_entry(&mut rng, len));
+                }
+                3 => {
+                    cache.remove(&small_id(&mut rng));
+                }
+                4 => {
+                    let horizon = rng.random_range(0..9);
+                    cache.retain(|s| s.last_seen <= horizon);
+                }
+                _ => protocol.corrupt(node, &mut state, &mut rng),
+            }
+            let cache = &state.cache;
+            let before = cache.clone();
+            let ids: u64 = cache.keys().map(|q| u64::from(q.value())).sum();
+            let entries: usize = cache.iter().map(|(_, view)| view.len()).sum();
+            let ghosts = cache.keys().copied().collect::<Vec<_>>();
+            let froms = (0..=SMALL_IDS).map(NodeId::new).chain(ghosts).chain([node, NodeId::new(u32::MAX)]);
+            for from in froms {
+                prop_assert_eq!(cache.peek(from, 0), (cache.len() + entries) as u64);
+                prop_assert_eq!(cache.peek(from, 1), ids);
+                // An unknown sender reads the view its entry would
+                // displace: the next key's, or nothing past the last.
+                let at = cache.iter().find(|(slot, _)| slot.id >= from);
+                prop_assert_eq!(cache.peek(from, 2), at.map_or(0, |(_, view)| strided(view)));
+                for level in [3, 4, u8::MAX] {
+                    prop_assert_eq!(cache.peek(from, level), 0);
+                }
+                for level in 0..=DensityCluster::PEEK_LEVELS {
+                    prop_assert_eq!(protocol.peek_state(&state, from, level), cache.peek(from, level));
+                }
+            }
+            prop_assert!(*cache == before);
+            prop_assert_eq!(cache.check(), Ok(()));
         }
     }
 

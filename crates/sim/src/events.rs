@@ -145,7 +145,7 @@ struct Lanes {
     frames: VecDeque<Frame>,
 }
 
-/// The next event, as [`Lanes::pop`] hands it out.
+/// The next event, as [`Lanes::pop_at`] hands it out.
 enum Next {
     /// The beacon slot of this node fires.
     Slot(NodeId),
@@ -181,16 +181,15 @@ impl Lanes {
         }
     }
 
-    /// Removes and returns the next event with its time.
-    fn pop(&mut self) -> Option<(f64, Next)> {
-        let key = self.peek()?;
-        let next = if key.class == SLOT {
-            self.slots.pop();
-            Next::Slot(NodeId::new(key.a))
+    /// Removes and returns the next event, given the key
+    /// [`Lanes::peek`] just answered with: the lane heads are compared
+    /// once per event, not once to look and once to take.
+    fn pop_at(&mut self, key: EventKey) -> Option<Next> {
+        if key.class == SLOT {
+            self.slots.pop().map(|_| Next::Slot(NodeId::new(key.a)))
         } else {
-            Next::Arrival(self.frames.pop_front()?)
-        };
-        Some((key.time, next))
+            self.frames.pop_front().map(Next::Arrival)
+        }
     }
 }
 
@@ -233,6 +232,7 @@ impl<B: Clone> BeaconPool<B> {
 
     fn release(&mut self, i: u32) {
         let in_flight = &mut self.entries[i as usize].1;
+        debug_assert!(*in_flight > 0, "every copy releases its share once");
         *in_flight -= 1;
         if *in_flight == 0 {
             self.free.push(i);
@@ -277,6 +277,20 @@ impl<B: Clone> BeaconPool<B> {
 ///   put on the air; each copy releases its share when it lands (or is
 ///   dropped because its link vanished mid-flight), and the last one
 ///   frees the entry — buffers intact — for the next transmission.
+///
+/// **Look-ahead.** The arrival lane is sorted, so the next frames —
+/// typically the copies of one transmission, landing at one instant on
+/// scattered receivers — are known before they pop, and each lands on
+/// a state nothing has touched since that receiver's last event.
+/// Before an arrival pops, when the previous batch is spent, the
+/// driver walks the lane's first few frames once per level of
+/// [`Protocol::peek_state`] (none for a protocol that declares no
+/// levels): the reads a frame's `receive` and `update` would pay for
+/// one after another, down a chain of dependent loads, are asked for
+/// together and level by level, so the cache misses overlap. Reads
+/// only, folded into a [`std::hint::black_box`]: no state, count or
+/// digest can see the pass, and a frame that joins the lane's head
+/// after its batch was read simply finds its state cold.
 ///
 /// The next event is the earlier of the two lane heads, an arrival
 /// before a slot at the same instant. Every draw other than the slot
@@ -354,7 +368,15 @@ pub struct EventDriver<P: Protocol, M: Medium = PerfectMedium> {
     /// ended — drained into the table's `changed` column there, which
     /// is what makes quiet-interval sampling O(changed), not O(n).
     changed_since: NodeSet,
+    /// How many of the arrivals still to pop the last look-ahead batch
+    /// covers.
+    ahead: usize,
 }
+
+/// Frames of the arrival lane's head that one look-ahead batch reads:
+/// the mean degree, so usually one transmission's copies. Measured
+/// flat between 4 and 16.
+const LOOK_AHEAD: usize = 8;
 
 impl<P: Protocol, M: Medium> EventDriver<P, M> {
     /// Creates the driver with cold-start states and the frame fates
@@ -416,6 +438,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             frames_delivered: 0,
             dynamics_step: 0,
             changed_since: NodeSet::new(n),
+            ahead: 0,
         };
         // Cold start: everyone has something to say (the table marks
         // all nodes send-pending), so everyone gets a first slot.
@@ -524,51 +547,120 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         self.absorb_env();
     }
 
+    /// The logical steps at which the environment acts next — mobility
+    /// tick, fault follow-up, scripted fault — in the priority they
+    /// take at one instant (the round driver's within-step order).
+    fn env_steps(&self) -> [Option<u64>; 3] {
+        [
+            self.env.has_dynamics().then_some(self.dynamics_step),
+            self.env.next_followup(),
+            self.env.next_scripted(),
+        ]
+    }
+
+    /// When the environment acts next (never, if nothing is scheduled).
+    fn next_boundary(&self) -> f64 {
+        let times = self.env_steps().into_iter().flatten();
+        times.fold(f64::INFINITY, |t, k| t.min(self.step_time(k)))
+    }
+
+    /// Fires the first environment batch due by `time`.
+    fn fire_boundary(&mut self, time: f64) {
+        let due = |step: Option<u64>| step.filter(|&k| self.step_time(k) <= time);
+        let [dynamics, followup, fault] = self.env_steps().map(due);
+        if let Some(step) = dynamics {
+            self.dynamics_step += 1;
+            self.at_boundary(step, |env, _| env.tick_dynamics(step));
+        } else if let Some(step) = followup {
+            self.at_boundary(step, |env, _| env.fire_followups(step));
+        } else if let Some(step) = fault {
+            self.at_boundary(step, Env::fire_next_scripted);
+        }
+    }
+
     /// Processes events up to (and including) time `t`; scripted
     /// faults and mobility ticks due in the interval fire at their
     /// scheduled times, interleaved correctly with the event queue.
     /// With an empty queue (a stabilized, gated network) the clock
-    /// jumps straight to `t`: a quiet interval costs O(1).
+    /// jumps straight to `t`: a quiet interval costs O(1). A NaN `t`
+    /// processes nothing and leaves the clock where it was.
     pub fn run_until_time(&mut self, t: f64) {
+        // The environment's schedule moves only when a boundary fires:
+        // asked here and after each one, not once per event.
+        let mut boundary = self.next_boundary();
         loop {
-            let event_time = self.lanes.peek().map_or(f64::INFINITY, |key| key.time);
-            let at = |step: Option<u64>| step.map_or(f64::INFINITY, |k| self.step_time(k));
-            let dyn_step = self.env.has_dynamics().then_some(self.dynamics_step);
-            let (followup_step, fault_step) = (self.env.next_followup(), self.env.next_scripted());
-            let next = event_time
-                .min(at(dyn_step))
-                .min(at(followup_step))
-                .min(at(fault_step));
-            if next > t {
+            let head = self.lanes.peek();
+            let event_time = head.map_or(f64::INFINITY, |key| key.time);
+            let next = event_time.min(boundary);
+            // Asked as "is it due", not "is it late": a NaN horizon
+            // answers no to both. Nothing is ever due at infinity.
+            let due = next <= t && next < f64::INFINITY;
+            if !due {
                 break;
             }
-            // Priority at equal instants mirrors the round driver's
-            // within-step order: topology moves, then fault followups
-            // (resurrections/healings), then faults, then the protocol
-            // events.
-            let due = |step: Option<u64>| step.filter(|_| at(step) <= next);
-            if let Some(step) = due(dyn_step) {
-                self.dynamics_step += 1;
-                self.at_boundary(step, |env, _| env.tick_dynamics(step));
-            } else if let Some(step) = due(followup_step) {
-                self.at_boundary(step, |env, _| env.fire_followups(step));
-            } else if let Some(step) = due(fault_step) {
-                self.at_boundary(step, Env::fire_next_scripted);
-            } else {
-                let (time, next) = self.lanes.pop().expect("peeked event exists");
-                self.time = time;
-                self.events += 1;
-                match next {
-                    Next::Slot(p) => self.handle_tx(p),
-                    Next::Arrival(frame) => self.handle_rx(frame),
+            // At equal instants the environment goes before the
+            // protocol events.
+            if boundary <= event_time {
+                self.fire_boundary(boundary);
+                boundary = self.next_boundary();
+                continue;
+            }
+            let Some(key) = head else {
+                break;
+            };
+            if P::PEEK_LEVELS > 0 && key.class == ARRIVAL {
+                if self.ahead == 0 {
+                    self.look_ahead();
                 }
+                self.ahead = self.ahead.saturating_sub(1);
+            }
+            let Some(event) = self.lanes.pop_at(key) else {
+                debug_assert!(false, "a peeked event is still queued");
+                break;
+            };
+            self.time = event_time;
+            self.events += 1;
+            match event {
+                Next::Slot(p) => self.handle_tx(p),
+                Next::Arrival(frame) => self.handle_rx(frame),
             }
         }
         self.time = self.time.max(t);
     }
 
+    /// Reads ahead for the arrival lane's next [`LOOK_AHEAD`] frames:
+    /// what [`EventDriver::incorporate`] searches and reads of each
+    /// receiver (its adjacency list, its reception row), then one pass
+    /// per level of [`Protocol::peek_state`] over the receivers'
+    /// states. A pass per level, not a walk per frame: the loads of one
+    /// level do not wait on each other, and the next level finds its
+    /// addresses in cache.
+    fn look_ahead(&mut self) {
+        let (protocol, topo, table) = (&self.env.protocol, &self.env.topo, &self.env.core.table);
+        let batch = || self.lanes.frames.iter().take(LOOK_AHEAD);
+        let mut sum = batch().fold(0u64, |sum, frame| {
+            let r = frame.receiver;
+            let adjacent = topo.neighbors(r).first().map_or(0, |q| q.value());
+            let heard = table.heard.row(r.index()).first().copied().unwrap_or(0);
+            sum.wrapping_add(u64::from(adjacent))
+                .wrapping_add(u64::from(heard))
+        });
+        for level in 0..P::PEEK_LEVELS {
+            sum = batch().fold(sum, |sum, frame| {
+                let state = &table.states[frame.receiver.index()];
+                sum.wrapping_add(protocol.peek_state(state, frame.sender, level))
+            });
+        }
+        // Loads nothing depends on; the black box keeps them.
+        std::hint::black_box(sum);
+        self.ahead = self.lanes.frames.len().min(LOOK_AHEAD);
+    }
+
     fn handle_tx(&mut self, p: NodeId) {
-        let slot = self.armed[p.index()].expect("a queued slot is an armed one");
+        let Some(slot) = self.armed[p.index()] else {
+            debug_assert!(false, "a queued slot is an armed one");
+            return;
+        };
         let gated = self.is_gated();
         if gated && !self.env.core.table.send_pending.contains(p) {
             // Nothing to say and nobody waiting: the slot lapses and
@@ -886,7 +978,7 @@ impl<P: Corruptible, M: Medium> EventDriver<P, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{GatedFlood, MaxFlood};
+    use crate::testkit::{GatedFlood, MaxFlood, PeekFlood};
     use crate::Scenario;
     use mwn_graph::builders;
     use mwn_radio::{BernoulliLoss, SlottedCsma, Thinned};
@@ -939,7 +1031,9 @@ mod tests {
             }
             let mut popped = 0u32;
             while let Some(Reverse(want)) = q.heap.pop() {
-                let (time, next) = q.lanes.pop().expect("the lanes hold what the heap holds");
+                let key = q.lanes.peek().expect("the lanes hold what the heap holds");
+                let next = q.lanes.pop_at(key).expect("and hand out what they show");
+                let time = key.time;
                 assert_eq!(time.to_bits(), want.time.to_bits(), "seed {seed}");
                 popped += 1;
                 let busy = popped < 200;
@@ -977,11 +1071,102 @@ mod tests {
                 }
             }
             assert!(
-                q.lanes.pop().is_none(),
+                q.lanes.peek().is_none(),
                 "seed {seed}: the lanes drained too"
             );
             assert!(popped > 100, "seed {seed}: only {popped} events");
         }
+    }
+
+    #[test]
+    fn a_nan_horizon_processes_nothing_and_leaves_the_clock_alone() {
+        fn stays_put<P: Protocol, M: Medium>(d: &mut EventDriver<P, M>) {
+            let before = (d.time(), d.events_processed(), d.messages_total());
+            d.run_until_time(f64::NAN);
+            let after = (d.time(), d.events_processed(), d.messages_total());
+            assert_eq!(before, after);
+        }
+        // A drained queue (the old loop popped from it and panicked)…
+        let mut drained = driver(GatedFlood, PerfectMedium, builders::line(4));
+        drained.run_until_time(60.0);
+        assert!(drained.lanes.peek().is_none(), "stabilized and silent");
+        stays_put(&mut drained);
+        // …and one that never drains (the old loop never left).
+        let mut eager = driver(MaxFlood, PerfectMedium, builders::line(4));
+        eager.run_until_time(5.0);
+        stays_put(&mut eager);
+        // Nor is anything due at infinity once the queue is empty.
+        let events = drained.events_processed();
+        drained.run_until_time(f64::INFINITY);
+        assert_eq!(drained.events_processed(), events);
+    }
+
+    #[test]
+    fn the_look_ahead_pass_reads_every_arrival_at_every_level_and_nothing_sees_it() {
+        use std::sync::atomic::Ordering::Relaxed;
+        fn counts<P: Protocol, M: Medium>(d: &EventDriver<P, M>) -> [u64; 4] {
+            [
+                d.messages_total(),
+                d.events_processed(),
+                d.frames_attempted(),
+                d.frames_delivered(),
+            ]
+        }
+        let topo = builders::grid(6, 6, 0.22);
+        let medium = || BernoulliLoss::new(0.6);
+        let mut d = driver(PeekFlood::default(), medium(), topo.clone());
+        let mut twin = driver(GatedFlood, medium(), topo);
+        assert!(d.is_gated() && twin.is_gated());
+        let victim = NodeId::new(14);
+        let touching = |d: &EventDriver<PeekFlood, BernoulliLoss>| {
+            let touches = |f: &&Frame| f.receiver == victim || f.sender == victim;
+            d.lanes.frames.iter().filter(touches).count() as u64
+        };
+        let mut severed = 0;
+        for period in 0..60 {
+            if period == 12 {
+                d.inject(&Fault::CorruptAll).expect("valid fault");
+                twin.inject(&Fault::CorruptAll).expect("valid fault");
+                // Wait until copies to or from the victim are in the
+                // air, then cut its links under them.
+                while touching(&d) == 0 {
+                    assert!(d.time() < 14.0, "the re-flood reaches the victim");
+                    let t = d.time() + 0.005;
+                    d.run_until_time(t);
+                    twin.run_until_time(t);
+                }
+                severed = touching(&d);
+                let landing = d.lanes.frames.len() as u64 - severed;
+                let delivered = d.frames_delivered();
+                d.inject(&Fault::Isolate(victim)).expect("valid fault");
+                twin.inject(&Fault::Isolate(victim)).expect("valid fault");
+                let t = d.time() + EventConfig::default().frame_time;
+                d.run_until_time(t);
+                twin.run_until_time(t);
+                // A copy whose link vanished mid-flight pops (and is
+                // read ahead for, below) but never counts as delivered.
+                assert_eq!(d.frames_delivered() - delivered, landing);
+            }
+            d.step();
+            twin.step();
+            // Inert: the twin that declares no level is indistinguishable.
+            assert_eq!(d.states(), twin.states(), "period {period}");
+            assert_eq!(counts(&d), counts(&twin), "period {period}");
+            // Wired: every arrival that popped, and the rest of the
+            // batch in hand, was read once per level — no more.
+            let arrivals = d.frames_delivered() + severed;
+            let peeks = d.env.protocol.state_peeks.load(Relaxed) as u64;
+            let levels = u64::from(PeekFlood::PEEK_LEVELS);
+            assert_eq!(
+                peeks,
+                levels * (arrivals + d.ahead as u64),
+                "period {period}"
+            );
+            assert_eq!(twin.ahead, 0);
+        }
+        assert!(severed > 0 && d.frames_delivered() > 0);
+        let healed = |(i, &s): (usize, &u32)| i == victim.index() || s == 35;
+        assert!(d.states().iter().enumerate().all(healed), "around the cut");
     }
 
     #[test]

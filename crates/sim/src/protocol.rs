@@ -182,6 +182,45 @@ pub trait Protocol: Sync {
         0
     }
 
+    /// How many levels of [`Protocol::peek_state`] this protocol
+    /// answers: the depth of the chain of dependent loads from the
+    /// state column to the deepest heap block a `receive` reads. `0`
+    /// (the default) means the state is a few inline words and the
+    /// event driver runs no look-ahead pass at all.
+    const PEEK_LEVELS: u8 = 0;
+
+    /// The state-side twin of [`Protocol::peek`]: level `k` (below
+    /// [`Protocol::PEEK_LEVELS`]) loads one word of every cache line
+    /// that a [`Protocol::receive`] from `from`, and the
+    /// [`Protocol::update`] after it, reach through `k` dependent loads
+    /// from the state column, and returns their (wrapping) sum.
+    /// **Contract:** writes nothing, never panics — whatever a fault
+    /// forged into the state, whether or not `from` is known to it,
+    /// for any `level` — and is unobservable: no state, output or count
+    /// may depend on it.
+    ///
+    /// The event driver calls it for the receivers of the next few
+    /// frames of its arrival lane, one **pass per level** over all of
+    /// them. On that clock every frame lands on another node's state,
+    /// cold, and reaches what it rewrites through a chain (state column
+    /// → slot block → the sender's entry); handled one frame at a time
+    /// the misses of each chain, and of one chain after another, are
+    /// paid in series. Levels are separate passes because a single pass
+    /// that walks each chain to its end would put the chain's own
+    /// data-dependent branches (a search for `from` among the slots)
+    /// behind its own miss, and little would overlap; level by level,
+    /// the loads of one level are independent of each other and in
+    /// flight together, and the next level finds its addresses in
+    /// cache. So a level must not branch on what it loads: reach
+    /// `from`'s entry by counting, not by searching. Plain loads in
+    /// safe Rust, folded into a [`std::hint::black_box`] by the driver,
+    /// as for [`Protocol::peek`].
+    #[inline]
+    fn peek_state(&self, state: &Self::State, from: NodeId, level: u8) -> u64 {
+        let _ = (state, from, level);
+        0
+    }
+
     /// Declares the scheduling contract this protocol supports; see
     /// [`Activity`]. Conservative default: [`Activity::Eager`] — every
     /// node runs every step, exactly the classic semantics.

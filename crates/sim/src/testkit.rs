@@ -72,6 +72,8 @@ flood!(GatedFlood, Activity::Gated);
 #[derive(Debug, Default)]
 pub(crate) struct PeekFlood {
     pub peeks: AtomicUsize,
+    /// [`Protocol::peek_state`] calls, every level counted.
+    pub state_peeks: AtomicUsize,
 }
 
 impl Protocol for PeekFlood {
@@ -93,10 +95,21 @@ impl Protocol for PeekFlood {
         self.peeks.fetch_add(1, Ordering::Relaxed);
         u64::from(*beacon)
     }
+    const PEEK_LEVELS: u8 = 2;
+    fn peek_state(&self, state: &u32, from: NodeId, level: u8) -> u64 {
+        self.state_peeks.fetch_add(1, Ordering::Relaxed);
+        u64::from(*state) + u64::from(from.value()) + u64::from(level)
+    }
     fn activity(&self) -> Activity {
         Activity::Gated
     }
     fn beacon_changed(&self, old: &u32, new: &u32) -> bool {
         old != new
+    }
+}
+
+impl Corruptible for PeekFlood {
+    fn corrupt(&self, node: NodeId, state: &mut u32, rng: &mut StdRng) {
+        GatedFlood.corrupt(node, state, rng);
     }
 }
