@@ -104,7 +104,12 @@ impl Delivery {
 /// copy — with no cross-sender contention — should return `true` from
 /// [`Medium::independent_fates`], which lets the activity-driven round
 /// driver skip quiescent senders without perturbing anyone else's
-/// frames.
+/// frames. A medium that moreover loses nothing and draws nothing
+/// answers [`Medium::lossless`]: the round driver then skips the
+/// delivery and the freshness scan of a step altogether and pulls each
+/// visited node's frames from its adjacency list — unobservably, since
+/// what such a medium would have recorded is exactly that list
+/// filtered by who sent.
 pub trait Medium {
     /// Delivers one round of broadcasts from `senders`, **appending**
     /// into `out` (the caller resets and sizes it). Appending semantics
@@ -212,6 +217,30 @@ pub trait Medium {
     /// equivalence on stabilization time, delivery ratio and outputs),
     /// not byte-identical like the independent-fates gating.
     fn gated_contention(&self) -> bool {
+        false
+    }
+
+    /// `true` when the medium promises that **every** in-range copy of
+    /// every sender is delivered, exactly once, through every entry
+    /// point, and that no randomness is drawn doing so. Implies
+    /// [`Medium::independent_fates`]. Conservative default: `false`.
+    ///
+    /// A round is then a fact the topology already states — a node
+    /// heard exactly its sending 1-neighbors — so the synchronous round
+    /// driver does not ask such a medium to deliver at all: it reads a
+    /// node's frames off its adjacency list and the set of senders, and
+    /// counts `attempted = delivered = Σ degree(sender)`. Nothing can
+    /// tell the difference: the same frames reach the same receivers in
+    /// the same (ascending sender) order, and the untouched RNG stream
+    /// is the one a call would have handed back. The event driver and
+    /// the actor fabric never ask.
+    ///
+    /// The promise is about the medium as a whole, not about a
+    /// parameter value: a wrapper such as [`crate::Thinned`] does not
+    /// forward it, even at survival 1.0 (it still draws a coin per
+    /// copy). Held to its word, for every shipped medium, by
+    /// `crates/radio/tests/properties.rs`.
+    fn lossless(&self) -> bool {
         false
     }
 

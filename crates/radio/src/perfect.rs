@@ -11,6 +11,12 @@ use crate::{Delivery, Medium};
 /// time unit is called a *step*." With this medium one driver round is
 /// exactly one such step, and τ = 1.
 ///
+/// "Receive **all** packets sent by its 1-neighbors" is also the
+/// promise behind [`Medium::lossless`], which this medium alone
+/// makes: the round driver takes the sentence at its word and reads a
+/// node's frames off its adjacency list instead of calling
+/// [`Medium::deliver_from`] once per sender.
+///
 /// # Examples
 ///
 /// ```
@@ -59,6 +65,10 @@ impl Medium for PerfectMedium {
     }
 
     fn proxyable(&self) -> bool {
+        true
+    }
+
+    fn lossless(&self) -> bool {
         true
     }
 

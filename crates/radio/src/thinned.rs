@@ -122,6 +122,10 @@ impl<M: Medium> Medium for Thinned<M> {
         self.inner.proxyable()
     }
 
+    // `lossless` keeps its `false` default whatever the inner medium
+    // answers: even at survival 1.0 a coin is drawn per delivered copy,
+    // and "draws nothing" is half of that promise.
+
     fn proxy_fates(
         &self,
         topo: &Topology,

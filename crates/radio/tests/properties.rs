@@ -146,13 +146,63 @@ proptest! {
         }
     }
 
-    /// The perfect medium delivers every in-range copy.
+    /// `Medium::lossless` is checked, not trusted — the round driver
+    /// does not call a medium that answers `true`, so everything such a
+    /// call would have done is pinned here: through `deliver_into`,
+    /// through one `deliver_from` per sender and through `proxy_fates`,
+    /// each in-range (receiver, sender) pair is recorded exactly once,
+    /// in ascending sender order per receiver, `attempted == delivered
+    /// == Σ degree`, and the RNG comes back as it was handed over. Only
+    /// the perfect medium makes the promise; thinning it never does.
     #[test]
-    fn perfect_medium_is_lossless(topo in topo_strategy(), seed in 0u64..u64::MAX) {
-        let senders: Vec<NodeId> = topo.nodes().collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let delivery = PerfectMedium.deliver(&topo, &senders, &mut rng);
-        prop_assert_eq!(delivery.attempted, delivery.delivered);
+    fn lossless_media_deliver_every_copy_once_and_draw_nothing(
+        topo in topo_strategy(),
+        seed in 0u64..u64::MAX,
+        sender_mask in 0u64..u64::MAX,
+        survival in 1u32..=100,
+    ) {
+        let senders: Vec<NodeId> = topo
+            .nodes()
+            .filter(|p| (sender_mask >> (p.index() % 64)) & 1 == 1)
+            .collect();
+        let in_range: usize = senders.iter().map(|&s| topo.degree(s)).sum();
+        // What every receiver must have heard: its sending neighbors.
+        let expected: Vec<Vec<NodeId>> = topo
+            .nodes()
+            .map(|r| topo.neighbors(r).iter().copied().filter(|s| senders.contains(s)).collect())
+            .collect();
+        let untouched = StdRng::seed_from_u64(seed);
+        for mut medium in media() {
+            let name = medium.name();
+            prop_assert_eq!(medium.lossless(), name == "perfect", "{}", name);
+            if !medium.lossless() {
+                continue;
+            }
+            prop_assert!(medium.independent_fates() && medium.proxyable(), "{}", name);
+            let mut rng = untouched.clone();
+            let whole = medium.deliver(&topo, &senders, &mut rng);
+            let mut by_sender = Delivery::empty(topo.len());
+            let mut by_proxy = vec![Vec::new(); topo.len()];
+            let (mut fates, mut attempted) = (Vec::new(), 0);
+            for &s in &senders {
+                medium.deliver_from(&topo, s, &mut rng, &mut by_sender);
+                fates.clear();
+                attempted += medium.proxy_fates(&topo, s, &mut rng, &mut fates);
+                for &r in &fates {
+                    by_proxy[r.index()].push(s);
+                }
+            }
+            prop_assert_eq!(&rng, &untouched, "{} drew from its stream", name);
+            for delivery in [&whole, &by_sender] {
+                prop_assert_eq!(check_laws(&topo, &senders, delivery), Ok(()));
+                prop_assert_eq!(&delivery.heard, &expected, "{}", name);
+                prop_assert_eq!((delivery.attempted, delivery.delivered), (in_range, in_range));
+            }
+            prop_assert_eq!(&by_proxy, &expected, "{} by proxy", name);
+            prop_assert_eq!(attempted, in_range);
+        }
+        let survival = f64::from(survival) / 100.0;
+        prop_assert!(!Thinned::new(PerfectMedium, survival).lossless(), "at {}", survival);
     }
 
     /// Every medium keeps τ strictly positive under full contention —

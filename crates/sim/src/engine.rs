@@ -22,10 +22,8 @@
 //!   function* of `(seed, node, slot index)`, so a node skipped while
 //!   silent consumes no randomness and its future transmission times
 //!   are independent of how long it slept;
-//! * [`run_pooled`] — the scoped-thread work-stealing pool behind
-//!   [`crate::Sweep`];
-//! * [`run_sharded`] — the allocation-free variant backing the
-//!   per-node visits of both period-clocked drivers, the actor
+//! * [`run_sharded`] — the allocation-free scoped-thread pass backing
+//!   the per-node visits of both period-clocked drivers, the actor
 //!   fabric's send phase and the traffic plane's batch forwarding:
 //!   workers write into caller-owned, reused slots instead of
 //!   returning fresh `Vec`s; [`ShardPolicy`] decides how many;
@@ -115,9 +113,20 @@ impl NodeSet {
         }
     }
 
+    /// [`NodeSet::new`] with the insertion log already at node count,
+    /// for a set whose first insert must not be the one that allocates.
+    pub fn with_full_log(n: usize) -> Self {
+        NodeSet {
+            list: Vec::with_capacity(n),
+            ..NodeSet::new(n)
+        }
+    }
+
+    /// Inserts `p`; returns `true` when it was not a member yet.
     #[inline]
-    pub fn insert(&mut self, p: NodeId) {
-        if self.bits.set(p.index()) {
+    pub fn insert(&mut self, p: NodeId) -> bool {
+        let fresh = self.bits.set(p.index());
+        if fresh {
             if self.list.len() == self.list.capacity() && self.list.capacity() < self.bits.len() {
                 // Grow once, straight to node count: converging-phase
                 // insert storms never reallocate the log mid-step.
@@ -125,6 +134,7 @@ impl NodeSet {
             }
             self.list.push(p);
         }
+        fresh
     }
 
     #[inline]
@@ -621,61 +631,15 @@ impl SlotClock {
     }
 }
 
-/// Runs `job(0..tasks)` over a scoped work-stealing thread pool and
-/// returns the results **in task order** — the schedule cannot leak
-/// into the results. With `threads <= 1` (or a single task) the jobs
-/// run inline on the calling thread; the two paths are byte-identical
-/// because each job sees only its task index.
-///
-/// [`crate::Sweep`] fans seeds over it; the per-step passes that own
-/// reusable arenas use [`run_sharded`] instead. Note the worker
-/// contract: jobs get only shared, immutable access to captured state
-/// (`Fn` + `Sync`), so a caller that needs to mutate must split its
-/// pass into a read-only examine phase here plus a serial merge of the
-/// returned values.
-pub fn run_pooled<T, F>(tasks: usize, threads: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if threads <= 1 || tasks <= 1 {
-        return (0..tasks).map(job).collect();
-    }
-    let workers = threads.min(tasks);
-    let results: std::sync::Mutex<Vec<Option<T>>> =
-        std::sync::Mutex::new((0..tasks).map(|_| None).collect());
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= tasks {
-                    break;
-                }
-                let out = job(i);
-                results.lock().expect("pool worker lock")[i] = Some(out);
-            });
-        }
-    });
-    results
-        .into_inner()
-        .expect("pool worker lock")
-        .into_iter()
-        .map(|r| r.expect("every task index is filled exactly once"))
-        .collect()
-}
-
 /// Runs `job(i, &mut scratch[i])` for every scratch slot, one scoped
-/// worker thread per slot — the allocation-free sibling of
-/// [`run_pooled`] for callers that own reusable per-task arenas.
+/// worker thread per slot — the allocation-free pass for callers that
+/// own reusable per-task arenas.
 ///
-/// Where [`run_pooled`] returns freshly allocated per-task values
-/// (and pays a `Mutex`-guarded result vector), workers here write
-/// directly into the caller's pre-sized scratch slots: in steady state
-/// the only cost beyond the job itself is thread spawn, and with a
-/// single slot the job runs inline with no cost at all. Slot index
-/// order is the task order — the schedule cannot leak into the
-/// results, because each worker owns exactly one slot.
+/// Workers write directly into the caller's pre-sized scratch slots:
+/// in steady state the only cost beyond the job itself is thread
+/// spawn, and with a single slot the job runs inline with no cost at
+/// all. Slot index order is the task order — the schedule cannot leak
+/// into the results, because each worker owns exactly one slot.
 pub fn run_sharded<S, F>(scratch: &mut [S], job: F)
 where
     S: Send,
@@ -848,15 +812,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn pooled_results_come_back_in_task_order() {
-        let serial = run_pooled(37, 1, |i| i * i);
-        let pooled = run_pooled(37, 4, |i| i * i);
-        assert_eq!(serial, pooled);
-        assert_eq!(pooled[5], 25);
-        assert!(run_pooled(0, 4, |i| i).is_empty());
     }
 
     #[test]

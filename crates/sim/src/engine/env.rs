@@ -234,7 +234,9 @@ impl<P: Protocol> Env<P> {
     ///
     /// 1. a medium records a (sender, 1-neighbor) pair at most once, so
     ///    `delivered == Σ degree(s)` means *every* neighbor of every
-    ///    sender heard it (`crates/radio/tests/properties.rs`);
+    ///    sender heard it (`crates/radio/tests/properties.rs`) — and a
+    ///    round-driver step over a lossless medium, which is not asked
+    ///    to record anything, reports that sum because it is that fact;
     /// 2. a receiver that heard a beacon epoch it had not incorporated
     ///    was visited, and the visit wrote that epoch into its row;
     /// 3. a receiver that was not visited already held it — so after

@@ -18,7 +18,9 @@
 //!   [`any_fresh`]) probe a receiver's sorted adjacency slice with one
 //!   binary search per delivered sender: at radio degrees (tens of
 //!   neighbors) a handful of well-predicted probes over one or two
-//!   cache lines;
+//!   cache lines (a step over a lossless medium needs neither — it
+//!   reads the row and the adjacency list side by side, the slot being
+//!   the loop index);
 //! * **one arena** — [`HeardTable`] flattens the per-node reception
 //!   rows (`Vec<Vec<u32>>`, one heap allocation per node) into one CSR
 //!   arena: each row is a contiguous `&[u32]` slice, rows are laid out
@@ -234,16 +236,17 @@ fn decode_word(w: u64, base: u32, out: &mut Vec<NodeId>) {
 /// Keys may arrive in any order (contention media own their push
 /// order).
 ///
-/// # Panics
-///
-/// Panics when a key is absent: media may deliver only between
-/// 1-neighbors, so an absent sender is an engine invariant violation.
+/// Media may deliver only between 1-neighbors, so an absent key is a
+/// broken [`mwn_radio::Medium`]: debug builds panic naming the
+/// invariant, release builds drop the frame — out of range, never
+/// heard — rather than take the engine down mid-step.
 #[inline]
 pub fn sorted_positions<F: FnMut(usize, NodeId)>(haystack: &[NodeId], keys: &[NodeId], mut f: F) {
     for &s in keys {
-        let idx = haystack
-            .binary_search(&s)
-            .expect("media deliver only between 1-neighbors");
+        let Ok(idx) = haystack.binary_search(&s) else {
+            debug_assert!(false, "media deliver only between 1-neighbors, {s} is none");
+            continue;
+        };
         f(idx, s);
     }
 }
@@ -259,7 +262,8 @@ pub fn sorted_positions<F: FnMut(usize, NodeId)>(haystack: &[NodeId], keys: &[No
 ///
 /// Early-exits on the first fresh epoch: during converging the very
 /// first delivered frame is almost always fresh, so bailing out there
-/// beats OR-accumulating the whole row.
+/// beats OR-accumulating the whole row. A sender that is no neighbor
+/// is never fresh — [`sorted_positions`] will drop its frame.
 #[inline]
 pub fn any_fresh(
     heard_row: &[u32],
@@ -268,9 +272,10 @@ pub fn any_fresh(
     senders: &[NodeId],
 ) -> bool {
     senders.iter().any(|&s| {
-        let idx = neighbors
-            .binary_search(&s)
-            .expect("media deliver only between 1-neighbors");
+        let Ok(idx) = neighbors.binary_search(&s) else {
+            debug_assert!(false, "media deliver only between 1-neighbors, {s} is none");
+            return false;
+        };
         heard_row[idx] != epochs[s.index()]
     })
 }
@@ -570,11 +575,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "1-neighbors")]
-    fn sorted_join_rejects_absent_keys() {
+    #[cfg_attr(debug_assertions, should_panic(expected = "1-neighbors"))]
+    fn the_joins_name_an_out_of_range_frame_in_debug_and_drop_it_in_release() {
         let haystack = [NodeId::new(1), NodeId::new(4)];
-        sorted_positions(&haystack, &[NodeId::new(4); 9], |_, _| {});
-        sorted_positions(&haystack, &[NodeId::new(2); 9], |_, _| {});
+        let keys = [NodeId::new(4), NodeId::new(2), NodeId::new(1)];
+        let mut joined = Vec::new();
+        sorted_positions(&haystack, &keys, |idx, s| joined.push((idx, s)));
+        assert_eq!(joined, [(1, NodeId::new(4)), (0, NodeId::new(1))]);
+        // Row and epochs agree on both neighbors: the stranger alone
+        // must not read as fresh.
+        assert!(!any_fresh(&[7, 7], &[0, 7, 9, 0, 7], &haystack, &keys));
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! mutates its [`Shard`] in place — nothing is copied out or merged
 //! back — and one worker is simply the calling thread. What differs
 //! between the drivers is the frame loop inside a visit (a `Delivery`
-//! join, a mailbox drain): the closure they hand to [`Env::visit`].
+//! join, the adjacency list read against the frozen set of senders, a
+//! mailbox drain): the closure they hand to [`Env::visit`].
 //!
 //! The round driver's frame loop is preceded, inside the same visit, by
 //! one look-ahead pass over the beacons the node heard
@@ -21,9 +22,11 @@
 //! A visit also settles what the period's tail may assume: every frame
 //! copy a visited node heard is written into its reception row, and a
 //! node that heard only epochs it already held is not visited at all —
-//! the two facts `Env::retire_caught_up` rests on when a period loses
-//! no copy. The forced-change marks the change rule reads are consumed
-//! when the workers have joined, under either scheduling.
+//! left out of the candidates, or, where the round driver pulls its
+//! frames, passed over before its visit opens — the two facts
+//! `Env::retire_caught_up` rests on when a period loses no copy. The
+//! forced-change marks the change rule reads are consumed when the
+//! workers have joined, under either scheduling.
 
 use mwn_graph::{NodeId, Topology};
 
@@ -121,6 +124,9 @@ pub(crate) struct Shard<'a, P: Protocol, C> {
     pub topo: &'a Topology,
     pub beacons: &'a [P::Beacon],
     pub epoch: &'a [u32],
+    /// The period's senders. Frozen like the columns: slot release
+    /// wrote it before the visits, retirement writes it after them.
+    pub sending: &'a NodeSet,
     forced_changed: &'a NodeSet,
     update_base: u64,
     now: u64,
@@ -201,6 +207,7 @@ impl<P: Protocol> Env<P> {
                 topo: &self.topo,
                 beacons: &table.beacons,
                 epoch: &table.epoch,
+                sending: &table.send_pending,
                 forced_changed: &table.forced_changed,
                 update_base: self.core.update_base,
                 now,

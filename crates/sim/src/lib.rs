@@ -108,7 +108,7 @@ pub use actor::ActorDriver;
 pub use convergence::StabilityTracker;
 pub use driver::Driver;
 pub use engine::kernels;
-pub use engine::{run_pooled, run_sharded, ShardPolicy};
+pub use engine::{run_sharded, ShardPolicy};
 pub use error::SimError;
 pub use events::{EventConfig, EventDriver};
 pub use faults::{Fault, FaultPlan, Lie, Region};

@@ -3,7 +3,7 @@ use mwn_radio::{Delivery, Medium, Occupancy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::engine::{self, kernels, Env, ShardPolicy};
+use crate::engine::{self, kernels, Env, NodeSet, ShardPolicy};
 use crate::rng::{derive_seed, streams};
 use crate::stop::{RunReport, StopWhen};
 use crate::{Activity, Corruptible, Fault, Observable, Protocol, SimError};
@@ -44,7 +44,9 @@ pub struct StepActivity {
 /// 3. every *scheduled* node snapshots its shared variables
 ///    ([`Protocol::beacon`]) — simultaneous, so information moves at
 ///    most one hop per step, exactly as in the paper's Table 2;
-/// 4. the [`Medium`] decides which frame copies arrive;
+/// 4. the [`Medium`] decides which frame copies arrive, and the nodes
+///    that heard a beacon epoch they have not incorporated yet join the
+///    scheduled ones;
 /// 5. receivers process arrivals ([`Protocol::receive`]) — each visit
 ///    first reads ahead through every beacon it heard
 ///    ([`Protocol::peek`]), so their cache misses overlap — and
@@ -53,6 +55,21 @@ pub struct StepActivity {
 /// 6. under gated scheduling, senders every neighbor has caught up
 ///    with retire: by count alone on a step that lost no frame copy,
 ///    by consulting the reception rows otherwise.
+///
+/// A medium that loses nothing ([`Medium::lossless`] — the step the
+/// paper simulates) is not asked at 4: what it would have recorded is
+/// what the topology already states, *a node heard exactly its sending
+/// neighbors, in adjacency order*. The step marks the senders'
+/// neighbors as candidates instead (bit inserts, no per-receiver list),
+/// and a visit at 5 reads its frames off the node's adjacency list
+/// against the frozen set of senders — the reception slot is the loop
+/// index, not a search — passing over a candidate that was not
+/// scheduled and holds every epoch it heard, before its visit opens.
+/// That is the same set of visits, the same frames and the same
+/// (ascending sender) receive order the delivered lists produce, so
+/// nothing observable moves: states, [`StepActivity`], reports and
+/// digests are byte-identical, gated or eager, on any shard count
+/// (`pulled_steps_equal_pushed_steps` in this module's tests).
 ///
 /// # Activity-driven scheduling
 ///
@@ -109,10 +126,81 @@ pub struct Network<P: Protocol, M> {
     // Reused step buffers: no per-step allocation in steady state.
     senders_buf: Vec<NodeId>,
     active_buf: Vec<NodeId>,
+    /// Sized by the first step that asks the medium to deliver; a
+    /// lossless medium is never asked.
     delivery: Delivery,
+    /// Lossless steps only: the candidates that are visited for what
+    /// they heard alone, and so only if some of it is fresh.
+    hearers: NodeSet,
     // Per-step observability for metrics.
     last_activity: StepActivity,
     messages_total: u64,
+}
+
+/// Where the visits of a step read their frames from — the one thing
+/// the two kinds of step differ in.
+#[derive(Clone, Copy)]
+enum Frames<'a> {
+    /// The medium was asked: node `p` heard `heard[p]`, each sender
+    /// located in `p`'s sorted adjacency list by one binary search.
+    Pushed(&'a Delivery),
+    /// A lossless medium was not: `p` heard exactly its `sending`
+    /// neighbors, in adjacency order, at the slot that is their
+    /// position. `hearers` are the candidates nothing but a frame
+    /// scheduled.
+    Pulled {
+        sending: &'a NodeSet,
+        hearers: &'a NodeSet,
+    },
+}
+
+impl Frames<'_> {
+    /// Calls `f(slot, sender)` for every frame `p` heard this step,
+    /// `slot` being the sender's position in `neighbors` (and in `p`'s
+    /// reception row).
+    #[inline]
+    fn slots(self, p: NodeId, neighbors: &[NodeId], mut f: impl FnMut(usize, NodeId)) {
+        match self {
+            Frames::Pushed(delivery) => {
+                kernels::sorted_positions(neighbors, &delivery.heard[p.index()], f);
+            }
+            Frames::Pulled { sending, .. } => {
+                for (idx, &s) in neighbors.iter().enumerate() {
+                    if sending.contains(s) {
+                        f(idx, s);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Calls `f(sender)` for the same frames in the same order, without
+    /// locating them.
+    #[inline]
+    fn senders(self, p: NodeId, neighbors: &[NodeId], mut f: impl FnMut(NodeId)) {
+        match self {
+            Frames::Pushed(delivery) => delivery.heard[p.index()].iter().for_each(|&s| f(s)),
+            Frames::Pulled { .. } => self.slots(p, neighbors, |_, s| f(s)),
+        }
+    }
+
+    /// `true` when candidate `p` is not to be visited: nothing but what
+    /// it heard scheduled it, and its reception `row` already holds the
+    /// epoch of every frame. A delivered step never says so — its
+    /// freshness scan left such a node out of the candidates.
+    #[inline]
+    fn all_held(self, p: NodeId, neighbors: &[NodeId], row: &[u32], epoch: &[u32]) -> bool {
+        match self {
+            Frames::Pushed(_) => false,
+            Frames::Pulled { sending, hearers } => {
+                hearers.contains(p)
+                    && !neighbors
+                        .iter()
+                        .zip(row)
+                        .any(|(&s, &held)| held != epoch[s.index()] && sending.contains(s))
+            }
+        }
+    }
 }
 
 impl<P: Protocol, M> std::fmt::Debug for Network<P, M>
@@ -139,6 +227,9 @@ impl<P: Protocol, M: Medium> Network<P, M> {
             // maintains the summary alongside `send_pending`.
             env.core.table.occupancy = Some(Occupancy::new(env.topo.len()));
         }
+        // The node count is fixed for a driver's life: what a lossless
+        // step writes is sized here, so no step is the one that allocates.
+        let n = if medium.lossless() { env.topo.len() } else { 0 };
         Network {
             env,
             medium,
@@ -146,8 +237,9 @@ impl<P: Protocol, M: Medium> Network<P, M> {
             step: 0,
             shards: ShardPolicy::from_env(),
             senders_buf: Vec::new(),
-            active_buf: Vec::new(),
+            active_buf: Vec::with_capacity(n),
             delivery: Delivery::empty(0),
+            hearers: NodeSet::with_full_log(n),
             last_activity: StepActivity::default(),
             messages_total: 0,
         }
@@ -250,64 +342,17 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         // then pick the senders of this round.
         self.env.release_slots(eager, &mut self.senders_buf);
 
-        // Phase 3: frame delivery. Media with independent fates get one
-        // derived stream per (step, sender), so a frame's fate can
-        // never depend on who else transmitted. Gated contention media
-        // deliver the active set exactly while folding the retired
-        // population in statistically (per-(step, sender) and
-        // per-(step, receiver, sender) streams). Everything else —
-        // and every eager round — evaluates the full sender set on the
-        // sequential medium stream.
-        self.delivery.reset(self.env.topo.len());
-        if self.medium.independent_fates() {
-            for &s in &self.senders_buf {
-                let mut rng = self.env.core.medium_rng(self.step, s);
-                self.medium
-                    .deliver_from(&self.env.topo, s, &mut rng, &mut self.delivery);
-            }
-        } else if !eager && self.medium.gated_contention() {
-            let streams = self.env.core.contention_streams(self.step);
-            let occ = self
-                .env
-                .core
-                .table
-                .occupancy
-                .as_ref()
-                .expect("gated contention maintains an occupancy summary");
-            self.medium.deliver_occupied_into(
-                &self.env.topo,
-                &self.senders_buf,
-                occ,
-                &streams,
-                &mut self.delivery,
-            );
+        // Phases 3–4: frame delivery and the active set — nodes already
+        // dirty plus receivers of a beacon epoch they have not
+        // incorporated yet.
+        let lossless = self.medium.lossless();
+        let (attempted, delivered) = if lossless {
+            let in_range = self.mark_hearers();
+            (in_range, in_range)
         } else {
-            self.medium.deliver_into(
-                &self.env.topo,
-                &self.senders_buf,
-                &mut self.medium_rng,
-                &mut self.delivery,
-            );
-        }
-
-        // Phase 4: the active set — nodes already dirty plus receivers
-        // of a beacon epoch they have not incorporated yet. The
-        // freshness test is the branch-lean epoch-compare kernel over
-        // the receiver's contiguous reception row.
-        if !eager {
-            let table = &mut self.env.core.table;
-            let topo = &self.env.topo;
-            for &r in &self.delivery.touched {
-                if kernels::any_fresh(
-                    table.heard.row(r.index()),
-                    &table.epoch,
-                    topo.neighbors(r),
-                    &self.delivery.heard[r.index()],
-                ) {
-                    table.update_dirty.insert(r);
-                }
-            }
-        }
+            self.deliver(eager);
+            (self.delivery.attempted, self.delivery.delivered)
+        };
         self.env
             .core
             .table
@@ -319,15 +364,14 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         // touch their own state and read frozen beacons, so per-node
         // processing is equivalent to the classic all-receives-then-
         // all-updates phasing — and embarrassingly parallel: each
-        // shard visits its chunk of the active set in place. Each
-        // delivered sender is located in the receiver's sorted
-        // adjacency list by one binary search per frame. A visit opens
-        // with the look-ahead pass ([`Protocol::peek`]): asked for
+        // shard visits its chunk of the active set in place. A visit
+        // opens with the look-ahead pass ([`Protocol::peek`]): asked for
         // together, up front, the cache misses of all the beacons it
         // heard are in flight at once instead of one receive at a time.
         let now = self.step;
         let active = self.active_buf.len();
         let shards = self.shards.count(active, active);
+        let pulled = lossless.then_some(&self.hearers);
         let delivery = &self.delivery;
         let (receives, updates) = self.env.visit(
             now,
@@ -338,18 +382,30 @@ impl<P: Protocol, M: Medium> Network<P, M> {
             |shard| {
                 let (beacons, epoch) = (shard.beacons, shard.epoch);
                 let (protocol, topo) = (shard.protocol, shard.topo);
+                let frames = match pulled {
+                    Some(hearers) => Frames::Pulled {
+                        sending: shard.sending,
+                        hearers,
+                    },
+                    None => Frames::Pushed(delivery),
+                };
                 for &p in shard.candidates {
-                    let heard = &delivery.heard[p.index()];
+                    let neighbors = topo.neighbors(p);
+                    let (state, row, scratch) = shard.open(p);
+                    if frames.all_held(p, neighbors, row, epoch) {
+                        continue;
+                    }
                     // Look-ahead: plain loads nothing depends on; the
                     // black box is what keeps them from being deleted.
-                    let ahead = heard.iter().fold(0u64, |sum, s| {
-                        sum.wrapping_add(u64::from(epoch[s.index()]))
-                            .wrapping_add(protocol.peek(&beacons[s.index()]))
+                    let mut ahead = 0u64;
+                    frames.senders(p, neighbors, |s| {
+                        ahead = ahead
+                            .wrapping_add(u64::from(epoch[s.index()]))
+                            .wrapping_add(protocol.peek(&beacons[s.index()]));
                     });
                     std::hint::black_box(ahead);
-                    let (state, row, scratch) = shard.open(p);
                     scratch.snapshot(state);
-                    kernels::sorted_positions(topo.neighbors(p), heard, |idx, s| {
+                    frames.slots(p, neighbors, |idx, s| {
                         let e = epoch[s.index()];
                         // Eager mode processes every delivered
                         // frame (classic semantics); gated mode
@@ -366,18 +422,18 @@ impl<P: Protocol, M: Medium> Network<P, M> {
                 }
             },
         );
+        self.hearers.clear();
 
         // Phase 6: retire senders every neighbor has caught up with —
         // all of them, unasked, when the step delivered every copy.
         if !eager {
-            self.env
-                .retire_caught_up(&self.senders_buf, self.delivery.delivered);
+            self.env.retire_caught_up(&self.senders_buf, delivered);
         }
 
         self.last_activity = StepActivity {
             senders: self.senders_buf.len(),
-            frames_attempted: self.delivery.attempted,
-            frames_delivered: self.delivery.delivered,
+            frames_attempted: attempted,
+            frames_delivered: delivered,
             receives,
             updates,
             changed: self.env.core.table.changed.len(),
@@ -385,6 +441,93 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         self.messages_total += self.senders_buf.len() as u64;
         self.step += 1;
         self.step
+    }
+
+    /// Phases 3–4 of a step whose medium must be asked: the frame
+    /// copies that arrive land in `delivery`, and every receiver of a
+    /// beacon epoch it has not incorporated yet is scheduled. Media
+    /// with independent fates get one derived stream per (step,
+    /// sender), so a frame's fate can never depend on who else
+    /// transmitted. Gated contention media deliver the active set
+    /// exactly while folding the retired population in statistically
+    /// (per-(step, sender) and per-(step, receiver, sender) streams).
+    /// Everything else — and every eager round — evaluates the full
+    /// sender set on the sequential medium stream.
+    fn deliver(&mut self, eager: bool) {
+        let (core, topo) = (&mut self.env.core, &self.env.topo);
+        self.delivery.reset(topo.len());
+        // A gated contention round without its summary (never built:
+        // `Network::new` installs it) falls back to the full sender set.
+        let occupancy = if !eager && self.medium.gated_contention() {
+            debug_assert!(
+                core.table.occupancy.is_some(),
+                "gated contention maintains an occupancy summary"
+            );
+            core.table.occupancy.as_ref()
+        } else {
+            None
+        };
+        if self.medium.independent_fates() {
+            for &s in &self.senders_buf {
+                let mut rng = core.medium_rng(self.step, s);
+                self.medium
+                    .deliver_from(topo, s, &mut rng, &mut self.delivery);
+            }
+        } else if let Some(occ) = occupancy {
+            let streams = core.contention_streams(self.step);
+            self.medium.deliver_occupied_into(
+                topo,
+                &self.senders_buf,
+                occ,
+                &streams,
+                &mut self.delivery,
+            );
+        } else {
+            self.medium.deliver_into(
+                topo,
+                &self.senders_buf,
+                &mut self.medium_rng,
+                &mut self.delivery,
+            );
+        }
+        if eager {
+            return;
+        }
+        // The freshness test is the branch-lean epoch-compare kernel
+        // over the receiver's contiguous reception row.
+        let table = &mut core.table;
+        for &r in &self.delivery.touched {
+            if kernels::any_fresh(
+                table.heard.row(r.index()),
+                &table.epoch,
+                topo.neighbors(r),
+                &self.delivery.heard[r.index()],
+            ) {
+                table.update_dirty.insert(r);
+            }
+        }
+    }
+
+    /// Phases 3–4 of a lossless step, where there is nothing to ask:
+    /// every neighbor of a sender heard it. Those not scheduled anyway
+    /// become candidates — remembered in `hearers`, so that their visit
+    /// can pass them over if all they heard is what they hold. Returns
+    /// the senders' summed degree, which is both the copies attempted
+    /// and the copies delivered. Costs that many bit operations;
+    /// nothing here is proportional to n.
+    fn mark_hearers(&mut self) -> usize {
+        let (table, topo) = (&mut self.env.core.table, &self.env.topo);
+        let mut in_range = 0;
+        for &s in &self.senders_buf {
+            let heard_by = topo.neighbors(s);
+            in_range += heard_by.len();
+            for &r in heard_by {
+                if table.update_dirty.insert(r) {
+                    self.hearers.insert(r);
+                }
+            }
+        }
+        in_range
     }
 
     /// Runs `steps` synchronous steps.
@@ -552,9 +695,11 @@ impl<P: Corruptible, M: Medium> Network<P, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{GatedFlood, MaxFlood, PeekFlood};
-    use mwn_graph::builders;
+    use crate::testkit::{GatedFlood, MaxFlood, PeekFlood, Pushed, TraceFlood};
+    use crate::{FaultPlan, Lie, Scenario};
+    use mwn_graph::{builders, traversal};
     use mwn_radio::{BernoulliLoss, PerfectMedium};
+    use proptest::prelude::*;
 
     #[test]
     fn max_flood_converges_on_a_line() {
@@ -827,29 +972,54 @@ mod tests {
 
     #[test]
     fn the_look_ahead_pass_peeks_every_frame_of_a_visited_receiver_and_nothing_sees_it() {
+        peeks_are_wired_and_inert(|| BernoulliLoss::new(0.6), || BernoulliLoss::new(0.6));
+        // A lossless step peeks the frames it pulls: the sending
+        // neighbors of exactly the nodes a delivered step visits.
+        peeks_are_wired_and_inert(|| PerfectMedium, || Pushed(PerfectMedium));
+    }
+
+    /// Drives a `PeekFlood` over `medium()` beside a twin that never
+    /// peeks, and beside a reference over `asked()` — the same medium,
+    /// asked to deliver — whose `Delivery` names each step's visited
+    /// receivers and the frames they heard.
+    fn peeks_are_wired_and_inert<M: Medium, A: Medium>(
+        medium: impl Fn() -> M,
+        asked: impl Fn() -> A,
+    ) {
         use std::sync::atomic::Ordering::Relaxed;
+        let topo = builders::grid(6, 6, 0.22);
+        // `a` changes in one step; in the next it is visited for that
+        // alone while `c` re-sends an epoch `a` holds, for `b`'s sake.
+        let a = NodeId::new(21);
+        let c = topo.neighbors(a)[0];
+        let far = |q: &&NodeId| **q != a && !topo.has_edge(a, **q);
+        let b = *topo.neighbors(c).iter().find(far).expect("a grid");
         for shards in [1, 4] {
-            let topo = builders::grid(6, 6, 0.22);
-            let medium = || BernoulliLoss::new(0.6);
             let mut net = Network::new(PeekFlood::default(), medium(), topo.clone(), 5);
-            let mut twin = Network::new(GatedFlood, medium(), topo, 5);
+            let mut twin = Network::new(GatedFlood, medium(), topo.clone(), 5);
+            let mut reference = Network::new(GatedFlood, asked(), topo.clone(), 5);
             net.set_shards(Some(shards));
             twin.set_shards(Some(shards));
+            reference.set_shards(Some(shards));
             assert!(net.is_gated());
             let (mut total, mut skipped) = (0, 0);
             for step in 0..60 {
-                if step == 25 {
-                    *net.state_mut(NodeId::new(35)) = 0;
-                    *twin.state_mut(NodeId::new(35)) = 0;
+                for (at, p) in [(25, a), (26, b)] {
+                    if step == at {
+                        *net.state_mut(p) = 0;
+                        *twin.state_mut(p) = 0;
+                        *reference.state_mut(p) = 0;
+                    }
                 }
                 let before = net.protocol().peeks.load(Relaxed);
                 net.step();
                 twin.step();
+                reference.step();
                 let peeks = net.protocol().peeks.load(Relaxed) - before;
                 // One peek per frame copy a visited receiver heard —
                 // also the copies the gated receive loop then skips.
-                let heard = |p: &NodeId| net.delivery.heard[p.index()].len();
-                let visited: usize = net.active_buf.iter().map(heard).sum();
+                let heard = |p: &NodeId| reference.delivery.heard[p.index()].len();
+                let visited: usize = reference.active_buf.iter().map(heard).sum();
                 assert_eq!(peeks, visited, "step {step}, {shards} shards");
                 assert!(peeks <= net.last_activity().frames_delivered);
                 assert!(peeks >= net.last_activity().receives);
@@ -859,8 +1029,103 @@ mod tests {
                 assert_eq!(net.states(), twin.states());
                 assert_eq!(net.last_activity(), twin.last_activity());
                 assert_eq!(net.last_changed(), twin.last_changed());
+                assert_eq!(net.last_activity(), reference.last_activity());
             }
             assert!(total > 0 && skipped > 0, "{total} peeks, {skipped} skipped");
+        }
+    }
+
+    /// A uniform deployment of `n` nodes that is connected: the first
+    /// of the seeds `seed, seed + 1, …` to yield one.
+    fn connected_uniform(n: usize, radius: f64, seed: u64) -> Topology {
+        (seed..)
+            .map(|seed| builders::uniform(n, radius, &mut StdRng::seed_from_u64(seed)))
+            .find(traversal::is_connected)
+            .expect("some seed connects a field this dense")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// A lossless step, which reads its frames off the topology,
+        /// against the same step asked of the medium: indistinguishable
+        /// step by step — on every shard count, gated, pinned eager and
+        /// switching between the two, through scripted faults of every
+        /// kind that rewires, silences or forges, and through mobility.
+        /// `TraceFlood` hashes each receive in order, so equal states
+        /// mean equal frames in equal order.
+        #[test]
+        fn pulled_steps_equal_pushed_steps(
+            deployment in (8usize..40, 30u32..45, 0u64..1_000),
+            seed in 0u64..10_000,
+            mode in 0u8..3,
+            faults in proptest::collection::vec((0u8..5, 0u32..1024, 1u64..25, 1u64..9), 0..7),
+            moves in proptest::collection::vec((1u64..25, 0u32..1024, -0.2f64..0.2, -0.2f64..0.2), 0..5),
+        ) {
+            let (n, radius, topo_seed) = deployment;
+            let topo = connected_uniform(n, f64::from(radius) / 100.0, topo_seed);
+            let n = n as u32;
+            let mut plan = FaultPlan::new();
+            for &(kind, node, at, window) in &faults {
+                let node = NodeId::new(node % n);
+                plan.at(at, match kind {
+                    0 => Fault::CorruptNode(node),
+                    1 => Fault::Isolate(node),
+                    2 => Fault::CrashRecover { node, dark_for: window },
+                    3 => Fault::ByzantineBeacon {
+                        node,
+                        lie: if window % 2 == 0 { Lie::Forged } else { Lie::Replayed },
+                        until: at + window,
+                    },
+                    _ => Fault::PartitionHeal {
+                        cut: (0..=node.value()).map(NodeId::new).collect(),
+                        heal_at: at + window,
+                    },
+                });
+            }
+            for shards in [1, 2, 3, 4, 7] {
+                let scenario = || Scenario::new(TraceFlood)
+                    .topology(topo.clone())
+                    .seed(seed)
+                    .faults(plan.clone());
+                let mut pulled = scenario().medium(PerfectMedium).build().expect("a valid plan");
+                let mut pushed = scenario()
+                    .medium(Pushed(PerfectMedium))
+                    .build()
+                    .expect("a valid plan");
+                pulled.set_shards(Some(shards));
+                pushed.set_shards(Some(shards));
+                pulled.set_eager(mode > 0);
+                pushed.set_eager(mode > 0);
+                for step in 0..34 {
+                    if mode == 2 && step == 13 {
+                        pulled.set_eager(false);
+                        pushed.set_eager(false);
+                    }
+                    for &(_, node, dx, dy) in moves.iter().filter(|m| m.0 == step) {
+                        let p = NodeId::new(node % n);
+                        let at = pulled.topology().positions().expect("a deployment")[p.index()];
+                        let to = Point2::new(
+                            (at.x + dx).clamp(0.0, 1.0),
+                            (at.y + dy).clamp(0.0, 1.0),
+                        );
+                        prop_assert_eq!(pulled.apply_moves(&[(p, to)]), pushed.apply_moves(&[(p, to)]));
+                    }
+                    prop_assert_eq!(pulled.step(), pushed.step());
+                    let context = format!("step {step}, {shards} shards, mode {mode}");
+                    prop_assert_eq!(pulled.states(), pushed.states(), "{}", context);
+                    prop_assert_eq!(pulled.last_activity(), pushed.last_activity(), "{}", context);
+                    prop_assert_eq!(pulled.last_changed(), pushed.last_changed(), "{}", context);
+                    prop_assert_eq!(pulled.messages_total(), pushed.messages_total(), "{}", context);
+                    prop_assert_eq!(pulled.retirement_audit(), pushed.retirement_audit(), "{}", context);
+                }
+                let stop = StopWhen::stable_for(3).within(40);
+                prop_assert_eq!(pulled.run_to(&stop), pushed.run_to(&stop));
+                prop_assert_eq!(pulled.states(), pushed.states());
+                // One of the two was never asked to deliver anything.
+                prop_assert!(pulled.delivery.heard.is_empty());
+                prop_assert_eq!(pushed.delivery.heard.len(), n as usize);
+            }
         }
     }
 

@@ -26,9 +26,45 @@
 
 use mwn_radio::Medium;
 
-use crate::engine::run_pooled;
 use crate::rng::derive_seed;
 use crate::{Network, Observable, RunReport, Scenario, SimError, StopWhen};
+
+/// Runs `job(0..tasks)` over a scoped work-stealing thread pool and
+/// returns the results **in task order** — the schedule cannot leak
+/// into the results. With `threads <= 1` (or a single task) the jobs
+/// run inline on the calling thread; the two paths are byte-identical
+/// because each job sees only its task index.
+fn run_pooled<T, F>(tasks: usize, threads: usize, job: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    if threads <= 1 || tasks <= 1 {
+        return (0..tasks).map(job).collect();
+    }
+    let workers = threads.min(tasks);
+    let results: std::sync::Mutex<Vec<Option<T>>> =
+        std::sync::Mutex::new((0..tasks).map(|_| None).collect());
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                if i >= tasks {
+                    break;
+                }
+                let out = job(i);
+                results.lock().expect("pool worker lock")[i] = Some(out);
+            });
+        }
+    });
+    results
+        .into_inner()
+        .expect("pool worker lock")
+        .into_iter()
+        .map(|r| r.expect("every task index is filled exactly once"))
+        .collect()
+}
 
 /// The outcome of a [`Sweep::convergence`] estimate: how many of the
 /// fanned-out runs stabilized.
@@ -121,8 +157,6 @@ impl Sweep {
             .map_or(1, |n| n.get())
             .min(self.threads.unwrap_or(usize::MAX))
             .min(runs.max(1));
-        // The shared engine pool: the scoped-thread work-stealing
-        // loop, which runs inline at one thread.
         run_pooled(runs, threads, |i| job(self.seeds[i]))
     }
 
@@ -258,6 +292,15 @@ mod tests {
         fn output(&self, _node: NodeId, state: &u32) -> u32 {
             *state
         }
+    }
+
+    #[test]
+    fn pooled_results_come_back_in_task_order() {
+        let serial = run_pooled(37, 1, |i| i * i);
+        let pooled = run_pooled(37, 4, |i| i * i);
+        assert_eq!(serial, pooled);
+        assert_eq!(pooled[5], 25);
+        assert!(run_pooled(0, 4, |i| i).is_empty());
     }
 
     #[test]

@@ -1,8 +1,11 @@
-//! The flooding fixtures the unit tests of every driver share.
+//! The flooding fixtures the unit tests of every driver share, and the
+//! medium wrapper the round driver's two kinds of step are compared
+//! through.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use mwn_graph::NodeId;
+use mwn_graph::{NodeId, Topology};
+use mwn_radio::{ContentionStreams, Delivery, Medium, OccupancyView};
 use rand::rngs::StdRng;
 
 use crate::{Activity, Corruptible, Observable, Protocol};
@@ -111,5 +114,130 @@ impl Protocol for PeekFlood {
 impl Corruptible for PeekFlood {
     fn corrupt(&self, node: NodeId, state: &mut u32, rng: &mut StdRng) {
         GatedFlood.corrupt(node, state, rng);
+    }
+}
+
+/// [`GatedFlood`] that also folds every `receive` it is handed — from
+/// whom, what, when, in the order handed — into a running hash, so two
+/// runs agree on their states only if they agree on every frame. The
+/// hash is not on the air: a node that merely heard something changes,
+/// re-runs its guards once, and goes quiet.
+#[derive(Debug)]
+pub(crate) struct TraceFlood;
+
+impl Protocol for TraceFlood {
+    type State = (u32, u64);
+    type Beacon = u32;
+    fn init(&self, node: NodeId, _rng: &mut StdRng) -> (u32, u64) {
+        (node.value(), 0)
+    }
+    fn beacon(&self, _node: NodeId, state: &(u32, u64)) -> u32 {
+        state.0
+    }
+    fn receive(&self, _node: NodeId, state: &mut (u32, u64), from: NodeId, beacon: &u32, now: u64) {
+        state.0 = state.0.max(*beacon);
+        for word in [u64::from(from.value()), u64::from(*beacon), now] {
+            state.1 = (state.1 ^ word)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .rotate_left(29);
+        }
+    }
+    fn update(&self, node: NodeId, state: &mut (u32, u64), _now: u64, _rng: &mut StdRng) {
+        state.0 = state.0.max(node.value());
+    }
+    fn activity(&self) -> Activity {
+        Activity::Gated
+    }
+    fn beacon_changed(&self, old: &u32, new: &u32) -> bool {
+        old != new
+    }
+}
+
+impl Corruptible for TraceFlood {
+    fn corrupt(&self, _node: NodeId, state: &mut (u32, u64), _rng: &mut StdRng) {
+        state.0 = 0;
+    }
+}
+
+impl Observable for TraceFlood {
+    type Output = (u32, u64);
+    fn output(&self, _node: NodeId, state: &(u32, u64)) -> (u32, u64) {
+        *state
+    }
+}
+
+/// `M` with its [`Medium::lossless`] promise withheld and everything
+/// else forwarded: the round driver asks a `Pushed<PerfectMedium>` for
+/// the very deliveries it reads off the topology under `PerfectMedium`.
+#[derive(Clone, Debug)]
+pub(crate) struct Pushed<M>(pub M);
+
+impl<M: Medium> Medium for Pushed<M> {
+    fn deliver_into(
+        &mut self,
+        topo: &Topology,
+        senders: &[NodeId],
+        rng: &mut StdRng,
+        out: &mut Delivery,
+    ) {
+        self.0.deliver_into(topo, senders, rng, out);
+    }
+    fn deliver(&mut self, topo: &Topology, senders: &[NodeId], rng: &mut StdRng) -> Delivery {
+        self.0.deliver(topo, senders, rng)
+    }
+    fn deliver_from(
+        &mut self,
+        topo: &Topology,
+        sender: NodeId,
+        rng: &mut StdRng,
+        out: &mut Delivery,
+    ) {
+        self.0.deliver_from(topo, sender, rng, out);
+    }
+    fn independent_fates(&self) -> bool {
+        self.0.independent_fates()
+    }
+    fn proxyable(&self) -> bool {
+        self.0.proxyable()
+    }
+    fn proxy_fates(
+        &self,
+        topo: &Topology,
+        sender: NodeId,
+        rng: &mut StdRng,
+        heard: &mut Vec<NodeId>,
+    ) -> usize {
+        self.0.proxy_fates(topo, sender, rng, heard)
+    }
+    fn gated_contention(&self) -> bool {
+        self.0.gated_contention()
+    }
+    fn lossless(&self) -> bool {
+        false
+    }
+    fn deliver_occupied_into(
+        &mut self,
+        topo: &Topology,
+        senders: &[NodeId],
+        occupancy: &dyn OccupancyView,
+        streams: &ContentionStreams,
+        out: &mut Delivery,
+    ) {
+        self.0
+            .deliver_occupied_into(topo, senders, occupancy, streams, out);
+    }
+    fn deliver_from_occupied(
+        &mut self,
+        topo: &Topology,
+        sender: NodeId,
+        occupancy: &dyn OccupancyView,
+        streams: &ContentionStreams,
+        out: &mut Delivery,
+    ) {
+        self.0
+            .deliver_from_occupied(topo, sender, occupancy, streams, out);
+    }
+    fn name(&self) -> &'static str {
+        self.0.name()
     }
 }
