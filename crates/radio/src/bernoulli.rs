@@ -55,22 +55,7 @@ impl Medium for BernoulliLoss {
         out: &mut Delivery,
     ) {
         for &s in senders {
-            self.deliver_from(topo, s, rng, out);
-        }
-    }
-
-    fn deliver_from(
-        &mut self,
-        topo: &Topology,
-        sender: NodeId,
-        rng: &mut StdRng,
-        out: &mut Delivery,
-    ) {
-        for &r in topo.neighbors(sender) {
-            out.attempted += 1;
-            if rng.random_bool(self.tau) {
-                out.record(r, sender);
-            }
+            out.record_fates(self, topo, s, rng);
         }
     }
 
@@ -78,19 +63,14 @@ impl Medium for BernoulliLoss {
         true
     }
 
-    fn proxyable(&self) -> bool {
-        true
-    }
-
-    fn proxy_fates(
+    fn fates(
         &self,
         topo: &Topology,
         sender: NodeId,
         rng: &mut StdRng,
         heard: &mut Vec<NodeId>,
     ) -> usize {
-        // Same draws in the same neighbor order as deliver_from, so the
-        // per-(slot, sender) stream reproduces identical fates.
+        // One coin per copy, in neighbor order.
         for &r in topo.neighbors(sender) {
             if rng.random_bool(self.tau) {
                 heard.push(r);

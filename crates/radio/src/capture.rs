@@ -72,11 +72,6 @@ impl CaptureCsma {
     pub fn slots(&self) -> usize {
         self.slots
     }
-
-    /// The distance-advantage ratio required for capture.
-    pub fn capture_ratio(&self) -> f64 {
-        self.capture_ratio
-    }
 }
 
 impl Medium for CaptureCsma {
@@ -356,13 +351,13 @@ mod tests {
         let streams = ContentionStreams::new(7, 11, 3);
         let mut medium = CaptureCsma::new(1, 1.0);
         let mut d = crate::Delivery::empty(topo.len());
-        medium.deliver_from_occupied(&topo, NodeId::new(1), &occupancy, &streams, &mut d);
+        medium.deliver_occupied_into(&topo, &[NodeId::new(1)], &occupancy, &streams, &mut d);
         assert_eq!(d.heard[0], vec![NodeId::new(1)], "active 1 beats phantom 2");
 
         let mut occupancy = crate::Occupancy::new(topo.len());
         occupancy.occupy(NodeId::new(1), &topo);
         let mut d = crate::Delivery::empty(topo.len());
-        medium.deliver_from_occupied(&topo, NodeId::new(2), &occupancy, &streams, &mut d);
+        medium.deliver_occupied_into(&topo, &[NodeId::new(2)], &occupancy, &streams, &mut d);
         assert!(
             d.heard[0].is_empty(),
             "phantom 1 wins the tie and delivers nothing"

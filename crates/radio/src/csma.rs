@@ -111,18 +111,6 @@ impl SlottedCsma {
     pub fn slots(&self) -> usize {
         self.slots
     }
-
-    /// Whether carrier sensing is enabled.
-    pub fn carrier_sense(&self) -> bool {
-        self.carrier_sense
-    }
-
-    /// Lower bound on the per-frame success probability for a topology
-    /// of maximum degree `delta`: every one of the ≤ δ+1 relevant other
-    /// radios must have picked a different slot.
-    pub fn tau_lower_bound(&self, delta: usize) -> f64 {
-        ((self.slots - 1) as f64 / self.slots as f64).powi(delta as i32 + 1)
-    }
 }
 
 /// Marginal transmit probability of an occupied (silent) node of
@@ -823,7 +811,7 @@ mod tests {
             let before = BISECTIONS.with(|count| count.get());
             let streams = ContentionStreams::new(3, 5, tick);
             let mut d = Delivery::empty(8);
-            medium.deliver_from_occupied(&topo, NodeId::new(0), &occupancy, &streams, &mut d);
+            medium.deliver_occupied_into(&topo, &[NodeId::new(0)], &occupancy, &streams, &mut d);
             BISECTIONS.with(|count| count.get()) - before
         };
         let bits = |medium: &SlottedCsma| -> Vec<u64> {
@@ -900,18 +888,6 @@ mod tests {
         let t4 = measure_tau(&mut SlottedCsma::new(4), &topo, 30, &mut rng);
         let t64 = measure_tau(&mut SlottedCsma::new(64), &topo, 30, &mut rng);
         assert!(t64 > t4, "τ(64 slots)={t64} vs τ(4 slots)={t4}");
-    }
-
-    #[test]
-    fn tau_exceeds_analytic_lower_bound() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let topo = builders::uniform(60, 0.12, &mut rng);
-        let medium = SlottedCsma::new(32);
-        let bound = medium.tau_lower_bound(topo.max_degree());
-        let mut m = medium;
-        let tau = measure_tau(&mut m, &topo, 50, &mut rng);
-        assert!(tau >= bound, "measured {tau} < bound {bound}");
-        assert!(bound > 0.0);
     }
 
     #[test]

@@ -68,29 +68,7 @@ impl Medium for DistanceFading {
         out: &mut Delivery,
     ) {
         for &s in senders {
-            self.deliver_from(topo, s, rng, out);
-        }
-    }
-
-    fn deliver_from(
-        &mut self,
-        topo: &Topology,
-        sender: NodeId,
-        rng: &mut StdRng,
-        out: &mut Delivery,
-    ) {
-        let positions = topo
-            .positions()
-            .expect("distance fading requires node positions");
-        let radius = topo
-            .radius()
-            .expect("distance fading requires a radio range");
-        for &r in topo.neighbors(sender) {
-            out.attempted += 1;
-            let d = positions[sender.index()].distance(positions[r.index()]);
-            if rng.random_bool(self.success_probability(d / radius)) {
-                out.record(r, sender);
-            }
+            out.record_fates(self, topo, s, rng);
         }
     }
 
@@ -98,11 +76,11 @@ impl Medium for DistanceFading {
         true
     }
 
-    fn proxyable(&self) -> bool {
-        true
-    }
-
-    fn proxy_fates(
+    /// # Panics
+    ///
+    /// Panics if the topology carries no positions or radius, as
+    /// `deliver_into` does.
+    fn fates(
         &self,
         topo: &Topology,
         sender: NodeId,

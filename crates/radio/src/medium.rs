@@ -18,10 +18,7 @@ pub struct Delivery {
     /// Per-receiver list of heard senders.
     pub heard: Vec<Vec<NodeId>>,
     /// Receivers with at least one [`Delivery::record`] call this
-    /// round, in first-hear order, duplicate-free. (A receiver may end
-    /// up with an empty `heard` list if a wrapper like
-    /// [`crate::Thinned`] later dropped its only copy; consumers just
-    /// see an empty list.)
+    /// round, in first-hear order, duplicate-free.
     pub touched: Vec<NodeId>,
     /// Number of (sender, neighbor) frame copies that were in range.
     pub attempted: usize,
@@ -29,6 +26,9 @@ pub struct Delivery {
     pub delivered: usize,
     /// O(1) membership mirror of `touched`.
     seen: Vec<bool>,
+    /// [`Delivery::record_fates`]' reused receiver list; empty between
+    /// calls.
+    fates: Vec<NodeId>,
 }
 
 impl Delivery {
@@ -40,6 +40,7 @@ impl Delivery {
             attempted: 0,
             delivered: 0,
             seen: vec![false; n],
+            fates: Vec::new(),
         }
     }
 
@@ -76,14 +77,23 @@ impl Delivery {
         self.delivered += 1;
     }
 
-    /// Fraction of in-range frame copies that were delivered
-    /// (1.0 when nothing was attempted).
-    pub fn success_rate(&self) -> f64 {
-        if self.attempted == 0 {
-            1.0
-        } else {
-            self.delivered as f64 / self.attempted as f64
+    /// Appends the frame copies of `sender` that `medium` decides
+    /// arrive ([`Medium::fates`]): one entry point for a medium's whole
+    /// rounds and for a driver's per-sender streams, allocation-free
+    /// once the reused receiver list has reached the largest degree.
+    pub fn record_fates<M: Medium + ?Sized>(
+        &mut self,
+        medium: &M,
+        topo: &Topology,
+        sender: NodeId,
+        rng: &mut StdRng,
+    ) {
+        let mut fates = std::mem::take(&mut self.fates);
+        self.attempted += medium.fates(topo, sender, rng, &mut fates);
+        for r in fates.drain(..) {
+            self.record(r, sender);
         }
+        self.fates = fates;
     }
 }
 
@@ -100,22 +110,29 @@ impl Delivery {
 ///
 /// The required method is the appending, allocation-free
 /// [`Medium::deliver_into`]; [`Medium::deliver`] is a convenience
-/// wrapper. Media whose frame fates are decided per (sender, receiver)
-/// copy — with no cross-sender contention — should return `true` from
-/// [`Medium::independent_fates`], which lets the activity-driven round
-/// driver skip quiescent senders without perturbing anyone else's
-/// frames. A medium that moreover loses nothing and draws nothing
-/// answers [`Medium::lossless`]: the round driver then skips the
-/// delivery and the freshness scan of a step altogether and pulls each
-/// visited node's frames from its adjacency list — unobservably, since
-/// what such a medium would have recorded is exactly that list
-/// filtered by who sent.
+/// wrapper. Beyond whole rounds, a medium answers three capability
+/// flags, each with the entry point that serves it:
+///
+/// - [`Medium::independent_fates`]: each (sender, receiver) copy's fate
+///   is its own, with no cross-sender contention, and
+///   [`Medium::fates`] decides one sender's copies through a shared
+///   reference. That one function is the medium's per-copy draw for
+///   every driver — the round driver on a per-(step, sender) stream,
+///   the event clock per transmission, the actor fabric on its worker
+///   threads — which is what lets quiescent senders be skipped without
+///   perturbing anyone else's frames.
+/// - [`Medium::gated_contention`]: fates are contention-coupled, but
+///   [`Medium::deliver_occupied_into`] folds the silent population in
+///   statistically, for a sender set or for one sender alone.
+/// - [`Medium::lossless`]: every in-range copy arrives and nothing is
+///   drawn. The round driver then skips the delivery and the freshness
+///   scan of a step altogether and pulls each visited node's frames
+///   from its adjacency list — unobservably, since what such a medium
+///   would have recorded is exactly that list filtered by who sent.
 pub trait Medium {
     /// Delivers one round of broadcasts from `senders`, **appending**
-    /// into `out` (the caller resets and sizes it). Appending semantics
-    /// let a driver accumulate several partial rounds — in particular
-    /// one [`Medium::deliver_from`] call per active sender — into one
-    /// `Delivery`.
+    /// into `out` (the caller resets and sizes it), so a driver can
+    /// accumulate several partial rounds into one `Delivery`.
     fn deliver_into(
         &mut self,
         topo: &Topology,
@@ -132,60 +149,31 @@ pub trait Medium {
         out
     }
 
-    /// Delivers the frames of a single sender, appending into `out`.
-    ///
-    /// Only meaningful when [`Medium::independent_fates`] holds: the
-    /// activity-driven driver calls this once per scheduled sender with
-    /// a dedicated per-(step, sender) RNG stream, so a frame's fate
-    /// depends only on `(seed, step, sender)` — never on which *other*
-    /// nodes happened to transmit.
-    fn deliver_from(
-        &mut self,
-        topo: &Topology,
-        sender: NodeId,
-        rng: &mut StdRng,
-        out: &mut Delivery,
-    ) {
-        self.deliver_into(topo, &[sender], rng, out);
-    }
-
     /// `true` when every frame copy's fate is independent of the other
-    /// senders in the round (no contention coupling): the perfect and
-    /// Bernoulli media of the paper's hypothesis qualify, CSMA-style
+    /// senders in the round (no contention coupling) and
+    /// [`Medium::fates`] implements it: the perfect, Bernoulli and
+    /// fading media of the paper's hypothesis qualify, CSMA-style
     /// collision media do not. Conservative default: `false`.
     ///
-    /// Both clocks honor this flag. The synchronous round driver uses
-    /// it to gate quiescent senders without perturbing anyone else's
-    /// frames; the continuous-time event driver evaluates such media
-    /// once per transmission on a derived per-(slot, sender) stream
-    /// ([`Medium::deliver_from`]). A medium with neither this flag nor
-    /// [`Medium::gated_contention`] has no per-sender semantics and
-    /// cannot back the event driver at all.
+    /// A medium with neither this flag nor
+    /// [`Medium::gated_contention`] has no per-sender semantics: the
+    /// round driver evaluates it eagerly on one sequential stream, and
+    /// the event driver and the actor fabric reject it.
     fn independent_fates(&self) -> bool {
         false
     }
 
-    /// `true` when [`Medium::proxy_fates`] is implemented: per-sender
-    /// frame fates can be evaluated through a **shared** reference, so
-    /// a concurrent driver can hand one medium proxy to many worker
-    /// threads at once. Implies [`Medium::independent_fates`].
-    /// Conservative default: `false`.
-    fn proxyable(&self) -> bool {
-        false
-    }
-
-    /// Evaluates which neighbors hear one frame of `sender` through a
-    /// shared reference, appending the lucky receivers to `heard` and
-    /// returning the number of frame copies attempted (the sender's
-    /// degree for a broadcast medium).
+    /// Decides which neighbors hear one frame of `sender`, appending
+    /// them to `heard` in neighbor order and returning the number of
+    /// copies attempted (the sender's degree for a broadcast medium).
     ///
-    /// This is the hook the actor driver's `MediumProxy` shares across
-    /// worker threads. Implementations **must** draw from `rng` exactly
-    /// as [`Medium::deliver_from`] would, so that replaying the same
-    /// per-(slot, sender) stream reproduces the same drop decisions on
-    /// every driver. Only meaningful when [`Medium::proxyable`] holds;
-    /// the default delivers nothing and reports zero attempts.
-    fn proxy_fates(
+    /// The shared reference is what lets the actor fabric hand one
+    /// medium to many worker threads; the per-(slot, sender) `rng` is
+    /// what makes a copy's fate a function of `(seed, slot, sender)`
+    /// alone, so every driver that derives the same stream drops the
+    /// same copies. Only meaningful when [`Medium::independent_fates`]
+    /// holds; the default delivers nothing and reports zero attempts.
+    fn fates(
         &self,
         topo: &Topology,
         sender: NodeId,
@@ -194,20 +182,19 @@ pub trait Medium {
     ) -> usize {
         let _ = (topo, sender, rng, heard);
         debug_assert!(
-            !self.proxyable(),
-            "proxyable media must override proxy_fates"
+            !self.independent_fates(),
+            "independent-fates media must override fates"
         );
         0
     }
 
     /// `true` when the medium implements the **gated-contention**
-    /// contract: [`Medium::deliver_occupied_into`] /
-    /// [`Medium::deliver_from_occupied`] fold a silent-but-transmitting
-    /// population ([`OccupancyView`]) into the collision draws
-    /// statistically, so a driver may gate quiescent senders even
-    /// though frame fates are contention-coupled. Mutually exclusive
-    /// with [`Medium::independent_fates`] in the shipped media (a
-    /// medium with independent fates needs no occupancy fold).
+    /// contract: [`Medium::deliver_occupied_into`] folds a
+    /// silent-but-transmitting population ([`OccupancyView`]) into the
+    /// collision draws statistically, so a driver may gate quiescent
+    /// senders even though frame fates are contention-coupled. Mutually
+    /// exclusive with [`Medium::independent_fates`] in the shipped media
+    /// (a medium with independent fates needs no occupancy fold).
     /// Conservative default: `false` — such media (e.g.
     /// [`crate::Thinned`] wrappers) keep the round driver's eager
     /// fallback and are rejected by the event driver.
@@ -252,7 +239,10 @@ pub trait Medium {
     /// node contributes its marginal collision probability through
     /// draws on the derived [`ContentionStreams`] — per
     /// (tick, receiver, sender) for frame copies, per (tick, sender)
-    /// for the sender's own slot and carrier-sense fate.
+    /// for the sender's own slot and carrier-sense fate. The event
+    /// driver calls it once per transmission, with that one sender and
+    /// [`crate::FullOccupancy`] (on the continuous clock every other
+    /// radio beacons each period and therefore contends).
     ///
     /// Cost: O(Σ degree over the round's participants) — the active
     /// senders plus whatever occupied nodes the medium materializes in
@@ -276,24 +266,6 @@ pub trait Medium {
             !self.gated_contention(),
             "gated-contention media must override deliver_occupied_into"
         );
-    }
-
-    /// Delivers the frames of a single active sender against the
-    /// occupied population, appending into `out` — the event driver's
-    /// per-transmission entry point (with [`crate::FullOccupancy`],
-    /// since on the continuous clock every other radio beacons each
-    /// period and therefore contends). Same cost law as
-    /// [`Medium::deliver_occupied_into`] with one sender: the summed
-    /// degree of its 2-hop neighborhood, never n.
-    fn deliver_from_occupied(
-        &mut self,
-        topo: &Topology,
-        sender: NodeId,
-        occupancy: &dyn OccupancyView,
-        streams: &ContentionStreams,
-        out: &mut Delivery,
-    ) {
-        self.deliver_occupied_into(topo, &[sender], occupancy, streams, out);
     }
 
     /// A short human-readable name used in experiment output.
@@ -344,21 +316,6 @@ pub fn measure_tau<M: Medium + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_delivery_success_rate_is_one() {
-        let d = Delivery::empty(3);
-        assert_eq!(d.success_rate(), 1.0);
-        assert_eq!(d.heard.len(), 3);
-    }
-
-    #[test]
-    fn success_rate_is_ratio() {
-        let mut d = Delivery::empty(0);
-        d.attempted = 4;
-        d.delivered = 3;
-        assert_eq!(d.success_rate(), 0.75);
-    }
 
     #[test]
     fn record_maintains_touched_and_counts() {

@@ -14,8 +14,8 @@ use crate::{Delivery, Medium};
 /// "Receive **all** packets sent by its 1-neighbors" is also the
 /// promise behind [`Medium::lossless`], which this medium alone
 /// makes: the round driver takes the sentence at its word and reads a
-/// node's frames off its adjacency list instead of calling
-/// [`Medium::deliver_from`] once per sender.
+/// node's frames off its adjacency list instead of asking
+/// [`Medium::fates`] once per sender.
 ///
 /// # Examples
 ///
@@ -43,20 +43,7 @@ impl Medium for PerfectMedium {
         out: &mut Delivery,
     ) {
         for &s in senders {
-            self.deliver_from(topo, s, rng, out);
-        }
-    }
-
-    fn deliver_from(
-        &mut self,
-        topo: &Topology,
-        sender: NodeId,
-        _rng: &mut StdRng,
-        out: &mut Delivery,
-    ) {
-        for &r in topo.neighbors(sender) {
-            out.attempted += 1;
-            out.record(r, sender);
+            out.record_fates(self, topo, s, rng);
         }
     }
 
@@ -64,15 +51,11 @@ impl Medium for PerfectMedium {
         true
     }
 
-    fn proxyable(&self) -> bool {
-        true
-    }
-
     fn lossless(&self) -> bool {
         true
     }
 
-    fn proxy_fates(
+    fn fates(
         &self,
         topo: &Topology,
         sender: NodeId,

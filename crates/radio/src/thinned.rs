@@ -92,52 +92,26 @@ impl<M: Medium> Medium for Thinned<M> {
         self.scratch = inner;
     }
 
-    fn deliver_from(
-        &mut self,
-        topo: &Topology,
-        sender: NodeId,
-        rng: &mut StdRng,
-        out: &mut Delivery,
-    ) {
-        // A single sender appends at most one copy at the tail of each
-        // neighbor's heard list, so thinning can pop in place — no
-        // scratch delivery, preserving the zero-alloc per-sender path.
-        self.inner.deliver_from(topo, sender, rng, out);
-        for &r in topo.neighbors(sender) {
-            let list = &mut out.heard[r.index()];
-            if list.last() == Some(&sender) && !rng.random_bool(self.survival) {
-                list.pop();
-                out.delivered -= 1;
-                // `touched` may keep r with an empty list; consumers
-                // treat it as "possibly heard", which is harmless.
-            }
-        }
-    }
-
     fn independent_fates(&self) -> bool {
         self.inner.independent_fates()
-    }
-
-    fn proxyable(&self) -> bool {
-        self.inner.proxyable()
     }
 
     // `lossless` keeps its `false` default whatever the inner medium
     // answers: even at survival 1.0 a coin is drawn per delivered copy,
     // and "draws nothing" is half of that promise.
 
-    fn proxy_fates(
+    /// The inner medium decides its fates first, then one thinning coin
+    /// per *delivered* copy in neighbor order. (A whole round through
+    /// [`Medium::deliver_into`] draws its coins per receiver instead.)
+    fn fates(
         &self,
         topo: &Topology,
         sender: NodeId,
         rng: &mut StdRng,
         heard: &mut Vec<NodeId>,
     ) -> usize {
-        // Mirrors deliver_from's draw order: the inner medium decides
-        // its fates first, then one thinning coin per *delivered* copy
-        // in neighbor order.
         let start = heard.len();
-        let attempted = self.inner.proxy_fates(topo, sender, rng, heard);
+        let attempted = self.inner.fates(topo, sender, rng, heard);
         let mut keep = start;
         for i in start..heard.len() {
             let r = heard[i];

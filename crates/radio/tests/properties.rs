@@ -102,11 +102,11 @@ proptest! {
     /// rests on — `delivered` counts distinct (sender, 1-neighbor)
     /// pairs, so `delivered == Σ degree(sender)` can only mean "every
     /// neighbor of every sender heard it" — holds through every entry
-    /// point a driver delivers by, not just whole rounds: one
-    /// `deliver_from` per sender appended into one delivery, and for
-    /// gated-contention media `deliver_occupied_into` over a partly
-    /// retired population and one `deliver_from_occupied` per sender
-    /// against a fully occupied one.
+    /// point a driver delivers by, not just whole rounds: for
+    /// independent-fates media one `fates` call per sender recorded into
+    /// one delivery, and for gated-contention media
+    /// `deliver_occupied_into` over a partly retired population and once
+    /// per sender against a fully occupied one.
     #[test]
     fn the_counting_contract_holds_through_every_entry_point(
         topo in topo_strategy(),
@@ -130,30 +130,65 @@ proptest! {
                 out.reset(topo.len());
                 verdict.map_err(|msg| format!("{name} via {entry}: {msg}"))
             };
-            for &s in &senders {
-                medium.deliver_from(&topo, s, &mut rng, &mut out);
+            if medium.independent_fates() {
+                for &s in &senders {
+                    out.record_fates(medium.as_ref(), &topo, s, &mut rng);
+                }
+                prop_assert_eq!(check("fates", &mut out), Ok(()));
             }
-            prop_assert_eq!(check("deliver_from", &mut out), Ok(()));
             if !medium.gated_contention() {
                 continue;
             }
             medium.deliver_occupied_into(&topo, &senders, &occupancy, &streams, &mut out);
             prop_assert_eq!(check("deliver_occupied_into", &mut out), Ok(()));
             for &s in &senders {
-                medium.deliver_from_occupied(&topo, s, &FullOccupancy, &streams, &mut out);
+                medium.deliver_occupied_into(&topo, &[s], &FullOccupancy, &streams, &mut out);
             }
-            prop_assert_eq!(check("deliver_from_occupied", &mut out), Ok(()));
+            prop_assert_eq!(check("deliver_occupied_into per sender", &mut out), Ok(()));
+        }
+    }
+
+    /// A whole round is its senders' `fates` in turn: for the media
+    /// whose `deliver_into` has no draw of its own, one stream handed to
+    /// `deliver_into` and the same stream handed to `fates` sender by
+    /// sender record the same delivery and leave the stream in the same
+    /// state. (`Thinned`'s whole round draws its coins per receiver
+    /// instead, so it is not held to this.)
+    #[test]
+    fn a_round_is_its_senders_fates_in_turn(
+        topo in topo_strategy(),
+        seed in 0u64..u64::MAX,
+        sender_mask in 0u64..u64::MAX,
+    ) {
+        let senders: Vec<NodeId> = topo
+            .nodes()
+            .filter(|p| (sender_mask >> (p.index() % 64)) & 1 == 1)
+            .collect();
+        let media: [Box<dyn Medium>; 3] = [
+            Box::new(PerfectMedium),
+            Box::new(BernoulliLoss::new(0.5)),
+            Box::new(DistanceFading::new(2.0, 0.2)),
+        ];
+        for mut medium in media {
+            let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let whole = medium.deliver(&topo, &senders, &mut a);
+            let mut by_sender = Delivery::empty(topo.len());
+            for &s in &senders {
+                by_sender.record_fates(medium.as_ref(), &topo, s, &mut b);
+            }
+            prop_assert_eq!(&whole, &by_sender, "{}", medium.name());
+            prop_assert_eq!(&a, &b, "{} left its stream elsewhere", medium.name());
         }
     }
 
     /// `Medium::lossless` is checked, not trusted — the round driver
     /// does not call a medium that answers `true`, so everything such a
-    /// call would have done is pinned here: through `deliver_into`,
-    /// through one `deliver_from` per sender and through `proxy_fates`,
-    /// each in-range (receiver, sender) pair is recorded exactly once,
-    /// in ascending sender order per receiver, `attempted == delivered
-    /// == Σ degree`, and the RNG comes back as it was handed over. Only
-    /// the perfect medium makes the promise; thinning it never does.
+    /// call would have done is pinned here: through `deliver_into` and
+    /// through one `fates` call per sender, each in-range (receiver,
+    /// sender) pair is recorded exactly once, in ascending sender order
+    /// per receiver, `attempted == delivered == Σ degree`, and the RNG
+    /// comes back as it was handed over. Only the perfect medium makes
+    /// the promise; thinning it never does.
     #[test]
     fn lossless_media_deliver_every_copy_once_and_draw_nothing(
         topo in topo_strategy(),
@@ -178,27 +213,23 @@ proptest! {
             if !medium.lossless() {
                 continue;
             }
-            prop_assert!(medium.independent_fates() && medium.proxyable(), "{}", name);
+            prop_assert!(medium.independent_fates(), "{}", name);
             let mut rng = untouched.clone();
             let whole = medium.deliver(&topo, &senders, &mut rng);
-            let mut by_sender = Delivery::empty(topo.len());
-            let mut by_proxy = vec![Vec::new(); topo.len()];
+            let mut by_fates = vec![Vec::new(); topo.len()];
             let (mut fates, mut attempted) = (Vec::new(), 0);
             for &s in &senders {
-                medium.deliver_from(&topo, s, &mut rng, &mut by_sender);
                 fates.clear();
-                attempted += medium.proxy_fates(&topo, s, &mut rng, &mut fates);
+                attempted += medium.fates(&topo, s, &mut rng, &mut fates);
                 for &r in &fates {
-                    by_proxy[r.index()].push(s);
+                    by_fates[r.index()].push(s);
                 }
             }
             prop_assert_eq!(&rng, &untouched, "{} drew from its stream", name);
-            for delivery in [&whole, &by_sender] {
-                prop_assert_eq!(check_laws(&topo, &senders, delivery), Ok(()));
-                prop_assert_eq!(&delivery.heard, &expected, "{}", name);
-                prop_assert_eq!((delivery.attempted, delivery.delivered), (in_range, in_range));
-            }
-            prop_assert_eq!(&by_proxy, &expected, "{} by proxy", name);
+            prop_assert_eq!(check_laws(&topo, &senders, &whole), Ok(()));
+            prop_assert_eq!(&whole.heard, &expected, "{}", name);
+            prop_assert_eq!((whole.attempted, whole.delivered), (in_range, in_range));
+            prop_assert_eq!(&by_fates, &expected, "{} by fates", name);
             prop_assert_eq!(attempted, in_range);
         }
         let survival = f64::from(survival) / 100.0;

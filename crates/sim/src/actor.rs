@@ -8,10 +8,10 @@
 //! bounded multi-producer mailbox plus its protocol state. Actors are
 //! multiplexed over a small pool of OS worker threads (`threads`), and
 //! they exchange **serialized beacon frames** ([`crate::WireBeacon`])
-//! through a [`MediumProxy`] that replays the scenario's [`Medium`]
-//! decisions on the same split-RNG streams the round driver uses — so
-//! for a given seed, exactly the same frame copies are dropped on both
-//! drivers.
+//! whose fates the scenario's [`Medium`] decides through
+//! [`Medium::fates`] on the same split-RNG streams the round driver
+//! uses — so for a given seed, exactly the same frame copies are
+//! dropped on both drivers.
 //!
 //! # The virtual-time token governor
 //!
@@ -24,16 +24,17 @@
 //!    send-pending actor's beacon slot is released at once.
 //! 2. **Send phase** — the released actors run concurrently: the
 //!    sender list is cut into one contiguous chunk per worker, and each
-//!    worker evaluates its senders' frame fates through the shared
-//!    [`MediumProxy`], encodes every beacon **once** into its own byte
-//!    arena (cleared at the start of the period, capacity kept), and
+//!    worker asks the shared medium for its senders' frame fates
+//!    ([`Medium::fates`]), encodes every beacon **once** into its own
+//!    byte arena (cleared at the start of the period, capacity kept), and
 //!    pushes one small `Copy` frame header — sender, epoch, and where
 //!    the payload sits (`arena`, `off`, `len`) — into each lucky
 //!    receiver's bounded mailbox.
 //! 3. **Quiescence barrier** — the governor waits until every released
 //!    slot has quiesced (all sends delivered), then releases the
-//!    receive side. The candidates (actors with mail or pending guards)
-//!    are sorted by node, so contiguous candidate chunks cover disjoint
+//!    receive side. The candidates (actors with pending guards and the
+//!    senders' neighbors, marked as the round driver marks them) are
+//!    sorted by node, so contiguous candidate chunks cover disjoint
 //!    contiguous runs of the state column: the column is split with
 //!    `split_at_mut`, each worker owns its run, and its actors drain
 //!    their mailboxes **in arrival order**, decode every fresh frame
@@ -91,7 +92,7 @@ use crate::faults::Fault;
 use crate::network::StepActivity;
 use crate::observable::Observable;
 use crate::protocol::{Corruptible, Protocol};
-use crate::rng::{split_rng, streams};
+use crate::rng::streams;
 use crate::stop::{RunReport, StopWhen};
 use crate::wire::WireBeacon;
 
@@ -142,32 +143,6 @@ impl Mailbox {
     }
 }
 
-/// Shares the scenario's medium across the send-phase workers and
-/// replays its drop decisions on the round driver's per-(period,
-/// sender) RNG streams — the actor fabric's stand-in for the ether.
-struct MediumProxy<'a, M> {
-    medium: &'a M,
-    medium_base: u64,
-}
-
-impl<M: Medium> MediumProxy<'_, M> {
-    /// Which neighbors hear `sender`'s period-`k` frame (`heard` is
-    /// overwritten); returns the attempted copy count. Identical stream
-    /// keying to the round driver's delivery phase, so both drivers
-    /// drop the same copies.
-    fn fates(
-        &self,
-        topo: &Topology,
-        period: u64,
-        sender: NodeId,
-        heard: &mut Vec<NodeId>,
-    ) -> usize {
-        heard.clear();
-        let mut rng = split_rng(self.medium_base, period, u64::from(sender.value()));
-        self.medium.proxy_fates(topo, sender, &mut rng, heard)
-    }
-}
-
 /// One send worker's reusable buffers. `bytes` is the worker's byte
 /// arena: every beacon it encodes this period, back to back, addressed
 /// by the [`ActorFrame`]s it pushed. `align(64)` keeps two workers'
@@ -181,10 +156,6 @@ struct SendScratch {
     delivered: usize,
 }
 
-/// A receive-phase candidate: the actor and whether its guards are
-/// pending regardless of mail.
-type Candidate = (NodeId, bool);
-
 /// The actor driver. Build one through
 /// [`Scenario::build_actors`](crate::Scenario::build_actors).
 pub struct ActorDriver<P: Protocol, M: Medium = PerfectMedium> {
@@ -197,10 +168,9 @@ pub struct ActorDriver<P: Protocol, M: Medium = PerfectMedium> {
     messages_total: u64,
     last_activity: StepActivity,
     senders_buf: Vec<NodeId>,
-    dirty_buf: Vec<NodeId>,
-    touched_buf: Vec<NodeId>,
-    candidates_buf: Vec<Candidate>,
-    touched: NodeSet,
+    candidates_buf: Vec<NodeId>,
+    /// The candidates nothing but a frame scheduled.
+    hearers: NodeSet,
     /// Per-worker buffers of the send phase, one slot per pool thread.
     send_scratch: Vec<SendScratch>,
 }
@@ -216,8 +186,8 @@ where
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] unless the medium supports
-    /// shared-reference fate evaluation ([`Medium::proxyable`]) —
+    /// Returns [`SimError::InvalidConfig`] unless the medium decides
+    /// frame fates per sender ([`Medium::independent_fates`]) —
     /// contention-coupled media (CSMA) serialize all senders through
     /// one channel state and cannot be replayed concurrently. The
     /// message names the medium and its gated-contention status, so a
@@ -231,7 +201,7 @@ where
         seed: u64,
         threads: usize,
     ) -> Result<Self, SimError> {
-        if !medium.proxyable() {
+        if !medium.independent_fates() {
             let status = if medium.gated_contention() {
                 "its gated-contention contract (statistical slot occupancy) \
                  covers the round and event drivers only"
@@ -241,7 +211,7 @@ where
             return Err(SimError::InvalidConfig(format!(
                 "medium `{}` cannot back the actor driver: per-sender frame \
                  fates must be evaluable through a shared reference \
-                 (Medium::proxyable), and {status}",
+                 (Medium::fates), and {status}",
                 medium.name()
             )));
         }
@@ -255,10 +225,8 @@ where
             messages_total: 0,
             last_activity: StepActivity::default(),
             senders_buf: Vec::new(),
-            dirty_buf: Vec::new(),
-            touched_buf: Vec::new(),
             candidates_buf: Vec::new(),
-            touched: NodeSet::new(topo.len()),
+            hearers: NodeSet::with_full_log(topo.len()),
             send_scratch: (0..threads).map(|_| SendScratch::default()).collect(),
             env: Env::new(protocol, topo, seed, streams::ROUND_FAULT),
         })
@@ -314,20 +282,17 @@ where
 
         // Send phase: released actors broadcast concurrently, one
         // contiguous chunk of the sender list per worker. Each sender's
-        // fates come from the shared medium proxy; its beacon is encoded
-        // once into the worker's byte arena and one frame header pushed
-        // per lucky receiver. How the workers' pushes interleave in a
+        // fates come from the shared medium, on the stream the round
+        // driver derives for the same (period, sender); its beacon is
+        // encoded once into the worker's byte arena and one frame
+        // header pushed per lucky receiver. How the workers' pushes interleave in a
         // mailbox is whatever the OS scheduler makes of it — the
         // genuine nondeterminism this driver exists to exercise.
         let period = self.period;
-        let proxy = MediumProxy {
-            medium: &self.medium,
-            medium_base: self.env.core.medium_base,
-        };
         let send_workers = self.threads.min(senders.len());
         {
-            let topo = &self.env.topo;
-            let table = &self.env.core.table;
+            let (medium, core, topo) = (&self.medium, &self.env.core, &self.env.topo);
+            let table = &core.table;
             let mailboxes = &self.mailboxes;
             let senders = &senders[..];
             let span = |v: usize| u32::try_from(v).expect("a period's frames fit 4 GiB");
@@ -335,7 +300,9 @@ where
                 sc.bytes.clear();
                 (sc.attempted, sc.delivered) = (0, 0);
                 for &s in &senders[chunk(senders.len(), send_workers, w)] {
-                    sc.attempted += proxy.fates(topo, period, s, &mut sc.heard);
+                    sc.heard.clear();
+                    let mut rng = core.medium_rng(period, s);
+                    sc.attempted += medium.fates(topo, s, &mut rng, &mut sc.heard);
                     if sc.heard.is_empty() {
                         continue;
                     }
@@ -361,40 +328,32 @@ where
 
         // Quiescence barrier: run_sharded joined its workers, so every
         // released slot has delivered. Release the receive side: the
-        // candidates are actors with pending guards plus the touched
-        // receivers (under gating a candidate only actually runs when
-        // its mail contains an epoch it has not incorporated yet —
-        // mirroring the round driver's freshness kernel).
-        let mut dirty_buf = std::mem::take(&mut self.dirty_buf);
+        // candidates are actors with pending guards plus the senders'
+        // neighbors (under gating a hearer only actually runs when its
+        // mail contains an epoch it has not incorporated yet —
+        // mirroring the round driver's pass over `Frames::all_held`).
+        self.env.mark_hearers(&senders, &mut self.hearers);
         self.env
             .core
             .table
             .update_dirty
-            .drain_sorted_into(&mut dirty_buf);
-        for &s in &senders {
-            for &r in self.env.topo.neighbors(s) {
-                self.touched.insert(r);
-            }
-        }
-        let mut touched_buf = std::mem::take(&mut self.touched_buf);
-        self.touched.drain_sorted_into(&mut touched_buf);
-        merge_candidates(&dirty_buf, &touched_buf, &mut self.candidates_buf);
+            .drain_sorted_into(&mut self.candidates_buf);
 
         // Receive phase: every worker owns one contiguous run of the
         // state column and of the reception arena and executes its
         // candidates in place; the engine schedules the changed actors
         // once the workers have joined.
         let recv_workers = self.threads.min(self.candidates_buf.len());
-        let (mailboxes, arenas) = (&self.mailboxes, &self.send_scratch);
+        let (mailboxes, arenas, hearers) = (&self.mailboxes, &self.send_scratch, &self.hearers);
         let (receives, updates) = self.env.visit(
             period,
             !eager,
             &self.candidates_buf,
-            |c| c.0,
+            |&r| r,
             recv_workers,
             |shard| {
                 let (beacons, protocol) = (shard.beacons, shard.protocol);
-                for &(r, was_dirty) in shard.candidates {
+                for &r in shard.candidates {
                     let neighbors = shard.topo.neighbors(r);
                     let (state, row, sc) = shard.open(r);
                     // The actor wakes — and, gated, snapshots its state
@@ -429,7 +388,7 @@ where
                         sc.receives += 1;
                     }
                     if sc.receives == first {
-                        if !was_dirty {
+                        if hearers.contains(r) {
                             continue; // gated and nothing fresh: the actor never wakes
                         }
                         sc.snapshot(state);
@@ -438,6 +397,7 @@ where
                 }
             },
         );
+        self.hearers.clear();
 
         if !eager {
             self.env.retire_caught_up(&senders, delivered);
@@ -453,8 +413,6 @@ where
         };
         self.messages_total += senders.len() as u64;
         self.senders_buf = senders;
-        self.dirty_buf = dirty_buf;
-        self.touched_buf = touched_buf;
         self.period += 1;
         self.period
     }
@@ -533,32 +491,6 @@ where
     pub fn last_activity(&self) -> StepActivity {
         self.last_activity
     }
-}
-
-/// Sorted-merge of the dirty and touched candidate lists into
-/// `(node, guards pending)` pairs; `out` is overwritten.
-fn merge_candidates(dirty: &[NodeId], touched: &[NodeId], out: &mut Vec<Candidate>) {
-    out.clear();
-    let (mut i, mut j) = (0, 0);
-    while i < dirty.len() && j < touched.len() {
-        match dirty[i].cmp(&touched[j]) {
-            std::cmp::Ordering::Less => {
-                out.push((dirty[i], true));
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push((touched[j], false));
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push((dirty[i], true));
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend(dirty[i..].iter().map(|&p| (p, true)));
-    out.extend(touched[j..].iter().map(|&p| (p, false)));
 }
 
 impl<P, M> ActorDriver<P, M>
@@ -825,22 +757,5 @@ mod tests {
             .run_to(&StopWhen::stable_for(3).within(100))
             .expect_stable("the bridged flood settles");
         assert!(driver.states().iter().all(|&s| s == 3));
-    }
-
-    #[test]
-    fn merge_candidates_is_a_sorted_union() {
-        let d = [NodeId::new(1), NodeId::new(4)];
-        let t = [NodeId::new(0), NodeId::new(4), NodeId::new(6)];
-        let mut merged = Vec::new();
-        merge_candidates(&d, &t, &mut merged);
-        assert_eq!(
-            merged,
-            vec![
-                (NodeId::new(0), false),
-                (NodeId::new(1), true),
-                (NodeId::new(4), true),
-                (NodeId::new(6), false),
-            ]
-        );
     }
 }

@@ -23,7 +23,7 @@ use mwn_graph::{NodeId, Point2, Topology, TopologyDelta};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use super::{ActivityCore, VisitScratch};
+use super::{ActivityCore, NodeSet, VisitScratch};
 use crate::faults::{Fault, Lie};
 use crate::rng::derive_seed;
 use crate::scenario::TopologyDynamics;
@@ -220,6 +220,26 @@ impl<P: Protocol> Env<P> {
         }
         self.scratch_nodes = stale;
         self.core.table.send_pending.collect_sorted_into(senders);
+    }
+
+    /// Schedules every neighbor of a sender for a visit, remembering in
+    /// `hearers` those nothing but a frame scheduled — their visit may
+    /// pass them over if all they heard is what they hold. Returns the
+    /// senders' summed degree, the copies in range. Costs that many bit
+    /// operations; nothing here is proportional to n.
+    pub fn mark_hearers(&mut self, senders: &[NodeId], hearers: &mut NodeSet) -> usize {
+        let dirty = &mut self.core.table.update_dirty;
+        let mut in_range = 0;
+        for &s in senders {
+            let heard_by = self.topo.neighbors(s);
+            in_range += heard_by.len();
+            for &r in heard_by {
+                if dirty.insert(r) {
+                    hearers.insert(r);
+                }
+            }
+        }
+        in_range
     }
 
     /// The tail of a gated period: senders every neighbor has caught

@@ -350,8 +350,10 @@ pub struct EventDriver<P: Protocol, M: Medium = PerfectMedium> {
     pool: BeaconPool<P::Beacon>,
     /// The number of the beacon slot a node has in the queue, if any.
     armed: Vec<Option<u64>>,
-    /// Scratch delivery for per-sender medium evaluation.
+    /// Scratch delivery for the contention media's one-sender call.
     delivery: Delivery,
+    /// The receivers of the transmission being sent.
+    heard: Vec<NodeId>,
     /// Scratch node list (wake batches).
     scratch_nodes: Vec<NodeId>,
     time: f64,
@@ -429,7 +431,8 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
                 free: Vec::new(),
             },
             armed: vec![None; n],
-            delivery: Delivery::empty(n),
+            delivery: Delivery::empty(0),
+            heard: Vec::new(),
             scratch_nodes: Vec::new(),
             time: 0.0,
             messages: 0,
@@ -714,34 +717,32 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         // (FullOccupancy): the eager twin beacons every period, so
         // using the same per-frame law in both modes keeps gating
         // unobservable there too.
-        self.delivery.reset(self.env.topo.len());
+        let heard = &mut self.heard;
+        heard.clear();
         if self.medium.gated_contention() {
             let streams = self.env.core.contention_streams(slot);
-            self.medium.deliver_from_occupied(
+            self.delivery.reset(self.env.topo.len());
+            self.medium.deliver_occupied_into(
                 &self.env.topo,
-                p,
+                &[p],
                 &mwn_radio::FullOccupancy,
                 &streams,
                 &mut self.delivery,
             );
+            // One sender: the receivers are the ones it touched.
+            heard.extend_from_slice(&self.delivery.touched);
         } else {
             let mut rng = self.env.core.medium_rng(slot, p);
-            self.medium
-                .deliver_from(&self.env.topo, p, &mut rng, &mut self.delivery);
+            self.medium.fates(&self.env.topo, p, &mut rng, heard);
         }
         // The copies that made it share one pooled beacon.
-        let delivery = &self.delivery;
-        let lucky = || {
-            let heard = |r: &&NodeId| !delivery.heard[r.index()].is_empty();
-            delivery.touched.iter().filter(heard)
-        };
-        let copies = lucky().count() as u32;
-        if copies > 0 {
+        if !heard.is_empty() {
             let table = &self.env.core.table;
+            let copies = heard.len() as u32;
             let beacon = self.pool.hold(&table.beacons[p.index()], copies);
             let tx_epoch = table.epoch[p.index()];
             let time = t + self.config.frame_time;
-            for &receiver in lucky() {
+            for &receiver in heard.iter() {
                 self.lanes.push_frame(Frame {
                     time,
                     receiver,

@@ -347,7 +347,7 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         // incorporated yet.
         let lossless = self.medium.lossless();
         let (attempted, delivered) = if lossless {
-            let in_range = self.mark_hearers();
+            let in_range = self.env.mark_hearers(&self.senders_buf, &mut self.hearers);
             (in_range, in_range)
         } else {
             self.deliver(eager);
@@ -470,8 +470,7 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         if self.medium.independent_fates() {
             for &s in &self.senders_buf {
                 let mut rng = core.medium_rng(self.step, s);
-                self.medium
-                    .deliver_from(topo, s, &mut rng, &mut self.delivery);
+                self.delivery.record_fates(&self.medium, topo, s, &mut rng);
             }
         } else if let Some(occ) = occupancy {
             let streams = core.contention_streams(self.step);
@@ -506,28 +505,6 @@ impl<P: Protocol, M: Medium> Network<P, M> {
                 table.update_dirty.insert(r);
             }
         }
-    }
-
-    /// Phases 3–4 of a lossless step, where there is nothing to ask:
-    /// every neighbor of a sender heard it. Those not scheduled anyway
-    /// become candidates — remembered in `hearers`, so that their visit
-    /// can pass them over if all they heard is what they hold. Returns
-    /// the senders' summed degree, which is both the copies attempted
-    /// and the copies delivered. Costs that many bit operations;
-    /// nothing here is proportional to n.
-    fn mark_hearers(&mut self) -> usize {
-        let (table, topo) = (&mut self.env.core.table, &self.env.topo);
-        let mut in_range = 0;
-        for &s in &self.senders_buf {
-            let heard_by = topo.neighbors(s);
-            in_range += heard_by.len();
-            for &r in heard_by {
-                if table.update_dirty.insert(r) {
-                    self.hearers.insert(r);
-                }
-            }
-        }
-        in_range
     }
 
     /// Runs `steps` synchronous steps.

@@ -263,10 +263,11 @@ impl<P: Protocol, M: Medium> Scenario<P, M> {
     /// beacon frames ([`WireBeacon`]) under the virtual-time token
     /// governor — the third driver the same scenario can run on.
     ///
-    /// The medium must support shared-reference fate evaluation
-    /// ([`Medium::proxyable`]): the actor fabric replays its drop
-    /// decisions on the round driver's per-(period, sender) streams, so
-    /// a given seed drops the same frame copies on both drivers.
+    /// The medium must decide fates per sender
+    /// ([`Medium::independent_fates`]): the actor fabric's workers ask
+    /// [`Medium::fates`] on the round driver's per-(period, sender)
+    /// streams, so a given seed drops the same frame copies on both
+    /// drivers.
     /// Scripted [`FaultPlan`]s fire at period boundaries *before* that
     /// period's beacon slots are released (fault ≤ send); mobility
     /// dynamics tick once per period at the same boundary. The
@@ -277,7 +278,7 @@ impl<P: Protocol, M: Medium> Scenario<P, M> {
     ///
     /// [`SimError::MissingTopology`]; [`SimError::InvalidConfig`] when
     /// a [`Scenario::validate`] check fails or the medium is
-    /// contention-coupled (not proxyable).
+    /// contention-coupled (no independent fates).
     pub fn build_actors(self, threads: usize) -> Result<ActorDriver<P, M>, SimError>
     where
         P::Beacon: WireBeacon,

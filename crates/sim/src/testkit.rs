@@ -185,29 +185,17 @@ impl<M: Medium> Medium for Pushed<M> {
     fn deliver(&mut self, topo: &Topology, senders: &[NodeId], rng: &mut StdRng) -> Delivery {
         self.0.deliver(topo, senders, rng)
     }
-    fn deliver_from(
-        &mut self,
-        topo: &Topology,
-        sender: NodeId,
-        rng: &mut StdRng,
-        out: &mut Delivery,
-    ) {
-        self.0.deliver_from(topo, sender, rng, out);
-    }
     fn independent_fates(&self) -> bool {
         self.0.independent_fates()
     }
-    fn proxyable(&self) -> bool {
-        self.0.proxyable()
-    }
-    fn proxy_fates(
+    fn fates(
         &self,
         topo: &Topology,
         sender: NodeId,
         rng: &mut StdRng,
         heard: &mut Vec<NodeId>,
     ) -> usize {
-        self.0.proxy_fates(topo, sender, rng, heard)
+        self.0.fates(topo, sender, rng, heard)
     }
     fn gated_contention(&self) -> bool {
         self.0.gated_contention()
@@ -225,17 +213,6 @@ impl<M: Medium> Medium for Pushed<M> {
     ) {
         self.0
             .deliver_occupied_into(topo, senders, occupancy, streams, out);
-    }
-    fn deliver_from_occupied(
-        &mut self,
-        topo: &Topology,
-        sender: NodeId,
-        occupancy: &dyn OccupancyView,
-        streams: &ContentionStreams,
-        out: &mut Delivery,
-    ) {
-        self.0
-            .deliver_from_occupied(topo, sender, occupancy, streams, out);
     }
     fn name(&self) -> &'static str {
         self.0.name()

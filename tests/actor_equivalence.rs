@@ -137,7 +137,7 @@ fn actors_equal_rounds_under_distance_fading_and_thinning() {
         4,
         "fading",
     );
-    // Thinned(Perfect) is a proxyable composite: the thinning coin per
+    // Thinned(Perfect) is an independent-fates composite: the thinning coin per
     // delivered copy must replay in the same order on both drivers.
     assert_exact_agreement(
         || {

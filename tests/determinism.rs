@@ -191,6 +191,123 @@ fn event_driver_mobility_replays_exactly() {
     assert_eq!(run(), run());
 }
 
+/// What one run is pinned by: its report, its broadcasts, the frame
+/// copies it delivered and a digest of its final outputs.
+type Pin = (RunReport, u64, u64, u64);
+
+/// FNV-1a over every node's `(density, head, parent)` output.
+fn digest(outputs: &[(u32, NodeId, NodeId)]) -> u64 {
+    outputs
+        .iter()
+        .flat_map(|&(density, head, parent)| [density, head.value(), parent.value()])
+        .fold(0xcbf2_9ce4_8422_2325, |h, x| {
+            (h ^ u64::from(x)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// One lossy run on each driver: the round driver gated and pinned
+/// eager, the event clock, and the actor fabric on one thread. Frames
+/// on the period-clocked drivers are counted by a twin that replays
+/// the run step by step.
+fn pins<M: Medium + Sync + Clone>(medium: M) -> [Pin; 4] {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+    let topo = builders::uniform(40, 0.2, &mut rng);
+    let scenario = || {
+        Scenario::new(DensityCluster::new(ClusterConfig::default().event_driven()))
+            .medium(medium.clone())
+            .topology(topo.clone())
+            .seed(5)
+    };
+    let stop = StopWhen::stable_for(4).within(400);
+    let rounds = |eager: bool| {
+        let mut net = scenario().build().expect("valid scenario");
+        let mut twin = scenario().build().expect("valid scenario");
+        net.set_eager(eager);
+        twin.set_eager(eager);
+        let report = net.run_to(&stop);
+        let frames = (0..report.end_step)
+            .map(|_| {
+                twin.step();
+                twin.last_activity().frames_delivered as u64
+            })
+            .sum();
+        (report, net.messages_total(), frames, digest(&net.outputs()))
+    };
+    let mut events = scenario()
+        .build_events(EventConfig::default())
+        .expect("valid event scenario");
+    let report = events.run_to(&stop);
+    let events = (
+        report,
+        events.messages_total(),
+        events.frames_delivered(),
+        digest(&events.outputs()),
+    );
+    let mut actors = scenario().build_actors(1).expect("valid actor scenario");
+    let mut twin = scenario().build_actors(1).expect("valid actor scenario");
+    let report = actors.run_to(&stop);
+    let frames = (0..report.end_step)
+        .map(|_| {
+            twin.step();
+            twin.last_activity().frames_delivered as u64
+        })
+        .sum();
+    let actors = (
+        report,
+        actors.messages_total(),
+        frames,
+        digest(&actors.outputs()),
+    );
+    [rounds(false), rounds(true), events, actors]
+}
+
+#[test]
+fn lossy_fates_replay_their_pins_on_all_three_drivers() {
+    // Recorded at PR 24, before the per-sender fate entry points were
+    // folded into `Medium::fates`. The equivalence suites compare the
+    // drivers with each other, so a draw reordered the same way on all
+    // of them passes there; it cannot pass here.
+    let settled = |stabilized: u64| RunReport {
+        stabilized: Some(stabilized),
+        steps: stabilized + 4,
+        end_step: stabilized + 4,
+        satisfied: true,
+        timed_out: false,
+    };
+    // Every run settles on the same clustering; the draws decide how.
+    let out = 16_840_706_550_354_590_634;
+    assert_eq!(
+        pins(BernoulliLoss::new(0.6)),
+        [
+            (settled(11), 427, 1048, out),
+            (settled(11), 600, 1309, out),
+            (settled(9), 362, 890, out),
+            (settled(11), 427, 1048, out),
+        ],
+        "bernoulli: [gated rounds, eager rounds, events, actors]"
+    );
+    assert_eq!(
+        pins(DistanceFading::new(2.0, 0.3)),
+        [
+            (settled(19), 563, 1313, out),
+            (settled(19), 920, 1923, out),
+            (settled(17), 523, 1244, out),
+            (settled(19), 563, 1313, out),
+        ],
+        "fading: [gated rounds, eager rounds, events, actors]"
+    );
+    assert_eq!(
+        pins(Thinned::new(PerfectMedium, 0.7)),
+        [
+            (settled(11), 381, 1079, out),
+            (settled(11), 600, 1516, out),
+            (settled(9), 320, 906, out),
+            (settled(11), 381, 1079, out),
+        ],
+        "thinned: [gated rounds, eager rounds, events, actors]"
+    );
+}
+
 #[test]
 fn event_driver_trajectories_replay_exactly() {
     let run = |seed: u64| {
