@@ -1,13 +1,57 @@
 //! The flat neighbor cache of a [`crate::ClusterState`].
 //!
 //! A node's cache holds one entry per radio neighbor: the neighbor's
-//! shared variables plus its own neighbor summaries (its *view*). The
-//! converging phase clones, compares and rewrites these entries for
-//! every active node, so the whole cache lives in **two** buffers — one
-//! vector of `Copy` headers ([`NeighborSlot`]) sorted by neighbor id,
-//! and one vector holding every view back to back. A clone is two
-//! `memcpy`s, equality two linear scans, a refresh from a known
-//! neighbor an in-place overwrite.
+//! shared variables plus what the guards read of its own neighbor
+//! summaries (its *view*). The converging phase clones, compares and
+//! rewrites these entries for every active node, so the whole cache
+//! lives in **two** buffers — one vector of `Copy` headers
+//! ([`NeighborSlot`]) sorted by neighbor id, and one vector holding
+//! every view back to back. A clone is two `memcpy`s, equality two
+//! linear scans, a refresh from a known neighbor an in-place overwrite.
+//!
+//! # What a view keeps
+//!
+//! A beacon relays full [`PeerSummary`]s, but the guards read two
+//! things of them only:
+//!
+//! * rule R1 (Section 4.2) counts links among neighbors, which needs
+//!   the view's **ids** — so the view buffer holds one [`NodeId`] per
+//!   entry, four bytes instead of twenty;
+//! * the fusion rule (Section 4.3) needs the 2-hop **head claims** —
+//!   so each slot carries `claim`, the strongest claim its view relays
+//!   (an entry `s` with `s.head == s.id`), the owner's own id excluded.
+//!   [`crate::DensityCluster`] computes it on receive under
+//!   [`crate::HeadRule::Fusion`] and stores `None` under `Basic`, whose
+//!   guards read no claim.
+//!
+//! # Why the run is unchanged
+//!
+//! * **One claim per slot is enough.** Every relayed claim has
+//!   `is_head = true`, so [`crate::OrderKind::Basic`] and `Stable` rank
+//!   claims the same way, and [`crate::Key::cmp_under`] is a total
+//!   order. "The strongest claim that beats `my_key`" is therefore the
+//!   strongest claim overall if it beats `my_key`, and nobody
+//!   otherwise — and the strongest overall is the strongest of the
+//!   per-slot strongest.
+//! * **A receive that now reports "no change" triggered no-ops
+//!   before.** Such a receive only rewrote 2-hop content no guard
+//!   reads. A cache of full summaries reported it as a change, which
+//!   (a) refreshed a beacon that came out identical — beacons are
+//!   built from slot headers — so nothing was sent, and (b) re-ran, in
+//!   the next step, a guard pass that had just moved nothing on the
+//!   same inputs. That re-run is a no-op under every configuration,
+//!   `Stable` order and DAG redraws included, because a conflicted N1
+//!   pass always changes `dag_id` (and so already re-runs on its own).
+//!   Under `EventDriven` freshness such a receive also restamped the
+//!   entry; those guards read a stamp only as `last_seen <= now`,
+//!   which a past stamp and `now` answer alike. Frames and outputs are
+//!   the same; only the change and update counts drop.
+//! * **Fault draws are unchanged.** Corruption still draws whole
+//!   summaries ([`crate::NeighborEntry`] keeps `Vec<PeerSummary>`), so
+//!   the same seed forges the same ghosts.
+//!
+//! `crates/core/tests/properties.rs` drives this cache beside a
+//! reference that keeps full summaries and checks the first two.
 //!
 //! # The `links` invariant
 //!
@@ -15,7 +59,7 @@
 //! Definition 1: `links = |{r ∈ view : id < r ∧ r cached}|`, the
 //! among-neighbor edges `(id, r)` this neighbor reports, each edge
 //! counted at its smaller endpoint. Rule R1 is then
-//! `degree + Σ links` over forty-byte slots — it never re-reads a view.
+//! `degree + Σ links` over the slot headers — it never re-reads a view.
 //! The count of a slot depends on its own view and on the cached key
 //! set, so it is recounted
 //!
@@ -32,11 +76,12 @@
 use mwn_graph::NodeId;
 use serde::{Deserialize, Serialize};
 
-use crate::{Density, NeighborEntry, PeerSummary};
+use crate::{Density, Key, NeighborEntry, PeerSummary};
 
 /// The header of one cached neighbor: its shared variables as last
-/// heard, plus the bookkeeping that locates its view and its share of
-/// the density numerator.
+/// heard, the strongest head claim its view relays, and the
+/// bookkeeping that locates its view and its share of the density
+/// numerator.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct NeighborSlot {
     /// Logical time the last beacon from this neighbor arrived.
@@ -49,6 +94,11 @@ pub struct NeighborSlot {
     pub density: Density,
     /// Cached copy of the neighbor's head claim.
     pub head: NodeId,
+    /// The strongest head claim the neighbor's view relays, the cache
+    /// owner's own excluded — what the fusion rule reads of the view.
+    /// `None` when the view relays none, or when the protocol reads no
+    /// claim (see the module docs).
+    pub claim: Option<Key>,
     /// Exclusive end of this neighbor's view in the shared view buffer;
     /// it starts where the previous slot's view ends.
     end: u32,
@@ -69,7 +119,7 @@ impl NeighborSlot {
 }
 
 /// A node's neighbor cache: [`NeighborSlot`]s sorted by neighbor id
-/// over one shared buffer of views.
+/// over one shared buffer of views, each view kept as its ids.
 ///
 /// # Examples
 ///
@@ -91,12 +141,12 @@ impl NeighborSlot {
 /// let ids: Vec<u32> = cache.keys().map(|q| q.value()).collect();
 /// assert_eq!(ids, [2, 7]);
 /// let (slot, view) = cache.get(&NodeId::new(2)).expect("cached");
-/// assert_eq!((slot.head, view.len()), (NodeId::new(9), 0));
+/// assert_eq!((slot.head, slot.claim, view.len()), (NodeId::new(9), None, 0));
 /// ```
 #[derive(Debug, Default, Serialize, Deserialize)]
 pub struct NeighborCache {
     slots: Vec<NeighborSlot>,
-    views: Vec<PeerSummary>,
+    views: Vec<NodeId>,
 }
 
 impl NeighborCache {
@@ -125,7 +175,7 @@ impl NeighborCache {
             .map_or(0, |prev| self.slots[prev].end as usize)
     }
 
-    fn view(&self, i: usize) -> &[PeerSummary] {
+    fn view(&self, i: usize) -> &[NodeId] {
         &self.views[self.start(i)..self.slots[i].end as usize]
     }
 
@@ -134,8 +184,8 @@ impl NeighborCache {
         self.pos(*id).is_ok()
     }
 
-    /// The entry for `id`: its header and its view.
-    pub fn get(&self, id: &NodeId) -> Option<(&NeighborSlot, &[PeerSummary])> {
+    /// The entry for `id`: its header and its view's ids.
+    pub fn get(&self, id: &NodeId) -> Option<(&NeighborSlot, &[NodeId])> {
         let i = self.pos(*id).ok()?;
         Some((&self.slots[i], self.view(i)))
     }
@@ -151,8 +201,8 @@ impl NeighborCache {
         &self.slots
     }
 
-    /// Every entry as `(header, view)`, ascending by neighbor id.
-    pub fn iter(&self) -> impl Iterator<Item = (&NeighborSlot, &[PeerSummary])> {
+    /// Every entry as `(header, view ids)`, ascending by neighbor id.
+    pub fn iter(&self) -> impl Iterator<Item = (&NeighborSlot, &[NodeId])> {
         let mut start = 0;
         self.slots.iter().map(move |s| {
             let view = &self.views[start..s.end as usize];
@@ -161,7 +211,9 @@ impl NeighborCache {
         })
     }
 
-    /// Inserts `entry` under `id`, replacing any previous entry.
+    /// Inserts `entry` under `id`, replacing any previous entry. The
+    /// cache keeps the ids of `entry.view`; the slot relays no claim
+    /// (`claim` is `None` — only [`NeighborCache::store`] takes one).
     pub fn insert(&mut self, id: NodeId, entry: NeighborEntry) {
         let peer = PeerSummary {
             id,
@@ -169,21 +221,29 @@ impl NeighborCache {
             density: entry.density,
             head: entry.head,
         };
-        self.store(entry.last_seen, peer, &entry.view);
+        self.store(entry.last_seen, peer, None, &entry.view);
     }
 
     /// [`NeighborCache::insert`] from borrowed parts — the receive
-    /// path: `peer` is the sender's shared variables, `view` its
-    /// neighbor summaries. A refresh from a known neighbor overwrites
-    /// its slot and view in place, and recounts that slot's `links`
-    /// only if the view's ids moved — once neighborhoods are known,
-    /// beacons change in what they say about the same ids. A new
-    /// neighbor changes the key set, so every slot is recounted.
-    /// Buffers grow by exactly what is missing: a cache is as large as
-    /// its neighborhood and stays that size, and amortized growth
-    /// leaves slack in every node's cache (`converge_rounds`' peak RSS
-    /// reads about a tenth higher with it).
-    pub fn store(&mut self, last_seen: u64, peer: PeerSummary, view: &[PeerSummary]) {
+    /// path: `peer` is the sender's shared variables, `claim` the
+    /// strongest head claim its view relays (see the module docs),
+    /// `view` its neighbor summaries, of which the ids are kept. A
+    /// refresh from a known neighbor overwrites its slot and view in
+    /// place, and recounts that slot's `links` only if the view's ids
+    /// moved — once neighborhoods are known, beacons change in what
+    /// they say about the same ids. A new neighbor changes the key set,
+    /// so every slot is recounted. Buffers grow by exactly what is
+    /// missing: a cache is as large as its neighborhood and stays that
+    /// size, and amortized growth leaves slack in every node's cache
+    /// (`converge_rounds`' peak RSS reads about a tenth higher with
+    /// it).
+    pub fn store(
+        &mut self,
+        last_seen: u64,
+        peer: PeerSummary,
+        claim: Option<Key>,
+        view: &[PeerSummary],
+    ) {
         let known = self.pos(peer.id);
         let (Ok(i) | Err(i)) = known;
         let start = self.start(i);
@@ -193,6 +253,7 @@ impl NeighborCache {
             dag_id: peer.dag_id,
             density: peer.density,
             head: peer.head,
+            claim,
             end,
             links,
         };
@@ -207,11 +268,16 @@ impl NeighborCache {
         let mut same_ids = false;
         if view.len() == old {
             let cached = &mut self.views[start..start + old];
-            same_ids = cached.iter().zip(view).all(|(a, b)| a.id == b.id);
-            cached.copy_from_slice(view);
+            same_ids = cached.iter().zip(view).all(|(&r, s)| r == s.id);
+            if !same_ids {
+                for (r, s) in cached.iter_mut().zip(view) {
+                    *r = s.id;
+                }
+            }
         } else {
             self.views.reserve_exact(view.len().saturating_sub(old));
-            self.views.splice(start..start + old, view.iter().copied());
+            self.views
+                .splice(start..start + old, view.iter().map(|s| s.id));
             for s in &mut self.slots[i..] {
                 s.end = (s.end as usize + view.len() - old) as u32;
             }
@@ -282,8 +348,8 @@ impl NeighborCache {
             // Only a corrupted cache holds an entry for its own node.
             // Definition 1 excludes `r = p`, so the pairs `(q, me)` the
             // slots counted are taken back.
-            let ending_at_me = |(s, view): (&NeighborSlot, &[PeerSummary])| {
-                let mine = view.iter().filter(|r| r.id == me).count();
+            let ending_at_me = |(s, view): (&NeighborSlot, &[NodeId])| {
+                let mine = view.iter().filter(|&&r| r == me).count();
                 if s.id < me {
                     mine as u32
                 } else {
@@ -307,13 +373,13 @@ impl NeighborCache {
     /// known or unknown, and any `level` (past the last: nothing).
     ///
     /// * 0 — the inline words: both buffer lengths.
-    /// * 1 — one word of every forty-byte slot header: what the search
-    ///   for `from`, R1 and R2 read.
-    /// * 2 — every cache line of `from`'s view (every third
-    ///   [`PeerSummary`] and the last). Its slot is found by *counting*
-    ///   the ids below `from`, not by searching: the count is
-    ///   branch-free, so the view's loads wait on the slot block alone,
-    ///   not on a mispredicted search over it.
+    /// * 1 — one word of every slot header: what the search for
+    ///   `from`, R1 and R2 read.
+    /// * 2 — every cache line of `from`'s view (every sixteenth id and
+    ///   the last). Its slot is found by *counting* the ids below
+    ///   `from`, not by searching: the count is branch-free, so the
+    ///   view's loads wait on the slot block alone, not on a
+    ///   mispredicted search over it.
     ///   An unknown `from` reads the view its entry would displace.
     #[inline]
     pub fn peek(&self, from: NodeId, level: u8) -> u64 {
@@ -328,7 +394,12 @@ impl NeighborCache {
                 let i = self.slots.iter().filter(|s| s.id < from).count();
                 let start = self.start(i);
                 let end = self.slots.get(i).map_or(start, |s| s.end as usize);
-                PeerSummary::peek_lines(self.views.get(start..end).unwrap_or_default())
+                let view = self.views.get(start..end).unwrap_or_default();
+                // A 4-byte id, so a stride of sixteen (64 bytes) lands
+                // on every line of the view whatever its alignment.
+                let strided = view.iter().step_by(16).map(|r| u64::from(r.value()));
+                let last = view.last().map_or(0, |r| u64::from(r.value()));
+                strided.fold(last, u64::wrapping_add)
             }
             _ => 0,
         }
@@ -336,7 +407,7 @@ impl NeighborCache {
 
     fn count_links(&self, i: usize) -> u32 {
         let q = self.slots[i].id;
-        let cached = |r: &&PeerSummary| q < r.id && self.contains_key(&r.id);
+        let cached = |r: &&NodeId| q < **r && self.contains_key(r);
         self.view(i).iter().filter(cached).count() as u32
     }
 
@@ -381,7 +452,8 @@ impl NeighborCache {
 
 /// Content equality, entry by entry in key order: derived bookkeeping
 /// (`links`) is a function of the content and is not compared; equal
-/// view offsets make the flat view compare an entry-wise one.
+/// view offsets make the flat view compare an entry-wise one. What is
+/// compared is exactly what the guards read.
 impl PartialEq for NeighborCache {
     fn eq(&self, other: &Self) -> bool {
         let same_header = |(a, b): (&NeighborSlot, &NeighborSlot)| {
@@ -390,6 +462,7 @@ impl PartialEq for NeighborCache {
                 && a.dag_id == b.dag_id
                 && a.density == b.density
                 && a.head == b.head
+                && a.claim == b.claim
                 && a.end == b.end
         };
         self.slots.len() == other.slots.len()
@@ -445,16 +518,16 @@ mod tests {
     #[test]
     fn store_keeps_views_aligned_through_growth_and_shrinkage() {
         let mut cache = NeighborCache::new();
-        cache.store(1, peer(5), &view(&[1, 9]));
-        cache.store(1, peer(2), &view(&[5]));
-        cache.store(1, peer(9), &view(&[]));
+        cache.store(1, peer(5), None, &view(&[1, 9]));
+        cache.store(1, peer(2), None, &view(&[5]));
+        cache.store(1, peer(9), None, &view(&[]));
         cache.check().expect("consistent after inserts");
-        cache.store(2, peer(2), &view(&[5, 9, 11]));
-        cache.store(2, peer(5), &view(&[9]));
+        cache.store(2, peer(2), None, &view(&[5, 9, 11]));
+        cache.store(2, peer(5), None, &view(&[9]));
         cache.check().expect("consistent after rewrites");
         let got: Vec<(u32, Vec<u32>)> = cache
             .iter()
-            .map(|(s, v)| (s.id.value(), v.iter().map(|r| r.id.value()).collect()))
+            .map(|(s, v)| (s.id.value(), v.iter().map(|r| r.value()).collect()))
             .collect();
         assert_eq!(
             got,
@@ -469,7 +542,7 @@ mod tests {
     fn retain_and_remove_recount_the_survivors() {
         let mut cache = NeighborCache::new();
         for (q, v) in [(1, vec![2, 3]), (2, vec![1, 3]), (3, vec![1, 2])] {
-            cache.store(q as u64, peer(q), &view(&v));
+            cache.store(q as u64, peer(q), None, &view(&v));
         }
         assert_eq!(cache.neighborhood_links(id(0)), 6, "a triangle");
         assert!(!cache.retain(|_| true), "nothing dropped");
@@ -484,9 +557,9 @@ mod tests {
     #[test]
     fn a_self_entry_does_not_count_pairs_ending_at_the_node() {
         let mut cache = NeighborCache::new();
-        cache.store(0, peer(1), &view(&[4, 4, 6]));
-        cache.store(0, peer(4), &view(&[6]));
-        cache.store(0, peer(6), &view(&[]));
+        cache.store(0, peer(1), None, &view(&[4, 4, 6]));
+        cache.store(0, peer(4), None, &view(&[6]));
+        cache.store(0, peer(6), None, &view(&[]));
         // Seen from node 4 (its own id is cached): (1,4) twice is out,
         // (1,6) and (4,6) stay.
         assert_eq!(cache.neighborhood_links(id(4)), 3 + 2);
@@ -497,10 +570,10 @@ mod tests {
     fn clone_from_matches_across_sizes_and_equality_ignores_capacity() {
         let mut big = NeighborCache::new();
         for q in 0..6 {
-            big.store(7, peer(q), &view(&[q + 1, q + 2]));
+            big.store(7, peer(q), None, &view(&[q + 1, q + 2]));
         }
         let mut small = NeighborCache::new();
-        small.store(7, peer(3), &view(&[1]));
+        small.store(7, peer(3), None, &view(&[1]));
         let mut scratch = small.clone();
         for source in [&big, &small, &big] {
             scratch.clone_from(source);
@@ -508,5 +581,34 @@ mod tests {
             scratch.check().expect("a clone carries consistent counts");
         }
         assert_ne!(big, small);
+    }
+
+    #[test]
+    fn a_slot_fits_a_cache_line_and_a_view_entry_is_an_id() {
+        fn entry_size<T>(_: &[T]) -> usize {
+            std::mem::size_of::<T>()
+        }
+        assert!(std::mem::size_of::<NeighborSlot>() <= 64);
+        let mut cache = NeighborCache::new();
+        cache.store(0, peer(1), None, &view(&[2, 3]));
+        // What `peek`'s stride of sixteen entries per line assumes.
+        assert_eq!(entry_size(&cache.views), 4);
+    }
+
+    #[test]
+    fn the_claim_is_content_and_a_rewrite_replaces_it() {
+        let claim = |d| Some(Key::new(Density::integer(d), true, 3, id(3)));
+        let mut a = NeighborCache::new();
+        a.store(0, peer(1), claim(2), &view(&[3]));
+        let mut b = a.clone();
+        assert_eq!(a, b);
+        b.store(0, peer(1), claim(5), &view(&[3]));
+        assert_ne!(a, b, "same ids, another claim");
+        assert_eq!(b.get(&id(1)).map(|(s, _)| s.claim), Some(claim(5)));
+        b.store(0, peer(1), None, &view(&[3]));
+        assert_ne!(a, b);
+        a.store(0, peer(1), None, &view(&[3]));
+        assert_eq!(a, b);
+        b.check().expect("a claim rewrite keeps the counts");
     }
 }

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use mwn_sim::{Corruptible, Protocol};
 
-use crate::{Key, OrderKind, SmallMap};
+use crate::{Key, OrderKind};
 
 /// How conflicts are resolved when re-drawing a DAG identifier.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -254,10 +254,19 @@ impl DagProtocol {
 pub struct DagState {
     /// The node's current DAG identifier (shared variable `Id_p`).
     pub dag_id: u32,
-    /// Cached neighbor identifiers with their last-refresh time.
-    /// Sorted-vector backed for the same hot-loop reasons as
-    /// [`crate::ClusterState::cache`].
-    pub cache: SmallMap<NodeId, (u32, u64)>,
+    /// Cached neighbor identifiers as `(neighbor, name, last
+    /// refresh)`, sorted by neighbor: a clone is one `memcpy`, a lookup
+    /// a binary search, and iteration ascends by neighbor id.
+    pub cache: Vec<(NodeId, u32, u64)>,
+}
+
+/// Writes `entry` into the sorted `cache`, replacing the previous
+/// entry of its neighbor.
+fn put(cache: &mut Vec<(NodeId, u32, u64)>, entry: (NodeId, u32, u64)) {
+    match cache.binary_search_by_key(&entry.0, |e| e.0) {
+        Ok(i) => cache[i] = entry,
+        Err(i) => cache.insert(i, entry),
+    }
 }
 
 impl Protocol for DagProtocol {
@@ -268,7 +277,7 @@ impl Protocol for DagProtocol {
         // "each node randomly chooses a DAG Id" (Section 5).
         DagState {
             dag_id: rng.random_range(0..self.gamma.size()),
-            cache: SmallMap::new(),
+            cache: Vec::new(),
         }
     }
 
@@ -280,11 +289,12 @@ impl Protocol for DagProtocol {
         if self.event_driven {
             // Silence contract: an unchanged name must be a state
             // no-op — not even a timestamp refresh.
-            if state.cache.get(&from).map(|&(id, _)| id) == Some(*beacon) {
+            let known = state.cache.binary_search_by_key(&from, |e| e.0);
+            if known.is_ok_and(|i| state.cache[i].1 == *beacon) {
                 return;
             }
         }
-        state.cache.insert(from, (*beacon, now));
+        put(&mut state.cache, (from, *beacon, now));
     }
 
     fn update(&self, node: NodeId, state: &mut DagState, now: u64, rng: &mut StdRng) {
@@ -294,13 +304,13 @@ impl Protocol for DagProtocol {
         // forgeries.
         let ttl = self.cache_ttl;
         if self.event_driven {
-            state.cache.retain(|_, &mut (_, seen)| seen <= now);
+            state.cache.retain(|&(_, _, seen)| seen <= now);
         } else {
             state
                 .cache
-                .retain(|_, &mut (_, seen)| seen <= now && now - seen < ttl);
+                .retain(|&(_, _, seen)| seen <= now && now - seen < ttl);
         }
-        let used: Vec<u32> = state.cache.values().map(|&(id, _)| id).collect();
+        let used: Vec<u32> = state.cache.iter().map(|&(_, id, _)| id).collect();
         let conflicted = !self.gamma.contains(state.dag_id) || used.contains(&state.dag_id);
         if !conflicted {
             return;
@@ -314,7 +324,7 @@ impl Protocol for DagProtocol {
                     || state
                         .cache
                         .iter()
-                        .any(|(&q, &(id, _))| id == state.dag_id && node < q)
+                        .any(|&(q, id, _)| id == state.dag_id && node < q)
             }
         };
         if must_redraw {
@@ -335,7 +345,9 @@ impl Protocol for DagProtocol {
     }
 
     fn link_down(&self, _node: NodeId, state: &mut DagState, peer: NodeId) {
-        state.cache.remove(&peer);
+        if let Ok(i) = state.cache.binary_search_by_key(&peer, |e| e.0) {
+            state.cache.remove(i);
+        }
     }
 }
 
@@ -359,7 +371,7 @@ impl Corruptible for DagProtocol {
             let ghost = NodeId::new(rng.random_range(0..10_000));
             let name = rng.random_range(0..u32::MAX);
             let seen = rng.random_range(0..u64::MAX);
-            state.cache.insert(ghost, (name, seen));
+            put(&mut state.cache, (ghost, name, seen));
         }
     }
 }

@@ -72,7 +72,6 @@ mod oracle;
 mod order;
 mod protocol;
 mod routing;
-mod smallmap;
 mod stabilization;
 
 pub use cache::{NeighborCache, NeighborSlot};
@@ -99,5 +98,4 @@ pub use routing::{
     mean_stretch, mean_stretch_over, ClusterRouter, FlatRoutes, HierarchicalRoutes, PassScratch,
     RoutePass, RouteScratch, RoutingView,
 };
-pub use smallmap::SmallMap;
 pub use stabilization::{check_legitimate, measure_info_schedule, Illegitimacy, InfoSchedule};

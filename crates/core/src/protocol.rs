@@ -174,22 +174,10 @@ pub struct PeerSummary {
     pub head: NodeId,
 }
 
-impl PeerSummary {
-    /// The look-ahead read of a view: one word of every third entry
-    /// and of the last, summed (wrapping). A [`PeerSummary`] is 20
-    /// bytes, so a stride of three (60 bytes) lands on every 64-byte
-    /// line of the view whatever its alignment.
-    #[inline]
-    pub(crate) fn peek_lines(view: &[PeerSummary]) -> u64 {
-        let strided = view.iter().step_by(3).map(|s| u64::from(s.dag_id));
-        let last = view.last().map_or(0, |s| u64::from(s.head.value()));
-        strided.fold(last, u64::wrapping_add)
-    }
-}
-
 /// A cached neighbor entry in owned form — what
 /// [`NeighborCache::insert`] takes. The cache itself stores entries
-/// flat ([`NeighborSlot`] headers over one shared view buffer).
+/// flat ([`NeighborSlot`] headers over one shared buffer of view ids)
+/// and keeps of `view` only its ids.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct NeighborEntry {
     /// Logical time the last beacon from this neighbor arrived.
@@ -201,11 +189,16 @@ pub struct NeighborEntry {
     /// Cached copy of the neighbor's head claim.
     pub head: NodeId,
     /// The neighbor's own neighbor summaries — `p`'s window onto its
-    /// 2-neighborhood (used for density and the fusion rule).
+    /// 2-neighborhood, as a beacon relays it.
     pub view: Vec<PeerSummary>,
 }
 
 /// Per-node state: shared variables plus the neighbor cache.
+///
+/// `PartialEq` compares exactly what the guards read: the four shared
+/// variables and, per cached neighbor, its header, the strongest head
+/// claim its view relays and its view's ids — not the rest of the 2-hop
+/// summaries a beacon carries.
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct ClusterState {
     /// DAG identifier (equals the unique id when the DAG is disabled).
@@ -217,10 +210,12 @@ pub struct ClusterState {
     /// Current parent `F(p)`.
     pub parent: NodeId,
     /// Cached neighbor state, keyed by neighbor id: `Copy` headers
-    /// sorted by id over one buffer of views ([`NeighborCache`]). The
-    /// converging phase clones, compares and rewrites it for every
-    /// active node, and each header carries its share of the density
-    /// numerator (`links`), so R1 reads the headers alone.
+    /// sorted by id over one buffer of view ids ([`NeighborCache`]).
+    /// The converging phase clones, compares and rewrites it for every
+    /// active node. Each header carries its share of the density
+    /// numerator (`links`) and its view's strongest head claim
+    /// (`claim`, under the fusion rule), so R1 and R2 read the headers
+    /// alone.
     pub cache: NeighborCache,
 }
 
@@ -415,27 +410,37 @@ impl DensityCluster {
         Key::new(s.density, s.head == s.id, s.dag_id, s.id)
     }
 
-    /// Collects the cluster-head claims visible in `p`'s 2-hop window:
-    /// direct neighbors claiming headship plus claims relayed through
-    /// neighbor views. Used by the fusion rule.
-    fn two_hop_head_claims(me: NodeId, state: &ClusterState) -> Vec<Key> {
-        let mut claims = Vec::new();
-        for (e, view) in state.cache.iter() {
-            if e.head == e.id {
-                claims.push(Self::key_of_summary(&e.summary()));
-            }
-            for s in view {
-                if s.id != me && s.head == s.id {
-                    claims.push(Self::key_of_summary(s));
-                }
-            }
+    /// The strongest head claim `view` relays, `me`'s own excluded —
+    /// what a [`NeighborSlot`] keeps of a view for the fusion rule.
+    /// `None` under [`HeadRule::Basic`], whose guards read no claim.
+    fn relayed_claim(&self, me: NodeId, view: &[PeerSummary]) -> Option<Key> {
+        if self.config.rule != HeadRule::Fusion {
+            return None;
         }
-        claims
+        view.iter()
+            .filter(|s| s.id != me && s.head == s.id)
+            .map(Self::key_of_summary)
+            .max_by(|a, b| a.cmp_under(b, self.config.order))
+    }
+
+    /// The strongest cluster-head claim visible in `p`'s 2-hop window:
+    /// direct neighbors claiming headship plus the claim each slot
+    /// keeps of its view. Used by the fusion rule.
+    fn strongest_two_hop_claim(&self, state: &ClusterState) -> Option<Key> {
+        let slots = state.cache.slots();
+        let direct = slots
+            .iter()
+            .filter(|e| e.head == e.id)
+            .map(|e| Self::key_of_summary(&e.summary()));
+        let relayed = slots.iter().filter_map(|e| e.claim);
+        direct
+            .chain(relayed)
+            .max_by(|a, b| a.cmp_under(b, self.config.order))
     }
 
     /// The receive guard. Returns whether `state` changed under
     /// `PartialEq` — exactly: the cached copy of `from` was created, or
-    /// rewritten with different content or a different stamp.
+    /// rewritten with a different header, claim, view ids or stamp.
     fn refresh_cached_copy(
         &self,
         node: NodeId,
@@ -448,8 +453,9 @@ impl DensityCluster {
             return false; // a radio echo of ourselves carries no information
         }
         let event_driven = self.config.freshness == FreshnessPolicy::EventDriven;
+        let claim = self.relayed_claim(node, &beacon.view);
         let changed = match state.cache.get(&from) {
-            Some((e, view)) => {
+            Some((e, ids)) => {
                 // Under TtlSweep a rewrite moves the stamp unless the
                 // sender was already heard this very step, so the
                 // content is only compared then.
@@ -457,7 +463,9 @@ impl DensityCluster {
                     && e.dag_id == beacon.dag_id
                     && e.density == beacon.density
                     && e.head == beacon.head
-                    && view == beacon.view;
+                    && e.claim == claim
+                    && ids.len() == beacon.view.len()
+                    && ids.iter().zip(&beacon.view).all(|(&r, s)| r == s.id);
                 // Silence contract: an already-incorporated beacon must
                 // be a state no-op — not even a timestamp refresh.
                 if event_driven && same {
@@ -475,7 +483,7 @@ impl DensityCluster {
             density: beacon.density,
             head: beacon.head,
         };
-        state.cache.store(now, peer, &beacon.view);
+        state.cache.store(now, peer, claim, &beacon.view);
         changed
     }
 
@@ -564,11 +572,11 @@ impl DensityCluster {
                 state.parent = node;
             }
             (None, HeadRule::Fusion) => {
-                let claims = Self::two_hop_head_claims(node, state);
-                let blocking = claims
-                    .iter()
-                    .filter(|c| my_key.precedes(c, order))
-                    .max_by(|a, b| a.cmp_under(b, order));
+                // `≺` is total, so the strongest claim that beats
+                // `my_key` is the strongest claim, if it beats `my_key`.
+                let blocking = self
+                    .strongest_two_hop_claim(state)
+                    .filter(|c| my_key.precedes(c, order));
                 // Locally maximal, yet a stronger head sits within two
                 // hops: abdicate and merge into it (logical 2-hop
                 // parent).
@@ -670,10 +678,19 @@ impl Protocol for DensityCluster {
         swept || before != shared(state)
     }
 
-    /// The header word, then every cache line of the view.
+    /// The header word, then every cache line of the view: one word of
+    /// every third entry and of the last, summed (wrapping). A
+    /// [`PeerSummary`] is 20 bytes, so a stride of three (60 bytes)
+    /// lands on every 64-byte line of the view whatever its alignment.
     #[inline]
     fn peek(&self, beacon: &ClusterBeacon) -> u64 {
-        u64::from(beacon.dag_id).wrapping_add(PeerSummary::peek_lines(&beacon.view))
+        let view = &beacon.view;
+        let strided = view.iter().step_by(3).map(|s| u64::from(s.dag_id));
+        let last = view.last().map_or(0, |s| u64::from(s.head.value()));
+        strided.fold(
+            u64::from(beacon.dag_id).wrapping_add(last),
+            u64::wrapping_add,
+        )
     }
 
     const PEEK_LEVELS: u8 = NeighborCache::PEEK_LEVELS;
@@ -719,7 +736,7 @@ impl Observable for DensityCluster {
 }
 
 impl Corruptible for DensityCluster {
-    fn corrupt(&self, _node: NodeId, state: &mut ClusterState, rng: &mut StdRng) {
+    fn corrupt(&self, node: NodeId, state: &mut ClusterState, rng: &mut StdRng) {
         state.dag_id = rng.random_range(0..u32::MAX);
         state.density = Density::ratio(rng.random_range(0..100), rng.random_range(0..16));
         state.head = NodeId::new(rng.random_range(0..10_000));
@@ -727,7 +744,7 @@ impl Corruptible for DensityCluster {
         state.cache.clear();
         for _ in 0..rng.random_range(0..5) {
             let ghost = NodeId::new(rng.random_range(0..10_000));
-            let view = (0..rng.random_range(0..4))
+            let view: Vec<PeerSummary> = (0..rng.random_range(0..4))
                 .map(|_| PeerSummary {
                     id: NodeId::new(rng.random_range(0..10_000)),
                     dag_id: rng.random_range(0..u32::MAX),
@@ -735,16 +752,16 @@ impl Corruptible for DensityCluster {
                     head: NodeId::new(rng.random_range(0..10_000)),
                 })
                 .collect();
-            state.cache.insert(
-                ghost,
-                NeighborEntry {
-                    last_seen: rng.random_range(0..u64::MAX),
-                    dag_id: rng.random_range(0..u32::MAX),
-                    density: Density::ratio(rng.random_range(0..50), rng.random_range(0..8)),
-                    head: NodeId::new(rng.random_range(0..10_000)),
-                    view,
-                },
-            );
+            // Drawn in the order a `NeighborEntry` literal draws them.
+            let last_seen = rng.random_range(0..u64::MAX);
+            let peer = PeerSummary {
+                id: ghost,
+                dag_id: rng.random_range(0..u32::MAX),
+                density: Density::ratio(rng.random_range(0..50), rng.random_range(0..8)),
+                head: NodeId::new(rng.random_range(0..10_000)),
+            };
+            let claim = self.relayed_claim(node, &view);
+            state.cache.store(last_seen, peer, claim, &view);
         }
     }
 }

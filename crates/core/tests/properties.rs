@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use mwn_cluster::{
     check_legitimate, density_from_rows, density_from_tables, density_of, extract_clustering,
-    extract_dag_ids, is_locally_unique, keys_of, oracle, ClusterBeacon, ClusterConfig,
+    extract_dag_ids, is_locally_unique, keys_of, new_id, oracle, ClusterBeacon, ClusterConfig,
     ClusterState, DagConfig, DagProtocol, DagVariant, Density, DensityCluster, FreshnessPolicy,
     HeadRule, Key, MetricKind, NameSpace, NeighborCache, NeighborEntry, OracleConfig, OrderKind,
     PeerSummary,
@@ -126,13 +126,45 @@ fn small_entry(rng: &mut StdRng, view_len: usize) -> NeighborEntry {
     }
 }
 
+/// A head claim as a slot keeps one, or none.
+fn small_claim(rng: &mut StdRng) -> Option<Key> {
+    if rng.random_range(0..2) == 0 {
+        return None;
+    }
+    let density = small_density(rng);
+    Some(Key::new(
+        density,
+        true,
+        rng.random_range(0..4),
+        small_id(rng),
+    ))
+}
+
+/// The model of a cache: entries in full, each with the claim its
+/// slot was given.
+type CacheModel = BTreeMap<NodeId, (NeighborEntry, Option<Key>)>;
+
+/// What a cache keeps of one model entry: its header, its claim and
+/// its view's ids.
+type Kept = (NodeId, u64, u32, Density, NodeId, Option<Key>, Vec<NodeId>);
+
+/// What a cache keeps of its model, in the order a cache compares it.
+fn kept(model: &CacheModel) -> Vec<Kept> {
+    let ids = |e: &NeighborEntry| e.view.iter().map(|s| s.id).collect();
+    let row = |(&q, (e, claim)): (&NodeId, &(NeighborEntry, Option<Key>))| {
+        (q, e.last_seen, e.dag_id, e.density, e.head, *claim, ids(e))
+    };
+    model.iter().map(row).collect()
+}
+
 /// The cache against its model: same entries in the same order (the
-/// densities bit for bit), consistent offsets and counts, and R1's
-/// numerator equal to [`density_from_rows`] over the model — as seen
-/// from every node of the id space, cached ones included.
+/// densities bit for bit), each view kept as its ids, consistent
+/// offsets and counts, and R1's numerator equal to
+/// [`density_from_rows`] over the model — as seen from every node of
+/// the id space, cached ones included.
 fn check_cache_against_model(
     cache: &NeighborCache,
-    model: &BTreeMap<NodeId, NeighborEntry>,
+    model: &CacheModel,
 ) -> Result<(), TestCaseError> {
     prop_assert_eq!(cache.check(), Ok(()));
     prop_assert_eq!(cache.len(), model.len());
@@ -140,20 +172,20 @@ fn check_cache_against_model(
     prop_assert!(cache.keys().eq(model.keys()));
     prop_assert!(cache.slots().iter().map(|s| &s.id).eq(model.keys()));
     let exact = |d: Density| (d.links(), d.degree());
-    for ((slot, view), (&id, want)) in cache.iter().zip(model) {
-        let got = (slot.id, slot.last_seen, slot.dag_id, slot.head);
-        prop_assert_eq!(got, (id, want.last_seen, want.dag_id, want.head));
+    for ((slot, view), (&id, (want, claim))) in cache.iter().zip(model) {
+        let got = (slot.id, slot.last_seen, slot.dag_id, slot.head, slot.claim);
+        prop_assert_eq!(got, (id, want.last_seen, want.dag_id, want.head, *claim));
         prop_assert_eq!(exact(slot.density), exact(want.density));
-        prop_assert_eq!(view, &want.view[..]);
-        let bits = |v: &[PeerSummary]| v.iter().map(|s| exact(s.density)).collect::<Vec<_>>();
-        prop_assert_eq!(bits(view), bits(&want.view));
+        prop_assert!(view.iter().eq(want.view.iter().map(|s| &s.id)));
         let (found, found_view) = cache.get(&id).expect("a model key is cached");
         prop_assert_eq!((found.id, found_view), (id, view));
     }
     for me in (0..=SMALL_IDS).map(NodeId::new) {
         prop_assert_eq!(cache.contains_key(&me), model.contains_key(&me));
         prop_assert_eq!(cache.get(&me).is_some(), model.contains_key(&me));
-        let rows = model.iter().map(|(&q, e)| (q, e.view.iter().map(|s| s.id)));
+        let rows = model
+            .iter()
+            .map(|(&q, (e, _))| (q, e.view.iter().map(|s| s.id)));
         let want = density_from_rows(me, model.len() as u32, rows, |r| model.contains_key(&r));
         let got = Density::ratio(cache.neighborhood_links(me), cache.len() as u32);
         prop_assert_eq!(exact(got), exact(want), "R1 as seen from {}", me);
@@ -311,19 +343,364 @@ fn the_event_clock_runs_the_same_with_and_without_peek_levels() {
     }
 }
 
+/// A node of the clustering protocol as it ran with a cache of full
+/// summaries: every view kept as the beacon relayed it, every claim
+/// in the 2-hop window collected on each guard pass. The reference
+/// `NeighborCache`'s ids-and-claim views are checked against.
+#[derive(Clone, Debug)]
+struct FullViews {
+    dag_id: u32,
+    density: Density,
+    head: NodeId,
+    parent: NodeId,
+    cache: BTreeMap<NodeId, NeighborEntry>,
+}
+
+impl FullViews {
+    fn shared(&self) -> (u32, Density, NodeId, NodeId) {
+        (self.dag_id, self.density, self.head, self.parent)
+    }
+
+    /// The receive guard; returns whether the state changed.
+    fn receive(
+        &mut self,
+        cfg: &ClusterConfig,
+        node: NodeId,
+        from: NodeId,
+        b: &ClusterBeacon,
+        now: u64,
+    ) -> bool {
+        if from == node {
+            return false;
+        }
+        let event_driven = cfg.freshness == FreshnessPolicy::EventDriven;
+        let changed = match self.cache.get(&from) {
+            Some(e) => {
+                let same = (event_driven || e.last_seen == now)
+                    && (e.dag_id, e.density, e.head) == (b.dag_id, b.density, b.head)
+                    && e.view == b.view;
+                if event_driven && same {
+                    return false;
+                }
+                !same
+            }
+            None => true,
+        };
+        let entry = NeighborEntry {
+            last_seen: now,
+            dag_id: b.dag_id,
+            density: b.density,
+            head: b.head,
+            view: b.view.clone(),
+        };
+        self.cache.insert(from, entry);
+        changed
+    }
+
+    /// One pass of N1, R1, R2 after the sweep; returns whether it
+    /// swept an entry or moved a shared variable.
+    fn guards(&mut self, cfg: &ClusterConfig, node: NodeId, now: u64, rng: &mut StdRng) -> bool {
+        let before = self.shared();
+        let cached = self.cache.len();
+        self.cache.retain(|_, e| match cfg.freshness {
+            FreshnessPolicy::TtlSweep => e.last_seen <= now && now - e.last_seen < cfg.cache_ttl,
+            FreshnessPolicy::EventDriven => e.last_seen <= now,
+        });
+        let swept = self.cache.len() != cached;
+        match &cfg.dag {
+            Some(dag) => {
+                let used: Vec<u32> = self.cache.values().map(|e| e.dag_id).collect();
+                let (mine, out) = (self.dag_id, !dag.gamma.contains(self.dag_id));
+                let redraw = match dag.variant {
+                    DagVariant::Randomized => out || used.contains(&mine),
+                    DagVariant::SmallestIdRedraws => {
+                        out || self
+                            .cache
+                            .iter()
+                            .any(|(&q, e)| e.dag_id == mine && node < q)
+                    }
+                };
+                if redraw {
+                    self.dag_id = new_id(mine, &used, dag.gamma, rng);
+                }
+            }
+            None => self.dag_id = node.value(),
+        }
+        let rows = self
+            .cache
+            .iter()
+            .map(|(&q, e)| (q, e.view.iter().map(|s| s.id)));
+        self.density = density_from_rows(node, self.cache.len() as u32, rows, |r| {
+            self.cache.contains_key(&r)
+        });
+        let order = cfg.order;
+        let key =
+            |q: NodeId, d: Density, head: NodeId, dag_id: u32| Key::new(d, head == q, dag_id, q);
+        let my_key = key(node, self.density, self.head, self.dag_id);
+        let strongest = self
+            .cache
+            .iter()
+            .map(|(&q, e)| (q, e.head, key(q, e.density, e.head, e.dag_id)))
+            .max_by(|a, b| a.2.cmp_under(&b.2, order));
+        let head = match strongest {
+            Some((q, head, k)) if !k.precedes(&my_key, order) => {
+                self.parent = q;
+                self.head = head;
+                return swept || before != self.shared();
+            }
+            _ if cfg.rule == HeadRule::Basic => node,
+            _ => {
+                let mut claims = Vec::new();
+                for (&q, e) in &self.cache {
+                    if e.head == q {
+                        claims.push(key(q, e.density, e.head, e.dag_id));
+                    }
+                    for s in e.view.iter().filter(|s| s.id != node && s.head == s.id) {
+                        claims.push(key(s.id, s.density, s.head, s.dag_id));
+                    }
+                }
+                let blocking = claims
+                    .iter()
+                    .filter(|c| my_key.precedes(c, order))
+                    .max_by(|a, b| a.cmp_under(b, order));
+                blocking.map_or(node, |c| c.id)
+            }
+        };
+        self.head = head;
+        self.parent = head;
+        swept || before != self.shared()
+    }
+
+    /// `DensityCluster::corrupt`, draw for draw, keeping full views.
+    fn corrupt(&mut self, rng: &mut StdRng) {
+        self.dag_id = rng.random_range(0..u32::MAX);
+        self.density = Density::ratio(rng.random_range(0..100), rng.random_range(0..16));
+        self.head = NodeId::new(rng.random_range(0..10_000));
+        self.parent = NodeId::new(rng.random_range(0..10_000));
+        self.cache.clear();
+        for _ in 0..rng.random_range(0..5) {
+            let ghost = NodeId::new(rng.random_range(0..10_000));
+            let view = (0..rng.random_range(0..4))
+                .map(|_| PeerSummary {
+                    id: NodeId::new(rng.random_range(0..10_000)),
+                    dag_id: rng.random_range(0..u32::MAX),
+                    density: Density::ratio(rng.random_range(0..50), rng.random_range(0..8)),
+                    head: NodeId::new(rng.random_range(0..10_000)),
+                })
+                .collect();
+            let entry = NeighborEntry {
+                last_seen: rng.random_range(0..u64::MAX),
+                dag_id: rng.random_range(0..u32::MAX),
+                density: Density::ratio(rng.random_range(0..50), rng.random_range(0..8)),
+                head: NodeId::new(rng.random_range(0..10_000)),
+                view,
+            };
+            self.cache.insert(ghost, entry);
+        }
+    }
+}
+
+/// The cache of `state` against the full views of `reference` at time
+/// `now`: the four shared variables bit for bit, the same neighbors
+/// with the same headers, each view kept as exactly the reference
+/// view's ids.
+///
+/// A receive that changed only 2-hop content is a no-op now, where the
+/// full views restamped the entry and took the beacon's spelling of
+/// the same density. So headers compare densities by value and, under
+/// `EventDriven` freshness — whose guards read a stamp only as
+/// `last_seen <= now`, with `now` never going back — any past stamp
+/// reads as `now`.
+fn check_against_full_views(
+    state: &ClusterState,
+    reference: &FullViews,
+    cfg: &ClusterConfig,
+    now: u64,
+) -> Result<(), TestCaseError> {
+    let exact = |d: Density| (d.links(), d.degree());
+    let shared = |s: (u32, Density, NodeId, NodeId)| (s.0, exact(s.1), s.2, s.3);
+    let got = (state.dag_id, state.density, state.head, state.parent);
+    prop_assert_eq!(
+        shared(got),
+        shared(reference.shared()),
+        "{:?} at {}",
+        cfg,
+        now
+    );
+    prop_assert_eq!(state.cache.check(), Ok(()));
+    prop_assert!(state.cache.keys().eq(reference.cache.keys()));
+    let event_driven = cfg.freshness == FreshnessPolicy::EventDriven;
+    let stamp = |t: u64| if event_driven && t <= now { now } else { t };
+    for ((slot, ids), e) in state.cache.iter().zip(reference.cache.values()) {
+        let header = |t: u64, dag: u32, d: Density, h: NodeId| (stamp(t), dag, d, h);
+        prop_assert_eq!(
+            header(slot.last_seen, slot.dag_id, slot.density, slot.head),
+            header(e.last_seen, e.dag_id, e.density, e.head)
+        );
+        prop_assert!(ids.iter().eq(e.view.iter().map(|s| &s.id)));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A cache that keeps each view as its ids plus its strongest
+    /// relayed head claim runs like one that keeps full summaries: on
+    /// random receive / update / `link_down` / `corrupt` sequences,
+    /// under {Basic, Fusion} × {`OrderKind::Basic`, `Stable`} ×
+    /// {no DAG, `SmallestIdRedraws`} × {`EventDriven`, `TtlSweep`},
+    ///
+    /// * the four shared variables (and the headers and view ids)
+    ///   agree after every call, and so do the update reports;
+    /// * a receive the new cache reports as no change while the full
+    ///   views changed touched no guard input: a guard pass from the
+    ///   reference's state before it and one from its state after it
+    ///   move the same way, and the reference's next guard pass after a
+    ///   pass that moved nothing, in the same step, moves nothing.
+    #[test]
+    fn cached_views_keep_what_the_guards_read(seed in 0u64..u64::MAX) {
+        // [new cache said "no change", full views said "changed"], and
+        // settled guard passes re-run after such a receive.
+        let mut witnessed = [0u32; 2];
+        for config_bits in 0..16u32 {
+            let bit = |b: u32| config_bits >> b & 1 == 1;
+            let cfg = ClusterConfig {
+                rule: if bit(0) { HeadRule::Fusion } else { HeadRule::Basic },
+                order: if bit(1) { OrderKind::Stable } else { OrderKind::Basic },
+                dag: bit(2).then_some(DagConfig {
+                    gamma: NameSpace::of_size(3),
+                    variant: DagVariant::SmallestIdRedraws,
+                }),
+                freshness: if bit(3) { FreshnessPolicy::EventDriven } else { FreshnessPolicy::TtlSweep },
+                ..ClusterConfig::default()
+            };
+            let protocol = DensityCluster::new(cfg);
+            let mut rng = StdRng::seed_from_u64(seed ^ u64::from(config_bits));
+            let node = small_id(&mut rng);
+            let mut state = protocol.init(node, &mut rng);
+            let mut reference = FullViews {
+                dag_id: state.dag_id,
+                density: state.density,
+                head: state.head,
+                parent: state.parent,
+                cache: BTreeMap::new(),
+            };
+            let mut sent: BTreeMap<NodeId, ClusterBeacon> = BTreeMap::new();
+            // `Some(now)`: the reference's last guard pass ran at `now`
+            // and moved nothing, and nothing it reads has moved since —
+            // `diverged`: though a receive changed its full views.
+            let mut settled: Option<u64> = None;
+            let mut diverged = false;
+            let mut now = 1u64;
+            for op in 0..150u64 {
+                now += u64::from(rng.random_range(0..4) == 0);
+                match rng.random_range(0..20) {
+                    0..=10 => {
+                        let from = small_id(&mut rng);
+                        let beacon = next_beacon(&mut rng, sent.get(&from));
+                        sent.insert(from, beacon.clone());
+                        let before = reference.clone();
+                        let got = protocol.receive_changed(node, &mut state, from, &beacon, now, &mut None);
+                        let want = reference.receive(&cfg, node, from, &beacon, now);
+                        prop_assert!(want || !got, "{:?}: a change the full views did not see", cfg);
+                        if want && !got {
+                            witnessed[0] += 1;
+                            diverged = true;
+                            let pass = |mut s: FullViews| {
+                                let moved = s.guards(&cfg, node, now, &mut StdRng::seed_from_u64(op));
+                                (moved, s.shared(), s.cache.keys().copied().collect::<Vec<_>>())
+                            };
+                            prop_assert_eq!(pass(before), pass(reference.clone()), "{:?}", cfg);
+                        } else if got {
+                            settled = None;
+                        }
+                    }
+                    11..=17 => {
+                        let rngs = || StdRng::seed_from_u64(seed ^ op);
+                        let got = protocol.update_changed(node, &mut state, now, &mut rngs(), &mut None);
+                        let want = reference.guards(&cfg, node, now, &mut rngs());
+                        prop_assert_eq!(got, want, "{:?}: update at {}", cfg, now);
+                        if settled == Some(now) {
+                            prop_assert!(!want, "{:?}: a settled node moved at {}", cfg, now);
+                            witnessed[1] += u32::from(diverged);
+                        }
+                        settled = (!want).then_some(now);
+                        diverged = false;
+                    }
+                    18 => {
+                        let peer = small_id(&mut rng);
+                        protocol.link_down(node, &mut state, peer);
+                        if reference.cache.remove(&peer).is_some() {
+                            settled = None;
+                        }
+                    }
+                    _ => {
+                        let mut twin = rng.clone();
+                        protocol.corrupt(node, &mut state, &mut rng);
+                        reference.corrupt(&mut twin);
+                        settled = None;
+                    }
+                }
+                check_against_full_views(&state, &reference, &cfg, now)?;
+            }
+        }
+        prop_assert!(witnessed.iter().all(|&n| n > 0), "both cases occur: {:?}", witnessed);
+    }
+}
+
+/// The next beacon of a sender whose last one was `last`: often the
+/// same ids saying something new (another density spelling, other
+/// heads and densities two hops out), otherwise a fresh one in which
+/// every other relayed entry claims headship.
+fn next_beacon(rng: &mut StdRng, last: Option<&ClusterBeacon>) -> ClusterBeacon {
+    fn fresh_view(rng: &mut StdRng, len: usize) -> Vec<PeerSummary> {
+        let mut view = small_view(rng, len);
+        for s in view.iter_mut().filter(|_| rng.random_range(0..2) == 0) {
+            s.head = s.id;
+        }
+        view
+    }
+    match (last, rng.random_range(0..3)) {
+        (Some(last), 0..=1) => {
+            let mut beacon = last.clone();
+            let d = last.density;
+            beacon.density = Density::ratio(2 * d.links(), 2 * d.degree());
+            let len = beacon.view.len();
+            for (s, fresh) in beacon.view.iter_mut().zip(fresh_view(rng, len)) {
+                if rng.random_range(0..2) == 0 {
+                    *s = PeerSummary { id: s.id, ..fresh };
+                }
+            }
+            beacon
+        }
+        _ => {
+            let len = rng.random_range(0..6);
+            ClusterBeacon {
+                dag_id: rng.random_range(0..4),
+                density: small_density(rng),
+                head: small_id(rng),
+                view: fresh_view(rng, len),
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// `NeighborCache` is a `BTreeMap<NodeId, NeighborEntry>` with a
-    /// running density numerator: under random inserts, receive-style
-    /// rewrites (same ids, same length, longer, shorter, empty view), removals,
+    /// `NeighborCache` is a `BTreeMap<NodeId, NeighborEntry>` that
+    /// keeps each view as its ids, with a claim per slot and a running
+    /// density numerator: under random inserts, receive-style rewrites
+    /// (same ids, same length, longer, shorter, empty view), removals,
     /// sweeps, clears and `clone_from` between two caches of different
-    /// sizes, it iterates like the map and counts like Definition 1.
+    /// sizes, it iterates like the map and counts like Definition 1,
+    /// and two caches are equal exactly when what they keep is.
     #[test]
     fn neighbor_cache_matches_a_btreemap_model(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut caches = [NeighborCache::new(), NeighborCache::new()];
-        let mut models = [BTreeMap::new(), BTreeMap::new()];
+        let mut models = [CacheModel::new(), CacheModel::new()];
         for _ in 0..60 {
             let side: usize = rng.random_range(0..2);
             let (cache, model) = (&mut caches[side], &mut models[side]);
@@ -332,14 +709,14 @@ proptest! {
                     let (id, len) = (small_id(&mut rng), rng.random_range(0..6));
                     let entry = small_entry(&mut rng, len);
                     cache.insert(id, entry.clone());
-                    model.insert(id, entry);
+                    model.insert(id, (entry, None));
                 }
                 3..=5 => {
                     // What `receive` does to a known neighbor (or to a
                     // new one, when nothing is cached yet).
                     let known = model.keys().nth(rng.random_range(0..SMALL_IDS as usize));
                     let id = known.copied().unwrap_or_else(|| small_id(&mut rng));
-                    let old = model.get(&id).map_or(0, |e| e.view.len());
+                    let old = model.get(&id).map_or(0, |(e, _)| e.view.len());
                     let kind = rng.random_range(0..5);
                     let len = match kind {
                         0 | 1 => old,
@@ -348,7 +725,7 @@ proptest! {
                         _ => 0,
                     };
                     let mut e = small_entry(&mut rng, len);
-                    if let (0, Some(cached)) = (kind, model.get(&id)) {
+                    if let (0, Some((cached, _))) = (kind, model.get(&id)) {
                         // The steady-state rewrite: the same ids saying
                         // something new (the path that keeps `links`).
                         for (fresh, was) in e.view.iter_mut().zip(&cached.view) {
@@ -356,8 +733,9 @@ proptest! {
                         }
                     }
                     let peer = PeerSummary { id, dag_id: e.dag_id, density: e.density, head: e.head };
-                    cache.store(e.last_seen, peer, &e.view);
-                    model.insert(id, e);
+                    let claim = small_claim(&mut rng);
+                    cache.store(e.last_seen, peer, claim, &e.view);
+                    model.insert(id, (e, claim));
                 }
                 6 => {
                     let id = small_id(&mut rng);
@@ -366,7 +744,7 @@ proptest! {
                 7 => {
                     let horizon = rng.random_range(0..9);
                     let before = model.len();
-                    model.retain(|_, e| e.last_seen <= horizon);
+                    model.retain(|_, (e, _)| e.last_seen <= horizon);
                     let dropped = cache.retain(|s| s.last_seen <= horizon);
                     prop_assert_eq!(dropped, model.len() != before);
                 }
@@ -385,7 +763,7 @@ proptest! {
                 }
             }
             check_cache_against_model(&caches[side], &models[side])?;
-            prop_assert_eq!(caches[0] == caches[1], models[0] == models[1]);
+            prop_assert_eq!(caches[0] == caches[1], kept(&models[0]) == kept(&models[1]));
         }
     }
 
@@ -394,8 +772,9 @@ proptest! {
     /// policies, DAG on and off, Basic and Fusion, `DensityCluster`'s
     /// overrides return what the provided snapshot-and-compare bodies
     /// return and leave the same state, bit for bit — through echoes of
-    /// the node itself, replays of the cached copy in another spelling
-    /// of the same density, repeats within one logical step and
+    /// the node itself, replays of the sender's last beacon in another
+    /// spelling of the same density (some saying something new about
+    /// the same ids), repeats within one logical step and
     /// future-stamped ghosts the update sweeps.
     #[test]
     fn change_reports_agree_with_the_provided_reference(
@@ -432,6 +811,7 @@ proptest! {
         let mut mirror = state.clone();
         let (mut scratch, mut unused) = (None, None);
         let mut reports = [0u32; 2];
+        let mut sent: BTreeMap<NodeId, ClusterBeacon> = BTreeMap::new();
         for frame in 0..12u64 {
             let now = rng.random_range(2..6);
             let from = small_id(&mut rng);
@@ -442,16 +822,24 @@ proptest! {
                 head: small_id(&mut rng),
                 view: small_view(&mut rng, len),
             };
-            if let (Some((e, view)), 0..=1) = (state.cache.get(&from), rng.random_range(0..3)) {
-                // A replay of the cached copy, its density respelled.
-                let d = e.density;
+            if let (Some(last), 0..=1) = (sent.get(&from), rng.random_range(0..3)) {
+                // A replay of the sender's last beacon, its density
+                // respelled; every other replay says something new
+                // about the same ids.
+                let d = last.density;
+                let mut view = last.view.clone();
+                if frame % 2 == 0 {
+                    for (s, fresh) in view.iter_mut().zip(small_view(&mut rng, len)) {
+                        *s = PeerSummary { id: s.id, ..fresh };
+                    }
+                }
                 beacon = ClusterBeacon {
-                    dag_id: e.dag_id,
                     density: Density::ratio(2 * d.links(), 2 * d.degree()),
-                    head: e.head,
-                    view: view.to_vec(),
+                    view,
+                    ..last.clone()
                 };
             }
+            sent.insert(from, beacon.clone());
             // Twice in a row: the second is a repeat within one step.
             for _ in 0..2 {
                 let got = protocol.receive_changed(node, &mut state, from, &beacon, now, &mut unused);
@@ -556,15 +944,17 @@ proptest! {
         let protocol = DensityCluster::new(ClusterConfig::default());
         let node = small_id(&mut rng);
         let mut state = protocol.init(node, &mut rng);
-        let strided = |view: &[PeerSummary]| {
-            let last = view.last().map_or(0, |s| u64::from(s.head.value()));
-            view.iter().step_by(3).map(|s| u64::from(s.dag_id)).sum::<u64>() + last
+        // One 4-byte id of every 64-byte line, and the last.
+        let strided = |view: &[NodeId]| {
+            let last = view.last().map_or(0, |r| u64::from(r.value()));
+            view.iter().step_by(16).map(|r| u64::from(r.value())).sum::<u64>() + last
         };
         for _ in 0..30 {
             let cache = &mut state.cache;
             match rng.random_range(0..6) {
                 0..=2 => {
-                    let len = rng.random_range(0..8);
+                    // Up to 35 entries: views past one stride of 16.
+                    let len = rng.random_range(0..8usize) * rng.random_range(1..6usize);
                     cache.insert(small_id(&mut rng), small_entry(&mut rng, len));
                 }
                 3 => {

@@ -17,8 +17,6 @@
 //! nodes (the event driver folds it into its change set and re-arms
 //! the woken senders).
 
-use std::collections::BTreeMap;
-
 use mwn_graph::{NodeId, Point2, Topology, TopologyDelta};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -92,10 +90,11 @@ pub(crate) struct Env<P: Protocol> {
     /// so the earliest `(due, seq)` pops off the end.
     followups: Vec<(u64, u64, Followup<P>)>,
     followup_seq: u64,
-    /// How many active faults hold each severed edge down. An edge
-    /// comes back only when the last of them ends. Ordered, so the
-    /// edge lists derived from it are reproducible.
-    held: BTreeMap<(NodeId, NodeId), u32>,
+    /// How many active faults hold each severed edge down, sorted by
+    /// edge and searched by binary search. An edge comes back only when
+    /// the last of them ends. Ordered, so the edge lists derived from
+    /// it are reproducible.
+    held: Vec<((NodeId, NodeId), u32)>,
     corruptor: Option<Corruptor<P>>,
     dynamics: Option<Box<dyn TopologyDynamics + Send>>,
     scratch_nodes: Vec<NodeId>,
@@ -132,7 +131,7 @@ impl<P: Protocol> Env<P> {
             next_scripted: 0,
             followups: Vec::new(),
             followup_seq: 0,
-            held: BTreeMap::new(),
+            held: Vec::new(),
             corruptor: None,
             dynamics: None,
             scratch_nodes: Vec::new(),
@@ -484,13 +483,25 @@ impl<P: Protocol> Env<P> {
     /// closed after the earlier one ends, so it holds them too.
     fn shadowed(&self, hit: impl Fn(NodeId, NodeId) -> bool) -> Vec<(NodeId, NodeId)> {
         let absent = |&(u, v): &(NodeId, NodeId)| hit(u, v) && !self.topo.has_edge(u, v);
-        self.held.keys().copied().filter(absent).collect()
+        self.held
+            .iter()
+            .map(|&(edge, _)| edge)
+            .filter(absent)
+            .collect()
+    }
+
+    /// Where `edge` is, or would be, in `held`.
+    fn held_at(&self, edge: (NodeId, NodeId)) -> Result<usize, usize> {
+        self.held.binary_search_by_key(&edge, |&(e, _)| e)
     }
 
     /// Registers one more active fault holding each of `edges` down.
     fn hold(&mut self, edges: &[(NodeId, NodeId)]) {
         for &edge in edges {
-            *self.held.entry(edge).or_insert(0) += 1;
+            match self.held_at(edge) {
+                Ok(i) => self.held[i].1 += 1,
+                Err(i) => self.held.insert(i, (edge, 1)),
+            }
         }
     }
 
@@ -501,13 +512,16 @@ impl<P: Protocol> Env<P> {
     fn restore_edges(&mut self, edges: &[(NodeId, NodeId)]) {
         let mut added = Vec::new();
         for &(u, v) in edges {
-            match self.held.get_mut(&(u, v)) {
-                Some(holders) if *holders > 1 => {
-                    *holders -= 1;
+            match self.held_at((u, v)) {
+                Ok(i) if self.held[i].1 > 1 => {
+                    self.held[i].1 -= 1;
                     continue;
                 }
-                _ => self.held.remove(&(u, v)),
-            };
+                Ok(i) => {
+                    self.held.remove(i);
+                }
+                Err(_) => {}
+            }
             if !self.topo.has_edge(u, v) && self.topo.add_edge(u, v).is_ok() {
                 added.push((u, v));
             }
