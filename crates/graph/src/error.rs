@@ -33,6 +33,13 @@ pub enum GraphError {
         /// The rejected radius value.
         radius: f64,
     },
+    /// A node's position has no grid cell a unit-disk build can use: a
+    /// coordinate is infinite or NaN, or lies more than 2⁶² radio
+    /// ranges from the origin.
+    InvalidPosition {
+        /// The first node with such a position.
+        node: NodeId,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -48,6 +55,12 @@ impl fmt::Display for GraphError {
                 write!(
                     f,
                     "invalid radio range {radius}; must be finite and positive"
+                )
+            }
+            GraphError::InvalidPosition { node } => {
+                write!(
+                    f,
+                    "invalid position for node {node}; coordinates must be finite and within 2^62 radio ranges of the origin"
                 )
             }
         }
@@ -73,6 +86,10 @@ mod tests {
         assert!(err.to_string().contains("self-loop"));
         let err = GraphError::InvalidRadius { radius: -1.0 };
         assert!(err.to_string().contains("invalid radio range"));
+        let err = GraphError::InvalidPosition {
+            node: NodeId::new(3),
+        };
+        assert!(err.to_string().contains("invalid position for node n3"));
     }
 
     #[test]

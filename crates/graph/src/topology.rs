@@ -50,10 +50,18 @@ impl TopologyDelta {
     }
 }
 
+/// How far from the origin, in cells, a position may lie: far enough
+/// that no deployment meets it, near enough that a cell and its 3×3
+/// block are exact `i64`s.
+const CELL_LIMIT: f64 = (1u64 << 62) as f64;
+
 /// Spatial hash over node positions with cells of side `cell` (the
 /// radio range): the 1-neighbors of any point live in the 3×3 block of
 /// cells around it. Kept alongside the adjacency lists so moving a few
-/// nodes re-bins only those nodes instead of rebuilding the hash.
+/// nodes re-bins only those nodes instead of rebuilding the hash. It is
+/// built on the first [`Topology::apply_moves`], never by
+/// [`Topology::unit_disk`]: a run that never moves a node never pays
+/// for it.
 #[derive(Clone, Debug)]
 struct SpatialGrid {
     cell: f64,
@@ -61,8 +69,17 @@ struct SpatialGrid {
 }
 
 impl SpatialGrid {
+    /// The cell of `p`: `floor(coordinate / cell)` on each axis. Both
+    /// unit-disk paths bin with this function and nothing else.
     fn cell_of(cell: f64, p: Point2) -> (i64, i64) {
         ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64)
+    }
+
+    /// The precondition of every unit-disk path: `p` has a cell, and
+    /// its 3×3 block is representable. False for an infinite or NaN
+    /// coordinate ([`GraphError::InvalidPosition`]).
+    fn fits(cell: f64, p: Point2) -> bool {
+        (p.x / cell).abs() < CELL_LIMIT && (p.y / cell).abs() < CELL_LIMIT
     }
 
     fn build(positions: &[Point2], cell: f64) -> Self {
@@ -94,11 +111,13 @@ impl SpatialGrid {
         self.buckets.entry(new_cell).or_default().push(i);
     }
 
-    /// All nodes within `radius` of `p` (excluding `skip`), sorted.
-    fn neighbors_of(&self, positions: &[Point2], p: Point2, radius: f64, skip: u32) -> Vec<NodeId> {
+    /// Replaces `out` with every other node within one cell side (the
+    /// radio range) of `node`, sorted.
+    fn neighbors_into(&self, positions: &[Point2], node: NodeId, out: &mut Vec<NodeId>) {
+        let (p, skip) = (positions[node.index()], node.value());
         let (cx, cy) = Self::cell_of(self.cell, p);
-        let r2 = radius * radius;
-        let mut out = Vec::new();
+        let r2 = self.cell * self.cell;
+        out.clear();
         for dx in -1..=1 {
             for dy in -1..=1 {
                 let Some(bucket) = self.buckets.get(&(cx + dx, cy + dy)) else {
@@ -112,7 +131,102 @@ impl SpatialGrid {
             }
         }
         out.sort_unstable();
-        out
+    }
+}
+
+/// The unit-disk rows over `positions`: row `i` holds, sorted, every
+/// `j ≠ i` whose cell is in the 3×3 block around `i`'s and whose
+/// `distance_squared` to `i` is at most `radius²`.
+///
+/// One sort of the `(cell, id)` keys makes every cell a contiguous run,
+/// the runs in (column, row) order. For cell `(cx, cy)`, the candidates
+/// in column `cx + d` are the runs from `(cx + d, cy − 1)` through
+/// `(cx + d, cy + 1)`: one contiguous range, whose two ends only move
+/// forward as the cells are walked in order. So three pairs of cursors,
+/// one pair per column, find every block in one pass over the runs.
+/// Each node's row is gathered into one scratch buffer and sorted there;
+/// then every row is allocated once, at its exact length, in id order.
+fn unit_disk_rows(positions: &[Point2], radius: f64) -> Vec<Vec<NodeId>> {
+    let mut keyed: Vec<((i64, i64), u32)> = positions
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| (SpatialGrid::cell_of(radius, p), i as u32))
+        .collect();
+    keyed.sort_unstable();
+    // Each distinct cell once, with the index its run starts at.
+    let mut cells: Vec<(i64, i64)> = Vec::new();
+    let mut starts: Vec<usize> = Vec::new();
+    for (k, &(cell, _)) in keyed.iter().enumerate() {
+        if cells.last() != Some(&cell) {
+            cells.push(cell);
+            starts.push(k);
+        }
+    }
+    starts.push(keyed.len());
+    let ids: Vec<u32> = keyed.into_iter().map(|(_, i)| i).collect();
+    let points: Vec<Point2> = ids.iter().map(|&i| positions[i as usize]).collect();
+
+    let r2 = radius * radius;
+    let (mut lo, mut hi) = ([0usize; 3], [0usize; 3]);
+    let mut scratch: Vec<NodeId> = Vec::new();
+    let mut spans = vec![(0, 0); ids.len()];
+    for (c, &(cx, cy)) in cells.iter().enumerate() {
+        let mut block = [0..0, 0..0, 0..0];
+        for (d, dx) in [-1, 0, 1].into_iter().enumerate() {
+            // Checked and saturating: only a position that breaks
+            // `SpatialGrid::fits` reaches the ends of `i64`.
+            let Some(column) = cx.checked_add(dx) else {
+                continue;
+            };
+            let first = (column, cy.saturating_sub(1));
+            let last = (column, cy.saturating_add(1));
+            while lo[d] < cells.len() && cells[lo[d]] < first {
+                lo[d] += 1;
+            }
+            while hi[d] < cells.len() && cells[hi[d]] <= last {
+                hi[d] += 1;
+            }
+            block[d] = starts[lo[d]]..starts[hi[d]];
+        }
+        for k in starts[c]..starts[c + 1] {
+            let (i, p) = (ids[k], points[k]);
+            let start = scratch.len();
+            for range in &block {
+                for (&q, &j) in points[range.clone()].iter().zip(&ids[range.clone()]) {
+                    if j != i && p.distance_squared(q) <= r2 {
+                        scratch.push(NodeId::new(j));
+                    }
+                }
+            }
+            scratch[start..].sort_unstable();
+            spans[i as usize] = (start, scratch.len());
+        }
+    }
+    spans
+        .into_iter()
+        .map(|(start, end)| scratch[start..end].to_vec())
+        .collect()
+}
+
+/// Puts `v` into the sorted row `row`; `false` if it was already there.
+fn insert_sorted(row: &mut Vec<NodeId>, v: NodeId) -> bool {
+    match row.binary_search(&v) {
+        Ok(_) => false,
+        Err(pos) => {
+            row.insert(pos, v);
+            true
+        }
+    }
+}
+
+/// Takes `v` out of the sorted row `row`; `false` if it was not there.
+fn remove_sorted(row: &mut Vec<NodeId>, v: NodeId) -> bool {
+    match row.binary_search(&v) {
+        Ok(pos) => {
+            row.remove(pos);
+            true
+        }
+        Err(_) => false,
     }
 }
 
@@ -140,8 +254,9 @@ pub struct Topology {
     adj: Vec<Vec<NodeId>>,
     positions: Option<Vec<Point2>>,
     radius: Option<f64>,
-    /// Cached spatial hash for incremental unit-disk maintenance.
-    /// Rebuilt lazily; never part of equality or serialization.
+    /// Cached spatial hash for incremental unit-disk maintenance. Built
+    /// by the first `apply_moves` after `unit_disk` or `positions_mut`;
+    /// never part of equality or serialization.
     grid: Option<SpatialGrid>,
 }
 
@@ -187,23 +302,34 @@ impl Topology {
     /// This is how the paper deploys its simulation topologies: points
     /// in the unit square with transmission ranges `R ∈ [0.05, 0.1]`.
     ///
+    /// The build costs one sort of the nodes by cell; see
+    /// [`Topology::rebuild_unit_disk_edges`]. The spatial hash that
+    /// [`Topology::apply_moves`] maintains is built on the first move.
+    ///
     /// # Errors
     ///
     /// Returns [`GraphError::InvalidRadius`] if `radius` is not finite
-    /// and positive.
+    /// and positive, and [`GraphError::InvalidPosition`] for the first
+    /// node with an infinite or NaN coordinate (or one more than 2⁶²
+    /// radio ranges from the origin).
     pub fn unit_disk(positions: Vec<Point2>, radius: f64) -> Result<Self, GraphError> {
         if !radius.is_finite() || radius <= 0.0 {
             return Err(GraphError::InvalidRadius { radius });
         }
-        let n = positions.len();
-        let mut topo = Topology {
-            adj: vec![Vec::new(); n],
+        if let Some(i) = positions
+            .iter()
+            .position(|&p| !SpatialGrid::fits(radius, p))
+        {
+            return Err(GraphError::InvalidPosition {
+                node: NodeId::new(i as u32),
+            });
+        }
+        Ok(Topology {
+            adj: unit_disk_rows(&positions, radius),
             positions: Some(positions),
             radius: Some(radius),
             grid: None,
-        };
-        topo.rebuild_unit_disk_edges();
-        Ok(topo)
+        })
     }
 
     /// Attaches positions to an edge-list topology (e.g. for rendering).
@@ -224,9 +350,31 @@ impl Topology {
 
     /// Recomputes all unit-disk edges from the current positions.
     ///
-    /// Used by the mobility substrate after moving nodes. A spatial
-    /// hash grid keeps the rebuild near-linear in the node count for
-    /// the sparse deployments the paper considers.
+    /// Used by the mobility substrate after moving nodes, and by
+    /// [`Topology::unit_disk`].
+    ///
+    /// # Cost
+    ///
+    /// Cells of side `radius`, so the neighbours of a point live in the
+    /// 3×3 block of cells around it. One sort of the n `(cell, id)`
+    /// keys, one pass over the cells to find each block, one distance
+    /// test per (node, candidate) pair into a scratch buffer, and one
+    /// exact-size allocation per row, in id order: O(n log n) plus the
+    /// candidate pairs, with no hash and no per-edge pushes into
+    /// growing rows. The spatial hash of [`Topology::apply_moves`] is
+    /// left as it is: it is built on the first move, and a rebuild
+    /// moves nothing.
+    ///
+    /// # Exactness
+    ///
+    /// `q ∈ N_p` iff `q`'s cell (`floor(coordinate / radius)`) is in the
+    /// 3×3 block around `p`'s and `p.distance_squared(q) <= radius²`.
+    /// The sorted pass tests each pair from both ends, once for each
+    /// row, and both ends compute the same bits because IEEE
+    /// subtraction gives `a − b = −(b − a)` exactly; so the rows are
+    /// symmetric, and equal to a spatial-hash builder's over the same
+    /// predicate, points on cell boundaries and at exactly `radius`
+    /// included (property-tested in `tests/properties.rs`).
     ///
     /// # Panics
     ///
@@ -236,46 +384,21 @@ impl Topology {
         let radius = self.radius.expect("unit-disk rebuild requires a radius");
         let positions = self
             .positions
-            .as_ref()
+            .as_deref()
             .expect("unit-disk rebuild requires positions");
-        let n = positions.len();
-        for list in &mut self.adj {
-            list.clear();
-        }
-        if n == 0 {
-            self.grid = Some(SpatialGrid::build(&[], radius));
-            return;
-        }
-        // Spatial hash: cells of side `radius`, so neighbors of a point
-        // can only live in the 3×3 block of cells around it. The hash
-        // is kept for [`Topology::apply_moves`] to update incrementally.
-        let grid = SpatialGrid::build(positions, radius);
-        let r2 = radius * radius;
-        for (i, &p) in positions.iter().enumerate() {
-            let (cx, cy) = SpatialGrid::cell_of(radius, p);
-            for dx in -1..=1 {
-                for dy in -1..=1 {
-                    let Some(bucket) = grid.buckets.get(&(cx + dx, cy + dy)) else {
-                        continue;
-                    };
-                    for &j in bucket {
-                        if (j as usize) > i && p.distance_squared(positions[j as usize]) <= r2 {
-                            self.adj[i].push(NodeId::new(j));
-                            self.adj[j as usize].push(NodeId::new(i as u32));
-                        }
-                    }
-                }
-            }
-        }
-        for list in &mut self.adj {
-            list.sort_unstable();
-        }
-        self.grid = Some(grid);
+        debug_assert!(
+            positions.iter().all(|&p| SpatialGrid::fits(radius, p)),
+            "unit-disk positions must be finite and within 2^62 radio ranges of the origin \
+             (GraphError::InvalidPosition)"
+        );
+        self.adj = unit_disk_rows(positions, radius);
     }
 
     /// Moves the given nodes and incrementally updates the unit-disk
     /// edge set, re-binning only the moved nodes in the cached spatial
-    /// hash. Returns the exact edge churn as a [`TopologyDelta`].
+    /// hash. Returns the exact edge churn as a [`TopologyDelta`]. The
+    /// first call after [`Topology::unit_disk`] or
+    /// [`Topology::positions_mut`] builds the hash, in O(n).
     ///
     /// Only links incident to a moved node can change, so the cost is
     /// proportional to the moved set (and its local density) instead of
@@ -292,23 +415,28 @@ impl Topology {
     /// built by [`Topology::unit_disk`]) or if a moved node is out of
     /// range.
     pub fn apply_moves(&mut self, moves: &[(NodeId, Point2)]) -> TopologyDelta {
-        let radius = self.radius.expect("apply_moves requires a radius");
-        assert!(
-            self.positions.is_some(),
-            "apply_moves requires node positions"
+        let Topology {
+            adj,
+            positions,
+            radius,
+            grid,
+        } = self;
+        let radius = radius.expect("apply_moves requires a radius");
+        let positions = positions
+            .as_mut()
+            .expect("apply_moves requires node positions");
+        debug_assert!(
+            moves.iter().all(|&(_, to)| SpatialGrid::fits(radius, to)),
+            "moved positions must be finite and within 2^62 radio ranges of the origin \
+             (GraphError::InvalidPosition)"
         );
         let mut delta = TopologyDelta::default();
         if moves.is_empty() {
             return delta;
         }
-        if self.grid.is_none() {
-            // Positions were rewritten wholesale since the last
-            // rebuild; pay O(n) once, then go incremental.
-            let positions = self.positions.as_ref().expect("checked above");
-            self.grid = Some(SpatialGrid::build(positions, radius));
-        }
-        let grid = self.grid.as_mut().expect("built above");
-        let positions = self.positions.as_mut().expect("checked above");
+        // No hash since `unit_disk` or a wholesale rewrite
+        // (`positions_mut`): pay O(n) once, then go incremental.
+        let grid = grid.get_or_insert_with(|| SpatialGrid::build(positions, radius));
         // Phase 1: re-bin every moved node, so neighborhood queries in
         // phase 2 see the final geometry no matter the move order.
         for &(p, to) in moves {
@@ -320,60 +448,32 @@ impl Topology {
             positions[p.index()] = to;
             delta.moved.push(p);
         }
-        // Phase 2: recompute each moved node's neighborhood and diff it
-        // against the adjacency list. Links between two unmoved nodes
-        // cannot have changed.
-        let mut adds: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut removes: Vec<(NodeId, NodeId)> = Vec::new();
+        // Phase 2: recompute each moved node's neighborhood, diff it
+        // against its row and fix the other endpoint of every link that
+        // changed. Links between two unmoved nodes cannot have changed;
+        // when both endpoints moved, the first one processed fixes the
+        // link and the second finds it already in its row, so each
+        // change is reported once.
+        let mut want = Vec::new();
         for &p in &delta.moved {
-            let grid = self.grid.as_ref().expect("built above");
-            let positions = self.positions.as_ref().expect("checked above");
-            let want = grid.neighbors_of(positions, positions[p.index()], radius, p.value());
-            let have = &self.adj[p.index()];
-            // Both lists are sorted: two-pointer diff.
-            let (mut i, mut j) = (0, 0);
-            adds.clear();
-            removes.clear();
-            while i < have.len() || j < want.len() {
-                match (have.get(i), want.get(j)) {
-                    (Some(&h), Some(&w)) if h == w => {
-                        i += 1;
-                        j += 1;
-                    }
-                    (Some(&h), Some(&w)) if h < w => {
-                        removes.push((p, h));
-                        i += 1;
-                    }
-                    (Some(_), Some(&w)) => {
-                        adds.push((p, w));
-                        j += 1;
-                    }
-                    (Some(&h), None) => {
-                        removes.push((p, h));
-                        i += 1;
-                    }
-                    (None, Some(&w)) => {
-                        adds.push((p, w));
-                        j += 1;
-                    }
-                    (None, None) => unreachable!("loop condition"),
+            grid.neighbors_into(positions, p, &mut want);
+            let mut row = std::mem::take(&mut adj[p.index()]);
+            for &q in &row {
+                if want.binary_search(&q).is_err() {
+                    let linked = remove_sorted(&mut adj[q.index()], p);
+                    debug_assert!(linked, "adjacency lists must stay symmetric");
+                    delta.removed.push((p.min(q), p.max(q)));
                 }
             }
-            // When both endpoints moved, the first one processed
-            // already fixed the edge; the has_edge guards keep the
-            // delta duplicate-free.
-            for &(u, v) in &removes {
-                if self.has_edge(u, v) {
-                    self.remove_edge(u, v);
-                    delta.removed.push((u.min(v), u.max(v)));
+            for &q in &want {
+                if row.binary_search(&q).is_err() {
+                    let fresh = insert_sorted(&mut adj[q.index()], p);
+                    debug_assert!(fresh, "adjacency lists must stay symmetric");
+                    delta.added.push((p.min(q), p.max(q)));
                 }
             }
-            for &(u, v) in &adds {
-                if !self.has_edge(u, v) {
-                    self.add_edge(u, v).expect("grid candidates are in range");
-                    delta.added.push((u.min(v), u.max(v)));
-                }
-            }
+            row.clone_from(&want);
+            adj[p.index()] = row;
         }
         delta.added.sort_unstable();
         delta.removed.sort_unstable();
@@ -395,12 +495,9 @@ impl Topology {
         if u == v {
             return Err(GraphError::SelfLoop { node: u });
         }
-        if let Err(pos) = self.adj[u.index()].binary_search(&v) {
-            self.adj[u.index()].insert(pos, v);
-            let pos = self.adj[v.index()]
-                .binary_search(&u)
-                .expect_err("adjacency lists must stay symmetric");
-            self.adj[v.index()].insert(pos, u);
+        if insert_sorted(&mut self.adj[u.index()], v) {
+            let fresh = insert_sorted(&mut self.adj[v.index()], u);
+            debug_assert!(fresh, "adjacency lists must stay symmetric");
         }
         Ok(())
     }
@@ -410,11 +507,8 @@ impl Topology {
         if u.index() >= self.adj.len() || v.index() >= self.adj.len() {
             return;
         }
-        if let Ok(pos) = self.adj[u.index()].binary_search(&v) {
-            self.adj[u.index()].remove(pos);
-            if let Ok(pos) = self.adj[v.index()].binary_search(&u) {
-                self.adj[v.index()].remove(pos);
-            }
+        if remove_sorted(&mut self.adj[u.index()], v) {
+            remove_sorted(&mut self.adj[v.index()], u);
         }
     }
 
@@ -668,6 +762,77 @@ mod tests {
             Topology::unit_disk(vec![], f64::NAN),
             Err(GraphError::InvalidRadius { .. })
         ));
+    }
+
+    /// Three good points and one bad one at index 2.
+    fn with_bad_third(bad: Point2) -> Result<Topology, GraphError> {
+        let positions = vec![
+            Point2::new(0.1, 0.1),
+            Point2::new(0.15, 0.1),
+            bad,
+            Point2::new(0.2, 0.1),
+        ];
+        Topology::unit_disk(positions, 0.1)
+    }
+
+    const BAD_THIRD: Result<Topology, GraphError> = Err(GraphError::InvalidPosition {
+        node: NodeId::new(2),
+    });
+
+    #[test]
+    fn unit_disk_rejects_an_infinite_coordinate() {
+        assert_eq!(with_bad_third(Point2::new(f64::INFINITY, 0.5)), BAD_THIRD);
+    }
+
+    #[test]
+    fn unit_disk_rejects_a_negative_infinite_coordinate() {
+        assert_eq!(
+            with_bad_third(Point2::new(0.5, f64::NEG_INFINITY)),
+            BAD_THIRD
+        );
+    }
+
+    #[test]
+    fn unit_disk_rejects_a_nan_coordinate() {
+        assert_eq!(with_bad_third(Point2::new(f64::NAN, 0.5)), BAD_THIRD);
+        assert_eq!(with_bad_third(Point2::new(0.5, f64::NAN)), BAD_THIRD);
+    }
+
+    #[test]
+    fn unit_disk_rejects_a_cell_beyond_the_grid() {
+        // Finite, but 1e300 / 0.1 has no `i64` cell.
+        assert_eq!(with_bad_third(Point2::new(1e300, 0.5)), BAD_THIRD);
+        // Far outside the unit square but well inside the grid: fine.
+        let topo = with_bad_third(Point2::new(-1e6, 1e6)).unwrap();
+        assert!(topo.neighbors(NodeId::new(2)).is_empty());
+        assert_eq!(topo.edge_count(), 3);
+    }
+
+    #[test]
+    fn unit_disk_builds_no_hash_until_the_first_move() {
+        let positions = vec![Point2::new(0.1, 0.1), Point2::new(0.15, 0.1)];
+        let mut topo = Topology::unit_disk(positions, 0.1).unwrap();
+        assert!(topo.grid.is_none());
+        topo.rebuild_unit_disk_edges();
+        assert!(topo.grid.is_none());
+        topo.apply_moves(&[]);
+        assert!(topo.grid.is_none());
+        topo.apply_moves(&[(NodeId::new(1), Point2::new(0.9, 0.9))]);
+        assert!(topo.grid.is_some());
+        assert_eq!(topo.edge_count(), 0);
+        // A rebuild moves nothing, so it keeps the hash.
+        topo.rebuild_unit_disk_edges();
+        assert!(topo.grid.is_some());
+    }
+
+    #[test]
+    fn unit_disk_rows_are_allocated_at_their_exact_length() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        let topo = crate::builders::uniform(500, 0.1, &mut rng);
+        for row in &topo.adj {
+            assert_eq!(row.capacity(), row.len());
+        }
     }
 
     #[test]

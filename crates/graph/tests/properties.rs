@@ -2,10 +2,12 @@
 //! invariants of the paper's system model (Section 3) must hold for any
 //! generated topology.
 
-use mwn_graph::{builders, traversal, NodeId, Topology};
+use std::collections::HashMap;
+
+use mwn_graph::{builders, traversal, NodeId, Point2, Topology};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Strategy producing a random unit-disk topology.
 fn unit_disk_strategy() -> impl Strategy<Value = Topology> {
@@ -13,6 +15,72 @@ fn unit_disk_strategy() -> impl Strategy<Value = Topology> {
         let mut rng = StdRng::seed_from_u64(seed);
         builders::uniform(n, f64::from(r) / 100.0, &mut rng)
     })
+}
+
+/// The reference unit-disk builder that `Topology::unit_disk`'s one
+/// sort must equal row for row: a SipHash map from cell to ids, the 3×3
+/// block of buckets around each node, every pair `i < j` within range
+/// pushed onto both rows, and the rows sorted at the end.
+fn hash_rows(positions: &[Point2], radius: f64) -> Vec<Vec<NodeId>> {
+    let cell_of = |p: Point2| ((p.x / radius).floor() as i64, (p.y / radius).floor() as i64);
+    let mut buckets: HashMap<(i64, i64), Vec<u32>> = HashMap::new();
+    for (i, &p) in positions.iter().enumerate() {
+        buckets.entry(cell_of(p)).or_default().push(i as u32);
+    }
+    let r2 = radius * radius;
+    let mut adj = vec![Vec::new(); positions.len()];
+    for (i, &p) in positions.iter().enumerate() {
+        let (cx, cy) = cell_of(p);
+        for dx in -1..=1 {
+            for dy in -1..=1 {
+                let Some(bucket) = buckets.get(&(cx + dx, cy + dy)) else {
+                    continue;
+                };
+                for &j in bucket {
+                    if (j as usize) > i && p.distance_squared(positions[j as usize]) <= r2 {
+                        adj[i].push(NodeId::new(j));
+                        adj[j as usize].push(NodeId::new(i as u32));
+                    }
+                }
+            }
+        }
+    }
+    for row in &mut adj {
+        row.sort_unstable();
+    }
+    adj
+}
+
+/// Asserts that `topo` is a unit-disk graph whose every row equals the
+/// hash builder's over the same positions and radius.
+fn assert_rows_match_the_hash_builder(topo: &Topology) {
+    let radius = topo.radius().expect("a unit-disk topology");
+    let positions = topo.positions().expect("a unit-disk topology");
+    let reference = hash_rows(positions, radius);
+    assert_eq!(topo.len(), reference.len());
+    for p in topo.nodes() {
+        assert_eq!(
+            topo.neighbors(p),
+            reference[p.index()].as_slice(),
+            "row of {p} at {} (radius {radius}, {} nodes)",
+            positions[p.index()],
+            topo.len()
+        );
+    }
+}
+
+/// Builds the unit-disk graph over `positions` and checks it row for
+/// row against the hash builder.
+fn check_unit_disk(positions: Vec<Point2>, radius: f64) {
+    let topo = Topology::unit_disk(positions, radius).expect("valid positions and radius");
+    assert_rows_match_the_hash_builder(&topo);
+}
+
+/// Uniform points over `[lo, hi)²`.
+fn scatter(n: usize, lo: f64, hi: f64, rng: &mut StdRng) -> Vec<Point2> {
+    (0..n)
+        .map(|_| Point2::new(rng.random_range(lo..hi), rng.random_range(lo..hi)))
+        .collect()
 }
 
 /// Strategy producing a random G(n,p) topology (non-geometric).
@@ -242,4 +310,132 @@ proptest! {
             }
         }
     }
+
+    /// The sorted builder equals the hash builder row for row on the
+    /// paper's deployments: uniform and Poisson fields of up to a few
+    /// thousand nodes at small radii (mean degree up to ~25), and up to
+    /// a few hundred at large ones (a block covers most of the square).
+    #[test]
+    fn unit_disk_rows_equal_the_hash_builder_on_random_fields(
+        n in 0usize..3000,
+        seed in any::<u64>(),
+        large in any::<bool>(),
+        r in 0.0f64..1.0,
+        poisson in any::<bool>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (n, radius) = if large { (n / 10, 0.05 + 0.6 * r) } else { (n, 0.003 + 0.05 * r) };
+        let topo = if poisson {
+            builders::poisson(n as f64, radius, &mut rng)
+        } else {
+            builders::uniform(n, radius, &mut rng)
+        };
+        assert_rows_match_the_hash_builder(&topo);
+    }
+
+    /// Points snapped to multiples of a fraction of the radius sit on
+    /// cell boundaries and at exactly the radio range from each other,
+    /// where `floor(x / radius)` and `distance_squared(..) <= r2` are
+    /// decided by the last bit; fields reaching below 0 and above 1,
+    /// with repeated points.
+    #[test]
+    fn unit_disk_rows_equal_the_hash_builder_on_cell_boundaries(
+        n in 0usize..400,
+        seed in any::<u64>(),
+        radius_pick in 0usize..5,
+        step_pick in 0usize..3,
+    ) {
+        let radius = [0.25, 0.1, 0.05, 0.3, 1.0 / 3.0][radius_pick];
+        let step = radius / [1.0, 2.0, 3.0][step_pick];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let positions = (0..n)
+            .map(|_| {
+                let (i, j) = (rng.random_range(0..24u32), rng.random_range(0..24u32));
+                Point2::new((f64::from(i) - 4.0) * step, (f64::from(j) - 4.0) * step)
+            })
+            .collect();
+        check_unit_disk(positions, radius);
+    }
+}
+
+#[test]
+fn unit_disk_rows_equal_the_hash_builder_on_lattices_at_multiples_of_the_radius() {
+    for radius in [0.25, 0.125, 0.1, 0.05, 0.3] {
+        for (lo, hi) in [(0, 8), (-5, 3)] {
+            let positions: Vec<Point2> = (lo..hi)
+                .flat_map(|i| {
+                    (lo..hi).map(move |j| Point2::new(f64::from(i) * radius, f64::from(j) * radius))
+                })
+                .collect();
+            // With a dyadic radius the lattice spacing is exactly the
+            // radio range, so every lattice neighbour is a tie.
+            if radius == 0.25 || radius == 0.125 {
+                let topo = Topology::unit_disk(positions.clone(), radius).unwrap();
+                let interior = NodeId::new((3 * (hi - lo) + 3) as u32);
+                assert_eq!(topo.degree(interior), 4, "radius {radius}");
+            }
+            check_unit_disk(positions, radius);
+        }
+    }
+}
+
+#[test]
+fn unit_disk_rows_equal_the_hash_builder_on_duplicate_points() {
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut positions = scatter(50, 0.0, 1.0, &mut rng);
+    // Every point twice, plus a stack of five on a cell corner.
+    positions.extend(positions.clone());
+    positions.extend([Point2::new(0.2, 0.2); 5]);
+    let topo = Topology::unit_disk(positions.clone(), 0.1).unwrap();
+    assert!(topo.has_edge(NodeId::new(0), NodeId::new(50)));
+    for k in 101..105 {
+        assert!(topo.has_edge(NodeId::new(100), NodeId::new(k)));
+    }
+    check_unit_disk(positions, 0.1);
+}
+
+#[test]
+fn unit_disk_rows_equal_the_hash_builder_outside_the_unit_square() {
+    for seed in 0..8 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        check_unit_disk(scatter(1500, -3.0, 4.0, &mut rng), 0.15);
+        check_unit_disk(scatter(300, -1e4, -1e4 + 1.0, &mut rng), 0.07);
+    }
+}
+
+#[test]
+fn unit_disk_rows_equal_the_hash_builder_in_a_single_cell() {
+    let mut rng = StdRng::seed_from_u64(5);
+    // Radius at least the extent: every node in one cell (or two, at
+    // the far edge), and the graph complete.
+    let positions = scatter(200, 0.0, 1.0, &mut rng);
+    let topo = Topology::unit_disk(positions.clone(), 2.0).unwrap();
+    assert_eq!(topo.edge_count(), 200 * 199 / 2);
+    check_unit_disk(positions.clone(), 2.0);
+    check_unit_disk(positions, 1.0);
+}
+
+#[test]
+fn unit_disk_rows_equal_the_hash_builder_on_a_sparse_field_of_a_million_cells() {
+    let mut rng = StdRng::seed_from_u64(17);
+    let radius = 0.0005;
+    // 2000² cells; 400 points, plus a close partner for every fourth.
+    let mut positions = scatter(400, 0.0, 1.0, &mut rng);
+    let partners: Vec<Point2> = positions
+        .iter()
+        .step_by(4)
+        .map(|p| Point2::new(p.x + 0.0003, p.y - 0.0002))
+        .collect();
+    positions.extend(partners);
+    let topo = Topology::unit_disk(positions.clone(), radius).unwrap();
+    assert!(topo.edge_count() >= 100);
+    check_unit_disk(positions, radius);
+}
+
+#[test]
+fn unit_disk_rows_equal_the_hash_builder_on_zero_and_one_nodes() {
+    check_unit_disk(Vec::new(), 0.1);
+    check_unit_disk(vec![Point2::new(0.5, 0.5)], 0.1);
+    check_unit_disk(vec![Point2::new(-7.0, 1e9)], 0.1);
+    assert_eq!(Topology::unit_disk(Vec::new(), 0.1).unwrap().len(), 0);
 }
