@@ -88,14 +88,21 @@ pub(crate) fn bump_epoch(e: u32) -> u32 {
 /// log stale instead of materializing n entries, and the dense drain
 /// decodes the bitset directly — bit order *is* node order, so the
 /// result arrives sorted without the sort the log path needs.
+///
+/// The log never holds more than one entry per node. Lazy removal
+/// leaves duplicates behind a remove-then-insert cycle, and a set that
+/// is rarely collected (the event clock's) would otherwise log every
+/// cycle: once the log is full at node count, the next insert drops it
+/// and marks it stale, as a bulk fill does.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct NodeSet {
     bits: BitWords,
     /// Insertion log (may hold lazily-removed or duplicate entries;
-    /// compacted at collection time).
+    /// compacted at collection time). At most one entry per node.
     list: Vec<NodeId>,
-    /// `false` after a bulk fill: the log no longer enumerates the
-    /// members and collections must decode the bitset.
+    /// `false` after a bulk fill or a full log: the log no longer
+    /// enumerates the members, logs nothing, and collections must
+    /// decode the bitset.
     list_complete: bool,
 }
 
@@ -126,11 +133,20 @@ impl NodeSet {
     #[inline]
     pub fn insert(&mut self, p: NodeId) -> bool {
         let fresh = self.bits.set(p.index());
-        if fresh {
-            if self.list.len() == self.list.capacity() && self.list.capacity() < self.bits.len() {
+        if fresh && self.list_complete {
+            if self.list.len() == self.list.capacity() {
+                let n = self.bits.len();
+                if self.list.len() >= n {
+                    // Full at node count, yet `p` was not a member:
+                    // the log holds stale entries. Drop it rather
+                    // than let it outgrow the set.
+                    self.list.clear();
+                    self.list_complete = false;
+                    return fresh;
+                }
                 // Grow once, straight to node count: converging-phase
                 // insert storms never reallocate the log mid-step.
-                self.list.reserve_exact(self.bits.len() - self.list.len());
+                self.list.reserve_exact(n - self.list.len());
             }
             self.list.push(p);
         }
@@ -177,6 +193,8 @@ impl NodeSet {
         if self.dense() {
             self.bits.decode_into(out);
             self.list.clear();
+            // Exact: a doubling growth could take the log past n.
+            self.list.reserve_exact(out.len());
             self.list.extend_from_slice(out);
         } else {
             self.list.retain(|&p| self.bits.test(p.index()));
@@ -232,7 +250,13 @@ pub(crate) struct NodeTable<P: Protocol> {
     pub heard: HeardTable,
     /// Nodes whose beacon must be recomputed next step (state changed).
     pub beacon_stale: NodeSet,
-    /// Nodes whose guards must run next step.
+    /// Nodes whose guards must run: at the next step on the period
+    /// clocks, at the node's next event on the event clock. There a
+    /// clear bit means the state equals, under `PartialEq`, one that
+    /// `update` has already left unchanged, touched since only by
+    /// receives that changed nothing; a guarded-command pass that
+    /// reports no change clears it, a reported change or any wake
+    /// ([`NodeTable::mark_node`], [`NodeTable::mark_all`]) sets it.
     pub update_dirty: NodeSet,
     /// Nodes with at least one neighbor that has not yet received their
     /// current beacon epoch.
@@ -757,6 +781,64 @@ mod tests {
             s.insert(NodeId::new(i));
         }
         assert_eq!(s.list.capacity(), cap, "insert storm never reallocates");
+    }
+
+    #[test]
+    fn node_set_equals_a_btree_set_and_its_log_stays_within_node_count() {
+        use std::collections::BTreeSet;
+        let ids = |set: &BTreeSet<u32>| set.iter().map(|&i| NodeId::new(i)).collect::<Vec<_>>();
+        for seed in 0..200u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.random_range(1..=150usize);
+            let mut s = if seed % 2 == 0 {
+                NodeSet::new(n)
+            } else {
+                NodeSet::with_full_log(n)
+            };
+            let mut model = BTreeSet::new();
+            let mut out = Vec::new();
+            for op in 0..600 {
+                let p = rng.random_range(0..n as u32);
+                match rng.random_range(0..100) {
+                    0..=39 => assert_eq!(s.insert(NodeId::new(p)), model.insert(p)),
+                    40..=74 => {
+                        s.remove(NodeId::new(p));
+                        model.remove(&p);
+                    }
+                    75..=76 => {
+                        s.insert_all();
+                        model.extend(0..n as u32);
+                    }
+                    77..=84 => {
+                        s.collect_sorted_into(&mut out);
+                        assert_eq!(out, ids(&model), "seed {seed}, op {op}");
+                    }
+                    85..=92 => {
+                        s.drain_sorted_into(&mut out);
+                        assert_eq!(out, ids(&model), "seed {seed}, op {op}");
+                        model.clear();
+                    }
+                    93..=94 => {
+                        s.clear();
+                        model.clear();
+                    }
+                    _ => {
+                        // A node the event clock settles and wakes over
+                        // and over, with nothing collecting in between.
+                        for _ in 0..10 * n {
+                            s.remove(NodeId::new(p));
+                            s.insert(NodeId::new(p));
+                        }
+                        model.insert(p);
+                    }
+                }
+                assert_eq!(s.contains(NodeId::new(p)), model.contains(&p));
+                assert!(s.list.len() <= n, "seed {seed}: log {} > {n}", s.list.len());
+                assert!(s.list.capacity() <= n, "seed {seed}: capacity over n");
+            }
+            s.collect_sorted_into(&mut out);
+            assert_eq!(out, ids(&model), "seed {seed}, final collect");
+        }
     }
 
     #[test]

@@ -53,10 +53,22 @@ enum Followup<P: Protocol> {
     ClearLie { node: NodeId },
 }
 
-fn hook<P: Protocol>(corruptor: &Option<Corruptor<P>>) -> &Corruptor<P> {
-    corruptor
-        .as_ref()
-        .expect("Scenario::faults and the Corruptible entry points install the hook")
+/// Scrambles `state` through the installed corruption hook.
+fn scramble<P: Protocol>(
+    corruptor: &Option<Corruptor<P>>,
+    protocol: &P,
+    p: NodeId,
+    state: &mut P::State,
+    rng: &mut StdRng,
+) {
+    match corruptor {
+        Some(corrupt) => corrupt(protocol, p, state, rng),
+        None => debug_assert!(
+            false,
+            "a corruption fired without its hook: Scenario::faults and the \
+             Corruptible entry points install it before any fault can fire"
+        ),
+    }
 }
 
 /// `(u, v)` in the `u < v` orientation every edge list uses.
@@ -317,10 +329,15 @@ impl<P: Protocol> Env<P> {
 
     /// Fires the next scripted fault at logical step `now`.
     pub fn fire_next_scripted(&mut self, now: u64) {
-        let fault = self.scripted[self.next_scripted].1.clone();
+        let Some((_, fault)) = self.scripted.get(self.next_scripted).cloned() else {
+            return;
+        };
         self.next_scripted += 1;
-        self.dispatch_fault(now, &fault)
-            .expect("fault plans are validated before installation");
+        let fired = self.dispatch_fault(now, &fault);
+        debug_assert!(
+            fired.is_ok(),
+            "fault plans are validated before installation: {fired:?}"
+        );
     }
 
     /// The due step of the earliest pending followup.
@@ -331,8 +348,7 @@ impl<P: Protocol> Env<P> {
     /// Fires every followup due by `now`, in ascending `(due, seq)`
     /// order.
     pub fn fire_followups(&mut self, now: u64) {
-        while self.next_followup().is_some_and(|due| due <= now) {
-            let (_, _, followup) = self.followups.pop().expect("peeked above");
+        while let Some((_, _, followup)) = self.followups.pop_if(|&mut (due, _, _)| due <= now) {
             self.apply_followup(followup);
         }
     }
@@ -404,7 +420,7 @@ impl<P: Protocol> Env<P> {
     fn corrupt_scripted(&mut self, p: NodeId) {
         let mut rng = self.core.corrupt_rng(p);
         let state = &mut self.core.table.states[p.index()];
-        hook(&self.corruptor)(&self.protocol, p, state, &mut rng);
+        scramble(&self.corruptor, &self.protocol, p, state, &mut rng);
         self.core.wake_mutated(p, &self.topo);
     }
 
@@ -447,7 +463,7 @@ impl<P: Protocol> Env<P> {
             Lie::Forged => {
                 let mut rng = self.core.corrupt_rng(p);
                 let mut fake = self.core.table.states[p.index()].clone();
-                hook(&self.corruptor)(&self.protocol, p, &mut fake, &mut rng);
+                scramble(&self.corruptor, &self.protocol, p, &mut fake, &mut rng);
                 self.protocol.beacon(p, &fake)
             }
             Lie::Replayed => self.core.table.beacons[p.index()].clone(),

@@ -301,10 +301,19 @@ impl<B: Clone> BeaconPool<B> {
 /// `tests/engine_equivalence.rs`. After stabilization both lanes drain
 /// to empty: a quiet interval costs zero messages and O(1) work.
 ///
-/// A node's visit here is one frame, so under gating the driver asks
-/// the protocol itself whether a guard changed the state
+/// **A frame that changes nothing costs one receive.** A node's visit
+/// here is one frame, so under gating the driver asks the protocol
+/// itself whether a guard changed the state
 /// ([`Protocol::receive_changed`], [`Protocol::update_changed`]) where
-/// the period-clocked drivers snapshot and compare once per visit.
+/// the period-clocked drivers snapshot and compare once per visit. It
+/// also remembers the answer: the table's `update_dirty` bit says
+/// whether a node's guards may still move its state. A node whose last
+/// pass changed nothing is settled, and an arrival whose receive
+/// changes nothing at a settled node — or a beacon slot of one — runs
+/// no guard pass at all; by the silence contract that pass would be a
+/// no-op (see `EventDriver::settle`). [`EventDriver::updates`] counts
+/// the passes that do run. Eager scheduling runs every pass and stays
+/// the reference.
 ///
 /// Scripted faults and [`crate::TopologyDynamics`] (mobility) fire at
 /// logical-step boundaries (multiples of the beacon period),
@@ -361,6 +370,8 @@ pub struct EventDriver<P: Protocol, M: Medium = PerfectMedium> {
     messages: u64,
     /// Events popped so far.
     events: u64,
+    /// Guard passes ([`Protocol::update`]) run so far.
+    updates: u64,
     frames_attempted: u64,
     frames_delivered: u64,
     /// The next logical step whose mobility tick (if dynamics are
@@ -437,6 +448,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             time: 0.0,
             messages: 0,
             events: 0,
+            updates: 0,
             frames_attempted: 0,
             frames_delivered: 0,
             dynamics_step: 0,
@@ -675,16 +687,16 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         let t = self.time;
         // The guarded-command loop runs continuously; executing the
         // guards right before snapshotting the shared variables gives
-        // the freshest beacon. The draw is derived per (instant, node),
-        // so a muted slot consumes nothing.
-        let mut rng = self.env.core.update_rng(t.to_bits(), p);
-        let protocol = &self.env.protocol;
-        let table = &mut self.env.core.table;
-        let (state, scratch) = (&mut table.states[p.index()], &mut table.scratch_state);
+        // the freshest beacon — unless, under gating, the node is
+        // settled and the pass could change nothing. The draw is
+        // derived per (instant, node), so a muted slot consumes nothing.
         let state_changed = if gated {
-            protocol.update_changed(p, state, now, &mut rng, scratch)
+            self.settle(p, now, false)
         } else {
-            protocol.update(p, state, now, &mut rng);
+            let mut rng = self.env.core.update_rng(t.to_bits(), p);
+            let state = &mut self.env.core.table.states[p.index()];
+            self.env.protocol.update(p, state, now, &mut rng);
+            self.updates += 1;
             false
         };
         if state_changed {
@@ -771,8 +783,10 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     }
 
     /// Lands one frame copy at its receiver: the receive guard, then
-    /// one pass of the guarded assignments. Returns whether, under
-    /// gating, the receiver's state changed.
+    /// one pass of the guarded assignments — under gating, only if the
+    /// receive changed something or the receiver is not settled
+    /// ([`EventDriver::settle`]). Returns whether, under gating, the
+    /// receiver's state changed.
     fn incorporate(&mut self, frame: &Frame) -> bool {
         let (r, s) = (frame.receiver, frame.sender);
         // The link may have vanished while the frame was in flight
@@ -797,22 +811,88 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             .heard
             .set(r.index(), idx, frame.tx_epoch);
         let now = self.now();
-        let mut rng = self.env.core.update_rng(self.time.to_bits(), r);
-        let protocol = &self.env.protocol;
         let beacon = self.pool.get(frame.beacon);
-        let table = &mut self.env.core.table;
-        let (state, scratch) = (&mut table.states[r.index()], &mut table.scratch_state);
         if !gated {
-            protocol.receive(r, state, s, beacon, now);
-            protocol.update(r, state, now, &mut rng);
+            let mut rng = self.env.core.update_rng(self.time.to_bits(), r);
+            let state = &mut self.env.core.table.states[r.index()];
+            self.env.protocol.receive(r, state, s, beacon, now);
+            self.env.protocol.update(r, state, now, &mut rng);
+            self.updates += 1;
             return false;
         }
         // Two exact reports, one per guard. Their disjunction can only
         // err towards "changed" (an update that undoes the receive),
         // and a wake that finds nothing to say retires at its slot.
-        let heard = protocol.receive_changed(r, state, s, beacon, now, scratch);
-        let moved = protocol.update_changed(r, state, now, &mut rng, scratch);
+        let table = &mut self.env.core.table;
+        let (state, scratch) = (&mut table.states[r.index()], &mut table.scratch_state);
+        let heard = self
+            .env
+            .protocol
+            .receive_changed(r, state, s, beacon, now, scratch);
+        let moved = self.settle(r, now, heard);
         heard || moved
+    }
+
+    /// One gated pass of `p`'s guarded assignments, or none when it
+    /// could change nothing: `p`'s `update_dirty` bit is clear and
+    /// `heard` — whether a receive just changed the state — is false.
+    /// Returns whether the pass changed the state, and leaves the bit
+    /// saying so.
+    ///
+    /// Exact by the silence contract. A clear bit means the state is
+    /// `PartialEq`-equal to one a pass has already left unchanged, and
+    /// touched since only by receives that reported no change (every
+    /// wake — cold start, faults, topology changes, the switch from
+    /// eager — sets the bit). A pass on such a state is a no-op
+    /// whatever `now` is (clause 2), and it would have drawn nothing
+    /// (clause 3) from a stream derived for this (instant, node) alone,
+    /// so skipping it moves no other draw. Debug builds run the skipped
+    /// pass anyway, on a copy, and assert that it reports no change.
+    fn settle(&mut self, p: NodeId, now: u64, heard: bool) -> bool {
+        let core = &mut self.env.core;
+        if !heard && !core.table.update_dirty.contains(p) {
+            #[cfg(debug_assertions)]
+            self.assert_settled(p, now);
+            return false;
+        }
+        self.updates += 1;
+        let mut rng = core.update_rng(self.time.to_bits(), p);
+        let table = &mut core.table;
+        let (state, scratch) = (&mut table.states[p.index()], &mut table.scratch_state);
+        let moved = self
+            .env
+            .protocol
+            .update_changed(p, state, now, &mut rng, scratch);
+        if moved {
+            table.update_dirty.insert(p);
+        } else {
+            table.update_dirty.remove(p);
+        }
+        moved
+    }
+
+    /// The reference for a pass [`EventDriver::settle`] skipped, asked
+    /// the long way as `Env::retire_caught_up` asks: the pass runs on a
+    /// copy of `p`'s state in the table's scratch slot, on the stream
+    /// the real pass would have drawn from, and must report no change.
+    #[cfg(debug_assertions)]
+    fn assert_settled(&mut self, p: NodeId, now: u64) {
+        let mut rng = self.env.core.update_rng(self.time.to_bits(), p);
+        let table = &mut self.env.core.table;
+        let mut copy = table.scratch_state.take();
+        crate::protocol::snapshot(&mut copy, &table.states[p.index()]);
+        if let Some(state) = copy.as_mut() {
+            let moved =
+                self.env
+                    .protocol
+                    .update_changed(p, state, now, &mut rng, &mut table.scratch_state);
+            debug_assert!(
+                !moved,
+                "node {p} skipped a guard pass at t = {} (step {now}) that changes its state",
+                self.time
+            );
+        }
+        table.scratch_state = copy;
     }
 
     /// Advances to time `t` as one observation step of the shared run
@@ -875,6 +955,14 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     /// quiet interval processes no events at all.
     pub fn events_processed(&self) -> u64 {
         self.events
+    }
+
+    /// Guard passes run so far — the event clock's counterpart of the
+    /// period clocks' per-step update count. Eager scheduling runs one
+    /// per arrival and one per beacon slot; gated scheduling runs one
+    /// only where the state may still move.
+    pub fn updates(&self) -> u64 {
+        self.updates
     }
 
     /// (sender, 1-neighbor) frame copies in range so far — the
@@ -1347,6 +1435,115 @@ mod tests {
             (d.states().to_vec(), stable)
         };
         assert_eq!(run(true), run(false));
+    }
+
+    /// Moves three nodes of a 0.2-spaced grid per logical step, during
+    /// `steps`, to `home ± 0.1` along x: at radius 0.25 a move cuts a
+    /// link on one side and keeps the other three.
+    struct Drift {
+        home: Vec<mwn_graph::Point2>,
+        steps: std::ops::Range<u64>,
+        moves: Vec<(NodeId, mwn_graph::Point2)>,
+    }
+
+    impl crate::TopologyDynamics for Drift {
+        fn next_topology(&mut self, _step: u64) -> Option<&Topology> {
+            None
+        }
+
+        fn next_moves(&mut self, step: u64) -> Option<&[(NodeId, mwn_graph::Point2)]> {
+            self.moves.clear();
+            if self.steps.contains(&step) {
+                let n = self.home.len() as u64;
+                for k in 0..3 {
+                    let p = (step * 7 + k * 11) % n;
+                    let home = self.home[p as usize];
+                    let dx = if (step + k).is_multiple_of(2) {
+                        0.1
+                    } else {
+                        -0.1
+                    };
+                    let to = mwn_graph::Point2::new(home.x + dx, home.y);
+                    self.moves.push((NodeId::new(p as u32), to));
+                }
+            }
+            Some(&self.moves)
+        }
+    }
+
+    /// Gated ≡ eager for a protocol that takes many guard passes to
+    /// settle, through corruption, isolation, crash-recover and
+    /// mobility. The two disciplines run their passes at different
+    /// events (the eager twin hears every neighbor every period), so a
+    /// node's climb takes a different path, and the draws folded into
+    /// `noise` differ; everything else is a function of where the climb
+    /// ends. A driver that skipped a pass at a node still climbing would
+    /// leave it short, and debug builds would name the node.
+    #[test]
+    fn a_slow_settling_protocol_is_gated_like_its_eager_twin() {
+        use crate::testkit::{Climb, Climber};
+        use crate::FaultPlan;
+        fn ends(d: &EventDriver<Climb, impl Medium>) -> Vec<(u32, u32, u32)> {
+            let end = |s: &Climber| (s.value, s.heard, s.moves);
+            d.states().iter().map(end).collect()
+        }
+        fn run<M: Medium + Clone>(medium: M) {
+            let topo = builders::grid(6, 6, 0.25);
+            let home = topo.positions().expect("a unit-disk grid").to_vec();
+            let build = |eager: bool| {
+                let mut plan = FaultPlan::new();
+                plan.at(60, Fault::CorruptAll)
+                    .at(120, Fault::Isolate(NodeId::new(14)))
+                    .at(
+                        180,
+                        Fault::CrashRecover {
+                            node: NodeId::new(21),
+                            dark_for: 10,
+                        },
+                    )
+                    .at(260, Fault::CorruptNode(NodeId::new(8)));
+                let drift = Drift {
+                    home: home.clone(),
+                    steps: 240..300,
+                    moves: Vec::new(),
+                };
+                let mut d = Scenario::new(Climb)
+                    .medium(medium.clone())
+                    .topology(topo.clone())
+                    .seed(11)
+                    .faults(plan)
+                    .mobility(drift)
+                    .build_events(EventConfig::default())
+                    .expect("valid event scenario");
+                d.set_eager(eager);
+                d
+            };
+            let (mut gated, mut eager) = (build(false), build(true));
+            assert!(gated.is_gated() && !eager.is_gated());
+            // Each checkpoint ends a settled stretch, just before the
+            // next fault.
+            for t in [59.5, 119.5, 179.5, 239.5, 400.0] {
+                gated.run_until_time(t);
+                eager.run_until_time(t);
+                let name = gated.medium.name();
+                assert_eq!(ends(&gated), ends(&eager), "{name}, t = {t}");
+                assert_eq!(gated.outputs(), eager.outputs(), "{name}, t = {t}");
+                let arrived = |(i, s): (usize, &Climber)| s.value == s.heard.max(i as u32);
+                assert!(
+                    gated.states().iter().enumerate().all(arrived),
+                    "{name}, t = {t}: every climb has ended"
+                );
+            }
+            // From the bottom to 35, twice over for everyone.
+            let climbed: u32 = gated.states().iter().map(|s| s.moves).sum();
+            assert!(
+                climbed > 2 * 36 * 30,
+                "the climbs were long: {climbed} moves"
+            );
+            assert!(gated.updates() < eager.updates());
+        }
+        run(PerfectMedium);
+        run(BernoulliLoss::new(0.7));
     }
 
     #[test]

@@ -14,13 +14,19 @@ use rand::rngs::StdRng;
 ///
 /// 1. [`Protocol::receive`] of a beacon whose content equals what the
 ///    receiver already incorporated from that sender is a state no-op;
-/// 2. [`Protocol::update`] on a state it has already fixed (and with no
-///    new receptions since) is a state no-op, *regardless of `now`* —
-///    in particular no wall-clock cache expiry while the network is
-///    silent;
+/// 2. [`Protocol::update`] on a state equal under `PartialEq` to one it
+///    has already fixed (and with no new receptions since) is a state
+///    no-op, *regardless of `now`* — in particular no wall-clock cache
+///    expiry while the network is silent;
 /// 3. randomness is only consumed on state-changing transitions (the
 ///    driver's per-(step, node) derived streams make stray draws
 ///    harmless, but drawing must not be the only side effect).
+///
+/// The event clock relies on clause 2 as written: a node whose last
+/// guard pass reported no change, and whose receives since reported
+/// none either, skips its next passes altogether (one receive per
+/// frame, no update), so `PartialEq` must compare everything the
+/// guards read.
 ///
 /// **The contract spans both clocks.** Under the synchronous round
 /// driver a gated node is skipped for a *step*; under the continuous

@@ -1,5 +1,6 @@
-//! The flooding fixtures the unit tests of every driver share, and the
-//! medium wrapper the round driver's two kinds of step are compared
+//! The flooding fixtures the unit tests of every driver share, the
+//! slow-settling adversary of the event clock's settled-node skip, and
+//! the medium wrapper the round driver's two kinds of step are compared
 //! through.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -7,6 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use mwn_graph::{NodeId, Topology};
 use mwn_radio::{ContentionStreams, Delivery, Medium, OccupancyView};
 use rand::rngs::StdRng;
+use rand::Rng;
 
 use crate::{Activity, Corruptible, Observable, Protocol};
 
@@ -163,6 +165,77 @@ impl Observable for TraceFlood {
     type Output = (u32, u64);
     fn output(&self, _node: NodeId, state: &(u32, u64)) -> (u32, u64) {
         *state
+    }
+}
+
+/// A flood whose guard pass needs many passes to settle — the
+/// adversary of the event clock's settled-node skip. `receive` records
+/// the largest value heard; each `update` moves the node's value one
+/// unit toward the larger of that and its own id, and draws from its
+/// stream only when it moves. A node still on its way is one pass from
+/// a different state, so a driver that skips a pass there leaves it
+/// short of its target for good.
+#[derive(Debug)]
+pub(crate) struct Climb;
+
+/// [`Climb`]'s per-node state.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct Climber {
+    /// The value on the air.
+    pub value: u32,
+    /// The largest value heard.
+    pub heard: u32,
+    /// Passes that moved the value.
+    pub moves: u32,
+    /// Every draw folded in, so what a pass drew is part of the state.
+    pub noise: u64,
+}
+
+impl Protocol for Climb {
+    type State = Climber;
+    type Beacon = u32;
+    fn init(&self, _node: NodeId, _rng: &mut StdRng) -> Climber {
+        Climber {
+            value: 0,
+            heard: 0,
+            moves: 0,
+            noise: 0,
+        }
+    }
+    fn beacon(&self, _node: NodeId, state: &Climber) -> u32 {
+        state.value
+    }
+    fn receive(&self, _node: NodeId, state: &mut Climber, _from: NodeId, beacon: &u32, _now: u64) {
+        state.heard = state.heard.max(*beacon);
+    }
+    fn update(&self, node: NodeId, state: &mut Climber, _now: u64, rng: &mut StdRng) {
+        if state.value < state.heard.max(node.value()) {
+            state.value += 1;
+            state.moves += 1;
+            state.noise = state.noise.rotate_left(7) ^ rng.random::<u64>();
+        }
+    }
+    fn activity(&self) -> Activity {
+        Activity::Gated
+    }
+    fn beacon_changed(&self, old: &u32, new: &u32) -> bool {
+        old != new
+    }
+}
+
+/// Knocks the climb back near the bottom; `moves` keeps counting.
+impl Corruptible for Climb {
+    fn corrupt(&self, _node: NodeId, state: &mut Climber, rng: &mut StdRng) {
+        state.value = rng.random_range(0..4);
+        state.heard = rng.random_range(0..4);
+        state.noise = rng.random();
+    }
+}
+
+impl Observable for Climb {
+    type Output = u32;
+    fn output(&self, _node: NodeId, state: &Climber) -> u32 {
+        state.value
     }
 }
 
