@@ -713,6 +713,33 @@ impl Protocol for DensityCluster {
         old != new
     }
 
+    /// What the receive guard compares before it rewrites a cached
+    /// copy, as a projection. Under [`FreshnessPolicy::EventDriven`]:
+    /// the sender's header (`dag_id`, `density` by ratio, `head`) and
+    /// its view's ids; under [`HeadRule::Fusion`] also which view
+    /// entries claim headship (`head == id`) and those entries'
+    /// `dag_id` and `density` — everything the relayed head claim is
+    /// computed from, whoever the receiver is. Under
+    /// [`FreshnessPolicy::TtlSweep`] every receive restamps its entry,
+    /// so every change is read.
+    fn read_changed(&self, old: &ClusterBeacon, new: &ClusterBeacon) -> bool {
+        if self.config.freshness == FreshnessPolicy::TtlSweep {
+            return old != new;
+        }
+        let fusion = self.config.rule == HeadRule::Fusion;
+        let claims = |s: &PeerSummary| s.head == s.id;
+        let claim_changed = |a: &PeerSummary, b: &PeerSummary| {
+            claims(a) != claims(b) || (claims(a) && (a.dag_id, a.density) != (b.dag_id, b.density))
+        };
+        let entry_changed =
+            |(a, b): (&PeerSummary, &PeerSummary)| a.id != b.id || (fusion && claim_changed(a, b));
+        old.dag_id != new.dag_id
+            || old.density != new.density
+            || old.head != new.head
+            || old.view.len() != new.view.len()
+            || old.view.iter().zip(&new.view).any(entry_changed)
+    }
+
     fn link_down(&self, _node: NodeId, state: &mut ClusterState, peer: NodeId) {
         // The link layer knows the neighbor is gone: evict immediately
         // instead of waiting out a TTL (and instead of never noticing,

@@ -267,6 +267,9 @@ impl Protocol for NoPeekLevels {
     fn beacon_changed(&self, old: &ClusterBeacon, new: &ClusterBeacon) -> bool {
         self.0.beacon_changed(old, new)
     }
+    fn read_changed(&self, old: &ClusterBeacon, new: &ClusterBeacon) -> bool {
+        self.0.read_changed(old, new)
+    }
     fn link_down(&self, node: NodeId, state: &mut ClusterState, peer: NodeId) {
         self.0.link_down(node, state, peer);
     }
@@ -858,6 +861,156 @@ proptest! {
         }
         prop_assert!(unused.is_none(), "the overrides need no snapshot");
         prop_assert!(reports[0] > 0 && reports[1] > 0, "both answers occur: {:?}", reports);
+    }
+}
+
+/// The next beacon of a sender whose last one was `last`, for the
+/// read-part properties: often the same beacon, or what `receive` reads
+/// of it in other words — the density respelled, every relayed entry
+/// rewritten but for its id and, under fusion, its claim and a
+/// claimer's `dag_id` and density (respelled) — otherwise
+/// [`next_beacon`]'s.
+fn next_in_other_words(rng: &mut StdRng, last: &ClusterBeacon, fusion: bool) -> ClusterBeacon {
+    let respell = |rng: &mut StdRng, d: Density| {
+        let k: u32 = rng.random_range(1..4);
+        Density::ratio(k * d.links(), k * d.degree())
+    };
+    match rng.random_range(0..5) {
+        0 => last.clone(),
+        1 | 2 => {
+            let mut beacon = last.clone();
+            beacon.density = respell(rng, last.density);
+            for s in &mut beacon.view {
+                if fusion && s.head == s.id {
+                    s.density = respell(rng, s.density);
+                    continue;
+                }
+                s.dag_id = rng.random_range(0..4);
+                s.density = small_density(rng);
+                s.head = small_id(rng);
+                if fusion && s.head == s.id {
+                    // Stays a non-claimer.
+                    s.head = NodeId::new(s.id.value() + SMALL_IDS);
+                }
+            }
+            beacon
+        }
+        _ => next_beacon(rng, Some(last)),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `DensityCluster::read_changed` under the event-driven policy, basic
+    /// rule and fusion, DAG on and off, on a sender's beacons as they
+    /// change over time:
+    ///
+    /// * it compares a projection: `false` on a beacon and itself,
+    ///   `true` only where `beacon_changed` is, symmetric, and two
+    ///   `false` answers chain into a third;
+    /// * a `false` answer is a no-op receive: a receiver that missed
+    ///   some beacons and incorporated an earlier one, whose read part
+    ///   no later beacon has changed — the epoch arc the drivers skip
+    ///   on — reports no change on `receive_changed` and keeps a state
+    ///   equal to the one it had, through other senders' frames, guard
+    ///   passes and corruption in between.
+    #[test]
+    fn read_changed_is_a_projection_whose_false_answers_are_no_op_receives(
+        seed in 0u64..u64::MAX,
+        dag in any::<bool>(),
+        fusion in any::<bool>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let config = ClusterConfig {
+            rule: if fusion { HeadRule::Fusion } else { HeadRule::Basic },
+            dag: dag.then_some(DagConfig {
+                gamma: NameSpace::of_size(3),
+                variant: DagVariant::SmallestIdRedraws,
+            }),
+            ..ClusterConfig::default().event_driven()
+        };
+        let protocol = DensityCluster::new(config);
+        let node = small_id(&mut rng);
+        let from = NodeId::new((node.value() + rng.random_range(1..SMALL_IDS)) % SMALL_IDS);
+        // The sender's beacons in order, and after each the index of
+        // the last one whose read part changed — its read epoch.
+        let mut sent = vec![next_beacon(&mut rng, None)];
+        let mut read = vec![0usize];
+        for i in 1..16 {
+            let next = next_in_other_words(&mut rng, &sent[i - 1], fusion);
+            let moved = protocol.read_changed(&sent[i - 1], &next);
+            read.push(if moved { i } else { read[i - 1] });
+            sent.push(next);
+        }
+        for a in &sent {
+            prop_assert!(!protocol.read_changed(a, a));
+            prop_assert!(!protocol.read_changed(a, &a.clone()));
+            for b in &sent {
+                let ab = protocol.read_changed(a, b);
+                prop_assert_eq!(ab, protocol.read_changed(b, a), "symmetric");
+                prop_assert!(!ab || protocol.beacon_changed(a, b));
+                for c in &sent {
+                    let chained = !ab && !protocol.read_changed(b, c);
+                    prop_assert!(!chained || !protocol.read_changed(a, c), "chains");
+                }
+            }
+        }
+        // A receiver that hears some of them.
+        let mut state = protocol.init(node, &mut rng);
+        if rng.random_range(0..3) == 0 {
+            protocol.corrupt(node, &mut state, &mut rng);
+        }
+        for _ in 0..rng.random_range(0..5) {
+            let len = rng.random_range(0..5);
+            let mut entry = small_entry(&mut rng, len);
+            entry.last_seen = rng.random_range(0..3);
+            state.cache.insert(small_id(&mut rng), entry);
+        }
+        let (mut held, mut now, mut unused) = (None::<usize>, 3u64, None);
+        let mut seen = [0u32; 2];
+        for (i, beacon) in sent.iter().enumerate() {
+            now += rng.random_range(0..2u64);
+            match rng.random_range(0..8) {
+                0 => continue, // lost
+                1 => {
+                    // A corrupted receiver forgets what it held.
+                    protocol.corrupt(node, &mut state, &mut rng);
+                    held = None;
+                }
+                2 => {
+                    // Another sender's frame, and a guard pass.
+                    let other = small_id(&mut rng);
+                    let len = rng.random_range(0..5);
+                    let noise = ClusterBeacon {
+                        dag_id: rng.random_range(0..4),
+                        density: small_density(&mut rng),
+                        head: small_id(&mut rng),
+                        view: small_view(&mut rng, len),
+                    };
+                    if other != from {
+                        protocol.receive(node, &mut state, other, &noise, now);
+                    }
+                    protocol.update(node, &mut state, now, &mut StdRng::seed_from_u64(seed ^ now));
+                }
+                _ => {}
+            }
+            if held.is_some_and(|h| read[i] <= h && h < i) {
+                let h = held.expect("held");
+                prop_assert!(!protocol.read_changed(&sent[h], beacon), "{} to {}", h, i);
+                let before = state.clone();
+                let changed = protocol.receive_changed(node, &mut state, from, beacon, now, &mut unused);
+                prop_assert!(!changed, "beacon {} over {} changed the receiver", i, h);
+                prop_assert!(state == before);
+                seen[0] += 1;
+            } else {
+                protocol.receive(node, &mut state, from, beacon, now);
+                seen[1] += 1;
+            }
+            held = Some(i);
+        }
+        prop_assert!(unused.is_none());
+        prop_assert!(seen[0] > 0 && seen[1] > 0, "both branches occur: {:?}", seen);
     }
 }
 

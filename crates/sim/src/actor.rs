@@ -27,7 +27,8 @@
 //!    worker asks the shared medium for its senders' frame fates
 //!    ([`Medium::fates`]), encodes every beacon **once** into its own
 //!    byte arena (cleared at the start of the period, capacity kept), and
-//!    pushes one small `Copy` frame header — sender, epoch, and where
+//!    pushes one small `Copy` frame header — sender, epoch, read epoch
+//!    (when what a receive reads of the beacon last changed), and where
 //!    the payload sits (`arena`, `off`, `len`) — into each lucky
 //!    receiver's bounded mailbox.
 //! 3. **Quiescence barrier** — the governor waits until every released
@@ -40,9 +41,13 @@
 //!    their mailboxes **in arrival order**, decode every fresh frame
 //!    from the sender's arena into the worker's one pooled beacon,
 //!    receive, and run one pass of guarded assignments — all **in
-//!    place**, no state is copied out or moved back. The reception
-//!    arena is split at the same node boundaries, so an actor writes
-//!    the epoch it incorporated straight into its own reception row.
+//!    place**, no state is copied out or moved back. Under gating a
+//!    fresh frame whose header says the actor already holds what a
+//!    receive reads (its row's epoch lies between the frame's read
+//!    epoch and its epoch) is neither decoded nor received; it still
+//!    wakes the actor. The reception arena is split at the same node
+//!    boundaries, so an actor writes the epoch of every fresh frame
+//!    straight into its own reception row.
 //!    This is the round driver's phase 5 with a different frame loop:
 //!    the partition, the change rule (a scratch snapshot taken before
 //!    the first mutation, compared after the update) and the
@@ -81,7 +86,7 @@
 //! as the other two: scripted faults, mobility ticks at period
 //! boundaries, [`StopWhen`] conditions, and [`RunReport`] results.
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use mwn_graph::{NodeId, Point2, Topology, TopologyDelta};
 use mwn_radio::{Medium, PerfectMedium};
@@ -97,13 +102,16 @@ use crate::stop::{RunReport, StopWhen};
 use crate::wire::WireBeacon;
 
 /// One serialized beacon in flight: the routing metadata a link layer
-/// would carry in the frame header, plus where the wire bytes sit —
-/// `bytes[off..off + len]` of send worker `arena`'s byte arena, written
-/// once per sender and read by every receiver of the period.
+/// would carry in the frame header — the sender, its beacon epoch and
+/// the epoch at which what a receive reads of that beacon last changed
+/// — plus where the wire bytes sit: `bytes[off..off + len]` of send
+/// worker `arena`'s byte arena, written once per sender and read by
+/// every receiver of the period.
 #[derive(Clone, Copy)]
 struct ActorFrame {
     sender: NodeId,
     epoch: u32,
+    read_epoch: u32,
     arena: u32,
     off: u32,
     len: u32,
@@ -127,17 +135,21 @@ impl Mailbox {
         }
     }
 
+    /// The queue, even if a worker panicked while holding it: that
+    /// panic already propagates out of the worker's `thread::scope`, and
+    /// a frame list is whole between pushes, so nothing is lost by
+    /// reading it.
     fn lock(&self) -> MutexGuard<'_, Vec<ActorFrame>> {
-        self.queue
-            .lock()
-            .expect("no worker panics while holding a mailbox")
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn push(&self, frame: ActorFrame) {
         let mut q = self.lock();
-        assert!(
+        debug_assert!(
             q.len() < self.capacity.max(1),
-            "mailbox overflow: more than one frame per neighbor per period"
+            "mailbox overflow: more frames than the in-degree bound of {} \
+             (one per neighbor per period)",
+            self.capacity
         );
         q.push(frame);
     }
@@ -311,6 +323,7 @@ where
                     let frame = ActorFrame {
                         sender: s,
                         epoch: table.epoch[s.index()],
+                        read_epoch: table.read_epoch[s.index()],
                         arena: w as u32,
                         off: span(off),
                         len: span(sc.bytes.len() - off),
@@ -358,19 +371,39 @@ where
                     let (state, row, sc) = shard.open(r);
                     // The actor wakes — and, gated, snapshots its state
                     // for change detection — on its first fresh frame,
-                    // or for its pending guards.
-                    let first = sc.receives;
+                    // received or not, or for its pending guards.
+                    let mut woke = false;
                     for frame in mailboxes[r.index()].lock().drain(..) {
                         // A frame whose link a fault severed at this
                         // very timestamp is dead air (fault ≤ delivery).
                         let Ok(slot) = neighbors.binary_search(&frame.sender) else {
                             continue;
                         };
-                        if !eager && row[slot] == frame.epoch {
+                        let held = row[slot];
+                        if !eager && held == frame.epoch {
                             continue; // already incorporated: a state no-op
                         }
-                        if sc.receives == first {
+                        if !woke {
                             sc.snapshot(state);
+                            woke = true;
+                        }
+                        row[slot] = frame.epoch;
+                        if !eager && engine::read_part_held(held, frame.read_epoch, frame.epoch) {
+                            // What a receive reads is what the actor
+                            // holds: neither decoded nor received. (The
+                            // debug reference reads the beacon column,
+                            // which is what the sender encoded.)
+                            #[cfg(debug_assertions)]
+                            engine::assert_held_receive(
+                                &mut sc.held_check,
+                                state,
+                                |copy| {
+                                    let beacon = &beacons[frame.sender.index()];
+                                    protocol.receive(r, copy, frame.sender, beacon, period);
+                                },
+                                (r, frame.sender, [held, frame.read_epoch, frame.epoch]),
+                            );
+                            continue;
                         }
                         let (off, len) = (frame.off as usize, frame.len as usize);
                         let bytes = &arenas[frame.arena as usize].bytes[off..off + len];
@@ -384,10 +417,9 @@ where
                             "wire beacons round-trip losslessly"
                         );
                         protocol.receive(r, state, frame.sender, beacon, period);
-                        row[slot] = frame.epoch;
                         sc.receives += 1;
                     }
-                    if sc.receives == first {
+                    if !woke {
                         if hearers.contains(r) {
                             continue; // gated and nothing fresh: the actor never wakes
                         }

@@ -8,8 +8,8 @@
 //! * [`NodeSet`] — index-backed dirty sets: O(1) insert/membership,
 //!   dense iteration, allocation-free in steady state;
 //! * [`NodeTable`] — the columnar per-node hot state (protocol states,
-//!   beacon snapshots, beacon epochs, per-edge reception epochs) plus
-//!   the scheduling sets;
+//!   beacon snapshots, beacon and read epochs, per-edge reception
+//!   epochs) plus the scheduling sets;
 //! * `Env` (the private `env` module) — the one environment all three
 //!   drivers run in: protocol, topology, core, fault script, followup
 //!   queue and dynamics, with the single implementation of fault
@@ -73,6 +73,50 @@ pub(crate) fn bump_epoch(e: u32) -> u32 {
         0
     } else {
         next
+    }
+}
+
+/// Whether a receiver that holds epoch `held` of a sender's beacon
+/// already holds everything [`Protocol::receive`] reads of it: `held`
+/// is an epoch (not [`NEVER`]) on the arc `[read, epoch)` of the epoch
+/// cycle, where `epoch` is the beacon's current epoch and `read` the
+/// epoch of its last change in what [`Protocol::read_changed`]
+/// compares. Every bump since `held` then left that part alone. The
+/// cycle skips [`NEVER`], so distances are taken modulo `NEVER`.
+#[inline]
+pub(crate) fn read_part_held(held: u32, read: u32, epoch: u32) -> bool {
+    // Bumps from `from` to `to` around the cycle.
+    let bumps = |from: u32, to: u32| {
+        if to >= from {
+            to - from
+        } else {
+            to.wrapping_sub(from).wrapping_sub(1)
+        }
+    };
+    held != NEVER && bumps(read, held) < bumps(read, epoch)
+}
+
+/// The reference for a receive a gated driver skipped by
+/// [`read_part_held`]: `receive` runs on a copy of `state` in the
+/// pooled slot `copy` (buffers reused from call to call) and must leave
+/// it equal. `frame` names the receiver, the sender and the held, read
+/// and current epochs.
+#[cfg(debug_assertions)]
+pub(crate) fn assert_held_receive<S: Clone + PartialEq>(
+    copy: &mut Option<S>,
+    state: &S,
+    receive: impl FnOnce(&mut S),
+    frame: (NodeId, NodeId, [u32; 3]),
+) {
+    crate::protocol::snapshot(copy, state);
+    if let Some(copy) = copy.as_mut() {
+        receive(copy);
+        let (r, s, [held, read, epoch]) = frame;
+        debug_assert!(
+            copy == state,
+            "node {r} skipped a receive from {s} that changes its state \
+             (held epoch {held}, read epoch {read}, epoch {epoch})"
+        );
     }
 }
 
@@ -242,6 +286,13 @@ pub(crate) struct NodeTable<P: Protocol> {
     /// Beacon version per node: bumped whenever the recomputed beacon
     /// differs ([`Protocol::beacon_changed`]) from the previous one.
     pub epoch: Vec<u32>,
+    /// Per node, the epoch at which what [`Protocol::receive`] reads of
+    /// its beacon last changed ([`Protocol::read_changed`]); a forged
+    /// beacon always counts as a change. `read_epoch[p] == epoch[p]`
+    /// unless `p`'s last bumps changed only parts no receive reads, and
+    /// a gated receiver that holds an epoch in `[read_epoch, epoch)`
+    /// ([`read_part_held`]) is not handed the frame.
+    pub read_epoch: Vec<u32>,
     /// `heard.get(r, k)`: the epoch of neighbor `adj[r][k]`'s beacon
     /// that `r` last incorporated ([`NEVER`] if none). Kept aligned
     /// with the topology's sorted adjacency lists; one contiguous CSR
@@ -310,6 +361,7 @@ impl<P: Protocol> NodeTable<P> {
             states,
             beacons,
             epoch: vec![0; n],
+            read_epoch: vec![0; n],
             heard,
             beacon_stale: NodeSet::new(n),
             update_dirty: NodeSet::new(n),
@@ -522,7 +574,9 @@ impl<P: Protocol> ActivityCore<P> {
     /// Recomputes `p`'s beacon from its current state; if the content
     /// changed ([`Protocol::beacon_changed`]) the epoch is bumped and
     /// `p` becomes send-pending (waking it from statistical occupancy
-    /// if it had retired). Returns whether the beacon changed.
+    /// if it had retired), and if what a receive reads changed too
+    /// ([`Protocol::read_changed`]) the new epoch is also `p`'s read
+    /// epoch. Returns whether the beacon changed.
     pub fn refresh_beacon(&mut self, protocol: &P, topo: &Topology, p: NodeId) -> bool {
         // A lying node's column holds its forged beacon; refreshing
         // must not launder it back to the truth until the lie clears.
@@ -538,9 +592,14 @@ impl<P: Protocol> ActivityCore<P> {
             .scratch_beacon
             .get_or_insert_with(|| self.table.beacons[p.index()].clone());
         protocol.beacon_into(p, &self.table.states[p.index()], scratch);
-        let changed = protocol.beacon_changed(&self.table.beacons[p.index()], scratch);
+        let old = &self.table.beacons[p.index()];
+        let changed = protocol.beacon_changed(old, scratch);
         if changed {
-            self.table.epoch[p.index()] = bump_epoch(self.table.epoch[p.index()]);
+            let epoch = bump_epoch(self.table.epoch[p.index()]);
+            self.table.epoch[p.index()] = epoch;
+            if protocol.read_changed(old, scratch) {
+                self.table.read_epoch[p.index()] = epoch;
+            }
             self.table.send_pending.insert(p);
             if let Some(occ) = &mut self.table.occupancy {
                 occ.release(p, topo);
@@ -551,14 +610,17 @@ impl<P: Protocol> ActivityCore<P> {
     }
 
     /// Installs a forged beacon for `p`: the lie replaces `p`'s
-    /// broadcast column, the epoch bump makes every neighbor "behind",
-    /// and `p` rejoins the pending senders (waking from statistical
-    /// occupancy if retired) so the lie actually hits the air. `p`'s
-    /// true state is untouched; [`Self::refresh_beacon`] refuses to
-    /// overwrite the column until [`Self::clear_lie`].
+    /// broadcast column, the epoch bump makes every neighbor "behind" —
+    /// and, a lie always being read, the new epoch is also the read
+    /// epoch — and `p` rejoins the pending senders (waking from
+    /// statistical occupancy if retired) so the lie actually hits the
+    /// air. `p`'s true state is untouched; [`Self::refresh_beacon`]
+    /// refuses to overwrite the column until [`Self::clear_lie`].
     pub fn install_lie(&mut self, topo: &Topology, p: NodeId, beacon: P::Beacon) {
         self.table.beacons[p.index()] = beacon;
-        self.table.epoch[p.index()] = bump_epoch(self.table.epoch[p.index()]);
+        let epoch = bump_epoch(self.table.epoch[p.index()]);
+        self.table.epoch[p.index()] = epoch;
+        self.table.read_epoch[p.index()] = epoch;
         self.table.send_pending.insert(p);
         if let Some(occ) = &mut self.table.occupancy {
             occ.release(p, topo);
@@ -856,6 +918,38 @@ mod tests {
     fn bump_epoch_skips_the_sentinel() {
         assert_eq!(bump_epoch(0), 1);
         assert_eq!(bump_epoch(NEVER - 1), 0);
+    }
+
+    #[test]
+    fn read_part_held_is_the_arc_from_the_read_epoch_to_the_epoch() {
+        // Every epoch `held` reached by `k` bumps from `read`, against a
+        // beacon `n` bumps from `read`: held iff `k < n`.
+        for read in [0, 1, 7, NEVER - 3, NEVER - 2, NEVER - 1] {
+            for n in 0..6u32 {
+                let mut epochs = vec![read];
+                for _ in 0..n + 3 {
+                    epochs.push(bump_epoch(*epochs.last().expect("seeded")));
+                }
+                let epoch = epochs[n as usize];
+                for (k, &held) in epochs.iter().enumerate() {
+                    let want = (k as u32) < n;
+                    let got = read_part_held(held, read, epoch);
+                    assert_eq!(got, want, "read {read}, {n} bumps, held after {k}");
+                }
+                // A row that holds nothing never holds the read part.
+                assert!(!read_part_held(NEVER, read, epoch));
+            }
+            // Nothing is held when the last bump changed the read part.
+            assert!(!read_part_held(read, read, read));
+        }
+        // Arcs across the wrap: NEVER − 2 → NEVER − 1 → 0 → 1.
+        let (read, epoch) = (NEVER - 2, 1);
+        for held in [NEVER - 2, NEVER - 1, 0] {
+            assert!(read_part_held(held, read, epoch), "{held}");
+        }
+        for held in [1, 2, NEVER - 3, NEVER] {
+            assert!(!read_part_held(held, read, epoch), "{held}");
+        }
     }
 
     #[test]

@@ -19,6 +19,12 @@
 //! actor fabric decodes every frame from a byte arena into one pooled
 //! beacon and has nothing to look ahead at.
 //!
+//! Under gating both frame loops hand a fresh frame to
+//! [`Protocol::receive`] only if the receiver does not already hold
+//! what `receive` reads of it ([`super::read_part_held`]); either way
+//! the frame's epoch goes into the reception row and the visit goes on
+//! to its guard pass, so only the receive count can tell.
+//!
 //! A visit also settles what the period's tail may assume: every frame
 //! copy a visited node heard is written into its reception row, and a
 //! node that heard only epochs it already held is not visited at all —
@@ -89,6 +95,10 @@ pub(crate) struct VisitScratch<P: Protocol> {
     /// Pooled decode target for a frame loop whose beacons arrive
     /// serialized (the actor fabric); starts from any beacon at all.
     pub beacon: Option<P::Beacon>,
+    /// Where debug builds run each receive the frame loop skipped
+    /// ([`super::assert_held_receive`]).
+    #[cfg(debug_assertions)]
+    pub held_check: Option<P::State>,
 }
 
 impl<P: Protocol> VisitScratch<P> {
@@ -100,6 +110,8 @@ impl<P: Protocol> VisitScratch<P> {
             receives: 0,
             updates: 0,
             beacon: None,
+            #[cfg(debug_assertions)]
+            held_check: None,
         }
     }
 
@@ -124,6 +136,7 @@ pub(crate) struct Shard<'a, P: Protocol, C> {
     pub topo: &'a Topology,
     pub beacons: &'a [P::Beacon],
     pub epoch: &'a [u32],
+    pub read_epoch: &'a [u32],
     /// The period's senders. Frozen like the columns: slot release
     /// wrote it before the visits, retirement writes it after them.
     pub sending: &'a NodeSet,
@@ -207,6 +220,7 @@ impl<P: Protocol> Env<P> {
                 topo: &self.topo,
                 beacons: &table.beacons,
                 epoch: &table.epoch,
+                read_epoch: &table.read_epoch,
                 sending: &table.send_pending,
                 forced_changed: &table.forced_changed,
                 update_base: self.core.update_base,

@@ -194,7 +194,8 @@ impl Lanes {
 }
 
 /// The beacons of the transmissions in flight: one entry per
-/// transmission, shared by all its copies.
+/// transmission, shared by all its copies, with the sender's read epoch
+/// at transmission time beside it.
 ///
 /// Lifetime rule: [`BeaconPool::hold`] copies the beacon in with the
 /// number of copies put on the air; each copy calls
@@ -203,35 +204,38 @@ impl Lanes {
 /// returns the entry to the free list, buffers intact, for the next
 /// transmission to overwrite.
 struct BeaconPool<B> {
-    entries: Vec<(B, u32)>,
+    /// `(beacon, read epoch, copies in flight)`.
+    entries: Vec<(B, u32, u32)>,
     free: Vec<u32>,
 }
 
 impl<B: Clone> BeaconPool<B> {
-    /// Copies `source` into a free entry that `copies > 0` frames will
-    /// read; returns the entry's index.
-    fn hold(&mut self, source: &B, copies: u32) -> u32 {
+    /// Copies `source`, whose read epoch is `read`, into a free entry
+    /// that `copies > 0` frames will read; returns the entry's index.
+    fn hold(&mut self, source: &B, read: u32, copies: u32) -> u32 {
         debug_assert!(copies > 0, "an entry without copies is never released");
         match self.free.pop() {
             Some(i) => {
-                let (pooled, in_flight) = &mut self.entries[i as usize];
+                let (pooled, read_epoch, in_flight) = &mut self.entries[i as usize];
                 pooled.clone_from(source);
-                *in_flight = copies;
+                (*read_epoch, *in_flight) = (read, copies);
                 i
             }
             None => {
-                self.entries.push((source.clone(), copies));
+                self.entries.push((source.clone(), read, copies));
                 (self.entries.len() - 1) as u32
             }
         }
     }
 
-    fn get(&self, i: u32) -> &B {
-        &self.entries[i as usize].0
+    /// The beacon of entry `i` and its read epoch.
+    fn get(&self, i: u32) -> (&B, u32) {
+        let (beacon, read, _) = &self.entries[i as usize];
+        (beacon, *read)
     }
 
     fn release(&mut self, i: u32) {
-        let in_flight = &mut self.entries[i as usize].1;
+        let in_flight = &mut self.entries[i as usize].2;
         debug_assert!(*in_flight > 0, "every copy releases its share once");
         *in_flight -= 1;
         if *in_flight == 0 {
@@ -301,9 +305,9 @@ impl<B: Clone> BeaconPool<B> {
 /// `tests/engine_equivalence.rs`. After stabilization both lanes drain
 /// to empty: a quiet interval costs zero messages and O(1) work.
 ///
-/// **A frame that changes nothing costs one receive.** A node's visit
-/// here is one frame, so under gating the driver asks the protocol
-/// itself whether a guard changed the state
+/// **A frame that changes nothing costs at most one receive.** A
+/// node's visit here is one frame, so under gating the driver asks the
+/// protocol itself whether a guard changed the state
 /// ([`Protocol::receive_changed`], [`Protocol::update_changed`]) where
 /// the period-clocked drivers snapshot and compare once per visit. It
 /// also remembers the answer: the table's `update_dirty` bit says
@@ -312,8 +316,14 @@ impl<B: Clone> BeaconPool<B> {
 /// changes nothing at a settled node — or a beacon slot of one — runs
 /// no guard pass at all; by the silence contract that pass would be a
 /// no-op (see `EventDriver::settle`). [`EventDriver::updates`] counts
-/// the passes that do run. Eager scheduling runs every pass and stays
-/// the reference.
+/// the passes that do run. An arrival whose receiver already holds
+/// what a receive reads of it — the sender's beacon has changed since
+/// the epoch the receiver holds, but only in parts
+/// [`Protocol::read_changed`] does not compare, as of the read epoch
+/// the transmission carries in its pool entry — costs no receive
+/// either: its epoch goes into the reception row and the settled-node
+/// rule runs as after a receive that changed nothing. Eager scheduling
+/// runs every receive and every pass and stays the reference.
 ///
 /// Scripted faults and [`crate::TopologyDynamics`] (mobility) fire at
 /// logical-step boundaries (multiples of the beacon period),
@@ -751,7 +761,8 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         if !heard.is_empty() {
             let table = &self.env.core.table;
             let copies = heard.len() as u32;
-            let beacon = self.pool.hold(&table.beacons[p.index()], copies);
+            let read = table.read_epoch[p.index()];
+            let beacon = self.pool.hold(&table.beacons[p.index()], read, copies);
             let tx_epoch = table.epoch[p.index()];
             let time = t + self.config.frame_time;
             for &receiver in heard.iter() {
@@ -785,8 +796,11 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     /// Lands one frame copy at its receiver: the receive guard, then
     /// one pass of the guarded assignments — under gating, only if the
     /// receive changed something or the receiver is not settled
-    /// ([`EventDriver::settle`]). Returns whether, under gating, the
-    /// receiver's state changed.
+    /// ([`EventDriver::settle`]). A gated receiver that already holds
+    /// what the receive would read ([`engine::read_part_held`], against
+    /// the sender's read epoch when it transmitted) gets no receive,
+    /// and goes on as after one that changed nothing. Returns whether,
+    /// under gating, the receiver's state changed.
     fn incorporate(&mut self, frame: &Frame) -> bool {
         let (r, s) = (frame.receiver, frame.sender);
         // The link may have vanished while the frame was in flight
@@ -798,8 +812,8 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         };
         self.frames_delivered += 1;
         let gated = self.is_gated();
-        let fresh = self.env.core.table.heard.get(r.index(), idx) != frame.tx_epoch;
-        if gated && !fresh {
+        let held = self.env.core.table.heard.get(r.index(), idx);
+        if gated && held == frame.tx_epoch {
             // Already incorporated this exact beacon epoch: the
             // silence contract makes the receive (and the follow-up
             // update) a state no-op — skip it entirely.
@@ -811,7 +825,20 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             .heard
             .set(r.index(), idx, frame.tx_epoch);
         let now = self.now();
-        let beacon = self.pool.get(frame.beacon);
+        let (beacon, read) = self.pool.get(frame.beacon);
+        if gated && engine::read_part_held(held, read, frame.tx_epoch) {
+            #[cfg(debug_assertions)]
+            {
+                let (protocol, table) = (&self.env.protocol, &mut self.env.core.table);
+                engine::assert_held_receive(
+                    &mut table.scratch_state,
+                    &table.states[r.index()],
+                    |copy| protocol.receive(r, copy, s, beacon, now),
+                    (r, s, [held, read, frame.tx_epoch]),
+                );
+            }
+            return self.settle(r, now, false);
+        }
         if !gated {
             let mut rng = self.env.core.update_rng(self.time.to_bits(), r);
             let state = &mut self.env.core.table.states[r.index()];
@@ -1437,40 +1464,6 @@ mod tests {
         assert_eq!(run(true), run(false));
     }
 
-    /// Moves three nodes of a 0.2-spaced grid per logical step, during
-    /// `steps`, to `home ± 0.1` along x: at radius 0.25 a move cuts a
-    /// link on one side and keeps the other three.
-    struct Drift {
-        home: Vec<mwn_graph::Point2>,
-        steps: std::ops::Range<u64>,
-        moves: Vec<(NodeId, mwn_graph::Point2)>,
-    }
-
-    impl crate::TopologyDynamics for Drift {
-        fn next_topology(&mut self, _step: u64) -> Option<&Topology> {
-            None
-        }
-
-        fn next_moves(&mut self, step: u64) -> Option<&[(NodeId, mwn_graph::Point2)]> {
-            self.moves.clear();
-            if self.steps.contains(&step) {
-                let n = self.home.len() as u64;
-                for k in 0..3 {
-                    let p = (step * 7 + k * 11) % n;
-                    let home = self.home[p as usize];
-                    let dx = if (step + k).is_multiple_of(2) {
-                        0.1
-                    } else {
-                        -0.1
-                    };
-                    let to = mwn_graph::Point2::new(home.x + dx, home.y);
-                    self.moves.push((NodeId::new(p as u32), to));
-                }
-            }
-            Some(&self.moves)
-        }
-    }
-
     /// Gated ≡ eager for a protocol that takes many guard passes to
     /// settle, through corruption, isolation, crash-recover and
     /// mobility. The two disciplines run their passes at different
@@ -1481,7 +1474,7 @@ mod tests {
     /// leave it short, and debug builds would name the node.
     #[test]
     fn a_slow_settling_protocol_is_gated_like_its_eager_twin() {
-        use crate::testkit::{Climb, Climber};
+        use crate::testkit::{Climb, Climber, Drift};
         use crate::FaultPlan;
         fn ends(d: &EventDriver<Climb, impl Medium>) -> Vec<(u32, u32, u32)> {
             let end = |s: &Climber| (s.value, s.heard, s.moves);
@@ -1489,7 +1482,6 @@ mod tests {
         }
         fn run<M: Medium + Clone>(medium: M) {
             let topo = builders::grid(6, 6, 0.25);
-            let home = topo.positions().expect("a unit-disk grid").to_vec();
             let build = |eager: bool| {
                 let mut plan = FaultPlan::new();
                 plan.at(60, Fault::CorruptAll)
@@ -1502,17 +1494,12 @@ mod tests {
                         },
                     )
                     .at(260, Fault::CorruptNode(NodeId::new(8)));
-                let drift = Drift {
-                    home: home.clone(),
-                    steps: 240..300,
-                    moves: Vec::new(),
-                };
                 let mut d = Scenario::new(Climb)
                     .medium(medium.clone())
                     .topology(topo.clone())
                     .seed(11)
                     .faults(plan)
-                    .mobility(drift)
+                    .mobility(Drift::new(&topo, 240..300))
                     .build_events(EventConfig::default())
                     .expect("valid event scenario");
                 d.set_eager(eager);

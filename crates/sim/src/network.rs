@@ -48,10 +48,14 @@ pub struct StepActivity {
 ///    that heard a beacon epoch they have not incorporated yet join the
 ///    scheduled ones;
 /// 5. receivers process arrivals ([`Protocol::receive`]) — each visit
-///    first reads ahead through every beacon it heard
+///    first reads ahead through the beacons it heard
 ///    ([`Protocol::peek`]), so their cache misses overlap — and
 ///    scheduled nodes execute their enabled guarded assignments
-///    ([`Protocol::update`]);
+///    ([`Protocol::update`]). Under gating a receiver is handed only
+///    the frames of an epoch it has not incorporated yet, and of those
+///    only the ones whose sender changed what a receive reads
+///    ([`Protocol::read_changed`]) since the epoch the receiver holds;
+///    the others are recorded in its reception row unread;
 /// 6. under gated scheduling, senders every neighbor has caught up
 ///    with retire: by count alone on a step that lost no frame copy,
 ///    by consulting the reception rows otherwise.
@@ -366,8 +370,11 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         // all-updates phasing — and embarrassingly parallel: each
         // shard visits its chunk of the active set in place. A visit
         // opens with the look-ahead pass ([`Protocol::peek`]): asked for
-        // together, up front, the cache misses of all the beacons it
-        // heard are in flight at once instead of one receive at a time.
+        // together, up front, the cache misses of the beacons it will
+        // receive are in flight at once instead of one receive at a
+        // time. Which ones it will receive needs the reception row; the
+        // pass reads a beacon whose last bump changed its read part
+        // (gated) and skips the rest, a guess nothing can observe.
         let now = self.step;
         let active = self.active_buf.len();
         let shards = self.shards.count(active, active);
@@ -380,7 +387,7 @@ impl<P: Protocol, M: Medium> Network<P, M> {
             |&p| p,
             shards,
             |shard| {
-                let (beacons, epoch) = (shard.beacons, shard.epoch);
+                let (beacons, epoch, read) = (shard.beacons, shard.epoch, shard.read_epoch);
                 let (protocol, topo) = (shard.protocol, shard.topo);
                 let frames = match pulled {
                     Some(hearers) => Frames::Pulled {
@@ -399,22 +406,38 @@ impl<P: Protocol, M: Medium> Network<P, M> {
                     // black box is what keeps them from being deleted.
                     let mut ahead = 0u64;
                     frames.senders(p, neighbors, |s| {
-                        ahead = ahead
-                            .wrapping_add(u64::from(epoch[s.index()]))
-                            .wrapping_add(protocol.peek(&beacons[s.index()]));
+                        let i = s.index();
+                        ahead = ahead.wrapping_add(u64::from(epoch[i]));
+                        if eager || read[i] == epoch[i] {
+                            ahead = ahead.wrapping_add(protocol.peek(&beacons[i]));
+                        }
                     });
                     std::hint::black_box(ahead);
                     scratch.snapshot(state);
                     frames.slots(p, neighbors, |idx, s| {
-                        let e = epoch[s.index()];
+                        let (held, i) = (row[idx], s.index());
+                        let e = epoch[i];
                         // Eager mode processes every delivered
                         // frame (classic semantics); gated mode
                         // skips re-receptions of an already-
-                        // incorporated beacon, which the silence
-                        // contract makes state no-ops.
-                        if eager || row[idx] != e {
+                        // incorporated beacon, and the receive of
+                        // one whose read part the row already
+                        // holds: the silence contract makes both
+                        // state no-ops.
+                        if eager || held != e {
                             row[idx] = e;
-                            protocol.receive(p, state, s, &beacons[s.index()], now);
+                            let beacon = &beacons[i];
+                            if !eager && engine::read_part_held(held, read[i], e) {
+                                #[cfg(debug_assertions)]
+                                engine::assert_held_receive(
+                                    &mut scratch.held_check,
+                                    state,
+                                    |copy| protocol.receive(p, copy, s, beacon, now),
+                                    (p, s, [held, read[i], e]),
+                                );
+                                return;
+                            }
+                            protocol.receive(p, state, s, beacon, now);
                             scratch.receives += 1;
                         }
                     });

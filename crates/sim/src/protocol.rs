@@ -12,8 +12,9 @@ use rand::rngs::StdRng;
 ///
 /// The silence contract:
 ///
-/// 1. [`Protocol::receive`] of a beacon whose content equals what the
-///    receiver already incorporated from that sender is a state no-op;
+/// 1. [`Protocol::receive`] of a beacon whose content equals, in
+///    everything [`Protocol::read_changed`] compares, what the receiver
+///    already incorporated from that sender is a state no-op;
 /// 2. [`Protocol::update`] on a state equal under `PartialEq` to one it
 ///    has already fixed (and with no new receptions since) is a state
 ///    no-op, *regardless of `now`* — in particular no wall-clock cache
@@ -21,6 +22,13 @@ use rand::rngs::StdRng;
 /// 3. randomness is only consumed on state-changing transitions (the
 ///    driver's per-(step, node) derived streams make stray draws
 ///    harmless, but drawing must not be the only side effect).
+///
+/// All three drivers rely on clause 1 as written: under gating, a
+/// fresh frame whose sender's beacon has not changed in anything
+/// `read_changed` compares since the epoch the receiver holds is not
+/// handed to `receive` at all — the reception row still records it,
+/// and the visit (or, on the event clock, the settled-node rule) goes
+/// on as after a receive that changed nothing.
 ///
 /// The event clock relies on clause 2 as written: a node whose last
 /// guard pass reported no change, and whose receives since reported
@@ -165,8 +173,11 @@ pub trait Protocol: Sync {
     /// never panics — whatever a fault forged into the beacon — and is
     /// unobservable: no state, output or count may depend on it.
     ///
-    /// The round driver calls it for every beacon a node heard *before*
-    /// the node's first `receive` of the visit. A `receive` reaches its
+    /// The round driver calls it for the beacons a node heard *before*
+    /// the node's first `receive` of the visit — under gating, for
+    /// those whose last epoch bump changed what a receive reads
+    /// ([`Protocol::read_changed`]), the ones the visit will likely
+    /// receive. A `receive` reaches its
     /// beacon through dependent loads (column slot → heap block), and
     /// the receives of one visit run one after another, so in a cold
     /// dense step each pays its cache misses in series; the look-ahead
@@ -246,6 +257,30 @@ pub trait Protocol: Sync {
     fn beacon_changed(&self, old: &Self::Beacon, new: &Self::Beacon) -> bool {
         let _ = (old, new);
         true
+    }
+
+    /// Whether anything [`Protocol::receive`] reads of a beacon differs
+    /// between `old` and `new`. Asked only of a beacon that
+    /// [`Protocol::beacon_changed`] reports as changed; the engine
+    /// records the epoch of the last change it reports, and a gated
+    /// driver does not hand a receiver a frame whose read part it
+    /// already holds (clause 1 of the [`Activity`] silence contract).
+    ///
+    /// **Projection contract:** there is a fixed projection `π` of the
+    /// beacon onto what `receive` reads such that a `false` answer
+    /// means `π(old) == π(new)`, and a receiver whose cached copy of
+    /// the sender came from `receive` of a beacon `b` is left equal
+    /// under `PartialEq`, drawing nothing, by `receive` of any beacon
+    /// with `b`'s projection. A `true` answer may be conservative (it
+    /// costs one receive). An exact override is `π(old) != π(new)`:
+    /// `false` on equal beacons, symmetric, and two `false` answers in
+    /// a row (`a` to `b`, `b` to `c`) mean a `false` from `a` to `c` —
+    /// which is what lets the engine chain them across epochs.
+    ///
+    /// The default is `beacon_changed`: everything on the air is read,
+    /// and no receive is ever skipped for it.
+    fn read_changed(&self, old: &Self::Beacon, new: &Self::Beacon) -> bool {
+        self.beacon_changed(old, new)
     }
 
     /// Link-layer notification: the link between `node` and `peer`
