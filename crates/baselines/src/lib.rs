@@ -37,7 +37,7 @@ mod max_min;
 
 pub use max_min::max_min_clustering;
 
-use mwn_cluster::{ClusterConfig, MetricKind, OracleConfig};
+use mwn_cluster::{MetricKind, OracleConfig};
 
 /// Oracle configuration for the lowest-identifier clustering (Baker &
 /// Ephremides): a constant metric makes the smallest id win every
@@ -58,29 +58,29 @@ pub fn highest_degree_config() -> OracleConfig {
     }
 }
 
-/// Distributed protocol configuration for the lowest-identifier
-/// clustering — the paper's machinery with a constant metric.
-pub fn lowest_id_protocol() -> ClusterConfig {
-    ClusterConfig {
-        metric: MetricKind::Unit,
-        ..ClusterConfig::default()
-    }
-}
-
-/// Distributed protocol configuration for highest-degree clustering.
-pub fn highest_degree_protocol() -> ClusterConfig {
-    ClusterConfig {
-        metric: MetricKind::Degree,
-        ..ClusterConfig::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mwn_cluster::{extract_clustering, oracle, DensityCluster};
+    use mwn_cluster::{extract_clustering, oracle, ClusterConfig, DensityCluster};
     use mwn_graph::{builders, NodeId};
     use mwn_sim::{Scenario, StopWhen};
+
+    /// The distributed lowest-identifier clustering: the paper's
+    /// machinery with a constant metric.
+    fn lowest_id_protocol() -> ClusterConfig {
+        ClusterConfig {
+            metric: MetricKind::Unit,
+            ..ClusterConfig::default()
+        }
+    }
+
+    /// The distributed highest-degree clustering.
+    fn highest_degree_protocol() -> ClusterConfig {
+        ClusterConfig {
+            metric: MetricKind::Degree,
+            ..ClusterConfig::default()
+        }
+    }
 
     #[test]
     fn lowest_id_elects_local_id_minima() {

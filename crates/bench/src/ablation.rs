@@ -88,12 +88,12 @@ fn run_policies(
 }
 
 /// Ablation (a): election metrics under pedestrian mobility.
-pub fn run_metrics(scale: ExperimentScale) -> AblationResult {
+fn run_metrics(scale: ExperimentScale) -> AblationResult {
     run_policies(&scale, metric_policies())
 }
 
 /// Ablation (b): the Section 4.3 improvements, separately and jointly.
-pub fn run_rules(scale: ExperimentScale) -> AblationResult {
+fn run_rules(scale: ExperimentScale) -> AblationResult {
     run_policies(&scale, rule_policies())
 }
 

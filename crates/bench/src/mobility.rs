@@ -145,7 +145,7 @@ pub struct SpeedSweep {
 }
 
 /// Sweeps head persistence over top speeds from strolling to driving.
-pub fn run_speed_sweep(scale: ExperimentScale) -> SpeedSweep {
+fn run_speed_sweep(scale: ExperimentScale) -> SpeedSweep {
     let speeds = vec![0.5, 1.0, 2.0, 4.0, 8.0, 16.0];
     let duration = if scale.runs >= 50 { 120.0 } else { 30.0 };
     let seeds = (scale.runs / 20).clamp(2, 30);
@@ -158,7 +158,7 @@ pub fn run_speed_sweep(scale: ExperimentScale) -> SpeedSweep {
 }
 
 /// Formats the speed sweep.
-pub fn render_speed_sweep(sweep: &SpeedSweep) -> Table {
+fn render_speed_sweep(sweep: &SpeedSweep) -> Table {
     let mut table = Table::new("Head persistence per 2 s window vs top speed");
     let mut headers = vec!["vmax (m/s)".to_string()];
     headers.extend(sweep.speeds.iter().map(|v| format!("{v}")));

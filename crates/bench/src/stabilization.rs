@@ -130,7 +130,7 @@ pub fn run(scale: ExperimentScale) -> StabilizationResult {
 /// TTLs at low τ would make neighbor sets — and hence the election
 /// output — flicker forever, which is a deployment misconfiguration,
 /// not a stabilization failure.
-pub fn ttl_for_tau(tau: f64) -> u64 {
+fn ttl_for_tau(tau: f64) -> u64 {
     if tau >= 0.999 {
         return 4;
     }
@@ -139,7 +139,7 @@ pub fn ttl_for_tau(tau: f64) -> u64 {
 }
 
 /// Formats the scaling table (per network size).
-pub fn render_scaling(result: &StabilizationResult) -> Table {
+fn render_scaling(result: &StabilizationResult) -> Table {
     let mut table = Table::new(
         "Stabilization steps vs network size at fixed degree \
          (Theorem 1 / Lemma 2: expected constant)",
@@ -154,7 +154,7 @@ pub fn render_scaling(result: &StabilizationResult) -> Table {
 }
 
 /// Formats the τ-sweep table.
-pub fn render_tau(result: &StabilizationResult) -> Table {
+fn render_tau(result: &StabilizationResult) -> Table {
     let mut table = Table::new("Stabilization steps vs per-frame success probability τ");
     let mut headers = vec!["τ".to_string()];
     headers.extend(result.taus.iter().map(|t| format!("{t}")));

@@ -16,10 +16,9 @@ use serde::{Deserialize, Serialize};
 /// let mut h = Histogram::new(0.0, 1.0, 10);
 /// h.push(0.05);
 /// h.push(0.15);
-/// h.push(0.15);
-/// assert_eq!(h.bin_count(0), 1);
-/// assert_eq!(h.bin_count(1), 2);
+/// h.push(1.5);
 /// assert_eq!(h.total(), 3);
+/// assert_eq!(h.overflow(), 1);
 /// ```
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Histogram {
@@ -63,22 +62,13 @@ impl Histogram {
         }
     }
 
-    /// Count in bin `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn bin_count(&self, i: usize) -> u64 {
-        self.bins[i]
-    }
-
     /// Number of bins.
     pub fn bins(&self) -> usize {
         self.bins.len()
     }
 
     /// `[low, high)` bounds of bin `i`.
-    pub fn bin_range(&self, i: usize) -> (f64, f64) {
+    fn bin_range(&self, i: usize) -> (f64, f64) {
         let w = (self.hi - self.lo) / self.bins.len() as f64;
         (self.lo + i as f64 * w, self.lo + (i + 1) as f64 * w)
     }
@@ -88,23 +78,9 @@ impl Histogram {
         self.bins.iter().sum::<u64>() + self.underflow + self.overflow
     }
 
-    /// Samples below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
     /// Samples at or above the range's upper bound.
     pub fn overflow(&self) -> u64 {
         self.overflow
-    }
-
-    /// Index of the most populated bin, or `None` if all bins are empty.
-    pub fn mode_bin(&self) -> Option<usize> {
-        let max = *self.bins.iter().max()?;
-        if max == 0 {
-            return None;
-        }
-        self.bins.iter().position(|&c| c == max)
     }
 }
 
@@ -137,9 +113,7 @@ mod tests {
         for x in [0.0, 1.9, 2.0, 9.99] {
             h.push(x);
         }
-        assert_eq!(h.bin_count(0), 2);
-        assert_eq!(h.bin_count(1), 1);
-        assert_eq!(h.bin_count(4), 1);
+        assert_eq!(h.bins, [2, 1, 0, 0, 1]);
     }
 
     #[test]
@@ -148,19 +122,9 @@ mod tests {
         h.push(-0.1);
         h.push(1.0);
         h.push(5.0);
-        assert_eq!(h.underflow(), 1);
+        assert_eq!(h.underflow, 1);
         assert_eq!(h.overflow(), 2);
         assert_eq!(h.total(), 3);
-    }
-
-    #[test]
-    fn mode_bin_finds_peak() {
-        let mut h = Histogram::new(0.0, 3.0, 3);
-        assert_eq!(h.mode_bin(), None);
-        h.push(1.5);
-        h.push(1.6);
-        h.push(0.5);
-        assert_eq!(h.mode_bin(), Some(1));
     }
 
     #[test]

@@ -144,11 +144,6 @@ impl LatencyHistogram {
         }
     }
 
-    /// Count in the overflow bin (values ≥ `buckets × width`).
-    pub fn overflow_count(&self) -> u64 {
-        self.overflow
-    }
-
     /// The value at quantile `q ∈ [0, 1]`: the upper edge of the
     /// bucket containing the rank-`⌈q·n⌉` value (clamped to the
     /// recorded max), or the exact max for ranks in the overflow bin.
@@ -257,7 +252,7 @@ mod tests {
         for v in [0.5, 1.5, 9.0, 17.0] {
             h.record(v);
         }
-        assert_eq!(h.overflow_count(), 2);
+        assert_eq!(h.overflow, 2);
         assert_eq!(h.quantile(1.0), 17.0);
         assert_eq!(h.quantile(0.99), 17.0);
         assert_eq!(h.quantile(0.25), 1.0);

@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 ///     stats.push(x);
 /// }
 /// assert_eq!(stats.mean(), 5.0);
-/// assert_eq!(stats.population_variance(), 4.0);
+/// assert_eq!(stats.count(), 8);
 /// assert_eq!(stats.min(), 2.0);
 /// assert_eq!(stats.max(), 9.0);
 /// ```
@@ -88,17 +88,8 @@ impl RunningStats {
         }
     }
 
-    /// Population variance (divides by `n`); 0 when fewer than 2 samples.
-    pub fn population_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
     /// Sample variance (divides by `n - 1`); 0 when fewer than 2 samples.
-    pub fn sample_variance(&self) -> f64 {
+    fn sample_variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -107,23 +98,18 @@ impl RunningStats {
     }
 
     /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
+    fn std_dev(&self) -> f64 {
         self.sample_variance().sqrt()
     }
 
-    /// Standard error of the mean.
-    pub fn std_error(&self) -> f64 {
+    /// Half-width of the 95% normal-approximation confidence interval
+    /// for the mean (`1.96 ·` the standard error of the mean).
+    fn ci95_half_width(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
-            self.std_dev() / (self.count as f64).sqrt()
+            1.96 * self.std_dev() / (self.count as f64).sqrt()
         }
-    }
-
-    /// Half-width of the 95% normal-approximation confidence interval
-    /// for the mean (`1.96 · SEM`).
-    pub fn ci95_half_width(&self) -> f64 {
-        1.96 * self.std_error()
     }
 
     /// Smallest sample; +∞ when empty.

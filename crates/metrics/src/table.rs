@@ -68,11 +68,6 @@ impl Table {
         &self.title
     }
 
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// The cell at `(row, col)` (not counting the label column), if any.
     pub fn cell(&self, row: usize, col: usize) -> Option<&str> {
         self.rows.get(row)?.1.get(col).map(String::as_str)
@@ -160,7 +155,6 @@ mod tests {
     fn cell_out_of_range_is_none() {
         let t = Table::new("empty");
         assert_eq!(t.cell(0, 0), None);
-        assert_eq!(t.row_count(), 0);
     }
 
     #[test]

@@ -41,13 +41,14 @@
 //!    their mailboxes **in arrival order**, decode every fresh frame
 //!    from the sender's arena into the worker's one pooled beacon,
 //!    receive, and run one pass of guarded assignments — all **in
-//!    place**, no state is copied out or moved back. Under gating a
-//!    fresh frame whose header says the actor already holds what a
-//!    receive reads (its row's epoch lies between the frame's read
-//!    epoch and its epoch) is neither decoded nor received; it still
-//!    wakes the actor. The reception arena is split at the same node
-//!    boundaries, so an actor writes the epoch of every fresh frame
-//!    straight into its own reception row.
+//!    place**, no state is copied out or moved back. Each frame's fate
+//!    is the engine's frame gate's (`engine::gate`), as on the other
+//!    drivers: under gating a fresh frame whose header says the actor
+//!    already holds what a receive reads (its row's epoch lies between
+//!    the frame's read epoch and its epoch) is neither decoded nor
+//!    received; it still wakes the actor. The reception arena is split
+//!    at the same node boundaries, so an actor writes the epoch of
+//!    every fresh frame straight into its own reception row.
 //!    This is the round driver's phase 5 with a different frame loop:
 //!    the partition, the change rule (a scratch snapshot taken before
 //!    the first mutation, compared after the update) and the
@@ -91,13 +92,13 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use mwn_graph::{NodeId, Point2, Topology, TopologyDelta};
 use mwn_radio::{Medium, PerfectMedium};
 
-use crate::engine::{self, chunk, run_sharded, Env, NodeSet};
+use crate::engine::{self, chunk, run_sharded, Env, Fate, NodeSet};
 use crate::error::SimError;
 use crate::faults::Fault;
 use crate::network::StepActivity;
 use crate::observable::Observable;
 use crate::protocol::{Corruptible, Protocol};
-use crate::rng::streams;
+use crate::rng::{split_rng, streams};
 use crate::stop::{RunReport, StopWhen};
 use crate::wire::WireBeacon;
 
@@ -117,41 +118,21 @@ struct ActorFrame {
     len: u32,
 }
 
-/// A bounded multi-producer mailbox: the channel end of one actor.
+/// A multi-producer mailbox: the channel end of one actor.
 ///
-/// The bound is the actor's in-degree — the protocol sends at most one
-/// beacon per neighbor per period, so a push can never block and an
+/// It is bounded by the actor's in-degree — the protocol sends at most
+/// one beacon per neighbor per period, so a push can never block and an
 /// overflow is a driver bug, not backpressure.
-struct Mailbox {
-    capacity: usize,
-    queue: Mutex<Vec<ActorFrame>>,
-}
+#[derive(Default)]
+struct Mailbox(Mutex<Vec<ActorFrame>>);
 
 impl Mailbox {
-    fn new(capacity: usize) -> Self {
-        Mailbox {
-            capacity,
-            queue: Mutex::new(Vec::new()),
-        }
-    }
-
     /// The queue, even if a worker panicked while holding it: that
     /// panic already propagates out of the worker's `thread::scope`, and
     /// a frame list is whole between pushes, so nothing is lost by
     /// reading it.
     fn lock(&self) -> MutexGuard<'_, Vec<ActorFrame>> {
-        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn push(&self, frame: ActorFrame) {
-        let mut q = self.lock();
-        debug_assert!(
-            q.len() < self.capacity.max(1),
-            "mailbox overflow: more frames than the in-degree bound of {} \
-             (one per neighbor per period)",
-            self.capacity
-        );
-        q.push(frame);
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -171,7 +152,7 @@ struct SendScratch {
 /// The actor driver. Build one through
 /// [`Scenario::build_actors`](crate::Scenario::build_actors).
 pub struct ActorDriver<P: Protocol, M: Medium = PerfectMedium> {
-    /// Protocol, topology, activity core and the one fault path.
+    /// Protocol, topology, node table and the one fault path.
     pub(crate) env: Env<P>,
     medium: M,
     threads: usize,
@@ -227,7 +208,7 @@ where
                 medium.name()
             )));
         }
-        let mailboxes = topo.nodes().map(|p| Mailbox::new(topo.degree(p))).collect();
+        let mailboxes = topo.nodes().map(|_| Mailbox::default()).collect();
         let threads = threads.max(1);
         Ok(ActorDriver {
             medium,
@@ -242,14 +223,6 @@ where
             send_scratch: (0..threads).map(|_| SendScratch::default()).collect(),
             env: Env::new(protocol, topo, seed, streams::ROUND_FAULT),
         })
-    }
-
-    /// Re-derives every mailbox bound after the environment changed
-    /// (the in-degree bound follows the adjacency lists).
-    fn resize_mailboxes(&mut self) {
-        for p in self.env.topo.nodes() {
-            self.mailboxes[p.index()].capacity = self.env.topo.degree(p);
-        }
     }
 
     /// `true` when the driver is currently using dirty-set (gated)
@@ -275,15 +248,12 @@ where
     /// beacon refresh), the concurrent send phase, the quiescence
     /// barrier, and the concurrent receive/update phase.
     pub fn step(&mut self) -> u64 {
-        self.env.core.table.changed.clear();
+        self.env.table.changed.clear();
         // Slot release starts with the environment: mobility, due
         // followups, then scripted faults — all **before** the period's
         // beacon slots (fault ≤ send, `tests/fault_ordering.rs`), so a
         // frame is never evaluated against a pre-fault topology.
         self.env.begin_step(self.period);
-        if self.env.env_changed {
-            self.resize_mailboxes();
-        }
         let eager = !self.is_gated();
 
         // Slot release: refresh the beacons of state-changed actors and
@@ -303,8 +273,11 @@ where
         let period = self.period;
         let send_workers = self.threads.min(senders.len());
         {
-            let (medium, core, topo) = (&self.medium, &self.env.core, &self.env.topo);
-            let table = &core.table;
+            let (medium, table, topo) = (&self.medium, &self.env.table, &self.env.topo);
+            // The workers derive each sender's stream as
+            // `Env::medium_rng` does, from the base: the environment
+            // itself (its dynamics hook) is not `Sync`.
+            let medium_base = self.env.medium_base;
             let mailboxes = &self.mailboxes;
             let senders = &senders[..];
             let span = |v: usize| u32::try_from(v).expect("a period's frames fit 4 GiB");
@@ -313,7 +286,7 @@ where
                 (sc.attempted, sc.delivered) = (0, 0);
                 for &s in &senders[chunk(senders.len(), send_workers, w)] {
                     sc.heard.clear();
-                    let mut rng = core.medium_rng(period, s);
+                    let mut rng = split_rng(medium_base, period, u64::from(s.value()));
                     sc.attempted += medium.fates(topo, s, &mut rng, &mut sc.heard);
                     if sc.heard.is_empty() {
                         continue;
@@ -329,7 +302,13 @@ where
                         len: span(sc.bytes.len() - off),
                     };
                     for &r in &sc.heard {
-                        mailboxes[r.index()].push(frame);
+                        let mut mail = mailboxes[r.index()].lock();
+                        debug_assert!(
+                            mail.len() < topo.degree(r),
+                            "mailbox overflow at {r}: more frames than its in-degree \
+                             (one per neighbor per period)"
+                        );
+                        mail.push(frame);
                     }
                     sc.delivered += sc.heard.len();
                 }
@@ -347,7 +326,6 @@ where
         // mirroring the round driver's pass over `Frames::all_held`).
         self.env.mark_hearers(&senders, &mut self.hearers);
         self.env
-            .core
             .table
             .update_dirty
             .drain_sorted_into(&mut self.candidates_buf);
@@ -362,7 +340,6 @@ where
             period,
             !eager,
             &self.candidates_buf,
-            |&r| r,
             recv_workers,
             |shard| {
                 let (beacons, protocol) = (shard.beacons, shard.protocol);
@@ -374,49 +351,41 @@ where
                     // received or not, or for its pending guards.
                     let mut woke = false;
                     for frame in mailboxes[r.index()].lock().drain(..) {
+                        let s = frame.sender;
                         // A frame whose link a fault severed at this
                         // very timestamp is dead air (fault ≤ delivery).
-                        let Ok(slot) = neighbors.binary_search(&frame.sender) else {
+                        let Ok(slot) = neighbors.binary_search(&s) else {
                             continue;
                         };
-                        let held = row[slot];
-                        if !eager && held == frame.epoch {
-                            continue; // already incorporated: a state no-op
+                        // The debug reference of a held frame reads the
+                        // beacon column, which is what the sender encoded.
+                        let beacon = &beacons[s.index()];
+                        let skipped =
+                            |copy: &mut P::State| protocol.receive(r, copy, s, beacon, period);
+                        let reference = (&*state, &mut sc.held_check, skipped);
+                        let frame_epochs = [frame.read_epoch, frame.epoch];
+                        let fate =
+                            engine::gate(!eager, &mut row[slot], frame_epochs, (r, s), reference);
+                        if fate == Fate::Stale {
+                            continue;
                         }
                         if !woke {
                             sc.snapshot(state);
                             woke = true;
                         }
-                        row[slot] = frame.epoch;
-                        if !eager && engine::read_part_held(held, frame.read_epoch, frame.epoch) {
-                            // What a receive reads is what the actor
-                            // holds: neither decoded nor received. (The
-                            // debug reference reads the beacon column,
-                            // which is what the sender encoded.)
-                            #[cfg(debug_assertions)]
-                            engine::assert_held_receive(
-                                &mut sc.held_check,
-                                state,
-                                |copy| {
-                                    let beacon = &beacons[frame.sender.index()];
-                                    protocol.receive(r, copy, frame.sender, beacon, period);
-                                },
-                                (r, frame.sender, [held, frame.read_epoch, frame.epoch]),
-                            );
-                            continue;
+                        if fate == Fate::Held {
+                            continue; // neither decoded nor received
                         }
                         let (off, len) = (frame.off as usize, frame.len as usize);
                         let bytes = &arenas[frame.arena as usize].bytes[off..off + len];
                         // The pool starts from any beacon at all: the
                         // decode overwrites it and keeps its buffers.
-                        let beacon = sc
-                            .beacon
-                            .get_or_insert_with(|| beacons[frame.sender.index()].clone());
+                        let pooled = sc.beacon.get_or_insert_with(|| beacon.clone());
                         assert!(
-                            P::Beacon::decode_into(bytes, beacon),
+                            P::Beacon::decode_into(bytes, pooled),
                             "wire beacons round-trip losslessly"
                         );
-                        protocol.receive(r, state, frame.sender, beacon, period);
+                        protocol.receive(r, state, s, pooled, period);
                         sc.receives += 1;
                     }
                     if !woke {
@@ -441,7 +410,7 @@ where
             frames_delivered: delivered,
             receives,
             updates,
-            changed: self.env.core.table.changed.len(),
+            changed: self.env.table.changed.len(),
         };
         self.messages_total += senders.len() as u64;
         self.senders_buf = senders;
@@ -474,27 +443,23 @@ where
     /// Returns [`SimError::NodeCountMismatch`] if the node count
     /// changes.
     pub fn set_topology(&mut self, topo: Topology) -> Result<(), SimError> {
-        self.env.set_topology(topo)?;
-        self.resize_mailboxes();
-        Ok(())
+        self.env.set_topology(topo)
     }
 
     /// Applies incremental node moves (unit-disk only), waking exactly
     /// the actors whose links changed. Returns the link churn.
     pub fn apply_moves(&mut self, moves: &[(NodeId, Point2)]) -> TopologyDelta {
-        let delta = self.env.apply_moves(moves);
-        self.resize_mailboxes();
-        delta
+        self.env.apply_moves(moves)
     }
 
     /// All node states, indexed by [`NodeId`].
     pub fn states(&self) -> &[P::State] {
-        &self.env.core.table.states
+        &self.env.table.states
     }
 
     /// The state of one node.
     pub fn state(&self, p: NodeId) -> &P::State {
-        &self.env.core.table.states[p.index()]
+        &self.env.table.states[p.index()]
     }
 
     /// Mutable state access; the actor is rescheduled (external
@@ -511,7 +476,6 @@ where
     /// Severs every link of `p`; see [`crate::Network::isolate`].
     pub fn isolate(&mut self, p: NodeId) {
         self.env.isolate(p);
-        self.resize_mailboxes();
     }
 
     /// Total broadcasts since construction.
@@ -578,9 +542,7 @@ where
     /// Whatever [`crate::FaultPlan::validate_for`] rejects; a rejected
     /// fault changes nothing.
     pub fn inject(&mut self, fault: &Fault) -> Result<(), SimError> {
-        self.env.inject(self.period, fault)?;
-        self.resize_mailboxes();
-        Ok(())
+        self.env.inject(self.period, fault)
     }
 }
 

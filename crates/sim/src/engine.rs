@@ -1,9 +1,10 @@
-//! The shared activity-driven scheduling core behind **both** clocks.
+//! The shared activity-driven scheduling core behind **every** clock.
 //!
 //! The paper's protocols are *silent*: once the legitimate
-//! configuration is reached, no shared variable changes any more. Both
-//! drivers exploit that through the same machinery, extracted here so
-//! every scheduling model pays the same near-zero stable-state cost:
+//! configuration is reached, no shared variable changes any more. All
+//! three drivers exploit that through the same machinery, extracted
+//! here so every scheduling model pays the same near-zero stable-state
+//! cost:
 //!
 //! * [`NodeSet`] — index-backed dirty sets: O(1) insert/membership,
 //!   dense iteration, allocation-free in steady state;
@@ -11,13 +12,15 @@
 //!   beacon snapshots, beacon and read epochs, per-edge reception
 //!   epochs) plus the scheduling sets;
 //! * `Env` (the private `env` module) — the one environment all three
-//!   drivers run in: protocol, topology, core, fault script, followup
-//!   queue and dynamics, with the single implementation of fault
-//!   dispatch, sever/restore and the observe loop;
-//! * [`ActivityCore`] — the table bundled with the derived-stream bases
-//!   ([`crate::split_rng`]) and the wakeup rules every driver shares:
-//!   what to invalidate when a fault mutates a node, when a topology
-//!   delta rewires links, when a beacon is recomputed;
+//!   drivers run in: protocol, topology, node table, derived-stream
+//!   bases ([`crate::split_rng`]), fault script, followup queue and
+//!   dynamics, with the single implementation of fault dispatch,
+//!   sever/restore, the observe loop and the wakeup rules every driver
+//!   shares: what to invalidate when a fault mutates a node, when a
+//!   topology delta rewires links, when a beacon is recomputed;
+//! * [`gate`] — the one place a frame copy's fate at its receiver is
+//!   decided, on every driver: stale, held (recorded, not received) or
+//!   received;
 //! * [`SlotClock`] — the continuous-time beacon schedule as a *pure
 //!   function* of `(seed, node, slot index)`, so a node skipped while
 //!   silent consumes no randomness and its future transmission times
@@ -37,11 +40,11 @@
 //!   and epoch compares) the structures above are built on; their cost
 //!   is the benchmark's `sim.kernels.*` layer metrics.
 //!
-//! The synchronous round driver ([`crate::Network`]) and the
-//! continuous-time driver ([`crate::EventDriver`]) are thin scheduling
-//! disciplines over this core: one advances a global step counter, the
-//! other pops timestamped events — but dirtiness, epochs, stream
-//! derivation and wakeup rules are identical.
+//! The synchronous round driver ([`crate::Network`]), the
+//! continuous-time driver ([`crate::EventDriver`]) and the actor fabric
+//! are thin scheduling disciplines over this core: they differ in their
+//! clock and their delivery loop — but dirtiness, epochs, frame gating,
+//! stream derivation and wakeup rules are identical.
 
 mod env;
 pub mod kernels;
@@ -51,8 +54,8 @@ pub(crate) use env::{run_to, Corruptor, Env};
 pub(crate) use visit::chunk;
 use visit::VisitScratch;
 
-use mwn_graph::{NodeId, Topology, TopologyDelta};
-use mwn_radio::{ContentionStreams, Occupancy};
+use mwn_graph::{NodeId, Topology};
+use mwn_radio::Occupancy;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -96,28 +99,60 @@ pub(crate) fn read_part_held(held: u32, read: u32, epoch: u32) -> bool {
     held != NEVER && bumps(read, held) < bumps(read, epoch)
 }
 
-/// The reference for a receive a gated driver skipped by
-/// [`read_part_held`]: `receive` runs on a copy of `state` in the
-/// pooled slot `copy` (buffers reused from call to call) and must leave
-/// it equal. `frame` names the receiver, the sender and the held, read
-/// and current epochs.
-#[cfg(debug_assertions)]
-pub(crate) fn assert_held_receive<S: Clone + PartialEq>(
-    copy: &mut Option<S>,
-    state: &S,
-    receive: impl FnOnce(&mut S),
-    frame: (NodeId, NodeId, [u32; 3]),
-) {
-    crate::protocol::snapshot(copy, state);
-    if let Some(copy) = copy.as_mut() {
-        receive(copy);
-        let (r, s, [held, read, epoch]) = frame;
-        debug_assert!(
-            copy == state,
-            "node {r} skipped a receive from {s} that changes its state \
-             (held epoch {held}, read epoch {read}, epoch {epoch})"
-        );
+/// What a receiver does with one frame copy, as [`gate`] decides it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Fate {
+    /// Gated, and the row already holds the frame's epoch: nothing
+    /// happens.
+    Stale,
+    /// Gated, and the row held what a receive reads of the beacon: the
+    /// epoch is recorded, no receive runs.
+    Held,
+    /// The epoch is recorded and the frame goes to [`Protocol::receive`].
+    Receive,
+}
+
+/// The one place a frame copy's fate at its receiver is decided, on
+/// every driver. `held` is the receiver's reception-row entry for the
+/// sender; `[read, epoch]` are the read and beacon epochs the frame
+/// carries. Eager scheduling receives every frame. Under gating a frame
+/// of the epoch the row holds is [`Fate::Stale`]; any other frame's
+/// epoch goes into the row, and the frame is [`Fate::Held`] when the
+/// row held its read part ([`read_part_held`]). The silence contract
+/// makes both skips state no-ops.
+///
+/// `reference` is the receiver's state, a pooled copy slot and the
+/// receive a held frame skips: debug builds run that receive on a copy
+/// and assert it changes nothing, naming receiver `r` and sender `s`.
+#[inline]
+pub(crate) fn gate<S: Clone + PartialEq>(
+    gated: bool,
+    held: &mut u32,
+    [read, epoch]: [u32; 2],
+    (r, s): (NodeId, NodeId),
+    reference: (&S, &mut Option<S>, impl FnOnce(&mut S)),
+) -> Fate {
+    let was = *held;
+    if gated && was == epoch {
+        return Fate::Stale;
     }
+    *held = epoch;
+    if !gated || !read_part_held(was, read, epoch) {
+        return Fate::Receive;
+    }
+    if cfg!(debug_assertions) {
+        let (state, copy, receive) = reference;
+        crate::protocol::snapshot(copy, state);
+        if let Some(copy) = copy.as_mut() {
+            receive(copy);
+            debug_assert!(
+                copy == state,
+                "node {r} skipped a receive from {s} that changes its state \
+                 (held epoch {was}, read epoch {read}, epoch {epoch})"
+            );
+        }
+    }
+    Fate::Held
 }
 
 /// An index-backed node set: O(1) insert and membership via a
@@ -289,9 +324,9 @@ pub(crate) struct NodeTable<P: Protocol> {
     /// Per node, the epoch at which what [`Protocol::receive`] reads of
     /// its beacon last changed ([`Protocol::read_changed`]); a forged
     /// beacon always counts as a change. `read_epoch[p] == epoch[p]`
-    /// unless `p`'s last bumps changed only parts no receive reads, and
-    /// a gated receiver that holds an epoch in `[read_epoch, epoch)`
-    /// ([`read_part_held`]) is not handed the frame.
+    /// unless `p`'s last bumps changed only parts no receive reads; a
+    /// frame carries both, and [`gate`] records it without a receive at
+    /// a gated receiver whose row holds an epoch in `[read_epoch, epoch)`.
     pub read_epoch: Vec<u32>,
     /// `heard.get(r, k)`: the epoch of neighbor `adj[r][k]`'s beacon
     /// that `r` last incorporated ([`NEVER`] if none). Kept aligned
@@ -331,7 +366,7 @@ pub(crate) struct NodeTable<P: Protocol> {
     /// Nodes currently broadcasting a *forged* beacon
     /// ([`Fault::ByzantineBeacon`](crate::Fault::ByzantineBeacon)): the
     /// lie sits in their `beacons` column and
-    /// [`ActivityCore::refresh_beacon`] refuses to overwrite it until
+    /// `Env::refresh_beacon` refuses to overwrite it until
     /// the lie is cleared. Almost always empty, so the hot-path guard
     /// is a single `is_empty` test.
     pub lies: Vec<NodeId>,
@@ -340,7 +375,7 @@ pub(crate) struct NodeTable<P: Protocol> {
     /// `*_changed` bodies on the event clock (the period-clocked
     /// drivers snapshot into their workers' own buffers).
     pub scratch_state: Option<P::State>,
-    /// Scratch: pooled beacon buffer for [`ActivityCore::refresh_beacon`].
+    /// Scratch: pooled beacon buffer for `Env::refresh_beacon`.
     /// Refreshing computes into this buffer ([`Protocol::beacon_into`])
     /// and swaps it with the node's column slot, so a protocol that
     /// reuses the buffer's capacity (e.g. `DensityCluster`'s `view`
@@ -415,241 +450,6 @@ impl<P: Protocol> NodeTable<P> {
                 occ.release(q, topo);
             }
         }
-    }
-}
-
-/// The [`NodeTable`] bundled with the derived-stream bases and the
-/// wakeup rules both drivers share.
-///
-/// Owning the stream bases here is what keeps the two clocks
-/// byte-compatible with their own eager references: every random draw
-/// is (re-)derived from `(base, tick, node)` at the point of use, so a
-/// node skipped by activity gating consumes no randomness — under
-/// either clock.
-pub(crate) struct ActivityCore<P: Protocol> {
-    /// The columnar hot state.
-    pub table: NodeTable<P>,
-    /// Base of the per-(tick, node) [`Protocol::update`] streams.
-    pub update_base: u64,
-    /// Base of the per-(tick, sender) frame-fate streams.
-    pub medium_base: u64,
-    /// Base of the per-corruption-event state-scrambling streams.
-    pub corrupt_base: u64,
-    /// Base of the gated-contention per-(tick, sender) streams.
-    pub contend_sender_base: u64,
-    /// Base of the gated-contention per-(tick, receiver, sender)
-    /// frame-copy streams.
-    pub contend_copy_base: u64,
-    /// Corruption events so far — each gets its own derived stream.
-    pub corrupt_events: u64,
-}
-
-impl<P: Protocol> ActivityCore<P> {
-    /// Cold-starts the core over `topo`: per-node derived init streams,
-    /// everything dirty.
-    pub fn new(protocol: &P, topo: &Topology, seed: u64) -> Self {
-        let init_base = derive_seed(seed, streams::INIT);
-        let states: Vec<P::State> = topo
-            .nodes()
-            .map(|p| {
-                let mut rng = StdRng::seed_from_u64(derive_seed(init_base, u64::from(p.value())));
-                protocol.init(p, &mut rng)
-            })
-            .collect();
-        ActivityCore {
-            table: NodeTable::new(protocol, topo, states),
-            update_base: derive_seed(seed, streams::UPDATE),
-            medium_base: derive_seed(seed, streams::MEDIUM),
-            corrupt_base: derive_seed(seed, streams::CORRUPT),
-            contend_sender_base: derive_seed(seed, streams::CONTEND_SENDER),
-            contend_copy_base: derive_seed(seed, streams::CONTEND_COPY),
-            corrupt_events: 0,
-        }
-    }
-
-    /// The gated-contention stream bundle for one delivery tick.
-    #[inline]
-    pub fn contention_streams(&self, tick: u64) -> ContentionStreams {
-        ContentionStreams::new(self.contend_sender_base, self.contend_copy_base, tick)
-    }
-
-    /// The [`Protocol::update`] stream of node `p` at scheduler tick
-    /// `tick` (the step count under the round clock, the event-time bit
-    /// pattern under the continuous clock).
-    #[inline]
-    pub fn update_rng(&self, tick: u64, p: NodeId) -> StdRng {
-        split_rng(self.update_base, tick, u64::from(p.value()))
-    }
-
-    /// The frame-fate stream of sender `p` at scheduler tick `tick`.
-    #[inline]
-    pub fn medium_rng(&self, tick: u64, p: NodeId) -> StdRng {
-        split_rng(self.medium_base, tick, u64::from(p.value()))
-    }
-
-    /// A fresh stream for the next corruption event against `p`:
-    /// however much randomness the corruptor consumes, no node's other
-    /// streams move.
-    pub fn corrupt_rng(&mut self, p: NodeId) -> StdRng {
-        let event = self.corrupt_events;
-        self.corrupt_events += 1;
-        split_rng(self.corrupt_base, event, u64::from(p.value()))
-    }
-
-    /// Rescheduling for an externally mutated node: besides waking it,
-    /// its reception bookkeeping must be forgotten — a corrupted cache
-    /// can no longer claim to have incorporated anyone's beacon, so its
-    /// neighbors are forced to re-broadcast (exactly what an eager
-    /// engine's unconditional beacons would have repaired implicitly).
-    pub fn wake_mutated(&mut self, p: NodeId, topo: &Topology) {
-        self.table.mark_node(p);
-        self.table.reset_heard_row(p, topo);
-    }
-
-    /// Processes an incremental topology change: notify the protocol of
-    /// vanished links, wake the touched nodes, and realign their
-    /// reception bookkeeping. Returns `true` when anything observable
-    /// changed (memoized predicate verdicts over `(topo, states)` are
-    /// then stale).
-    pub fn apply_delta(&mut self, protocol: &P, topo: &Topology, delta: &TopologyDelta) -> bool {
-        let env_changed = !delta.moved.is_empty() || !delta.is_quiet();
-        if delta.is_quiet() {
-            return env_changed;
-        }
-        // Occupancy counts are adjusted edge-wise against the *new*
-        // adjacency before any touched-node release walks it, so the
-        // per-receiver counts stay exact through rewires.
-        if let Some(occ) = &mut self.table.occupancy {
-            for &(u, v) in &delta.removed {
-                occ.edge_removed(u, v);
-            }
-            for &(u, v) in &delta.added {
-                occ.edge_added(u, v);
-            }
-        }
-        for &(u, v) in &delta.removed {
-            protocol.link_down(u, &mut self.table.states[u.index()], v);
-            protocol.link_down(v, &mut self.table.states[v.index()], u);
-        }
-        for p in delta.touched() {
-            self.table.mark_node(p);
-            self.table.reset_heard_row(p, topo);
-        }
-        env_changed
-    }
-
-    /// Severs every link of `p` by removing its edges — the node's
-    /// radio goes dark but its state survives (crash of the *link*
-    /// layer). Fires [`Protocol::link_down`] on both endpoints of
-    /// every severed link and wakes everyone touched; the severed
-    /// neighbors are left in `scratch` for driver-specific follow-up
-    /// (re-arming slots, change notes).
-    pub fn isolate(
-        &mut self,
-        protocol: &P,
-        topo: &mut Topology,
-        p: NodeId,
-        scratch: &mut Vec<NodeId>,
-    ) {
-        scratch.clear();
-        scratch.extend_from_slice(topo.neighbors(p));
-        for &q in scratch.iter() {
-            topo.remove_edge(p, q);
-        }
-        if let Some(occ) = &mut self.table.occupancy {
-            for &q in scratch.iter() {
-                occ.edge_removed(p, q);
-            }
-        }
-        for &q in scratch.iter() {
-            protocol.link_down(p, &mut self.table.states[p.index()], q);
-            protocol.link_down(q, &mut self.table.states[q.index()], p);
-            self.table.mark_node(q);
-            self.table.reset_heard_row(q, topo);
-        }
-        self.table.mark_node(p);
-        self.table.reset_heard_row(p, topo);
-    }
-
-    /// Recomputes `p`'s beacon from its current state; if the content
-    /// changed ([`Protocol::beacon_changed`]) the epoch is bumped and
-    /// `p` becomes send-pending (waking it from statistical occupancy
-    /// if it had retired), and if what a receive reads changed too
-    /// ([`Protocol::read_changed`]) the new epoch is also `p`'s read
-    /// epoch. Returns whether the beacon changed.
-    pub fn refresh_beacon(&mut self, protocol: &P, topo: &Topology, p: NodeId) -> bool {
-        // A lying node's column holds its forged beacon; refreshing
-        // must not launder it back to the truth until the lie clears.
-        if !self.table.lies.is_empty() && self.table.lies.contains(&p) {
-            return false;
-        }
-        // The pooled scratch buffer circulates: beacon_into overwrites
-        // it in place, then it swaps with the node's column slot, so
-        // refreshing never constructs a beacon from nothing once the
-        // buffer capacities have reached their high-water marks.
-        let scratch = self
-            .table
-            .scratch_beacon
-            .get_or_insert_with(|| self.table.beacons[p.index()].clone());
-        protocol.beacon_into(p, &self.table.states[p.index()], scratch);
-        let old = &self.table.beacons[p.index()];
-        let changed = protocol.beacon_changed(old, scratch);
-        if changed {
-            let epoch = bump_epoch(self.table.epoch[p.index()]);
-            self.table.epoch[p.index()] = epoch;
-            if protocol.read_changed(old, scratch) {
-                self.table.read_epoch[p.index()] = epoch;
-            }
-            self.table.send_pending.insert(p);
-            if let Some(occ) = &mut self.table.occupancy {
-                occ.release(p, topo);
-            }
-        }
-        std::mem::swap(&mut self.table.beacons[p.index()], scratch);
-        changed
-    }
-
-    /// Installs a forged beacon for `p`: the lie replaces `p`'s
-    /// broadcast column, the epoch bump makes every neighbor "behind" —
-    /// and, a lie always being read, the new epoch is also the read
-    /// epoch — and `p` rejoins the pending senders (waking from
-    /// statistical occupancy if retired) so the lie actually hits the
-    /// air. `p`'s true state is untouched; [`Self::refresh_beacon`]
-    /// refuses to overwrite the column until [`Self::clear_lie`].
-    pub fn install_lie(&mut self, topo: &Topology, p: NodeId, beacon: P::Beacon) {
-        self.table.beacons[p.index()] = beacon;
-        let epoch = bump_epoch(self.table.epoch[p.index()]);
-        self.table.epoch[p.index()] = epoch;
-        self.table.read_epoch[p.index()] = epoch;
-        self.table.send_pending.insert(p);
-        if let Some(occ) = &mut self.table.occupancy {
-            occ.release(p, topo);
-        }
-        if !self.table.lies.contains(&p) {
-            self.table.lies.push(p);
-        }
-    }
-
-    /// Ends `p`'s Byzantine window: the override lifts and `p` is woken
-    /// as an externally-mutated node, so its next refresh recomputes
-    /// the honest beacon (epoch-bumped past the lie) and its poisoned
-    /// neighbors are forced to hear the retraction.
-    pub fn clear_lie(&mut self, protocol: &P, topo: &Topology, p: NodeId) {
-        self.table.lies.retain(|q| *q != p);
-        self.wake_mutated(p, topo);
-        let _ = self.refresh_beacon(protocol, topo, p);
-    }
-
-    /// `true` when every neighbor of `s` has incorporated `s`'s current
-    /// beacon epoch — the retirement condition for a pending sender.
-    pub fn all_caught_up(&self, topo: &Topology, s: NodeId) -> bool {
-        let epoch = self.table.epoch[s.index()];
-        topo.neighbors(s).iter().all(|&r| {
-            topo.neighbors(r)
-                .binary_search(&s)
-                .map(|idx| self.table.heard.get(r.index(), idx) == epoch)
-                .unwrap_or(true)
-        })
     }
 }
 
@@ -920,6 +720,16 @@ mod tests {
         assert_eq!(bump_epoch(NEVER - 1), 0);
     }
 
+    /// Runs [`gate`] on a row holding `held` against a frame of
+    /// `[read, epoch]`, with a receive that changes nothing; returns
+    /// the fate and what the row holds afterwards.
+    fn gate_row(gated: bool, held: u32, frame: [u32; 2]) -> (Fate, u32) {
+        let mut row = held;
+        let ids = (NodeId::new(0), NodeId::new(1));
+        let fate = gate(gated, &mut row, frame, ids, (&7u8, &mut None, |_| {}));
+        (fate, row)
+    }
+
     #[test]
     fn read_part_held_is_the_arc_from_the_read_epoch_to_the_epoch() {
         // Every epoch `held` reached by `k` bumps from `read`, against a
@@ -934,10 +744,30 @@ mod tests {
                 for (k, &held) in epochs.iter().enumerate() {
                     let want = (k as u32) < n;
                     let got = read_part_held(held, read, epoch);
-                    assert_eq!(got, want, "read {read}, {n} bumps, held after {k}");
+                    let at = format!("read {read}, {n} bumps, held after {k}");
+                    assert_eq!(got, want, "{at}");
+                    // The gate over the same frame: eager always
+                    // receives; gated, the row's own epoch is stale, an
+                    // epoch on the arc is held, the rest are received.
+                    // Every fate but stale writes the epoch into the
+                    // row, and a stale row already holds it.
+                    let gated = if held == epoch {
+                        Fate::Stale
+                    } else if want {
+                        Fate::Held
+                    } else {
+                        Fate::Receive
+                    };
+                    let frame = [read, epoch];
+                    assert_eq!(gate_row(false, held, frame), (Fate::Receive, epoch), "{at}");
+                    assert_eq!(gate_row(true, held, frame), (gated, epoch), "{at}");
                 }
                 // A row that holds nothing never holds the read part.
                 assert!(!read_part_held(NEVER, read, epoch));
+                for gated in [false, true] {
+                    let fate = gate_row(gated, NEVER, [read, epoch]);
+                    assert_eq!(fate, (Fate::Receive, epoch));
+                }
             }
             // Nothing is held when the last bump changed the read part.
             assert!(!read_part_held(read, read, read));

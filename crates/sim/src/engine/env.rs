@@ -2,28 +2,35 @@
 //! place a fault is applied.
 //!
 //! [`Env`] owns everything the round, event and actor drivers share —
-//! protocol, [`Topology`], [`ActivityCore`], the fault-site stream, the
-//! scripted-fault cursor, the `(due, seq)` followup queue, the
-//! corruption hook, topology dynamics — and holds the only
-//! implementation of fault dispatch, sever/restore, followup firing and
-//! the dynamics tick. For a silent protocol this is the only code that
-//! ever wakes a stabilized network.
+//! protocol, [`Topology`], the columnar [`NodeTable`], the bases of the
+//! derived streams, the fault-site stream, the scripted-fault cursor,
+//! the `(due, seq)` followup queue, the corruption hook, topology
+//! dynamics — and holds the only implementation of the wakeup rules
+//! (what to invalidate when a fault mutates a node, when a topology
+//! delta rewires links, when a beacon is recomputed), fault dispatch,
+//! sever/restore, followup firing and the dynamics tick. For a silent
+//! protocol this is the only code that ever wakes a stabilized network.
+//!
+//! Owning the stream bases is what keeps every clock byte-compatible
+//! with its own eager reference: every random draw is (re-)derived from
+//! `(base, tick, node)` at the point of use, so a node skipped by
+//! activity gating consumes no randomness.
 //!
 //! A driver keeps its clock and its delivery loop. It tells the
 //! environment what logical step it is, lets it run a batch, and then
 //! reacts to what the batch left behind: [`Env::env_changed`] (the
-//! round driver's stop conditions read it, the actor fabric re-derives
-//! its mailbox bounds) and the table's `forced_changed` set of touched
-//! nodes (the event driver folds it into its change set and re-arms
-//! the woken senders).
+//! stop conditions read it) and the table's `forced_changed` set of
+//! touched nodes (the event driver folds it into its change set and
+//! re-arms the woken senders).
 
 use mwn_graph::{NodeId, Point2, Topology, TopologyDelta};
+use mwn_radio::ContentionStreams;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use super::{ActivityCore, NodeSet, VisitScratch};
+use super::{bump_epoch, NodeSet, NodeTable, VisitScratch};
 use crate::faults::{Fault, Lie};
-use crate::rng::derive_seed;
+use crate::rng::{derive_seed, split_rng, streams};
 use crate::scenario::TopologyDynamics;
 use crate::stop::{Obs, RunReport, StopWhen};
 use crate::{Activity, Corruptible, Observable, Protocol, SimError};
@@ -80,9 +87,19 @@ fn ordered(u: NodeId, v: NodeId) -> (NodeId, NodeId) {
 pub(crate) struct Env<P: Protocol> {
     pub protocol: P,
     pub topo: Topology,
-    /// The shared activity core: columnar node table, dirty sets and
-    /// derived-stream bases.
-    pub core: ActivityCore<P>,
+    /// The columnar hot state and the dirty sets.
+    pub table: NodeTable<P>,
+    /// Base of the per-(tick, node) [`Protocol::update`] streams.
+    pub(super) update_base: u64,
+    /// Base of the per-(tick, sender) frame-fate streams.
+    pub medium_base: u64,
+    /// Base of the per-corruption-event state-scrambling streams.
+    corrupt_base: u64,
+    /// Bases of the gated-contention per-(tick, sender) and
+    /// per-(tick, receiver, sender) frame-copy streams.
+    contend_bases: (u64, u64),
+    /// Corruption events so far — each gets its own derived stream.
+    corrupt_events: u64,
     /// The topology changed or a fault fired since the driver last
     /// cleared the flag: memoized predicate verdicts over
     /// `(topology, states)` are stale.
@@ -119,7 +136,7 @@ impl<P: Protocol + std::fmt::Debug> std::fmt::Debug for Env<P> {
         f.debug_struct("Env")
             .field("protocol", &self.protocol)
             .field("topo", &self.topo)
-            .field("states", &self.core.table.states)
+            .field("states", &self.table.states)
             .field("scripted", &self.scripted.len())
             .field("dynamics", &self.dynamics.is_some())
             .finish_non_exhaustive()
@@ -127,12 +144,26 @@ impl<P: Protocol + std::fmt::Debug> std::fmt::Debug for Env<P> {
 }
 
 impl<P: Protocol> Env<P> {
-    /// Cold-starts the environment over `topo`. `fault_stream` is the
-    /// owning driver's [`crate::rng::streams`] tag for fault-site
-    /// selection.
+    /// Cold-starts the environment over `topo`: per-node derived init
+    /// streams, everything dirty. `fault_stream` is the owning driver's
+    /// [`crate::rng::streams`] tag for fault-site selection.
     pub fn new(protocol: P, topo: Topology, seed: u64, fault_stream: u64) -> Self {
+        let init_base = derive_seed(seed, streams::INIT);
+        let init = |p: NodeId| {
+            let mut rng = StdRng::seed_from_u64(derive_seed(init_base, u64::from(p.value())));
+            protocol.init(p, &mut rng)
+        };
+        let states = topo.nodes().map(init).collect();
         Env {
-            core: ActivityCore::new(&protocol, &topo, seed),
+            table: NodeTable::new(&protocol, &topo, states),
+            update_base: derive_seed(seed, streams::UPDATE),
+            medium_base: derive_seed(seed, streams::MEDIUM),
+            corrupt_base: derive_seed(seed, streams::CORRUPT),
+            contend_bases: (
+                derive_seed(seed, streams::CONTEND_SENDER),
+                derive_seed(seed, streams::CONTEND_COPY),
+            ),
+            corrupt_events: 0,
             protocol,
             topo,
             env_changed: false,
@@ -179,7 +210,7 @@ impl<P: Protocol> Env<P> {
         if self.force_eager && !eager {
             // Re-enabling gating after an eager stretch: the dirty
             // bookkeeping was degenerate, resynchronize conservatively.
-            self.core.table.mark_all(&self.topo);
+            self.table.mark_all(&self.topo);
         }
         self.force_eager = eager;
     }
@@ -192,6 +223,96 @@ impl<P: Protocol> Env<P> {
 
     pub fn has_dynamics(&self) -> bool {
         self.dynamics.is_some()
+    }
+
+    /// The gated-contention stream bundle for one delivery tick.
+    #[inline]
+    pub fn contention_streams(&self, tick: u64) -> ContentionStreams {
+        ContentionStreams::new(self.contend_bases.0, self.contend_bases.1, tick)
+    }
+
+    /// The [`Protocol::update`] stream of node `p` at scheduler tick
+    /// `tick` (the step count under the round clock, the event-time bit
+    /// pattern under the continuous clock).
+    #[inline]
+    pub fn update_rng(&self, tick: u64, p: NodeId) -> StdRng {
+        split_rng(self.update_base, tick, u64::from(p.value()))
+    }
+
+    /// The frame-fate stream of sender `p` at scheduler tick `tick`.
+    #[inline]
+    pub fn medium_rng(&self, tick: u64, p: NodeId) -> StdRng {
+        split_rng(self.medium_base, tick, u64::from(p.value()))
+    }
+
+    /// A fresh stream for the next corruption event against `p`:
+    /// however much randomness the corruptor consumes, no node's other
+    /// streams move.
+    pub fn corrupt_rng(&mut self, p: NodeId) -> StdRng {
+        let event = self.corrupt_events;
+        self.corrupt_events += 1;
+        split_rng(self.corrupt_base, event, u64::from(p.value()))
+    }
+
+    /// Rescheduling for an externally mutated node: besides waking it,
+    /// its reception bookkeeping must be forgotten — a corrupted cache
+    /// can no longer claim to have incorporated anyone's beacon, so its
+    /// neighbors are forced to re-broadcast (exactly what an eager
+    /// engine's unconditional beacons would have repaired implicitly).
+    pub fn wake_mutated(&mut self, p: NodeId) {
+        self.table.mark_node(p);
+        self.table.reset_heard_row(p, &self.topo);
+    }
+
+    /// Recomputes `p`'s beacon from its current state; if the content
+    /// changed ([`Protocol::beacon_changed`]) the epoch is bumped and
+    /// `p` becomes send-pending (waking it from statistical occupancy
+    /// if it had retired), and if what a receive reads changed too
+    /// ([`Protocol::read_changed`]) the new epoch is also `p`'s read
+    /// epoch. Returns whether the beacon changed.
+    pub fn refresh_beacon(&mut self, p: NodeId) -> bool {
+        let table = &mut self.table;
+        // A lying node's column holds its forged beacon; refreshing
+        // must not launder it back to the truth until the lie clears.
+        if !table.lies.is_empty() && table.lies.contains(&p) {
+            return false;
+        }
+        // The pooled scratch buffer circulates: beacon_into overwrites
+        // it in place, then it swaps with the node's column slot, so
+        // refreshing never constructs a beacon from nothing once the
+        // buffer capacities have reached their high-water marks.
+        let scratch = table
+            .scratch_beacon
+            .get_or_insert_with(|| table.beacons[p.index()].clone());
+        self.protocol
+            .beacon_into(p, &table.states[p.index()], scratch);
+        let old = &table.beacons[p.index()];
+        let changed = self.protocol.beacon_changed(old, scratch);
+        if changed {
+            let epoch = bump_epoch(table.epoch[p.index()]);
+            table.epoch[p.index()] = epoch;
+            if self.protocol.read_changed(old, scratch) {
+                table.read_epoch[p.index()] = epoch;
+            }
+            table.send_pending.insert(p);
+            if let Some(occ) = &mut table.occupancy {
+                occ.release(p, &self.topo);
+            }
+        }
+        std::mem::swap(&mut table.beacons[p.index()], scratch);
+        changed
+    }
+
+    /// `true` when every neighbor of `s` has incorporated `s`'s current
+    /// beacon epoch — the retirement condition for a pending sender.
+    pub fn all_caught_up(&self, s: NodeId) -> bool {
+        let (topo, epoch) = (&self.topo, self.table.epoch[s.index()]);
+        topo.neighbors(s).iter().all(|&r| {
+            topo.neighbors(r)
+                .binary_search(&s)
+                .map(|idx| self.table.heard.get(r.index(), idx) == epoch)
+                .unwrap_or(true)
+        })
     }
 
     /// Everything that precedes the sends of round-clocked step `now`:
@@ -213,7 +334,7 @@ impl<P: Protocol> Env<P> {
     /// the beacons of state-changed nodes are refreshed and the
     /// period's senders collected into `senders`.
     pub fn release_slots(&mut self, eager: bool, senders: &mut Vec<NodeId>) {
-        let table = &mut self.core.table;
+        let table = &mut self.table;
         if eager {
             table.update_dirty.insert_all();
             table.beacon_stale.insert_all();
@@ -227,10 +348,10 @@ impl<P: Protocol> Env<P> {
         let mut stale = std::mem::take(&mut self.scratch_nodes);
         table.beacon_stale.drain_sorted_into(&mut stale);
         for &p in &stale {
-            self.core.refresh_beacon(&self.protocol, &self.topo, p);
+            self.refresh_beacon(p);
         }
         self.scratch_nodes = stale;
-        self.core.table.send_pending.collect_sorted_into(senders);
+        self.table.send_pending.collect_sorted_into(senders);
     }
 
     /// Schedules every neighbor of a sender for a visit, remembering in
@@ -239,7 +360,7 @@ impl<P: Protocol> Env<P> {
     /// senders' summed degree, the copies in range. Costs that many bit
     /// operations; nothing here is proportional to n.
     pub fn mark_hearers(&mut self, senders: &[NodeId], hearers: &mut NodeSet) -> usize {
-        let dirty = &mut self.core.table.update_dirty;
+        let dirty = &mut self.table.update_dirty;
         let mut in_range = 0;
         for &s in senders {
             let heard_by = self.topo.neighbors(s);
@@ -272,7 +393,7 @@ impl<P: Protocol> Env<P> {
     ///    was visited, and the visit wrote that epoch into its row;
     /// 3. a receiver that was not visited already held it — so after
     ///    the visits every row agrees with every sender's epoch, which
-    ///    is what [`ActivityCore::all_caught_up`] would have read back.
+    ///    is what [`Env::all_caught_up`] would have read back.
     ///
     /// A period that lost a single copy asks per sender, as ever. Debug
     /// builds ask both ways and assert that they agree.
@@ -286,14 +407,14 @@ impl<P: Protocol> Env<P> {
         for &s in senders {
             if lossless {
                 debug_assert!(
-                    self.core.all_caught_up(&self.topo, s),
+                    self.all_caught_up(s),
                     "a period that delivered every copy left {s} with a neighbor behind"
                 );
-            } else if !self.core.all_caught_up(&self.topo, s) {
+            } else if !self.all_caught_up(s) {
                 continue;
             }
-            self.core.table.send_pending.remove(s);
-            if let Some(occ) = &mut self.core.table.occupancy {
+            self.table.send_pending.remove(s);
+            if let Some(occ) = &mut self.table.occupancy {
                 occ.occupy(s, &self.topo);
             }
         }
@@ -366,12 +487,20 @@ impl<P: Protocol> Env<P> {
         self.env_changed = true;
         match followup {
             Followup::Resurrect { node, state, edges } => {
-                self.core.table.states[node.index()] = state;
-                self.core.wake_mutated(node, &self.topo);
+                self.table.states[node.index()] = state;
+                self.wake_mutated(node);
                 self.restore_edges(&edges);
             }
             Followup::RestoreEdges { edges } => self.restore_edges(&edges),
-            Followup::ClearLie { node } => self.core.clear_lie(&self.protocol, &self.topo, node),
+            Followup::ClearLie { node } => {
+                // The override lifts and the node wakes as an
+                // externally-mutated one: its refresh recomputes the
+                // honest beacon (epoch-bumped past the lie), and its
+                // poisoned neighbors are forced to hear the retraction.
+                self.table.lies.retain(|q| *q != node);
+                self.wake_mutated(node);
+                self.refresh_beacon(node);
+            }
         }
     }
 
@@ -418,10 +547,10 @@ impl<P: Protocol> Env<P> {
     /// much randomness the corruptor consumes, no other stream moves —
     /// and reschedules it.
     fn corrupt_scripted(&mut self, p: NodeId) {
-        let mut rng = self.core.corrupt_rng(p);
-        let state = &mut self.core.table.states[p.index()];
+        let mut rng = self.corrupt_rng(p);
+        let state = &mut self.table.states[p.index()];
         scramble(&self.corruptor, &self.protocol, p, state, &mut rng);
-        self.core.wake_mutated(p, &self.topo);
+        self.wake_mutated(p);
     }
 
     /// Corrupts ≈ `fraction` of the nodes, picked from the dedicated
@@ -445,7 +574,7 @@ impl<P: Protocol> Env<P> {
     /// [`Fault::CrashRecover`]: snapshot state + links, go dark, hold
     /// the links down until the resurrection at step `due`.
     fn crash(&mut self, p: NodeId, due: u64) {
-        let state = self.core.table.states[p.index()].clone();
+        let state = self.table.states[p.index()].clone();
         let mut edges = self.shadowed(|u, v| u == p || v == p);
         edges.extend(self.topo.neighbors(p).iter().map(|&q| ordered(p, q)));
         self.isolate(p);
@@ -454,21 +583,37 @@ impl<P: Protocol> Env<P> {
         self.push_followup(due, Followup::Resurrect { node, state, edges });
     }
 
-    /// [`Fault::ByzantineBeacon`]: install the lie at the engine level
-    /// (epoch-bumped, send-pending, occupancy-released) and schedule
-    /// its expiry. The forged content draws on the dedicated
-    /// per-corruption-event stream.
+    /// [`Fault::ByzantineBeacon`]: the lie replaces `p`'s broadcast
+    /// column, the epoch bump makes every neighbor "behind" — and, a
+    /// lie always being read, the new epoch is also the read epoch —
+    /// and `p` rejoins the pending senders (waking from statistical
+    /// occupancy if retired) so the lie actually hits the air. `p`'s
+    /// true state is untouched; [`Env::refresh_beacon`] refuses to
+    /// overwrite the column until the lie expires at step `due`. The
+    /// forged content draws on the dedicated per-corruption-event
+    /// stream.
     fn byzantine(&mut self, p: NodeId, lie: Lie, due: u64) {
         let beacon = match lie {
             Lie::Forged => {
-                let mut rng = self.core.corrupt_rng(p);
-                let mut fake = self.core.table.states[p.index()].clone();
+                let mut rng = self.corrupt_rng(p);
+                let mut fake = self.table.states[p.index()].clone();
                 scramble(&self.corruptor, &self.protocol, p, &mut fake, &mut rng);
                 self.protocol.beacon(p, &fake)
             }
-            Lie::Replayed => self.core.table.beacons[p.index()].clone(),
+            Lie::Replayed => self.table.beacons[p.index()].clone(),
         };
-        self.core.install_lie(&self.topo, p, beacon);
+        let table = &mut self.table;
+        table.beacons[p.index()] = beacon;
+        let epoch = bump_epoch(table.epoch[p.index()]);
+        table.epoch[p.index()] = epoch;
+        table.read_epoch[p.index()] = epoch;
+        table.send_pending.insert(p);
+        if let Some(occ) = &mut table.occupancy {
+            occ.release(p, &self.topo);
+        }
+        if !table.lies.contains(&p) {
+            table.lies.push(p);
+        }
         self.push_followup(due, Followup::ClearLie { node: p });
     }
 
@@ -549,19 +694,41 @@ impl<P: Protocol> Env<P> {
         self.apply_delta(&delta);
     }
 
-    /// Processes an incremental topology change through the shared
-    /// core: notify the protocol of vanished links, wake the touched
-    /// nodes, realign their reception bookkeeping.
+    /// Processes an incremental topology change: notify the protocol of
+    /// vanished links, wake the touched nodes, and realign their
+    /// reception bookkeeping.
     fn apply_delta(&mut self, delta: &TopologyDelta) {
         // Even a link-preserving move changes the topology's geometry.
-        self.env_changed |= self.core.apply_delta(&self.protocol, &self.topo, delta);
+        self.env_changed |= !delta.moved.is_empty() || !delta.is_quiet();
+        if delta.is_quiet() {
+            return;
+        }
+        // Occupancy counts are adjusted edge-wise against the *new*
+        // adjacency before any touched-node release walks it, so the
+        // per-receiver counts stay exact through rewires.
+        if let Some(occ) = &mut self.table.occupancy {
+            for &(u, v) in &delta.removed {
+                occ.edge_removed(u, v);
+            }
+            for &(u, v) in &delta.added {
+                occ.edge_added(u, v);
+            }
+        }
+        let states = &mut self.table.states;
+        for &(u, v) in &delta.removed {
+            self.protocol.link_down(u, &mut states[u.index()], v);
+            self.protocol.link_down(v, &mut states[v.index()], u);
+        }
+        for p in delta.touched() {
+            self.wake_mutated(p);
+        }
     }
 
     /// A wholesale swap carries no link-level delta: conservatively
     /// reschedule every node (no [`Protocol::link_down`] fires, no
     /// state changes).
     fn topology_swapped(&mut self) {
-        self.core.table.mark_all(&self.topo);
+        self.table.mark_all(&self.topo);
         self.env_changed = true;
     }
 
@@ -591,13 +758,27 @@ impl<P: Protocol> Env<P> {
         delta
     }
 
-    /// Severs every link of `p` (its radio goes dark, its state
-    /// survives), firing [`Protocol::link_down`] on both endpoints of
-    /// every cut link.
+    /// Severs every link of `p` by removing its edges — the node's
+    /// radio goes dark but its state survives (crash of the *link*
+    /// layer) — firing [`Protocol::link_down`] on both endpoints of
+    /// every cut link and waking everyone touched.
     pub fn isolate(&mut self, p: NodeId) {
         let mut nbrs = std::mem::take(&mut self.scratch_nodes);
-        self.core
-            .isolate(&self.protocol, &mut self.topo, p, &mut nbrs);
+        nbrs.clear();
+        nbrs.extend_from_slice(self.topo.neighbors(p));
+        for &q in &nbrs {
+            self.topo.remove_edge(p, q);
+            if let Some(occ) = &mut self.table.occupancy {
+                occ.edge_removed(p, q);
+            }
+        }
+        for &q in &nbrs {
+            let states = &mut self.table.states;
+            self.protocol.link_down(p, &mut states[p.index()], q);
+            self.protocol.link_down(q, &mut states[q.index()], p);
+            self.wake_mutated(q);
+        }
+        self.wake_mutated(p);
         self.env_changed = true;
         self.scratch_nodes = nbrs;
     }
@@ -605,8 +786,8 @@ impl<P: Protocol> Env<P> {
     /// Mutable state access; the node is rescheduled (external
     /// mutation is a fault).
     pub fn state_mut(&mut self, p: NodeId) -> &mut P::State {
-        self.core.wake_mutated(p, &self.topo);
-        &mut self.core.table.states[p.index()]
+        self.wake_mutated(p);
+        &mut self.table.states[p.index()]
     }
 }
 
@@ -614,14 +795,14 @@ impl<P: Observable> Env<P> {
     /// Projects every node's observable output into `buf` (cleared
     /// first).
     pub fn outputs_into(&self, buf: &mut Vec<P::Output>) {
-        let outputs = self.core.table.states.iter().enumerate();
+        let outputs = self.table.states.iter().enumerate();
         buf.clear();
         buf.extend(outputs.map(|(i, s)| self.protocol.output(NodeId::new(i as u32), s)));
     }
 
     /// The observable output of every node.
     pub fn outputs(&self) -> Vec<P::Output> {
-        let mut buf = Vec::with_capacity(self.core.table.states.len());
+        let mut buf = Vec::with_capacity(self.table.states.len());
         self.outputs_into(&mut buf);
         buf
     }
@@ -695,7 +876,7 @@ pub(crate) fn run_to<P: Observable, D>(
     // predicate/budget-only stops skip the per-step O(n) pass.
     let needs_outputs = stop.needs_outputs();
     let e = env(driver);
-    let mut outputs: Vec<P::Output> = Vec::with_capacity(e.core.table.states.len());
+    let mut outputs: Vec<P::Output> = Vec::with_capacity(e.table.states.len());
     if needs_outputs {
         e.outputs_into(&mut outputs);
     }
@@ -706,12 +887,12 @@ pub(crate) fn run_to<P: Observable, D>(
         state_changed: true,
         env_changed: true,
     };
-    let mut verdict = cursor.observe(start, 0, &e.topo, &e.core.table.states, &first);
+    let mut verdict = cursor.observe(start, 0, &e.topo, &e.table.states, &first);
     let mut now = start;
     while !verdict.satisfied {
         now = step(driver);
         let e = env(driver);
-        let table = &e.core.table;
+        let table = &e.table;
         let mut output_changed = false;
         if needs_outputs {
             let mut project = |p: NodeId| {
@@ -747,7 +928,6 @@ pub(crate) fn run_to<P: Observable, D>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::streams;
     use crate::testkit::GatedFlood;
     use mwn_graph::builders;
     use mwn_radio::Occupancy;
@@ -783,15 +963,12 @@ mod tests {
         assert_eq!(queued, [(5, 2), (5, 0), (4, 3), (3, 1)], "earliest last");
         assert_eq!(env.next_followup(), Some(3));
         env.fire_followups(2);
-        assert_eq!(env.core.table.states[0], 0, "nothing due yet");
+        assert_eq!(env.table.states[0], 0, "nothing due yet");
         env.fire_followups(4);
-        assert_eq!(env.core.table.states[0], 40, "due 3 fired before due 4");
+        assert_eq!(env.table.states[0], 40, "due 3 fired before due 4");
         assert_eq!(env.next_followup(), Some(5));
         env.fire_followups(9);
-        assert_eq!(
-            env.core.table.states[0], 51,
-            "equal dues fire in push order"
-        );
+        assert_eq!(env.table.states[0], 51, "equal dues fire in push order");
         assert_eq!(env.next_followup(), None);
     }
 
@@ -800,12 +977,12 @@ mod tests {
         let mut env = line_env(5);
         let mut occ = Occupancy::new(5);
         for q in [id(0), id(3)] {
-            env.core.table.send_pending.remove(q);
+            env.table.send_pending.remove(q);
             occ.occupy(q, &env.topo);
         }
-        env.core.table.occupancy = Some(occ);
+        env.table.occupancy = Some(occ);
         let recounted = |env: &Env<GatedFlood>| {
-            let occ = env.core.table.occupancy.as_ref().expect("installed above");
+            let occ = env.table.occupancy.as_ref().expect("installed above");
             assert_eq!(occ, &occ.recount(&env.topo), "occupancy diverged");
         };
         env.inject(3, &jam(2, 8)).expect("valid fault");
@@ -829,19 +1006,16 @@ mod tests {
     #[test]
     fn a_step_with_nothing_due_touches_nothing() {
         let mut env = line_env(4);
-        env.core.table.forced_changed.clear();
-        let (queue, hits) = (env.followups.capacity(), env.core.corrupt_events);
+        env.table.forced_changed.clear();
+        let (queue, hits) = (env.followups.capacity(), env.corrupt_events);
         for now in 0..50 {
             env.begin_step(now);
         }
         assert!(!env.env_changed);
         assert_eq!(env.followups.capacity(), queue, "the queue never grew");
-        assert_eq!(env.core.corrupt_events, hits);
+        assert_eq!(env.corrupt_events, hits);
         let mut touched = Vec::new();
-        env.core
-            .table
-            .forced_changed
-            .drain_sorted_into(&mut touched);
+        env.table.forced_changed.drain_sorted_into(&mut touched);
         assert!(touched.is_empty(), "no node was woken");
     }
 }

@@ -343,11 +343,11 @@ impl HeardTable {
         self.data[self.off[r] as usize + idx]
     }
 
-    /// Writes the entry at adjacency slot `idx` of row `r`.
+    /// The entry at adjacency slot `idx` of row `r`, to write.
     #[inline]
-    pub fn set(&mut self, r: usize, idx: usize, v: u32) {
+    pub(crate) fn get_mut(&mut self, r: usize, idx: usize) -> &mut u32 {
         debug_assert!(idx < self.len[r] as usize);
-        self.data[self.off[r] as usize + idx] = v;
+        &mut self.data[self.off[r] as usize + idx]
     }
 
     /// Realigns row `r` to `deg` entries, all [`NEVER`] — the
@@ -627,7 +627,7 @@ mod tests {
         assert_eq!(t.rows(), 3);
         assert_eq!(t.row(0), &[NEVER, NEVER]);
         assert_eq!(t.row(1), &[] as &[u32]);
-        t.set(2, 1, 7);
+        *t.get_mut(2, 1) = 7;
         assert_eq!(t.get(2, 1), 7);
         assert_eq!(t.row(2), &[NEVER, 7, NEVER]);
     }
@@ -635,8 +635,8 @@ mod tests {
     #[test]
     fn heard_table_reset_row_realigns_and_forgets() {
         let mut t = HeardTable::new([2usize, 2]);
-        t.set(0, 0, 5);
-        t.set(1, 1, 6);
+        *t.get_mut(0, 0) = 5;
+        *t.get_mut(1, 1) = 6;
         // Shrink, grow within slack, grow past slack: all forget.
         for deg in [1usize, 4, 11] {
             t.reset_row(0, deg);
@@ -649,7 +649,7 @@ mod tests {
     #[test]
     fn heard_table_reset_all_bulk_fills() {
         let mut t = HeardTable::new([3usize, 1]);
-        t.set(0, 2, 9);
+        *t.get_mut(0, 2) = 9;
         t.reset_all([3usize, 1]);
         assert!(t.row(0).iter().all(|&e| e == NEVER));
         // Degree growth past every slack forces the rebuild path.

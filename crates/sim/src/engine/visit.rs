@@ -19,11 +19,12 @@
 //! actor fabric decodes every frame from a byte arena into one pooled
 //! beacon and has nothing to look ahead at.
 //!
-//! Under gating both frame loops hand a fresh frame to
-//! [`Protocol::receive`] only if the receiver does not already hold
-//! what `receive` reads of it ([`super::read_part_held`]); either way
-//! the frame's epoch goes into the reception row and the visit goes on
-//! to its guard pass, so only the receive count can tell.
+//! Both frame loops leave each frame's fate to [`super::gate`], the
+//! one place it is decided on every driver: under gating a fresh frame
+//! goes to [`Protocol::receive`] only if the receiver does not already
+//! hold what `receive` reads of it; either way the frame's epoch goes
+//! into the reception row and the visit goes on to its guard pass, so
+//! only the receive count can tell.
 //!
 //! A visit also settles what the period's tail may assume: every frame
 //! copy a visited node heard is written into its reception row, and a
@@ -48,26 +49,25 @@ pub(crate) fn chunk(len: usize, parts: usize, i: usize) -> std::ops::Range<usize
 }
 
 /// Splits a period's visits `workers` ways: chunk `i` of the sorted
-/// `candidates` (`node` names a candidate's node), and with it the run
-/// of `states` and of reception rows (both indexed by node) from the
-/// chunk's first candidate up to the next chunk's — the first run
-/// starts at node 0, the last ends with the column. The runs are
-/// disjoint, in order and cover both columns, so each worker can
-/// mutate its nodes in place; yields `(base, chunk, states, rows)`.
-pub(crate) fn partition<'a, C, S>(
-    candidates: &'a [C],
-    node: fn(&C) -> NodeId,
+/// `candidates`, and with it the run of `states` and of reception rows
+/// (both indexed by node) from the chunk's first candidate up to the
+/// next chunk's — the first run starts at node 0, the last ends with
+/// the column. The runs are disjoint, in order and cover both columns,
+/// so each worker can mutate its nodes in place; yields
+/// `(base, chunk, states, rows)`.
+pub(crate) fn partition<'a, S>(
+    candidates: &'a [NodeId],
     states: &'a mut [S],
     heard: HeardRun<'a>,
     workers: usize,
-) -> impl Iterator<Item = (usize, &'a [C], &'a mut [S], HeardRun<'a>)> {
+) -> impl Iterator<Item = (usize, &'a [NodeId], &'a mut [S], HeardRun<'a>)> {
     let mut rest = Some((states, heard));
     let mut base = 0;
     (0..workers).map(move |i| {
         let mine = chunk(candidates.len(), workers, i);
         let (states, heard) = rest.take().expect("put back after every cut");
         let end = match candidates.get(mine.end) {
-            Some(next) if i + 1 < workers => node(next).index(),
+            Some(next) if i + 1 < workers => next.index(),
             _ => base + states.len(),
         };
         let (run, states) = states.split_at_mut(end - base);
@@ -95,9 +95,7 @@ pub(crate) struct VisitScratch<P: Protocol> {
     /// Pooled decode target for a frame loop whose beacons arrive
     /// serialized (the actor fabric); starts from any beacon at all.
     pub beacon: Option<P::Beacon>,
-    /// Where debug builds run each receive the frame loop skipped
-    /// ([`super::assert_held_receive`]).
-    #[cfg(debug_assertions)]
+    /// Where debug builds run each receive [`super::gate`] skipped.
     pub held_check: Option<P::State>,
 }
 
@@ -110,7 +108,6 @@ impl<P: Protocol> VisitScratch<P> {
             receives: 0,
             updates: 0,
             beacon: None,
-            #[cfg(debug_assertions)]
             held_check: None,
         }
     }
@@ -130,8 +127,8 @@ impl<P: Protocol> VisitScratch<P> {
 /// the frozen columns every worker reads, and the runs of the state
 /// column and the reception arena that contain its candidates — its
 /// own to write.
-pub(crate) struct Shard<'a, P: Protocol, C> {
-    pub candidates: &'a [C],
+pub(crate) struct Shard<'a, P: Protocol> {
+    pub candidates: &'a [NodeId],
     pub protocol: &'a P,
     pub topo: &'a Topology,
     pub beacons: &'a [P::Beacon],
@@ -150,7 +147,7 @@ pub(crate) struct Shard<'a, P: Protocol, C> {
     scratch: &'a mut VisitScratch<P>,
 }
 
-impl<P: Protocol, C> Shard<'_, P, C> {
+impl<P: Protocol> Shard<'_, P> {
     /// Opens the visit of candidate `p`: its state, its reception row
     /// (one epoch per adjacency slot) and the worker's buffers.
     #[inline]
@@ -189,14 +186,13 @@ impl<P: Protocol> Env<P> {
     /// order, which is ascending node order, and the period's
     /// forced-change marks are consumed. Returns the period's
     /// `(receives, updates)`.
-    pub fn visit<C: Sync>(
+    pub fn visit(
         &mut self,
         now: u64,
         gated: bool,
-        candidates: &[C],
-        node: fn(&C) -> NodeId,
+        candidates: &[NodeId],
         workers: usize,
-        body: impl Fn(&mut Shard<'_, P, C>) + Sync,
+        body: impl Fn(&mut Shard<'_, P>) + Sync,
     ) -> (usize, usize) {
         if candidates.is_empty() {
             // A quiet period costs nothing here — and has no forced-
@@ -206,9 +202,9 @@ impl<P: Protocol> Env<P> {
         if self.visit_pool.len() < workers {
             self.visit_pool.resize_with(workers, VisitScratch::new);
         }
-        let (table, pool) = (&mut self.core.table, &mut self.visit_pool[..workers]);
+        let (table, pool) = (&mut self.table, &mut self.visit_pool[..workers]);
         let heard = table.heard.run_mut();
-        let runs = partition(candidates, node, &mut table.states, heard, workers);
+        let runs = partition(candidates, &mut table.states, heard, workers);
         let shards = runs.zip(pool.iter_mut()).map(|(run, scratch)| {
             scratch.gated = gated;
             scratch.changed.clear();
@@ -223,7 +219,7 @@ impl<P: Protocol> Env<P> {
                 read_epoch: &table.read_epoch,
                 sending: &table.send_pending,
                 forced_changed: &table.forced_changed,
-                update_base: self.core.update_base,
+                update_base: self.update_base,
                 now,
                 base,
                 states,
@@ -269,15 +265,12 @@ mod tests {
     /// and its own reception row inside its shard's runs.
     fn assert_partition(nodes: &[u32], heard: &mut HeardTable, workers: usize) {
         let n = heard.rows();
-        let candidates: Vec<(NodeId, bool)> = nodes
-            .iter()
-            .map(|&p| (NodeId::new(p), p % 2 == 0))
-            .collect();
+        let candidates: Vec<NodeId> = nodes.iter().map(|&p| NodeId::new(p)).collect();
         // states[i] == i, so a run's content names the nodes it covers.
         let mut states: Vec<usize> = (0..n).collect();
         let arena = heard.run_mut().span();
         let (mut shards, mut next, mut seen, mut entries) = (0, 0, 0, 0);
-        let runs = partition(&candidates, |c| c.0, &mut states, heard.run_mut(), workers);
+        let runs = partition(&candidates, &mut states, heard.run_mut(), workers);
         for (base, chunk, run, mut rows) in runs {
             assert_eq!(base, next, "runs are contiguous and in order");
             assert_eq!(rows.span().0, entries, "reception runs tile the arena");
@@ -287,7 +280,7 @@ mod tests {
             for i in 0..run.len() {
                 rows.row_mut(i).fill((base + i) as u32);
             }
-            for &(r, _) in chunk {
+            for &r in chunk {
                 assert!(base <= r.index() && r.index() < base + run.len(), "{r}");
             }
             (shards, next, seen) = (shards + 1, next + run.len(), seen + chunk.len());
@@ -314,11 +307,8 @@ mod tests {
             assert_partition(&[0], &mut HeardTable::new([3usize]), workers);
         }
         // A quiet period has no candidates and asks for no workers.
-        let none: [(NodeId, bool); 0] = [];
-        assert_eq!(
-            partition(&none, |c| c.0, &mut [0usize; 6], six.run_mut(), 0).count(),
-            0
-        );
+        let mut states = [0usize; 6];
+        assert_eq!(partition(&[], &mut states, six.run_mut(), 0).count(), 0);
         // Random sorted candidate sets, including fewer candidates than
         // workers and chunk sizes that do not divide — before and after
         // a row outgrows its slack and the arena is laid out afresh.

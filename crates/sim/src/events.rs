@@ -4,7 +4,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use mwn_graph::{NodeId, Topology};
 use mwn_radio::{Delivery, Medium, PerfectMedium};
 
-use crate::engine::{self, Env, NodeSet, SlotClock};
+use crate::engine::{self, Env, Fate, NodeSet, SlotClock};
 use crate::rng::streams;
 use crate::stop::{RunReport, StopWhen};
 use crate::{Corruptible, Fault, Observable, Protocol, SimError};
@@ -357,7 +357,7 @@ impl<B: Clone> BeaconPool<B> {
 /// assert!(driver.states().iter().all(|&s| s == 4));
 /// ```
 pub struct EventDriver<P: Protocol, M: Medium = PerfectMedium> {
-    /// Protocol, topology, activity core and the one fault path. Its
+    /// Protocol, topology, node table and the one fault path. Its
     /// fault-site stream is dedicated ([`streams::EVENT_FAULT`]), so
     /// fault injection never perturbs beacon timing or frame fates.
     pub(crate) env: Env<P>,
@@ -534,11 +534,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     /// switches) so a pending sender always has a slot queued.
     fn arm_pending(&mut self) {
         let mut buf = std::mem::take(&mut self.scratch_nodes);
-        self.env
-            .core
-            .table
-            .send_pending
-            .collect_sorted_into(&mut buf);
+        self.env.table.send_pending.collect_sorted_into(&mut buf);
         for &p in &buf {
             self.arm(p);
         }
@@ -550,11 +546,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     /// their states) and the woken senders are re-armed.
     fn absorb_env(&mut self) {
         let mut buf = std::mem::take(&mut self.scratch_nodes);
-        self.env
-            .core
-            .table
-            .forced_changed
-            .drain_sorted_into(&mut buf);
+        self.env.table.forced_changed.drain_sorted_into(&mut buf);
         for &p in &buf {
             self.changed_since.insert(p);
         }
@@ -661,7 +653,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     /// level do not wait on each other, and the next level finds its
     /// addresses in cache.
     fn look_ahead(&mut self) {
-        let (protocol, topo, table) = (&self.env.protocol, &self.env.topo, &self.env.core.table);
+        let (protocol, topo, table) = (&self.env.protocol, &self.env.topo, &self.env.table);
         let batch = || self.lanes.frames.iter().take(LOOK_AHEAD);
         let mut sum = batch().fold(0u64, |sum, frame| {
             let r = frame.receiver;
@@ -687,7 +679,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             return;
         };
         let gated = self.is_gated();
-        if gated && !self.env.core.table.send_pending.contains(p) {
+        if gated && !self.env.table.send_pending.contains(p) {
             // Nothing to say and nobody waiting: the slot lapses and
             // the node goes silent until something wakes it.
             self.armed[p.index()] = None;
@@ -703,8 +695,8 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         let state_changed = if gated {
             self.settle(p, now, false)
         } else {
-            let mut rng = self.env.core.update_rng(t.to_bits(), p);
-            let state = &mut self.env.core.table.states[p.index()];
+            let mut rng = self.env.update_rng(t.to_bits(), p);
+            let state = &mut self.env.table.states[p.index()];
             self.env.protocol.update(p, state, now, &mut rng);
             self.updates += 1;
             false
@@ -712,19 +704,12 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         if state_changed {
             self.changed_since.insert(p);
         }
-        let beacon_changed = self
-            .env
-            .core
-            .refresh_beacon(&self.env.protocol, &self.env.topo, p);
-        if gated
-            && !state_changed
-            && !beacon_changed
-            && self.env.core.all_caught_up(&self.env.topo, p)
-        {
+        let beacon_changed = self.env.refresh_beacon(p);
+        if gated && !state_changed && !beacon_changed && self.env.all_caught_up(p) {
             // Retire: state at a fixpoint, beacon content unchanged,
             // every neighbor has incorporated it. The eager twin keeps
             // broadcasting here — pure no-ops by the silence contract.
-            self.env.core.table.send_pending.remove(p);
+            self.env.table.send_pending.remove(p);
             self.armed[p.index()] = None;
             return;
         }
@@ -742,7 +727,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         let heard = &mut self.heard;
         heard.clear();
         if self.medium.gated_contention() {
-            let streams = self.env.core.contention_streams(slot);
+            let streams = self.env.contention_streams(slot);
             self.delivery.reset(self.env.topo.len());
             self.medium.deliver_occupied_into(
                 &self.env.topo,
@@ -754,12 +739,12 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             // One sender: the receivers are the ones it touched.
             heard.extend_from_slice(&self.delivery.touched);
         } else {
-            let mut rng = self.env.core.medium_rng(slot, p);
+            let mut rng = self.env.medium_rng(slot, p);
             self.medium.fates(&self.env.topo, p, &mut rng, heard);
         }
         // The copies that made it share one pooled beacon.
         if !heard.is_empty() {
-            let table = &self.env.core.table;
+            let table = &self.env.table;
             let copies = heard.len() as u32;
             let read = table.read_epoch[p.index()];
             let beacon = self.pool.hold(&table.beacons[p.index()], read, copies);
@@ -787,7 +772,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             self.changed_since.insert(r);
             // The state moved: r may have a new beacon to announce —
             // wake its slot schedule (its next pop decides).
-            self.env.core.table.send_pending.insert(r);
+            self.env.table.send_pending.insert(r);
             self.arm(r);
         }
         self.pool.release(frame.beacon);
@@ -797,9 +782,9 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     /// one pass of the guarded assignments — under gating, only if the
     /// receive changed something or the receiver is not settled
     /// ([`EventDriver::settle`]). A gated receiver that already holds
-    /// what the receive would read ([`engine::read_part_held`], against
-    /// the sender's read epoch when it transmitted) gets no receive,
-    /// and goes on as after one that changed nothing. Returns whether,
+    /// what the receive would read ([`engine::gate`], against the
+    /// sender's read epoch when it transmitted) gets no receive, and
+    /// goes on as after one that changed nothing. Returns whether,
     /// under gating, the receiver's state changed.
     fn incorporate(&mut self, frame: &Frame) -> bool {
         let (r, s) = (frame.receiver, frame.sender);
@@ -811,37 +796,21 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             return false;
         };
         self.frames_delivered += 1;
-        let gated = self.is_gated();
-        let held = self.env.core.table.heard.get(r.index(), idx);
-        if gated && held == frame.tx_epoch {
-            // Already incorporated this exact beacon epoch: the
-            // silence contract makes the receive (and the follow-up
-            // update) a state no-op — skip it entirely.
-            return false;
-        }
-        self.env
-            .core
-            .table
-            .heard
-            .set(r.index(), idx, frame.tx_epoch);
-        let now = self.now();
+        let (gated, now) = (self.is_gated(), self.now());
         let (beacon, read) = self.pool.get(frame.beacon);
-        if gated && engine::read_part_held(held, read, frame.tx_epoch) {
-            #[cfg(debug_assertions)]
-            {
-                let (protocol, table) = (&self.env.protocol, &mut self.env.core.table);
-                engine::assert_held_receive(
-                    &mut table.scratch_state,
-                    &table.states[r.index()],
-                    |copy| protocol.receive(r, copy, s, beacon, now),
-                    (r, s, [held, read, frame.tx_epoch]),
-                );
-            }
-            return self.settle(r, now, false);
+        let (protocol, table) = (&self.env.protocol, &mut self.env.table);
+        let skipped = |copy: &mut P::State| protocol.receive(r, copy, s, beacon, now);
+        let reference = (&table.states[r.index()], &mut table.scratch_state, skipped);
+        let held = table.heard.get_mut(r.index(), idx);
+        match engine::gate(gated, held, [read, frame.tx_epoch], (r, s), reference) {
+            // The follow-up update of a stale frame is a no-op too.
+            Fate::Stale => return false,
+            Fate::Held => return self.settle(r, now, false),
+            Fate::Receive => {}
         }
         if !gated {
-            let mut rng = self.env.core.update_rng(self.time.to_bits(), r);
-            let state = &mut self.env.core.table.states[r.index()];
+            let mut rng = self.env.update_rng(self.time.to_bits(), r);
+            let state = &mut self.env.table.states[r.index()];
             self.env.protocol.receive(r, state, s, beacon, now);
             self.env.protocol.update(r, state, now, &mut rng);
             self.updates += 1;
@@ -850,7 +819,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         // Two exact reports, one per guard. Their disjunction can only
         // err towards "changed" (an update that undoes the receive),
         // and a wake that finds nothing to say retires at its slot.
-        let table = &mut self.env.core.table;
+        let table = &mut self.env.table;
         let (state, scratch) = (&mut table.states[r.index()], &mut table.scratch_state);
         let heard = self
             .env
@@ -876,15 +845,14 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     /// so skipping it moves no other draw. Debug builds run the skipped
     /// pass anyway, on a copy, and assert that it reports no change.
     fn settle(&mut self, p: NodeId, now: u64, heard: bool) -> bool {
-        let core = &mut self.env.core;
-        if !heard && !core.table.update_dirty.contains(p) {
+        if !heard && !self.env.table.update_dirty.contains(p) {
             #[cfg(debug_assertions)]
             self.assert_settled(p, now);
             return false;
         }
         self.updates += 1;
-        let mut rng = core.update_rng(self.time.to_bits(), p);
-        let table = &mut core.table;
+        let mut rng = self.env.update_rng(self.time.to_bits(), p);
+        let table = &mut self.env.table;
         let (state, scratch) = (&mut table.states[p.index()], &mut table.scratch_state);
         let moved = self
             .env
@@ -904,8 +872,8 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     /// the real pass would have drawn from, and must report no change.
     #[cfg(debug_assertions)]
     fn assert_settled(&mut self, p: NodeId, now: u64) {
-        let mut rng = self.env.core.update_rng(self.time.to_bits(), p);
-        let table = &mut self.env.core.table;
+        let mut rng = self.env.update_rng(self.time.to_bits(), p);
+        let table = &mut self.env.table;
         let mut copy = table.scratch_state.take();
         crate::protocol::snapshot(&mut copy, &table.states[p.index()]);
         if let Some(state) = copy.as_mut() {
@@ -929,7 +897,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         self.env.env_changed = false;
         self.run_until_time(t);
         self.changed_since
-            .drain_sorted_into(&mut self.env.core.table.changed);
+            .drain_sorted_into(&mut self.env.table.changed);
     }
 
     /// Advances to the next beacon-period boundary — one logical step,
@@ -948,21 +916,21 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
 
     /// All node states, indexed by [`NodeId`].
     pub fn states(&self) -> &[P::State] {
-        &self.env.core.table.states
+        &self.env.table.states
     }
 
     /// The state of one node.
     pub fn state(&self, p: NodeId) -> &P::State {
-        &self.env.core.table.states[p.index()]
+        &self.env.table.states[p.index()]
     }
 
     /// Mutable state access; the node is rescheduled (external
     /// mutation is a fault) and, with the neighbors that must now
     /// re-announce themselves to it, re-armed.
     pub fn state_mut(&mut self, p: NodeId) -> &mut P::State {
-        self.env.core.wake_mutated(p, &self.env.topo);
+        self.env.wake_mutated(p);
         self.absorb_env();
-        &mut self.env.core.table.states[p.index()]
+        &mut self.env.table.states[p.index()]
     }
 
     /// The topology being simulated.

@@ -3,7 +3,7 @@ use mwn_radio::{Delivery, Medium, Occupancy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::engine::{self, kernels, Env, NodeSet, ShardPolicy};
+use crate::engine::{self, kernels, Env, Fate, NodeSet, ShardPolicy};
 use crate::rng::{derive_seed, streams};
 use crate::stop::{RunReport, StopWhen};
 use crate::{Activity, Corruptible, Fault, Observable, Protocol, SimError};
@@ -118,7 +118,7 @@ pub struct StepActivity {
 /// Networks are normally built through [`crate::Scenario`]; the
 /// constructor remains available as the low-level interface.
 pub struct Network<P: Protocol, M> {
-    /// Protocol, topology, activity core and the one fault path.
+    /// Protocol, topology, node table and the one fault path.
     pub(crate) env: Env<P>,
     medium: M,
     /// Sequential stream for contention-coupled media (whose rounds
@@ -229,7 +229,7 @@ impl<P: Protocol, M: Medium> Network<P, M> {
             // Contention media can only gate silent senders if the
             // retired population keeps occupying its slots; the engine
             // maintains the summary alongside `send_pending`.
-            env.core.table.occupancy = Some(Occupancy::new(env.topo.len()));
+            env.table.occupancy = Some(Occupancy::new(env.topo.len()));
         }
         // The node count is fixed for a driver's life: what a lossless
         // step writes is sized here, so no step is the one that allocates.
@@ -275,7 +275,7 @@ impl<P: Protocol, M: Medium> Network<P, M> {
     /// diagnostics; the counts always match a from-scratch recount
     /// over the current topology.
     pub fn occupancy(&self) -> Option<&Occupancy> {
-        self.env.core.table.occupancy.as_ref()
+        self.env.table.occupancy.as_ref()
     }
 
     /// Retirement bookkeeping, exposed for its property tests as
@@ -286,9 +286,9 @@ impl<P: Protocol, M: Medium> Network<P, M> {
     /// retired their senders without consulting a reception row.
     #[doc(hidden)]
     pub fn retirement_audit(&self) -> (Vec<NodeId>, Vec<NodeId>, u64) {
-        let (core, topo) = (&self.env.core, &self.env.topo);
-        let pending = |&s: &NodeId| core.table.send_pending.contains(s);
-        let behind = |&s: &NodeId| !core.all_caught_up(topo, s);
+        let (env, topo) = (&self.env, &self.env.topo);
+        let pending = |&s: &NodeId| env.table.send_pending.contains(s);
+        let behind = |&s: &NodeId| !env.all_caught_up(s);
         (
             topo.nodes().filter(pending).collect(),
             topo.nodes().filter(behind).collect(),
@@ -333,12 +333,12 @@ impl<P: Protocol, M: Medium> Network<P, M> {
     /// scheduling only; empty under eager scheduling, which does not
     /// track changes).
     pub fn last_changed(&self) -> &[NodeId] {
-        &self.env.core.table.changed
+        &self.env.table.changed
     }
 
     /// Executes one synchronous step; returns the new step count.
     pub fn step(&mut self) -> u64 {
-        self.env.core.table.changed.clear();
+        self.env.table.changed.clear();
         self.env.begin_step(self.step);
         let eager = !self.is_gated();
 
@@ -358,7 +358,6 @@ impl<P: Protocol, M: Medium> Network<P, M> {
             (self.delivery.attempted, self.delivery.delivered)
         };
         self.env
-            .core
             .table
             .update_dirty
             .drain_sorted_into(&mut self.active_buf);
@@ -380,13 +379,9 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         let shards = self.shards.count(active, active);
         let pulled = lossless.then_some(&self.hearers);
         let delivery = &self.delivery;
-        let (receives, updates) = self.env.visit(
-            now,
-            !eager,
-            &self.active_buf,
-            |&p| p,
-            shards,
-            |shard| {
+        let (receives, updates) = self
+            .env
+            .visit(now, !eager, &self.active_buf, shards, |shard| {
                 let (beacons, epoch, read) = (shard.beacons, shard.epoch, shard.read_epoch);
                 let (protocol, topo) = (shard.protocol, shard.topo);
                 let frames = match pulled {
@@ -415,36 +410,20 @@ impl<P: Protocol, M: Medium> Network<P, M> {
                     std::hint::black_box(ahead);
                     scratch.snapshot(state);
                     frames.slots(p, neighbors, |idx, s| {
-                        let (held, i) = (row[idx], s.index());
-                        let e = epoch[i];
-                        // Eager mode processes every delivered
-                        // frame (classic semantics); gated mode
-                        // skips re-receptions of an already-
-                        // incorporated beacon, and the receive of
-                        // one whose read part the row already
-                        // holds: the silence contract makes both
-                        // state no-ops.
-                        if eager || held != e {
-                            row[idx] = e;
-                            let beacon = &beacons[i];
-                            if !eager && engine::read_part_held(held, read[i], e) {
-                                #[cfg(debug_assertions)]
-                                engine::assert_held_receive(
-                                    &mut scratch.held_check,
-                                    state,
-                                    |copy| protocol.receive(p, copy, s, beacon, now),
-                                    (p, s, [held, read[i], e]),
-                                );
-                                return;
-                            }
+                        let (i, beacon) = (s.index(), &beacons[s.index()]);
+                        let skipped =
+                            |copy: &mut P::State| protocol.receive(p, copy, s, beacon, now);
+                        let reference = (&*state, &mut scratch.held_check, skipped);
+                        let frame = [read[i], epoch[i]];
+                        let fate = engine::gate(!eager, &mut row[idx], frame, (p, s), reference);
+                        if fate == Fate::Receive {
                             protocol.receive(p, state, s, beacon, now);
                             scratch.receives += 1;
                         }
                     });
                     shard.update(p);
                 }
-            },
-        );
+            });
         self.hearers.clear();
 
         // Phase 6: retire senders every neighbor has caught up with —
@@ -459,7 +438,7 @@ impl<P: Protocol, M: Medium> Network<P, M> {
             frames_delivered: delivered,
             receives,
             updates,
-            changed: self.env.core.table.changed.len(),
+            changed: self.env.table.changed.len(),
         };
         self.messages_total += self.senders_buf.len() as u64;
         self.step += 1;
@@ -477,26 +456,26 @@ impl<P: Protocol, M: Medium> Network<P, M> {
     /// Everything else — and every eager round — evaluates the full
     /// sender set on the sequential medium stream.
     fn deliver(&mut self, eager: bool) {
-        let (core, topo) = (&mut self.env.core, &self.env.topo);
+        let (env, topo) = (&self.env, &self.env.topo);
         self.delivery.reset(topo.len());
         // A gated contention round without its summary (never built:
         // `Network::new` installs it) falls back to the full sender set.
         let occupancy = if !eager && self.medium.gated_contention() {
             debug_assert!(
-                core.table.occupancy.is_some(),
+                env.table.occupancy.is_some(),
                 "gated contention maintains an occupancy summary"
             );
-            core.table.occupancy.as_ref()
+            env.table.occupancy.as_ref()
         } else {
             None
         };
         if self.medium.independent_fates() {
             for &s in &self.senders_buf {
-                let mut rng = core.medium_rng(self.step, s);
+                let mut rng = env.medium_rng(self.step, s);
                 self.delivery.record_fates(&self.medium, topo, s, &mut rng);
             }
         } else if let Some(occ) = occupancy {
-            let streams = core.contention_streams(self.step);
+            let streams = env.contention_streams(self.step);
             self.medium.deliver_occupied_into(
                 topo,
                 &self.senders_buf,
@@ -517,7 +496,7 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         }
         // The freshness test is the branch-lean epoch-compare kernel
         // over the receiver's contiguous reception row.
-        let table = &mut core.table;
+        let (table, topo) = (&mut self.env.table, &self.env.topo);
         for &r in &self.delivery.touched {
             if kernels::any_fresh(
                 table.heard.row(r.index()),
@@ -574,12 +553,12 @@ impl<P: Protocol, M: Medium> Network<P, M> {
 
     /// All node states, indexed by [`NodeId`].
     pub fn states(&self) -> &[P::State] {
-        &self.env.core.table.states
+        &self.env.table.states
     }
 
     /// The state of one node.
     pub fn state(&self, p: NodeId) -> &P::State {
-        &self.env.core.table.states[p.index()]
+        &self.env.table.states[p.index()]
     }
 
     /// Mutable state access (used by hand-written fault scenarios).
@@ -685,10 +664,10 @@ impl<P: Corruptible, M: Medium> Network<P, M> {
     /// use it to model a fault.
     #[doc(hidden)]
     pub fn corrupt_silently(&mut self, p: NodeId) {
-        let mut rng = self.env.core.corrupt_rng(p);
+        let mut rng = self.env.corrupt_rng(p);
         self.env
             .protocol
-            .corrupt(p, &mut self.env.core.table.states[p.index()], &mut rng);
+            .corrupt(p, &mut self.env.table.states[p.index()], &mut rng);
     }
 }
 
