@@ -30,6 +30,6 @@ mod table;
 
 pub use histogram::Histogram;
 pub use percentile::{percentiles, LatencyHistogram};
-pub use proportion::{wilson_interval, wilson_overlap, Proportion};
+pub use proportion::{wilson_interval, wilson_overlap};
 pub use running::{RunningStats, Summary};
 pub use table::Table;

@@ -70,56 +70,6 @@ pub fn wilson_overlap(
     lo_a <= hi_b && lo_b <= hi_a
 }
 
-/// A counted proportion with its 95% Wilson interval — the record a
-/// convergence-probability sweep reports per parameter point.
-///
-/// # Examples
-///
-/// ```
-/// use mwn_metrics::Proportion;
-///
-/// let p = Proportion::new(98, 100);
-/// assert_eq!(p.fraction(), 0.98);
-/// let (low, high) = p.wilson95();
-/// assert!(low < 0.98 && 0.98 < high);
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Proportion {
-    /// Number of successes.
-    pub successes: usize,
-    /// Number of trials.
-    pub trials: usize,
-}
-
-impl Proportion {
-    /// Wraps `successes` out of `trials`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `successes > trials`.
-    pub fn new(successes: usize, trials: usize) -> Self {
-        assert!(
-            successes <= trials,
-            "successes ({successes}) cannot exceed trials ({trials})"
-        );
-        Proportion { successes, trials }
-    }
-
-    /// The point estimate (1.0 for zero trials).
-    pub fn fraction(&self) -> f64 {
-        if self.trials == 0 {
-            1.0
-        } else {
-            self.successes as f64 / self.trials as f64
-        }
-    }
-
-    /// The 95% Wilson score interval.
-    pub fn wilson95(&self) -> (f64, f64) {
-        wilson_interval(self.successes, self.trials, 1.96)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,13 +104,6 @@ mod tests {
     #[test]
     fn zero_trials_is_uninformative() {
         assert_eq!(wilson_interval(0, 0, 1.96), (0.0, 1.0));
-        assert_eq!(Proportion::new(0, 0).fraction(), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot exceed")]
-    fn more_successes_than_trials_rejected() {
-        let _ = Proportion::new(3, 2);
     }
 
     #[test]

@@ -46,14 +46,16 @@
 //!    drivers: under gating a fresh frame whose header says the actor
 //!    already holds what a receive reads (its row's epoch lies between
 //!    the frame's read epoch and its epoch) is neither decoded nor
-//!    received; it still wakes the actor. The reception arena is split
-//!    at the same node boundaries, so an actor writes the epoch of
-//!    every fresh frame straight into its own reception row.
-//!    This is the round driver's phase 5 with a different frame loop:
-//!    the partition, the change rule (a scratch snapshot taken before
-//!    the first mutation, compared after the update) and the
-//!    scheduling of changed actors in worker order — ascending node
-//!    order — are the engine's, shared by both (`engine::visit`).
+//!    received, and an actor that only frames woke runs its guards
+//!    only if it received one (`engine::settle`, the skip rule of all
+//!    three drivers). The reception arena is split at the same node
+//!    boundaries, so an actor writes the epoch of every fresh frame
+//!    straight into its own reception row. This is the round driver's
+//!    phase 5 with a different frame loop: the partition, the change
+//!    rule (a scratch snapshot taken before the first mutation,
+//!    compared after the update) and the scheduling of changed actors
+//!    in worker order — ascending node order — are the engine's,
+//!    shared by both (`engine::visit`).
 //!
 //! Every buffer either phase writes is owned by a worker and reused
 //! across periods, so a steady-state period allocates nothing per
@@ -92,7 +94,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use mwn_graph::{NodeId, Point2, Topology, TopologyDelta};
 use mwn_radio::{Medium, PerfectMedium};
 
-use crate::engine::{self, chunk, run_sharded, Env, Fate, NodeSet};
+use crate::engine::{self, chunk, run_sharded, Env, Fate};
 use crate::error::SimError;
 use crate::faults::Fault;
 use crate::network::StepActivity;
@@ -162,8 +164,6 @@ pub struct ActorDriver<P: Protocol, M: Medium = PerfectMedium> {
     last_activity: StepActivity,
     senders_buf: Vec<NodeId>,
     candidates_buf: Vec<NodeId>,
-    /// The candidates nothing but a frame scheduled.
-    hearers: NodeSet,
     /// Per-worker buffers of the send phase, one slot per pool thread.
     send_scratch: Vec<SendScratch>,
 }
@@ -219,7 +219,6 @@ where
             last_activity: StepActivity::default(),
             senders_buf: Vec::new(),
             candidates_buf: Vec::new(),
-            hearers: NodeSet::with_full_log(topo.len()),
             send_scratch: (0..threads).map(|_| SendScratch::default()).collect(),
             env: Env::new(protocol, topo, seed, streams::ROUND_FAULT),
         })
@@ -321,10 +320,9 @@ where
         // Quiescence barrier: run_sharded joined its workers, so every
         // released slot has delivered. Release the receive side: the
         // candidates are actors with pending guards plus the senders'
-        // neighbors (under gating a hearer only actually runs when its
-        // mail contains an epoch it has not incorporated yet —
-        // mirroring the round driver's pass over `Frames::all_held`).
-        self.env.mark_hearers(&senders, &mut self.hearers);
+        // neighbors (under gating a hearer runs its guards only when its
+        // mail holds a frame it receives, as on the round driver).
+        self.env.mark_hearers(&senders);
         self.env
             .table
             .update_dirty
@@ -335,7 +333,7 @@ where
         // candidates in place; the engine schedules the changed actors
         // once the workers have joined.
         let recv_workers = self.threads.min(self.candidates_buf.len());
-        let (mailboxes, arenas, hearers) = (&self.mailboxes, &self.send_scratch, &self.hearers);
+        let (mailboxes, arenas) = (&self.mailboxes, &self.send_scratch);
         let (receives, updates) = self.env.visit(
             period,
             !eager,
@@ -346,10 +344,7 @@ where
                 for &r in shard.candidates {
                     let neighbors = shard.topo.neighbors(r);
                     let (state, row, sc) = shard.open(r);
-                    // The actor wakes — and, gated, snapshots its state
-                    // for change detection — on its first fresh frame,
-                    // received or not, or for its pending guards.
-                    let mut woke = false;
+                    let mut received = false;
                     for frame in mailboxes[r.index()].lock().drain(..) {
                         let s = frame.sender;
                         // A frame whose link a fault severed at this
@@ -366,16 +361,10 @@ where
                         let frame_epochs = [frame.read_epoch, frame.epoch];
                         let fate =
                             engine::gate(!eager, &mut row[slot], frame_epochs, (r, s), reference);
-                        if fate == Fate::Stale {
-                            continue;
-                        }
-                        if !woke {
-                            sc.snapshot(state);
-                            woke = true;
-                        }
-                        if fate == Fate::Held {
+                        if fate != Fate::Receive {
                             continue; // neither decoded nor received
                         }
+                        sc.receiving(state, &mut received);
                         let (off, len) = (frame.off as usize, frame.len as usize);
                         let bytes = &arenas[frame.arena as usize].bytes[off..off + len];
                         // The pool starts from any beacon at all: the
@@ -386,19 +375,11 @@ where
                             "wire beacons round-trip losslessly"
                         );
                         protocol.receive(r, state, s, pooled, period);
-                        sc.receives += 1;
                     }
-                    if !woke {
-                        if hearers.contains(r) {
-                            continue; // gated and nothing fresh: the actor never wakes
-                        }
-                        sc.snapshot(state);
-                    }
-                    shard.update(r);
+                    shard.update(r, received);
                 }
             },
         );
-        self.hearers.clear();
 
         if !eager {
             self.env.retire_caught_up(&senders, delivered);

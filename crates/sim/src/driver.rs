@@ -17,11 +17,20 @@ use crate::{
 /// Logical time is the paper-comparable clock: steps on the round
 /// driver, beacon periods on the other two. Every method is the
 /// driver's inherent method of the same name.
+///
+/// **The fault clock**, the same on all three: a fault or followup
+/// scripted at step `k`, and a mobility tick at `k`, fires as the
+/// driver enters period `k`, before any of that period's frames. So
+/// after [`Driver::step`] returns `k`, nothing due at `k` has fired
+/// yet: the next step fires it first. [`Driver::inject`] fires at
+/// once, and schedules its timed second phase (resurrection, healing,
+/// lie expiry) on the same clock.
 pub trait Driver {
     /// The protocol being executed.
     type Protocol: Observable + Corruptible;
 
-    /// Advances logical time by one step; returns the new step count.
+    /// Advances logical time by one step, period `now()`; returns the
+    /// new step count.
     fn step(&mut self) -> u64;
 
     /// The current logical time.

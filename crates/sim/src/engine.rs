@@ -21,6 +21,9 @@
 //! * [`gate`] — the one place a frame copy's fate at its receiver is
 //!   decided, on every driver: stale, held (recorded, not received) or
 //!   received;
+//! * [`settle`] — the one place a gated visit's guard pass is skipped,
+//!   on every driver: when the node's last pass changed nothing,
+//!   nothing woke it since, and no frame of the visit was received;
 //! * [`SlotClock`] — the continuous-time beacon schedule as a *pure
 //!   function* of `(seed, node, slot index)`, so a node skipped while
 //!   silent consumes no randomness and its future transmission times
@@ -44,7 +47,8 @@
 //! continuous-time driver ([`crate::EventDriver`]) and the actor fabric
 //! are thin scheduling disciplines over this core: they differ in their
 //! clock and their delivery loop — but dirtiness, epochs, frame gating,
-//! stream derivation and wakeup rules are identical.
+//! settled passes, stream derivation, wakeup rules and the fault clock
+//! are identical.
 
 mod env;
 pub mod kernels;
@@ -153,6 +157,42 @@ pub(crate) fn gate<S: Clone + PartialEq>(
         }
     }
     Fate::Held
+}
+
+/// The one place a gated visit's guard pass is skipped, on every
+/// driver: the pass runs when node `p` is `dirty` — its last pass
+/// changed its state, or something outside the protocol woke it since —
+/// or when `received` says a receive of this visit may have changed it.
+/// Otherwise the node's state is one its last pass left unchanged,
+/// touched since by no receive (or, on the event clock, by receives
+/// that reported no change), so by the silence contract the pass would
+/// be a no-op that draws nothing. Returns whether the pass runs.
+///
+/// `reference` is `p`'s state, a pooled copy slot and the pass the rule
+/// skips: debug builds run that pass on a copy and assert it changes
+/// nothing, naming `p`.
+#[inline]
+pub(crate) fn settle<S: Clone + PartialEq>(
+    dirty: bool,
+    received: bool,
+    p: NodeId,
+    reference: (&S, &mut Option<S>, impl FnOnce(&mut S)),
+) -> bool {
+    if dirty || received {
+        return true;
+    }
+    if cfg!(debug_assertions) {
+        let (state, copy, pass) = reference;
+        crate::protocol::snapshot(copy, state);
+        if let Some(copy) = copy.as_mut() {
+            pass(copy);
+            debug_assert!(
+                copy == state,
+                "node {p} skipped a guard pass that changes its state"
+            );
+        }
+    }
+    false
 }
 
 /// An index-backed node set: O(1) insert and membership via a
@@ -336,14 +376,18 @@ pub(crate) struct NodeTable<P: Protocol> {
     pub heard: HeardTable,
     /// Nodes whose beacon must be recomputed next step (state changed).
     pub beacon_stale: NodeSet,
-    /// Nodes whose guards must run: at the next step on the period
-    /// clocks, at the node's next event on the event clock. There a
-    /// clear bit means the state equals, under `PartialEq`, one that
-    /// `update` has already left unchanged, touched since only by
-    /// receives that changed nothing; a guarded-command pass that
-    /// reports no change clears it, a reported change or any wake
-    /// ([`NodeTable::mark_node`], [`NodeTable::mark_all`]) sets it.
+    /// Nodes whose guards may still move their state: a pass that
+    /// changed the state, or any wake ([`NodeTable::mark_node`],
+    /// [`NodeTable::mark_all`]), sets the bit, and a pass that changed
+    /// nothing leaves it clear. A clear bit means the state equals,
+    /// under `PartialEq`, one that `update` has already left unchanged
+    /// — the `dirty` input of [`settle`]. The period clocks drain the
+    /// set into a period's candidates, after adding the `hearers`.
     pub update_dirty: NodeSet,
+    /// The period clocks' candidates that nothing but a frame
+    /// scheduled, recorded as they join `update_dirty` and cleared when
+    /// the period's visits are over.
+    pub hearers: NodeSet,
     /// Nodes with at least one neighbor that has not yet received their
     /// current beacon epoch.
     pub send_pending: NodeSet,
@@ -372,8 +416,9 @@ pub(crate) struct NodeTable<P: Protocol> {
     pub lies: Vec<NodeId>,
     /// Scratch: pre-visit snapshot of the node being processed — the
     /// slot [`crate::protocol::snapshot`] fills for the provided
-    /// `*_changed` bodies on the event clock (the period-clocked
-    /// drivers snapshot into their workers' own buffers).
+    /// `*_changed` bodies on the event clock, and where debug builds
+    /// run what [`gate`] and [`settle`] skip there (the period-clocked
+    /// drivers use their workers' own buffers).
     pub scratch_state: Option<P::State>,
     /// Scratch: pooled beacon buffer for `Env::refresh_beacon`.
     /// Refreshing computes into this buffer ([`Protocol::beacon_into`])
@@ -400,6 +445,8 @@ impl<P: Protocol> NodeTable<P> {
             heard,
             beacon_stale: NodeSet::new(n),
             update_dirty: NodeSet::new(n),
+            // Sized here, so no step is the one that allocates.
+            hearers: NodeSet::with_full_log(n),
             send_pending: NodeSet::new(n),
             occupancy: None,
             forced_changed: NodeSet::new(n),
@@ -780,6 +827,35 @@ mod tests {
         for held in [1, 2, NEVER - 3, NEVER] {
             assert!(!read_part_held(held, read, epoch), "{held}");
         }
+    }
+
+    /// Asks [`settle`] about node 0 in state 7, whose pass adds `step`.
+    fn settle_with(dirty: bool, received: bool, step: u8) -> bool {
+        let pass = |copy: &mut u8| *copy += step;
+        settle(dirty, received, NodeId::new(0), (&7u8, &mut None, pass))
+    }
+
+    #[test]
+    fn settle_runs_the_pass_of_a_dirty_or_receiving_node_and_skips_the_rest() {
+        // Truth table: a pass runs unless the node is neither dirty nor
+        // received anything, whatever the pass would do.
+        for step in [0, 1] {
+            assert!(settle_with(true, false, step), "dirty → run");
+            assert!(settle_with(false, true, step), "received → run");
+            assert!(settle_with(true, true, step), "both → run");
+        }
+        assert!(!settle_with(false, false, 0), "neither → skip");
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        should_panic(expected = "node n0 skipped a guard pass that changes its state")
+    )]
+    fn settle_checks_the_pass_it_skips_in_debug_builds() {
+        // A skipped pass that would move the state: release builds take
+        // the rule's word for it, debug builds run it on a copy.
+        assert!(!settle_with(false, false, 1));
     }
 
     #[test]

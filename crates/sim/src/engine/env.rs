@@ -28,7 +28,7 @@ use mwn_radio::ContentionStreams;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use super::{bump_epoch, NodeSet, NodeTable, VisitScratch};
+use super::{bump_epoch, NodeTable, VisitScratch};
 use crate::faults::{Fault, Lie};
 use crate::rng::{derive_seed, split_rng, streams};
 use crate::scenario::TopologyDynamics;
@@ -89,8 +89,11 @@ pub(crate) struct Env<P: Protocol> {
     pub topo: Topology,
     /// The columnar hot state and the dirty sets.
     pub table: NodeTable<P>,
-    /// Base of the per-(tick, node) [`Protocol::update`] streams.
-    pub(super) update_base: u64,
+    /// Base of the per-(tick, node) [`Protocol::update`] streams: the
+    /// stream of node `p` at scheduler tick `tick` (the period count
+    /// on the period clocks, the event-time bit pattern on the
+    /// continuous clock) is `split_rng(update_base, tick, p)`.
+    pub update_base: u64,
     /// Base of the per-(tick, sender) frame-fate streams.
     pub medium_base: u64,
     /// Base of the per-corruption-event state-scrambling streams.
@@ -231,14 +234,6 @@ impl<P: Protocol> Env<P> {
         ContentionStreams::new(self.contend_bases.0, self.contend_bases.1, tick)
     }
 
-    /// The [`Protocol::update`] stream of node `p` at scheduler tick
-    /// `tick` (the step count under the round clock, the event-time bit
-    /// pattern under the continuous clock).
-    #[inline]
-    pub fn update_rng(&self, tick: u64, p: NodeId) -> StdRng {
-        split_rng(self.update_base, tick, u64::from(p.value()))
-    }
-
     /// The frame-fate stream of sender `p` at scheduler tick `tick`.
     #[inline]
     pub fn medium_rng(&self, tick: u64, p: NodeId) -> StdRng {
@@ -354,20 +349,20 @@ impl<P: Protocol> Env<P> {
         self.table.send_pending.collect_sorted_into(senders);
     }
 
-    /// Schedules every neighbor of a sender for a visit, remembering in
-    /// `hearers` those nothing but a frame scheduled — their visit may
-    /// pass them over if all they heard is what they hold. Returns the
-    /// senders' summed degree, the copies in range. Costs that many bit
-    /// operations; nothing here is proportional to n.
-    pub fn mark_hearers(&mut self, senders: &[NodeId], hearers: &mut NodeSet) -> usize {
-        let dirty = &mut self.table.update_dirty;
+    /// Schedules every neighbor of a sender for a visit, recording as
+    /// hearers those nothing but a frame scheduled — their visit runs
+    /// no guard pass unless it receives a frame ([`super::settle`]).
+    /// Returns the senders' summed degree, the copies in range. Costs
+    /// that many bit operations; nothing here is proportional to n.
+    pub fn mark_hearers(&mut self, senders: &[NodeId]) -> usize {
+        let table = &mut self.table;
         let mut in_range = 0;
         for &s in senders {
             let heard_by = self.topo.neighbors(s);
             in_range += heard_by.len();
             for &r in heard_by {
-                if dirty.insert(r) {
-                    hearers.insert(r);
+                if table.update_dirty.insert(r) {
+                    table.hearers.insert(r);
                 }
             }
         }

@@ -23,14 +23,16 @@
 //! one place it is decided on every driver: under gating a fresh frame
 //! goes to [`Protocol::receive`] only if the receiver does not already
 //! hold what `receive` reads of it; either way the frame's epoch goes
-//! into the reception row and the visit goes on to its guard pass, so
-//! only the receive count can tell.
+//! into the reception row. The guard pass that closes the visit is
+//! [`super::settle`]'s to skip, as on the event clock: a *hearer* —
+//! a candidate nothing but a frame scheduled, so its last pass changed
+//! nothing — whose frames all came back stale or held runs none. The
+//! change rule's snapshot waits for the visit's first receive, or for a
+//! pass that runs, so a skipped visit copies nothing.
 //!
 //! A visit also settles what the period's tail may assume: every frame
 //! copy a visited node heard is written into its reception row, and a
-//! node that heard only epochs it already held is not visited at all —
-//! left out of the candidates, or, where the round driver pulls its
-//! frames, passed over before its visit opens — the two facts
+//! node that was not visited held every epoch it heard — the two facts
 //! `Env::retire_caught_up` rests on when a period loses no copy. The
 //! forced-change marks the change rule reads are consumed when the
 //! workers have joined, under either scheduling.
@@ -38,7 +40,7 @@
 use mwn_graph::{NodeId, Topology};
 
 use super::kernels::HeardRun;
-use super::{run_sharded, Env, NodeSet};
+use super::{run_sharded, settle, Env, NodeSet};
 use crate::protocol::snapshot;
 use crate::rng::split_rng;
 use crate::Protocol;
@@ -89,13 +91,13 @@ pub(crate) struct VisitScratch<P: Protocol> {
     before: Option<P::State>,
     /// Nodes this worker's visits changed, ascending.
     changed: Vec<NodeId>,
-    /// [`Protocol::receive`] invocations, counted by the frame loop.
-    pub receives: usize,
+    receives: usize,
     updates: usize,
     /// Pooled decode target for a frame loop whose beacons arrive
     /// serialized (the actor fabric); starts from any beacon at all.
     pub beacon: Option<P::Beacon>,
-    /// Where debug builds run each receive [`super::gate`] skipped.
+    /// Where debug builds run each receive [`super::gate`] and each
+    /// pass [`super::settle`] skipped.
     pub held_check: Option<P::State>,
 }
 
@@ -112,14 +114,25 @@ impl<P: Protocol> VisitScratch<P> {
         }
     }
 
-    /// Records `state` as the "before" of the change rule; a visit
-    /// calls it ahead of its first mutation. Free under eager
-    /// scheduling, which tracks no change.
+    /// Records `state` as the "before" of the change rule. Free under
+    /// eager scheduling, which tracks no change.
     #[inline]
-    pub fn snapshot(&mut self, state: &P::State) {
+    fn snapshot(&mut self, state: &P::State) {
         if self.gated {
             snapshot(&mut self.before, state);
         }
+    }
+
+    /// Counts a frame the open visit hands to [`Protocol::receive`],
+    /// right before the receive. The visit's first — `received` is
+    /// still false — snapshots `state` for the change rule and sets it.
+    #[inline]
+    pub fn receiving(&mut self, state: &P::State, received: &mut bool) {
+        if !*received {
+            *received = true;
+            self.snapshot(state);
+        }
+        self.receives += 1;
     }
 }
 
@@ -137,6 +150,8 @@ pub(crate) struct Shard<'a, P: Protocol> {
     /// The period's senders. Frozen like the columns: slot release
     /// wrote it before the visits, retirement writes it after them.
     pub sending: &'a NodeSet,
+    /// The period's candidates nothing but a frame scheduled.
+    hearers: &'a NodeSet,
     forced_changed: &'a NodeSet,
     update_base: u64,
     now: u64,
@@ -160,16 +175,26 @@ impl<P: Protocol> Shard<'_, P> {
         )
     }
 
-    /// Closes the visit of `p`: one pass of guarded assignments on the
-    /// node's own `(period, node)` stream, then the change rule — `p`
-    /// changed iff something outside the protocol mutated it this
+    /// Closes the visit of `p`, `received` saying whether a frame of it
+    /// went to [`Protocol::receive`]: one pass of guarded assignments on
+    /// the node's own `(period, node)` stream — unless [`settle`] skips
+    /// it: `p` is a hearer and received nothing — then the change rule:
+    /// `p` changed iff something outside the protocol mutated it this
     /// period or its state differs from the snapshot.
     #[inline]
-    pub fn update(&mut self, p: NodeId) {
-        let state = &mut self.states[p.index() - self.base];
-        let mut rng = split_rng(self.update_base, self.now, u64::from(p.value()));
-        self.protocol.update(p, state, self.now, &mut rng);
-        let sc = &mut *self.scratch;
+    pub fn update(&mut self, p: NodeId, received: bool) {
+        let (protocol, now, base) = (self.protocol, self.now, self.update_base);
+        let rng = || split_rng(base, now, u64::from(p.value()));
+        let dirty = !self.hearers.contains(p);
+        let (state, sc) = (&mut self.states[p.index() - self.base], &mut *self.scratch);
+        let pass = |copy: &mut P::State| protocol.update(p, copy, now, &mut rng());
+        if !settle(dirty, received, p, (&*state, &mut sc.held_check, pass)) {
+            return;
+        }
+        if !received {
+            sc.snapshot(state);
+        }
+        protocol.update(p, state, now, &mut rng());
         sc.updates += 1;
         if sc.gated && (self.forced_changed.contains(p) || sc.before.as_ref() != Some(&*state)) {
             sc.changed.push(p);
@@ -184,8 +209,8 @@ impl<P: Protocol> Env<P> {
     /// inline when there is one. Afterwards the changed nodes are
     /// scheduled (guards and beacon refresh next period) in worker
     /// order, which is ascending node order, and the period's
-    /// forced-change marks are consumed. Returns the period's
-    /// `(receives, updates)`.
+    /// forced-change marks and hearers are consumed. Returns the
+    /// period's `(receives, updates)`.
     pub fn visit(
         &mut self,
         now: u64,
@@ -218,6 +243,7 @@ impl<P: Protocol> Env<P> {
                 epoch: &table.epoch,
                 read_epoch: &table.read_epoch,
                 sending: &table.send_pending,
+                hearers: &table.hearers,
                 forced_changed: &table.forced_changed,
                 update_base: self.update_base,
                 now,
@@ -247,6 +273,7 @@ impl<P: Protocol> Env<P> {
         // consumed here, under either scheduling, so a fault that fell
         // in an eager stretch is not reported again by a later period.
         table.forced_changed.clear();
+        table.hearers.clear();
         (receives, updates)
     }
 }

@@ -5,7 +5,7 @@ use mwn_graph::{NodeId, Topology};
 use mwn_radio::{Delivery, Medium, PerfectMedium};
 
 use crate::engine::{self, Env, Fate, NodeSet, SlotClock};
-use crate::rng::streams;
+use crate::rng::{split_rng, streams};
 use crate::stop::{RunReport, StopWhen};
 use crate::{Corruptible, Fault, Observable, Protocol, SimError};
 
@@ -310,24 +310,25 @@ impl<B: Clone> BeaconPool<B> {
 /// protocol itself whether a guard changed the state
 /// ([`Protocol::receive_changed`], [`Protocol::update_changed`]) where
 /// the period-clocked drivers snapshot and compare once per visit. It
-/// also remembers the answer: the table's `update_dirty` bit says
-/// whether a node's guards may still move its state. A node whose last
-/// pass changed nothing is settled, and an arrival whose receive
-/// changes nothing at a settled node — or a beacon slot of one — runs
-/// no guard pass at all; by the silence contract that pass would be a
-/// no-op (see `EventDriver::settle`). [`EventDriver::updates`] counts
-/// the passes that do run. An arrival whose receiver already holds
-/// what a receive reads of it — the sender's beacon has changed since
-/// the epoch the receiver holds, but only in parts
-/// [`Protocol::read_changed`] does not compare, as of the read epoch
-/// the transmission carries in its pool entry — costs no receive
-/// either: its epoch goes into the reception row and the settled-node
-/// rule runs as after a receive that changed nothing. Eager scheduling
-/// runs every receive and every pass and stays the reference.
+/// also remembers the answer in the table's `update_dirty` bit, the
+/// `dirty` input of the skip rule all three drivers share
+/// (`engine::settle`): an arrival whose receive changes nothing at a
+/// node whose last pass changed nothing — or a beacon slot of one —
+/// runs no guard pass. [`EventDriver::updates`] counts the passes that
+/// do run. An arrival whose receiver already holds what a receive
+/// reads of it — the sender's beacon has changed since the epoch the
+/// receiver holds, but only in parts [`Protocol::read_changed`] does
+/// not compare, as of the read epoch the transmission carries in its
+/// pool entry — costs no receive either, and the rule runs as after a
+/// receive that changed nothing. Eager scheduling runs every receive
+/// and every pass and stays the reference.
 ///
 /// Scripted faults and [`crate::TopologyDynamics`] (mobility) fire at
 /// logical-step boundaries (multiples of the beacon period),
-/// interleaved with the event queue in time order.
+/// interleaved with the event queue in time order, on the fault clock
+/// of [`crate::Driver`]: [`EventDriver::step`] stops short of the
+/// boundary it reaches, so what is due there fires as the next step
+/// begins.
 ///
 /// # Examples
 ///
@@ -685,22 +686,13 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             self.armed[p.index()] = None;
             return;
         }
-        let now = self.now();
-        let t = self.time;
+        let (now, t) = (self.now(), self.time);
         // The guarded-command loop runs continuously; executing the
         // guards right before snapshotting the shared variables gives
         // the freshest beacon — unless, under gating, the node is
         // settled and the pass could change nothing. The draw is
         // derived per (instant, node), so a muted slot consumes nothing.
-        let state_changed = if gated {
-            self.settle(p, now, false)
-        } else {
-            let mut rng = self.env.update_rng(t.to_bits(), p);
-            let state = &mut self.env.table.states[p.index()];
-            self.env.protocol.update(p, state, now, &mut rng);
-            self.updates += 1;
-            false
-        };
+        let state_changed = self.update(p, now, false);
         if state_changed {
             self.changed_since.insert(p);
         }
@@ -778,14 +770,12 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         self.pool.release(frame.beacon);
     }
 
-    /// Lands one frame copy at its receiver: the receive guard, then
-    /// one pass of the guarded assignments — under gating, only if the
-    /// receive changed something or the receiver is not settled
-    /// ([`EventDriver::settle`]). A gated receiver that already holds
-    /// what the receive would read ([`engine::gate`], against the
-    /// sender's read epoch when it transmitted) gets no receive, and
-    /// goes on as after one that changed nothing. Returns whether,
-    /// under gating, the receiver's state changed.
+    /// Lands one frame copy at its receiver: the receive guard — none
+    /// for a gated receiver that already holds what it would read
+    /// ([`engine::gate`], against the sender's read epoch when it
+    /// transmitted) — then one pass of the guarded assignments
+    /// ([`EventDriver::update`]). Returns whether, under gating, the
+    /// receiver's state changed.
     fn incorporate(&mut self, frame: &Frame) -> bool {
         let (r, s) = (frame.receiver, frame.sender);
         // The link may have vanished while the frame was in flight
@@ -802,92 +792,58 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         let skipped = |copy: &mut P::State| protocol.receive(r, copy, s, beacon, now);
         let reference = (&table.states[r.index()], &mut table.scratch_state, skipped);
         let held = table.heard.get_mut(r.index(), idx);
-        match engine::gate(gated, held, [read, frame.tx_epoch], (r, s), reference) {
-            // The follow-up update of a stale frame is a no-op too.
-            Fate::Stale => return false,
-            Fate::Held => return self.settle(r, now, false),
-            Fate::Receive => {}
+        let fate = engine::gate(gated, held, [read, frame.tx_epoch], (r, s), reference);
+        if fate == Fate::Stale {
+            return false; // the pass after it would be a no-op too
         }
+        // Gated, two exact reports: together they can only err towards
+        // "changed" (an update that undoes the receive), and a wake
+        // that finds nothing to say retires at its slot.
+        let (state, scratch) = (&mut table.states[r.index()], &mut table.scratch_state);
+        let received = match fate {
+            Fate::Receive if gated => protocol.receive_changed(r, state, s, beacon, now, scratch),
+            Fate::Receive => {
+                protocol.receive(r, state, s, beacon, now);
+                false
+            }
+            _ => false,
+        };
+        let moved = self.update(r, now, received);
+        received || moved
+    }
+
+    /// One pass of `p`'s guarded assignments at this event — under
+    /// gating, only where [`engine::settle`] lets it run: `p`'s
+    /// `update_dirty` bit is set, or `received` says a receive just
+    /// changed its state. Returns whether, under gating, the pass
+    /// changed the state, and leaves the bit saying so.
+    ///
+    /// A skipped pass would have drawn from a stream derived for this
+    /// (instant, node) alone, so skipping it moves no other draw.
+    fn update(&mut self, p: NodeId, now: u64, received: bool) -> bool {
+        let (tick, gated, env) = (self.time.to_bits(), self.is_gated(), &mut self.env);
+        let (protocol, table, base) = (&env.protocol, &mut env.table, env.update_base);
+        let rng = || split_rng(base, tick, u64::from(p.value()));
+        let state = &mut table.states[p.index()];
         if !gated {
-            let mut rng = self.env.update_rng(self.time.to_bits(), r);
-            let state = &mut self.env.table.states[r.index()];
-            self.env.protocol.receive(r, state, s, beacon, now);
-            self.env.protocol.update(r, state, now, &mut rng);
+            protocol.update(p, state, now, &mut rng());
             self.updates += 1;
             return false;
         }
-        // Two exact reports, one per guard. Their disjunction can only
-        // err towards "changed" (an update that undoes the receive),
-        // and a wake that finds nothing to say retires at its slot.
-        let table = &mut self.env.table;
-        let (state, scratch) = (&mut table.states[r.index()], &mut table.scratch_state);
-        let heard = self
-            .env
-            .protocol
-            .receive_changed(r, state, s, beacon, now, scratch);
-        let moved = self.settle(r, now, heard);
-        heard || moved
-    }
-
-    /// One gated pass of `p`'s guarded assignments, or none when it
-    /// could change nothing: `p`'s `update_dirty` bit is clear and
-    /// `heard` — whether a receive just changed the state — is false.
-    /// Returns whether the pass changed the state, and leaves the bit
-    /// saying so.
-    ///
-    /// Exact by the silence contract. A clear bit means the state is
-    /// `PartialEq`-equal to one a pass has already left unchanged, and
-    /// touched since only by receives that reported no change (every
-    /// wake — cold start, faults, topology changes, the switch from
-    /// eager — sets the bit). A pass on such a state is a no-op
-    /// whatever `now` is (clause 2), and it would have drawn nothing
-    /// (clause 3) from a stream derived for this (instant, node) alone,
-    /// so skipping it moves no other draw. Debug builds run the skipped
-    /// pass anyway, on a copy, and assert that it reports no change.
-    fn settle(&mut self, p: NodeId, now: u64, heard: bool) -> bool {
-        if !heard && !self.env.table.update_dirty.contains(p) {
-            #[cfg(debug_assertions)]
-            self.assert_settled(p, now);
+        let dirty = table.update_dirty.contains(p);
+        let pass = |copy: &mut P::State| protocol.update(p, copy, now, &mut rng());
+        let reference = (&*state, &mut table.scratch_state, pass);
+        if !engine::settle(dirty, received, p, reference) {
             return false;
         }
         self.updates += 1;
-        let mut rng = self.env.update_rng(self.time.to_bits(), p);
-        let table = &mut self.env.table;
-        let (state, scratch) = (&mut table.states[p.index()], &mut table.scratch_state);
-        let moved = self
-            .env
-            .protocol
-            .update_changed(p, state, now, &mut rng, scratch);
+        let moved = protocol.update_changed(p, state, now, &mut rng(), &mut table.scratch_state);
         if moved {
             table.update_dirty.insert(p);
         } else {
             table.update_dirty.remove(p);
         }
         moved
-    }
-
-    /// The reference for a pass [`EventDriver::settle`] skipped, asked
-    /// the long way as `Env::retire_caught_up` asks: the pass runs on a
-    /// copy of `p`'s state in the table's scratch slot, on the stream
-    /// the real pass would have drawn from, and must report no change.
-    #[cfg(debug_assertions)]
-    fn assert_settled(&mut self, p: NodeId, now: u64) {
-        let mut rng = self.env.update_rng(self.time.to_bits(), p);
-        let table = &mut self.env.table;
-        let mut copy = table.scratch_state.take();
-        crate::protocol::snapshot(&mut copy, &table.states[p.index()]);
-        if let Some(state) = copy.as_mut() {
-            let moved =
-                self.env
-                    .protocol
-                    .update_changed(p, state, now, &mut rng, &mut table.scratch_state);
-            debug_assert!(
-                !moved,
-                "node {p} skipped a guard pass at t = {} (step {now}) that changes its state",
-                self.time
-            );
-        }
-        table.scratch_state = copy;
     }
 
     /// Advances to time `t` as one observation step of the shared run
@@ -902,10 +858,14 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
 
     /// Advances to the next beacon-period boundary — one logical step,
     /// the event clock's counterpart of [`crate::Network::step`].
-    /// Returns the new logical step count.
+    /// Everything before the boundary runs; what is due on it waits for
+    /// the next step (the fault clock of [`crate::Driver`]). Returns
+    /// the new logical step count.
     pub fn step(&mut self) -> u64 {
         let next = self.now() + 1;
-        self.advance_to(self.step_time(next));
+        let boundary = self.step_time(next);
+        self.advance_to(boundary.next_down());
+        self.time = boundary;
         next
     }
 

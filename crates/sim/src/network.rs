@@ -55,7 +55,9 @@ pub struct StepActivity {
 ///    the frames of an epoch it has not incorporated yet, and of those
 ///    only the ones whose sender changed what a receive reads
 ///    ([`Protocol::read_changed`]) since the epoch the receiver holds;
-///    the others are recorded in its reception row unread;
+///    the others are recorded in its reception row unread. A node that
+///    nothing but frames scheduled, and that received none of them,
+///    runs no guard pass (`engine::settle`);
 /// 6. under gated scheduling, senders every neighbor has caught up
 ///    with retire: by count alone on a step that lost no frame copy,
 ///    by consulting the reception rows otherwise.
@@ -67,12 +69,13 @@ pub struct StepActivity {
 /// neighbors as candidates instead (bit inserts, no per-receiver list),
 /// and a visit at 5 reads its frames off the node's adjacency list
 /// against the frozen set of senders — the reception slot is the loop
-/// index, not a search — passing over a candidate that was not
-/// scheduled and holds every epoch it heard, before its visit opens.
-/// That is the same set of visits, the same frames and the same
-/// (ascending sender) receive order the delivered lists produce, so
-/// nothing observable moves: states, [`StepActivity`], reports and
-/// digests are byte-identical, gated or eager, on any shard count
+/// index, not a search. A candidate that holds every epoch it heard is
+/// visited, where the delivered step's freshness scan leaves it out,
+/// but its frames come back stale and it runs no pass. That is the same
+/// guard passes, the same frames and the same (ascending sender)
+/// receive order the delivered lists produce, so nothing observable
+/// moves: states, [`StepActivity`], reports and digests are
+/// byte-identical, gated or eager, on any shard count
 /// (`pulled_steps_equal_pushed_steps` in this module's tests).
 ///
 /// # Activity-driven scheduling
@@ -133,9 +136,6 @@ pub struct Network<P: Protocol, M> {
     /// Sized by the first step that asks the medium to deliver; a
     /// lossless medium is never asked.
     delivery: Delivery,
-    /// Lossless steps only: the candidates that are visited for what
-    /// they heard alone, and so only if some of it is fresh.
-    hearers: NodeSet,
     // Per-step observability for metrics.
     last_activity: StepActivity,
     messages_total: u64,
@@ -148,14 +148,10 @@ enum Frames<'a> {
     /// The medium was asked: node `p` heard `heard[p]`, each sender
     /// located in `p`'s sorted adjacency list by one binary search.
     Pushed(&'a Delivery),
-    /// A lossless medium was not: `p` heard exactly its `sending`
+    /// A lossless medium was not: `p` heard exactly its sending
     /// neighbors, in adjacency order, at the slot that is their
-    /// position. `hearers` are the candidates nothing but a frame
-    /// scheduled.
-    Pulled {
-        sending: &'a NodeSet,
-        hearers: &'a NodeSet,
-    },
+    /// position.
+    Pulled(&'a NodeSet),
 }
 
 impl Frames<'_> {
@@ -168,7 +164,7 @@ impl Frames<'_> {
             Frames::Pushed(delivery) => {
                 kernels::sorted_positions(neighbors, &delivery.heard[p.index()], f);
             }
-            Frames::Pulled { sending, .. } => {
+            Frames::Pulled(sending) => {
                 for (idx, &s) in neighbors.iter().enumerate() {
                     if sending.contains(s) {
                         f(idx, s);
@@ -184,25 +180,7 @@ impl Frames<'_> {
     fn senders(self, p: NodeId, neighbors: &[NodeId], mut f: impl FnMut(NodeId)) {
         match self {
             Frames::Pushed(delivery) => delivery.heard[p.index()].iter().for_each(|&s| f(s)),
-            Frames::Pulled { .. } => self.slots(p, neighbors, |_, s| f(s)),
-        }
-    }
-
-    /// `true` when candidate `p` is not to be visited: nothing but what
-    /// it heard scheduled it, and its reception `row` already holds the
-    /// epoch of every frame. A delivered step never says so — its
-    /// freshness scan left such a node out of the candidates.
-    #[inline]
-    fn all_held(self, p: NodeId, neighbors: &[NodeId], row: &[u32], epoch: &[u32]) -> bool {
-        match self {
-            Frames::Pushed(_) => false,
-            Frames::Pulled { sending, hearers } => {
-                hearers.contains(p)
-                    && !neighbors
-                        .iter()
-                        .zip(row)
-                        .any(|(&s, &held)| held != epoch[s.index()] && sending.contains(s))
-            }
+            Frames::Pulled(_) => self.slots(p, neighbors, |_, s| f(s)),
         }
     }
 }
@@ -243,7 +221,6 @@ impl<P: Protocol, M: Medium> Network<P, M> {
             senders_buf: Vec::new(),
             active_buf: Vec::with_capacity(n),
             delivery: Delivery::empty(0),
-            hearers: NodeSet::with_full_log(n),
             last_activity: StepActivity::default(),
             messages_total: 0,
         }
@@ -351,7 +328,7 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         // incorporated yet.
         let lossless = self.medium.lossless();
         let (attempted, delivered) = if lossless {
-            let in_range = self.env.mark_hearers(&self.senders_buf, &mut self.hearers);
+            let in_range = self.env.mark_hearers(&self.senders_buf);
             (in_range, in_range)
         } else {
             self.deliver(eager);
@@ -377,26 +354,17 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         let now = self.step;
         let active = self.active_buf.len();
         let shards = self.shards.count(active, active);
-        let pulled = lossless.then_some(&self.hearers);
-        let delivery = &self.delivery;
+        let delivery = (!lossless).then_some(&self.delivery);
         let (receives, updates) = self
             .env
             .visit(now, !eager, &self.active_buf, shards, |shard| {
                 let (beacons, epoch, read) = (shard.beacons, shard.epoch, shard.read_epoch);
                 let (protocol, topo) = (shard.protocol, shard.topo);
-                let frames = match pulled {
-                    Some(hearers) => Frames::Pulled {
-                        sending: shard.sending,
-                        hearers,
-                    },
-                    None => Frames::Pushed(delivery),
-                };
+                let frames = delivery.map_or(Frames::Pulled(shard.sending), Frames::Pushed);
                 for &p in shard.candidates {
                     let neighbors = topo.neighbors(p);
                     let (state, row, scratch) = shard.open(p);
-                    if frames.all_held(p, neighbors, row, epoch) {
-                        continue;
-                    }
+                    let mut received = false;
                     // Look-ahead: plain loads nothing depends on; the
                     // black box is what keeps them from being deleted.
                     let mut ahead = 0u64;
@@ -408,7 +376,6 @@ impl<P: Protocol, M: Medium> Network<P, M> {
                         }
                     });
                     std::hint::black_box(ahead);
-                    scratch.snapshot(state);
                     frames.slots(p, neighbors, |idx, s| {
                         let (i, beacon) = (s.index(), &beacons[s.index()]);
                         let skipped =
@@ -417,14 +384,13 @@ impl<P: Protocol, M: Medium> Network<P, M> {
                         let frame = [read[i], epoch[i]];
                         let fate = engine::gate(!eager, &mut row[idx], frame, (p, s), reference);
                         if fate == Fate::Receive {
+                            scratch.receiving(state, &mut received);
                             protocol.receive(p, state, s, beacon, now);
-                            scratch.receives += 1;
                         }
                     });
-                    shard.update(p);
+                    shard.update(p, received);
                 }
             });
-        self.hearers.clear();
 
         // Phase 6: retire senders every neighbor has caught up with —
         // all of them, unasked, when the step delivered every copy.
@@ -495,7 +461,8 @@ impl<P: Protocol, M: Medium> Network<P, M> {
             return;
         }
         // The freshness test is the branch-lean epoch-compare kernel
-        // over the receiver's contiguous reception row.
+        // over the receiver's contiguous reception row. As on a lossless
+        // step, a receiver nothing else scheduled is a hearer.
         let (table, topo) = (&mut self.env.table, &self.env.topo);
         for &r in &self.delivery.touched {
             if kernels::any_fresh(
@@ -503,8 +470,9 @@ impl<P: Protocol, M: Medium> Network<P, M> {
                 &table.epoch,
                 topo.neighbors(r),
                 &self.delivery.heard[r.index()],
-            ) {
-                table.update_dirty.insert(r);
+            ) && table.update_dirty.insert(r)
+            {
+                table.hearers.insert(r);
             }
         }
     }
@@ -959,8 +927,8 @@ mod tests {
 
     /// Drives a `PeekFlood` over `medium()` beside a twin that never
     /// peeks, and beside a reference over `asked()` — the same medium,
-    /// asked to deliver — whose `Delivery` names each step's visited
-    /// receivers and the frames they heard.
+    /// asked to deliver — whose `Delivery` names the frames each
+    /// receiver heard.
     fn peeks_are_wired_and_inert<M: Medium, A: Medium>(
         medium: impl Fn() -> M,
         asked: impl Fn() -> A,
@@ -996,9 +964,11 @@ mod tests {
                 reference.step();
                 let peeks = net.protocol().peeks.load(Relaxed) - before;
                 // One peek per frame copy a visited receiver heard —
-                // also the copies the gated receive loop then skips.
+                // also the copies the gated receive loop then skips, and
+                // those of a lossless step's candidates whose frames are
+                // all stale, which the delivered step does not visit.
                 let heard = |p: &NodeId| reference.delivery.heard[p.index()].len();
-                let visited: usize = reference.active_buf.iter().map(heard).sum();
+                let visited: usize = net.active_buf.iter().map(heard).sum();
                 assert_eq!(peeks, visited, "step {step}, {shards} shards");
                 assert!(peeks <= net.last_activity().frames_delivered);
                 assert!(peeks >= net.last_activity().receives);

@@ -27,14 +27,13 @@ use rand::rngs::StdRng;
 /// fresh frame whose sender's beacon has not changed in anything
 /// `read_changed` compares since the epoch the receiver holds is not
 /// handed to `receive` at all — the reception row still records it,
-/// and the visit (or, on the event clock, the settled-node rule) goes
-/// on as after a receive that changed nothing.
+/// and the visit goes on as after a receive that changed nothing.
 ///
-/// The event clock relies on clause 2 as written: a node whose last
-/// guard pass reported no change, and whose receives since reported
-/// none either, skips its next passes altogether (one receive per
-/// frame, no update), so `PartialEq` must compare everything the
-/// guards read.
+/// All three drivers rely on clause 2 as written, through one skip
+/// rule: a node whose last guard pass changed nothing, and that no
+/// receive has changed since (on the period clocks: that received no
+/// frame since), runs no further pass until something wakes it, so
+/// `PartialEq` must compare everything the guards read.
 ///
 /// **The contract spans both clocks.** Under the synchronous round
 /// driver a gated node is skipped for a *step*; under the continuous

@@ -587,7 +587,8 @@ fn event_driver_gated_equals_eager_run_reports() {
     // `gated_equals_eager_run_reports` on the continuous clock, with
     // the case `Cursor::Stable` documents: under `and(max_steps)` the
     // run continues past the first quiet streak, the scripted
-    // corruption at step 40 un-satisfies the stability leaf, and the
+    // corruption at step 40 (fired as the driver enters period 40, so
+    // seen at step 41) un-satisfies the stability leaf, and the
     // report must carry the *second* stabilization — identically
     // whether the observations are O(changed) deltas (gated) or full
     // projections (eager).
@@ -608,7 +609,7 @@ fn event_driver_gated_equals_eager_run_reports() {
                 .expect("valid event scenario");
             driver.set_eager(eager);
             let stop = StopWhen::stable_for(4)
-                .and(StopWhen::max_steps(40))
+                .and(StopWhen::max_steps(41))
                 .within(600);
             (driver.run_to(&stop), driver.outputs(), driver.now())
         };

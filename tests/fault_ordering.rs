@@ -1,15 +1,13 @@
-//! Pins the **fault ≤ event ordering contract** on both event-shaped
-//! drivers.
+//! Pins the **fault clock** of [`Driver`] — where it is stated once —
+//! on all three drivers, each driven through that trait alone.
 //!
-//! Scripted faults are timestamped in logical steps (beacon periods).
-//! When a fault and a protocol event fall on the same instant, the
-//! fault fires first — on the [`EventDriver`] the equal-instant
-//! priority is dynamics ≤ faults ≤ events, and a beacon frame already
-//! *in flight* across a link the fault severs is dead air (the receive
-//! handler re-checks the link at arrival time). On the [`ActorDriver`]
-//! the same contract holds structurally: faults fire at the period
-//! boundary **before** that period's beacon slots are released, so the
-//! topology is constant within a period and no frame can be evaluated
+//! Scripted faults are timestamped in logical steps (beacon periods)
+//! and fire as the driver enters their period, before any of its
+//! frames. On the [`EventDriver`] the equal-instant priority is
+//! dynamics ≤ faults ≤ events, and a beacon frame already *in flight*
+//! across a link the fault severs is dead air (the receive handler
+//! re-checks the link at arrival time). On the period clocks the
+//! topology is constant within a period, so no frame can be evaluated
 //! against a pre-fault topology.
 //!
 //! Without this ordering, an `Isolate` delivered mid-slot could race
@@ -114,6 +112,45 @@ fn event_driver_without_the_fault_delivers_the_same_frames() {
     );
 }
 
+/// Every driver deployed on `topo` with the faults `plan` scripts:
+/// rounds, events and actors × {1, 2, 4} threads.
+fn all_drivers(
+    topo: &Topology,
+    plan: impl Fn() -> FaultPlan,
+) -> Vec<(String, Box<dyn Driver<Protocol = MaxFlood>>)> {
+    let scenario = || {
+        Scenario::new(MaxFlood)
+            .topology(topo.clone())
+            .seed(3)
+            .faults(plan())
+    };
+    let events = scenario().build_events(EventConfig::default());
+    let mut drivers: Vec<(String, Box<dyn Driver<Protocol = MaxFlood>>)> = vec![
+        (
+            "round".into(),
+            Box::new(scenario().build().expect("valid scenario")),
+        ),
+        (
+            "events".into(),
+            Box::new(events.expect("valid event scenario")),
+        ),
+    ];
+    for threads in [1, 2, 4] {
+        let actors = scenario().build_actors(threads);
+        let actors = actors.expect("valid actor scenario");
+        drivers.push((format!("actors×{threads}"), Box::new(actors)));
+    }
+    drivers
+}
+
+/// Steps `driver` until its clock reads `step`: what is due at `step`
+/// itself has not fired yet.
+fn run_to_step(driver: &mut dyn Driver<Protocol = MaxFlood>, step: u64) {
+    while driver.now() < step {
+        driver.step();
+    }
+}
+
 #[test]
 fn equal_timestamp_faults_precede_sends_on_both_drivers() {
     // CorruptAll and Isolate(2) share timestamp 6, landing mid-run on
@@ -134,42 +171,12 @@ fn equal_timestamp_faults_precede_sends_on_both_drivers() {
             .at(6, Fault::Isolate(NodeId::new(2)));
         plan
     };
-
-    // Round driver (the reference semantics the others must match).
-    let mut net = Scenario::new(MaxFlood)
-        .topology(builders::line(5))
-        .seed(3)
-        .faults(plan())
-        .build()
-        .expect("valid scenario");
-    net.run_to(&StopWhen::stable_for(4).within(200))
-        .expect_stable("round driver re-stabilizes");
-    fragments("round", net.states());
-
-    // Actor driver: faults fire before the period's slots are released.
-    for threads in [1, 2, 4] {
-        let mut actors = Scenario::new(MaxFlood)
-            .topology(builders::line(5))
-            .seed(3)
-            .faults(plan())
-            .build_actors(threads)
-            .expect("valid actor scenario");
-        actors
+    for (label, mut driver) in all_drivers(&builders::line(5), plan) {
+        driver
             .run_to(&StopWhen::stable_for(4).within(200))
-            .expect_stable("actor driver re-stabilizes");
-        fragments("actors", actors.states());
+            .expect_stable("the driver re-stabilizes");
+        fragments(&label, driver.states());
     }
-
-    // Event driver: fault priority at the step boundary plus the
-    // in-flight link re-check give the same fragments.
-    let mut driver = Scenario::new(MaxFlood)
-        .topology(builders::line(5))
-        .seed(3)
-        .faults(plan())
-        .build_events(EventConfig::default())
-        .expect("valid event scenario");
-    driver.run_until_time(60.0);
-    fragments("events", driver.states());
 }
 
 #[test]
@@ -210,47 +217,13 @@ fn partition_heal_keeps_the_cut_closed_until_the_heal_on_all_drivers() {
             "{label}: the heal reconnects the flood"
         );
     };
-
-    let mut net = Scenario::new(MaxFlood)
-        .topology(builders::line(5))
-        .seed(3)
-        .faults(plan())
-        .build()
-        .expect("valid scenario");
-    while net.now() < 14 {
-        net.step();
-    }
-    pre_heal("round", net.states());
-    net.run_to(&StopWhen::stable_for(4).within(200))
-        .expect_stable("round driver re-stabilizes after the heal");
-    healed("round", net.states());
-
-    let mut driver = Scenario::new(MaxFlood)
-        .topology(builders::line(5))
-        .seed(3)
-        .faults(plan())
-        .build_events(EventConfig::default())
-        .expect("valid event scenario");
-    driver.run_until_time(14.0);
-    pre_heal("events", driver.states());
-    driver.run_until_time(60.0);
-    healed("events", driver.states());
-
-    for threads in [1, 4] {
-        let mut actors = Scenario::new(MaxFlood)
-            .topology(builders::line(5))
-            .seed(3)
-            .faults(plan())
-            .build_actors(threads)
-            .expect("valid actor scenario");
-        while actors.now() < 14 {
-            actors.step();
-        }
-        pre_heal("actors", actors.states());
-        actors
+    for (label, mut driver) in all_drivers(&builders::line(5), plan) {
+        run_to_step(&mut *driver, 14);
+        pre_heal(&label, driver.states());
+        driver
             .run_to(&StopWhen::stable_for(4).within(200))
-            .expect_stable("actor driver re-stabilizes after the heal");
-        healed("actors", actors.states());
+            .expect_stable("the driver re-stabilizes after the heal");
+        healed(&label, driver.states());
     }
 }
 
@@ -284,47 +257,13 @@ fn crash_recover_resurrects_stale_pre_crash_state_on_all_drivers() {
             "{label}: resurrected and re-joined"
         );
     };
-
-    let mut net = Scenario::new(MaxFlood)
-        .topology(builders::line(5))
-        .seed(3)
-        .faults(plan())
-        .build()
-        .expect("valid scenario");
-    while net.now() < 14 {
-        net.step();
-    }
-    dark("round", net.states());
-    net.run_to(&StopWhen::stable_for(4).within(200))
-        .expect_stable("round driver re-stabilizes after resurrection");
-    back("round", net.states());
-
-    let mut driver = Scenario::new(MaxFlood)
-        .topology(builders::line(5))
-        .seed(3)
-        .faults(plan())
-        .build_events(EventConfig::default())
-        .expect("valid event scenario");
-    driver.run_until_time(14.0);
-    dark("events", driver.states());
-    driver.run_until_time(60.0);
-    back("events", driver.states());
-
-    for threads in [1, 4] {
-        let mut actors = Scenario::new(MaxFlood)
-            .topology(builders::line(5))
-            .seed(3)
-            .faults(plan())
-            .build_actors(threads)
-            .expect("valid actor scenario");
-        while actors.now() < 14 {
-            actors.step();
-        }
-        dark("actors", actors.states());
-        actors
+    for (label, mut driver) in all_drivers(&builders::line(5), plan) {
+        run_to_step(&mut *driver, 14);
+        dark(&label, driver.states());
+        driver
             .run_to(&StopWhen::stable_for(4).within(200))
-            .expect_stable("actor driver re-stabilizes after resurrection");
-        back("actors", actors.states());
+            .expect_stable("the driver re-stabilizes after resurrection");
+        back(&label, driver.states());
     }
 }
 
@@ -351,93 +290,6 @@ fn actor_isolation_applies_before_the_same_periods_frames() {
         assert_eq!(*actors.state(NodeId::new(1)), 1, "threads={threads}");
         assert_eq!(*actors.state(NodeId::new(2)), 2, "threads={threads}");
         assert_eq!(*actors.state(NodeId::new(4)), 4, "threads={threads}");
-    }
-}
-
-/// The three drivers behind one lens, for schedules whose contract is
-/// about the topology at a given logical step.
-enum AnyDriver {
-    Round(Box<Network<MaxFlood, PerfectMedium>>),
-    Events(Box<EventDriver<MaxFlood>>),
-    Actors(Box<ActorDriver<MaxFlood>>),
-}
-
-impl AnyDriver {
-    /// Every driver deployed on `topo` (actors × {1, 4} threads).
-    fn all(topo: &Topology, plan: impl Fn() -> FaultPlan) -> Vec<(String, AnyDriver)> {
-        let scenario = || {
-            Scenario::new(MaxFlood)
-                .topology(topo.clone())
-                .seed(3)
-                .faults(plan())
-        };
-        let mut drivers = vec![
-            (
-                "round".to_string(),
-                AnyDriver::Round(Box::new(scenario().build().expect("valid scenario"))),
-            ),
-            (
-                "events".to_string(),
-                AnyDriver::Events(Box::new(
-                    scenario()
-                        .build_events(EventConfig::default())
-                        .expect("valid event scenario"),
-                )),
-            ),
-        ];
-        for threads in [1, 4] {
-            let actors = scenario()
-                .build_actors(threads)
-                .expect("valid actor scenario");
-            drivers.push((
-                format!("actors×{threads}"),
-                AnyDriver::Actors(Box::new(actors)),
-            ));
-        }
-        drivers
-    }
-
-    /// Runs to the start of logical step `step` (faults due at `step`
-    /// itself have not fired yet on the round-clocked drivers, so the
-    /// assertions below probe strictly between boundaries).
-    fn run_to_step(&mut self, step: u64) {
-        match self {
-            AnyDriver::Round(net) => {
-                while net.now() < step {
-                    net.step();
-                }
-            }
-            AnyDriver::Events(driver) => driver.run_until_time(step as f64 - 0.5),
-            AnyDriver::Actors(actors) => {
-                while actors.now() < step {
-                    actors.step();
-                }
-            }
-        }
-    }
-
-    fn topology(&self) -> &Topology {
-        match self {
-            AnyDriver::Round(net) => net.topology(),
-            AnyDriver::Events(driver) => driver.topology(),
-            AnyDriver::Actors(actors) => actors.topology(),
-        }
-    }
-
-    fn states(&self) -> &[u32] {
-        match self {
-            AnyDriver::Round(net) => net.states(),
-            AnyDriver::Events(driver) => driver.states(),
-            AnyDriver::Actors(actors) => actors.states(),
-        }
-    }
-
-    fn inject(&mut self, fault: &Fault) -> Result<(), SimError> {
-        match self {
-            AnyDriver::Round(net) => net.inject(fault),
-            AnyDriver::Events(driver) => driver.inject(fault),
-            AnyDriver::Actors(actors) => actors.inject(fault),
-        }
     }
 }
 
@@ -493,9 +345,9 @@ fn overlapping_severs_keep_the_cut_closed_on_all_drivers() {
         ("jam", &jam_inside_a_cut as &dyn Fn() -> FaultPlan),
         ("crash", &crash_inside_a_cut),
     ] {
-        for (label, mut driver) in AnyDriver::all(&builders::line(5), plan) {
+        for (label, mut driver) in all_drivers(&builders::line(5), plan) {
             let label = format!("{schedule}/{label}");
-            driver.run_to_step(12);
+            run_to_step(&mut *driver, 12);
             let topo = driver.topology();
             assert!(!topo.has_edge(n1, n2), "{label}: the cut re-opened early");
             assert!(
@@ -503,7 +355,7 @@ fn overlapping_severs_keep_the_cut_closed_on_all_drivers() {
                 "{label}: inner link is back"
             );
             assert!(topo.has_edge(n2, n3), "{label}: the jammed link is back");
-            driver.run_to_step(30);
+            run_to_step(&mut *driver, 30);
             assert!(
                 !driver.topology().has_edge(n1, n2),
                 "{label}: closed to the end"
@@ -513,7 +365,7 @@ fn overlapping_severs_keep_the_cut_closed_on_all_drivers() {
                 &[1, 1, 4, 4, 4],
                 "{label}: the step-11 corruption re-floods each side alone"
             );
-            driver.run_to_step(45);
+            run_to_step(&mut *driver, 45);
             assert!(driver.topology().has_edge(n1, n2), "{label}: healed at 30");
             assert_eq!(driver.states(), &[4; 5], "{label}: the flood crosses");
         }
@@ -555,8 +407,8 @@ fn inject_rejects_malformed_faults_without_panicking_on_all_drivers() {
         },
     ];
     let path = Topology::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]).expect("a path");
-    for (label, mut driver) in AnyDriver::all(&path, FaultPlan::new) {
-        driver.run_to_step(8);
+    for (label, mut driver) in all_drivers(&path, FaultPlan::new) {
+        run_to_step(&mut *driver, 8);
         for fault in &bad_victims {
             let err = driver.inject(fault).expect_err("malformed fault");
             assert!(
@@ -576,7 +428,7 @@ fn inject_rejects_malformed_faults_without_panicking_on_all_drivers() {
         assert_eq!(driver.topology(), &path, "{label}");
         assert_eq!(driver.states(), &[4; 5], "{label}");
         driver.inject(&Fault::CorruptAll).expect("a valid fault");
-        driver.run_to_step(30);
+        run_to_step(&mut *driver, 30);
         assert_eq!(driver.states(), &[4; 5], "{label}: heals after the rejects");
     }
 }
