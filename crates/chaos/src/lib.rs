@@ -18,7 +18,7 @@
 //! * [`CampaignSpec`] — a compact, seed-deterministic description of a
 //!   randomized adversary schedule over fault kinds × victims ×
 //!   timing. The same spec replays the same campaign on any driver.
-//! * [`certify`] — runs a campaign and emits a [`Certificate`] per
+//! * [`certify()`] — runs a campaign and emits a [`Certificate`] per
 //!   (protocol, medium, driver) cell: **closure** (once legitimate,
 //!   stays legitimate absent faults), **convergence**
 //!   (restabilization-time distribution with Wilson bounds per fault

@@ -23,7 +23,7 @@
 //!   ([`OrderKind::Stable`]) and 2-hop head fusion
 //!   ([`HeadRule::Fusion`]).
 //!
-//! The [`oracle`] computes the unique stable clustering centrally so
+//! The [`oracle()`] computes the unique stable clustering centrally so
 //! distributed runs can be verified against it, and [`ClusteringStats`]
 //! provides the evaluation metrics of the paper's Tables 4–5.
 //!

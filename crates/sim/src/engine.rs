@@ -6,8 +6,10 @@
 //! here so every scheduling model pays the same near-zero stable-state
 //! cost:
 //!
-//! * [`NodeSet`] — index-backed dirty sets: O(1) insert/membership,
-//!   dense iteration, allocation-free in steady state;
+//! * [`NodeSet`] — the dirty sets: one bit per node plus a member
+//!   count ([`kernels`]); O(1) insert/membership, collection in node
+//!   order, nothing to pay for an empty set, allocation-free after
+//!   construction;
 //! * [`NodeTable`] — the columnar per-node hot state (protocol states,
 //!   beacon snapshots, beacon and read epochs, per-edge reception
 //!   epochs) plus the scheduling sets;
@@ -39,9 +41,9 @@
 //!   snapshot-and-compare change rule, and the scheduling of changed
 //!   nodes in worker order;
 //! * [`kernels`] — the word-at-a-time kernels and columnar layouts
-//!   ([`kernels::BitWords`], [`kernels::HeardTable`], the sorted join
-//!   and epoch compares) the structures above are built on; their cost
-//!   is the benchmark's `sim.kernels.*` layer metrics.
+//!   ([`NodeSet`], [`kernels::HeardTable`], the sorted join and epoch
+//!   compares) the structures above are built on; their cost is the
+//!   benchmark's `sim.kernels.*` layer metrics.
 //!
 //! The synchronous round driver ([`crate::Network`]), the
 //! continuous-time driver ([`crate::EventDriver`]) and the actor fabric
@@ -66,7 +68,8 @@ use rand::{Rng, SeedableRng};
 use crate::rng::{derive_seed, split_rng, streams};
 use crate::Protocol;
 
-use kernels::{BitWords, HeardTable};
+use kernels::HeardTable;
+pub(crate) use kernels::NodeSet;
 
 /// Beacon-epoch sentinel meaning "never received anything from this
 /// neighbor" — forces the neighbor to (re-)broadcast at least once.
@@ -195,161 +198,6 @@ pub(crate) fn settle<S: Clone + PartialEq>(
     false
 }
 
-/// An index-backed node set: O(1) insert and membership via a
-/// cache-line-aligned bitset ([`kernels::BitWords`]), dense iteration
-/// via the word-at-a-time decode kernel, sparse iteration via a
-/// companion insertion log. Removal is lazy (bit cleared, log entry
-/// skipped at collection time), so every operation on the hot path is
-/// constant-time and allocation-free in steady state.
-///
-/// The bitset is always authoritative; the log is an accelerator for
-/// sparse collections. A bulk fill ([`NodeSet::insert_all`]) marks the
-/// log stale instead of materializing n entries, and the dense drain
-/// decodes the bitset directly — bit order *is* node order, so the
-/// result arrives sorted without the sort the log path needs.
-///
-/// The log never holds more than one entry per node. Lazy removal
-/// leaves duplicates behind a remove-then-insert cycle, and a set that
-/// is rarely collected (the event clock's) would otherwise log every
-/// cycle: once the log is full at node count, the next insert drops it
-/// and marks it stale, as a bulk fill does.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct NodeSet {
-    bits: BitWords,
-    /// Insertion log (may hold lazily-removed or duplicate entries;
-    /// compacted at collection time). At most one entry per node.
-    list: Vec<NodeId>,
-    /// `false` after a bulk fill or a full log: the log no longer
-    /// enumerates the members, logs nothing, and collections must
-    /// decode the bitset.
-    list_complete: bool,
-}
-
-/// Collections switch from the log path (compact + sort, O(k log k))
-/// to the bitset decode (O(n/64) word scan) once the log holds more
-/// than one entry per this many nodes.
-const DENSE_COLLECT_DIVISOR: usize = 16;
-
-impl NodeSet {
-    pub fn new(n: usize) -> Self {
-        NodeSet {
-            bits: BitWords::new(n),
-            list: Vec::new(),
-            list_complete: true,
-        }
-    }
-
-    /// [`NodeSet::new`] with the insertion log already at node count,
-    /// for a set whose first insert must not be the one that allocates.
-    pub fn with_full_log(n: usize) -> Self {
-        NodeSet {
-            list: Vec::with_capacity(n),
-            ..NodeSet::new(n)
-        }
-    }
-
-    /// Inserts `p`; returns `true` when it was not a member yet.
-    #[inline]
-    pub fn insert(&mut self, p: NodeId) -> bool {
-        let fresh = self.bits.set(p.index());
-        if fresh && self.list_complete {
-            if self.list.len() == self.list.capacity() {
-                let n = self.bits.len();
-                if self.list.len() >= n {
-                    // Full at node count, yet `p` was not a member:
-                    // the log holds stale entries. Drop it rather
-                    // than let it outgrow the set.
-                    self.list.clear();
-                    self.list_complete = false;
-                    return fresh;
-                }
-                // Grow once, straight to node count: converging-phase
-                // insert storms never reallocate the log mid-step.
-                self.list.reserve_exact(n - self.list.len());
-            }
-            self.list.push(p);
-        }
-        fresh
-    }
-
-    #[inline]
-    pub fn remove(&mut self, p: NodeId) {
-        self.bits.clear(p.index());
-    }
-
-    #[inline]
-    pub fn contains(&self, p: NodeId) -> bool {
-        self.bits.test(p.index())
-    }
-
-    /// Empties the set, keeping the buffers: O(logged) while the log is
-    /// live, one bulk zero after a bulk fill.
-    pub fn clear(&mut self) {
-        if self.list_complete {
-            for i in 0..self.list.len() {
-                let p = self.list[i];
-                self.bits.clear(p.index());
-            }
-        } else {
-            self.bits.zero_all();
-        }
-        self.list.clear();
-        self.list_complete = true;
-    }
-
-    /// Bulk fill: every node becomes a member in one masked word fill;
-    /// the insertion log is marked stale rather than materialized.
-    pub fn insert_all(&mut self) {
-        self.bits.fill_all();
-        self.list.clear();
-        self.list_complete = false;
-    }
-
-    /// Copies the live members into `out`, sorted and deduplicated, and
-    /// resynchronizes the internal log (drops lazily-removed entries).
-    pub fn collect_sorted_into(&mut self, out: &mut Vec<NodeId>) {
-        out.clear();
-        if self.dense() {
-            self.bits.decode_into(out);
-            self.list.clear();
-            // Exact: a doubling growth could take the log past n.
-            self.list.reserve_exact(out.len());
-            self.list.extend_from_slice(out);
-        } else {
-            self.list.retain(|&p| self.bits.test(p.index()));
-            out.extend_from_slice(&self.list);
-            out.sort_unstable();
-            out.dedup();
-        }
-        self.list_complete = true;
-    }
-
-    /// Copies the live members into `out` (sorted, deduplicated), then
-    /// empties the set.
-    pub fn drain_sorted_into(&mut self, out: &mut Vec<NodeId>) {
-        out.clear();
-        if self.dense() {
-            self.bits.decode_and_zero_into(out);
-        } else {
-            self.list.retain(|&p| self.bits.test(p.index()));
-            out.extend_from_slice(&self.list);
-            out.sort_unstable();
-            out.dedup();
-            for &p in out.iter() {
-                self.bits.clear(p.index());
-            }
-        }
-        self.list.clear();
-        self.list_complete = true;
-    }
-
-    /// Whether collections should take the bitset-decode path.
-    #[inline]
-    fn dense(&self) -> bool {
-        !self.list_complete || self.list.len() * DENSE_COLLECT_DIVISOR >= self.bits.len()
-    }
-}
-
 /// The columnar node table: every per-node column the hot loops read
 /// or write, plus the scheduling sets.
 pub(crate) struct NodeTable<P: Protocol> {
@@ -445,8 +293,7 @@ impl<P: Protocol> NodeTable<P> {
             heard,
             beacon_stale: NodeSet::new(n),
             update_dirty: NodeSet::new(n),
-            // Sized here, so no step is the one that allocates.
-            hearers: NodeSet::with_full_log(n),
+            hearers: NodeSet::new(n),
             send_pending: NodeSet::new(n),
             occupancy: None,
             forced_changed: NodeSet::new(n),
@@ -674,36 +521,20 @@ mod tests {
         assert!(out.windows(2).all(|w| w[0] < w[1]), "sorted, deduplicated");
         assert!(!out.contains(&NodeId::new(70)));
         assert!(!s.contains(NodeId::new(0)), "drain empties the set");
-        // The set keeps working through the log path afterwards.
+        // The set keeps working after a drain.
         s.insert(NodeId::new(5));
         s.collect_sorted_into(&mut out);
         assert_eq!(out, vec![NodeId::new(5)]);
     }
 
     #[test]
-    fn node_set_log_grows_once_to_node_count() {
-        let mut s = NodeSet::new(5000);
-        s.insert(NodeId::new(0));
-        let cap = s.list.capacity();
-        assert!(cap >= 5000, "first insert reserves the full node count");
-        for i in 1..5000 {
-            s.insert(NodeId::new(i));
-        }
-        assert_eq!(s.list.capacity(), cap, "insert storm never reallocates");
-    }
-
-    #[test]
-    fn node_set_equals_a_btree_set_and_its_log_stays_within_node_count() {
+    fn node_set_equals_a_btree_set_and_counts_its_members() {
         use std::collections::BTreeSet;
         let ids = |set: &BTreeSet<u32>| set.iter().map(|&i| NodeId::new(i)).collect::<Vec<_>>();
         for seed in 0..200u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let n = rng.random_range(1..=150usize);
-            let mut s = if seed % 2 == 0 {
-                NodeSet::new(n)
-            } else {
-                NodeSet::with_full_log(n)
-            };
+            let mut s = NodeSet::new(n);
             let mut model = BTreeSet::new();
             let mut out = Vec::new();
             for op in 0..600 {
@@ -742,8 +573,7 @@ mod tests {
                     }
                 }
                 assert_eq!(s.contains(NodeId::new(p)), model.contains(&p));
-                assert!(s.list.len() <= n, "seed {seed}: log {} > {n}", s.list.len());
-                assert!(s.list.capacity() <= n, "seed {seed}: capacity over n");
+                assert_eq!(s.len(), model.len(), "seed {seed}, op {op}");
             }
             s.collect_sorted_into(&mut out);
             assert_eq!(out, ids(&model), "seed {seed}, final collect");

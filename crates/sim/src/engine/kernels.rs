@@ -8,12 +8,13 @@
 //! epochs and the delivered-frame lists. This module extracts those
 //! inner loops into standalone kernels with three properties:
 //!
-//! * **word-at-a-time** — dirty sets live in u64 words ([`BitWords`],
-//!   backed by cache-line-aligned [`BitLine`]s); membership is a bit
-//!   test, dense iteration decodes set bits with `trailing_zeros` (with
-//!   an all-ones fast path that turns the cold-start storm into a
-//!   near-memcpy), and draining never sorts — bit order *is* node
-//!   order, so the sort the list-backed set needed disappears;
+//! * **word-at-a-time** — dirty sets (`NodeSet`) are one bit per
+//!   node in cache-line-aligned u64 words plus a member count;
+//!   membership is a bit test, collection decodes set bits with
+//!   `trailing_zeros` (with an all-ones fast path that turns the
+//!   cold-start storm into a near-memcpy) and skips zero lines, and
+//!   never sorts — bit order *is* node order; the count makes an empty
+//!   set free to collect, drain or clear;
 //! * **contiguous rows** — the per-frame joins ([`sorted_positions`],
 //!   [`any_fresh`]) probe a receiver's sorted adjacency slice with one
 //!   binary search per delivered sender: at radio degrees (tens of
@@ -31,13 +32,13 @@
 //! # Alignment and padding audit
 //!
 //! The crate forbids `unsafe`, so heap alignment is obtained by
-//! construction rather than by custom allocation: the bitset columns
-//! are `Vec<BitLine>` with `#[repr(align(64))] BitLine([u64; 8])`, so
+//! construction rather than by custom allocation: a `NodeSet` is a
+//! `Vec<BitLine>` with `#[repr(align(64))] BitLine([u64; 8])`, so
 //! every line of dirty bits starts on a cache-line boundary and the
-//! decode loop streams whole lines. The `u32` epoch columns
-//! ([`HeardTable::row`], `NodeTable::epoch`) rely on autovectorization
-//! with unaligned loads (peeled prologues) — measured on par with
-//! aligned access on current x86-64. Cross-thread false sharing: the
+//! decode loop streams whole lines, testing each for zero at once. The
+//! `u32` epoch columns ([`HeardTable::row`], `NodeTable::epoch`) rely
+//! on autovectorization with unaligned loads (peeled prologues) —
+//! measured on par with aligned access on current x86-64. Cross-thread false sharing: the
 //! per-worker visit buffers are `#[repr(align(64))]`-padded
 //! (`VisitScratch` in `engine/visit.rs`), so no two workers' counters
 //! share a line; the workers' runs of the state column and of the
@@ -55,9 +56,9 @@
 //! `receive` of the visit, so the misses overlap instead of queueing
 //! behind one another.
 //!
-//! [`BitWords::decode_into`] keeps its per-bit reference
-//! (`decode_into_scalar`, test-only); the joins are checked against
-//! naive linear scans in this module's tests.
+//! `NodeSet`'s collections are checked against a per-bit reference
+//! (`collect_scalar`, test-only), the joins against naive linear scans,
+//! in this module's tests.
 
 use mwn_graph::NodeId;
 
@@ -72,46 +73,42 @@ const WORD_BITS: usize = 64;
 /// Words per cache line.
 const WORDS_PER_LINE: usize = 8;
 
-/// One cache line of bitset words: the backing unit of [`BitWords`].
+/// One cache line of bitset words: the backing unit of [`NodeSet`].
 /// The `align(64)` guarantees every line — and therefore the whole
 /// heap buffer — starts on a cache-line boundary.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Default)]
 #[repr(align(64))]
-pub struct BitLine([u64; WORDS_PER_LINE]);
+struct BitLine([u64; WORDS_PER_LINE]);
 
-/// A fixed-capacity bitset over node indices, stored in cache-line
-/// aligned u64 words. All hot operations are O(1) bit ops; dense
-/// iteration is a word scan with `trailing_zeros` decode.
-#[derive(Clone, Debug, Default)]
-pub struct BitWords {
+/// A set of node ids over `0..n`: one bit per node in cache-line
+/// aligned u64 words, plus the member count. Insert, remove and
+/// membership are one bit operation each; collections decode the words
+/// in node order, skipping zero lines, so they come out sorted without
+/// a sort; an empty set is collected, drained or cleared without a
+/// scan. Allocation-free after construction.
+pub(crate) struct NodeSet {
     lines: Vec<BitLine>,
-    nbits: usize,
+    /// Capacity: the ids are `0..n`.
+    n: usize,
+    /// Members: the set bits.
+    len: usize,
 }
 
-impl BitWords {
-    /// An empty set over `n` indices.
+impl NodeSet {
+    /// An empty set over `n` nodes.
     pub fn new(n: usize) -> Self {
         let words = n.div_ceil(WORD_BITS);
-        BitWords {
+        NodeSet {
             lines: vec![BitLine::default(); words.div_ceil(WORDS_PER_LINE)],
-            nbits: n,
+            n,
+            len: 0,
         }
     }
 
-    /// Capacity in bits.
+    /// The line, word and bit mask of node `p`.
     #[inline]
-    pub fn len(&self) -> usize {
-        self.nbits
-    }
-
-    /// `true` when the set holds no indices at all capacity 0.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.nbits == 0
-    }
-
-    #[inline]
-    fn slot(i: usize) -> (usize, usize, u64) {
+    fn slot(p: NodeId) -> (usize, usize, u64) {
+        let i = p.index();
         let word = i / WORD_BITS;
         (
             word / WORDS_PER_LINE,
@@ -120,62 +117,81 @@ impl BitWords {
         )
     }
 
-    /// Tests bit `i`.
+    /// Inserts `p`; returns `true` when it was not a member yet.
     #[inline]
-    pub fn test(&self, i: usize) -> bool {
-        let (l, w, m) = Self::slot(i);
-        self.lines[l].0[w] & m != 0
-    }
-
-    /// Sets bit `i`; returns `true` when it was previously clear.
-    #[inline]
-    pub fn set(&mut self, i: usize) -> bool {
-        let (l, w, m) = Self::slot(i);
+    pub fn insert(&mut self, p: NodeId) -> bool {
+        let (l, w, m) = Self::slot(p);
         let word = &mut self.lines[l].0[w];
         let fresh = *word & m == 0;
         *word |= m;
+        self.len += usize::from(fresh);
         fresh
     }
 
-    /// Clears bit `i`.
     #[inline]
-    pub fn clear(&mut self, i: usize) {
-        let (l, w, m) = Self::slot(i);
-        self.lines[l].0[w] &= !m;
+    pub fn remove(&mut self, p: NodeId) {
+        let (l, w, m) = Self::slot(p);
+        let word = &mut self.lines[l].0[w];
+        self.len -= usize::from(*word & m != 0);
+        *word &= !m;
     }
 
-    /// Sets every bit in `0..len()` (bulk fill, tail word masked so
-    /// out-of-range bits stay clear).
-    pub fn fill_all(&mut self) {
+    #[inline]
+    pub fn contains(&self, p: NodeId) -> bool {
+        let (l, w, m) = Self::slot(p);
+        self.lines[l].0[w] & m != 0
+    }
+
+    /// Empties the set: one bulk zero, none when it is empty already.
+    pub fn clear(&mut self) {
+        if self.len != 0 {
+            self.lines.fill(BitLine::default());
+            self.len = 0;
+        }
+    }
+
+    /// Every node becomes a member in one word fill, the tail word
+    /// masked so ids past `n` stay clear.
+    pub fn insert_all(&mut self) {
         self.lines.fill(BitLine([u64::MAX; WORDS_PER_LINE]));
-        self.mask_tail();
-    }
-
-    /// Clears every bit.
-    pub fn zero_all(&mut self) {
-        self.lines.fill(BitLine::default());
-    }
-
-    /// Zeroes the bits past `nbits` that the bulk fill set.
-    fn mask_tail(&mut self) {
-        let full_words = self.nbits / WORD_BITS;
-        let rem = self.nbits % WORD_BITS;
-        let total_words = self.lines.len() * WORDS_PER_LINE;
-        if rem != 0 {
-            let (l, w, _) = Self::slot(self.nbits);
-            self.lines[l].0[w] &= (1u64 << rem) - 1;
+        let (full, rem) = (self.n / WORD_BITS, self.n % WORD_BITS);
+        let mut words = self.lines.iter_mut().flat_map(|line| line.0.iter_mut());
+        if let Some(tail) = words.nth(full) {
+            *tail = if rem == 0 { 0 } else { (1u64 << rem) - 1 };
         }
-        let first_dead = full_words + usize::from(rem != 0);
-        for word in first_dead..total_words {
-            self.lines[word / WORDS_PER_LINE].0[word % WORDS_PER_LINE] = 0;
-        }
+        words.for_each(|w| *w = 0);
+        self.len = self.n;
     }
 
-    /// Appends every set bit to `out` in ascending index order — the
-    /// bitset-scan kernel. Each word decodes with `trailing_zeros`;
-    /// an all-ones word (the converging-phase common case) takes a
-    /// straight-line fast path.
-    pub fn decode_into(&self, out: &mut Vec<NodeId>) {
+    /// Copies the members into `out` (cleared first), in node order.
+    pub fn collect_sorted_into(&self, out: &mut Vec<NodeId>) {
+        self.decode_into(out);
+    }
+
+    /// Copies the members into `out` (cleared first), in node order,
+    /// then empties the set.
+    pub fn drain_sorted_into(&mut self, out: &mut Vec<NodeId>) {
+        let scanned = self.decode_into(out);
+        self.lines[..scanned].fill(BitLine::default());
+        self.len = 0;
+    }
+
+    /// The members, as a test compares them to a model.
+    #[cfg(test)]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The bitset-scan kernel: clears `out`, then appends every member
+    /// in node order. Zero lines are skipped; each other word decodes
+    /// with `trailing_zeros`, and an all-ones word (the converging-phase
+    /// common case) takes a straight-line fast path. The scan stops at
+    /// the line holding the last member; returns how many lines it read.
+    fn decode_into(&self, out: &mut Vec<NodeId>) -> usize {
+        out.clear();
+        if self.len == 0 {
+            return 0;
+        }
         for (li, line) in self.lines.iter().enumerate() {
             if line.0 == [0u64; WORDS_PER_LINE] {
                 continue;
@@ -183,30 +199,21 @@ impl BitWords {
             for (wi, &w) in line.0.iter().enumerate() {
                 decode_word(w, ((li * WORDS_PER_LINE + wi) * WORD_BITS) as u32, out);
             }
-        }
-    }
-
-    /// [`BitWords::decode_into`] that also clears the set: the drain
-    /// used by the per-step dirty-set collection.
-    pub fn decode_and_zero_into(&mut self, out: &mut Vec<NodeId>) {
-        for (li, line) in self.lines.iter_mut().enumerate() {
-            if line.0 == [0u64; WORDS_PER_LINE] {
-                continue;
-            }
-            for (wi, w) in line.0.iter_mut().enumerate() {
-                decode_word(*w, ((li * WORDS_PER_LINE + wi) * WORD_BITS) as u32, out);
-                *w = 0;
+            if out.len() == self.len {
+                return li + 1;
             }
         }
+        debug_assert!(false, "the count says {} members, the bits fewer", self.len);
+        self.lines.len()
     }
 
-    /// Scalar reference for [`BitWords::decode_into`]: per-bit test
-    /// loop.
+    /// Per-bit reference for the collections.
     #[cfg(test)]
-    fn decode_into_scalar(&self, out: &mut Vec<NodeId>) {
-        for i in 0..self.nbits {
-            if self.test(i) {
-                out.push(NodeId::new(i as u32));
+    fn collect_scalar(&self, out: &mut Vec<NodeId>) {
+        out.clear();
+        for p in (0..self.n as u32).map(NodeId::new) {
+            if self.contains(p) {
+                out.push(p);
             }
         }
     }
@@ -309,18 +316,16 @@ impl HeardTable {
     /// Builds the arena for the given per-node degrees, every entry
     /// [`NEVER`].
     pub fn new<I: IntoIterator<Item = usize>>(degrees: I) -> Self {
-        let mut off = vec![0u32];
-        let mut len = Vec::new();
+        let (mut off, mut len, mut total) = (vec![0u32], Vec::new(), 0u32);
         for deg in degrees {
-            let last = *off.last().expect("off starts non-empty");
-            off.push(last + deg as u32 + ROW_SLACK);
+            total += deg as u32 + ROW_SLACK;
+            off.push(total);
             len.push(deg as u32);
         }
-        let total = *off.last().expect("off starts non-empty") as usize;
         HeardTable {
             off,
             len,
-            data: vec![NEVER; total],
+            data: vec![NEVER; total as usize],
         }
     }
 
@@ -400,8 +405,8 @@ impl HeardTable {
     /// that grows a node's degree past its slack lands here.
     fn grow_row(&mut self, r: usize, deg: usize) {
         let rows = self.rows();
-        let mut off = Vec::with_capacity(rows + 1);
-        off.push(0u32);
+        let (mut off, mut total) = (Vec::with_capacity(rows + 1), 0u32);
+        off.push(total);
         for i in 0..rows {
             let keep = (self.off[i + 1] - self.off[i]).max(self.len[i] + ROW_SLACK);
             let cap = if i == r {
@@ -409,9 +414,10 @@ impl HeardTable {
             } else {
                 keep
             };
-            off.push(off[i] + cap);
+            total += cap;
+            off.push(total);
         }
-        let mut data = vec![NEVER; *off.last().expect("off non-empty") as usize];
+        let mut data = vec![NEVER; total as usize];
         #[allow(clippy::needless_range_loop)] // i indexes four parallel arenas
         for i in 0..rows {
             let (src, dst) = (self.off[i] as usize, off[i] as usize);
@@ -474,15 +480,15 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn random_bits(n: usize, density: f64, seed: u64) -> BitWords {
+    fn random_set(n: usize, density: f64, seed: u64) -> NodeSet {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut w = BitWords::new(n);
-        for i in 0..n {
+        let mut s = NodeSet::new(n);
+        for i in 0..n as u32 {
             if rng.random_bool(density) {
-                w.set(i);
+                s.insert(NodeId::new(i));
             }
         }
-        w
+        s
     }
 
     #[test]
@@ -492,54 +498,42 @@ mod tests {
     }
 
     #[test]
-    fn bit_ops_roundtrip() {
-        let mut w = BitWords::new(200);
-        assert!(w.set(3));
-        assert!(!w.set(3), "second set reports already-present");
-        assert!(w.test(3));
-        w.clear(3);
-        assert!(!w.test(3));
-        assert_eq!(w.len(), 200);
-    }
-
-    #[test]
-    fn decode_matches_scalar_across_densities() {
+    fn collections_match_the_per_bit_reference_across_densities() {
         for (density, seed) in [(0.0, 1), (0.01, 2), (0.5, 3), (0.97, 4), (1.0, 5)] {
             for n in [0usize, 1, 63, 64, 65, 511, 512, 700] {
-                let w = random_bits(n, density, seed);
+                let mut s = random_set(n, density, seed);
                 let (mut fast, mut scalar) = (Vec::new(), Vec::new());
-                w.decode_into(&mut fast);
-                w.decode_into_scalar(&mut scalar);
+                s.collect_scalar(&mut scalar);
+                s.collect_sorted_into(&mut fast);
                 assert_eq!(fast, scalar, "n = {n}, density = {density}");
+                assert_eq!(s.len(), scalar.len(), "n = {n}, density = {density}");
+                s.drain_sorted_into(&mut fast);
+                assert_eq!(fast, scalar, "n = {n}, density = {density}: drain");
+                s.collect_scalar(&mut scalar);
+                assert!(scalar.is_empty(), "n = {n}: drain must clear every bit");
+                assert_eq!(s.len(), 0);
             }
         }
     }
 
     #[test]
-    fn decode_and_zero_drains() {
-        let mut w = random_bits(300, 0.4, 9);
-        let mut expect = Vec::new();
-        w.decode_into(&mut expect);
-        let mut got = Vec::new();
-        w.decode_and_zero_into(&mut got);
-        assert_eq!(got, expect);
-        let mut empty = Vec::new();
-        w.decode_into(&mut empty);
-        assert!(empty.is_empty(), "drain must clear every bit");
-    }
-
-    #[test]
-    fn fill_all_masks_the_tail() {
-        for n in [1usize, 63, 64, 65, 127, 128, 129, 513] {
-            let mut w = BitWords::new(n);
-            w.fill_all();
+    fn insert_all_masks_the_tail() {
+        for n in [0usize, 1, 63, 64, 65, 127, 128, 129, 512, 513] {
+            let mut s = NodeSet::new(n);
+            s.insert_all();
             let mut out = Vec::new();
-            w.decode_into(&mut out);
+            s.collect_sorted_into(&mut out);
             assert_eq!(out.len(), n, "n = {n}");
-            assert_eq!(out.last().map(|p| p.index()), Some(n - 1));
-            w.zero_all();
-            out.clear();
-            w.decode_into(&mut out);
+            assert_eq!(s.len(), n, "n = {n}");
+            assert_eq!(out.last().map(|p| p.index()), n.checked_sub(1));
+            // Every bit below n is set, none at or past it.
+            for (wi, w) in s.lines.iter().flat_map(|line| line.0).enumerate() {
+                let live = n.saturating_sub(wi * WORD_BITS).min(WORD_BITS);
+                let want = u64::MAX.checked_shr((WORD_BITS - live) as u32).unwrap_or(0);
+                assert_eq!(w, want, "n = {n}, word {wi}");
+            }
+            s.clear();
+            s.collect_scalar(&mut out);
             assert!(out.is_empty());
         }
     }

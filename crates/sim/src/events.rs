@@ -42,13 +42,16 @@ impl EventConfig {
     ///
     /// # Errors
     ///
-    /// Returns a description of the violated constraint (non-positive
-    /// period or frame time, jitter outside `[0, 1)`).
+    /// Returns a description of the violated constraint (period or
+    /// frame time not positive — NaN included —, jitter outside
+    /// `[0, 1)`).
     pub fn check(&self) -> Result<(), String> {
-        if self.beacon_period <= 0.0 {
+        // Asked as "is it positive", so a NaN answers no.
+        let positive = |x: f64| x > 0.0;
+        if !positive(self.beacon_period) {
             return Err("beacon period must be positive".to_string());
         }
-        if self.frame_time <= 0.0 {
+        if !positive(self.frame_time) {
             return Err("frame time must be positive".to_string());
         }
         if !(0.0..1.0).contains(&self.jitter) {
@@ -72,21 +75,24 @@ struct EventKey {
     /// [`ARRIVAL`] or [`SLOT`]: a state change carried by a frame is
     /// visible to a same-instant broadcast.
     class: u8,
+    /// An arrival's receiver, or the slot's node.
     a: u32,
-    b: u32,
+    /// An arrival's sender, or the slot's number. A node has at most
+    /// one slot queued, so `b` never decides between two slot keys.
+    b: u64,
 }
 
 const ARRIVAL: u8 = 0;
 const SLOT: u8 = 1;
 
 impl EventKey {
-    /// Node `p`'s beacon slot firing at `time`.
-    fn slot(time: f64, p: NodeId) -> Self {
+    /// Node `p`'s beacon slot number `k`, firing at `time`.
+    fn slot(time: f64, p: NodeId, k: u64) -> Self {
         EventKey {
             time,
             class: SLOT,
             a: p.value(),
-            b: 0,
+            b: k,
         }
     }
 }
@@ -132,7 +138,7 @@ impl Frame {
             time: self.time,
             class: ARRIVAL,
             a: self.receiver.value(),
-            b: self.sender.value(),
+            b: u64::from(self.sender.value()),
         }
     }
 }
@@ -147,15 +153,15 @@ struct Lanes {
 
 /// The next event, as [`Lanes::pop_at`] hands it out.
 enum Next {
-    /// The beacon slot of this node fires.
-    Slot(NodeId),
+    /// This beacon slot of this node fires.
+    Slot(NodeId, u64),
     /// This frame copy finishes arriving.
     Arrival(Frame),
 }
 
 impl Lanes {
-    fn push_slot(&mut self, time: f64, p: NodeId) {
-        self.slots.push(Reverse(EventKey::slot(time, p)));
+    fn push_slot(&mut self, time: f64, p: NodeId, k: u64) {
+        self.slots.push(Reverse(EventKey::slot(time, p, k)));
     }
 
     /// Files `frame` in key order. Arrivals are `t + frame_time` of
@@ -186,7 +192,8 @@ impl Lanes {
     /// once per event, not once to look and once to take.
     fn pop_at(&mut self, key: EventKey) -> Option<Next> {
         if key.class == SLOT {
-            self.slots.pop().map(|_| Next::Slot(NodeId::new(key.a)))
+            let p = NodeId::new(key.a);
+            self.slots.pop().map(|_| Next::Slot(p, key.b))
         } else {
             self.frames.pop_front().map(Next::Arrival)
         }
@@ -263,9 +270,10 @@ impl<B: Clone> BeaconPool<B> {
 /// the frames currently in flight — never one entry per node of a
 /// quiescent network — in two lanes:
 ///
-/// * **Beacon slots** sit in a binary heap of bare 24-byte keys (the
-///   slot number lives in the per-node `armed` column). They come from
-///   the engine's [`crate::engine::SlotClock`]: node `p`'s `k`-th
+/// * **Beacon slots** sit in a binary heap of 24-byte keys, the slot
+///   number in the key; a node is armed while it has one queued (the
+///   `armed` set). They come from the engine's
+///   [`crate::engine::SlotClock`]: node `p`'s `k`-th
 ///   opportunity is a pure function of `(seed, p, k)`, so a silent node
 ///   consumes no randomness and no queue space, and when something
 ///   wakes it the next slot is found arithmetically — exactly the
@@ -368,8 +376,8 @@ pub struct EventDriver<P: Protocol, M: Medium = PerfectMedium> {
     medium: M,
     lanes: Lanes,
     pool: BeaconPool<P::Beacon>,
-    /// The number of the beacon slot a node has in the queue, if any.
-    armed: Vec<Option<u64>>,
+    /// The nodes with a beacon slot in the queue (one each at most).
+    armed: NodeSet,
     /// Scratch delivery for the contention media's one-sender call.
     delivery: Delivery,
     /// The receivers of the transmission being sent.
@@ -389,8 +397,9 @@ pub struct EventDriver<P: Protocol, M: Medium = PerfectMedium> {
     /// attached) has not fired yet: once per beacon period.
     dynamics_step: u64,
     /// Nodes whose state changed since the last [`EventDriver::step`]
-    /// ended — drained into the table's `changed` column there, which
-    /// is what makes quiet-interval sampling O(changed), not O(n).
+    /// ended — drained into the table's `changed` column there, in node
+    /// order: a sample costs O(1) when nothing changed, and otherwise a
+    /// scan of n/512 cache lines rather than a sort.
     changed_since: NodeSet,
     /// How many of the arrivals still to pop the last look-ahead batch
     /// covers.
@@ -452,7 +461,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
                 entries: Vec::new(),
                 free: Vec::new(),
             },
-            armed: vec![None; n],
+            armed: NodeSet::new(n),
             delivery: Delivery::empty(0),
             heard: Vec::new(),
             scratch_nodes: Vec::new(),
@@ -522,12 +531,10 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     /// Schedules `p`'s next beacon slot at or after the current time,
     /// unless one is already queued.
     fn arm(&mut self, p: NodeId) {
-        if self.armed[p.index()].is_some() {
-            return;
+        if self.armed.insert(p) {
+            let (slot, t) = self.clock.next_at(p, self.time);
+            self.lanes.push_slot(t, p, slot);
         }
-        let (slot, t) = self.clock.next_at(p, self.time);
-        self.armed[p.index()] = Some(slot);
-        self.lanes.push_slot(t, p);
     }
 
     /// Arms every node currently marked send-pending — called after
@@ -639,7 +646,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             self.time = event_time;
             self.events += 1;
             match event {
-                Next::Slot(p) => self.handle_tx(p),
+                Next::Slot(p, slot) => self.handle_tx(p, slot),
                 Next::Arrival(frame) => self.handle_rx(frame),
             }
         }
@@ -674,16 +681,13 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         self.ahead = self.lanes.frames.len().min(LOOK_AHEAD);
     }
 
-    fn handle_tx(&mut self, p: NodeId) {
-        let Some(slot) = self.armed[p.index()] else {
-            debug_assert!(false, "a queued slot is an armed one");
-            return;
-        };
+    fn handle_tx(&mut self, p: NodeId, slot: u64) {
+        debug_assert!(self.armed.contains(p), "a queued slot is an armed one");
         let gated = self.is_gated();
         if gated && !self.env.table.send_pending.contains(p) {
             // Nothing to say and nobody waiting: the slot lapses and
             // the node goes silent until something wakes it.
-            self.armed[p.index()] = None;
+            self.armed.remove(p);
             return;
         }
         let (now, t) = (self.now(), self.time);
@@ -702,7 +706,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             // every neighbor has incorporated it. The eager twin keeps
             // broadcasting here — pure no-ops by the silence contract.
             self.env.table.send_pending.remove(p);
-            self.armed[p.index()] = None;
+            self.armed.remove(p);
             return;
         }
         // Broadcast.
@@ -752,10 +756,10 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
                 });
             }
         }
-        // Schedule the next slot; under gating a later pop decides
-        // whether it still has anything to say.
-        self.armed[p.index()] = Some(slot + 1);
-        self.lanes.push_slot(self.clock.slot_time(p, slot + 1), p);
+        // Schedule the next slot (the node stays armed); under gating
+        // a later pop decides whether it still has anything to say.
+        self.lanes
+            .push_slot(self.clock.slot_time(p, slot + 1), p, slot + 1);
     }
 
     fn handle_rx(&mut self, frame: Frame) {
@@ -1038,15 +1042,21 @@ mod tests {
     struct LanesAndHeap {
         lanes: Lanes,
         heap: BinaryHeap<Reverse<EventKey>>,
-        armed: [bool; 6],
+        /// The number of each node's queued slot, if any.
+        armed: [Option<u64>; 6],
+        /// Slots pushed so far: each gets its own number.
+        pushed: u64,
     }
 
     impl LanesAndHeap {
         /// A node has at most one slot queued, as in the driver.
         fn arm(&mut self, time: f64, p: NodeId) {
-            if !std::mem::replace(&mut self.armed[p.index()], true) {
-                self.lanes.push_slot(time, p);
-                self.heap.push(Reverse(EventKey::slot(time, p)));
+            if self.armed[p.index()].is_none() {
+                let k = self.pushed;
+                self.pushed += 1;
+                self.armed[p.index()] = Some(k);
+                self.lanes.push_slot(time, p, k);
+                self.heap.push(Reverse(EventKey::slot(time, p, k)));
             }
         }
 
@@ -1061,6 +1071,7 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         const FRAME_TIME: f64 = 0.25;
+        assert_eq!(std::mem::size_of::<EventKey>(), 24);
         for seed in 0..300 {
             let mut rng = StdRng::seed_from_u64(seed);
             // Every time is a multiple of the frame time, so instants
@@ -1082,9 +1093,10 @@ mod tests {
                 popped += 1;
                 let busy = popped < 200;
                 match next {
-                    Next::Slot(p) => {
-                        assert_eq!((want.class, want.a), (SLOT, p.value()), "seed {seed}");
-                        q.armed[p.index()] = false;
+                    Next::Slot(p, k) => {
+                        let at = format!("seed {seed}");
+                        assert_eq!((want.class, want.a, want.b), (SLOT, p.value(), k), "{at}");
+                        assert_eq!(q.armed[p.index()].take(), Some(k), "{at}: the k pushed");
                         if !busy {
                             continue;
                         }
@@ -1504,6 +1516,23 @@ mod tests {
             panic!("a zero beacon period must be rejected");
         };
         assert_eq!(text, "beacon period must be positive");
+        // NaN fails every comparison, so it must fail "positive" too: a
+        // NaN period would hang the slot search, a NaN frame time land
+        // no frame. Asked of the check alone, which cannot hang.
+        let nan_period = EventConfig {
+            beacon_period: f64::NAN,
+            ..EventConfig::default()
+        };
+        let nan_frame = EventConfig {
+            frame_time: f64::NAN,
+            ..EventConfig::default()
+        };
+        let (period, frame) = (
+            "beacon period must be positive",
+            "frame time must be positive",
+        );
+        assert_eq!(nan_period.check(), Err(period.to_string()));
+        assert_eq!(nan_frame.check(), Err(frame.to_string()));
     }
 
     #[test]

@@ -102,8 +102,8 @@ pub trait Protocol: Sync {
     /// beacon it keeps alive across refreshes, so protocols whose
     /// beacons own heap buffers (neighbor views, digests) can overwrite
     /// them in place and keep the converging-phase hot path
-    /// allocation-free. The default just delegates to [`beacon`]
-    /// (`Protocol::beacon`) and assigns — correct for any protocol,
+    /// allocation-free. The default just delegates to
+    /// [`Protocol::beacon`] and assigns — correct for any protocol,
     /// without the pooling benefit.
     fn beacon_into(&self, node: NodeId, state: &Self::State, out: &mut Self::Beacon) {
         *out = self.beacon(node, state);

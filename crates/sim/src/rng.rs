@@ -54,11 +54,12 @@ pub fn derive_seed3(base: u64, a: u64, b: u64) -> u64 {
 /// far above any realistic step count so per-step streams can never
 /// collide with them.
 ///
-/// The actor driver deliberately reuses the round driver's [`UPDATE`]
-/// and [`MEDIUM`] bases: per (period, node) its frame fates and update
-/// draws come off the *same* derived streams, so for a given seed the
-/// two drivers consume identical randomness — the foundation of the
-/// cross-driver agreement suite.
+/// The actor driver deliberately reuses the round driver's
+/// [`UPDATE`](streams::UPDATE) and [`MEDIUM`](streams::MEDIUM) bases:
+/// per (period, node) its frame fates and update draws come off the
+/// *same* derived streams, so for a given seed the two drivers consume
+/// identical randomness — the foundation of the cross-driver agreement
+/// suite.
 pub(crate) mod streams {
     /// Tag for the round driver's sequential medium stream
     /// (contention-coupled media evaluate the full sender set on it).
