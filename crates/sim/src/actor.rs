@@ -35,8 +35,8 @@
 //!    slot has quiesced (all sends delivered), then releases the
 //!    receive side. The candidates (actors with pending guards and the
 //!    senders' neighbors, marked as the round driver marks them) are
-//!    sorted by node, so contiguous candidate chunks cover disjoint
-//!    contiguous runs of the state column: the column is split with
+//!    sorted by table slot, so contiguous candidate chunks cover
+//!    disjoint contiguous runs of the state column: the column is split with
 //!    `split_at_mut`, each worker owns its run, and its actors drain
 //!    their mailboxes **in arrival order**, decode every fresh frame
 //!    from the sender's arena into the worker's one pooled beacon,
@@ -48,14 +48,17 @@
 //!    the frame's read epoch and its epoch) is neither decoded nor
 //!    received, and an actor that only frames woke runs its guards
 //!    only if it received one (`engine::settle`, the skip rule of all
-//!    three drivers). The reception arena is split at the same node
+//!    three drivers). The reception arena is split at the same slot
 //!    boundaries, so an actor writes the epoch of every fresh frame
-//!    straight into its own reception row. This is the round driver's
+//!    straight into its own reception row, found by the sender's id
+//!    among the neighbors the row names. This is the round driver's
 //!    phase 5 with a different frame loop: the partition, the change
 //!    rule (a scratch snapshot taken before the first mutation,
 //!    compared after the update) and the scheduling of changed actors
-//!    in worker order — ascending node order — are the engine's,
-//!    shared by both (`engine::visit`).
+//!    in worker order — storage order — are the engine's, shared by
+//!    both (`engine::visit`). Mailboxes, like every per-node column,
+//!    are laid out in storage order (by radio cell, for a deployment);
+//!    senders are taken, and frames pushed, in id order.
 //!
 //! Every buffer either phase writes is owned by a worker and reused
 //! across periods, so a steady-state period allocates nothing per
@@ -94,7 +97,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use mwn_graph::{NodeId, Point2, Topology, TopologyDelta};
 use mwn_radio::{Medium, PerfectMedium};
 
-use crate::engine::{self, chunk, run_sharded, Env, Fate};
+use crate::engine::{self, chunk, run_sharded, Env, Slot};
 use crate::error::SimError;
 use crate::faults::Fault;
 use crate::network::StepActivity;
@@ -159,11 +162,14 @@ pub struct ActorDriver<P: Protocol, M: Medium = PerfectMedium> {
     medium: M,
     threads: usize,
     period: u64,
+    /// One per actor, in storage order.
     mailboxes: Vec<Mailbox>,
     messages_total: u64,
     last_activity: StepActivity,
-    senders_buf: Vec<NodeId>,
-    candidates_buf: Vec<NodeId>,
+    /// The period's senders by slot, and by id for the send phase.
+    senders_buf: Vec<Slot>,
+    sender_ids: Vec<NodeId>,
+    candidates_buf: Vec<Slot>,
     /// Per-worker buffers of the send phase, one slot per pool thread.
     send_scratch: Vec<SendScratch>,
 }
@@ -218,6 +224,7 @@ where
             messages_total: 0,
             last_activity: StepActivity::default(),
             senders_buf: Vec::new(),
+            sender_ids: Vec::new(),
             candidates_buf: Vec::new(),
             send_scratch: (0..threads).map(|_| SendScratch::default()).collect(),
             env: Env::new(protocol, topo, seed, streams::ROUND_FAULT),
@@ -247,7 +254,7 @@ where
     /// beacon refresh), the concurrent send phase, the quiescence
     /// barrier, and the concurrent receive/update phase.
     pub fn step(&mut self) -> u64 {
-        self.env.table.changed.clear();
+        self.env.table.clear_changed();
         // Slot release starts with the environment: mobility, due
         // followups, then scripted faults — all **before** the period's
         // beacon slots (fault ≤ send, `tests/fault_ordering.rs`), so a
@@ -260,9 +267,14 @@ where
         // epoch column, and is cheap relative to the phases it gates).
         let mut senders = std::mem::take(&mut self.senders_buf);
         self.env.release_slots(eager, &mut senders);
+        self.env
+            .table
+            .order
+            .sorted_ids(&senders, &mut self.sender_ids);
 
         // Send phase: released actors broadcast concurrently, one
-        // contiguous chunk of the sender list per worker. Each sender's
+        // contiguous chunk of the id-ordered sender list per worker —
+        // so a worker pushes in ascending sender id. Each sender's
         // fates come from the shared medium, on the stream the round
         // driver derives for the same (period, sender); its beacon is
         // encoded once into the worker's byte arena and one frame
@@ -278,7 +290,7 @@ where
             // itself (its dynamics hook) is not `Sync`.
             let medium_base = self.env.medium_base;
             let mailboxes = &self.mailboxes;
-            let senders = &senders[..];
+            let senders = &self.sender_ids[..];
             let span = |v: usize| u32::try_from(v).expect("a period's frames fit 4 GiB");
             run_sharded(&mut self.send_scratch[..send_workers], |w, sc| {
                 sc.bytes.clear();
@@ -290,18 +302,19 @@ where
                     if sc.heard.is_empty() {
                         continue;
                     }
+                    let i = table.order.slot(s).index();
                     let off = sc.bytes.len();
-                    table.beacons[s.index()].encode(&mut sc.bytes);
+                    table.beacons[i].encode(&mut sc.bytes);
                     let frame = ActorFrame {
                         sender: s,
-                        epoch: table.epoch[s.index()],
-                        read_epoch: table.read_epoch[s.index()],
+                        epoch: table.epoch[i],
+                        read_epoch: table.read_epoch[i],
                         arena: w as u32,
                         off: span(off),
                         len: span(sc.bytes.len() - off),
                     };
                     for &r in &sc.heard {
-                        let mut mail = mailboxes[r.index()].lock();
+                        let mut mail = mailboxes[table.order.slot(r).index()].lock();
                         debug_assert!(
                             mail.len() < topo.degree(r),
                             "mailbox overflow at {r}: more frames than its in-degree \
@@ -334,37 +347,38 @@ where
         // once the workers have joined.
         let recv_workers = self.threads.min(self.candidates_buf.len());
         let (mailboxes, arenas) = (&self.mailboxes, &self.send_scratch);
-        let (receives, updates) = self.env.visit(
+        let visited = self.env.visit(
             period,
             !eager,
             &self.candidates_buf,
             recv_workers,
             |shard| {
-                let (beacons, protocol) = (shard.beacons, shard.protocol);
-                for &r in shard.candidates {
-                    let neighbors = shard.topo.neighbors(r);
-                    let (state, row, sc) = shard.open(r);
+                let (beacons, protocol, order) = (shard.beacons, shard.protocol, shard.order);
+                for &at in shard.candidates {
+                    let r = order.id(at);
+                    let (state, row, neighbors, sc) = shard.open(at);
                     let mut received = false;
-                    for frame in mailboxes[r.index()].lock().drain(..) {
+                    for frame in mailboxes[at.index()].lock().drain(..) {
                         let s = frame.sender;
                         // A frame whose link a fault severed at this
                         // very timestamp is dead air (fault ≤ delivery).
-                        let Ok(slot) = neighbors.binary_search(&s) else {
+                        // The row is in neighbor-id order: searched by
+                        // the ids of the slots it names.
+                        let Ok(idx) = neighbors.binary_search_by_key(&s, |&q| order.id(q)) else {
                             continue;
                         };
                         // The debug reference of a held frame reads the
                         // beacon column, which is what the sender encoded.
-                        let beacon = &beacons[s.index()];
+                        let beacon = &beacons[neighbors[idx].index()];
                         let skipped =
                             |copy: &mut P::State| protocol.receive(r, copy, s, beacon, period);
                         let reference = (&*state, &mut sc.held_check, skipped);
                         let frame_epochs = [frame.read_epoch, frame.epoch];
                         let fate =
-                            engine::gate(!eager, &mut row[slot], frame_epochs, (r, s), reference);
-                        if fate != Fate::Receive {
+                            engine::gate(!eager, &mut row[idx], frame_epochs, (r, s), reference);
+                        if !sc.admit(fate, state, &mut received) {
                             continue; // neither decoded nor received
                         }
-                        sc.receiving(state, &mut received);
                         let (off, len) = (frame.off as usize, frame.len as usize);
                         let bytes = &arenas[frame.arena as usize].bytes[off..off + len];
                         // The pool starts from any beacon at all: the
@@ -376,7 +390,7 @@ where
                         );
                         protocol.receive(r, state, s, pooled, period);
                     }
-                    shard.update(r, received);
+                    shard.update(at, received);
                 }
             },
         );
@@ -389,9 +403,8 @@ where
             senders: senders.len(),
             frames_attempted: attempted,
             frames_delivered: delivered,
-            receives,
-            updates,
             changed: self.env.table.changed.len(),
+            ..visited
         };
         self.messages_total += senders.len() as u64;
         self.senders_buf = senders;
@@ -433,14 +446,21 @@ where
         self.env.apply_moves(moves)
     }
 
-    /// All node states, indexed by [`NodeId`].
+    /// All node states, indexed by [`NodeId`] — published in id order
+    /// first, as [`crate::Network::states`] explains: an in-place O(n)
+    /// permutation unless nothing has touched a state since the last
+    /// read, undone by the next period that touches one.
+    /// [`ActorDriver::outputs_into`] never publishes, and
+    /// [`ActorDriver::run_to`] only to evaluate a
+    /// [`StopWhen::predicate`] leaf.
     pub fn states(&self) -> &[P::State] {
-        &self.env.table.states
+        self.env.states()
     }
 
-    /// The state of one node.
+    /// The state of one node — read through the same publish as
+    /// [`ActorDriver::states`].
     pub fn state(&self, p: NodeId) -> &P::State {
-        &self.env.table.states[p.index()]
+        &self.env.states()[p.index()]
     }
 
     /// Mutable state access; the actor is rescheduled (external

@@ -39,7 +39,14 @@ pub trait Driver {
     /// The topology being simulated.
     fn topology(&self) -> &Topology;
 
-    /// All node states, indexed by [`mwn_graph::NodeId`].
+    /// All node states, indexed by [`mwn_graph::NodeId`]. Every driver
+    /// works on its state column in storage order (by radio cell, for a
+    /// deployment) and publishes it in id order on this read: an
+    /// in-place O(n) permutation, with no allocation, unless nothing
+    /// has touched a state since the last read; the next step that
+    /// touches one moves it back. [`Driver::outputs`] never publishes,
+    /// and [`Driver::run_to`] only to evaluate a
+    /// [`StopWhen::predicate`] leaf.
     fn states(&self) -> &[<Self::Protocol as Protocol>::State];
 
     /// Pins (`true`) or unpins (`false`) eager scheduling.

@@ -6,13 +6,18 @@
 //! here so every scheduling model pays the same near-zero stable-state
 //! cost:
 //!
-//! * [`NodeSet`] — the dirty sets: one bit per node plus a member
-//!   count ([`kernels`]); O(1) insert/membership, collection in node
+//! * [`NodeSet`] — the dirty sets: one bit per table slot plus a member
+//!   count ([`kernels`]); O(1) insert/membership, collection in storage
 //!   order, nothing to pay for an empty set, allocation-free after
 //!   construction;
 //! * [`NodeTable`] — the columnar per-node hot state (protocol states,
 //!   beacon snapshots, beacon and read epochs, per-edge reception
-//!   epochs) plus the scheduling sets;
+//!   epochs and the neighbor slots beside them) plus the scheduling
+//!   sets, every column indexed by [`Slot`] in the table's
+//!   [`StorageOrder`] (`order` module): by radio cell for a unit-disk
+//!   deployment, by id otherwise. Ids stay at the boundary — protocol
+//!   calls, stream keys, faults, media, outputs — and the state column
+//!   is handed out in id order ([`StateColumn`]);
 //! * `Env` (the private `env` module) — the one environment all three
 //!   drivers run in: protocol, topology, node table, derived-stream
 //!   bases ([`crate::split_rng`]), fault script, followup queue and
@@ -54,9 +59,11 @@
 
 mod env;
 pub mod kernels;
+mod order;
 mod visit;
 
 pub(crate) use env::{run_to, Corruptor, Env};
+pub(crate) use order::{Slot, StateColumn, States, StorageOrder};
 pub(crate) use visit::chunk;
 use visit::VisitScratch;
 
@@ -199,10 +206,13 @@ pub(crate) fn settle<S: Clone + PartialEq>(
 }
 
 /// The columnar node table: every per-node column the hot loops read
-/// or write, plus the scheduling sets.
+/// or write, plus the scheduling sets. Every column and set is indexed
+/// by [`Slot`] in `order`; the ids are at the boundary.
 pub(crate) struct NodeTable<P: Protocol> {
-    /// Protocol state per node.
-    pub states: Vec<P::State>,
+    /// Where each node's row sits, fixed at build.
+    pub order: StorageOrder,
+    /// Protocol state per node, published in id order on demand.
+    pub states: StateColumn<P::State>,
     /// The beacon each node currently broadcasts (recomputed only when
     /// the node's state changed).
     pub beacons: Vec<P::Beacon>,
@@ -216,11 +226,13 @@ pub(crate) struct NodeTable<P: Protocol> {
     /// frame carries both, and [`gate`] records it without a receive at
     /// a gated receiver whose row holds an epoch in `[read_epoch, epoch)`.
     pub read_epoch: Vec<u32>,
-    /// `heard.get(r, k)`: the epoch of neighbor `adj[r][k]`'s beacon
-    /// that `r` last incorporated ([`NEVER`] if none). Kept aligned
-    /// with the topology's sorted adjacency lists; one contiguous CSR
-    /// arena rather than a `Vec` per node (see
-    /// [`kernels::HeardTable`]).
+    /// `heard.get(r, k)`: the epoch of the `k`-th neighbor (in id
+    /// order) of the node at slot `r` that it last incorporated
+    /// ([`NEVER`] if none), and `heard.slots(r)[k]` that neighbor's
+    /// slot — the table's adjacency. Realigned with the topology on
+    /// every adjacency change ([`NodeTable::reset_heard_row`],
+    /// [`NodeTable::mark_all`]); one contiguous CSR arena rather than
+    /// a `Vec` per node (see `kernels::HeardTable`).
     pub heard: HeardTable,
     /// Nodes whose beacon must be recomputed next step (state changed).
     pub beacon_stale: NodeSet,
@@ -239,8 +251,9 @@ pub(crate) struct NodeTable<P: Protocol> {
     /// Nodes with at least one neighbor that has not yet received their
     /// current beacon epoch.
     pub send_pending: NodeSet,
-    /// Statistical slot occupancy of the retired population — present
-    /// only when the round driver gates a **contention** medium
+    /// Statistical slot occupancy of the retired population, keyed by
+    /// id like the topology it counts over — present only when the
+    /// round driver gates a **contention** medium
     /// ([`mwn_radio::Medium::gated_contention`]). Invariant whenever
     /// present: a node is occupied iff it has retired from
     /// `send_pending` (every silent node still occupies its slot), and
@@ -253,8 +266,12 @@ pub(crate) struct NodeTable<P: Protocol> {
     /// `link_down`, manual corruption): unconditionally counted as
     /// changed even if the per-node pass sees no further delta.
     pub forced_changed: NodeSet,
-    /// Nodes whose state changed during the last executed step.
-    pub changed: Vec<NodeId>,
+    /// Nodes whose state changed during the last executed step, by
+    /// slot, in storage order — what the observe loop projects.
+    pub changed: Vec<Slot>,
+    /// The same nodes by id, ascending — what a driver's
+    /// `last_changed()` hands out ([`NodeTable::set_changed`]).
+    pub changed_ids: Vec<NodeId>,
     /// Nodes currently broadcasting a *forged* beacon
     /// ([`Fault::ByzantineBeacon`](crate::Fault::ByzantineBeacon)): the
     /// lie sits in their `beacons` column and
@@ -277,17 +294,24 @@ pub(crate) struct NodeTable<P: Protocol> {
 }
 
 impl<P: Protocol> NodeTable<P> {
-    pub fn new(protocol: &P, topo: &Topology, states: Vec<P::State>) -> Self {
-        let n = states.len();
-        let beacons: Vec<P::Beacon> = states
-            .iter()
-            .enumerate()
-            .map(|(i, s)| protocol.beacon(NodeId::new(i as u32), s))
-            .collect();
-        let heard = HeardTable::new(topo.nodes().map(|p| topo.degree(p)));
+    /// The table of `topo` in `order`: every node's state made by
+    /// `init` where it is stored and its beacon computed beside it, so
+    /// nothing is built in id order and moved.
+    pub fn new(
+        protocol: &P,
+        topo: &Topology,
+        order: StorageOrder,
+        init: impl FnMut(NodeId) -> P::State,
+    ) -> Self {
+        let n = topo.len();
+        let states: Vec<P::State> = order.ids().iter().copied().map(init).collect();
+        let beacons = order.ids().iter().zip(&states);
+        let beacons = beacons.map(|(&p, s)| protocol.beacon(p, s)).collect();
+        let heard = reception_arena(&order, topo);
         let mut table = NodeTable {
-            states,
             beacons,
+            states: StateColumn::new(states),
+            order,
             epoch: vec![0; n],
             read_epoch: vec![0; n],
             heard,
@@ -298,6 +322,7 @@ impl<P: Protocol> NodeTable<P> {
             occupancy: None,
             forced_changed: NodeSet::new(n),
             changed: Vec::new(),
+            changed_ids: Vec::new(),
             lies: Vec::new(),
             scratch_state: None,
             scratch_beacon: None,
@@ -308,9 +333,33 @@ impl<P: Protocol> NodeTable<P> {
         table
     }
 
+    /// The state of node `p`, to write.
+    #[inline]
+    pub fn state_mut(&mut self, p: NodeId) -> &mut P::State {
+        let s = self.order.slot(p);
+        &mut self.states.slots_mut(&self.order)[s.index()]
+    }
+
+    /// Every node's state, by id — published if it is not yet.
+    pub fn states_by_id(&self) -> &[P::State] {
+        self.states.by_id(&self.order)
+    }
+
+    /// Forgets the last step's changed nodes.
+    pub fn clear_changed(&mut self) {
+        self.changed.clear();
+        self.changed_ids.clear();
+    }
+
+    /// Records the step's changed nodes, collected in `changed` in
+    /// storage order, by id as well.
+    pub fn set_changed(&mut self) {
+        self.order.sorted_ids(&self.changed, &mut self.changed_ids);
+    }
+
     /// Marks `p` for rescheduling: its state may have changed outside
     /// the regular pass (fault, manual mutation, link event).
-    pub fn mark_node(&mut self, p: NodeId) {
+    pub fn mark_node(&mut self, p: Slot) {
         self.update_dirty.insert(p);
         self.beacon_stale.insert(p);
         self.forced_changed.insert(p);
@@ -325,19 +374,22 @@ impl<P: Protocol> NodeTable<P> {
         if let Some(occ) = &mut self.occupancy {
             occ.release_all();
         }
-        self.heard.reset_all(topo.nodes().map(|p| topo.degree(p)));
+        let (order, rows) = (&self.order, topo.len());
+        let row = |r: usize| neighbor_slots(order, topo, order.ids()[r]);
+        self.heard.reset_all(rows, row);
     }
 
     /// Re-aligns `r`'s reception row after its adjacency list changed,
     /// conservatively forgetting what it had heard: every current
     /// neighbor is forced to re-broadcast.
     pub fn reset_heard_row(&mut self, r: NodeId, topo: &Topology) {
-        self.heard.reset_row(r.index(), topo.degree(r));
+        let row = neighbor_slots(&self.order, topo, r);
+        self.heard.reset_row(self.order.slot(r).index(), row);
         for &q in topo.neighbors(r) {
-            self.send_pending.insert(q);
+            self.send_pending.insert(self.order.slot(q));
         }
         // r's own beacon must reach any new neighbor too.
-        self.send_pending.insert(r);
+        self.send_pending.insert(self.order.slot(r));
         if let Some(occ) = &mut self.occupancy {
             occ.release(r, topo);
             for &q in topo.neighbors(r) {
@@ -345,6 +397,45 @@ impl<P: Protocol> NodeTable<P> {
             }
         }
     }
+}
+
+/// Whether `row`, the neighbor slots of node `p`'s reception row, names
+/// exactly `p`'s adjacency in `topo`, in id order — the invariant every
+/// visit reads its neighbors' columns through, asserted there in debug
+/// builds.
+pub(crate) fn row_is_adjacency(
+    order: &StorageOrder,
+    row: &[Slot],
+    topo: &Topology,
+    p: NodeId,
+) -> bool {
+    let named = row.iter().map(|&q| order.id(q));
+    named.eq(topo.neighbors(p).iter().copied())
+}
+
+/// The reception arena of `topo` in `order`: laid out in storage order,
+/// its rows sized and named in id order — the adjacency is read as it
+/// sits, and only the writes land out of order.
+fn reception_arena(order: &StorageOrder, topo: &Topology) -> HeardTable {
+    let mut degrees = vec![0; topo.len()];
+    for p in topo.nodes() {
+        degrees[order.slot(p).index()] = topo.degree(p) as u32;
+    }
+    let mut heard = HeardTable::with_degrees(degrees);
+    for p in topo.nodes() {
+        heard.write_row(order.slot(p).index(), neighbor_slots(order, topo, p));
+    }
+    heard
+}
+
+/// The slots of `p`'s neighbors in `topo`, in neighbor-id order: the
+/// row of the table's adjacency for `p`.
+fn neighbor_slots<'a>(
+    order: &'a StorageOrder,
+    topo: &'a Topology,
+    p: NodeId,
+) -> impl ExactSizeIterator<Item = Slot> + 'a {
+    topo.neighbors(p).iter().map(|&q| order.slot(q))
 }
 
 /// The continuous-time beacon schedule as a pure function of
@@ -495,42 +586,42 @@ mod tests {
     #[test]
     fn node_set_insert_remove_collect() {
         let mut s = NodeSet::new(5);
-        s.insert(NodeId::new(3));
-        s.insert(NodeId::new(1));
-        s.insert(NodeId::new(3));
-        assert!(s.contains(NodeId::new(3)));
-        s.remove(NodeId::new(3));
-        assert!(!s.contains(NodeId::new(3)));
+        s.insert(Slot::new(3));
+        s.insert(Slot::new(1));
+        s.insert(Slot::new(3));
+        assert!(s.contains(Slot::new(3)));
+        s.remove(Slot::new(3));
+        assert!(!s.contains(Slot::new(3)));
         let mut out = Vec::new();
         s.drain_sorted_into(&mut out);
-        assert_eq!(out, vec![NodeId::new(1)]);
-        assert!(!s.contains(NodeId::new(1)));
+        assert_eq!(out, vec![Slot::new(1)]);
+        assert!(!s.contains(Slot::new(1)));
     }
 
     #[test]
     fn node_set_bulk_fill_and_dense_drain() {
         let mut s = NodeSet::new(133);
         s.insert_all();
-        assert!(s.contains(NodeId::new(0)) && s.contains(NodeId::new(132)));
-        s.remove(NodeId::new(7));
-        s.insert(NodeId::new(7));
-        s.remove(NodeId::new(70));
+        assert!(s.contains(Slot::new(0)) && s.contains(Slot::new(132)));
+        s.remove(Slot::new(7));
+        s.insert(Slot::new(7));
+        s.remove(Slot::new(70));
         let mut out = Vec::new();
         s.drain_sorted_into(&mut out);
         assert_eq!(out.len(), 132, "all but the removed node");
         assert!(out.windows(2).all(|w| w[0] < w[1]), "sorted, deduplicated");
-        assert!(!out.contains(&NodeId::new(70)));
-        assert!(!s.contains(NodeId::new(0)), "drain empties the set");
+        assert!(!out.contains(&Slot::new(70)));
+        assert!(!s.contains(Slot::new(0)), "drain empties the set");
         // The set keeps working after a drain.
-        s.insert(NodeId::new(5));
+        s.insert(Slot::new(5));
         s.collect_sorted_into(&mut out);
-        assert_eq!(out, vec![NodeId::new(5)]);
+        assert_eq!(out, vec![Slot::new(5)]);
     }
 
     #[test]
     fn node_set_equals_a_btree_set_and_counts_its_members() {
         use std::collections::BTreeSet;
-        let ids = |set: &BTreeSet<u32>| set.iter().map(|&i| NodeId::new(i)).collect::<Vec<_>>();
+        let ids = |set: &BTreeSet<u32>| set.iter().map(|&i| Slot::new(i)).collect::<Vec<_>>();
         for seed in 0..200u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let n = rng.random_range(1..=150usize);
@@ -540,9 +631,9 @@ mod tests {
             for op in 0..600 {
                 let p = rng.random_range(0..n as u32);
                 match rng.random_range(0..100) {
-                    0..=39 => assert_eq!(s.insert(NodeId::new(p)), model.insert(p)),
+                    0..=39 => assert_eq!(s.insert(Slot::new(p)), model.insert(p)),
                     40..=74 => {
-                        s.remove(NodeId::new(p));
+                        s.remove(Slot::new(p));
                         model.remove(&p);
                     }
                     75..=76 => {
@@ -566,13 +657,13 @@ mod tests {
                         // A node the event clock settles and wakes over
                         // and over, with nothing collecting in between.
                         for _ in 0..10 * n {
-                            s.remove(NodeId::new(p));
-                            s.insert(NodeId::new(p));
+                            s.remove(Slot::new(p));
+                            s.insert(Slot::new(p));
                         }
                         model.insert(p);
                     }
                 }
-                assert_eq!(s.contains(NodeId::new(p)), model.contains(&p));
+                assert_eq!(s.contains(Slot::new(p)), model.contains(&p));
                 assert_eq!(s.len(), model.len(), "seed {seed}, op {op}");
             }
             s.collect_sorted_into(&mut out);
@@ -588,7 +679,7 @@ mod tests {
         let mut out = Vec::new();
         s.collect_sorted_into(&mut out);
         assert!(out.is_empty());
-        assert!(!s.contains(NodeId::new(89)));
+        assert!(!s.contains(Slot::new(89)));
     }
 
     #[test]

@@ -28,7 +28,7 @@ use mwn_radio::ContentionStreams;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use super::{bump_epoch, NodeTable, VisitScratch};
+use super::{bump_epoch, NodeTable, Slot, States, StorageOrder, VisitScratch};
 use crate::faults::{Fault, Lie};
 use crate::rng::{derive_seed, split_rng, streams};
 use crate::scenario::TopologyDynamics;
@@ -130,6 +130,7 @@ pub(crate) struct Env<P: Protocol> {
     corruptor: Option<Corruptor<P>>,
     dynamics: Option<Box<dyn TopologyDynamics + Send>>,
     scratch_nodes: Vec<NodeId>,
+    scratch_slots: Vec<Slot>,
     /// Per-worker buffers of [`Env::visit`], one per worker ever used.
     pub(super) visit_pool: Vec<VisitScratch<P>>,
 }
@@ -139,7 +140,7 @@ impl<P: Protocol + std::fmt::Debug> std::fmt::Debug for Env<P> {
         f.debug_struct("Env")
             .field("protocol", &self.protocol)
             .field("topo", &self.topo)
-            .field("states", &self.table.states)
+            .field("states", &self.table.states_by_id())
             .field("scripted", &self.scripted.len())
             .field("dynamics", &self.dynamics.is_some())
             .finish_non_exhaustive()
@@ -149,16 +150,18 @@ impl<P: Protocol + std::fmt::Debug> std::fmt::Debug for Env<P> {
 impl<P: Protocol> Env<P> {
     /// Cold-starts the environment over `topo`: per-node derived init
     /// streams, everything dirty. `fault_stream` is the owning driver's
-    /// [`crate::rng::streams`] tag for fault-site selection.
+    /// [`crate::rng::streams`] tag for fault-site selection. The node
+    /// table takes the topology's storage order, and every state is
+    /// initialized where it is stored.
     pub fn new(protocol: P, topo: Topology, seed: u64, fault_stream: u64) -> Self {
         let init_base = derive_seed(seed, streams::INIT);
         let init = |p: NodeId| {
             let mut rng = StdRng::seed_from_u64(derive_seed(init_base, u64::from(p.value())));
             protocol.init(p, &mut rng)
         };
-        let states = topo.nodes().map(init).collect();
+        let order = StorageOrder::of(&topo);
         Env {
-            table: NodeTable::new(&protocol, &topo, states),
+            table: NodeTable::new(&protocol, &topo, order, init),
             update_base: derive_seed(seed, streams::UPDATE),
             medium_base: derive_seed(seed, streams::MEDIUM),
             corrupt_base: derive_seed(seed, streams::CORRUPT),
@@ -181,6 +184,7 @@ impl<P: Protocol> Env<P> {
             corruptor: None,
             dynamics: None,
             scratch_nodes: Vec::new(),
+            scratch_slots: Vec::new(),
             visit_pool: Vec::new(),
         }
     }
@@ -255,21 +259,27 @@ impl<P: Protocol> Env<P> {
     /// neighbors are forced to re-broadcast (exactly what an eager
     /// engine's unconditional beacons would have repaired implicitly).
     pub fn wake_mutated(&mut self, p: NodeId) {
-        self.table.mark_node(p);
+        self.table.mark_node(self.table.order.slot(p));
         self.table.reset_heard_row(p, &self.topo);
     }
 
-    /// Recomputes `p`'s beacon from its current state; if the content
-    /// changed ([`Protocol::beacon_changed`]) the epoch is bumped and
-    /// `p` becomes send-pending (waking it from statistical occupancy
-    /// if it had retired), and if what a receive reads changed too
-    /// ([`Protocol::read_changed`]) the new epoch is also `p`'s read
-    /// epoch. Returns whether the beacon changed.
-    pub fn refresh_beacon(&mut self, p: NodeId) -> bool {
+    /// Every node's state, by id — published if it is not yet.
+    pub fn states(&self) -> &[P::State] {
+        self.table.states_by_id()
+    }
+
+    /// Recomputes the beacon of the node at slot `p` from its current
+    /// state; if the content changed ([`Protocol::beacon_changed`]) the
+    /// epoch is bumped and the node becomes send-pending (waking it
+    /// from statistical occupancy if it had retired), and if what a
+    /// receive reads changed too ([`Protocol::read_changed`]) the new
+    /// epoch is also its read epoch. Returns whether the beacon changed.
+    pub fn refresh_beacon(&mut self, p: Slot) -> bool {
         let table = &mut self.table;
+        let (i, id) = (p.index(), table.order.id(p));
         // A lying node's column holds its forged beacon; refreshing
         // must not launder it back to the truth until the lie clears.
-        if !table.lies.is_empty() && table.lies.contains(&p) {
+        if !table.lies.is_empty() && table.lies.contains(&id) {
             return false;
         }
         // The pooled scratch buffer circulates: beacon_into overwrites
@@ -278,34 +288,37 @@ impl<P: Protocol> Env<P> {
         // buffer capacities have reached their high-water marks.
         let scratch = table
             .scratch_beacon
-            .get_or_insert_with(|| table.beacons[p.index()].clone());
-        self.protocol
-            .beacon_into(p, &table.states[p.index()], scratch);
-        let old = &table.beacons[p.index()];
+            .get_or_insert_with(|| table.beacons[i].clone());
+        let states = table.states.slots_mut(&table.order);
+        self.protocol.beacon_into(id, &states[i], scratch);
+        let old = &table.beacons[i];
         let changed = self.protocol.beacon_changed(old, scratch);
         if changed {
-            let epoch = bump_epoch(table.epoch[p.index()]);
-            table.epoch[p.index()] = epoch;
+            let epoch = bump_epoch(table.epoch[i]);
+            table.epoch[i] = epoch;
             if self.protocol.read_changed(old, scratch) {
-                table.read_epoch[p.index()] = epoch;
+                table.read_epoch[i] = epoch;
             }
             table.send_pending.insert(p);
             if let Some(occ) = &mut table.occupancy {
-                occ.release(p, &self.topo);
+                occ.release(id, &self.topo);
             }
         }
-        std::mem::swap(&mut table.beacons[p.index()], scratch);
+        std::mem::swap(&mut table.beacons[i], scratch);
         changed
     }
 
-    /// `true` when every neighbor of `s` has incorporated `s`'s current
-    /// beacon epoch — the retirement condition for a pending sender.
-    pub fn all_caught_up(&self, s: NodeId) -> bool {
-        let (topo, epoch) = (&self.topo, self.table.epoch[s.index()]);
-        topo.neighbors(s).iter().all(|&r| {
-            topo.neighbors(r)
-                .binary_search(&s)
-                .map(|idx| self.table.heard.get(r.index(), idx) == epoch)
+    /// `true` when every neighbor of the node at slot `s` has
+    /// incorporated its current beacon epoch — the retirement condition
+    /// for a pending sender. Read off the reception rows and the slots
+    /// they name: each neighbor's row is searched for `s` by id.
+    pub fn all_caught_up(&self, s: Slot) -> bool {
+        let (table, id) = (&self.table, self.table.order.id(s));
+        let epoch = table.epoch[s.index()];
+        table.heard.slots(s.index()).iter().all(|&r| {
+            let row = table.heard.slots(r.index());
+            row.binary_search_by_key(&id, |&q| table.order.id(q))
+                .map(|idx| table.heard.get(r.index(), idx) == epoch)
                 .unwrap_or(true)
         })
     }
@@ -327,8 +340,8 @@ impl<P: Protocol> Env<P> {
     /// under `eager` scheduling everyone beacons, hears and runs (the
     /// degenerate dirty sets every gated run is tested against); then
     /// the beacons of state-changed nodes are refreshed and the
-    /// period's senders collected into `senders`.
-    pub fn release_slots(&mut self, eager: bool, senders: &mut Vec<NodeId>) {
+    /// period's senders collected into `senders`, by slot.
+    pub fn release_slots(&mut self, eager: bool, senders: &mut Vec<Slot>) {
         let table = &mut self.table;
         if eager {
             table.update_dirty.insert_all();
@@ -340,12 +353,12 @@ impl<P: Protocol> Env<P> {
                 occ.release_all();
             }
         }
-        let mut stale = std::mem::take(&mut self.scratch_nodes);
+        let mut stale = std::mem::take(&mut self.scratch_slots);
         table.beacon_stale.drain_sorted_into(&mut stale);
         for &p in &stale {
             self.refresh_beacon(p);
         }
-        self.scratch_nodes = stale;
+        self.scratch_slots = stale;
         self.table.send_pending.collect_sorted_into(senders);
     }
 
@@ -354,11 +367,12 @@ impl<P: Protocol> Env<P> {
     /// no guard pass unless it receives a frame ([`super::settle`]).
     /// Returns the senders' summed degree, the copies in range. Costs
     /// that many bit operations; nothing here is proportional to n.
-    pub fn mark_hearers(&mut self, senders: &[NodeId]) -> usize {
+    /// The neighbors are the slots the senders' rows name.
+    pub fn mark_hearers(&mut self, senders: &[Slot]) -> usize {
         let table = &mut self.table;
         let mut in_range = 0;
         for &s in senders {
-            let heard_by = self.topo.neighbors(s);
+            let heard_by = table.heard.slots(s.index());
             in_range += heard_by.len();
             for &r in heard_by {
                 if table.update_dirty.insert(r) {
@@ -392,25 +406,27 @@ impl<P: Protocol> Env<P> {
     ///
     /// A period that lost a single copy asks per sender, as ever. Debug
     /// builds ask both ways and assert that they agree.
-    pub fn retire_caught_up(&mut self, senders: &[NodeId], delivered: usize) {
+    pub fn retire_caught_up(&mut self, senders: &[Slot], delivered: usize) {
         if senders.is_empty() {
             return;
         }
-        let in_range: usize = senders.iter().map(|&s| self.topo.degree(s)).sum();
+        let degree = |s: Slot| self.table.heard.slots(s.index()).len();
+        let in_range: usize = senders.iter().map(|&s| degree(s)).sum();
         let lossless = delivered == in_range;
         self.lossless_periods += u64::from(lossless);
         for &s in senders {
             if lossless {
                 debug_assert!(
                     self.all_caught_up(s),
-                    "a period that delivered every copy left {s} with a neighbor behind"
+                    "a period that delivered every copy left {} with a neighbor behind",
+                    self.table.order.id(s)
                 );
             } else if !self.all_caught_up(s) {
                 continue;
             }
             self.table.send_pending.remove(s);
             if let Some(occ) = &mut self.table.occupancy {
-                occ.occupy(s, &self.topo);
+                occ.occupy(self.table.order.id(s), &self.topo);
             }
         }
     }
@@ -482,7 +498,7 @@ impl<P: Protocol> Env<P> {
         self.env_changed = true;
         match followup {
             Followup::Resurrect { node, state, edges } => {
-                self.table.states[node.index()] = state;
+                *self.table.state_mut(node) = state;
                 self.wake_mutated(node);
                 self.restore_edges(&edges);
             }
@@ -494,7 +510,7 @@ impl<P: Protocol> Env<P> {
                 // poisoned neighbors are forced to hear the retraction.
                 self.table.lies.retain(|q| *q != node);
                 self.wake_mutated(node);
-                self.refresh_beacon(node);
+                self.refresh_beacon(self.table.order.slot(node));
             }
         }
     }
@@ -543,7 +559,7 @@ impl<P: Protocol> Env<P> {
     /// and reschedules it.
     fn corrupt_scripted(&mut self, p: NodeId) {
         let mut rng = self.corrupt_rng(p);
-        let state = &mut self.table.states[p.index()];
+        let state = self.table.state_mut(p);
         scramble(&self.corruptor, &self.protocol, p, state, &mut rng);
         self.wake_mutated(p);
     }
@@ -569,7 +585,7 @@ impl<P: Protocol> Env<P> {
     /// [`Fault::CrashRecover`]: snapshot state + links, go dark, hold
     /// the links down until the resurrection at step `due`.
     fn crash(&mut self, p: NodeId, due: u64) {
-        let state = self.table.states[p.index()].clone();
+        let state = self.table.state_mut(p).clone();
         let mut edges = self.shadowed(|u, v| u == p || v == p);
         edges.extend(self.topo.neighbors(p).iter().map(|&q| ordered(p, q)));
         self.isolate(p);
@@ -588,21 +604,22 @@ impl<P: Protocol> Env<P> {
     /// forged content draws on the dedicated per-corruption-event
     /// stream.
     fn byzantine(&mut self, p: NodeId, lie: Lie, due: u64) {
+        let i = self.table.order.slot(p).index();
         let beacon = match lie {
             Lie::Forged => {
                 let mut rng = self.corrupt_rng(p);
-                let mut fake = self.table.states[p.index()].clone();
+                let mut fake = self.table.state_mut(p).clone();
                 scramble(&self.corruptor, &self.protocol, p, &mut fake, &mut rng);
                 self.protocol.beacon(p, &fake)
             }
-            Lie::Replayed => self.table.beacons[p.index()].clone(),
+            Lie::Replayed => self.table.beacons[i].clone(),
         };
         let table = &mut self.table;
-        table.beacons[p.index()] = beacon;
-        let epoch = bump_epoch(table.epoch[p.index()]);
-        table.epoch[p.index()] = epoch;
-        table.read_epoch[p.index()] = epoch;
-        table.send_pending.insert(p);
+        table.beacons[i] = beacon;
+        let epoch = bump_epoch(table.epoch[i]);
+        table.epoch[i] = epoch;
+        table.read_epoch[i] = epoch;
+        table.send_pending.insert(table.order.slot(p));
         if let Some(occ) = &mut table.occupancy {
             occ.release(p, &self.topo);
         }
@@ -709,10 +726,10 @@ impl<P: Protocol> Env<P> {
                 occ.edge_added(u, v);
             }
         }
-        let states = &mut self.table.states;
+        let (protocol, table) = (&self.protocol, &mut self.table);
         for &(u, v) in &delta.removed {
-            self.protocol.link_down(u, &mut states[u.index()], v);
-            self.protocol.link_down(v, &mut states[v.index()], u);
+            protocol.link_down(u, table.state_mut(u), v);
+            protocol.link_down(v, table.state_mut(v), u);
         }
         for p in delta.touched() {
             self.wake_mutated(p);
@@ -768,9 +785,9 @@ impl<P: Protocol> Env<P> {
             }
         }
         for &q in &nbrs {
-            let states = &mut self.table.states;
-            self.protocol.link_down(p, &mut states[p.index()], q);
-            self.protocol.link_down(q, &mut states[q.index()], p);
+            let (protocol, table) = (&self.protocol, &mut self.table);
+            protocol.link_down(p, table.state_mut(p), q);
+            protocol.link_down(q, table.state_mut(q), p);
             self.wake_mutated(q);
         }
         self.wake_mutated(p);
@@ -782,22 +799,34 @@ impl<P: Protocol> Env<P> {
     /// mutation is a fault).
     pub fn state_mut(&mut self, p: NodeId) -> &mut P::State {
         self.wake_mutated(p);
-        &mut self.table.states[p.index()]
+        self.table.state_mut(p)
     }
 }
 
 impl<P: Observable> Env<P> {
     /// Projects every node's observable output into `buf` (cleared
-    /// first).
+    /// first), by id. The states are read where they sit and nothing is
+    /// published: from the working column, the outputs are projected in
+    /// storage order and then moved into id order in place.
     pub fn outputs_into(&self, buf: &mut Vec<P::Output>) {
-        let outputs = self.table.states.iter().enumerate();
+        let (protocol, table) = (&self.protocol, &self.table);
         buf.clear();
-        buf.extend(outputs.map(|(i, s)| self.protocol.output(NodeId::new(i as u32), s)));
+        table.states.read(&table.order, |states| match states {
+            States::ById(by_id, _) => {
+                let ids = (0u32..).map(NodeId::new);
+                buf.extend(ids.zip(by_id).map(|(p, s)| protocol.output(p, s)));
+            }
+            States::BySlot(by_slot, order) => {
+                let ids = order.ids().iter();
+                buf.extend(ids.zip(by_slot).map(|(&p, s)| protocol.output(p, s)));
+                order.to_ids(buf);
+            }
+        });
     }
 
     /// The observable output of every node.
     pub fn outputs(&self) -> Vec<P::Output> {
-        let mut buf = Vec::with_capacity(self.table.states.len());
+        let mut buf = Vec::with_capacity(self.topo.len());
         self.outputs_into(&mut buf);
         buf
     }
@@ -871,7 +900,7 @@ pub(crate) fn run_to<P: Observable, D>(
     // predicate/budget-only stops skip the per-step O(n) pass.
     let needs_outputs = stop.needs_outputs();
     let e = env(driver);
-    let mut outputs: Vec<P::Output> = Vec::with_capacity(e.table.states.len());
+    let mut outputs: Vec<P::Output> = Vec::with_capacity(e.topo.len());
     if needs_outputs {
         e.outputs_into(&mut outputs);
     }
@@ -882,7 +911,7 @@ pub(crate) fn run_to<P: Observable, D>(
         state_changed: true,
         env_changed: true,
     };
-    let mut verdict = cursor.observe(start, 0, &e.topo, &e.table.states, &first);
+    let mut verdict = cursor.observe(start, 0, &e.topo, &|| e.states(), &first);
     let mut now = start;
     while !verdict.satisfied {
         now = step(driver);
@@ -890,18 +919,23 @@ pub(crate) fn run_to<P: Observable, D>(
         let table = &e.table;
         let mut output_changed = false;
         if needs_outputs {
-            let mut project = |p: NodeId| {
-                let fresh = e.protocol.output(p, &table.states[p.index()]);
+            let mut project = |p: NodeId, state: &P::State| {
+                let fresh = e.protocol.output(p, state);
                 if outputs[p.index()] != fresh {
                     outputs[p.index()] = fresh;
                     output_changed = true;
                 }
             };
-            if gated {
-                table.changed.iter().copied().for_each(&mut project);
-            } else {
-                e.topo.nodes().for_each(&mut project);
-            }
+            table.states.read(&table.order, |states| {
+                if gated {
+                    for &p in &table.changed {
+                        let (id, state) = states.at(p);
+                        project(id, state);
+                    }
+                } else {
+                    states.for_each(project);
+                }
+            });
         }
         let obs = Obs {
             output_changed,
@@ -909,7 +943,7 @@ pub(crate) fn run_to<P: Observable, D>(
             state_changed: !gated || !table.changed.is_empty(),
             env_changed: e.env_changed,
         };
-        verdict = cursor.observe(now, now - start, &e.topo, &table.states, &obs);
+        verdict = cursor.observe(now, now - start, &e.topo, &|| e.states(), &obs);
     }
     RunReport {
         stabilized: cursor.stabilized(),
@@ -958,12 +992,12 @@ mod tests {
         assert_eq!(queued, [(5, 2), (5, 0), (4, 3), (3, 1)], "earliest last");
         assert_eq!(env.next_followup(), Some(3));
         env.fire_followups(2);
-        assert_eq!(env.table.states[0], 0, "nothing due yet");
+        assert_eq!(env.states()[0], 0, "nothing due yet");
         env.fire_followups(4);
-        assert_eq!(env.table.states[0], 40, "due 3 fired before due 4");
+        assert_eq!(env.states()[0], 40, "due 3 fired before due 4");
         assert_eq!(env.next_followup(), Some(5));
         env.fire_followups(9);
-        assert_eq!(env.table.states[0], 51, "equal dues fire in push order");
+        assert_eq!(env.states()[0], 51, "equal dues fire in push order");
         assert_eq!(env.next_followup(), None);
     }
 
@@ -972,7 +1006,7 @@ mod tests {
         let mut env = line_env(5);
         let mut occ = Occupancy::new(5);
         for q in [id(0), id(3)] {
-            env.table.send_pending.remove(q);
+            env.table.send_pending.remove(env.table.order.slot(q));
             occ.occupy(q, &env.topo);
         }
         env.table.occupancy = Some(occ);

@@ -9,25 +9,24 @@
 //! inner loops into standalone kernels with three properties:
 //!
 //! * **word-at-a-time** — dirty sets (`NodeSet`) are one bit per
-//!   node in cache-line-aligned u64 words plus a member count;
+//!   table slot in cache-line-aligned u64 words plus a member count;
 //!   membership is a bit test, collection decodes set bits with
 //!   `trailing_zeros` (with an all-ones fast path that turns the
 //!   cold-start storm into a near-memcpy) and skips zero lines, and
-//!   never sorts — bit order *is* node order; the count makes an empty
-//!   set free to collect, drain or clear;
+//!   never sorts — bit order *is* storage order; the count makes an
+//!   empty set free to collect, drain or clear;
 //! * **contiguous rows** — the per-frame joins ([`sorted_positions`],
 //!   [`any_fresh`]) probe a receiver's sorted adjacency slice with one
 //!   binary search per delivered sender: at radio degrees (tens of
 //!   neighbors) a handful of well-predicted probes over one or two
 //!   cache lines (a step over a lossless medium needs neither — it
-//!   reads the row and the adjacency list side by side, the slot being
-//!   the loop index);
-//! * **one arena** — [`HeardTable`] flattens the per-node reception
+//!   walks the reception row, whose entries name their senders' slots);
+//! * **one arena** — `HeardTable` flattens the per-node reception
 //!   rows (`Vec<Vec<u32>>`, one heap allocation per node) into one CSR
-//!   arena: each row is a contiguous `&[u32]` slice, rows are laid out
-//!   back-to-back in node order (the order the pass visits them), and
-//!   wholesale invalidation is a single bulk fill instead of n
-//!   re-allocations.
+//!   arena: each row is a contiguous `&[u32]` slice beside the slots of
+//!   the neighbors it names, rows are laid out back-to-back in storage
+//!   order (the order the pass visits them), and wholesale invalidation
+//!   is a single bulk fill instead of n re-allocations.
 //!
 //! # Alignment and padding audit
 //!
@@ -36,7 +35,7 @@
 //! `Vec<BitLine>` with `#[repr(align(64))] BitLine([u64; 8])`, so
 //! every line of dirty bits starts on a cache-line boundary and the
 //! decode loop streams whole lines, testing each for zero at once. The
-//! `u32` epoch columns ([`HeardTable::row`], `NodeTable::epoch`) rely
+//! `u32` epoch columns (`HeardTable::row`, `NodeTable::epoch`) rely
 //! on autovectorization with unaligned loads (peeled prologues) —
 //! measured on par with aligned access on current x86-64. Cross-thread false sharing: the
 //! per-worker visit buffers are `#[repr(align(64))]`-padded
@@ -46,21 +45,24 @@
 //! one line straddling each cut — at most `workers − 1` lines per
 //! column, each written by its two neighbours' edge nodes only.
 //!
-//! What no layout here fixes is the *scatter* of a visit's reads: a
-//! node's neighbours are wherever deployment order put them, so the
-//! beacons it hears sit on unrelated lines (and, for a beacon that owns
-//! a heap buffer, one dependent load further). The crate has no
-//! prefetch intrinsic to reach for; the sanctioned form is batched safe
-//! loads — the round driver's look-ahead pass reads one word per line
-//! of every heard beacon ([`crate::Protocol::peek`]) before the first
-//! `receive` of the visit, so the misses overlap instead of queueing
-//! behind one another.
+//! The *scatter* of a visit's reads is the storage order's to fix, not
+//! a kernel's: every column is indexed by table slot, and a unit-disk
+//! deployment is stored by radio cell, so the neighbours a node hears
+//! sit in a few nearby stretches of each column wherever deployment
+//! order put their ids (`engine/order.rs`). What is left — a beacon
+//! that owns a heap buffer is one dependent load further — the round
+//! driver's look-ahead pass overlaps: it reads one word per line of
+//! every heard beacon ([`crate::Protocol::peek`]) before the first
+//! `receive` of the visit, so the misses are in flight together instead
+//! of queueing behind one another.
 //!
 //! `NodeSet`'s collections are checked against a per-bit reference
 //! (`collect_scalar`, test-only), the joins against naive linear scans,
 //! in this module's tests.
 
 use mwn_graph::NodeId;
+
+use super::Slot;
 
 /// Beacon-epoch sentinel meaning "never received anything from this
 /// neighbor" (mirrored from the engine so the kernels are
@@ -80,15 +82,15 @@ const WORDS_PER_LINE: usize = 8;
 #[repr(align(64))]
 struct BitLine([u64; WORDS_PER_LINE]);
 
-/// A set of node ids over `0..n`: one bit per node in cache-line
+/// A set of table slots over `0..n`: one bit per slot in cache-line
 /// aligned u64 words, plus the member count. Insert, remove and
 /// membership are one bit operation each; collections decode the words
-/// in node order, skipping zero lines, so they come out sorted without
+/// in slot order, skipping zero lines, so they come out sorted without
 /// a sort; an empty set is collected, drained or cleared without a
 /// scan. Allocation-free after construction.
 pub(crate) struct NodeSet {
     lines: Vec<BitLine>,
-    /// Capacity: the ids are `0..n`.
+    /// Capacity: the slots are `0..n`.
     n: usize,
     /// Members: the set bits.
     len: usize,
@@ -105,9 +107,9 @@ impl NodeSet {
         }
     }
 
-    /// The line, word and bit mask of node `p`.
+    /// The line, word and bit mask of slot `p`.
     #[inline]
-    fn slot(p: NodeId) -> (usize, usize, u64) {
+    fn bit(p: Slot) -> (usize, usize, u64) {
         let i = p.index();
         let word = i / WORD_BITS;
         (
@@ -119,8 +121,8 @@ impl NodeSet {
 
     /// Inserts `p`; returns `true` when it was not a member yet.
     #[inline]
-    pub fn insert(&mut self, p: NodeId) -> bool {
-        let (l, w, m) = Self::slot(p);
+    pub fn insert(&mut self, p: Slot) -> bool {
+        let (l, w, m) = Self::bit(p);
         let word = &mut self.lines[l].0[w];
         let fresh = *word & m == 0;
         *word |= m;
@@ -129,16 +131,16 @@ impl NodeSet {
     }
 
     #[inline]
-    pub fn remove(&mut self, p: NodeId) {
-        let (l, w, m) = Self::slot(p);
+    pub fn remove(&mut self, p: Slot) {
+        let (l, w, m) = Self::bit(p);
         let word = &mut self.lines[l].0[w];
         self.len -= usize::from(*word & m != 0);
         *word &= !m;
     }
 
     #[inline]
-    pub fn contains(&self, p: NodeId) -> bool {
-        let (l, w, m) = Self::slot(p);
+    pub fn contains(&self, p: Slot) -> bool {
+        let (l, w, m) = Self::bit(p);
         self.lines[l].0[w] & m != 0
     }
 
@@ -150,8 +152,8 @@ impl NodeSet {
         }
     }
 
-    /// Every node becomes a member in one word fill, the tail word
-    /// masked so ids past `n` stay clear.
+    /// Every slot becomes a member in one word fill, the tail word
+    /// masked so slots past `n` stay clear.
     pub fn insert_all(&mut self) {
         self.lines.fill(BitLine([u64::MAX; WORDS_PER_LINE]));
         let (full, rem) = (self.n / WORD_BITS, self.n % WORD_BITS);
@@ -163,14 +165,14 @@ impl NodeSet {
         self.len = self.n;
     }
 
-    /// Copies the members into `out` (cleared first), in node order.
-    pub fn collect_sorted_into(&self, out: &mut Vec<NodeId>) {
+    /// Copies the members into `out` (cleared first), in slot order.
+    pub fn collect_sorted_into(&self, out: &mut Vec<Slot>) {
         self.decode_into(out);
     }
 
-    /// Copies the members into `out` (cleared first), in node order,
+    /// Copies the members into `out` (cleared first), in slot order,
     /// then empties the set.
-    pub fn drain_sorted_into(&mut self, out: &mut Vec<NodeId>) {
+    pub fn drain_sorted_into(&mut self, out: &mut Vec<Slot>) {
         let scanned = self.decode_into(out);
         self.lines[..scanned].fill(BitLine::default());
         self.len = 0;
@@ -183,11 +185,11 @@ impl NodeSet {
     }
 
     /// The bitset-scan kernel: clears `out`, then appends every member
-    /// in node order. Zero lines are skipped; each other word decodes
+    /// in slot order. Zero lines are skipped; each other word decodes
     /// with `trailing_zeros`, and an all-ones word (the converging-phase
     /// common case) takes a straight-line fast path. The scan stops at
     /// the line holding the last member; returns how many lines it read.
-    fn decode_into(&self, out: &mut Vec<NodeId>) -> usize {
+    fn decode_into(&self, out: &mut Vec<Slot>) -> usize {
         out.clear();
         if self.len == 0 {
             return 0;
@@ -209,9 +211,9 @@ impl NodeSet {
 
     /// Per-bit reference for the collections.
     #[cfg(test)]
-    fn collect_scalar(&self, out: &mut Vec<NodeId>) {
+    fn collect_scalar(&self, out: &mut Vec<Slot>) {
         out.clear();
-        for p in (0..self.n as u32).map(NodeId::new) {
+        for p in (0..self.n as u32).map(Slot::new) {
             if self.contains(p) {
                 out.push(p);
             }
@@ -221,16 +223,16 @@ impl NodeSet {
 
 /// Decodes one bitset word into `out` (bit `b` → `base + b`).
 #[inline]
-fn decode_word(w: u64, base: u32, out: &mut Vec<NodeId>) {
+fn decode_word(w: u64, base: u32, out: &mut Vec<Slot>) {
     if w == u64::MAX {
         // Dense fast path: the converging storm sets whole words.
         for b in 0..WORD_BITS as u32 {
-            out.push(NodeId::new(base + b));
+            out.push(Slot::new(base + b));
         }
     } else {
         let mut m = w;
         while m != 0 {
-            out.push(NodeId::new(base + m.trailing_zeros()));
+            out.push(Slot::new(base + m.trailing_zeros()));
             m &= m - 1;
         }
     }
@@ -248,14 +250,37 @@ fn decode_word(w: u64, base: u32, out: &mut Vec<NodeId>) {
 /// invariant, release builds drop the frame — out of range, never
 /// heard — rather than take the engine down mid-step.
 #[inline]
-pub fn sorted_positions<F: FnMut(usize, NodeId)>(haystack: &[NodeId], keys: &[NodeId], mut f: F) {
+pub fn sorted_positions<F: FnMut(usize, NodeId)>(haystack: &[NodeId], keys: &[NodeId], f: F) {
+    sorted_positions_by(haystack, |&q| q, keys, f);
+}
+
+/// [`sorted_positions`] over a haystack sorted by `id(entry)` — how the
+/// engine joins against a reception row, whose entries name slots in
+/// neighbor-id order.
+#[inline]
+pub(crate) fn sorted_positions_by<T>(
+    haystack: &[T],
+    id: impl Fn(&T) -> NodeId,
+    keys: &[NodeId],
+    mut f: impl FnMut(usize, NodeId),
+) {
     for &s in keys {
-        let Ok(idx) = haystack.binary_search(&s) else {
-            debug_assert!(false, "media deliver only between 1-neighbors, {s} is none");
-            continue;
-        };
-        f(idx, s);
+        if let Some(idx) = position(haystack, &id, s) {
+            f(idx, s);
+        }
     }
+}
+
+/// Where sender `s` sits in the `id`-sorted `haystack`, or `None` — and
+/// a debug panic — when a medium delivered it from out of range.
+#[inline]
+fn position<T>(haystack: &[T], id: impl Fn(&T) -> NodeId, s: NodeId) -> Option<usize> {
+    let found = haystack.binary_search_by_key(&s, id).ok();
+    debug_assert!(
+        found.is_some(),
+        "media deliver only between 1-neighbors, {s} is none"
+    );
+    found
 }
 
 /// `true` when any delivered sender's current beacon epoch differs
@@ -263,9 +288,9 @@ pub fn sorted_positions<F: FnMut(usize, NodeId)>(haystack: &[NodeId], keys: &[No
 /// comparison kernel of the wakeup scan (phase 4).
 ///
 /// `heard_row` is the receiver's contiguous reception row
-/// ([`HeardTable::row`]), `epochs` the global beacon-epoch column,
-/// `neighbors` the receiver's sorted adjacency list and `senders` the
-/// delivered-frame senders.
+/// (`HeardTable::row`), `epochs` the beacon-epoch column indexed by
+/// sender, `neighbors` the receiver's sorted adjacency list and
+/// `senders` the delivered-frame senders.
 ///
 /// Early-exits on the first fresh epoch: during converging the very
 /// first delivered frame is almost always fresh, so bailing out there
@@ -278,13 +303,25 @@ pub fn any_fresh(
     neighbors: &[NodeId],
     senders: &[NodeId],
 ) -> bool {
-    senders.iter().any(|&s| {
-        let Ok(idx) = neighbors.binary_search(&s) else {
-            debug_assert!(false, "media deliver only between 1-neighbors, {s} is none");
-            return false;
-        };
-        heard_row[idx] != epochs[s.index()]
-    })
+    let epoch = |idx: usize| epochs[neighbors[idx].index()];
+    any_fresh_by(heard_row, neighbors, |&q| q, senders, epoch)
+}
+
+/// [`any_fresh`] over a row whose entries `haystack` are sorted by
+/// `id(entry)`, the epoch of the sender at entry `idx` read by
+/// `epoch(idx)` — how the engine asks it, through the slots a reception
+/// row names.
+#[inline]
+pub(crate) fn any_fresh_by<T>(
+    heard_row: &[u32],
+    haystack: &[T],
+    id: impl Fn(&T) -> NodeId,
+    senders: &[NodeId],
+    epoch: impl Fn(usize) -> u32,
+) -> bool {
+    senders
+        .iter()
+        .any(|&s| position(haystack, &id, s).is_some_and(|idx| heard_row[idx] != epoch(idx)))
 }
 
 /// Per-row slack kept by [`HeardTable`] so mobility-driven degree
@@ -292,40 +329,62 @@ pub fn any_fresh(
 const ROW_SLACK: u32 = 2;
 
 /// The per-edge reception epochs as one contiguous CSR arena: row `r`
-/// holds, for each neighbor in `r`'s sorted adjacency list, the epoch
-/// of that neighbor's beacon `r` last incorporated ([`NEVER`] if
-/// none). Replaces the `Vec<Vec<u32>>`-of-rows layout (one heap
-/// allocation and one pointer chase per node) with offset-indexed
-/// slices: rows are contiguous, laid out in node order, and wholesale
-/// invalidation is a single bulk fill.
+/// holds, for each neighbor in its node's sorted adjacency list, the
+/// epoch of that neighbor's beacon the node last incorporated
+/// ([`NEVER`] if none), and beside it the neighbor's table slot. Rows
+/// are indexed by slot and laid out back-to-back in slot order (the
+/// order the pass visits them); the entries of a row stay in
+/// neighbor-id order, so a receiver walking its row hears its senders
+/// in ascending id. Wholesale invalidation is a single bulk fill.
+///
+/// The slots are the table's adjacency: a visit reads its neighbors'
+/// columns through them and never through the id-keyed topology. They
+/// are rewritten wherever a row is — [`HeardTable::reset_row`] and
+/// [`HeardTable::reset_all`], on every adjacency change.
 ///
 /// Rows carry [`ROW_SLACK`] spare capacity so a link appearing under
 /// mobility updates in place; only growth past the slack re-layouts
 /// the arena (amortized, rare).
 #[derive(Clone, Debug, Default)]
-pub struct HeardTable {
+pub(crate) struct HeardTable {
     /// `off[r]..off[r + 1]` is row `r`'s capacity region in `data`.
     off: Vec<u32>,
     /// Live prefix of each row (the node's current degree).
     len: Vec<u32>,
     /// The epoch entries; [`NEVER`] everywhere outside live prefixes.
     data: Vec<u32>,
+    /// The neighbor slot of each entry, laid out like `data`.
+    slots: Vec<Slot>,
 }
 
 impl HeardTable {
-    /// Builds the arena for the given per-node degrees, every entry
-    /// [`NEVER`].
-    pub fn new<I: IntoIterator<Item = usize>>(degrees: I) -> Self {
-        let (mut off, mut len, mut total) = (vec![0u32], Vec::new(), 0u32);
-        for deg in degrees {
-            total += deg as u32 + ROW_SLACK;
+    /// Builds the arena for `rows` rows, row `r` naming the neighbor
+    /// slots `row(r)`, every entry [`NEVER`].
+    pub fn new<R: ExactSizeIterator<Item = Slot>>(rows: usize, row: impl Fn(usize) -> R) -> Self {
+        let mut table = HeardTable::with_degrees((0..rows).map(|r| row(r).len() as u32).collect());
+        for r in 0..rows {
+            table.write_row(r, row(r));
+        }
+        table
+    }
+
+    /// Lays the arena out for rows of the given degrees, every entry
+    /// [`NEVER`]: each row is then named once by
+    /// [`HeardTable::write_row`], in whatever order the caller reads
+    /// its adjacency fastest.
+    pub fn with_degrees(len: Vec<u32>) -> Self {
+        let mut off = Vec::with_capacity(len.len() + 1);
+        off.push(0u32);
+        let mut total = 0u32;
+        for &deg in &len {
+            total += deg + ROW_SLACK;
             off.push(total);
-            len.push(deg as u32);
         }
         HeardTable {
             off,
             len,
             data: vec![NEVER; total as usize],
+            slots: vec![Slot::default(); total as usize],
         }
     }
 
@@ -341,6 +400,13 @@ impl HeardTable {
         &self.data[lo..lo + self.len[r] as usize]
     }
 
+    /// The slots of the neighbors row `r` names, in neighbor-id order.
+    #[inline]
+    pub fn slots(&self, r: usize) -> &[Slot] {
+        let lo = self.off[r] as usize;
+        &self.slots[lo..lo + self.len[r] as usize]
+    }
+
     /// The entry at adjacency slot `idx` of row `r`.
     #[inline]
     pub fn get(&self, r: usize, idx: usize) -> u32 {
@@ -350,14 +416,16 @@ impl HeardTable {
 
     /// The entry at adjacency slot `idx` of row `r`, to write.
     #[inline]
-    pub(crate) fn get_mut(&mut self, r: usize, idx: usize) -> &mut u32 {
+    pub fn get_mut(&mut self, r: usize, idx: usize) -> &mut u32 {
         debug_assert!(idx < self.len[r] as usize);
         &mut self.data[self.off[r] as usize + idx]
     }
 
-    /// Realigns row `r` to `deg` entries, all [`NEVER`] — the
-    /// conservative forget used when a node's adjacency list changed.
-    pub fn reset_row(&mut self, r: usize, deg: usize) {
+    /// Realigns row `r` to the neighbors `row` names, every entry
+    /// [`NEVER`] — the conservative forget used when a node's adjacency
+    /// list changed.
+    pub fn reset_row(&mut self, r: usize, row: impl ExactSizeIterator<Item = Slot>) {
+        let deg = row.len();
         if self.off[r + 1] - self.off[r] < deg as u32 {
             self.grow_row(r, deg);
         }
@@ -365,27 +433,36 @@ impl HeardTable {
         // Fill the whole capacity region so slack never holds stale
         // epochs when a later growth exposes it.
         self.data[lo..hi].fill(NEVER);
-        self.len[r] = deg as u32;
-        debug_assert!(self.data[lo..hi].iter().all(|&e| e == NEVER));
+        self.write_row(r, row);
     }
 
-    /// Realigns every row to the given degrees, all entries [`NEVER`]
-    /// — wholesale invalidation as one bulk fill when the capacities
-    /// still fit.
-    pub fn reset_all<I: IntoIterator<Item = usize>>(&mut self, degrees: I) {
-        let mut lens = std::mem::take(&mut self.len);
-        lens.clear();
-        lens.extend(degrees.into_iter().map(|d| d as u32));
-        let fits = lens.len() == self.off.len() - 1
-            && lens
-                .iter()
-                .enumerate()
-                .all(|(r, &d)| self.off[r + 1] - self.off[r] >= d);
-        if fits {
-            self.data.fill(NEVER);
-            self.len = lens;
-        } else {
-            *self = HeardTable::new(lens.iter().map(|&d| d as usize));
+    /// Names the neighbors of row `r`, whose capacity holds them.
+    pub fn write_row(&mut self, r: usize, row: impl ExactSizeIterator<Item = Slot>) {
+        let lo = self.off[r] as usize;
+        self.len[r] = row.len() as u32;
+        self.slots[lo..]
+            .iter_mut()
+            .zip(row)
+            .for_each(|(to, s)| *to = s);
+    }
+
+    /// Realigns all `rows` rows to the neighbors `row(r)` names, every
+    /// entry [`NEVER`] — wholesale invalidation as one bulk fill when
+    /// the capacities still fit.
+    pub fn reset_all<R: ExactSizeIterator<Item = Slot>>(
+        &mut self,
+        rows: usize,
+        row: impl Fn(usize) -> R,
+    ) {
+        let cap = |r: usize| self.off[r + 1] - self.off[r];
+        let fits = rows == self.rows() && (0..rows).all(|r| cap(r) >= row(r).len() as u32);
+        if !fits {
+            *self = HeardTable::new(rows, row);
+            return;
+        }
+        self.data.fill(NEVER);
+        for r in 0..rows {
+            self.write_row(r, row(r));
         }
     }
 
@@ -396,6 +473,7 @@ impl HeardTable {
         HeardRun {
             off: &self.off,
             len: &self.len,
+            slots: &self.slots,
             data: &mut self.data,
         }
     }
@@ -418,26 +496,32 @@ impl HeardTable {
             off.push(total);
         }
         let mut data = vec![NEVER; total as usize];
+        let mut slots = vec![Slot::default(); total as usize];
         #[allow(clippy::needless_range_loop)] // i indexes four parallel arenas
         for i in 0..rows {
             let (src, dst) = (self.off[i] as usize, off[i] as usize);
             let live = self.len[i] as usize;
             data[dst..dst + live].copy_from_slice(&self.data[src..src + live]);
+            slots[dst..dst + live].copy_from_slice(&self.slots[src..src + live]);
         }
         self.off = off;
         self.data = data;
+        self.slots = slots;
     }
 }
 
 /// Exclusive access to a contiguous run of [`HeardTable`] rows: the
-/// offsets stay shared, the entries are a `split_at_mut` piece of the
-/// arena, so two runs cut at a row boundary can be written by two
-/// workers at once.
+/// offsets and the neighbor slots stay shared, the entries are a
+/// `split_at_mut` piece of the arena, so two runs cut at a row boundary
+/// can be written by two workers at once.
+#[derive(Default)]
 pub(crate) struct HeardRun<'a> {
     /// Arena offsets of the run's rows plus the one closing the last;
     /// `off[0]` is where `data` starts.
     off: &'a [u32],
     len: &'a [u32],
+    /// The whole arena's neighbor slots, indexed by arena offset.
+    slots: &'a [Slot],
     data: &'a mut [u32],
 }
 
@@ -450,11 +534,13 @@ impl<'a> HeardRun<'a> {
         let head = HeardRun {
             off: &self.off[..=row],
             len: &self.len[..row],
+            slots: self.slots,
             data: head,
         };
         let tail = HeardRun {
             off: &self.off[row..],
             len: &self.len[row..],
+            slots: self.slots,
             data: tail,
         };
         (head, tail)
@@ -466,11 +552,13 @@ impl<'a> HeardRun<'a> {
         (self.off[0] as usize, self.data.len())
     }
 
-    /// The run's `i`-th row (one entry per adjacency slot).
+    /// The run's `i`-th row (one entry per adjacency slot) and the
+    /// slots of the neighbors it names.
     #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [u32] {
-        let lo = (self.off[i] - self.off[0]) as usize;
-        &mut self.data[lo..lo + self.len[i] as usize]
+    pub fn row_mut(&mut self, i: usize) -> (&mut [u32], &'a [Slot]) {
+        let (at, n) = (self.off[i] as usize, self.len[i] as usize);
+        let lo = at - self.off[0] as usize;
+        (&mut self.data[lo..lo + n], &self.slots[at..at + n])
     }
 }
 
@@ -485,7 +573,7 @@ mod tests {
         let mut s = NodeSet::new(n);
         for i in 0..n as u32 {
             if rng.random_bool(density) {
-                s.insert(NodeId::new(i));
+                s.insert(Slot::new(i));
             }
         }
         s
@@ -588,6 +676,13 @@ mod tests {
             for _ in 0..15 {
                 let neighbors: Vec<NodeId> = (0..deg as u32).map(|i| NodeId::new(i * 3)).collect();
                 let epochs: Vec<u32> = (0..deg * 3).map(|_| rng.random_range(0..4)).collect();
+                // Neighbor `k` is stored at slot `deg - 1 - k`, where a
+                // second copy of the epoch column sits.
+                let slots: Vec<Slot> = (0..deg as u32).rev().map(Slot::new).collect();
+                let mut by_slot = vec![0; deg];
+                for (s, q) in slots.iter().zip(&neighbors) {
+                    by_slot[s.index()] = epochs[q.index()];
+                }
                 // Mostly up to date, so both answers occur.
                 let heard_row: Vec<u32> = neighbors
                     .iter()
@@ -611,44 +706,73 @@ mod tests {
                     naive,
                     "degree {deg}"
                 );
+                let through_slots = |idx: usize| by_slot[slots[idx].index()];
+                let id = |&s: &Slot| neighbors[deg - 1 - s.index()];
+                assert_eq!(
+                    any_fresh_by(&heard_row, &slots, id, &senders, through_slots),
+                    naive,
+                    "degree {deg}, read through the slots"
+                );
             }
         }
     }
 
+    /// A table whose row `r` names the slots `0..degrees[r]`.
+    fn heard_table(degrees: &[u32]) -> HeardTable {
+        HeardTable::new(degrees.len(), |r| (0..degrees[r]).map(Slot::new))
+    }
+
+    fn slots(range: std::ops::Range<u32>) -> Vec<Slot> {
+        range.map(Slot::new).collect()
+    }
+
     #[test]
     fn heard_table_rows_and_writes() {
-        let mut t = HeardTable::new([2usize, 0, 3]);
+        let rows = [vec![Slot::new(4), Slot::new(9)], vec![], slots(0..3)];
+        let mut t = HeardTable::new(3, |r| rows[r].iter().copied());
         assert_eq!(t.rows(), 3);
         assert_eq!(t.row(0), &[NEVER, NEVER]);
+        assert_eq!(t.slots(0), &[Slot::new(4), Slot::new(9)]);
         assert_eq!(t.row(1), &[] as &[u32]);
         *t.get_mut(2, 1) = 7;
         assert_eq!(t.get(2, 1), 7);
         assert_eq!(t.row(2), &[NEVER, 7, NEVER]);
+        assert_eq!(t.slots(2), slots(0..3));
     }
 
     #[test]
     fn heard_table_reset_row_realigns_and_forgets() {
-        let mut t = HeardTable::new([2usize, 2]);
+        let mut t = heard_table(&[2, 2]);
         *t.get_mut(0, 0) = 5;
         *t.get_mut(1, 1) = 6;
         // Shrink, grow within slack, grow past slack: all forget.
-        for deg in [1usize, 4, 11] {
-            t.reset_row(0, deg);
-            assert_eq!(t.row(0).len(), deg);
+        for deg in [1u32, 4, 11] {
+            t.reset_row(0, (10..10 + deg).map(Slot::new));
+            assert_eq!(t.row(0).len(), deg as usize);
             assert!(t.row(0).iter().all(|&e| e == NEVER));
+            assert_eq!(
+                t.slots(0),
+                slots(10..10 + deg),
+                "the row names its neighbors"
+            );
             assert_eq!(t.row(1), &[NEVER, 6], "other rows must be preserved");
+            assert_eq!(t.slots(1), slots(0..2));
         }
     }
 
     #[test]
     fn heard_table_reset_all_bulk_fills() {
-        let mut t = HeardTable::new([3usize, 1]);
+        let mut t = heard_table(&[3, 1]);
         *t.get_mut(0, 2) = 9;
-        t.reset_all([3usize, 1]);
+        let row = |r: usize| (0..[3, 1][r]).rev().map(Slot::new);
+        t.reset_all(2, row);
         assert!(t.row(0).iter().all(|&e| e == NEVER));
+        assert_eq!(t.slots(0), [Slot::new(2), Slot::new(1), Slot::new(0)]);
         // Degree growth past every slack forces the rebuild path.
-        t.reset_all([10usize, 1]);
+        t.reset_all(2, |r| (0..[10, 1][r]).map(Slot::new));
         assert_eq!(t.row(0).len(), 10);
         assert!(t.row(0).iter().all(|&e| e == NEVER));
+        assert_eq!(t.slots(0), slots(0..10));
+        assert_eq!(t.slots(1), slots(0..1));
     }
 }

@@ -4,12 +4,15 @@
 //!
 //! A visit writes only its node's own state and reception row and reads
 //! only frozen columns, so [`partition`] cuts the sorted candidates
-//! into contiguous chunks and, at the same node boundaries, the state
-//! column and the reception arena into disjoint runs. Every worker
+//! into contiguous chunks and, at the same slot boundaries, the state
+//! column and the reception arena into disjoint runs. Everything here
+//! is in storage order: candidates, columns and rows are indexed by
+//! slot, a row names its neighbors' slots, and ids appear only where a
+//! protocol call, a stream key or a message needs one. Every worker
 //! mutates its [`Shard`] in place — nothing is copied out or merged
 //! back — and one worker is simply the calling thread. What differs
 //! between the drivers is the frame loop inside a visit (a `Delivery`
-//! join, the adjacency list read against the frozen set of senders, a
+//! join, the reception row read against the frozen set of senders, a
 //! mailbox drain): the closure they hand to [`Env::visit`].
 //!
 //! The round driver's frame loop is preceded, inside the same visit, by
@@ -37,10 +40,11 @@
 //! forced-change marks the change rule reads are consumed when the
 //! workers have joined, under either scheduling.
 
-use mwn_graph::{NodeId, Topology};
+use mwn_graph::Topology;
 
 use super::kernels::HeardRun;
-use super::{run_sharded, settle, Env, NodeSet};
+use super::{row_is_adjacency, run_sharded, settle, Env, Fate, NodeSet, Slot, StorageOrder};
+use crate::network::StepActivity;
 use crate::protocol::snapshot;
 use crate::rng::split_rng;
 use crate::Protocol;
@@ -52,29 +56,28 @@ pub(crate) fn chunk(len: usize, parts: usize, i: usize) -> std::ops::Range<usize
 
 /// Splits a period's visits `workers` ways: chunk `i` of the sorted
 /// `candidates`, and with it the run of `states` and of reception rows
-/// (both indexed by node) from the chunk's first candidate up to the
-/// next chunk's — the first run starts at node 0, the last ends with
+/// (both indexed by slot) from the chunk's first candidate up to the
+/// next chunk's — the first run starts at slot 0, the last ends with
 /// the column. The runs are disjoint, in order and cover both columns,
 /// so each worker can mutate its nodes in place; yields
 /// `(base, chunk, states, rows)`.
 pub(crate) fn partition<'a, S>(
-    candidates: &'a [NodeId],
-    states: &'a mut [S],
-    heard: HeardRun<'a>,
+    candidates: &'a [Slot],
+    mut states: &'a mut [S],
+    mut heard: HeardRun<'a>,
     workers: usize,
-) -> impl Iterator<Item = (usize, &'a [NodeId], &'a mut [S], HeardRun<'a>)> {
-    let mut rest = Some((states, heard));
+) -> impl Iterator<Item = (usize, &'a [Slot], &'a mut [S], HeardRun<'a>)> {
     let mut base = 0;
     (0..workers).map(move |i| {
         let mine = chunk(candidates.len(), workers, i);
-        let (states, heard) = rest.take().expect("put back after every cut");
         let end = match candidates.get(mine.end) {
             Some(next) if i + 1 < workers => next.index(),
             _ => base + states.len(),
         };
-        let (run, states) = states.split_at_mut(end - base);
-        let (rows, heard) = heard.split_at(end - base);
-        rest = Some((states, heard));
+        let run;
+        (run, states) = std::mem::take(&mut states).split_at_mut(end - base);
+        let rows;
+        (rows, heard) = std::mem::take(&mut heard).split_at(end - base);
         let shard = (base, &candidates[mine], run, rows);
         base = end;
         shard
@@ -89,10 +92,13 @@ pub(crate) struct VisitScratch<P: Protocol> {
     gated: bool,
     /// The visited node's state before the visit first mutated it.
     before: Option<P::State>,
-    /// Nodes this worker's visits changed, ascending.
-    changed: Vec<NodeId>,
-    receives: usize,
-    updates: usize,
+    /// Slots of the nodes this worker's visits changed, ascending.
+    changed: Vec<Slot>,
+    /// What the worker's visits did: receives, frames held, guard
+    /// passes run and passes settled.
+    tally: StepActivity,
+    /// Whether the open visit held a frame.
+    holding: bool,
     /// Pooled decode target for a frame loop whose beacons arrive
     /// serialized (the actor fabric); starts from any beacon at all.
     pub beacon: Option<P::Beacon>,
@@ -107,8 +113,8 @@ impl<P: Protocol> VisitScratch<P> {
             gated: false,
             before: None,
             changed: Vec::new(),
-            receives: 0,
-            updates: 0,
+            tally: StepActivity::default(),
+            holding: false,
             beacon: None,
             held_check: None,
         }
@@ -123,27 +129,45 @@ impl<P: Protocol> VisitScratch<P> {
         }
     }
 
-    /// Counts a frame the open visit hands to [`Protocol::receive`],
-    /// right before the receive. The visit's first — `received` is
-    /// still false — snapshots `state` for the change rule and sets it.
+    /// Counts a frame by the fate [`super::gate`] gave it and says
+    /// whether the open visit hands it to [`Protocol::receive`]. A
+    /// frame received is counted right before its receive, and the
+    /// visit's first — `received` is still false — snapshots `state`
+    /// for the change rule and sets it; a held frame is counted as
+    /// held, and marks the visit as one that held a frame.
     #[inline]
-    pub fn receiving(&mut self, state: &P::State, received: &mut bool) {
-        if !*received {
-            *received = true;
-            self.snapshot(state);
+    pub fn admit(&mut self, fate: Fate, state: &P::State, received: &mut bool) -> bool {
+        match fate {
+            Fate::Receive => {
+                if !*received {
+                    *received = true;
+                    self.snapshot(state);
+                }
+                self.tally.receives += 1;
+                true
+            }
+            Fate::Held => {
+                self.tally.held += 1;
+                self.holding = true;
+                false
+            }
+            Fate::Stale => false,
         }
-        self.receives += 1;
     }
 }
 
 /// One worker's share of a period: its chunk of the sorted candidates,
 /// the frozen columns every worker reads, and the runs of the state
 /// column and the reception arena that contain its candidates — its
-/// own to write.
+/// own to write. Everything is indexed by slot; `order` names the node
+/// at each.
 pub(crate) struct Shard<'a, P: Protocol> {
-    pub candidates: &'a [NodeId],
+    pub candidates: &'a [Slot],
     pub protocol: &'a P,
-    pub topo: &'a Topology,
+    /// Read only by the debug check that a row names its node's
+    /// adjacency.
+    topo: &'a Topology,
+    pub order: &'a StorageOrder,
     pub beacons: &'a [P::Beacon],
     pub epoch: &'a [u32],
     pub read_epoch: &'a [u32],
@@ -155,24 +179,31 @@ pub(crate) struct Shard<'a, P: Protocol> {
     forced_changed: &'a NodeSet,
     update_base: u64,
     now: u64,
-    /// The node `states[0]` and the first reception row belong to.
+    /// The slot `states[0]` and the first reception row belong to.
     base: usize,
     states: &'a mut [P::State],
     heard: HeardRun<'a>,
     scratch: &'a mut VisitScratch<P>,
 }
 
-impl<P: Protocol> Shard<'_, P> {
+impl<'a, P: Protocol> Shard<'a, P> {
     /// Opens the visit of candidate `p`: its state, its reception row
-    /// (one epoch per adjacency slot) and the worker's buffers.
+    /// (one epoch per neighbor, in neighbor-id order), the slots of the
+    /// neighbors the row names and the worker's buffers. Debug builds
+    /// assert that the row names exactly `p`'s adjacency.
     #[inline]
-    pub fn open(&mut self, p: NodeId) -> (&mut P::State, &mut [u32], &mut VisitScratch<P>) {
+    pub fn open(
+        &mut self,
+        p: Slot,
+    ) -> (&mut P::State, &mut [u32], &'a [Slot], &mut VisitScratch<P>) {
         let i = p.index() - self.base;
-        (
-            &mut self.states[i],
-            self.heard.row_mut(i),
-            &mut *self.scratch,
-        )
+        let (row, neighbors) = self.heard.row_mut(i);
+        debug_assert!(
+            row_is_adjacency(self.order, neighbors, self.topo, self.order.id(p)),
+            "the reception row of {} names another adjacency",
+            self.order.id(p)
+        );
+        (&mut self.states[i], row, neighbors, &mut *self.scratch)
     }
 
     /// Closes the visit of `p`, `received` saying whether a frame of it
@@ -181,21 +212,30 @@ impl<P: Protocol> Shard<'_, P> {
     /// it: `p` is a hearer and received nothing — then the change rule:
     /// `p` changed iff something outside the protocol mutated it this
     /// period or its state differs from the snapshot.
+    ///
+    /// A skipped pass counts as settled when the visit held a frame:
+    /// the pass the gate's holds saved. A hearer whose frames were all
+    /// stale — which only a step that pulls its frames visits — saves
+    /// nothing and counts nothing, so the count is the same whichever
+    /// way a step gets its frames.
     #[inline]
-    pub fn update(&mut self, p: NodeId, received: bool) {
+    pub fn update(&mut self, p: Slot, received: bool) {
         let (protocol, now, base) = (self.protocol, self.now, self.update_base);
-        let rng = || split_rng(base, now, u64::from(p.value()));
+        let id = self.order.id(p);
+        let rng = || split_rng(base, now, u64::from(id.value()));
         let dirty = !self.hearers.contains(p);
         let (state, sc) = (&mut self.states[p.index() - self.base], &mut *self.scratch);
-        let pass = |copy: &mut P::State| protocol.update(p, copy, now, &mut rng());
-        if !settle(dirty, received, p, (&*state, &mut sc.held_check, pass)) {
+        let held = std::mem::take(&mut sc.holding);
+        let pass = |copy: &mut P::State| protocol.update(id, copy, now, &mut rng());
+        if !settle(dirty, received, id, (&*state, &mut sc.held_check, pass)) {
+            sc.tally.settled += usize::from(held);
             return;
         }
         if !received {
             sc.snapshot(state);
         }
-        protocol.update(p, state, now, &mut rng());
-        sc.updates += 1;
+        protocol.update(id, state, now, &mut rng());
+        sc.tally.updates += 1;
         if sc.gated && (self.forced_changed.contains(p) || sc.before.as_ref() != Some(&*state)) {
             sc.changed.push(p);
         }
@@ -207,38 +247,39 @@ impl<P: Protocol> Env<P> {
     /// its shard's candidates — [`Shard::open`], the driver's frame
     /// loop, [`Shard::update`] — on a scoped thread per shard, or
     /// inline when there is one. Afterwards the changed nodes are
-    /// scheduled (guards and beacon refresh next period) in worker
-    /// order, which is ascending node order, and the period's
-    /// forced-change marks and hearers are consumed. Returns the
-    /// period's `(receives, updates)`.
+    /// scheduled (guards and beacon refresh next period) and recorded,
+    /// and the period's forced-change marks and hearers are consumed. Returns the period's receives, held frames, guard
+    /// passes and settled passes; the other counts are the driver's.
     pub fn visit(
         &mut self,
         now: u64,
         gated: bool,
-        candidates: &[NodeId],
+        candidates: &[Slot],
         workers: usize,
         body: impl Fn(&mut Shard<'_, P>) + Sync,
-    ) -> (usize, usize) {
+    ) -> StepActivity {
+        let mut tally = StepActivity::default();
         if candidates.is_empty() {
             // A quiet period costs nothing here — and has no forced-
             // change mark to consume: whoever is marked is scheduled.
-            return (0, 0);
+            return tally;
         }
         if self.visit_pool.len() < workers {
             self.visit_pool.resize_with(workers, VisitScratch::new);
         }
         let (table, pool) = (&mut self.table, &mut self.visit_pool[..workers]);
-        let heard = table.heard.run_mut();
-        let runs = partition(candidates, &mut table.states, heard, workers);
+        let states = table.states.slots_mut(&table.order);
+        let runs = partition(candidates, states, table.heard.run_mut(), workers);
         let shards = runs.zip(pool.iter_mut()).map(|(run, scratch)| {
             scratch.gated = gated;
             scratch.changed.clear();
-            (scratch.receives, scratch.updates) = (0, 0);
+            scratch.tally = StepActivity::default();
             let (base, candidates, states, heard) = run;
             Shard {
                 candidates,
                 protocol: &self.protocol,
                 topo: &self.topo,
+                order: &table.order,
                 beacons: &table.beacons,
                 epoch: &table.epoch,
                 read_epoch: &table.read_epoch,
@@ -259,22 +300,24 @@ impl<P: Protocol> Env<P> {
             let mut shards: Vec<_> = shards.collect();
             run_sharded(&mut shards, |_, shard| body(shard));
         }
-        let (mut receives, mut updates) = (0, 0);
         for sc in pool.iter() {
-            receives += sc.receives;
-            updates += sc.updates;
+            tally.receives += sc.tally.receives;
+            tally.held += sc.tally.held;
+            tally.updates += sc.tally.updates;
+            tally.settled += sc.tally.settled;
             for &p in &sc.changed {
                 table.changed.push(p);
                 table.update_dirty.insert(p);
                 table.beacon_stale.insert(p);
             }
         }
+        table.set_changed();
         // The change rule has read the period's forced-change marks:
         // consumed here, under either scheduling, so a fault that fell
         // in an eager stretch is not reported again by a later period.
         table.forced_changed.clear();
         table.hearers.clear();
-        (receives, updates)
+        tally
     }
 }
 
@@ -282,6 +325,12 @@ impl<P: Protocol> Env<P> {
 mod tests {
     use super::*;
     use crate::engine::kernels::HeardTable;
+
+    /// A table whose row `r` names `degrees[r]` neighbors.
+    fn heard_table(degrees: impl IntoIterator<Item = u32>) -> HeardTable {
+        let degrees: Vec<u32> = degrees.into_iter().collect();
+        HeardTable::new(degrees.len(), |r| (0..degrees[r]).map(Slot::new))
+    }
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -292,7 +341,7 @@ mod tests {
     /// and its own reception row inside its shard's runs.
     fn assert_partition(nodes: &[u32], heard: &mut HeardTable, workers: usize) {
         let n = heard.rows();
-        let candidates: Vec<NodeId> = nodes.iter().map(|&p| NodeId::new(p)).collect();
+        let candidates: Vec<Slot> = nodes.iter().map(|&p| Slot::new(p)).collect();
         // states[i] == i, so a run's content names the nodes it covers.
         let mut states: Vec<usize> = (0..n).collect();
         let arena = heard.run_mut().span();
@@ -305,10 +354,10 @@ mod tests {
             assert!(run.iter().copied().eq(base..base + run.len()));
             // Stamp every row through its run; read back through the table.
             for i in 0..run.len() {
-                rows.row_mut(i).fill((base + i) as u32);
+                rows.row_mut(i).0.fill((base + i) as u32);
             }
             for &r in chunk {
-                assert!(base <= r.index() && r.index() < base + run.len(), "{r}");
+                assert!(base <= r.index() && r.index() < base + run.len(), "{r:?}");
             }
             (shards, next, seen) = (shards + 1, next + run.len(), seen + chunk.len());
             entries += rows.span().1;
@@ -324,14 +373,14 @@ mod tests {
     #[test]
     fn partition_splits_the_state_column_at_candidate_boundaries() {
         // Edge cases: first node, last node, both, everyone, no one.
-        let mut six = HeardTable::new([2usize, 0, 3, 1, 4, 2]);
+        let mut six = heard_table([2, 0, 3, 1, 4, 2]);
         for workers in 1..=8 {
             assert_partition(&[], &mut six, workers);
             assert_partition(&[0], &mut six, workers);
             assert_partition(&[5], &mut six, workers);
             assert_partition(&[0, 5], &mut six, workers);
             assert_partition(&[0, 1, 2, 3, 4, 5], &mut six, workers);
-            assert_partition(&[0], &mut HeardTable::new([3usize]), workers);
+            assert_partition(&[0], &mut heard_table([3]), workers);
         }
         // A quiet period has no candidates and asks for no workers.
         let mut states = [0usize; 6];
@@ -342,14 +391,19 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(17);
         for _ in 0..300 {
             let n = rng.random_range(1..40usize);
-            let mut heard = HeardTable::new((0..n).map(|_| rng.random_range(0..9usize)));
+            let mut heard = heard_table(
+                (0..n)
+                    .map(|_| rng.random_range(0..9u32))
+                    .collect::<Vec<_>>(),
+            );
             let density = rng.random_range(0.0..1.0);
             let nodes: Vec<u32> = (0..n as u32).filter(|_| rng.random_bool(density)).collect();
             for grown in [false, true] {
                 if grown {
                     let r = rng.random_range(0..n);
                     let (_, before) = heard.run_mut().span();
-                    heard.reset_row(r, heard.row(r).len() + 5);
+                    let grown = heard.row(r).len() as u32 + 5;
+                    heard.reset_row(r, (0..grown).map(Slot::new));
                     assert!(heard.run_mut().span().1 > before, "re-laid out");
                 }
                 for workers in 1..=8 {

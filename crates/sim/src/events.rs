@@ -4,7 +4,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use mwn_graph::{NodeId, Topology};
 use mwn_radio::{Delivery, Medium, PerfectMedium};
 
-use crate::engine::{self, Env, Fate, NodeSet, SlotClock};
+use crate::engine::{self, Env, Fate, NodeSet, Slot, SlotClock};
 use crate::rng::{split_rng, streams};
 use crate::stop::{RunReport, StopWhen};
 use crate::{Corruptible, Fault, Observable, Protocol, SimError};
@@ -290,6 +290,12 @@ impl<B: Clone> BeaconPool<B> {
 ///   dropped because its link vanished mid-flight), and the last one
 ///   frees the entry — buffers intact — for the next transmission.
 ///
+/// The queue speaks ids — a key's tie-break is intrinsic identity — and
+/// everything behind it speaks storage slots: the `armed` set, the
+/// change set and every column of the node table are laid out in the
+/// engine's storage order (by radio cell, for a deployment), each
+/// popped event looking its node's slot up once.
+///
 /// **Look-ahead.** The arrival lane is sorted, so the next frames —
 /// typically the copies of one transmission, landing at one instant on
 /// scattered receivers — are known before they pop, and each lands on
@@ -376,14 +382,15 @@ pub struct EventDriver<P: Protocol, M: Medium = PerfectMedium> {
     medium: M,
     lanes: Lanes,
     pool: BeaconPool<P::Beacon>,
-    /// The nodes with a beacon slot in the queue (one each at most).
+    /// The nodes with a beacon slot in the queue (one each at most),
+    /// by table slot.
     armed: NodeSet,
     /// Scratch delivery for the contention media's one-sender call.
     delivery: Delivery,
     /// The receivers of the transmission being sent.
     heard: Vec<NodeId>,
-    /// Scratch node list (wake batches).
-    scratch_nodes: Vec<NodeId>,
+    /// Scratch slot list (wake batches, change samples).
+    scratch_slots: Vec<Slot>,
     time: f64,
     /// Beacon broadcasts so far (the communication-efficiency metric).
     messages: u64,
@@ -397,9 +404,9 @@ pub struct EventDriver<P: Protocol, M: Medium = PerfectMedium> {
     /// attached) has not fired yet: once per beacon period.
     dynamics_step: u64,
     /// Nodes whose state changed since the last [`EventDriver::step`]
-    /// ended — drained into the table's `changed` column there, in node
-    /// order: a sample costs O(1) when nothing changed, and otherwise a
-    /// scan of n/512 cache lines rather than a sort.
+    /// ended, by table slot — drained into the table's `changed` column
+    /// there: a sample costs O(1) when nothing changed, and otherwise a
+    /// scan of n/512 cache lines and a sort of the changed ids.
     changed_since: NodeSet,
     /// How many of the arrivals still to pop the last look-ahead batch
     /// covers.
@@ -464,7 +471,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             armed: NodeSet::new(n),
             delivery: Delivery::empty(0),
             heard: Vec::new(),
-            scratch_nodes: Vec::new(),
+            scratch_slots: Vec::new(),
             time: 0.0,
             messages: 0,
             events: 0,
@@ -506,7 +513,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             // Eager scheduling fires every node's every slot: arm the
             // whole population (retired nodes included).
             for i in 0..self.env.topo.len() {
-                self.arm(NodeId::new(i as u32));
+                self.arm(Slot::new(i as u32));
             }
         } else {
             self.arm_pending();
@@ -528,12 +535,14 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         step as f64 * self.config.beacon_period
     }
 
-    /// Schedules `p`'s next beacon slot at or after the current time,
-    /// unless one is already queued.
-    fn arm(&mut self, p: NodeId) {
+    /// Schedules the next beacon slot of the node at table slot `p` at
+    /// or after the current time, unless one is already queued. The
+    /// schedule and the queue key are the node's id.
+    fn arm(&mut self, p: Slot) {
         if self.armed.insert(p) {
-            let (slot, t) = self.clock.next_at(p, self.time);
-            self.lanes.push_slot(t, p, slot);
+            let id = self.env.table.order.id(p);
+            let (slot, t) = self.clock.next_at(id, self.time);
+            self.lanes.push_slot(t, id, slot);
         }
     }
 
@@ -541,24 +550,24 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     /// any wake batch (cold start, faults, topology deltas, mode
     /// switches) so a pending sender always has a slot queued.
     fn arm_pending(&mut self) {
-        let mut buf = std::mem::take(&mut self.scratch_nodes);
+        let mut buf = std::mem::take(&mut self.scratch_slots);
         self.env.table.send_pending.collect_sorted_into(&mut buf);
         for &p in &buf {
             self.arm(p);
         }
-        self.scratch_nodes = buf;
+        self.scratch_slots = buf;
     }
 
     /// Reacts to a batch of environment changes: the touched nodes
     /// join the change set (a fault or `link_down` may have mutated
     /// their states) and the woken senders are re-armed.
     fn absorb_env(&mut self) {
-        let mut buf = std::mem::take(&mut self.scratch_nodes);
+        let mut buf = std::mem::take(&mut self.scratch_slots);
         self.env.table.forced_changed.drain_sorted_into(&mut buf);
         for &p in &buf {
             self.changed_since.insert(p);
         }
-        self.scratch_nodes = buf;
+        self.scratch_slots = buf;
         self.arm_pending();
     }
 
@@ -655,24 +664,29 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
 
     /// Reads ahead for the arrival lane's next [`LOOK_AHEAD`] frames:
     /// what [`EventDriver::incorporate`] searches and reads of each
-    /// receiver (its adjacency list, its reception row), then one pass
+    /// receiver (the slots and the epochs of its reception row), then one pass
     /// per level of [`Protocol::peek_state`] over the receivers'
     /// states. A pass per level, not a walk per frame: the loads of one
     /// level do not wait on each other, and the next level finds its
     /// addresses in cache.
     fn look_ahead(&mut self) {
-        let (protocol, topo, table) = (&self.env.protocol, &self.env.topo, &self.env.table);
+        let (protocol, table) = (&self.env.protocol, &mut self.env.table);
         let batch = || self.lanes.frames.iter().take(LOOK_AHEAD);
         let mut sum = batch().fold(0u64, |sum, frame| {
-            let r = frame.receiver;
-            let adjacent = topo.neighbors(r).first().map_or(0, |q| q.value());
-            let heard = table.heard.row(r.index()).first().copied().unwrap_or(0);
+            let at = table.order.slot(frame.receiver).index();
+            let adjacent = table
+                .heard
+                .slots(at)
+                .first()
+                .map_or(0, |q| q.index() as u32);
+            let heard = table.heard.row(at).first().copied().unwrap_or(0);
             sum.wrapping_add(u64::from(adjacent))
                 .wrapping_add(u64::from(heard))
         });
+        let (order, states) = (&table.order, table.states.slots_mut(&table.order));
         for level in 0..P::PEEK_LEVELS {
             sum = batch().fold(sum, |sum, frame| {
-                let state = &table.states[frame.receiver.index()];
+                let state = &states[order.slot(frame.receiver).index()];
                 sum.wrapping_add(protocol.peek_state(state, frame.sender, level))
             });
         }
@@ -682,12 +696,13 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     }
 
     fn handle_tx(&mut self, p: NodeId, slot: u64) {
-        debug_assert!(self.armed.contains(p), "a queued slot is an armed one");
+        let at = self.env.table.order.slot(p);
+        debug_assert!(self.armed.contains(at), "a queued slot is an armed one");
         let gated = self.is_gated();
-        if gated && !self.env.table.send_pending.contains(p) {
+        if gated && !self.env.table.send_pending.contains(at) {
             // Nothing to say and nobody waiting: the slot lapses and
             // the node goes silent until something wakes it.
-            self.armed.remove(p);
+            self.armed.remove(at);
             return;
         }
         let (now, t) = (self.now(), self.time);
@@ -696,22 +711,23 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         // the freshest beacon — unless, under gating, the node is
         // settled and the pass could change nothing. The draw is
         // derived per (instant, node), so a muted slot consumes nothing.
-        let state_changed = self.update(p, now, false);
+        let state_changed = self.update(p, at, now, false);
         if state_changed {
-            self.changed_since.insert(p);
+            self.changed_since.insert(at);
         }
-        let beacon_changed = self.env.refresh_beacon(p);
-        if gated && !state_changed && !beacon_changed && self.env.all_caught_up(p) {
+        let beacon_changed = self.env.refresh_beacon(at);
+        if gated && !state_changed && !beacon_changed && self.env.all_caught_up(at) {
             // Retire: state at a fixpoint, beacon content unchanged,
             // every neighbor has incorporated it. The eager twin keeps
             // broadcasting here — pure no-ops by the silence contract.
-            self.env.table.send_pending.remove(p);
-            self.armed.remove(p);
+            self.env.table.send_pending.remove(at);
+            self.armed.remove(at);
             return;
         }
         // Broadcast.
         self.messages += 1;
-        let degree = self.env.topo.degree(p);
+        // The row names exactly the node's neighbors.
+        let degree = self.env.table.heard.slots(at.index()).len();
         self.frames_attempted += degree as u64;
         // One derived stream per (slot, sender) decides every copy's
         // fate — independent of who else is transmitting, which is what
@@ -740,11 +756,11 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         }
         // The copies that made it share one pooled beacon.
         if !heard.is_empty() {
-            let table = &self.env.table;
+            let (table, i) = (&self.env.table, at.index());
             let copies = heard.len() as u32;
-            let read = table.read_epoch[p.index()];
-            let beacon = self.pool.hold(&table.beacons[p.index()], read, copies);
-            let tx_epoch = table.epoch[p.index()];
+            let read = table.read_epoch[i];
+            let beacon = self.pool.hold(&table.beacons[i], read, copies);
+            let tx_epoch = table.epoch[i];
             let time = t + self.config.frame_time;
             for &receiver in heard.iter() {
                 self.lanes.push_frame(Frame {
@@ -763,8 +779,8 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     }
 
     fn handle_rx(&mut self, frame: Frame) {
-        let r = frame.receiver;
-        if self.incorporate(&frame) {
+        let r = self.env.table.order.slot(frame.receiver);
+        if self.incorporate(&frame, r) {
             self.changed_since.insert(r);
             // The state moved: r may have a new beacon to announce —
             // wake its slot schedule (its next pop decides).
@@ -778,24 +794,30 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     /// for a gated receiver that already holds what it would read
     /// ([`engine::gate`], against the sender's read epoch when it
     /// transmitted) — then one pass of the guarded assignments
-    /// ([`EventDriver::update`]). Returns whether, under gating, the
-    /// receiver's state changed.
-    fn incorporate(&mut self, frame: &Frame) -> bool {
+    /// ([`EventDriver::update`]). `at` is the receiver's table slot.
+    /// Returns whether, under gating, the receiver's state changed.
+    fn incorporate(&mut self, frame: &Frame, at: Slot) -> bool {
         let (r, s) = (frame.receiver, frame.sender);
+        let (gated, now) = (self.is_gated(), self.now());
+        let (protocol, table) = (&self.env.protocol, &mut self.env.table);
+        let row = table.heard.slots(at.index());
+        debug_assert!(
+            engine::row_is_adjacency(&table.order, row, &self.env.topo, r),
+            "the reception row of {r} names another adjacency"
+        );
         // The link may have vanished while the frame was in flight
         // (mobility, isolation): radio range is a hard constraint, and
         // a frame whose link vanished mid-flight never counts as
-        // delivered.
-        let Ok(idx) = self.env.topo.neighbors(r).binary_search(&s) else {
+        // delivered. The row is in neighbor-id order.
+        let Ok(idx) = row.binary_search_by_key(&s, |&q| table.order.id(q)) else {
             return false;
         };
         self.frames_delivered += 1;
-        let (gated, now) = (self.is_gated(), self.now());
         let (beacon, read) = self.pool.get(frame.beacon);
-        let (protocol, table) = (&self.env.protocol, &mut self.env.table);
+        let state = &mut table.states.slots_mut(&table.order)[at.index()];
         let skipped = |copy: &mut P::State| protocol.receive(r, copy, s, beacon, now);
-        let reference = (&table.states[r.index()], &mut table.scratch_state, skipped);
-        let held = table.heard.get_mut(r.index(), idx);
+        let reference = (&*state, &mut table.scratch_state, skipped);
+        let held = table.heard.get_mut(at.index(), idx);
         let fate = engine::gate(gated, held, [read, frame.tx_epoch], (r, s), reference);
         if fate == Fate::Stale {
             return false; // the pass after it would be a no-op too
@@ -803,7 +825,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         // Gated, two exact reports: together they can only err towards
         // "changed" (an update that undoes the receive), and a wake
         // that finds nothing to say retires at its slot.
-        let (state, scratch) = (&mut table.states[r.index()], &mut table.scratch_state);
+        let scratch = &mut table.scratch_state;
         let received = match fate {
             Fate::Receive if gated => protocol.receive_changed(r, state, s, beacon, now, scratch),
             Fate::Receive => {
@@ -812,7 +834,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             }
             _ => false,
         };
-        let moved = self.update(r, now, received);
+        let moved = self.update(r, at, now, received);
         received || moved
     }
 
@@ -823,18 +845,19 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     /// changed the state, and leaves the bit saying so.
     ///
     /// A skipped pass would have drawn from a stream derived for this
-    /// (instant, node) alone, so skipping it moves no other draw.
-    fn update(&mut self, p: NodeId, now: u64, received: bool) -> bool {
+    /// (instant, node) alone, so skipping it moves no other draw. `at`
+    /// is `p`'s table slot.
+    fn update(&mut self, p: NodeId, at: Slot, now: u64, received: bool) -> bool {
         let (tick, gated, env) = (self.time.to_bits(), self.is_gated(), &mut self.env);
         let (protocol, table, base) = (&env.protocol, &mut env.table, env.update_base);
         let rng = || split_rng(base, tick, u64::from(p.value()));
-        let state = &mut table.states[p.index()];
+        let state = &mut table.states.slots_mut(&table.order)[at.index()];
         if !gated {
             protocol.update(p, state, now, &mut rng());
             self.updates += 1;
             return false;
         }
-        let dirty = table.update_dirty.contains(p);
+        let dirty = table.update_dirty.contains(at);
         let pass = |copy: &mut P::State| protocol.update(p, copy, now, &mut rng());
         let reference = (&*state, &mut table.scratch_state, pass);
         if !engine::settle(dirty, received, p, reference) {
@@ -843,9 +866,9 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         self.updates += 1;
         let moved = protocol.update_changed(p, state, now, &mut rng(), &mut table.scratch_state);
         if moved {
-            table.update_dirty.insert(p);
+            table.update_dirty.insert(at);
         } else {
-            table.update_dirty.remove(p);
+            table.update_dirty.remove(at);
         }
         moved
     }
@@ -856,8 +879,9 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     fn advance_to(&mut self, t: f64) {
         self.env.env_changed = false;
         self.run_until_time(t);
-        self.changed_since
-            .drain_sorted_into(&mut self.env.table.changed);
+        let table = &mut self.env.table;
+        self.changed_since.drain_sorted_into(&mut table.changed);
+        table.set_changed();
     }
 
     /// Advances to the next beacon-period boundary — one logical step,
@@ -878,14 +902,20 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         self.time
     }
 
-    /// All node states, indexed by [`NodeId`].
+    /// All node states, indexed by [`NodeId`] — published in id order
+    /// first, as [`crate::Network::states`] explains: an in-place O(n)
+    /// permutation unless nothing has touched a state since the last
+    /// read, undone by the next event that touches one.
+    /// [`EventDriver::outputs_into`] never publishes, and the stop
+    /// methods only to evaluate a [`StopWhen::predicate`] leaf.
     pub fn states(&self) -> &[P::State] {
-        &self.env.table.states
+        self.env.states()
     }
 
-    /// The state of one node.
+    /// The state of one node — read through the same publish as
+    /// [`EventDriver::states`].
     pub fn state(&self, p: NodeId) -> &P::State {
-        &self.env.table.states[p.index()]
+        &self.env.states()[p.index()]
     }
 
     /// Mutable state access; the node is rescheduled (external
@@ -894,7 +924,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     pub fn state_mut(&mut self, p: NodeId) -> &mut P::State {
         self.env.wake_mutated(p);
         self.absorb_env();
-        &mut self.env.table.states[p.index()]
+        self.env.table.state_mut(p)
     }
 
     /// The topology being simulated.

@@ -74,14 +74,20 @@ pub enum Region {
 }
 
 impl Region {
-    /// Resolves the region to its member nodes on `topo`.
+    /// Resolves the region to its member nodes on `topo`. A disk has
+    /// none on a topology without positions, which
+    /// [`FaultPlan::validate_for`] rejects before any fault can fire.
     pub fn members(&self, topo: &Topology) -> Vec<NodeId> {
         match self {
             Region::Nodes(nodes) => nodes.clone(),
             Region::Disk { x, y, r } => {
-                let positions = topo
-                    .positions()
-                    .expect("disk regions require positioned topologies (validate_for)");
+                let Some(positions) = topo.positions() else {
+                    debug_assert!(
+                        false,
+                        "disk regions require positioned topologies (validate_for)"
+                    );
+                    return Vec::new();
+                };
                 topo.nodes()
                     .filter(|p| {
                         let d = positions[p.index()];
@@ -322,7 +328,7 @@ impl FaultPlan {
         while net.now() < until_step {
             while let Some((step, fault)) = pending.peek() {
                 if *step <= net.now() {
-                    net.inject(fault).expect("plan validated before running");
+                    net.inject(fault)?;
                     pending.next();
                 } else {
                     break;
@@ -334,7 +340,7 @@ impl FaultPlan {
         // caller observes the post-fault state).
         while let Some((step, fault)) = pending.peek() {
             if *step <= net.now() {
-                net.inject(fault).expect("plan validated before running");
+                net.inject(fault)?;
                 pending.next();
             } else {
                 break;

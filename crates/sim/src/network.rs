@@ -3,7 +3,7 @@ use mwn_radio::{Delivery, Medium, Occupancy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::engine::{self, kernels, Env, Fate, NodeSet, ShardPolicy};
+use crate::engine::{self, kernels, Env, NodeSet, ShardPolicy, Slot, StorageOrder};
 use crate::rng::{derive_seed, streams};
 use crate::stop::{RunReport, StopWhen};
 use crate::{Activity, Corruptible, Fault, Observable, Protocol, SimError};
@@ -25,8 +25,16 @@ pub struct StepActivity {
     pub frames_delivered: usize,
     /// [`Protocol::receive`] invocations.
     pub receives: usize,
+    /// Frame copies recorded without a receive: under gating, fresh
+    /// frames whose receiver already held what a receive reads of them
+    /// (`engine::gate`'s held fate).
+    pub held: usize,
     /// [`Protocol::update`] invocations.
     pub updates: usize,
+    /// Guard passes skipped (`engine::settle`): under gating, visits of
+    /// nodes nothing but frames scheduled that held a frame and
+    /// received none — the passes the held frames saved.
+    pub settled: usize,
     /// Nodes whose state changed (tracked under gated scheduling only;
     /// 0 under eager scheduling).
     pub changed: usize,
@@ -67,9 +75,10 @@ pub struct StepActivity {
 /// what the topology already states, *a node heard exactly its sending
 /// neighbors, in adjacency order*. The step marks the senders'
 /// neighbors as candidates instead (bit inserts, no per-receiver list),
-/// and a visit at 5 reads its frames off the node's adjacency list
-/// against the frozen set of senders — the reception slot is the loop
-/// index, not a search. A candidate that holds every epoch it heard is
+/// and a visit at 5 reads its frames off the node's reception row —
+/// whose entries name their senders' table slots, in id order —
+/// against the frozen set of senders: the row entry is the loop index,
+/// not a search. A candidate that holds every epoch it heard is
 /// visited, where the delivered step's freshness scan leaves it out,
 /// but its frames come back stale and it runs no pass. That is the same
 /// guard passes, the same frames and the same (ascending sender)
@@ -108,7 +117,7 @@ pub struct StepActivity {
 /// The per-node pass of a step (phase 5) only ever writes a node's own
 /// state and reception row while reading frozen beacon columns, so it
 /// is embarrassingly parallel. [`Network::set_shards`] cuts the sorted
-/// active set into contiguous chunks and, at the same node boundaries,
+/// active set into contiguous chunks and, at the same slot boundaries,
 /// the state column and the reception arena into disjoint runs; each
 /// worker visits its chunk **in place** — no per-shard arenas, no
 /// ordered state merge, and one shard is the same body on the calling
@@ -117,6 +126,19 @@ pub struct StepActivity {
 /// the parallelism testable on any machine. The `MWN_FORCE_SHARDS`
 /// environment variable forces a shard count at construction (a CI
 /// leg replays the equivalence suites with 4).
+///
+/// # Storage order
+///
+/// The node table stores a unit-disk deployment by radio cell — the
+/// nodes sorted by (cell, id), cells of side `radius` — and any other
+/// topology by id. Every per-node column is indexed by that slot, and a
+/// node's reception row names its neighbors' slots, so the reads of a
+/// visit land in a few nearby stretches of each column wherever
+/// arrival order put the ids. Ids stay at the boundary: protocol calls,
+/// stream keys, faults, media, [`Network::last_changed`], outputs and
+/// reports, so nothing observable depends on the order
+/// (`tests/storage_order.rs`). [`Network::states`] publishes the state
+/// column in id order when asked.
 ///
 /// Networks are normally built through [`crate::Scenario`]; the
 /// constructor remains available as the low-level interface.
@@ -131,8 +153,10 @@ pub struct Network<P: Protocol, M> {
     /// How the per-step active pass is split across workers.
     shards: ShardPolicy,
     // Reused step buffers: no per-step allocation in steady state.
-    senders_buf: Vec<NodeId>,
-    active_buf: Vec<NodeId>,
+    /// The step's senders by slot, and by id for an asked medium.
+    senders_buf: Vec<Slot>,
+    sender_ids: Vec<NodeId>,
+    active_buf: Vec<Slot>,
     /// Sized by the first step that asks the medium to deliver; a
     /// lossless medium is never asked.
     delivery: Delivery,
@@ -145,42 +169,58 @@ pub struct Network<P: Protocol, M> {
 /// the two kinds of step differ in.
 #[derive(Clone, Copy)]
 enum Frames<'a> {
-    /// The medium was asked: node `p` heard `heard[p]`, each sender
-    /// located in `p`'s sorted adjacency list by one binary search.
+    /// The medium was asked: node `p` heard `heard[p]` (by id), each
+    /// sender located in `p`'s reception row by one binary search over
+    /// the ids of the slots it names.
     Pushed(&'a Delivery),
     /// A lossless medium was not: `p` heard exactly its sending
-    /// neighbors, in adjacency order, at the slot that is their
-    /// position.
+    /// neighbors, in adjacency order — its reception row, whose entries
+    /// name their slots.
     Pulled(&'a NodeSet),
 }
 
 impl Frames<'_> {
-    /// Calls `f(slot, sender)` for every frame `p` heard this step,
-    /// `slot` being the sender's position in `neighbors` (and in `p`'s
-    /// reception row).
+    /// Calls `f(idx, slot, sender)` for every frame node `p` heard this
+    /// step, in ascending sender id: `idx` is the sender's entry in
+    /// `p`'s reception row, `row` the slots that row names.
     #[inline]
-    fn slots(self, p: NodeId, neighbors: &[NodeId], mut f: impl FnMut(usize, NodeId)) {
+    fn each(
+        self,
+        p: NodeId,
+        row: &[Slot],
+        order: &StorageOrder,
+        mut f: impl FnMut(usize, Slot, NodeId),
+    ) {
         match self {
             Frames::Pushed(delivery) => {
-                kernels::sorted_positions(neighbors, &delivery.heard[p.index()], f);
+                let heard = &delivery.heard[p.index()];
+                let id = |&q: &Slot| order.id(q);
+                kernels::sorted_positions_by(row, id, heard, |idx, s| f(idx, row[idx], s));
             }
             Frames::Pulled(sending) => {
-                for (idx, &s) in neighbors.iter().enumerate() {
+                for (idx, &s) in row.iter().enumerate() {
                     if sending.contains(s) {
-                        f(idx, s);
+                        f(idx, s, order.id(s));
                     }
                 }
             }
         }
     }
 
-    /// Calls `f(sender)` for the same frames in the same order, without
-    /// locating them.
+    /// Calls `f(slot)` for the same frames in the same order, without
+    /// locating them in the row.
     #[inline]
-    fn senders(self, p: NodeId, neighbors: &[NodeId], mut f: impl FnMut(NodeId)) {
+    fn senders(self, p: NodeId, row: &[Slot], order: &StorageOrder, mut f: impl FnMut(Slot)) {
         match self {
-            Frames::Pushed(delivery) => delivery.heard[p.index()].iter().for_each(|&s| f(s)),
-            Frames::Pulled(_) => self.slots(p, neighbors, |_, s| f(s)),
+            Frames::Pushed(delivery) => {
+                delivery.heard[p.index()]
+                    .iter()
+                    .for_each(|&s| f(order.slot(s)));
+            }
+            Frames::Pulled(sending) => row
+                .iter()
+                .filter(|&&s| sending.contains(s))
+                .for_each(|&s| f(s)),
         }
     }
 }
@@ -219,6 +259,7 @@ impl<P: Protocol, M: Medium> Network<P, M> {
             step: 0,
             shards: ShardPolicy::from_env(),
             senders_buf: Vec::new(),
+            sender_ids: Vec::new(),
             active_buf: Vec::with_capacity(n),
             delivery: Delivery::empty(0),
             last_activity: StepActivity::default(),
@@ -263,9 +304,9 @@ impl<P: Protocol, M: Medium> Network<P, M> {
     /// retired their senders without consulting a reception row.
     #[doc(hidden)]
     pub fn retirement_audit(&self) -> (Vec<NodeId>, Vec<NodeId>, u64) {
-        let (env, topo) = (&self.env, &self.env.topo);
-        let pending = |&s: &NodeId| env.table.send_pending.contains(s);
-        let behind = |&s: &NodeId| !env.all_caught_up(s);
+        let (env, topo, order) = (&self.env, &self.env.topo, &self.env.table.order);
+        let pending = |&s: &NodeId| env.table.send_pending.contains(order.slot(s));
+        let behind = |&s: &NodeId| !env.all_caught_up(order.slot(s));
         (
             topo.nodes().filter(pending).collect(),
             topo.nodes().filter(behind).collect(),
@@ -306,16 +347,16 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         self.messages_total
     }
 
-    /// Nodes whose state changed during the last step (gated
-    /// scheduling only; empty under eager scheduling, which does not
-    /// track changes).
+    /// Nodes whose state changed during the last step, in ascending id
+    /// (gated scheduling only; empty under eager scheduling, which does
+    /// not track changes).
     pub fn last_changed(&self) -> &[NodeId] {
-        &self.env.table.changed
+        &self.env.table.changed_ids
     }
 
     /// Executes one synchronous step; returns the new step count.
     pub fn step(&mut self) -> u64 {
-        self.env.table.changed.clear();
+        self.env.table.clear_changed();
         self.env.begin_step(self.step);
         let eager = !self.is_gated();
 
@@ -355,20 +396,20 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         let active = self.active_buf.len();
         let shards = self.shards.count(active, active);
         let delivery = (!lossless).then_some(&self.delivery);
-        let (receives, updates) = self
+        let visited = self
             .env
             .visit(now, !eager, &self.active_buf, shards, |shard| {
                 let (beacons, epoch, read) = (shard.beacons, shard.epoch, shard.read_epoch);
-                let (protocol, topo) = (shard.protocol, shard.topo);
+                let (protocol, order) = (shard.protocol, shard.order);
                 let frames = delivery.map_or(Frames::Pulled(shard.sending), Frames::Pushed);
                 for &p in shard.candidates {
-                    let neighbors = topo.neighbors(p);
-                    let (state, row, scratch) = shard.open(p);
+                    let id = order.id(p);
+                    let (state, row, neighbors, scratch) = shard.open(p);
                     let mut received = false;
                     // Look-ahead: plain loads nothing depends on; the
                     // black box is what keeps them from being deleted.
                     let mut ahead = 0u64;
-                    frames.senders(p, neighbors, |s| {
+                    frames.senders(id, neighbors, order, |s| {
                         let i = s.index();
                         ahead = ahead.wrapping_add(u64::from(epoch[i]));
                         if eager || read[i] == epoch[i] {
@@ -376,16 +417,16 @@ impl<P: Protocol, M: Medium> Network<P, M> {
                         }
                     });
                     std::hint::black_box(ahead);
-                    frames.slots(p, neighbors, |idx, s| {
+                    frames.each(id, neighbors, order, |idx, s, from| {
                         let (i, beacon) = (s.index(), &beacons[s.index()]);
                         let skipped =
-                            |copy: &mut P::State| protocol.receive(p, copy, s, beacon, now);
+                            |copy: &mut P::State| protocol.receive(id, copy, from, beacon, now);
                         let reference = (&*state, &mut scratch.held_check, skipped);
                         let frame = [read[i], epoch[i]];
-                        let fate = engine::gate(!eager, &mut row[idx], frame, (p, s), reference);
-                        if fate == Fate::Receive {
-                            scratch.receiving(state, &mut received);
-                            protocol.receive(p, state, s, beacon, now);
+                        let fate =
+                            engine::gate(!eager, &mut row[idx], frame, (id, from), reference);
+                        if scratch.admit(fate, state, &mut received) {
+                            protocol.receive(id, state, from, beacon, now);
                         }
                     });
                     shard.update(p, received);
@@ -402,9 +443,8 @@ impl<P: Protocol, M: Medium> Network<P, M> {
             senders: self.senders_buf.len(),
             frames_attempted: attempted,
             frames_delivered: delivered,
-            receives,
-            updates,
             changed: self.env.table.changed.len(),
+            ..visited
         };
         self.messages_total += self.senders_buf.len() as u64;
         self.step += 1;
@@ -420,9 +460,12 @@ impl<P: Protocol, M: Medium> Network<P, M> {
     /// exactly while folding the retired population in statistically
     /// (per-(step, sender) and per-(step, receiver, sender) streams).
     /// Everything else — and every eager round — evaluates the full
-    /// sender set on the sequential medium stream.
+    /// sender set on the sequential medium stream. Media are handed the
+    /// senders in id order, and record by id.
     fn deliver(&mut self, eager: bool) {
         let (env, topo) = (&self.env, &self.env.topo);
+        let senders = &mut self.sender_ids;
+        env.table.order.sorted_ids(&self.senders_buf, senders);
         self.delivery.reset(topo.len());
         // A gated contention round without its summary (never built:
         // `Network::new` installs it) falls back to the full sender set.
@@ -436,26 +479,17 @@ impl<P: Protocol, M: Medium> Network<P, M> {
             None
         };
         if self.medium.independent_fates() {
-            for &s in &self.senders_buf {
+            for &s in senders.iter() {
                 let mut rng = env.medium_rng(self.step, s);
                 self.delivery.record_fates(&self.medium, topo, s, &mut rng);
             }
         } else if let Some(occ) = occupancy {
             let streams = env.contention_streams(self.step);
-            self.medium.deliver_occupied_into(
-                topo,
-                &self.senders_buf,
-                occ,
-                &streams,
-                &mut self.delivery,
-            );
+            self.medium
+                .deliver_occupied_into(topo, senders, occ, &streams, &mut self.delivery);
         } else {
-            self.medium.deliver_into(
-                topo,
-                &self.senders_buf,
-                &mut self.medium_rng,
-                &mut self.delivery,
-            );
+            self.medium
+                .deliver_into(topo, senders, &mut self.medium_rng, &mut self.delivery);
         }
         if eager {
             return;
@@ -463,16 +497,18 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         // The freshness test is the branch-lean epoch-compare kernel
         // over the receiver's contiguous reception row. As on a lossless
         // step, a receiver nothing else scheduled is a hearer.
-        let (table, topo) = (&mut self.env.table, &self.env.topo);
+        let table = &mut self.env.table;
         for &r in &self.delivery.touched {
-            if kernels::any_fresh(
-                table.heard.row(r.index()),
-                &table.epoch,
-                topo.neighbors(r),
-                &self.delivery.heard[r.index()],
-            ) && table.update_dirty.insert(r)
+            let at = table.order.slot(r);
+            let (row, slots) = (table.heard.row(at.index()), table.heard.slots(at.index()));
+            let (id, epoch) = (
+                |&q: &Slot| table.order.id(q),
+                |idx: usize| table.epoch[slots[idx].index()],
+            );
+            let heard = &self.delivery.heard[r.index()];
+            if kernels::any_fresh_by(row, slots, id, heard, epoch) && table.update_dirty.insert(at)
             {
-                table.hearers.insert(r);
+                table.hearers.insert(at);
             }
         }
     }
@@ -520,13 +556,24 @@ impl<P: Protocol, M: Medium> Network<P, M> {
     }
 
     /// All node states, indexed by [`NodeId`].
+    ///
+    /// The node table works on its state column in storage order (by
+    /// radio cell, for a unit-disk deployment); this read publishes it
+    /// in id order first, unless nothing has touched a state since the
+    /// last read did. Publishing is an in-place O(n) permutation with
+    /// no allocation, undone by the next step that touches a state:
+    /// a run that reads states every step pays two of them per step.
+    /// [`Network::outputs_into`] never publishes, and
+    /// [`Network::run_to`] only to evaluate a [`StopWhen::predicate`]
+    /// leaf.
     pub fn states(&self) -> &[P::State] {
-        &self.env.table.states
+        self.env.states()
     }
 
-    /// The state of one node.
+    /// The state of one node — read through the same publish as
+    /// [`Network::states`].
     pub fn state(&self, p: NodeId) -> &P::State {
-        &self.env.table.states[p.index()]
+        &self.env.states()[p.index()]
     }
 
     /// Mutable state access (used by hand-written fault scenarios).
@@ -633,9 +680,8 @@ impl<P: Corruptible, M: Medium> Network<P, M> {
     #[doc(hidden)]
     pub fn corrupt_silently(&mut self, p: NodeId) {
         let mut rng = self.env.corrupt_rng(p);
-        self.env
-            .protocol
-            .corrupt(p, &mut self.env.table.states[p.index()], &mut rng);
+        let (protocol, table) = (&self.env.protocol, &mut self.env.table);
+        protocol.corrupt(p, table.state_mut(p), &mut rng);
     }
 }
 
@@ -967,7 +1013,8 @@ mod tests {
                 // also the copies the gated receive loop then skips, and
                 // those of a lossless step's candidates whose frames are
                 // all stale, which the delivered step does not visit.
-                let heard = |p: &NodeId| reference.delivery.heard[p.index()].len();
+                let order = &net.env.table.order;
+                let heard = |&p: &Slot| reference.delivery.heard[order.id(p).index()].len();
                 let visited: usize = net.active_buf.iter().map(heard).sum();
                 assert_eq!(peeks, visited, "step {step}, {shards} shards");
                 assert!(peeks <= net.last_activity().frames_delivered);
@@ -1076,6 +1123,73 @@ mod tests {
                 prop_assert_eq!(pushed.delivery.heard.len(), n as usize);
             }
         }
+    }
+
+    /// `TraceFlood` hashes every receive in the order it is handed, so
+    /// a deployment — stored by cell — and the same graph built from its
+    /// edge list — stored by id — agree on their states only if every
+    /// receiver heard the same frames in the same, ascending-sender,
+    /// order: on the pulled and the pushed step, gated and eager, on one
+    /// shard and on three, on the event clock and on the actor fabric.
+    #[test]
+    fn receivers_hear_their_senders_in_id_order_whatever_the_storage_order() {
+        let placed = connected_uniform(60, 0.22, 3);
+        let edges: Vec<(u32, u32)> = placed
+            .edges()
+            .map(|(u, v)| (u.value(), v.value()))
+            .collect();
+        let bare = Topology::from_edges(placed.len(), &edges).expect("its own edges");
+        let mut plan = FaultPlan::new();
+        plan.at(6, Fault::CorruptNode(NodeId::new(7)))
+            .at(9, Fault::Isolate(NodeId::new(11)));
+        let scenario = |topo: &Topology| {
+            let scenario = Scenario::new(TraceFlood).topology(topo.clone()).seed(5);
+            scenario.faults(plan.clone())
+        };
+        let ids = StorageOrder::of(&placed);
+        assert!(
+            ids.ids().windows(2).any(|w| w[0] > w[1]),
+            "a cell order, not id order"
+        );
+        for (shards, eager) in [(1, false), (3, false), (1, true), (3, true)] {
+            let build = |topo: &Topology| {
+                let mut pulled = scenario(topo).build().expect("a valid plan");
+                let pushed = scenario(topo).medium(Pushed(PerfectMedium));
+                let mut pushed = pushed.build().expect("a valid plan");
+                pulled.set_eager(eager);
+                pushed.set_eager(eager);
+                pulled.set_shards(Some(shards));
+                pushed.set_shards(Some(shards));
+                (pulled, pushed)
+            };
+            let ((mut a, mut b), (mut c, mut d)) = (build(&placed), build(&bare));
+            for step in 0..20 {
+                a.step();
+                b.step();
+                c.step();
+                d.step();
+                let at = format!("step {step}, {shards} shards, eager {eager}");
+                assert_eq!(a.states(), c.states(), "pulled: {at}");
+                assert_eq!(b.states(), d.states(), "pushed: {at}");
+                assert_eq!(a.last_activity(), c.last_activity(), "{at}");
+                assert_eq!(b.last_activity(), d.last_activity(), "{at}");
+            }
+        }
+        let events = |topo: &Topology| {
+            let mut d = scenario(topo)
+                .medium(BernoulliLoss::new(0.8))
+                .build_events(crate::EventConfig::default())
+                .expect("a valid plan");
+            d.run_until_time(25.0);
+            d.states().to_vec()
+        };
+        assert_eq!(events(&placed), events(&bare));
+        let actors = |topo: &Topology| {
+            let mut d = scenario(topo).build_actors(1).expect("a valid plan");
+            d.run(20);
+            d.states().to_vec()
+        };
+        assert_eq!(actors(&placed), actors(&bare));
     }
 
     #[test]

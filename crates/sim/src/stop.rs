@@ -229,13 +229,14 @@ impl<P: Observable> Cursor<P> {
     /// Feeds one observation (absolute step `now`, `steps` executed so
     /// far this run) and reports whether the subtree is satisfied.
     /// Every leaf is always evaluated so stability trackers see every
-    /// step.
-    pub(crate) fn observe(
+    /// step. `states` hands out the states by id; it is asked only by a
+    /// predicate that cannot reuse its verdict.
+    pub(crate) fn observe<'a>(
         &mut self,
         now: u64,
         steps: u64,
         topo: &Topology,
-        states: &[P::State],
+        states: &dyn Fn() -> &'a [P::State],
         obs: &Obs,
     ) -> Verdict {
         match self {
@@ -258,7 +259,7 @@ impl<P: Observable> Cursor<P> {
             Cursor::Pred { pred, last } => {
                 let satisfied = match *last {
                     Some(prev) if !obs.state_changed && !obs.env_changed => prev,
-                    _ => pred(topo, states),
+                    _ => pred(topo, states()),
                 };
                 *last = Some(satisfied);
                 Verdict {

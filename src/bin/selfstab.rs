@@ -126,6 +126,11 @@ fn flag(opts: &Opts, key: &str) -> bool {
 /// Builds the topology from the shared deployment options.
 fn deploy(opts: &Opts) -> Result<Topology, String> {
     let radius = opt_f64(opts, "radius")?.unwrap_or(0.1);
+    if !(radius.is_finite() && radius > 0.0) {
+        return Err(format!(
+            "--radius must be finite and positive, got {radius}"
+        ));
+    }
     let seed = opt_u64(opts, "seed")?.unwrap_or(1);
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     if let Some(side) = opt_u64(opts, "grid")? {
@@ -137,6 +142,11 @@ fn deploy(opts: &Opts) -> Result<Topology, String> {
         Ok(builders::uniform(n as usize, radius, &mut rng))
     } else {
         let lambda = opt_f64(opts, "lambda")?.unwrap_or(500.0);
+        if !(lambda.is_finite() && lambda >= 0.0) {
+            return Err(format!(
+                "--lambda must be finite and non-negative, got {lambda}"
+            ));
+        }
         Ok(builders::poisson(lambda, radius, &mut rng))
     }
 }
@@ -416,6 +426,36 @@ mod tests {
         assert_eq!(deploy(&opts).unwrap().len(), 25);
         let (_, opts) = parse(&argv("topology --nodes 40")).unwrap();
         assert_eq!(deploy(&opts).unwrap().len(), 40);
+    }
+
+    #[test]
+    fn bad_deployment_values_are_errors_not_panics() {
+        for args in [
+            "topology --radius -1",
+            "topology --radius 0",
+            "topology --radius nan",
+            "topology --nodes 50 --radius inf",
+            "topology --grid 4 --radius -0.5",
+        ] {
+            let (_, opts) = parse(&argv(args)).unwrap();
+            let err = deploy(&opts).unwrap_err();
+            assert!(err.contains("--radius"), "{args}: {err}");
+        }
+        for args in [
+            "topology --lambda -5",
+            "topology --lambda nan",
+            "topology --lambda inf",
+        ] {
+            let (_, opts) = parse(&argv(args)).unwrap();
+            let err = deploy(&opts).unwrap_err();
+            assert!(err.contains("--lambda"), "{args}: {err}");
+        }
+        let (_, opts) = parse(&argv("topology --lambda 0")).unwrap();
+        assert_eq!(
+            deploy(&opts).unwrap().len(),
+            0,
+            "an empty field is a valid one"
+        );
     }
 
     #[test]
