@@ -18,11 +18,15 @@
 //!   the view's **ids** — so the view buffer holds one [`NodeId`] per
 //!   entry, four bytes instead of twenty;
 //! * the fusion rule (Section 4.3) needs the 2-hop **head claims** —
-//!   so each slot carries `claim`, the strongest claim its view relays
-//!   (an entry `s` with `s.head == s.id`), the owner's own id excluded.
-//!   [`crate::DensityCluster`] computes it on receive under
-//!   [`crate::HeadRule::Fusion`] and stores `None` under `Basic`, whose
-//!   guards read no claim.
+//!   so each slot has a claim, the strongest claim its view relays (an
+//!   entry `s` with `s.head == s.id`), the owner's own id excluded
+//!   ([`NeighborCache::claim`]). [`crate::DensityCluster`] computes it
+//!   on receive under [`crate::HeadRule::Fusion`] and stores `None`
+//!   under `Basic`, whose guards read no claim. The claims sit in a
+//!   side column, not in the slot headers: it stays unallocated until
+//!   the first claim is stored — so under `Basic` it never is, and a
+//!   header is 40 bytes instead of 56 — and from then on runs parallel
+//!   to the slots. An unallocated column reads as `None` everywhere.
 //!
 //! # Why the run is unchanged
 //!
@@ -61,14 +65,19 @@
 //! counted at its smaller endpoint. Rule R1 is then
 //! `degree + Σ links` over the slot headers — it never re-reads a view.
 //! The count of a slot depends on its own view and on the cached key
-//! set, so it is recounted
+//! set, so it is
 //!
-//! * **for that slot** when a rewrite of its view changes the view's
-//!   ids (a rewrite that says something new about the same ids — every
-//!   rewrite once neighborhoods are known — leaves the count alone),
-//!   and
-//! * **for every slot** when the key set changes (an insert, a
-//!   removal, a `retain` that dropped something).
+//! * **recounted for that slot** when a rewrite of its view changes the
+//!   view's ids (a rewrite that says something new about the same ids —
+//!   every rewrite once neighborhoods are known — leaves the count
+//!   alone);
+//! * **updated** when a new key `q` is inserted: only `r = q` became
+//!   cached, so each slot below `q` gains the number of times its view
+//!   names `q`, and the new slot is counted afresh;
+//! * **recounted for every slot** when a key leaves (a removal, a
+//!   `retain` that dropped something).
+//!
+//! Debug builds compare every count with a recount after each update.
 //!
 //! Iteration is ascending by neighbor id — the `BTreeMap` order the
 //! protocol has always observed.
@@ -79,9 +88,9 @@ use serde::{Deserialize, Serialize};
 use crate::{Density, Key, NeighborEntry, PeerSummary};
 
 /// The header of one cached neighbor: its shared variables as last
-/// heard, the strongest head claim its view relays, and the
-/// bookkeeping that locates its view and its share of the density
-/// numerator.
+/// heard, and the bookkeeping that locates its view and its share of
+/// the density numerator. The strongest head claim its view relays is
+/// in the cache's claims column ([`NeighborCache::claim`]).
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct NeighborSlot {
     /// Logical time the last beacon from this neighbor arrived.
@@ -94,11 +103,6 @@ pub struct NeighborSlot {
     pub density: Density,
     /// Cached copy of the neighbor's head claim.
     pub head: NodeId,
-    /// The strongest head claim the neighbor's view relays, the cache
-    /// owner's own excluded — what the fusion rule reads of the view.
-    /// `None` when the view relays none, or when the protocol reads no
-    /// claim (see the module docs).
-    pub claim: Option<Key>,
     /// Exclusive end of this neighbor's view in the shared view buffer;
     /// it starts where the previous slot's view ends.
     end: u32,
@@ -119,7 +123,8 @@ impl NeighborSlot {
 }
 
 /// A node's neighbor cache: [`NeighborSlot`]s sorted by neighbor id
-/// over one shared buffer of views, each view kept as its ids.
+/// over one shared buffer of views, each view kept as its ids, with
+/// the claims column beside the slots once a claim has been stored.
 ///
 /// # Examples
 ///
@@ -141,12 +146,19 @@ impl NeighborSlot {
 /// let ids: Vec<u32> = cache.keys().map(|q| q.value()).collect();
 /// assert_eq!(ids, [2, 7]);
 /// let (slot, view) = cache.get(&NodeId::new(2)).expect("cached");
-/// assert_eq!((slot.head, slot.claim, view.len()), (NodeId::new(9), None, 0));
+/// assert_eq!((slot.head, view.len()), (NodeId::new(9), 0));
+/// assert_eq!(cache.claim(&NodeId::new(2)), None);
 /// ```
 #[derive(Debug, Default, Serialize, Deserialize)]
 pub struct NeighborCache {
     slots: Vec<NeighborSlot>,
     views: Vec<NodeId>,
+    /// `claims[i]`: the strongest head claim slot `i`'s view relays —
+    /// see the module docs. `None` until the first claim is stored,
+    /// then exactly as long as `slots`. Boxed, so an unallocated column
+    /// costs a [`crate::ClusterState`] one word.
+    #[allow(clippy::box_collection)] // one word, not three: see above
+    claims: Option<Box<Vec<Option<Key>>>>,
 }
 
 impl NeighborCache {
@@ -190,6 +202,28 @@ impl NeighborCache {
         Some((&self.slots[i], self.view(i)))
     }
 
+    /// The strongest head claim `id`'s view relays, the owner's own
+    /// excluded: what the fusion rule reads of the view. `None` when
+    /// `id` is not cached, when its view relays no claim, or when the
+    /// protocol stores none (see the module docs).
+    pub fn claim(&self, id: &NodeId) -> Option<Key> {
+        let claims = self.claims.as_deref()?;
+        claims[self.pos(*id).ok()?]
+    }
+
+    /// The claims the slots carry, ascending by neighbor id; slots
+    /// without one are skipped.
+    pub fn relayed_claims(&self) -> impl Iterator<Item = Key> + '_ {
+        self.claims
+            .iter()
+            .flat_map(|claims| claims.iter().flatten().copied())
+    }
+
+    /// The claim of slot `i`.
+    fn claim_at(&self, i: usize) -> Option<Key> {
+        self.claims.as_deref().and_then(|claims| claims[i])
+    }
+
     /// The cached neighbor ids, ascending.
     pub fn keys(&self) -> impl Iterator<Item = &NodeId> {
         self.slots.iter().map(|s| &s.id)
@@ -213,7 +247,7 @@ impl NeighborCache {
 
     /// Inserts `entry` under `id`, replacing any previous entry. The
     /// cache keeps the ids of `entry.view`; the slot relays no claim
-    /// (`claim` is `None` — only [`NeighborCache::store`] takes one).
+    /// (only [`NeighborCache::store`] takes one).
     pub fn insert(&mut self, id: NodeId, entry: NeighborEntry) {
         let peer = PeerSummary {
             id,
@@ -232,7 +266,8 @@ impl NeighborCache {
     /// place, and recounts that slot's `links` only if the view's ids
     /// moved — once neighborhoods are known, beacons change in what
     /// they say about the same ids. A new neighbor changes the key set,
-    /// so every slot is recounted. Buffers grow by exactly what is
+    /// so the slots below it count it in their views and it is counted
+    /// afresh (see the module docs). Buffers grow by exactly what is
     /// missing: a cache is as large as its neighborhood and stays that
     /// size, and amortized growth leaves slack in every node's cache
     /// (`converge_rounds`' peak RSS reads about a tenth higher with
@@ -253,7 +288,6 @@ impl NeighborCache {
             dag_id: peer.dag_id,
             density: peer.density,
             head: peer.head,
-            claim,
             end,
             links,
         };
@@ -263,6 +297,21 @@ impl NeighborCache {
                 self.slots.reserve_exact(1);
                 self.slots.insert(i, header(start as u32, 0));
             }
+        }
+        match (self.claims.as_deref_mut(), known) {
+            (Some(claims), Ok(_)) => claims[i] = claim,
+            (Some(claims), Err(_)) => {
+                claims.reserve_exact(1);
+                claims.insert(i, claim);
+            }
+            // The first claim: the column starts out parallel to the
+            // slots, the new one included.
+            (None, _) if claim.is_some() => {
+                let mut claims = vec![None; self.slots.len()];
+                claims[i] = claim;
+                self.claims = Some(Box::new(claims));
+            }
+            (None, _) => {}
         }
         let old = self.slots[i].end as usize - start;
         let mut same_ids = false;
@@ -285,8 +334,29 @@ impl NeighborCache {
         match known {
             Ok(_) if same_ids => {}
             Ok(_) => self.slots[i].links = self.count_links(i),
-            Err(_) => self.recount_all(),
+            Err(_) => self.count_new_key(i),
         }
+    }
+
+    /// Brings `links` up to date after slot `i`'s key joined the cache:
+    /// each slot below it gains the times its view names the key, and
+    /// slot `i` is counted afresh. Views of the slots below `i` are the
+    /// buffer up to `i`'s own, so this reads each of them once and
+    /// searches nothing.
+    fn count_new_key(&mut self, i: usize) {
+        let q = self.slots[i].id;
+        let mut start = 0;
+        for slot in &mut self.slots[..i] {
+            let end = slot.end as usize;
+            let named = self.views[start..end].iter().filter(|&&r| r == q).count();
+            slot.links += named as u32;
+            start = end;
+        }
+        self.slots[i].links = self.count_links(i);
+        debug_assert!(
+            (0..self.slots.len()).all(|j| self.slots[j].links == self.count_links(j)),
+            "an insert of {q} left a link count that a recount does not give"
+        );
     }
 
     /// Removes `id`'s entry; returns whether there was one.
@@ -296,6 +366,9 @@ impl NeighborCache {
         };
         let span = self.start(i)..self.slots[i].end as usize;
         self.slots.remove(i);
+        if let Some(claims) = self.claims.as_deref_mut() {
+            claims.remove(i);
+        }
         for s in &mut self.slots[i..] {
             s.end -= span.len() as u32;
         }
@@ -317,6 +390,9 @@ impl NeighborCache {
                     self.views.copy_within(read..end, write);
                     slot.end = (write + end - read) as u32;
                     self.slots[kept] = slot;
+                    if let Some(claims) = self.claims.as_deref_mut() {
+                        claims[kept] = claims[i];
+                    }
                 }
                 write += end - read;
                 kept += 1;
@@ -327,6 +403,9 @@ impl NeighborCache {
         if dropped {
             self.slots.truncate(kept);
             self.views.truncate(write);
+            if let Some(claims) = self.claims.as_deref_mut() {
+                claims.truncate(kept);
+            }
             self.recount_all();
         }
         dropped
@@ -336,6 +415,9 @@ impl NeighborCache {
     pub fn clear(&mut self) {
         self.slots.clear();
         self.views.clear();
+        if let Some(claims) = self.claims.as_deref_mut() {
+            claims.clear();
+        }
     }
 
     /// The numerator of Definition 1 as seen from node `me`: one link
@@ -418,8 +500,9 @@ impl NeighborCache {
     }
 
     /// Verifies the internal invariants — ids strictly ascending, view
-    /// offsets monotone and covering the view buffer exactly, every
-    /// slot's `links` equal to a fresh count. For tests.
+    /// offsets monotone and covering the view buffer exactly, a claims
+    /// column (if any) as long as the slots, every slot's `links` equal
+    /// to a fresh count. For tests.
     ///
     /// # Errors
     ///
@@ -438,6 +521,12 @@ impl NeighborCache {
                 self.views.len()
             ));
         }
+        if let Some(claims) = self.claims.as_deref() {
+            if claims.len() != self.slots.len() {
+                let (c, n) = (claims.len(), self.slots.len());
+                return Err(format!("{c} claims beside {n} slots"));
+            }
+        }
         match (0..self.slots.len()).find(|&i| self.slots[i].links != self.count_links(i)) {
             Some(i) => Err(format!(
                 "slot {} carries links = {}, a recount says {}",
@@ -452,7 +541,8 @@ impl NeighborCache {
 
 /// Content equality, entry by entry in key order: derived bookkeeping
 /// (`links`) is a function of the content and is not compared; equal
-/// view offsets make the flat view compare an entry-wise one. What is
+/// view offsets make the flat view compare an entry-wise one; claims
+/// compare per slot, an unallocated column as all `None`. What is
 /// compared is exactly what the guards read.
 impl PartialEq for NeighborCache {
     fn eq(&self, other: &Self) -> bool {
@@ -462,24 +552,27 @@ impl PartialEq for NeighborCache {
                 && a.dag_id == b.dag_id
                 && a.density == b.density
                 && a.head == b.head
-                && a.claim == b.claim
                 && a.end == b.end
         };
+        let no_claims = self.claims.is_none() && other.claims.is_none();
         self.slots.len() == other.slots.len()
             && self.slots.iter().zip(&other.slots).all(same_header)
             && self.views == other.views
+            && (no_claims || (0..self.slots.len()).all(|i| self.claim_at(i) == other.claim_at(i)))
     }
 }
 
-/// `clone_from` reuses both buffers, so the engines' scratch-state
+/// `clone_from` reuses every buffer, so the engines' scratch-state
 /// clones across nodes of different degrees stop allocating once the
 /// scratch has seen the largest neighborhood; it grows them by exactly
-/// what is missing, like [`NeighborCache::store`].
+/// what is missing, like [`NeighborCache::store`]. A scratch column
+/// stays allocated over a source without one and is filled with `None`.
 impl Clone for NeighborCache {
     fn clone(&self) -> Self {
         NeighborCache {
             slots: self.slots.clone(),
             views: self.views.clone(),
+            claims: self.claims.clone(),
         }
     }
 
@@ -491,6 +584,15 @@ impl Clone for NeighborCache {
         }
         refill(&mut self.slots, &source.slots);
         refill(&mut self.views, &source.views);
+        match (self.claims.as_deref_mut(), source.claims.as_deref()) {
+            (Some(claims), Some(from)) => refill(claims, from),
+            (Some(claims), None) => {
+                claims.clear();
+                claims.reserve_exact(source.len());
+                claims.resize(source.len(), None);
+            }
+            (None, from) => self.claims = from.map(|from| Box::new(from.clone())),
+        }
     }
 }
 
@@ -588,7 +690,8 @@ mod tests {
         fn entry_size<T>(_: &[T]) -> usize {
             std::mem::size_of::<T>()
         }
-        assert!(std::mem::size_of::<NeighborSlot>() <= 64);
+        assert_eq!(std::mem::size_of::<NeighborSlot>(), 40);
+        assert!(std::mem::size_of::<crate::ClusterState>() <= 80);
         let mut cache = NeighborCache::new();
         cache.store(0, peer(1), None, &view(&[2, 3]));
         // What `peek`'s stride of sixteen entries per line assumes.
@@ -604,7 +707,7 @@ mod tests {
         assert_eq!(a, b);
         b.store(0, peer(1), claim(5), &view(&[3]));
         assert_ne!(a, b, "same ids, another claim");
-        assert_eq!(b.get(&id(1)).map(|(s, _)| s.claim), Some(claim(5)));
+        assert_eq!(b.claim(&id(1)), claim(5));
         b.store(0, peer(1), None, &view(&[3]));
         assert_ne!(a, b);
         a.store(0, peer(1), None, &view(&[3]));

@@ -213,9 +213,9 @@ pub struct ClusterState {
     /// sorted by id over one buffer of view ids ([`NeighborCache`]).
     /// The converging phase clones, compares and rewrites it for every
     /// active node. Each header carries its share of the density
-    /// numerator (`links`) and its view's strongest head claim
-    /// (`claim`, under the fusion rule), so R1 and R2 read the headers
-    /// alone.
+    /// numerator (`links`), and under the fusion rule a claims column
+    /// beside the headers keeps each view's strongest head claim, so
+    /// R1 and R2 read the headers alone.
     pub cache: NeighborCache,
 }
 
@@ -432,7 +432,7 @@ impl DensityCluster {
             .iter()
             .filter(|e| e.head == e.id)
             .map(|e| Self::key_of_summary(&e.summary()));
-        let relayed = slots.iter().filter_map(|e| e.claim);
+        let relayed = state.cache.relayed_claims();
         direct
             .chain(relayed)
             .max_by(|a, b| a.cmp_under(b, self.config.order))
@@ -463,7 +463,7 @@ impl DensityCluster {
                     && e.dag_id == beacon.dag_id
                     && e.density == beacon.density
                     && e.head == beacon.head
-                    && e.claim == claim
+                    && state.cache.claim(&from) == claim
                     && ids.len() == beacon.view.len()
                     && ids.iter().zip(&beacon.view).all(|(&r, s)| r == s.id);
                 // Silence contract: an already-incorporated beacon must

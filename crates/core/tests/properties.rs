@@ -173,7 +173,13 @@ fn check_cache_against_model(
     prop_assert!(cache.slots().iter().map(|s| &s.id).eq(model.keys()));
     let exact = |d: Density| (d.links(), d.degree());
     for ((slot, view), (&id, (want, claim))) in cache.iter().zip(model) {
-        let got = (slot.id, slot.last_seen, slot.dag_id, slot.head, slot.claim);
+        let got = (
+            slot.id,
+            slot.last_seen,
+            slot.dag_id,
+            slot.head,
+            cache.claim(&slot.id),
+        );
         prop_assert_eq!(got, (id, want.last_seen, want.dag_id, want.head, *claim));
         prop_assert_eq!(exact(slot.density), exact(want.density));
         prop_assert!(view.iter().eq(want.view.iter().map(|s| &s.id)));
@@ -767,6 +773,113 @@ proptest! {
             }
             check_cache_against_model(&caches[side], &models[side])?;
             prop_assert_eq!(caches[0] == caches[1], kept(&models[0]) == kept(&models[1]));
+        }
+    }
+
+    /// A new key updates the link counts instead of recounting them:
+    /// after every insert — into views that name the new id once, twice
+    /// or not at all, with a view of its own that may name itself, and
+    /// into caches that hold their owner's id — every count equals a
+    /// recount (`check`) and R1 equals Definition 1 over the model.
+    #[test]
+    fn incremental_link_counts_equal_a_recount_after_every_insert(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut cache = NeighborCache::new();
+        let mut model = CacheModel::new();
+        for _ in 0..40 {
+            if model.len() == SMALL_IDS as usize {
+                cache.clear();
+                model.clear();
+            }
+            let fresh = (0..SMALL_IDS).map(NodeId::new).filter(|q| !model.contains_key(q));
+            let fresh: Vec<NodeId> = fresh.collect();
+            let q = fresh[rng.random_range(0..fresh.len())];
+            // Some cached view names `q` twice before `q` arrives.
+            let known: Vec<NodeId> = model.keys().copied().collect();
+            if !known.is_empty() && rng.random_range(0..2) == 0 {
+                let id = known[rng.random_range(0..known.len())];
+                let mut e = small_entry(&mut rng, 4);
+                e.view[1].id = q;
+                e.view[3].id = q;
+                let peer = PeerSummary { id, dag_id: e.dag_id, density: e.density, head: e.head };
+                cache.store(e.last_seen, peer, None, &e.view);
+                model.insert(id, (e, None));
+                check_cache_against_model(&cache, &model)?;
+            }
+            let len = rng.random_range(0..6);
+            let mut e = small_entry(&mut rng, len);
+            if len > 0 && rng.random_range(0..3) == 0 {
+                e.view[0].id = q;
+            }
+            let peer = PeerSummary { id: q, dag_id: e.dag_id, density: e.density, head: e.head };
+            cache.store(e.last_seen, peer, None, &e.view);
+            model.insert(q, (e, None));
+            check_cache_against_model(&cache, &model)?;
+        }
+    }
+
+    /// Claims on only some slots: the column, allocated by the first
+    /// claim stored, follows its model through stores, inserts,
+    /// removals, sweeps, clears and `clone_from` into scratches with
+    /// and without a column of their own; a cache that never stored a
+    /// claim equals the same content with a column of `None`s.
+    #[test]
+    fn the_claims_column_matches_its_model_on_some_slots(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut cache = NeighborCache::new();
+        let mut model = CacheModel::new();
+        let mut scratch = NeighborCache::new();
+        for _ in 0..60 {
+            match rng.random_range(0..10) {
+                0..=4 => {
+                    let (id, len) = (small_id(&mut rng), rng.random_range(0..5));
+                    let e = small_entry(&mut rng, len);
+                    let claim = if rng.random_range(0..3) == 0 { small_claim(&mut rng) } else { None };
+                    let peer = PeerSummary { id, dag_id: e.dag_id, density: e.density, head: e.head };
+                    cache.store(e.last_seen, peer, claim, &e.view);
+                    model.insert(id, (e, claim));
+                }
+                5 => {
+                    let (id, len) = (small_id(&mut rng), rng.random_range(0..5));
+                    let e = small_entry(&mut rng, len);
+                    cache.insert(id, e.clone());
+                    model.insert(id, (e, None));
+                }
+                6 => {
+                    let id = small_id(&mut rng);
+                    prop_assert_eq!(cache.remove(&id), model.remove(&id).is_some());
+                }
+                7 => {
+                    let horizon = rng.random_range(0..9);
+                    model.retain(|_, (e, _)| e.last_seen <= horizon);
+                    cache.retain(|s| s.last_seen <= horizon);
+                }
+                8 => {
+                    if rng.random_range(0..3) == 0 {
+                        cache.clear();
+                        model.clear();
+                    }
+                }
+                _ => {
+                    // Round trip through a scratch that has seen other
+                    // caches, with claims or without.
+                    scratch.clone_from(&cache);
+                    prop_assert!(scratch == cache);
+                    cache = NeighborCache::new();
+                    cache.clone_from(&scratch);
+                }
+            }
+            check_cache_against_model(&cache, &model)?;
+            let claims = model.values().filter_map(|(_, claim)| *claim);
+            prop_assert!(cache.relayed_claims().eq(claims));
+            let mut bare = NeighborCache::new();
+            for (&id, (e, _)) in &model {
+                let peer = PeerSummary { id, dag_id: e.dag_id, density: e.density, head: e.head };
+                bare.store(e.last_seen, peer, None, &e.view);
+            }
+            let unclaimed = model.values().all(|(_, claim)| claim.is_none());
+            prop_assert_eq!(bare == cache, unclaimed);
+            prop_assert_eq!(cache == bare, unclaimed);
         }
     }
 

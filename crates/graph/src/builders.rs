@@ -110,9 +110,7 @@ pub fn line(n: usize) -> Topology {
             Point2::new(t, 0.5)
         })
         .collect();
-    Topology::from_edges(n, &edges)
-        .expect("line edges are always valid")
-        .with_positions(positions)
+    Topology::from_valid_edges(n, &edges).with_positions(positions)
 }
 
 /// A cycle of `n ≥ 3` nodes positioned on a circle.
@@ -130,9 +128,7 @@ pub fn ring(n: usize) -> Topology {
             Point2::new(0.5 + 0.4 * a.cos(), 0.5 + 0.4 * a.sin())
         })
         .collect();
-    Topology::from_edges(n, &edges)
-        .expect("ring edges are always valid")
-        .with_positions(positions)
+    Topology::from_valid_edges(n, &edges).with_positions(positions)
 }
 
 /// A star: node 0 at the center linked to `n - 1` leaves.
@@ -148,9 +144,7 @@ pub fn star(n: usize) -> Topology {
         let a = i as f64 / (n - 1).max(1) as f64 * std::f64::consts::TAU;
         positions.push(Point2::new(0.5 + 0.4 * a.cos(), 0.5 + 0.4 * a.sin()));
     }
-    Topology::from_edges(n, &edges)
-        .expect("star edges are always valid")
-        .with_positions(positions)
+    Topology::from_valid_edges(n, &edges).with_positions(positions)
 }
 
 /// The complete graph `K_n` (every pair linked).
@@ -161,7 +155,7 @@ pub fn complete(n: usize) -> Topology {
             edges.push((u, v));
         }
     }
-    Topology::from_edges(n, &edges).expect("complete-graph edges are always valid")
+    Topology::from_valid_edges(n, &edges)
 }
 
 /// An Erdős–Rényi graph `G(n, p)`: each pair linked independently with
@@ -184,7 +178,7 @@ pub fn gnp<R: Rng>(n: usize, p: f64, rng: &mut R) -> Topology {
             }
         }
     }
-    Topology::from_edges(n, &edges).expect("G(n,p) edges are always valid")
+    Topology::from_valid_edges(n, &edges)
 }
 
 /// Labels of the ten nodes of the paper's Figure 1 example, indexed by
@@ -246,9 +240,7 @@ pub fn fig1_example() -> Topology {
         Point2::new(0.40, 0.62), // i
         Point2::new(0.90, 0.55), // f
     ];
-    Topology::from_edges(10, &edges)
-        .expect("figure-1 edges are always valid")
-        .with_positions(positions)
+    Topology::from_valid_edges(10, &edges).with_positions(positions)
 }
 
 #[cfg(test)]

@@ -296,6 +296,24 @@ impl Topology {
         Ok(topo)
     }
 
+    /// [`Topology::from_edges`] for an edge list valid by construction
+    /// — every endpoint below `n`, no self-loop — as the deterministic
+    /// builders make them. Debug builds assert both invariants.
+    pub(crate) fn from_valid_edges(n: usize, edges: &[(u32, u32)]) -> Self {
+        let mut topo = Topology::empty(n);
+        for &(u, v) in edges {
+            debug_assert!(
+                (u as usize) < n && (v as usize) < n,
+                "edge ({u}, {v}) leaves the {n} nodes"
+            );
+            debug_assert!(u != v, "self-loop at {u}");
+            if insert_sorted(&mut topo.adj[u as usize], NodeId::new(v)) {
+                insert_sorted(&mut topo.adj[v as usize], NodeId::new(u));
+            }
+        }
+        topo
+    }
+
     /// Creates the unit-disk graph over `positions`: nodes `p` and `q`
     /// are linked iff their Euclidean distance is at most `radius`.
     ///

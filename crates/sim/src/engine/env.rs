@@ -308,6 +308,37 @@ impl<P: Protocol> Env<P> {
         changed
     }
 
+    /// The event clock's refresh rule, the one [`Env::release_slots`]
+    /// applies on the period clocks: the beacon of the node at slot `p`
+    /// is rebuilt ([`Env::refresh_beacon`]) only when it is stale, or
+    /// `always`: under eager scheduling, where changes go untracked, or
+    /// for a state the caller just saw change. Returns whether the
+    /// beacon changed. Debug builds rebuild a
+    /// skipped beacon into the scratch and assert that it is unchanged.
+    pub fn refresh_stale_beacon(&mut self, p: Slot, always: bool) -> bool {
+        let table = &mut self.table;
+        if always || table.beacon_stale.contains(p) {
+            table.beacon_stale.remove(p);
+            return self.refresh_beacon(p);
+        }
+        let (i, id) = (p.index(), table.order.id(p));
+        // A lying node's column holds its forged beacon, not a rebuild.
+        if cfg!(debug_assertions) && !table.lies.contains(&id) {
+            let scratch = table
+                .scratch_beacon
+                .get_or_insert_with(|| table.beacons[i].clone());
+            let rebuilt = |states: States<'_, P::State>| {
+                self.protocol.beacon_into(id, states.at(p).1, scratch);
+                !self.protocol.beacon_changed(&table.beacons[i], scratch)
+            };
+            debug_assert!(
+                table.states.read(&table.order, rebuilt),
+                "node {id} skipped a beacon rebuild that changes its beacon"
+            );
+        }
+        false
+    }
+
     /// `true` when every neighbor of the node at slot `s` has
     /// incorporated its current beacon epoch — the retirement condition
     /// for a pending sender. Read off the reception rows and the slots

@@ -426,6 +426,53 @@ fn sharded_equals_serial_while_mobility_relays_out_the_reception_arena() {
     }
 }
 
+/// The paper's improved rules (Section 4.3): incumbency order and the
+/// fusion head rule, under event-driven freshness — the one
+/// configuration whose caches keep a claim per view, so the only one
+/// that fills `NeighborCache`'s claims column. Gated beside eager
+/// through a corruption of every node and an isolation: the round
+/// driver step by step, the event clock at the end of each settled
+/// stretch.
+#[test]
+fn gated_equals_eager_under_the_improved_rules() {
+    let config = ClusterConfig {
+        order: OrderKind::Stable,
+        rule: HeadRule::Fusion,
+        ..event_driven_config()
+    };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(35);
+    let topo = builders::uniform(60, 0.17, &mut rng);
+    let scenario = || {
+        let mut plan = FaultPlan::new();
+        plan.at(20, Fault::CorruptAll)
+            .at(40, Fault::Isolate(NodeId::new(9)));
+        Scenario::new(DensityCluster::new(config))
+            .topology(topo.clone())
+            .seed(12)
+            .faults(plan)
+    };
+    lockstep(|| scenario().build().expect("valid scenario"), 60);
+    let events = |eager: bool| {
+        let mut d = scenario()
+            .build_events(EventConfig::default())
+            .expect("valid event scenario");
+        d.set_eager(eager);
+        d
+    };
+    let (mut gated, mut eager) = (events(false), events(true));
+    assert!(gated.is_gated() && !eager.is_gated());
+    let mut relayed = 0;
+    for t in [19.5, 39.5, 70.0] {
+        gated.run_until_time(t);
+        eager.run_until_time(t);
+        assert_eq!(gated.states(), eager.states(), "t = {t}");
+        let claims = |s: &ClusterState| s.cache.relayed_claims().count();
+        relayed += gated.states().iter().map(claims).sum::<usize>();
+    }
+    assert!(relayed > 0, "the claims column was filled");
+    assert!(gated.updates() < eager.updates());
+}
+
 #[test]
 fn event_driver_gated_equals_eager_trajectories() {
     // The continuous-time counterpart of the round-driver equivalence:

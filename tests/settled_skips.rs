@@ -61,7 +61,37 @@ fn a_converging_event_clock_skips_settled_passes_on_the_eager_trajectory() {
     assert!(eager.updates() > passes);
 }
 
-/// A gated period-clock driver beside its eager twin, both from cold
+/// The event clock's counters, beside the period clocks' `StepActivity`:
+/// every delivered copy is received, held or stale, so receives and
+/// holds never exceed the deliveries; eager scheduling receives every
+/// copy, holds none and skips no pass.
+#[test]
+fn the_event_clock_counts_receives_holds_and_settled_passes() {
+    let mut rng = StdRng::seed_from_u64(2029);
+    let topo = builders::uniform(600, 0.066, &mut rng);
+    let run = |eager: bool| {
+        let mut driver =
+            Scenario::new(DensityCluster::new(ClusterConfig::default().event_driven()))
+                .topology(topo.clone())
+                .seed(7)
+                .build_events(EventConfig::default())
+                .expect("valid event scenario");
+        driver.set_eager(eager);
+        let report = driver.run_to(&StopWhen::stable_for(3).within(200));
+        assert!(report.stabilized.is_some(), "the clustering converges");
+        driver
+    };
+    let (gated, eager) = (run(false), run(true));
+    assert!(gated.states() == eager.states(), "one end state");
+    let delivered = gated.frames_delivered();
+    assert!(gated.receives() + gated.held() <= delivered);
+    assert!(gated.held() > 0 && gated.settled() <= gated.held());
+    assert!(gated.receives() < eager.receives());
+    assert_eq!((eager.held(), eager.settled()), (0, 0));
+    assert_eq!(eager.receives(), eager.frames_delivered());
+}
+
+/// A gated period-clock driver beside its eager twin/// A gated period-clock driver beside its eager twin, both from cold
 /// start to a stable clustering: the same report, and equal states
 /// after every step of a second, stepped run. Returns the gated
 /// driver's guard passes in that run, summed.
