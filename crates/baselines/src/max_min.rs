@@ -52,31 +52,27 @@ pub fn max_min_clustering(topo: &Topology, d: usize) -> Clustering {
         return Clustering::new(Vec::new(), Vec::new());
     }
 
-    // Round logs; W[0] is the initial value (own id).
-    let ids: Vec<u32> = (0..n as u32).collect();
-    let mut w_log: Vec<Vec<u32>> = vec![ids.clone()];
-    // Floodmax: adopt the largest value in the closed neighborhood.
-    for _ in 0..d {
-        let prev = w_log.last().expect("log never empty");
-        let mut next = prev.clone();
+    // Floodmax (adopt the largest value in the closed neighborhood),
+    // then floodmin (the smallest) from its winner. Each log holds
+    // rounds 1..=d; the current round is kept beside it.
+    let flood = |prev: &[u32], pick: fn(u32, u32) -> u32| {
+        let mut next = prev.to_vec();
         for p in topo.nodes() {
             for &q in topo.neighbors(p) {
-                next[p.index()] = next[p.index()].max(prev[q.index()]);
+                next[p.index()] = pick(next[p.index()], prev[q.index()]);
             }
         }
-        w_log.push(next);
+        next
+    };
+    let (mut w, mut w_log) = ((0..n as u32).collect::<Vec<u32>>(), Vec::with_capacity(d));
+    for _ in 0..d {
+        w = flood(&w, u32::max);
+        w_log.push(w.clone());
     }
-    // Floodmin: adopt the smallest value in the closed neighborhood.
-    let mut m_log: Vec<Vec<u32>> = vec![w_log.last().expect("floodmax ran").clone()];
+    let (mut m, mut m_log) = (w.clone(), Vec::with_capacity(d));
     for _ in 0..d {
-        let prev = m_log.last().expect("log never empty");
-        let mut next = prev.clone();
-        for p in topo.nodes() {
-            for &q in topo.neighbors(p) {
-                next[p.index()] = next[p.index()].min(prev[q.index()]);
-            }
-        }
-        m_log.push(next);
+        m = flood(&m, u32::min);
+        m_log.push(m.clone());
     }
 
     // Election rules.
@@ -84,18 +80,14 @@ pub fn max_min_clustering(topo: &Topology, d: usize) -> Clustering {
     for p in topo.nodes() {
         let i = p.index();
         let my = p.value();
-        let w_seen: BTreeSet<u32> = w_log.iter().skip(1).map(|round| round[i]).collect();
-        let m_seen: BTreeSet<u32> = m_log.iter().skip(1).map(|round| round[i]).collect();
+        let w_seen: BTreeSet<u32> = w_log.iter().map(|round| round[i]).collect();
+        let m_seen: BTreeSet<u32> = m_log.iter().map(|round| round[i]).collect();
         head_id[i] = if m_seen.contains(&my) {
             my // Rule 1: reclaimed own id
         } else if let Some(&pair) = w_seen.intersection(&m_seen).next() {
             pair // Rule 2: smallest node pair
         } else {
-            *w_log
-                .last()
-                .expect("floodmax ran")
-                .get(i)
-                .expect("in range")
+            w[i] // Rule 3: the floodmax winner
         };
     }
     // A node elected by others must itself be a head even if its own
@@ -123,23 +115,18 @@ pub fn max_min_clustering(topo: &Topology, d: usize) -> Clustering {
         let dist = traversal::bfs_distances(topo, h);
         for p in topo.nodes() {
             if head_id[p.index()] == h.value() && p != h {
-                match dist[p.index()] {
-                    Some(dp) => {
-                        let next_hop = topo
-                            .neighbors(p)
-                            .iter()
-                            .copied()
-                            .filter(|&q| dist[q.index()] == Some(dp - 1))
-                            .min()
-                            .expect("a node at distance d has a neighbor at d-1");
-                        parent[p.index()] = next_hop;
-                        head[p.index()] = h;
-                    }
-                    None => {
-                        parent[p.index()] = p;
-                        head[p.index()] = p;
-                    }
-                }
+                // A node at BFS distance dp ≥ 1 has a neighbor at dp − 1.
+                let up = dist[p.index()].and_then(|dp| {
+                    let neighbors = topo.neighbors(p).iter().copied();
+                    let up = neighbors.filter(|&q| dist[q.index()] == Some(dp - 1)).min();
+                    debug_assert!(
+                        up.is_some(),
+                        "{p} at distance {dp} has no neighbor at {}",
+                        dp - 1
+                    );
+                    up
+                });
+                (parent[p.index()], head[p.index()]) = up.map_or((p, p), |up| (up, h));
             }
         }
     }

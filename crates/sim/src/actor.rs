@@ -87,25 +87,20 @@
 //!   the period outcome is order-independent and the actor run tracks
 //!   the round driver **exactly**; in general the agreement is
 //!   distributional (see `tests/actor_equivalence.rs`).
-//!
-//! The driver supports the same [`Scenario`](crate::Scenario) surface
-//! as the other two: scripted faults, mobility ticks at period
-//! boundaries, [`StopWhen`] conditions, and [`RunReport`] results.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use mwn_graph::{NodeId, Point2, Topology, TopologyDelta};
+use mwn_graph::{NodeId, Topology};
 use mwn_radio::{Medium, PerfectMedium};
 
+use crate::driver::{period_step, Period, Sealed, Transport};
 use crate::engine::{self, chunk, run_sharded, Env, Slot};
 use crate::error::SimError;
-use crate::faults::Fault;
 use crate::network::StepActivity;
-use crate::observable::Observable;
-use crate::protocol::{Corruptible, Protocol};
+use crate::protocol::Protocol;
 use crate::rng::{split_rng, streams};
-use crate::stop::{RunReport, StopWhen};
 use crate::wire::WireBeacon;
+use crate::{Clock, Sim};
 
 /// One serialized beacon in flight: the routing metadata a link layer
 /// would carry in the frame header — the sender, its beacon epoch and
@@ -154,24 +149,176 @@ struct SendScratch {
     delivered: usize,
 }
 
-/// The actor driver. Build one through
-/// [`Scenario::build_actors`](crate::Scenario::build_actors).
-pub struct ActorDriver<P: Protocol, M: Medium = PerfectMedium> {
-    /// Protocol, topology, node table and the one fault path.
-    pub(crate) env: Env<P>,
+/// The actor driver, a [`Sim`] on the [`Actors`] clock. Build one
+/// through [`Scenario::build_actors`](crate::Scenario::build_actors).
+pub type ActorDriver<P, M = PerfectMedium> = Sim<P, Actors<M>>;
+
+/// The actor clock of an [`ActorDriver`]: one step is one governor
+/// cycle, and the logical time is the governor's period count.
+pub struct Actors<M> {
+    period: Period,
     medium: M,
     threads: usize,
-    period: u64,
     /// One per actor, in storage order.
     mailboxes: Vec<Mailbox>,
-    messages_total: u64,
-    last_activity: StepActivity,
-    /// The period's senders by slot, and by id for the send phase.
-    senders_buf: Vec<Slot>,
+    /// The period's senders by id, for the send phase.
     sender_ids: Vec<NodeId>,
-    candidates_buf: Vec<Slot>,
     /// Per-worker buffers of the send phase, one slot per pool thread.
     send_scratch: Vec<SendScratch>,
+}
+
+impl<M> Sealed for Actors<M> {}
+
+impl<P, M> Clock<P> for Actors<M>
+where
+    P: Protocol,
+    P::Beacon: WireBeacon,
+    M: Medium + Sync,
+{
+    fn step(sim: &mut Sim<P, Self>) -> u64 {
+        period_step(sim)
+    }
+
+    fn now(&self) -> u64 {
+        self.period.now
+    }
+
+    /// Every medium the constructor accepts has independent fates.
+    fn is_gated(sim: &Sim<P, Self>) -> bool {
+        sim.env.gated()
+    }
+}
+
+impl<P, M> Transport<P> for Actors<M>
+where
+    P: Protocol,
+    P::Beacon: WireBeacon,
+    M: Medium + Sync,
+{
+    fn period(&mut self) -> &mut Period {
+        &mut self.period
+    }
+
+    /// Send phase: released actors broadcast concurrently, one
+    /// contiguous chunk of the id-ordered sender list per worker — so a
+    /// worker pushes in ascending sender id. Each sender's fates come
+    /// from the shared medium, on the stream the round driver derives
+    /// for the same (period, sender); its beacon is encoded once into
+    /// the worker's byte arena and one frame header pushed per lucky
+    /// receiver. How the workers' pushes interleave in a mailbox is
+    /// whatever the OS scheduler makes of it — the genuine
+    /// nondeterminism this driver exists to exercise.
+    ///
+    /// Then the quiescence barrier: `run_sharded` joined its workers,
+    /// so every released slot has delivered, and the receive side is
+    /// released — the senders' neighbors join the candidates (under
+    /// gating a hearer runs its guards only when its mail holds a frame
+    /// it receives, as on the round driver).
+    fn send(&mut self, env: &mut Env<P>, period: u64, _: bool, senders: &[Slot]) -> (usize, usize) {
+        env.table.order.sorted_ids(senders, &mut self.sender_ids);
+        let send_workers = self.threads.min(senders.len());
+        let (medium, table, topo) = (&self.medium, &env.table, &env.topo);
+        // The workers derive each sender's stream as `Env::medium_rng`
+        // does, from the base: the environment itself (its dynamics
+        // hook) is not `Sync`.
+        let medium_base = env.medium_base;
+        let mailboxes = &self.mailboxes;
+        let senders_by_id = &self.sender_ids[..];
+        let span = |v: usize| u32::try_from(v).expect("a period's frames fit 4 GiB");
+        run_sharded(&mut self.send_scratch[..send_workers], |w, sc| {
+            sc.bytes.clear();
+            (sc.attempted, sc.delivered) = (0, 0);
+            for &s in &senders_by_id[chunk(senders_by_id.len(), send_workers, w)] {
+                sc.heard.clear();
+                let mut rng = split_rng(medium_base, period, u64::from(s.value()));
+                sc.attempted += medium.fates(topo, s, &mut rng, &mut sc.heard);
+                if sc.heard.is_empty() {
+                    continue;
+                }
+                let i = table.order.slot(s).index();
+                let off = sc.bytes.len();
+                table.beacons[i].encode(&mut sc.bytes);
+                let frame = ActorFrame {
+                    sender: s,
+                    epoch: table.epoch[i],
+                    read_epoch: table.read_epoch[i],
+                    arena: w as u32,
+                    off: span(off),
+                    len: span(sc.bytes.len() - off),
+                };
+                for &r in &sc.heard {
+                    let mut mail = mailboxes[table.order.slot(r).index()].lock();
+                    debug_assert!(
+                        mail.len() < topo.degree(r),
+                        "mailbox overflow at {r}: more frames than its in-degree \
+                         (one per neighbor per period)"
+                    );
+                    mail.push(frame);
+                }
+                sc.delivered += sc.heard.len();
+            }
+        });
+        let sent = &self.send_scratch[..send_workers];
+        let attempted = sent.iter().map(|sc| sc.attempted).sum();
+        let delivered = sent.iter().map(|sc| sc.delivered).sum();
+        env.mark_hearers(senders);
+        (attempted, delivered)
+    }
+
+    /// Receive phase: every worker owns one contiguous run of the state
+    /// column and of the reception arena and executes its candidates in
+    /// place; the engine schedules the changed actors once the workers
+    /// have joined.
+    fn visit(
+        &mut self,
+        env: &mut Env<P>,
+        period: u64,
+        eager: bool,
+        candidates: &[Slot],
+    ) -> StepActivity {
+        let recv_workers = self.threads.min(candidates.len());
+        let (mailboxes, arenas) = (&self.mailboxes, &self.send_scratch);
+        env.visit(period, !eager, candidates, recv_workers, |shard| {
+            let (beacons, protocol, order) = (shard.beacons, shard.protocol, shard.order);
+            for &at in shard.candidates {
+                let r = order.id(at);
+                let (state, row, neighbors, sc) = shard.open(at);
+                let mut received = false;
+                for frame in mailboxes[at.index()].lock().drain(..) {
+                    let s = frame.sender;
+                    // A frame whose link a fault severed at this very
+                    // timestamp is dead air (fault ≤ delivery). The row
+                    // is in neighbor-id order: searched by the ids of
+                    // the slots it names.
+                    let Ok(idx) = neighbors.binary_search_by_key(&s, |&q| order.id(q)) else {
+                        continue;
+                    };
+                    // The debug reference of a held frame reads the
+                    // beacon column, which is what the sender encoded.
+                    let beacon = &beacons[neighbors[idx].index()];
+                    let skipped =
+                        |copy: &mut P::State| protocol.receive(r, copy, s, beacon, period);
+                    let reference = (&*state, &mut sc.held_check, skipped);
+                    let frame_epochs = [frame.read_epoch, frame.epoch];
+                    let fate = engine::gate(!eager, &mut row[idx], frame_epochs, (r, s), reference);
+                    if !sc.admit(fate, state, &mut received) {
+                        continue; // neither decoded nor received
+                    }
+                    let (off, len) = (frame.off as usize, frame.len as usize);
+                    let bytes = &arenas[frame.arena as usize].bytes[off..off + len];
+                    // The pool starts from any beacon at all: the decode
+                    // overwrites it and keeps its buffers.
+                    let pooled = sc.beacon.get_or_insert_with(|| beacon.clone());
+                    assert!(
+                        P::Beacon::decode_into(bytes, pooled),
+                        "wire beacons round-trip losslessly"
+                    );
+                    protocol.receive(r, state, s, pooled, period);
+                }
+                shard.update(at, received);
+            }
+        })
+    }
 }
 
 impl<P, M> ActorDriver<P, M>
@@ -214,336 +361,27 @@ where
                 medium.name()
             )));
         }
-        let mailboxes = topo.nodes().map(|_| Mailbox::default()).collect();
         let threads = threads.max(1);
-        Ok(ActorDriver {
+        let clock = Actors {
+            period: Period::default(),
             medium,
             threads,
-            period: 0,
-            mailboxes,
-            messages_total: 0,
-            last_activity: StepActivity::default(),
-            senders_buf: Vec::new(),
+            mailboxes: topo.nodes().map(|_| Mailbox::default()).collect(),
             sender_ids: Vec::new(),
-            candidates_buf: Vec::new(),
             send_scratch: (0..threads).map(|_| SendScratch::default()).collect(),
-            env: Env::new(protocol, topo, seed, streams::ROUND_FAULT),
-        })
-    }
-
-    /// `true` when the driver is currently using dirty-set (gated)
-    /// scheduling — same contract as [`crate::Network::is_gated`].
-    pub fn is_gated(&self) -> bool {
-        self.env.gated() && self.medium.independent_fates()
-    }
-
-    /// Pins eager scheduling (`true`) or restores the automatic choice.
-    pub fn set_eager(&mut self, eager: bool) {
-        self.env.set_eager(eager);
+        };
+        let env = Env::new(protocol, topo, seed, streams::ROUND_FAULT);
+        Ok(Sim { env, clock })
     }
 
     /// The worker-thread count the actor pool multiplexes over.
     pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Executes one beacon period of the actor fabric; returns the new
-    /// period count.
-    ///
-    /// One call is one governor cycle: slot release (dynamics, faults,
-    /// beacon refresh), the concurrent send phase, the quiescence
-    /// barrier, and the concurrent receive/update phase.
-    pub fn step(&mut self) -> u64 {
-        self.env.table.clear_changed();
-        // Slot release starts with the environment: mobility, due
-        // followups, then scripted faults — all **before** the period's
-        // beacon slots (fault ≤ send, `tests/fault_ordering.rs`), so a
-        // frame is never evaluated against a pre-fault topology.
-        self.env.begin_step(self.period);
-        let eager = !self.is_gated();
-
-        // Slot release: refresh the beacons of state-changed actors and
-        // pick this period's senders (serial — it touches the shared
-        // epoch column, and is cheap relative to the phases it gates).
-        let mut senders = std::mem::take(&mut self.senders_buf);
-        self.env.release_slots(eager, &mut senders);
-        self.env
-            .table
-            .order
-            .sorted_ids(&senders, &mut self.sender_ids);
-
-        // Send phase: released actors broadcast concurrently, one
-        // contiguous chunk of the id-ordered sender list per worker —
-        // so a worker pushes in ascending sender id. Each sender's
-        // fates come from the shared medium, on the stream the round
-        // driver derives for the same (period, sender); its beacon is
-        // encoded once into the worker's byte arena and one frame
-        // header pushed per lucky receiver. How the workers' pushes interleave in a
-        // mailbox is whatever the OS scheduler makes of it — the
-        // genuine nondeterminism this driver exists to exercise.
-        let period = self.period;
-        let send_workers = self.threads.min(senders.len());
-        {
-            let (medium, table, topo) = (&self.medium, &self.env.table, &self.env.topo);
-            // The workers derive each sender's stream as
-            // `Env::medium_rng` does, from the base: the environment
-            // itself (its dynamics hook) is not `Sync`.
-            let medium_base = self.env.medium_base;
-            let mailboxes = &self.mailboxes;
-            let senders = &self.sender_ids[..];
-            let span = |v: usize| u32::try_from(v).expect("a period's frames fit 4 GiB");
-            run_sharded(&mut self.send_scratch[..send_workers], |w, sc| {
-                sc.bytes.clear();
-                (sc.attempted, sc.delivered) = (0, 0);
-                for &s in &senders[chunk(senders.len(), send_workers, w)] {
-                    sc.heard.clear();
-                    let mut rng = split_rng(medium_base, period, u64::from(s.value()));
-                    sc.attempted += medium.fates(topo, s, &mut rng, &mut sc.heard);
-                    if sc.heard.is_empty() {
-                        continue;
-                    }
-                    let i = table.order.slot(s).index();
-                    let off = sc.bytes.len();
-                    table.beacons[i].encode(&mut sc.bytes);
-                    let frame = ActorFrame {
-                        sender: s,
-                        epoch: table.epoch[i],
-                        read_epoch: table.read_epoch[i],
-                        arena: w as u32,
-                        off: span(off),
-                        len: span(sc.bytes.len() - off),
-                    };
-                    for &r in &sc.heard {
-                        let mut mail = mailboxes[table.order.slot(r).index()].lock();
-                        debug_assert!(
-                            mail.len() < topo.degree(r),
-                            "mailbox overflow at {r}: more frames than its in-degree \
-                             (one per neighbor per period)"
-                        );
-                        mail.push(frame);
-                    }
-                    sc.delivered += sc.heard.len();
-                }
-            });
-        }
-        let sent = &self.send_scratch[..send_workers];
-        let attempted: usize = sent.iter().map(|sc| sc.attempted).sum();
-        let delivered: usize = sent.iter().map(|sc| sc.delivered).sum();
-
-        // Quiescence barrier: run_sharded joined its workers, so every
-        // released slot has delivered. Release the receive side: the
-        // candidates are actors with pending guards plus the senders'
-        // neighbors (under gating a hearer runs its guards only when its
-        // mail holds a frame it receives, as on the round driver).
-        self.env.mark_hearers(&senders);
-        self.env
-            .table
-            .update_dirty
-            .drain_sorted_into(&mut self.candidates_buf);
-
-        // Receive phase: every worker owns one contiguous run of the
-        // state column and of the reception arena and executes its
-        // candidates in place; the engine schedules the changed actors
-        // once the workers have joined.
-        let recv_workers = self.threads.min(self.candidates_buf.len());
-        let (mailboxes, arenas) = (&self.mailboxes, &self.send_scratch);
-        let visited = self.env.visit(
-            period,
-            !eager,
-            &self.candidates_buf,
-            recv_workers,
-            |shard| {
-                let (beacons, protocol, order) = (shard.beacons, shard.protocol, shard.order);
-                for &at in shard.candidates {
-                    let r = order.id(at);
-                    let (state, row, neighbors, sc) = shard.open(at);
-                    let mut received = false;
-                    for frame in mailboxes[at.index()].lock().drain(..) {
-                        let s = frame.sender;
-                        // A frame whose link a fault severed at this
-                        // very timestamp is dead air (fault ≤ delivery).
-                        // The row is in neighbor-id order: searched by
-                        // the ids of the slots it names.
-                        let Ok(idx) = neighbors.binary_search_by_key(&s, |&q| order.id(q)) else {
-                            continue;
-                        };
-                        // The debug reference of a held frame reads the
-                        // beacon column, which is what the sender encoded.
-                        let beacon = &beacons[neighbors[idx].index()];
-                        let skipped =
-                            |copy: &mut P::State| protocol.receive(r, copy, s, beacon, period);
-                        let reference = (&*state, &mut sc.held_check, skipped);
-                        let frame_epochs = [frame.read_epoch, frame.epoch];
-                        let fate =
-                            engine::gate(!eager, &mut row[idx], frame_epochs, (r, s), reference);
-                        if !sc.admit(fate, state, &mut received) {
-                            continue; // neither decoded nor received
-                        }
-                        let (off, len) = (frame.off as usize, frame.len as usize);
-                        let bytes = &arenas[frame.arena as usize].bytes[off..off + len];
-                        // The pool starts from any beacon at all: the
-                        // decode overwrites it and keeps its buffers.
-                        let pooled = sc.beacon.get_or_insert_with(|| beacon.clone());
-                        assert!(
-                            P::Beacon::decode_into(bytes, pooled),
-                            "wire beacons round-trip losslessly"
-                        );
-                        protocol.receive(r, state, s, pooled, period);
-                    }
-                    shard.update(at, received);
-                }
-            },
-        );
-
-        if !eager {
-            self.env.retire_caught_up(&senders, delivered);
-        }
-
-        self.last_activity = StepActivity {
-            senders: senders.len(),
-            frames_attempted: attempted,
-            frames_delivered: delivered,
-            changed: self.env.table.changed.len(),
-            ..visited
-        };
-        self.messages_total += senders.len() as u64;
-        self.senders_buf = senders;
-        self.period += 1;
-        self.period
-    }
-
-    /// Runs `periods` governor cycles.
-    pub fn run(&mut self, periods: u64) {
-        for _ in 0..periods {
-            self.step();
-        }
-    }
-
-    /// Current period count (the governor's virtual clock).
-    pub fn now(&self) -> u64 {
-        self.period
-    }
-
-    /// The topology the actors communicate over.
-    pub fn topology(&self) -> &Topology {
-        &self.env.topo
-    }
-
-    /// Replaces the topology (same node count); see
-    /// [`crate::Network::set_topology`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NodeCountMismatch`] if the node count
-    /// changes.
-    pub fn set_topology(&mut self, topo: Topology) -> Result<(), SimError> {
-        self.env.set_topology(topo)
-    }
-
-    /// Applies incremental node moves (unit-disk only), waking exactly
-    /// the actors whose links changed. Returns the link churn.
-    pub fn apply_moves(&mut self, moves: &[(NodeId, Point2)]) -> TopologyDelta {
-        self.env.apply_moves(moves)
-    }
-
-    /// All node states, indexed by [`NodeId`] — published in id order
-    /// first, as [`crate::Network::states`] explains: an in-place O(n)
-    /// permutation unless nothing has touched a state since the last
-    /// read, undone by the next period that touches one.
-    /// [`ActorDriver::outputs_into`] never publishes, and
-    /// [`ActorDriver::run_to`] only to evaluate a
-    /// [`StopWhen::predicate`] leaf.
-    pub fn states(&self) -> &[P::State] {
-        self.env.states()
-    }
-
-    /// The state of one node — read through the same publish as
-    /// [`ActorDriver::states`].
-    pub fn state(&self, p: NodeId) -> &P::State {
-        &self.env.states()[p.index()]
-    }
-
-    /// Mutable state access; the actor is rescheduled (external
-    /// mutation is a fault).
-    pub fn state_mut(&mut self, p: NodeId) -> &mut P::State {
-        self.env.state_mut(p)
-    }
-
-    /// The protocol instance.
-    pub fn protocol(&self) -> &P {
-        &self.env.protocol
-    }
-
-    /// Severs every link of `p`; see [`crate::Network::isolate`].
-    pub fn isolate(&mut self, p: NodeId) {
-        self.env.isolate(p);
-    }
-
-    /// Total broadcasts since construction.
-    pub fn messages_total(&self) -> u64 {
-        self.messages_total
+        self.clock.threads
     }
 
     /// Activity counters of the most recent period.
     pub fn last_activity(&self) -> StepActivity {
-        self.last_activity
-    }
-}
-
-impl<P, M> ActorDriver<P, M>
-where
-    P: Observable,
-    P::Beacon: WireBeacon,
-    M: Medium + Sync,
-{
-    /// Projects every node's observable output into `buf`.
-    pub fn outputs_into(&self, buf: &mut Vec<P::Output>) {
-        self.env.outputs_into(buf);
-    }
-
-    /// The observable output of every node.
-    pub fn outputs(&self) -> Vec<P::Output> {
-        self.env.outputs()
-    }
-
-    /// Runs until `stop` is satisfied and reports what happened — the
-    /// same contract (and the same [`RunReport`]) as
-    /// [`crate::Network::run_to`] and the event driver's stop methods.
-    pub fn run_to(&mut self, stop: &StopWhen<P>) -> RunReport {
-        let (start, gated) = (self.period, self.is_gated());
-        engine::run_to(self, stop, start, gated, |d| &d.env, Self::step)
-    }
-}
-
-impl<P, M> ActorDriver<P, M>
-where
-    P: Corruptible,
-    P::Beacon: WireBeacon,
-    M: Medium + Sync,
-{
-    /// Corrupts the state of one node arbitrarily.
-    pub fn corrupt(&mut self, p: NodeId) {
-        self.env.corrupt(p);
-    }
-
-    /// Corrupts every node: the adversarial "arbitrary initial
-    /// configuration" of the self-stabilization definition.
-    pub fn corrupt_all(&mut self) {
-        self.env.corrupt_all();
-    }
-
-    /// Applies one [`Fault`] right now — the entry point the chaos
-    /// harness uses to drive unscripted campaigns. Timed second phases
-    /// (resurrection, healing, lie expiry) fire at the start of their
-    /// due period, before that period's scripted faults and slot
-    /// release.
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`crate::FaultPlan::validate_for`] rejects; a rejected
-    /// fault changes nothing.
-    pub fn inject(&mut self, fault: &Fault) -> Result<(), SimError> {
-        self.env.inject(self.period, fault)
+        self.clock.period.last_activity
     }
 }
 
@@ -553,6 +391,7 @@ mod tests {
     use crate::scenario::{Scenario, TopologyDynamics};
     use crate::stop::StopWhen;
     use crate::testkit::GatedFlood;
+    use crate::Fault;
     use mwn_graph::builders;
     use mwn_radio::{BernoulliLoss, SlottedCsma, Thinned};
 

@@ -50,12 +50,11 @@
 //!   compares) the structures above are built on; their cost is the
 //!   benchmark's `sim.kernels.*` layer metrics.
 //!
-//! The synchronous round driver ([`crate::Network`]), the
-//! continuous-time driver ([`crate::EventDriver`]) and the actor fabric
-//! are thin scheduling disciplines over this core: they differ in their
-//! clock and their delivery loop — but dirtiness, epochs, frame gating,
-//! settled passes, stream derivation, wakeup rules and the fault clock
-//! are identical.
+//! The three clocks of the one driver ([`crate::Sim`]) — rounds,
+//! continuous-time events, the actor fabric — are thin scheduling
+//! disciplines over this core: they differ in their schedule and their
+//! delivery loop — but dirtiness, epochs, frame gating, settled passes,
+//! stream derivation, wakeup rules and the fault clock are identical.
 
 mod env;
 pub mod kernels;

@@ -16,12 +16,12 @@
 //! `(base, tick, node)` at the point of use, so a node skipped by
 //! activity gating consumes no randomness.
 //!
-//! A driver keeps its clock and its delivery loop. It tells the
-//! environment what logical step it is, lets it run a batch, and then
-//! reacts to what the batch left behind: [`Env::env_changed`] (the
-//! stop conditions read it) and the table's `forced_changed` set of
-//! touched nodes (the event driver folds it into its change set and
-//! re-arms the woken senders).
+//! The driver ([`crate::Sim`]) owns one, beside its clock. The clock
+//! tells the environment what logical step it is, lets it run a batch,
+//! and then reacts to what the batch left behind: [`Env::env_changed`]
+//! (the stop conditions read it) and the table's `forced_changed` set
+//! of touched nodes (the event clock folds it into its change set and
+//! re-arms the woken senders, [`crate::Clock::sync`]).
 
 use mwn_graph::{NodeId, Point2, Topology, TopologyDelta};
 use mwn_radio::ContentionStreams;
@@ -33,7 +33,7 @@ use crate::faults::{Fault, Lie};
 use crate::rng::{derive_seed, split_rng, streams};
 use crate::scenario::TopologyDynamics;
 use crate::stop::{Obs, RunReport, StopWhen};
-use crate::{Activity, Corruptible, Observable, Protocol, SimError};
+use crate::{Activity, Clock, Corruptible, Observable, Protocol, Sim, SimError};
 
 /// The boxed corruption hook installed by [`crate::Scenario::faults`]:
 /// it captures the [`Corruptible`] capability so scripted faults can
@@ -112,6 +112,8 @@ pub(crate) struct Env<P: Protocol> {
     /// Gated periods with senders that lost no frame copy, so
     /// [`Env::retire_caught_up`] retired them without asking.
     pub lossless_periods: u64,
+    /// Beacon broadcasts so far, counted by the driver's clock.
+    pub messages: u64,
     /// Sequential stream for fault-site selection, so fault injection
     /// never perturbs timing or frame-fate randomness.
     fault_rng: StdRng,
@@ -175,6 +177,7 @@ impl<P: Protocol> Env<P> {
             env_changed: false,
             force_eager: false,
             lossless_periods: 0,
+            messages: 0,
             fault_rng: StdRng::seed_from_u64(derive_seed(seed, fault_stream)),
             scripted: Vec::new(),
             next_scripted: 0,
@@ -825,13 +828,6 @@ impl<P: Protocol> Env<P> {
         self.env_changed = true;
         self.scratch_nodes = nbrs;
     }
-
-    /// Mutable state access; the node is rescheduled (external
-    /// mutation is a fault).
-    pub fn state_mut(&mut self, p: NodeId) -> &mut P::State {
-        self.wake_mutated(p);
-        self.table.state_mut(p)
-    }
 }
 
 impl<P: Observable> Env<P> {
@@ -854,13 +850,6 @@ impl<P: Observable> Env<P> {
             }
         });
     }
-
-    /// The observable output of every node.
-    pub fn outputs(&self) -> Vec<P::Output> {
-        let mut buf = Vec::with_capacity(self.topo.len());
-        self.outputs_into(&mut buf);
-        buf
-    }
 }
 
 impl<P: Corruptible> Env<P> {
@@ -876,13 +865,6 @@ impl<P: Corruptible> Env<P> {
     pub fn corrupt(&mut self, p: NodeId) {
         self.arm_corruptor();
         self.corrupt_scripted(p);
-    }
-
-    /// Corrupts every node.
-    pub fn corrupt_all(&mut self) {
-        for i in 0..self.topo.len() {
-            self.corrupt(NodeId::new(i as u32));
-        }
     }
 
     /// Corrupts a deterministic pseudo-random ≈ `fraction` of the
@@ -905,10 +887,10 @@ impl<P: Corruptible> Env<P> {
     }
 }
 
-/// The one observe loop behind every driver's `run_to`: steps `driver`
+/// The one observe loop behind every driver's `run_to`: steps `sim`
 /// (whose logical clock reads `start`) until `stop` is satisfied.
-/// `step` advances the driver by one observation interval and returns
-/// the new clock reading, leaving the nodes whose state it changed in
+/// `step` advances it by one observation interval and returns the new
+/// clock reading, leaving the nodes whose state it changed in
 /// `table.changed`.
 ///
 /// The condition is checked before the first step and after every
@@ -918,19 +900,17 @@ impl<P: Corruptible> Env<P> {
 /// kept `outputs` and overwritten. A quiescent gated step therefore
 /// extends stability streaks and reuses memoized predicate verdicts
 /// without projecting a single output.
-pub(crate) fn run_to<P: Observable, D>(
-    driver: &mut D,
+pub(crate) fn run_to<P: Observable, C: Clock<P>>(
+    sim: &mut Sim<P, C>,
     stop: &StopWhen<P>,
     start: u64,
-    gated: bool,
-    env: fn(&D) -> &Env<P>,
-    mut step: impl FnMut(&mut D) -> u64,
+    mut step: impl FnMut(&mut Sim<P, C>) -> u64,
 ) -> RunReport {
-    let mut cursor = stop.cursor();
+    let (mut cursor, gated) = (stop.cursor(), sim.is_gated());
     // Only project outputs when a StableFor leaf will read them;
     // predicate/budget-only stops skip the per-step O(n) pass.
     let needs_outputs = stop.needs_outputs();
-    let e = env(driver);
+    let e = &sim.env;
     let mut outputs: Vec<P::Output> = Vec::with_capacity(e.topo.len());
     if needs_outputs {
         e.outputs_into(&mut outputs);
@@ -945,8 +925,8 @@ pub(crate) fn run_to<P: Observable, D>(
     let mut verdict = cursor.observe(start, 0, &e.topo, &|| e.states(), &first);
     let mut now = start;
     while !verdict.satisfied {
-        now = step(driver);
-        let e = env(driver);
+        now = step(sim);
+        let e = &sim.env;
         let table = &e.table;
         let mut output_changed = false;
         if needs_outputs {

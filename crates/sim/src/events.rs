@@ -4,10 +4,11 @@ use std::collections::{BinaryHeap, VecDeque};
 use mwn_graph::{NodeId, Topology};
 use mwn_radio::{Delivery, Medium, PerfectMedium};
 
+use crate::driver::Sealed;
 use crate::engine::{self, Env, Fate, NodeSet, Slot, SlotClock};
 use crate::rng::{split_rng, streams};
-use crate::stop::{RunReport, StopWhen};
-use crate::{Corruptible, Fault, Observable, Protocol, SimError, StepActivity};
+use crate::stop::StopWhen;
+use crate::{Clock, Observable, Protocol, Sim, SimError, StepActivity};
 
 /// Parameters of the continuous-time execution model.
 ///
@@ -248,8 +249,8 @@ impl<B: Clone> Lanes<B> {
     }
 }
 
-/// The continuous-time discrete-event driver, rebuilt on the shared
-/// activity engine ([`crate::engine`]).
+/// The continuous-time discrete-event driver, a [`Sim`] on the
+/// [`Events`] clock, over the shared activity engine ([`crate::engine`]).
 ///
 /// This realizes the asynchronous execution model under which the
 /// paper's expected-constant-time results (Theorem 1, Lemmas 1–2) are
@@ -365,14 +366,15 @@ impl<B: Clone> Lanes<B> {
 /// driver.run_until_time(30.0);
 /// assert!(driver.states().iter().all(|&s| s == 4));
 /// ```
-pub struct EventDriver<P: Protocol, M: Medium = PerfectMedium> {
-    /// Protocol, topology, node table and the one fault path. Its
-    /// fault-site stream is dedicated ([`streams::EVENT_FAULT`]), so
-    /// fault injection never perturbs beacon timing or frame fates.
-    pub(crate) env: Env<P>,
+pub type EventDriver<P, M = PerfectMedium> = Sim<P, Events<P, M>>;
+
+/// The event clock of an [`EventDriver`]: the simulation time, the
+/// stateless beacon-slot schedule, the event queue and the running
+/// tallies. One logical step is one beacon period.
+pub struct Events<P: Protocol, M> {
     config: EventConfig,
     /// The stateless beacon-slot schedule.
-    clock: SlotClock,
+    schedule: SlotClock,
     medium: M,
     lanes: Lanes<P::Beacon>,
     /// The nodes with a beacon slot in the queue (one each at most),
@@ -385,8 +387,6 @@ pub struct EventDriver<P: Protocol, M: Medium = PerfectMedium> {
     /// Scratch slot list (wake batches, change samples).
     scratch_slots: Vec<Slot>,
     time: f64,
-    /// Beacon broadcasts so far (the communication-efficiency metric).
-    messages: u64,
     /// Events popped so far.
     events: u64,
     /// Copies, receives, holds, guard passes and settled passes so far,
@@ -395,11 +395,69 @@ pub struct EventDriver<P: Protocol, M: Medium = PerfectMedium> {
     /// The next logical step whose mobility tick (if dynamics are
     /// attached) has not fired yet: once per beacon period.
     dynamics_step: u64,
-    /// Nodes whose state changed since the last [`EventDriver::step`]
-    /// ended, by table slot — drained into the table's `changed` column
-    /// there: a sample costs O(1) when nothing changed, and otherwise a
-    /// scan of n/512 cache lines and a sort of the changed ids.
+    /// Nodes whose state changed since the last step ended, by table
+    /// slot — drained into the table's `changed` column there: a sample
+    /// costs O(1) when nothing changed, and otherwise a scan of n/512
+    /// cache lines and a sort of the changed ids.
     changed_since: NodeSet,
+}
+
+impl<P: Protocol, M> Events<P, M> {
+    /// The wall-clock moment of logical step `k` (fault and mobility
+    /// boundaries).
+    fn step_time(&self, step: u64) -> f64 {
+        step as f64 * self.config.beacon_period
+    }
+}
+
+impl<P: Protocol, M> Sealed for Events<P, M> {}
+
+impl<P: Protocol, M: Medium> Clock<P> for Events<P, M> {
+    /// Advances to the next beacon-period boundary — one logical step,
+    /// the event clock's counterpart of [`crate::Network::step`].
+    /// Everything before the boundary runs; what is due on it waits for
+    /// the next step (the fault clock of [`crate::Driver`]).
+    fn step(sim: &mut Sim<P, Self>) -> u64 {
+        let next = sim.clock.now() + 1;
+        let boundary = sim.clock.step_time(next);
+        sim.advance_to(boundary.next_down());
+        sim.clock.time = boundary;
+        next
+    }
+
+    /// The paper-comparable logical clock: whole beacon periods
+    /// elapsed — what [`crate::Network::now`] counts in steps.
+    fn now(&self) -> u64 {
+        // The largest k whose boundary has been reached; the division
+        // alone can land one short of a boundary the clock sits on.
+        let k = (self.time / self.config.beacon_period) as u64;
+        k + u64::from(self.step_time(k + 1) <= self.time)
+    }
+
+    /// Every medium the constructor accepts supports gating.
+    fn is_gated(sim: &Sim<P, Self>) -> bool {
+        sim.env.gated()
+    }
+
+    /// The touched nodes join the change set (a fault or `link_down`
+    /// may have mutated their states) and the woken senders are
+    /// re-armed — under eager scheduling, which fires every node's
+    /// every slot, the whole population (retired nodes included).
+    fn sync(sim: &mut Sim<P, Self>) {
+        let mut buf = std::mem::take(&mut sim.clock.scratch_slots);
+        sim.env.table.forced_changed.drain_sorted_into(&mut buf);
+        for &p in &buf {
+            sim.clock.changed_since.insert(p);
+        }
+        sim.clock.scratch_slots = buf;
+        if sim.is_gated() {
+            sim.arm_pending();
+        } else {
+            for i in 0..sim.env.topo.len() {
+                sim.arm(Slot::new(i as u32));
+            }
+        }
+    }
 }
 
 impl<P: Protocol, M: Medium> EventDriver<P, M> {
@@ -442,10 +500,9 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             )));
         }
         let n = topo.len();
-        let mut driver = EventDriver {
-            env: Env::new(protocol, topo, seed, streams::EVENT_FAULT),
+        let clock = Events {
             config,
-            clock: SlotClock::new(seed, config.beacon_period, config.jitter, n),
+            schedule: SlotClock::new(seed, config.beacon_period, config.jitter, n),
             medium,
             lanes: Lanes {
                 slots: BinaryHeap::new(),
@@ -458,109 +515,51 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             heard: Vec::new(),
             scratch_slots: Vec::new(),
             time: 0.0,
-            messages: 0,
             events: 0,
             tally: StepActivity::default(),
             dynamics_step: 0,
             changed_since: NodeSet::new(n),
         };
+        let env = Env::new(protocol, topo, seed, streams::EVENT_FAULT);
+        let mut driver = Sim { env, clock };
         // Cold start: everyone has something to say (the table marks
         // all nodes send-pending), so everyone gets a first slot.
         driver.arm_pending();
         Ok(driver)
     }
 
-    /// Detaches any topology dynamics attached by
-    /// [`crate::Scenario::mobility`] — "the nodes stop moving". Returns
-    /// whether dynamics were attached.
-    pub fn stop_dynamics(&mut self) -> bool {
-        self.env.stop_dynamics()
-    }
-
-    /// `true` when the driver currently mutes silent nodes: a protocol
-    /// under the [`crate::Activity::Gated`] contract and no eager pin (every
-    /// medium the constructor accepts supports gating).
-    pub fn is_gated(&self) -> bool {
-        self.env.gated()
-    }
-
-    /// Pins the driver to eager scheduling (`true`) or restores the
-    /// automatic choice (`false`). Both modes are byte-identical for
-    /// protocols honoring the [`crate::Activity::Gated`] contract on
-    /// independent-fates media — eager is the sequential reference the
-    /// gated engine is tested against.
-    pub fn set_eager(&mut self, eager: bool) {
-        self.env.set_eager(eager);
-        if eager {
-            // Eager scheduling fires every node's every slot: arm the
-            // whole population (retired nodes included).
-            for i in 0..self.env.topo.len() {
-                self.arm(Slot::new(i as u32));
-            }
-        } else {
-            self.arm_pending();
-        }
-    }
-
-    /// The paper-comparable logical clock: whole beacon periods
-    /// elapsed — what [`crate::Network::now`] counts in steps.
-    pub fn now(&self) -> u64 {
-        // The largest k whose boundary has been reached; the division
-        // alone can land one short of a boundary the clock sits on.
-        let k = (self.time / self.config.beacon_period) as u64;
-        k + u64::from(self.step_time(k + 1) <= self.time)
-    }
-
-    /// The wall-clock moment of logical step `k` (fault and mobility
-    /// boundaries).
-    fn step_time(&self, step: u64) -> f64 {
-        step as f64 * self.config.beacon_period
-    }
-
     /// Schedules the next beacon slot of the node at table slot `p` at
     /// or after the current time, unless one is already queued. The
     /// schedule and the queue key are the node's id.
     fn arm(&mut self, p: Slot) {
-        if self.armed.insert(p) {
+        let clock = &mut self.clock;
+        if clock.armed.insert(p) {
             let id = self.env.table.order.id(p);
-            let (slot, t) = self.clock.next_at(id, self.time);
-            self.lanes.push_slot(t, id, slot);
+            let (slot, t) = clock.schedule.next_at(id, clock.time);
+            clock.lanes.push_slot(t, id, slot);
         }
     }
 
-    /// Arms every node currently marked send-pending — called after
-    /// any wake batch (cold start, faults, topology deltas, mode
-    /// switches) so a pending sender always has a slot queued.
+    /// Arms every node currently marked send-pending — after any wake
+    /// batch (cold start, faults, topology deltas, mode switches) a
+    /// pending sender always has a slot queued.
     fn arm_pending(&mut self) {
-        let mut buf = std::mem::take(&mut self.scratch_slots);
+        let mut buf = std::mem::take(&mut self.clock.scratch_slots);
         self.env.table.send_pending.collect_sorted_into(&mut buf);
         for &p in &buf {
             self.arm(p);
         }
-        self.scratch_slots = buf;
-    }
-
-    /// Reacts to a batch of environment changes: the touched nodes
-    /// join the change set (a fault or `link_down` may have mutated
-    /// their states) and the woken senders are re-armed.
-    fn absorb_env(&mut self) {
-        let mut buf = std::mem::take(&mut self.scratch_slots);
-        self.env.table.forced_changed.drain_sorted_into(&mut buf);
-        for &p in &buf {
-            self.changed_since.insert(p);
-        }
-        self.scratch_slots = buf;
-        self.arm_pending();
+        self.clock.scratch_slots = buf;
     }
 
     /// Runs one environment batch at the logical-step boundary `step`:
     /// the clock advances to the boundary, `fire` gets the environment
-    /// and the logical instant, then the driver absorbs the effects.
+    /// and the logical instant, then the clock takes in the effects.
     fn at_boundary(&mut self, step: u64, fire: impl FnOnce(&mut Env<P>, u64)) {
-        self.time = self.time.max(self.step_time(step));
+        self.clock.time = self.clock.time.max(self.clock.step_time(step));
         let now = self.now();
         fire(&mut self.env, now);
-        self.absorb_env();
+        Events::sync(self);
     }
 
     /// The logical steps at which the environment acts next — mobility
@@ -568,7 +567,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     /// take at one instant (the round driver's within-step order).
     fn env_steps(&self) -> [Option<u64>; 3] {
         [
-            self.env.has_dynamics().then_some(self.dynamics_step),
+            self.env.has_dynamics().then_some(self.clock.dynamics_step),
             self.env.next_followup(),
             self.env.next_scripted(),
         ]
@@ -577,15 +576,15 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     /// When the environment acts next (never, if nothing is scheduled).
     fn next_boundary(&self) -> f64 {
         let times = self.env_steps().into_iter().flatten();
-        times.fold(f64::INFINITY, |t, k| t.min(self.step_time(k)))
+        times.fold(f64::INFINITY, |t, k| t.min(self.clock.step_time(k)))
     }
 
     /// Fires the first environment batch due by `time`.
     fn fire_boundary(&mut self, time: f64) {
-        let due = |step: Option<u64>| step.filter(|&k| self.step_time(k) <= time);
+        let due = |step: Option<u64>| step.filter(|&k| self.clock.step_time(k) <= time);
         let [dynamics, followup, fault] = self.env_steps().map(due);
         if let Some(step) = dynamics {
-            self.dynamics_step += 1;
+            self.clock.dynamics_step += 1;
             self.at_boundary(step, |env, _| env.tick_dynamics(step));
         } else if let Some(step) = followup {
             self.at_boundary(step, |env, _| env.fire_followups(step));
@@ -605,7 +604,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         // asked here and after each one, not once per event.
         let mut boundary = self.next_boundary();
         loop {
-            let head = self.lanes.peek();
+            let head = self.clock.lanes.peek();
             let event_time = head.map_or(f64::INFINITY, |key| key.time);
             let next = event_time.min(boundary);
             // Asked as "is it due", not "is it late": a NaN horizon
@@ -624,20 +623,19 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             let Some(key) = head else {
                 break;
             };
-            let Some(event) = self.lanes.pop_at(key) else {
+            let Some(event) = self.clock.lanes.pop_at(key) else {
                 debug_assert!(false, "a peeked event is still queued");
                 break;
             };
-            self.time = event_time;
-            self.events += 1;
+            self.clock.time = event_time;
+            self.clock.events += 1;
             match event {
                 Next::Slot(p, slot) => self.handle_tx(p, slot),
                 Next::Arrival(tx, r, at) => self.handle_rx(tx, r, at),
             }
         }
-        self.time = self.time.max(t);
+        self.clock.time = self.clock.time.max(t);
     }
-
     /// Reads ahead for the copies of transmission `entry`, whose first
     /// copy is landing: what [`EventDriver::incorporate`] searches and
     /// reads of each receiver's reception row, then one pass per level
@@ -646,7 +644,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     /// on each other, and the next level finds its addresses in cache.
     fn look_ahead(&mut self, entry: u32, sender: NodeId) {
         let (protocol, table) = (&self.env.protocol, &mut self.env.table);
-        let receivers = &self.lanes.entries[entry as usize].receivers;
+        let receivers = &self.clock.lanes.entries[entry as usize].receivers;
         let mut sum = receivers.iter().fold(0u64, |sum, &(_, at)| {
             let (slots, row) = (table.heard.slots(at.index()), table.heard.row(at.index()));
             let adjacent = slots.first().map_or(0, |q| q.index() as u64);
@@ -665,15 +663,16 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
 
     fn handle_tx(&mut self, p: NodeId, slot: u64) {
         let at = self.env.table.order.slot(p);
-        debug_assert!(self.armed.contains(at), "a queued slot is an armed one");
+        let armed = &self.clock.armed;
+        debug_assert!(armed.contains(at), "a queued slot is an armed one");
         let gated = self.is_gated();
         if gated && !self.env.table.send_pending.contains(at) {
             // Nothing to say and nobody waiting: the slot lapses and
             // the node goes silent until something wakes it.
-            self.armed.remove(at);
+            self.clock.armed.remove(at);
             return;
         }
-        let (now, t) = (self.now(), self.time);
+        let (now, t) = (self.now(), self.clock.time);
         // The guarded-command loop runs continuously; executing the
         // guards right before snapshotting the shared variables gives
         // the freshest beacon — unless, under gating, the node is
@@ -681,7 +680,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         // derived per (instant, node), so a muted slot consumes nothing.
         let state_changed = self.update(p, at, now, false, false);
         if state_changed {
-            self.changed_since.insert(at);
+            self.clock.changed_since.insert(at);
         }
         let beacon_changed = self.env.refresh_stale_beacon(at, !gated || state_changed);
         if gated && !state_changed && !beacon_changed && self.env.all_caught_up(at) {
@@ -689,13 +688,14 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             // every neighbor has incorporated it. The eager twin keeps
             // broadcasting here — pure no-ops by the silence contract.
             self.env.table.send_pending.remove(at);
-            self.armed.remove(at);
+            self.clock.armed.remove(at);
             return;
         }
         // Broadcast.
-        self.messages += 1;
+        let Sim { env, clock } = self;
+        env.messages += 1;
         // The row names exactly the node's neighbors.
-        self.tally.frames_attempted += self.env.table.heard.slots(at.index()).len();
+        clock.tally.frames_attempted += env.table.heard.slots(at.index()).len();
         // One derived stream per (slot, sender) decides every copy's
         // fate — independent of who else is transmitting, which is what
         // keeps muted senders unobservable. Gated-contention media fold
@@ -703,39 +703,39 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         // (FullOccupancy): the eager twin beacons every period, so
         // using the same per-frame law in both modes keeps gating
         // unobservable there too.
-        let heard = &mut self.heard;
+        let heard = &mut clock.heard;
         heard.clear();
-        if self.medium.gated_contention() {
-            let streams = self.env.contention_streams(slot);
-            self.delivery.reset(self.env.topo.len());
-            self.medium.deliver_occupied_into(
-                &self.env.topo,
+        if clock.medium.gated_contention() {
+            let streams = env.contention_streams(slot);
+            clock.delivery.reset(env.topo.len());
+            clock.medium.deliver_occupied_into(
+                &env.topo,
                 &[p],
                 &mwn_radio::FullOccupancy,
                 &streams,
-                &mut self.delivery,
+                &mut clock.delivery,
             );
             // One sender: the receivers are the ones it touched, sorted
             // into the neighbor-id order `fates` lists its receivers in.
-            heard.extend_from_slice(&self.delivery.touched);
+            heard.extend_from_slice(&clock.delivery.touched);
             heard.sort_unstable();
         } else {
-            let mut rng = self.env.medium_rng(slot, p);
-            self.medium.fates(&self.env.topo, p, &mut rng, heard);
+            let mut rng = env.medium_rng(slot, p);
+            clock.medium.fates(&env.topo, p, &mut rng, heard);
         }
         // The copies that made it share one pool entry, their receivers
         // read off the sender's row (both in neighbor-id order).
         if !heard.is_empty() {
-            let (table, i) = (&self.env.table, at.index());
-            let entry = self.lanes.hold(&table.beacons[i], table.read_epoch[i], at);
-            let receivers = &mut self.lanes.entries[entry as usize].receivers;
-            let row = self.env.topo.neighbors(p).iter().zip(table.heard.slots(i));
+            let (table, i) = (&env.table, at.index());
+            let entry = clock.lanes.hold(&table.beacons[i], table.read_epoch[i], at);
+            let receivers = &mut clock.lanes.entries[entry as usize].receivers;
+            let row = env.topo.neighbors(p).iter().zip(table.heard.slots(i));
             let mut heard = heard.iter().peekable();
             let through = row.filter(|(q, _)| heard.next_if_eq(q).is_some());
             receivers.extend(through.map(|(&q, &slot)| (q, slot)));
             debug_assert!(heard.next().is_none(), "every receiver is a neighbor");
-            self.lanes.push_transmission(Transmission {
-                time: t + self.config.frame_time,
+            clock.lanes.push_transmission(Transmission {
+                time: t + clock.config.frame_time,
                 sender: p,
                 tx_epoch: table.epoch[i],
                 entry,
@@ -744,8 +744,8 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         }
         // Schedule the next slot (the node stays armed); under gating
         // a later pop decides whether it still has anything to say.
-        self.lanes
-            .push_slot(self.clock.slot_time(p, slot + 1), p, slot + 1);
+        let next = clock.schedule.slot_time(p, slot + 1);
+        clock.lanes.push_slot(next, p, slot + 1);
     }
 
     /// Lands copy `tx.next` of `tx` at receiver `r`, stored at `at`;
@@ -755,7 +755,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             self.look_ahead(tx.entry, tx.sender);
         }
         if self.incorporate(&tx, r, at) {
-            self.changed_since.insert(at);
+            self.clock.changed_since.insert(at);
             let table = &mut self.env.table;
             table.beacon_stale.insert(at);
             // The state moved: r may have a new beacon to announce —
@@ -786,11 +786,11 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         // reading an id.
         let InFlight {
             beacon, read, from, ..
-        } = &self.lanes.entries[tx.entry as usize];
+        } = &self.clock.lanes.entries[tx.entry as usize];
         let Some(idx) = row.iter().position(|q| q == from) else {
             return false;
         };
-        self.tally.frames_delivered += 1;
+        self.clock.tally.frames_delivered += 1;
         let state = &mut table.states.slots_mut(&table.order)[at.index()];
         let skipped = |copy: &mut P::State| protocol.receive(r, copy, s, beacon, now);
         let reference = (&*state, &mut table.scratch_state, skipped);
@@ -809,8 +809,8 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
                 false
             }
         };
-        self.tally.receives += usize::from(fate == Fate::Receive);
-        self.tally.held += usize::from(fate == Fate::Held);
+        self.clock.tally.receives += usize::from(fate == Fate::Receive);
+        self.clock.tally.held += usize::from(fate == Fate::Held);
         let moved = self.update(r, at, now, received, fate == Fate::Held);
         received || moved
     }
@@ -826,23 +826,23 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     /// (instant, node) alone, so skipping it moves no other draw. `at`
     /// is `p`'s table slot.
     fn update(&mut self, p: NodeId, at: Slot, now: u64, received: bool, held: bool) -> bool {
-        let (tick, gated, env) = (self.time.to_bits(), self.is_gated(), &mut self.env);
+        let (tick, gated, env) = (self.clock.time.to_bits(), self.is_gated(), &mut self.env);
         let (protocol, table, base) = (&env.protocol, &mut env.table, env.update_base);
         let rng = || split_rng(base, tick, u64::from(p.value()));
         let state = &mut table.states.slots_mut(&table.order)[at.index()];
         if !gated {
             protocol.update(p, state, now, &mut rng());
-            self.tally.updates += 1;
+            self.clock.tally.updates += 1;
             return false;
         }
         let dirty = table.update_dirty.contains(at);
         let pass = |copy: &mut P::State| protocol.update(p, copy, now, &mut rng());
         let reference = (&*state, &mut table.scratch_state, pass);
         if !engine::settle(dirty, received, p, reference) {
-            self.tally.settled += usize::from(held);
+            self.clock.tally.settled += usize::from(held);
             return false;
         }
-        self.tally.updates += 1;
+        self.clock.tally.updates += 1;
         let moved = protocol.update_changed(p, state, now, &mut rng(), &mut table.scratch_state);
         if moved {
             table.update_dirty.insert(at);
@@ -858,71 +858,21 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     fn advance_to(&mut self, t: f64) {
         self.env.env_changed = false;
         self.run_until_time(t);
-        let table = &mut self.env.table;
-        self.changed_since.drain_sorted_into(&mut table.changed);
+        let (table, changed) = (&mut self.env.table, &mut self.clock.changed_since);
+        changed.drain_sorted_into(&mut table.changed);
         table.set_changed();
-    }
-
-    /// Advances to the next beacon-period boundary — one logical step,
-    /// the event clock's counterpart of [`crate::Network::step`].
-    /// Everything before the boundary runs; what is due on it waits for
-    /// the next step (the fault clock of [`crate::Driver`]). Returns
-    /// the new logical step count.
-    pub fn step(&mut self) -> u64 {
-        let next = self.now() + 1;
-        let boundary = self.step_time(next);
-        self.advance_to(boundary.next_down());
-        self.time = boundary;
-        next
     }
 
     /// Current simulation time.
     pub fn time(&self) -> f64 {
-        self.time
-    }
-
-    /// All node states, indexed by [`NodeId`] — published in id order
-    /// first, as [`crate::Network::states`] explains: an in-place O(n)
-    /// permutation unless nothing has touched a state since the last
-    /// read, undone by the next event that touches one.
-    /// [`EventDriver::outputs_into`] never publishes, and the stop
-    /// methods only to evaluate a [`StopWhen::predicate`] leaf.
-    pub fn states(&self) -> &[P::State] {
-        self.env.states()
-    }
-
-    /// The state of one node — read through the same publish as
-    /// [`EventDriver::states`].
-    pub fn state(&self, p: NodeId) -> &P::State {
-        &self.env.states()[p.index()]
-    }
-
-    /// Mutable state access; the node is rescheduled (external
-    /// mutation is a fault) and, with the neighbors that must now
-    /// re-announce themselves to it, re-armed.
-    pub fn state_mut(&mut self, p: NodeId) -> &mut P::State {
-        self.env.wake_mutated(p);
-        self.absorb_env();
-        self.env.table.state_mut(p)
-    }
-
-    /// The topology being simulated.
-    pub fn topology(&self) -> &Topology {
-        &self.env.topo
-    }
-
-    /// Beacon broadcasts so far — the message-count metric of the
-    /// communication-efficiency literature: for a silent protocol
-    /// under gating this stops growing once the network stabilizes.
-    pub fn messages_total(&self) -> u64 {
-        self.messages
+        self.clock.time
     }
 
     /// Events processed so far (beacon slots fired plus frame
     /// arrivals). For a stabilized, gated network this freezes: a
     /// quiet interval processes no events at all.
     pub fn events_processed(&self) -> u64 {
-        self.events
+        self.clock.events
     }
 
     /// Guard passes run so far — the event clock's counterpart of the
@@ -930,27 +880,27 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     /// per arrival and one per beacon slot; gated scheduling runs one
     /// only where the state may still move.
     pub fn updates(&self) -> u64 {
-        self.tally.updates as u64
+        self.clock.tally.updates as u64
     }
 
     /// [`Protocol::receive`] calls so far: every delivered copy under
     /// eager scheduling, the copies the frame gate let through under
     /// gating ([`StepActivity::receives`]).
     pub fn receives(&self) -> u64 {
-        self.tally.receives as u64
+        self.clock.tally.receives as u64
     }
 
     /// Delivered copies the frame gate recorded without a receive so
     /// far ([`StepActivity::held`]; 0 under eager scheduling).
     pub fn held(&self) -> u64 {
-        self.tally.held as u64
+        self.clock.tally.held as u64
     }
 
     /// Guard passes skipped so far at an arrival whose copy was held:
     /// what the holds saved ([`StepActivity::settled`]; 0 under eager
     /// scheduling).
     pub fn settled(&self) -> u64 {
-        self.tally.settled as u64
+        self.clock.tally.settled as u64
     }
 
     /// (sender, 1-neighbor) frame copies in range so far — the
@@ -958,18 +908,18 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     /// distributional agreement suites can pool exact counts into
     /// Wilson intervals instead of re-deriving them from the ratio.
     pub fn frames_attempted(&self) -> u64 {
-        self.tally.frames_attempted as u64
+        self.clock.tally.frames_attempted as u64
     }
 
     /// Frame copies actually received so far.
     pub fn frames_delivered(&self) -> u64 {
-        self.tally.frames_delivered as u64
+        self.clock.tally.frames_delivered as u64
     }
 
     /// The fraction of in-range frame copies delivered so far — the
     /// empirical τ of this run (1.0 before any traffic).
     pub fn measured_tau(&self) -> f64 {
-        let tally = &self.tally;
+        let tally = &self.clock.tally;
         if tally.frames_attempted == 0 {
             1.0
         } else {
@@ -979,26 +929,6 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
 }
 
 impl<P: Observable, M: Medium> EventDriver<P, M> {
-    /// Projects every node's observable output into `buf` (cleared
-    /// first); the buffer can be reused across samples.
-    pub fn outputs_into(&self, buf: &mut Vec<P::Output>) {
-        self.env.outputs_into(buf);
-    }
-
-    /// The observable output of every node.
-    pub fn outputs(&self) -> Vec<P::Output> {
-        self.env.outputs()
-    }
-
-    /// Runs until `stop` is satisfied, one beacon period per step — the
-    /// same contract (and the same [`RunReport`], in logical steps) as
-    /// [`crate::Network::run_to`]. Under gating a quiet period extends
-    /// stability streaks without projecting a single output.
-    pub fn run_to(&mut self, stop: &StopWhen<P>) -> RunReport {
-        let (start, gated) = (self.now(), self.is_gated());
-        engine::run_to(self, stop, start, gated, |d| &d.env, Self::step)
-    }
-
     /// [`EventDriver::run_to`] with a free sampling interval: runs until
     /// the output is unchanged for `quiet_samples` consecutive samples
     /// taken at `start + k · sample_interval`, or until `max_time` has
@@ -1013,43 +943,15 @@ impl<P: Observable, M: Medium> EventDriver<P, M> {
         max_time: f64,
     ) -> Option<f64> {
         assert!(sample_interval > 0.0, "sample interval must be positive");
-        let (t0, gated, mut k) = (self.time, self.is_gated(), 0);
+        let (t0, mut k) = (self.clock.time, 0);
         let stop = StopWhen::stable_for(quiet_samples).within((max_time / sample_interval) as u64);
         let sample = |d: &mut Self| {
             k += 1;
             d.advance_to(t0 + k as f64 * sample_interval);
             k
         };
-        let report = engine::run_to(self, &stop, 0, gated, |d| &d.env, sample);
+        let report = engine::run_to(self, &stop, 0, sample);
         report.stabilized.map(|k| k as f64 * sample_interval)
-    }
-}
-
-impl<P: Corruptible, M: Medium> EventDriver<P, M> {
-    /// Corrupts every node state (arbitrary-configuration start).
-    ///
-    /// Draws from per-event derived streams, never from timing or
-    /// frame-fate streams: injecting a corruption does not shift any
-    /// node's transmission schedule.
-    pub fn corrupt_all(&mut self) {
-        self.env.corrupt_all();
-        self.absorb_env();
-    }
-
-    /// Applies one [`Fault`] at the current simulation time — the
-    /// entry point the chaos harness uses to drive unscripted
-    /// campaigns. Timed second phases (resurrection, healing, lie
-    /// expiry) are scheduled at later logical-step boundaries and fire
-    /// before any protocol event at that instant.
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`crate::FaultPlan::validate_for`] rejects; a rejected
-    /// fault changes nothing.
-    pub fn inject(&mut self, fault: &Fault) -> Result<(), SimError> {
-        self.env.inject(self.now(), fault)?;
-        self.absorb_env();
-        Ok(())
     }
 }
 
@@ -1057,7 +959,7 @@ impl<P: Corruptible, M: Medium> EventDriver<P, M> {
 mod tests {
     use super::*;
     use crate::testkit::{GatedFlood, MaxFlood, PeekFlood};
-    use crate::Scenario;
+    use crate::{Fault, Scenario};
     use mwn_graph::builders;
     use mwn_radio::{BernoulliLoss, SlottedCsma, Thinned};
 
@@ -1220,7 +1122,10 @@ mod tests {
         // A drained queue (the old loop popped from it and panicked)…
         let mut drained = driver(GatedFlood, PerfectMedium, builders::line(4));
         drained.run_until_time(60.0);
-        assert!(drained.lanes.peek().is_none(), "stabilized and silent");
+        assert!(
+            drained.clock.lanes.peek().is_none(),
+            "stabilized and silent"
+        );
         stays_put(&mut drained);
         // …and one that never drains (the old loop never left).
         let mut eager = driver(MaxFlood, PerfectMedium, builders::line(4));
@@ -1257,7 +1162,7 @@ mod tests {
             of: impl Fn(&Transmission) -> bool,
             to: impl Fn(NodeId) -> bool,
         ) -> u64 {
-            let lanes = &d.lanes;
+            let lanes = &d.clock.lanes;
             let left = |tx: &Transmission| {
                 let receivers = &lanes.entries[tx.entry as usize].receivers;
                 receivers[tx.next as usize..]
@@ -1546,7 +1451,7 @@ mod tests {
             for t in [59.5, 119.5, 179.5, 239.5, 400.0] {
                 gated.run_until_time(t);
                 eager.run_until_time(t);
-                let name = gated.medium.name();
+                let name = gated.clock.medium.name();
                 assert_eq!(ends(&gated), ends(&eager), "{name}, t = {t}");
                 assert_eq!(gated.outputs(), eager.outputs(), "{name}, t = {t}");
                 let arrived = |(i, s): (usize, &Climber)| s.value == s.heard.max(i as u32);

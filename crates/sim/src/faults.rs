@@ -38,10 +38,9 @@
 //! process.
 
 use mwn_graph::{NodeId, Topology};
-use mwn_radio::Medium;
 
 use crate::error::SimError;
-use crate::{Corruptible, Network};
+use crate::{Clock, Corruptible, Sim};
 
 /// What a Byzantine node puts on the air instead of its true beacon.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -307,46 +306,33 @@ impl FaultPlan {
             .try_for_each(|(_, f)| f.validate_for(topo))
     }
 
-    /// Runs `net` until `until_step`, firing scheduled faults along the
-    /// way. Faults scheduled before the current step fire immediately;
-    /// faults scheduled at or after `until_step` do not fire.
+    /// Runs `net` — on any clock — until `until_step`, firing scheduled
+    /// faults along the way. Faults scheduled before the current step
+    /// fire immediately; faults due exactly at `until_step` fire too
+    /// (the caller observes the post-fault state), later ones do not.
     ///
     /// # Errors
     ///
     /// Everything [`FaultPlan::validate_for`] rejects — the plan is
     /// validated against `net`'s topology before any step executes.
-    pub fn run<P, M>(&self, net: &mut Network<P, M>, until_step: u64) -> Result<(), SimError>
-    where
-        P: Corruptible,
-        M: Medium,
-    {
+    pub fn run<P: Corruptible, C: Clock<P>>(
+        &self,
+        net: &mut Sim<P, C>,
+        until_step: u64,
+    ) -> Result<(), SimError> {
         self.validate_for(net.topology())?;
         let mut script: Vec<&(u64, Fault)> = self.events.iter().collect();
         script.sort_by_key(|(step, _)| *step);
         let mut pending = script.into_iter().peekable();
-        // Skip/fire anything already due.
-        while net.now() < until_step {
-            while let Some((step, fault)) = pending.peek() {
-                if *step <= net.now() {
-                    net.inject(fault)?;
-                    pending.next();
-                } else {
-                    break;
-                }
+        loop {
+            while let Some((_, fault)) = pending.next_if(|(step, _)| *step <= net.now()) {
+                net.inject(fault)?;
+            }
+            if net.now() >= until_step {
+                return Ok(());
             }
             net.step();
         }
-        // Faults due exactly at the final step boundary still fire (the
-        // caller observes the post-fault state).
-        while let Some((step, fault)) = pending.peek() {
-            if *step <= net.now() {
-                net.inject(fault)?;
-                pending.next();
-            } else {
-                break;
-            }
-        }
-        Ok(())
     }
 }
 
@@ -354,6 +340,7 @@ impl FaultPlan {
 mod tests {
     use super::*;
     use crate::testkit::MaxFlood;
+    use crate::Network;
     use mwn_graph::builders;
     use mwn_radio::PerfectMedium;
     use rand::rngs::StdRng;

@@ -13,27 +13,23 @@
 //! * [`Scenario`] — the fluent builder every experiment goes through:
 //!   protocol, medium, topology, seed, scripted [`FaultPlan`]s and
 //!   mobility dynamics, with typed [`SimError`]s instead of panics.
-//! * [`Network`] — the synchronous **round driver**. One round is the
-//!   paper's Δ(τ) "step" (Section 5). Step counts measured here are
-//!   directly comparable to the paper's Tables 2, 3 and 5.
-//! * [`EventDriver`] — the **continuous-time driver**: randomized
-//!   beacons, frames with duration, medium-decided frame fates — the
-//!   execution model of the paper's "expected constant time" claims.
-//! * [`ActorDriver`] — the **actor driver**: every node a real
-//!   message-passing process multiplexed over a worker-thread pool,
-//!   exchanging serialized beacon frames ([`WireBeacon`]) under a
-//!   virtual-time token governor — genuine concurrency validating that
-//!   the simulated drivers' claims survive real interleaving.
-//! * [`Driver`] — the one trait over all three, for consumers that are
-//!   generic over the execution model.
-//!
-//! All three run on one shared activity core (the private `engine`
-//! module): columnar per-node state, dirty-set scheduling, beacon
-//! epochs, per-(tick, node) derived randomness and a common worker
-//! pool — so silent stabilized regions cost (near) zero work under
-//! either clock, gated execution is byte-identical to eager execution,
-//! and the round driver's per-step active pass can be sharded across
-//! threads without changing a single byte of output.
+//! * [`Sim`] — the one driver: that environment (protocol, topology,
+//!   node table, fault script, dynamics) advanced by a [`Clock`], the
+//!   execution model. Its surface — reads, mutators, faults, `run_to`
+//!   — is written once and is the same on every clock:
+//!   * [`Network`] = `Sim<P, Rounds<M>>`, the synchronous **round
+//!     driver**: one round is the paper's Δ(τ) "step" (Section 5), so
+//!     its step counts compare directly with Tables 2, 3 and 5;
+//!   * [`EventDriver`] = `Sim<P, Events<P, M>>`, the **continuous-time
+//!     driver**: randomized beacons, frames with duration, medium-decided
+//!     fates — the model of the paper's "expected constant time" claims;
+//!   * [`ActorDriver`] = `Sim<P, Actors<M>>`, the **actor driver**:
+//!     every node a message-passing process over a worker pool,
+//!     exchanging serialized frames ([`WireBeacon`]) under a virtual-time
+//!     token governor — the simulated clocks' claims under real
+//!     interleaving.
+//! * [`Driver`] — the object-safe facade over [`Sim`], for consumers
+//!   that are generic over the execution model.
 //! * [`StopWhen`] / [`RunReport`] — first-class stop conditions
 //!   (stability streaks, step budgets, predicates, combinators) and
 //!   structured run outcomes, replacing per-call-site projection
@@ -42,6 +38,15 @@
 //! * [`Sweep`] — the parallel seed/parameter fan-out behind every
 //!   1000-run experiment average, with deterministic, schedule-independent
 //!   results.
+//!
+//! Under every clock runs one activity core (the private `engine`
+//! module): columnar per-node state, dirty-set scheduling, beacon
+//! epochs, per-(tick, node) derived randomness and a common worker
+//! pool — so silent stabilized regions cost (near) zero work under
+//! any clock, gated execution is byte-identical to eager execution,
+//! and the round driver's per-step pass can be sharded across threads
+//! without changing a single byte of output. The two period clocks
+//! share one period skeleton and differ only in their frame transport.
 //!
 //! Self-stabilization is exercised through [`Corruptible`]: a protocol
 //! that can have its state arbitrarily corrupted, after which the
@@ -104,15 +109,15 @@ mod sweep;
 mod testkit;
 mod wire;
 
-pub use actor::ActorDriver;
+pub use actor::{ActorDriver, Actors};
 pub use convergence::StabilityTracker;
-pub use driver::Driver;
+pub use driver::{Clock, Driver, Sim};
 pub use engine::kernels;
 pub use engine::{run_sharded, ShardPolicy};
 pub use error::SimError;
-pub use events::{EventConfig, EventDriver};
+pub use events::{EventConfig, EventDriver, Events};
 pub use faults::{Fault, FaultPlan, Lie, Region};
-pub use network::{Network, StepActivity};
+pub use network::{Network, Rounds, StepActivity};
 pub use observable::Observable;
 pub use protocol::{Activity, Corruptible, Protocol};
 pub use rng::{derive_seed, derive_seed3, node_streams, split_rng};

@@ -1,12 +1,12 @@
-use mwn_graph::{NodeId, Point2, Topology, TopologyDelta};
+use mwn_graph::{NodeId, Topology};
 use mwn_radio::{Delivery, Medium, Occupancy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::driver::{period_step, Period, Sealed, Transport};
 use crate::engine::{self, kernels, Env, NodeSet, ShardPolicy, Slot, StorageOrder};
 use crate::rng::{derive_seed, streams};
-use crate::stop::{RunReport, StopWhen};
-use crate::{Activity, Corruptible, Fault, Observable, Protocol, SimError};
+use crate::{Activity, Clock, Corruptible, Protocol, Sim};
 
 /// What one [`Network::step`] actually did — the activity counters of
 /// the dirty-set engine.
@@ -40,8 +40,9 @@ pub struct StepActivity {
     pub changed: usize,
 }
 
-/// The synchronous round driver: one call to [`Network::step`] is one
-/// of the paper's Δ(τ) "steps" (Section 5).
+/// The synchronous round driver, a [`Sim`] on the [`Rounds`] clock:
+/// one call to [`Network::step`] is one of the paper's Δ(τ) "steps"
+/// (Section 5).
 ///
 /// Within a step, in order:
 ///
@@ -142,27 +143,23 @@ pub struct StepActivity {
 ///
 /// Networks are normally built through [`crate::Scenario`]; the
 /// constructor remains available as the low-level interface.
-pub struct Network<P: Protocol, M> {
-    /// Protocol, topology, node table and the one fault path.
-    pub(crate) env: Env<P>,
+pub type Network<P, M> = Sim<P, Rounds<M>>;
+
+/// The round clock of a [`Network`]: the period count, the medium and
+/// the step's buffers.
+pub struct Rounds<M> {
+    period: Period,
     medium: M,
     /// Sequential stream for contention-coupled media (whose rounds
     /// are evaluated with the full sender set in one call).
     medium_rng: StdRng,
-    step: u64,
     /// How the per-step active pass is split across workers.
     shards: ShardPolicy,
-    // Reused step buffers: no per-step allocation in steady state.
-    /// The step's senders by slot, and by id for an asked medium.
-    senders_buf: Vec<Slot>,
+    /// The step's senders by id, for an asked medium.
     sender_ids: Vec<NodeId>,
-    active_buf: Vec<Slot>,
     /// Sized by the first step that asks the medium to deliver; a
     /// lossless medium is never asked.
     delivery: Delivery,
-    // Per-step observability for metrics.
-    last_activity: StepActivity,
-    messages_total: u64,
 }
 
 /// Where the visits of a step read their frames from — the one thing
@@ -225,17 +222,158 @@ impl Frames<'_> {
     }
 }
 
-impl<P: Protocol, M> std::fmt::Debug for Network<P, M>
-where
-    P: std::fmt::Debug,
-    M: std::fmt::Debug,
-{
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Network")
-            .field("env", &self.env)
-            .field("medium", &self.medium)
-            .field("step", &self.step)
-            .finish_non_exhaustive()
+impl<M> Sealed for Rounds<M> {}
+
+impl<P: Protocol, M: Medium> Clock<P> for Rounds<M> {
+    fn step(sim: &mut Sim<P, Self>) -> u64 {
+        period_step(sim)
+    }
+
+    fn now(&self) -> u64 {
+        self.period.now
+    }
+
+    fn is_gated(sim: &Sim<P, Self>) -> bool {
+        let medium = &sim.clock.medium;
+        sim.env.gated() && (medium.independent_fates() || medium.gated_contention())
+    }
+}
+
+impl<P: Protocol, M: Medium> Transport<P> for Rounds<M> {
+    fn period(&mut self) -> &mut Period {
+        &mut self.period
+    }
+
+    /// Phases 3–4: frame delivery and the active set — nodes already
+    /// dirty plus receivers of a beacon epoch they have not
+    /// incorporated yet. A lossless medium is not asked: the senders'
+    /// neighbors are marked. Otherwise the frame copies that arrive
+    /// land in `delivery`. Media with independent fates get one derived
+    /// stream per (step, sender), so a frame's fate can never depend on
+    /// who else transmitted. Gated contention media deliver the active
+    /// set exactly while folding the retired population in
+    /// statistically (per-(step, sender) and per-(step, receiver,
+    /// sender) streams). Everything else — and every eager round —
+    /// evaluates the full sender set on the sequential medium stream.
+    /// Media are handed the senders in id order, and record by id.
+    fn send(
+        &mut self,
+        env: &mut Env<P>,
+        now: u64,
+        eager: bool,
+        senders: &[Slot],
+    ) -> (usize, usize) {
+        if self.medium.lossless() {
+            let in_range = env.mark_hearers(senders);
+            return (in_range, in_range);
+        }
+        let topo = &env.topo;
+        let sender_ids = &mut self.sender_ids;
+        env.table.order.sorted_ids(senders, sender_ids);
+        self.delivery.reset(topo.len());
+        // A gated contention round without its summary (never built:
+        // `Network::new` installs it) falls back to the full sender set.
+        let occupancy = if !eager && self.medium.gated_contention() {
+            debug_assert!(
+                env.table.occupancy.is_some(),
+                "gated contention maintains an occupancy summary"
+            );
+            env.table.occupancy.as_ref()
+        } else {
+            None
+        };
+        if self.medium.independent_fates() {
+            for &s in sender_ids.iter() {
+                let mut rng = env.medium_rng(now, s);
+                self.delivery.record_fates(&self.medium, topo, s, &mut rng);
+            }
+        } else if let Some(occ) = occupancy {
+            let streams = env.contention_streams(now);
+            self.medium
+                .deliver_occupied_into(topo, sender_ids, occ, &streams, &mut self.delivery);
+        } else {
+            self.medium
+                .deliver_into(topo, sender_ids, &mut self.medium_rng, &mut self.delivery);
+        }
+        let copies = (self.delivery.attempted, self.delivery.delivered);
+        if eager {
+            return copies;
+        }
+        // The freshness test is the branch-lean epoch-compare kernel
+        // over the receiver's contiguous reception row. As on a lossless
+        // step, a receiver nothing else scheduled is a hearer.
+        let table = &mut env.table;
+        for &r in &self.delivery.touched {
+            let at = table.order.slot(r);
+            let (row, slots) = (table.heard.row(at.index()), table.heard.slots(at.index()));
+            let (id, epoch) = (
+                |&q: &Slot| table.order.id(q),
+                |idx: usize| table.epoch[slots[idx].index()],
+            );
+            let heard = &self.delivery.heard[r.index()];
+            if kernels::any_fresh_by(row, slots, id, heard, epoch) && table.update_dirty.insert(at)
+            {
+                table.hearers.insert(at);
+            }
+        }
+        copies
+    }
+
+    /// Phase 5: per-node execution — cached-copy refresh for heard
+    /// frames, then one pass of guarded assignments. Nodes only ever
+    /// touch their own state and read frozen beacons, so per-node
+    /// processing is equivalent to the classic all-receives-then-
+    /// all-updates phasing — and embarrassingly parallel: each shard
+    /// visits its chunk of the active set in place. A visit opens with
+    /// the look-ahead pass ([`Protocol::peek`]): asked for together, up
+    /// front, the cache misses of the beacons it will receive are in
+    /// flight at once instead of one receive at a time. Which ones it
+    /// will receive needs the reception row; the pass reads a beacon
+    /// whose last bump changed its read part (gated) and skips the
+    /// rest, a guess nothing can observe.
+    fn visit(
+        &mut self,
+        env: &mut Env<P>,
+        now: u64,
+        eager: bool,
+        candidates: &[Slot],
+    ) -> StepActivity {
+        let active = candidates.len();
+        let shards = self.shards.count(active, active);
+        let delivery = (!self.medium.lossless()).then_some(&self.delivery);
+        env.visit(now, !eager, candidates, shards, |shard| {
+            let (beacons, epoch, read) = (shard.beacons, shard.epoch, shard.read_epoch);
+            let (protocol, order) = (shard.protocol, shard.order);
+            let frames = delivery.map_or(Frames::Pulled(shard.sending), Frames::Pushed);
+            for &p in shard.candidates {
+                let id = order.id(p);
+                let (state, row, neighbors, scratch) = shard.open(p);
+                let mut received = false;
+                // Look-ahead: plain loads nothing depends on; the
+                // black box is what keeps them from being deleted.
+                let mut ahead = 0u64;
+                frames.senders(id, neighbors, order, |s| {
+                    let i = s.index();
+                    ahead = ahead.wrapping_add(u64::from(epoch[i]));
+                    if eager || read[i] == epoch[i] {
+                        ahead = ahead.wrapping_add(protocol.peek(&beacons[i]));
+                    }
+                });
+                std::hint::black_box(ahead);
+                frames.each(id, neighbors, order, |idx, s, from| {
+                    let (i, beacon) = (s.index(), &beacons[s.index()]);
+                    let skipped =
+                        |copy: &mut P::State| protocol.receive(id, copy, from, beacon, now);
+                    let reference = (&*state, &mut scratch.held_check, skipped);
+                    let frame = [read[i], epoch[i]];
+                    let fate = engine::gate(!eager, &mut row[idx], frame, (id, from), reference);
+                    if scratch.admit(fate, state, &mut received) {
+                        protocol.receive(id, state, from, beacon, now);
+                    }
+                });
+                shard.update(p, received);
+            }
+        })
     }
 }
 
@@ -252,39 +390,18 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         // The node count is fixed for a driver's life: what a lossless
         // step writes is sized here, so no step is the one that allocates.
         let n = if medium.lossless() { env.topo.len() } else { 0 };
-        Network {
-            env,
+        let clock = Rounds {
+            period: Period {
+                candidates: Vec::with_capacity(n),
+                ..Period::default()
+            },
             medium,
             medium_rng: StdRng::seed_from_u64(derive_seed(seed, streams::ROUND_MEDIUM)),
-            step: 0,
             shards: ShardPolicy::from_env(),
-            senders_buf: Vec::new(),
             sender_ids: Vec::new(),
-            active_buf: Vec::with_capacity(n),
             delivery: Delivery::empty(0),
-            last_activity: StepActivity::default(),
-            messages_total: 0,
-        }
-    }
-
-    /// Detaches any topology dynamics attached by
-    /// [`crate::Scenario::mobility`] — "the nodes stop moving" — so
-    /// the protocol can settle on the final topology. Returns whether
-    /// dynamics were attached.
-    pub fn stop_dynamics(&mut self) -> bool {
-        self.env.stop_dynamics()
-    }
-
-    /// `true` when the driver is currently using dirty-set (gated)
-    /// scheduling: the protocol declared [`Activity::Gated`], the
-    /// medium supports it — independent frame fates
-    /// ([`Medium::independent_fates`], byte-identical gating) or the
-    /// gated-contention contract
-    /// ([`Medium::gated_contention`], distributional gating via
-    /// statistical slot occupancy) — and the user did not pin eager
-    /// scheduling.
-    pub fn is_gated(&self) -> bool {
-        self.env.gated() && (self.medium.independent_fates() || self.medium.gated_contention())
+        };
+        Sim { env, clock }
     }
 
     /// The statistical slot-occupancy summary of the retired
@@ -314,14 +431,6 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         )
     }
 
-    /// Pins the driver to eager scheduling (`true`) or restores the
-    /// automatic choice (`false`). Used by equivalence tests and
-    /// before/after benchmarks; both modes are byte-identical for
-    /// protocols honoring the [`Activity::Gated`] contract.
-    pub fn set_eager(&mut self, eager: bool) {
-        self.env.set_eager(eager);
-    }
-
     /// Overrides how the per-step active pass is split across worker
     /// threads: `Some(k)` forces exactly `k` shards for every step
     /// (even tiny ones — what the equivalence tests rely on), `None`
@@ -331,348 +440,16 @@ impl<P: Protocol, M: Medium> Network<P, M> {
     /// Sharded and serial execution are byte-identical for every shard
     /// count; this knob only moves wall-clock time.
     pub fn set_shards(&mut self, shards: Option<usize>) {
-        self.shards.set(shards);
+        self.clock.shards.set(shards);
     }
 
     /// The activity counters of the most recent step.
     pub fn last_activity(&self) -> StepActivity {
-        self.last_activity
-    }
-
-    /// Total beacon broadcasts since construction — the message-count
-    /// metric of the communication-efficiency literature (Devismes et
-    /// al.): for a silent protocol under gated scheduling this stops
-    /// growing once the network stabilizes.
-    pub fn messages_total(&self) -> u64 {
-        self.messages_total
-    }
-
-    /// Nodes whose state changed during the last step, in ascending id
-    /// (gated scheduling only; empty under eager scheduling, which does
-    /// not track changes).
-    pub fn last_changed(&self) -> &[NodeId] {
-        &self.env.table.changed_ids
-    }
-
-    /// Executes one synchronous step; returns the new step count.
-    pub fn step(&mut self) -> u64 {
-        self.env.table.clear_changed();
-        self.env.begin_step(self.step);
-        let eager = !self.is_gated();
-
-        // Phases 1–2: refresh the beacons of nodes whose state changed,
-        // then pick the senders of this round.
-        self.env.release_slots(eager, &mut self.senders_buf);
-
-        // Phases 3–4: frame delivery and the active set — nodes already
-        // dirty plus receivers of a beacon epoch they have not
-        // incorporated yet.
-        let lossless = self.medium.lossless();
-        let (attempted, delivered) = if lossless {
-            let in_range = self.env.mark_hearers(&self.senders_buf);
-            (in_range, in_range)
-        } else {
-            self.deliver(eager);
-            (self.delivery.attempted, self.delivery.delivered)
-        };
-        self.env
-            .table
-            .update_dirty
-            .drain_sorted_into(&mut self.active_buf);
-
-        // Phase 5: per-node execution — cached-copy refresh for heard
-        // frames, then one pass of guarded assignments. Nodes only ever
-        // touch their own state and read frozen beacons, so per-node
-        // processing is equivalent to the classic all-receives-then-
-        // all-updates phasing — and embarrassingly parallel: each
-        // shard visits its chunk of the active set in place. A visit
-        // opens with the look-ahead pass ([`Protocol::peek`]): asked for
-        // together, up front, the cache misses of the beacons it will
-        // receive are in flight at once instead of one receive at a
-        // time. Which ones it will receive needs the reception row; the
-        // pass reads a beacon whose last bump changed its read part
-        // (gated) and skips the rest, a guess nothing can observe.
-        let now = self.step;
-        let active = self.active_buf.len();
-        let shards = self.shards.count(active, active);
-        let delivery = (!lossless).then_some(&self.delivery);
-        let visited = self
-            .env
-            .visit(now, !eager, &self.active_buf, shards, |shard| {
-                let (beacons, epoch, read) = (shard.beacons, shard.epoch, shard.read_epoch);
-                let (protocol, order) = (shard.protocol, shard.order);
-                let frames = delivery.map_or(Frames::Pulled(shard.sending), Frames::Pushed);
-                for &p in shard.candidates {
-                    let id = order.id(p);
-                    let (state, row, neighbors, scratch) = shard.open(p);
-                    let mut received = false;
-                    // Look-ahead: plain loads nothing depends on; the
-                    // black box is what keeps them from being deleted.
-                    let mut ahead = 0u64;
-                    frames.senders(id, neighbors, order, |s| {
-                        let i = s.index();
-                        ahead = ahead.wrapping_add(u64::from(epoch[i]));
-                        if eager || read[i] == epoch[i] {
-                            ahead = ahead.wrapping_add(protocol.peek(&beacons[i]));
-                        }
-                    });
-                    std::hint::black_box(ahead);
-                    frames.each(id, neighbors, order, |idx, s, from| {
-                        let (i, beacon) = (s.index(), &beacons[s.index()]);
-                        let skipped =
-                            |copy: &mut P::State| protocol.receive(id, copy, from, beacon, now);
-                        let reference = (&*state, &mut scratch.held_check, skipped);
-                        let frame = [read[i], epoch[i]];
-                        let fate =
-                            engine::gate(!eager, &mut row[idx], frame, (id, from), reference);
-                        if scratch.admit(fate, state, &mut received) {
-                            protocol.receive(id, state, from, beacon, now);
-                        }
-                    });
-                    shard.update(p, received);
-                }
-            });
-
-        // Phase 6: retire senders every neighbor has caught up with —
-        // all of them, unasked, when the step delivered every copy.
-        if !eager {
-            self.env.retire_caught_up(&self.senders_buf, delivered);
-        }
-
-        self.last_activity = StepActivity {
-            senders: self.senders_buf.len(),
-            frames_attempted: attempted,
-            frames_delivered: delivered,
-            changed: self.env.table.changed.len(),
-            ..visited
-        };
-        self.messages_total += self.senders_buf.len() as u64;
-        self.step += 1;
-        self.step
-    }
-
-    /// Phases 3–4 of a step whose medium must be asked: the frame
-    /// copies that arrive land in `delivery`, and every receiver of a
-    /// beacon epoch it has not incorporated yet is scheduled. Media
-    /// with independent fates get one derived stream per (step,
-    /// sender), so a frame's fate can never depend on who else
-    /// transmitted. Gated contention media deliver the active set
-    /// exactly while folding the retired population in statistically
-    /// (per-(step, sender) and per-(step, receiver, sender) streams).
-    /// Everything else — and every eager round — evaluates the full
-    /// sender set on the sequential medium stream. Media are handed the
-    /// senders in id order, and record by id.
-    fn deliver(&mut self, eager: bool) {
-        let (env, topo) = (&self.env, &self.env.topo);
-        let senders = &mut self.sender_ids;
-        env.table.order.sorted_ids(&self.senders_buf, senders);
-        self.delivery.reset(topo.len());
-        // A gated contention round without its summary (never built:
-        // `Network::new` installs it) falls back to the full sender set.
-        let occupancy = if !eager && self.medium.gated_contention() {
-            debug_assert!(
-                env.table.occupancy.is_some(),
-                "gated contention maintains an occupancy summary"
-            );
-            env.table.occupancy.as_ref()
-        } else {
-            None
-        };
-        if self.medium.independent_fates() {
-            for &s in senders.iter() {
-                let mut rng = env.medium_rng(self.step, s);
-                self.delivery.record_fates(&self.medium, topo, s, &mut rng);
-            }
-        } else if let Some(occ) = occupancy {
-            let streams = env.contention_streams(self.step);
-            self.medium
-                .deliver_occupied_into(topo, senders, occ, &streams, &mut self.delivery);
-        } else {
-            self.medium
-                .deliver_into(topo, senders, &mut self.medium_rng, &mut self.delivery);
-        }
-        if eager {
-            return;
-        }
-        // The freshness test is the branch-lean epoch-compare kernel
-        // over the receiver's contiguous reception row. As on a lossless
-        // step, a receiver nothing else scheduled is a hearer.
-        let table = &mut self.env.table;
-        for &r in &self.delivery.touched {
-            let at = table.order.slot(r);
-            let (row, slots) = (table.heard.row(at.index()), table.heard.slots(at.index()));
-            let (id, epoch) = (
-                |&q: &Slot| table.order.id(q),
-                |idx: usize| table.epoch[slots[idx].index()],
-            );
-            let heard = &self.delivery.heard[r.index()];
-            if kernels::any_fresh_by(row, slots, id, heard, epoch) && table.update_dirty.insert(at)
-            {
-                table.hearers.insert(at);
-            }
-        }
-    }
-
-    /// Runs `steps` synchronous steps.
-    pub fn run(&mut self, steps: u64) {
-        for _ in 0..steps {
-            self.step();
-        }
-    }
-
-    /// Current step count.
-    pub fn now(&self) -> u64 {
-        self.step
-    }
-
-    /// The topology being simulated.
-    pub fn topology(&self) -> &Topology {
-        &self.env.topo
-    }
-
-    /// Replaces the topology (same node count), e.g. after a mobility
-    /// tick moved nodes. States are preserved: the protocol must cope
-    /// with neighbors appearing and disappearing — that is the point.
-    ///
-    /// A wholesale swap carries no link-level delta, so it conservatively
-    /// reschedules every node (and fires no [`Protocol::link_down`]
-    /// notifications); incremental paths — mobility moves, scripted
-    /// isolation — stay surgical.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NodeCountMismatch`] if the node count
-    /// changes: protocol state is indexed by node, so nodes cannot be
-    /// added or removed mid-run.
-    pub fn set_topology(&mut self, topo: Topology) -> Result<(), SimError> {
-        self.env.set_topology(topo)
-    }
-
-    /// Applies incremental node moves to the simulated topology
-    /// (unit-disk only), waking exactly the nodes whose links changed.
-    /// Returns the link churn.
-    pub fn apply_moves(&mut self, moves: &[(NodeId, Point2)]) -> TopologyDelta {
-        self.env.apply_moves(moves)
-    }
-
-    /// All node states, indexed by [`NodeId`].
-    ///
-    /// The node table works on its state column in storage order (by
-    /// radio cell, for a unit-disk deployment); this read publishes it
-    /// in id order first, unless nothing has touched a state since the
-    /// last read did. Publishing is an in-place O(n) permutation with
-    /// no allocation, undone by the next step that touches a state:
-    /// a run that reads states every step pays two of them per step.
-    /// [`Network::outputs_into`] never publishes, and
-    /// [`Network::run_to`] only to evaluate a [`StopWhen::predicate`]
-    /// leaf.
-    pub fn states(&self) -> &[P::State] {
-        self.env.states()
-    }
-
-    /// The state of one node — read through the same publish as
-    /// [`Network::states`].
-    pub fn state(&self, p: NodeId) -> &P::State {
-        &self.env.states()[p.index()]
-    }
-
-    /// Mutable state access (used by hand-written fault scenarios).
-    /// The node is rescheduled: external mutation is a fault.
-    pub fn state_mut(&mut self, p: NodeId) -> &mut P::State {
-        self.env.state_mut(p)
-    }
-
-    /// The protocol instance.
-    pub fn protocol(&self) -> &P {
-        &self.env.protocol
-    }
-
-    /// Severs every link of `p` by removing its edges — the node's
-    /// radio goes dark but its state survives (crash of the *link*
-    /// layer). Fires [`Protocol::link_down`] on both endpoints of every
-    /// severed link. Use [`Network::set_topology`] to restore
-    /// connectivity.
-    pub fn isolate(&mut self, p: NodeId) {
-        self.env.isolate(p);
-    }
-}
-
-impl<P: Observable, M: Medium> Network<P, M> {
-    /// Projects every node's observable output into `buf` (cleared
-    /// first); the buffer can be reused across steps.
-    pub fn outputs_into(&self, buf: &mut Vec<P::Output>) {
-        self.env.outputs_into(buf);
-    }
-
-    /// The observable output of every node.
-    pub fn outputs(&self) -> Vec<P::Output> {
-        self.env.outputs()
-    }
-
-    /// Runs until `stop` is satisfied and reports what happened — the
-    /// primary run method of the [`crate::Scenario`] API.
-    ///
-    /// The condition is checked before the first step and after every
-    /// step. A condition with no [`StopWhen::MaxSteps`] budget that
-    /// never holds runs forever; every long-running experiment should
-    /// carry a budget (see [`StopWhen::within`]).
-    ///
-    /// Under gated scheduling the per-step evaluation is incremental: a
-    /// quiescent step extends stability streaks and reuses memoized
-    /// predicate verdicts without projecting a single output —
-    /// [`StopWhen::StableFor`] effectively reads "dirty set empty".
-    ///
-    /// # Examples
-    ///
-    /// See the crate-level example.
-    pub fn run_to(&mut self, stop: &StopWhen<P>) -> RunReport {
-        let (start, gated) = (self.step, self.is_gated());
-        engine::run_to(self, stop, start, gated, |net| &net.env, Self::step)
+        self.clock.period.last_activity
     }
 }
 
 impl<P: Corruptible, M: Medium> Network<P, M> {
-    /// Corrupts the state of one node arbitrarily.
-    pub fn corrupt(&mut self, p: NodeId) {
-        self.env.corrupt(p);
-    }
-
-    /// Corrupts every node: the adversarial "arbitrary initial
-    /// configuration" of the self-stabilization definition.
-    pub fn corrupt_all(&mut self) {
-        self.env.corrupt_all();
-    }
-
-    /// Corrupts a deterministic pseudo-random subset of about
-    /// `fraction` of the nodes; returns how many were corrupted.
-    ///
-    /// The subset is drawn from a dedicated fault stream, so injecting
-    /// faults never perturbs frame-delivery randomness: two runs with
-    /// the same seed see identical deliveries whether or not one of
-    /// them injects faults.
-    pub fn corrupt_fraction(&mut self, fraction: f64) -> usize {
-        self.env.corrupt_fraction(fraction)
-    }
-
-    /// Applies one [`Fault`] right now — the entry point the chaos
-    /// harness uses to drive unscripted campaigns. Timed second phases
-    /// (resurrection, healing, lie expiry) are scheduled as followups
-    /// and fire at the start of their due step, before that step's
-    /// scripted faults and sends.
-    ///
-    /// An edge severed by several overlapping faults comes back only
-    /// when the last fault holding it down ends.
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`crate::FaultPlan::validate_for`] rejects — an
-    /// out-of-range victim, a [`Fault::SetTopology`] that changes the
-    /// node count, a disk region on an unpositioned topology. A
-    /// rejected fault changes nothing.
-    pub fn inject(&mut self, fault: &Fault) -> Result<(), SimError> {
-        self.env.inject(self.step, fault)
-    }
-
     /// Corrupts `p` **without** waking it — a deliberately broken wake
     /// rule. Exists only so the certifier's liveness audit can be
     /// demonstrated to catch exactly this class of engine bug; never
@@ -689,7 +466,8 @@ impl<P: Corruptible, M: Medium> Network<P, M> {
 mod tests {
     use super::*;
     use crate::testkit::{GatedFlood, MaxFlood, PeekFlood, Pushed, TraceFlood};
-    use crate::{FaultPlan, Lie, Scenario};
+    use crate::{Fault, FaultPlan, Lie, Scenario, SimError, StopWhen};
+    use mwn_graph::Point2;
     use mwn_graph::{builders, traversal};
     use mwn_radio::{BernoulliLoss, PerfectMedium};
     use proptest::prelude::*;
@@ -1014,8 +792,8 @@ mod tests {
                 // those of a lossless step's candidates whose frames are
                 // all stale, which the delivered step does not visit.
                 let order = &net.env.table.order;
-                let heard = |&p: &Slot| reference.delivery.heard[order.id(p).index()].len();
-                let visited: usize = net.active_buf.iter().map(heard).sum();
+                let heard = |&p: &Slot| reference.clock.delivery.heard[order.id(p).index()].len();
+                let visited: usize = net.clock.period.candidates.iter().map(heard).sum();
                 assert_eq!(peeks, visited, "step {step}, {shards} shards");
                 assert!(peeks <= net.last_activity().frames_delivered);
                 assert!(peeks >= net.last_activity().receives);
@@ -1119,8 +897,8 @@ mod tests {
                 prop_assert_eq!(pulled.run_to(&stop), pushed.run_to(&stop));
                 prop_assert_eq!(pulled.states(), pushed.states());
                 // One of the two was never asked to deliver anything.
-                prop_assert!(pulled.delivery.heard.is_empty());
-                prop_assert_eq!(pushed.delivery.heard.len(), n as usize);
+                prop_assert!(pulled.clock.delivery.heard.is_empty());
+                prop_assert_eq!(pushed.clock.delivery.heard.len(), n as usize);
             }
         }
     }

@@ -47,10 +47,10 @@
 use mwn_graph::Topology;
 use mwn_radio::{Medium, PerfectMedium};
 
-use crate::engine::{Corruptor, Env};
+use crate::engine::Corruptor;
 use crate::{
-    ActorDriver, Corruptible, EventConfig, EventDriver, FaultPlan, Network, Protocol, SimError,
-    WireBeacon,
+    ActorDriver, Corruptible, EventConfig, EventDriver, FaultPlan, Network, Protocol, Sim,
+    SimError, WireBeacon,
 };
 
 /// A source of topology changes applied before each step — the hook
@@ -161,7 +161,7 @@ impl<P: Protocol, M: Medium> Scenario<P, M> {
     /// automatic policy and the `MWN_FORCE_SHARDS` environment
     /// variable. Sharded and serial execution are byte-identical, so
     /// this is a performance knob, not a semantics knob. Ignored by
-    /// [`Scenario::build_events`].
+    /// [`Scenario::build_events`] and [`Scenario::build_actors`].
     pub fn shards(mut self, k: usize) -> Self {
         self.shards = Some(k);
         self
@@ -189,11 +189,10 @@ impl<P: Protocol, M: Medium> Scenario<P, M> {
     /// and passes every registered check and the fault plan; `make`
     /// constructs the driver; the script and the dynamics are installed
     /// into its environment.
-    fn assemble<D>(
+    fn assemble<C>(
         self,
-        make: impl FnOnce(P, M, Topology, u64) -> Result<D, SimError>,
-        env: fn(&mut D) -> &mut Env<P>,
-    ) -> Result<D, SimError> {
+        make: impl FnOnce(P, M, Topology, u64) -> Result<Sim<P, C>, SimError>,
+    ) -> Result<Sim<P, C>, SimError> {
         let topology = self.topology.ok_or(SimError::MissingTopology)?;
         for check in self.validators {
             check(&topology).map_err(SimError::InvalidConfig)?;
@@ -206,7 +205,9 @@ impl<P: Protocol, M: Medium> Scenario<P, M> {
             .map(|(plan, hook)| (plan.into_events(), hook))
             .unzip();
         let mut driver = make(self.protocol, self.medium, topology, self.seed)?;
-        env(&mut driver).install(script.unwrap_or_default(), hook, self.dynamics);
+        driver
+            .env
+            .install(script.unwrap_or_default(), hook, self.dynamics);
         Ok(driver)
     }
 
@@ -219,10 +220,7 @@ impl<P: Protocol, M: Medium> Scenario<P, M> {
     /// fails.
     pub fn build(self) -> Result<Network<P, M>, SimError> {
         let shards = self.shards;
-        let mut net = self.assemble(
-            |p, m, t, seed| Ok(Network::new(p, m, t, seed)),
-            |d| &mut d.env,
-        )?;
+        let mut net = self.assemble(|p, m, t, seed| Ok(Network::new(p, m, t, seed)))?;
         if shards.is_some() {
             net.set_shards(shards);
         }
@@ -254,8 +252,7 @@ impl<P: Protocol, M: Medium> Scenario<P, M> {
     /// medium offers neither contract above (e.g. a
     /// [`mwn_radio::Thinned`]-wrapped CSMA) — the message names it.
     pub fn build_events(self, config: EventConfig) -> Result<EventDriver<P, M>, SimError> {
-        let make = |p, m, t, seed| EventDriver::new(p, m, t, config, seed);
-        self.assemble(make, |d| &mut d.env)
+        self.assemble(|p, m, t, seed| EventDriver::new(p, m, t, config, seed))
     }
 
     /// Builds the **actor driver**: every node a real message-passing
@@ -284,8 +281,7 @@ impl<P: Protocol, M: Medium> Scenario<P, M> {
         P::Beacon: WireBeacon,
         M: Sync,
     {
-        let make = |p, m, t, seed| ActorDriver::new(p, m, t, seed, threads);
-        self.assemble(make, |d| &mut d.env)
+        self.assemble(|p, m, t, seed| ActorDriver::new(p, m, t, seed, threads))
     }
 }
 

@@ -42,28 +42,30 @@ where
     if threads <= 1 || tasks <= 1 {
         return (0..tasks).map(job).collect();
     }
-    let workers = threads.min(tasks);
-    let results: std::sync::Mutex<Vec<Option<T>>> =
-        std::sync::Mutex::new((0..tasks).map(|_| None).collect());
     let next = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
+    // Each worker hands back the `(index, result)` pairs it ran; a
+    // worker's panic resumes on the calling thread.
+    let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let worker = || {
+            let mut ran = Vec::new();
+            loop {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 if i >= tasks {
-                    break;
+                    return ran;
                 }
-                let out = job(i);
-                results.lock().expect("pool worker lock")[i] = Some(out);
-            });
-        }
+                ran.push((i, job(i)));
+            }
+        };
+        let workers: Vec<_> = (0..threads.min(tasks))
+            .map(|_| scope.spawn(worker))
+            .collect();
+        let joined = workers.into_iter().map(|w| w.join());
+        joined
+            .flat_map(|ran| ran.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
     });
-    results
-        .into_inner()
-        .expect("pool worker lock")
-        .into_iter()
-        .map(|r| r.expect("every task index is filled exactly once"))
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, out)| out).collect()
 }
 
 /// The outcome of a [`Sweep::convergence`] estimate: how many of the
@@ -179,25 +181,16 @@ impl Sweep {
             seeds: (0..(grid.len() * runs) as u64).collect(),
             threads: self.threads,
         };
-        let mut flat_results: Vec<Option<T>> = flat
+        let mut results = flat
             .map(|flat_idx| {
                 let g = flat_idx as usize / runs;
                 let s = flat_idx as usize % runs;
                 job(&grid[g], self.seeds[s])
             })
-            .into_iter()
-            .map(Some)
-            .collect();
-        let mut out: Vec<Vec<T>> = Vec::with_capacity(grid.len());
-        for g in 0..grid.len() {
-            out.push(
-                flat_results[g * runs..(g + 1) * runs]
-                    .iter_mut()
-                    .map(|r| r.take().expect("filled exactly once"))
-                    .collect(),
-            );
-        }
-        out
+            .into_iter();
+        grid.iter()
+            .map(|_| results.by_ref().take(runs).collect())
+            .collect()
     }
 
     /// Estimates the **convergence probability**: the fraction of

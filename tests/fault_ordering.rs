@@ -17,6 +17,7 @@
 
 use selfstab::prelude::*;
 use selfstab::sim::EventConfig;
+use selfstab::sim::{Clock, Sim};
 
 /// Max-flood over `u32` beacons: any frame leaking across a cut is
 /// permanently visible in the receiver's state.
@@ -430,5 +431,90 @@ fn inject_rejects_malformed_faults_without_panicking_on_all_drivers() {
         driver.inject(&Fault::CorruptAll).expect("a valid fault");
         run_to_step(&mut *driver, 30);
         assert_eq!(driver.states(), &[4; 5], "{label}: heals after the rejects");
+    }
+}
+
+/// On the clock `build` deploys: each shared mutator of [`Sim`], beside
+/// the [`Fault`] it is the twin of, injected on a twin driver — both
+/// fired on a stabilized path of six, then run to stability again. A
+/// flood whose maximum already reached everyone may not move a state
+/// after a cut, so the twins must also agree on the broadcasts the
+/// mutation woke.
+fn mutators_equal_their_fault_twins<C: Clock<MaxFlood>>(
+    label: &str,
+    build: impl Fn(&Topology) -> Sim<MaxFlood, C>,
+) {
+    type Mutator<C> = Box<dyn Fn(&mut Sim<MaxFlood, C>)>;
+    let (p, ring) = (NodeId::new(2), builders::ring(6));
+    let swapped = ring.clone();
+    let twins: [(Fault, Mutator<C>); 4] = [
+        (Fault::Isolate(p), Box::new(move |d| d.isolate(p))),
+        (
+            Fault::SetTopology(ring),
+            Box::new(move |d| d.set_topology(swapped.clone()).expect("six nodes")),
+        ),
+        (Fault::CorruptNode(p), Box::new(move |d| d.corrupt(p))),
+        (
+            Fault::CorruptFraction(0.5),
+            Box::new(|d| {
+                d.corrupt_fraction(0.5);
+            }),
+        ),
+    ];
+    let stop = StopWhen::stable_for(4).within(200);
+    for (fault, mutate) in &twins {
+        let (mut mutated, mut injected) = (build(&builders::line(6)), build(&builders::line(6)));
+        mutated.run_to(&stop).expect_stable("the path stabilizes");
+        injected.run_to(&stop).expect_stable("the path stabilizes");
+        mutate(&mut mutated);
+        injected.inject(fault).expect("a valid fault");
+        let at = format!("{label}: {}", fault.kind_name());
+        assert_eq!(mutated.run_to(&stop), injected.run_to(&stop), "{at}");
+        assert_eq!(mutated.states(), injected.states(), "{at}");
+        assert_eq!(mutated.outputs(), injected.outputs(), "{at}");
+        assert_eq!(mutated.messages_total(), injected.messages_total(), "{at}");
+    }
+}
+
+/// On the clock `build` deploys: two unit-disk components, {0, 1, 2}
+/// and {3, 4, 5}, settle on their own maxima; moving node 0 into the
+/// gap joins them, and everyone ends at the joined maximum.
+fn a_move_that_joins_two_components_floods_the_joined_maximum<C: Clock<MaxFlood>>(
+    label: &str,
+    build: impl Fn(&Topology) -> Sim<MaxFlood, C>,
+) {
+    let at = |x: f64| Point2::new(x, 0.5);
+    let positions = [0.1, 0.2, 0.3, 0.7, 0.8, 0.9].map(at).to_vec();
+    let topo = Topology::unit_disk(positions, 0.25).expect("a valid deployment");
+    let mut d = build(&topo);
+    let stop = StopWhen::stable_for(4).within(200);
+    d.run_to(&stop).expect_stable("both components settle");
+    assert_eq!(d.states(), &[2, 2, 2, 5, 5, 5], "{label}: apart");
+    let delta = d.apply_moves(&[(NodeId::new(0), at(0.5))]);
+    assert!(!delta.added.is_empty(), "{label}: the move adds links");
+    d.run_to(&stop).expect_stable("the joined path settles");
+    assert_eq!(d.states(), &[5; 6], "{label}: joined");
+}
+
+#[test]
+fn the_shared_mutators_act_alike_on_every_clock() {
+    let scenario = |topo: &Topology| Scenario::new(MaxFlood).topology(topo.clone()).seed(3);
+    let rounds = |topo: &Topology| scenario(topo).build().expect("valid scenario");
+    let events = |topo: &Topology| {
+        let events = scenario(topo).build_events(EventConfig::default());
+        events.expect("valid event scenario")
+    };
+    mutators_equal_their_fault_twins("round", rounds);
+    a_move_that_joins_two_components_floods_the_joined_maximum("round", rounds);
+    mutators_equal_their_fault_twins("events", events);
+    a_move_that_joins_two_components_floods_the_joined_maximum("events", events);
+    for threads in [1, 4] {
+        let actors = |topo: &Topology| {
+            let actors = scenario(topo).build_actors(threads);
+            actors.expect("valid actor scenario")
+        };
+        let label = format!("actors×{threads}");
+        mutators_equal_their_fault_twins(&label, actors);
+        a_move_that_joins_two_components_floods_the_joined_maximum(&label, actors);
     }
 }
