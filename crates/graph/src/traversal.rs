@@ -236,13 +236,12 @@ pub fn eccentricity(topo: &Topology, src: NodeId) -> u32 {
 }
 
 /// [`eccentricity`] on a caller's scratch: the last node a full search
-/// visits is a farthest one.
+/// visits is a farthest one. The search visits the source first, at
+/// distance 0, so the fallback is never taken.
 fn eccentricity_in(scratch: &mut SearchScratch, topo: &Topology, src: NodeId) -> u32 {
     scratch.distances(topo, src, |_| true);
-    let farthest = *scratch.visited().last().expect("the source is visited");
-    scratch
-        .distance(farthest)
-        .expect("visited nodes have distances")
+    let farthest = scratch.visited().last();
+    farthest.and_then(|&v| scratch.distance(v)).unwrap_or(0)
 }
 
 /// Connected components; each component is a sorted list of nodes, and

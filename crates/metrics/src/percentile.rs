@@ -14,7 +14,9 @@
 /// Each entry of `qs` is a quantile in `[0, 1]`; the result has one
 /// value per quantile, computed with the common linear interpolation
 /// between closest order statistics (type R-7, the numpy default).
-/// An empty sample yields `NaN` for every quantile.
+/// An empty sample yields `NaN` for every quantile. Samples sort by
+/// [`f64::total_cmp`], so a (positive) `NaN` sample sorts above every
+/// number instead of panicking: it can only move the top quantiles.
 ///
 /// # Examples
 ///
@@ -29,7 +31,7 @@ pub fn percentiles(samples: &mut [f64], qs: &[f64]) -> Vec<f64> {
     if samples.is_empty() {
         return vec![f64::NAN; qs.len()];
     }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("NaN-free samples"));
+    samples.sort_by(f64::total_cmp);
     let n = samples.len();
     qs.iter()
         .map(|&q| {
@@ -209,6 +211,15 @@ mod tests {
         let ps = percentiles(&mut [], &[0.5, 0.99]);
         assert_eq!(ps.len(), 2);
         assert!(ps.iter().all(|p| p.is_nan()));
+    }
+
+    #[test]
+    fn a_nan_sample_sorts_last_instead_of_panicking() {
+        let mut xs = vec![3.0, f64::NAN, 1.0, 2.0];
+        let ps = percentiles(&mut xs, &[0.0, 0.5, 1.0]);
+        assert_eq!(ps[..2], [1.0, 2.5]);
+        assert!(ps[2].is_nan());
+        assert!(xs[3].is_nan(), "{xs:?}");
     }
 
     #[test]

@@ -171,7 +171,10 @@ impl Medium for CaptureCsma {
         }
         let mut ranked: Vec<(f64, NodeId)> = Vec::new();
         for &s in senders {
-            let slot = marks.slot(s).expect("every sender claimed a slot above");
+            let Some(slot) = marks.slot(s) else {
+                debug_assert!(false, "the claim loop above gave {s} a slot");
+                continue;
+            };
             for &r in topo.neighbors(s) {
                 if marks.holds(r, slot) {
                     continue; // half-duplex among actives (exact)

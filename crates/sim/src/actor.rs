@@ -96,7 +96,6 @@ use mwn_radio::{Medium, PerfectMedium};
 use crate::driver::{period_step, Period, Sealed, Transport};
 use crate::engine::{self, chunk, run_sharded, Env, Slot};
 use crate::error::SimError;
-use crate::network::StepActivity;
 use crate::protocol::Protocol;
 use crate::rng::{split_rng, streams};
 use crate::wire::WireBeacon;
@@ -269,13 +268,7 @@ where
     /// column and of the reception arena and executes its candidates in
     /// place; the engine schedules the changed actors once the workers
     /// have joined.
-    fn visit(
-        &mut self,
-        env: &mut Env<P>,
-        period: u64,
-        eager: bool,
-        candidates: &[Slot],
-    ) -> StepActivity {
+    fn visit(&mut self, env: &mut Env<P>, period: u64, eager: bool, candidates: &[Slot]) {
         let recv_workers = self.threads.min(candidates.len());
         let (mailboxes, arenas) = (&self.mailboxes, &self.send_scratch);
         env.visit(period, !eager, candidates, recv_workers, |shard| {
@@ -317,7 +310,7 @@ where
                 }
                 shard.update(at, received);
             }
-        })
+        });
     }
 }
 
@@ -377,11 +370,6 @@ where
     /// The worker-thread count the actor pool multiplexes over.
     pub fn threads(&self) -> usize {
         self.clock.threads
-    }
-
-    /// Activity counters of the most recent period.
-    pub fn last_activity(&self) -> StepActivity {
-        self.clock.period.last_activity
     }
 }
 

@@ -20,7 +20,7 @@ use crate::{
 ///   worker pool ([`ActorDriver`](crate::ActorDriver)).
 ///
 /// Everything else is written once, here: reads, mutators, faults,
-/// the `run_to` observe loop. Logical time is the paper-comparable
+/// the per-step tally, the `run_to` observe loop. Logical time is the paper-comparable
 /// clock — steps on the round clock, beacon periods on the other two.
 pub struct Sim<P: Protocol, C> {
     /// Protocol, topology, node table and the one fault path.
@@ -52,8 +52,7 @@ pub trait Clock<P: Protocol>: Sized + Sealed {
     /// Runs after every change made to the environment between steps —
     /// a fault, a mutator, an eager switch. The period clocks read the
     /// environment afresh at every step and do nothing; the event clock
-    /// takes the touched nodes into its change set and re-arms the
-    /// senders the change woke.
+    /// re-arms the senders the change woke.
     fn sync(_sim: &mut Sim<P, Self>) {}
 }
 
@@ -71,7 +70,16 @@ impl<P: Protocol, C: Clock<P>> Sim<P, C> {
     /// What is due at that step (faults, followups, mobility) fires as
     /// the next step begins — the fault clock of [`Driver`].
     pub fn step(&mut self) -> u64 {
-        C::step(self)
+        let before = self.env.tally;
+        let now = C::step(self);
+        self.env.last_step = self.env.tally.since(before);
+        now
+    }
+
+    /// What the last [`Sim::step`] did — the activity counters of the
+    /// dirty-set engine, counted alike on every clock.
+    pub fn last_activity(&self) -> StepActivity {
+        self.env.last_step
     }
 
     /// Runs `steps` logical steps.
@@ -150,12 +158,12 @@ impl<P: Protocol, C: Clock<P>> Sim<P, C> {
     /// for a silent protocol under gated scheduling this stops growing
     /// once the network stabilizes.
     pub fn messages_total(&self) -> u64 {
-        self.env.messages
+        self.env.tally.senders as u64
     }
 
-    /// Nodes whose state changed during the last step, in ascending id.
-    /// Tracked under gated scheduling only: eager scheduling does not
-    /// track changes.
+    /// Nodes whose state changed during the last step, in ascending id,
+    /// on every clock. Tracked under gated scheduling only: a step under
+    /// eager scheduling reports none.
     pub fn last_changed(&self) -> &[NodeId] {
         &self.env.table.changed_ids
     }
@@ -307,8 +315,6 @@ pub(crate) struct Period {
     pub senders: Vec<Slot>,
     /// The period's candidates, by slot, ascending.
     pub candidates: Vec<Slot>,
-    /// What the last period did.
-    pub last_activity: StepActivity,
 }
 
 /// How a period clock moves its frames — the one thing the round clock
@@ -326,27 +332,23 @@ pub(crate) trait Transport<P: Protocol> {
         -> (usize, usize);
 
     /// Visits the period's `candidates` ([`Env::visit`]) with this
-    /// transport's frame loop; returns what the visits counted.
-    fn visit(
-        &mut self,
-        env: &mut Env<P>,
-        now: u64,
-        eager: bool,
-        candidates: &[Slot],
-    ) -> StepActivity;
+    /// transport's frame loop.
+    fn visit(&mut self, env: &mut Env<P>, now: u64, eager: bool, candidates: &[Slot]);
 }
 
 /// One period of a period clock, the skeleton both share: the
 /// environment's batch ([`Env::begin_step`]), slot release, the
 /// transport's frames, the candidates drained in storage order, their
 /// visits, retirement of the senders every neighbor caught up with,
-/// and the period's tally. Returns the new period count.
+/// and the step's end ([`Env::end_step`]), whose changed nodes run
+/// again next period. Returns the new period count.
 pub(crate) fn period_step<P: Protocol, C: Clock<P> + Transport<P>>(sim: &mut Sim<P, C>) -> u64 {
     let now = sim.clock.period().now;
-    sim.env.table.clear_changed();
     // Mobility, due followups, then scripted faults — all before the
     // period's sends (fault ≤ send, `tests/fault_ordering.rs`), so no
-    // frame is evaluated against a pre-fault topology.
+    // frame is evaluated against a pre-fault topology. The change flag
+    // describes this step alone.
+    sim.env.env_changed = false;
     sim.env.begin_step(now);
     let eager = !C::is_gated(sim);
     let Sim { env, clock } = sim;
@@ -358,26 +360,28 @@ pub(crate) fn period_step<P: Protocol, C: Clock<P> + Transport<P>>(sim: &mut Sim
     // senders; their frames fly and schedule their receivers.
     env.release_slots(eager, &mut senders);
     let (attempted, delivered) = clock.send(env, now, eager, &senders);
+    env.tally.senders += senders.len();
+    env.tally.frames_attempted += attempted;
+    env.tally.frames_delivered += delivered;
 
     // Per-node execution, on the candidates: nodes already dirty plus
     // the receivers the frames scheduled.
     env.table.update_dirty.drain_sorted_into(&mut candidates);
-    let visited = clock.visit(env, now, eager, &candidates);
+    clock.visit(env, now, eager, &candidates);
 
     // Retire the senders every neighbor has caught up with — all of
     // them, unasked, when the period delivered every copy.
     if !eager {
         env.retire_caught_up(&senders, delivered);
     }
-    env.messages += senders.len() as u64;
+    // What changed runs its guards and refreshes its beacon next period.
+    env.end_step(!eager);
+    let table = &mut env.table;
+    for &p in &table.changed {
+        table.update_dirty.insert(p);
+        table.beacon_stale.insert(p);
+    }
     let period = clock.period();
-    period.last_activity = StepActivity {
-        senders: senders.len(),
-        frames_attempted: attempted,
-        frames_delivered: delivered,
-        changed: env.table.changed.len(),
-        ..visited
-    };
     (period.senders, period.candidates) = (senders, candidates);
     period.now += 1;
     period.now

@@ -261,15 +261,17 @@ pub(crate) struct NodeTable<P: Protocol> {
     /// maintenance is O(degree) per transition and O(1) when the
     /// summary is empty, so eager-pinned runs pay nothing.
     pub occupancy: Option<Occupancy>,
-    /// Nodes mutated outside the protocol this step (faults,
-    /// `link_down`, manual corruption): unconditionally counted as
-    /// changed even if the per-node pass sees no further delta.
-    pub forced_changed: NodeSet,
+    /// The one change set, on every clock: the nodes whose state
+    /// changed since the last step ended — mutated outside the protocol
+    /// ([`NodeTable::mark_node`]: faults, `link_down`, manual
+    /// corruption) or seen to change by the clock's change rule. Every
+    /// step ends by draining it (`Env::end_step`).
+    pub changes: NodeSet,
     /// Nodes whose state changed during the last executed step, by
     /// slot, in storage order — what the observe loop projects.
     pub changed: Vec<Slot>,
     /// The same nodes by id, ascending — what a driver's
-    /// `last_changed()` hands out ([`NodeTable::set_changed`]).
+    /// `last_changed()` hands out.
     pub changed_ids: Vec<NodeId>,
     /// Nodes currently broadcasting a *forged* beacon
     /// ([`Fault::ByzantineBeacon`](crate::Fault::ByzantineBeacon)): the
@@ -319,7 +321,7 @@ impl<P: Protocol> NodeTable<P> {
             hearers: NodeSet::new(n),
             send_pending: NodeSet::new(n),
             occupancy: None,
-            forced_changed: NodeSet::new(n),
+            changes: NodeSet::new(n),
             changed: Vec::new(),
             changed_ids: Vec::new(),
             lies: Vec::new(),
@@ -344,24 +346,12 @@ impl<P: Protocol> NodeTable<P> {
         self.states.by_id(&self.order)
     }
 
-    /// Forgets the last step's changed nodes.
-    pub fn clear_changed(&mut self) {
-        self.changed.clear();
-        self.changed_ids.clear();
-    }
-
-    /// Records the step's changed nodes, collected in `changed` in
-    /// storage order, by id as well.
-    pub fn set_changed(&mut self) {
-        self.order.sorted_ids(&self.changed, &mut self.changed_ids);
-    }
-
     /// Marks `p` for rescheduling: its state may have changed outside
     /// the regular pass (fault, manual mutation, link event).
     pub fn mark_node(&mut self, p: Slot) {
         self.update_dirty.insert(p);
         self.beacon_stale.insert(p);
-        self.forced_changed.insert(p);
+        self.changes.insert(p);
     }
 
     /// Conservative full invalidation: used on wholesale topology swaps

@@ -16,12 +16,15 @@
 //! `(base, tick, node)` at the point of use, so a node skipped by
 //! activity gating consumes no randomness.
 //!
-//! The driver ([`crate::Sim`]) owns one, beside its clock. The clock
-//! tells the environment what logical step it is, lets it run a batch,
-//! and then reacts to what the batch left behind: [`Env::env_changed`]
-//! (the stop conditions read it) and the table's `forced_changed` set
-//! of touched nodes (the event clock folds it into its change set and
-//! re-arms the woken senders, [`crate::Clock::sync`]).
+//! The driver ([`crate::Sim`]) owns one, beside its clock. Every clock
+//! enters a step the same way: it asks when the environment acts next
+//! ([`Env::next_due`]), lets it run that step's batch
+//! ([`Env::begin_step`]), and then reacts to what the batch left
+//! behind: [`Env::env_changed`] (the stop conditions read it) and the
+//! touched nodes in the table's one change set, `changes` (the event
+//! clock re-arms the woken senders, [`crate::Clock::sync`]). Every
+//! clock ends a step the same way too ([`Env::end_step`]), and counts
+//! what it did into one running [`StepActivity`], [`Env::tally`].
 
 use mwn_graph::{NodeId, Point2, Topology, TopologyDelta};
 use mwn_radio::ContentionStreams;
@@ -33,7 +36,7 @@ use crate::faults::{Fault, Lie};
 use crate::rng::{derive_seed, split_rng, streams};
 use crate::scenario::TopologyDynamics;
 use crate::stop::{Obs, RunReport, StopWhen};
-use crate::{Activity, Clock, Corruptible, Observable, Protocol, Sim, SimError};
+use crate::{Activity, Clock, Corruptible, Observable, Protocol, Sim, SimError, StepActivity};
 
 /// The boxed corruption hook installed by [`crate::Scenario::faults`]:
 /// it captures the [`Corruptible`] capability so scripted faults can
@@ -112,14 +115,21 @@ pub(crate) struct Env<P: Protocol> {
     /// Gated periods with senders that lost no frame copy, so
     /// [`Env::retire_caught_up`] retired them without asking.
     pub lossless_periods: u64,
-    /// Beacon broadcasts so far, counted by the driver's clock.
-    pub messages: u64,
+    /// What every step so far did, counted where the work happens:
+    /// the clock counts senders and frames, the visits count receives,
+    /// holds and passes. [`Env::end_step`] counts the changed nodes.
+    pub tally: StepActivity,
+    /// What the last [`Sim::step`] added to `tally`.
+    pub last_step: StepActivity,
     /// Sequential stream for fault-site selection, so fault injection
     /// never perturbs timing or frame-fate randomness.
     fault_rng: StdRng,
     /// Scenario-scripted faults in logical-step order.
     scripted: Vec<(u64, Fault)>,
     next_scripted: usize,
+    /// The next logical step whose mobility tick (if dynamics are
+    /// attached) has not fired yet.
+    dynamics_step: u64,
     /// Pending followups as `(due, seq, followup)`, sorted descending
     /// so the earliest `(due, seq)` pops off the end.
     followups: Vec<(u64, u64, Followup<P>)>,
@@ -177,10 +187,12 @@ impl<P: Protocol> Env<P> {
             env_changed: false,
             force_eager: false,
             lossless_periods: 0,
-            messages: 0,
+            tally: StepActivity::default(),
+            last_step: StepActivity::default(),
             fault_rng: StdRng::seed_from_u64(derive_seed(seed, fault_stream)),
             scripted: Vec::new(),
             next_scripted: 0,
+            dynamics_step: 0,
             followups: Vec::new(),
             followup_seq: 0,
             held: Vec::new(),
@@ -229,10 +241,6 @@ impl<P: Protocol> Env<P> {
     /// attached.
     pub fn stop_dynamics(&mut self) -> bool {
         self.dynamics.take().is_some()
-    }
-
-    pub fn has_dynamics(&self) -> bool {
-        self.dynamics.is_some()
     }
 
     /// The gated-contention stream bundle for one delivery tick.
@@ -357,17 +365,46 @@ impl<P: Protocol> Env<P> {
         })
     }
 
-    /// Everything that precedes the sends of round-clocked step `now`:
-    /// the topology moves, then due followups (resurrections,
-    /// healings), then scripted faults. Clears [`Env::env_changed`]
-    /// first, so afterwards it describes this step alone.
+    /// The earliest logical step at which [`Env::begin_step`] has
+    /// something to fire — a mobility tick, a followup, a scripted
+    /// fault — if any.
+    pub fn next_due(&self) -> Option<u64> {
+        let tick = self.dynamics.is_some().then_some(self.dynamics_step);
+        let due = [tick, self.next_followup(), self.next_scripted()];
+        due.into_iter().flatten().min()
+    }
+
+    /// Everything that precedes the sends of logical step `now`, in the
+    /// one within-step order of every clock: the topology moves, then
+    /// due followups (resurrections, healings), then scripted faults.
+    /// Sets [`Env::env_changed`] if anything changed; the clock clears
+    /// it where its step begins.
     pub fn begin_step(&mut self, now: u64) {
-        self.env_changed = false;
         self.tick_dynamics(now);
         self.fire_followups(now);
         while self.next_scripted().is_some_and(|due| due <= now) {
             self.fire_next_scripted(now);
         }
+    }
+
+    /// Ends a step the same way on every clock: under `gated`
+    /// scheduling the change set is drained into the table's `changed`
+    /// (by slot and by id) and counted; eager scheduling tracks no
+    /// change, and clears it. Costs O(1) when nothing changed, and
+    /// otherwise a scan of n/512 cache lines and a sort of the changed
+    /// ids.
+    pub fn end_step(&mut self, gated: bool) {
+        let table = &mut self.table;
+        if gated {
+            table.changes.drain_sorted_into(&mut table.changed);
+        } else {
+            table.changes.clear();
+            table.changed.clear();
+        }
+        table
+            .order
+            .sorted_ids(&table.changed, &mut table.changed_ids);
+        self.tally.changed += table.changed.len();
     }
 
     /// What follows [`Env::begin_step`] on both period-clocked drivers:
@@ -465,36 +502,41 @@ impl<P: Protocol> Env<P> {
         }
     }
 
-    /// One tick of the topology dynamics, for logical step `step`.
-    pub fn tick_dynamics(&mut self, step: u64) {
+    /// The ticks of the topology dynamics due by logical step `now`,
+    /// one per step.
+    fn tick_dynamics(&mut self, now: u64) {
         let Some(mut dynamics) = self.dynamics.take() else {
             return;
         };
-        if let Some(moves) = dynamics.next_moves(step) {
-            if !moves.is_empty() {
-                self.apply_moves(moves);
+        while self.dynamics_step <= now {
+            let step = self.dynamics_step;
+            self.dynamics_step += 1;
+            if let Some(moves) = dynamics.next_moves(step) {
+                if !moves.is_empty() {
+                    self.apply_moves(moves);
+                }
+            } else if let Some(topo) = dynamics.next_topology(step) {
+                assert_eq!(
+                    topo.len(),
+                    self.topo.len(),
+                    "topology dynamics must preserve the node count"
+                );
+                // clone_from reuses the existing adjacency buffers where
+                // possible.
+                self.topo.clone_from(topo);
+                self.topology_swapped();
             }
-        } else if let Some(topo) = dynamics.next_topology(step) {
-            assert_eq!(
-                topo.len(),
-                self.topo.len(),
-                "topology dynamics must preserve the node count"
-            );
-            // clone_from reuses the existing adjacency buffers where
-            // possible.
-            self.topo.clone_from(topo);
-            self.topology_swapped();
         }
         self.dynamics = Some(dynamics);
     }
 
     /// The logical step of the next unfired scripted fault.
-    pub fn next_scripted(&self) -> Option<u64> {
+    fn next_scripted(&self) -> Option<u64> {
         self.scripted.get(self.next_scripted).map(|&(step, _)| step)
     }
 
     /// Fires the next scripted fault at logical step `now`.
-    pub fn fire_next_scripted(&mut self, now: u64) {
+    fn fire_next_scripted(&mut self, now: u64) {
         let Some((_, fault)) = self.scripted.get(self.next_scripted).cloned() else {
             return;
         };
@@ -507,13 +549,13 @@ impl<P: Protocol> Env<P> {
     }
 
     /// The due step of the earliest pending followup.
-    pub fn next_followup(&self) -> Option<u64> {
+    fn next_followup(&self) -> Option<u64> {
         self.followups.last().map(|&(due, _, _)| due)
     }
 
     /// Fires every followup due by `now`, in ascending `(due, seq)`
     /// order.
-    pub fn fire_followups(&mut self, now: u64) {
+    fn fire_followups(&mut self, now: u64) {
         while let Some((_, _, followup)) = self.followups.pop_if(|&mut (due, _, _)| due <= now) {
             self.apply_followup(followup);
         }
@@ -1046,7 +1088,7 @@ mod tests {
     #[test]
     fn a_step_with_nothing_due_touches_nothing() {
         let mut env = line_env(4);
-        env.table.forced_changed.clear();
+        env.table.changes.clear();
         let (queue, hits) = (env.followups.capacity(), env.corrupt_events);
         for now in 0..50 {
             env.begin_step(now);
@@ -1055,7 +1097,7 @@ mod tests {
         assert_eq!(env.followups.capacity(), queue, "the queue never grew");
         assert_eq!(env.corrupt_events, hits);
         let mut touched = Vec::new();
-        env.table.forced_changed.drain_sorted_into(&mut touched);
+        env.table.changes.drain_sorted_into(&mut touched);
         assert!(touched.is_empty(), "no node was woken");
     }
 }

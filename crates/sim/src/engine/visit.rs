@@ -37,8 +37,8 @@
 //! copy a visited node heard is written into its reception row, and a
 //! node that was not visited held every epoch it heard — the two facts
 //! `Env::retire_caught_up` rests on when a period loses no copy. The
-//! forced-change marks the change rule reads are consumed when the
-//! workers have joined, under either scheduling.
+//! nodes the change rule saw change join the table's one change set
+//! when the workers have joined.
 
 use mwn_graph::Topology;
 
@@ -176,7 +176,6 @@ pub(crate) struct Shard<'a, P: Protocol> {
     pub sending: &'a NodeSet,
     /// The period's candidates nothing but a frame scheduled.
     hearers: &'a NodeSet,
-    forced_changed: &'a NodeSet,
     update_base: u64,
     now: u64,
     /// The slot `states[0]` and the first reception row belong to.
@@ -210,8 +209,9 @@ impl<'a, P: Protocol> Shard<'a, P> {
     /// went to [`Protocol::receive`]: one pass of guarded assignments on
     /// the node's own `(period, node)` stream — unless [`settle`] skips
     /// it: `p` is a hearer and received nothing — then the change rule:
-    /// `p` changed iff something outside the protocol mutated it this
-    /// period or its state differs from the snapshot.
+    /// `p` changed iff its state differs from the snapshot. (A node
+    /// something outside the protocol mutated is in the change set
+    /// already.)
     ///
     /// A skipped pass counts as settled when the visit held a frame:
     /// the pass the gate's holds saved. A hearer whose frames were all
@@ -236,7 +236,7 @@ impl<'a, P: Protocol> Shard<'a, P> {
         }
         protocol.update(id, state, now, &mut rng());
         sc.tally.updates += 1;
-        if sc.gated && (self.forced_changed.contains(p) || sc.before.as_ref() != Some(&*state)) {
+        if sc.gated && sc.before.as_ref() != Some(&*state) {
             sc.changed.push(p);
         }
     }
@@ -246,10 +246,10 @@ impl<P: Protocol> Env<P> {
     /// Runs period `now`'s visits on `workers` workers: `body` walks
     /// its shard's candidates — [`Shard::open`], the driver's frame
     /// loop, [`Shard::update`] — on a scoped thread per shard, or
-    /// inline when there is one. Afterwards the changed nodes are
-    /// scheduled (guards and beacon refresh next period) and recorded,
-    /// and the period's forced-change marks and hearers are consumed. Returns the period's receives, held frames, guard
-    /// passes and settled passes; the other counts are the driver's.
+    /// inline when there is one. Afterwards the changed nodes join the
+    /// change set, the period's hearers are consumed, and the visits'
+    /// receives, held frames, guard passes and settled passes are
+    /// counted into [`Env::tally`].
     pub fn visit(
         &mut self,
         now: u64,
@@ -257,12 +257,9 @@ impl<P: Protocol> Env<P> {
         candidates: &[Slot],
         workers: usize,
         body: impl Fn(&mut Shard<'_, P>) + Sync,
-    ) -> StepActivity {
-        let mut tally = StepActivity::default();
+    ) {
         if candidates.is_empty() {
-            // A quiet period costs nothing here — and has no forced-
-            // change mark to consume: whoever is marked is scheduled.
-            return tally;
+            return; // a quiet period costs nothing here
         }
         if self.visit_pool.len() < workers {
             self.visit_pool.resize_with(workers, VisitScratch::new);
@@ -285,7 +282,6 @@ impl<P: Protocol> Env<P> {
                 read_epoch: &table.read_epoch,
                 sending: &table.send_pending,
                 hearers: &table.hearers,
-                forced_changed: &table.forced_changed,
                 update_base: self.update_base,
                 now,
                 base,
@@ -300,24 +296,17 @@ impl<P: Protocol> Env<P> {
             let mut shards: Vec<_> = shards.collect();
             run_sharded(&mut shards, |_, shard| body(shard));
         }
+        let tally = &mut self.tally;
         for sc in pool.iter() {
             tally.receives += sc.tally.receives;
             tally.held += sc.tally.held;
             tally.updates += sc.tally.updates;
             tally.settled += sc.tally.settled;
             for &p in &sc.changed {
-                table.changed.push(p);
-                table.update_dirty.insert(p);
-                table.beacon_stale.insert(p);
+                table.changes.insert(p);
             }
         }
-        table.set_changed();
-        // The change rule has read the period's forced-change marks:
-        // consumed here, under either scheduling, so a fault that fell
-        // in an eager stretch is not reported again by a later period.
-        table.forced_changed.clear();
         table.hearers.clear();
-        tally
     }
 }
 

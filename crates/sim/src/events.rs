@@ -8,7 +8,7 @@ use crate::driver::Sealed;
 use crate::engine::{self, Env, Fate, NodeSet, Slot, SlotClock};
 use crate::rng::{split_rng, streams};
 use crate::stop::StopWhen;
-use crate::{Clock, Observable, Protocol, Sim, SimError, StepActivity};
+use crate::{Clock, Observable, Protocol, Sim, SimError};
 
 /// Parameters of the continuous-time execution model.
 ///
@@ -332,12 +332,15 @@ impl<B: Clone> Lanes<B> {
 /// receive that changed nothing. Eager scheduling runs every receive
 /// and every pass and stays the reference.
 ///
-/// Scripted faults and [`crate::TopologyDynamics`] (mobility) fire at
-/// logical-step boundaries (multiples of the beacon period),
-/// interleaved with the event queue in time order, on the fault clock
-/// of [`crate::Driver`]: [`EventDriver::step`] stops short of the
-/// boundary it reaches, so what is due there fires as the next step
-/// begins.
+/// Scripted faults, their followups and [`crate::TopologyDynamics`]
+/// (mobility) fire at logical-step boundaries (multiples of the beacon
+/// period), interleaved with the event queue in time order, on the
+/// fault clock of [`crate::Driver`]: at the boundary of the step the
+/// environment is next due at, what is due fires through the one
+/// within-step order of every clock (`Env::begin_step`: mobility, then
+/// followups, then scripted faults), before that instant's events.
+/// [`EventDriver::step`] stops short of the boundary it reaches, so
+/// what is due there fires as the next step begins.
 ///
 /// # Examples
 ///
@@ -369,8 +372,8 @@ impl<B: Clone> Lanes<B> {
 pub type EventDriver<P, M = PerfectMedium> = Sim<P, Events<P, M>>;
 
 /// The event clock of an [`EventDriver`]: the simulation time, the
-/// stateless beacon-slot schedule, the event queue and the running
-/// tallies. One logical step is one beacon period.
+/// stateless beacon-slot schedule and the event queue. One logical
+/// step is one beacon period.
 pub struct Events<P: Protocol, M> {
     config: EventConfig,
     /// The stateless beacon-slot schedule.
@@ -384,22 +387,11 @@ pub struct Events<P: Protocol, M> {
     delivery: Delivery,
     /// The receivers of the transmission being sent.
     heard: Vec<NodeId>,
-    /// Scratch slot list (wake batches, change samples).
+    /// Scratch slot list (wake batches).
     scratch_slots: Vec<Slot>,
     time: f64,
     /// Events popped so far.
     events: u64,
-    /// Copies, receives, holds, guard passes and settled passes so far,
-    /// counted as [`StepActivity`] counts a period clock's step.
-    tally: StepActivity,
-    /// The next logical step whose mobility tick (if dynamics are
-    /// attached) has not fired yet: once per beacon period.
-    dynamics_step: u64,
-    /// Nodes whose state changed since the last step ended, by table
-    /// slot — drained into the table's `changed` column there: a sample
-    /// costs O(1) when nothing changed, and otherwise a scan of n/512
-    /// cache lines and a sort of the changed ids.
-    changed_since: NodeSet,
 }
 
 impl<P: Protocol, M> Events<P, M> {
@@ -439,17 +431,10 @@ impl<P: Protocol, M: Medium> Clock<P> for Events<P, M> {
         sim.env.gated()
     }
 
-    /// The touched nodes join the change set (a fault or `link_down`
-    /// may have mutated their states) and the woken senders are
-    /// re-armed — under eager scheduling, which fires every node's
-    /// every slot, the whole population (retired nodes included).
+    /// The woken senders are re-armed — under eager scheduling, which
+    /// fires every node's every slot, the whole population (retired
+    /// nodes included).
     fn sync(sim: &mut Sim<P, Self>) {
-        let mut buf = std::mem::take(&mut sim.clock.scratch_slots);
-        sim.env.table.forced_changed.drain_sorted_into(&mut buf);
-        for &p in &buf {
-            sim.clock.changed_since.insert(p);
-        }
-        sim.clock.scratch_slots = buf;
         if sim.is_gated() {
             sim.arm_pending();
         } else {
@@ -516,9 +501,6 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             scratch_slots: Vec::new(),
             time: 0.0,
             events: 0,
-            tally: StepActivity::default(),
-            dynamics_step: 0,
-            changed_since: NodeSet::new(n),
         };
         let env = Env::new(protocol, topo, seed, streams::EVENT_FAULT);
         let mut driver = Sim { env, clock };
@@ -552,45 +534,19 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         self.clock.scratch_slots = buf;
     }
 
-    /// Runs one environment batch at the logical-step boundary `step`:
-    /// the clock advances to the boundary, `fire` gets the environment
-    /// and the logical instant, then the clock takes in the effects.
-    fn at_boundary(&mut self, step: u64, fire: impl FnOnce(&mut Env<P>, u64)) {
-        self.clock.time = self.clock.time.max(self.clock.step_time(step));
-        let now = self.now();
-        fire(&mut self.env, now);
-        Events::sync(self);
-    }
-
-    /// The logical steps at which the environment acts next — mobility
-    /// tick, fault follow-up, scripted fault — in the priority they
-    /// take at one instant (the round driver's within-step order).
-    fn env_steps(&self) -> [Option<u64>; 3] {
-        [
-            self.env.has_dynamics().then_some(self.clock.dynamics_step),
-            self.env.next_followup(),
-            self.env.next_scripted(),
-        ]
-    }
-
-    /// When the environment acts next (never, if nothing is scheduled).
+    /// When the environment acts next (never, if nothing is due).
     fn next_boundary(&self) -> f64 {
-        let times = self.env_steps().into_iter().flatten();
-        times.fold(f64::INFINITY, |t, k| t.min(self.clock.step_time(k)))
+        let due = self.env.next_due();
+        due.map_or(f64::INFINITY, |k| self.clock.step_time(k))
     }
 
-    /// Fires the first environment batch due by `time`.
-    fn fire_boundary(&mut self, time: f64) {
-        let due = |step: Option<u64>| step.filter(|&k| self.clock.step_time(k) <= time);
-        let [dynamics, followup, fault] = self.env_steps().map(due);
-        if let Some(step) = dynamics {
-            self.clock.dynamics_step += 1;
-            self.at_boundary(step, |env, _| env.tick_dynamics(step));
-        } else if let Some(step) = followup {
-            self.at_boundary(step, |env, _| env.fire_followups(step));
-        } else if let Some(step) = fault {
-            self.at_boundary(step, Env::fire_next_scripted);
-        }
+    /// Enters the logical step at `boundary`: the clock advances to it,
+    /// the environment fires what is due there ([`Env::begin_step`]),
+    /// and the clock takes in the effects.
+    fn fire_boundary(&mut self, boundary: f64) {
+        self.clock.time = self.clock.time.max(boundary);
+        self.env.begin_step(self.now());
+        Events::sync(self);
     }
 
     /// Processes events up to (and including) time `t`; scripted
@@ -680,7 +636,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         // derived per (instant, node), so a muted slot consumes nothing.
         let state_changed = self.update(p, at, now, false, false);
         if state_changed {
-            self.clock.changed_since.insert(at);
+            self.env.table.changes.insert(at);
         }
         let beacon_changed = self.env.refresh_stale_beacon(at, !gated || state_changed);
         if gated && !state_changed && !beacon_changed && self.env.all_caught_up(at) {
@@ -693,9 +649,9 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         }
         // Broadcast.
         let Sim { env, clock } = self;
-        env.messages += 1;
+        env.tally.senders += 1;
         // The row names exactly the node's neighbors.
-        clock.tally.frames_attempted += env.table.heard.slots(at.index()).len();
+        env.tally.frames_attempted += env.table.heard.slots(at.index()).len();
         // One derived stream per (slot, sender) decides every copy's
         // fate — independent of who else is transmitting, which is what
         // keeps muted senders unobservable. Gated-contention media fold
@@ -755,8 +711,8 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             self.look_ahead(tx.entry, tx.sender);
         }
         if self.incorporate(&tx, r, at) {
-            self.clock.changed_since.insert(at);
             let table = &mut self.env.table;
+            table.changes.insert(at);
             table.beacon_stale.insert(at);
             // The state moved: r may have a new beacon to announce —
             // wake its slot schedule (its next pop decides).
@@ -790,7 +746,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         let Some(idx) = row.iter().position(|q| q == from) else {
             return false;
         };
-        self.clock.tally.frames_delivered += 1;
+        self.env.tally.frames_delivered += 1;
         let state = &mut table.states.slots_mut(&table.order)[at.index()];
         let skipped = |copy: &mut P::State| protocol.receive(r, copy, s, beacon, now);
         let reference = (&*state, &mut table.scratch_state, skipped);
@@ -809,8 +765,8 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
                 false
             }
         };
-        self.clock.tally.receives += usize::from(fate == Fate::Receive);
-        self.clock.tally.held += usize::from(fate == Fate::Held);
+        self.env.tally.receives += usize::from(fate == Fate::Receive);
+        self.env.tally.held += usize::from(fate == Fate::Held);
         let moved = self.update(r, at, now, received, fate == Fate::Held);
         received || moved
     }
@@ -832,17 +788,17 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         let state = &mut table.states.slots_mut(&table.order)[at.index()];
         if !gated {
             protocol.update(p, state, now, &mut rng());
-            self.clock.tally.updates += 1;
+            env.tally.updates += 1;
             return false;
         }
         let dirty = table.update_dirty.contains(at);
         let pass = |copy: &mut P::State| protocol.update(p, copy, now, &mut rng());
         let reference = (&*state, &mut table.scratch_state, pass);
         if !engine::settle(dirty, received, p, reference) {
-            self.clock.tally.settled += usize::from(held);
+            env.tally.settled += usize::from(held);
             return false;
         }
-        self.clock.tally.updates += 1;
+        env.tally.updates += 1;
         let moved = protocol.update_changed(p, state, now, &mut rng(), &mut table.scratch_state);
         if moved {
             table.update_dirty.insert(at);
@@ -854,13 +810,12 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
 
     /// Advances to time `t` as one observation step of the shared run
     /// loop: afterwards the environment-change flag and the table's
-    /// `changed` column describe this step alone.
+    /// `changed` column describe this step alone ([`Env::end_step`]).
     fn advance_to(&mut self, t: f64) {
         self.env.env_changed = false;
         self.run_until_time(t);
-        let (table, changed) = (&mut self.env.table, &mut self.clock.changed_since);
-        changed.drain_sorted_into(&mut table.changed);
-        table.set_changed();
+        let gated = self.is_gated();
+        self.env.end_step(gated);
     }
 
     /// Current simulation time.
@@ -880,27 +835,27 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     /// per arrival and one per beacon slot; gated scheduling runs one
     /// only where the state may still move.
     pub fn updates(&self) -> u64 {
-        self.clock.tally.updates as u64
+        self.env.tally.updates as u64
     }
 
     /// [`Protocol::receive`] calls so far: every delivered copy under
     /// eager scheduling, the copies the frame gate let through under
-    /// gating ([`StepActivity::receives`]).
+    /// gating ([`crate::StepActivity::receives`]).
     pub fn receives(&self) -> u64 {
-        self.clock.tally.receives as u64
+        self.env.tally.receives as u64
     }
 
     /// Delivered copies the frame gate recorded without a receive so
-    /// far ([`StepActivity::held`]; 0 under eager scheduling).
+    /// far ([`crate::StepActivity::held`]; 0 under eager scheduling).
     pub fn held(&self) -> u64 {
-        self.clock.tally.held as u64
+        self.env.tally.held as u64
     }
 
     /// Guard passes skipped so far at an arrival whose copy was held:
-    /// what the holds saved ([`StepActivity::settled`]; 0 under eager
-    /// scheduling).
+    /// what the holds saved ([`crate::StepActivity::settled`]; 0 under
+    /// eager scheduling).
     pub fn settled(&self) -> u64 {
-        self.clock.tally.settled as u64
+        self.env.tally.settled as u64
     }
 
     /// (sender, 1-neighbor) frame copies in range so far — the
@@ -908,18 +863,18 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     /// distributional agreement suites can pool exact counts into
     /// Wilson intervals instead of re-deriving them from the ratio.
     pub fn frames_attempted(&self) -> u64 {
-        self.clock.tally.frames_attempted as u64
+        self.env.tally.frames_attempted as u64
     }
 
     /// Frame copies actually received so far.
     pub fn frames_delivered(&self) -> u64 {
-        self.clock.tally.frames_delivered as u64
+        self.env.tally.frames_delivered as u64
     }
 
     /// The fraction of in-range frame copies delivered so far — the
     /// empirical τ of this run (1.0 before any traffic).
     pub fn measured_tau(&self) -> f64 {
-        let tally = &self.clock.tally;
+        let tally = &self.env.tally;
         if tally.frames_attempted == 0 {
             1.0
         } else {

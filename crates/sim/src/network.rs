@@ -8,8 +8,8 @@ use crate::engine::{self, kernels, Env, NodeSet, ShardPolicy, Slot, StorageOrder
 use crate::rng::{derive_seed, streams};
 use crate::{Activity, Clock, Corruptible, Protocol, Sim};
 
-/// What one [`Network::step`] actually did — the activity counters of
-/// the dirty-set engine.
+/// What one step actually did, on any clock ([`Sim::last_activity`]) —
+/// the activity counters of the dirty-set engine.
 ///
 /// For a *silent* protocol under gated scheduling, every field except
 /// `updates`/`receives` drops to zero once the network stabilizes: no
@@ -38,6 +38,22 @@ pub struct StepActivity {
     /// Nodes whose state changed (tracked under gated scheduling only;
     /// 0 under eager scheduling).
     pub changed: usize,
+}
+
+impl StepActivity {
+    /// What was counted since `earlier`, a reading of the same tally.
+    pub(crate) fn since(self, earlier: Self) -> Self {
+        StepActivity {
+            senders: self.senders - earlier.senders,
+            frames_attempted: self.frames_attempted - earlier.frames_attempted,
+            frames_delivered: self.frames_delivered - earlier.frames_delivered,
+            receives: self.receives - earlier.receives,
+            held: self.held - earlier.held,
+            updates: self.updates - earlier.updates,
+            settled: self.settled - earlier.settled,
+            changed: self.changed - earlier.changed,
+        }
+    }
 }
 
 /// The synchronous round driver, a [`Sim`] on the [`Rounds`] clock:
@@ -331,13 +347,7 @@ impl<P: Protocol, M: Medium> Transport<P> for Rounds<M> {
     /// will receive needs the reception row; the pass reads a beacon
     /// whose last bump changed its read part (gated) and skips the
     /// rest, a guess nothing can observe.
-    fn visit(
-        &mut self,
-        env: &mut Env<P>,
-        now: u64,
-        eager: bool,
-        candidates: &[Slot],
-    ) -> StepActivity {
+    fn visit(&mut self, env: &mut Env<P>, now: u64, eager: bool, candidates: &[Slot]) {
         let active = candidates.len();
         let shards = self.shards.count(active, active);
         let delivery = (!self.medium.lossless()).then_some(&self.delivery);
@@ -373,7 +383,7 @@ impl<P: Protocol, M: Medium> Transport<P> for Rounds<M> {
                 });
                 shard.update(p, received);
             }
-        })
+        });
     }
 }
 
@@ -441,11 +451,6 @@ impl<P: Protocol, M: Medium> Network<P, M> {
     /// count; this knob only moves wall-clock time.
     pub fn set_shards(&mut self, shards: Option<usize>) {
         self.clock.shards.set(shards);
-    }
-
-    /// The activity counters of the most recent step.
-    pub fn last_activity(&self) -> StepActivity {
-        self.clock.period.last_activity
     }
 }
 

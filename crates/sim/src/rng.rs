@@ -21,19 +21,6 @@ pub fn derive_seed(base: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Creates `n` independent per-node RNG streams from one base seed.
-///
-/// Each node gets its own stream so that the randomness a node consumes
-/// (e.g. the DAG renaming draws of algorithm N1) does not depend on how
-/// many other nodes acted before it in the round — a requirement for
-/// meaningful fault-injection experiments, where re-running with the
-/// same seed must replay identical node-local choices.
-pub fn node_streams(base: u64, n: usize) -> Vec<StdRng> {
-    (0..n as u64)
-        .map(|i| StdRng::seed_from_u64(derive_seed(base, i)))
-        .collect()
-}
-
 /// Derives a decorrelated seed from a base seed and **two** stream
 /// coordinates — the splittable scheme behind per-(step, node) random
 /// streams.
@@ -116,25 +103,6 @@ pub fn split_rng(base: u64, stream: u64, index: u64) -> StdRng {
 mod tests {
     use super::*;
     use rand::Rng;
-
-    #[test]
-    fn streams_are_reproducible() {
-        let mut a = node_streams(9, 4);
-        let mut b = node_streams(9, 4);
-        for (x, y) in a.iter_mut().zip(b.iter_mut()) {
-            assert_eq!(x.random::<u64>(), y.random::<u64>());
-        }
-    }
-
-    #[test]
-    fn streams_differ_between_nodes() {
-        let mut streams = node_streams(9, 8);
-        let firsts: Vec<u64> = streams.iter_mut().map(|r| r.random()).collect();
-        let mut dedup = firsts.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), firsts.len());
-    }
 
     #[test]
     fn derive_seed_avalanches() {

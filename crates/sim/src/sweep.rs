@@ -111,14 +111,6 @@ impl Sweep {
         }
     }
 
-    /// An explicit seed list.
-    pub fn with_seeds(seeds: Vec<u64>) -> Self {
-        Sweep {
-            seeds,
-            threads: None,
-        }
-    }
-
     /// Runs everything on the calling thread — for determinism checks
     /// and wall-clock baselines.
     pub fn serial(self) -> Self {

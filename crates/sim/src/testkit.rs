@@ -435,7 +435,7 @@ impl<M: Medium> Medium for Pushed<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ActorDriver, Driver, EventConfig, EventDriver, Network};
+    use crate::{ActorDriver, Clock, Driver, EventConfig, EventDriver, Network, Sim};
     use crate::{Fault, FaultPlan, Lie, Scenario, StopWhen};
     use mwn_graph::builders;
     use mwn_radio::{BernoulliLoss, PerfectMedium, SlottedCsma};
@@ -497,19 +497,21 @@ mod tests {
 
     /// What the three drivers count, read one way.
     trait Counted: Driver<Protocol = Relay> {
-        /// The event clock, whose counts are totals.
+        /// The event clock, whose passes run at events, not visits.
         const EVENTS: bool = false;
-        /// Frames delivered, guard passes and receives: of the last
-        /// step on the period clocks; on the event clock the frames and
-        /// passes so far, and no receives, which it does not count.
+        /// Frames delivered, guard passes and receives of the last step.
         fn counts(&self) -> [u64; 3];
         fn relay(&self) -> &Relay;
     }
 
+    fn counts<C: Clock<Relay>>(d: &Sim<Relay, C>) -> [u64; 3] {
+        let a = d.last_activity();
+        [a.frames_delivered, a.updates, a.receives].map(|c| c as u64)
+    }
+
     impl<M: Medium> Counted for Network<Relay, M> {
         fn counts(&self) -> [u64; 3] {
-            let a = self.last_activity();
-            [a.frames_delivered, a.updates, a.receives].map(|c| c as u64)
+            counts(self)
         }
         fn relay(&self) -> &Relay {
             self.protocol()
@@ -518,8 +520,7 @@ mod tests {
 
     impl<M: Medium + Sync> Counted for ActorDriver<Relay, M> {
         fn counts(&self) -> [u64; 3] {
-            let a = self.last_activity();
-            [a.frames_delivered, a.updates, a.receives].map(|c| c as u64)
+            counts(self)
         }
         fn relay(&self) -> &Relay {
             self.protocol()
@@ -529,10 +530,10 @@ mod tests {
     impl<M: Medium> Counted for EventDriver<Relay, M> {
         const EVENTS: bool = true;
         fn counts(&self) -> [u64; 3] {
-            [self.frames_delivered(), self.updates(), 0]
+            counts(self)
         }
         fn relay(&self) -> &Relay {
-            &self.env.protocol
+            self.protocol()
         }
     }
 

@@ -518,3 +518,161 @@ fn the_shared_mutators_act_alike_on_every_clock() {
         a_move_that_joins_two_components_floods_the_joined_maximum(&label, actors);
     }
 }
+
+/// On the clock `build` deploys: a stabilized path of six, pinned
+/// eager, one node corrupted and one step taken. Eager scheduling
+/// tracks no change, so that step reports none — and the same fault
+/// between two gated steps is reported by the second.
+fn eager_step_reports_no_change<C: Clock<MaxFlood>>(
+    label: &str,
+    build: impl Fn(&Topology) -> Sim<MaxFlood, C>,
+) {
+    let (p, stop) = (NodeId::new(2), StopWhen::stable_for(4).within(200));
+    let mut d = build(&builders::line(6));
+    d.run_to(&stop).expect_stable("the path stabilizes");
+    d.set_eager(true);
+    d.corrupt(p);
+    d.step();
+    assert_eq!(d.last_changed(), [], "{label}: eager");
+    assert_eq!(d.last_activity().changed, 0, "{label}: eager");
+    d.set_eager(false);
+    d.run_to(&stop).expect_stable("the path stabilizes again");
+    d.corrupt(p);
+    d.step();
+    assert!(d.last_changed().contains(&p), "{label}: gated");
+    assert_eq!(d.last_activity().changed, d.last_changed().len(), "{label}");
+}
+
+#[test]
+fn eager_steps_report_no_change_on_every_clock() {
+    let scenario = |topo: &Topology| Scenario::new(MaxFlood).topology(topo.clone()).seed(3);
+    eager_step_reports_no_change("round", |topo| {
+        scenario(topo).build().expect("valid scenario")
+    });
+    eager_step_reports_no_change("events", |topo| {
+        let events = scenario(topo).build_events(EventConfig::default());
+        events.expect("valid event scenario")
+    });
+    for threads in [1, 4] {
+        eager_step_reports_no_change(&format!("actors×{threads}"), |topo| {
+            let actors = scenario(topo).build_actors(threads);
+            actors.expect("valid actor scenario")
+        });
+    }
+}
+
+/// On the clock `build` deploys: over a lossy grid, corrupted after
+/// three steps and pinned eager for a stretch, the broadcasts of the
+/// steps add up to the growth of `messages_total()`.
+fn step_senders_add_up_to_the_message_count<C: Clock<MaxFlood>>(
+    label: &str,
+    build: impl Fn(&Topology) -> Sim<MaxFlood, C>,
+) {
+    let mut d = build(&builders::grid(5, 5, 0.3));
+    let (start, mut sent) = (d.messages_total(), 0);
+    for step in 0..60 {
+        match step {
+            3 => d.corrupt_all(),
+            20 => d.set_eager(true),
+            30 => d.set_eager(false),
+            _ => {}
+        }
+        d.step();
+        sent += d.last_activity().senders as u64;
+    }
+    assert!(sent > 0, "{label}");
+    assert_eq!(d.messages_total() - start, sent, "{label}");
+}
+
+/// What the event clock has counted so far, through its running
+/// accessors: frames attempted and delivered, receives, holds, guard
+/// passes and settled passes.
+fn event_totals(d: &EventDriver<MaxFlood, BernoulliLoss>) -> [u64; 6] {
+    [
+        d.frames_attempted(),
+        d.frames_delivered(),
+        d.receives(),
+        d.held(),
+        d.updates(),
+        d.settled(),
+    ]
+}
+
+#[test]
+fn one_tally_read_one_way_on_every_clock() {
+    let scenario = |topo: &Topology| {
+        let scenario = Scenario::new(MaxFlood).topology(topo.clone()).seed(3);
+        scenario.medium(BernoulliLoss::new(0.7))
+    };
+    step_senders_add_up_to_the_message_count("round", |topo| {
+        scenario(topo).build().expect("valid scenario")
+    });
+    let events = |topo: &Topology| {
+        let events = scenario(topo).build_events(EventConfig::default());
+        events.expect("valid event scenario")
+    };
+    step_senders_add_up_to_the_message_count("events", events);
+    for threads in [1, 4] {
+        step_senders_add_up_to_the_message_count(&format!("actors×{threads}"), |topo| {
+            let actors = scenario(topo).build_actors(threads);
+            actors.expect("valid actor scenario")
+        });
+    }
+    // The event clock's steps add up to its running totals — also after
+    // a run to an instant in the middle of a period.
+    for lead in [None, Some(2.5)] {
+        let mut d = events(&builders::grid(5, 5, 0.3));
+        if let Some(t) = lead {
+            d.run_until_time(t);
+        }
+        let (before, mut sums) = (event_totals(&d), [0u64; 6]);
+        for step in 0..40 {
+            if step == 10 {
+                d.corrupt_all();
+            }
+            d.step();
+            let a = d.last_activity();
+            let counts = [
+                a.frames_attempted,
+                a.frames_delivered,
+                a.receives,
+                a.held,
+                a.updates,
+                a.settled,
+            ];
+            for (sum, count) in sums.iter_mut().zip(counts) {
+                *sum += count as u64;
+            }
+        }
+        let after = event_totals(&d);
+        let grown: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+        assert_eq!(grown, sums, "lead {lead:?}");
+        assert!(sums[1] > 0 && sums[4] > 0, "lead {lead:?}: {sums:?}");
+    }
+}
+
+#[test]
+fn rounds_and_actors_count_every_lossless_step_alike() {
+    let mut plan = FaultPlan::new();
+    plan.at(12, Fault::CorruptNode(NodeId::new(7)))
+        .at(20, Fault::Isolate(NodeId::new(11)));
+    let scenario = || {
+        let topo = builders::grid(6, 6, 0.22);
+        Scenario::new(MaxFlood)
+            .topology(topo)
+            .seed(3)
+            .faults(plan.clone())
+    };
+    for threads in [1, 4] {
+        let mut rounds = scenario().build().expect("valid scenario");
+        let mut actors = scenario().build_actors(threads).expect("valid scenario");
+        for step in 0..40 {
+            rounds.step();
+            actors.step();
+            let at = format!("actors×{threads}, step {step}");
+            assert_eq!(rounds.last_activity(), actors.last_activity(), "{at}");
+            assert_eq!(rounds.last_changed(), actors.last_changed(), "{at}");
+        }
+        assert!(rounds.messages_total() > 0);
+    }
+}
