@@ -81,6 +81,20 @@
 //!
 //! Iteration is ascending by neighbor id — the `BTreeMap` order the
 //! protocol has always observed.
+//!
+//! # Sized once
+//!
+//! At the silent fixpoint a cache holds one slot per radio neighbor
+//! and, in its views, one id per neighbor of each neighbor — sizes the
+//! topology fixes. The engine hands both over right before a node's
+//! first frame lands ([`mwn_sim::Protocol::reserve`], read off the
+//! reception rows), and a cache that has never allocated reserves
+//! exactly that much ([`NeighborCache::reserve`]), so a neighborhood
+//! learned one entry at a time — in random arrival order on the event
+//! clock — is not reallocated one entry at a time. Nothing is left as
+//! slack: the reservation is the size a cold start ends with. It is a
+//! hint, not a bound: whatever outgrows it (mobility, forged entries,
+//! oversized views) takes [`NeighborCache::store`]'s exact growth.
 
 use mwn_graph::NodeId;
 use serde::{Deserialize, Serialize};
@@ -245,6 +259,31 @@ impl NeighborCache {
         })
     }
 
+    /// Sizes a cache that has never allocated for `degree` neighbors
+    /// whose views name `two_hop()` ids in all — the neighborhood a
+    /// cold start ends with — so it is allocated once instead of once
+    /// per neighbor learned. A cache that has allocated (it has been
+    /// sized already, has held an entry, or a fault forged one) is left
+    /// alone and `two_hop` is not called. Capacity only: nothing any
+    /// reader sees changes, and [`NeighborCache::store`] still grows a
+    /// cache past the hint.
+    ///
+    /// The engine asks at every visit, so the check is inlined and the
+    /// sizing, once per cache, is not: the visit it sits in stays small
+    /// enough to inline.
+    #[inline]
+    pub fn reserve(&mut self, degree: usize, two_hop: impl FnOnce() -> usize) {
+        #[cold]
+        #[inline(never)]
+        fn size(cache: &mut NeighborCache, degree: usize, two_hop: impl FnOnce() -> usize) {
+            cache.slots.reserve_exact(degree);
+            cache.views.reserve_exact(two_hop());
+        }
+        if self.slots.capacity() == 0 {
+            size(self, degree, two_hop);
+        }
+    }
+
     /// Inserts `entry` under `id`, replacing any previous entry. The
     /// cache keeps the ids of `entry.view`; the slot relays no claim
     /// (only [`NeighborCache::store`] takes one).
@@ -267,11 +306,13 @@ impl NeighborCache {
     /// moved — once neighborhoods are known, beacons change in what
     /// they say about the same ids. A new neighbor changes the key set,
     /// so the slots below it count it in their views and it is counted
-    /// afresh (see the module docs). Buffers grow by exactly what is
-    /// missing: a cache is as large as its neighborhood and stays that
-    /// size, and amortized growth leaves slack in every node's cache
-    /// (`converge_rounds`' peak RSS reads about a tenth higher with
-    /// it).
+    /// afresh (see the module docs). A cache the engine has sized
+    /// ([`NeighborCache::reserve`]) takes its neighborhood without
+    /// reallocating; past that size — an unsized cache, a neighborhood
+    /// that grew under mobility, forged entries — buffers grow by
+    /// exactly what is missing, since amortized growth would leave
+    /// slack in every node's cache (`converge_rounds`' peak RSS reads
+    /// about a tenth higher with it).
     pub fn store(
         &mut self,
         last_seen: u64,
@@ -683,6 +724,33 @@ mod tests {
             scratch.check().expect("a clone carries consistent counts");
         }
         assert_ne!(big, small);
+    }
+
+    #[test]
+    fn reserve_sizes_a_fresh_cache_once_and_never_bounds_it() {
+        let mut cache = NeighborCache::new();
+        cache.reserve(2, || 3);
+        assert_eq!((cache.slots.capacity(), cache.views.capacity()), (2, 3));
+        // A sized cache is left alone, and `two_hop` is not asked.
+        cache.reserve(9, || unreachable!("a sized cache asks for nothing"));
+        assert_eq!(cache.slots.capacity(), 2);
+        // Past the hint: five neighbors with four-id views.
+        for q in 0..5 {
+            cache.store(1, peer(q), None, &view(&[q + 1, q + 2, q + 3, q + 4]));
+        }
+        cache.check().expect("consistent past the hint");
+        assert_eq!(cache.len(), 5);
+        assert!(cache.iter().all(|(_, v)| v.len() == 4), "every view kept");
+        // Nothing a reader sees depends on the reservation.
+        let mut unsized_twin = NeighborCache::new();
+        for q in 0..5 {
+            unsized_twin.store(1, peer(q), None, &view(&[q + 1, q + 2, q + 3, q + 4]));
+        }
+        assert_eq!(cache, unsized_twin);
+        assert_eq!(
+            cache.neighborhood_links(id(9)),
+            unsized_twin.neighborhood_links(id(9))
+        );
     }
 
     #[test]

@@ -646,6 +646,14 @@ impl Protocol for DensityCluster {
         self.run_guards(node, state, now, rng);
     }
 
+    /// Sizes a never-allocated cache for the whole neighborhood at once
+    /// ([`NeighborCache::reserve`]): one slot per neighbor, one view id
+    /// per neighbor of a neighbor.
+    #[inline]
+    fn reserve(&self, state: &mut ClusterState, degree: usize, two_hop: impl FnOnce() -> usize) {
+        state.cache.reserve(degree, two_hop);
+    }
+
     /// Exact without a snapshot: the guard itself knows whether it
     /// rewrote the cached copy.
     fn receive_changed(

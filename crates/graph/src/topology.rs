@@ -396,14 +396,18 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if the topology has no positions or no radius (i.e. it was
-    /// not built by [`Topology::unit_disk`]).
+    /// In debug builds, if the topology has no positions or no radius
+    /// (it was not built by [`Topology::unit_disk`]): there is no
+    /// unit-disk geometry to rebuild from. Release builds then leave the
+    /// edges as they are.
     pub fn rebuild_unit_disk_edges(&mut self) {
-        let radius = self.radius.expect("unit-disk rebuild requires a radius");
-        let positions = self
-            .positions
-            .as_deref()
-            .expect("unit-disk rebuild requires positions");
+        let (Some(radius), Some(positions)) = (self.radius, self.positions.as_deref()) else {
+            debug_assert!(
+                false,
+                "only a unit-disk topology (positions and a radius) has edges to rebuild"
+            );
+            return;
+        };
         debug_assert!(
             positions.iter().all(|&p| SpatialGrid::fits(radius, p)),
             "unit-disk positions must be finite and within 2^62 radio ranges of the origin \
@@ -429,9 +433,10 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if the topology has no positions or radius (it was not
-    /// built by [`Topology::unit_disk`]) or if a moved node is out of
-    /// range.
+    /// Panics if a moved node is out of range. In debug builds, also if
+    /// the topology has no positions or no radius (it was not built by
+    /// [`Topology::unit_disk`]): a move has no link to change there.
+    /// Release builds then move nothing and return an empty delta.
     pub fn apply_moves(&mut self, moves: &[(NodeId, Point2)]) -> TopologyDelta {
         let Topology {
             adj,
@@ -439,10 +444,13 @@ impl Topology {
             radius,
             grid,
         } = self;
-        let radius = radius.expect("apply_moves requires a radius");
-        let positions = positions
-            .as_mut()
-            .expect("apply_moves requires node positions");
+        let (Some(radius), Some(positions)) = (*radius, positions.as_mut()) else {
+            debug_assert!(
+                false,
+                "only a unit-disk topology (positions and a radius) can move its nodes"
+            );
+            return TopologyDelta::default();
+        };
         debug_assert!(
             moves.iter().all(|&(_, to)| SpatialGrid::fits(radius, to)),
             "moved positions must be finite and within 2^62 radio ranges of the origin \

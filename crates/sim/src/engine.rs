@@ -31,6 +31,8 @@
 //! * [`settle`] — the one place a gated visit's guard pass is skipped,
 //!   on every driver: when the node's last pass changed nothing,
 //!   nothing woke it since, and no frame of the visit was received;
+//! * [`reserve`] — the one place a node is handed the sizing hint of
+//!   its reception row, on every driver, before frames land at it;
 //! * [`SlotClock`] — the continuous-time beacon schedule as a *pure
 //!   function* of `(seed, node, slot index)`, so a node skipped while
 //!   silent consumes no randomness and its future transmission times
@@ -202,6 +204,23 @@ pub(crate) fn settle<S: Clone + PartialEq>(
         }
     }
     false
+}
+
+/// The one place the engine hands a node its sizing hint
+/// ([`Protocol::reserve`]), on every driver, right before frames may
+/// land at it: its degree is the length of its reception row
+/// (`neighbors`, the slots the row names), its two-hop count the sum of
+/// those neighbors' row lengths (`degrees`, indexed by slot), summed
+/// only if the protocol asks.
+#[inline]
+pub(crate) fn reserve<P: Protocol>(
+    protocol: &P,
+    state: &mut P::State,
+    neighbors: &[Slot],
+    degrees: &[u32],
+) {
+    let two_hop = || neighbors.iter().map(|q| degrees[q.index()] as usize).sum();
+    protocol.reserve(state, neighbors.len(), two_hop);
 }
 
 /// The columnar node table: every per-node column the hot loops read

@@ -393,6 +393,12 @@ impl HeardTable {
         self.len.len()
     }
 
+    /// The length of every row (its node's degree), indexed by row.
+    #[inline]
+    pub fn degrees(&self) -> &[u32] {
+        &self.len
+    }
+
     /// Row `r` as a contiguous slice (one entry per adjacency slot).
     #[inline]
     pub fn row(&self, r: usize) -> &[u32] {
@@ -473,6 +479,7 @@ impl HeardTable {
         HeardRun {
             off: &self.off,
             len: &self.len,
+            degrees: &self.len,
             slots: &self.slots,
             data: &mut self.data,
         }
@@ -520,6 +527,9 @@ pub(crate) struct HeardRun<'a> {
     /// `off[0]` is where `data` starts.
     off: &'a [u32],
     len: &'a [u32],
+    /// The whole arena's row lengths, indexed by row
+    /// ([`HeardTable::degrees`]).
+    pub degrees: &'a [u32],
     /// The whole arena's neighbor slots, indexed by arena offset.
     slots: &'a [Slot],
     data: &'a mut [u32],
@@ -534,12 +544,14 @@ impl<'a> HeardRun<'a> {
         let head = HeardRun {
             off: &self.off[..=row],
             len: &self.len[..row],
+            degrees: self.degrees,
             slots: self.slots,
             data: head,
         };
         let tail = HeardRun {
             off: &self.off[row..],
             len: &self.len[row..],
+            degrees: self.degrees,
             slots: self.slots,
             data: tail,
         };

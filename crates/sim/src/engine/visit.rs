@@ -43,7 +43,9 @@
 use mwn_graph::Topology;
 
 use super::kernels::HeardRun;
-use super::{row_is_adjacency, run_sharded, settle, Env, Fate, NodeSet, Slot, StorageOrder};
+use super::{
+    reserve, row_is_adjacency, run_sharded, settle, Env, Fate, NodeSet, Slot, StorageOrder,
+};
 use crate::network::StepActivity;
 use crate::protocol::snapshot;
 use crate::rng::split_rng;
@@ -186,23 +188,29 @@ pub(crate) struct Shard<'a, P: Protocol> {
 }
 
 impl<'a, P: Protocol> Shard<'a, P> {
-    /// Opens the visit of candidate `p`: its state, its reception row
-    /// (one epoch per neighbor, in neighbor-id order), the slots of the
-    /// neighbors the row names and the worker's buffers. Debug builds
-    /// assert that the row names exactly `p`'s adjacency.
-    #[inline]
+    /// Opens the visit of candidate `p`: its state, handed its sizing
+    /// hint ([`reserve`]), its reception row (one epoch per neighbor, in
+    /// neighbor-id order), the slots of the neighbors the row names and
+    /// the worker's buffers. Debug builds assert that the row names
+    /// exactly `p`'s adjacency. Always inlined into the frame loop it
+    /// opens: out of line, its return of four parts goes through memory
+    /// at every visit.
+    #[inline(always)]
     pub fn open(
         &mut self,
         p: Slot,
     ) -> (&mut P::State, &mut [u32], &'a [Slot], &mut VisitScratch<P>) {
         let i = p.index() - self.base;
+        let degrees = self.heard.degrees;
         let (row, neighbors) = self.heard.row_mut(i);
         debug_assert!(
             row_is_adjacency(self.order, neighbors, self.topo, self.order.id(p)),
             "the reception row of {} names another adjacency",
             self.order.id(p)
         );
-        (&mut self.states[i], row, neighbors, &mut *self.scratch)
+        let state = &mut self.states[i];
+        reserve(self.protocol, state, neighbors, degrees);
+        (state, row, neighbors, &mut *self.scratch)
     }
 
     /// Closes the visit of `p`, `received` saying whether a frame of it

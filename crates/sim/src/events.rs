@@ -250,7 +250,8 @@ impl<B: Clone> Lanes<B> {
 }
 
 /// The continuous-time discrete-event driver, a [`Sim`] on the
-/// [`Events`] clock, over the shared activity engine ([`crate::engine`]).
+/// [`Events`] clock, over the shared activity engine (the crate's
+/// `engine` module).
 ///
 /// This realizes the asynchronous execution model under which the
 /// paper's expected-constant-time results (Theorem 1, Lemmas 1–2) are
@@ -270,12 +271,11 @@ impl<B: Clone> Lanes<B> {
 ///
 /// * **Beacon slots** sit in a binary heap of 24-byte keys, the slot
 ///   number in the key; a node is armed while it has one queued (the
-///   `armed` set). They come from the engine's
-///   [`crate::engine::SlotClock`]: node `p`'s `k`-th
-///   opportunity is a pure function of `(seed, p, k)`, so a silent node
-///   consumes no randomness and no queue space, and when something
-///   wakes it the next slot is found arithmetically — exactly the
-///   schedule its always-transmitting eager twin follows.
+///   `armed` set). They come from the engine's `SlotClock`: node `p`'s
+///   `k`-th opportunity is a pure function of `(seed, p, k)`, so a
+///   silent node consumes no randomness and no queue space, and when
+///   something wakes it the next slot is found arithmetically — exactly
+///   the schedule its always-transmitting eager twin follows.
 /// * **Transmissions in flight** sit in a deque, one 24-byte entry
 ///   each (arrival time, sender, beacon epoch, pool entry, next copy),
 ///   pushed at the back: arrivals are `t + frame_time` of slots that
@@ -748,6 +748,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         };
         self.env.tally.frames_delivered += 1;
         let state = &mut table.states.slots_mut(&table.order)[at.index()];
+        engine::reserve(protocol, state, row, table.heard.degrees());
         let skipped = |copy: &mut P::State| protocol.receive(r, copy, s, beacon, now);
         let reference = (&*state, &mut table.scratch_state, skipped);
         let held = table.heard.get_mut(at.index(), idx);

@@ -108,7 +108,7 @@ impl StepActivity {
 ///
 /// The paper's algorithms are **silent**: in the legitimate
 /// configuration nothing changes any more. The driver exploits this
-/// through the shared [`crate::engine`] core (dirty sets, beacon
+/// through the shared `engine` core (dirty sets, beacon
 /// epochs, per-edge reception tracking): when the protocol opts in
 /// ([`Activity::Gated`]) *and* the medium supports gating, a node is
 /// scheduled only if its state changed last round, a beacon it heard

@@ -237,6 +237,29 @@ pub trait Protocol: Sync {
         0
     }
 
+    /// Sizing hint for `state`'s neighbor-keyed buffers, from the
+    /// reception row the engine holds for the node: `degree` neighbors,
+    /// and `two_hop()` — the sum of those neighbors' degrees, computed
+    /// only if called — entries one hop behind them.
+    ///
+    /// The engine calls it right before it may land frames at the node:
+    /// at every visit on the period clocks ([`crate::Network`],
+    /// [`crate::ActorDriver`]), at every delivered frame on the event
+    /// clock, and never anywhere else. So it runs once per visit or
+    /// arrival and must return at once when there is nothing to size;
+    /// the intended use is to size, at the first frame, a buffer that
+    /// has never allocated, so that a neighborhood learned one entry at
+    /// a time is not reallocated one entry at a time.
+    ///
+    /// **Contract:** capacity only. It must leave `state` equal under
+    /// `PartialEq` and every later answer of every other method as it
+    /// was — a hint is a hint, not a bound: content past it (mobility,
+    /// corruption) must still be kept. The default does nothing.
+    #[inline]
+    fn reserve(&self, state: &mut Self::State, degree: usize, two_hop: impl FnOnce() -> usize) {
+        let _ = (state, degree, two_hop);
+    }
+
     /// Declares the scheduling contract this protocol supports; see
     /// [`Activity`]. Conservative default: [`Activity::Eager`] — every
     /// node runs every step, exactly the classic semantics.
