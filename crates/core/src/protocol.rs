@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use mwn_sim::{put_u32, Corruptible, Observable, Protocol, WireBeacon};
+use mwn_sim::{Corruptible, Observable, Protocol, WireBeacon};
 
 use crate::dag::new_id;
 use crate::{
@@ -294,18 +294,29 @@ impl Clone for ClusterBeacon {
 /// `(links, degree)` pair, so `decode(encode(b)) == b` — the
 /// losslessness the cross-driver agreement suite relies on.
 impl WireBeacon for ClusterBeacon {
+    /// One pass: the frame's length is known up front, so `out` grows
+    /// once and every word is written into place.
     fn encode(&self, out: &mut Vec<u8>) {
-        put_u32(out, self.dag_id);
-        put_u32(out, self.density.links());
-        put_u32(out, self.density.degree());
-        put_u32(out, self.head.value());
-        put_u32(out, self.view.len() as u32);
-        for p in &self.view {
-            put_u32(out, p.id.value());
-            put_u32(out, p.dag_id);
-            put_u32(out, p.density.links());
-            put_u32(out, p.density.degree());
-            put_u32(out, p.head.value());
+        let at = out.len();
+        out.resize(at + HEADER_BYTES + PEER_SUMMARY_BYTES * self.view.len(), 0);
+        let (header, body) = out[at..].split_at_mut(HEADER_BYTES);
+        let header_words = [
+            self.dag_id,
+            self.density.links(),
+            self.density.degree(),
+            self.head.value(),
+            self.view.len() as u32,
+        ];
+        put_words(header, header_words);
+        for (entry, p) in body.chunks_exact_mut(PEER_SUMMARY_BYTES).zip(&self.view) {
+            let words = [
+                p.id.value(),
+                p.dag_id,
+                p.density.links(),
+                p.density.degree(),
+                p.head.value(),
+            ];
+            put_words(entry, words);
         }
     }
 
@@ -358,6 +369,14 @@ impl WireBeacon for ClusterBeacon {
                 }),
         );
         true
+    }
+}
+
+/// Writes five words little-endian into the 20 bytes of `to`.
+#[inline]
+fn put_words(to: &mut [u8], words: [u32; 5]) {
+    for (to, word) in to.chunks_exact_mut(4).zip(words) {
+        to.copy_from_slice(&word.to_le_bytes());
     }
 }
 

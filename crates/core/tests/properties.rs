@@ -13,7 +13,7 @@ use mwn_cluster::{
 use mwn_graph::{builders, NodeId, Topology};
 use mwn_radio::BernoulliLoss;
 use mwn_sim::{
-    Activity, Corruptible, EventConfig, EventDriver, Fault, FaultPlan, Protocol, Scenario,
+    put_u32, Activity, Corruptible, EventConfig, EventDriver, Fault, FaultPlan, Protocol, Scenario,
     StopWhen, WireBeacon,
 };
 use proptest::prelude::*;
@@ -1124,6 +1124,116 @@ proptest! {
         }
         prop_assert!(unused.is_none());
         prop_assert!(seen[0] > 0 && seen[1] > 0, "both branches occur: {:?}", seen);
+    }
+}
+
+/// The field-by-field encoder the one-pass `ClusterBeacon::encode`
+/// replaced, kept as its reference: one `put_u32` per word, in wire
+/// order.
+fn reference_encode(beacon: &ClusterBeacon, out: &mut Vec<u8>) {
+    put_u32(out, beacon.dag_id);
+    put_u32(out, beacon.density.links());
+    put_u32(out, beacon.density.degree());
+    put_u32(out, beacon.head.value());
+    put_u32(out, beacon.view.len() as u32);
+    for p in &beacon.view {
+        put_u32(out, p.id.value());
+        put_u32(out, p.dag_id);
+        put_u32(out, p.density.links());
+        put_u32(out, p.density.degree());
+        put_u32(out, p.head.value());
+    }
+}
+
+/// The wire format, byte for byte, on a hand-built beacon: every word
+/// distinct, so two fields swapped in both `encode` and `decode` — which
+/// the round-trip test cannot see — fail here.
+#[test]
+fn a_hand_built_beacon_encodes_to_its_pinned_frame() {
+    let beacon = ClusterBeacon {
+        dag_id: 0x0403_0201,
+        density: Density::ratio(0x0807_0605, 0x0C0B_0A09),
+        head: NodeId::new(0x100F_0E0D),
+        view: vec![
+            PeerSummary {
+                id: NodeId::new(0x1413_1211),
+                dag_id: 0x1817_1615,
+                density: Density::ratio(0x1C1B_1A19, 0x201F_1E1D),
+                head: NodeId::new(0x2423_2221),
+            },
+            PeerSummary {
+                id: NodeId::new(u32::MAX),
+                dag_id: 0,
+                density: Density::ratio(7, 9),
+                head: NodeId::new(0xA0B0_C0D0),
+            },
+        ],
+    };
+    #[rustfmt::skip]
+    let pinned: [u8; 60] = [
+        // header: dag id, density links / degree, head, view length
+        0x01, 0x02, 0x03, 0x04,  0x05, 0x06, 0x07, 0x08,  0x09, 0x0A, 0x0B, 0x0C,
+        0x0D, 0x0E, 0x0F, 0x10,  0x02, 0x00, 0x00, 0x00,
+        // view[0]: id, dag id, density links / degree, head
+        0x11, 0x12, 0x13, 0x14,  0x15, 0x16, 0x17, 0x18,  0x19, 0x1A, 0x1B, 0x1C,
+        0x1D, 0x1E, 0x1F, 0x20,  0x21, 0x22, 0x23, 0x24,
+        // view[1]
+        0xFF, 0xFF, 0xFF, 0xFF,  0x00, 0x00, 0x00, 0x00,  0x07, 0x00, 0x00, 0x00,
+        0x09, 0x00, 0x00, 0x00,  0xD0, 0xC0, 0xB0, 0xA0,
+    ];
+    // Appended after whatever the buffer holds, as into a byte arena.
+    let mut frame = vec![0xEE; 3];
+    beacon.encode(&mut frame);
+    assert_eq!(&frame[..3], &[0xEE; 3], "the arena's earlier bytes stay");
+    assert_eq!(&frame[3..], &pinned[..]);
+    assert_eq!(ClusterBeacon::decode(&pinned), Some(beacon));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The one-pass encoder writes what the field-by-field reference
+    /// writes — on random beacons, on an empty and a 40-entry view, and
+    /// on every word at `u32::MAX` — appended after the same bytes.
+    #[test]
+    fn the_one_pass_encoder_equals_the_field_by_field_reference(
+        beacon in beacon_strategy(),
+        entries in proptest::collection::vec(beacon_strategy(), 4..5),
+        prefix in proptest::collection::vec(0u8..=255, 0..24),
+    ) {
+        let saturated = PeerSummary {
+            id: NodeId::new(u32::MAX),
+            dag_id: u32::MAX,
+            density: Density::ratio(u32::MAX, u32::MAX),
+            head: NodeId::new(u32::MAX),
+        };
+        let max = ClusterBeacon {
+            dag_id: u32::MAX,
+            density: Density::ratio(u32::MAX, u32::MAX),
+            head: NodeId::new(u32::MAX),
+            view: vec![saturated; 3],
+        };
+        let cases = [
+            ClusterBeacon { view: Vec::new(), ..beacon.clone() },
+            // Every summary the four beacons hold, padded to 40.
+            ClusterBeacon {
+                view: entries
+                    .iter()
+                    .flat_map(|b| b.view.iter().copied())
+                    .chain(std::iter::repeat(saturated))
+                    .take(40)
+                    .collect(),
+                ..beacon.clone()
+            },
+            beacon,
+            max,
+        ];
+        for b in &cases {
+            let (mut fast, mut reference) = (prefix.clone(), prefix.clone());
+            b.encode(&mut fast);
+            reference_encode(b, &mut reference);
+            prop_assert_eq!(&fast, &reference, "view of {}", b.view.len());
+        }
     }
 }
 

@@ -26,50 +26,60 @@
 //!    sender list is cut into one contiguous chunk per worker, and each
 //!    worker asks the shared medium for its senders' frame fates
 //!    ([`Medium::fates`]), encodes every beacon **once** into its own
-//!    byte arena (cleared at the start of the period, capacity kept), and
-//!    pushes one small `Copy` frame header — sender, epoch, read epoch
-//!    (when what a receive reads of the beacon last changed), and where
-//!    the payload sits (`arena`, `off`, `len`) — into each lucky
-//!    receiver's bounded mailbox.
+//!    byte arena (cleared at the start of the period, capacity kept),
+//!    and writes **one record per transmission** beside it — sender,
+//!    epoch, read epoch (when what a receive reads of the beacon last
+//!    changed), and where the payload sits. A frame copy is then one
+//!    4-byte entry naming the record, pushed into each lucky receiver's
+//!    mailbox: the cost of a beacon is paid once per transmission, only
+//!    delivery once per copy. All mailboxes live in **one arena**,
+//!    laid out over the reception rows' capacity regions (an actor's
+//!    mailbox is its reception row's region, so it holds at least its
+//!    in-degree), with a fill count per actor beside it. One send
+//!    worker owns the arena and pushes with plain stores; several claim
+//!    entries with an atomic increment of the receiver's fill count.
 //! 3. **Quiescence barrier** — the governor waits until every released
 //!    slot has quiesced (all sends delivered), then releases the
 //!    receive side. The candidates (actors with pending guards and the
 //!    senders' neighbors, marked as the round driver marks them) are
 //!    sorted by table slot, so contiguous candidate chunks cover
-//!    disjoint contiguous runs of the state column: the column is split with
-//!    `split_at_mut`, each worker owns its run, and its actors drain
-//!    their mailboxes **in arrival order**, decode every fresh frame
-//!    from the sender's arena into the worker's one pooled beacon,
-//!    receive, and run one pass of guarded assignments — all **in
-//!    place**, no state is copied out or moved back. Each frame's fate
-//!    is the engine's frame gate's (`engine::gate`), as on the other
-//!    drivers: under gating a fresh frame whose header says the actor
-//!    already holds what a receive reads (its row's epoch lies between
-//!    the frame's read epoch and its epoch) is neither decoded nor
-//!    received, and an actor that only frames woke runs its guards
-//!    only if it received one (`engine::settle`, the skip rule of all
-//!    three drivers). The reception arena is split at the same slot
-//!    boundaries, so an actor writes the epoch of every fresh frame
-//!    straight into its own reception row, found by the sender's id
-//!    among the neighbors the row names. This is the round driver's
-//!    phase 5 with a different frame loop: the partition, the change
-//!    rule (a scratch snapshot taken before the first mutation,
-//!    compared after the update) and the scheduling of changed actors
-//!    in worker order — storage order — are the engine's, shared by
-//!    both (`engine::visit`). Mailboxes, like every per-node column,
-//!    are laid out in storage order (by radio cell, for a deployment);
-//!    senders are taken, and frames pushed, in id order.
+//!    disjoint contiguous runs of the state column: the column is split
+//!    with `split_at_mut`, each worker owns its run, and its actors
+//!    drain their mailboxes **in arrival order** (a load and a store of
+//!    their own fill count), decode every fresh frame from its record's
+//!    byte arena into the worker's one pooled beacon, receive, and run
+//!    one pass of guarded assignments — all **in place**, no state is
+//!    copied out or moved back. Each frame's fate is the engine's frame
+//!    gate's (`engine::gate`), as on the other drivers: under gating a
+//!    fresh frame whose record says the actor already holds what a
+//!    receive reads (its row's epoch lies between the frame's read
+//!    epoch and its epoch) is neither decoded nor received, and an
+//!    actor that only frames woke runs its guards only if it received
+//!    one (`engine::settle`, the skip rule of all three drivers). The
+//!    reception arena is split at the same slot boundaries, so an actor
+//!    writes the epoch of every fresh frame straight into its own
+//!    reception row, found by the sender's id among the neighbors the
+//!    row names. This is the round driver's phase 5 with a different
+//!    frame loop: the partition, the change rule (a scratch snapshot
+//!    taken before the first mutation, compared after the update) and
+//!    the scheduling of changed actors in worker order — storage order
+//!    — are the engine's, shared by both (`engine::visit`). Mailboxes,
+//!    like every per-node column, are laid out in storage order (by
+//!    radio cell, for a deployment); senders are taken, and frames
+//!    pushed, in id order.
 //!
-//! Every buffer either phase writes is owned by a worker and reused
-//! across periods, so a steady-state period allocates nothing per
-//! sender, per frame or per actor — at `threads > 1` what is left is
-//! the period's list of receive shards, at one thread nothing
-//! (`tests/alloc_audit.rs`). The worker count is `min(threads, work
-//! items)`, so a quiet period spawns nothing.
+//! Every buffer either phase writes is owned by a worker or the fabric
+//! and reused across periods, and the mailbox arena is re-laid out only
+//! when the reception arena is (a length compare per period), so a
+//! steady-state period allocates nothing per sender, per frame or per
+//! actor — at `threads > 1` what is left is the period's list of
+//! receive shards, at one thread nothing (`tests/alloc_audit.rs`). The
+//! worker count is `min(threads, work items)`, so a quiet period spawns
+//! nothing.
 //!
 //! Within a slot the interleaving is genuinely nondeterministic: with
 //! `threads > 1` the OS scheduler decides how the send workers'
-//! pushes interleave in every mailbox (each worker walks its own chunk
+//! claims interleave in every mailbox (each worker walks its own chunk
 //! in ascending sender order; across workers anything goes), and
 //! receivers process frames in exactly that order. Which worker runs
 //! an actor, and in which arena a payload sits, never reaches the
@@ -88,64 +98,227 @@
 //!   the round driver **exactly**; in general the agreement is
 //!   distributional (see `tests/actor_equivalence.rs`).
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
 use mwn_graph::{NodeId, Topology};
 use mwn_radio::{Medium, PerfectMedium};
 
 use crate::driver::{period_step, Period, Sealed, Transport};
-use crate::engine::{self, chunk, run_sharded, Env, Slot};
+use crate::engine::kernels::HeardTable;
+use crate::engine::{self, chunk, run_sharded, Env, NodeTable, Slot};
 use crate::error::SimError;
 use crate::protocol::Protocol;
 use crate::rng::{split_rng, streams};
 use crate::wire::WireBeacon;
 use crate::{Clock, Sim};
 
-/// One serialized beacon in flight: the routing metadata a link layer
-/// would carry in the frame header — the sender, its beacon epoch and
-/// the epoch at which what a receive reads of that beacon last changed
-/// — plus where the wire bytes sit: `bytes[off..off + len]` of send
-/// worker `arena`'s byte arena, written once per sender and read by
-/// every receiver of the period.
-#[derive(Clone, Copy)]
-struct ActorFrame {
+/// One serialized beacon in flight, written once per transmission: the
+/// routing metadata a link layer would carry in the frame header — the
+/// sender, its beacon epoch and the epoch at which what a receive reads
+/// of that beacon last changed — plus where the wire bytes sit:
+/// `bytes[off..off + len]` of the byte arena of the send worker whose
+/// [`SendScratch`] holds the record, read by every receiver of the
+/// period.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Record {
     sender: NodeId,
     epoch: u32,
     read_epoch: u32,
-    arena: u32,
-    off: u32,
-    len: u32,
+    off: usize,
+    len: usize,
 }
 
-/// A multi-producer mailbox: the channel end of one actor.
-///
-/// It is bounded by the actor's in-degree — the protocol sends at most
-/// one beacon per neighbor per period, so a push can never block and an
-/// overflow is a driver bug, not backpressure.
+/// Every actor's mailbox, in one arena of 4-byte entries laid out over
+/// the reception rows: the mailbox of the actor at slot `a` starts at
+/// its row's capacity region ([`engine::kernels::HeardTable::start`]),
+/// so it holds at least the actor's in-degree — the protocol sends at
+/// most one beacon per neighbor per period, so a push never blocks and
+/// an overflow is a driver bug, not backpressure. An entry names one
+/// [`Record`] of the period by its index; `fill[a]` counts the entries
+/// the mailbox holds.
 #[derive(Default)]
-struct Mailbox(Mutex<Vec<ActorFrame>>);
+struct Mailboxes {
+    entries: Vec<AtomicU32>,
+    fill: Vec<AtomicU32>,
+}
 
-impl Mailbox {
-    /// The queue, even if a worker panicked while holding it: that
-    /// panic already propagates out of the worker's `thread::scope`, and
-    /// a frame list is whole between pushes, so nothing is lost by
-    /// reading it.
-    fn lock(&self) -> MutexGuard<'_, Vec<ActorFrame>> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+impl Mailboxes {
+    /// Lays the arena out over `heard` again if that was re-laid out
+    /// since — a length compare per period. Every mailbox is empty
+    /// between periods, so the entries carry nothing over, and the
+    /// regions are read off the rows at every push and drain.
+    fn fit(&mut self, heard: &HeardTable) {
+        debug_assert!(
+            self.fill.iter_mut().all(|f| *f.get_mut() == 0),
+            "a mailbox still holds entries of the last period, whose \
+             records and byte arenas are gone"
+        );
+        if self.entries.len() != heard.capacity() {
+            self.entries
+                .resize_with(heard.capacity(), AtomicU32::default);
+        }
+        if self.fill.len() != heard.rows() {
+            self.fill.resize_with(heard.rows(), AtomicU32::default);
+        }
+    }
+
+    /// Empties the mailbox of the actor at `slot`, which starts at
+    /// arena entry `start`: its record indices, in arrival order.
+    fn drain(&self, slot: usize, start: usize) -> impl Iterator<Item = usize> + '_ {
+        let fill = &self.fill[slot];
+        let count = fill.load(Relaxed) as usize;
+        fill.store(0, Relaxed);
+        let entries = &self.entries[start..start + count];
+        entries.iter().map(|e| e.load(Relaxed) as usize)
     }
 }
 
-/// One send worker's reusable buffers. `bytes` is the worker's byte
-/// arena: every beacon it encodes this period, back to back, addressed
-/// by the [`ActorFrame`]s it pushed. `align(64)` keeps two workers'
-/// counters off one cache line.
+/// How a send worker puts a record's index into a mailbox — the one
+/// part of a send that depends on how many workers run it.
+trait Push {
+    /// Appends `record` to the mailbox of the actor at `slot`, which
+    /// starts at arena entry `start`; returns the entries it held
+    /// before.
+    fn push(&mut self, slot: usize, start: usize, record: u32) -> u32;
+}
+
+/// One send worker owns the arena: a push is two plain stores.
+impl Push for &mut Mailboxes {
+    #[inline]
+    fn push(&mut self, slot: usize, start: usize, record: u32) -> u32 {
+        let held = *self.fill[slot].get_mut();
+        *self.entries[start + held as usize].get_mut() = record;
+        *self.fill[slot].get_mut() = held + 1;
+        held
+    }
+}
+
+/// Several send workers share the arena: each claims its entry with an
+/// atomic increment of the fill count, so arrival order is whatever the
+/// OS scheduler makes of the workers. `Relaxed` is enough: increments
+/// of one count are totally ordered, so no two claims meet, and nothing
+/// reads the arena before the send workers' scope has joined, which
+/// orders every store before the receive side's loads.
+impl Push for &Mailboxes {
+    #[inline]
+    fn push(&mut self, slot: usize, start: usize, record: u32) -> u32 {
+        let held = self.fill[slot].fetch_add(1, Relaxed);
+        self.entries[start + held as usize].store(record, Relaxed);
+        held
+    }
+}
+
+/// One send worker's reusable buffers. `records` holds one
+/// [`Record`] per sender of the worker's chunk, the period's records
+/// `first..first + records.len()`; `bytes` is the worker's byte arena:
+/// every beacon it encodes this period, back to back. `align(64)` keeps
+/// two workers' counters off one cache line.
 #[repr(align(64))]
 #[derive(Default)]
 struct SendScratch {
     heard: Vec<NodeId>,
+    first: usize,
+    records: Vec<Record>,
     bytes: Vec<u8>,
     attempted: usize,
     delivered: usize,
+}
+
+/// What every send worker of a period reads: frozen while they run.
+struct Outbox<'a, P: Protocol, M> {
+    medium: &'a M,
+    table: &'a NodeTable<P>,
+    topo: &'a Topology,
+    /// The workers derive each sender's stream as `Env::medium_rng`
+    /// does, from the base: the environment itself (its dynamics hook)
+    /// is not `Sync`.
+    medium_base: u64,
+    period: u64,
+    /// The period's senders by id; record `i` is `senders[i]`'s.
+    senders: &'a [NodeId],
+    workers: usize,
+}
+
+impl<P, M> Outbox<'_, P, M>
+where
+    P: Protocol,
+    P::Beacon: WireBeacon,
+    M: Medium,
+{
+    /// Worker `w`'s send, written once for every worker count: each
+    /// sender of its chunk, in ascending id, gets its fates from the
+    /// medium on the stream the round driver derives for the same
+    /// (period, sender), one record, its beacon encoded once into the
+    /// worker's byte arena, and the record's index pushed through
+    /// `push` into each lucky receiver's mailbox.
+    fn send(&self, w: usize, sc: &mut SendScratch, mut push: impl Push) {
+        let (table, topo) = (self.table, self.topo);
+        let mine = chunk(self.senders.len(), self.workers, w);
+        debug_assert!(
+            u32::try_from(self.senders.len()).is_ok(),
+            "a record index is below the period's sender count, which fits a NodeId"
+        );
+        sc.first = mine.start;
+        sc.records.clear();
+        sc.bytes.clear();
+        (sc.attempted, sc.delivered) = (0, 0);
+        for &s in &self.senders[mine] {
+            let record = (sc.first + sc.records.len()) as u32;
+            sc.heard.clear();
+            let mut rng = split_rng(self.medium_base, self.period, u64::from(s.value()));
+            sc.attempted += self.medium.fates(topo, s, &mut rng, &mut sc.heard);
+            let i = table.order.slot(s).index();
+            let off = sc.bytes.len();
+            if !sc.heard.is_empty() {
+                table.beacons[i].encode(&mut sc.bytes);
+            }
+            sc.records.push(Record {
+                sender: s,
+                epoch: table.epoch[i],
+                read_epoch: table.read_epoch[i],
+                off,
+                len: sc.bytes.len() - off,
+            });
+            for &r in &sc.heard {
+                let at = table.order.slot(r).index();
+                let held = push.push(at, table.heard.start(at), record);
+                debug_assert!(
+                    held < table.heard.degrees()[at],
+                    "mailbox overflow at {r}: more frames than its in-degree \
+                     (one per neighbor per period)"
+                );
+            }
+            sc.delivered += sc.heard.len();
+        }
+    }
+}
+
+/// The period's records, read by index: record `i` sits with the send
+/// worker whose chunk of the `senders` holds `i`.
+#[derive(Clone, Copy)]
+struct Records<'a> {
+    sent: &'a [SendScratch],
+    senders: usize,
+}
+
+impl<'a> Records<'a> {
+    /// Record `i` and its payload.
+    #[inline]
+    fn get(self, i: usize) -> (&'a Record, &'a [u8]) {
+        let sc = &self.sent[owner(self.senders, self.sent.len(), i)];
+        let record = &sc.records[i - sc.first];
+        (record, &sc.bytes[record.off..record.off + record.len])
+    }
+}
+
+/// The chunk of `0..len` cut into `parts` ([`chunk`]) that holds `i`.
+#[inline]
+fn owner(len: usize, parts: usize, i: usize) -> usize {
+    if parts == 1 {
+        0
+    } else {
+        ((i + 1) * parts - 1) / len
+    }
 }
 
 /// The actor driver, a [`Sim`] on the [`Actors`] clock. Build one
@@ -158,12 +331,14 @@ pub struct Actors<M> {
     period: Period,
     medium: M,
     threads: usize,
-    /// One per actor, in storage order.
-    mailboxes: Vec<Mailbox>,
-    /// The period's senders by id, for the send phase.
+    /// Every actor's mailbox, laid out over the reception rows.
+    mail: Mailboxes,
+    /// The period's senders by id; record `i` is `sender_ids[i]`'s.
     sender_ids: Vec<NodeId>,
     /// Per-worker buffers of the send phase, one slot per pool thread.
     send_scratch: Vec<SendScratch>,
+    /// How many of them the period's send ran on.
+    send_workers: usize,
 }
 
 impl<M> Sealed for Actors<M> {}
@@ -200,13 +375,11 @@ where
 
     /// Send phase: released actors broadcast concurrently, one
     /// contiguous chunk of the id-ordered sender list per worker — so a
-    /// worker pushes in ascending sender id. Each sender's fates come
-    /// from the shared medium, on the stream the round driver derives
-    /// for the same (period, sender); its beacon is encoded once into
-    /// the worker's byte arena and one frame header pushed per lucky
-    /// receiver. How the workers' pushes interleave in a mailbox is
-    /// whatever the OS scheduler makes of it — the genuine
-    /// nondeterminism this driver exists to exercise.
+    /// worker pushes in ascending sender id ([`Outbox::send`]). One
+    /// worker pushes through the mailbox arena it owns; several share
+    /// it, and how their pushes interleave in a mailbox is whatever the
+    /// OS scheduler makes of it — the genuine nondeterminism this
+    /// driver exists to exercise.
     ///
     /// Then the quiescence barrier: `run_sharded` joined its workers,
     /// so every released slot has delivered, and the receive side is
@@ -214,50 +387,26 @@ where
     /// gating a hearer runs its guards only when its mail holds a frame
     /// it receives, as on the round driver).
     fn send(&mut self, env: &mut Env<P>, period: u64, _: bool, senders: &[Slot]) -> (usize, usize) {
+        self.mail.fit(&env.table.heard);
         env.table.order.sorted_ids(senders, &mut self.sender_ids);
-        let send_workers = self.threads.min(senders.len());
-        let (medium, table, topo) = (&self.medium, &env.table, &env.topo);
-        // The workers derive each sender's stream as `Env::medium_rng`
-        // does, from the base: the environment itself (its dynamics
-        // hook) is not `Sync`.
-        let medium_base = env.medium_base;
-        let mailboxes = &self.mailboxes;
-        let senders_by_id = &self.sender_ids[..];
-        let span = |v: usize| u32::try_from(v).expect("a period's frames fit 4 GiB");
-        run_sharded(&mut self.send_scratch[..send_workers], |w, sc| {
-            sc.bytes.clear();
-            (sc.attempted, sc.delivered) = (0, 0);
-            for &s in &senders_by_id[chunk(senders_by_id.len(), send_workers, w)] {
-                sc.heard.clear();
-                let mut rng = split_rng(medium_base, period, u64::from(s.value()));
-                sc.attempted += medium.fates(topo, s, &mut rng, &mut sc.heard);
-                if sc.heard.is_empty() {
-                    continue;
-                }
-                let i = table.order.slot(s).index();
-                let off = sc.bytes.len();
-                table.beacons[i].encode(&mut sc.bytes);
-                let frame = ActorFrame {
-                    sender: s,
-                    epoch: table.epoch[i],
-                    read_epoch: table.read_epoch[i],
-                    arena: w as u32,
-                    off: span(off),
-                    len: span(sc.bytes.len() - off),
-                };
-                for &r in &sc.heard {
-                    let mut mail = mailboxes[table.order.slot(r).index()].lock();
-                    debug_assert!(
-                        mail.len() < topo.degree(r),
-                        "mailbox overflow at {r}: more frames than its in-degree \
-                         (one per neighbor per period)"
-                    );
-                    mail.push(frame);
-                }
-                sc.delivered += sc.heard.len();
-            }
-        });
-        let sent = &self.send_scratch[..send_workers];
+        self.send_workers = self.threads.min(senders.len());
+        let outbox = Outbox {
+            medium: &self.medium,
+            table: &env.table,
+            topo: &env.topo,
+            medium_base: env.medium_base,
+            period,
+            senders: &self.sender_ids,
+            workers: self.send_workers,
+        };
+        let sent = &mut self.send_scratch[..self.send_workers];
+        if let [sc] = sent {
+            outbox.send(0, sc, &mut self.mail);
+        } else {
+            let mail = &self.mail;
+            run_sharded(sent, |w, sc| outbox.send(w, sc, mail));
+        }
+        let sent = &self.send_scratch[..self.send_workers];
         let attempted = sent.iter().map(|sc| sc.attempted).sum();
         let delivered = sent.iter().map(|sc| sc.delivered).sum();
         env.mark_hearers(senders);
@@ -270,14 +419,20 @@ where
     /// have joined.
     fn visit(&mut self, env: &mut Env<P>, period: u64, eager: bool, candidates: &[Slot]) {
         let recv_workers = self.threads.min(candidates.len());
-        let (mailboxes, arenas) = (&self.mailboxes, &self.send_scratch);
+        let mail = &self.mail;
+        let records = Records {
+            sent: &self.send_scratch[..self.send_workers],
+            senders: self.sender_ids.len(),
+        };
         env.visit(period, !eager, candidates, recv_workers, |shard| {
             let (beacons, protocol, order) = (shard.beacons, shard.protocol, shard.order);
             for &at in shard.candidates {
                 let r = order.id(at);
+                let start = shard.row_start(at);
                 let (state, row, neighbors, sc) = shard.open(at);
                 let mut received = false;
-                for frame in mailboxes[at.index()].lock().drain(..) {
+                for index in mail.drain(at.index(), start) {
+                    let (frame, bytes) = records.get(index);
                     let s = frame.sender;
                     // A frame whose link a fault severed at this very
                     // timestamp is dead air (fault ≤ delivery). The row
@@ -297,8 +452,6 @@ where
                     if !sc.admit(fate, state, &mut received) {
                         continue; // neither decoded nor received
                     }
-                    let (off, len) = (frame.off as usize, frame.len as usize);
-                    let bytes = &arenas[frame.arena as usize].bytes[off..off + len];
                     // The pool starts from any beacon at all: the decode
                     // overwrites it and keeps its buffers.
                     let pooled = sc.beacon.get_or_insert_with(|| beacon.clone());
@@ -359,12 +512,15 @@ where
             period: Period::default(),
             medium,
             threads,
-            mailboxes: topo.nodes().map(|_| Mailbox::default()).collect(),
+            mail: Mailboxes::default(),
             sender_ids: Vec::new(),
             send_scratch: (0..threads).map(|_| SendScratch::default()).collect(),
+            send_workers: 0,
         };
         let env = Env::new(protocol, topo, seed, streams::ROUND_FAULT);
-        Ok(Sim { env, clock })
+        let mut sim = Sim { env, clock };
+        sim.clock.mail.fit(&sim.env.table.heard);
+        Ok(sim)
     }
 
     /// The worker-thread count the actor pool multiplexes over.
@@ -389,6 +545,73 @@ mod tests {
             .seed(9)
             .build_actors(threads)
             .expect("valid actor scenario")
+    }
+
+    #[test]
+    fn chunk_owners_invert_chunks() {
+        for len in 1..40 {
+            for parts in 1..=len {
+                for w in 0..parts {
+                    for i in chunk(len, parts, w) {
+                        assert_eq!(owner(len, parts, i), w, "len={len} parts={parts} i={i}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_exclusive_and_shared_pushers_leave_identical_mailboxes_for_one_worker() {
+        let driver = Scenario::new(GatedFlood)
+            .medium(BernoulliLoss::new(0.3))
+            .topology(builders::grid(7, 7, 0.25))
+            .seed(11)
+            .build_actors(1)
+            .expect("valid actor scenario");
+        let (env, clock) = (&driver.env, &driver.clock);
+        let senders: Vec<NodeId> = env.topo.nodes().collect();
+        let outbox = Outbox {
+            medium: &clock.medium,
+            table: &env.table,
+            topo: &env.topo,
+            medium_base: env.medium_base,
+            period: 3,
+            senders: &senders,
+            workers: 1,
+        };
+        let heard = &env.table.heard;
+        let (mut exclusive, mut shared) = (Mailboxes::default(), Mailboxes::default());
+        exclusive.fit(heard);
+        shared.fit(heard);
+        let (mut a, mut b) = (SendScratch::default(), SendScratch::default());
+        outbox.send(0, &mut a, &mut exclusive);
+        outbox.send(0, &mut b, &shared);
+        assert!(
+            a.delivered > 0 && a.delivered < a.attempted,
+            "a lossy period"
+        );
+        assert_eq!((a.attempted, a.delivered), (b.attempted, b.delivered));
+        assert_eq!(a.records, b.records);
+        assert_eq!(a.bytes, b.bytes);
+        let mut copies = 0;
+        for slot in 0..heard.rows() {
+            let mail: Vec<usize> = exclusive.drain(slot, heard.start(slot)).collect();
+            let twin: Vec<usize> = shared.drain(slot, heard.start(slot)).collect();
+            assert_eq!(mail, twin, "slot {slot}");
+            // One worker pushes in ascending sender id, each a neighbor.
+            let from: Vec<NodeId> = mail.iter().map(|&i| a.records[i].sender).collect();
+            assert!(
+                from.windows(2).all(|w| w[0] < w[1]),
+                "slot {slot}: {from:?}"
+            );
+            let at = env.table.order.id(Slot::new(slot as u32));
+            assert!(from.iter().all(|s| env.topo.neighbors(at).contains(s)));
+            copies += mail.len();
+        }
+        assert_eq!(copies, a.delivered);
+        for m in [&mut exclusive, &mut shared] {
+            assert!(m.fill.iter_mut().all(|f| *f.get_mut() == 0), "drained");
+        }
     }
 
     #[test]

@@ -399,6 +399,18 @@ impl HeardTable {
         &self.len
     }
 
+    /// Where row `r`'s capacity region starts in the arena.
+    #[inline]
+    pub fn start(&self, r: usize) -> usize {
+        self.off[r] as usize
+    }
+
+    /// The arena's length: every row's capacity region, back to back —
+    /// what an arena laid out over the same regions must hold.
+    pub fn capacity(&self) -> usize {
+        self.data.len()
+    }
+
     /// Row `r` as a contiguous slice (one entry per adjacency slot).
     #[inline]
     pub fn row(&self, r: usize) -> &[u32] {
@@ -556,6 +568,13 @@ impl<'a> HeardRun<'a> {
             data: tail,
         };
         (head, tail)
+    }
+
+    /// Where the run's `i`-th row's capacity region starts in the
+    /// arena ([`HeardTable::start`]).
+    #[inline]
+    pub fn start(&self, i: usize) -> usize {
+        self.off[i] as usize
     }
 
     /// Where the run sits in the arena: `(first entry, entries)`.

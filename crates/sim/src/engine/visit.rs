@@ -213,6 +213,14 @@ impl<'a, P: Protocol> Shard<'a, P> {
         (state, row, neighbors, &mut *self.scratch)
     }
 
+    /// Where `p`'s reception row's capacity region starts in the
+    /// arena: the start of `p`'s region in any arena laid out over the
+    /// rows (the actor fabric's mailboxes).
+    #[inline]
+    pub fn row_start(&self, p: Slot) -> usize {
+        self.heard.start(p.index() - self.base)
+    }
+
     /// Closes the visit of `p`, `received` saying whether a frame of it
     /// went to [`Protocol::receive`]: one pass of guarded assignments on
     /// the node's own `(period, node)` stream — unless [`settle`] skips
