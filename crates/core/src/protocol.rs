@@ -705,21 +705,6 @@ impl Protocol for DensityCluster {
         swept || before != shared(state)
     }
 
-    /// The header word, then every cache line of the view: one word of
-    /// every third entry and of the last, summed (wrapping). A
-    /// [`PeerSummary`] is 20 bytes, so a stride of three (60 bytes)
-    /// lands on every 64-byte line of the view whatever its alignment.
-    #[inline]
-    fn peek(&self, beacon: &ClusterBeacon) -> u64 {
-        let view = &beacon.view;
-        let strided = view.iter().step_by(3).map(|s| u64::from(s.dag_id));
-        let last = view.last().map_or(0, |s| u64::from(s.head.value()));
-        strided.fold(
-            u64::from(beacon.dag_id).wrapping_add(last),
-            u64::wrapping_add,
-        )
-    }
-
     const PEEK_LEVELS: u8 = NeighborCache::PEEK_LEVELS;
 
     /// Everything a receive and its guard pass reach behind the state

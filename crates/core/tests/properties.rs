@@ -264,9 +264,6 @@ impl Protocol for NoPeekLevels {
     ) -> bool {
         self.0.update_changed(node, state, now, rng, scratch)
     }
-    fn peek(&self, beacon: &ClusterBeacon) -> u64 {
-        self.0.peek(beacon)
-    }
     fn activity(&self) -> Activity {
         self.0.activity()
     }
@@ -1273,37 +1270,6 @@ proptest! {
                 }
                 check_codec_agreement(&forged, pooled)?;
             }
-        }
-    }
-
-    /// The look-ahead read is inert whatever the beacon holds — random
-    /// words, an empty, a one-entry and a 40-entry view, and what a
-    /// `Corruptible`-forged state broadcasts: it returns, it leaves the
-    /// beacon alone, and its checksum is a function of the beacon.
-    #[test]
-    fn peek_returns_on_any_beacon_and_leaves_it_alone(
-        beacon in beacon_strategy(),
-        seed in 0u64..u64::MAX,
-    ) {
-        let protocol = DensityCluster::new(ClusterConfig::default());
-        let mut rng = StdRng::seed_from_u64(seed);
-        let node = small_id(&mut rng);
-        let mut state = protocol.init(node, &mut rng);
-        protocol.corrupt(node, &mut state, &mut rng);
-        let forged = protocol.beacon(node, &state);
-        let mut sized = |len| ClusterBeacon { view: small_view(&mut rng, len), ..beacon.clone() };
-        let (empty, one) = (sized(0), sized(1));
-        prop_assert_eq!(protocol.peek(&empty), u64::from(empty.dag_id));
-        let entry = one.view[0];
-        prop_assert_eq!(
-            protocol.peek(&one),
-            u64::from(one.dag_id) + u64::from(entry.dag_id) + u64::from(entry.head.value())
-        );
-        for b in [beacon.clone(), forged, empty, one, sized(40)] {
-            let before = b.clone();
-            let sum = protocol.peek(&b);
-            prop_assert_eq!(&b, &before);
-            prop_assert_eq!(sum, protocol.peek(&before));
         }
     }
 

@@ -476,7 +476,9 @@ impl<P: Protocol> Env<P> {
     ///    is what [`Env::all_caught_up`] would have read back.
     ///
     /// A period that lost a single copy asks per sender, as ever. Debug
-    /// builds ask both ways and assert that they agree.
+    /// builds ask both ways and assert that they agree. The count is
+    /// speed only; what it moves is `converge_rounds`' and
+    /// `restab_chaos`' `wall_s` (ROADMAP negative (xlv)).
     pub fn retire_caught_up(&mut self, senders: &[Slot], delivered: usize) {
         if senders.is_empty() {
             return;

@@ -49,12 +49,7 @@
 //! a kernel's: every column is indexed by table slot, and a unit-disk
 //! deployment is stored by radio cell, so the neighbours a node hears
 //! sit in a few nearby stretches of each column wherever deployment
-//! order put their ids (`engine/order.rs`). What is left — a beacon
-//! that owns a heap buffer is one dependent load further — the round
-//! driver's look-ahead pass overlaps: it reads one word per line of
-//! every heard beacon ([`crate::Protocol::peek`]) before the first
-//! `receive` of the visit, so the misses are in flight together instead
-//! of queueing behind one another.
+//! order put their ids (`engine/order.rs`).
 //!
 //! `NodeSet`'s collections are checked against a per-bit reference
 //! (`collect_scalar`, test-only), the joins against naive linear scans,

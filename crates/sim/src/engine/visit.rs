@@ -15,13 +15,6 @@
 //! join, the reception row read against the frozen set of senders, a
 //! mailbox drain): the closure they hand to [`Env::visit`].
 //!
-//! The round driver's frame loop is preceded, inside the same visit, by
-//! one look-ahead pass over the beacons the node heard
-//! ([`Protocol::peek`]): reads of the frozen columns only, so it moves
-//! no state, no count and no digest, whatever the shard count. The
-//! actor fabric decodes every frame from a byte arena into one pooled
-//! beacon and has nothing to look ahead at.
-//!
 //! Both frame loops leave each frame's fate to [`super::gate`], the
 //! one place it is decided on every driver: under gating a fresh frame
 //! goes to [`Protocol::receive`] only if the receiver does not already

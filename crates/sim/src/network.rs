@@ -72,9 +72,7 @@ impl StepActivity {
 /// 4. the [`Medium`] decides which frame copies arrive, and the nodes
 ///    that heard a beacon epoch they have not incorporated yet join the
 ///    scheduled ones;
-/// 5. receivers process arrivals ([`Protocol::receive`]) — each visit
-///    first reads ahead through the beacons it heard
-///    ([`Protocol::peek`]), so their cache misses overlap — and
+/// 5. receivers process arrivals ([`Protocol::receive`]) and
 ///    scheduled nodes execute their enabled guarded assignments
 ///    ([`Protocol::update`]). Under gating a receiver is handed only
 ///    the frames of an epoch it has not incorporated yet, and of those
@@ -188,7 +186,9 @@ enum Frames<'a> {
     Pushed(&'a Delivery),
     /// A lossless medium was not: `p` heard exactly its sending
     /// neighbors, in adjacency order — its reception row, whose entries
-    /// name their slots.
+    /// name their slots. Speed only; what it moves is `converge_rounds`'
+    /// and `restab_chaos`' `wall_s` and `peak_rss_mb` (ROADMAP negative
+    /// (xliv)).
     Pulled(&'a NodeSet),
 }
 
@@ -217,23 +217,6 @@ impl Frames<'_> {
                     }
                 }
             }
-        }
-    }
-
-    /// Calls `f(slot)` for the same frames in the same order, without
-    /// locating them in the row.
-    #[inline]
-    fn senders(self, p: NodeId, row: &[Slot], order: &StorageOrder, mut f: impl FnMut(Slot)) {
-        match self {
-            Frames::Pushed(delivery) => {
-                delivery.heard[p.index()]
-                    .iter()
-                    .for_each(|&s| f(order.slot(s)));
-            }
-            Frames::Pulled(sending) => row
-                .iter()
-                .filter(|&&s| sending.contains(s))
-                .for_each(|&s| f(s)),
         }
     }
 }
@@ -340,13 +323,7 @@ impl<P: Protocol, M: Medium> Transport<P> for Rounds<M> {
     /// touch their own state and read frozen beacons, so per-node
     /// processing is equivalent to the classic all-receives-then-
     /// all-updates phasing — and embarrassingly parallel: each shard
-    /// visits its chunk of the active set in place. A visit opens with
-    /// the look-ahead pass ([`Protocol::peek`]): asked for together, up
-    /// front, the cache misses of the beacons it will receive are in
-    /// flight at once instead of one receive at a time. Which ones it
-    /// will receive needs the reception row; the pass reads a beacon
-    /// whose last bump changed its read part (gated) and skips the
-    /// rest, a guess nothing can observe.
+    /// visits its chunk of the active set in place.
     fn visit(&mut self, env: &mut Env<P>, now: u64, eager: bool, candidates: &[Slot]) {
         let active = candidates.len();
         let shards = self.shards.count(active, active);
@@ -359,17 +336,6 @@ impl<P: Protocol, M: Medium> Transport<P> for Rounds<M> {
                 let id = order.id(p);
                 let (state, row, neighbors, scratch) = shard.open(p);
                 let mut received = false;
-                // Look-ahead: plain loads nothing depends on; the
-                // black box is what keeps them from being deleted.
-                let mut ahead = 0u64;
-                frames.senders(id, neighbors, order, |s| {
-                    let i = s.index();
-                    ahead = ahead.wrapping_add(u64::from(epoch[i]));
-                    if eager || read[i] == epoch[i] {
-                        ahead = ahead.wrapping_add(protocol.peek(&beacons[i]));
-                    }
-                });
-                std::hint::black_box(ahead);
                 frames.each(id, neighbors, order, |idx, s, from| {
                     let (i, beacon) = (s.index(), &beacons[s.index()]);
                     let skipped =
@@ -470,7 +436,7 @@ impl<P: Corruptible, M: Medium> Network<P, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{GatedFlood, MaxFlood, PeekFlood, Pushed, TraceFlood};
+    use crate::testkit::{GatedFlood, MaxFlood, Pushed, TraceFlood};
     use crate::{Fault, FaultPlan, Lie, Scenario, SimError, StopWhen};
     use mwn_graph::Point2;
     use mwn_graph::{builders, traversal};
@@ -744,74 +710,6 @@ mod tests {
             assert_eq!(serial, run(Some(shards)), "{shards} shards diverged");
         }
         assert_eq!(serial, run(None));
-    }
-
-    #[test]
-    fn the_look_ahead_pass_peeks_every_frame_of_a_visited_receiver_and_nothing_sees_it() {
-        peeks_are_wired_and_inert(|| BernoulliLoss::new(0.6), || BernoulliLoss::new(0.6));
-        // A lossless step peeks the frames it pulls: the sending
-        // neighbors of exactly the nodes a delivered step visits.
-        peeks_are_wired_and_inert(|| PerfectMedium, || Pushed(PerfectMedium));
-    }
-
-    /// Drives a `PeekFlood` over `medium()` beside a twin that never
-    /// peeks, and beside a reference over `asked()` — the same medium,
-    /// asked to deliver — whose `Delivery` names the frames each
-    /// receiver heard.
-    fn peeks_are_wired_and_inert<M: Medium, A: Medium>(
-        medium: impl Fn() -> M,
-        asked: impl Fn() -> A,
-    ) {
-        use std::sync::atomic::Ordering::Relaxed;
-        let topo = builders::grid(6, 6, 0.22);
-        // `a` changes in one step; in the next it is visited for that
-        // alone while `c` re-sends an epoch `a` holds, for `b`'s sake.
-        let a = NodeId::new(21);
-        let c = topo.neighbors(a)[0];
-        let far = |q: &&NodeId| **q != a && !topo.has_edge(a, **q);
-        let b = *topo.neighbors(c).iter().find(far).expect("a grid");
-        for shards in [1, 4] {
-            let mut net = Network::new(PeekFlood::default(), medium(), topo.clone(), 5);
-            let mut twin = Network::new(GatedFlood, medium(), topo.clone(), 5);
-            let mut reference = Network::new(GatedFlood, asked(), topo.clone(), 5);
-            net.set_shards(Some(shards));
-            twin.set_shards(Some(shards));
-            reference.set_shards(Some(shards));
-            assert!(net.is_gated());
-            let (mut total, mut skipped) = (0, 0);
-            for step in 0..60 {
-                for (at, p) in [(25, a), (26, b)] {
-                    if step == at {
-                        *net.state_mut(p) = 0;
-                        *twin.state_mut(p) = 0;
-                        *reference.state_mut(p) = 0;
-                    }
-                }
-                let before = net.protocol().peeks.load(Relaxed);
-                net.step();
-                twin.step();
-                reference.step();
-                let peeks = net.protocol().peeks.load(Relaxed) - before;
-                // One peek per frame copy a visited receiver heard —
-                // also the copies the gated receive loop then skips, and
-                // those of a lossless step's candidates whose frames are
-                // all stale, which the delivered step does not visit.
-                let order = &net.env.table.order;
-                let heard = |&p: &Slot| reference.clock.delivery.heard[order.id(p).index()].len();
-                let visited: usize = net.clock.period.candidates.iter().map(heard).sum();
-                assert_eq!(peeks, visited, "step {step}, {shards} shards");
-                assert!(peeks <= net.last_activity().frames_delivered);
-                assert!(peeks >= net.last_activity().receives);
-                total += peeks;
-                skipped += peeks - net.last_activity().receives;
-                // Inert: the twin that never peeks is indistinguishable.
-                assert_eq!(net.states(), twin.states());
-                assert_eq!(net.last_activity(), twin.last_activity());
-                assert_eq!(net.last_changed(), twin.last_changed());
-                assert_eq!(net.last_activity(), reference.last_activity());
-            }
-            assert!(total > 0 && skipped > 0, "{total} peeks, {skipped} skipped");
-        }
     }
 
     /// A uniform deployment of `n` nodes that is connected: the first

@@ -136,6 +136,10 @@ pub trait Protocol: Sync {
     /// must agree with: copy `state` into `scratch` (a caller-owned
     /// slot whose buffers are reused from call to call), run the guard,
     /// compare. An override may leave `scratch` untouched.
+    ///
+    /// Overriding it (and [`Protocol::update_changed`]) is speed only,
+    /// and what it moves is `converge_events`; the period clocks do not
+    /// call it. ROADMAP negatives (iv) and (xliii) hold the numbers.
     fn receive_changed(
         &self,
         node: NodeId,
@@ -166,38 +170,6 @@ pub trait Protocol: Sync {
         scratch.as_ref() != Some(&*state)
     }
 
-    /// The look-ahead read of `beacon`: loads one word of every cache
-    /// line a [`Protocol::receive`] of this beacon will read and
-    /// returns their (wrapping) sum. **Contract:** writes nothing,
-    /// never panics — whatever a fault forged into the beacon — and is
-    /// unobservable: no state, output or count may depend on it.
-    ///
-    /// The round driver calls it for the beacons a node heard *before*
-    /// the node's first `receive` of the visit — under gating, for
-    /// those whose last epoch bump changed what a receive reads
-    /// ([`Protocol::read_changed`]), the ones the visit will likely
-    /// receive. A `receive` reaches its
-    /// beacon through dependent loads (column slot → heap block), and
-    /// the receives of one visit run one after another, so in a cold
-    /// dense step each pays its cache misses in series; the look-ahead
-    /// pass issues the same loads for all of the visit's beacons back
-    /// to back, with nothing depending on them, so the misses overlap.
-    /// These are ordinary loads in safe Rust, no prefetch intrinsic —
-    /// which is why a checksum comes back: the driver folds it into a
-    /// [`std::hint::black_box`], the one thing that keeps the compiler
-    /// from deleting loads nobody reads.
-    ///
-    /// The default reads nothing and is right for a beacon that is a
-    /// few inline words (a flood's integer): there is a single line to
-    /// fetch, and the `receive` that wants it is no longer than the
-    /// look-ahead would be. Override it when the beacon owns heap
-    /// buffers `receive` walks.
-    #[inline]
-    fn peek(&self, beacon: &Self::Beacon) -> u64 {
-        let _ = beacon;
-        0
-    }
-
     /// How many levels of [`Protocol::peek_state`] this protocol
     /// answers: the depth of the chain of dependent loads from the
     /// state column to the deepest heap block a `receive` reads. `0`
@@ -205,7 +177,7 @@ pub trait Protocol: Sync {
     /// event driver runs no look-ahead pass at all.
     const PEEK_LEVELS: u8 = 0;
 
-    /// The state-side twin of [`Protocol::peek`]: level `k` (below
+    /// The look-ahead read of a receiver's state: level `k` (below
     /// [`Protocol::PEEK_LEVELS`]) loads one word of every cache line
     /// that a [`Protocol::receive`] from `from`, and the
     /// [`Protocol::update`] after it, reach through `k` dependent loads
@@ -228,9 +200,15 @@ pub trait Protocol: Sync {
     /// the loads of one level are independent of each other and in
     /// flight together, and the next level finds its addresses in
     /// cache. So a level must not branch on what it loads: reach
-    /// `from`'s entry by counting, not by searching. Plain loads in
-    /// safe Rust, folded into a [`std::hint::black_box`] by the driver,
-    /// as for [`Protocol::peek`].
+    /// `from`'s entry by counting, not by searching. These are ordinary
+    /// loads in safe Rust, no prefetch intrinsic — which is why a
+    /// checksum comes back: the driver folds it into a
+    /// [`std::hint::black_box`], the one thing that keeps the compiler
+    /// from deleting loads nobody reads.
+    ///
+    /// It is a speed-only hook, and it moves `converge_events` alone:
+    /// ROADMAP negatives (xxxiv) and (xlii) hold what the event clock
+    /// reads without it.
     #[inline]
     fn peek_state(&self, state: &Self::State, from: NodeId, level: u8) -> u64 {
         let _ = (state, from, level);

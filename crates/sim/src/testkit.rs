@@ -73,11 +73,10 @@ macro_rules! flood {
 flood!(MaxFlood, Activity::Eager);
 flood!(GatedFlood, Activity::Gated);
 
-/// [`GatedFlood`] that counts the look-ahead reads the driver asks of
-/// it — the only way to see a pass that must not be observable.
+/// [`GatedFlood`] that counts the event clock's look-ahead reads — the
+/// only way to see a pass that must not be observable.
 #[derive(Debug, Default)]
 pub(crate) struct PeekFlood {
-    pub peeks: AtomicUsize,
     /// [`Protocol::peek_state`] calls, every level counted.
     pub state_peeks: AtomicUsize,
 }
@@ -96,10 +95,6 @@ impl Protocol for PeekFlood {
     }
     fn update(&self, node: NodeId, state: &mut u32, now: u64, rng: &mut StdRng) {
         GatedFlood.update(node, state, now, rng);
-    }
-    fn peek(&self, beacon: &u32) -> u64 {
-        self.peeks.fetch_add(1, Ordering::Relaxed);
-        u64::from(*beacon)
     }
     const PEEK_LEVELS: u8 = 2;
     fn peek_state(&self, state: &u32, from: NodeId, level: u8) -> u64 {

@@ -16,6 +16,14 @@
 # equal in every pair — the gate's inputs for a wall_s claim (>= 10
 # pairs, >= 9 / 10 wins, a median gap larger than the parent's IQR,
 # identical counts and digests).
+#
+# It also reads the no-regression check every change must pass: one
+# line per end-to-end metric (wall_s, setup_s, peak_rss_mb) against the
+# bound BENCHMARK.json gives it, relative to the parent's median —
+# "within bound", "worse than bound" (the change's median is higher
+# than the parent's by more than the bound) or "unresolved" (the
+# parent's IQR is wider than the bound and not every change run is
+# below every parent run, so the runs cannot tell).
 set -euo pipefail
 
 if [ $# -lt 4 ] || [ $# -gt 5 ]; then
@@ -23,6 +31,20 @@ if [ $# -lt 4 ] || [ $# -gt 5 ]; then
     exit 2
 fi
 parent=$1 change=$2 workload=$3 pairs=$4
+
+# The relative bound of end-to-end metric $1, from BENCHMARK.json.
+bound() {
+    awk -v metric="$1" '
+        /"end_to_end"/ { in_e2e = 1 }
+        /"per_layer"/ { in_e2e = 0 }
+        in_e2e && /"name"/ { split($0, f, "\""); name = f[4] }
+        in_e2e && /"bound"/ && name == metric { gsub(/[^0-9.]/, "", $2); print $2; found = 1; exit }
+        END { if (!found) exit 1 }
+    ' "$(dirname "$0")/../BENCHMARK.json" || { echo "$0: no bound for $1 in BENCHMARK.json" >&2; exit 2; }
+}
+wall_bound=$(bound wall_s)
+setup_bound=$(bound setup_s)
+rss_bound=$(bound peak_rss_mb)
 args=(--workload "$workload" --trace 0)
 if [ $# -eq 5 ]; then
     args+=(--seed "$5")
@@ -55,7 +77,8 @@ for ((i = 1; i <= pairs; i++)); do
     rows+=("$p $c")
 done
 
-printf '%s\n' "${rows[@]}" | awk -v workload="$workload" '
+printf '%s\n' "${rows[@]}" | awk -v workload="$workload" \
+    -v wall_bound="$wall_bound" -v setup_bound="$setup_bound" -v rss_bound="$rss_bound" '
     function sort(a, n,    i, j, t) {
         for (i = 2; i <= n; i++)
             for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
@@ -64,6 +87,16 @@ printf '%s\n' "${rows[@]}" | awk -v workload="$workload" '
     function quantile(a, n, q,    h, lo) {
         h = (n - 1) * q + 1; lo = int(h)
         return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
+    }
+    # The no-regression verdict on one lower-is-better metric, from the
+    # sorted parent runs p and change runs c.
+    function verdict(name, p, c, n, bound,    pm, cm, iqr) {
+        pm = quantile(p, n, 0.5); cm = quantile(c, n, 0.5)
+        iqr = quantile(p, n, 0.75) - quantile(p, n, 0.25)
+        printf "%-12s %+6.1f %% against a bound of %.0f %%, parent IQR %.1f %%: ", name, 100 * (cm - pm) / pm, 100 * bound, 100 * iqr / pm
+        if (cm - pm > bound * pm) print "worse than bound"
+        else if (iqr > bound * pm && c[n] >= p[1]) print "unresolved"
+        else print "within bound"
     }
     {
         n++; pw[n] = $1; cw[n] = $6
@@ -86,4 +119,8 @@ printf '%s\n' "${rows[@]}" | awk -v workload="$workload" '
         printf "output digests     %s\n", digests_differ ? "DIFFER in " digests_differ " pairs" : "equal in every pair"
         pass = n >= 10 && wins >= 0.9 * n && (pm - cm > iqr) && !counts_differ && !digests_differ
         printf "speed gate         %s\n", pass ? "PASS" : "not passed"
+        printf "\nno-regression check, change median against parent median\n"
+        verdict("wall_s", pw, cw, n, wall_bound)
+        verdict("setup_s", ps, cs, n, setup_bound)
+        verdict("peak_rss_mb", pr, cr, n, rss_bound)
     }'
