@@ -2,8 +2,8 @@
 //!
 //! The paper's fault model is the strongest possible — the adversary
 //! may place the system in *any* configuration — and the engine's
-//! incremental machinery (dirty-set wake rules, statistical slot
-//! occupancy) is exactly the code most likely to break silently under
+//! incremental machinery (dirty-set wake rules, retirement from the
+//! pending senders) is exactly the code most likely to break silently under
 //! a fault shape it was never driven through: a gated node that never
 //! wakes after a fault is a safety violation no convergence test can
 //! see, because the run simply stabilizes to the wrong fixpoint.

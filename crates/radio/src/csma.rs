@@ -274,8 +274,7 @@ fn race(
 /// `fold` is the slotted-ALOHA occupancy fold: every occupied
 /// `q ∈ N(r) \ {s}`, and an occupied `r` itself, hits the copy's slot
 /// with probability `1/slots`, one Bernoulli per copy off the
-/// per-(tick, r, s) stream. (`count_at(r)` is no shortcut for that
-/// walk: [`crate::FullOccupancy`] counts `s` itself.)
+/// per-(tick, r, s) stream.
 fn receive(
     Scratch { claims, tally, .. }: &Scratch,
     topo: &Topology,
@@ -400,8 +399,7 @@ impl Medium for SlottedCsma {
         }
         if carrier_sense {
             // Each receiver is searched once however many senders it
-            // hears, and not at all when nobody in its range is
-            // occupied. Discovery order is unobservable: the cohort is
+            // hears. Discovery order is unobservable: the cohort is
             // sorted before any draw, so the race shuffle cannot depend
             // on it.
             phantoms.clear();
@@ -417,9 +415,7 @@ impl Medium for SlottedCsma {
                         continue;
                     }
                     join(r);
-                    if occupancy.count_at(topo, r) > 0 {
-                        topo.neighbors(r).iter().for_each(|&q| join(q));
-                    }
+                    topo.neighbors(r).iter().for_each(|&q| join(q));
                 }
             }
             phantoms.sort_unstable();

@@ -4,11 +4,13 @@
 //! Under CSMA a node cannot simply stop being simulated when it goes
 //! quiet — its transmissions were part of every neighbor's collision
 //! odds. The gated-contention mode keeps those odds without any
-//! per-silent-node work: the engine maintains an [`Occupancy`] summary
-//! (who is silent-but-transmitting, and how many such nodes are in
-//! range of each receiver), and the medium folds that population into
-//! its collision/capture draws *statistically*, on derived
-//! per-(tick, receiver, sender) streams ([`ContentionStreams`]).
+//! per-silent-node work: the driver hands the medium an
+//! [`OccupancyView`] of who is silent-but-transmitting — on the round
+//! clock exactly the nodes that are not send-pending, read off the
+//! engine's pending set, so nothing is kept beside it — and the medium
+//! folds that population into its collision/capture draws
+//! *statistically*, on derived per-(tick, receiver, sender) streams
+//! ([`ContentionStreams`]).
 //!
 //! The fold preserves the per-frame marginal collision probabilities of
 //! the eager reference; joint slot correlations across copies are not
@@ -35,118 +37,40 @@ fn mix(base: u64, stream: u64) -> u64 {
 /// Read-only view of the silent-but-transmitting population that a
 /// gated-contention medium folds into its draws.
 ///
-/// Two implementations ship: the engine's incrementally maintained
-/// [`Occupancy`] (round clock: occupied = retired) and
-/// [`FullOccupancy`] (event clock: every other radio beacons each
-/// period, so every neighbor is a statistical contender).
+/// Three implementations ship: the round driver's view of its retired
+/// senders (occupied = not send-pending, read off the engine's pending
+/// set), [`FullOccupancy`] (event clock: every other radio beacons
+/// each period, so every neighbor is a statistical contender) and an
+/// explicit [`Occupancy`] flag per node, for tests and probes.
 pub trait OccupancyView {
     /// Whether `q` is silent-but-transmitting (a statistical contender).
     fn is_occupied(&self, q: NodeId) -> bool;
-
-    /// Number of occupied 1-neighbors of `r` — the receiver-side
-    /// contender count media use for early-outs and weights.
-    fn count_at(&self, topo: &Topology, r: NodeId) -> u32;
 }
 
-/// Incrementally maintained occupancy summary: a membership bitmap plus
-/// per-receiver counts of occupied in-range nodes.
-///
-/// The engine keeps the invariant `count_at(r) == |{q ∈ N(r) :
-/// is_occupied(q)}|` through retirement, wake-ups, faults and topology
-/// deltas; `tests/gated_csma.rs` property-checks it against a
-/// from-scratch recount ([`Occupancy::recount`]).
+/// An explicit occupancy: one flag per node, set and cleared by hand.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Occupancy {
     occupied: Vec<bool>,
-    counts: Vec<u32>,
-    total: usize,
 }
 
 impl Occupancy {
-    /// Creates an empty summary for `n` nodes (nobody occupied).
+    /// Creates an empty occupancy for `n` nodes (nobody occupied).
     pub fn new(n: usize) -> Self {
         Occupancy {
             occupied: vec![false; n],
-            counts: vec![0; n],
-            total: 0,
         }
     }
 
-    /// Number of occupied nodes.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Marks `q` occupied, bumping the count at each of its neighbors.
-    /// No-op if already occupied.
-    pub fn occupy(&mut self, q: NodeId, topo: &Topology) {
-        if self.occupied[q.index()] {
-            return;
-        }
+    /// Marks `q` occupied. `topo` is unused: a flag has no neighbor
+    /// counts to keep, and the signature is the one callers link to.
+    pub fn occupy(&mut self, q: NodeId, _topo: &Topology) {
         self.occupied[q.index()] = true;
-        self.total += 1;
-        for &r in topo.neighbors(q) {
-            self.counts[r.index()] += 1;
-        }
     }
 
-    /// Clears `q`'s occupancy, dropping the count at each of its
-    /// neighbors. No-op if not occupied.
-    pub fn release(&mut self, q: NodeId, topo: &Topology) {
-        if !self.occupied[q.index()] {
-            return;
-        }
+    /// Clears `q`'s occupancy. `topo` is unused, as in
+    /// [`Occupancy::occupy`].
+    pub fn release(&mut self, q: NodeId, _topo: &Topology) {
         self.occupied[q.index()] = false;
-        self.total -= 1;
-        for &r in topo.neighbors(q) {
-            self.counts[r.index()] -= 1;
-        }
-    }
-
-    /// Releases everyone. O(1) when already empty, so pinned-eager and
-    /// independent-fates runs pay nothing for the bookkeeping.
-    pub fn release_all(&mut self) {
-        if self.total == 0 {
-            return;
-        }
-        self.occupied.iter_mut().for_each(|o| *o = false);
-        self.counts.iter_mut().for_each(|c| *c = 0);
-        self.total = 0;
-    }
-
-    /// Adjusts the counts for one removed edge `(a, b)`: each endpoint
-    /// loses the other's occupancy contribution. Call **before**
-    /// releasing the touched nodes when a topology delta is applied, so
-    /// the counts stay exact against the new neighbor lists.
-    pub fn edge_removed(&mut self, a: NodeId, b: NodeId) {
-        if self.occupied[b.index()] {
-            self.counts[a.index()] -= 1;
-        }
-        if self.occupied[a.index()] {
-            self.counts[b.index()] -= 1;
-        }
-    }
-
-    /// Adjusts the counts for one added edge `(a, b)`.
-    pub fn edge_added(&mut self, a: NodeId, b: NodeId) {
-        if self.occupied[b.index()] {
-            self.counts[a.index()] += 1;
-        }
-        if self.occupied[a.index()] {
-            self.counts[b.index()] += 1;
-        }
-    }
-
-    /// From-scratch recount over `topo` — the O(n + m) reference the
-    /// incremental maintenance is property-tested against.
-    pub fn recount(&self, topo: &Topology) -> Occupancy {
-        let mut fresh = Occupancy::new(self.occupied.len());
-        for q in topo.nodes() {
-            if self.occupied[q.index()] {
-                fresh.occupy(q, topo);
-            }
-        }
-        fresh
     }
 }
 
@@ -154,11 +78,6 @@ impl OccupancyView for Occupancy {
     #[inline]
     fn is_occupied(&self, q: NodeId) -> bool {
         self.occupied[q.index()]
-    }
-
-    #[inline]
-    fn count_at(&self, _topo: &Topology, r: NodeId) -> u32 {
-        self.counts[r.index()]
     }
 }
 
@@ -177,11 +96,6 @@ impl OccupancyView for FullOccupancy {
     #[inline]
     fn is_occupied(&self, _q: NodeId) -> bool {
         true
-    }
-
-    #[inline]
-    fn count_at(&self, topo: &Topology, r: NodeId) -> u32 {
-        topo.degree(r) as u32
     }
 }
 
@@ -250,58 +164,19 @@ mod tests {
     use rand::Rng;
 
     #[test]
-    fn occupy_release_maintain_neighbor_counts() {
-        let topo = builders::star(4); // hub 0, leaves 1..=3
+    fn occupy_and_release_set_one_flag() {
+        let topo = builders::star(4);
         let mut occ = Occupancy::new(4);
         occ.occupy(NodeId::new(1), &topo);
-        occ.occupy(NodeId::new(2), &topo);
-        assert_eq!(occ.count_at(&topo, NodeId::new(0)), 2);
-        assert_eq!(occ.count_at(&topo, NodeId::new(1)), 0);
-        assert!(occ.is_occupied(NodeId::new(1)));
-        assert_eq!(occ.total(), 2);
         occ.occupy(NodeId::new(1), &topo); // idempotent
-        assert_eq!(occ.count_at(&topo, NodeId::new(0)), 2);
+        assert!(occ.is_occupied(NodeId::new(1)));
+        assert!(
+            !occ.is_occupied(NodeId::new(0)),
+            "a neighbor is not occupied"
+        );
         occ.release(NodeId::new(1), &topo);
-        assert_eq!(occ.count_at(&topo, NodeId::new(0)), 1);
-        occ.release(NodeId::new(1), &topo); // idempotent
-        assert_eq!(occ.total(), 1);
-        assert_eq!(occ.recount(&topo), occ);
-    }
-
-    #[test]
-    fn release_all_resets_everything() {
-        let topo = builders::complete(5);
-        let mut occ = Occupancy::new(5);
-        for q in topo.nodes() {
-            occ.occupy(q, &topo);
-        }
-        assert_eq!(occ.total(), 5);
-        occ.release_all();
-        assert_eq!(occ, Occupancy::new(5));
-        occ.release_all(); // O(1) no-op when empty
-        assert_eq!(occ.total(), 0);
-    }
-
-    #[test]
-    fn edge_deltas_keep_counts_exact() {
-        // Counts after edge_removed/edge_added must match a recount on
-        // the mutated topology.
-        let before = mwn_graph::Topology::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
-        let after = mwn_graph::Topology::from_edges(4, &[(0, 1), (2, 3), (0, 3)]).unwrap();
-        let mut occ = Occupancy::new(4);
-        occ.occupy(NodeId::new(1), &before);
-        occ.occupy(NodeId::new(3), &before);
-        occ.edge_removed(NodeId::new(1), NodeId::new(2));
-        occ.edge_added(NodeId::new(0), NodeId::new(3));
-        assert_eq!(occ.recount(&after), occ);
-    }
-
-    #[test]
-    fn full_occupancy_counts_the_whole_neighborhood() {
-        let topo = builders::star(6);
+        assert_eq!(occ, Occupancy::new(4));
         assert!(FullOccupancy.is_occupied(NodeId::new(3)));
-        assert_eq!(FullOccupancy.count_at(&topo, NodeId::new(0)), 5);
-        assert_eq!(FullOccupancy.count_at(&topo, NodeId::new(1)), 1);
     }
 
     #[test]

@@ -382,10 +382,10 @@ where
     /// driver exists to exercise.
     ///
     /// Then the quiescence barrier: `run_sharded` joined its workers,
-    /// so every released slot has delivered, and the receive side is
-    /// released — the senders' neighbors join the candidates (under
-    /// gating a hearer runs its guards only when its mail holds a frame
-    /// it receives, as on the round driver).
+    /// so every released slot has delivered before the period step
+    /// schedules the senders' neighbors (under gating a hearer runs its
+    /// guards only when its mail holds a frame it receives, as on the
+    /// round driver).
     fn send(&mut self, env: &mut Env<P>, period: u64, _: bool, senders: &[Slot]) -> (usize, usize) {
         self.mail.fit(&env.table.heard);
         env.table.order.sorted_ids(senders, &mut self.sender_ids);
@@ -409,7 +409,6 @@ where
         let sent = &self.send_scratch[..self.send_workers];
         let attempted = sent.iter().map(|sc| sc.attempted).sum();
         let delivered = sent.iter().map(|sc| sc.delivered).sum();
-        env.mark_hearers(senders);
         (attempted, delivered)
     }
 

@@ -324,10 +324,10 @@ pub(crate) trait Transport<P: Protocol> {
     /// What the clock keeps between periods.
     fn period(&mut self) -> &mut Period;
 
-    /// Sends the period's frames from `senders` and schedules their
-    /// receivers: a receiver joins `update_dirty` (and `hearers`, if
-    /// nothing else scheduled it) as `Env::mark_hearers` marks it.
-    /// Returns the copies in range and the copies delivered.
+    /// Sends the period's frames from `senders`, and only that: their
+    /// receivers are scheduled by [`period_step`], through
+    /// `Env::mark_hearers`, the same way on every transport. Returns
+    /// the copies in range and the copies delivered.
     fn send(&mut self, env: &mut Env<P>, now: u64, eager: bool, senders: &[Slot])
         -> (usize, usize);
 
@@ -357,9 +357,11 @@ pub(crate) fn period_step<P: Protocol, C: Clock<P> + Transport<P>>(sim: &mut Sim
     let mut candidates = std::mem::take(&mut period.candidates);
 
     // Refresh the beacons of nodes whose state changed, pick the
-    // senders; their frames fly and schedule their receivers.
+    // senders; their frames fly and every neighbor of a sender is
+    // scheduled.
     env.release_slots(eager, &mut senders);
     let (attempted, delivered) = clock.send(env, now, eager, &senders);
+    env.mark_hearers(&senders);
     env.tally.senders += senders.len();
     env.tally.frames_attempted += attempted;
     env.tally.frames_delivered += delivered;

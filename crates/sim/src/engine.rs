@@ -69,7 +69,7 @@ pub(crate) use visit::chunk;
 use visit::VisitScratch;
 
 use mwn_graph::{NodeId, Topology};
-use mwn_radio::Occupancy;
+use mwn_radio::OccupancyView;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -263,23 +263,17 @@ pub(crate) struct NodeTable<P: Protocol> {
     /// set into a period's candidates, after adding the `hearers`.
     pub update_dirty: NodeSet,
     /// The period clocks' candidates that nothing but a frame
-    /// scheduled, recorded as they join `update_dirty` and cleared when
-    /// the period's visits are over.
+    /// scheduled — every neighbor of a sender, whatever it heard
+    /// (`Env::mark_hearers`, the one hearer rule) — recorded as they
+    /// join `update_dirty` and cleared when the period's visits are
+    /// over.
     pub hearers: NodeSet,
     /// Nodes with at least one neighbor that has not yet received their
-    /// current beacon epoch.
+    /// current beacon epoch. Its complement is the retired population:
+    /// under a gated contention medium a node that is not pending still
+    /// occupies its slot statistically ([`Retired`]), so this set is
+    /// the one record of who is silent.
     pub send_pending: NodeSet,
-    /// Statistical slot occupancy of the retired population, keyed by
-    /// id like the topology it counts over — present only when the
-    /// round driver gates a **contention** medium
-    /// ([`mwn_radio::Medium::gated_contention`]). Invariant whenever
-    /// present: a node is occupied iff it has retired from
-    /// `send_pending` (every silent node still occupies its slot), and
-    /// `count_at(r)` equals the number of occupied 1-neighbors of `r`.
-    /// Every mutation of `send_pending` below maintains it; all the
-    /// maintenance is O(degree) per transition and O(1) when the
-    /// summary is empty, so eager-pinned runs pay nothing.
-    pub occupancy: Option<Occupancy>,
     /// The one change set, on every clock: the nodes whose state
     /// changed since the last step ended — mutated outside the protocol
     /// ([`NodeTable::mark_node`]: faults, `link_down`, manual
@@ -339,7 +333,6 @@ impl<P: Protocol> NodeTable<P> {
             update_dirty: NodeSet::new(n),
             hearers: NodeSet::new(n),
             send_pending: NodeSet::new(n),
-            occupancy: None,
             changes: NodeSet::new(n),
             changed: Vec::new(),
             changed_ids: Vec::new(),
@@ -379,9 +372,6 @@ impl<P: Protocol> NodeTable<P> {
         self.update_dirty.insert_all();
         self.beacon_stale.insert_all();
         self.send_pending.insert_all();
-        if let Some(occ) = &mut self.occupancy {
-            occ.release_all();
-        }
         let (order, rows) = (&self.order, topo.len());
         let row = |r: usize| neighbor_slots(order, topo, order.ids()[r]);
         self.heard.reset_all(rows, row);
@@ -398,12 +388,23 @@ impl<P: Protocol> NodeTable<P> {
         }
         // r's own beacon must reach any new neighbor too.
         self.send_pending.insert(self.order.slot(r));
-        if let Some(occ) = &mut self.occupancy {
-            occ.release(r, topo);
-            for &q in topo.neighbors(r) {
-                occ.release(q, topo);
-            }
-        }
+    }
+}
+
+/// The retired population as a gated contention medium reads it: a
+/// node occupies its slot statistically exactly when it is not
+/// send-pending — it has retired, every neighbor holding its beacon,
+/// and its transmissions now only shape the odds of the active frames.
+/// A view of the pending set, not a copy of it.
+pub(crate) struct Retired<'a> {
+    pub pending: &'a NodeSet,
+    pub order: &'a StorageOrder,
+}
+
+impl OccupancyView for Retired<'_> {
+    #[inline]
+    fn is_occupied(&self, q: NodeId) -> bool {
+        !self.pending.contains(self.order.slot(q))
     }
 }
 

@@ -281,8 +281,8 @@ impl<P: Protocol> Env<P> {
 
     /// Recomputes the beacon of the node at slot `p` from its current
     /// state; if the content changed ([`Protocol::beacon_changed`]) the
-    /// epoch is bumped and the node becomes send-pending (waking it
-    /// from statistical occupancy if it had retired), and if what a
+    /// epoch is bumped and the node becomes send-pending (no longer
+    /// retired, so no longer a statistical contender), and if what a
     /// receive reads changed too ([`Protocol::read_changed`]) the new
     /// epoch is also its read epoch. Returns whether the beacon changed.
     pub fn refresh_beacon(&mut self, p: Slot) -> bool {
@@ -311,9 +311,6 @@ impl<P: Protocol> Env<P> {
                 table.read_epoch[i] = epoch;
             }
             table.send_pending.insert(p);
-            if let Some(occ) = &mut table.occupancy {
-                occ.release(id, &self.topo);
-            }
         }
         std::mem::swap(&mut table.beacons[i], scratch);
         changed
@@ -418,11 +415,6 @@ impl<P: Protocol> Env<P> {
             table.update_dirty.insert_all();
             table.beacon_stale.insert_all();
             table.send_pending.insert_all();
-            if let Some(occ) = &mut table.occupancy {
-                // Everyone transmits for real: nobody occupies
-                // statistically (O(1) once drained).
-                occ.release_all();
-            }
         }
         let mut stale = std::mem::take(&mut self.scratch_slots);
         table.beacon_stale.drain_sorted_into(&mut stale);
@@ -433,32 +425,37 @@ impl<P: Protocol> Env<P> {
         self.table.send_pending.collect_sorted_into(senders);
     }
 
-    /// Schedules every neighbor of a sender for a visit, recording as
-    /// hearers those nothing but a frame scheduled — their visit runs
-    /// no guard pass unless it receives a frame ([`super::settle`]).
-    /// Returns the senders' summed degree, the copies in range. Costs
-    /// that many bit operations; nothing here is proportional to n.
-    /// The neighbors are the slots the senders' rows name.
-    pub fn mark_hearers(&mut self, senders: &[Slot]) -> usize {
+    /// The one hearer rule of the period clocks: every neighbor of a
+    /// sender is scheduled for a visit, whatever the medium made of the
+    /// frame, and those nothing but a frame scheduled are recorded as
+    /// hearers — their visit runs no guard pass unless it receives a
+    /// frame ([`super::settle`]), so a hearer whose frames were lost,
+    /// stale or held costs a visit and nothing else. Costs the senders'
+    /// summed degree in bit operations; nothing here is proportional to
+    /// n. The neighbors are the slots the senders' rows name.
+    pub fn mark_hearers(&mut self, senders: &[Slot]) {
         let table = &mut self.table;
-        let mut in_range = 0;
         for &s in senders {
-            let heard_by = table.heard.slots(s.index());
-            in_range += heard_by.len();
-            for &r in heard_by {
+            for &r in table.heard.slots(s.index()) {
                 if table.update_dirty.insert(r) {
                     table.hearers.insert(r);
                 }
             }
         }
-        in_range
+    }
+
+    /// The senders' summed degree: the frame copies in range.
+    pub fn in_range(&self, senders: &[Slot]) -> usize {
+        let degree = |s: &Slot| self.table.heard.slots(s.index()).len();
+        senders.iter().map(degree).sum()
     }
 
     /// The tail of a gated period: senders every neighbor has caught
     /// up with leave the pending set — so lossy media keep re-beaconing
     /// until the frame lands (the paper's τ > 0 hypothesis at work) —
-    /// and, under a gated contention medium, start occupying their slot
-    /// statistically instead of transmitting for real.
+    /// and, under a gated contention medium, occupy their slot
+    /// statistically from then on ([`super::Retired`]) instead of
+    /// transmitting for real.
     ///
     /// `delivered` is the period's count of frame copies received. When
     /// it equals the senders' summed degree the reception rows are not
@@ -483,9 +480,7 @@ impl<P: Protocol> Env<P> {
         if senders.is_empty() {
             return;
         }
-        let degree = |s: Slot| self.table.heard.slots(s.index()).len();
-        let in_range: usize = senders.iter().map(|&s| degree(s)).sum();
-        let lossless = delivered == in_range;
+        let lossless = delivered == self.in_range(senders);
         self.lossless_periods += u64::from(lossless);
         for &s in senders {
             if lossless {
@@ -498,9 +493,6 @@ impl<P: Protocol> Env<P> {
                 continue;
             }
             self.table.send_pending.remove(s);
-            if let Some(occ) = &mut self.table.occupancy {
-                occ.occupy(self.table.order.id(s), &self.topo);
-            }
         }
     }
 
@@ -675,8 +667,8 @@ impl<P: Protocol> Env<P> {
     /// [`Fault::ByzantineBeacon`]: the lie replaces `p`'s broadcast
     /// column, the epoch bump makes every neighbor "behind" — and, a
     /// lie always being read, the new epoch is also the read epoch —
-    /// and `p` rejoins the pending senders (waking from statistical
-    /// occupancy if retired) so the lie actually hits the air. `p`'s
+    /// and `p` rejoins the pending senders (no longer retired, if it
+    /// was) so the lie actually hits the air. `p`'s
     /// true state is untouched; [`Env::refresh_beacon`] refuses to
     /// overwrite the column until the lie expires at step `due`. The
     /// forged content draws on the dedicated per-corruption-event
@@ -698,9 +690,6 @@ impl<P: Protocol> Env<P> {
         table.epoch[i] = epoch;
         table.read_epoch[i] = epoch;
         table.send_pending.insert(table.order.slot(p));
-        if let Some(occ) = &mut table.occupancy {
-            occ.release(p, &self.topo);
-        }
         if !table.lies.contains(&p) {
             table.lies.push(p);
         }
@@ -709,8 +698,8 @@ impl<P: Protocol> Env<P> {
 
     /// [`Fault::PartitionHeal`] / [`Fault::Jam`]: removes every present
     /// edge `hit` selects through the incremental delta path —
-    /// occupancy adjusted edge-wise, `link_down` fired, touched nodes
-    /// woken — and holds them down until step `due`.
+    /// `link_down` fired, touched nodes woken — and holds them down
+    /// until step `due`.
     fn sever_edges(&mut self, hit: impl Fn(NodeId, NodeId) -> bool, due: u64) {
         let mut edges = self.shadowed(&hit);
         let removed: Vec<_> = self.topo.edges().filter(|&(u, v)| hit(u, v)).collect();
@@ -793,17 +782,6 @@ impl<P: Protocol> Env<P> {
         if delta.is_quiet() {
             return;
         }
-        // Occupancy counts are adjusted edge-wise against the *new*
-        // adjacency before any touched-node release walks it, so the
-        // per-receiver counts stay exact through rewires.
-        if let Some(occ) = &mut self.table.occupancy {
-            for &(u, v) in &delta.removed {
-                occ.edge_removed(u, v);
-            }
-            for &(u, v) in &delta.added {
-                occ.edge_added(u, v);
-            }
-        }
         let (protocol, table) = (&self.protocol, &mut self.table);
         for &(u, v) in &delta.removed {
             protocol.link_down(u, table.state_mut(u), v);
@@ -858,9 +836,6 @@ impl<P: Protocol> Env<P> {
         nbrs.extend_from_slice(self.topo.neighbors(p));
         for &q in &nbrs {
             self.topo.remove_edge(p, q);
-            if let Some(occ) = &mut self.table.occupancy {
-                occ.edge_removed(p, q);
-            }
         }
         for &q in &nbrs {
             let (protocol, table) = (&self.protocol, &mut self.table);
@@ -1014,7 +989,6 @@ mod tests {
     use super::*;
     use crate::testkit::GatedFlood;
     use mwn_graph::builders;
-    use mwn_radio::Occupancy;
 
     fn id(i: u32) -> NodeId {
         NodeId::new(i)
@@ -1057,21 +1031,10 @@ mod tests {
     }
 
     #[test]
-    fn restore_skips_an_edge_mobility_already_re_added_and_occupancy_stays_exact() {
+    fn restore_skips_an_edge_mobility_already_re_added() {
         let mut env = line_env(5);
-        let mut occ = Occupancy::new(5);
-        for q in [id(0), id(3)] {
-            env.table.send_pending.remove(env.table.order.slot(q));
-            occ.occupy(q, &env.topo);
-        }
-        env.table.occupancy = Some(occ);
-        let recounted = |env: &Env<GatedFlood>| {
-            let occ = env.table.occupancy.as_ref().expect("installed above");
-            assert_eq!(occ, &occ.recount(&env.topo), "occupancy diverged");
-        };
         env.inject(3, &jam(2, 8)).expect("valid fault");
         assert!(!env.topo.has_edge(id(1), id(2)) && !env.topo.has_edge(id(2), id(3)));
-        recounted(&env);
         // "Mobility" brings one of the two severed links back early.
         env.topo.add_edge(id(1), id(2)).expect("in range");
         let delta = TopologyDelta {
@@ -1079,12 +1042,10 @@ mod tests {
             ..TopologyDelta::default()
         };
         env.apply_delta(&delta);
-        recounted(&env);
         env.begin_step(8);
         assert!(env.env_changed, "the restore is an environment change");
         assert_eq!(env.topo.neighbors(id(2)), [id(1), id(3)], "no duplicate");
         assert!(env.held.is_empty(), "every hold released");
-        recounted(&env);
     }
 
     #[test]

@@ -15,12 +15,14 @@
 //!   cold-start storm into a near-memcpy) and skips zero lines, and
 //!   never sorts — bit order *is* storage order; the count makes an
 //!   empty set free to collect, drain or clear;
-//! * **contiguous rows** — the per-frame joins ([`sorted_positions`],
-//!   [`any_fresh`]) probe a receiver's sorted adjacency slice with one
-//!   binary search per delivered sender: at radio degrees (tens of
-//!   neighbors) a handful of well-predicted probes over one or two
-//!   cache lines (a step over a lossless medium needs neither — it
-//!   walks the reception row, whose entries name their senders' slots);
+//! * **contiguous rows** — the per-frame join ([`sorted_positions`])
+//!   probes a receiver's sorted adjacency slice with one binary search
+//!   per delivered sender: at radio degrees (tens of neighbors) a
+//!   handful of well-predicted probes over one or two cache lines (a
+//!   step over a lossless medium needs none — it walks the reception
+//!   row, whose entries name their senders' slots). Who is visited is
+//!   no kernel's business: every neighbor of a sender is, whatever it
+//!   heard, and a visit that receives nothing runs no pass;
 //! * **one arena** — `HeardTable` flattens the per-node reception
 //!   rows (`Vec<Vec<u32>>`, one heap allocation per node) into one CSR
 //!   arena: each row is a contiguous `&[u32]` slice beside the slots of
@@ -276,47 +278,6 @@ fn position<T>(haystack: &[T], id: impl Fn(&T) -> NodeId, s: NodeId) -> Option<u
         "media deliver only between 1-neighbors, {s} is none"
     );
     found
-}
-
-/// `true` when any delivered sender's current beacon epoch differs
-/// from what the receiver last incorporated — the epoch/heard
-/// comparison kernel of the wakeup scan (phase 4).
-///
-/// `heard_row` is the receiver's contiguous reception row
-/// (`HeardTable::row`), `epochs` the beacon-epoch column indexed by
-/// sender, `neighbors` the receiver's sorted adjacency list and
-/// `senders` the delivered-frame senders.
-///
-/// Early-exits on the first fresh epoch: during converging the very
-/// first delivered frame is almost always fresh, so bailing out there
-/// beats OR-accumulating the whole row. A sender that is no neighbor
-/// is never fresh — [`sorted_positions`] will drop its frame.
-#[inline]
-pub fn any_fresh(
-    heard_row: &[u32],
-    epochs: &[u32],
-    neighbors: &[NodeId],
-    senders: &[NodeId],
-) -> bool {
-    let epoch = |idx: usize| epochs[neighbors[idx].index()];
-    any_fresh_by(heard_row, neighbors, |&q| q, senders, epoch)
-}
-
-/// [`any_fresh`] over a row whose entries `haystack` are sorted by
-/// `id(entry)`, the epoch of the sender at entry `idx` read by
-/// `epoch(idx)` — how the engine asks it, through the slots a reception
-/// row names.
-#[inline]
-pub(crate) fn any_fresh_by<T>(
-    heard_row: &[u32],
-    haystack: &[T],
-    id: impl Fn(&T) -> NodeId,
-    senders: &[NodeId],
-    epoch: impl Fn(usize) -> u32,
-) -> bool {
-    senders
-        .iter()
-        .any(|&s| position(haystack, &id, s).is_some_and(|idx| heard_row[idx] != epoch(idx)))
 }
 
 /// Per-row slack kept by [`HeardTable`] so mobility-driven degree
@@ -690,57 +651,6 @@ mod tests {
         let mut joined = Vec::new();
         sorted_positions(&haystack, &keys, |idx, s| joined.push((idx, s)));
         assert_eq!(joined, [(1, NodeId::new(4)), (0, NodeId::new(1))]);
-        // Row and epochs agree on both neighbors: the stranger alone
-        // must not read as fresh.
-        assert!(!any_fresh(&[7, 7], &[0, 7, 9, 0, 7], &haystack, &keys));
-    }
-
-    #[test]
-    fn any_fresh_matches_a_naive_scan() {
-        let mut rng = StdRng::seed_from_u64(23);
-        for deg in [1usize, 7, 31, 600] {
-            for _ in 0..15 {
-                let neighbors: Vec<NodeId> = (0..deg as u32).map(|i| NodeId::new(i * 3)).collect();
-                let epochs: Vec<u32> = (0..deg * 3).map(|_| rng.random_range(0..4)).collect();
-                // Neighbor `k` is stored at slot `deg - 1 - k`, where a
-                // second copy of the epoch column sits.
-                let slots: Vec<Slot> = (0..deg as u32).rev().map(Slot::new).collect();
-                let mut by_slot = vec![0; deg];
-                for (s, q) in slots.iter().zip(&neighbors) {
-                    by_slot[s.index()] = epochs[q.index()];
-                }
-                // Mostly up to date, so both answers occur.
-                let heard_row: Vec<u32> = neighbors
-                    .iter()
-                    .map(|s| match rng.random_range(0..20u32) {
-                        0 => NEVER,
-                        1 => rng.random_range(0..4),
-                        _ => epochs[s.index()],
-                    })
-                    .collect();
-                let senders: Vec<NodeId> = neighbors
-                    .iter()
-                    .copied()
-                    .filter(|_| rng.random_bool(0.6))
-                    .collect();
-                let naive = senders.iter().any(|s| {
-                    let idx = neighbors.iter().position(|n| n == s).expect("a neighbor");
-                    heard_row[idx] != epochs[s.index()]
-                });
-                assert_eq!(
-                    any_fresh(&heard_row, &epochs, &neighbors, &senders),
-                    naive,
-                    "degree {deg}"
-                );
-                let through_slots = |idx: usize| by_slot[slots[idx].index()];
-                let id = |&s: &Slot| neighbors[deg - 1 - s.index()];
-                assert_eq!(
-                    any_fresh_by(&heard_row, &slots, id, &senders, through_slots),
-                    naive,
-                    "degree {deg}, read through the slots"
-                );
-            }
-        }
     }
 
     /// A table whose row `r` names the slots `0..degrees[r]`.

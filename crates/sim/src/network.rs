@@ -1,12 +1,12 @@
 use mwn_graph::{NodeId, Topology};
-use mwn_radio::{Delivery, Medium, Occupancy};
+use mwn_radio::{Delivery, Medium};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::driver::{period_step, Period, Sealed, Transport};
-use crate::engine::{self, kernels, Env, NodeSet, ShardPolicy, Slot, StorageOrder};
+use crate::engine::{self, kernels, Env, NodeSet, Retired, ShardPolicy, Slot, StorageOrder};
 use crate::rng::{derive_seed, streams};
-use crate::{Activity, Clock, Corruptible, Protocol, Sim};
+use crate::{Clock, Corruptible, Protocol, Sim};
 
 /// What one step actually did, on any clock ([`Sim::last_activity`]) —
 /// the activity counters of the dirty-set engine.
@@ -69,9 +69,9 @@ impl StepActivity {
 /// 3. every *scheduled* node snapshots its shared variables
 ///    ([`Protocol::beacon`]) — simultaneous, so information moves at
 ///    most one hop per step, exactly as in the paper's Table 2;
-/// 4. the [`Medium`] decides which frame copies arrive, and the nodes
-///    that heard a beacon epoch they have not incorporated yet join the
-///    scheduled ones;
+/// 4. the [`Medium`] decides which frame copies arrive, and the
+///    senders' neighbors join the scheduled ones (`Env::mark_hearers`,
+///    the one hearer rule of every period clock);
 /// 5. receivers process arrivals ([`Protocol::receive`]) and
 ///    scheduled nodes execute their enabled guarded assignments
 ///    ([`Protocol::update`]). Under gating a receiver is handed only
@@ -93,9 +93,9 @@ impl StepActivity {
 /// and a visit at 5 reads its frames off the node's reception row —
 /// whose entries name their senders' table slots, in id order —
 /// against the frozen set of senders: the row entry is the loop index,
-/// not a search. A candidate that holds every epoch it heard is
-/// visited, where the delivered step's freshness scan leaves it out,
-/// but its frames come back stale and it runs no pass. That is the same
+/// not a search. Both steps schedule the same hearers; one that holds
+/// every epoch it heard is visited, but its frames come back stale and
+/// it runs no pass. That is the same
 /// guard passes, the same frames and the same (ascending sender)
 /// receive order the delivered lists produce, so nothing observable
 /// moves: states, [`StepActivity`], reports and digests are
@@ -108,8 +108,9 @@ impl StepActivity {
 /// configuration nothing changes any more. The driver exploits this
 /// through the shared `engine` core (dirty sets, beacon
 /// epochs, per-edge reception tracking): when the protocol opts in
-/// ([`Activity::Gated`]) *and* the medium supports gating, a node is
-/// scheduled only if its state changed last round, a beacon it heard
+/// ([`Activity::Gated`](crate::Activity::Gated)) *and* the medium
+/// supports gating, a node is scheduled only if its state changed last
+/// round, a beacon it heard
 /// changed, a topology delta touched it, or a fault hit it — quiescent
 /// regions cost (near) zero work and zero messages.
 ///
@@ -120,9 +121,10 @@ impl StepActivity {
 /// randomness and gated and eager execution are **byte-identical**
 /// (property-tested in `tests/engine_equivalence.rs`). Contention
 /// media implementing [`Medium::gated_contention`]: retired senders
-/// keep *occupying* their slot statistically (an [`Occupancy`] summary
-/// maintained incrementally by the engine), active frames fold that
-/// population into their collision draws, and gated ≡ eager holds
+/// keep *occupying* their slot statistically — the medium is handed a
+/// view of the pending-sender set whose occupied nodes are the ones
+/// not in it, so who is silent is recorded once —, active frames fold
+/// that population into their collision draws, and gated ≡ eager holds
 /// **distributionally** — Wilson-band agreement on stabilization time,
 /// delivery ratio and outputs (`tests/gated_csma.rs`). Fault injection
 /// draws from a dedicated stream and never perturbs frame delivery.
@@ -243,18 +245,17 @@ impl<P: Protocol, M: Medium> Transport<P> for Rounds<M> {
         &mut self.period
     }
 
-    /// Phases 3–4: frame delivery and the active set — nodes already
-    /// dirty plus receivers of a beacon epoch they have not
-    /// incorporated yet. A lossless medium is not asked: the senders'
-    /// neighbors are marked. Otherwise the frame copies that arrive
-    /// land in `delivery`. Media with independent fates get one derived
-    /// stream per (step, sender), so a frame's fate can never depend on
-    /// who else transmitted. Gated contention media deliver the active
-    /// set exactly while folding the retired population in
-    /// statistically (per-(step, sender) and per-(step, receiver,
-    /// sender) streams). Everything else — and every eager round —
-    /// evaluates the full sender set on the sequential medium stream.
-    /// Media are handed the senders in id order, and record by id.
+    /// Phase 4: frame delivery. A lossless medium is not asked: every
+    /// copy in range arrives, and the visits read them off the senders'
+    /// rows. Otherwise the frame copies that arrive land in `delivery`.
+    /// Media with independent fates get one derived stream per (step,
+    /// sender), so a frame's fate can never depend on who else
+    /// transmitted. Gated contention media deliver the active set
+    /// exactly while folding the retired population in statistically
+    /// (per-(step, sender) and per-(step, receiver, sender) streams).
+    /// Everything else — and every eager round — evaluates the full
+    /// sender set on the sequential medium stream. Media are handed the
+    /// senders in id order, and record by id.
     fn send(
         &mut self,
         env: &mut Env<P>,
@@ -263,59 +264,36 @@ impl<P: Protocol, M: Medium> Transport<P> for Rounds<M> {
         senders: &[Slot],
     ) -> (usize, usize) {
         if self.medium.lossless() {
-            let in_range = env.mark_hearers(senders);
+            let in_range = env.in_range(senders);
             return (in_range, in_range);
         }
-        let topo = &env.topo;
+        let (topo, table) = (&env.topo, &env.table);
         let sender_ids = &mut self.sender_ids;
-        env.table.order.sorted_ids(senders, sender_ids);
+        table.order.sorted_ids(senders, sender_ids);
         self.delivery.reset(topo.len());
-        // A gated contention round without its summary (never built:
-        // `Network::new` installs it) falls back to the full sender set.
-        let occupancy = if !eager && self.medium.gated_contention() {
-            debug_assert!(
-                env.table.occupancy.is_some(),
-                "gated contention maintains an occupancy summary"
-            );
-            env.table.occupancy.as_ref()
-        } else {
-            None
-        };
         if self.medium.independent_fates() {
             for &s in sender_ids.iter() {
                 let mut rng = env.medium_rng(now, s);
                 self.delivery.record_fates(&self.medium, topo, s, &mut rng);
             }
-        } else if let Some(occ) = occupancy {
+        } else if !eager && self.medium.gated_contention() {
             let streams = env.contention_streams(now);
-            self.medium
-                .deliver_occupied_into(topo, sender_ids, occ, &streams, &mut self.delivery);
+            let retired = Retired {
+                pending: &table.send_pending,
+                order: &table.order,
+            };
+            self.medium.deliver_occupied_into(
+                topo,
+                sender_ids,
+                &retired,
+                &streams,
+                &mut self.delivery,
+            );
         } else {
             self.medium
                 .deliver_into(topo, sender_ids, &mut self.medium_rng, &mut self.delivery);
         }
-        let copies = (self.delivery.attempted, self.delivery.delivered);
-        if eager {
-            return copies;
-        }
-        // The freshness test is the branch-lean epoch-compare kernel
-        // over the receiver's contiguous reception row. As on a lossless
-        // step, a receiver nothing else scheduled is a hearer.
-        let table = &mut env.table;
-        for &r in &self.delivery.touched {
-            let at = table.order.slot(r);
-            let (row, slots) = (table.heard.row(at.index()), table.heard.slots(at.index()));
-            let (id, epoch) = (
-                |&q: &Slot| table.order.id(q),
-                |idx: usize| table.epoch[slots[idx].index()],
-            );
-            let heard = &self.delivery.heard[r.index()];
-            if kernels::any_fresh_by(row, slots, id, heard, epoch) && table.update_dirty.insert(at)
-            {
-                table.hearers.insert(at);
-            }
-        }
-        copies
+        (self.delivery.attempted, self.delivery.delivered)
     }
 
     /// Phase 5: per-node execution — cached-copy refresh for heard
@@ -356,13 +334,7 @@ impl<P: Protocol, M: Medium> Transport<P> for Rounds<M> {
 impl<P: Protocol, M: Medium> Network<P, M> {
     /// Creates a network of cold-start nodes over `topo`.
     pub fn new(protocol: P, medium: M, topo: Topology, seed: u64) -> Self {
-        let mut env = Env::new(protocol, topo, seed, streams::ROUND_FAULT);
-        if env.protocol.activity() == Activity::Gated && medium.gated_contention() {
-            // Contention media can only gate silent senders if the
-            // retired population keeps occupying its slots; the engine
-            // maintains the summary alongside `send_pending`.
-            env.table.occupancy = Some(Occupancy::new(env.topo.len()));
-        }
+        let env = Env::new(protocol, topo, seed, streams::ROUND_FAULT);
         // The node count is fixed for a driver's life: what a lossless
         // step writes is sized here, so no step is the one that allocates.
         let n = if medium.lossless() { env.topo.len() } else { 0 };
@@ -380,18 +352,10 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         Sim { env, clock }
     }
 
-    /// The statistical slot-occupancy summary of the retired
-    /// population — `Some` exactly when the driver was built to gate a
-    /// contention medium. Exposed for the occupancy property tests and
-    /// diagnostics; the counts always match a from-scratch recount
-    /// over the current topology.
-    pub fn occupancy(&self) -> Option<&Occupancy> {
-        self.env.table.occupancy.as_ref()
-    }
-
-    /// Retirement bookkeeping, exposed for its property tests as
-    /// [`Network::occupancy`] is for its own: the members of the
-    /// pending-sender set next to a from-scratch recount of the nodes
+    /// Retirement bookkeeping, exposed for its property tests: the
+    /// members of the pending-sender set — whose complement is the
+    /// population a gated contention medium reads as occupied — next
+    /// to a from-scratch recount of the nodes
     /// some neighbor has yet to catch up with (equal after every gated
     /// step), and how many gated steps lost no frame copy and so
     /// retired their senders without consulting a reception row.
@@ -633,6 +597,60 @@ mod tests {
             (report, net.states().to_vec(), net.now())
         };
         assert_eq!(run(true), run(false));
+    }
+
+    /// A gated contention step hands its medium the retired population:
+    /// exactly the nodes that are not send-pending. Each step's delivery
+    /// is replayed through `deliver_occupied_into` with an explicit
+    /// `Occupancy` of the nodes that did not send, and must equal it;
+    /// some steps — with and without carrier sense — must also deliver
+    /// differently from the same call with nobody occupied, so a view
+    /// that folds no retired node fails here.
+    #[test]
+    fn a_gated_contention_step_folds_exactly_the_nodes_that_are_not_pending() {
+        use mwn_radio::{Occupancy, SlottedCsma};
+        let topo = connected_uniform(60, 0.25, 3);
+        let n = topo.len();
+        for medium in [
+            SlottedCsma::new(4),
+            SlottedCsma::new(4).without_carrier_sense(),
+        ] {
+            let mut net = Network::new(GatedFlood, medium.clone(), topo.clone(), 9);
+            assert!(net.is_gated());
+            let (mut steps, mut folded) = (0, 0);
+            for round in 0..120u32 {
+                if round % 30 == 29 {
+                    net.corrupt(NodeId::new(round % n as u32));
+                }
+                let now = net.now();
+                net.step();
+                let mut senders = Vec::new();
+                net.env
+                    .table
+                    .order
+                    .sorted_ids(&net.clock.period.senders, &mut senders);
+                if senders.is_empty() {
+                    continue;
+                }
+                let streams = net.env.contention_streams(now);
+                let replay = |occupancy: &Occupancy| {
+                    let mut out = Delivery::empty(n);
+                    let mut medium = medium.clone();
+                    medium.deliver_occupied_into(&topo, &senders, occupancy, &streams, &mut out);
+                    out
+                };
+                let mut retired = Occupancy::new(n);
+                for q in topo.nodes().filter(|q| senders.binary_search(q).is_err()) {
+                    retired.occupy(q, &topo);
+                }
+                let step = &net.clock.delivery;
+                assert_eq!(step, &replay(&retired), "step {now}: not the retired fold");
+                steps += 1;
+                folded += usize::from(step != &replay(&Occupancy::new(n)));
+            }
+            assert!(steps > 3, "{medium:?}: too few sending steps ({steps})");
+            assert!(folded > 0, "{medium:?}: no step told the fold from none");
+        }
     }
 
     #[test]

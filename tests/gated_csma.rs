@@ -300,8 +300,9 @@ fn gated_csma_is_totally_silent_after_stabilization() {
         assert_eq!(a.updates, 0, "quiet step must run no guards");
     }
     assert_eq!(net.messages_total(), msgs);
-    // And every node is statistically occupied, so the phantom fold
-    // would still cost nothing: zero senders short-circuits the draw.
-    let occ = net.occupancy().expect("gated CSMA maintains occupancy");
-    assert_eq!(occ.total(), net.topology().len());
+    // And no node is send-pending — every node is statistically
+    // occupied —, so the phantom fold would still cost nothing: zero
+    // senders short-circuits the draw.
+    let (pending, _, _) = net.retirement_audit();
+    assert!(pending.is_empty(), "no node is send-pending: {pending:?}");
 }
