@@ -125,9 +125,9 @@ impl Delivery {
 ///   [`Medium::deliver_occupied_into`] folds the silent population in
 ///   statistically, for a sender set or for one sender alone.
 /// - [`Medium::lossless`]: every in-range copy arrives and nothing is
-///   drawn. The round driver then skips the delivery and the freshness
-///   scan of a step altogether and pulls each visited node's frames
-///   from its adjacency list — unobservably, since what such a medium
+///   drawn. The round driver then skips the delivery of a step
+///   altogether and pulls each visited node's frames from its
+///   adjacency list — unobservably, since what such a medium
 ///   would have recorded is exactly that list filtered by who sent.
 pub trait Medium {
     /// Delivers one round of broadcasts from `senders`, **appending**

@@ -367,7 +367,7 @@ pub(crate) fn period_step<P: Protocol, C: Clock<P> + Transport<P>>(sim: &mut Sim
     env.tally.frames_delivered += delivered;
 
     // Per-node execution, on the candidates: nodes already dirty plus
-    // the receivers the frames scheduled.
+    // every neighbor of a sender.
     env.table.update_dirty.drain_sorted_into(&mut candidates);
     clock.visit(env, now, eager, &candidates);
 

@@ -224,9 +224,10 @@ impl<'a, P: Protocol> Shard<'a, P> {
     ///
     /// A skipped pass counts as settled when the visit held a frame:
     /// the pass the gate's holds saved. A hearer whose frames were all
-    /// stale — which only a step that pulls its frames visits — saves
-    /// nothing and counts nothing, so the count is the same whichever
-    /// way a step gets its frames.
+    /// stale or lost — every period step visits one, since every
+    /// neighbor of a sender is a hearer — saves nothing and counts
+    /// nothing, so the count is the same whichever way a step gets its
+    /// frames.
     #[inline]
     pub fn update(&mut self, p: Slot, received: bool) {
         let (protocol, now, base) = (self.protocol, self.now, self.update_base);
