@@ -139,7 +139,7 @@ impl CampaignSpec {
     }
 
     /// The schedule as an installable [`FaultPlan`] (for
-    /// `Scenario::faults` or `FaultPlan::run`).
+    /// `Scenario::faults`).
     pub fn plan(&self, topo: &Topology) -> FaultPlan {
         let mut plan = FaultPlan::new();
         for (step, fault) in self.schedule(topo) {

@@ -62,15 +62,6 @@ impl NameSpace {
         NameSpace::of_size((delta * delta).max(delta + 2) as u32)
     }
 
-    /// γ = δ + 1, the smallest space that always leaves a free name
-    /// (greedy coloring bound). Sufficient for
-    /// [`DagVariant::SmallestIdRedraws`], where only one side of a
-    /// conflict moves; the fully randomized variant needs at least
-    /// δ + 2 names (see [`NameSpace::delta_squared`]).
-    pub fn delta_plus_one(delta: usize) -> Self {
-        NameSpace::of_size((delta + 1).max(2) as u32)
-    }
-
     /// |γ|.
     pub fn size(&self) -> u32 {
         self.size

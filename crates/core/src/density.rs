@@ -135,53 +135,6 @@ pub fn density_of(topo: &Topology, p: NodeId) -> Density {
     Density::ratio(topo.neighborhood_links(p) as u32, topo.degree(p) as u32)
 }
 
-/// Computes the density of a node from distributed knowledge: its
-/// neighbor set and, for each neighbor, that neighbor's own neighbor
-/// set (what beacons carry after two steps — see the paper's Table 2).
-///
-/// `neighbors` must be sorted; `tables[i]` is the neighbor table of
-/// `neighbors[i]`.
-pub fn density_from_tables(me: NodeId, neighbors: &[NodeId], tables: &[&[NodeId]]) -> Density {
-    debug_assert_eq!(neighbors.len(), tables.len());
-    density_from_rows(
-        me,
-        neighbors.len() as u32,
-        neighbors
-            .iter()
-            .copied()
-            .zip(tables.iter().map(|t| t.iter().copied())),
-        |r| neighbors.binary_search(&r).is_ok(),
-    )
-}
-
-/// [`density_from_tables`] without the tables: the same Definition-1
-/// value computed straight off any iterator of `(neighbor, its
-/// neighbor ids)` rows plus a membership test for the node's own
-/// neighbor set. This is the protocol hot path's entry point — it
-/// walks the neighbor cache in place instead of materializing
-/// id-vectors for every active node on every step.
-///
-/// `rows` must yield neighbors in ascending order and `contains` must
-/// answer membership in exactly that neighbor set.
-pub fn density_from_rows<I, J, F>(me: NodeId, degree: u32, rows: I, contains: F) -> Density
-where
-    I: IntoIterator<Item = (NodeId, J)>,
-    J: IntoIterator<Item = NodeId>,
-    F: Fn(NodeId) -> bool,
-{
-    let mut links = degree; // edges from me to each neighbor
-    for (q, row) in rows {
-        for r in row {
-            // Count each among-neighbor edge (q, r) once: q < r, and r
-            // must also be my neighbor (not me, handled by r != me).
-            if r != me && q < r && contains(r) {
-                links += 1;
-            }
-        }
-    }
-    Density::ratio(links, degree)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,17 +195,6 @@ mod tests {
     fn isolated_node_has_zero_density() {
         let topo = Topology::empty(3);
         assert_eq!(density_of(&topo, NodeId::new(0)), Density::zero());
-    }
-
-    #[test]
-    fn distributed_density_matches_oracle() {
-        let topo = fig1_example();
-        for p in topo.nodes() {
-            let neighbors: Vec<NodeId> = topo.neighbors(p).to_vec();
-            let tables: Vec<&[NodeId]> = neighbors.iter().map(|&q| topo.neighbors(q)).collect();
-            let distributed = density_from_tables(p, &neighbors, &tables);
-            assert_eq!(distributed, density_of(&topo, p), "node {p}");
-        }
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub use dag::{
     is_locally_unique, name_dag_height, new_id, order_dag_height, DagProtocol, DagState,
     DagVariant, NameSpace,
 };
-pub use density::{density_from_rows, density_from_tables, density_of, Density};
+pub use density::{density_of, Density};
 pub use energy::{
     charge_round, energy_aware_clustering, simulate_rotation, EnergyModel, RotationOutcome,
 };
@@ -95,7 +95,7 @@ pub use protocol::{
     DagConfig, DensityCluster, FreshnessPolicy, NeighborEntry, PeerSummary,
 };
 pub use routing::{
-    mean_stretch, mean_stretch_over, ClusterRouter, FlatRoutes, HierarchicalRoutes, PassScratch,
-    RoutePass, RouteScratch, RoutingView,
+    mean_stretch, mean_stretch_over, FlatRoutes, HierarchicalRoutes, PassScratch, RoutePass,
+    RouteScratch, RoutingView,
 };
 pub use stabilization::{check_legitimate, measure_info_schedule, Illegitimacy, InfoSchedule};

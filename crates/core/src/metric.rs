@@ -1,7 +1,7 @@
 use mwn_graph::{NodeId, Topology};
 use serde::{Deserialize, Serialize};
 
-use crate::{density_from_tables, density_of, Density};
+use crate::{density_of, Density};
 
 /// The election metric a node maximizes to become cluster-head.
 ///
@@ -34,25 +34,9 @@ impl MetricKind {
         }
     }
 
-    /// The metric value computed from distributed knowledge: the
-    /// node's neighbor list and each neighbor's own neighbor list (the
-    /// information available after two steps — paper Table 2).
-    pub fn value_from_tables(
-        self,
-        me: NodeId,
-        neighbors: &[NodeId],
-        tables: &[&[NodeId]],
-    ) -> Density {
-        match self {
-            MetricKind::Density => density_from_tables(me, neighbors, tables),
-            MetricKind::Degree => Density::integer(neighbors.len() as u32),
-            MetricKind::Unit => Density::zero(),
-        }
-    }
-
-    /// [`Self::value_from_tables`] from counts the caller already
-    /// keeps: the neighbor count and the numerator of Definition 1
-    /// (what
+    /// The metric value computed from distributed knowledge, as counts
+    /// the caller already keeps: the neighbor count and the numerator
+    /// of Definition 1 (what
     /// [`NeighborCache::neighborhood_links`][crate::NeighborCache::neighborhood_links]
     /// maintains incrementally).
     pub fn value_from_counts(self, degree: u32, links: u32) -> Density {
@@ -104,19 +88,6 @@ mod tests {
         let topo = builders::star(5);
         for p in topo.nodes() {
             assert_eq!(MetricKind::Unit.value_of(&topo, p), Density::zero());
-        }
-    }
-
-    #[test]
-    fn distributed_degree_matches() {
-        let topo = builders::ring(6);
-        for p in topo.nodes() {
-            let neighbors = topo.neighbors(p).to_vec();
-            let tables: Vec<&[NodeId]> = neighbors.iter().map(|&q| topo.neighbors(q)).collect();
-            assert_eq!(
-                MetricKind::Degree.value_from_tables(p, &neighbors, &tables),
-                MetricKind::Degree.value_of(&topo, p)
-            );
         }
     }
 

@@ -476,60 +476,6 @@ impl RoutingView for FlatRoutes {
     }
 }
 
-/// A router over one topology + clustering — the borrow-based
-/// convenience wrapper around [`HierarchicalRoutes`] for callers that
-/// route against a fixed topology snapshot.
-///
-/// # Examples
-///
-/// ```
-/// use mwn_cluster::{oracle, ClusterRouter, OracleConfig};
-/// use mwn_graph::{builders, NodeId};
-///
-/// let topo = builders::grid(6, 6, 0.25);
-/// let clustering = oracle(&topo, &OracleConfig::default());
-/// let router = ClusterRouter::new(&topo, &clustering);
-/// let route = router.route(NodeId::new(0), NodeId::new(35)).unwrap();
-/// assert_eq!(route.first(), Some(&NodeId::new(0)));
-/// assert_eq!(route.last(), Some(&NodeId::new(35)));
-/// ```
-#[derive(Debug)]
-pub struct ClusterRouter<'a> {
-    topo: &'a Topology,
-    routes: HierarchicalRoutes,
-}
-
-impl<'a> ClusterRouter<'a> {
-    /// Prepares routing state (the head overlay) for a stable
-    /// clustering.
-    pub fn new(topo: &'a Topology, clustering: &Clustering) -> Self {
-        ClusterRouter {
-            topo,
-            routes: HierarchicalRoutes::new(topo, clustering.clone()),
-        }
-    }
-
-    /// Computes the hierarchical route from `src` to `dst`, inclusive.
-    ///
-    /// Returns `None` when no route exists (different components) —
-    /// also when the hierarchy's overlay is partitioned, which cannot
-    /// happen for a stable clustering of a connected graph.
-    pub fn route(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-        self.routes.route(self.topo, src, dst)
-    }
-
-    /// Route length in hops (`route.len() - 1`), or `None` if
-    /// unroutable.
-    pub fn hops(&self, src: NodeId, dst: NodeId) -> Option<usize> {
-        Some(self.route(src, dst)?.len() - 1)
-    }
-
-    /// Validates that `route` is a real walk in the topology.
-    pub fn is_valid_route(&self, route: &[NodeId]) -> bool {
-        route.windows(2).all(|w| self.topo.has_edge(w[0], w[1]))
-    }
-}
-
 /// Mean stretch (view hops / shortest hops) of an arbitrary
 /// [`RoutingView`] over `samples` random connected pairs. Pairs in
 /// different components are skipped; returns `None` when no valid
@@ -599,18 +545,19 @@ mod tests {
     fn routes_are_real_walks_with_correct_endpoints() {
         let topo = field(1);
         let clustering = oracle(&topo, &OracleConfig::default());
-        let router = ClusterRouter::new(&topo, &clustering);
+        let view = HierarchicalRoutes::new(&topo, clustering);
         let mut rng = StdRng::seed_from_u64(1);
         let mut routed = 0;
         for _ in 0..200 {
             let src = NodeId::new(rng.random_range(0..topo.len() as u32));
             let dst = NodeId::new(rng.random_range(0..topo.len() as u32));
             let direct = traversal::bfs_distances(&topo, src)[dst.index()];
-            match router.route(src, dst) {
+            match view.route(&topo, src, dst) {
                 Some(route) => {
                     assert_eq!(route.first(), Some(&src));
                     assert_eq!(route.last(), Some(&dst));
-                    assert!(router.is_valid_route(&route), "{src}→{dst} not a walk");
+                    let walk = route.windows(2).all(|w| topo.has_edge(w[0], w[1]));
+                    assert!(walk, "{src}→{dst} not a walk");
                     assert!(direct.is_some(), "routed an unreachable pair");
                     routed += 1;
                 }
@@ -668,22 +615,21 @@ mod tests {
     fn intra_cluster_routes_are_shortest_within_the_cluster() {
         let topo = builders::complete(8);
         let clustering = oracle(&topo, &OracleConfig::default());
-        let router = ClusterRouter::new(&topo, &clustering);
+        let view = HierarchicalRoutes::new(&topo, clustering);
         // One cluster, complete graph: every route is one hop.
-        assert_eq!(router.hops(NodeId::new(1), NodeId::new(5)), Some(1));
+        let route = view.route(&topo, NodeId::new(1), NodeId::new(5));
+        assert_eq!(route, Some(vec![NodeId::new(1), NodeId::new(5)]));
     }
 
     #[test]
     fn self_route_is_trivial() {
         let topo = builders::line(4);
         let clustering = oracle(&topo, &OracleConfig::default());
-        let router = ClusterRouter::new(&topo, &clustering);
+        let view = HierarchicalRoutes::new(&topo, clustering);
         assert_eq!(
-            router.route(NodeId::new(2), NodeId::new(2)),
+            view.route(&topo, NodeId::new(2), NodeId::new(2)),
             Some(vec![NodeId::new(2)])
         );
-        assert_eq!(router.hops(NodeId::new(2), NodeId::new(2)), Some(0));
-        let view = HierarchicalRoutes::new(&topo, clustering);
         assert_eq!(view.next_hop(&topo, NodeId::new(2), NodeId::new(2)), None);
     }
 
@@ -692,8 +638,8 @@ mod tests {
         let mut topo = builders::line(6);
         topo.remove_edge(NodeId::new(2), NodeId::new(3));
         let clustering = oracle(&topo, &OracleConfig::default());
-        let router = ClusterRouter::new(&topo, &clustering);
-        assert_eq!(router.route(NodeId::new(0), NodeId::new(5)), None);
+        let view = HierarchicalRoutes::new(&topo, clustering);
+        assert_eq!(view.route(&topo, NodeId::new(0), NodeId::new(5)), None);
     }
 
     #[test]

@@ -4,11 +4,10 @@
 use std::collections::BTreeMap;
 
 use mwn_cluster::{
-    check_legitimate, density_from_rows, density_from_tables, density_of, extract_clustering,
-    extract_dag_ids, is_locally_unique, keys_of, new_id, oracle, ClusterBeacon, ClusterConfig,
-    ClusterState, DagConfig, DagProtocol, DagVariant, Density, DensityCluster, FreshnessPolicy,
-    HeadRule, Key, MetricKind, NameSpace, NeighborCache, NeighborEntry, OracleConfig, OrderKind,
-    PeerSummary,
+    check_legitimate, density_of, extract_clustering, extract_dag_ids, is_locally_unique, keys_of,
+    new_id, oracle, ClusterBeacon, ClusterConfig, ClusterState, DagConfig, DagProtocol, DagVariant,
+    Density, DensityCluster, FreshnessPolicy, HeadRule, Key, MetricKind, NameSpace, NeighborCache,
+    NeighborEntry, OracleConfig, OrderKind, PeerSummary,
 };
 use mwn_graph::{builders, NodeId, Topology};
 use mwn_radio::BernoulliLoss;
@@ -27,6 +26,50 @@ fn unit_disk(n: usize, r_percent: u32, seed: u64) -> Topology {
 
 fn topo_strategy() -> impl Strategy<Value = Topology> {
     (5usize..60, 8u32..30, 0u64..u64::MAX).prop_map(|(n, r, s)| unit_disk(n, r, s))
+}
+
+/// Definition 1 from distributed knowledge: the node's sorted neighbor
+/// set and, for each neighbor, that neighbor's own neighbor set (what
+/// beacons carry after two steps — the paper's Table 2). `tables[i]`
+/// is the neighbor table of `neighbors[i]`.
+fn density_from_tables(me: NodeId, neighbors: &[NodeId], tables: &[&[NodeId]]) -> Density {
+    assert_eq!(neighbors.len(), tables.len());
+    density_from_rows(
+        me,
+        neighbors.len() as u32,
+        neighbors
+            .iter()
+            .copied()
+            .zip(tables.iter().map(|t| t.iter().copied())),
+        |r| neighbors.binary_search(&r).is_ok(),
+    )
+}
+
+/// [`density_from_tables`] off any iterator of `(neighbor, its
+/// neighbor ids)` rows plus a membership test for the node's own
+/// neighbor set: the recount the cache model checks
+/// `NeighborCache::neighborhood_links` against (the protocol itself
+/// reads that count through `MetricKind::value_from_counts`).
+///
+/// `rows` must yield neighbors in ascending order and `contains` must
+/// answer membership in exactly that neighbor set.
+fn density_from_rows<I, J, F>(me: NodeId, degree: u32, rows: I, contains: F) -> Density
+where
+    I: IntoIterator<Item = (NodeId, J)>,
+    J: IntoIterator<Item = NodeId>,
+    F: Fn(NodeId) -> bool,
+{
+    let mut links = degree; // edges from me to each neighbor
+    for (q, row) in rows {
+        for r in row {
+            // Count each among-neighbor edge (q, r) once: q < r, and r
+            // must also be my neighbor (not me, handled by r != me).
+            if r != me && q < r && contains(r) {
+                links += 1;
+            }
+        }
+    }
+    Density::ratio(links, degree)
 }
 
 fn key_strategy() -> impl Strategy<Value = Key> {

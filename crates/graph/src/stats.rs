@@ -57,19 +57,6 @@ impl DegreeStats {
     }
 }
 
-/// Histogram of node degrees: `histogram[d]` is the number of nodes
-/// with degree `d`. Empty for an empty topology.
-pub fn degree_histogram(topo: &Topology) -> Vec<usize> {
-    let mut hist = vec![0usize; topo.max_degree() + 1];
-    if topo.is_empty() {
-        return Vec::new();
-    }
-    for p in topo.nodes() {
-        hist[topo.degree(p)] += 1;
-    }
-    hist
-}
-
 /// The expected mean degree of a Poisson(λ) unit-disk deployment with
 /// range `R`, ignoring border effects: `λ·π·R²`. Useful to pick λ and
 /// `R` so that a target `δ` is respected with high probability.
@@ -85,19 +72,10 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn histogram_sums_to_node_count() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let topo = builders::uniform(200, 0.1, &mut rng);
-        let hist = degree_histogram(&topo);
-        assert_eq!(hist.iter().sum::<usize>(), 200);
-    }
-
-    #[test]
     fn empty_topology_stats() {
         let topo = Topology::empty(0);
         let s = DegreeStats::of(&topo);
         assert_eq!(s.max, 0);
-        assert_eq!(degree_histogram(&topo), Vec::<usize>::new());
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! The paper's evaluation reports averages "over 1000 simulations"
 //! (Section 5). This crate provides the pieces that turn raw simulation
 //! outputs into the paper's tables: numerically stable running
-//! statistics ([`RunningStats`]), histograms ([`Histogram`]),
-//! paper-style ASCII tables ([`Table`]) and serializable result
-//! records ([`Summary`]). The multi-seed parallel fan-out lives with
-//! the simulator as `mwn_sim::Sweep`.
+//! statistics ([`RunningStats`]), streaming latency quantiles
+//! ([`LatencyHistogram`]), Wilson intervals for proportions
+//! ([`wilson_interval`]) and paper-style ASCII tables ([`Table`]). The
+//! multi-seed parallel fan-out lives with the simulator as
+//! `mwn_sim::Sweep`.
 //!
 //! # Examples
 //!
@@ -22,14 +23,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod histogram;
 mod percentile;
 mod proportion;
 mod running;
 mod table;
 
-pub use histogram::Histogram;
 pub use percentile::{percentiles, LatencyHistogram};
 pub use proportion::{wilson_interval, wilson_overlap};
-pub use running::{RunningStats, Summary};
+pub use running::RunningStats;
 pub use table::Table;

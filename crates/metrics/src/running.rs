@@ -121,18 +121,6 @@ impl RunningStats {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Freezes the accumulator into a serializable [`Summary`].
-    pub fn summary(&self) -> Summary {
-        Summary {
-            count: self.count,
-            mean: self.mean(),
-            std_dev: self.std_dev(),
-            min: if self.count == 0 { 0.0 } else { self.min },
-            max: if self.count == 0 { 0.0 } else { self.max },
-            ci95: self.ci95_half_width(),
-        }
-    }
 }
 
 impl FromIterator<f64> for RunningStats {
@@ -167,34 +155,6 @@ impl fmt::Display for RunningStats {
     }
 }
 
-/// A frozen, serializable statistics record for experiment outputs.
-///
-/// # Examples
-///
-/// ```
-/// use mwn_metrics::RunningStats;
-///
-/// let stats: RunningStats = [1.0, 2.0, 3.0].into_iter().collect();
-/// let summary = stats.summary();
-/// assert_eq!(summary.count, 3);
-/// assert_eq!(summary.mean, 2.0);
-/// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct Summary {
-    /// Number of samples.
-    pub count: u64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Sample standard deviation.
-    pub std_dev: f64,
-    /// Smallest sample (0 when empty).
-    pub min: f64,
-    /// Largest sample (0 when empty).
-    pub max: f64,
-    /// Half-width of the 95% confidence interval for the mean.
-    pub ci95: f64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,7 +165,7 @@ mod tests {
         assert_eq!(stats.count(), 0);
         assert_eq!(stats.mean(), 0.0);
         assert_eq!(stats.std_dev(), 0.0);
-        assert_eq!(stats.summary().min, 0.0);
+        assert!(stats.to_string().contains("min=0.000"));
     }
 
     #[test]

@@ -23,8 +23,9 @@ use crate::{ContentionStreams, Delivery, Medium, OccupancyView};
 /// power-law path loss: ratio `c` ≈ threshold^(1/α).
 ///
 /// The gated path keeps its senders' slots in stamped marks the medium
-/// owns (as [`crate::SlottedCsma`] does), so the type is `Clone`, not
-/// `Copy`, and compares by configuration.
+/// owns (as [`crate::SlottedCsma`] does), and its contenders in a list
+/// it reuses, so the type is `Clone`, not `Copy`, and compares by
+/// configuration.
 ///
 /// # Examples
 ///
@@ -39,6 +40,8 @@ pub struct CaptureCsma {
     slots: usize,
     capture_ratio: f64,
     marks: SlotMarks,
+    /// The gated fold's contenders for one copy, by (distance, id).
+    ranked: Vec<(f64, NodeId)>,
 }
 
 impl PartialEq for CaptureCsma {
@@ -65,6 +68,7 @@ impl CaptureCsma {
             slots,
             capture_ratio,
             marks: SlotMarks::default(),
+            ranked: Vec::new(),
         }
     }
 
@@ -163,13 +167,12 @@ impl Medium for CaptureCsma {
             .positions()
             .expect("the capture effect requires node positions");
         let p_slot = 1.0 / self.slots as f64;
-        let marks = &mut self.marks;
+        let (marks, ranked) = (&mut self.marks, &mut self.ranked);
         marks.begin(topo.len());
         for &s in senders {
             marks.claim(s, streams.sender(s).random_range(0..self.slots));
             delivery.attempted += topo.degree(s);
         }
-        let mut ranked: Vec<(f64, NodeId)> = Vec::new();
         for &s in senders {
             let Some(slot) = marks.slot(s) else {
                 debug_assert!(false, "the claim loop above gave {s} a slot");

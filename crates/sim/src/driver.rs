@@ -161,6 +161,60 @@ impl<P: Protocol, C: Clock<P>> Sim<P, C> {
         self.env.tally.senders as u64
     }
 
+    /// Guard passes ([`Protocol::update`]) run since construction: on
+    /// a period clock one per visited node, on the event clock one per
+    /// arrival and beacon slot. Eager scheduling runs every one; gated
+    /// scheduling only where the state may still move
+    /// ([`StepActivity::updates`]).
+    pub fn updates(&self) -> u64 {
+        self.env.tally.updates as u64
+    }
+
+    /// [`Protocol::receive`] calls since construction: every delivered
+    /// copy under eager scheduling, the copies the frame gate let
+    /// through under gating ([`StepActivity::receives`]).
+    pub fn receives(&self) -> u64 {
+        self.env.tally.receives as u64
+    }
+
+    /// Delivered copies the frame gate recorded without a receive
+    /// since construction ([`StepActivity::held`]; 0 under eager
+    /// scheduling).
+    pub fn held(&self) -> u64 {
+        self.env.tally.held as u64
+    }
+
+    /// Guard passes skipped since construction because every copy that
+    /// scheduled them was held: what the holds saved
+    /// ([`StepActivity::settled`]; 0 under eager scheduling).
+    pub fn settled(&self) -> u64 {
+        self.env.tally.settled as u64
+    }
+
+    /// (sender, 1-neighbor) frame copies in range since construction —
+    /// the denominator of [`Sim::measured_tau`], exposed so
+    /// distributional agreement suites can pool exact counts into
+    /// Wilson intervals instead of re-deriving them from the ratio.
+    pub fn frames_attempted(&self) -> u64 {
+        self.env.tally.frames_attempted as u64
+    }
+
+    /// Frame copies the medium delivered since construction.
+    pub fn frames_delivered(&self) -> u64 {
+        self.env.tally.frames_delivered as u64
+    }
+
+    /// The fraction of in-range frame copies delivered so far — the
+    /// empirical τ of this run (1.0 before any traffic).
+    pub fn measured_tau(&self) -> f64 {
+        let tally = &self.env.tally;
+        if tally.frames_attempted == 0 {
+            1.0
+        } else {
+            tally.frames_delivered as f64 / tally.frames_attempted as f64
+        }
+    }
+
     /// Nodes whose state changed during the last step, in ascending id,
     /// on every clock. Tracked under gated scheduling only: a step under
     /// eager scheduling reports none.

@@ -258,7 +258,7 @@ impl<B: Clone> Lanes<B> {
 /// stated: beacons at randomized intervals, frames with real duration,
 /// and a channel in which the per-frame success probability is some
 /// τ > 0 — exactly the paper's hypothesis (read it off
-/// [`EventDriver::measured_tau`]). The [`Medium`] decides each copy's
+/// [`Sim::measured_tau`]). The [`Medium`] decides each copy's
 /// fate from a derived per-(slot, sender) stream, and when the protocol
 /// declares [`crate::Activity::Gated`], silent nodes stop scheduling beacon
 /// slots altogether.
@@ -323,7 +323,7 @@ impl<B: Clone> Lanes<B> {
 /// `dirty` input of the skip rule all three drivers share
 /// (`engine::settle`): an arrival whose receive changes nothing at a
 /// node whose last pass changed nothing — or a beacon slot of one —
-/// runs no guard pass. [`EventDriver::updates`] counts the passes that
+/// runs no guard pass. [`Sim::updates`] counts the passes that
 /// do run. An arrival whose receiver already holds what a receive
 /// reads of it — the sender's beacon has changed since the epoch the
 /// receiver holds, but only in parts [`Protocol::read_changed`] does
@@ -829,58 +829,6 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     /// quiet interval processes no events at all.
     pub fn events_processed(&self) -> u64 {
         self.clock.events
-    }
-
-    /// Guard passes run so far — the event clock's counterpart of the
-    /// period clocks' per-step update count. Eager scheduling runs one
-    /// per arrival and one per beacon slot; gated scheduling runs one
-    /// only where the state may still move.
-    pub fn updates(&self) -> u64 {
-        self.env.tally.updates as u64
-    }
-
-    /// [`Protocol::receive`] calls so far: every delivered copy under
-    /// eager scheduling, the copies the frame gate let through under
-    /// gating ([`crate::StepActivity::receives`]).
-    pub fn receives(&self) -> u64 {
-        self.env.tally.receives as u64
-    }
-
-    /// Delivered copies the frame gate recorded without a receive so
-    /// far ([`crate::StepActivity::held`]; 0 under eager scheduling).
-    pub fn held(&self) -> u64 {
-        self.env.tally.held as u64
-    }
-
-    /// Guard passes skipped so far at an arrival whose copy was held:
-    /// what the holds saved ([`crate::StepActivity::settled`]; 0 under
-    /// eager scheduling).
-    pub fn settled(&self) -> u64 {
-        self.env.tally.settled as u64
-    }
-
-    /// (sender, 1-neighbor) frame copies in range so far — the
-    /// denominator of [`EventDriver::measured_tau`], exposed so
-    /// distributional agreement suites can pool exact counts into
-    /// Wilson intervals instead of re-deriving them from the ratio.
-    pub fn frames_attempted(&self) -> u64 {
-        self.env.tally.frames_attempted as u64
-    }
-
-    /// Frame copies actually received so far.
-    pub fn frames_delivered(&self) -> u64 {
-        self.env.tally.frames_delivered as u64
-    }
-
-    /// The fraction of in-range frame copies delivered so far — the
-    /// empirical τ of this run (1.0 before any traffic).
-    pub fn measured_tau(&self) -> f64 {
-        let tally = &self.env.tally;
-        if tally.frames_attempted == 0 {
-            1.0
-        } else {
-            tally.frames_delivered as f64 / tally.frames_attempted as f64
-        }
     }
 }
 

@@ -33,14 +33,12 @@
 //! Malformed plans (out-of-range victims, node-count-changing
 //! topologies, position-free deployments with disk regions) are
 //! rejected **before the run starts** by [`FaultPlan::validate_for`],
-//! which the [`crate::Scenario`] builders and [`FaultPlan::run`] call —
-//! a bad campaign fails the run with a typed [`SimError`], not the
-//! process.
+//! which the [`crate::Scenario`] builders call — a bad campaign fails
+//! the build with a typed [`SimError`], not the process.
 
 use mwn_graph::{NodeId, Topology};
 
 use crate::error::SimError;
-use crate::{Clock, Corruptible, Sim};
 
 /// What a Byzantine node puts on the air instead of its true beacon.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -222,14 +220,14 @@ impl Fault {
 }
 
 /// A reproducible script of faults, each fired *before* the given step
-/// executes.
+/// executes. [`crate::Scenario::faults`] installs it into a driver,
+/// which fires it on the fault clock of [`crate::Driver`].
 ///
 /// # Examples
 ///
 /// ```
 /// use mwn_graph::{builders, NodeId};
-/// use mwn_radio::PerfectMedium;
-/// use mwn_sim::{Fault, FaultPlan, Network, Protocol};
+/// use mwn_sim::{Fault, FaultPlan, Protocol, Scenario};
 /// use rand::rngs::StdRng;
 ///
 /// # struct Noop;
@@ -245,9 +243,13 @@ impl Fault {
 /// # }
 /// let mut plan = FaultPlan::new();
 /// plan.at(5, Fault::CorruptAll).at(10, Fault::Isolate(NodeId::new(0)));
-/// let mut net = Network::new(Noop, PerfectMedium, builders::line(4), 1);
-/// plan.run(&mut net, 20).expect("valid plan");
-/// assert_eq!(net.now(), 20);
+/// let mut net = Scenario::new(Noop)
+///     .topology(builders::line(4))
+///     .faults(plan)
+///     .build()
+///     .expect("valid plan");
+/// net.run(20);
+/// assert_eq!(net.topology().degree(NodeId::new(0)), 0);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
@@ -265,7 +267,7 @@ impl FaultPlan {
     ///
     /// Insertion is O(1): the script is built unsorted and sorted once
     /// (stably, so same-step insertion order survives) when the plan
-    /// is installed into a driver or run.
+    /// is installed into a driver.
     pub fn at(&mut self, step: u64, fault: Fault) -> &mut Self {
         self.events.push((step, fault));
         self
@@ -305,64 +307,54 @@ impl FaultPlan {
             .iter()
             .try_for_each(|(_, f)| f.validate_for(topo))
     }
-
-    /// Runs `net` — on any clock — until `until_step`, firing scheduled
-    /// faults along the way. Faults scheduled before the current step
-    /// fire immediately; faults due exactly at `until_step` fire too
-    /// (the caller observes the post-fault state), later ones do not.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`FaultPlan::validate_for`] rejects — the plan is
-    /// validated against `net`'s topology before any step executes.
-    pub fn run<P: Corruptible, C: Clock<P>>(
-        &self,
-        net: &mut Sim<P, C>,
-        until_step: u64,
-    ) -> Result<(), SimError> {
-        self.validate_for(net.topology())?;
-        let mut script: Vec<&(u64, Fault)> = self.events.iter().collect();
-        script.sort_by_key(|(step, _)| *step);
-        let mut pending = script.into_iter().peekable();
-        loop {
-            while let Some((_, fault)) = pending.next_if(|(step, _)| *step <= net.now()) {
-                net.inject(fault)?;
-            }
-            if net.now() >= until_step {
-                return Ok(());
-            }
-            net.step();
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testkit::MaxFlood;
-    use crate::Network;
+    use crate::{Driver, Network, Scenario};
     use mwn_graph::builders;
     use mwn_radio::PerfectMedium;
     use rand::rngs::StdRng;
+
+    /// The round driver over `topo` with `plan` installed.
+    fn scripted(
+        plan: FaultPlan,
+        topo: Topology,
+        seed: u64,
+    ) -> Result<Network<MaxFlood, PerfectMedium>, SimError> {
+        Scenario::new(MaxFlood)
+            .topology(topo)
+            .seed(seed)
+            .faults(plan)
+            .build()
+    }
 
     #[test]
     fn faults_fire_in_order_and_heal() {
         let mut plan = FaultPlan::new();
         plan.at(10, Fault::CorruptAll);
-        let mut net = Network::new(MaxFlood, PerfectMedium, builders::line(5), 1);
-        plan.run(&mut net, 30).expect("valid plan");
+        let mut net = scripted(plan, builders::line(5), 1).expect("valid plan");
+        net.run(30);
         assert_eq!(net.now(), 30);
         // 20 steps after the corruption: flood reconverged.
         assert!(net.states().iter().all(|&s| s == 4));
     }
 
     #[test]
-    fn isolation_fault_cuts_traffic() {
+    fn a_fault_due_at_k_fires_as_step_k_begins() {
         let mut plan = FaultPlan::new();
-        plan.at(0, Fault::Isolate(NodeId::new(2)));
-        let mut net = Network::new(MaxFlood, PerfectMedium, builders::line(5), 2);
-        plan.run(&mut net, 20).expect("valid plan");
-        assert_eq!(*net.state(NodeId::new(0)), 1, "max id cannot cross the cut");
+        plan.at(10, Fault::CorruptAll);
+        let mut net = scripted(plan, builders::line(5), 1).expect("valid plan");
+        let driver: &mut dyn Driver<Protocol = MaxFlood> = &mut net;
+        while driver.now() < 10 {
+            driver.step();
+        }
+        assert!(driver.states().iter().all(|&s| s == 4), "not fired yet");
+        driver.step();
+        // Zeroed before step 10's beacons: each node holds its own id.
+        assert_eq!(driver.states(), &[0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -371,8 +363,10 @@ mod tests {
         let mut plan = FaultPlan::new();
         plan.at(0, Fault::Isolate(NodeId::new(2)))
             .at(10, Fault::SetTopology(topo.clone()));
-        let mut net = Network::new(MaxFlood, PerfectMedium, topo, 3);
-        plan.run(&mut net, 30).expect("valid plan");
+        let mut net = scripted(plan, topo, 3).expect("valid plan");
+        net.run(10);
+        assert_eq!(*net.state(NodeId::new(0)), 1, "max id cannot cross the cut");
+        net.run(20);
         assert!(net.states().iter().all(|&s| s == 4), "healed after re-link");
     }
 
@@ -381,20 +375,25 @@ mod tests {
         let mut plan = FaultPlan::new();
         plan.at(5, Fault::CorruptFraction(0.5))
             .at(6, Fault::CorruptNode(NodeId::new(0)));
-        let mut net = Network::new(MaxFlood, PerfectMedium, builders::ring(8), 4);
-        plan.run(&mut net, 40).expect("valid plan");
-        assert!(net.states().iter().all(|&s| s == 7));
         assert_eq!(plan.len(), 2);
         assert!(!plan.is_empty());
+        let mut net = scripted(plan, builders::ring(8), 4).expect("valid plan");
+        net.run(40);
+        assert!(net.states().iter().all(|&s| s == 7));
     }
 
     #[test]
     fn empty_plan_is_plain_run() {
         let plan = FaultPlan::new();
-        let mut net = Network::new(MaxFlood, PerfectMedium, builders::line(3), 5);
-        plan.run(&mut net, 7).expect("valid plan");
-        assert_eq!(net.now(), 7);
         assert!(plan.is_empty());
+        let mut scripted = scripted(plan, builders::line(3), 5).expect("valid plan");
+        let mut plain = Network::new(MaxFlood, PerfectMedium, builders::line(3), 5);
+        for _ in 0..7 {
+            scripted.step();
+            plain.step();
+            assert_eq!(scripted.states(), plain.states());
+        }
+        assert_eq!(scripted.now(), 7);
     }
 
     #[test]
@@ -423,18 +422,17 @@ mod tests {
 
     #[test]
     fn malformed_plans_fail_the_run_not_the_process() {
-        // Node-count-changing topology: a typed error, not a panic.
+        // Node-count-changing topology: a typed error from the build,
+        // not a panic mid-run.
         let mut plan = FaultPlan::new();
         plan.at(2, Fault::SetTopology(builders::line(7)));
-        let mut net = Network::new(MaxFlood, PerfectMedium, builders::line(5), 1);
         assert_eq!(
-            plan.run(&mut net, 10),
-            Err(SimError::NodeCountMismatch {
+            scripted(plan, builders::line(5), 1).unwrap_err(),
+            SimError::NodeCountMismatch {
                 expected: 5,
                 got: 7
-            })
+            }
         );
-        assert_eq!(net.now(), 0, "nothing ran");
 
         // Out-of-range victims are named in the error.
         let mut plan = FaultPlan::new();
@@ -445,7 +443,7 @@ mod tests {
                 dark_for: 3,
             },
         );
-        let err = plan.run(&mut net, 10).unwrap_err();
+        let err = scripted(plan, builders::line(5), 1).unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig(_)));
         assert!(err.to_string().contains("99"), "err: {err}");
 
@@ -453,7 +451,6 @@ mod tests {
         // none).
         let mut rng = <StdRng as rand::SeedableRng>::seed_from_u64(7);
         let unpositioned = builders::gnp(5, 0.5, &mut rng);
-        let mut net = Network::new(MaxFlood, PerfectMedium, unpositioned, 1);
         let mut plan = FaultPlan::new();
         plan.at(
             0,
@@ -466,7 +463,7 @@ mod tests {
                 until: 5,
             },
         );
-        let err = plan.run(&mut net, 10).unwrap_err();
+        let err = scripted(plan, unpositioned, 1).unwrap_err();
         assert!(err.to_string().contains("positioned"), "err: {err}");
     }
 

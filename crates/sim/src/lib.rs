@@ -120,7 +120,7 @@ pub use faults::{Fault, FaultPlan, Lie, Region};
 pub use network::{Network, Rounds, StepActivity};
 pub use observable::Observable;
 pub use protocol::{Activity, Corruptible, Protocol};
-pub use rng::{derive_seed, derive_seed3, split_rng};
+pub use rng::{derive_seed, split_rng};
 pub use scenario::{Scenario, TopologyDynamics};
 pub use stop::{RunReport, StopWhen};
 pub use sweep::{Convergence, Sweep};

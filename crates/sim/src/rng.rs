@@ -22,18 +22,9 @@ pub fn derive_seed(base: u64, stream: u64) -> u64 {
 }
 
 /// Derives a decorrelated seed from a base seed and **two** stream
-/// coordinates — the splittable scheme behind per-(step, node) random
-/// streams.
-///
-/// # Examples
-///
-/// ```
-/// use mwn_sim::derive_seed3;
-///
-/// assert_eq!(derive_seed3(42, 3, 9), derive_seed3(42, 3, 9));
-/// assert_ne!(derive_seed3(42, 3, 9), derive_seed3(42, 9, 3));
-/// ```
-pub fn derive_seed3(base: u64, a: u64, b: u64) -> u64 {
+/// coordinates — the splittable scheme behind [`split_rng`]'s
+/// per-(step, node) random streams.
+fn derive_seed3(base: u64, a: u64, b: u64) -> u64 {
     derive_seed(derive_seed(base, a), b)
 }
 

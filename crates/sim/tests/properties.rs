@@ -294,8 +294,13 @@ proptest! {
         let mut plan = FaultPlan::new();
         plan.at(fault_step, Fault::CorruptFraction(fraction))
             .at(fault_step + 3, Fault::CorruptAll);
-        let mut net = Network::new(MaxFlood, PerfectMedium, topo, seed);
-        plan.run(&mut net, fault_step + 4).expect("well-formed plan");
+        let mut net = Scenario::new(MaxFlood)
+            .topology(topo)
+            .seed(seed)
+            .faults(plan)
+            .build()
+            .expect("well-formed plan");
+        net.run(fault_step + 4);
         net.run_to(&StopWhen::stable_for(3).within(1000)).expect_stable("converges after faults");
         prop_assert_eq!(net.states(), expected.as_slice());
     }

@@ -30,8 +30,9 @@
 //!
 //! The contention media ride the same wave on both clocks. Slotted
 //! CSMA keeps its slot claims, tallies and participant lists in a
-//! generation-stamped scratch it owns, so neither a storm round over
-//! every sender nor a one-sender call on the event clock allocates.
+//! generation-stamped scratch it owns, and capture CSMA its slot marks
+//! and ranked contenders, so neither a storm round over every sender
+//! nor a one-sender call on the event clock allocates.
 //!
 //! The audit installs a counting [`GlobalAlloc`] wrapper around the
 //! system allocator. All phases run inside a single `#[test]` so no
@@ -375,7 +376,14 @@ fn steady_state_loops_do_not_allocate() {
          (n=100: {small:.1}/period, n=400: {large:.1}/period)"
     );
 
-    // --- Contention media: the wave under slotted CSMA, both clocks --
+    // --- Contention media: the wave under CSMA, both clocks ---------
+    contention_steps_do_not_allocate(SlottedCsma::new(8));
+    contention_steps_do_not_allocate(CaptureCsma::new(8, 1.5));
+}
+
+/// The contention phase of the audit, on one medium.
+fn contention_steps_do_not_allocate<M: Medium + Clone>(medium: M) {
+    let name = medium.name();
     // A 4-neighborhood grid, so a delivery row's first allocation (four
     // entries) already holds every frame a node can hear in one round:
     // what is left to warm is the medium's own scratch, which a storm
@@ -387,13 +395,13 @@ fn steady_state_loops_do_not_allocate() {
     let csma_scenario = || {
         Scenario::new(DensityCluster::new(ClusterConfig::default().event_driven()))
             .topology(builders::grid(20, 20, 1.05 / 19.0))
-            .medium(SlottedCsma::new(8))
+            .medium(medium.clone())
             .seed(7)
     };
     let mut net = csma_scenario().build().expect("valid scenario");
     net.set_shards(Some(1));
     net.run_to(&StopWhen::stable_for(10).within(10_000))
-        .expect_stable("the clustering converges under CSMA");
+        .expect_stable(&format!("the clustering converges under {name}"));
     let nodes = net.states().len() as u32;
     let (mut storm, mut tail, mut quiet) = (0usize, 0usize, 0usize);
     for round in 0..9u32 {
@@ -411,7 +419,7 @@ fn steady_state_loops_do_not_allocate() {
             assert_eq!(
                 during,
                 0,
-                "CSMA step with {} senders allocated {during} times",
+                "{name} step with {} senders allocated {during} times",
                 net.last_activity().senders
             );
             match net.last_activity().senders as u32 {
@@ -424,21 +432,24 @@ fn steady_state_loops_do_not_allocate() {
     }
     assert!(
         storm >= 10 && tail >= 10 && quiet >= 10,
-        "the CSMA audit window must cover storm, tail and quiet steps \
+        "the {name} audit window must cover storm, tail and quiet steps \
          ({storm} storm, {tail} tail, {quiet} quiet seen)"
     );
 
     // On the event clock every transmission is a one-sender call
     // against the full population: its cost — and its allocations —
-    // must be its 2-hop neighborhood's, not n's.
+    // must be its 2-hop neighborhood's, not n's. Rounds 0–7 warm up, as
+    // in the event driver's phase above: the pool of transmissions in
+    // flight grows to its high-water mark (under capture CSMA the
+    // seventh wave still adds entries).
     let mut events = csma_scenario()
         .build_events(EventConfig::default())
         .expect("valid event scenario");
     events
         .run_to(&StopWhen::stable_for(10).within(10_000))
-        .expect_stable("the clustering converges under CSMA on the event clock");
+        .expect_stable(&format!("{name} converges on the event clock"));
     let (mut periods, mut frames) = (0usize, 0u64);
-    for round in 0..9u32 {
+    for round in 0..12u32 {
         for i in 0..nodes {
             scramble(events.state_mut(NodeId::new(i)), i, nodes, round);
         }
@@ -447,10 +458,10 @@ fn steady_state_loops_do_not_allocate() {
             events.step();
             let during = ALLOCS.load(Ordering::Relaxed) - before;
             let landed = events.frames_delivered() - landed;
-            if round >= 6 && landed > 0 {
+            if round >= 8 && landed > 0 {
                 assert_eq!(
                     during, 0,
-                    "a CSMA beacon period landing {landed} frames allocated {during} times"
+                    "a {name} beacon period landing {landed} frames allocated {during} times"
                 );
                 periods += 1;
                 frames += landed;
@@ -459,7 +470,7 @@ fn steady_state_loops_do_not_allocate() {
     }
     assert!(
         periods >= 10 && frames > 10 * u64::from(nodes),
-        "the CSMA event audit window must cover real converging work \
+        "the {name} event audit window must cover real converging work \
          ({periods} active periods, {frames} frames)"
     );
 }

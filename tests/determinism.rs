@@ -5,6 +5,7 @@
 
 use rand::SeedableRng;
 use selfstab::prelude::*;
+use selfstab::sim::{Clock, Sim};
 
 fn pipeline(seed: u64) -> (Vec<NodeId>, Vec<u32>, String) {
     // deploy → DAG-enabled clustering over CSMA → render
@@ -205,60 +206,41 @@ fn digest(outputs: &[(u32, NodeId, NodeId)]) -> u64 {
         })
 }
 
-/// One lossy run on each driver: the round driver gated and pinned
-/// eager, the event clock, and the actor fabric on one thread. Frames
-/// on the period-clocked drivers are counted by a twin that replays
-/// the run step by step.
-fn pins<M: Medium + Sync + Clone>(medium: M) -> [Pin; 4] {
+/// A run's pin, read off the driver after it settles.
+fn pin<C: Clock<DensityCluster>>(d: &mut Sim<DensityCluster, C>) -> Pin {
+    let report = d.run_to(&StopWhen::stable_for(4).within(400));
+    let outputs = digest(&d.outputs());
+    (report, d.messages_total(), d.frames_delivered(), outputs)
+}
+
+/// The deployment every pinned run shares, over `medium`.
+fn pinned<M: Medium>(medium: M) -> Scenario<DensityCluster, M> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(29);
-    let topo = builders::uniform(40, 0.2, &mut rng);
-    let scenario = || {
-        Scenario::new(DensityCluster::new(ClusterConfig::default().event_driven()))
-            .medium(medium.clone())
-            .topology(topo.clone())
-            .seed(5)
-    };
-    let stop = StopWhen::stable_for(4).within(400);
+    Scenario::new(DensityCluster::new(ClusterConfig::default().event_driven()))
+        .medium(medium)
+        .topology(builders::uniform(40, 0.2, &mut rng))
+        .seed(5)
+}
+
+/// One run on each clock that takes any medium: the round driver gated
+/// and pinned eager, and the event clock.
+fn clock_pins<M: Medium + Clone>(medium: &M) -> [Pin; 3] {
     let rounds = |eager: bool| {
-        let mut net = scenario().build().expect("valid scenario");
-        let mut twin = scenario().build().expect("valid scenario");
+        let mut net = pinned(medium.clone()).build().expect("valid scenario");
         net.set_eager(eager);
-        twin.set_eager(eager);
-        let report = net.run_to(&stop);
-        let frames = (0..report.end_step)
-            .map(|_| {
-                twin.step();
-                twin.last_activity().frames_delivered as u64
-            })
-            .sum();
-        (report, net.messages_total(), frames, digest(&net.outputs()))
+        pin(&mut net)
     };
-    let mut events = scenario()
-        .build_events(EventConfig::default())
-        .expect("valid event scenario");
-    let report = events.run_to(&stop);
-    let events = (
-        report,
-        events.messages_total(),
-        events.frames_delivered(),
-        digest(&events.outputs()),
-    );
-    let mut actors = scenario().build_actors(1).expect("valid actor scenario");
-    let mut twin = scenario().build_actors(1).expect("valid actor scenario");
-    let report = actors.run_to(&stop);
-    let frames = (0..report.end_step)
-        .map(|_| {
-            twin.step();
-            twin.last_activity().frames_delivered as u64
-        })
-        .sum();
-    let actors = (
-        report,
-        actors.messages_total(),
-        frames,
-        digest(&actors.outputs()),
-    );
-    [rounds(false), rounds(true), events, actors]
+    let events = pinned(medium.clone()).build_events(EventConfig::default());
+    let events = pin(&mut events.expect("valid event scenario"));
+    [rounds(false), rounds(true), events]
+}
+
+/// [`clock_pins`], then the actor fabric on one thread.
+fn pins<M: Medium + Sync + Clone>(medium: M) -> [Pin; 4] {
+    let [gated, eager, events] = clock_pins(&medium);
+    let actors = pinned(medium).build_actors(1);
+    let actors = pin(&mut actors.expect("valid actor scenario"));
+    [gated, eager, events, actors]
 }
 
 #[test]
@@ -305,6 +287,50 @@ fn lossy_fates_replay_their_pins_on_all_three_drivers() {
             (settled(11), 381, 1079, out),
         ],
         "thinned: [gated rounds, eager rounds, events, actors]"
+    );
+}
+
+#[test]
+fn contention_draws_replay_their_pins_on_the_round_and_event_clocks() {
+    // Recorded on the tree before the capture medium kept its ranked
+    // contenders between calls. Gated and eager rounds agree on these
+    // media only in distribution (`tests/gated_csma.rs`), so only a
+    // pin holds their draws still. The actor fabric takes no
+    // contention medium.
+    let settled = |stabilized: u64| RunReport {
+        stabilized: Some(stabilized),
+        steps: stabilized + 4,
+        end_step: stabilized + 4,
+        satisfied: true,
+        timed_out: false,
+    };
+    let out = 16_840_706_550_354_590_634;
+    assert_eq!(
+        clock_pins(&SlottedCsma::new(8)),
+        [
+            (settled(11), 392, 1030, out),
+            (settled(9), 520, 1292, out),
+            (settled(12), 317, 842, out),
+        ],
+        "slotted CSMA: [gated rounds, eager rounds, events]"
+    );
+    assert_eq!(
+        clock_pins(&SlottedCsma::new(8).without_carrier_sense()),
+        [
+            (settled(17), 527, 1198, out),
+            (settled(23), 1080, 2179, out),
+            (settled(16), 469, 1080, out),
+        ],
+        "slotted ALOHA: [gated rounds, eager rounds, events]"
+    );
+    assert_eq!(
+        clock_pins(&CaptureCsma::new(8, 1.5)),
+        [
+            (settled(14), 472, 1199, out),
+            (settled(12), 640, 1490, out),
+            (settled(9), 354, 903, out),
+        ],
+        "capture CSMA: [gated rounds, eager rounds, events]"
     );
 }
 

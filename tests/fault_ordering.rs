@@ -561,34 +561,12 @@ fn eager_steps_report_no_change_on_every_clock() {
     }
 }
 
-/// On the clock `build` deploys: over a lossy grid, corrupted after
-/// three steps and pinned eager for a stretch, the broadcasts of the
-/// steps add up to the growth of `messages_total()`.
-fn step_senders_add_up_to_the_message_count<C: Clock<MaxFlood>>(
-    label: &str,
-    build: impl Fn(&Topology) -> Sim<MaxFlood, C>,
-) {
-    let mut d = build(&builders::grid(5, 5, 0.3));
-    let (start, mut sent) = (d.messages_total(), 0);
-    for step in 0..60 {
-        match step {
-            3 => d.corrupt_all(),
-            20 => d.set_eager(true),
-            30 => d.set_eager(false),
-            _ => {}
-        }
-        d.step();
-        sent += d.last_activity().senders as u64;
-    }
-    assert!(sent > 0, "{label}");
-    assert_eq!(d.messages_total() - start, sent, "{label}");
-}
-
-/// What the event clock has counted so far, through its running
-/// accessors: frames attempted and delivered, receives, holds, guard
-/// passes and settled passes.
-fn event_totals(d: &EventDriver<MaxFlood, BernoulliLoss>) -> [u64; 6] {
+/// A run's totals so far, read the same way on every clock: broadcasts,
+/// frames attempted and delivered, receives, holds, guard passes and
+/// settled passes.
+fn totals<C: Clock<MaxFlood>>(d: &Sim<MaxFlood, C>) -> [u64; 7] {
     [
+        d.messages_total(),
         d.frames_attempted(),
         d.frames_delivered(),
         d.receives(),
@@ -598,56 +576,66 @@ fn event_totals(d: &EventDriver<MaxFlood, BernoulliLoss>) -> [u64; 6] {
     ]
 }
 
+/// Over `steps` steps of `d`, corrupted at the tenth and pinned eager
+/// from the twentieth to the thirtieth, the counts of the steps add up
+/// to the growth of the run's [`totals`].
+fn step_counts_add_up_to_the_totals<C: Clock<MaxFlood>>(
+    label: &str,
+    d: &mut Sim<MaxFlood, C>,
+    steps: u64,
+) {
+    let (before, mut sums) = (totals(d), [0u64; 7]);
+    for step in 0..steps {
+        match step {
+            10 => d.corrupt_all(),
+            20 => d.set_eager(true),
+            30 => d.set_eager(false),
+            _ => {}
+        }
+        d.step();
+        let a = d.last_activity();
+        let counts = [
+            a.senders,
+            a.frames_attempted,
+            a.frames_delivered,
+            a.receives,
+            a.held,
+            a.updates,
+            a.settled,
+        ];
+        for (sum, count) in sums.iter_mut().zip(counts) {
+            *sum += count as u64;
+        }
+    }
+    let grown: Vec<u64> = totals(d).iter().zip(before).map(|(a, b)| a - b).collect();
+    assert_eq!(grown, sums, "{label}");
+    assert!(
+        sums[0] > 0 && sums[2] > 0 && sums[5] > 0,
+        "{label}: {sums:?}"
+    );
+}
+
 #[test]
 fn one_tally_read_one_way_on_every_clock() {
-    let scenario = |topo: &Topology| {
-        let scenario = Scenario::new(MaxFlood).topology(topo.clone()).seed(3);
-        scenario.medium(BernoulliLoss::new(0.7))
+    let scenario = || {
+        let scenario = Scenario::new(MaxFlood).topology(builders::grid(5, 5, 0.3));
+        scenario.seed(3).medium(BernoulliLoss::new(0.7))
     };
-    step_senders_add_up_to_the_message_count("round", |topo| {
-        scenario(topo).build().expect("valid scenario")
-    });
-    let events = |topo: &Topology| {
-        let events = scenario(topo).build_events(EventConfig::default());
-        events.expect("valid event scenario")
-    };
-    step_senders_add_up_to_the_message_count("events", events);
+    let mut rounds = scenario().build().expect("valid scenario");
+    step_counts_add_up_to_the_totals("round", &mut rounds, 60);
     for threads in [1, 4] {
-        step_senders_add_up_to_the_message_count(&format!("actors×{threads}"), |topo| {
-            let actors = scenario(topo).build_actors(threads);
-            actors.expect("valid actor scenario")
-        });
+        let mut actors = scenario().build_actors(threads);
+        let actors = actors.as_mut().expect("valid actor scenario");
+        step_counts_add_up_to_the_totals(&format!("actors×{threads}"), actors, 60);
     }
-    // The event clock's steps add up to its running totals — also after
-    // a run to an instant in the middle of a period.
+    // Also after a run to an instant in the middle of a period.
     for lead in [None, Some(2.5)] {
-        let mut d = events(&builders::grid(5, 5, 0.3));
+        let mut events = scenario().build_events(EventConfig::default());
+        let events = events.as_mut().expect("valid event scenario");
         if let Some(t) = lead {
-            d.run_until_time(t);
+            events.run_until_time(t);
         }
-        let (before, mut sums) = (event_totals(&d), [0u64; 6]);
-        for step in 0..40 {
-            if step == 10 {
-                d.corrupt_all();
-            }
-            d.step();
-            let a = d.last_activity();
-            let counts = [
-                a.frames_attempted,
-                a.frames_delivered,
-                a.receives,
-                a.held,
-                a.updates,
-                a.settled,
-            ];
-            for (sum, count) in sums.iter_mut().zip(counts) {
-                *sum += count as u64;
-            }
-        }
-        let after = event_totals(&d);
-        let grown: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
-        assert_eq!(grown, sums, "lead {lead:?}");
-        assert!(sums[1] > 0 && sums[4] > 0, "lead {lead:?}: {sums:?}");
+        step_counts_add_up_to_the_totals(&format!("events, lead {lead:?}"), events, 60);
     }
 }
 

@@ -5,7 +5,7 @@
 //! settled: on the event clock a frame whose receive changes nothing
 //! there, and a beacon slot of it, run no guard pass at all; on the
 //! period clocks a visit that nothing but frames scheduled, and that
-//! received none of them, runs none. `EventDriver::updates` and
+//! received none of them, runs none. `Sim::updates` and
 //! `StepActivity::updates` count the passes that do run. On a
 //! converging 2 000-node deployment this checks both halves of the
 //! claim: the skip is wired in (fewer passes than the one per arrival
