@@ -2,7 +2,7 @@ use mwn_graph::{NodeId, Topology};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::{Delivery, Medium};
+use crate::{Medium, MediumKind};
 
 /// The memoryless lossy medium of the paper's proofs: each
 /// (sender, receiver) frame copy is delivered independently with
@@ -47,20 +47,8 @@ impl BernoulliLoss {
 }
 
 impl Medium for BernoulliLoss {
-    fn deliver_into(
-        &mut self,
-        topo: &Topology,
-        senders: &[NodeId],
-        rng: &mut StdRng,
-        out: &mut Delivery,
-    ) {
-        for &s in senders {
-            out.record_fates(self, topo, s, rng);
-        }
-    }
-
-    fn independent_fates(&self) -> bool {
-        true
+    fn kind(&self) -> MediumKind {
+        MediumKind::Independent
     }
 
     fn fates(

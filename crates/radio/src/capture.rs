@@ -3,7 +3,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::marks::SlotMarks;
-use crate::{ContentionStreams, Delivery, Medium, OccupancyView};
+use crate::{ContentionStreams, Delivery, Medium, MediumKind, OccupancyView};
 
 /// Slotted medium with the **capture effect**: when two frames collide
 /// at a receiver, the much-closer (much-stronger) transmitter can still
@@ -22,10 +22,10 @@ use crate::{ContentionStreams, Delivery, Medium, OccupancyView};
 /// `capture_ratio ≥ 1` maps to the usual SINR threshold under a
 /// power-law path loss: ratio `c` ≈ threshold^(1/α).
 ///
-/// The gated path keeps its senders' slots in stamped marks the medium
-/// owns (as [`crate::SlottedCsma`] does), and its contenders in a list
-/// it reuses, so the type is `Clone`, not `Copy`, and compares by
-/// configuration.
+/// Both paths keep their senders' slots in stamped marks the medium
+/// owns (as [`crate::SlottedCsma`] does), and a receiver's contenders
+/// in a list it reuses, so a round allocates nothing once warm; the
+/// type is `Clone`, not `Copy`, and compares by configuration.
 ///
 /// # Examples
 ///
@@ -40,8 +40,10 @@ pub struct CaptureCsma {
     slots: usize,
     capture_ratio: f64,
     marks: SlotMarks,
-    /// The gated fold's contenders for one copy, by (distance, id).
-    ranked: Vec<(f64, NodeId)>,
+    /// The contenders one receiver hears, as (slot, distance, id):
+    /// every transmitting neighbor on the eager path, one copy's slot
+    /// on the gated fold.
+    ranked: Vec<(usize, f64, NodeId)>,
 }
 
 impl PartialEq for CaptureCsma {
@@ -78,7 +80,31 @@ impl CaptureCsma {
     }
 }
 
+/// Orders contenders by slot, then by received power — nearest first,
+/// exactly equal powers by node id, so the winner is deterministic on
+/// every driver (whether such a tie can satisfy the capture condition
+/// is the ratio's call).
+fn rank(contenders: &mut [(usize, f64, NodeId)]) {
+    contenders.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2)));
+}
+
+/// The frame a receiver decodes among one slot's `contenders`, ranked:
+/// a lone transmitter's, or the nearest one's if it is `capture_ratio`
+/// times closer than the second nearest.
+fn captured(contenders: &[(usize, f64, NodeId)], capture_ratio: f64) -> Option<NodeId> {
+    match *contenders {
+        [] => None,
+        [(.., only)] => Some(only),
+        [(_, d1, nearest), (_, d2, _), ..] => (d1 * capture_ratio <= d2).then_some(nearest),
+    }
+}
+
 impl Medium for CaptureCsma {
+    /// Each sender draws its slot off `rng` in the order given; then
+    /// every receiver, ascending, decodes at most one frame per slot
+    /// it hears, ascending: the lone transmitter, or the one the
+    /// capture rule picks.
+    ///
     /// # Panics
     ///
     /// Panics if the topology carries no positions (capture needs
@@ -93,52 +119,34 @@ impl Medium for CaptureCsma {
         let positions = topo
             .positions()
             .expect("the capture effect requires node positions");
-        let mut slot_of = vec![usize::MAX; topo.len()];
+        let (marks, ranked) = (&mut self.marks, &mut self.ranked);
+        marks.begin(topo.len());
         for &s in senders {
-            slot_of[s.index()] = rng.random_range(0..self.slots);
+            marks.claim(s, rng.random_range(0..self.slots));
             delivery.attempted += topo.degree(s);
         }
         for r in topo.nodes() {
-            // Group transmitting neighbors of r by slot.
-            let mut by_slot: std::collections::BTreeMap<usize, Vec<NodeId>> =
-                std::collections::BTreeMap::new();
+            let distance = |q: NodeId| positions[q.index()].distance(positions[r.index()]);
+            ranked.clear();
             for &q in topo.neighbors(r) {
-                let slot = slot_of[q.index()];
-                if slot != usize::MAX {
-                    by_slot.entry(slot).or_default().push(q);
+                if let Some(slot) = marks.slot(q) {
+                    ranked.push((slot, distance(q), q));
                 }
             }
-            for (slot, txs) in by_slot {
-                if slot_of[r.index()] == slot {
+            rank(ranked);
+            for contenders in ranked.chunk_by(|a, b| a.0 == b.0) {
+                if marks.holds(r, contenders[0].0) {
                     continue; // half-duplex
                 }
-                let winner = match txs.as_slice() {
-                    [] => continue,
-                    [only] => Some(*only),
-                    _ => {
-                        let mut ranked: Vec<(f64, NodeId)> = txs
-                            .iter()
-                            .map(|&q| (positions[q.index()].distance(positions[r.index()]), q))
-                            .collect();
-                        // Exactly equal received powers are broken by
-                        // node id, so the winner is deterministic on
-                        // every driver (whether such a tie can satisfy
-                        // the capture condition is the ratio's call).
-                        ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                        let (d1, nearest) = ranked[0];
-                        let (d2, _) = ranked[1];
-                        (d1 * self.capture_ratio <= d2).then_some(nearest)
-                    }
-                };
-                if let Some(s) = winner {
+                if let Some(s) = captured(contenders, self.capture_ratio) {
                     delivery.record(r, s);
                 }
             }
         }
     }
 
-    fn gated_contention(&self) -> bool {
-        true
+    fn kind(&self) -> MediumKind {
+        MediumKind::Contention
     }
 
     /// Exact slots for the active `senders` (per-sender streams, no
@@ -186,8 +194,9 @@ impl Medium for CaptureCsma {
                 if occupancy.is_occupied(r) && rng.random::<f64>() < p_slot {
                     continue; // half-duplex against the phantom r
                 }
+                let distance = |q: NodeId| positions[q.index()].distance(positions[r.index()]);
                 ranked.clear();
-                ranked.push((positions[s.index()].distance(positions[r.index()]), s));
+                ranked.push((slot, distance(s), s));
                 for &q in topo.neighbors(r) {
                     if q == s {
                         continue;
@@ -197,17 +206,11 @@ impl Medium for CaptureCsma {
                         None => occupancy.is_occupied(q) && rng.random::<f64>() < p_slot,
                     };
                     if in_slot {
-                        ranked.push((positions[q.index()].distance(positions[r.index()]), q));
+                        ranked.push((slot, distance(q), q));
                     }
                 }
-                if ranked.len() == 1 {
-                    delivery.record(r, s);
-                    continue;
-                }
-                ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                let (d1, nearest) = ranked[0];
-                let (d2, _) = ranked[1];
-                if nearest == s && d1 * self.capture_ratio <= d2 {
+                rank(ranked);
+                if captured(ranked, self.capture_ratio) == Some(s) {
                     delivery.record(r, s);
                 }
             }
@@ -216,6 +219,69 @@ impl Medium for CaptureCsma {
 
     fn name(&self) -> &'static str {
         "capture-csma"
+    }
+}
+
+/// The eager kernel this file shipped before it kept its slots in
+/// stamped marks: a length-n slot table and a per-receiver map of
+/// slots, all freshly allocated. Kept verbatim as the oracle the
+/// stamped kernel must equal draw for draw.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub(super) fn deliver_into(
+        medium: &CaptureCsma,
+        topo: &Topology,
+        senders: &[NodeId],
+        rng: &mut StdRng,
+        delivery: &mut Delivery,
+    ) {
+        let positions = topo
+            .positions()
+            .expect("the capture effect requires node positions");
+        let mut slot_of = vec![usize::MAX; topo.len()];
+        for &s in senders {
+            slot_of[s.index()] = rng.random_range(0..medium.slots);
+            delivery.attempted += topo.degree(s);
+        }
+        for r in topo.nodes() {
+            // Group transmitting neighbors of r by slot.
+            let mut by_slot: std::collections::BTreeMap<usize, Vec<NodeId>> =
+                std::collections::BTreeMap::new();
+            for &q in topo.neighbors(r) {
+                let slot = slot_of[q.index()];
+                if slot != usize::MAX {
+                    by_slot.entry(slot).or_default().push(q);
+                }
+            }
+            for (slot, txs) in by_slot {
+                if slot_of[r.index()] == slot {
+                    continue; // half-duplex
+                }
+                let winner = match txs.as_slice() {
+                    [] => continue,
+                    [only] => Some(*only),
+                    _ => {
+                        let mut ranked: Vec<(f64, NodeId)> = txs
+                            .iter()
+                            .map(|&q| (positions[q.index()].distance(positions[r.index()]), q))
+                            .collect();
+                        // Exactly equal received powers are broken by
+                        // node id, so the winner is deterministic on
+                        // every driver (whether such a tie can satisfy
+                        // the capture condition is the ratio's call).
+                        ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                        let (d1, nearest) = ranked[0];
+                        let (d2, _) = ranked[1];
+                        (d1 * medium.capture_ratio <= d2).then_some(nearest)
+                    }
+                };
+                if let Some(s) = winner {
+                    delivery.record(r, s);
+                }
+            }
+        }
     }
 }
 
@@ -368,5 +434,75 @@ mod tests {
             d.heard[0].is_empty(),
             "phantom 1 wins the tie and delivers nothing"
         );
+    }
+
+    mod kernel {
+        use super::super::*;
+        use mwn_graph::builders;
+        use proptest::prelude::*;
+        use rand::SeedableRng;
+
+        /// One eager round: a deployment, its senders and the stream's seed.
+        #[derive(Clone, Debug)]
+        struct Round {
+            topo: Topology,
+            senders: Vec<NodeId>,
+            seed: u64,
+        }
+
+        /// Poisson / grid / star / path deployments over a few sizes
+        /// (so consecutive rounds meet both a different n and the same
+        /// n under a different graph), sender subsets from empty to
+        /// everyone.
+        fn round() -> impl Strategy<Value = Round> {
+            (0u8..4, 0usize..4, 0u8..5, any::<u64>()).prop_map(|(shape, size, send, seed)| {
+                let n = [2, 5, 13, 30][size];
+                let mut rng = StdRng::seed_from_u64(seed);
+                let topo = match shape {
+                    0 => builders::poisson(n as f64, 0.3, &mut rng),
+                    1 => builders::grid(n, 2, 1.05 / (n - 1) as f64),
+                    2 => builders::star(n),
+                    _ => builders::line(n),
+                };
+                let share = [0.0, 0.1, 0.5, 0.9, 1.0][usize::from(send)];
+                let senders = topo
+                    .nodes()
+                    .filter(|_| rng.random::<f64>() < share)
+                    .collect();
+                Round {
+                    topo,
+                    senders,
+                    seed,
+                }
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The stamped eager kernel equals the allocating one it
+            /// replaced — every draw, every `record` call, in order —
+            /// on one medium value reused across rounds, so no stamp
+            /// may leak from call to call; and both leave the stream in
+            /// the same state.
+            #[test]
+            fn kernel_equals_reference(
+                slots in 0usize..3,
+                ratio in 0usize..3,
+                rounds in proptest::collection::vec(round(), 1..5),
+            ) {
+                let mut medium = CaptureCsma::new([1, 2, 8][slots], [1.0, 1.5, 3.0][ratio]);
+                for Round { topo, senders, seed } in &rounds {
+                    let mut rng = StdRng::seed_from_u64(*seed);
+                    let mut ref_rng = rng.clone();
+                    let (mut got, mut want) =
+                        (Delivery::empty(topo.len()), Delivery::empty(topo.len()));
+                    medium.deliver_into(topo, senders, &mut rng, &mut got);
+                    reference::deliver_into(&medium, topo, senders, &mut ref_rng, &mut want);
+                    prop_assert_eq!(&got, &want);
+                    prop_assert_eq!(&rng, &ref_rng, "the stream moved differently");
+                }
+            }
+        }
     }
 }

@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::marks::SlotMarks;
-use crate::{ContentionStreams, Delivery, Medium, OccupancyView};
+use crate::{ContentionStreams, Delivery, Medium, MediumKind, OccupancyView};
 
 /// A slotted CSMA/CA-like medium with hidden terminals and half-duplex
 /// radios: τ is *emergent* rather than assumed.
@@ -335,8 +335,8 @@ impl Medium for SlottedCsma {
         receive(&self.scratch, topo, senders, None, delivery);
     }
 
-    fn gated_contention(&self) -> bool {
-        true
+    fn kind(&self) -> MediumKind {
+        MediumKind::Contention
     }
 
     /// Exact contention among the active `senders`, statistical

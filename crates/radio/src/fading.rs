@@ -2,7 +2,7 @@ use mwn_graph::{NodeId, Topology};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::{Delivery, Medium};
+use crate::{Medium, MediumKind};
 
 /// A distance-dependent lossy medium: frame copies to nearby neighbors
 /// almost always arrive, copies near the edge of the radio range fade.
@@ -55,31 +55,15 @@ impl DistanceFading {
 }
 
 impl Medium for DistanceFading {
+    fn kind(&self) -> MediumKind {
+        MediumKind::Independent
+    }
+
     /// # Panics
     ///
     /// Panics if the topology carries no positions or radius (fading
     /// needs link lengths; build the topology with
-    /// [`Topology::unit_disk`]).
-    fn deliver_into(
-        &mut self,
-        topo: &Topology,
-        senders: &[NodeId],
-        rng: &mut StdRng,
-        out: &mut Delivery,
-    ) {
-        for &s in senders {
-            out.record_fates(self, topo, s, rng);
-        }
-    }
-
-    fn independent_fates(&self) -> bool {
-        true
-    }
-
-    /// # Panics
-    ///
-    /// Panics if the topology carries no positions or radius, as
-    /// `deliver_into` does.
+    /// [`Topology::unit_disk`]), and so does every round through it.
     fn fates(
         &self,
         topo: &Topology,

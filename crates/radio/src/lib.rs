@@ -18,10 +18,14 @@
 //!   itself transmitting (half-duplex). Here τ is *emergent*; measure
 //!   it with [`measure_tau`].
 //!
-//! Three refinements compose with (or refine) those models:
-//! [`DistanceFading`] (per-link loss growing with distance, floored at
-//! τ), [`CaptureCsma`] (collisions can still deliver the much-closer
-//! frame) and [`Thinned`] (extra iid loss stacked on any medium).
+//! Two refinements refine those models: [`DistanceFading`] (per-link
+//! loss growing with distance, floored at τ) and [`CaptureCsma`]
+//! (collisions can still deliver the much-closer frame).
+//!
+//! Every medium is one of three [`MediumKind`]s — lossless (perfect),
+//! independent per-copy fates (Bernoulli, fading), or contention with
+//! a statistical fold of the silent radios (the two CSMA media) — and
+//! every driver dispatches on that one answer.
 //!
 //! # Examples
 //!
@@ -49,13 +53,11 @@ mod marks;
 mod medium;
 mod occupancy;
 mod perfect;
-mod thinned;
 
 pub use bernoulli::BernoulliLoss;
 pub use capture::CaptureCsma;
 pub use csma::SlottedCsma;
 pub use fading::DistanceFading;
-pub use medium::{measure_tau, Delivery, Medium};
+pub use medium::{measure_tau, Delivery, Medium, MediumKind};
 pub use occupancy::{ContentionStreams, FullOccupancy, Occupancy, OccupancyView};
 pub use perfect::PerfectMedium;
-pub use thinned::Thinned;

@@ -97,6 +97,53 @@ impl Delivery {
     }
 }
 
+/// How a medium meets the paper's τ > 0 hypothesis, which decides how
+/// every driver asks it for frames. Each kind names the entry point
+/// that serves it, and every kind supports gated scheduling on the
+/// clocks that accept it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MediumKind {
+    /// Every in-range copy of every sender is delivered, exactly once,
+    /// through every entry point, and no randomness is drawn doing so
+    /// ([`crate::PerfectMedium`]). A round is then a fact the topology
+    /// already states — a node heard exactly its sending 1-neighbors —
+    /// so the synchronous round driver does not ask such a medium to
+    /// deliver at all: it reads a node's frames off its adjacency list
+    /// and the set of senders, and counts `attempted = delivered =
+    /// Σ degree(sender)`. Nothing can tell the difference: the same
+    /// frames reach the same receivers in the same (ascending sender)
+    /// order, and the untouched RNG stream is the one a call would have
+    /// handed back. The event driver and the actor fabric ask
+    /// [`Medium::fates`], as for [`MediumKind::Independent`]. The
+    /// promise is about the medium as a whole, not about a parameter
+    /// value: [`crate::BernoulliLoss`] at τ = 1 still draws a coin per
+    /// copy. Held to its word by `crates/radio/tests/properties.rs`.
+    Lossless,
+    /// Each (sender, receiver) copy's fate is its own, with no
+    /// cross-sender contention, and [`Medium::fates`] decides one
+    /// sender's copies through a shared reference
+    /// ([`crate::BernoulliLoss`], [`crate::DistanceFading`]). That one
+    /// function is the medium's per-copy draw for every driver — the
+    /// round driver on a per-(step, sender) stream, the event clock per
+    /// transmission, the actor fabric on its worker threads — which is
+    /// what lets quiescent senders be skipped without perturbing anyone
+    /// else's frames: gated and eager runs are byte-identical.
+    Independent,
+    /// Fates are contention-coupled ([`crate::SlottedCsma`],
+    /// [`crate::CaptureCsma`]): an eager round evaluates the whole
+    /// sender set at once ([`Medium::deliver_into`]), and
+    /// [`Medium::deliver_occupied_into`] folds a silent-but-transmitting
+    /// population ([`OccupancyView`]) into the collision draws
+    /// statistically, for a sender set or for one sender alone, so a
+    /// driver may gate quiescent senders. The agreement claim is
+    /// **distributional** (per-frame marginals match the eager
+    /// reference; Wilson-band equivalence on stabilization time,
+    /// delivery ratio and outputs), not byte-identical. The actor fabric
+    /// rejects this kind: it replays senders concurrently, and a
+    /// contention round serializes them through one channel state.
+    Contention,
+}
+
 /// A broadcast wireless medium.
 ///
 /// Given the topology and the set of nodes that broadcast during one
@@ -108,38 +155,36 @@ impl Delivery {
 /// media can be used as trait objects and every run stays reproducible
 /// from a seed.
 ///
-/// The required method is the appending, allocation-free
-/// [`Medium::deliver_into`]; [`Medium::deliver`] is a convenience
-/// wrapper. Beyond whole rounds, a medium answers three capability
-/// flags, each with the entry point that serves it:
-///
-/// - [`Medium::independent_fates`]: each (sender, receiver) copy's fate
-///   is its own, with no cross-sender contention, and
-///   [`Medium::fates`] decides one sender's copies through a shared
-///   reference. That one function is the medium's per-copy draw for
-///   every driver — the round driver on a per-(step, sender) stream,
-///   the event clock per transmission, the actor fabric on its worker
-///   threads — which is what lets quiescent senders be skipped without
-///   perturbing anyone else's frames.
-/// - [`Medium::gated_contention`]: fates are contention-coupled, but
-///   [`Medium::deliver_occupied_into`] folds the silent population in
-///   statistically, for a sender set or for one sender alone.
-/// - [`Medium::lossless`]: every in-range copy arrives and nothing is
-///   drawn. The round driver then skips the delivery of a step
-///   altogether and pulls each visited node's frames from its
-///   adjacency list — unobservably, since what such a medium
-///   would have recorded is exactly that list filtered by who sent.
+/// A medium is one of three kinds ([`Medium::kind`]), and each kind
+/// implements its own entry point: [`Medium::fates`] for the lossless
+/// and independent kinds, [`Medium::deliver_into`] and
+/// [`Medium::deliver_occupied_into`] for contention. A whole round
+/// through [`Medium::deliver_into`] is, unless a contention medium
+/// overrides it, its senders' [`Medium::fates`] in turn;
+/// [`Medium::deliver`] is a convenience wrapper.
 pub trait Medium {
+    /// Which of the three kinds this medium is — the one answer every
+    /// driver dispatches on.
+    fn kind(&self) -> MediumKind;
+
     /// Delivers one round of broadcasts from `senders`, **appending**
     /// into `out` (the caller resets and sizes it), so a driver can
     /// accumulate several partial rounds into one `Delivery`.
+    ///
+    /// The provided round is each sender's [`Medium::fates`] in turn on
+    /// the one stream ([`Delivery::record_fates`]); contention media
+    /// override it.
     fn deliver_into(
         &mut self,
         topo: &Topology,
         senders: &[NodeId],
         rng: &mut StdRng,
         out: &mut Delivery,
-    );
+    ) {
+        for &s in senders {
+            out.record_fates(&*self, topo, s, rng);
+        }
+    }
 
     /// Delivers one round of broadcasts from `senders` into a fresh
     /// [`Delivery`].
@@ -147,20 +192,6 @@ pub trait Medium {
         let mut out = Delivery::empty(topo.len());
         self.deliver_into(topo, senders, rng, &mut out);
         out
-    }
-
-    /// `true` when every frame copy's fate is independent of the other
-    /// senders in the round (no contention coupling) and
-    /// [`Medium::fates`] implements it: the perfect, Bernoulli and
-    /// fading media of the paper's hypothesis qualify, CSMA-style
-    /// collision media do not. Conservative default: `false`.
-    ///
-    /// A medium with neither this flag nor
-    /// [`Medium::gated_contention`] has no per-sender semantics: the
-    /// round driver evaluates it eagerly on one sequential stream, and
-    /// the event driver and the actor fabric reject it.
-    fn independent_fates(&self) -> bool {
-        false
     }
 
     /// Decides which neighbors hear one frame of `sender`, appending
@@ -171,8 +202,9 @@ pub trait Medium {
     /// medium to many worker threads; the per-(slot, sender) `rng` is
     /// what makes a copy's fate a function of `(seed, slot, sender)`
     /// alone, so every driver that derives the same stream drops the
-    /// same copies. Only meaningful when [`Medium::independent_fates`]
-    /// holds; the default delivers nothing and reports zero attempts.
+    /// same copies. Lossless and independent media implement it; the
+    /// default, for contention media, delivers nothing and reports zero
+    /// attempts.
     fn fates(
         &self,
         topo: &Topology,
@@ -182,53 +214,10 @@ pub trait Medium {
     ) -> usize {
         let _ = (topo, sender, rng, heard);
         debug_assert!(
-            !self.independent_fates(),
-            "independent-fates media must override fates"
+            self.kind() == MediumKind::Contention,
+            "lossless and independent media must override fates"
         );
         0
-    }
-
-    /// `true` when the medium implements the **gated-contention**
-    /// contract: [`Medium::deliver_occupied_into`] folds a
-    /// silent-but-transmitting population ([`OccupancyView`]) into the
-    /// collision draws statistically, so a driver may gate quiescent
-    /// senders even though frame fates are contention-coupled. Mutually
-    /// exclusive with [`Medium::independent_fates`] in the shipped media
-    /// (a medium with independent fates needs no occupancy fold).
-    /// Conservative default: `false` — such media (e.g.
-    /// [`crate::Thinned`] wrappers) keep the round driver's eager
-    /// fallback and are rejected by the event driver.
-    ///
-    /// The agreement claim under this contract is **distributional**
-    /// (per-frame marginals match the eager reference; Wilson-band
-    /// equivalence on stabilization time, delivery ratio and outputs),
-    /// not byte-identical like the independent-fates gating.
-    fn gated_contention(&self) -> bool {
-        false
-    }
-
-    /// `true` when the medium promises that **every** in-range copy of
-    /// every sender is delivered, exactly once, through every entry
-    /// point, and that no randomness is drawn doing so. Implies
-    /// [`Medium::independent_fates`]. Conservative default: `false`.
-    ///
-    /// A round is then a fact the topology already states — a node
-    /// heard exactly its sending 1-neighbors — so the synchronous round
-    /// driver does not ask such a medium to deliver at all: it reads a
-    /// node's frames off its adjacency list and the set of senders, and
-    /// counts `attempted = delivered = Σ degree(sender)`. Nothing can
-    /// tell the difference: the same frames reach the same receivers in
-    /// the same (ascending sender) order, and the untouched RNG stream
-    /// is the one a call would have handed back. The event driver and
-    /// the actor fabric never ask.
-    ///
-    /// The promise is about the medium as a whole, not about a
-    /// parameter value: a wrapper such as [`crate::Thinned`] does not
-    /// forward it, even at survival 1.0 (it still draws a coin per
-    /// copy). Held to its word, for every shipped medium, by
-    /// `crates/radio/tests/properties.rs`.
-    fn lossless(&self) -> bool {
-        false
     }
 
     /// Delivers one round of broadcasts from the *active* `senders`
@@ -251,8 +240,7 @@ pub trait Medium {
     /// keep their per-node tables in generation-stamped scratch they
     /// own); a fully quiet round (`senders` empty) costs nothing.
     ///
-    /// Only meaningful when [`Medium::gated_contention`] holds; the
-    /// default delivers nothing.
+    /// Contention media implement it; the default delivers nothing.
     fn deliver_occupied_into(
         &mut self,
         topo: &Topology,
@@ -263,8 +251,8 @@ pub trait Medium {
     ) {
         let _ = (topo, senders, occupancy, streams, out);
         debug_assert!(
-            !self.gated_contention(),
-            "gated-contention media must override deliver_occupied_into"
+            self.kind() != MediumKind::Contention,
+            "contention media must override deliver_occupied_into"
         );
     }
 

@@ -1,7 +1,7 @@
 use mwn_graph::{NodeId, Topology};
 use rand::rngs::StdRng;
 
-use crate::{Delivery, Medium};
+use crate::{Medium, MediumKind};
 
 /// The collision-free medium: every broadcast reaches every 1-neighbor.
 ///
@@ -12,7 +12,7 @@ use crate::{Delivery, Medium};
 /// exactly one such step, and τ = 1.
 ///
 /// "Receive **all** packets sent by its 1-neighbors" is also the
-/// promise behind [`Medium::lossless`], which this medium alone
+/// promise behind [`MediumKind::Lossless`], which this medium alone
 /// makes: the round driver takes the sentence at its word and reads a
 /// node's frames off its adjacency list instead of asking
 /// [`Medium::fates`] once per sender.
@@ -35,24 +35,8 @@ use crate::{Delivery, Medium};
 pub struct PerfectMedium;
 
 impl Medium for PerfectMedium {
-    fn deliver_into(
-        &mut self,
-        topo: &Topology,
-        senders: &[NodeId],
-        rng: &mut StdRng,
-        out: &mut Delivery,
-    ) {
-        for &s in senders {
-            out.record_fates(self, topo, s, rng);
-        }
-    }
-
-    fn independent_fates(&self) -> bool {
-        true
-    }
-
-    fn lossless(&self) -> bool {
-        true
+    fn kind(&self) -> MediumKind {
+        MediumKind::Lossless
     }
 
     fn fates(

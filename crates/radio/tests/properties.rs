@@ -5,7 +5,7 @@
 use mwn_graph::{builders, NodeId, Topology};
 use mwn_radio::{
     measure_tau, BernoulliLoss, CaptureCsma, ContentionStreams, Delivery, DistanceFading,
-    FullOccupancy, Medium, Occupancy, PerfectMedium, SlottedCsma, Thinned,
+    FullOccupancy, Medium, MediumKind, Occupancy, PerfectMedium, SlottedCsma,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -26,9 +26,8 @@ fn media() -> Vec<Box<dyn Medium>> {
         Box::new(SlottedCsma::new(4).without_carrier_sense()),
         Box::new(DistanceFading::new(2.0, 0.2)),
         Box::new(CaptureCsma::new(8, 1.5)),
-        Box::new(Thinned::new(SlottedCsma::new(8), 0.8)),
-        Box::new(Thinned::new(PerfectMedium, 0.7)),
-        Box::new(Thinned::new(PerfectMedium, 1.0)),
+        Box::new(BernoulliLoss::new(0.7)),
+        Box::new(BernoulliLoss::new(1.0)),
     ]
 }
 
@@ -102,9 +101,9 @@ proptest! {
     /// rests on — `delivered` counts distinct (sender, 1-neighbor)
     /// pairs, so `delivered == Σ degree(sender)` can only mean "every
     /// neighbor of every sender heard it" — holds through every entry
-    /// point a driver delivers by, not just whole rounds: for
-    /// independent-fates media one `fates` call per sender recorded into
-    /// one delivery, and for gated-contention media
+    /// point a driver delivers by, not just whole rounds: for lossless
+    /// and independent media one `fates` call per sender recorded into
+    /// one delivery, and for contention media
     /// `deliver_occupied_into` over a partly retired population and once
     /// per sender against a fully occupied one.
     #[test]
@@ -130,13 +129,11 @@ proptest! {
                 out.reset(topo.len());
                 verdict.map_err(|msg| format!("{name} via {entry}: {msg}"))
             };
-            if medium.independent_fates() {
+            if medium.kind() != MediumKind::Contention {
                 for &s in &senders {
                     out.record_fates(medium.as_ref(), &topo, s, &mut rng);
                 }
                 prop_assert_eq!(check("fates", &mut out), Ok(()));
-            }
-            if !medium.gated_contention() {
                 continue;
             }
             medium.deliver_occupied_into(&topo, &senders, &occupancy, &streams, &mut out);
@@ -148,12 +145,11 @@ proptest! {
         }
     }
 
-    /// A whole round is its senders' `fates` in turn: for the media
-    /// whose `deliver_into` has no draw of its own, one stream handed to
+    /// A whole round is its senders' `fates` in turn: for every medium
+    /// that is not a contention medium, one stream handed to
     /// `deliver_into` and the same stream handed to `fates` sender by
     /// sender record the same delivery and leave the stream in the same
-    /// state. (`Thinned`'s whole round draws its coins per receiver
-    /// instead, so it is not held to this.)
+    /// state.
     #[test]
     fn a_round_is_its_senders_fates_in_turn(
         topo in topo_strategy(),
@@ -164,11 +160,7 @@ proptest! {
             .nodes()
             .filter(|p| (sender_mask >> (p.index() % 64)) & 1 == 1)
             .collect();
-        let media: [Box<dyn Medium>; 3] = [
-            Box::new(PerfectMedium),
-            Box::new(BernoulliLoss::new(0.5)),
-            Box::new(DistanceFading::new(2.0, 0.2)),
-        ];
+        let media = media().into_iter().filter(|m| m.kind() != MediumKind::Contention);
         for mut medium in media {
             let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
             let whole = medium.deliver(&topo, &senders, &mut a);
@@ -181,20 +173,20 @@ proptest! {
         }
     }
 
-    /// `Medium::lossless` is checked, not trusted — the round driver
-    /// does not call a medium that answers `true`, so everything such a
+    /// `MediumKind::Lossless` is checked, not trusted — the round driver
+    /// does not call a medium of that kind, so everything such a
     /// call would have done is pinned here: through `deliver_into` and
     /// through one `fates` call per sender, each in-range (receiver,
     /// sender) pair is recorded exactly once, in ascending sender order
     /// per receiver, `attempted == delivered == Σ degree`, and the RNG
     /// comes back as it was handed over. Only the perfect medium makes
-    /// the promise; thinning it never does.
+    /// the promise; a Bernoulli medium that loses nothing never does.
     #[test]
     fn lossless_media_deliver_every_copy_once_and_draw_nothing(
         topo in topo_strategy(),
         seed in 0u64..u64::MAX,
         sender_mask in 0u64..u64::MAX,
-        survival in 1u32..=100,
+        tau in 1u32..=100,
     ) {
         let senders: Vec<NodeId> = topo
             .nodes()
@@ -209,11 +201,11 @@ proptest! {
         let untouched = StdRng::seed_from_u64(seed);
         for mut medium in media() {
             let name = medium.name();
-            prop_assert_eq!(medium.lossless(), name == "perfect", "{}", name);
-            if !medium.lossless() {
+            let lossless = medium.kind() == MediumKind::Lossless;
+            prop_assert_eq!(lossless, name == "perfect", "{}", name);
+            if !lossless {
                 continue;
             }
-            prop_assert!(medium.independent_fates(), "{}", name);
             let mut rng = untouched.clone();
             let whole = medium.deliver(&topo, &senders, &mut rng);
             let mut by_fates = vec![Vec::new(); topo.len()];
@@ -232,8 +224,8 @@ proptest! {
             prop_assert_eq!(&by_fates, &expected, "{} by fates", name);
             prop_assert_eq!(attempted, in_range);
         }
-        let survival = f64::from(survival) / 100.0;
-        prop_assert!(!Thinned::new(PerfectMedium, survival).lossless(), "at {}", survival);
+        let tau = f64::from(tau) / 100.0;
+        prop_assert_eq!(BernoulliLoss::new(tau).kind(), MediumKind::Independent, "at {}", tau);
     }
 
     /// Every medium keeps τ strictly positive under full contention —

@@ -101,7 +101,7 @@
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
 use mwn_graph::{NodeId, Topology};
-use mwn_radio::{Medium, PerfectMedium};
+use mwn_radio::{Medium, MediumKind, PerfectMedium};
 
 use crate::driver::{period_step, Period, Sealed, Transport};
 use crate::engine::kernels::HeardTable;
@@ -356,11 +356,6 @@ where
     fn now(&self) -> u64 {
         self.period.now
     }
-
-    /// Every medium the constructor accepts has independent fates.
-    fn is_gated(sim: &Sim<P, Self>) -> bool {
-        sim.env.gated()
-    }
 }
 
 impl<P, M> Transport<P> for Actors<M>
@@ -477,14 +472,13 @@ where
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] unless the medium decides
-    /// frame fates per sender ([`Medium::independent_fates`]) —
-    /// contention-coupled media (CSMA) serialize all senders through
-    /// one channel state and cannot be replayed concurrently. The
-    /// message names the medium and its gated-contention status, so a
-    /// user who just watched CSMA gate on the round/event drivers
-    /// learns that the statistical-occupancy contract does *not* carry
-    /// over to message-passing actors.
+    /// Returns [`SimError::InvalidConfig`] for a
+    /// [`MediumKind::Contention`] medium, naming it: the fabric asks
+    /// [`Medium::fates`] per sender from its worker threads, and a
+    /// contention round serializes all senders through one channel
+    /// state, which cannot be replayed concurrently. The statistical
+    /// occupancy fold that lets such a medium gate on the round and
+    /// event clocks does not carry over to message-passing actors.
     pub fn new(
         protocol: P,
         medium: M,
@@ -492,19 +486,17 @@ where
         seed: u64,
         threads: usize,
     ) -> Result<Self, SimError> {
-        if !medium.independent_fates() {
-            let status = if medium.gated_contention() {
-                "its gated-contention contract (statistical slot occupancy) \
-                 covers the round and event drivers only"
-            } else {
-                "it offers no gated-contention contract either"
-            };
-            return Err(SimError::InvalidConfig(format!(
-                "medium `{}` cannot back the actor driver: per-sender frame \
-                 fates must be evaluable through a shared reference \
-                 (Medium::fates), and {status}",
-                medium.name()
-            )));
+        match medium.kind() {
+            MediumKind::Lossless | MediumKind::Independent => {}
+            MediumKind::Contention => {
+                return Err(SimError::InvalidConfig(format!(
+                    "medium `{}` cannot back the actor driver: it is a \
+                     contention medium, whose frame fates are coupled \
+                     across senders; the actor fabric needs per-sender \
+                     fates (Medium::fates) it can evaluate concurrently",
+                    medium.name()
+                )));
+            }
         }
         let threads = threads.max(1);
         let clock = Actors {
@@ -536,7 +528,7 @@ mod tests {
     use crate::testkit::GatedFlood;
     use crate::Fault;
     use mwn_graph::builders;
-    use mwn_radio::{BernoulliLoss, SlottedCsma, Thinned};
+    use mwn_radio::{BernoulliLoss, CaptureCsma, SlottedCsma};
 
     fn flood_actors(n: usize, threads: usize) -> ActorDriver<GatedFlood> {
         Scenario::new(GatedFlood)
@@ -707,47 +699,29 @@ mod tests {
     }
 
     #[test]
-    fn contention_media_are_rejected() {
-        let result = Scenario::new(GatedFlood)
-            .medium(SlottedCsma::new(8))
-            .topology(builders::line(4))
-            .seed(1)
-            .build_actors(2);
-        let Err(err) = result else {
-            panic!("contention-coupled media must be rejected");
-        };
-        assert!(matches!(err, SimError::InvalidConfig(_)));
-        // The error must name the offending medium AND its
-        // gated-contention status — pinned verbatim so the message
-        // cannot silently regress into something less actionable.
-        let text = err.to_string();
-        assert!(text.contains("actor driver"), "text: {text}");
-        assert!(text.contains("medium `slotted-csma`"), "text: {text}");
-        assert!(
-            text.contains(
-                "its gated-contention contract (statistical slot occupancy) \
-                 covers the round and event drivers only"
-            ),
-            "text: {text}"
+    fn contention_media_are_rejected_by_name() {
+        fn rejection<M: Medium + Sync>(medium: M) -> String {
+            let result = Scenario::new(GatedFlood)
+                .medium(medium)
+                .topology(builders::line(4))
+                .seed(1)
+                .build_actors(2);
+            let Err(SimError::InvalidConfig(text)) = result else {
+                panic!("contention media must be rejected");
+            };
+            text
+        }
+        // Pinned verbatim, so the message cannot silently regress into
+        // something less actionable.
+        assert_eq!(
+            rejection(SlottedCsma::new(8)),
+            "medium `slotted-csma` cannot back the actor driver: it is a \
+             contention medium, whose frame fates are coupled across \
+             senders; the actor fabric needs per-sender fates \
+             (Medium::fates) it can evaluate concurrently"
         );
-    }
-
-    #[test]
-    fn non_gating_contention_media_are_rejected_with_their_status() {
-        let result = Scenario::new(GatedFlood)
-            .medium(Thinned::new(SlottedCsma::new(8), 0.9))
-            .topology(builders::line(4))
-            .seed(1)
-            .build_actors(2);
-        let Err(err) = result else {
-            panic!("wrapped contention media must be rejected");
-        };
-        let text = err.to_string();
-        assert!(text.contains("medium `thinned`"), "text: {text}");
-        assert!(
-            text.contains("no gated-contention contract either"),
-            "text: {text}"
-        );
+        let text = rejection(CaptureCsma::new(8, 1.5));
+        assert!(text.starts_with("medium `capture-csma` cannot back the actor driver"));
     }
 
     #[test]

@@ -44,11 +44,6 @@ pub trait Clock<P: Protocol>: Sized + Sealed {
     /// The logical time: whole steps elapsed.
     fn now(&self) -> u64;
 
-    /// Whether `sim` mutes silent nodes now: the protocol's
-    /// [`crate::Activity::Gated`] contract, no eager pin, and a medium
-    /// this clock can gate.
-    fn is_gated(sim: &Sim<P, Self>) -> bool;
-
     /// Runs after every change made to the environment between steps —
     /// a fault, a mutator, an eager switch. The period clocks read the
     /// environment afresh at every step and do nothing; the event clock
@@ -95,13 +90,13 @@ impl<P: Protocol, C: Clock<P>> Sim<P, C> {
     }
 
     /// `true` when the driver is currently using dirty-set (gated)
-    /// scheduling: the protocol declared [`crate::Activity::Gated`],
-    /// the user did not pin eager scheduling, and the clock can gate
-    /// the medium — on the round clock, independent frame fates
-    /// (byte-identical gating) or the gated-contention contract
-    /// (distributional gating via statistical slot occupancy).
+    /// scheduling: the protocol declared [`crate::Activity::Gated`] and
+    /// the user did not pin eager scheduling. Every medium gates, by
+    /// its [`mwn_radio::MediumKind`]: byte-identically with lossless or
+    /// independent fates, distributionally (statistical slot occupancy)
+    /// under contention.
     pub fn is_gated(&self) -> bool {
-        C::is_gated(self)
+        self.env.gated()
     }
 
     /// Pins the driver to eager scheduling (`true`) or restores the
@@ -404,7 +399,7 @@ pub(crate) fn period_step<P: Protocol, C: Clock<P> + Transport<P>>(sim: &mut Sim
     // describes this step alone.
     sim.env.env_changed = false;
     sim.env.begin_step(now);
-    let eager = !C::is_gated(sim);
+    let eager = !sim.is_gated();
     let Sim { env, clock } = sim;
     let period = clock.period();
     let mut senders = std::mem::take(&mut period.senders);

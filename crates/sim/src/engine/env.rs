@@ -219,9 +219,8 @@ impl<P: Protocol> Env<P> {
         self.dynamics = dynamics;
     }
 
-    /// `true` when silent nodes may be muted as far as the protocol
-    /// and the user are concerned: the [`Activity::Gated`] contract and
-    /// no eager pin. Whether the medium permits it is the driver's call.
+    /// `true` when silent nodes are muted: the [`Activity::Gated`]
+    /// contract and no eager pin. Every medium permits it.
     pub fn gated(&self) -> bool {
         !self.force_eager && self.protocol.activity() == Activity::Gated
     }

@@ -2,7 +2,7 @@ use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
 
 use mwn_graph::{NodeId, Topology};
-use mwn_radio::{Delivery, Medium, PerfectMedium};
+use mwn_radio::{Delivery, Medium, MediumKind, PerfectMedium};
 
 use crate::driver::Sealed;
 use crate::engine::{self, Env, Fate, NodeSet, Slot, SlotClock};
@@ -426,11 +426,6 @@ impl<P: Protocol, M: Medium> Clock<P> for Events<P, M> {
         k + u64::from(self.step_time(k + 1) <= self.time)
     }
 
-    /// Every medium the constructor accepts supports gating.
-    fn is_gated(sim: &Sim<P, Self>) -> bool {
-        sim.env.gated()
-    }
-
     /// The woken senders are re-armed — under eager scheduling, which
     /// fires every node's every slot, the whole population (retired
     /// nodes included).
@@ -450,23 +445,20 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     /// decided by `medium`; the first beacon slot of each node falls at
     /// a random phase within one period (nodes are *not* synchronized).
     ///
-    /// Media with [`Medium::independent_fates`] — perfect, Bernoulli,
-    /// fading — are evaluated once per transmission on a derived
-    /// per-(slot, sender) stream, which is what permits activity
-    /// gating. Contention media implementing the gated-contention
-    /// contract ([`Medium::gated_contention`]) are evaluated the same
-    /// way, with every other radio folded in as a statistical
-    /// contender ([`mwn_radio::FullOccupancy`]) — on the continuous
-    /// clock the eager twin beacons every period, so the full in-range
-    /// population always contends, and gating extends to them too.
+    /// Every medium is evaluated once per transmission, by its
+    /// [`mwn_radio::MediumKind`]: lossless and independent media through
+    /// [`Medium::fates`] on a derived per-(slot, sender) stream, which
+    /// is what permits activity gating; contention media the same way
+    /// through [`Medium::deliver_occupied_into`], with every other radio
+    /// folded in as a statistical contender
+    /// ([`mwn_radio::FullOccupancy`]) — on the continuous clock the
+    /// eager twin beacons every period, so the full in-range population
+    /// always contends, and gating extends to them too.
     ///
     /// # Errors
     ///
     /// [`SimError::InvalidConfig`] when a parameter of `config` is out
-    /// of range ([`EventConfig::check`]), or when the medium has
-    /// neither contract (e.g. [`mwn_radio::Thinned`]-wrapped CSMA):
-    /// such a medium has no per-sender continuous-time semantics. The
-    /// message names the medium.
+    /// of range ([`EventConfig::check`]).
     pub fn new(
         protocol: P,
         medium: M,
@@ -475,15 +467,6 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         seed: u64,
     ) -> Result<Self, SimError> {
         config.check().map_err(SimError::InvalidConfig)?;
-        if !(medium.independent_fates() || medium.gated_contention()) {
-            return Err(SimError::InvalidConfig(format!(
-                "medium `{}` cannot back the event driver: a frame's fate \
-                 must be evaluable per sender, through independent fates \
-                 (Medium::independent_fates) or the gated-contention \
-                 contract (Medium::gated_contention), and it offers neither",
-                medium.name()
-            )));
-        }
         let n = topo.len();
         let clock = Events {
             config,
@@ -661,23 +644,27 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         // unobservable there too.
         let heard = &mut clock.heard;
         heard.clear();
-        if clock.medium.gated_contention() {
-            let streams = env.contention_streams(slot);
-            clock.delivery.reset(env.topo.len());
-            clock.medium.deliver_occupied_into(
-                &env.topo,
-                &[p],
-                &mwn_radio::FullOccupancy,
-                &streams,
-                &mut clock.delivery,
-            );
-            // One sender: the receivers are the ones it touched, sorted
-            // into the neighbor-id order `fates` lists its receivers in.
-            heard.extend_from_slice(&clock.delivery.touched);
-            heard.sort_unstable();
-        } else {
-            let mut rng = env.medium_rng(slot, p);
-            clock.medium.fates(&env.topo, p, &mut rng, heard);
+        match clock.medium.kind() {
+            MediumKind::Contention => {
+                let streams = env.contention_streams(slot);
+                clock.delivery.reset(env.topo.len());
+                clock.medium.deliver_occupied_into(
+                    &env.topo,
+                    &[p],
+                    &mwn_radio::FullOccupancy,
+                    &streams,
+                    &mut clock.delivery,
+                );
+                // One sender: the receivers are the ones it touched,
+                // sorted into the neighbor-id order `fates` lists its
+                // receivers in.
+                heard.extend_from_slice(&clock.delivery.touched);
+                heard.sort_unstable();
+            }
+            MediumKind::Lossless | MediumKind::Independent => {
+                let mut rng = env.medium_rng(slot, p);
+                clock.medium.fates(&env.topo, p, &mut rng, heard);
+            }
         }
         // The copies that made it share one pool entry, their receivers
         // read off the sender's row (both in neighbor-id order).
@@ -865,7 +852,7 @@ mod tests {
     use crate::testkit::{GatedFlood, MaxFlood, PeekFlood};
     use crate::{Fault, Scenario};
     use mwn_graph::builders;
-    use mwn_radio::{BernoulliLoss, SlottedCsma, Thinned};
+    use mwn_radio::{BernoulliLoss, SlottedCsma};
 
     fn driver<P: Protocol, M: Medium>(protocol: P, medium: M, topo: Topology) -> EventDriver<P, M> {
         EventDriver::new(protocol, medium, topo, EventConfig::default(), 3)
@@ -1390,22 +1377,6 @@ mod tests {
         d.run_until_time(1060.0);
         assert_eq!(d.messages_total(), msgs, "stabilized CSMA goes silent");
         assert_eq!(d.events_processed(), events, "quiet eon processes nothing");
-    }
-
-    #[test]
-    fn media_with_neither_contract_are_rejected_by_name() {
-        // A medium with neither independent fates nor the
-        // gated-contention contract has no continuous-time semantics;
-        // the driver says so instead of swapping in another channel.
-        let result = Scenario::new(GatedFlood)
-            .medium(Thinned::new(SlottedCsma::new(8), 0.9))
-            .topology(builders::line(4))
-            .build_events(EventConfig::default());
-        let Err(SimError::InvalidConfig(text)) = result else {
-            panic!("a medium with neither contract must be rejected");
-        };
-        assert!(text.contains("event driver"), "text: {text}");
-        assert!(text.contains("medium `thinned`"), "text: {text}");
     }
 
     #[test]

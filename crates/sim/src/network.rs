@@ -1,5 +1,5 @@
 use mwn_graph::{NodeId, Topology};
-use mwn_radio::{Delivery, Medium};
+use mwn_radio::{Delivery, Medium, MediumKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -85,7 +85,7 @@ impl StepActivity {
 ///    with retire: by count alone on a step that lost no frame copy,
 ///    by consulting the reception rows otherwise.
 ///
-/// A medium that loses nothing ([`Medium::lossless`] — the step the
+/// A medium that loses nothing ([`MediumKind::Lossless`] — the step the
 /// paper simulates) is not asked at 4: what it would have recorded is
 /// what the topology already states, *a node heard exactly its sending
 /// neighbors, in adjacency order*. The step marks the senders'
@@ -108,19 +108,17 @@ impl StepActivity {
 /// configuration nothing changes any more. The driver exploits this
 /// through the shared `engine` core (dirty sets, beacon
 /// epochs, per-edge reception tracking): when the protocol opts in
-/// ([`Activity::Gated`](crate::Activity::Gated)) *and* the medium
-/// supports gating, a node is scheduled only if its state changed last
-/// round, a beacon it heard
+/// ([`Activity::Gated`](crate::Activity::Gated)), a node is scheduled
+/// only if its state changed last round, a beacon it heard
 /// changed, a topology delta touched it, or a fault hit it — quiescent
 /// regions cost (near) zero work and zero messages.
 ///
-/// Two media classes support gating. Per-copy independent fates
-/// ([`Medium::independent_fates`]): all randomness is derived per
-/// (step, node) / (step, sender) from the constructor seed
-/// ([`crate::split_rng`]), so skipping an idle node consumes no
-/// randomness and gated and eager execution are **byte-identical**
-/// (property-tested in `tests/engine_equivalence.rs`). Contention
-/// media implementing [`Medium::gated_contention`]: retired senders
+/// Every [`MediumKind`] gates. Lossless and independent media: all
+/// randomness is derived per (step, node) / (step, sender) from the
+/// constructor seed ([`crate::split_rng`]), so skipping an idle node
+/// consumes no randomness and gated and eager execution are
+/// **byte-identical** (property-tested in
+/// `tests/engine_equivalence.rs`). Contention media: retired senders
 /// keep *occupying* their slot statistically — the medium is handed a
 /// view of the pending-sender set whose occupied nodes are the ones
 /// not in it, so who is silent is recorded once —, active frames fold
@@ -166,8 +164,8 @@ pub type Network<P, M> = Sim<P, Rounds<M>>;
 pub struct Rounds<M> {
     period: Period,
     medium: M,
-    /// Sequential stream for contention-coupled media (whose rounds
-    /// are evaluated with the full sender set in one call).
+    /// Sequential stream for eager contention rounds (evaluated with
+    /// the full sender set in one call).
     medium_rng: StdRng,
     /// How the per-step active pass is split across workers.
     shards: ShardPolicy,
@@ -233,11 +231,6 @@ impl<P: Protocol, M: Medium> Clock<P> for Rounds<M> {
     fn now(&self) -> u64 {
         self.period.now
     }
-
-    fn is_gated(sim: &Sim<P, Self>) -> bool {
-        let medium = &sim.clock.medium;
-        sim.env.gated() && (medium.independent_fates() || medium.gated_contention())
-    }
 }
 
 impl<P: Protocol, M: Medium> Transport<P> for Rounds<M> {
@@ -245,17 +238,17 @@ impl<P: Protocol, M: Medium> Transport<P> for Rounds<M> {
         &mut self.period
     }
 
-    /// Phase 4: frame delivery. A lossless medium is not asked: every
-    /// copy in range arrives, and the visits read them off the senders'
-    /// rows. Otherwise the frame copies that arrive land in `delivery`.
-    /// Media with independent fates get one derived stream per (step,
-    /// sender), so a frame's fate can never depend on who else
-    /// transmitted. Gated contention media deliver the active set
-    /// exactly while folding the retired population in statistically
-    /// (per-(step, sender) and per-(step, receiver, sender) streams).
-    /// Everything else — and every eager round — evaluates the full
-    /// sender set on the sequential medium stream. Media are handed the
-    /// senders in id order, and record by id.
+    /// Phase 4: frame delivery, by the medium's kind. A lossless medium
+    /// is not asked: every copy in range arrives, and the visits read
+    /// them off the senders' rows. Otherwise the frame copies that
+    /// arrive land in `delivery`. Independent media get one derived
+    /// stream per (step, sender), so a frame's fate can never depend on
+    /// who else transmitted. A gated contention round delivers the
+    /// active set exactly while folding the retired population in
+    /// statistically (per-(step, sender) and per-(step, receiver,
+    /// sender) streams); an eager one evaluates the full sender set on
+    /// the sequential medium stream. Media are handed the senders in id
+    /// order, and record by id.
     fn send(
         &mut self,
         env: &mut Env<P>,
@@ -263,35 +256,39 @@ impl<P: Protocol, M: Medium> Transport<P> for Rounds<M> {
         eager: bool,
         senders: &[Slot],
     ) -> (usize, usize) {
-        if self.medium.lossless() {
-            let in_range = env.in_range(senders);
-            return (in_range, in_range);
-        }
-        let (topo, table) = (&env.topo, &env.table);
-        let sender_ids = &mut self.sender_ids;
-        table.order.sorted_ids(senders, sender_ids);
-        self.delivery.reset(topo.len());
-        if self.medium.independent_fates() {
-            for &s in sender_ids.iter() {
-                let mut rng = env.medium_rng(now, s);
-                self.delivery.record_fates(&self.medium, topo, s, &mut rng);
+        let topo = &env.topo;
+        match self.medium.kind() {
+            MediumKind::Lossless => {
+                let in_range = env.in_range(senders);
+                return (in_range, in_range);
             }
-        } else if !eager && self.medium.gated_contention() {
-            let streams = env.contention_streams(now);
-            let retired = Retired {
-                pending: &table.send_pending,
-                order: &table.order,
-            };
-            self.medium.deliver_occupied_into(
-                topo,
-                sender_ids,
-                &retired,
-                &streams,
-                &mut self.delivery,
-            );
-        } else {
-            self.medium
-                .deliver_into(topo, sender_ids, &mut self.medium_rng, &mut self.delivery);
+            MediumKind::Independent => {
+                let ids = ask(env, senders, &mut self.sender_ids, &mut self.delivery);
+                for &s in ids {
+                    let mut rng = env.medium_rng(now, s);
+                    self.delivery.record_fates(&self.medium, topo, s, &mut rng);
+                }
+            }
+            MediumKind::Contention if !eager => {
+                let ids = ask(env, senders, &mut self.sender_ids, &mut self.delivery);
+                let streams = env.contention_streams(now);
+                let retired = Retired {
+                    pending: &env.table.send_pending,
+                    order: &env.table.order,
+                };
+                self.medium.deliver_occupied_into(
+                    topo,
+                    ids,
+                    &retired,
+                    &streams,
+                    &mut self.delivery,
+                );
+            }
+            MediumKind::Contention => {
+                let ids = ask(env, senders, &mut self.sender_ids, &mut self.delivery);
+                self.medium
+                    .deliver_into(topo, ids, &mut self.medium_rng, &mut self.delivery);
+            }
         }
         (self.delivery.attempted, self.delivery.delivered)
     }
@@ -305,7 +302,8 @@ impl<P: Protocol, M: Medium> Transport<P> for Rounds<M> {
     fn visit(&mut self, env: &mut Env<P>, now: u64, eager: bool, candidates: &[Slot]) {
         let active = candidates.len();
         let shards = self.shards.count(active, active);
-        let delivery = (!self.medium.lossless()).then_some(&self.delivery);
+        let lossless = self.medium.kind() == MediumKind::Lossless;
+        let delivery = (!lossless).then_some(&self.delivery);
         env.visit(now, !eager, candidates, shards, |shard| {
             let (beacons, epoch, read) = (shard.beacons, shard.epoch, shard.read_epoch);
             let (protocol, order) = (shard.protocol, shard.order);
@@ -331,13 +329,29 @@ impl<P: Protocol, M: Medium> Transport<P> for Rounds<M> {
     }
 }
 
+/// Readies a step whose medium is asked: `delivery` reset, and the
+/// step's senders listed by id into `ids`.
+fn ask<'a, P: Protocol>(
+    env: &Env<P>,
+    senders: &[Slot],
+    ids: &'a mut Vec<NodeId>,
+    delivery: &mut Delivery,
+) -> &'a [NodeId] {
+    env.table.order.sorted_ids(senders, ids);
+    delivery.reset(env.topo.len());
+    ids
+}
+
 impl<P: Protocol, M: Medium> Network<P, M> {
     /// Creates a network of cold-start nodes over `topo`.
     pub fn new(protocol: P, medium: M, topo: Topology, seed: u64) -> Self {
         let env = Env::new(protocol, topo, seed, streams::ROUND_FAULT);
         // The node count is fixed for a driver's life: what a lossless
         // step writes is sized here, so no step is the one that allocates.
-        let n = if medium.lossless() { env.topo.len() } else { 0 };
+        let n = match medium.kind() {
+            MediumKind::Lossless => env.topo.len(),
+            MediumKind::Independent | MediumKind::Contention => 0,
+        };
         let clock = Rounds {
             period: Period {
                 candidates: Vec::with_capacity(n),

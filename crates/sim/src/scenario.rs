@@ -231,13 +231,13 @@ impl<P: Protocol, M: Medium> Scenario<P, M> {
     /// driver.
     ///
     /// The scenario's medium decides each frame copy's fate from a
-    /// derived per-(slot, sender) stream: media with
-    /// [`Medium::independent_fates`] (perfect, Bernoulli, fading)
-    /// directly, [`Medium::gated_contention`] media (the shipped CSMA
-    /// variants) with the in-range population folded in statistically.
-    /// Both permit activity gating for [`crate::Activity::Gated`]
-    /// protocols, whose silent nodes then stop scheduling beacon events
-    /// altogether.
+    /// derived per-(slot, sender) stream, by its
+    /// [`mwn_radio::MediumKind`]: lossless and independent media
+    /// (perfect, Bernoulli, fading) through [`Medium::fates`],
+    /// contention media (the shipped CSMA variants) with the in-range
+    /// population folded in statistically. Every kind permits activity
+    /// gating for [`crate::Activity::Gated`] protocols, whose silent
+    /// nodes then stop scheduling beacon events altogether.
     ///
     /// Scripted [`FaultPlan`]s carry over: a fault scheduled at step
     /// `k` fires once the clock reaches `k` beacon periods. Mobility
@@ -248,9 +248,7 @@ impl<P: Protocol, M: Medium> Scenario<P, M> {
     /// # Errors
     ///
     /// [`SimError::MissingTopology`]; [`SimError::InvalidConfig`] when
-    /// validation fails, an event parameter is out of range, or the
-    /// medium offers neither contract above (e.g. a
-    /// [`mwn_radio::Thinned`]-wrapped CSMA) — the message names it.
+    /// validation fails or an event parameter is out of range.
     pub fn build_events(self, config: EventConfig) -> Result<EventDriver<P, M>, SimError> {
         self.assemble(|p, m, t, seed| EventDriver::new(p, m, t, config, seed))
     }
@@ -260,11 +258,11 @@ impl<P: Protocol, M: Medium> Scenario<P, M> {
     /// beacon frames ([`WireBeacon`]) under the virtual-time token
     /// governor — the third driver the same scenario can run on.
     ///
-    /// The medium must decide fates per sender
-    /// ([`Medium::independent_fates`]): the actor fabric's workers ask
-    /// [`Medium::fates`] on the round driver's per-(period, sender)
-    /// streams, so a given seed drops the same frame copies on both
-    /// drivers.
+    /// The medium must be lossless or independent, not a
+    /// [`mwn_radio::MediumKind::Contention`] medium: the actor fabric's
+    /// workers ask [`Medium::fates`] on the round driver's
+    /// per-(period, sender) streams, so a given seed drops the same
+    /// frame copies on both drivers.
     /// Scripted [`FaultPlan`]s fire at period boundaries *before* that
     /// period's beacon slots are released (fault ≤ send); mobility
     /// dynamics tick once per period at the same boundary. The
@@ -274,8 +272,8 @@ impl<P: Protocol, M: Medium> Scenario<P, M> {
     /// # Errors
     ///
     /// [`SimError::MissingTopology`]; [`SimError::InvalidConfig`] when
-    /// a [`Scenario::validate`] check fails or the medium is
-    /// contention-coupled (no independent fates).
+    /// a [`Scenario::validate`] check fails or the medium is a
+    /// contention medium — the message names it.
     pub fn build_actors(self, threads: usize) -> Result<ActorDriver<P, M>, SimError>
     where
         P::Beacon: WireBeacon,

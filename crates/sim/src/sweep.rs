@@ -94,8 +94,9 @@ impl Convergence {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Sweep {
     seeds: Vec<u64>,
-    /// Cap on the worker threads; `None`: one per available core.
-    threads: Option<usize>,
+    /// Runs on the calling thread; otherwise one worker per available
+    /// core.
+    serial: bool,
 }
 
 impl Sweep {
@@ -107,19 +108,14 @@ impl Sweep {
             seeds: (0..runs as u64)
                 .map(|i| derive_seed(base_seed, i))
                 .collect(),
-            threads: None,
+            serial: false,
         }
     }
 
     /// Runs everything on the calling thread — for determinism checks
     /// and wall-clock baselines.
-    pub fn serial(self) -> Self {
-        self.threads(1)
-    }
-
-    /// Caps the worker-thread count.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = Some(n.max(1));
+    pub fn serial(mut self) -> Self {
+        self.serial = true;
         self
     }
 
@@ -147,10 +143,11 @@ impl Sweep {
         F: Fn(u64) -> T + Sync,
     {
         let runs = self.seeds.len();
-        let threads = std::thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .min(self.threads.unwrap_or(usize::MAX))
-            .min(runs.max(1));
+        let threads = if self.serial {
+            1
+        } else {
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        };
         run_pooled(runs, threads, |i| job(self.seeds[i]))
     }
 
@@ -171,7 +168,7 @@ impl Sweep {
         // the workers assigned to a fast one.
         let flat = Sweep {
             seeds: (0..(grid.len() * runs) as u64).collect(),
-            threads: self.threads,
+            serial: self.serial,
         };
         let mut results = flat
             .map(|flat_idx| {

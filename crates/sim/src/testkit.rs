@@ -7,7 +7,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mwn_graph::{NodeId, Point2, Topology};
-use mwn_radio::{ContentionStreams, Delivery, Medium, OccupancyView};
+use mwn_radio::{ContentionStreams, Delivery, Medium, MediumKind, OccupancyView};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -374,13 +374,19 @@ impl TopologyDynamics for Drift {
     }
 }
 
-/// `M` with its [`Medium::lossless`] promise withheld and everything
+/// `M` with its [`MediumKind::Lossless`] promise withheld and everything
 /// else forwarded: the round driver asks a `Pushed<PerfectMedium>` for
 /// the very deliveries it reads off the topology under `PerfectMedium`.
 #[derive(Clone, Debug)]
 pub(crate) struct Pushed<M>(pub M);
 
 impl<M: Medium> Medium for Pushed<M> {
+    fn kind(&self) -> MediumKind {
+        match self.0.kind() {
+            MediumKind::Lossless => MediumKind::Independent,
+            kind => kind,
+        }
+    }
     fn deliver_into(
         &mut self,
         topo: &Topology,
@@ -390,12 +396,6 @@ impl<M: Medium> Medium for Pushed<M> {
     ) {
         self.0.deliver_into(topo, senders, rng, out);
     }
-    fn deliver(&mut self, topo: &Topology, senders: &[NodeId], rng: &mut StdRng) -> Delivery {
-        self.0.deliver(topo, senders, rng)
-    }
-    fn independent_fates(&self) -> bool {
-        self.0.independent_fates()
-    }
     fn fates(
         &self,
         topo: &Topology,
@@ -404,12 +404,6 @@ impl<M: Medium> Medium for Pushed<M> {
         heard: &mut Vec<NodeId>,
     ) -> usize {
         self.0.fates(topo, sender, rng, heard)
-    }
-    fn gated_contention(&self) -> bool {
-        self.0.gated_contention()
-    }
-    fn lossless(&self) -> bool {
-        false
     }
     fn deliver_occupied_into(
         &mut self,

@@ -85,7 +85,7 @@ pub mod prelude {
     };
     pub use mwn_radio::{
         measure_tau, BernoulliLoss, CaptureCsma, ContentionStreams, DistanceFading, FullOccupancy,
-        Medium, Occupancy, OccupancyView, PerfectMedium, SlottedCsma, Thinned,
+        Medium, MediumKind, Occupancy, OccupancyView, PerfectMedium, SlottedCsma,
     };
     pub use mwn_sim::{
         ActorDriver, Corruptible, Driver, EventConfig, EventDriver, Fault, FaultPlan, Lie, Network,

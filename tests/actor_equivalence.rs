@@ -124,7 +124,7 @@ fn actors_equal_rounds_under_bernoulli_loss() {
 }
 
 #[test]
-fn actors_equal_rounds_under_distance_fading_and_thinning() {
+fn actors_equal_rounds_under_distance_fading() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(19);
     let topo = builders::uniform(45, 0.18, &mut rng);
     assert_exact_agreement(
@@ -136,18 +136,6 @@ fn actors_equal_rounds_under_distance_fading_and_thinning() {
         },
         4,
         "fading",
-    );
-    // Thinned(Perfect) is an independent-fates composite: the thinning coin per
-    // delivered copy must replay in the same order on both drivers.
-    assert_exact_agreement(
-        || {
-            Scenario::new(DensityCluster::new(event_driven_config()))
-                .medium(Thinned::new(PerfectMedium, 0.8))
-                .topology(topo.clone())
-                .seed(2)
-        },
-        4,
-        "thinned",
     );
 }
 

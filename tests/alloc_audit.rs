@@ -28,11 +28,12 @@
 //! snapshotting — so a beacon period allocates nothing, however many
 //! frames land in it.
 //!
-//! The contention media ride the same wave on both clocks. Slotted
-//! CSMA keeps its slot claims, tallies and participant lists in a
-//! generation-stamped scratch it owns, and capture CSMA its slot marks
-//! and ranked contenders, so neither a storm round over every sender
-//! nor a one-sender call on the event clock allocates.
+//! The contention media ride the same wave on both clocks, gated and
+//! eager. Slotted CSMA keeps its slot claims, tallies and participant
+//! lists in a generation-stamped scratch it owns, and capture CSMA its
+//! slot marks and ranked contenders, so neither a storm round over
+//! every sender — folded or eager — nor a one-sender call on the event
+//! clock allocates.
 //!
 //! The audit installs a counting [`GlobalAlloc`] wrapper around the
 //! system allocator. All phases run inside a single `#[test]` so no
@@ -434,6 +435,46 @@ fn contention_steps_do_not_allocate<M: Medium + Clone>(medium: M) {
         storm >= 10 && tail >= 10 && quiet >= 10,
         "the {name} audit window must cover storm, tail and quiet steps \
          ({storm} storm, {tail} tail, {quiet} quiet seen)"
+    );
+
+    // Eager scheduling: every node sends every step, so each step is
+    // one all-sender round on the sequential medium stream
+    // (`Medium::deliver_into`), never the occupancy fold. Every step
+    // then has the same senders; the wave's phases show in how many
+    // outputs a step moved instead (read outside the audited call).
+    net.set_eager(true);
+    let (mut storm, mut tail, mut quiet) = (0usize, 0usize, 0usize);
+    let (mut was, mut now) = (net.outputs(), Vec::new());
+    for round in 0..9u32 {
+        for i in 0..nodes {
+            scramble(net.state_mut(NodeId::new(i)), i, nodes, round);
+        }
+        for _ in 0..120 {
+            let before = ALLOCS.load(Ordering::Relaxed);
+            net.step();
+            let during = ALLOCS.load(Ordering::Relaxed) - before;
+            net.outputs_into(&mut now);
+            let moved = was.iter().zip(&now).filter(|(a, b)| a != b).count() as u32;
+            std::mem::swap(&mut was, &mut now);
+            if round < 6 {
+                continue;
+            }
+            assert_eq!(
+                during, 0,
+                "{name} eager step moving {moved} outputs allocated {during} times"
+            );
+            match moved {
+                0 => quiet += 1,
+                moved if moved < nodes / 10 => tail += 1,
+                moved if moved > nodes / 4 => storm += 1,
+                _ => {}
+            }
+        }
+    }
+    assert!(
+        storm >= 10 && tail >= 10 && quiet >= 10,
+        "the {name} eager audit window must cover storm, tail and quiet \
+         steps ({storm} storm, {tail} tail, {quiet} quiet seen)"
     );
 
     // On the event clock every transmission is a one-sender call

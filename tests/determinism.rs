@@ -278,16 +278,6 @@ fn lossy_fates_replay_their_pins_on_all_three_drivers() {
         ],
         "fading: [gated rounds, eager rounds, events, actors]"
     );
-    assert_eq!(
-        pins(Thinned::new(PerfectMedium, 0.7)),
-        [
-            (settled(11), 381, 1079, out),
-            (settled(11), 600, 1516, out),
-            (settled(9), 320, 906, out),
-            (settled(11), 381, 1079, out),
-        ],
-        "thinned: [gated rounds, eager rounds, events, actors]"
-    );
 }
 
 #[test]

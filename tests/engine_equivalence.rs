@@ -145,30 +145,6 @@ fn contention_media_gate_through_statistical_occupancy() {
 }
 
 #[test]
-fn wrapped_contention_media_fall_back_to_eager_and_stay_identical() {
-    // `Thinned<SlottedCsma>` advertises neither independent fates nor
-    // gated contention, so the engine must refuse to gate senders
-    // (physics would change); equivalence is then trivial but the
-    // fallback itself is what this checks.
-    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-    let topo = builders::uniform(40, 0.2, &mut rng);
-    let build = || {
-        Scenario::new(DensityCluster::new(event_driven_config()))
-            .medium(Thinned::new(SlottedCsma::new(16), 0.9))
-            .topology(topo.clone())
-            .seed(4)
-            .build()
-            .expect("valid scenario")
-    };
-    let probe = build();
-    assert!(
-        !probe.is_gated(),
-        "gating must be disabled on wrapped contention media"
-    );
-    lockstep(build, 40);
-}
-
-#[test]
 fn gated_equals_eager_with_scripted_faults() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(21);
     let topo = builders::uniform(45, 0.18, &mut rng);
