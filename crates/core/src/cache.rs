@@ -125,6 +125,12 @@ pub struct NeighborSlot {
 }
 
 impl NeighborSlot {
+    /// This neighbor's share of the density numerator: the `links`
+    /// invariant of the module docs.
+    pub(crate) fn links(&self) -> u32 {
+        self.links
+    }
+
     /// What a beacon relays about this neighbor.
     pub fn summary(&self) -> PeerSummary {
         PeerSummary {

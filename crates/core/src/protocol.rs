@@ -506,9 +506,40 @@ impl DensityCluster {
         changed
     }
 
+    /// One read of the slot headers: everything a guard pass asks of
+    /// them, and whether the freshness sweep `fresh` drops an entry.
+    fn survey(
+        &self,
+        node: NodeId,
+        state: &ClusterState,
+        fresh: impl Fn(&NeighborSlot) -> bool,
+    ) -> Survey {
+        let order = self.config.order;
+        let mut survey = Survey::default();
+        for e in state.cache.slots() {
+            survey.stale |= !fresh(e);
+            survey.links += e.links();
+            survey.cached_self |= e.id == node;
+            if e.dag_id == state.dag_id {
+                survey.clash = true;
+                survey.clash_above |= node < e.id;
+            }
+            // Cached ids are unique, so no two keys tie.
+            let key = Self::key_of_summary(&e.summary());
+            let weaker = |(_, best): &(NeighborSlot, Key)| best.cmp_under(&key, order).is_lt();
+            if survey.strongest.as_ref().is_none_or(weaker) {
+                survey.strongest = Some((*e, key));
+            }
+        }
+        survey
+    }
+
     /// One pass of the guarded assignments N1, R1, R2 after the cache
     /// sweep. Returns whether the sweep dropped an entry — the only way
     /// this pass changes the cache.
+    ///
+    /// The slot headers are read once ([`DensityCluster::survey`]), and
+    /// again only after a sweep that dropped an entry.
     fn run_guards(
         &self,
         node: NodeId,
@@ -521,35 +552,34 @@ impl DensityCluster {
         // EventDriven: only future-stamped forgeries are swept — live
         // entries must survive arbitrarily long silence, and departed
         // neighbors are evicted by `link_down` instead.
-        let ttl = self.config.cache_ttl;
-        let swept = match self.config.freshness {
-            FreshnessPolicy::TtlSweep => state
-                .cache
-                .retain(|e| e.last_seen <= now && now - e.last_seen < ttl),
-            FreshnessPolicy::EventDriven => state.cache.retain(|e| e.last_seen <= now),
-        };
-        let cached = state.cache.slots();
+        let (ttl, aging) = (
+            self.config.cache_ttl,
+            self.config.freshness == FreshnessPolicy::TtlSweep,
+        );
+        let fresh = |e: &NeighborSlot| e.last_seen <= now && (!aging || now - e.last_seen < ttl);
+        let mut survey = self.survey(node, state, fresh);
+        let swept = survey.stale;
+        if swept {
+            state.cache.retain(fresh);
+            survey = self.survey(node, state, fresh);
+        }
 
         // --- N1: DAG renaming (Section 4.1) --------------------------
         match &self.config.dag {
             Some(dag) => {
-                let conflicted = !dag.gamma.contains(state.dag_id)
-                    || cached.iter().any(|e| e.dag_id == state.dag_id);
+                let conflicted = !dag.gamma.contains(state.dag_id) || survey.clash;
                 if conflicted {
                     let must_redraw = match dag.variant {
                         DagVariant::Randomized => true,
                         DagVariant::SmallestIdRedraws => {
-                            !dag.gamma.contains(state.dag_id)
-                                || cached
-                                    .iter()
-                                    .any(|e| e.dag_id == state.dag_id && node < e.id)
+                            !dag.gamma.contains(state.dag_id) || survey.clash_above
                         }
                     };
                     if must_redraw {
                         // The used-name list is only materialized on an
                         // actual redraw — conflict-free steps (the
                         // overwhelming majority) stay allocation-free.
-                        let used: Vec<u32> = cached.iter().map(|e| e.dag_id).collect();
+                        let used: Vec<u32> = state.cache.slots().iter().map(|e| e.dag_id).collect();
                         state.dag_id = new_id(state.dag_id, &used, dag.gamma, rng);
                     }
                 }
@@ -564,20 +594,20 @@ impl DensityCluster {
         // --- R1: density (Section 4.2) --------------------------------
         // Each cached neighbor carries its share of the numerator
         // (`NeighborCache`'s `links` invariant), so the value is a sum
-        // over the headers: no view is read.
-        state.density = self
-            .config
-            .metric
-            .value_from_counts(cached.len() as u32, state.cache.neighborhood_links(node));
+        // over the headers: no view is read — unless a corrupted cache
+        // holds the node itself, whose links the cache takes back.
+        let degree = state.cache.len() as u32;
+        let links = if survey.cached_self {
+            state.cache.neighborhood_links(node)
+        } else {
+            degree + survey.links
+        };
+        state.density = self.config.metric.value_from_counts(degree, links);
 
         // --- R2: cluster-head choice (Sections 4.2 / 4.3) -------------
         let my_key = state.key(node);
         let order = self.config.order;
-        let strongest_neighbor = cached
-            .iter()
-            .map(|e| (*e, Self::key_of_summary(&e.summary())))
-            .max_by(|(_, a), (_, b)| a.cmp_under(b, order));
-        let follow = match strongest_neighbor {
+        let follow = match survey.strongest {
             Some((q, k)) if !k.precedes(&my_key, order) => Some(q),
             _ => None,
         };
@@ -606,6 +636,24 @@ impl DensityCluster {
         }
         swept
     }
+}
+
+/// What one guard pass reads off the slot headers, gathered in one
+/// sweep ([`DensityCluster::survey`]).
+#[derive(Default)]
+struct Survey {
+    /// The freshness sweep drops an entry.
+    stale: bool,
+    /// `Σ links` over the headers (the cache's `links` invariant).
+    links: u32,
+    /// The node's own id is cached — only a corrupted cache holds it.
+    cached_self: bool,
+    /// N1: a neighbor holds the node's DAG name…
+    clash: bool,
+    /// …and one of them has a larger id than the node.
+    clash_above: bool,
+    /// R2: the strongest neighbor, with its key.
+    strongest: Option<(NeighborSlot, Key)>,
 }
 
 impl Protocol for DensityCluster {
@@ -860,6 +908,118 @@ pub fn extract_clustering<V: ClusterView>(views: &[V]) -> Option<Clustering> {
 /// The stabilized DAG identifiers, for feeding the oracle's tiebreak.
 pub fn extract_dag_ids(states: &[ClusterState]) -> Vec<u32> {
     states.iter().map(|s| s.dag_id).collect()
+}
+
+/// The guard pass this file shipped before the one-sweep survey:
+/// the cache sweep, then a scan of the headers per guard. Kept
+/// verbatim as the oracle [`DensityCluster::run_guards`] must equal,
+/// state for state and draw for draw.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    impl DensityCluster {
+        /// One pass of the guarded assignments N1, R1, R2 after the cache
+        /// sweep. Returns whether the sweep dropped an entry — the only way
+        /// this pass changes the cache.
+        pub(super) fn reference_run_guards(
+            &self,
+            node: NodeId,
+            state: &mut ClusterState,
+            now: u64,
+            rng: &mut StdRng,
+        ) -> bool {
+            // Cache hygiene. TtlSweep: drop entries that are stale or carry
+            // a timestamp from the future (corrupted state must die out).
+            // EventDriven: only future-stamped forgeries are swept — live
+            // entries must survive arbitrarily long silence, and departed
+            // neighbors are evicted by `link_down` instead.
+            let ttl = self.config.cache_ttl;
+            let swept = match self.config.freshness {
+                FreshnessPolicy::TtlSweep => state
+                    .cache
+                    .retain(|e| e.last_seen <= now && now - e.last_seen < ttl),
+                FreshnessPolicy::EventDriven => state.cache.retain(|e| e.last_seen <= now),
+            };
+            let cached = state.cache.slots();
+
+            // --- N1: DAG renaming (Section 4.1) --------------------------
+            match &self.config.dag {
+                Some(dag) => {
+                    let conflicted = !dag.gamma.contains(state.dag_id)
+                        || cached.iter().any(|e| e.dag_id == state.dag_id);
+                    if conflicted {
+                        let must_redraw = match dag.variant {
+                            DagVariant::Randomized => true,
+                            DagVariant::SmallestIdRedraws => {
+                                !dag.gamma.contains(state.dag_id)
+                                    || cached
+                                        .iter()
+                                        .any(|e| e.dag_id == state.dag_id && node < e.id)
+                            }
+                        };
+                        if must_redraw {
+                            // The used-name list is only materialized on an
+                            // actual redraw — conflict-free steps (the
+                            // overwhelming majority) stay allocation-free.
+                            let used: Vec<u32> = cached.iter().map(|e| e.dag_id).collect();
+                            state.dag_id = new_id(state.dag_id, &used, dag.gamma, rng);
+                        }
+                    }
+                }
+                None => {
+                    // Without the DAG the tie-break id *is* the unique id;
+                    // re-asserting it heals corrupted state.
+                    state.dag_id = node.value();
+                }
+            }
+
+            // --- R1: density (Section 4.2) --------------------------------
+            // Each cached neighbor carries its share of the numerator
+            // (`NeighborCache`'s `links` invariant), so the value is a sum
+            // over the headers: no view is read.
+            state.density = self
+                .config
+                .metric
+                .value_from_counts(cached.len() as u32, state.cache.neighborhood_links(node));
+
+            // --- R2: cluster-head choice (Sections 4.2 / 4.3) -------------
+            let my_key = state.key(node);
+            let order = self.config.order;
+            let strongest_neighbor = cached
+                .iter()
+                .map(|e| (*e, Self::key_of_summary(&e.summary())))
+                .max_by(|(_, a), (_, b)| a.cmp_under(b, order));
+            let follow = match strongest_neighbor {
+                Some((q, k)) if !k.precedes(&my_key, order) => Some(q),
+                _ => None,
+            };
+            match (follow, self.config.rule) {
+                (Some(q), _) => {
+                    state.parent = q.id;
+                    state.head = q.head;
+                }
+                (None, HeadRule::Basic) => {
+                    state.head = node;
+                    state.parent = node;
+                }
+                (None, HeadRule::Fusion) => {
+                    // `≺` is total, so the strongest claim that beats
+                    // `my_key` is the strongest claim, if it beats `my_key`.
+                    let blocking = self
+                        .strongest_two_hop_claim(state)
+                        .filter(|c| my_key.precedes(c, order));
+                    // Locally maximal, yet a stronger head sits within two
+                    // hops: abdicate and merge into it (logical 2-hop
+                    // parent).
+                    let head = blocking.map_or(node, |absorber| absorber.id);
+                    state.head = head;
+                    state.parent = head;
+                }
+            }
+            swept
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1232,5 +1392,105 @@ mod tests {
             cache: NeighborCache::new(),
         };
         assert!(extract_clustering(&[state]).is_none());
+    }
+
+    /// The one-sweep guard pass against the three-scan pass it
+    /// replaced ([`reference`]).
+    mod sweep {
+        use super::*;
+        use crate::OrderKind;
+        use proptest::prelude::*;
+        use rand::SeedableRng;
+
+        /// A node id, small enough that ids, DAG names and heads collide.
+        fn small(rng: &mut StdRng) -> NodeId {
+            NodeId::new(rng.random_range(0..12))
+        }
+
+        fn summary(rng: &mut StdRng) -> PeerSummary {
+            let id = small(rng);
+            // Half of them claim headship.
+            let head = if rng.random::<bool>() { id } else { small(rng) };
+            PeerSummary {
+                id,
+                dag_id: rng.random_range(0..10),
+                density: Density::ratio(rng.random_range(0..6), rng.random_range(0..4)),
+                head,
+            }
+        }
+
+        /// A state of node `node` at time `now`, as a fault may leave
+        /// it: DAG names inside and outside γ = 0..8, clashing with the
+        /// neighbors'; entries stamped in the future, expired or fresh;
+        /// the node's own id among the cached ones; views that name the
+        /// node, the cached ids and strangers, with head claims.
+        fn state(
+            protocol: &DensityCluster,
+            node: NodeId,
+            now: u64,
+            entries: usize,
+            rng: &mut StdRng,
+        ) -> ClusterState {
+            let mut state = ClusterState {
+                dag_id: rng.random_range(0..10),
+                density: Density::ratio(rng.random_range(0..6), rng.random_range(0..4)),
+                head: small(rng),
+                parent: small(rng),
+                cache: NeighborCache::new(),
+            };
+            for _ in 0..entries {
+                let peer = summary(rng);
+                let view: Vec<PeerSummary> =
+                    (0..rng.random_range(0..5)).map(|_| summary(rng)).collect();
+                let last_seen = now + 2 - rng.random_range(0..7u64);
+                let claim = protocol.relayed_claim(node, &view);
+                state.cache.store(last_seen, peer, claim, &view);
+            }
+            state
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Equal states, equal `swept`, and the stream left in the
+            /// same place, under both freshness policies, without the
+            /// DAG and with both of its variants, both head rules and
+            /// both orders.
+            #[test]
+            fn one_sweep_equals_the_three_scans(
+                aging in any::<bool>(),
+                dag in 0usize..3,
+                fusion in any::<bool>(),
+                stable in any::<bool>(),
+                ttl in 1u64..4,
+                entries in 0usize..9,
+                seed in 0u64..u64::MAX,
+            ) {
+                let variant = [DagVariant::Randomized, DagVariant::SmallestIdRedraws];
+                let config = ClusterConfig {
+                    order: if stable { OrderKind::Stable } else { OrderKind::Basic },
+                    rule: if fusion { HeadRule::Fusion } else { HeadRule::Basic },
+                    dag: (dag > 0).then(|| DagConfig {
+                        gamma: NameSpace::of_size(8),
+                        variant: variant[dag - 1],
+                    }),
+                    cache_ttl: ttl,
+                    freshness: if aging { FreshnessPolicy::TtlSweep } else { FreshnessPolicy::EventDriven },
+                    ..ClusterConfig::default()
+                };
+                let protocol = DensityCluster::new(config);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let (node, now) = (small(&mut rng), rng.random_range(4..9u64));
+                let mut got = state(&protocol, node, now, entries, &mut rng);
+                let mut want = got.clone();
+                let (mut rng, mut ref_rng) = (StdRng::seed_from_u64(!seed), StdRng::seed_from_u64(!seed));
+                let swept = protocol.run_guards(node, &mut got, now, &mut rng);
+                let ref_swept = protocol.reference_run_guards(node, &mut want, now, &mut ref_rng);
+                prop_assert_eq!(swept, ref_swept, "swept");
+                prop_assert_eq!(&got, &want, "state");
+                prop_assert_eq!(got.cache.check(), Ok(()));
+                prop_assert_eq!(rng.random::<u64>(), ref_rng.random::<u64>(), "stream");
+            }
+        }
     }
 }

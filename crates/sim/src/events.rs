@@ -1,4 +1,4 @@
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use mwn_graph::{NodeId, Topology};
@@ -62,63 +62,6 @@ impl EventConfig {
     }
 }
 
-/// Totally ordered event key, in natural order: the earliest event
-/// compares smallest.
-///
-/// Ties at the same instant break on **intrinsic identity** (frame
-/// arrivals before beacon slots, then node ids), never on insertion
-/// order: a gated execution schedules fewer events than its eager
-/// twin, so an insertion-sequence tiebreak would let the *schedule*
-/// leak into the trajectory.
-#[derive(Clone, Copy, Debug)]
-struct EventKey {
-    time: f64,
-    /// [`ARRIVAL`] or [`SLOT`]: a state change carried by a frame is
-    /// visible to a same-instant broadcast.
-    class: u8,
-    /// An arrival's receiver, or the slot's node.
-    a: u32,
-    /// An arrival's sender, or the slot's number. A node has at most
-    /// one slot queued, so `b` never decides between two slot keys.
-    b: u64,
-}
-
-const ARRIVAL: u8 = 0;
-const SLOT: u8 = 1;
-
-impl EventKey {
-    /// Node `p`'s beacon slot number `k`, firing at `time`.
-    fn slot(time: f64, p: NodeId, k: u64) -> Self {
-        EventKey {
-            time,
-            class: SLOT,
-            a: p.value(),
-            b: k,
-        }
-    }
-}
-
-impl PartialEq for EventKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for EventKey {}
-impl PartialOrd for EventKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for EventKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.time
-            .total_cmp(&other.time)
-            .then_with(|| self.class.cmp(&other.class))
-            .then_with(|| self.a.cmp(&other.a))
-            .then_with(|| self.b.cmp(&other.b))
-    }
-}
-
 /// One transmission in flight: its copies land at `time` on the
 /// receivers its pool entry lists, in receiver-id order.
 #[derive(Clone, Copy, Debug)]
@@ -128,8 +71,6 @@ struct Transmission {
     /// The sender's beacon epoch, which the receivers' rows record.
     tx_epoch: u32,
     entry: u32,
-    /// The copy that lands next: an index into the entry's receivers.
-    next: u32,
 }
 
 /// What one transmission in flight shares with all its copies.
@@ -145,28 +86,66 @@ struct InFlight<B> {
 
 /// The event queue: beacon slots in a heap, transmissions in flight in
 /// a lane sorted by arrival time, and a pool of what they share (see
-/// [`EventDriver`]'s "O(active) scheduling"). An entry is freed as its
-/// last copy pops, for a later [`Lanes::hold`] to overwrite — and only
-/// a beacon slot transmits, so that copy still reads it untouched.
+/// [`EventDriver`]'s "O(active) scheduling"). The transmissions landing
+/// at the lane's front instant are opened, their copies handed out one
+/// by one ([`Lanes::copy`]), and closed together: their entries are
+/// freed for a later [`Lanes::hold`] to overwrite. Only a beacon slot
+/// transmits, and none fires while an instant is open.
 struct Lanes<B> {
-    slots: BinaryHeap<Reverse<EventKey>>,
+    /// One key per armed node, `(time bits, node id)`, least first:
+    /// a slot time is never negative, so its bits order like the time.
+    slots: BinaryHeap<Reverse<(u64, u32)>>,
+    /// The number of each node's queued slot, by node id.
+    numbers: Vec<u64>,
     transmissions: VecDeque<Transmission>,
     entries: Vec<InFlight<B>>,
     free: Vec<u32>,
-}
-
-/// The next event, as [`Lanes::pop_at`] hands it out.
-enum Next {
-    /// This beacon slot of this node fires.
-    Slot(NodeId, u64),
-    /// This copy of this transmission (its `next` names the copy)
-    /// finishes arriving at this receiver, stored at this table slot.
-    Arrival(Transmission, NodeId, Slot),
+    /// The copies of an open instant that several transmissions land
+    /// at, as `(receiver, sender, transmission, copy)`, sorted; empty
+    /// when one transmission lands alone.
+    merged: Vec<(u32, u32, u32, u32)>,
 }
 
 impl<B: Clone> Lanes<B> {
+    /// An empty queue for nodes `0..n`.
+    fn new(n: usize) -> Self {
+        Lanes {
+            slots: BinaryHeap::new(),
+            numbers: vec![0; n],
+            transmissions: VecDeque::new(),
+            entries: Vec::new(),
+            free: Vec::new(),
+            merged: Vec::new(),
+        }
+    }
+
+    /// Queues slot number `k` of node `p`, which has none queued, at
+    /// `time`. A node has at most one slot queued, so neither the slot
+    /// number nor anything else breaks a tie on `(time, p)`.
     fn push_slot(&mut self, time: f64, p: NodeId, k: u64) {
-        self.slots.push(Reverse(EventKey::slot(time, p, k)));
+        // `-0.0 + 0.0` is `+0.0`: no key carries a sign bit.
+        let bits = (time + 0.0).to_bits();
+        debug_assert!(bits >> 63 == 0, "slot time {time} is negative");
+        self.numbers[p.index()] = k;
+        self.slots.push(Reverse((bits, p.value())));
+    }
+
+    /// When the next event is due (never, if both lanes are empty), and
+    /// whether it is an arrival instant: at one instant the arrivals
+    /// land before the slots fire — a state change carried by a frame
+    /// is visible to a same-instant broadcast.
+    fn next_event(&self) -> (f64, bool) {
+        let (slot, front) = (self.slots.peek(), self.transmissions.front());
+        let slot = slot.map_or(f64::INFINITY, |&Reverse((bits, _))| f64::from_bits(bits));
+        let arrival = front.map_or(f64::INFINITY, |tx| tx.time);
+        (slot.min(arrival), arrival <= slot)
+    }
+
+    /// Removes the next beacon slot: its node and its number.
+    fn pop_slot(&mut self) -> Option<(NodeId, u64)> {
+        let Reverse((_, p)) = self.slots.pop()?;
+        let p = NodeId::new(p);
+        Some((p, self.numbers[p.index()]))
     }
 
     /// Copies `source`, the beacon of the node at slot `from` with read
@@ -199,53 +178,51 @@ impl<B: Clone> Lanes<B> {
         self.transmissions.push_back(tx);
     }
 
-    /// The key of the copy that lands next: the least `(receiver,
-    /// sender)` among the transmissions landing at the front's instant
-    /// — usually the front alone.
-    fn next_copy(&self) -> Option<EventKey> {
-        let (txs, front) = (&self.transmissions, self.transmissions.front()?);
-        let at_front = txs.iter().take_while(|tx| tx.time == front.time);
-        let key = |tx: &Transmission| {
-            let (receiver, _) = self.entries[tx.entry as usize].receivers[tx.next as usize];
-            let (time, class) = (tx.time, ARRIVAL);
-            let (a, b) = (receiver.value(), u64::from(tx.sender.value()));
-            EventKey { time, class, a, b }
+    /// Opens the lane's front instant: returns how many transmissions
+    /// land at it — the first that many of the lane — and how many
+    /// copies. Copy `i` is the `i`-th least `(receiver, sender)` among
+    /// them, which is the front's `i`-th receiver when it lands alone;
+    /// several are merged into that order once, here.
+    fn open_instant(&mut self) -> (usize, usize) {
+        let (txs, entries) = (&self.transmissions, &self.entries);
+        let Some(front) = txs.front() else {
+            return (0, 0);
         };
-        at_front.map(key).min()
+        if txs.get(1).is_none_or(|tx| tx.time != front.time) {
+            return (1, entries[front.entry as usize].receivers.len());
+        }
+        let landing = txs.iter().take_while(|tx| tx.time == front.time).count();
+        for (j, tx) in txs.range(..landing).enumerate() {
+            let receivers = &entries[tx.entry as usize].receivers;
+            let copies = receivers.iter().enumerate();
+            let at = |(i, &(r, _)): (usize, &(NodeId, Slot))| {
+                (r.value(), tx.sender.value(), j as u32, i as u32)
+            };
+            self.merged.extend(copies.map(at));
+        }
+        self.merged.sort_unstable();
+        (landing, self.merged.len())
     }
 
-    /// The key of the next event: the earlier of the two lane heads
-    /// (an arrival sorts before a slot at the same instant).
-    fn peek(&self) -> Option<EventKey> {
-        let slot = self.slots.peek().map(|&Reverse(key)| key);
-        let arrival = self.next_copy();
-        match (slot, arrival) {
-            (Some(s), Some(a)) => Some(s.min(a)),
-            (s, a) => s.or(a),
-        }
+    /// Copy `i` of the open instant: its transmission, its receiver and
+    /// the receiver's table slot.
+    fn copy(&self, i: usize) -> (Transmission, NodeId, Slot) {
+        let (j, i) = match self.merged.get(i) {
+            Some(&(.., j, i)) => (j as usize, i as usize),
+            None => (0, i),
+        };
+        let tx = self.transmissions[j];
+        let (receiver, at) = self.entries[tx.entry as usize].receivers[i];
+        (tx, receiver, at)
     }
 
-    /// Removes and returns the event of the key [`Lanes::peek`] just
-    /// gave, comparing no lane heads again: an arrival's transmission is
-    /// its sender's only one at that instant. A transmission leaves the
-    /// lane, and its entry the pool, with its last copy.
-    fn pop_at(&mut self, key: EventKey) -> Option<Next> {
-        if key.class == SLOT {
-            let p = NodeId::new(key.a);
-            return self.slots.pop().map(|_| Next::Slot(p, key.b));
-        }
-        let sent = |tx: &Transmission| (tx.time, u64::from(tx.sender.value())) == (key.time, key.b);
-        let i = self.transmissions.iter().position(sent)?;
-        let tx = &mut self.transmissions[i];
-        let receivers = &self.entries[tx.entry as usize].receivers;
-        let (receiver, at) = receivers[tx.next as usize];
-        let arrival = Next::Arrival(*tx, receiver, at);
-        tx.next += 1;
-        if tx.next as usize == receivers.len() {
+    /// Closes the open instant, of `landing` transmissions: they leave
+    /// the lane, and their entries the pool.
+    fn close_instant(&mut self, landing: usize) {
+        for tx in self.transmissions.drain(..landing) {
             self.free.push(tx.entry);
-            self.transmissions.remove(i);
         }
-        Some(arrival)
+        self.merged.clear();
     }
 }
 
@@ -269,26 +246,37 @@ impl<B: Clone> Lanes<B> {
 /// one entry per transmission in flight — never one entry per node of
 /// a quiescent network — in two lanes:
 ///
-/// * **Beacon slots** sit in a binary heap of 24-byte keys, the slot
-///   number in the key; a node is armed while it has one queued (the
-///   `armed` set). They come from the engine's `SlotClock`: node `p`'s
-///   `k`-th opportunity is a pure function of `(seed, p, k)`, so a
-///   silent node consumes no randomness and no queue space, and when
-///   something wakes it the next slot is found arithmetically — exactly
-///   the schedule its always-transmitting eager twin follows.
+/// * **Beacon slots** sit in a binary heap of 16-byte integer keys,
+///   `(time bits, node id)`: a slot time is never negative, so its bits
+///   order like the time, and a node has at most one slot queued (the
+///   `armed` set), so nothing else ever breaks a tie. The slot number
+///   sits in a column by node. Slots come from the engine's
+///   `SlotClock`: node `p`'s `k`-th opportunity is a pure function of
+///   `(seed, p, k)`, so a silent node consumes no randomness and no
+///   queue space, and when something wakes it the next slot is found
+///   arithmetically — exactly the schedule its always-transmitting
+///   eager twin follows.
 /// * **Transmissions in flight** sit in a deque, one 24-byte entry
-///   each (arrival time, sender, beacon epoch, pool entry, next copy),
-///   pushed at the back: arrivals are `t + frame_time` of slots that
-///   pop in time order. Copies land in receiver-id order, the next one
-///   the least `(receiver, sender)` among the transmissions landing at
-///   the front's instant — usually the front alone — which is the
-///   order of one heap over every copy's key.
+///   each (arrival time, sender, beacon epoch, pool entry), pushed at
+///   the back: arrivals are `t + frame_time` of slots that pop in time
+///   order.
 /// * **What a transmission shares** sits in a pool entry: the sender's
 ///   beacon, copied in once, its read epoch, and the receivers the
 ///   medium let through as `(id, table slot)`, resolved once at send
 ///   time from the sender's reception row. The entry is freed, buffers
-///   intact, once the last copy has landed (or been dropped because its
-///   link vanished mid-flight).
+///   intact, once its instant has landed.
+///
+/// **One pass per arrival instant.** When the front of the deque is the
+/// next event, every copy landing at that instant lands in one loop, in
+/// `(receiver, sender)` order: the front's receiver list as it stands,
+/// or — when several transmissions land at the very same instant — the
+/// merge of their lists, sorted once. That is the order of one heap over
+/// every copy's key, and nothing can come between two of them: landing
+/// only wakes slots, which fire at the instant at the earliest and
+/// after its arrivals, and only a slot transmits. So the logical clock
+/// is read once per instant, and a copy costs its receive and at most
+/// one guard pass. [`EventDriver::events_processed`] still counts each
+/// copy.
 ///
 /// The queue speaks ids — a key's tie-break is intrinsic identity — and
 /// everything behind it speaks storage slots, the engine's order (by
@@ -297,7 +285,7 @@ impl<B: Clone> Lanes<B> {
 ///
 /// **Look-ahead.** A transmission's copies land at one instant on
 /// scattered receivers, each on a state nothing has touched since that
-/// receiver's last event. When its first copy pops, the driver walks
+/// receiver's last event. Before its instant lands, the driver walks
 /// the receivers' reception rows, then the receivers once per level of
 /// [`Protocol::peek_state`] (none for a protocol that declares no
 /// levels): the reads each copy's `receive` and `update` would pay for
@@ -306,7 +294,10 @@ impl<B: Clone> Lanes<B> {
 /// [`std::hint::black_box`]: no state, count or digest can see them.
 ///
 /// The next event is the earlier of the two lane heads, an arrival
-/// before a slot at the same instant. Every draw other than the slot
+/// before a slot at the same instant. Ties break on intrinsic identity,
+/// never on insertion order: a gated execution schedules fewer events
+/// than its eager twin, so an insertion-sequence tiebreak would let the
+/// *schedule* leak into the trajectory. Every draw other than the slot
 /// schedule (guard execution, frame fates, corruption) is derived per
 /// (event, node) the same way, which makes gated and eager execution
 /// **byte-identical** on independent-fates media — the continuous-time
@@ -390,7 +381,7 @@ pub struct Events<P: Protocol, M> {
     /// Scratch slot list (wake batches).
     scratch_slots: Vec<Slot>,
     time: f64,
-    /// Events popped so far.
+    /// Events processed so far: slots fired, copies landed.
     events: u64,
 }
 
@@ -472,12 +463,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             config,
             schedule: SlotClock::new(seed, config.beacon_period, config.jitter, n),
             medium,
-            lanes: Lanes {
-                slots: BinaryHeap::new(),
-                transmissions: VecDeque::new(),
-                entries: Vec::new(),
-                free: Vec::new(),
-            },
+            lanes: Lanes::new(n),
             armed: NodeSet::new(n),
             delivery: Delivery::empty(0),
             heard: Vec::new(),
@@ -543,8 +529,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         // asked here and after each one, not once per event.
         let mut boundary = self.next_boundary();
         loop {
-            let head = self.clock.lanes.peek();
-            let event_time = head.map_or(f64::INFINITY, |key| key.time);
+            let (event_time, arrival) = self.clock.lanes.next_event();
             let next = event_time.min(boundary);
             // Asked as "is it due", not "is it late": a NaN horizon
             // answers no to both. Nothing is ever due at infinity.
@@ -559,24 +544,23 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
                 boundary = self.next_boundary();
                 continue;
             }
-            let Some(key) = head else {
-                break;
-            };
-            let Some(event) = self.clock.lanes.pop_at(key) else {
-                debug_assert!(false, "a peeked event is still queued");
+            if arrival {
+                self.land_instant(event_time);
+                continue;
+            }
+            let Some((p, k)) = self.clock.lanes.pop_slot() else {
+                debug_assert!(false, "a peeked slot is still queued");
                 break;
             };
             self.clock.time = event_time;
             self.clock.events += 1;
-            match event {
-                Next::Slot(p, slot) => self.handle_tx(p, slot),
-                Next::Arrival(tx, r, at) => self.handle_rx(tx, r, at),
-            }
+            self.handle_tx(p, k);
         }
         self.clock.time = self.clock.time.max(t);
     }
-    /// Reads ahead for the copies of transmission `entry`, whose first
-    /// copy is landing: what [`EventDriver::incorporate`] searches and
+
+    /// Reads ahead for the copies of transmission `entry`, which are
+    /// about to land: what [`EventDriver::incorporate`] searches and
     /// reads of each receiver's reception row, then one pass per level
     /// of [`Protocol::peek_state`] over the receivers' states. A pass per
     /// level, not a walk per copy: the loads of one level do not wait
@@ -682,7 +666,6 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
                 sender: p,
                 tx_epoch: table.epoch[i],
                 entry,
-                next: 0,
             });
         }
         // Schedule the next slot (the node stays armed); under gating
@@ -691,31 +674,45 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         clock.lanes.push_slot(next, p, slot + 1);
     }
 
-    /// Lands copy `tx.next` of `tx` at receiver `r`, stored at `at`;
-    /// the first copy of a transmission reads ahead for all of them.
-    fn handle_rx(&mut self, tx: Transmission, r: NodeId, at: Slot) {
-        if P::PEEK_LEVELS > 0 && tx.next == 0 {
-            self.look_ahead(tx.entry, tx.sender);
+    /// Lands every copy arriving at `t`, the arrival lane's front
+    /// instant, in `(receiver, sender)` order, after reading ahead once
+    /// per transmission. Nothing a copy does can come between: a woken
+    /// receiver's slot fires at `t` at the earliest, after the
+    /// arrivals, and only a slot transmits.
+    fn land_instant(&mut self, t: f64) {
+        self.clock.time = t;
+        let now = self.now();
+        let (landing, copies) = self.clock.lanes.open_instant();
+        if P::PEEK_LEVELS > 0 {
+            for j in 0..landing {
+                let tx = self.clock.lanes.transmissions[j];
+                self.look_ahead(tx.entry, tx.sender);
+            }
         }
-        if self.incorporate(&tx, r, at) {
-            let table = &mut self.env.table;
-            table.changes.insert(at);
-            table.beacon_stale.insert(at);
-            // The state moved: r may have a new beacon to announce —
-            // wake its slot schedule (its next pop decides).
-            table.send_pending.insert(at);
-            self.arm(at);
+        self.clock.events += copies as u64;
+        for i in 0..copies {
+            let (tx, r, at) = self.clock.lanes.copy(i);
+            if self.incorporate(&tx, r, at, now) {
+                let table = &mut self.env.table;
+                table.changes.insert(at);
+                table.beacon_stale.insert(at);
+                // The state moved: r may have a new beacon to announce
+                // — wake its slot schedule (its next pop decides).
+                table.send_pending.insert(at);
+                self.arm(at);
+            }
         }
+        self.clock.lanes.close_instant(landing);
     }
 
     /// Lands one frame copy at its receiver: the receive guard — none
     /// for a gated receiver that already holds what it would read
     /// ([`engine::gate`], against the sender's read epoch when it
     /// transmitted) — then one pass of the guarded assignments
-    /// ([`EventDriver::update`]). Returns whether, under gating, the
-    /// receiver's state changed.
-    fn incorporate(&mut self, tx: &Transmission, r: NodeId, at: Slot) -> bool {
-        let (s, gated, now) = (tx.sender, self.is_gated(), self.now());
+    /// ([`EventDriver::update`]), at logical step `now`. Returns
+    /// whether, under gating, the receiver's state changed.
+    fn incorporate(&mut self, tx: &Transmission, r: NodeId, at: Slot, now: u64) -> bool {
+        let (s, gated) = (tx.sender, self.is_gated());
         let (protocol, table) = (&self.env.protocol, &mut self.env.table);
         let row = table.heard.slots(at.index());
         debug_assert!(
@@ -812,7 +809,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     }
 
     /// Events processed so far (beacon slots fired plus frame
-    /// arrivals). For a stabilized, gated network this freezes: a
+    /// copies landed). For a stabilized, gated network this freezes: a
     /// quiet interval processes no events at all.
     pub fn events_processed(&self) -> u64 {
         self.clock.events
@@ -853,15 +850,59 @@ mod tests {
     use crate::{Fault, Scenario};
     use mwn_graph::builders;
     use mwn_radio::{BernoulliLoss, SlottedCsma};
+    use std::cmp::Ordering;
 
     fn driver<P: Protocol, M: Medium>(protocol: P, medium: M, topo: Topology) -> EventDriver<P, M> {
         EventDriver::new(protocol, medium, topo, EventConfig::default(), 3)
             .expect("valid configuration")
     }
 
-    /// The lanes next to the queue they replace, kept as their
-    /// reference: every key, slots and frame copies alike, in one
-    /// min-heap.
+    /// The order the lanes replace, kept as their reference: a totally
+    /// ordered key over every event, the earliest smallest.
+    ///
+    /// Ties at the same instant break on **intrinsic identity** (frame
+    /// arrivals before beacon slots, then node ids), never on insertion
+    /// order: a gated execution schedules fewer events than its eager
+    /// twin, so an insertion-sequence tiebreak would let the *schedule*
+    /// leak into the trajectory.
+    #[derive(Clone, Copy, Debug)]
+    struct EventKey {
+        time: f64,
+        /// [`ARRIVAL`] or [`SLOT`]: a state change carried by a frame is
+        /// visible to a same-instant broadcast.
+        class: u8,
+        /// An arrival's receiver, or the slot's node.
+        a: u32,
+        /// An arrival's sender, or the slot's number.
+        b: u64,
+    }
+
+    const ARRIVAL: u8 = 0;
+    const SLOT: u8 = 1;
+
+    impl PartialEq for EventKey {
+        fn eq(&self, other: &Self) -> bool {
+            self.cmp(other) == Ordering::Equal
+        }
+    }
+    impl Eq for EventKey {}
+    impl PartialOrd for EventKey {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for EventKey {
+        fn cmp(&self, other: &Self) -> Ordering {
+            self.time
+                .total_cmp(&other.time)
+                .then_with(|| self.class.cmp(&other.class))
+                .then_with(|| self.a.cmp(&other.a))
+                .then_with(|| self.b.cmp(&other.b))
+        }
+    }
+
+    /// The lanes next to the reference order: every key, slots and
+    /// frame copies alike, in one min-heap.
     struct LanesAndHeap {
         lanes: Lanes<()>,
         heap: BinaryHeap<Reverse<EventKey>>,
@@ -879,7 +920,8 @@ mod tests {
                 self.pushed += 1;
                 self.armed[p.index()] = Some(k);
                 self.lanes.push_slot(time, p, k);
-                self.heap.push(Reverse(EventKey::slot(time, p, k)));
+                let (class, a, b) = (SLOT, p.value(), k);
+                self.heap.push(Reverse(EventKey { time, class, a, b }));
             }
         }
 
@@ -888,19 +930,17 @@ mod tests {
         fn send(&mut self, time: f64, sender: NodeId, receivers: &[NodeId]) {
             let entry = self.lanes.hold(&(), 0, Slot::new(sender.value()));
             for &r in receivers {
-                let key = (time, ARRIVAL, r.value(), u64::from(sender.value()));
-                let (time, class, a, b) = key;
+                let (class, a, b) = (ARRIVAL, r.value(), u64::from(sender.value()));
                 self.heap.push(Reverse(EventKey { time, class, a, b }));
                 let pooled = &mut self.lanes.entries[entry as usize];
                 pooled.receivers.push((r, Slot::new(r.value())));
             }
-            let (tx_epoch, next) = (0, 0);
+            let tx_epoch = 0;
             let tx = Transmission {
                 time,
                 sender,
                 tx_epoch,
                 entry,
-                next,
             };
             self.lanes.push_transmission(tx);
         }
@@ -911,8 +951,8 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         const FRAME_TIME: f64 = 0.25;
-        assert_eq!(std::mem::size_of::<EventKey>(), 24);
         assert_eq!(std::mem::size_of::<Transmission>(), 24);
+        let (mut merged, mut alone) = (0, 0);
         for seed in 0..300 {
             let mut rng = StdRng::seed_from_u64(seed);
             // Every time is a multiple of the frame time, so instants
@@ -921,12 +961,7 @@ mod tests {
             // instant.
             let mut draw = |max: u32| rng.random_range(0..=max);
             let mut q = LanesAndHeap {
-                lanes: Lanes {
-                    slots: BinaryHeap::new(),
-                    transmissions: VecDeque::new(),
-                    entries: Vec::new(),
-                    free: Vec::new(),
-                },
+                lanes: Lanes::new(6),
                 heap: BinaryHeap::new(),
                 armed: [None; 6],
                 pushed: 0,
@@ -935,63 +970,67 @@ mod tests {
             for p in 0..nodes {
                 q.arm(f64::from(draw(3)) * FRAME_TIME, NodeId::new(p));
             }
-            let (mut popped, mut landed) = (0u32, vec![0u32; 0]);
-            while let Some(Reverse(want)) = q.heap.pop() {
-                let key = q.lanes.peek().expect("the lanes hold what the heap holds");
-                let next = q.lanes.pop_at(key).expect("and hand out what they show");
-                let time = key.time;
-                assert_eq!(time.to_bits(), want.time.to_bits(), "seed {seed}");
-                popped += 1;
-                let busy = popped < 200;
-                match next {
-                    Next::Slot(p, k) => {
-                        let at = format!("seed {seed}");
-                        assert_eq!((want.class, want.a, want.b), (SLOT, p.value(), k), "{at}");
-                        assert_eq!(q.armed[p.index()].take(), Some(k), "{at}: the k pushed");
-                        if !busy {
-                            continue;
-                        }
-                        // A transmission to a random set of receivers,
-                        // then maybe the next slot.
-                        let heard: Vec<NodeId> = (0..nodes)
-                            .filter(|_| draw(1) > 0)
-                            .map(NodeId::new)
-                            .collect();
-                        if !heard.is_empty() {
-                            q.send(time + FRAME_TIME, p, &heard);
-                        }
-                        if draw(2) > 0 {
-                            q.arm(time + f64::from(1 + draw(3)) * FRAME_TIME, p);
-                        }
-                    }
-                    Next::Arrival(tx, r, at) => {
-                        let got = (r.value(), u64::from(tx.sender.value()));
-                        assert_eq!((want.class, want.a, want.b), (ARRIVAL, got.0, got.1));
-                        assert_eq!(at, Slot::new(r.value()));
-                        // Copies of one transmission land one by one, in
-                        // order, and the last one frees the entry.
-                        let entry = tx.entry;
-                        landed.resize(landed.len().max(entry as usize + 1), 0);
-                        assert_eq!(tx.next, landed[entry as usize], "seed {seed}");
-                        landed[entry as usize] += 1;
-                        let copies = q.lanes.entries[entry as usize].receivers.len() as u32;
-                        let last = landed[entry as usize] == copies;
-                        assert_eq!(q.lanes.free.last() == Some(&entry), last, "seed {seed}");
-                        if last {
-                            landed[entry as usize] = 0;
-                        }
-                        if busy && draw(1) > 0 {
+            let mut popped = 0u32;
+            while !q.heap.is_empty() {
+                let at = format!("seed {seed}");
+                let (time, arrival) = q.lanes.next_event();
+                if arrival {
+                    // The whole instant lands, copy by copy, each the
+                    // next key of the reference.
+                    let (landing, copies) = q.lanes.open_instant();
+                    let (free, entries) = (q.lanes.free.len(), q.lanes.entries.len());
+                    (merged, alone) = if landing > 1 {
+                        (merged + 1, alone)
+                    } else {
+                        (merged, alone + 1)
+                    };
+                    for i in 0..copies {
+                        let Reverse(want) = q.heap.pop().expect("the heap holds each copy");
+                        let (tx, r, slot) = q.lanes.copy(i);
+                        assert_eq!(tx.time.to_bits(), want.time.to_bits(), "{at}");
+                        let got = (ARRIVAL, r.value(), u64::from(tx.sender.value()));
+                        assert_eq!((want.class, want.a, want.b), got, "{at}");
+                        assert_eq!(slot, Slot::new(r.value()), "{at}");
+                        popped += 1;
+                        if popped < 200 && draw(1) > 0 {
                             // A woken receiver's slot may fall on this
                             // very instant.
-                            q.arm(time + f64::from(draw(2)) * FRAME_TIME, r);
+                            q.arm(tx.time + f64::from(draw(2)) * FRAME_TIME, r);
                         }
                     }
+                    q.lanes.close_instant(landing);
+                    // Every entry of the instant is freed, and no other.
+                    assert_eq!(q.lanes.free.len(), free + landing, "{at}");
+                    assert_eq!(q.lanes.entries.len(), entries, "{at}");
+                    continue;
+                }
+                let Reverse(want) = q.heap.pop().expect("not empty");
+                let (p, k) = q
+                    .lanes
+                    .pop_slot()
+                    .expect("the lanes hold what the heap holds");
+                assert_eq!(time.to_bits(), want.time.to_bits(), "{at}");
+                assert_eq!((want.class, want.a, want.b), (SLOT, p.value(), k), "{at}");
+                assert_eq!(q.armed[p.index()].take(), Some(k), "{at}: the k pushed");
+                popped += 1;
+                if popped >= 200 {
+                    continue;
+                }
+                // A transmission to a random set of receivers, then
+                // maybe the next slot.
+                let heard: Vec<NodeId> = (0..nodes)
+                    .filter(|_| draw(1) > 0)
+                    .map(NodeId::new)
+                    .collect();
+                if !heard.is_empty() {
+                    q.send(time + FRAME_TIME, p, &heard);
+                }
+                if draw(2) > 0 {
+                    q.arm(time + f64::from(1 + draw(3)) * FRAME_TIME, p);
                 }
             }
-            assert!(
-                q.lanes.peek().is_none(),
-                "seed {seed}: the lanes drained too"
-            );
+            let (drained, _) = q.lanes.next_event();
+            assert_eq!(drained, f64::INFINITY, "seed {seed}: the lanes drained too");
             assert!(popped > 100, "seed {seed}: only {popped} events");
             let entries = q.lanes.entries.len();
             assert_eq!(
@@ -1000,6 +1039,11 @@ mod tests {
                 "seed {seed}: every entry freed"
             );
         }
+        // Both ways an instant opens were taken, many times over.
+        assert!(
+            merged > 1000 && alone > 1000,
+            "{merged} merged, {alone} alone"
+        );
     }
 
     #[test]
@@ -1013,10 +1057,8 @@ mod tests {
         // A drained queue (the old loop popped from it and panicked)…
         let mut drained = driver(GatedFlood, PerfectMedium, builders::line(4));
         drained.run_until_time(60.0);
-        assert!(
-            drained.clock.lanes.peek().is_none(),
-            "stabilized and silent"
-        );
+        let (next, _) = drained.clock.lanes.next_event();
+        assert_eq!(next, f64::INFINITY, "stabilized and silent");
         stays_put(&mut drained);
         // …and one that never drains (the old loop never left).
         let mut eager = driver(MaxFlood, PerfectMedium, builders::line(4));
@@ -1045,9 +1087,9 @@ mod tests {
         let mut twin = driver(GatedFlood, medium(), topo);
         assert!(d.is_gated() && twin.is_gated());
         let victim = NodeId::new(14);
-        // The copies still to land of the transmissions in flight that
-        // `of` selects (all of them, with its receiver filter passing
-        // everything).
+        // The copies of the transmissions in flight that `of` selects
+        // whose receiver `to` passes. An instant lands whole, so none
+        // of them has begun to land.
         fn copies<P: Protocol, M: Medium>(
             d: &EventDriver<P, M>,
             of: impl Fn(&Transmission) -> bool,
@@ -1056,10 +1098,7 @@ mod tests {
             let lanes = &d.clock.lanes;
             let left = |tx: &Transmission| {
                 let receivers = &lanes.entries[tx.entry as usize].receivers;
-                receivers[tx.next as usize..]
-                    .iter()
-                    .filter(|&&(r, _)| to(r))
-                    .count()
+                receivers.iter().filter(|&&(r, _)| to(r)).count()
             };
             lanes
                 .transmissions
@@ -1093,7 +1132,7 @@ mod tests {
                 let t = d.time() + EventConfig::default().frame_time;
                 d.run_until_time(t);
                 twin.run_until_time(t);
-                // A copy whose link vanished mid-flight pops (and is
+                // A copy whose link vanished mid-flight lands (and is
                 // read ahead for, below) but never counts as delivered.
                 assert_eq!(d.frames_delivered() - delivered, landing);
             }
@@ -1102,13 +1141,12 @@ mod tests {
             // Inert: the twin that declares no level is indistinguishable.
             assert_eq!(d.states(), twin.states(), "period {period}");
             assert_eq!(counts(&d), counts(&twin), "period {period}");
-            // Wired: every copy of every transmission whose first copy
-            // has popped was read once per level — no more.
+            // Wired: every copy that has landed was read once per
+            // level — no more.
             let arrivals = d.frames_delivered() + severed;
-            let begun = copies(&d, |tx| tx.next > 0, |_| true);
             let peeks = d.env.protocol.state_peeks.load(Relaxed) as u64;
             let levels = u64::from(PeekFlood::PEEK_LEVELS);
-            assert_eq!(peeks, levels * (arrivals + begun), "period {period}");
+            assert_eq!(peeks, levels * arrivals, "period {period}");
         }
         assert!(severed > 0 && d.frames_delivered() > 0);
         let healed = |(i, &s): (usize, &u32)| i == victim.index() || s == 35;

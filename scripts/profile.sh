@@ -20,7 +20,11 @@
 # top addresses resolved by `addr2line -i`: each with its innermost
 # inlined frame and line, the chain of inlined callers up to the
 # function the code sits in; then the top functions by that outermost
-# frame.
+# frame; then the same functions' shares of the samples outside the
+# harness's host-speed calibration (an address any of whose frames is
+# in `benchmark::calib`). The calibration kernels bracket every timed
+# rep and take a sixth or so of a sampled run, none of it inside
+# `wall_s`, so the second list is the one to read against `wall_s`.
 #
 # Reading it: a sample names the instruction the CPU was held at when
 # the timer fired, not the one that caused the wait (skid). A store
@@ -70,13 +74,19 @@ awk -v top=30 '
         if (depth == 1) inner[addr] = fn " (" where ")"
         else chain[addr] = chain[addr] " < " fn
         outer[addr] = fn
+        if (fn ~ /benchmark::calib::/) calib[addr] = 1
     }
     END {
         for (a in count) { by_line[inner[a]] += count[a]; by_fn[outer[a]] += count[a] }
+        for (a in count) if (!(a in calib)) { timed += count[a]; by_fn_timed[outer[a]] += count[a] }
         printf "\ntop inlined frames (innermost, with line; < its inlined callers)\n"
         for (a in count) printf "%d\t%s%s\n", count[a], inner[a], chain[a] | "sort -rn | head -n " top
         close("sort -rn | head -n " top)
         printf "\ntop functions (the frame the code sits in)\n"
         for (f in by_fn) printf "%6.2f %%  %s\n", 100 * by_fn[f] / total, f | "sort -rn | head -n " top
+        close("sort -rn | head -n " top)
+        printf "\ntop functions outside benchmark::calib (%.1f %% of the samples are calibration)\n",
+               total ? 100 * (total - timed) / total : 0
+        for (f in by_fn_timed) printf "%6.2f %%  %s\n", 100 * by_fn_timed[f] / timed, f | "sort -rn | head -n " top
         close("sort -rn | head -n " top)
     }' counts frames

@@ -17,9 +17,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selfstab::prelude::*;
 
+mod testkit;
+use testkit::first_divergence;
+
 /// Steps a gated and a pinned-eager twin in lockstep for `steps`
-/// steps, asserting byte-identical state trajectories, then returns
-/// both end states.
+/// steps, asserting byte-identical state trajectories (a divergence
+/// names its step and its first node), then returns both end states.
 fn lockstep<M, F>(build: F, steps: u64) -> Vec<(NodeId, NodeId)>
 where
     M: Medium,
@@ -32,11 +35,9 @@ where
     for s in 0..steps {
         gated.step();
         eager.step();
-        assert_eq!(
-            gated.states(),
-            eager.states(),
-            "trajectories diverged at step {s}"
-        );
+        if let Some(node) = first_divergence(gated.states(), eager.states()) {
+            panic!("trajectories diverged at step {s} (left gated, right eager) at {node}");
+        }
     }
     gated
         .states()
@@ -473,7 +474,10 @@ fn event_driver_gated_equals_eager_trajectories() {
         };
         let gated = run(false);
         let eager = run(true);
-        assert_eq!(gated, eager, "seed {seed}");
+        if let Some(node) = first_divergence(&gated.2, &eager.2) {
+            panic!("seed {seed}: outputs diverged (left gated, right eager) at {node}");
+        }
+        assert_eq!((gated.0, gated.1), (eager.0, eager.1), "seed {seed}");
         assert!(
             gated.0.is_some() && gated.1.is_some(),
             "both phases stabilize"
