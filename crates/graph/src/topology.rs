@@ -4,13 +4,13 @@ use serde::{Deserialize, Serialize};
 
 use crate::{GraphError, NodeId, Point2};
 
-/// The edge churn produced by one incremental topology mutation
-/// ([`Topology::apply_moves`]): which links appeared, which vanished,
-/// and which nodes moved.
+/// The edge churn produced by one topology mutation
+/// ([`Topology::apply_moves`], [`Topology::replace`]): which links
+/// appeared, which vanished, and which nodes moved.
 ///
 /// Each undirected edge is reported exactly once as `(u, v)` with
-/// `u < v`. Activity-driven simulation drivers consume deltas to wake
-/// only the nodes a mobility step actually touched, instead of
+/// `u < v`, in sorted order. Activity-driven simulation drivers consume
+/// deltas to wake only the nodes a change actually touched, instead of
 /// rescheduling the whole network.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TopologyDelta {
@@ -503,6 +503,25 @@ impl Topology {
         }
         delta.added.sort_unstable();
         delta.removed.sort_unstable();
+        delta
+    }
+
+    /// Replaces this topology with `other`, positions and radius
+    /// included, and returns the exact edge churn: the wholesale
+    /// counterpart of [`Topology::apply_moves`]. `moved` stays empty; a
+    /// swap rewires links, it does not track geometry.
+    pub fn replace(&mut self, other: Topology) -> TopologyDelta {
+        // A node only one side has is linked to nothing on the other.
+        let only_in = |a: &Topology, b: &Topology| -> Vec<_> {
+            let linked = |u: NodeId, v| u.index() < b.len() && b.has_edge(u, v);
+            a.edges().filter(|&(u, v)| !linked(u, v)).collect()
+        };
+        let delta = TopologyDelta {
+            added: only_in(&other, self),
+            removed: only_in(self, &other),
+            moved: Vec::new(),
+        };
+        *self = other;
         delta
     }
 

@@ -211,7 +211,9 @@ proptest! {
     /// Incremental unit-disk maintenance is exact: after any sequence
     /// of random moves, `apply_moves` leaves the same edge set as a
     /// full `rebuild_unit_disk_edges`, and the reported delta is the
-    /// symmetric difference of the before/after edge sets.
+    /// symmetric difference of the before/after edge sets. Swapping
+    /// the before topology for the after one (`replace`) reports the
+    /// same two differences, sorted, and leaves the after topology.
     #[test]
     fn apply_moves_equals_full_rebuild(
         topo in unit_disk_strategy(),
@@ -231,9 +233,17 @@ proptest! {
                     (p, Point2::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0)))
                 })
                 .collect();
+            let mut swapped = incremental.clone();
             let before: Vec<_> = incremental.edges().collect();
             let delta = incremental.apply_moves(&moves);
             let after: Vec<_> = incremental.edges().collect();
+            let only = |a: &[(NodeId, NodeId)], b: &[(NodeId, NodeId)]| -> Vec<_> {
+                a.iter().filter(|e| !b.contains(e)).copied().collect()
+            };
+            let swap = swapped.replace(incremental.clone());
+            prop_assert_eq!(&swap.removed, &only(&before, &after));
+            prop_assert_eq!(&swap.added, &only(&after, &before));
+            prop_assert_eq!(&swapped, &incremental);
             // The delta is exactly the symmetric difference.
             for e in &delta.added {
                 prop_assert!(!before.contains(e) && after.contains(e));

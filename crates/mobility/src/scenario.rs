@@ -111,13 +111,15 @@ impl<M: MobilityModel> MobileScenario<M> {
         &self.model
     }
 
-    /// Turns the scenario into a per-step topology driver for the
+    /// Turns the scenario into a per-step source of moves for the
     /// simulators: each protocol step advances the nodes by
-    /// `seconds_per_step` and rebuilds the links. Plug the result into
-    /// `mwn_sim::Scenario::mobility` to run a protocol over a moving
-    /// network — under the synchronous round driver (one tick per
-    /// step) or the continuous-time event driver (one tick per beacon
-    /// period, at logical-step boundaries).
+    /// `seconds_per_step` and hands the driver that tick's move list,
+    /// which it applies to its own topology copy — the links a tick
+    /// cuts fire `link_down`, and only their endpoints wake. Plug the
+    /// result into `mwn_sim::Scenario::mobility` to run a protocol over
+    /// a moving network — under the round driver or the actor fabric
+    /// (one tick per step) or the continuous-time event driver (one
+    /// tick per beacon period, at logical-step boundaries).
     pub fn into_dynamics(self, seconds_per_step: f64) -> MobilityDynamics<M> {
         assert!(seconds_per_step > 0.0, "seconds per step must be positive");
         MobilityDynamics {
@@ -136,19 +138,12 @@ pub struct MobilityDynamics<M> {
 }
 
 impl<M: MobilityModel> mwn_sim::TopologyDynamics for MobilityDynamics<M> {
-    fn next_topology(&mut self, _step: u64) -> Option<&Topology> {
-        self.scenario.advance(self.seconds_per_step);
-        // Hand the driver a borrow; it copies into its own reused
-        // buffers, so advancing allocates nothing per step here.
-        Some(self.scenario.topology())
-    }
-
-    fn next_moves(&mut self, _step: u64) -> Option<&[(NodeId, Point2)]> {
+    fn next_moves(&mut self, _step: u64) -> &[(NodeId, Point2)] {
         // Advance our own topology copy with the same move list the
         // driver will apply to its copy: both evolve identically, and
         // the driver wakes only the nodes the tick touched.
         self.scenario.advance(self.seconds_per_step);
-        Some(self.scenario.last_moves())
+        self.scenario.last_moves()
     }
 }
 

@@ -527,7 +527,7 @@ mod tests {
     use crate::stop::StopWhen;
     use crate::testkit::GatedFlood;
     use crate::Fault;
-    use mwn_graph::builders;
+    use mwn_graph::{builders, Point2};
     use mwn_radio::{BernoulliLoss, CaptureCsma, SlottedCsma};
 
     fn flood_actors(n: usize, threads: usize) -> ActorDriver<GatedFlood> {
@@ -749,24 +749,24 @@ mod tests {
 
     #[test]
     fn mobility_ticks_fire_at_period_boundaries() {
-        // Two disconnected halves; at period 5 a bridge appears via a
-        // scripted topology swap driven through the dynamics hook.
-        struct Bridge {
-            before: Topology,
-            after: Topology,
-        }
+        // Two disconnected halves of a unit-disk line; at period 5 the
+        // right half moves one unit left and a bridge link appears.
+        struct Bridge(Vec<(NodeId, Point2)>);
         impl TopologyDynamics for Bridge {
-            fn next_topology(&mut self, step: u64) -> Option<&Topology> {
-                Some(if step >= 5 { &self.after } else { &self.before })
+            fn next_moves(&mut self, step: u64) -> &[(NodeId, Point2)] {
+                if step == 5 {
+                    &self.0
+                } else {
+                    &[]
+                }
             }
         }
-        let before = Topology::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
-        let after = Topology::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
-        let mut driver = ActorDriver::new(GatedFlood, PerfectMedium, before.clone(), 4, 2)
-            .expect("valid actor driver");
-        driver
-            .env
-            .install(Vec::new(), None, Some(Box::new(Bridge { before, after })));
+        let at = |x| Point2::new(x, 0.0);
+        let line = Topology::unit_disk(vec![at(0.0), at(1.0), at(3.0), at(4.0)], 1.5).unwrap();
+        let bridge = Bridge(vec![(NodeId::new(2), at(2.0)), (NodeId::new(3), at(3.0))]);
+        let mut driver =
+            ActorDriver::new(GatedFlood, PerfectMedium, line, 4, 2).expect("valid actor driver");
+        driver.env.install(Vec::new(), None, Some(Box::new(bridge)));
         // Before the bridge: the fragments converge separately.
         driver.run(5);
         assert_eq!(*driver.state(NodeId::new(0)), 1, "no link yet");

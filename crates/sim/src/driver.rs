@@ -239,10 +239,10 @@ impl<P: Protocol, C: Clock<P>> Sim<P, C> {
     /// tick moved nodes. States are preserved: the protocol must cope
     /// with neighbors appearing and disappearing — that is the point.
     ///
-    /// A wholesale swap carries no link-level delta, so it conservatively
-    /// reschedules every node (and fires no [`Protocol::link_down`]
-    /// notifications); incremental paths — mobility moves, scripted
-    /// isolation — stay surgical.
+    /// The swap enters through the same delta path as a move
+    /// ([`Topology::replace`]): every link it cuts fires
+    /// [`Protocol::link_down`] on both endpoints, and exactly the nodes
+    /// whose links changed wake.
     ///
     /// # Errors
     ///

@@ -366,8 +366,9 @@ impl<P: Protocol> NodeTable<P> {
         self.changes.insert(p);
     }
 
-    /// Conservative full invalidation: used on wholesale topology swaps
-    /// and when switching scheduling modes.
+    /// Conservative full invalidation, for the one change no topology
+    /// delta describes: re-enabling gating after an eager stretch
+    /// (`Env::set_eager`).
     pub fn mark_all(&mut self, topo: &Topology) {
         self.update_dirty.insert_all();
         self.beacon_stale.insert_all();

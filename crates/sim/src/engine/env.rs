@@ -504,20 +504,9 @@ impl<P: Protocol> Env<P> {
         while self.dynamics_step <= now {
             let step = self.dynamics_step;
             self.dynamics_step += 1;
-            if let Some(moves) = dynamics.next_moves(step) {
-                if !moves.is_empty() {
-                    self.apply_moves(moves);
-                }
-            } else if let Some(topo) = dynamics.next_topology(step) {
-                assert_eq!(
-                    topo.len(),
-                    self.topo.len(),
-                    "topology dynamics must preserve the node count"
-                );
-                // clone_from reuses the existing adjacency buffers where
-                // possible.
-                self.topo.clone_from(topo);
-                self.topology_swapped();
+            let moves = dynamics.next_moves(step);
+            if !moves.is_empty() {
+                self.apply_moves(moves);
             }
         }
         self.dynamics = Some(dynamics);
@@ -599,7 +588,9 @@ impl<P: Protocol> Env<P> {
             Fault::CorruptFraction(f) => {
                 self.pick_fraction(*f);
             }
-            Fault::Isolate(p) => self.isolate(*p),
+            Fault::Isolate(p) => {
+                self.isolate(*p);
+            }
             Fault::SetTopology(topo) => return self.set_topology(topo.clone()),
             Fault::CrashRecover { node, .. } => self.crash(*node, due),
             Fault::ByzantineBeacon { node, lie, .. } => self.byzantine(*node, *lie, due),
@@ -656,8 +647,7 @@ impl<P: Protocol> Env<P> {
     fn crash(&mut self, p: NodeId, due: u64) {
         let state = self.table.state_mut(p).clone();
         let mut edges = self.shadowed(|u, v| u == p || v == p);
-        edges.extend(self.topo.neighbors(p).iter().map(|&q| ordered(p, q)));
-        self.isolate(p);
+        edges.extend(self.isolate(p));
         self.hold(&edges);
         let node = p;
         self.push_followup(due, Followup::Resurrect { node, state, edges });
@@ -695,13 +685,22 @@ impl<P: Protocol> Env<P> {
         self.push_followup(due, Followup::ClearLie { node: p });
     }
 
-    /// [`Fault::PartitionHeal`] / [`Fault::Jam`]: removes every present
-    /// edge `hit` selects through the incremental delta path —
-    /// `link_down` fired, touched nodes woken — and holds them down
-    /// until step `due`.
+    /// [`Fault::PartitionHeal`] / [`Fault::Jam`]: cuts every present
+    /// edge `hit` selects and holds them down until step `due`.
     fn sever_edges(&mut self, hit: impl Fn(NodeId, NodeId) -> bool, due: u64) {
         let mut edges = self.shadowed(&hit);
-        let removed: Vec<_> = self.topo.edges().filter(|&(u, v)| hit(u, v)).collect();
+        let present = self.topo.edges().filter(|&(u, v)| hit(u, v)).collect();
+        edges.extend(self.cut(present));
+        if !edges.is_empty() {
+            self.hold(&edges);
+            self.push_followup(due, Followup::RestoreEdges { edges });
+        }
+    }
+
+    /// Removes the present edges `removed` (sorted, each `u < v`)
+    /// through the delta path — [`Protocol::link_down`] fired, touched
+    /// nodes woken — and hands them back.
+    fn cut(&mut self, removed: Vec<(NodeId, NodeId)>) -> Vec<(NodeId, NodeId)> {
         for &(u, v) in &removed {
             self.topo.remove_edge(u, v);
         }
@@ -710,11 +709,7 @@ impl<P: Protocol> Env<P> {
             ..TopologyDelta::default()
         };
         self.apply_delta(&delta);
-        edges.extend(delta.removed);
-        if !edges.is_empty() {
-            self.hold(&edges);
-            self.push_followup(due, Followup::RestoreEdges { edges });
-        }
+        delta.removed
     }
 
     /// The absent edges `hit` selects that an earlier, still active
@@ -772,7 +767,8 @@ impl<P: Protocol> Env<P> {
         self.apply_delta(&delta);
     }
 
-    /// Processes an incremental topology change: notify the protocol of
+    /// Processes a topology change — every rewiring, moves, cuts,
+    /// restores and swaps alike, enters here: notify the protocol of
     /// vanished links, wake the touched nodes, and realign their
     /// reception bookkeeping.
     fn apply_delta(&mut self, delta: &TopologyDelta) {
@@ -791,15 +787,9 @@ impl<P: Protocol> Env<P> {
         }
     }
 
-    /// A wholesale swap carries no link-level delta: conservatively
-    /// reschedule every node (no [`Protocol::link_down`] fires, no
-    /// state changes).
-    fn topology_swapped(&mut self) {
-        self.table.mark_all(&self.topo);
-        self.env_changed = true;
-    }
-
-    /// Replaces the topology (same node count).
+    /// Replaces the topology (same node count) through the delta path:
+    /// [`Protocol::link_down`] fires on every link the swap cut, and
+    /// exactly the nodes whose links changed wake.
     ///
     /// # Errors
     ///
@@ -812,8 +802,9 @@ impl<P: Protocol> Env<P> {
                 got: topo.len(),
             });
         }
-        self.topo = topo;
-        self.topology_swapped();
+        let delta = self.topo.replace(topo);
+        self.env_changed = true;
+        self.apply_delta(&delta);
         Ok(())
     }
 
@@ -827,24 +818,15 @@ impl<P: Protocol> Env<P> {
 
     /// Severs every link of `p` by removing its edges — the node's
     /// radio goes dark but its state survives (crash of the *link*
-    /// layer) — firing [`Protocol::link_down`] on both endpoints of
-    /// every cut link and waking everyone touched.
-    pub fn isolate(&mut self, p: NodeId) {
-        let mut nbrs = std::mem::take(&mut self.scratch_nodes);
-        nbrs.clear();
-        nbrs.extend_from_slice(self.topo.neighbors(p));
-        for &q in &nbrs {
-            self.topo.remove_edge(p, q);
-        }
-        for &q in &nbrs {
-            let (protocol, table) = (&self.protocol, &mut self.table);
-            protocol.link_down(p, table.state_mut(p), q);
-            protocol.link_down(q, table.state_mut(q), p);
-            self.wake_mutated(q);
-        }
+    /// layer) — through [`Env::cut`]; returns the cut links.
+    pub fn isolate(&mut self, p: NodeId) -> Vec<(NodeId, NodeId)> {
+        let links = self.topo.neighbors(p).iter().map(|&q| ordered(p, q));
+        let cut = self.cut(links.collect());
+        // The victim counts as mutated even with no link left to cut
+        // (a crash inside a jammed region).
         self.wake_mutated(p);
         self.env_changed = true;
-        self.scratch_nodes = nbrs;
+        cut
     }
 }
 
@@ -1045,6 +1027,28 @@ mod tests {
         assert!(env.env_changed, "the restore is an environment change");
         assert_eq!(env.topo.neighbors(id(2)), [id(1), id(3)], "no duplicate");
         assert!(env.held.is_empty(), "every hold released");
+    }
+
+    #[test]
+    fn isolating_a_node_with_no_link_left_still_wakes_it() {
+        let mut env = line_env(3);
+        env.inject(0, &jam(1, 8)).expect("valid fault");
+        assert!(
+            env.topo.neighbors(id(1)).is_empty(),
+            "the jam cut both links"
+        );
+        env.end_step(true);
+        env.table.send_pending.clear();
+        env.env_changed = false;
+        assert!(env.isolate(id(1)).is_empty(), "no link left to cut");
+        assert!(env.env_changed);
+        let slot = env.table.order.slot(id(1));
+        assert!(
+            env.table.send_pending.contains(slot),
+            "the victim is pending"
+        );
+        env.end_step(true);
+        assert_eq!(env.table.changed_ids, [id(1)], "the victim changed");
     }
 
     #[test]

@@ -109,7 +109,9 @@ pub enum Fault {
     /// Sever all links of a node (its radio goes dark).
     Isolate(NodeId),
     /// Replace the topology (e.g. restore links, or apply a mobility
-    /// snapshot). Must keep the node count.
+    /// snapshot). Must keep the node count. Every link the swap cuts
+    /// fires [`crate::Protocol::link_down`] on both endpoints, and only
+    /// the nodes whose links changed wake.
     SetTopology(Topology),
     /// The node crashes (all links severed) and resurrects `dark_for`
     /// steps later with its **stale pre-crash state** and its

@@ -44,7 +44,7 @@
 //! assert!(net.states().iter().all(|&s| s == 4));
 //! ```
 
-use mwn_graph::Topology;
+use mwn_graph::{NodeId, Point2, Topology};
 use mwn_radio::{Medium, PerfectMedium};
 
 use crate::engine::Corruptor;
@@ -53,31 +53,20 @@ use crate::{
     SimError, WireBeacon,
 };
 
-/// A source of topology changes applied before each step — the hook
+/// A source of node moves applied before each step — the hook
 /// mobility models plug into (see `mwn_mobility`'s
 /// `MobileScenario::into_dynamics`).
 pub trait TopologyDynamics {
-    /// The topology for the step about to execute, or `None` when it
-    /// is unchanged. Must preserve the node count.
-    ///
-    /// The driver copies the borrowed topology into its own buffers
-    /// (`clone_from`), so implementations hand out a reference to
-    /// their working state instead of allocating a clone per step.
-    fn next_topology(&mut self, step: u64) -> Option<&Topology>;
-
-    /// Incremental alternative to [`TopologyDynamics::next_topology`]:
-    /// the position moves for the step about to execute. When this
-    /// returns `Some`, the driver applies the moves to its own topology
-    /// through [`Topology::apply_moves`] — waking only the nodes whose
-    /// links changed — and never calls `next_topology`.
+    /// The position moves for the step about to execute; empty when
+    /// nothing moves. The driver applies them to its own unit-disk
+    /// topology through [`Topology::apply_moves`], so every cut link
+    /// fires [`Protocol::link_down`] and only the nodes whose links
+    /// changed wake.
     ///
     /// Implementations advancing their own topology copy must use
     /// `apply_moves` with the same move list, so both copies stay
-    /// identical. Default: `None` (whole-topology dynamics).
-    fn next_moves(&mut self, step: u64) -> Option<&[(mwn_graph::NodeId, mwn_graph::Point2)]> {
-        let _ = step;
-        None
-    }
+    /// identical.
+    fn next_moves(&mut self, step: u64) -> &[(NodeId, Point2)];
 }
 
 type Validator = Box<dyn FnOnce(&Topology) -> Result<(), String>>;

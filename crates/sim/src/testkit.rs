@@ -350,11 +350,7 @@ impl Drift {
 }
 
 impl TopologyDynamics for Drift {
-    fn next_topology(&mut self, _step: u64) -> Option<&Topology> {
-        None
-    }
-
-    fn next_moves(&mut self, step: u64) -> Option<&[(NodeId, Point2)]> {
+    fn next_moves(&mut self, step: u64) -> &[(NodeId, Point2)] {
         self.moves.clear();
         if self.steps.contains(&step) {
             let n = self.home.len() as u64;
@@ -370,7 +366,7 @@ impl TopologyDynamics for Drift {
                 self.moves.push((NodeId::new(p as u32), to));
             }
         }
-        Some(&self.moves)
+        &self.moves
     }
 }
 

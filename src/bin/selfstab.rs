@@ -76,7 +76,8 @@ CLUSTER OPTIONS:
     --driver <d>    rounds (default) | events | actors — the same
                     scenario on synchronous steps, the continuous
                     clock, or real message-passing actor processes
-    --threads <n>   worker threads for --driver actors (default 2)
+    --threads <n>   worker threads for --driver actors (default 1; on
+                    two cores a second worker costs more than it saves)
     --svg <path>    write an SVG rendering
     --ascii         print ASCII art (grids only)
 
@@ -232,7 +233,7 @@ fn cmd_cluster(opts: &Opts) -> Result<(), String> {
             stabilize(scenario().build_events(config).map_err(built)?, "periods")?
         }
         Some("actors") => {
-            let threads = opt_u64(opts, "threads")?.unwrap_or(2) as usize;
+            let threads = opt_u64(opts, "threads")?.unwrap_or(1) as usize;
             let unit = format!("periods, {threads} threads");
             stabilize(scenario().build_actors(threads).map_err(built)?, &unit)?
         }

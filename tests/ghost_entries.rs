@@ -15,9 +15,16 @@
 //! exactly one assertion per driver
 //! (`past_stamped_ghost_survives_silence*`) instead of discovering the
 //! gap by accident.
+//!
+//! A *topology swap* must not open the gap either: every link it cuts
+//! fires `link_down`, which evicts the departed neighbor's entry, so a
+//! swapped, restabilized network holds no entry naming a non-neighbor
+//! (`a_swap_leaves_no_ghost_neighbours_on_every_clock`).
 
 use mwn_cluster::NeighborEntry;
+use rand::SeedableRng;
 use selfstab::prelude::*;
+use selfstab::sim::{Clock, Sim};
 
 fn event_driven_config() -> ClusterConfig {
     ClusterConfig::default().event_driven()
@@ -135,4 +142,73 @@ fn ttl_sweep_still_purges_past_stamped_ghosts() {
             .contains_key(&NodeId::new(999)),
         "TtlSweep must expire stale entries regardless of origin"
     );
+}
+
+/// Cache entries, over all nodes, that name a node outside the owner's
+/// 1-neighborhood.
+fn ghosts(states: &[ClusterState], topo: &Topology) -> usize {
+    let named = |(p, s): (usize, &ClusterState)| {
+        let p = NodeId::new(p as u32);
+        s.cache.keys().filter(|&&q| !topo.has_edge(p, q)).count()
+    };
+    states.iter().enumerate().map(named).sum()
+}
+
+/// On the clock `build` deploys: a gated `EventDriven` clustering of 60
+/// nodes stabilizes, then the topology is swapped for one without every
+/// 7th link and with a few new ones — once as a scripted
+/// [`Fault::SetTopology`], once through [`Sim::set_topology`]. After
+/// restabilizing, no cache entry may name a non-neighbor (the cache has
+/// no TTL to age one out) and the clustering must be the oracle's.
+fn swap_leaves_no_ghosts<C: Clock<DensityCluster>>(
+    label: &str,
+    build: impl Fn(&Topology) -> Sim<DensityCluster, C>,
+) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let topo = builders::uniform(60, 0.2, &mut rng);
+    let mut swapped = topo.clone();
+    for (u, v) in topo.edges().step_by(7) {
+        swapped.remove_edge(u, v);
+    }
+    for p in (0..30).step_by(5).map(NodeId::new) {
+        swapped
+            .add_edge(p, NodeId::new(p.value() + 30))
+            .expect("in range");
+    }
+    assert!(topo.edges().any(|(u, v)| !swapped.has_edge(u, v)));
+    assert!(swapped.edges().any(|(u, v)| !topo.has_edge(u, v)));
+    let stop = StopWhen::stable_for(4).within(2000);
+    for via_fault in [true, false] {
+        let at = format!("{label}, via a fault: {via_fault}");
+        let mut d = build(&topo);
+        d.run_to(&stop).expect_stable("the deployment stabilizes");
+        if via_fault {
+            d.inject(&Fault::SetTopology(swapped.clone()))
+                .expect("same n");
+        } else {
+            d.set_topology(swapped.clone()).expect("same node count");
+        }
+        d.run_to(&stop)
+            .expect_stable("the swapped deployment stabilizes");
+        assert_eq!(ghosts(d.states(), &swapped), 0, "{at}: ghost entries");
+        let got = extract_clustering(d.states()).expect("a clean clustering");
+        assert_eq!(got, oracle(&swapped, &OracleConfig::default()), "{at}");
+    }
+}
+
+#[test]
+fn a_swap_leaves_no_ghost_neighbours_on_every_clock() {
+    let scenario = |topo: &Topology| {
+        Scenario::new(DensityCluster::new(event_driven_config()))
+            .topology(topo.clone())
+            .seed(7)
+    };
+    swap_leaves_no_ghosts("rounds", |t| scenario(t).build().expect("valid"));
+    swap_leaves_no_ghosts("events", |t| {
+        let events = scenario(t).build_events(EventConfig::default());
+        events.expect("valid event scenario")
+    });
+    swap_leaves_no_ghosts("actors", |t| {
+        scenario(t).build_actors(1).expect("valid actor scenario")
+    });
 }
