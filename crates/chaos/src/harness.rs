@@ -1,8 +1,8 @@
 //! One trait over all three execution drivers.
 
-use mwn_sim::{Driver, Fault, Observable};
+use mwn_sim::{Clock, Corruptible, Fault, Observable, Sim};
 
-/// The driver surface the certifier needs. Every [`Driver`] — the round
+/// The driver surface the certifier needs. Every [`Sim`] — the round
 /// driver, the continuous-time driver and the actor fabric — has it
 /// through the blanket impl below, so one campaign runs unchanged on
 /// all three; wrappers (tracing, fault shims) implement it directly.
@@ -36,28 +36,26 @@ pub trait ChaosHarness {
     fn now(&self) -> u64;
 }
 
-impl<D: Driver> ChaosHarness for D {
-    type Output = <D::Protocol as Observable>::Output;
+impl<P: Observable + Corruptible, C: Clock<P>> ChaosHarness for Sim<P, C> {
+    type Output = P::Output;
 
     fn inject(&mut self, fault: &Fault) {
-        Driver::inject(self, fault).expect("campaign faults keep the node count");
+        Sim::inject(self, fault).expect("campaign faults keep the node count");
     }
 
     fn advance(&mut self, steps: u64) {
-        for _ in 0..steps {
-            self.step();
-        }
+        self.run(steps);
     }
 
     fn outputs(&self) -> Vec<Self::Output> {
-        Driver::outputs(self)
+        Sim::outputs(self)
     }
 
     fn set_eager(&mut self, eager: bool) {
-        Driver::set_eager(self, eager);
+        Sim::set_eager(self, eager);
     }
 
     fn now(&self) -> u64 {
-        Driver::now(self)
+        Sim::now(self)
     }
 }

@@ -13,7 +13,7 @@
 //!
 //! * [`ChaosHarness`] — exactly what the certifier needs: inject a
 //!   fault, advance logical time, project outputs, pin eager
-//!   scheduling. One blanket impl covers every [`mwn_sim::Driver`]
+//!   scheduling. One blanket impl covers every [`mwn_sim::Sim`]
 //!   (round, event, actor).
 //! * [`CampaignSpec`] — a compact, seed-deterministic description of a
 //!   randomized adversary schedule over fault kinds × victims ×

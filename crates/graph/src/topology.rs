@@ -255,8 +255,8 @@ pub struct Topology {
     positions: Option<Vec<Point2>>,
     radius: Option<f64>,
     /// Cached spatial hash for incremental unit-disk maintenance. Built
-    /// by the first `apply_moves` after `unit_disk` or `positions_mut`;
-    /// never part of equality or serialization.
+    /// by the first `apply_moves` after `unit_disk`; never part of
+    /// equality or serialization.
     grid: Option<SpatialGrid>,
 }
 
@@ -320,9 +320,27 @@ impl Topology {
     /// This is how the paper deploys its simulation topologies: points
     /// in the unit square with transmission ranges `R ∈ [0.05, 0.1]`.
     ///
-    /// The build costs one sort of the nodes by cell; see
-    /// [`Topology::rebuild_unit_disk_edges`]. The spatial hash that
-    /// [`Topology::apply_moves`] maintains is built on the first move.
+    /// # Cost
+    ///
+    /// Cells of side `radius`, so the neighbours of a point live in the
+    /// 3×3 block of cells around it. One sort of the n `(cell, id)`
+    /// keys, one pass over the cells to find each block, one distance
+    /// test per (node, candidate) pair into a scratch buffer, and one
+    /// exact-size allocation per row, in id order: O(n log n) plus the
+    /// candidate pairs, with no hash and no per-edge pushes into
+    /// growing rows. The spatial hash that [`Topology::apply_moves`]
+    /// maintains is built on the first move.
+    ///
+    /// # Exactness
+    ///
+    /// `q ∈ N_p` iff `q`'s cell (`floor(coordinate / radius)`) is in the
+    /// 3×3 block around `p`'s and `p.distance_squared(q) <= radius²`.
+    /// The sorted pass tests each pair from both ends, once for each
+    /// row, and both ends compute the same bits because IEEE
+    /// subtraction gives `a − b = −(b − a)` exactly; so the rows are
+    /// symmetric, and equal to a spatial-hash builder's over the same
+    /// predicate, points on cell boundaries and at exactly `radius`
+    /// included (property-tested in `tests/properties.rs`).
     ///
     /// # Errors
     ///
@@ -366,70 +384,18 @@ impl Topology {
         self
     }
 
-    /// Recomputes all unit-disk edges from the current positions.
-    ///
-    /// Used by the mobility substrate after moving nodes, and by
-    /// [`Topology::unit_disk`].
-    ///
-    /// # Cost
-    ///
-    /// Cells of side `radius`, so the neighbours of a point live in the
-    /// 3×3 block of cells around it. One sort of the n `(cell, id)`
-    /// keys, one pass over the cells to find each block, one distance
-    /// test per (node, candidate) pair into a scratch buffer, and one
-    /// exact-size allocation per row, in id order: O(n log n) plus the
-    /// candidate pairs, with no hash and no per-edge pushes into
-    /// growing rows. The spatial hash of [`Topology::apply_moves`] is
-    /// left as it is: it is built on the first move, and a rebuild
-    /// moves nothing.
-    ///
-    /// # Exactness
-    ///
-    /// `q ∈ N_p` iff `q`'s cell (`floor(coordinate / radius)`) is in the
-    /// 3×3 block around `p`'s and `p.distance_squared(q) <= radius²`.
-    /// The sorted pass tests each pair from both ends, once for each
-    /// row, and both ends compute the same bits because IEEE
-    /// subtraction gives `a − b = −(b − a)` exactly; so the rows are
-    /// symmetric, and equal to a spatial-hash builder's over the same
-    /// predicate, points on cell boundaries and at exactly `radius`
-    /// included (property-tested in `tests/properties.rs`).
-    ///
-    /// # Panics
-    ///
-    /// In debug builds, if the topology has no positions or no radius
-    /// (it was not built by [`Topology::unit_disk`]): there is no
-    /// unit-disk geometry to rebuild from. Release builds then leave the
-    /// edges as they are.
-    pub fn rebuild_unit_disk_edges(&mut self) {
-        let (Some(radius), Some(positions)) = (self.radius, self.positions.as_deref()) else {
-            debug_assert!(
-                false,
-                "only a unit-disk topology (positions and a radius) has edges to rebuild"
-            );
-            return;
-        };
-        debug_assert!(
-            positions.iter().all(|&p| SpatialGrid::fits(radius, p)),
-            "unit-disk positions must be finite and within 2^62 radio ranges of the origin \
-             (GraphError::InvalidPosition)"
-        );
-        self.adj = unit_disk_rows(positions, radius);
-    }
-
     /// Moves the given nodes and incrementally updates the unit-disk
     /// edge set, re-binning only the moved nodes in the cached spatial
     /// hash. Returns the exact edge churn as a [`TopologyDelta`]. The
-    /// first call after [`Topology::unit_disk`] or
-    /// [`Topology::positions_mut`] builds the hash, in O(n).
+    /// first call after [`Topology::unit_disk`] builds the hash, in
+    /// O(n). This is the one way the nodes of a unit-disk graph move.
     ///
     /// Only links incident to a moved node can change, so the cost is
     /// proportional to the moved set (and its local density) instead of
-    /// the whole network — `rebuild_unit_disk_edges` stays O(n) and is
-    /// only needed after wholesale position rewrites.
+    /// the whole network.
     ///
-    /// The result is always identical to calling
-    /// [`Topology::rebuild_unit_disk_edges`] after the same moves
-    /// (property-tested in `tests/properties.rs`).
+    /// The result is always identical to [`Topology::unit_disk`] over
+    /// the moved positions (property-tested in `tests/properties.rs`).
     ///
     /// # Panics
     ///
@@ -460,8 +426,7 @@ impl Topology {
         if moves.is_empty() {
             return delta;
         }
-        // No hash since `unit_disk` or a wholesale rewrite
-        // (`positions_mut`): pay O(n) once, then go incremental.
+        // No hash since `unit_disk`: pay O(n) once, then go incremental.
         let grid = grid.get_or_insert_with(|| SpatialGrid::build(positions, radius));
         // Phase 1: re-bin every moved node, so neighborhood queries in
         // phase 2 see the final geometry no matter the move order.
@@ -698,15 +663,6 @@ impl Topology {
         self.positions.as_deref()
     }
 
-    /// Mutable access to node positions (used by mobility models).
-    /// Call [`Topology::rebuild_unit_disk_edges`] afterwards; prefer
-    /// [`Topology::apply_moves`], which re-bins only the moved nodes.
-    pub fn positions_mut(&mut self) -> Option<&mut [Point2]> {
-        // Arbitrary rewrites invalidate the cached spatial hash.
-        self.grid = None;
-        self.positions.as_deref_mut()
-    }
-
     /// The radio range, if the topology is a unit-disk graph.
     pub fn radius(&self) -> Option<f64> {
         self.radius
@@ -858,16 +814,11 @@ mod tests {
         let positions = vec![Point2::new(0.1, 0.1), Point2::new(0.15, 0.1)];
         let mut topo = Topology::unit_disk(positions, 0.1).unwrap();
         assert!(topo.grid.is_none());
-        topo.rebuild_unit_disk_edges();
-        assert!(topo.grid.is_none());
         topo.apply_moves(&[]);
         assert!(topo.grid.is_none());
         topo.apply_moves(&[(NodeId::new(1), Point2::new(0.9, 0.9))]);
         assert!(topo.grid.is_some());
         assert_eq!(topo.edge_count(), 0);
-        // A rebuild moves nothing, so it keeps the hash.
-        topo.rebuild_unit_disk_edges();
-        assert!(topo.grid.is_some());
     }
 
     #[test]
@@ -930,16 +881,6 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_after_moving_positions() {
-        let positions = vec![Point2::new(0.0, 0.0), Point2::new(1.0, 0.0)];
-        let mut topo = Topology::unit_disk(positions, 0.1).unwrap();
-        assert_eq!(topo.edge_count(), 0);
-        topo.positions_mut().unwrap()[1] = Point2::new(0.05, 0.0);
-        topo.rebuild_unit_disk_edges();
-        assert_eq!(topo.edge_count(), 1);
-    }
-
-    #[test]
     fn apply_moves_matches_full_rebuild() {
         let positions = vec![
             Point2::new(0.1, 0.1),
@@ -961,8 +902,8 @@ mod tests {
             ]
         );
         assert_eq!(delta.moved, vec![NodeId::new(1)]);
-        let mut reference = topo.clone();
-        reference.rebuild_unit_disk_edges();
+        let positions = topo.positions().unwrap().to_vec();
+        let reference = Topology::unit_disk(positions, 0.08).unwrap();
         assert_eq!(topo, reference, "incremental must equal full rebuild");
     }
 
@@ -989,20 +930,6 @@ mod tests {
         assert!(delta.moved.is_empty());
         let delta = topo.apply_moves(&[]);
         assert!(delta.is_quiet());
-    }
-
-    #[test]
-    fn apply_moves_after_positions_mut_rebuilds_the_grid() {
-        let positions = vec![Point2::new(0.1, 0.1), Point2::new(0.9, 0.9)];
-        let mut topo = Topology::unit_disk(positions, 0.1).unwrap();
-        // Wholesale rewrite through positions_mut invalidates the hash…
-        topo.positions_mut().unwrap()[0] = Point2::new(0.85, 0.9);
-        topo.rebuild_unit_disk_edges();
-        assert_eq!(topo.edge_count(), 1);
-        // …after which incremental maintenance still works.
-        let delta = topo.apply_moves(&[(NodeId::new(0), Point2::new(0.1, 0.1))]);
-        assert_eq!(delta.removed.len(), 1);
-        assert_eq!(topo.edge_count(), 0);
     }
 
     #[test]

@@ -209,11 +209,12 @@ proptest! {
     }
 
     /// Incremental unit-disk maintenance is exact: after any sequence
-    /// of random moves, `apply_moves` leaves the same edge set as a
-    /// full `rebuild_unit_disk_edges`, and the reported delta is the
-    /// symmetric difference of the before/after edge sets. Swapping
-    /// the before topology for the after one (`replace`) reports the
-    /// same two differences, sorted, and leaves the after topology.
+    /// of random moves, `apply_moves` leaves the same graph as
+    /// `Topology::unit_disk` over the moved positions, and the reported
+    /// delta is the symmetric difference of the before/after edge sets.
+    /// Swapping the before topology for the after one (`replace`)
+    /// reports the same two differences, sorted, and leaves the after
+    /// topology.
     #[test]
     fn apply_moves_equals_full_rebuild(
         topo in unit_disk_strategy(),
@@ -255,9 +256,10 @@ proptest! {
             let sym_diff = before.iter().filter(|e| !after.contains(e)).count()
                 + after.iter().filter(|e| !before.contains(e)).count();
             prop_assert_eq!(churn, sym_diff);
-            // And the incremental graph matches a from-scratch rebuild.
-            let mut reference = incremental.clone();
-            reference.rebuild_unit_disk_edges();
+            // And the incremental graph matches a from-scratch build.
+            let positions = incremental.positions().unwrap().to_vec();
+            let radius = incremental.radius().unwrap();
+            let reference = Topology::unit_disk(positions, radius).unwrap();
             prop_assert_eq!(&incremental, &reference);
         }
     }

@@ -8,7 +8,7 @@
 //! [`RandomWaypoint`] and [`RandomDirection`] — plus the unit mapping
 //! (the 1×1 simulation square is read as 1 km × 1 km, so `R = 0.05`
 //! is a 50 m radio range) and a [`MobileScenario`] that moves nodes
-//! and rebuilds the unit-disk links.
+//! and updates the unit-disk links.
 //!
 //! # Examples
 //!

@@ -5,7 +5,7 @@ use rand::SeedableRng;
 use crate::MobilityModel;
 
 /// A mobile network: a unit-disk topology whose nodes move under a
-/// [`MobilityModel`], with links rebuilt after every advance.
+/// [`MobilityModel`], with links updated after every advance.
 ///
 /// # Examples
 ///
@@ -29,13 +29,8 @@ use crate::MobilityModel;
 #[derive(Debug)]
 pub struct MobileScenario<M> {
     topo: Topology,
-    model: M,
-    rng: StdRng,
+    mover: Mover<M>,
     elapsed: f64,
-    /// Scratch position buffer the model advances.
-    scratch: Vec<Point2>,
-    /// The most recent tick's move list (nodes that actually moved).
-    moves: Vec<(NodeId, Point2)>,
 }
 
 impl<M: MobilityModel> MobileScenario<M> {
@@ -52,11 +47,13 @@ impl<M: MobilityModel> MobileScenario<M> {
         );
         MobileScenario {
             topo,
-            model,
-            rng: StdRng::seed_from_u64(seed),
+            mover: Mover {
+                model,
+                rng: StdRng::seed_from_u64(seed),
+                scratch: Vec::new(),
+                moves: Vec::new(),
+            },
             elapsed: 0.0,
-            scratch: Vec::new(),
-            moves: Vec::new(),
         }
     }
 
@@ -66,34 +63,13 @@ impl<M: MobilityModel> MobileScenario<M> {
     /// links that changed — what an activity-driven driver needs to
     /// wake the right nodes.
     pub fn advance(&mut self, dt: f64) -> TopologyDelta {
-        // The model advances a scratch copy, so the topology's spatial
-        // hash is updated through the move list instead of being
-        // invalidated by in-place mutation.
-        self.scratch.clear();
-        self.scratch.extend_from_slice(
-            self.topo
-                .positions()
-                .expect("constructor checked positions"),
-        );
-        self.model.step(&mut self.scratch, dt, &mut self.rng);
-        self.moves.clear();
         let positions = self
             .topo
             .positions()
             .expect("constructor checked positions");
-        for (i, (&old, &new)) in positions.iter().zip(&self.scratch).enumerate() {
-            if old != new {
-                self.moves.push((NodeId::new(i as u32), new));
-            }
-        }
+        let moves = self.mover.tick(positions, dt);
         self.elapsed += dt;
-        self.topo.apply_moves(&self.moves)
-    }
-
-    /// The move list of the most recent [`MobileScenario::advance`]
-    /// tick (already applied to this scenario's topology).
-    pub fn last_moves(&self) -> &[(NodeId, Point2)] {
-        &self.moves
+        self.topo.apply_moves(moves)
     }
 
     /// The current topology.
@@ -108,42 +84,83 @@ impl<M: MobilityModel> MobileScenario<M> {
 
     /// The mobility model.
     pub fn model(&self) -> &M {
-        &self.model
+        &self.mover.model
     }
 
     /// Turns the scenario into a per-step source of moves for the
     /// simulators: each protocol step advances the nodes by
     /// `seconds_per_step` and hands the driver that tick's move list,
-    /// which it applies to its own topology copy — the links a tick
-    /// cuts fire `link_down`, and only their endpoints wake. Plug the
-    /// result into `mwn_sim::Scenario::mobility` to run a protocol over
-    /// a moving network — under the round driver or the actor fabric
-    /// (one tick per step) or the continuous-time event driver (one
-    /// tick per beacon period, at logical-step boundaries).
+    /// the one [`MobileScenario::advance`] computes. The dynamics keeps
+    /// the positions only; the driver applies the moves to its own
+    /// topology, the only graph of the run — the links a tick cuts fire
+    /// `link_down`, and only their endpoints wake. Plug the result into
+    /// `mwn_sim::Scenario::mobility` to run a protocol over a moving
+    /// network — under the round driver or the actor fabric (one tick
+    /// per step) or the continuous-time event driver (one tick per
+    /// beacon period, at logical-step boundaries).
     pub fn into_dynamics(self, seconds_per_step: f64) -> MobilityDynamics<M> {
         assert!(seconds_per_step > 0.0, "seconds per step must be positive");
+        let positions = self
+            .topo
+            .positions()
+            .expect("constructor checked positions");
         MobilityDynamics {
-            scenario: self,
+            positions: positions.to_vec(),
+            mover: self.mover,
             seconds_per_step,
         }
     }
 }
 
-/// Adapter driving a [`MobileScenario`] from the round simulator's
+/// What moves the nodes: the model, its random stream and a tick's
+/// buffers. A [`MobileScenario`] and its [`MobilityDynamics`] compute a
+/// tick's move list through it alike.
+#[derive(Debug)]
+struct Mover<M> {
+    model: M,
+    rng: StdRng,
+    /// The positions the model advances.
+    scratch: Vec<Point2>,
+    /// The last tick's moves: the nodes whose position changed, and
+    /// where to.
+    moves: Vec<(NodeId, Point2)>,
+}
+
+impl<M: MobilityModel> Mover<M> {
+    /// Advances a copy of `positions` by `dt` seconds and returns the
+    /// nodes whose position changed, with their new positions, in id
+    /// order.
+    fn tick(&mut self, positions: &[Point2], dt: f64) -> &[(NodeId, Point2)] {
+        self.scratch.clear();
+        self.scratch.extend_from_slice(positions);
+        self.model.step(&mut self.scratch, dt, &mut self.rng);
+        self.moves.clear();
+        for (i, (&old, &new)) in positions.iter().zip(&self.scratch).enumerate() {
+            if old != new {
+                self.moves.push((NodeId::new(i as u32), new));
+            }
+        }
+        &self.moves
+    }
+}
+
+/// Adapter driving a [`MobileScenario`]'s moves from a simulator's
 /// step clock; see [`MobileScenario::into_dynamics`].
 #[derive(Debug)]
 pub struct MobilityDynamics<M> {
-    scenario: MobileScenario<M>,
+    /// Where every node is: the positions of the driver's topology.
+    positions: Vec<Point2>,
+    mover: Mover<M>,
     seconds_per_step: f64,
 }
 
 impl<M: MobilityModel> mwn_sim::TopologyDynamics for MobilityDynamics<M> {
     fn next_moves(&mut self, _step: u64) -> &[(NodeId, Point2)] {
-        // Advance our own topology copy with the same move list the
-        // driver will apply to its copy: both evolve identically, and
-        // the driver wakes only the nodes the tick touched.
-        self.scenario.advance(self.seconds_per_step);
-        self.scenario.last_moves()
+        let moves = self.mover.tick(&self.positions, self.seconds_per_step);
+        for &(p, to) in moves {
+            self.positions[p.index()] = to;
+        }
+        moves
     }
 }
 

@@ -22,6 +22,17 @@ use crate::{
 /// Everything else is written once, here: reads, mutators, faults,
 /// the per-step tally, the `run_to` observe loop. Logical time is the paper-comparable
 /// clock — steps on the round clock, beacon periods on the other two.
+/// A consumer that is generic over the execution model (traffic, the
+/// chaos certifier, the CLI) takes a `&mut Sim<P, C>` with
+/// `C: Clock<P>`.
+///
+/// **The fault clock**, the same on all three: a fault or followup
+/// scripted at step `k`, and a mobility tick at `k`, fires as the
+/// driver enters period `k`, before any of that period's frames. So
+/// after [`Sim::step`] returns `k`, nothing due at `k` has fired yet:
+/// the next step fires it first. [`Sim::inject`] fires at once, and
+/// schedules its timed second phase (resurrection, healing, lie
+/// expiry) on the same clock.
 pub struct Sim<P: Protocol, C> {
     /// Protocol, topology, node table and the one fault path.
     pub(crate) env: Env<P>,
@@ -63,7 +74,7 @@ impl<P: Protocol + std::fmt::Debug, C: Clock<P>> std::fmt::Debug for Sim<P, C> {
 impl<P: Protocol, C: Clock<P>> Sim<P, C> {
     /// Advances logical time by one step; returns the new step count.
     /// What is due at that step (faults, followups, mobility) fires as
-    /// the next step begins — the fault clock of [`Driver`].
+    /// the next step begins — the fault clock of [`Sim`].
     pub fn step(&mut self) -> u64 {
         let before = self.env.tally;
         let now = C::step(self);
@@ -436,92 +447,4 @@ pub(crate) fn period_step<P: Protocol, C: Clock<P> + Transport<P>>(sim: &mut Sim
     (period.senders, period.candidates) = (senders, candidates);
     period.now += 1;
     period.now
-}
-
-/// What a consumer that is generic over the execution model needs from
-/// a driver, as an object-safe trait: traffic, the chaos certifier and
-/// the CLI are each written once against it, and a test can box the
-/// three drivers side by side. Its one implementation is [`Sim`]'s, on
-/// every [`Clock`]; every method is the inherent method of the same
-/// name.
-///
-/// Logical time is the paper-comparable clock: steps on the round
-/// driver, beacon periods on the other two.
-///
-/// **The fault clock**, the same on all three: a fault or followup
-/// scripted at step `k`, and a mobility tick at `k`, fires as the
-/// driver enters period `k`, before any of that period's frames. So
-/// after [`Driver::step`] returns `k`, nothing due at `k` has fired
-/// yet: the next step fires it first. [`Driver::inject`] fires at
-/// once, and schedules its timed second phase (resurrection, healing,
-/// lie expiry) on the same clock.
-pub trait Driver {
-    /// The protocol being executed.
-    type Protocol: Observable + Corruptible;
-
-    /// Advances logical time by one step, period `now()`; returns the
-    /// new step count.
-    fn step(&mut self) -> u64;
-
-    /// The current logical time.
-    fn now(&self) -> u64;
-
-    /// The topology being simulated.
-    fn topology(&self) -> &Topology;
-
-    /// All node states, indexed by [`mwn_graph::NodeId`], published in
-    /// id order on this read ([`Sim::states`]).
-    fn states(&self) -> &[<Self::Protocol as Protocol>::State];
-
-    /// Pins (`true`) or unpins (`false`) eager scheduling.
-    fn set_eager(&mut self, eager: bool);
-
-    /// Applies one fault at the current logical instant.
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`crate::FaultPlan::validate_for`] rejects; a rejected
-    /// fault changes nothing.
-    fn inject(&mut self, fault: &Fault) -> Result<(), SimError>;
-
-    /// The observable output of every node.
-    fn outputs(&self) -> Vec<<Self::Protocol as Observable>::Output>;
-
-    /// Runs until `stop` is satisfied and reports what happened.
-    fn run_to(&mut self, stop: &StopWhen<Self::Protocol>) -> RunReport;
-
-    /// Beacon broadcasts since construction.
-    fn messages_total(&self) -> u64;
-}
-
-impl<P: Observable + Corruptible, C: Clock<P>> Driver for Sim<P, C> {
-    type Protocol = P;
-
-    fn step(&mut self) -> u64 {
-        Sim::step(self)
-    }
-    fn now(&self) -> u64 {
-        Sim::now(self)
-    }
-    fn topology(&self) -> &Topology {
-        Sim::topology(self)
-    }
-    fn states(&self) -> &[P::State] {
-        Sim::states(self)
-    }
-    fn set_eager(&mut self, eager: bool) {
-        Sim::set_eager(self, eager);
-    }
-    fn inject(&mut self, fault: &Fault) -> Result<(), SimError> {
-        Sim::inject(self, fault)
-    }
-    fn outputs(&self) -> Vec<P::Output> {
-        Sim::outputs(self)
-    }
-    fn run_to(&mut self, stop: &StopWhen<P>) -> RunReport {
-        Sim::run_to(self, stop)
-    }
-    fn messages_total(&self) -> u64 {
-        Sim::messages_total(self)
-    }
 }

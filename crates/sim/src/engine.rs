@@ -454,19 +454,19 @@ fn neighbor_slots<'a>(
 /// Node `p`'s `k`-th beacon opportunity ("slot") fires at
 ///
 /// ```text
-/// slot_time(p, k) = (k + phase_p + jitter · (u_{p,k} − ½)) · period
+/// slot_time(p, k) = k + phase_p + jitter · (u_{p,k} − ½)
 /// ```
 ///
 /// with `phase_p ~ U(0, 1)` a fixed per-node desynchronization offset
 /// and `u_{p,k} ~ U(0, 1)` a fresh per-slot draw — Herman & Tixeuil's
 /// randomized timing discipline, reparameterized so the whole schedule
-/// is *stateless*: consecutive slots are `period · (1 ± jitter)` apart
-/// (mean exactly `period`), and the time of any slot can be computed
-/// without replaying the slots before it. That statelessness is what
+/// is *stateless*: consecutive slots are `1 ± jitter` apart (mean
+/// exactly one beacon period, the event clock's unit of time), and the
+/// time of any slot can be computed without replaying the slots before
+/// it. That statelessness is what
 /// lets the event driver skip a silent node entirely and still wake it
 /// on exactly the schedule its always-transmitting twin would follow.
 pub(crate) struct SlotClock {
-    period: f64,
     jitter: f64,
     phase: Vec<f64>,
     jitter_base: u64,
@@ -474,13 +474,12 @@ pub(crate) struct SlotClock {
 
 impl SlotClock {
     /// Derives the schedule for `n` nodes from the master seed.
-    pub fn new(seed: u64, period: f64, jitter: f64, n: usize) -> Self {
+    pub fn new(seed: u64, jitter: f64, n: usize) -> Self {
         let phase_base = derive_seed(seed, streams::PHASE);
         let phase = (0..n as u64)
             .map(|p| StdRng::seed_from_u64(derive_seed(phase_base, p)).random_range(0.0..1.0))
             .collect();
         SlotClock {
-            period,
             jitter,
             phase,
             jitter_base: derive_seed(seed, streams::TIMING),
@@ -490,17 +489,17 @@ impl SlotClock {
     /// The absolute time of node `p`'s `k`-th slot.
     pub fn slot_time(&self, p: NodeId, k: u64) -> f64 {
         let u: f64 = split_rng(self.jitter_base, k, u64::from(p.value())).random_range(0.0..1.0);
-        (k as f64 + self.phase[p.index()] + self.jitter * (u - 0.5)) * self.period
+        k as f64 + self.phase[p.index()] + self.jitter * (u - 0.5)
     }
 
     /// The first slot of `p` at or after time `from`:
     /// `(slot index, slot time)`.
     ///
     /// Slot times are strictly increasing in `k` (gaps are at least
-    /// `period · (1 − jitter) > 0`), so a short forward scan from the
+    /// `1 − jitter > 0`), so a short forward scan from the
     /// arithmetic lower bound finds it in O(1).
     pub fn next_at(&self, p: NodeId, from: f64) -> (u64, f64) {
-        let x = (from / self.period - self.phase[p.index()] - self.jitter).floor();
+        let x = (from - self.phase[p.index()] - self.jitter).floor();
         let mut k = if x > 0.0 { x as u64 } else { 0 };
         loop {
             let t = self.slot_time(p, k);
@@ -791,7 +790,7 @@ mod tests {
 
     #[test]
     fn slot_clock_is_monotone_and_stateless() {
-        let clock = SlotClock::new(7, 1.0, 0.5, 4);
+        let clock = SlotClock::new(7, 0.5, 4);
         let p = NodeId::new(2);
         let mut prev = f64::NEG_INFINITY;
         for k in 0..200 {
@@ -812,7 +811,7 @@ mod tests {
 
     #[test]
     fn slot_clock_next_at_finds_the_first_slot() {
-        let clock = SlotClock::new(3, 2.0, 0.8, 3);
+        let clock = SlotClock::new(3, 0.8, 3);
         let p = NodeId::new(1);
         for probe in [0.0, 0.1, 5.0, 17.3, 400.0] {
             let (k, t) = clock.next_at(p, probe);

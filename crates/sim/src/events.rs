@@ -17,21 +17,22 @@ use crate::{Clock, Observable, Protocol, Sim, SimError};
 /// Herman & Tixeuil \[11\], which the paper adopts in Section 4). Frames
 /// have a positive duration; which copies arrive is the driver's
 /// [`Medium`]'s decision.
+///
+/// The unit of time is the beacon period, the mean time between two
+/// beacon opportunities of the same node: logical step `k` begins at
+/// time `k`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EventConfig {
-    /// Mean time between two beacon opportunities of the same node.
-    pub beacon_period: f64,
     /// Relative jitter: consecutive beacon slots of a node are
-    /// `beacon_period · (1 ± jitter)` apart (mean exactly one period).
+    /// `1 ± jitter` periods apart (mean exactly one period).
     pub jitter: f64,
-    /// Time a frame occupies the channel at a receiver.
+    /// Time a frame occupies the channel at a receiver, in periods.
     pub frame_time: f64,
 }
 
 impl Default for EventConfig {
     fn default() -> Self {
         EventConfig {
-            beacon_period: 1.0,
             jitter: 0.5,
             frame_time: 0.02,
         }
@@ -43,15 +44,11 @@ impl EventConfig {
     ///
     /// # Errors
     ///
-    /// Returns a description of the violated constraint (period or
-    /// frame time not positive — NaN included —, jitter outside
-    /// `[0, 1)`).
+    /// Returns a description of the violated constraint (frame time
+    /// not positive — NaN included —, jitter outside `[0, 1)`).
     pub fn check(&self) -> Result<(), String> {
         // Asked as "is it positive", so a NaN answers no.
         let positive = |x: f64| x > 0.0;
-        if !positive(self.beacon_period) {
-            return Err("beacon period must be positive".to_string());
-        }
         if !positive(self.frame_time) {
             return Err("frame time must be positive".to_string());
         }
@@ -324,9 +321,9 @@ impl<B: Clone> Lanes<B> {
 /// and every pass and stays the reference.
 ///
 /// Scripted faults, their followups and [`crate::TopologyDynamics`]
-/// (mobility) fire at logical-step boundaries (multiples of the beacon
-/// period), interleaved with the event queue in time order, on the
-/// fault clock of [`crate::Driver`]: at the boundary of the step the
+/// (mobility) fire at logical-step boundaries (whole beacon periods),
+/// interleaved with the event queue in time order, on the fault clock
+/// of [`Sim`]: at the boundary of the step the
 /// environment is next due at, what is due fires through the one
 /// within-step order of every clock (`Env::begin_step`: mobility, then
 /// followups, then scripted faults), before that instant's events.
@@ -385,24 +382,16 @@ pub struct Events<P: Protocol, M> {
     events: u64,
 }
 
-impl<P: Protocol, M> Events<P, M> {
-    /// The wall-clock moment of logical step `k` (fault and mobility
-    /// boundaries).
-    fn step_time(&self, step: u64) -> f64 {
-        step as f64 * self.config.beacon_period
-    }
-}
-
 impl<P: Protocol, M> Sealed for Events<P, M> {}
 
 impl<P: Protocol, M: Medium> Clock<P> for Events<P, M> {
     /// Advances to the next beacon-period boundary — one logical step,
     /// the event clock's counterpart of [`crate::Network::step`].
     /// Everything before the boundary runs; what is due on it waits for
-    /// the next step (the fault clock of [`crate::Driver`]).
+    /// the next step (the fault clock of [`Sim`]).
     fn step(sim: &mut Sim<P, Self>) -> u64 {
         let next = sim.clock.now() + 1;
-        let boundary = sim.clock.step_time(next);
+        let boundary = next as f64;
         sim.advance_to(boundary.next_down());
         sim.clock.time = boundary;
         next
@@ -411,10 +400,8 @@ impl<P: Protocol, M: Medium> Clock<P> for Events<P, M> {
     /// The paper-comparable logical clock: whole beacon periods
     /// elapsed — what [`crate::Network::now`] counts in steps.
     fn now(&self) -> u64 {
-        // The largest k whose boundary has been reached; the division
-        // alone can land one short of a boundary the clock sits on.
-        let k = (self.time / self.config.beacon_period) as u64;
-        k + u64::from(self.step_time(k + 1) <= self.time)
+        // The largest k whose boundary, time k, has been reached.
+        self.time as u64
     }
 
     /// The woken senders are re-armed — under eager scheduling, which
@@ -461,7 +448,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         let n = topo.len();
         let clock = Events {
             config,
-            schedule: SlotClock::new(seed, config.beacon_period, config.jitter, n),
+            schedule: SlotClock::new(seed, config.jitter, n),
             medium,
             lanes: Lanes::new(n),
             armed: NodeSet::new(n),
@@ -506,7 +493,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     /// When the environment acts next (never, if nothing is due).
     fn next_boundary(&self) -> f64 {
         let due = self.env.next_due();
-        due.map_or(f64::INFINITY, |k| self.clock.step_time(k))
+        due.map_or(f64::INFINITY, |k| k as f64)
     }
 
     /// Enters the logical step at `boundary`: the clock advances to it,
@@ -1420,46 +1407,28 @@ mod tests {
     #[test]
     fn invalid_config_rejected() {
         let cfg = EventConfig {
-            beacon_period: 0.0,
+            frame_time: 0.0,
             ..EventConfig::default()
         };
         let result = EventDriver::new(MaxFlood, PerfectMedium, builders::line(2), cfg, 0);
         let Err(SimError::InvalidConfig(text)) = result else {
-            panic!("a zero beacon period must be rejected");
+            panic!("a zero frame time must be rejected");
         };
-        assert_eq!(text, "beacon period must be positive");
-        // NaN fails every comparison, so it must fail "positive" too: a
-        // NaN period would hang the slot search, a NaN frame time land
-        // no frame. Asked of the check alone, which cannot hang.
-        let nan_period = EventConfig {
-            beacon_period: f64::NAN,
-            ..EventConfig::default()
-        };
+        assert_eq!(text, "frame time must be positive");
+        // NaN fails every comparison, so it must fail "positive" and the
+        // jitter's range too: a NaN frame time would land no frame, a
+        // NaN jitter hang the slot search. Asked of the check alone,
+        // which cannot hang.
         let nan_frame = EventConfig {
             frame_time: f64::NAN,
             ..EventConfig::default()
         };
-        let (period, frame) = (
-            "beacon period must be positive",
-            "frame time must be positive",
-        );
-        assert_eq!(nan_period.check(), Err(period.to_string()));
-        assert_eq!(nan_frame.check(), Err(frame.to_string()));
-    }
-
-    #[test]
-    fn logical_steps_advance_on_periods_the_division_rounds_short() {
-        // 43 · 0.1 / 0.1 < 43 in floating point: the logical clock must
-        // still read 43 there, or `step` would never leave the boundary.
-        let cfg = EventConfig {
-            beacon_period: 0.1,
-            frame_time: 0.002,
+        let nan_jitter = EventConfig {
+            jitter: f64::NAN,
             ..EventConfig::default()
         };
-        let mut d = EventDriver::new(GatedFlood, PerfectMedium, builders::line(4), cfg, 5)
-            .expect("valid configuration");
-        let report = d.run_to(&StopWhen::max_steps(100));
-        assert_eq!((report.steps, report.end_step, d.now()), (100, 100, 100));
-        assert!(d.states().iter().all(|&s| s == 3));
+        let (frame, jitter) = ("frame time must be positive", "jitter must be in [0, 1)");
+        assert_eq!(nan_frame.check(), Err(frame.to_string()));
+        assert_eq!(nan_jitter.check(), Err(jitter.to_string()));
     }
 }

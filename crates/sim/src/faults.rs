@@ -223,7 +223,7 @@ impl Fault {
 
 /// A reproducible script of faults, each fired *before* the given step
 /// executes. [`crate::Scenario::faults`] installs it into a driver,
-/// which fires it on the fault clock of [`crate::Driver`].
+/// which fires it on the fault clock of [`crate::Sim`].
 ///
 /// # Examples
 ///
@@ -315,7 +315,7 @@ impl FaultPlan {
 mod tests {
     use super::*;
     use crate::testkit::MaxFlood;
-    use crate::{Driver, Network, Scenario};
+    use crate::{Network, Scenario};
     use mwn_graph::builders;
     use mwn_radio::PerfectMedium;
     use rand::rngs::StdRng;
@@ -349,14 +349,13 @@ mod tests {
         let mut plan = FaultPlan::new();
         plan.at(10, Fault::CorruptAll);
         let mut net = scripted(plan, builders::line(5), 1).expect("valid plan");
-        let driver: &mut dyn Driver<Protocol = MaxFlood> = &mut net;
-        while driver.now() < 10 {
-            driver.step();
+        while net.now() < 10 {
+            net.step();
         }
-        assert!(driver.states().iter().all(|&s| s == 4), "not fired yet");
-        driver.step();
+        assert!(net.states().iter().all(|&s| s == 4), "not fired yet");
+        net.step();
         // Zeroed before step 10's beacons: each node holds its own id.
-        assert_eq!(driver.states(), &[0, 1, 2, 3, 4]);
+        assert_eq!(net.states(), &[0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -28,8 +28,9 @@
 //!     exchanging serialized frames ([`WireBeacon`]) under a virtual-time
 //!     token governor — the simulated clocks' claims under real
 //!     interleaving.
-//! * [`Driver`] — the object-safe facade over [`Sim`], for consumers
-//!   that are generic over the execution model.
+//!
+//!   A consumer that is generic over the execution model takes a
+//!   `&mut Sim<P, C>` with `C: Clock<P>`.
 //! * [`StopWhen`] / [`RunReport`] — first-class stop conditions
 //!   (stability streaks, step budgets, predicates, combinators) and
 //!   structured run outcomes, replacing per-call-site projection
@@ -111,7 +112,7 @@ mod wire;
 
 pub use actor::{ActorDriver, Actors};
 pub use convergence::StabilityTracker;
-pub use driver::{Clock, Driver, Sim};
+pub use driver::{Clock, Sim};
 pub use engine::kernels;
 pub use engine::{run_sharded, ShardPolicy};
 pub use error::SimError;

@@ -58,14 +58,11 @@ use crate::{
 /// `MobileScenario::into_dynamics`).
 pub trait TopologyDynamics {
     /// The position moves for the step about to execute; empty when
-    /// nothing moves. The driver applies them to its own unit-disk
-    /// topology through [`Topology::apply_moves`], so every cut link
-    /// fires [`Protocol::link_down`] and only the nodes whose links
-    /// changed wake.
-    ///
-    /// Implementations advancing their own topology copy must use
-    /// `apply_moves` with the same move list, so both copies stay
-    /// identical.
+    /// nothing moves. The driver applies them to its unit-disk
+    /// topology, the only graph of the run, through
+    /// [`Topology::apply_moves`], so every cut link fires
+    /// [`Protocol::link_down`] and only the nodes whose links changed
+    /// wake.
     fn next_moves(&mut self, step: u64) -> &[(NodeId, Point2)];
 }
 
@@ -374,7 +371,7 @@ mod tests {
         let result = Scenario::new(MaxFlood)
             .topology(builders::line(2))
             .build_events(EventConfig {
-                beacon_period: 0.0,
+                frame_time: 0.0,
                 ..EventConfig::default()
             });
         assert!(matches!(result, Err(SimError::InvalidConfig(_))));

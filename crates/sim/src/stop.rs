@@ -1,5 +1,5 @@
 //! First-class stop conditions and run reports, shared by all three
-//! drivers ([`crate::Driver::run_to`]).
+//! drivers ([`crate::Sim::run_to`]).
 //!
 //! [`StopWhen`] names the semantics every experiment needs once,
 //! instead of a projection closure plus two magic numbers per call
@@ -22,7 +22,7 @@ use mwn_graph::Topology;
 
 use crate::{Observable, StabilityTracker};
 
-/// A declarative stop condition for [`crate::Driver::run_to`] and the
+/// A declarative stop condition for [`crate::Sim::run_to`] and the
 /// [`crate::Sweep`] runner.
 ///
 /// Weak-stabilization experiments (Devismes et al.) ask "did the run

@@ -420,7 +420,9 @@ impl<M: Medium> Medium for Pushed<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ActorDriver, Clock, Driver, EventConfig, EventDriver, Network, Sim};
+    use crate::{
+        ActorDriver, Actors, Clock, EventConfig, EventDriver, Events, Network, Rounds, Sim,
+    };
     use crate::{Fault, FaultPlan, Lie, Scenario, StopWhen};
     use mwn_graph::builders;
     use mwn_radio::{BernoulliLoss, PerfectMedium, SlottedCsma};
@@ -480,46 +482,24 @@ mod tests {
             .mobility(Drift::new(&topo, 420..480))
     }
 
-    /// What the three drivers count, read one way.
-    trait Counted: Driver<Protocol = Relay> {
-        /// The event clock, whose passes run at events, not visits.
+    /// The clock's passes: the event clock runs them at events, not
+    /// visits.
+    trait Passes: Clock<Relay> {
         const EVENTS: bool = false;
-        /// Frames delivered, guard passes and receives of the last step.
-        fn counts(&self) -> [u64; 3];
-        fn relay(&self) -> &Relay;
     }
 
+    impl<M: Medium> Passes for Rounds<M> {}
+
+    impl<M: Medium + Sync> Passes for Actors<M> {}
+
+    impl<M: Medium> Passes for Events<Relay, M> {
+        const EVENTS: bool = true;
+    }
+
+    /// Frames delivered, guard passes and receives of the last step.
     fn counts<C: Clock<Relay>>(d: &Sim<Relay, C>) -> [u64; 3] {
         let a = d.last_activity();
         [a.frames_delivered, a.updates, a.receives].map(|c| c as u64)
-    }
-
-    impl<M: Medium> Counted for Network<Relay, M> {
-        fn counts(&self) -> [u64; 3] {
-            counts(self)
-        }
-        fn relay(&self) -> &Relay {
-            self.protocol()
-        }
-    }
-
-    impl<M: Medium + Sync> Counted for ActorDriver<Relay, M> {
-        fn counts(&self) -> [u64; 3] {
-            counts(self)
-        }
-        fn relay(&self) -> &Relay {
-            self.protocol()
-        }
-    }
-
-    impl<M: Medium> Counted for EventDriver<Relay, M> {
-        const EVENTS: bool = true;
-        fn counts(&self) -> [u64; 3] {
-            counts(self)
-        }
-        fn relay(&self) -> &Relay {
-            self.protocol()
-        }
     }
 
     /// The relay whose `read_changed` compares the value, beside the
@@ -528,9 +508,9 @@ mod tests {
     /// fewer receives. On the event clock the same guard passes too; on
     /// the period clocks a visit whose frames were all held runs none
     /// where the twin's receives make it run one, so fewer.
-    fn beside_its_twin<D: Counted>(build: impl Fn(bool) -> D, label: &str) {
+    fn beside_its_twin<C: Passes>(build: impl Fn(bool) -> Sim<Relay, C>, label: &str) {
         let (mut skips, mut twin) = (build(true), build(false));
-        assert!(skips.relay().by_value && !twin.relay().by_value);
+        assert!(skips.protocol().by_value && !twin.protocol().by_value);
         let (mut passes, mut receives) = ([0u64; 2], [0u64; 2]);
         for step in 1..=STEPS {
             skips.step();
@@ -539,9 +519,9 @@ mod tests {
             assert!(skips.states() == twin.states(), "{at}: states");
             assert_eq!(skips.outputs(), twin.outputs(), "{at}");
             assert_eq!(skips.messages_total(), twin.messages_total(), "{at}");
-            let (mine, theirs) = (skips.counts(), twin.counts());
+            let (mine, theirs) = (counts(&skips), counts(&twin));
             assert_eq!(mine[0], theirs[0], "{at}: frames");
-            if D::EVENTS {
+            if C::EVENTS {
                 assert_eq!(mine[1], theirs[1], "{at}: passes");
             } else {
                 assert!(mine[1] <= theirs[1], "{at}: {mine:?} against {theirs:?}");
@@ -551,7 +531,7 @@ mod tests {
             receives = [receives[0] + mine[2], receives[1] + theirs[2]];
         }
         assert!(
-            D::EVENTS || passes[0] < passes[1],
+            C::EVENTS || passes[0] < passes[1],
             "{label}: {passes:?} passes"
         );
         let stop = StopWhen::stable_for(3).within(100);
@@ -565,7 +545,7 @@ mod tests {
         );
         // The protocol also counts what debug builds receive on a copy:
         // exactly one call per receive the driver skipped.
-        let calls = |d: &D| d.relay().receives.load(Ordering::Relaxed);
+        let calls = |d: &Sim<Relay, C>| d.protocol().receives.load(Ordering::Relaxed);
         let (mine, theirs) = (calls(&skips), calls(&twin));
         if cfg!(debug_assertions) {
             assert_eq!(mine, theirs, "{label}: every skip was checked");
@@ -579,7 +559,11 @@ mod tests {
     /// its passes at other events (it hears every neighbour every
     /// period), so there the outputs agree at the ends of settled
     /// stretches, where every climb is over.
-    fn gated_like_eager<D: Counted>(build: impl Fn() -> D, every_step: bool, label: &str) {
+    fn gated_like_eager<C: Clock<Relay>>(
+        build: impl Fn() -> Sim<Relay, C>,
+        every_step: bool,
+        label: &str,
+    ) {
         let (mut gated, mut eager) = (build(), build());
         eager.set_eager(true);
         for step in 1..=STEPS {
@@ -665,7 +649,7 @@ mod tests {
                 .faults(plan)
                 .mobility(Drift::new(&topo, 240..300))
         }
-        fn lockstep<D: Driver<Protocol = Climb>>(build: impl Fn() -> D, label: &str) {
+        fn lockstep<C: Clock<Climb>>(build: impl Fn() -> Sim<Climb, C>, label: &str) {
             let (mut gated, mut eager) = (build(), build());
             eager.set_eager(true);
             for step in 1..=340 {

@@ -20,8 +20,8 @@
 //! execution are byte-identical, the same discipline the round
 //! driver's active pass follows, and a steady-state step does not
 //! allocate. It
-//! interoperates with all three drivers via [`run_rounds`], which is
-//! generic over [`mwn_sim::Driver`]: one traffic step per logical step.
+//! interoperates with all three drivers via [`run_rounds`], which takes
+//! any [`mwn_sim::Sim`]: one traffic step per logical step.
 //!
 //! # Example: loss under a scripted fault
 //!

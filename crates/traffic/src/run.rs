@@ -2,7 +2,7 @@
 //!
 //! The data plane is deliberately clock-agnostic — it only ever sees
 //! "a topology, right now, and maybe a routing view". [`run_rounds`]
-//! binds it to whichever execution model implements [`Driver`]: one
+//! binds it to any [`Sim`], whatever its [`Clock`]: one
 //! [`crate::TrafficPlane::on_step`] after every logical step — a
 //! synchronous round, a governor period of the actor fabric, or a
 //! beacon period of the continuous-time driver — so packet TTLs and
@@ -19,7 +19,7 @@
 
 use mwn_cluster::RoutingView;
 use mwn_graph::Topology;
-use mwn_sim::{Driver, Protocol};
+use mwn_sim::{Clock, Protocol, Sim};
 
 use crate::plane::TrafficPlane;
 use crate::report::TrafficReport;
@@ -27,16 +27,17 @@ use crate::report::TrafficReport;
 /// Runs traffic over `net`: `steps` logical steps, or until the
 /// workload drains, whichever comes first. Returns the plane's report
 /// at exit.
-pub fn run_rounds<D, R, F>(
-    net: &mut D,
+pub fn run_rounds<P, C, R, F>(
+    net: &mut Sim<P, C>,
     plane: &mut TrafficPlane,
     steps: u64,
     mut view: F,
 ) -> TrafficReport
 where
-    D: Driver,
+    P: Protocol,
+    C: Clock<P>,
     R: RoutingView,
-    F: FnMut(&Topology, &[<D::Protocol as Protocol>::State]) -> Option<R>,
+    F: FnMut(&Topology, &[P::State]) -> Option<R>,
 {
     for _ in 0..steps {
         net.step();

@@ -10,7 +10,10 @@ use rand::SeedableRng;
 use selfstab::prelude::*;
 
 /// Runs `driver` to stability — the same code on every clock.
-fn stabilize<D: Driver<Protocol = DensityCluster>>(label: &str, driver: &mut D) -> RunReport {
+fn stabilize<C: Clock<DensityCluster>>(
+    label: &str,
+    driver: &mut Sim<DensityCluster, C>,
+) -> RunReport {
     let report = driver.run_to(&StopWhen::stable_for(4).within(2_000));
     let steps = report.expect_stable(label);
     let sent = driver.messages_total();

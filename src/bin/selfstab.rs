@@ -271,8 +271,8 @@ fn cmd_cluster(opts: &Opts) -> Result<(), String> {
 
 /// Runs `driver` to a stable clustering; returns the headline (in the
 /// driver's own time `unit`) and the stabilized states.
-fn stabilize<D: Driver<Protocol = DensityCluster>>(
-    mut driver: D,
+fn stabilize<C: Clock<DensityCluster>>(
+    mut driver: Sim<DensityCluster, C>,
     unit: &str,
 ) -> Result<(String, Vec<ClusterState>), String> {
     let steps = driver

@@ -88,8 +88,8 @@ pub mod prelude {
         Medium, MediumKind, Occupancy, OccupancyView, PerfectMedium, SlottedCsma,
     };
     pub use mwn_sim::{
-        ActorDriver, Corruptible, Driver, EventConfig, EventDriver, Fault, FaultPlan, Lie, Network,
-        Observable, Protocol, Region, RunReport, Scenario, SimError, StopWhen, Sweep,
+        ActorDriver, Clock, Corruptible, EventConfig, EventDriver, Fault, FaultPlan, Lie, Network,
+        Observable, Protocol, Region, RunReport, Scenario, Sim, SimError, StopWhen, Sweep,
         TopologyDynamics, WireBeacon,
     };
     pub use mwn_traffic::{

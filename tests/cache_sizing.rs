@@ -23,7 +23,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use mwn_cluster::{NeighborEntry, PeerSummary};
-use mwn_sim::{Clock, Sim};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selfstab::prelude::*;
@@ -68,7 +67,7 @@ fn stop() -> StopWhen<DensityCluster> {
 
 /// Cold start to a stable clustering; returns the allocations and
 /// reallocations it performed on this thread, per node.
-fn cold_start(mut driver: impl Driver<Protocol = DensityCluster>) -> f64 {
+fn cold_start<C: Clock<DensityCluster>>(mut driver: Sim<DensityCluster, C>) -> f64 {
     let n = driver.topology().len();
     let before = ALLOCS.with(Cell::get);
     let report = driver.run_to(&stop());

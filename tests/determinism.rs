@@ -5,7 +5,6 @@
 
 use rand::SeedableRng;
 use selfstab::prelude::*;
-use selfstab::sim::{Clock, Sim};
 
 fn pipeline(seed: u64) -> (Vec<NodeId>, Vec<u32>, String) {
     // deploy → DAG-enabled clustering over CSMA → render

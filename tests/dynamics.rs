@@ -3,7 +3,11 @@
 //! link churn, and the stability benefit of the Section 4.3 rules.
 
 use rand::SeedableRng;
+use selfstab::mobility::MobilityModel;
 use selfstab::prelude::*;
+
+mod testkit;
+use testkit::first_divergence;
 
 #[test]
 fn protocol_restabilizes_after_each_mobility_burst() {
@@ -146,4 +150,71 @@ fn mobile_scenario_with_live_protocol_round_per_tick() {
         .expect_stable("stabilizes once movement stops");
     let got = extract_clustering(net.states()).expect("clean");
     assert_eq!(got, oracle(net.topology(), &OracleConfig::default()));
+}
+
+/// Steps of the runs below, and seconds the nodes move per step.
+const FOLLOWED_STEPS: u64 = 30;
+const SECONDS_PER_STEP: f64 = 2.0;
+
+/// Steps `driver`, which moves by the dynamics of a scenario twin of
+/// `reference`, beside `reference`'s own advances: after its step `k`
+/// the driver's topology — positions included — is the one
+/// `reference` reaches after `k` calls to `advance`.
+fn follows_its_scenario<C: Clock<DensityCluster>, M: MobilityModel>(
+    label: &str,
+    mut driver: Sim<DensityCluster, C>,
+    mut reference: MobileScenario<M>,
+) {
+    let mut churn = 0;
+    for k in 1..=FOLLOWED_STEPS {
+        driver.step();
+        let delta = reference.advance(SECONDS_PER_STEP);
+        churn += delta.added.len() + delta.removed.len();
+        let (topo, want) = (driver.topology(), reference.topology());
+        let (at, wanted) = (topo.positions(), want.positions());
+        let (at, wanted) = (at.expect("unit-disk"), wanted.expect("unit-disk"));
+        if let Some(node) = first_divergence(at, wanted) {
+            panic!("{label}, step {k}: positions differ (left driver, right scenario) at {node}");
+        }
+        assert!(topo == want, "{label}, step {k}: the links differ");
+    }
+    assert!(churn > 0, "{label}: the moves changed some links");
+}
+
+/// [`follows_its_scenario`] on rounds, events and actors at one worker,
+/// each deployed on `topo` and moved by `model`.
+fn follows_on_every_clock<M>(label: &str, topo: &Topology, model: impl Fn() -> M)
+where
+    M: MobilityModel + Send + 'static,
+{
+    let seed = 15;
+    let scenario = || {
+        let mobile = MobileScenario::new(topo.clone(), model(), seed);
+        Scenario::new(DensityCluster::new(ClusterConfig::default().event_driven()))
+            .topology(topo.clone())
+            .seed(seed)
+            .mobility(mobile.into_dynamics(SECONDS_PER_STEP))
+    };
+    let reference = || MobileScenario::new(topo.clone(), model(), seed);
+    let rounds = scenario().build().expect("valid scenario");
+    follows_its_scenario(&format!("{label}, rounds"), rounds, reference());
+    let events = scenario().build_events(EventConfig::default());
+    let events = events.expect("valid event scenario");
+    follows_its_scenario(&format!("{label}, events"), events, reference());
+    let actors = scenario().build_actors(1).expect("valid actor scenario");
+    follows_its_scenario(&format!("{label}, actors"), actors, reference());
+}
+
+#[test]
+fn mobility_dynamics_follow_their_scenario_on_every_clock() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(15);
+    let topo = builders::poisson(120.0, 0.12, &mut rng);
+    let n = topo.len();
+    let speed = 0.0..=meters_per_second(10.0);
+    follows_on_every_clock("random waypoint", &topo, || {
+        RandomWaypoint::new(n, speed.clone(), 0.0)
+    });
+    follows_on_every_clock("random direction", &topo, || {
+        RandomDirection::new(n, speed.clone(), 10.0)
+    });
 }

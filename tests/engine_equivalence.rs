@@ -652,9 +652,9 @@ fn event_driver_gated_equals_eager_run_reports() {
     }
 }
 
-/// Everything a generic consumer does, through the `Driver` trait
+/// Everything a generic consumer does, through the `Sim` surface
 /// alone: stabilize, corrupt, re-stabilize, read the fixpoint.
-fn exercise<D: Driver<Protocol = DensityCluster>>(mut d: D) -> Clustering {
+fn exercise<C: Clock<DensityCluster>>(mut d: Sim<DensityCluster, C>) -> Clustering {
     let stop = StopWhen::stable_for(5).within(600);
     d.run_to(&stop).expect_stable("cold start stabilizes");
     let sent = d.messages_total();

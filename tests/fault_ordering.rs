@@ -1,5 +1,6 @@
-//! Pins the **fault clock** of [`Driver`] — where it is stated once —
-//! on all three drivers, each driven through that trait alone.
+//! Pins the **fault clock** of [`Sim`] — where it is stated once — on
+//! all three drivers. A state that differs from the expected one is
+//! named by driver, step and node ([`testkit::first_divergence`]).
 //!
 //! Scripted faults are timestamped in logical steps (beacon periods)
 //! and fire as the driver enters their period, before any of its
@@ -16,8 +17,9 @@
 //! to be closed.
 
 use selfstab::prelude::*;
-use selfstab::sim::EventConfig;
-use selfstab::sim::{Clock, Sim};
+
+mod testkit;
+use testkit::first_divergence;
 
 /// Max-flood over `u32` beacons: any frame leaking across a cut is
 /// permanently visible in the receiver's state.
@@ -63,7 +65,6 @@ impl Corruptible for MaxFlood {
 /// still in flight when the step-1 fault boundary arrives.
 fn slow_frames() -> EventConfig {
     EventConfig {
-        beacon_period: 1.0,
         jitter: 0.0,
         frame_time: 2.0,
     }
@@ -113,12 +114,41 @@ fn event_driver_without_the_fault_delivers_the_same_frames() {
     );
 }
 
+/// What these tests ask of a driver, on every clock: one list holds
+/// the three drivers side by side.
+trait Faulted {
+    fn step(&mut self) -> u64;
+    fn now(&self) -> u64;
+    fn topology(&self) -> &Topology;
+    fn states(&self) -> &[u32];
+    fn inject(&mut self, fault: &Fault) -> Result<(), SimError>;
+    fn run_to(&mut self, stop: &StopWhen<MaxFlood>) -> RunReport;
+}
+
+impl<C: Clock<MaxFlood>> Faulted for Sim<MaxFlood, C> {
+    fn step(&mut self) -> u64 {
+        Sim::step(self)
+    }
+    fn now(&self) -> u64 {
+        Sim::now(self)
+    }
+    fn topology(&self) -> &Topology {
+        Sim::topology(self)
+    }
+    fn states(&self) -> &[u32] {
+        Sim::states(self)
+    }
+    fn inject(&mut self, fault: &Fault) -> Result<(), SimError> {
+        Sim::inject(self, fault)
+    }
+    fn run_to(&mut self, stop: &StopWhen<MaxFlood>) -> RunReport {
+        Sim::run_to(self, stop)
+    }
+}
+
 /// Every driver deployed on `topo` with the faults `plan` scripts:
 /// rounds, events and actors × {1, 2, 4} threads.
-fn all_drivers(
-    topo: &Topology,
-    plan: impl Fn() -> FaultPlan,
-) -> Vec<(String, Box<dyn Driver<Protocol = MaxFlood>>)> {
+fn all_drivers(topo: &Topology, plan: impl Fn() -> FaultPlan) -> Vec<(String, Box<dyn Faulted>)> {
     let scenario = || {
         Scenario::new(MaxFlood)
             .topology(topo.clone())
@@ -126,7 +156,7 @@ fn all_drivers(
             .faults(plan())
     };
     let events = scenario().build_events(EventConfig::default());
-    let mut drivers: Vec<(String, Box<dyn Driver<Protocol = MaxFlood>>)> = vec![
+    let mut drivers: Vec<(String, Box<dyn Faulted>)> = vec![
         (
             "round".into(),
             Box::new(scenario().build().expect("valid scenario")),
@@ -146,9 +176,18 @@ fn all_drivers(
 
 /// Steps `driver` until its clock reads `step`: what is due at `step`
 /// itself has not fired yet.
-fn run_to_step(driver: &mut dyn Driver<Protocol = MaxFlood>, step: u64) {
+fn run_to_step(driver: &mut dyn Faulted, step: u64) {
     while driver.now() < step {
         driver.step();
+    }
+}
+
+/// Panics unless `driver`'s states are `expected`, naming the driver
+/// `label`, its step and the first node that differs.
+fn assert_states(label: &str, driver: &dyn Faulted, expected: &[u32], what: &str) {
+    if let Some(node) = first_divergence(driver.states(), expected) {
+        let now = driver.now();
+        panic!("{label}, step {now}: {what} (left the driver, right expected) at {node}");
     }
 }
 
@@ -159,13 +198,6 @@ fn equal_timestamp_faults_precede_sends_on_both_drivers() {
     // both faults apply before any period-6 beacon, so re-convergence
     // happens on the post-cut fragments {0,1} | {2} | {3,4} — the old
     // maximum must not leak out of a period-6 frame sent pre-fault.
-    let fragments = |label: &str, states: &[u32]| {
-        assert_eq!(states[0], 1, "{label}: left fragment");
-        assert_eq!(states[1], 1, "{label}: left fragment");
-        assert_eq!(states[2], 2, "{label}: isolated node");
-        assert_eq!(states[3], 4, "{label}: right fragment");
-        assert_eq!(states[4], 4, "{label}: right fragment");
-    };
     let plan = || {
         let mut plan = FaultPlan::new();
         plan.at(6, Fault::CorruptAll)
@@ -176,7 +208,8 @@ fn equal_timestamp_faults_precede_sends_on_both_drivers() {
         driver
             .run_to(&StopWhen::stable_for(4).within(200))
             .expect_stable("the driver re-stabilizes");
-        fragments(&label, driver.states());
+        let fragments = [1, 1, 2, 4, 4];
+        assert_states(&label, &*driver, &fragments, "the fragments re-flood alone");
     }
 }
 
@@ -199,32 +232,14 @@ fn partition_heal_keeps_the_cut_closed_until_the_heal_on_all_drivers() {
         .at(5, Fault::CorruptAll);
         plan
     };
-    let pre_heal = |label: &str, states: &[u32]| {
-        assert_eq!(
-            &states[..2],
-            &[1, 1],
-            "{label}: left fragment re-floods alone"
-        );
-        assert_eq!(
-            &states[2..],
-            &[4, 4, 4],
-            "{label}: right fragment re-floods alone"
-        );
-    };
-    let healed = |label: &str, states: &[u32]| {
-        assert_eq!(
-            states,
-            &[4, 4, 4, 4, 4],
-            "{label}: the heal reconnects the flood"
-        );
-    };
     for (label, mut driver) in all_drivers(&builders::line(5), plan) {
         run_to_step(&mut *driver, 14);
-        pre_heal(&label, driver.states());
+        let pre_heal = [1, 1, 4, 4, 4];
+        assert_states(&label, &*driver, &pre_heal, "each side re-floods alone");
         driver
             .run_to(&StopWhen::stable_for(4).within(200))
             .expect_stable("the driver re-stabilizes after the heal");
-        healed(&label, driver.states());
+        assert_states(&label, &*driver, &[4; 5], "the heal reconnects the flood");
     }
 }
 
@@ -247,24 +262,15 @@ fn crash_recover_resurrects_stale_pre_crash_state_on_all_drivers() {
         .at(5, Fault::CorruptAll);
         plan
     };
-    let dark = |label: &str, states: &[u32]| {
-        assert_eq!(states[0], 0, "{label}: dark node keeps its corrupted state");
-        assert_eq!(&states[1..], &[4, 4, 4, 4], "{label}: survivors re-flood");
-    };
-    let back = |label: &str, states: &[u32]| {
-        assert_eq!(
-            states,
-            &[4, 4, 4, 4, 4],
-            "{label}: resurrected and re-joined"
-        );
-    };
     for (label, mut driver) in all_drivers(&builders::line(5), plan) {
         run_to_step(&mut *driver, 14);
-        dark(&label, driver.states());
+        let dark = [0, 4, 4, 4, 4];
+        let what = "the dark node keeps its corrupted state, the survivors re-flood";
+        assert_states(&label, &*driver, &dark, what);
         driver
             .run_to(&StopWhen::stable_for(4).within(200))
             .expect_stable("the driver re-stabilizes after resurrection");
-        back(&label, driver.states());
+        assert_states(&label, &*driver, &[4; 5], "resurrected and re-joined");
     }
 }
 
@@ -361,14 +367,11 @@ fn overlapping_severs_keep_the_cut_closed_on_all_drivers() {
                 !driver.topology().has_edge(n1, n2),
                 "{label}: closed to the end"
             );
-            assert_eq!(
-                driver.states(),
-                &[1, 1, 4, 4, 4],
-                "{label}: the step-11 corruption re-floods each side alone"
-            );
+            let what = "the step-11 corruption re-floods each side alone";
+            assert_states(&label, &*driver, &[1, 1, 4, 4, 4], what);
             run_to_step(&mut *driver, 45);
             assert!(driver.topology().has_edge(n1, n2), "{label}: healed at 30");
-            assert_eq!(driver.states(), &[4; 5], "{label}: the flood crosses");
+            assert_states(&label, &*driver, &[4; 5], "the flood crosses");
         }
     }
 }
@@ -427,10 +430,10 @@ fn inject_rejects_malformed_faults_without_panicking_on_all_drivers() {
         );
         // Nothing changed, and the driver is still usable.
         assert_eq!(driver.topology(), &path, "{label}");
-        assert_eq!(driver.states(), &[4; 5], "{label}");
+        assert_states(&label, &*driver, &[4; 5], "nothing changed");
         driver.inject(&Fault::CorruptAll).expect("a valid fault");
         run_to_step(&mut *driver, 30);
-        assert_eq!(driver.states(), &[4; 5], "{label}: heals after the rejects");
+        assert_states(&label, &*driver, &[4; 5], "heals after the rejects");
     }
 }
 
@@ -470,7 +473,10 @@ fn mutators_equal_their_fault_twins<C: Clock<MaxFlood>>(
         injected.inject(fault).expect("a valid fault");
         let at = format!("{label}: {}", fault.kind_name());
         assert_eq!(mutated.run_to(&stop), injected.run_to(&stop), "{at}");
-        assert_eq!(mutated.states(), injected.states(), "{at}");
+        if let Some(node) = first_divergence(mutated.states(), injected.states()) {
+            let now = mutated.now();
+            panic!("{at}, step {now}: states differ (left mutated, right injected) at {node}");
+        }
         assert_eq!(mutated.outputs(), injected.outputs(), "{at}");
         assert_eq!(mutated.messages_total(), injected.messages_total(), "{at}");
     }
@@ -489,11 +495,11 @@ fn a_move_that_joins_two_components_floods_the_joined_maximum<C: Clock<MaxFlood>
     let mut d = build(&topo);
     let stop = StopWhen::stable_for(4).within(200);
     d.run_to(&stop).expect_stable("both components settle");
-    assert_eq!(d.states(), &[2, 2, 2, 5, 5, 5], "{label}: apart");
+    assert_states(label, &d, &[2, 2, 2, 5, 5, 5], "apart");
     let delta = d.apply_moves(&[(NodeId::new(0), at(0.5))]);
     assert!(!delta.added.is_empty(), "{label}: the move adds links");
     d.run_to(&stop).expect_stable("the joined path settles");
-    assert_eq!(d.states(), &[5; 6], "{label}: joined");
+    assert_states(label, &d, &[5; 6], "joined");
 }
 
 #[test]

@@ -24,7 +24,6 @@
 use mwn_cluster::NeighborEntry;
 use rand::SeedableRng;
 use selfstab::prelude::*;
-use selfstab::sim::{Clock, Sim};
 
 fn event_driven_config() -> ClusterConfig {
     ClusterConfig::default().event_driven()

@@ -91,11 +91,11 @@ fn the_event_clock_counts_receives_holds_and_settled_passes() {
     assert_eq!(eager.receives(), eager.frames_delivered());
 }
 
-/// A gated period-clock driver beside its eager twin/// A gated period-clock driver beside its eager twin, both from cold
+/// A gated period-clock driver beside its eager twin, both from cold
 /// start to a stable clustering: the same report, and equal states
 /// after every step of a second, stepped run. Returns the gated
 /// driver's guard passes in that run, summed.
-fn beside_eager<D: Driver>(build: impl Fn(bool) -> D, updates: impl Fn(&D) -> usize) -> usize {
+fn beside_eager<C: Clock<DensityCluster>>(build: impl Fn(bool) -> Sim<DensityCluster, C>) -> usize {
     let stop = StopWhen::stable_for(3).within(200);
     let (mut gated, mut eager) = (build(false), build(true));
     let report = gated.run_to(&stop);
@@ -111,9 +111,13 @@ fn beside_eager<D: Driver>(build: impl Fn(bool) -> D, updates: impl Fn(&D) -> us
             gated.states() == eager.states(),
             "trajectories diverged in step {step}"
         );
-        passes += updates(&gated);
+        passes += gated.last_activity().updates;
     }
-    assert_eq!(updates(&gated), 0, "the storm and its tail are over");
+    assert_eq!(
+        gated.last_activity().updates,
+        0,
+        "the storm and its tail are over"
+    );
     passes
 }
 
@@ -135,14 +139,14 @@ fn converging_period_clocks_skip_held_only_passes_on_the_eager_trajectory() {
         net.set_eager(eager);
         net
     };
-    let passes = beside_eager(rounds, |d| d.last_activity().updates);
+    let passes = beside_eager(rounds);
     assert_eq!(passes, PASSES, "round driver");
     let actors = |eager: bool| {
         let mut actors = scenario().build_actors(2).expect("valid actor scenario");
         actors.set_eager(eager);
         actors
     };
-    let passes = beside_eager(actors, |d| d.last_activity().updates);
+    let passes = beside_eager(actors);
     assert_eq!(passes, PASSES, "actor fabric");
 }
 
