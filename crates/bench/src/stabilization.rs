@@ -13,7 +13,7 @@ use mwn_cluster::{ClusterConfig, DagVariant, DensityCluster};
 use mwn_graph::builders;
 use mwn_metrics::{RunningStats, Table};
 use mwn_radio::BernoulliLoss;
-use mwn_sim::{Scenario, StopWhen, Sweep};
+use mwn_sim::{Fault, FaultPlan, Scenario, StopWhen, Sweep};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -77,13 +77,16 @@ pub fn run(scale: ExperimentScale) -> StabilizationResult {
         let corrupted = Sweep::over(per_point, scale.seed ^ (n as u64) << 2).map(|seed| {
             let mut rng = StdRng::seed_from_u64(seed);
             let topo = builders::poisson(n as f64, radius, &mut rng);
+            // Every node corrupted as step 30 begins.
+            let mut plan = FaultPlan::new();
+            plan.at(30, Fault::CorruptAll);
             let mut net = Scenario::new(DensityCluster::new(ClusterConfig::default()))
                 .topology(topo)
                 .seed(seed)
+                .faults(plan)
                 .build()
                 .expect("valid scenario");
             net.run(30);
-            net.corrupt_all();
             let start = net.now();
             let report = net.run_to(&StopWhen::stable_for(4).within(2000));
             let stabilized = report.expect_stable("reconverges (self-stabilization)");

@@ -372,7 +372,7 @@ mod tests {
     use super::*;
     use mwn_graph::builders;
     use mwn_radio::BernoulliLoss;
-    use mwn_sim::{Network, Scenario, StopWhen};
+    use mwn_sim::{Fault, Network, Scenario, StopWhen};
     use rand::SeedableRng;
 
     fn names_of(net: &Network<DagProtocol, impl mwn_radio::Medium>) -> Vec<u32> {
@@ -472,7 +472,7 @@ mod tests {
             .build()
             .expect("valid scenario");
         net.run(20);
-        net.corrupt_all();
+        net.inject(&Fault::CorruptAll).expect("a valid fault");
         net.run_to(&StopWhen::stable_for(5).within(500))
             .expect_stable("reconvergence after corruption");
         let names = names_of(&net);

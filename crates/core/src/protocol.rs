@@ -1027,7 +1027,7 @@ mod tests {
     use super::*;
     use mwn_graph::builders;
     use mwn_radio::{BernoulliLoss, PerfectMedium, SlottedCsma};
-    use mwn_sim::{Network, Scenario, StopWhen};
+    use mwn_sim::{Fault, Network, Scenario, StopWhen};
 
     use crate::{oracle, OracleConfig};
 
@@ -1144,7 +1144,7 @@ mod tests {
             .expect("valid scenario");
         net.run(20);
         let before = extract_clustering(net.states()).unwrap();
-        net.corrupt_all();
+        net.inject(&Fault::CorruptAll).expect("a valid fault");
         net.run_to(&StopWhen::stable_for(5).within(500))
             .expect_stable("reconverges after corruption");
         let after = extract_clustering(net.states()).unwrap();
@@ -1335,7 +1335,7 @@ mod tests {
             .expect("valid scenario");
         net.run(25);
         let before = extract_clustering(net.states()).unwrap();
-        net.corrupt_all();
+        net.inject(&Fault::CorruptAll).expect("a valid fault");
         net.run_to(&StopWhen::stable_for(5).within(1000))
             .expect_stable("reconverges after corruption");
         let after = extract_clustering(net.states()).unwrap();
@@ -1354,7 +1354,8 @@ mod tests {
             .build()
             .expect("valid scenario");
         net.run(15);
-        net.isolate(NodeId::new(2));
+        net.inject(&Fault::Isolate(NodeId::new(2)))
+            .expect("a valid fault");
         assert!(
             net.state(NodeId::new(1)).cache.is_empty()
                 || !net

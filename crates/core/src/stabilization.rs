@@ -173,7 +173,7 @@ mod tests {
     use super::*;
     use crate::ClusterConfig;
     use mwn_graph::builders;
-    use mwn_sim::Scenario;
+    use mwn_sim::{Fault, Scenario};
 
     #[test]
     fn stabilized_run_is_legitimate() {
@@ -208,7 +208,7 @@ mod tests {
             .expect("valid scenario");
         net.run(30);
         assert_eq!(check_legitimate(&net), Ok(()));
-        net.corrupt_all();
+        net.inject(&Fault::CorruptAll).expect("a valid fault");
         assert!(check_legitimate(&net).is_err());
         net.run(40);
         assert_eq!(check_legitimate(&net), Ok(()));

@@ -1496,7 +1496,7 @@ proptest! {
             .expect("valid scenario");
         net.run(30);
         let fixpoint = extract_clustering(net.states()).expect("stabilized");
-        net.corrupt_all();
+        net.inject(&Fault::CorruptAll).expect("a valid fault");
         net.run_to(&StopWhen::stable_for(3).within(600)).expect_stable("reconverges");
         prop_assert_eq!(extract_clustering(net.states()).expect("clean"), fixpoint.clone());
         // Closure: keep running, nothing moves.
@@ -1525,7 +1525,7 @@ proptest! {
             .expect("valid scenario");
         let stop = StopWhen::stable_for(4).within(800);
         net.run_to(&stop).expect_stable("N1 converges");
-        net.corrupt_all();
+        net.inject(&Fault::CorruptAll).expect("a valid fault");
         net.run_to(&stop).expect_stable("N1 reconverges");
         let names: Vec<u32> = net.states().iter().map(|s| s.dag_id).collect();
         prop_assert!(is_locally_unique(net.topology(), &names));

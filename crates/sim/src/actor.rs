@@ -479,7 +479,7 @@ where
     /// state, which cannot be replayed concurrently. The statistical
     /// occupancy fold that lets such a medium gate on the round and
     /// event clocks does not carry over to message-passing actors.
-    pub fn new(
+    pub(crate) fn new(
         protocol: P,
         medium: M,
         topo: Topology,
@@ -685,14 +685,18 @@ mod tests {
                 .run_to(&StopWhen::stable_for(3).within(100))
                 .expect_stable("the flood converges");
             driver.set_eager(true);
-            driver.corrupt(NodeId::new(14));
+            driver
+                .inject(&Fault::CorruptNode(NodeId::new(14)))
+                .expect("a valid fault");
             driver.run(30);
             driver.set_eager(false);
             let before = driver.states().to_vec();
             driver.step();
             assert_eq!(driver.states(), before, "the eager stretch had repaired it");
             assert_eq!(driver.last_activity().changed, 0, "threads={threads}");
-            driver.corrupt(NodeId::new(14));
+            driver
+                .inject(&Fault::CorruptNode(NodeId::new(14)))
+                .expect("a valid fault");
             driver.step();
             assert_eq!(driver.last_activity().changed, 1, "a gated fault still is");
         }

@@ -24,7 +24,11 @@ use crate::{
 /// clock — steps on the round clock, beacon periods on the other two.
 /// A consumer that is generic over the execution model (traffic, the
 /// chaos certifier, the CLI) takes a `&mut Sim<P, C>` with
-/// `C: Clock<P>`.
+/// `C: Clock<P>`. A run is built by [`crate::Scenario`] alone, and
+/// changed from outside only by [`Sim::inject`] (every transient
+/// fault, validated), [`Sim::apply_moves`] (mobility),
+/// [`Sim::state_mut`] (a hand-crafted state), [`Sim::set_eager`] and
+/// [`Sim::stop_dynamics`].
 ///
 /// **The fault clock**, the same on all three: a fault or followup
 /// scripted at step `k`, and a mobility tick at `k`, fires as the
@@ -236,36 +240,6 @@ impl<P: Protocol, C: Clock<P>> Sim<P, C> {
         self.env.stop_dynamics()
     }
 
-    /// Severs every link of `p` by removing its edges — the node's
-    /// radio goes dark but its state survives (crash of the *link*
-    /// layer). Fires [`Protocol::link_down`] on both endpoints of every
-    /// severed link. Use [`Sim::set_topology`] to restore
-    /// connectivity.
-    pub fn isolate(&mut self, p: NodeId) {
-        self.env.isolate(p);
-        C::sync(self);
-    }
-
-    /// Replaces the topology (same node count), e.g. after a mobility
-    /// tick moved nodes. States are preserved: the protocol must cope
-    /// with neighbors appearing and disappearing — that is the point.
-    ///
-    /// The swap enters through the same delta path as a move
-    /// ([`Topology::replace`]): every link it cuts fires
-    /// [`Protocol::link_down`] on both endpoints, and exactly the nodes
-    /// whose links changed wake.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NodeCountMismatch`] if the node count
-    /// changes: protocol state is indexed by node, so nodes cannot be
-    /// added or removed mid-run.
-    pub fn set_topology(&mut self, topo: Topology) -> Result<(), SimError> {
-        self.env.set_topology(topo)?;
-        C::sync(self);
-        Ok(())
-    }
-
     /// Applies incremental node moves to the simulated topology
     /// (unit-disk only), waking exactly the nodes whose links changed.
     /// Returns the link churn.
@@ -314,35 +288,6 @@ impl<P: Observable, C: Clock<P>> Sim<P, C> {
 }
 
 impl<P: Corruptible, C: Clock<P>> Sim<P, C> {
-    /// Corrupts the state of one node arbitrarily.
-    pub fn corrupt(&mut self, p: NodeId) {
-        self.env.corrupt(p);
-        C::sync(self);
-    }
-
-    /// Corrupts every node: the adversarial "arbitrary initial
-    /// configuration" of the self-stabilization definition.
-    pub fn corrupt_all(&mut self) {
-        for p in 0..self.env.topo.len() as u32 {
-            self.env.corrupt(NodeId::new(p));
-        }
-        C::sync(self);
-    }
-
-    /// Corrupts a deterministic pseudo-random subset of about
-    /// `fraction` of the nodes; returns how many were corrupted.
-    ///
-    /// The subset is drawn from a dedicated fault stream, and every
-    /// corruption from a stream derived per event: injecting faults
-    /// never perturbs frame delivery or beacon timing, so two runs with
-    /// the same seed see identical deliveries whether or not one of
-    /// them injects faults.
-    pub fn corrupt_fraction(&mut self, fraction: f64) -> usize {
-        let corrupted = self.env.corrupt_fraction(fraction);
-        C::sync(self);
-        corrupted
-    }
-
     /// Applies one [`Fault`] right now — the entry point the chaos
     /// harness uses to drive unscripted campaigns. Timed second phases
     /// (resurrection, healing, lie expiry) are scheduled as followups
@@ -355,9 +300,9 @@ impl<P: Corruptible, C: Clock<P>> Sim<P, C> {
     /// # Errors
     ///
     /// Whatever [`crate::FaultPlan::validate_for`] rejects — an
-    /// out-of-range victim, a [`Fault::SetTopology`] that changes the
-    /// node count, a disk region on an unpositioned topology. A
-    /// rejected fault changes nothing.
+    /// out-of-range victim, a NaN fraction, a [`Fault::SetTopology`]
+    /// that changes the node count, a disk region on an unpositioned
+    /// topology. A rejected fault changes nothing.
     pub fn inject(&mut self, fault: &Fault) -> Result<(), SimError> {
         self.env.inject(self.now(), fault)?;
         C::sync(self);

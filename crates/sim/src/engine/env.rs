@@ -38,11 +38,11 @@ use crate::scenario::TopologyDynamics;
 use crate::stop::{Obs, RunReport, StopWhen};
 use crate::{Activity, Clock, Corruptible, Observable, Protocol, Sim, SimError, StepActivity};
 
-/// The boxed corruption hook installed by [`crate::Scenario::faults`]:
-/// it captures the [`Corruptible`] capability so scripted faults can
-/// fire inside a driver's step without bounding every driver method.
-pub(crate) type Corruptor<P> =
-    Box<dyn Fn(&P, NodeId, &mut <P as Protocol>::State, &mut StdRng) + Send + Sync>;
+/// The corruption hook installed by [`crate::Scenario::faults`] and
+/// [`Env::inject`] ([`Env::corruptor`]): it captures the
+/// [`Corruptible`] capability so scripted faults can fire inside a
+/// driver's step without bounding every driver method.
+pub(crate) type Corruptor<P> = fn(&P, NodeId, &mut <P as Protocol>::State, &mut StdRng);
 
 /// A timed second phase of a fault, executed at a later logical-step
 /// boundary — before that boundary's scripted faults, which fire
@@ -75,8 +75,8 @@ fn scramble<P: Protocol>(
         Some(corrupt) => corrupt(protocol, p, state, rng),
         None => debug_assert!(
             false,
-            "a corruption fired without its hook: Scenario::faults and the \
-             Corruptible entry points install it before any fault can fire"
+            "a corruption fired without its hook: Scenario::faults and \
+             Env::inject install it before any fault can fire"
         ),
     }
 }
@@ -579,15 +579,13 @@ impl<P: Protocol> Env<P> {
         self.env_changed = true;
         let due = fault.settles_by(now);
         match fault {
-            Fault::CorruptNode(p) => self.corrupt_scripted(*p),
+            Fault::CorruptNode(p) => self.corrupt(*p),
             Fault::CorruptAll => {
                 for i in 0..self.topo.len() {
-                    self.corrupt_scripted(NodeId::new(i as u32));
+                    self.corrupt(NodeId::new(i as u32));
                 }
             }
-            Fault::CorruptFraction(f) => {
-                self.pick_fraction(*f);
-            }
+            Fault::CorruptFraction(f) => self.corrupt_fraction(*f),
             Fault::Isolate(p) => {
                 self.isolate(*p);
             }
@@ -617,16 +615,17 @@ impl<P: Protocol> Env<P> {
     /// Scrambles `p`'s state on a fresh per-event stream — however
     /// much randomness the corruptor consumes, no other stream moves —
     /// and reschedules it.
-    fn corrupt_scripted(&mut self, p: NodeId) {
+    fn corrupt(&mut self, p: NodeId) {
         let mut rng = self.corrupt_rng(p);
         let state = self.table.state_mut(p);
         scramble(&self.corruptor, &self.protocol, p, state, &mut rng);
         self.wake_mutated(p);
     }
 
-    /// Corrupts ≈ `fraction` of the nodes, picked from the dedicated
-    /// fault stream into the reused scratch buffer; returns how many.
-    fn pick_fraction(&mut self, fraction: f64) -> usize {
+    /// Corrupts ≈ `fraction` of the nodes (clamped to `[0, 1]`; NaN is
+    /// rejected by [`Fault::validate_for`]), picked from the dedicated
+    /// fault stream into the reused scratch buffer.
+    fn corrupt_fraction(&mut self, fraction: f64) {
         let mut picks = std::mem::take(&mut self.scratch_nodes);
         picks.clear();
         let fraction = fraction.clamp(0.0, 1.0);
@@ -636,10 +635,9 @@ impl<P: Protocol> Env<P> {
             }
         }
         for &p in &picks {
-            self.corrupt_scripted(p);
+            self.corrupt(p);
         }
         self.scratch_nodes = picks;
-        self.scratch_nodes.len()
     }
 
     /// [`Fault::CrashRecover`]: snapshot state + links, go dark, hold
@@ -795,7 +793,7 @@ impl<P: Protocol> Env<P> {
     ///
     /// [`SimError::NodeCountMismatch`] if the node count changes:
     /// protocol state is indexed by node.
-    pub fn set_topology(&mut self, topo: Topology) -> Result<(), SimError> {
+    fn set_topology(&mut self, topo: Topology) -> Result<(), SimError> {
         if topo.len() != self.topo.len() {
             return Err(SimError::NodeCountMismatch {
                 expected: self.topo.len(),
@@ -819,7 +817,7 @@ impl<P: Protocol> Env<P> {
     /// Severs every link of `p` by removing its edges — the node's
     /// radio goes dark but its state survives (crash of the *link*
     /// layer) — through [`Env::cut`]; returns the cut links.
-    pub fn isolate(&mut self, p: NodeId) -> Vec<(NodeId, NodeId)> {
+    fn isolate(&mut self, p: NodeId) -> Vec<(NodeId, NodeId)> {
         let links = self.topo.neighbors(p).iter().map(|&q| ordered(p, q));
         let cut = self.cut(links.collect());
         // The victim counts as mutated even with no link left to cut
@@ -853,28 +851,14 @@ impl<P: Observable> Env<P> {
 }
 
 impl<P: Corruptible> Env<P> {
-    /// Unscripted corruption needs the hook [`crate::Scenario::faults`]
-    /// would have installed.
-    fn arm_corruptor(&mut self) {
-        self.corruptor.get_or_insert_with(|| {
-            Box::new(|protocol, p, state, rng| protocol.corrupt(p, state, rng))
-        });
+    /// The corruption hook of a [`Corruptible`] protocol: its own
+    /// [`Corruptible::corrupt`].
+    pub fn corruptor() -> Corruptor<P> {
+        P::corrupt
     }
 
-    /// Corrupts the state of one node arbitrarily.
-    pub fn corrupt(&mut self, p: NodeId) {
-        self.arm_corruptor();
-        self.corrupt_scripted(p);
-    }
-
-    /// Corrupts a deterministic pseudo-random ≈ `fraction` of the
-    /// nodes; returns how many.
-    pub fn corrupt_fraction(&mut self, fraction: f64) -> usize {
-        self.arm_corruptor();
-        self.pick_fraction(fraction)
-    }
-
-    /// Applies one [`Fault`] at logical step `now`.
+    /// Applies one [`Fault`] at logical step `now`, with the hook
+    /// [`crate::Scenario::faults`] would have installed.
     ///
     /// # Errors
     ///
@@ -882,7 +866,7 @@ impl<P: Corruptible> Env<P> {
     /// topology; a rejected fault changes nothing.
     pub fn inject(&mut self, now: u64, fault: &Fault) -> Result<(), SimError> {
         fault.validate_for(&self.topo)?;
-        self.arm_corruptor();
+        self.corruptor.get_or_insert(Self::corruptor());
         self.dispatch_fault(now, fault)
     }
 }

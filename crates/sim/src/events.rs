@@ -334,8 +334,7 @@ impl<B: Clone> Lanes<B> {
 ///
 /// ```
 /// use mwn_graph::builders;
-/// use mwn_radio::PerfectMedium;
-/// use mwn_sim::{EventConfig, EventDriver, Protocol};
+/// use mwn_sim::{EventConfig, Protocol, Scenario};
 /// use mwn_graph::NodeId;
 /// use rand::rngs::StdRng;
 ///
@@ -351,8 +350,10 @@ impl<B: Clone> Lanes<B> {
 ///     fn update(&self, _n: NodeId, _s: &mut u32, _now: u64, _rng: &mut StdRng) {}
 /// }
 ///
-/// let topo = builders::line(5);
-/// let mut driver = EventDriver::new(MaxFlood, PerfectMedium, topo, EventConfig::default(), 3)
+/// let mut driver = Scenario::new(MaxFlood)
+///     .topology(builders::line(5))
+///     .seed(3)
+///     .build_events(EventConfig::default())
 ///     .expect("valid configuration");
 /// driver.run_until_time(30.0);
 /// assert!(driver.states().iter().all(|&s| s == 4));
@@ -437,7 +438,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     ///
     /// [`SimError::InvalidConfig`] when a parameter of `config` is out
     /// of range ([`EventConfig::check`]).
-    pub fn new(
+    pub(crate) fn new(
         protocol: P,
         medium: M,
         topo: Topology,
@@ -1185,7 +1186,7 @@ mod tests {
     fn corruption_then_reconvergence() {
         let mut d = driver(MaxFlood, PerfectMedium, builders::ring(8));
         d.run_until_time(20.0);
-        d.corrupt_all();
+        d.inject(&Fault::CorruptAll).expect("a valid fault");
         assert!(d.states().iter().all(|&s| s == 0));
         d.run_until_time(60.0);
         assert!(d.states().iter().all(|&s| s == 7));
@@ -1298,7 +1299,7 @@ mod tests {
             "a quiet interval processes zero events"
         );
         // Waking one node re-floods without a full restart.
-        d.corrupt_all();
+        d.inject(&Fault::CorruptAll).expect("a valid fault");
         d.run_until_time(1100.0);
         assert!(d.states().iter().all(|&s| s == 5), "healed after wake");
         assert!(d.messages_total() > msgs, "healing requires traffic");
@@ -1312,7 +1313,7 @@ mod tests {
             let mut d = driver(GatedFlood, BernoulliLoss::new(0.7), builders::ring(9));
             d.set_eager(eager);
             d.run_until_time(25.0);
-            d.corrupt_all();
+            d.inject(&Fault::CorruptAll).expect("a valid fault");
             let stable = d.run_until_output_stable(0.5, 6, 400.0);
             (d.states().to_vec(), stable)
         };

@@ -30,8 +30,9 @@
 //! `tests/fault_ordering.rs` pins. Overlapping severs compose: an edge
 //! comes back only when the last fault holding it down ends.
 //!
-//! Malformed plans (out-of-range victims, node-count-changing
-//! topologies, position-free deployments with disk regions) are
+//! Malformed plans (out-of-range victims, NaN fractions,
+//! node-count-changing topologies, position-free deployments with disk
+//! regions) are
 //! rejected **before the run starts** by [`FaultPlan::validate_for`],
 //! which the [`crate::Scenario`] builders call — a bad campaign fails
 //! the build with a typed [`SimError`], not the process.
@@ -102,16 +103,31 @@ impl Region {
 pub enum Fault {
     /// Corrupt the state of one node arbitrarily.
     CorruptNode(NodeId),
-    /// Corrupt every node (restart the self-stabilization clock).
+    /// Corrupt every node: the adversarial "arbitrary initial
+    /// configuration" of the self-stabilization definition (restarts
+    /// the self-stabilization clock).
     CorruptAll,
-    /// Corrupt approximately this fraction of nodes.
+    /// Corrupt a deterministic pseudo-random subset of about this
+    /// fraction of the nodes (clamped to `[0, 1]`; NaN is rejected).
+    ///
+    /// The subset is drawn from a dedicated fault stream, and every
+    /// corruption from a stream derived per event: injecting faults
+    /// never perturbs frame delivery or beacon timing, so two runs with
+    /// the same seed see identical deliveries whether or not one of
+    /// them injects faults.
     CorruptFraction(f64),
-    /// Sever all links of a node (its radio goes dark).
+    /// Sever all links of a node: its radio goes dark but its state
+    /// survives (a crash of the *link* layer). Every severed link fires
+    /// [`crate::Protocol::link_down`] on both endpoints; a
+    /// [`Fault::SetTopology`] restores connectivity.
     Isolate(NodeId),
     /// Replace the topology (e.g. restore links, or apply a mobility
-    /// snapshot). Must keep the node count. Every link the swap cuts
+    /// snapshot), states preserved: the protocol must cope with
+    /// neighbors appearing and disappearing. Every link the swap cuts
     /// fires [`crate::Protocol::link_down`] on both endpoints, and only
-    /// the nodes whose links changed wake.
+    /// the nodes whose links changed wake. A swap that changes the node
+    /// count is rejected with [`SimError::NodeCountMismatch`]: protocol
+    /// state is indexed by node.
     SetTopology(Topology),
     /// The node crashes (all links severed) and resurrects `dark_for`
     /// steps later with its **stale pre-crash state** and its
@@ -206,6 +222,9 @@ impl Fault {
                 expected: n,
                 got: t.len(),
             }),
+            Fault::CorruptFraction(f) if f.is_nan() => Err(SimError::InvalidConfig(
+                "a corruption fraction must be a number, not NaN".to_string(),
+            )),
             Fault::PartitionHeal { cut, .. } => {
                 cut.iter().try_for_each(|p| check_node(*p, "partition-cut"))
             }
@@ -302,8 +321,8 @@ impl FaultPlan {
     ///
     /// [`SimError::NodeCountMismatch`] for a [`Fault::SetTopology`]
     /// that changes the node count; [`SimError::InvalidConfig`] for
-    /// out-of-range victims or a [`Region::Disk`] over a topology
-    /// without positions.
+    /// out-of-range victims, a NaN [`Fault::CorruptFraction`] or a
+    /// [`Region::Disk`] over a topology without positions.
     pub fn validate_for(&self, topo: &Topology) -> Result<(), SimError> {
         self.events
             .iter()

@@ -155,8 +155,8 @@ impl StepActivity {
 /// (`tests/storage_order.rs`). [`Network::states`] publishes the state
 /// column in id order when asked.
 ///
-/// Networks are normally built through [`crate::Scenario`]; the
-/// constructor remains available as the low-level interface.
+/// A network is built by [`crate::Scenario::build`], the one
+/// constructor of every run.
 pub type Network<P, M> = Sim<P, Rounds<M>>;
 
 /// The round clock of a [`Network`]: the period count, the medium and
@@ -343,8 +343,9 @@ fn ask<'a, P: Protocol>(
 }
 
 impl<P: Protocol, M: Medium> Network<P, M> {
-    /// Creates a network of cold-start nodes over `topo`.
-    pub fn new(protocol: P, medium: M, topo: Topology, seed: u64) -> Self {
+    /// Creates a network of cold-start nodes over `topo`
+    /// ([`crate::Scenario::build`]).
+    pub(crate) fn new(protocol: P, medium: M, topo: Topology, seed: u64) -> Self {
         let env = Env::new(protocol, topo, seed, streams::ROUND_FAULT);
         // The node count is fixed for a driver's life: what a lossless
         // step writes is sized here, so no step is the one that allocates.
@@ -452,22 +453,15 @@ mod tests {
     fn corruption_then_reconvergence() {
         let mut net = Network::new(MaxFlood, PerfectMedium, builders::ring(8), 4);
         net.run(10);
-        net.corrupt_all();
+        net.inject(&Fault::CorruptAll).expect("a valid fault");
         assert!(net.states().iter().all(|&s| s == 0));
         net.run(10);
         assert!(net.states().iter().all(|&s| s == 7));
     }
 
     #[test]
-    fn corrupt_fraction_reports_count() {
-        let mut net = Network::new(MaxFlood, PerfectMedium, builders::ring(50), 5);
-        let corrupted = net.corrupt_fraction(0.5);
-        assert!(corrupted > 5 && corrupted < 45, "got {corrupted}");
-    }
-
-    #[test]
     fn fault_stream_is_independent_of_delivery_stream() {
-        // Regression: corrupt_fraction used to draw from the medium's
+        // Regression: CorruptFraction used to draw from the medium's
         // stream, so "same seed + one corruption call" changed which
         // frames were later lost. With a dedicated fault stream, a run
         // that injects (zero-effect) faults sees identical deliveries.
@@ -476,7 +470,10 @@ mod tests {
             net.run(3);
             if inject {
                 // Draws from the fault stream but corrupts nobody.
-                assert_eq!(net.corrupt_fraction(0.0), 0);
+                let before = net.states().to_vec();
+                let nobody = Fault::CorruptFraction(0.0);
+                net.inject(&nobody).expect("a valid fault");
+                assert_eq!(net.states(), before);
             }
             net.run(12);
             net.states().to_vec()
@@ -491,7 +488,8 @@ mod tests {
     #[test]
     fn isolation_stops_information_flow() {
         let mut net = Network::new(MaxFlood, PerfectMedium, builders::line(5), 6);
-        net.isolate(NodeId::new(2)); // cut the middle
+        net.inject(&Fault::Isolate(NodeId::new(2)))
+            .expect("a valid fault"); // cut the middle
         net.run(20);
         // Max id 4 cannot cross the cut.
         assert_eq!(*net.state(NodeId::new(0)), 1);
@@ -557,7 +555,9 @@ mod tests {
     #[test]
     fn set_topology_rejects_resize() {
         let mut net = Network::new(MaxFlood, PerfectMedium, builders::line(4), 1);
-        let err = net.set_topology(builders::line(5)).unwrap_err();
+        let err = net
+            .inject(&Fault::SetTopology(builders::line(5)))
+            .unwrap_err();
         assert_eq!(
             err,
             SimError::NodeCountMismatch {
@@ -567,7 +567,7 @@ mod tests {
         );
         // The rejected swap left the network untouched.
         assert_eq!(net.topology().len(), 4);
-        assert!(net.set_topology(builders::line(4)).is_ok());
+        assert!(net.inject(&Fault::SetTopology(builders::line(4))).is_ok());
     }
 
     #[test]
@@ -606,7 +606,7 @@ mod tests {
             let mut net = Network::new(GatedFlood, BernoulliLoss::new(0.6), builders::ring(10), 13);
             net.set_eager(eager);
             net.run(5);
-            net.corrupt_all();
+            net.inject(&Fault::CorruptAll).expect("a valid fault");
             let report = net.run_to(&StopWhen::stable_for(8).within(1000));
             (report, net.states().to_vec(), net.now())
         };
@@ -634,7 +634,8 @@ mod tests {
             let (mut steps, mut folded) = (0, 0);
             for round in 0..120u32 {
                 if round % 30 == 29 {
-                    net.corrupt(NodeId::new(round % n as u32));
+                    net.inject(&Fault::CorruptNode(NodeId::new(round % n as u32)))
+                        .expect("a valid fault");
                 }
                 let now = net.now();
                 net.step();
@@ -679,7 +680,8 @@ mod tests {
         net.run_to(&StopWhen::stable_for(2).within(100));
         net.run(3);
         assert_eq!(net.last_activity().senders, 0);
-        net.corrupt(NodeId::new(4));
+        net.inject(&Fault::CorruptNode(NodeId::new(4)))
+            .expect("a valid fault");
         assert_eq!(*net.state(NodeId::new(4)), 0);
         let report = net.run_to(&StopWhen::stable_for(2).within(100));
         assert!(report.is_stable());
@@ -696,7 +698,8 @@ mod tests {
         net.run_to(&StopWhen::stable_for(3).within(100))
             .expect_stable("the flood converges");
         net.set_eager(true);
-        net.corrupt(NodeId::new(14));
+        net.inject(&Fault::CorruptNode(NodeId::new(14)))
+            .expect("a valid fault");
         net.run(30);
         net.set_eager(false);
         let before = net.states().to_vec();
@@ -705,7 +708,8 @@ mod tests {
         assert!(net.last_changed().is_empty(), "{:?}", net.last_changed());
         assert_eq!(net.last_activity().changed, 0);
         // A fault between gated steps is still reported, exactly once.
-        net.corrupt(NodeId::new(14));
+        net.inject(&Fault::CorruptNode(NodeId::new(14)))
+            .expect("a valid fault");
         net.step();
         assert_eq!(net.last_changed(), [NodeId::new(14)]);
         net.run_to(&StopWhen::stable_for(3).within(100))
@@ -733,7 +737,7 @@ mod tests {
             let mut net = Network::new(GatedFlood, BernoulliLoss::new(0.7), builders::ring(24), 8);
             net.set_shards(shards);
             net.run(6);
-            net.corrupt_all();
+            net.inject(&Fault::CorruptAll).expect("a valid fault");
             let report = net.run_to(&StopWhen::stable_for(5).within(500));
             (report, net.states().to_vec(), net.messages_total())
         };

@@ -1,8 +1,8 @@
 //! The fluent, typed scenario builder — the single front door for
 //! every experiment, example and test in the workspace.
 //!
-//! A scenario owns the wiring that `Network::new` callers used to
-//! duplicate: protocol, medium, topology, seed, plus the optional
+//! A scenario owns the wiring of a run — the only way to build one:
+//! protocol, medium, topology, seed, plus the optional
 //! moving parts (a mobility model driving the topology, a scripted
 //! fault plan). Building returns a `Result` with a typed
 //! [`SimError`] instead of panicking.
@@ -47,7 +47,7 @@
 use mwn_graph::{NodeId, Point2, Topology};
 use mwn_radio::{Medium, PerfectMedium};
 
-use crate::engine::Corruptor;
+use crate::engine::{Corruptor, Env};
 use crate::{
     ActorDriver, Corruptible, EventConfig, EventDriver, FaultPlan, Network, Protocol, Sim,
     SimError, WireBeacon,
@@ -136,9 +136,7 @@ impl<P: Protocol, M: Medium> Scenario<P, M> {
     where
         P: Corruptible,
     {
-        let corruptor: Corruptor<P> =
-            Box::new(|protocol, node, state, rng| protocol.corrupt(node, state, rng));
-        self.faults = Some((plan, corruptor));
+        self.faults = Some((plan, Env::corruptor()));
         self
     }
 

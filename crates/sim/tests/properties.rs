@@ -6,8 +6,8 @@
 use mwn_graph::{builders, traversal, NodeId, Point2, Topology};
 use mwn_radio::{BernoulliLoss, Medium, PerfectMedium, SlottedCsma};
 use mwn_sim::{
-    Activity, Corruptible, EventConfig, EventDriver, Fault, FaultPlan, Lie, Network, Observable,
-    Protocol, Region, Scenario, StopWhen,
+    Activity, Corruptible, EventConfig, Fault, FaultPlan, Lie, Observable, Protocol, Region,
+    Scenario, StopWhen,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -236,7 +236,7 @@ proptest! {
     /// after k steps a node knows the max id within its k-ball.
     #[test]
     fn round_driver_information_speed(topo in topo_strategy(), k in 1u64..6) {
-        let mut net = Network::new(MaxFlood, PerfectMedium, topo.clone(), 1);
+        let mut net = Scenario::new(MaxFlood).topology(topo.clone()).seed(1).build().expect("builds");
         net.run(k);
         for p in topo.nodes() {
             let mut ball = topo.k_neighborhood(p, k as usize);
@@ -251,14 +251,16 @@ proptest! {
     #[test]
     fn drivers_agree_on_the_fixpoint(topo in topo_strategy(), seed in 0u64..10_000) {
         let expected = component_max(&topo);
-        let mut net = Network::new(MaxFlood, PerfectMedium, topo.clone(), seed);
+        let scenario = || Scenario::new(MaxFlood).topology(topo.clone()).seed(seed);
+        let mut net = scenario().build().expect("builds");
         net.run_to(&StopWhen::stable_for(3).within(500)).expect_stable("round driver converges");
         prop_assert_eq!(net.states(), expected.as_slice());
-        net.corrupt_all();
+        net.inject(&Fault::CorruptAll).expect("a valid fault");
         net.run_to(&StopWhen::stable_for(3).within(500)).expect_stable("round driver reconverges");
         prop_assert_eq!(net.states(), expected.as_slice());
 
-        let mut driver = EventDriver::new(MaxFlood, PerfectMedium, topo, EventConfig::default(), seed)
+        let mut driver = scenario()
+            .build_events(EventConfig::default())
             .expect("valid configuration");
         driver.run_to(&StopWhen::stable_for(8).within(2000)).expect_stable("event driver converges");
         prop_assert_eq!(driver.states(), expected.as_slice());
@@ -272,12 +274,12 @@ proptest! {
         tau_percent in 25u32..95,
     ) {
         let expected = component_max(&topo);
-        let mut net = Network::new(
-            MaxFlood,
-            BernoulliLoss::new(f64::from(tau_percent) / 100.0),
-            topo,
-            seed,
-        );
+        let mut net = Scenario::new(MaxFlood)
+            .medium(BernoulliLoss::new(f64::from(tau_percent) / 100.0))
+            .topology(topo)
+            .seed(seed)
+            .build()
+            .expect("builds");
         net.run_to(&StopWhen::stable_for(10).within(20_000)).expect_stable("converges");
         prop_assert_eq!(net.states(), expected.as_slice());
     }
@@ -322,24 +324,26 @@ proptest! {
         script in proptest::collection::vec(disturbance_strategy(), 1..25),
     ) {
         let n = topo.len() as u32;
-        let mut net = Network::new(GatedFlood, SlottedCsma::new(8), topo, seed);
+        let mut net = Scenario::new(GatedFlood)
+            .medium(SlottedCsma::new(8))
+            .topology(topo)
+            .seed(seed)
+            .build()
+            .expect("builds");
         prop_assert!(net.is_gated(), "gated CSMA must gate");
         for disturbance in script {
-            match disturbance {
+            let (now, node) = (net.now(), |p: u32| NodeId::new(p % n));
+            let fault = match disturbance {
                 Disturbance::Step(k) => {
                     for _ in 0..k {
                         net.step();
                         let (pending, behind, _) = net.retirement_audit();
                         prop_assert_eq!(pending, behind, "step {}", net.now());
                     }
+                    continue;
                 }
-                Disturbance::Corrupt(p) => net.corrupt(NodeId::new(p % n)),
-                Disturbance::CorruptFraction(f) => {
-                    net.corrupt_fraction(f);
-                }
-                Disturbance::Isolate(p) => net.isolate(NodeId::new(p % n)),
-                Disturbance::Jitter { node, dx, dy } => {
-                    let p = NodeId::new(node % n);
+                Disturbance::Jitter { node: p, dx, dy } => {
+                    let p = node(p);
                     let pos = net.topology().positions().expect("uniform topos have positions")
                         [p.index()];
                     let moved = Point2::new(
@@ -347,39 +351,30 @@ proptest! {
                         (pos.y + dy).clamp(0.0, 1.0),
                     );
                     net.apply_moves(&[(p, moved)]);
+                    continue;
                 }
-                Disturbance::Crash { node, dark_for } => {
-                    net.inject(&Fault::CrashRecover {
-                        node: NodeId::new(node % n),
-                        dark_for,
-                    })
-                    .expect("node count unchanged");
-                }
-                Disturbance::Byzantine { node, window } => {
-                    net.inject(&Fault::ByzantineBeacon {
-                        node: NodeId::new(node % n),
-                        lie: if node % 2 == 0 { Lie::Forged } else { Lie::Replayed },
-                        until: net.now() + window,
-                    })
-                    .expect("node count unchanged");
-                }
-                Disturbance::Partition { prefix, window } => {
-                    let cut: Vec<NodeId> =
-                        (0..1 + prefix % n.max(2).saturating_sub(1)).map(NodeId::new).collect();
-                    net.inject(&Fault::PartitionHeal {
-                        cut,
-                        heal_at: net.now() + window,
-                    })
-                    .expect("node count unchanged");
-                }
-                Disturbance::JamOne { node, window } => {
-                    net.inject(&Fault::Jam {
-                        region: Region::Nodes(vec![NodeId::new(node % n)]),
-                        until: net.now() + window,
-                    })
-                    .expect("node count unchanged");
-                }
-            }
+                Disturbance::Corrupt(p) => Fault::CorruptNode(node(p)),
+                Disturbance::CorruptFraction(f) => Fault::CorruptFraction(f),
+                Disturbance::Isolate(p) => Fault::Isolate(node(p)),
+                Disturbance::Crash { node: p, dark_for } => Fault::CrashRecover {
+                    node: node(p),
+                    dark_for,
+                },
+                Disturbance::Byzantine { node: p, window } => Fault::ByzantineBeacon {
+                    node: node(p),
+                    lie: if p % 2 == 0 { Lie::Forged } else { Lie::Replayed },
+                    until: now + window,
+                },
+                Disturbance::Partition { prefix, window } => Fault::PartitionHeal {
+                    cut: (0..1 + prefix % n.max(2).saturating_sub(1)).map(NodeId::new).collect(),
+                    heal_at: now + window,
+                },
+                Disturbance::JamOne { node: p, window } => Fault::Jam {
+                    region: Region::Nodes(vec![node(p)]),
+                    until: now + window,
+                },
+            };
+            net.inject(&fault).expect("a valid fault");
         }
     }
 
@@ -387,15 +382,16 @@ proptest! {
     /// both drivers (the reproducibility contract).
     #[test]
     fn drivers_are_deterministic(topo in topo_strategy(), seed in 0u64..10_000) {
+        let scenario = |topo: &Topology| Scenario::new(MaxFlood).topology(topo.clone()).seed(seed);
         let round = |topo: &Topology| {
-            let mut net = Network::new(MaxFlood, BernoulliLoss::new(0.6), topo.clone(), seed);
+            let mut net = scenario(topo).medium(BernoulliLoss::new(0.6)).build().expect("builds");
             net.run(15);
             net.states().to_vec()
         };
         prop_assert_eq!(round(&topo), round(&topo));
         let event = |topo: &Topology| {
-            let cfg = EventConfig::default();
-            let mut d = EventDriver::new(MaxFlood, PerfectMedium, topo.clone(), cfg, seed)
+            let mut d = scenario(topo)
+                .build_events(EventConfig::default())
                 .expect("valid configuration");
             d.run_until_time(10.0);
             d.states().to_vec()

@@ -47,8 +47,13 @@ fn main() {
     );
 
     // Aftershock: a third of the devices reboot with garbage state.
-    let corrupted = net.corrupt_fraction(0.33);
-    println!("aftershock: {corrupted} devices corrupted");
+    let fraction = 0.33;
+    net.inject(&Fault::CorruptFraction(fraction))
+        .expect("a valid fault");
+    println!(
+        "aftershock: about {:.0}% of devices corrupted",
+        fraction * 100.0
+    );
 
     let healed = net.run_to(&stop);
     let healed_at = healed.expect_stable("self-stabilization: the network heals");

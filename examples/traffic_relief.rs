@@ -82,7 +82,7 @@ fn main() {
     );
 
     // Phase 2 — the hottest sink goes dark for longer than the TTL.
-    net.isolate(hot);
+    net.inject(&Fault::Isolate(hot)).expect("a valid fault");
     let outage = run_rounds(&mut net, &mut plane, 150, view);
     println!(
         "outage: node {hot} dark for 150 steps (TTL 64): {} packets stranded so far",
@@ -91,7 +91,8 @@ fn main() {
 
     // Phase 3 — links restored; the protocol re-stabilizes and the
     // backlog drains.
-    net.set_topology(topo).expect("same node count");
+    net.inject(&Fault::SetTopology(topo))
+        .expect("same node count");
     let healed = run_rounds(&mut net, &mut plane, 100_000, view);
     println!(
         "healed: {} delivered / {} injected ({:.1}% delivery), p99 latency {:.0} steps",

@@ -57,8 +57,8 @@ where
     let net_report = net.run_to(&stop);
     let actor_report = actors.run_to(&stop);
     assert_eq!(net_report, actor_report, "{label}: reports diverged");
-    net.corrupt_all();
-    actors.corrupt_all();
+    net.inject(&Fault::CorruptAll).expect("a valid fault");
+    actors.inject(&Fault::CorruptAll).expect("a valid fault");
     let net_healed = net.run_to(&stop);
     let actor_healed = actors.run_to(&stop);
     assert_eq!(net_healed, actor_healed, "{label}: healed reports diverged");

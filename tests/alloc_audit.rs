@@ -13,7 +13,7 @@
 //! scrambled, caches intact) re-runs N1/R1/R2 across the whole grid
 //! without touching the heap. Only cache *re-discovery* — a cleared
 //! cache re-learning its neighborhood — may allocate, which is why the
-//! protocol phase perturbs states directly instead of `corrupt_all`.
+//! protocol phase perturbs states directly instead of `Fault::CorruptAll`.
 //!
 //! The actor fabric is audited on the same wave: its senders encode
 //! into per-worker byte arenas, its receivers decode into one pooled
@@ -151,11 +151,11 @@ fn warmed(side: usize, shards: Option<usize>) -> mwn_sim::Network<GatedFlood, Pe
 #[test]
 fn steady_state_loops_do_not_allocate() {
     // --- Serial, converging storm -----------------------------------
-    // corrupt_all wakes every node; the re-convergence that follows is
+    // Fault::CorruptAll wakes every node; the re-convergence that follows is
     // exactly the cold-start converging phase, but with warmed buffers:
     // it must run allocation-free, step after step.
     let mut net = warmed(40, Some(1));
-    net.corrupt_all();
+    net.inject(&Fault::CorruptAll).expect("a valid fault");
     assert!(
         allocs_during(&mut net, 2) < 50,
         "warmup steps right after corruption stay near-free"

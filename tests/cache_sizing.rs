@@ -279,10 +279,12 @@ fn a_cache_forged_past_its_hint_keeps_every_entry() {
     // Node `early` is forged before any frame lands, so its cache has
     // allocated and the hint passes it by; node `sized` takes its hint
     // at the first frame and is forged past it afterwards.
-    net.corrupt(early);
+    net.inject(&Fault::CorruptNode(early))
+        .expect("a valid fault");
     net.step();
     net.step();
-    net.corrupt(sized);
+    net.inject(&Fault::CorruptNode(sized))
+        .expect("a valid fault");
     let ghosts: Vec<NodeId> = (0..3 * k).map(|g| NodeId::new(100 + g)).collect();
     for p in [sized, early] {
         let cache = &mut net.state_mut(p).cache;

@@ -26,7 +26,7 @@ fn protocol_restabilizes_after_each_mobility_burst() {
     for burst in 0..6 {
         // 10 seconds of vehicular movement, then let the protocol run.
         scenario.advance(10.0);
-        net.set_topology(scenario.topology().clone())
+        net.inject(&Fault::SetTopology(scenario.topology().clone()))
             .expect("mobility keeps the node count");
         let report = net.run_to(&stop);
         assert!(report.is_stable(), "burst {burst}: no restabilization");
@@ -56,11 +56,13 @@ fn continuous_small_churn_keeps_output_near_fixpoint() {
         } else {
             topo.add_edge(u, v).unwrap();
         }
-        net.set_topology(topo).expect("same node count");
+        net.inject(&Fault::SetTopology(topo))
+            .expect("same node count");
         net.run(1);
     }
     // Restore the exact original topology and settle.
-    net.set_topology(base).expect("same node count");
+    net.inject(&Fault::SetTopology(base))
+        .expect("same node count");
     net.run_to(&StopWhen::stable_for(4).within(5000))
         .expect_stable("settles after churn stops");
     let got = extract_clustering(net.states()).expect("clean");

@@ -245,7 +245,7 @@ fn gated_equals_eager_run_reports() {
                 .expect("valid scenario");
             net.set_eager(eager);
             let first = net.run_to(&StopWhen::stable_for(4).within(500));
-            net.corrupt_all();
+            net.inject(&Fault::CorruptAll).expect("a valid fault");
             let healed = net.run_to(
                 &StopWhen::stable_for(3)
                     .and(StopWhen::max_steps(5))
@@ -467,7 +467,7 @@ fn event_driver_gated_equals_eager_trajectories() {
             driver.set_eager(eager);
             assert_eq!(driver.is_gated(), !eager);
             let first = driver.run_until_output_stable(1.0, 5, 600.0);
-            driver.corrupt_all();
+            driver.inject(&Fault::CorruptAll).expect("a valid fault");
             let healed = driver.run_until_output_stable(1.0, 5, 600.0);
             let outputs: Vec<_> = driver.states().iter().map(|s| (s.head, s.parent)).collect();
             (first, healed, outputs)
@@ -509,7 +509,7 @@ fn event_driver_silence_is_total_after_stabilization() {
     assert_eq!(driver.messages_total(), messages, "silence must be total");
     assert_eq!(driver.events_processed(), events, "no events while quiet");
     // And the network is still awake: a corruption re-floods.
-    driver.corrupt_all();
+    driver.inject(&Fault::CorruptAll).expect("a valid fault");
     driver
         .run_until_output_stable(1.0, 5, 600.0)
         .expect("heals after the quiet eon");
@@ -741,7 +741,7 @@ proptest! {
             net.set_eager(eager);
             net.set_shards(shards);
             let report = net.run_to(&StopWhen::stable_for(3).within(400));
-            net.corrupt_all();
+            net.inject(&Fault::CorruptAll).expect("a valid fault");
             let healed = net.run_to(&StopWhen::stable_for(3).within(400));
             (report, healed, net.outputs(), net.messages_total(), net.now())
         };

@@ -409,6 +409,9 @@ fn inject_rejects_malformed_faults_without_panicking_on_all_drivers() {
             },
             until: 9,
         },
+        // A NaN fraction would pick nobody yet draw off the fault
+        // stream.
+        Fault::CorruptFraction(f64::NAN),
     ];
     let path = Topology::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]).expect("a path");
     for (label, mut driver) in all_drivers(&path, FaultPlan::new) {
@@ -434,51 +437,6 @@ fn inject_rejects_malformed_faults_without_panicking_on_all_drivers() {
         driver.inject(&Fault::CorruptAll).expect("a valid fault");
         run_to_step(&mut *driver, 30);
         assert_states(&label, &*driver, &[4; 5], "heals after the rejects");
-    }
-}
-
-/// On the clock `build` deploys: each shared mutator of [`Sim`], beside
-/// the [`Fault`] it is the twin of, injected on a twin driver — both
-/// fired on a stabilized path of six, then run to stability again. A
-/// flood whose maximum already reached everyone may not move a state
-/// after a cut, so the twins must also agree on the broadcasts the
-/// mutation woke.
-fn mutators_equal_their_fault_twins<C: Clock<MaxFlood>>(
-    label: &str,
-    build: impl Fn(&Topology) -> Sim<MaxFlood, C>,
-) {
-    type Mutator<C> = Box<dyn Fn(&mut Sim<MaxFlood, C>)>;
-    let (p, ring) = (NodeId::new(2), builders::ring(6));
-    let swapped = ring.clone();
-    let twins: [(Fault, Mutator<C>); 4] = [
-        (Fault::Isolate(p), Box::new(move |d| d.isolate(p))),
-        (
-            Fault::SetTopology(ring),
-            Box::new(move |d| d.set_topology(swapped.clone()).expect("six nodes")),
-        ),
-        (Fault::CorruptNode(p), Box::new(move |d| d.corrupt(p))),
-        (
-            Fault::CorruptFraction(0.5),
-            Box::new(|d| {
-                d.corrupt_fraction(0.5);
-            }),
-        ),
-    ];
-    let stop = StopWhen::stable_for(4).within(200);
-    for (fault, mutate) in &twins {
-        let (mut mutated, mut injected) = (build(&builders::line(6)), build(&builders::line(6)));
-        mutated.run_to(&stop).expect_stable("the path stabilizes");
-        injected.run_to(&stop).expect_stable("the path stabilizes");
-        mutate(&mut mutated);
-        injected.inject(fault).expect("a valid fault");
-        let at = format!("{label}: {}", fault.kind_name());
-        assert_eq!(mutated.run_to(&stop), injected.run_to(&stop), "{at}");
-        if let Some(node) = first_divergence(mutated.states(), injected.states()) {
-            let now = mutated.now();
-            panic!("{at}, step {now}: states differ (left mutated, right injected) at {node}");
-        }
-        assert_eq!(mutated.outputs(), injected.outputs(), "{at}");
-        assert_eq!(mutated.messages_total(), injected.messages_total(), "{at}");
     }
 }
 
@@ -510,9 +468,7 @@ fn the_shared_mutators_act_alike_on_every_clock() {
         let events = scenario(topo).build_events(EventConfig::default());
         events.expect("valid event scenario")
     };
-    mutators_equal_their_fault_twins("round", rounds);
     a_move_that_joins_two_components_floods_the_joined_maximum("round", rounds);
-    mutators_equal_their_fault_twins("events", events);
     a_move_that_joins_two_components_floods_the_joined_maximum("events", events);
     for threads in [1, 4] {
         let actors = |topo: &Topology| {
@@ -520,7 +476,6 @@ fn the_shared_mutators_act_alike_on_every_clock() {
             actors.expect("valid actor scenario")
         };
         let label = format!("actors×{threads}");
-        mutators_equal_their_fault_twins(&label, actors);
         a_move_that_joins_two_components_floods_the_joined_maximum(&label, actors);
     }
 }
@@ -537,13 +492,13 @@ fn eager_step_reports_no_change<C: Clock<MaxFlood>>(
     let mut d = build(&builders::line(6));
     d.run_to(&stop).expect_stable("the path stabilizes");
     d.set_eager(true);
-    d.corrupt(p);
+    d.inject(&Fault::CorruptNode(p)).expect("a valid fault");
     d.step();
     assert_eq!(d.last_changed(), [], "{label}: eager");
     assert_eq!(d.last_activity().changed, 0, "{label}: eager");
     d.set_eager(false);
     d.run_to(&stop).expect_stable("the path stabilizes again");
-    d.corrupt(p);
+    d.inject(&Fault::CorruptNode(p)).expect("a valid fault");
     d.step();
     assert!(d.last_changed().contains(&p), "{label}: gated");
     assert_eq!(d.last_activity().changed, d.last_changed().len(), "{label}");
@@ -593,7 +548,7 @@ fn step_counts_add_up_to_the_totals<C: Clock<MaxFlood>>(
     let (before, mut sums) = (totals(d), [0u64; 7]);
     for step in 0..steps {
         match step {
-            10 => d.corrupt_all(),
+            10 => d.inject(&Fault::CorruptAll).expect("a valid fault"),
             20 => d.set_eager(true),
             30 => d.set_eager(false),
             _ => {}

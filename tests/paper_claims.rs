@@ -24,7 +24,7 @@ fn theorem_1_n1_stabilizes_to_a_bounded_height_dag() {
             .expect("valid scenario");
         // Arbitrary initial configuration (self-stabilization quantifies
         // over all of them).
-        net.corrupt_all();
+        net.inject(&Fault::CorruptAll).expect("a valid fault");
         let steps = net.run_to(&stop).expect_stable("w.p. 1 convergence");
         // "expected constant time": single-digit steps at any size.
         assert!(steps < 60, "seed {seed}: {steps} steps");

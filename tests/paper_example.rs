@@ -156,7 +156,7 @@ fn corrupting_the_example_always_heals_back() {
         .expect("valid scenario");
     let stop = StopWhen::stable_for(3).within(200);
     for _ in 0..10 {
-        net.corrupt_all();
+        net.inject(&Fault::CorruptAll).expect("a valid fault");
         net.run_to(&stop).expect_stable("heals after corruption");
         assert_paper_clustering(&extract_clustering(net.states()).unwrap());
     }

@@ -25,7 +25,7 @@ fn total_corruption_reconverges_to_the_same_fixpoint() {
     let fixpoint = extract_clustering(net.states()).expect("stabilized");
     let stop = StopWhen::stable_for(3).within(10_000);
     for round in 0..5 {
-        net.corrupt_all();
+        net.inject(&Fault::CorruptAll).expect("a valid fault");
         let report = net.run_to(&stop);
         assert!(report.is_stable(), "round {round}: no reconvergence");
         assert_eq!(
@@ -43,7 +43,8 @@ fn partial_corruption_reconverges() {
         let mut net = default_scenario(2).build().expect("valid scenario");
         net.run(25);
         let fixpoint = extract_clustering(net.states()).expect("stabilized");
-        net.corrupt_fraction(fraction);
+        net.inject(&Fault::CorruptFraction(fraction))
+            .expect("a valid fault");
         net.run_to(&stop).expect_stable("reconverges");
         assert_eq!(extract_clustering(net.states()).expect("clean"), fixpoint);
     }
@@ -97,7 +98,7 @@ fn corruption_under_lossy_medium_reconverges() {
     net.run_to(&StopWhen::stable_for(25).within(20_000))
         .expect_stable("initial convergence");
     let fixpoint = extract_clustering(net.states()).expect("stabilized");
-    net.corrupt_all();
+    net.inject(&Fault::CorruptAll).expect("a valid fault");
     net.run_to(&StopWhen::stable_for(25).within(40_000))
         .expect_stable("reconvergence under loss");
     assert_eq!(extract_clustering(net.states()).expect("clean"), fixpoint);
@@ -122,7 +123,7 @@ fn dag_names_self_heal_with_the_full_protocol() {
         .expect("valid scenario");
     let stop = StopWhen::stable_for(4).within(1000);
     net.run_to(&stop).expect_stable("stabilizes");
-    net.corrupt_all();
+    net.inject(&Fault::CorruptAll).expect("a valid fault");
     net.run_to(&stop).expect_stable("reconverges");
     check_legitimate(&net).expect("names and election both legitimate");
 }
@@ -143,7 +144,7 @@ fn link_failure_and_recovery_restabilizes() {
         .nodes()
         .max_by_key(|&p| topo.degree(p))
         .expect("non-empty");
-    net.isolate(busiest);
+    net.inject(&Fault::Isolate(busiest)).expect("a valid fault");
     let stop = StopWhen::stable_for(5).within(5000);
     net.run_to(&stop)
         .expect_stable("restabilizes without the hub");
@@ -151,7 +152,8 @@ fn link_failure_and_recovery_restabilizes() {
     assert!(during.is_head(busiest), "an isolated node heads itself");
 
     // Radio comes back: the network returns to the original fixpoint.
-    net.set_topology(topo).expect("same node count");
+    net.inject(&Fault::SetTopology(topo))
+        .expect("same node count");
     net.run_to(&stop)
         .expect_stable("restabilizes after recovery");
     assert_eq!(extract_clustering(net.states()).expect("clean"), before);
@@ -174,7 +176,7 @@ fn event_driver_corruption_reconverges() {
         .run_until_output_stable(1.0, 30, 3000.0)
         .expect("initial convergence");
     let fixpoint = extract_clustering(driver.states()).expect("stabilized");
-    driver.corrupt_all();
+    driver.inject(&Fault::CorruptAll).expect("a valid fault");
     driver
         .run_until_output_stable(1.0, 30, 6000.0)
         .expect("reconvergence");

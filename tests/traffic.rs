@@ -259,13 +259,14 @@ fn fault_burst_run(shards: Option<usize>) -> (String, String) {
         extract_clustering(states).and_then(|c| HierarchicalRoutes::try_new(topo, c))
     };
     run_rounds(&mut net, &mut plane, 40, view);
-    net.isolate(hot);
+    net.inject(&Fault::Isolate(hot)).expect("a valid fault");
     let mid = run_rounds(&mut net, &mut plane, 80, view);
     assert!(
         mid.dropped_stranded > 0,
         "no stranded loss during the outage: {mid:?}"
     );
-    net.set_topology(topo.clone()).expect("same node count");
+    net.inject(&Fault::SetTopology(topo.clone()))
+        .expect("same node count");
     let end = run_rounds(&mut net, &mut plane, 4_000, view);
     assert!(
         end.delivered > mid.delivered,
